@@ -89,7 +89,7 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 		name string
 		g    *expr.JoinGraph
 		rels int
-		mk   func(*expr.JoinGraph) *TupleJoin
+		mk   func(*expr.JoinGraph) Join
 	}{
 		{"chain3/slab", chain3(), 3, NewTupleJoin},
 		{"chain4/slab", chain4(), 4, NewTupleJoin},
@@ -127,7 +127,7 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 	)
 	for _, mode := range []struct {
 		name string
-		mk   func(*expr.JoinGraph) *TupleJoin
+		mk   func(*expr.JoinGraph) Join
 	}{{"slab", NewTupleJoin}, {"map", NewTupleJoinMap}} {
 		t.Run(mode.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(11))
@@ -156,7 +156,10 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 
 func TestTupleJoinMaterializesIntermediateViews(t *testing.T) {
 	g := chain3()
-	dbt := NewTupleJoin(g)
+	dbt, ok := NewTupleJoin(g).(*TupleJoin)
+	if !ok {
+		t.Fatal("a 3-relation graph has intermediate views: NewTupleJoin must return the view operator")
+	}
 	r := rand.New(rand.NewSource(2))
 	rels := [][]types.Tuple{genRel(r, 15, 2, 3), genRel(r, 15, 2, 3), genRel(r, 15, 2, 3)}
 	for _, e := range shuffled(r, rels) {
@@ -399,7 +402,7 @@ func TestTupleJoinExportParityAndFrames(t *testing.T) {
 	g := chain3()
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	slabJ, mapJ := NewTupleJoin(g), NewTupleJoinMap(g)
+	slabJ, mapJ := NewTupleJoin(g).(*TupleJoin), NewTupleJoinMap(g).(*TupleJoin)
 	for _, e := range shuffled(r, rels) {
 		if err := slabJ.Insert(e.rel, e.t); err != nil {
 			t.Fatal(err)

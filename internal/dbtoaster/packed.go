@@ -11,13 +11,10 @@ import (
 	"encoding/binary"
 	"fmt"
 
-	"squall/internal/localjoin"
 	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
-
-var _ localjoin.PackedJoin = (*TupleJoin)(nil)
 
 // PackedCapable reports whether OnRow applies (the compact slab layout).
 func (j *TupleJoin) PackedCapable() bool { return j.compact }
@@ -59,7 +56,6 @@ func (j *TupleJoin) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row [
 // the singleton arena instead of re-encoding the tuple.
 func (j *TupleJoin) insertEncoded(rel int, t types.Tuple, row []byte) error {
 	tRef := slab.NoRef
-	merged := make([]slab.Ref, j.g.NumRels)
 	for _, mask := range j.updateOrder[rel] {
 		v := j.views[mask]
 		if mask == uint64(1)<<uint(rel) {
@@ -69,7 +65,7 @@ func (j *TupleJoin) insertEncoded(rel int, t types.Tuple, row []byte) error {
 			}
 			continue
 		}
-		if err := j.crossInsert(v, mask, rel, t, tRef, merged); err != nil {
+		if err := j.crossInsert(v, mask, rel, t, tRef); err != nil {
 			return err
 		}
 	}

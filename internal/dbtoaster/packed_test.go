@@ -32,8 +32,10 @@ func TestTupleJoinOnRowAgreesWithOnTuple(t *testing.T) {
 				conj = append(conj, expr.ThetaCol(0, 1, expr.Lt, 1, 1))
 			}
 			g := expr.MustJoinGraph(c.rels, conj...)
-			boxed := NewTupleJoin(g)
-			packed := NewTupleJoin(g)
+			// The view operator itself, also on the 2-way graph the
+			// constructors route to the base-relation core (rule_test.go).
+			boxed := newTupleJoin(g, true)
+			packed := newTupleJoin(g, true)
 			if !packed.PackedCapable() {
 				t.Fatal("compact TupleJoin must be packed-capable")
 			}

@@ -16,6 +16,10 @@
 //     proportional to the number of distinct groups rather than the number
 //     of matching combinations, the core of DBToaster's advantage.
 //
+// The NewTupleJoin constructors return TupleJoin only for graphs that have an
+// intermediate view to keep; on 2-relation graphs they hand back
+// localjoin.Traditional's packed base-relation core (see ViewLess).
+//
 // TupleJoin state defaults to the compact slab layout (PR 3): base tuples
 // live as packed rows in per-relation arenas and every materialized combo is
 // a fixed-stride array of 32-bit refs into them — an n-way combo costs 4n
@@ -88,28 +92,69 @@ type TupleJoin struct {
 	// emission buffers.
 	decBuf  types.Tuple
 	emitBuf []byte
+	// merged is insert scratch: the ref combo under assembly, one slot per
+	// relation.
+	merged []slab.Ref
+}
+
+// Join is what the NewTupleJoin constructors return: the local-join surface
+// the engine drives (ops.JoinBolt, the recovery and adaptation planes) and
+// nothing of the operator behind it, which the constructors choose from the
+// shape of the graph.
+type Join interface {
+	localjoin.MultiJoin
+	localjoin.Migrator
+	localjoin.FrameExporter
+	localjoin.PackedJoin
+	ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error)
+	SpilledBytes() int
+	ReleaseState()
 }
 
 var (
-	_ localjoin.MultiJoin     = (*TupleJoin)(nil)
-	_ localjoin.Migrator      = (*TupleJoin)(nil)
-	_ localjoin.FrameExporter = (*TupleJoin)(nil)
+	_ Join = (*TupleJoin)(nil)
+	_ Join = (*localjoin.Traditional)(nil)
 )
+
+// ViewLess reports that the graph has no intermediate view to materialize:
+// with two relations the only connected non-full subsets are the base
+// relations themselves, so TupleJoin would keep exactly the state
+// localjoin.Traditional keeps and gain nothing from it. The constructors
+// below then hand back the traditional operator's packed base-relation
+// core; Figure 8's DBToaster-vs-traditional comparison is about view reuse
+// on n-way joins, which starts at three relations.
+func ViewLess(g *expr.JoinGraph) bool { return g.NumRels == 2 }
+
+// ViewLessReason is the one-line account of that rule for plan output.
+const ViewLessReason = "DBToaster on a 2-relation graph: no intermediate view, base-relation core"
 
 // NewTupleJoin builds the operator with the compact slab state layout,
 // materializing a view for every connected, non-full subset of relations.
-func NewTupleJoin(g *expr.JoinGraph) *TupleJoin { return newTupleJoin(g, true) }
+func NewTupleJoin(g *expr.JoinGraph) Join {
+	if ViewLess(g) {
+		return localjoin.NewTraditional(g)
+	}
+	return newTupleJoin(g, true)
+}
 
 // NewTupleJoinMap builds the operator with the pre-slab map state layout —
 // the opt-out baseline (squall.Options.LegacyState).
-func NewTupleJoinMap(g *expr.JoinGraph) *TupleJoin { return newTupleJoin(g, false) }
+func NewTupleJoinMap(g *expr.JoinGraph) Join {
+	if ViewLess(g) {
+		return localjoin.NewTraditionalMap(g)
+	}
+	return newTupleJoin(g, false)
+}
 
 // NewTupleJoinTiered builds the compact-layout operator with tiered
 // singleton arenas (PR 10): base rows seal into checksummed segments and
 // spill to tc.Store under memory pressure, faulting back in on probes.
 // View combos (flat ref arrays) and indexes stay resident — they are the
 // operator's working set; the base-row payload is the bulk of its bytes.
-func NewTupleJoinTiered(g *expr.JoinGraph, tc slab.TierConfig) *TupleJoin {
+func NewTupleJoinTiered(g *expr.JoinGraph, tc slab.TierConfig) Join {
+	if ViewLess(g) {
+		return localjoin.NewTraditionalTiered(g, tc)
+	}
 	j := newTupleJoin(g, true)
 	base := tc.KeyPrefix
 	for mask, v := range j.views {
@@ -124,7 +169,8 @@ func NewTupleJoinTiered(g *expr.JoinGraph, tc slab.TierConfig) *TupleJoin {
 }
 
 func newTupleJoin(g *expr.JoinGraph, compact bool) *TupleJoin {
-	j := &TupleJoin{g: g, views: map[uint64]*tview{}, compact: compact, full: (uint64(1) << g.NumRels) - 1}
+	j := &TupleJoin{g: g, views: map[uint64]*tview{}, compact: compact, full: (uint64(1) << g.NumRels) - 1,
+		merged: make([]slab.Ref, g.NumRels)}
 	j.updateOrder = make([][]uint64, g.NumRels)
 	for mask := uint64(1); mask < j.full; mask++ {
 		if !g.Connected(mask) {
@@ -246,7 +292,6 @@ func (j *TupleJoin) Insert(rel int, t types.Tuple) error {
 // merges, no tuple re-materialization.
 func (j *TupleJoin) insertCompact(rel int, t types.Tuple) error {
 	tRef := slab.NoRef
-	merged := make([]slab.Ref, j.g.NumRels)
 	for _, mask := range j.updateOrder[rel] {
 		v := j.views[mask]
 		if mask == uint64(1)<<rel {
@@ -256,7 +301,7 @@ func (j *TupleJoin) insertCompact(rel int, t types.Tuple) error {
 			}
 			continue
 		}
-		if err := j.crossInsert(v, mask, rel, t, tRef, merged); err != nil {
+		if err := j.crossInsert(v, mask, rel, t, tRef); err != nil {
 			return err
 		}
 	}
@@ -267,7 +312,8 @@ func (j *TupleJoin) insertCompact(rel int, t types.Tuple) error {
 // at tRef: the delta combos are assembled by crossing the passing combos of
 // the complement's component views — pure ref merges. Shared by the boxed
 // and packed insert paths.
-func (j *TupleJoin) crossInsert(v *tview, mask uint64, rel int, t types.Tuple, tRef slab.Ref, merged []slab.Ref) error {
+func (j *TupleJoin) crossInsert(v *tview, mask uint64, rel int, t types.Tuple, tRef slab.Ref) error {
+	merged := j.merged
 	comps := j.g.Components(mask &^ (uint64(1) << rel))
 	lists := make([][]int, len(comps))
 	for i, cm := range comps {

@@ -362,3 +362,94 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 		t.Fatalf("seed=%d: adaptive and static runs disagree:\n%s", seed, diff)
 	}
 }
+
+// TestDifferentialViewLessDBToaster crosses the local-join rule with the
+// planes that reach into operator state: Local: DBToaster on 2-relation
+// graphs runs the base-relation core (Result.LocalJoin says so), and must
+// stay bag-equal to the oracle under a capped tier, a killed-and-recovered
+// task on tiered state, adaptive reshaping (with and without a kill) and
+// the map state layout. The two-process cluster leg of the same crossing is
+// in multiproc_test.go.
+func TestDifferentialViewLessDBToaster(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		seed  int64
+		theta bool
+	}{
+		{"2way-equi", 51, false},
+		{"2way-theta", 52, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := RandomWorkload(c.seed, 2, 1200, 60, c.theta)
+			ref := w.ReferenceBag()
+			if len(ref) == 0 {
+				t.Fatalf("degenerate workload: oracle produced no rows")
+			}
+			base := EngineConfig{
+				Scheme: squall.HashHypercube, Local: squall.DBToaster, BatchSize: 16,
+				Machines: 2, Seed: c.seed,
+			}
+			run := func(t *testing.T, ec EngineConfig, tune func(*squall.Options)) *squall.Result {
+				t.Helper()
+				q, opts := w.Plan(ec)
+				if tune != nil {
+					tune(&opts)
+				}
+				res, err := q.Run(opts)
+				if err != nil {
+					t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+				}
+				got := make(map[string]int, len(res.Rows))
+				for _, r := range res.Rows {
+					got[r.Key()]++
+				}
+				if diff := DiffBags(ref, got); diff != "" {
+					t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
+				}
+				if res.LocalJoin.Operator != "localjoin.Traditional" {
+					t.Fatalf("seed=%d %v: joiner ran %q (%s), want the base-relation core",
+						c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason)
+				}
+				return res
+			}
+
+			t.Run("tier+cap", func(t *testing.T) {
+				ec := base
+				ec.Spill = true
+				// Size the cap from the join's own residency: an effectively
+				// uncapped ladder never spills, so its peak is the true
+				// arena footprint.
+				uncapped := run(t, ec, func(o *squall.Options) { o.Tier.MemCapBytes = 1 << 40 })
+				limit := uncapped.Pressure.PeakResident / 2
+				for _, kill := range []bool{false, true} {
+					ec.Kill = kill
+					res := run(t, ec, func(o *squall.Options) { o.Tier.MemCapBytes = limit })
+					if res.Pressure.Spills == 0 {
+						t.Fatalf("kill=%v: a cap at half the uncapped peak (%d B) spilled nothing", kill, limit)
+					}
+					if kill && res.Metrics.Recovery.Faults.Load() != 1 {
+						t.Fatalf("%d faults recovered, want 1", res.Metrics.Recovery.Faults.Load())
+					}
+				}
+			})
+			for _, ec := range []EngineConfig{
+				{Kill: true},
+				{Spill: true, Kill: true},
+				{Adaptive: true},
+				{Adaptive: true, Kill: true},
+				{LegacyState: true},
+				{LegacyState: true, Adaptive: true},
+				{LegacyState: true, Kill: true},
+			} {
+				ec.Scheme, ec.Local, ec.BatchSize, ec.Seed = base.Scheme, base.Local, base.BatchSize, base.Seed
+				ec.Machines = 4
+				t.Run(ec.String(), func(t *testing.T) {
+					res := run(t, ec, nil)
+					if ec.Kill && res.Metrics.Recovery.Faults.Load() != 1 {
+						t.Fatalf("%d faults recovered, want 1", res.Metrics.Recovery.Faults.Load())
+					}
+				})
+			}
+		})
+	}
+}

@@ -168,6 +168,34 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 		}
 		runWorkloadCluster(t, addrs, params, w2.ReferenceBag())
 	})
+
+	// The view-less DBToaster rule across the socket: on a 2-relation graph
+	// both processes must plan the same base-relation core, and its state
+	// must survive a remote kill, tiering and adaptive reshaping.
+	t.Run("viewless-dbtoaster-2way", func(t *testing.T) {
+		params := clusterjobs.WorkloadParams{Seed: 13, NumRels: 2, RowsPerRel: 400, KeyDomain: 30, WithTheta: true}
+		w2 := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, params.WithTheta)
+		ref2 := w2.ReferenceBag()
+		for _, cfg := range []enginetest.EngineConfig{
+			{BatchSize: 16},
+			{BatchSize: 4, Kill: true},
+			{BatchSize: 16, Spill: true, Kill: true},
+			{BatchSize: 3, Adaptive: true},
+			{BatchSize: 16, LegacyState: true},
+		} {
+			cfg.Scheme, cfg.Local, cfg.Machines, cfg.Seed = squall.HashHypercube, squall.DBToaster, 4, params.Seed
+			params.Config = cfg
+			t.Run(cfg.String(), func(t *testing.T) {
+				res := runWorkloadCluster(t, addrs, params, ref2)
+				if res.LocalJoin.Operator != "localjoin.Traditional" {
+					t.Fatalf("joiner ran %q, want the base-relation core", res.LocalJoin.Operator)
+				}
+				if cfg.Kill && res.Metrics.Recovery.Kills.Load() != 1 {
+					t.Fatalf("expected 1 recovered kill in merged metrics, got %d", res.Metrics.Recovery.Kills.Load())
+				}
+			})
+		}
+	})
 }
 
 // slowJob is a cluster job whose sources trickle their first rows, holding

@@ -37,16 +37,11 @@ var _ PackedJoin = (*Traditional)(nil)
 // Anything else falls back to the boxed OnTuple.
 func (j *Traditional) PackedCapable() bool { return j.compact && j.packedOK }
 
-// packedState is the reusable per-arrival scratch of the packed expansion.
+// packedState is the reusable per-arrival scratch of the packed expansion,
+// sized at construction.
 type packedState struct {
 	curs []wire.Cursor // per-relation cursor over the assigned row
-	rows [][]byte      // per-relation assigned row bytes (nil = unassigned)
-	refs [][]uint32    // per-relation verified candidate scratch
 	out  []byte        // spliced result row
-	// incident/filters are per-relation conjunct-id scratch (a relation is
-	// probed at most once per expand chain, so per-rel reuse is safe).
-	incident [][]int
-	filters  [][]int
 }
 
 // OnRow joins the encoded arrival against the stored relations and stores
@@ -61,23 +56,13 @@ func (j *Traditional) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row
 		return fmt.Errorf("localjoin: relation %d out of range", rel)
 	}
 	ps := &j.packed
-	if ps.curs == nil {
-		ps.curs = make([]wire.Cursor, j.g.NumRels)
-		ps.rows = make([][]byte, j.g.NumRels)
-		ps.refs = make([][]uint32, j.g.NumRels)
-		ps.incident = make([][]int, j.g.NumRels)
-		ps.filters = make([][]int, j.g.NumRels)
-	}
 	// Re-scan the row into the operator-owned cursor: a struct copy of the
 	// caller's cursor would alias its offset slice, and a later Reset of
 	// either would silently clobber the other's view.
-	ps.rows[rel] = row
 	if err := ps.curs[rel].Reset(row); err != nil {
 		return fmt.Errorf("localjoin: OnRow: %w", err)
 	}
-	err := j.expandPacked(ps, 1<<uint(rel), emit)
-	ps.rows[rel] = nil
-	if err != nil {
+	if err := j.expandPacked(ps, j.plan[rel], emit); err != nil {
 		return err
 	}
 	return j.insertRow(rel, row, &ps.curs[rel])
@@ -119,11 +104,15 @@ func (j *Traditional) insertRow(rel int, row []byte, cur *wire.Cursor) error {
 }
 
 // expandPacked is expand over encoded rows: partial assignments are row
-// cursors, probes verify candidates by field comparison, and completed
-// assignments splice straight into the emit row.
-func (j *Traditional) expandPacked(ps *packedState, have uint64, emit func([]byte) error) error {
-	next := j.pickNext(have)
-	if next < 0 {
+// cursors and completed assignments splice straight into the emit row. A
+// candidate's stored row is touched once — one arena.RowBytes, one cursor
+// scan — and key verification, filters and the splice all read that view:
+// on a tiered arena every RowBytes is a possible fault-in, and a later call
+// on the same arena may evict the segment an earlier slice points into.
+// Relations have an arena each and a relation is assigned once per chain,
+// so the view stays valid while deeper levels run.
+func (j *Traditional) expandPacked(ps *packedState, steps []probeStep, emit func([]byte) error) error {
+	if len(steps) == 0 {
 		total := 0
 		for r := range ps.curs {
 			total += ps.curs[r].Arity()
@@ -135,177 +124,85 @@ func (j *Traditional) expandPacked(ps *packedState, have uint64, emit func([]byt
 		ps.out = out
 		return emit(out)
 	}
-	refs, filters, err := j.probePacked(ps, have, next)
-	if err != nil {
-		return err
+	st := &steps[0]
+	s := j.stores[st.next]
+	cand := &ps.curs[st.next]
+	var ocur *wire.Cursor
+	if st.ci >= 0 {
+		ocur = &ps.curs[st.other]
+		if err := fieldOf(ocur, st.otherCol); err != nil {
+			return err
+		}
+		if ocur.Kind(st.otherCol) == types.KindNull {
+			return nil // a comparison with NULL holds for no key (CmpOp.Apply)
+		}
 	}
-	s := j.stores[next]
-	for _, ref := range refs {
-		cand := &ps.curs[next]
+	verify := st.ci >= 0 && st.op == expr.Eq
+	s.refBuf = s.refBuf[:0]
+	switch {
+	case verify:
+		// Same 64-bit key hash the boxed path indexes under; a match by
+		// hash is verified per candidate below.
+		s.refBuf = s.eqRef[st.ci].AppendRefs(s.refBuf, ocur.ValueHash(st.otherCol))
+	case st.ci >= 0:
+		// The range bound is the only value the packed path materializes
+		// (numeric fields do it without allocating).
+		lo, hi := st.bounds(ocur.Value(st.otherCol))
+		s.rngIdx[st.ci].Range(lo, hi, func(_ types.Value, it index.Item) bool {
+			s.refBuf = append(s.refBuf, uint32(it.T[0].I))
+			return true
+		})
+	default: // cross join or Ne-only: scan
+		s.arena.Each(func(r slab.Ref) bool {
+			s.refBuf = append(s.refBuf, uint32(r))
+			return true
+		})
+	}
+candidates:
+	for _, ref := range s.refBuf {
 		if err := cand.Reset(s.arena.RowBytes(slab.Ref(ref))); err != nil {
 			return fmt.Errorf("localjoin: corrupt stored row: %w", err)
 		}
-		ok := true
-		for _, ci := range filters {
-			holds, err := j.conjunctHoldsPacked(ps, ci)
+		if verify {
+			// Field-view verification, so a hash collision can never
+			// fabricate a result: the same Compare-equality the boxed path
+			// verifies with.
+			if err := fieldOf(cand, st.nextCol); err != nil {
+				return err
+			}
+			if cmp, _ := wire.CompareFields(cand, st.nextCol, ocur, st.otherCol); cmp != 0 {
+				continue
+			}
+		}
+		for i := range st.filters {
+			holds, err := filterHoldsPacked(ps, &st.filters[i])
 			if err != nil {
 				return err
 			}
 			if !holds {
-				ok = false
-				break
+				continue candidates
 			}
 		}
-		if !ok {
-			continue
-		}
-		ps.rows[next] = s.arena.RowBytes(slab.Ref(ref))
-		if err := j.expandPacked(ps, have|1<<uint(next), emit); err != nil {
+		if err := j.expandPacked(ps, steps[1:], emit); err != nil {
 			return err
 		}
 	}
-	ps.rows[next] = nil
 	return nil
 }
 
-// conjunctHoldsPacked evaluates one conjunct between two assigned rows
+// filterHoldsPacked evaluates one filter conjunct between two assigned rows
 // under CmpOp.Apply semantics (NULL operands collapse to false).
-func (j *Traditional) conjunctHoldsPacked(ps *packedState, ci int) (bool, error) {
-	c := &j.g.Conjuncts[ci]
-	lc, rc := j.sideCol[ci][c.LRel], j.sideCol[ci][c.RRel]
-	lcur, rcur := &ps.curs[c.LRel], &ps.curs[c.RRel]
-	if err := fieldOf(lcur, lc); err != nil {
+func filterHoldsPacked(ps *packedState, f *stepFilter) (bool, error) {
+	lcur, rcur := &ps.curs[f.lrel], &ps.curs[f.rrel]
+	if err := fieldOf(lcur, f.lcol); err != nil {
 		return false, err
 	}
-	if err := fieldOf(rcur, rc); err != nil {
+	if err := fieldOf(rcur, f.rcol); err != nil {
 		return false, err
 	}
-	cmp, anyNull := wire.CompareFields(lcur, lc, rcur, rc)
+	cmp, anyNull := wire.CompareFields(lcur, f.lcol, rcur, f.rcol)
 	if anyNull {
 		return false, nil
 	}
-	return expr.CmpHolds(c.Op, cmp), nil
-}
-
-// probePacked mirrors probe: it returns the candidate row refs of relation
-// `next` passing the strongest incident conjunct (equality candidates
-// verified by field comparison so a hash collision can never fabricate a
-// result), plus the conjunct ids left to check as filters.
-func (j *Traditional) probePacked(ps *packedState, have uint64, next int) ([]uint32, []int, error) {
-	s := j.stores[next]
-	incident := ps.incident[next][:0]
-	for ci, c := range j.g.Conjuncts {
-		other := -1
-		switch {
-		case c.LRel == next:
-			other = c.RRel
-		case c.RRel == next:
-			other = c.LRel
-		default:
-			continue
-		}
-		if have&(1<<uint(other)) != 0 {
-			incident = append(incident, ci)
-		}
-	}
-	ps.incident[next] = incident
-	probeCi := -1
-	for _, ci := range incident {
-		if j.g.Conjuncts[ci].Op == expr.Eq {
-			probeCi = ci
-			break
-		}
-	}
-	if probeCi < 0 {
-		for _, ci := range incident {
-			op := j.g.Conjuncts[ci].Op
-			if op == expr.Lt || op == expr.Le || op == expr.Gt || op == expr.Ge {
-				probeCi = ci
-				break
-			}
-		}
-	}
-	filters := ps.filters[next][:0]
-	for _, ci := range incident {
-		if ci != probeCi {
-			filters = append(filters, ci)
-		}
-	}
-	ps.filters[next] = filters
-	if probeCi < 0 {
-		return j.scanRefs(ps, s, next), filters, nil // cross join or Ne-only
-	}
-	// Orient so LRel == next: Left(t_next) op' Right(t_other).
-	c := j.g.Conjuncts[probeCi].Oriented(next)
-	ocur := &ps.curs[c.RRel]
-	ocol := j.sideCol[probeCi][c.RRel]
-	if err := fieldOf(ocur, ocol); err != nil {
-		return nil, nil, err
-	}
-	switch c.Op {
-	case expr.Eq:
-		ncol := j.sideCol[probeCi][next]
-		// Hash probe + field-view verification: same 64-bit key hash the
-		// boxed path indexes under, same Compare-equality it verifies with
-		// (NULL keys compare equal to NULL keys, exactly like Value.Equal).
-		s.refBuf = s.eqRef[probeCi].AppendRefs(s.refBuf[:0], ocur.ValueHash(ocol))
-		out := ps.refs[next][:0]
-		cand := &ps.curs[next]
-		for _, ref := range s.refBuf {
-			if err := cand.Reset(s.arena.RowBytes(slab.Ref(ref))); err != nil {
-				return nil, nil, fmt.Errorf("localjoin: corrupt stored row: %w", err)
-			}
-			if err := fieldOf(cand, ncol); err != nil {
-				return nil, nil, err
-			}
-			if cmp, _ := wire.CompareFields(cand, ncol, ocur, ocol); cmp == 0 {
-				out = append(out, ref)
-			}
-		}
-		ps.refs[next] = out
-		return out, filters, nil
-	case expr.Lt: // key < v
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundExcl), filters, nil
-	case expr.Le:
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, indexUnbounded, boundIncl), filters, nil
-	case expr.Gt: // key > v
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundExcl, indexUnbounded), filters, nil
-	case expr.Ge:
-		return j.treeRefs(ps, s, next, probeCi, ocur, ocol, boundIncl, indexUnbounded), filters, nil
-	default:
-		return j.scanRefs(ps, s, next), append(filters, probeCi), nil
-	}
-}
-
-// Bound constructors matched to index.Bound's shape, so treeRefs can take
-// either end open or closed.
-func boundExcl(v types.Value) index.Bound { return index.Excl(v) }
-func boundIncl(v types.Value) index.Bound { return index.Incl(v) }
-
-func indexUnbounded(types.Value) index.Bound { return index.Unbounded() }
-
-// treeRefs range-probes a tree index: the only place the packed path
-// materializes a value (the probe bound; numeric fields do it without
-// allocating).
-func (j *Traditional) treeRefs(ps *packedState, s *store, next, ci int, ocur *wire.Cursor, ocol int,
-	lo, hi func(types.Value) index.Bound) []uint32 {
-	v := ocur.Value(ocol)
-	out := ps.refs[next][:0]
-	s.rngIdx[ci].Range(lo(v), hi(v), func(_ types.Value, it index.Item) bool {
-		out = append(out, uint32(it.T[0].I))
-		return true
-	})
-	ps.refs[next] = out
-	return out
-}
-
-// scanRefs returns every live row ref of a relation (cross joins).
-func (j *Traditional) scanRefs(ps *packedState, s *store, next int) []uint32 {
-	out := ps.refs[next][:0]
-	s.arena.Each(func(r slab.Ref) bool {
-		out = append(out, uint32(r))
-		return true
-	})
-	ps.refs[next] = out
-	return out
+	return expr.CmpHolds(f.op, cmp), nil
 }

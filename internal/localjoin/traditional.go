@@ -24,6 +24,7 @@ import (
 	"squall/internal/index"
 	"squall/internal/slab"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // Delta is one output increment: the joined tuples, one per relation, in
@@ -126,6 +127,8 @@ type Traditional struct {
 	sideCol  [][]int
 	packedOK bool
 	packed   packedState
+	// plan[rel] is the expansion an arrival of rel drives (plan.go).
+	plan [][]probeStep
 	// onCompact, when set, is invoked after a relation's arena is compacted
 	// with the ref remap, so external ref holders (window expiration queues)
 	// can rewrite their refs.
@@ -210,6 +213,10 @@ func newTraditional(g *expr.JoinGraph, compact bool) *Traditional {
 		}
 		j.stores[rel] = s
 	}
+	if compact {
+		j.packed.curs = make([]wire.Cursor, g.NumRels)
+	}
+	j.compilePlan()
 	return j
 }
 
@@ -229,7 +236,7 @@ func (j *Traditional) OnTuple(rel int, t types.Tuple) ([]Delta, error) {
 	partial := make([]types.Tuple, j.g.NumRels)
 	partial[rel] = t
 	var out []Delta
-	if err := j.expand(partial, 1<<rel, &out); err != nil {
+	if err := j.expand(j.plan[rel], partial, &out); err != nil {
 		return nil, err
 	}
 	if err := j.insert(rel, t); err != nil {
@@ -509,156 +516,82 @@ func (j *Traditional) insert(rel int, t types.Tuple) error {
 	return nil
 }
 
-// expand recursively extends a partial assignment (bitmask `have`) to all
-// relations, probing the cheapest available index of each next relation.
-func (j *Traditional) expand(partial []types.Tuple, have uint64, out *[]Delta) error {
-	next := j.pickNext(have)
-	if next < 0 {
+// expand recursively extends a partial assignment along the arrival's
+// compiled steps, probing each next relation's index.
+func (j *Traditional) expand(steps []probeStep, partial []types.Tuple, out *[]Delta) error {
+	if len(steps) == 0 {
 		d := make(Delta, len(partial))
 		copy(d, partial)
 		*out = append(*out, d)
 		return nil
 	}
-	candidates, filters, err := j.probe(partial, have, next)
+	st := &steps[0]
+	candidates, err := j.probe(st, partial)
 	if err != nil {
 		return err
 	}
+candidates:
 	for _, cand := range candidates {
-		ok := true
-		for _, ci := range filters {
-			partial[next] = cand
-			holds, err := j.conjunctHolds(ci, partial)
+		partial[st.next] = cand
+		for i := range st.filters {
+			holds, err := j.g.Conjuncts[st.filters[i].ci].Holds(partial)
 			if err != nil {
 				return err
 			}
 			if !holds {
-				ok = false
-				break
+				continue candidates
 			}
 		}
-		if !ok {
-			continue
-		}
-		partial[next] = cand
-		if err := j.expand(partial, have|1<<next, out); err != nil {
+		if err := j.expand(steps[1:], partial, out); err != nil {
 			return err
 		}
 	}
-	partial[next] = nil
+	partial[st.next] = nil
 	return nil
 }
 
-// pickNext prefers a relation connected to the current partial assignment
-// (so an index probe applies); disconnected relations (cross joins) come
-// last and are scanned.
-func (j *Traditional) pickNext(have uint64) int {
-	firstMissing := -1
-	for rel := 0; rel < j.g.NumRels; rel++ {
-		if have&(1<<rel) != 0 {
-			continue
-		}
-		if firstMissing < 0 {
-			firstMissing = rel
-		}
-		if len(j.g.Between(have, 1<<rel)) > 0 {
-			return rel
-		}
+// probe returns the candidate tuples of the step's relation that pass its
+// probe conjunct against the partial assignment; the step's filters are
+// left to the caller.
+func (j *Traditional) probe(st *probeStep, partial []types.Tuple) ([]types.Tuple, error) {
+	s := j.stores[st.next]
+	if st.ci < 0 {
+		return j.scanAll(s), nil // cross join or Ne-only: scan
 	}
-	return firstMissing
-}
-
-func (j *Traditional) conjunctHolds(ci int, partial []types.Tuple) (bool, error) {
-	return j.g.Conjuncts[ci].Holds(partial)
-}
-
-// probe returns candidate tuples of relation `next` matching at least the
-// strongest conjunct against the partial assignment, plus the remaining
-// conjunct ids that must be checked as filters.
-func (j *Traditional) probe(partial []types.Tuple, have uint64, next int) ([]types.Tuple, []int, error) {
-	s := j.stores[next]
-	var incident []int
-	for ci, c := range j.g.Conjuncts {
-		other := -1
-		switch {
-		case c.LRel == next:
-			other = c.RRel
-		case c.RRel == next:
-			other = c.LRel
-		default:
-			continue
-		}
-		if have&(1<<other) != 0 {
-			incident = append(incident, ci)
-		}
-	}
-	// Choose the probe conjunct: equality beats range beats scan.
-	probeCi := -1
-	for _, ci := range incident {
-		if j.g.Conjuncts[ci].Op == expr.Eq {
-			probeCi = ci
-			break
-		}
-	}
-	if probeCi < 0 {
-		for _, ci := range incident {
-			op := j.g.Conjuncts[ci].Op
-			if op == expr.Lt || op == expr.Le || op == expr.Gt || op == expr.Ge {
-				probeCi = ci
-				break
-			}
-		}
-	}
-	var filters []int
-	for _, ci := range incident {
-		if ci != probeCi {
-			filters = append(filters, ci)
-		}
-	}
-	if probeCi < 0 {
-		return j.scanAll(s), filters, nil // cross join or Ne-only: scan
-	}
-	// Orient: condition is Left(t_other) op Right(t_next) after Oriented().
-	c := j.g.Conjuncts[probeCi].Oriented(next)
-	// c now has LRel == next: Left(t_next) op' Right(t_other).
-	v, err := c.Right.Eval(partial[c.RRel])
+	// The conjunct reads key(t_next) op v, v off the assigned side.
+	v, err := j.sideExpr[st.ci][st.other].Eval(partial[st.other])
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	switch c.Op {
-	case expr.Eq:
-		if j.compact {
-			// The equi probe matches by 64-bit key hash; verify each
-			// candidate's key value so a hash collision can never fabricate
-			// a result (one expression eval + compare per candidate, cheaper
-			// than re-running the conjunct as a filter).
-			s.refBuf = s.eqRef[probeCi].AppendRefs(s.refBuf[:0], v.Hash())
-			keyE := j.sideExpr[probeCi][next]
-			out := s.candBuf[:0]
-			for _, ref := range s.refBuf {
-				cand := s.arena.Decode(slab.Ref(ref))
-				kv, err := keyE.Eval(cand)
-				if err != nil {
-					return nil, nil, err
-				}
-				if kv.Equal(v) {
-					out = append(out, cand)
-				}
-			}
-			s.candBuf = out
-			return out, filters, nil
+	if v.IsNull() {
+		return nil, nil // a comparison with NULL holds for no key (CmpOp.Apply)
+	}
+	if st.op != expr.Eq {
+		lo, hi := st.bounds(v)
+		return j.treeCollect(s, s.rngIdx[st.ci], lo, hi), nil
+	}
+	if !j.compact {
+		return s.eqIdx[st.ci].Lookup(v), nil
+	}
+	// The equi probe matches by 64-bit key hash; verify each candidate's
+	// key value so a hash collision can never fabricate a result (one
+	// expression eval + compare per candidate, cheaper than re-running the
+	// conjunct as a filter).
+	s.refBuf = s.eqRef[st.ci].AppendRefs(s.refBuf[:0], v.Hash())
+	keyE := j.sideExpr[st.ci][st.next]
+	out := s.candBuf[:0]
+	for _, ref := range s.refBuf {
+		cand := s.arena.Decode(slab.Ref(ref))
+		kv, err := keyE.Eval(cand)
+		if err != nil {
+			return nil, err
 		}
-		return s.eqIdx[probeCi].Lookup(v), filters, nil
-	case expr.Lt: // key < v
-		return j.treeCollect(s, s.rngIdx[probeCi], index.Unbounded(), index.Excl(v)), filters, nil
-	case expr.Le:
-		return j.treeCollect(s, s.rngIdx[probeCi], index.Unbounded(), index.Incl(v)), filters, nil
-	case expr.Gt: // key > v
-		return j.treeCollect(s, s.rngIdx[probeCi], index.Excl(v), index.Unbounded()), filters, nil
-	case expr.Ge:
-		return j.treeCollect(s, s.rngIdx[probeCi], index.Incl(v), index.Unbounded()), filters, nil
-	default:
-		return j.scanAll(s), append(filters, probeCi), nil
+		if kv.Equal(v) {
+			out = append(out, cand)
+		}
 	}
+	s.candBuf = out
+	return out, nil
 }
 
 // scanAll returns every stored tuple of a relation (cross joins).

@@ -47,28 +47,13 @@ func (k LocalJoinKind) String() string {
 // ignored by the legacy map layouts, which have no arenas to tier.
 func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, legacy, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
-		mk := func() localjoin.MultiJoin {
-			switch {
-			case kind == DBToaster && legacy:
-				return dbtoaster.NewTupleJoinMap(g)
-			case kind == DBToaster:
-				if tier != nil {
-					tc := *tier
-					tc.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
-					return dbtoaster.NewTupleJoinTiered(g, tc)
-				}
-				return dbtoaster.NewTupleJoin(g)
-			case legacy:
-				return localjoin.NewTraditionalMap(g)
-			default:
-				if tier != nil {
-					tc := *tier
-					tc.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
-					return localjoin.NewTraditionalTiered(g, tc)
-				}
-				return localjoin.NewTraditional(g)
-			}
+		var tc *slab.TierConfig
+		if tier != nil && !legacy {
+			c := *tier
+			c.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
+			tc = &c
 		}
+		mk := func() localjoin.MultiJoin { return newLocalJoin(g, kind, legacy, tc) }
 		jb := &joinBolt{mk: mk, mj: mk(), relOf: relOf, post: post}
 		if packed {
 			if pj, ok := jb.mj.(localjoin.PackedJoin); ok && pj.PackedCapable() {
@@ -77,6 +62,39 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 		}
 		return jb
 	}
+}
+
+// newLocalJoin builds one task's operator: the state layout (map, tiered
+// slab, slab) crossed with the algorithm. What DBToaster means for this
+// graph — the view operator, or the base-relation core when there is no
+// view to keep — is dbtoaster's decision, not made here.
+func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, legacy bool, tc *slab.TierConfig) localjoin.MultiJoin {
+	dbt := kind == DBToaster
+	switch {
+	case legacy && dbt:
+		return dbtoaster.NewTupleJoinMap(g)
+	case legacy:
+		return localjoin.NewTraditionalMap(g)
+	case tc != nil && dbt:
+		return dbtoaster.NewTupleJoinTiered(g, *tc)
+	case tc != nil:
+		return localjoin.NewTraditionalTiered(g, *tc)
+	case dbt:
+		return dbtoaster.NewTupleJoin(g)
+	}
+	return localjoin.NewTraditional(g)
+}
+
+// DescribeLocalJoin reports the plan as decided: the operator every joiner task
+// runs for this graph under kind, and the one-line reason.
+func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason string) {
+	switch {
+	case kind == DBToaster && dbtoaster.ViewLess(g):
+		return "localjoin.Traditional", dbtoaster.ViewLessReason
+	case kind == DBToaster:
+		return "dbtoaster.TupleJoin", fmt.Sprintf("DBToaster on a %d-relation graph: intermediate views materialized and probed", g.NumRels)
+	}
+	return "localjoin.Traditional", "Traditional: base-relation indexes re-probed on every arrival"
 }
 
 // packedJoinBolt is joinBolt's frame-capable wrapper. Both entry points emit

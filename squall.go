@@ -329,6 +329,17 @@ type Result struct {
 	// events. ResidentBytes reads zero here — finished tasks refund their
 	// charges — so cap compliance is judged by PeakResident.
 	Pressure *slab.PressureStats
+	// LocalJoin is the plan as decided for the joiner: the operator every
+	// joiner task runs and the rule that picked it, which is a function of
+	// the query's shape as well as of JoinQuery.Local.
+	LocalJoin LocalJoinPlan
+}
+
+// LocalJoinPlan names the local-join operator a plan's joiner tasks run and
+// gives the one-line reason it was chosen.
+type LocalJoinPlan struct {
+	Operator string
+	Reason   string
 }
 
 // SortedRows returns collected rows in lexicographic order.
@@ -495,7 +506,8 @@ type queryPlan struct {
 	joiner string
 	// pressure is the run's ladder (nil when untiered or uncapped), kept so
 	// the Result can snapshot its counters after the run.
-	pressure *slab.Pressure
+	pressure  *slab.Pressure
+	localJoin LocalJoinPlan
 	// components lists every component name in topology order — the
 	// placement domain for cluster runs.
 	components []string
@@ -509,6 +521,7 @@ func (p *queryPlan) result(metrics *RunMetrics) *Result {
 		Metrics:         metrics,
 		Hypercube:       p.hc,
 		JoinerComponent: p.joiner,
+		LocalJoin:       p.localJoin,
 	}
 	if p.pressure != nil {
 		ps := p.pressure.Stats()
@@ -615,6 +628,12 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	}
 	useAggViews := q.Agg != nil && q.Local == DBToaster && q.Graph.IsEquiOnly() &&
 		!q.ForceDeltaJoin && !q.AdaptiveJoin && opt.Recovery == nil
+	var localJoin LocalJoinPlan
+	if useAggViews {
+		localJoin = LocalJoinPlan{"dbtoaster.AggJoin", "DBToaster under an aggregate over an equi-join: aggregate views inside the joiner"}
+	} else {
+		localJoin.Operator, localJoin.Reason = ops.DescribeLocalJoin(q.Graph, q.Local)
+	}
 	switch {
 	case useAggViews:
 		// HyLD with the aggregation inside the joiner (aggregate views).
@@ -743,6 +762,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		hc:         hc,
 		joiner:     joiner,
 		pressure:   pressure,
+		localJoin:  localJoin,
 		components: components,
 	}, nil
 }

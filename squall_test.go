@@ -2,6 +2,7 @@ package squall_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"squall"
@@ -252,6 +253,49 @@ func TestJoinWithoutAggEmitsDeltaRows(t *testing.T) {
 		if got := len(res.Rows[0]); got != datagen.CustomerSchema.Arity()+datagen.OrdersSchema.Arity() {
 			t.Errorf("delta row arity = %d", got)
 		}
+	}
+}
+
+// TestResultReportsLocalJoinPlan: the operator the joiner tasks ran, and the
+// rule that picked it, are in the Result — the choice depends on the shape
+// of the query as well as on JoinQuery.Local, so it must be visible in
+// output.
+func TestResultReportsLocalJoinPlan(t *testing.T) {
+	gen := datagen.NewTPCH(7, 5_000, 0)
+	twoWay := func(local squall.LocalJoinKind) *squall.JoinQuery {
+		return &squall.JoinQuery{
+			Sources: []squall.Source{
+				{Name: "CUSTOMER", Schema: datagen.CustomerSchema, Spout: gen.CustomerSpout(), Size: gen.Customers()},
+				{Name: "ORDERS", Schema: datagen.OrdersSchema, Spout: gen.OrdersSpout(), Size: gen.Orders()},
+			},
+			Graph:    expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 1)),
+			Scheme:   squall.HashHypercube,
+			Machines: 4,
+			Local:    local,
+		}
+	}
+	deltas3 := tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4)
+	deltas3.ForceDeltaJoin = true
+	for _, tc := range []struct {
+		name         string
+		q            *squall.JoinQuery
+		operator     string
+		reasonSubstr string
+	}{
+		{"dbtoaster-2way", twoWay(squall.DBToaster), "localjoin.Traditional", "no intermediate view"},
+		{"traditional-2way", twoWay(squall.Traditional), "localjoin.Traditional", "Traditional"},
+		{"dbtoaster-3way-deltas", deltas3, "dbtoaster.TupleJoin", "3-relation"},
+		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), "dbtoaster.AggJoin", "aggregate views"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := runOrFail(t, tc.q, squall.Options{Seed: 5, CollectLimit: 1})
+			if res.LocalJoin.Operator != tc.operator {
+				t.Errorf("LocalJoin.Operator = %q, want %q", res.LocalJoin.Operator, tc.operator)
+			}
+			if !strings.Contains(res.LocalJoin.Reason, tc.reasonSubstr) {
+				t.Errorf("LocalJoin.Reason = %q, want it to mention %q", res.LocalJoin.Reason, tc.reasonSubstr)
+			}
+		})
 	}
 }
 
