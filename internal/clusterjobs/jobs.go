@@ -32,6 +32,8 @@ type WorkloadParams struct {
 	RowsPerRel int   `json:"rows_per_rel"`
 	KeyDomain  int   `json:"key_domain"`
 	WithTheta  bool  `json:"with_theta,omitempty"`
+	// Zipf builds enginetest.ZipfWorkload instead (WithTheta is ignored).
+	Zipf bool `json:"zipf,omitempty"`
 	// TrickleRows > 0 paces each relation's first TrickleRows rows by
 	// sleeping TrickleEveryUS microseconds per row. The tuples themselves
 	// are unchanged, so results stay bag-identical to the untrickled run —
@@ -59,6 +61,9 @@ func (p WorkloadParams) Build() (*squall.JoinQuery, squall.Options, error) {
 		return nil, squall.Options{}, fmt.Errorf("clusterjobs: degenerate workload params %+v", p)
 	}
 	w := enginetest.RandomWorkload(p.Seed, p.NumRels, p.RowsPerRel, p.KeyDomain, p.WithTheta)
+	if p.Zipf {
+		w = enginetest.ZipfWorkload(p.Seed, p.NumRels, p.RowsPerRel, p.KeyDomain)
+	}
 	q, opts := w.Plan(p.Config)
 	if p.TrickleRows > 0 && p.TrickleEveryUS > 0 {
 		delay := time.Duration(p.TrickleEveryUS) * time.Microsecond

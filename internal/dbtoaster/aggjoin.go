@@ -1,12 +1,16 @@
 package dbtoaster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
-	"math/bits"
-	"sort"
+	"math"
 
 	"squall/internal/expr"
+	"squall/internal/index"
+	"squall/internal/slab"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // AggKind selects the maintained aggregate.
@@ -50,42 +54,83 @@ type slotSpec struct {
 	id int
 }
 
-// aggEntry aggregates all join combinations of a view sharing one signature.
-type aggEntry struct {
-	sig types.Tuple
+// aggAcc aggregates all join combinations of a view sharing one signature.
+type aggAcc struct {
 	cnt int64
 	sum float64
 }
 
-// aview is one aggregate-annotated materialized view.
+// aview is one aggregate-annotated materialized view in the compact layout
+// ops.Agg keeps its groups in: signatures are wire-encoded rows in a slab
+// arena, accumulators a dense slice updated in place, and the signature
+// index hashes the encoded bytes and verifies by byte equality. Views only
+// grow, so accumulator i's signature is arena row i: a probe reads both
+// without one waiting on the other.
 type aview struct {
-	mask    uint64
-	sig     []slotSpec
-	entries map[string]*aggEntry
-	// probe[r] indexes entries by the values of the conjuncts connecting
-	// this view to outside relation r.
-	probe map[int]map[string][]*aggEntry
-	// probeSlots[r] lists sig slot positions forming probe[r]'s key.
-	probeSlots map[int][]int
-	mem        int
+	mask   uint64
+	sig    []slotSpec
+	arena  *slab.Arena
+	accs   []aggAcc
+	idx    *index.RefHash // BytesHash(signature row) -> accs slot
+	probes []*probeIndex  // one per adjacent outside relation
 }
 
-// wiring precomputes, for one (target view V, arriving relation rel) pair,
-// how to assemble V's delta from the arriving tuple and the component views.
+// probeIndex indexes a view's signatures by the slots of the conjuncts
+// connecting it to one outside relation, under Cursor.Hash — the
+// types.Value hash, so Int(5) and Float(5) probe alike and a field compare
+// decides the match. Signatures with a NULL probe slot are left out: a
+// comparison with NULL holds for no key (expr.CmpOp.Apply).
+type probeIndex struct {
+	rel   int
+	slots []int
+	h     *index.RefHash // Cursor.Hash(slots...) -> accs slot
+}
+
+// compProbe is one component view a wiring probes: the arrival columns
+// matched, position by position, against the probe index's slots.
+type compProbe struct {
+	v    *aview
+	p    *probeIndex
+	cols []int
+}
+
+// sigSrc sources one target signature slot: column col of the arrival
+// (comp -1) or slot col of component comp's signature.
+type sigSrc struct{ comp, col int }
+
+// wiring is the delta propagation into one target view on arrival of one
+// relation, compiled at construction to column indexes.
 type wiring struct {
 	target *aview
-	comps  []*aview
-	// probeFromT[j] are the rel-side expressions (ordered by conjunct id)
-	// whose values form the probe key into comps[j].
-	probeFromT [][]expr.Expr
-	// sigSrc maps each target sig slot to its source: fromT expression, or
-	// (component index, slot index).
-	sigFromT []expr.Expr // nil if sourced from a component
-	sigComp  []int
-	sigSlot  []int
-	// sumComp is the component index holding the SUM expression's relation
-	// (-1 when it is the arriving relation or absent).
+	comps  []compProbe
+	sig    []sigSrc
+	// sumComp is the component holding the SUM relation (-1 when it is the
+	// arriving relation or absent).
 	sumComp int
+}
+
+// arrival is the compiled plan of one relation: its wirings (one per view
+// holding the relation) and how they read the arriving row. When every
+// expression over the relation is a plain column ref they read the row's
+// columns directly; otherwise (boxed) they read the row evals evaluates to.
+type arrival struct {
+	wires  []*wiring
+	boxed  bool
+	evals  []expr.Expr
+	maxCol int // highest column read directly, -1 when none
+	sumCol int // -1 when SUM is not over this relation
+}
+
+// col resolves an expression over the relation to the column the wirings
+// read it from.
+func (ar *arrival) col(e expr.Expr) int {
+	if ar.boxed {
+		ar.evals = append(ar.evals, e)
+		return len(ar.evals) - 1
+	}
+	c, _ := expr.ColIndex(e)
+	ar.maxCol = max(ar.maxCol, c)
+	return c
 }
 
 // AggJoin is the aggregate-view DBToaster operator for equi-joins. Its
@@ -96,25 +141,32 @@ type AggJoin struct {
 	g      *expr.JoinGraph
 	spec   AggSpec
 	views  map[uint64]*aview
-	wires  [][]*wiring // per relation, ascending popcount of target view
-	full   uint64
+	rels   []arrival
 	result *aview
 
-	// Per-tuple scratch. OnTuple runs single-threaded per operator instance
-	// (one bolt task), so these buffers are reused across calls to keep the
-	// hot loop allocation-free; nothing stored here outlives one OnTuple.
-	sLists  [][]*aggEntry
-	sCombo  []*aggEntry
-	sKey    types.Tuple
-	sKeyBuf []byte
-	sDeltas []aggEntry
-	sSpans  []deltaSpan
+	// Per-arrival scratch. One bolt task drives an operator, so these are
+	// reused across calls and the steady state allocates nothing; nothing
+	// here outlives one OnRow.
+	ccurs  []wire.Cursor // per component: the selected signature
+	sel    []uint32      // per component: the selected accs slot
+	cands  [][]uint32    // per component: probe candidates
+	refs   []uint32      // merge: signature index candidates
+	dbuf   []byte        // delta signature rows, back to back
+	deltas []pendingDelta
+	sigCur wire.Cursor
+	// OnTuple, the expression fallback and EachResultRow encode into enc.
+	enc          []byte
+	encCur       wire.Cursor
+	tup, evalRow types.Tuple
 }
 
-// deltaSpan marks the deltas of one wiring inside the shared scratch arena.
-type deltaSpan struct {
-	w          *wiring
+// pendingDelta is one collected delta into view v; its signature is
+// dbuf[start:end].
+type pendingDelta struct {
+	v          *aview
 	start, end int
+	cnt        int64
+	sum        float64
 }
 
 // NewAggJoin builds the operator. The join must be equi-only (theta joins go
@@ -131,48 +183,45 @@ func NewAggJoin(g *expr.JoinGraph, spec AggSpec) (*AggJoin, error) {
 			return nil, fmt.Errorf("dbtoaster: group-by relation %d out of range", gcol.Rel)
 		}
 	}
-	a := &AggJoin{g: g, spec: spec, views: map[uint64]*aview{}, full: (uint64(1) << g.NumRels) - 1}
-	for mask := uint64(1); mask <= a.full; mask++ {
-		if !g.Connected(mask) {
-			continue
+	a := &AggJoin{g: g, spec: spec, views: map[uint64]*aview{}}
+	full := uint64(1)<<g.NumRels - 1
+	var masks []uint64
+	for mask := uint64(1); mask <= full; mask++ {
+		if g.Connected(mask) {
+			a.views[mask] = a.newView(mask)
+			masks = append(masks, mask)
 		}
-		a.views[mask] = a.newView(mask)
 	}
-	if a.views[a.full] == nil {
+	if a.views[full] == nil {
 		return nil, fmt.Errorf("dbtoaster: join graph is disconnected; AggJoin needs a connected query")
 	}
-	a.result = a.views[a.full]
-	a.wires = make([][]*wiring, g.NumRels)
-	var masks []uint64
-	for mask := range a.views {
-		masks = append(masks, mask)
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		if pa, pb := bits.OnesCount64(masks[i]), bits.OnesCount64(masks[j]); pa != pb {
-			return pa < pb
-		}
-		return masks[i] < masks[j]
-	})
-	for rel := 0; rel < g.NumRels; rel++ {
+	a.result = a.views[full]
+	a.rels = make([]arrival, g.NumRels)
+	maxComps := 0
+	for rel := range a.rels {
+		ar := a.newArrival(rel)
 		for _, mask := range masks {
 			if mask&(1<<rel) == 0 {
 				continue
 			}
-			w, err := a.wire(mask, rel)
+			w, err := a.wire(ar, mask, rel)
 			if err != nil {
 				return nil, err
 			}
-			a.wires[rel] = append(a.wires[rel], w)
+			ar.wires = append(ar.wires, w)
+			maxComps = max(maxComps, len(w.comps))
 		}
 	}
+	a.ccurs = make([]wire.Cursor, maxComps)
+	a.sel = make([]uint32, maxComps)
+	a.cands = make([][]uint32, maxComps)
 	return a, nil
 }
 
 // newView lays out a view's signature: the inside sides of boundary-crossing
 // conjuncts (by conjunct id) then the inside group-by columns (by position).
 func (a *AggJoin) newView(mask uint64) *aview {
-	v := &aview{mask: mask, entries: map[string]*aggEntry{},
-		probe: map[int]map[string][]*aggEntry{}, probeSlots: map[int][]int{}}
+	v := &aview{mask: mask, arena: slab.New(), idx: index.NewRefHash()}
 	for ci, c := range a.g.Conjuncts {
 		lin := mask&(1<<c.LRel) != 0
 		rin := mask&(1<<c.RRel) != 0
@@ -187,251 +236,322 @@ func (a *AggJoin) newView(mask uint64) *aview {
 			v.sig = append(v.sig, slotSpec{rel: gcol.Rel, e: gcol.E, id: -1 - gi})
 		}
 	}
-	// Probe indexes: one per adjacent outside relation.
 	for r := 0; r < a.g.NumRels; r++ {
 		if mask&(1<<r) != 0 {
 			continue
 		}
-		var slots []int
+		p := &probeIndex{rel: r, h: index.NewRefHash()}
 		for si, s := range v.sig {
-			if s.id < 0 {
-				continue
-			}
-			c := a.g.Conjuncts[s.id]
-			if c.LRel == r || c.RRel == r {
-				slots = append(slots, si)
+			if s.id >= 0 && (a.g.Conjuncts[s.id].LRel == r || a.g.Conjuncts[s.id].RRel == r) {
+				p.slots = append(p.slots, si)
 			}
 		}
-		if len(slots) > 0 {
-			v.probeSlots[r] = slots
-			v.probe[r] = map[string][]*aggEntry{}
+		if len(p.slots) > 0 {
+			v.probes = append(v.probes, p)
 		}
 	}
 	return v
 }
 
-// wire precomputes the delta propagation for target view `mask` on arrival
-// of relation rel.
-func (a *AggJoin) wire(mask uint64, rel int) (*wiring, error) {
+// newArrival decides how rel's wirings read an arriving row: directly when
+// every expression over rel — the slots of its singleton view, and the SUM
+// when it is over rel — is a column ref, through evals otherwise.
+func (a *AggJoin) newArrival(rel int) *arrival {
+	ar := &a.rels[rel]
+	ar.maxCol, ar.sumCol = -1, -1
+	direct := func(e expr.Expr) bool {
+		c, ok := expr.ColIndex(e)
+		return ok && c >= 0
+	}
+	for _, s := range a.views[1<<rel].sig {
+		ar.boxed = ar.boxed || !direct(s.e)
+	}
+	if sum := a.spec.Sum; sum != nil && sum.Rel == rel {
+		ar.boxed = ar.boxed || !direct(sum.E)
+		ar.sumCol = ar.col(sum.E)
+	}
+	return ar
+}
+
+// wire compiles the delta propagation for target view `mask` on arrival of
+// relation rel.
+func (a *AggJoin) wire(ar *arrival, mask uint64, rel int) (*wiring, error) {
 	w := &wiring{target: a.views[mask], sumComp: -1}
-	compMasks := a.g.Components(mask &^ (1 << rel))
-	for _, cm := range compMasks {
+	for _, cm := range a.g.Components(mask &^ (1 << rel)) {
 		cv := a.views[cm]
 		if cv == nil {
 			return nil, fmt.Errorf("dbtoaster: component %b has no view", cm)
 		}
-		w.comps = append(w.comps, cv)
-		// Probe key from t: rel-side expressions of conjuncts between rel and
-		// the component, ordered by conjunct id (matching probeSlots order).
-		var exprs []expr.Expr
-		for ci, c := range a.g.Conjuncts {
-			switch {
-			case c.LRel == rel && cm&(1<<c.RRel) != 0:
-				exprs = append(exprs, c.Left)
-			case c.RRel == rel && cm&(1<<c.LRel) != 0:
-				exprs = append(exprs, c.Right)
+		cp := compProbe{v: cv}
+		for _, p := range cv.probes {
+			if p.rel == rel {
+				cp.p = p
 			}
-			_ = ci
 		}
-		if len(exprs) != len(cv.probeSlots[rel]) {
-			return nil, fmt.Errorf("dbtoaster: probe arity mismatch for view %b from rel %d", cm, rel)
+		if cp.p == nil {
+			return nil, fmt.Errorf("dbtoaster: view %b has no probe index for relation %d", cm, rel)
 		}
-		w.probeFromT = append(w.probeFromT, exprs)
+		for _, si := range cp.p.slots {
+			c := a.g.Conjuncts[cv.sig[si].id]
+			e := c.Left
+			if c.RRel == rel {
+				e = c.Right
+			}
+			cp.cols = append(cp.cols, ar.col(e))
+		}
+		w.comps = append(w.comps, cp)
 		if a.spec.Sum != nil && cm&(1<<a.spec.Sum.Rel) != 0 {
 			w.sumComp = len(w.comps) - 1
 		}
 	}
-	// Signature wiring.
 	for _, s := range w.target.sig {
 		if s.rel == rel {
-			w.sigFromT = append(w.sigFromT, s.e)
-			w.sigComp = append(w.sigComp, -1)
-			w.sigSlot = append(w.sigSlot, -1)
+			w.sig = append(w.sig, sigSrc{comp: -1, col: ar.col(s.e)})
 			continue
 		}
-		found := false
-		for j, cv := range w.comps {
-			if cv.mask&(1<<s.rel) == 0 {
+		src := sigSrc{comp: -1}
+		for j, cp := range w.comps {
+			if cp.v.mask&(1<<s.rel) == 0 {
 				continue
 			}
-			for si, cs := range cv.sig {
+			for si, cs := range cp.v.sig {
 				if cs.id == s.id && cs.rel == s.rel {
-					w.sigFromT = append(w.sigFromT, nil)
-					w.sigComp = append(w.sigComp, j)
-					w.sigSlot = append(w.sigSlot, si)
-					found = true
+					src = sigSrc{comp: j, col: si}
 					break
 				}
 			}
-			if found {
-				break
-			}
 		}
-		if !found {
+		if src.comp < 0 {
 			return nil, fmt.Errorf("dbtoaster: signature slot (rel %d, id %d) of view %b unreachable from rel %d",
 				s.rel, s.id, mask, rel)
 		}
+		w.sig = append(w.sig, src)
 	}
 	return w, nil
 }
 
+// OnRow feeds one wire-encoded arrival of relation rel. Probe keys,
+// signatures and the SUM operand are read off the cursor; delta signatures
+// are spliced from its field bytes and the component views' arena rows.
+// Deltas are collected for every target first (all reads hit views without
+// rel) and merged after, preserving incremental semantics. cur is only read,
+// and only during the call.
+func (a *AggJoin) OnRow(rel int, cur *wire.Cursor) error {
+	if rel < 0 || rel >= len(a.rels) {
+		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
+	}
+	ar := &a.rels[rel]
+	if ar.boxed {
+		var err error
+		if cur, err = a.evaluate(ar, cur); err != nil {
+			return err
+		}
+	} else if ar.maxCol >= cur.Arity() {
+		return fmt.Errorf("dbtoaster: column %d out of range for arity %d", ar.maxCol, cur.Arity())
+	}
+	tSum := 0.0
+	if ar.sumCol >= 0 {
+		f, ok := cur.FieldFloat(ar.sumCol)
+		if !ok && cur.Kind(ar.sumCol) != types.KindNull {
+			return fmt.Errorf("dbtoaster: sum expr %s yields non-numeric %v", a.spec.Sum.E, cur.Value(ar.sumCol))
+		}
+		tSum = f
+	}
+	a.dbuf, a.deltas = a.dbuf[:0], a.deltas[:0]
+	for _, w := range ar.wires {
+		a.collect(w, cur, tSum)
+	}
+	for _, d := range a.deltas {
+		a.merge(d.v, a.dbuf[d.start:d.end], d.cnt, d.sum)
+	}
+	return nil
+}
+
+// evaluate is the fallback for relations with non-column expressions:
+// materialize the arrival, evaluate the relation's expressions and hand the
+// wirings a cursor over the encoded result (cur may be encCur: it is read
+// in full before enc is overwritten).
+func (a *AggJoin) evaluate(ar *arrival, cur *wire.Cursor) (*wire.Cursor, error) {
+	a.tup = cur.Tuple(a.tup)
+	a.evalRow = a.evalRow[:0]
+	for _, e := range ar.evals {
+		v, err := e.Eval(a.tup)
+		if err != nil {
+			return nil, fmt.Errorf("dbtoaster: %s: %w", e, err)
+		}
+		a.evalRow = append(a.evalRow, v)
+	}
+	a.enc = wire.Encode(a.enc[:0], a.evalRow)
+	return &a.encCur, a.encCur.Reset(a.enc)
+}
+
+// collect appends the deltas of one target view for the arrival under cur.
+// tSum is the SUM operand when the arrival carries it, 0 otherwise.
+func (a *AggJoin) collect(w *wiring, cur *wire.Cursor, tSum float64) {
+	for j := range w.comps {
+		cp := &w.comps[j]
+		if a.cands[j] = cp.p.h.AppendRefs(a.cands[j][:0], cur.Hash(cp.cols...)); len(a.cands[j]) == 0 {
+			return
+		}
+	}
+	a.walk(w, 0, cur, tSum)
+}
+
+// walk selects, component by component, each candidate signature that joins
+// the arrival, and appends one delta per complete combination. With one
+// component — the common case — it is a single loop over the candidates.
+func (a *AggJoin) walk(w *wiring, j int, cur *wire.Cursor, tSum float64) {
+	if j == len(w.comps) {
+		a.appendDelta(w, cur, tSum)
+		return
+	}
+	cp, ccur := &w.comps[j], &a.ccurs[j]
+	for _, s := range a.cands[j] {
+		a.sel[j] = s
+		mustReset(ccur, cp.v.arena.RowBytes(slab.Ref(s)))
+		if matches(cp, ccur, cur) {
+			a.walk(w, j+1, cur, tSum)
+		}
+	}
+}
+
+// matches reports whether the signature under ccur joins the arrival on
+// every probe conjunct, under CmpOp.Apply semantics.
+func matches(cp *compProbe, ccur, cur *wire.Cursor) bool {
+	for i, si := range cp.p.slots {
+		if cmp, anyNull := wire.CompareFields(ccur, si, cur, cp.cols[i]); cmp != 0 || anyNull {
+			return false
+		}
+	}
+	return true
+}
+
+// mustReset points cur at a row the operator encoded itself (an arena row or
+// a spliced delta); a malformed one means memory corruption, so it panics,
+// as slab decoding does.
+func mustReset(cur *wire.Cursor, row []byte) {
+	if err := cur.Reset(row); err != nil {
+		panic(fmt.Sprintf("dbtoaster: corrupt signature row: %v", err))
+	}
+}
+
+// appendDelta collects the delta of the selected component combination: the
+// product of the counts, the SUM carried by its relation scaled by the
+// other counts, and the target signature spliced field by field.
+func (a *AggJoin) appendDelta(w *wiring, cur *wire.Cursor, tSum float64) {
+	cnt := int64(1)
+	for j := range w.comps {
+		cnt *= w.comps[j].v.accs[a.sel[j]].cnt
+	}
+	sum := tSum * float64(cnt)
+	if w.sumComp >= 0 {
+		sum = w.comps[w.sumComp].v.accs[a.sel[w.sumComp]].sum
+		for j := range w.comps {
+			if j != w.sumComp {
+				sum *= float64(w.comps[j].v.accs[a.sel[j]].cnt)
+			}
+		}
+	}
+	start := len(a.dbuf)
+	a.dbuf = binary.AppendUvarint(a.dbuf, uint64(len(w.sig)))
+	for _, s := range w.sig {
+		src := cur
+		if s.comp >= 0 {
+			src = &a.ccurs[s.comp]
+		}
+		a.dbuf = append(a.dbuf, src.FieldBytes(s.col)...)
+	}
+	a.deltas = append(a.deltas, pendingDelta{w.target, start, len(a.dbuf), cnt, sum})
+}
+
+// merge folds a delta into view v: bump the accumulator of the signature
+// whose encoding is sig, or store a new signature and register it in the
+// probe indexes.
+func (a *AggJoin) merge(v *aview, sig []byte, cnt int64, sum float64) {
+	h := index.BytesHash(sig)
+	a.refs = v.idx.AppendRefs(a.refs[:0], h)
+	for _, s := range a.refs {
+		if bytes.Equal(v.arena.RowBytes(slab.Ref(s)), sig) {
+			v.accs[s].cnt += cnt
+			v.accs[s].sum += sum
+			return
+		}
+	}
+	slot := uint32(len(v.accs))
+	v.arena.AppendEncoded(sig)
+	v.accs = append(v.accs, aggAcc{cnt: cnt, sum: sum})
+	v.idx.Insert(h, slot)
+	mustReset(&a.sigCur, sig)
+probes:
+	for _, p := range v.probes {
+		for _, si := range p.slots {
+			if a.sigCur.Kind(si) == types.KindNull {
+				continue probes // can never join (CmpOp.Apply)
+			}
+		}
+		p.h.Insert(a.sigCur.Hash(p.slots...), slot)
+	}
+}
+
 // OnTuple feeds one tuple and returns the per-group aggregate increments of
-// the full join result.
+// the full join result: the boxed adapter over OnRow.
 func (a *AggJoin) OnTuple(rel int, t types.Tuple) ([]AggDelta, error) {
-	if rel < 0 || rel >= a.g.NumRels {
-		return nil, fmt.Errorf("dbtoaster: relation %d out of range", rel)
+	a.enc = wire.Encode(a.enc[:0], t)
+	if err := a.encCur.Reset(a.enc); err != nil {
+		return nil, err
+	}
+	if err := a.OnRow(rel, &a.encCur); err != nil {
+		return nil, err
 	}
 	var out []AggDelta
-	// Collect deltas per target first (all reads hit views without rel), then
-	// merge, preserving incremental semantics. Deltas accumulate in the shared
-	// scratch arena; spans mark each wiring's slice of it.
-	a.sDeltas = a.sDeltas[:0]
-	a.sSpans = a.sSpans[:0]
-	for _, w := range a.wires[rel] {
-		start := len(a.sDeltas)
-		if err := a.appendDeltas(w, rel, t); err != nil {
-			return nil, err
-		}
-		a.sSpans = append(a.sSpans, deltaSpan{w, start, len(a.sDeltas)})
-	}
-	for _, sp := range a.sSpans {
-		for _, d := range a.sDeltas[sp.start:sp.end] {
-			if sp.w.target == a.result {
-				// Full view: signature is exactly the group-by columns.
-				out = append(out, AggDelta{Group: d.sig, Cnt: d.cnt, Sum: d.sum})
-			}
-			a.merge(sp.w.target, d)
+	for _, d := range a.deltas {
+		if d.v == a.result {
+			mustReset(&a.sigCur, a.dbuf[d.start:d.end])
+			out = append(out, AggDelta{Group: a.sigCur.Tuple(nil), Cnt: d.cnt, Sum: d.sum})
 		}
 	}
 	return out, nil
 }
 
-// appendDeltas computes the delta entries of one target view for tuple t,
-// appending them to the sDeltas scratch arena.
-func (a *AggJoin) appendDeltas(w *wiring, rel int, t types.Tuple) error {
-	// Probe each component (alloc-free: scratch key tuple and key bytes, and
-	// the map lookup's string conversion is elided by the compiler).
-	if cap(a.sLists) < len(w.comps) {
-		a.sLists = make([][]*aggEntry, len(w.comps))
-	}
-	lists := a.sLists[:len(w.comps)]
-	for j, cv := range w.comps {
-		key := a.sKey[:0]
-		for _, e := range w.probeFromT[j] {
-			v, err := e.Eval(t)
-			if err != nil {
-				return fmt.Errorf("dbtoaster: probe key %s: %w", e, err)
-			}
-			key = append(key, v)
-		}
-		a.sKey = key
-		a.sKeyBuf = key.AppendKey(a.sKeyBuf[:0])
-		lists[j] = cv.probe[rel][string(a.sKeyBuf)]
-		if len(lists[j]) == 0 {
-			return nil
-		}
-	}
-	var tSum float64
-	if a.spec.Sum != nil && a.spec.Sum.Rel == rel {
-		v, err := a.spec.Sum.E.Eval(t)
-		if err != nil {
-			return fmt.Errorf("dbtoaster: sum expr: %w", err)
-		}
-		f, ok := v.AsFloat()
-		if !ok && !v.IsNull() {
-			return fmt.Errorf("dbtoaster: sum expr %s yields non-numeric %v", a.spec.Sum.E, v)
-		}
-		tSum = f
-	}
-	// Cross product over component entries (usually 1 component).
-	if cap(a.sCombo) < len(w.comps) {
-		a.sCombo = make([]*aggEntry, len(w.comps))
-	}
-	combo := a.sCombo[:len(w.comps)]
-	var rec func(j int) error
-	rec = func(j int) error {
-		if j == len(w.comps) {
-			cnt := int64(1)
-			for _, e := range combo {
-				cnt *= e.cnt
-			}
-			sum := 0.0
-			switch {
-			case a.spec.Sum == nil:
-			case a.spec.Sum.Rel == rel:
-				sum = tSum * float64(cnt)
-			case w.sumComp >= 0:
-				sum = combo[w.sumComp].sum
-				for l, e := range combo {
-					if l != w.sumComp {
-						sum *= float64(e.cnt)
-					}
-				}
-			}
-			sig := make(types.Tuple, len(w.target.sig))
-			for si := range w.target.sig {
-				if e := w.sigFromT[si]; e != nil {
-					v, err := e.Eval(t)
-					if err != nil {
-						return err
-					}
-					sig[si] = v
-				} else {
-					sig[si] = combo[w.sigComp[si]].sig[w.sigSlot[si]]
-				}
-			}
-			a.sDeltas = append(a.sDeltas, aggEntry{sig: sig, cnt: cnt, sum: sum})
-			return nil
-		}
-		for _, e := range lists[j] {
-			combo[j] = e
-			if err := rec(j + 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return rec(0)
-}
-
-// merge folds a delta entry into a view, registering new signatures in the
-// probe indexes.
-func (a *AggJoin) merge(v *aview, d aggEntry) {
-	a.sKeyBuf = d.sig.AppendKey(a.sKeyBuf[:0])
-	if e, ok := v.entries[string(a.sKeyBuf)]; ok { // alloc-free lookup
-		e.cnt += d.cnt
-		e.sum += d.sum
-		return
-	}
-	key := string(a.sKeyBuf) // owned copy, the map retains it
-	e := &aggEntry{sig: d.sig, cnt: d.cnt, sum: d.sum}
-	v.entries[key] = e
-	v.mem += d.sig.MemSize() + len(key) + 32
-	for r, slots := range v.probeSlots {
-		pk := make(types.Tuple, len(slots))
-		for i, si := range slots {
-			pk[i] = d.sig[si]
-		}
-		ks := pk.Key()
-		v.probe[r][ks] = append(v.probe[r][ks], e)
-	}
-}
-
 // Result returns the current full-join aggregates, one per group, in
 // unspecified order.
 func (a *AggJoin) Result() []AggDelta {
-	out := make([]AggDelta, 0, len(a.result.entries))
-	for _, e := range a.result.entries {
-		out = append(out, AggDelta{Group: e.sig, Cnt: e.cnt, Sum: e.sum})
+	v := a.result
+	out := make([]AggDelta, len(v.accs))
+	for i, acc := range v.accs {
+		out[i] = AggDelta{Group: v.arena.Decode(slab.Ref(i)), Cnt: acc.cnt, Sum: acc.sum}
 	}
 	return out
 }
 
-// MemSize approximates total view state.
+// EachResultRow passes every group's aggregate to fn as one encoded row
+// (group..., cnt, sum), spliced from the arena without decoding; the row is
+// valid only during the call.
+func (a *AggJoin) EachResultRow(fn func(row []byte) error) error {
+	v := a.result
+	for i, acc := range v.accs {
+		sig := v.arena.RowBytes(slab.Ref(i))
+		_, hl := binary.Uvarint(sig)
+		a.enc = binary.AppendUvarint(a.enc[:0], uint64(len(v.sig)+2))
+		a.enc = append(a.enc, sig[hl:]...)
+		a.enc = binary.AppendVarint(append(a.enc, byte(types.KindInt)), acc.cnt)
+		a.enc = binary.LittleEndian.AppendUint64(append(a.enc, byte(types.KindFloat)), math.Float64bits(acc.sum))
+		if err := fn(a.enc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// MemSize reports the views' real footprint: arenas, signature and probe
+// indexes, and accumulator capacity.
 func (a *AggJoin) MemSize() int {
 	n := 0
 	for _, v := range a.views {
-		n += v.mem + 64
+		n += v.arena.MemSize() + v.idx.MemSize() + 16*cap(v.accs)
+		for _, p := range v.probes {
+			n += p.h.MemSize()
+		}
 	}
 	return n
 }

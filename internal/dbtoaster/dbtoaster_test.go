@@ -390,8 +390,10 @@ func TestDBToasterCheaperPerProbe(t *testing.T) {
 		t.Fatalf("count = %v, want %d", res, n*n*n)
 	}
 	// The {R,S} view must hold ONE signature (boundary z=1), not n^2 combos.
-	if agg.views[0b011] == nil || len(agg.views[0b011].entries) != 1 {
-		t.Errorf("RS view entries = %d, want 1 (aggregated)", len(agg.views[0b011].entries))
+	if rs := agg.views[0b011]; rs == nil {
+		t.Error("no RS view")
+	} else if len(rs.accs) != 1 {
+		t.Errorf("RS view signatures = %d, want 1 (aggregated)", len(rs.accs))
 	}
 }
 

@@ -25,9 +25,11 @@
 // a fixed-stride array of 32-bit refs into them — an n-way combo costs 4n
 // bytes instead of n boxed tuple headers — with open-addressing RefHash
 // indexes on the boundary conjuncts. NewTupleJoinMap keeps the pre-slab
-// layout as the opt-out baseline. AggJoin stays map-backed by design: its
-// state scales with distinct signatures, not stored tuples, so the slab
-// trade (decode-on-probe for packed rows) does not pay there.
+// layout as the opt-out baseline. AggJoin keeps each view in the compact
+// layout ops.Agg uses for groups — signatures as encoded rows in a slab
+// arena, accumulators in a dense slice, RefHash indexes verified against the
+// encoded bytes — and takes arrivals as encoded rows (OnRow): its probes and
+// signatures are field splices, so it never decodes what it stores.
 package dbtoaster
 
 import (

@@ -453,3 +453,70 @@ func TestDifferentialViewLessDBToaster(t *testing.T) {
 		})
 	}
 }
+
+// TestDifferentialAggregates is the aggregate dimension: COUNT(*) and SUM
+// over a 2-way graph and a 3-way chain with zipf keys, grouped by columns of
+// different relations, run under DBToaster — aggregate views in the joiner —
+// across scheme x batch x packed on/off x final parallelism and compared, as
+// bags, with the oracle aggregated in plain Go. One ForceDeltaJoin leg runs
+// the same queries with deltas shipped to a downstream aggregation instead.
+// The two-process cluster leg is in multiproc_test.go.
+func TestDifferentialAggregates(t *testing.T) {
+	for _, c := range []struct {
+		name               string
+		seed               int64
+		rels, rows, domain int
+	}{
+		{"2way", 61, 2, 300, 30},
+		{"3way-chain", 62, 3, 120, 12},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			w := ZipfWorkload(c.seed, c.rels, c.rows, c.domain)
+			last := c.rels - 1
+			for _, agg := range []*AggConfig{
+				{GroupBy: []AggCol{{0, 1}, {last, 1}}},
+				{GroupBy: []AggCol{{last, 1}}, Sum: &AggCol{0, 2}},
+			} {
+				ref := w.ReferenceAggBag(agg)
+				if len(ref) < 4 {
+					t.Fatalf("degenerate workload: oracle produced %d groups", len(ref))
+				}
+				run := func(t *testing.T, ec EngineConfig, operator string) {
+					got, res, err := w.RunEngine(ec)
+					if err != nil {
+						t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+					}
+					if diff := DiffBags(ref, got); diff != "" {
+						t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
+					}
+					if res.LocalJoin.Operator != operator {
+						t.Fatalf("seed=%d %v: joiner ran %q (%s), want %s", c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason, operator)
+					}
+				}
+				for _, scheme := range allSchemes {
+					for _, batch := range []int{1, 64} {
+						for _, packedOff := range []bool{false, true} {
+							for _, finalPar := range []int{1, 2} {
+								ec := EngineConfig{
+									Scheme: scheme, Local: squall.DBToaster, BatchSize: batch,
+									PackedOff: packedOff, Agg: agg, FinalPar: finalPar,
+									Machines: 6, Seed: c.seed,
+								}
+								t.Run(ec.String(), func(t *testing.T) { run(t, ec, "dbtoaster.AggJoin") })
+							}
+						}
+					}
+				}
+				ec := EngineConfig{
+					Scheme: squall.HashHypercube, Local: squall.DBToaster, BatchSize: 16,
+					Agg: agg, ForceDeltaJoin: true, FinalPar: 2, Machines: 6, Seed: c.seed,
+				}
+				delta := "dbtoaster.TupleJoin"
+				if c.rels == 2 {
+					delta = "localjoin.Traditional"
+				}
+				t.Run(ec.String(), func(t *testing.T) { run(t, ec, delta) })
+			}
+		})
+	}
+}

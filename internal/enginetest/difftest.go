@@ -59,21 +59,98 @@ func RandomWorkload(seed int64, numRels, rowsPerRel, keyDomain int, withTheta bo
 	return w
 }
 
+// ZipfWorkload is the aggregate dimension's input: an equi chain on the key
+// column like RandomWorkload's, but with zipf-distributed keys (heavy keys
+// multiply fan-out, which is what aggregate views absorb), a few NULL keys,
+// and a small group column (values 0-5, a few NULLs) in the payload slot.
+func ZipfWorkload(seed int64, numRels, rowsPerRel, keyDomain int) *Workload {
+	rng := rand.New(rand.NewSource(seed))
+	zipf := rand.NewZipf(rng, 1.2, 1, uint64(keyDomain-1))
+	w := &Workload{Seed: seed}
+	var conjuncts []expr.JoinConjunct
+	for rel := 0; rel < numRels; rel++ {
+		rows := make([]types.Tuple, rowsPerRel)
+		for i := range rows {
+			key, group := types.Int(int64(zipf.Uint64())), types.Int(int64(rng.Intn(6)))
+			if rng.Intn(40) == 0 {
+				key = types.Null()
+			}
+			if rng.Intn(20) == 0 {
+				group = types.Null()
+			}
+			rows[i] = types.Tuple{key, group, types.Int(int64(rel*1_000_000 + i))}
+		}
+		w.Rels = append(w.Rels, rows)
+		w.Names = append(w.Names, fmt.Sprintf("rel%d", rel))
+		if rel > 0 {
+			conjuncts = append(conjuncts, expr.EquiCol(rel-1, 0, rel, 0))
+		}
+	}
+	w.Graph = expr.MustJoinGraph(numRels, conjuncts...)
+	return w
+}
+
 // ReferenceBag computes the join with a single-threaded nested loop over the
 // raw relations: the oracle every engine configuration must match.
 func (w *Workload) ReferenceBag() map[string]int {
 	bag := map[string]int{}
+	w.eachJoined(func(assigned []types.Tuple) {
+		row := make(types.Tuple, 0, 3*len(assigned))
+		for _, t := range assigned {
+			row = append(row, t...)
+		}
+		bag[row.Key()]++
+	})
+	return bag
+}
+
+// ReferenceAggBag aggregates the nested-loop join in plain Go into the rows
+// the engine emits: the group values, then COUNT(*) as an int or the SUM as
+// a float (NULL operands add nothing).
+func (w *Workload) ReferenceAggBag(a *AggConfig) map[string]int {
+	type acc struct {
+		group types.Tuple
+		cnt   int64
+		sum   float64
+	}
+	groups := map[string]*acc{}
+	w.eachJoined(func(assigned []types.Tuple) {
+		g := make(types.Tuple, len(a.GroupBy))
+		for i, c := range a.GroupBy {
+			g[i] = assigned[c.Rel][c.Col]
+		}
+		st := groups[g.Key()]
+		if st == nil {
+			st = &acc{group: g}
+			groups[g.Key()] = st
+		}
+		st.cnt++
+		if a.Sum != nil {
+			f, _ := assigned[a.Sum.Rel][a.Sum.Col].AsFloat()
+			st.sum += f
+		}
+	})
+	bag := map[string]int{}
+	for _, st := range groups {
+		v := types.Int(st.cnt)
+		if a.Sum != nil {
+			v = types.Float(st.sum)
+		}
+		bag[append(st.group, v).Key()]++
+	}
+	return bag
+}
+
+// eachJoined enumerates the join with a nested loop, passing every result
+// as one tuple per relation (the slice is reused between calls).
+func (w *Workload) eachJoined(fn func(assigned []types.Tuple)) {
 	n := w.Graph.NumRels
 	assigned := make([]types.Tuple, n)
 	full := (uint64(1) << n) - 1
 	var rec func(rel int)
 	rec = func(rel int) {
 		if rel == n {
-			row := make(types.Tuple, 0, 3*n)
-			for _, t := range assigned {
-				row = append(row, t...)
-			}
-			bag[row.Key()]++
+			fn(assigned)
 			return
 		}
 		mask := (uint64(1) << (rel + 1)) - 1
@@ -90,7 +167,29 @@ func (w *Workload) ReferenceBag() map[string]int {
 		assigned[rel] = nil
 	}
 	rec(0)
-	return bag
+}
+
+// AggCol names one column of one relation.
+type AggCol struct{ Rel, Col int }
+
+// AggConfig is an aggregate over a workload's join: COUNT(*), or SUM of the
+// Sum column, grouped by columns of any relations. It is plain data so
+// cluster workers rebuild it from the job parameters.
+type AggConfig struct {
+	GroupBy []AggCol
+	Sum     *AggCol
+}
+
+// spec renders the aggregate for a JoinQuery.
+func (a *AggConfig) spec() *squall.AggSpec {
+	s := &squall.AggSpec{Kind: squall.Count}
+	for _, c := range a.GroupBy {
+		s.GroupBy = append(s.GroupBy, squall.ColRef{Rel: c.Rel, E: expr.C(c.Col)})
+	}
+	if a.Sum != nil {
+		s.Kind, s.Sum = squall.Sum, &squall.ColRef{Rel: a.Sum.Rel, E: expr.C(a.Sum.Col)}
+	}
+	return s
 }
 
 // EngineConfig is one point of the differential matrix.
@@ -122,7 +221,17 @@ type EngineConfig struct {
 	// through the CRC-verified read path. The result must be bag-equal to
 	// the untiered runs. Combined with Kill, checkpoints go incremental
 	// (segment references) and recovery restores through them.
-	Spill    bool
+	Spill bool
+	// Agg puts an aggregate over the join; under DBToaster an equi-join
+	// aggregate runs as aggregate views inside the joiner. Compare against
+	// ReferenceAggBag.
+	Agg *AggConfig
+	// ForceDeltaJoin keeps Agg off aggregate views: the joiner ships deltas
+	// to a downstream aggregation instead.
+	ForceDeltaJoin bool
+	// FinalPar is the parallelism of the merge or aggregation after the
+	// joiner (0 means 1).
+	FinalPar int
 	Machines int
 	Seed     int64
 }
@@ -151,7 +260,21 @@ func (c EngineConfig) String() string {
 	if c.Spill {
 		chaos += "/spill"
 	}
+	if c.Agg != nil {
+		chaos += fmt.Sprintf("/agg/final=%d", max(c.FinalPar, 1))
+	}
+	if c.ForceDeltaJoin {
+		chaos += "/deltas"
+	}
 	return fmt.Sprintf("%v/%v/batch=%d/%s/%s/%s%s", c.Scheme, c.Local, c.BatchSize, mode, state, exec, chaos)
+}
+
+// workloadColumns is the (key, payload, seq) layout every generator emits; a
+// downstream aggregation resolves its columns through it.
+var workloadColumns = []types.Column{
+	{Name: "key", Kind: types.KindInt},
+	{Name: "payload", Kind: types.KindInt},
+	{Name: "seq", Kind: types.KindInt},
 }
 
 // query assembles the JoinQuery for one configuration.
@@ -162,11 +285,15 @@ func (w *Workload) query(c EngineConfig) *squall.JoinQuery {
 		Machines: c.Machines,
 		Local:    c.Local,
 	}
+	if c.Agg != nil {
+		q.Agg, q.ForceDeltaJoin = c.Agg.spec(), c.ForceDeltaJoin
+	}
 	for rel, rows := range w.Rels {
 		q.Sources = append(q.Sources, squall.Source{
-			Name:  w.Names[rel],
-			Spout: dataflow.SliceSpout(rows),
-			Size:  int64(len(rows)),
+			Name:   w.Names[rel],
+			Schema: &types.Schema{Name: w.Names[rel], Columns: workloadColumns},
+			Spout:  dataflow.SliceSpout(rows),
+			Size:   int64(len(rows)),
 		})
 	}
 	if c.Adaptive {
@@ -186,6 +313,7 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 		Seed:        c.Seed,
 		BatchSize:   c.BatchSize,
 		LegacyState: c.LegacyState,
+		FinalPar:    c.FinalPar,
 		// Shallow inboxes keep sources backpressured behind the joiner, so
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).

@@ -196,6 +196,22 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 			})
 		}
 	})
+
+	// Aggregate views across the socket: the joiner's partial rows leave the
+	// worker process for a parallel merge.
+	t.Run("aggviews-3way", func(t *testing.T) {
+		agg := &enginetest.AggConfig{GroupBy: []enginetest.AggCol{{Rel: 0, Col: 1}, {Rel: 2, Col: 1}}, Sum: &enginetest.AggCol{Rel: 1, Col: 2}}
+		params := clusterjobs.WorkloadParams{Seed: 14, NumRels: 3, RowsPerRel: 150, KeyDomain: 12, Zipf: true}
+		params.Config = enginetest.EngineConfig{
+			Scheme: squall.HashHypercube, Local: squall.DBToaster, BatchSize: 16,
+			Agg: agg, FinalPar: 2, Machines: 4, Seed: params.Seed,
+		}
+		w := enginetest.ZipfWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain)
+		res := runWorkloadCluster(t, addrs, params, w.ReferenceAggBag(agg))
+		if res.LocalJoin.Operator != "dbtoaster.AggJoin" {
+			t.Fatalf("joiner ran %q (%s), want aggregate views", res.LocalJoin.Operator, res.LocalJoin.Reason)
+		}
+	})
 }
 
 // slowJob is a cluster job whose sources trickle their first rows, holding

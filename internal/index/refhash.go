@@ -6,8 +6,10 @@ package index
 // (types.Value.Hash / types.Tuple.Hash, which already make Int(2) and
 // Float(2.0) collide, or a hash of canonical key bytes) and verify candidates
 // against stored rows where exactness matters. Slots live in one flat array
-// probed linearly; postings live in one flat pool threaded as per-key linked
-// lists with a free list, so the whole index is three slices the GC never
+// probed linearly and hold each key's most recent ref inline, so a key with
+// one ref — every key of a unique index — is read without touching the
+// posting pool; older refs live in one flat pool threaded as per-key linked
+// lists with a free list, so the whole index is two slices the GC never
 // walks per-entry.
 type RefHash struct {
 	slots []refSlot
@@ -18,12 +20,14 @@ type RefHash struct {
 	tombs int   // tombstoned slots awaiting rehash
 }
 
-// refSlot is one open-addressing slot. head encodes the slot state: 0 means
+// refSlot is one open-addressing slot. link encodes the slot state: 0 means
 // empty (end of probe chain), -1 a tombstone (deleted key; probing continues
-// past it), and head >= 1 points at posting head-1.
+// past it), and link >= 1 an occupied slot whose key's most recent ref is
+// ref, with its older refs chained from posting link-2 (none when link is 1).
 type refSlot struct {
 	hash uint64
-	head int32
+	ref  uint32
+	link int32
 }
 
 const tombstone = -1
@@ -49,12 +53,12 @@ func (h *RefHash) findSlot(hash uint64) int {
 	for {
 		s := &h.slots[i]
 		switch {
-		case s.head == 0: // empty: hash is absent
+		case s.link == 0: // empty: hash is absent
 			if firstFree >= 0 {
 				return firstFree
 			}
 			return int(i)
-		case s.head == tombstone:
+		case s.link == tombstone:
 			if firstFree < 0 {
 				firstFree = int(i)
 			}
@@ -73,14 +77,14 @@ func (h *RefHash) grow(newSize int) {
 	h.tombs = 0
 	mask := uint64(newSize - 1)
 	for _, s := range old {
-		if s.head <= 0 {
+		if s.link <= 0 {
 			continue
 		}
 		i := s.hash & mask
-		for h.slots[i].head != 0 {
+		for h.slots[i].link != 0 {
 			i = (i + 1) & mask
 		}
-		h.slots[i] = refSlot{hash: s.hash, head: s.head}
+		h.slots[i] = s
 	}
 }
 
@@ -96,29 +100,28 @@ func (h *RefHash) Insert(hash uint64, ref uint32) {
 		}
 		h.grow(size)
 	}
-	si := h.findSlot(hash)
-	s := &h.slots[si]
-	// Allocate a posting (free list first).
+	s := &h.slots[h.findSlot(hash)]
+	h.n++
+	if s.link <= 0 { // empty or tombstone: new key
+		if s.link == tombstone {
+			h.tombs--
+		}
+		h.keys++
+		*s = refSlot{hash: hash, ref: ref, link: 1}
+		return
+	}
+	// The inline ref moves to a posting (free list first) at the chain head.
+	old := refPost{ref: s.ref, next: s.link - 2}
 	var pi int32
 	if h.free >= 0 {
 		pi = h.free
 		h.free = h.posts[pi].next
-		h.posts[pi].ref = ref
+		h.posts[pi] = old
 	} else {
 		pi = int32(len(h.posts))
-		h.posts = append(h.posts, refPost{ref: ref})
+		h.posts = append(h.posts, old)
 	}
-	if s.head <= 0 { // empty or tombstone: new key
-		if s.head == tombstone {
-			h.tombs--
-		}
-		h.posts[pi].next = -1
-		h.keys++
-	} else {
-		h.posts[pi].next = s.head - 1
-	}
-	*s = refSlot{hash: hash, head: pi + 1}
-	h.n++
+	s.ref, s.link = ref, pi+2
 }
 
 // AppendRefs appends the refs stored under hash to dst (most recent first)
@@ -128,10 +131,11 @@ func (h *RefHash) AppendRefs(dst []uint32, hash uint64) []uint32 {
 		return dst
 	}
 	s := h.slots[h.findSlot(hash)]
-	if s.head <= 0 || s.hash != hash {
+	if s.link <= 0 || s.hash != hash {
 		return dst
 	}
-	for pi := s.head - 1; pi >= 0; pi = h.posts[pi].next {
+	dst = append(dst, s.ref)
+	for pi := s.link - 2; pi >= 0; pi = h.posts[pi].next {
 		dst = append(dst, h.posts[pi].ref)
 	}
 	return dst
@@ -143,10 +147,10 @@ func (h *RefHash) Each(hash uint64, fn func(ref uint32) bool) {
 		return
 	}
 	s := h.slots[h.findSlot(hash)]
-	if s.head <= 0 || s.hash != hash {
+	if s.link <= 0 || s.hash != hash || !fn(s.ref) {
 		return
 	}
-	for pi := s.head - 1; pi >= 0; pi = h.posts[pi].next {
+	for pi := s.link - 2; pi >= 0; pi = h.posts[pi].next {
 		if !fn(h.posts[pi].ref) {
 			return
 		}
@@ -160,35 +164,45 @@ func (h *RefHash) Delete(hash uint64, ref uint32) bool {
 	if len(h.slots) == 0 {
 		return false
 	}
-	si := h.findSlot(hash)
-	s := &h.slots[si]
-	if s.head <= 0 || s.hash != hash {
+	s := &h.slots[h.findSlot(hash)]
+	if s.link <= 0 || s.hash != hash {
 		return false
 	}
+	if s.ref == ref {
+		if s.link == 1 {
+			s.link = tombstone
+			h.keys--
+			h.tombs++
+		} else { // the newest older ref moves inline
+			pi := s.link - 2
+			s.ref, s.link = h.posts[pi].ref, h.posts[pi].next+2
+			h.freePost(pi)
+		}
+		h.n--
+		return true
+	}
 	prev := int32(-1)
-	for pi := s.head - 1; pi >= 0; pi = h.posts[pi].next {
+	for pi := s.link - 2; pi >= 0; pi = h.posts[pi].next {
 		if h.posts[pi].ref != ref {
 			prev = pi
 			continue
 		}
 		if prev < 0 {
-			next := h.posts[pi].next
-			if next < 0 {
-				s.head = tombstone
-				h.keys--
-				h.tombs++
-			} else {
-				s.head = next + 1
-			}
+			s.link = h.posts[pi].next + 2
 		} else {
 			h.posts[prev].next = h.posts[pi].next
 		}
-		h.posts[pi] = refPost{next: h.free}
-		h.free = pi
+		h.freePost(pi)
 		h.n--
 		return true
 	}
 	return false
+}
+
+// freePost returns posting pi to the free list.
+func (h *RefHash) freePost(pi int32) {
+	h.posts[pi] = refPost{next: h.free}
+	h.free = pi
 }
 
 // Len returns the number of stored refs.

@@ -331,58 +331,52 @@ func (b *joinBolt) ImportState(side int, tuples []types.Tuple) error {
 // AggJoinBolt runs the aggregate-view DBToaster operator (HyLD with a final
 // aggregation pushed into the joiner). Each task emits partial rows
 // (group..., cnt, sum) on Finish; route them to MergeBolt via Fields on the
-// group columns (or Global for a single merger).
-//
-// With incremental set, a partial delta row is emitted on every update
-// instead — full online semantics.
-func AggJoinBolt(g *expr.JoinGraph, spec dbtoaster.AggSpec, relOf map[string]int, incremental bool) dataflow.BoltFactory {
+// group columns (or Global for a single merger). packed makes the bolt
+// frame-capable (dataflow.RowBolt): arrivals feed the views straight off
+// the wire and Finish splices the partial rows out of the result arena.
+func AggJoinBolt(g *expr.JoinGraph, spec dbtoaster.AggSpec, relOf map[string]int, packed bool) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		a, err := dbtoaster.NewAggJoin(g, spec)
-		return &aggJoinBolt{a: a, err: err, relOf: relOf, incremental: incremental}
+		b := &aggJoinBolt{a: a, err: err, relOf: relOf}
+		if packed {
+			return packedAggJoinBolt{b}
+		}
+		return b
 	}
 }
 
 type aggJoinBolt struct {
-	a           *dbtoaster.AggJoin
-	err         error
-	relOf       map[string]int
-	incremental bool
+	a     *dbtoaster.AggJoin
+	err   error
+	relOf map[string]int
 }
 
-func (b *aggJoinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
+func (b *aggJoinBolt) rel(stream string) (int, error) {
 	if b.err != nil {
-		return b.err
+		return 0, b.err
 	}
-	rel, ok := b.relOf[in.Stream]
+	rel, ok := b.relOf[stream]
 	if !ok {
-		return fmt.Errorf("ops: agg join bolt has no relation for stream %q", in.Stream)
+		return 0, fmt.Errorf("ops: agg join bolt has no relation for stream %q", stream)
 	}
-	deltas, err := b.a.OnTuple(rel, in.Tuple)
+	return rel, nil
+}
+
+func (b *aggJoinBolt) Execute(in dataflow.Input, _ *dataflow.Collector) error {
+	rel, err := b.rel(in.Stream)
 	if err != nil {
 		return err
 	}
-	if !b.incremental {
-		return nil
-	}
-	for _, d := range deltas {
-		row := append(d.Group.Clone(), types.Int(d.Cnt), types.Float(d.Sum))
-		if err := out.Emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = b.a.OnTuple(rel, in.Tuple)
+	return err
 }
 
 func (b *aggJoinBolt) Finish(out *dataflow.Collector) error {
 	if b.err != nil {
 		return b.err
 	}
-	if b.incremental {
-		return nil
-	}
 	for _, d := range b.a.Result() {
-		row := append(d.Group.Clone(), types.Int(d.Cnt), types.Float(d.Sum))
-		if err := out.Emit(row); err != nil {
+		if err := out.Emit(append(d.Group, types.Int(d.Cnt), types.Float(d.Sum))); err != nil {
 			return err
 		}
 	}
@@ -394,4 +388,25 @@ func (b *aggJoinBolt) MemSize() int {
 		return 0
 	}
 	return b.a.MemSize()
+}
+
+// packedAggJoinBolt is aggJoinBolt's frame-capable wrapper: rows in, rows
+// out, no decode on either side.
+type packedAggJoinBolt struct{ *aggJoinBolt }
+
+var _ dataflow.RowBolt = packedAggJoinBolt{}
+
+func (b packedAggJoinBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	rel, err := b.rel(in.Stream)
+	if err != nil {
+		return err
+	}
+	return b.a.OnRow(rel, in.Cur)
+}
+
+func (b packedAggJoinBolt) Finish(out *dataflow.Collector) error {
+	if b.err != nil {
+		return b.err
+	}
+	return b.a.EachResultRow(out.EmitRow)
 }

@@ -154,6 +154,9 @@ func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
 	}
 }
 
+// TestAggJoinBoltWithMerge runs the aggregate-view joiner boxed and packed:
+// the packed bolt takes tuple-path deliveries through Execute and hands the
+// merger spliced rows on Finish, so both must merge to the same answer.
 func TestAggJoinBoltWithMerge(t *testing.T) {
 	// COUNT(*) GROUP BY R.y over R ⋈ S on y, parallel joiners + one merger.
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
@@ -166,32 +169,34 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		r = append(r, types.Tuple{types.Int(int64(i % 5))})
 		s = append(s, types.Tuple{types.Int(int64(i % 5))})
 	}
-	sink := dataflow.NewGather()
-	topo, err := dataflow.NewBuilder().
-		Spout("R", 2, dataflow.SliceSpout(r)).
-		Spout("S", 2, dataflow.SliceSpout(s)).
-		Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, false)).
-		Bolt("merge", 1, MergeBolt(1, Count, false, false, false)).
-		Bolt("sink", 1, sink.Factory()).
-		Input("join", "R", dataflow.Fields(0)).
-		Input("join", "S", dataflow.Fields(0)).
-		Input("merge", "join", dataflow.Global()).
-		Input("sink", "merge", dataflow.Global()).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
-		t.Fatal(err)
-	}
-	rows := sink.SortedRows()
-	if len(rows) != 5 {
-		t.Fatalf("groups = %v", rows)
-	}
-	for _, row := range rows {
-		// Each key appears 8x in R and 8x in S: count 64.
-		if row[1].I != 64 {
-			t.Errorf("group %v count = %v, want 64", row[0], row[1])
+	for _, packed := range []bool{false, true} {
+		sink := dataflow.NewGather()
+		topo, err := dataflow.NewBuilder().
+			Spout("R", 2, dataflow.SliceSpout(r)).
+			Spout("S", 2, dataflow.SliceSpout(s)).
+			Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, packed)).
+			Bolt("merge", 1, MergeBolt(1, Count, false, false, packed)).
+			Bolt("sink", 1, sink.Factory()).
+			Input("join", "R", dataflow.Fields(0)).
+			Input("join", "S", dataflow.Fields(0)).
+			Input("merge", "join", dataflow.Global()).
+			Input("sink", "merge", dataflow.Global()).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
+			t.Fatal(err)
+		}
+		rows := sink.SortedRows()
+		if len(rows) != 5 {
+			t.Fatalf("packed=%v: groups = %v", packed, rows)
+		}
+		for _, row := range rows {
+			// Each key appears 8x in R and 8x in S: count 64.
+			if row[1].I != 64 {
+				t.Errorf("packed=%v: group %v count = %v, want 64", packed, row[0], row[1])
+			}
 		}
 	}
 }

@@ -548,6 +548,24 @@ func (q *JoinQuery) Run(opt Options) (*Result, error) {
 	return p.result(metrics), runErr
 }
 
+// aggViewsDeclined names the condition that keeps an aggregate query under
+// DBToaster off aggregate views, or returns "" when none does.
+func (q *JoinQuery) aggViewsDeclined(opt Options) string {
+	switch {
+	case q.Agg == nil || q.Local != DBToaster:
+		return ""
+	case !q.Graph.IsEquiOnly():
+		return "the join graph has theta conjuncts (aggregate views are equi-only)"
+	case q.ForceDeltaJoin:
+		return "ForceDeltaJoin is set"
+	case q.AdaptiveJoin:
+		return "AdaptiveJoin is on (aggregate views cannot migrate)"
+	case opt.Recovery != nil:
+		return "Recovery is on (aggregate views cannot be checkpointed)"
+	}
+	return ""
+}
+
 // plan translates the query into a ready-to-run dataflow topology.
 func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	hc, err := q.BuildScheme()
@@ -626,13 +644,16 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			KeyPrefix:     joiner,
 		}
 	}
-	useAggViews := q.Agg != nil && q.Local == DBToaster && q.Graph.IsEquiOnly() &&
-		!q.ForceDeltaJoin && !q.AdaptiveJoin && opt.Recovery == nil
+	declined := q.aggViewsDeclined(opt)
+	useAggViews := q.Agg != nil && q.Local == DBToaster && declined == ""
 	var localJoin LocalJoinPlan
 	if useAggViews {
 		localJoin = LocalJoinPlan{"dbtoaster.AggJoin", "DBToaster under an aggregate over an equi-join: aggregate views inside the joiner"}
 	} else {
 		localJoin.Operator, localJoin.Reason = ops.DescribeLocalJoin(q.Graph, q.Local)
+		if declined != "" {
+			localJoin.Reason += "; aggregate views declined: " + declined
+		}
 	}
 	switch {
 	case useAggViews:
@@ -642,7 +663,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			spec.Kind = dbtoaster.AggSum
 			spec.Sum = q.Agg.Sum
 		}
-		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf, false))
+		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf, packed))
 		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false, opt.LegacyState, packed))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("merge", joiner, mergeGrouping(len(q.Agg.GroupBy)))

@@ -276,19 +276,34 @@ func TestResultReportsLocalJoinPlan(t *testing.T) {
 	}
 	deltas3 := tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4)
 	deltas3.ForceDeltaJoin = true
+	// Aggregates over 2-way graphs the aggregate views must decline.
+	countOver := func(q *squall.JoinQuery) *squall.JoinQuery {
+		q.Agg = &squall.AggSpec{GroupBy: []squall.ColRef{{Rel: 0, E: expr.C(1)}}, Kind: squall.Count}
+		return q
+	}
+	adaptive := countOver(twoWay(squall.DBToaster))
+	adaptive.Adaptive(true)
+	theta := countOver(twoWay(squall.DBToaster))
+	theta.Graph = expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 1), expr.ThetaCol(0, 0, expr.Le, 1, 0))
+	recovery := &squall.RecoveryOptions{}
 	for _, tc := range []struct {
 		name         string
 		q            *squall.JoinQuery
+		recovery     *squall.RecoveryOptions
 		operator     string
 		reasonSubstr string
 	}{
-		{"dbtoaster-2way", twoWay(squall.DBToaster), "localjoin.Traditional", "no intermediate view"},
-		{"traditional-2way", twoWay(squall.Traditional), "localjoin.Traditional", "Traditional"},
-		{"dbtoaster-3way-deltas", deltas3, "dbtoaster.TupleJoin", "3-relation"},
-		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), "dbtoaster.AggJoin", "aggregate views"},
+		{"dbtoaster-2way", twoWay(squall.DBToaster), nil, "localjoin.Traditional", "no intermediate view"},
+		{"traditional-2way", twoWay(squall.Traditional), nil, "localjoin.Traditional", "Traditional"},
+		{"dbtoaster-3way-deltas", deltas3, nil, "dbtoaster.TupleJoin", "3-relation"},
+		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), nil, "dbtoaster.AggJoin", "aggregate views"},
+		{"aggviews-declined-forcedelta", deltas3, nil, "dbtoaster.TupleJoin", "aggregate views declined: ForceDeltaJoin"},
+		{"aggviews-declined-recovery", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), recovery, "dbtoaster.TupleJoin", "aggregate views declined: Recovery"},
+		{"aggviews-declined-adaptive", adaptive, nil, "localjoin.Traditional", "aggregate views declined: AdaptiveJoin"},
+		{"aggviews-declined-theta", theta, nil, "localjoin.Traditional", "aggregate views declined: the join graph has theta"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			res := runOrFail(t, tc.q, squall.Options{Seed: 5, CollectLimit: 1})
+			res := runOrFail(t, tc.q, squall.Options{Seed: 5, CollectLimit: 1, Recovery: tc.recovery})
 			if res.LocalJoin.Operator != tc.operator {
 				t.Errorf("LocalJoin.Operator = %q, want %q", res.LocalJoin.Operator, tc.operator)
 			}
