@@ -66,9 +66,10 @@ func BenchmarkSection31_WorkedExample(b *testing.B) {
 
 // BenchmarkFigure5_Bottleneck regenerates Figure 5: the cost decomposition
 // of Customer ⋈ Orders (read, int selection, date selection, network hop,
-// full join). Each stage runs at the legacy per-tuple transport (batch=1)
-// and the default batched transport, so the series doubles as the PR 1
-// batching speedup measurement on the engine's hottest path.
+// full join). Each stage runs at one-row batches (batch=1, every tuple
+// shipped, serialized and decoded on its own, the paper's per-tuple series)
+// and at the default batch size, so the series doubles as the PR 1 batching
+// speedup measurement on the engine's hottest path.
 func BenchmarkFigure5_Bottleneck(b *testing.B) {
 	gen := datagen.NewTPCH(42, 240_000, 0)
 	for _, batch := range []int{1, dataflow.DefaultBatchSize} {

@@ -51,10 +51,10 @@ type benchReport struct {
 }
 
 // batchTransport measures what PR 1 bought: the network-hop and full-join
-// stages of Figure 5 under the legacy per-tuple transport (batch=1) and the
-// default batched transport, plus the decode allocation amortization.
+// stages of Figure 5 shipping one-row batches (batch=1) and default-size
+// batches, plus the decode allocation amortization.
 func batchTransport() {
-	header(fmt.Sprintf("Batched transport: batch=1 (legacy) vs batch=%d (default)", dataflow.DefaultBatchSize))
+	header(fmt.Sprintf("Batched transport: batch=1 (one-row batches) vs batch=%d (default)", dataflow.DefaultBatchSize))
 	// 4x the bench_test scale: longer runs amortize additive scheduling noise
 	// on shared boxes, which otherwise inflates the (shorter) batched runs
 	// relatively more and understates the ratio.
@@ -72,7 +72,7 @@ func batchTransport() {
 		}
 		return out
 	}
-	legacyStages := stagesFor(1)
+	oneRowStages := stagesFor(1)
 	batchedStages := stagesFor(dataflow.DefaultBatchSize)
 	measure := func(run Figure5Runner, name string) time.Duration {
 		// Collect before timing (as testing.B does between benchmarks) so one
@@ -101,7 +101,7 @@ func batchTransport() {
 	}
 	fmt.Printf("  %-22s %12s %12s %9s\n", "stage", "batch=1", "batched", "speedup")
 	for _, name := range hotStages {
-		l := mean(legacyStages[name], name)
+		l := mean(oneRowStages[name], name)
 		b := mean(batchedStages[name], name)
 		sp := float64(l) / float64(b)
 		fmt.Printf("  %-22s %12v %12v %8.2fx\n", name, l.Round(time.Millisecond), b.Round(time.Millisecond), sp)

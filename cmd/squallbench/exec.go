@@ -20,6 +20,21 @@ import (
 // benchFileExec is where `-json exec` records the PR 5 numbers.
 const benchFileExec = "BENCH_PR5.json"
 
+// stateTuple synthesizes a TPC-H-ish row: int key, date string, float, tag.
+func stateTuple(key int64, i int) types.Tuple {
+	return types.Tuple{
+		types.Int(key),
+		types.Str(fmt.Sprintf("1996-%02d-%02d", 1+i%12, 1+i%28)),
+		types.Float(float64(i%100000) + 0.25),
+		types.Str("BUILDING"),
+	}
+}
+
+// stateJoinGraph is the 2-way equi join R.key = S.key.
+func stateJoinGraph() *expr.JoinGraph {
+	return expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
+}
+
 // execModeResult measures one execution path on the source -> join hot
 // path: transport framing, a lowered selection, routing hash and the
 // joiner's probe+insert, per tuple.

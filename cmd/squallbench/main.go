@@ -1,6 +1,6 @@
 // squallbench regenerates the paper's tables and figures as text tables.
 //
-//	go run ./cmd/squallbench [-json] [-smoke] [figure5|figure6|figure7|figure8|table1|table2|section5|batch|adapt|state|recover|exec|vec|net|chaos|serve|spill|all]
+//	go run ./cmd/squallbench [-json] [-smoke] [figure5|figure6|figure7|figure8|table1|table2|section5|batch|adapt|recover|exec|vec|net|chaos|serve|spill|all]
 //	go run ./cmd/squallbench compare old.json new.json
 //
 // The extra `batch` experiment measures the PR 1 batched-transport speedup
@@ -13,12 +13,6 @@
 // it writes BENCH_PR2.json, and with -smoke it runs at CI scale. It exits
 // non-zero when the adaptive run fails the paper's claims, so CI uses it
 // as an acceptance gate.
-//
-// The `state` experiment (PR 3) compares the compact slab-backed operator
-// state against the pre-slab map layout — insert/probe throughput,
-// bytes/stored-tuple and allocs/op at a million-tuple join, plus end-to-end
-// full-join time; with -json it writes BENCH_PR3.json, and it exits
-// non-zero when the compact layout stops paying for itself (the CI gate).
 //
 // The `recover` experiment (PR 4) reproduces the §5 fault-tolerance claim
 // live: a replicated Random-Hypercube join with one joiner task killed
@@ -104,7 +98,7 @@ var allSchemes = []squall.SchemeKind{squall.HashHypercube, squall.RandomHypercub
 
 var (
 	jsonOut = flag.Bool("json", false, "write machine-readable results (BENCH_PR1.json / BENCH_PR2.json) for the batch and adapt experiments")
-	smoke   = flag.Bool("smoke", false, "run the adapt/state experiments at CI smoke scale")
+	smoke   = flag.Bool("smoke", false, "run the gated experiments at CI smoke scale")
 )
 
 func main() {
@@ -134,7 +128,6 @@ func main() {
 		"section5": section5,
 		"batch":    batchTransport,
 		"adapt":    adaptBench,
-		"state":    stateBench,
 		"recover":  recoverBench,
 		"exec":     execBench,
 		"vec":      vecBench,
@@ -151,7 +144,7 @@ func main() {
 	}
 	f, ok := run[what]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; options: figure5 figure6 figure7 figure8 table1 table2 section5 batch adapt state recover exec vec net chaos serve spill all (or: compare old.json new.json)\n", what)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; options: figure5 figure6 figure7 figure8 table1 table2 section5 batch adapt recover exec vec net chaos serve spill all (or: compare old.json new.json)\n", what)
 		os.Exit(2)
 	}
 	f()

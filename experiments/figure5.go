@@ -31,16 +31,17 @@ type Figure5Stage struct {
 // is ~10x sel(int) (Date instances are created from strings), the network
 // hop dominates (~60%), and join computation is a small share (~14%).
 //
-// The stages run at BatchSize=1 — the per-tuple transport the figure
-// documents (Storm ships tuples individually); Figure5StagesBatch is the
-// batched-transport variant used by the PR 1 comparison harness.
+// The stages run at BatchSize=1 — one-row batches, so every tuple is
+// shipped, serialized and decoded on its own as in the figure (Storm ships
+// tuples individually); Figure5StagesBatch is the batched-transport variant
+// used by the PR 1 comparison harness.
 func Figure5Stages(gen *datagen.TPCH, machines int, seed int64) []Figure5Stage {
 	return Figure5StagesBatch(gen, machines, seed, 1)
 }
 
 // Figure5StagesBatch is Figure5Stages with an explicit transport batch size
-// (0 = engine default). batchSize=1 reproduces the legacy per-tuple
-// transport, which is how the PR 1 batching speedup is measured.
+// (0 = engine default). batchSize=1 ships one-row batches, the per-tuple
+// baseline the PR 1 batching speedup is measured against.
 func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize int) []Figure5Stage {
 	noopInt := expr.Cmp{Op: expr.Ge, L: expr.C(1), R: expr.I(0)}                          // custkey >= 0: keeps all
 	noopDate := expr.Cmp{Op: expr.Ge, L: expr.Date{Inner: expr.C(2)}, R: expr.I(-100000)} // parses orderdate, keeps all
@@ -95,10 +96,10 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 			},
 		}
 		// The figure decomposes the boxed pipeline's cost structure, and the
-		// PR 1 batch experiment reuses this stage as its legacy-vs-batched
+		// PR 1 batch experiment reuses this stage as its one-row-vs-batched
 		// transport comparison: pin the boxed execution path so batchSize=1
-		// keeps measuring the per-tuple transport it documents (the packed
-		// path has its own experiment, `squallbench exec`).
+		// keeps measuring per-tuple shipping of boxed tuples (the packed path
+		// has its own experiment, `squallbench exec`).
 		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize, PackedExec: squall.PackedOff})
 		if err != nil {
 			return 0, err

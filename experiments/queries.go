@@ -280,8 +280,8 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 		Spout("W1", 1, w.Spout()).
 		Spout("W2", 1, w.Spout()).
 		Spout("W3", 1, w.Spout()).
-		Bolt("join1", j1Par, ops.JoinBolt(g1, local, map[string]int{"W1": 0, "W2": 1}, nil, false, true, nil)).
-		Bolt("join2", j2Par, ops.JoinBolt(g2, local, map[string]int{"join1": 0, "W3": 1}, nil, false, true, nil)).
+		Bolt("join1", j1Par, ops.JoinBolt(g1, local, map[string]int{"W1": 0, "W2": 1}, nil, true, nil)).
+		Bolt("join2", j2Par, ops.JoinBolt(g2, local, map[string]int{"join1": 0, "W3": 1}, nil, true, nil)).
 		Bolt("agg", 1, agg.factory()).
 		Input("join1", "W1", dataflow.Fields(1)).
 		Input("join1", "W2", dataflow.Fields(0)).

@@ -60,13 +60,13 @@ type Repartitioner interface {
 }
 
 // FrameExporter is optionally implemented by Repartitioners whose state is
-// stored wire-encoded (the slab layout): ExportStateFrames streams one
+// stored wire-encoded in slab arenas: ExportStateFrames streams one
 // side's stored tuples as ready-made wire batch frames of up to batchSize
 // tuples, blitted from the packed rows without materializing []types.Value
 // tuples. The frame buffer is only valid during the visit callback; visit
 // returning false stops the stream. It reports false when the state is not
-// frame-exportable (map layout), in which case the migration path falls
-// back to ExportState. With footer set, uniform-arity frames carry a
+// frame-exportable, in which case the migration path falls back to
+// ExportState. With footer set, uniform-arity frames carry a
 // column-offset footer (PR 6); footers are advisory, so every frame
 // consumer decodes footered exports identically.
 type FrameExporter interface {
@@ -534,7 +534,7 @@ func (s *migSession) complete(par int) bool { return s.dones == par }
 
 // sideExport is the state one primary ships for one side: either pre-built
 // wire batch frames (slab-backed state, snapshotted by blitting rows) or
-// materialized tuples (map layout, or the NoSerialize path).
+// materialized tuples (state without slab rows, or the NoSerialize path).
 type sideExport struct {
 	frames [][]byte // each a complete wire batch frame
 	tuples []types.Tuple
@@ -624,7 +624,7 @@ func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics
 // sendExports ships one task's exports as wire batch frames, then marks the
 // end of its exports to every peer. Slab-backed state arrives as pre-built
 // frames (snapshotExport blitted the packed rows), so this path never
-// re-encodes; map-layout tuples are chunked and encoded here. Runs
+// re-encodes; boxed tuples from ExportState are chunked and encoded here. Runs
 // concurrently with the task's main loop; TaskMetrics fields are atomics.
 func (a *adaptState) sendExports(task int, tm *TaskMetrics, epoch int, exports [2]sideExport) {
 	defer a.exportWG.Done()

@@ -36,14 +36,13 @@ type Options struct {
 	// ChannelBuf is the per-task inbox capacity in envelopes (backpressure
 	// depth; one envelope carries up to BatchSize tuples, so the in-flight
 	// tuple budget is ChannelBuf x BatchSize). When unset it defaults to
-	// max(128, 1024/BatchSize): deep enough to pipeline batched envelopes,
-	// without the legacy default's 1024 envelopes silently meaning 64x more
-	// buffered tuples than the per-tuple transport allowed.
+	// max(128, 1024/BatchSize): deep enough to pipeline batched envelopes
+	// without buffering 64x more tuples than one-row batches would.
 	ChannelBuf int
 	// BatchSize caps how many tuples ride in one envelope per (edge, target)
-	// before the producer flushes. Default DefaultBatchSize; 1 reproduces the
-	// legacy per-tuple transport exactly (one send and one wire frame per
-	// tuple copy, abort checked per tuple).
+	// before the producer flushes. Default DefaultBatchSize; 1 ships one-row
+	// batches through the same path, so every tuple copy is its own send and
+	// its own wire frame.
 	BatchSize int
 	// MemLimitPerTask, when > 0, aborts the run with ErrMemoryOverflow if any
 	// MemReporter bolt's state exceeds this many bytes.
@@ -102,14 +101,12 @@ type Options struct {
 }
 
 // envelope is one channel message: a batch of tuples sharing provenance
-// (same producer task, same stream), a single inline tuple (the legacy
-// BatchSize=1 framing, which must not pay a slice allocation per tuple), a
-// packed frame of wire-encoded rows (EmitRow's zero-materialization
-// transport, PR 5), an EOS marker, or a control message (adaptive barrier /
-// migration traffic, or recovery kill / restore traffic).
+// (same producer task, same stream), a packed frame of wire-encoded rows
+// (EmitRow's zero-materialization transport, PR 5), an EOS marker, or a
+// control message (adaptive barrier / migration traffic, or recovery kill /
+// restore traffic).
 type envelope struct {
-	batch  []types.Tuple
-	single types.Tuple
+	batch []types.Tuple
 	// frame is a wire batch frame (varint(count) + encoded rows) shipped
 	// without decoding; count is its row count. RowBolt consumers walk it
 	// with a cursor, everyone else receives it decoded.
@@ -259,9 +256,6 @@ func (c *Collector) recExit() {
 // tuples-are-immutable convention (types.Tuple) is load-bearing here.
 func (c *Collector) Emit(t types.Tuple) error {
 	c.metrics.Emitted.Add(1)
-	if c.batchSize == 1 {
-		return c.emitLegacy(t)
-	}
 	for ei, e := range c.node.outputs {
 		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
 			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], t); err != nil {
@@ -499,86 +493,6 @@ func (c *Collector) emitAdaptiveGated(ei, side int, t types.Tuple) error {
 		}
 	}
 	return c.emitAdaptive(ei, side, t)
-}
-
-// emitLegacy is the BatchSize=1 transport, kept bit- and cost-faithful to
-// the pre-batching engine as the batching baseline: encode once per emit,
-// decode once per destination, one inline-tuple envelope per copy, nothing
-// buffered (so EOS has nothing to flush and aborts are observed per tuple).
-func (c *Collector) emitLegacy(t types.Tuple) error {
-	encoded := false
-	// One retained replay payload backs every tracked destination of this
-	// tuple (mirrors flushAdaptive's sharedFrame).
-	var trackedFrame []byte
-	var trackedTuples []types.Tuple
-	for ei, e := range c.node.outputs {
-		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], t); err != nil {
-				return err
-			}
-			continue
-		}
-		tracked := c.recTracked != nil && c.recTracked[ei]
-		if tracked {
-			// One gate session covers every destination of the tuple: a
-			// recovery round must never observe a replicated tuple delivered
-			// to some copies but not others.
-			entered, ok := c.recEnter()
-			if !ok {
-				return c.ex.abortErr()
-			}
-			if entered {
-				defer c.recExit()
-			}
-		}
-		c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
-		for _, target := range c.tbuf {
-			if target < 0 || target >= e.to.par {
-				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
-			}
-			out := t
-			if !c.ex.opts.NoSerialize {
-				if !encoded {
-					c.scratch = wire.Encode(c.scratch[:0], t)
-					encoded = true
-				}
-				// Each destination receives its own deserialized copy,
-				// exactly as on a real network.
-				var err error
-				out, _, err = wire.Decode(c.scratch)
-				if err != nil {
-					return fmt.Errorf("dataflow: wire corruption on %s->%s: %w", e.from.name, e.to.name, err)
-				}
-				c.metrics.BytesOut.Add(int64(len(c.scratch)))
-			}
-			c.metrics.Sent.Add(1)
-			c.metrics.Batches.Add(1)
-			env := envelope{stream: c.node.name, from: c.task, single: out}
-			if tracked {
-				ent := replayEnt{count: 1}
-				if c.ex.opts.NoSerialize {
-					if trackedTuples == nil {
-						trackedTuples = []types.Tuple{t}
-					}
-					ent.tuples = trackedTuples
-				} else {
-					if trackedFrame == nil {
-						trackedFrame = append([]byte(nil), c.scratch...)
-					}
-					ent.frame = trackedFrame
-					ent.single = true
-				}
-				c.recSeq[ei][target]++
-				env.seq = c.recSeq[ei][target]
-				ent.seq = env.seq
-				c.ex.rec.record(c.recPid, target, ent)
-			}
-			if !c.ex.send(e.to, target, env) {
-				return c.ex.abortErr()
-			}
-		}
-	}
-	return nil
 }
 
 // flush ships the pending batch of one (edge, target) buffer downstream. On
@@ -1212,9 +1126,8 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	}
 	inbox := ex.inboxes[n][task]
 	processed := 0
-	one := make([]types.Tuple, 1) // consumer-owned adapter for single-tuple envelopes
-	var fdec wire.BatchDecoder    // frame decoding for non-RowBolt consumers
-	var rcur wire.Cursor          // frame row cursor
+	var fdec wire.BatchDecoder // frame decoding for non-RowBolt consumers
+	var rcur wire.Cursor       // frame row cursor
 
 	// postTuple is the shared per-tuple/per-row bookkeeping: adaptive load
 	// reports and the amortized memory check + abort poll.
@@ -1314,10 +1227,6 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			return nil
 		}
 		batch := env.batch
-		if batch == nil {
-			one[0] = env.single
-			batch = one
-		}
 		in := Input{Stream: env.stream, FromTask: env.from}
 		if count {
 			tm.Received.Add(int64(len(batch)))
@@ -1330,11 +1239,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					return err
 				}
 				if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
-					pb := batch
-					if env.batch == nil {
-						pb = []types.Tuple{env.single} // `one` is reused; copy
-					}
-					rs.poisoned = &poisonedEnv{env: env, batch: pb, idx: i}
+					rs.poisoned = &poisonedEnv{env: env, batch: batch, idx: i}
 					return errPanicCaptured
 				}
 				return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
@@ -1365,7 +1270,6 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			// always goes through the tuple path.
 			reEnv := p.env
 			reEnv.batch = p.batch[p.idx:]
-			reEnv.single = nil
 			reEnv.frame, reEnv.count = nil, 0
 			if err := deliver(reEnv, false); err != nil {
 				return err
@@ -1561,16 +1465,12 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				}
 				if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
 					batch := env.batch
-					switch {
-					case batch == nil && env.frame != nil:
+					if batch == nil {
 						var err error
 						if batch, _, err = fdec.Decode(wire.StripFooter(env.frame)); err != nil {
 							ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay frame corrupt: %w", n.name, task, err))
 							return
 						}
-					case batch == nil:
-						one[0] = env.single
-						batch = one
 					}
 					if err := bolt.(Repartitioner).ImportState(rel, batch); err != nil {
 						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay import: %w", n.name, task, err))
@@ -1583,11 +1483,9 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				continue // late duplicate of replayed input
 			}
 		}
-		nIn := 1
+		nIn := env.count
 		if env.batch != nil {
 			nIn = len(env.batch)
-		} else if env.frame != nil {
-			nIn = env.count
 		}
 		if err := deliver(env, true); err != nil {
 			if err == errPanicCaptured {

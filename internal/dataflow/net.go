@@ -6,7 +6,7 @@
 // barriers and migrations, recovery kills and restores) process-local: the
 // manager goroutine of a protected component runs on the worker hosting it,
 // peers exchange state through ordinary inboxes, and only *data* envelopes
-// (batches, frames, singles, EOS) ever cross a socket. What the control
+// (batches, frames, EOS) ever cross a socket. What the control
 // planes need from remote workers is a small RPC set carried on the same
 // connections: gate pause/resume, quiesce tokens that flush in-flight data
 // ahead of control markers, replay requests against remote producers' replay
@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"squall/internal/adaptive"
 	"squall/internal/recovery"
@@ -41,11 +42,12 @@ import (
 var ErrLink = errors.New("cluster infrastructure failure")
 
 // Dataflow-plane message kinds (all below transport.KindUser; kind 1 is the
-// transport handshake).
+// transport handshake). Kind 4 stays unassigned so that a peer speaking an
+// older protocol, which shipped lone tuples under it, fails the run as an
+// unknown kind instead of being misread.
 const (
 	mkFrame      byte = 2  // packed batch frame        A=node B=task C=from D=seq
 	mkBatch      byte = 3  // encoded tuple batch       A=node B=task C=from D=seq
-	mkSingle     byte = 4  // one encoded tuple         A=node B=task C=from D=seq
 	mkEOS        byte = 5  // end of stream             A=node B=task C=from
 	mkCredit     byte = 6  // flow-control grant        A=node B=task C=count
 	mkAbort      byte = 7  // run failed here           Payload=error text
@@ -160,8 +162,11 @@ type NetPlane struct {
 	cfg   NetConfig
 	links []*netLink // indexed by worker, nil at Self
 
-	mu       sync.Mutex
-	ex       *execution
+	mu sync.Mutex
+	ex *execution
+	// bound publishes ex to fail, which must not take mu: bind drains the
+	// parked backlog while holding it, and a parked message may fail the run.
+	bound    atomic.Pointer[execution]
 	preErr   error
 	pending  []pendMsg
 	nodeIdx  map[string]int
@@ -237,6 +242,10 @@ func (p *NetPlane) nodeAt(i int) *node {
 
 // fail aborts the bound execution (or poisons the pending bind).
 func (p *NetPlane) fail(err error) {
+	if ex := p.bound.Load(); ex != nil {
+		ex.fail(err)
+		return
+	}
 	p.mu.Lock()
 	ex := p.ex
 	if ex == nil {
@@ -278,6 +287,7 @@ func (p *NetPlane) bind(ex *execution) error {
 		return p.preErr
 	}
 	p.ex = ex
+	p.bound.Store(ex)
 	p.window = ex.opts.ChannelBuf
 	p.quantum = p.window / 4
 	if p.quantum < 1 {
@@ -355,7 +365,7 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	switch m.Kind {
 	case mkCredit:
 		lk.credit(flowKey(int(m.A), int(m.B)), p.window).Grant(int(m.C))
-	case mkFrame, mkBatch, mkSingle, mkEOS:
+	case mkFrame, mkBatch, mkEOS:
 		p.recvData(lk, m)
 	case mkToken:
 		// A flush token rides the data path: staged behind every data message
@@ -453,13 +463,6 @@ func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
 			*box = append((*box)[:0], m.Payload...)
 			env.frame, env.pframe = *box, box
 		}
-	case mkSingle:
-		t, _, err := wire.Decode(m.Payload)
-		if err != nil {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a malformed tuple for %s[%d]: %w", lk.worker, n.name, task, err))
-			return
-		}
-		env.single = t
 	case mkBatch:
 		if env.seq > 0 {
 			t, _, err := lk.dec.Decode(m.Payload)
@@ -580,14 +583,10 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 	case env.frame != nil:
 		m.Kind = mkFrame
 		m.Payload = env.frame
-	case env.batch != nil:
+	default:
 		m.Kind = mkBatch
 		scratch = getFrameBox()
 		m.Payload = wire.EncodeBatch((*scratch)[:0], env.batch)
-	default:
-		m.Kind = mkSingle
-		scratch = getFrameBox()
-		m.Payload = wire.Encode((*scratch)[:0], env.single)
 	}
 	err := lk.conn.WriteMsg(&m)
 	if scratch != nil {
@@ -857,9 +856,6 @@ func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
 					return
 				}
 				m := transport.Msg{Kind: mkFrame, Stream: e.from.name, A: int64(ni), B: int64(req.Victim), C: int64(t), D: ent.seq, Payload: ent.frame}
-				if ent.single {
-					m.Kind = mkSingle
-				}
 				if !lk.credit(flowKey(ni, req.Victim), p.window).Acquire(ex.abort) {
 					return
 				}

@@ -194,3 +194,49 @@ func TestPoolLedgerRecoveryRun(t *testing.T) {
 		t.Errorf("leaked pool box after recovered run, checked out at %s", site)
 	}
 }
+
+// TestBatchSizeOneAllocsPerTuple: one-row batches ride the ordinary pooled
+// batch path, so once the pools are warm a tuple costs only its decoded
+// copy (the value arena a real network hop would allocate too) beyond what
+// a full batch costs per tuple — no per-tuple batch slice, envelope box or
+// frame buffer — and every box taken goes back to the pools.
+func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
+	const n = 20_000
+	rows := intRows(n)
+	run := func(batch int) {
+		var got int
+		topo, err := NewBuilder().
+			Spout("src", 1, SliceSpout(rows)).
+			Bolt("sink", 1, func(int, int) Bolt {
+				return FuncBolt{OnTuple: func(Input, *Collector) error { got++; return nil }}
+			}).
+			Input("sink", "src", Global()).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(topo, Options{Seed: 1, BatchSize: batch}); err != nil {
+			t.Fatal(err)
+		}
+		if got != n {
+			t.Fatalf("batch=%d delivered %d of %d tuples", batch, got, n)
+		}
+	}
+	startPoolLedger()
+	run(1)
+	outstanding, errs := stopPoolLedger()
+	assertNoDoublePut(t, errs)
+	for _, site := range outstanding {
+		t.Errorf("batch=1 leaked pool box, checked out at %s", site)
+	}
+
+	perTuple := func(batch int) float64 { return testing.AllocsPerRun(3, func() { run(batch) }) / n }
+	one, full := perTuple(1), perTuple(DefaultBatchSize)
+	t.Logf("allocs/tuple: batch=1 %.3f, batch=%d %.3f", one, DefaultBatchSize, full)
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if one-full > 1.25 {
+		t.Errorf("batch=1 allocates %.2f objects per tuple beyond a full batch's %.2f; want at most the decoded copy", one-full, full)
+	}
+}

@@ -182,8 +182,7 @@ type recMsg struct {
 // replayEnt is one retained envelope in a producer's replay buffer.
 type replayEnt struct {
 	seq    int64
-	frame  []byte        // encoded payload (nil on the NoSerialize path)
-	single bool          // frame holds one wire.Encode tuple, not a batch
+	frame  []byte        // encoded batch frame (nil on the NoSerialize path)
 	tuples []types.Tuple // NoSerialize payload
 	count  int
 }
@@ -641,17 +640,9 @@ func (a *recState) handleFault(f faultNote) bool {
 					continue
 				}
 				env := envelope{stream: e.from.name, from: p, seq: ent.seq}
-				switch {
-				case ent.frame == nil:
+				if ent.frame == nil {
 					env.batch = ent.tuples
-				case ent.single:
-					t, _, err := wire.Decode(ent.frame)
-					if err != nil {
-						a.ex.fail(fmt.Errorf("dataflow: replay corruption on %s->%s: %w", e.from.name, a.node.name, err))
-						return false
-					}
-					env.single = t
-				default:
+				} else {
 					out, _, err := dec.Decode(ent.frame)
 					if err != nil {
 						a.ex.fail(fmt.Errorf("dataflow: replay corruption on %s->%s: %w", e.from.name, a.node.name, err))

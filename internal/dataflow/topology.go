@@ -13,8 +13,9 @@
 // Transport is micro-batched: producers accumulate per-(edge, target)
 // batches of up to Options.BatchSize tuples and ship each batch as one
 // channel send carrying one wire frame, flushing partial batches at EOS.
-// BatchSize=1 degenerates to the legacy per-tuple transport; see DESIGN.md
-// for the framing and its interaction with the network-cost substitution.
+// BatchSize=1 ships one-row batches, so every tuple pays its own send and
+// frame; see DESIGN.md for the framing and its interaction with the
+// network-cost substitution.
 package dataflow
 
 import (

@@ -60,8 +60,8 @@ type aggAcc struct {
 	sum float64
 }
 
-// aview is one aggregate-annotated materialized view in the compact layout
-// ops.Agg keeps its groups in: signatures are wire-encoded rows in a slab
+// aview is one aggregate-annotated materialized view in the layout ops.Agg
+// keeps its groups in: signatures are wire-encoded rows in a slab
 // arena, accumulators a dense slice updated in place, and the signature
 // index hashes the encoded bytes and verifies by byte equality. Views only
 // grow, so accumulator i's signature is arena row i: a probe reads both

@@ -89,12 +89,9 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 		name string
 		g    *expr.JoinGraph
 		rels int
-		mk   func(*expr.JoinGraph) Join
 	}{
-		{"chain3/slab", chain3(), 3, NewTupleJoin},
-		{"chain4/slab", chain4(), 4, NewTupleJoin},
-		{"chain3/map", chain3(), 3, NewTupleJoinMap},
-		{"chain4/map", chain4(), 4, NewTupleJoinMap},
+		{"chain3", chain3(), 3},
+		{"chain4", chain4(), 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := rand.New(rand.NewSource(5))
@@ -103,7 +100,7 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 				rels[i] = genRel(r, 25, 2, 5)
 			}
 			trad := localjoin.NewTraditional(tc.g)
-			dbt := tc.mk(tc.g)
+			dbt := NewTupleJoin(tc.g)
 			for _, e := range shuffled(r, rels) {
 				dt, err := trad.OnTuple(e.rel, e.t)
 				if err != nil {
@@ -125,32 +122,25 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 		expr.EquiCol(0, 0, 1, 0),
 		expr.ThetaCol(1, 0, expr.Lt, 2, 0),
 	)
-	for _, mode := range []struct {
-		name string
-		mk   func(*expr.JoinGraph) Join
-	}{{"slab", NewTupleJoin}, {"map", NewTupleJoinMap}} {
-		t.Run(mode.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(11))
-			rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
-			trad := localjoin.NewTraditional(g)
-			dbt := mode.mk(g)
-			total := 0
-			for _, e := range shuffled(r, rels) {
-				dt, err := trad.OnTuple(e.rel, e.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dd, err := dbt.OnTuple(e.rel, e.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				total += len(dt)
-				sameTuples(t, "delta", concatAll(dt), concatAll(dd))
-			}
-			if total == 0 {
-				t.Fatal("workload produced no output")
-			}
-		})
+	r := rand.New(rand.NewSource(11))
+	rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
+	trad := localjoin.NewTraditional(g)
+	dbt := NewTupleJoin(g)
+	total := 0
+	for _, e := range shuffled(r, rels) {
+		dt, err := trad.OnTuple(e.rel, e.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dd, err := dbt.OnTuple(e.rel, e.t)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += len(dt)
+		sameTuples(t, "delta", concatAll(dt), concatAll(dd))
+	}
+	if total == 0 {
+		t.Fatal("workload produced no output")
 	}
 }
 
@@ -397,51 +387,71 @@ func TestDBToasterCheaperPerProbe(t *testing.T) {
 	}
 }
 
-// TestTupleJoinExportParityAndFrames: slab and map layouts snapshot
-// identical base relations, and the slab layout's frame export decodes to
-// the same tuples through the wire batch decoder (the migration fast path).
+// TestTupleJoinExportParityAndFrames: the views hold exactly the
+// nested-loop pair counts, ExportRel returns the inserted base rows and
+// round-trips through Insert into a fresh operator with identical views,
+// and the frame export decodes to the same tuples through the wire batch
+// decoder (the migration fast path).
 func TestTupleJoinExportParityAndFrames(t *testing.T) {
 	g := chain3()
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	slabJ, mapJ := NewTupleJoin(g).(*TupleJoin), NewTupleJoinMap(g).(*TupleJoin)
+	slabJ, reJ := NewTupleJoin(g).(*TupleJoin), NewTupleJoin(g).(*TupleJoin)
 	for _, e := range shuffled(r, rels) {
 		if err := slabJ.Insert(e.rel, e.t); err != nil {
 			t.Fatal(err)
 		}
-		if err := mapJ.Insert(e.rel, e.t); err != nil {
-			t.Fatal(err)
-		}
 	}
-	if sj, mj := slabJ.ViewSizes(), mapJ.ViewSizes(); len(sj) != len(mj) {
-		t.Fatalf("view counts diverge: %v vs %v", sj, mj)
-	} else {
-		for mask, n := range mj {
-			if sj[mask] != n {
-				t.Fatalf("view %b: slab %d combos, map %d", mask, sj[mask], n)
+	// chain3 joins R.1 = S.0 and S.1 = T.0: its views are the three base
+	// relations plus RS and ST; RT is disconnected and has no view.
+	pairs := func(a, b []types.Tuple) int {
+		n := 0
+		for _, x := range a {
+			for _, y := range b {
+				if x[1].Equal(y[0]) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	want := map[uint64]int{0b001: 30, 0b010: 30, 0b100: 30,
+		0b011: pairs(rels[0], rels[1]), 0b110: pairs(rels[1], rels[2])}
+	checkViews := func(label string, got map[uint64]int) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: views %v, want %v", label, got, want)
+		}
+		for mask, n := range want {
+			if got[mask] != n {
+				t.Fatalf("%s: view %b holds %d combos, nested loops %d", label, mask, got[mask], n)
 			}
 		}
 	}
+	checkViews("streamed", slabJ.ViewSizes())
 	for rel := range rels {
-		a, b := slabJ.ExportRel(rel), mapJ.ExportRel(rel)
-		sameTuples(t, "export", a, b)
-		if slabJ.RelCount(rel) != mapJ.RelCount(rel) {
-			t.Fatalf("rel %d: RelCount diverges", rel)
+		b := append([]types.Tuple(nil), rels[rel]...)
+		sameTuples(t, "export", slabJ.ExportRel(rel), append([]types.Tuple(nil), b...))
+		if slabJ.RelCount(rel) != len(b) {
+			t.Fatalf("rel %d: RelCount %d, inserted %d", rel, slabJ.RelCount(rel), len(b))
+		}
+		for _, row := range slabJ.ExportRel(rel) {
+			if err := reJ.Insert(rel, row); err != nil {
+				t.Fatal(err)
+			}
 		}
 		var fromFrames []types.Tuple
-		if !slabJ.ExportRelFrames(rel, 8, false, func(frame []byte, count int) bool {
+		slabJ.ExportRelFrames(rel, 8, false, func(frame []byte, count int) bool {
 			tuples, _, err := wire.DecodeBatch(frame)
 			if err != nil || len(tuples) != count {
 				t.Fatalf("rel %d frame: %v", rel, err)
 			}
 			fromFrames = append(fromFrames, tuples...)
 			return true
-		}) {
-			t.Fatal("slab layout must support frame export")
-		}
+		})
 		sameTuples(t, "frames", fromFrames, b)
 		var footered []types.Tuple
-		if !slabJ.ExportRelFrames(rel, 8, true, func(frame []byte, count int) bool {
+		slabJ.ExportRelFrames(rel, 8, true, func(frame []byte, count int) bool {
 			var foot wire.Footer
 			if count > 0 && !wire.ParseFooter(frame, &foot) {
 				t.Fatalf("rel %d: footered export carries no valid footer", rel)
@@ -452,12 +462,8 @@ func TestTupleJoinExportParityAndFrames(t *testing.T) {
 			}
 			footered = append(footered, tuples...)
 			return true
-		}) {
-			t.Fatal("slab layout must support footered frame export")
-		}
+		})
 		sameTuples(t, "footered frames", footered, b)
-		if mapJ.ExportRelFrames(rel, 8, false, func([]byte, int) bool { return true }) {
-			t.Error("map layout must report frames unsupported")
-		}
 	}
+	checkViews("re-imported", reJ.ViewSizes())
 }

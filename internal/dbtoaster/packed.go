@@ -16,16 +16,14 @@ import (
 	"squall/internal/wire"
 )
 
-// PackedCapable reports whether OnRow applies (the compact slab layout).
-func (j *TupleJoin) PackedCapable() bool { return j.compact }
+// PackedCapable reports whether OnRow applies: always, since every arrival
+// blits into a slab arena.
+func (j *TupleJoin) PackedCapable() bool { return true }
 
 // OnRow is the packed OnTuple: one tuple materialization per arrival (the
 // views need evaluated expressions), a blitted arena insert, and encoded
 // delta emission. Emitted rows are valid only during the callback.
 func (j *TupleJoin) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row []byte) error) error {
-	if !j.compact {
-		return fmt.Errorf("dbtoaster: OnRow needs the compact state layout")
-	}
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
 	}

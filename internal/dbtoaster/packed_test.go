@@ -34,8 +34,8 @@ func TestTupleJoinOnRowAgreesWithOnTuple(t *testing.T) {
 			g := expr.MustJoinGraph(c.rels, conj...)
 			// The view operator itself, also on the 2-way graph the
 			// constructors route to the base-relation core (rule_test.go).
-			boxed := newTupleJoin(g, true)
-			packed := newTupleJoin(g, true)
+			boxed := newTupleJoin(g)
+			packed := newTupleJoin(g)
 			if !packed.PackedCapable() {
 				t.Fatal("compact TupleJoin must be packed-capable")
 			}

@@ -99,7 +99,7 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 			if packed.PackedCapable() != c.packed {
 				t.Fatalf("PackedCapable = %v, want %v", packed.PackedCapable(), c.packed)
 			}
-			views, viewsPacked := newTupleJoin(c.g, true), newTupleJoin(c.g, true)
+			views, viewsPacked := newTupleJoin(c.g), newTupleJoin(c.g)
 
 			onTuple := func(j localjoin.MultiJoin, rel int, tu types.Tuple) map[string]int {
 				deltas, err := j.OnTuple(rel, tu)
@@ -158,14 +158,14 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 	}
 }
 
-// TestViewLessRuleCoversEveryLayout: the three constructors apply the rule
-// alike, and leave graphs with intermediate views to the view operator.
+// TestViewLessRuleCoversEveryLayout: the resident and tiered constructors
+// apply the rule alike, and leave graphs with intermediate views to the
+// view operator.
 func TestViewLessRuleCoversEveryLayout(t *testing.T) {
 	two := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	tc := slab.TierConfig{SegmentRows: 64, KeyPrefix: "rule"}
 	for name, j := range map[string]Join{
 		"slab":   NewTupleJoin(two),
-		"map":    NewTupleJoinMap(two),
 		"tiered": NewTupleJoinTiered(two, tc),
 	} {
 		if _, ok := j.(*localjoin.Traditional); !ok {
@@ -174,14 +174,28 @@ func TestViewLessRuleCoversEveryLayout(t *testing.T) {
 	}
 	for name, j := range map[string]Join{
 		"slab":   NewTupleJoin(chain3()),
-		"map":    NewTupleJoinMap(chain3()),
 		"tiered": NewTupleJoinTiered(chain3(), tc),
 	} {
 		if _, ok := j.(*TupleJoin); !ok {
 			t.Errorf("%s: 3-relation graph got %T", name, j)
 		}
+		if !j.PackedCapable() {
+			t.Errorf("%s: the view operator must take packed rows", name)
+		}
 	}
-	if NewTupleJoinMap(two).PackedCapable() {
-		t.Error("map layout must not report packed-capable")
+	// A side expression that is not a plain column keeps the base-relation
+	// core off the packed path.
+	exprSide := expr.MustJoinGraph(2, expr.JoinConjunct{
+		LRel: 0, RRel: 1, Op: expr.Eq,
+		Left:  expr.Arith{Op: expr.Mul, L: expr.C(0), R: expr.I(2)},
+		Right: expr.C(0),
+	})
+	for name, j := range map[string]Join{
+		"slab":   NewTupleJoin(exprSide),
+		"tiered": NewTupleJoinTiered(exprSide, tc),
+	} {
+		if j.PackedCapable() {
+			t.Errorf("%s: non-column conjunct must not be packed-capable", name)
+		}
 	}
 }

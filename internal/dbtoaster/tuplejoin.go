@@ -20,13 +20,11 @@
 // intermediate view to keep; on 2-relation graphs they hand back
 // localjoin.Traditional's packed base-relation core (see ViewLess).
 //
-// TupleJoin state defaults to the compact slab layout (PR 3): base tuples
-// live as packed rows in per-relation arenas and every materialized combo is
-// a fixed-stride array of 32-bit refs into them — an n-way combo costs 4n
-// bytes instead of n boxed tuple headers — with open-addressing RefHash
-// indexes on the boundary conjuncts. NewTupleJoinMap keeps the pre-slab
-// layout as the opt-out baseline. AggJoin keeps each view in the compact
-// layout ops.Agg uses for groups — signatures as encoded rows in a slab
+// TupleJoin state is slab-backed: base tuples live as packed rows in
+// per-relation arenas and every materialized combo is a fixed-stride array
+// of 32-bit refs into them — an n-way combo costs 4n bytes instead of n
+// boxed tuple headers — with open-addressing RefHash indexes on the boundary
+// conjuncts. AggJoin keeps each view in the layout ops.Agg uses for groups — signatures as encoded rows in a slab
 // arena, accumulators in a dense slice, RefHash indexes verified against the
 // encoded bytes — and takes arrivals as encoded rows (OnRow): its probes and
 // signatures are field splices, so it never decodes what it stores.
@@ -47,42 +45,26 @@ import (
 // tview is one materialized intermediate join: the combos of a connected
 // relation subset, with indexes on every boundary-crossing conjunct.
 //
-// Compact layout: singleton views own a slab arena of base rows; every view
-// (singleton included) stores combos as a flat []slab.Ref with stride
-// len(rels), ref i·stride+k addressing rels[k]'s base row in that
-// relation's singleton arena. eqRef postings and rngIdx items are combo
-// ordinals. Map layout: combos are []localjoin.Delta sharing tuple headers,
-// eqIdx buckets hold combo-ordinal tuples.
+// Singleton views own a slab arena of base rows; every view (singleton
+// included) stores combos as a flat []slab.Ref with stride len(rels), ref
+// i·stride+k addressing rels[k]'s base row in that relation's singleton
+// arena. eqRef postings and rngIdx items are combo ordinals.
 type tview struct {
-	mask uint64
-	rels []int // relations of mask, ascending; stride of refCombos
-
-	// compact layout
+	mask      uint64
+	rels      []int       // relations of mask, ascending; stride of refCombos
 	arena     *slab.Arena // singleton views only: the relation's base rows
 	refCombos []slab.Ref
-
-	// map layout
-	combos []localjoin.Delta
-	eqIdx  map[int]*index.Hash
-	mem    int
-
-	eqRef  map[int]*index.RefHash // compact layout
-	rngIdx map[int]*index.Tree    // combo ordinals in both layouts
+	eqRef     map[int]*index.RefHash
+	rngIdx    map[int]*index.Tree
 }
 
 // size returns the number of materialized combos.
-func (v *tview) size(compact bool) int {
-	if compact {
-		return len(v.refCombos) / len(v.rels)
-	}
-	return len(v.combos)
-}
+func (v *tview) size() int { return len(v.refCombos) / len(v.rels) }
 
 // TupleJoin is the tuple-level DBToaster operator.
 type TupleJoin struct {
-	g       *expr.JoinGraph
-	views   map[uint64]*tview
-	compact bool
+	g     *expr.JoinGraph
+	views map[uint64]*tview
 	// updateOrder[rel] lists connected subsets containing rel (excluding the
 	// full set), ascending popcount: the views refreshed on each arrival.
 	// Ascending popcount puts rel's singleton view first, so the arriving
@@ -130,25 +112,15 @@ func ViewLess(g *expr.JoinGraph) bool { return g.NumRels == 2 }
 // ViewLessReason is the one-line account of that rule for plan output.
 const ViewLessReason = "DBToaster on a 2-relation graph: no intermediate view, base-relation core"
 
-// NewTupleJoin builds the operator with the compact slab state layout,
-// materializing a view for every connected, non-full subset of relations.
+// NewTupleJoin builds the operator, materializing a view for every connected, non-full subset of relations.
 func NewTupleJoin(g *expr.JoinGraph) Join {
 	if ViewLess(g) {
 		return localjoin.NewTraditional(g)
 	}
-	return newTupleJoin(g, true)
+	return newTupleJoin(g)
 }
 
-// NewTupleJoinMap builds the operator with the pre-slab map state layout —
-// the opt-out baseline (squall.Options.LegacyState).
-func NewTupleJoinMap(g *expr.JoinGraph) Join {
-	if ViewLess(g) {
-		return localjoin.NewTraditionalMap(g)
-	}
-	return newTupleJoin(g, false)
-}
-
-// NewTupleJoinTiered builds the compact-layout operator with tiered
+// NewTupleJoinTiered builds the operator with tiered
 // singleton arenas (PR 10): base rows seal into checksummed segments and
 // spill to tc.Store under memory pressure, faulting back in on probes.
 // View combos (flat ref arrays) and indexes stay resident — they are the
@@ -157,7 +129,7 @@ func NewTupleJoinTiered(g *expr.JoinGraph, tc slab.TierConfig) Join {
 	if ViewLess(g) {
 		return localjoin.NewTraditionalTiered(g, tc)
 	}
-	j := newTupleJoin(g, true)
+	j := newTupleJoin(g)
 	base := tc.KeyPrefix
 	for mask, v := range j.views {
 		if v.arena == nil {
@@ -170,27 +142,22 @@ func NewTupleJoinTiered(g *expr.JoinGraph, tc slab.TierConfig) Join {
 	return j
 }
 
-func newTupleJoin(g *expr.JoinGraph, compact bool) *TupleJoin {
-	j := &TupleJoin{g: g, views: map[uint64]*tview{}, compact: compact, full: (uint64(1) << g.NumRels) - 1,
+func newTupleJoin(g *expr.JoinGraph) *TupleJoin {
+	j := &TupleJoin{g: g, views: map[uint64]*tview{}, full: (uint64(1) << g.NumRels) - 1,
 		merged: make([]slab.Ref, g.NumRels)}
 	j.updateOrder = make([][]uint64, g.NumRels)
 	for mask := uint64(1); mask < j.full; mask++ {
 		if !g.Connected(mask) {
 			continue
 		}
-		v := &tview{mask: mask, rngIdx: map[int]*index.Tree{}}
+		v := &tview{mask: mask, eqRef: map[int]*index.RefHash{}, rngIdx: map[int]*index.Tree{}}
 		for rel := 0; rel < g.NumRels; rel++ {
 			if mask&(1<<rel) != 0 {
 				v.rels = append(v.rels, rel)
 			}
 		}
-		if compact {
-			v.eqRef = map[int]*index.RefHash{}
-			if len(v.rels) == 1 {
-				v.arena = slab.New()
-			}
-		} else {
-			v.eqIdx = map[int]*index.Hash{}
+		if len(v.rels) == 1 {
+			v.arena = slab.New()
 		}
 		for ci, c := range g.Conjuncts {
 			lin := mask&(1<<c.LRel) != 0
@@ -200,11 +167,7 @@ func newTupleJoin(g *expr.JoinGraph, compact bool) *TupleJoin {
 			}
 			switch c.Op {
 			case expr.Eq:
-				if compact {
-					v.eqRef[ci] = index.NewRefHash()
-				} else {
-					v.eqIdx[ci] = index.NewHash()
-				}
+				v.eqRef[ci] = index.NewRefHash()
 			case expr.Lt, expr.Le, expr.Gt, expr.Ge:
 				v.rngIdx[ci] = index.NewTree()
 			}
@@ -228,10 +191,7 @@ func newTupleJoin(g *expr.JoinGraph, compact bool) *TupleJoin {
 	return j
 }
 
-// Compact reports whether the operator uses the slab state layout.
-func (j *TupleJoin) Compact() bool { return j.compact }
-
-// baseTuple decodes relation rel's base row ref (compact layout).
+// baseTuple decodes relation rel's base row ref.
 func (j *TupleJoin) baseTuple(rel int, ref slab.Ref) types.Tuple {
 	return j.views[uint64(1)<<rel].arena.Decode(ref)
 }
@@ -239,14 +199,10 @@ func (j *TupleJoin) baseTuple(rel int, ref slab.Ref) types.Tuple {
 // comboDelta materializes one combo of a view as a Delta.
 func (j *TupleJoin) comboDelta(v *tview, idx int) localjoin.Delta {
 	d := make(localjoin.Delta, j.g.NumRels)
-	if j.compact {
-		stride := len(v.rels)
-		for k, rel := range v.rels {
-			d[rel] = j.baseTuple(rel, v.refCombos[idx*stride+k])
-		}
-		return d
+	stride := len(v.rels)
+	for k, rel := range v.rels {
+		d[rel] = j.baseTuple(rel, v.refCombos[idx*stride+k])
 	}
-	copy(d, v.combos[idx])
 	return d
 }
 
@@ -265,34 +221,16 @@ func (j *TupleJoin) OnTuple(rel int, t types.Tuple) ([]localjoin.Delta, error) {
 
 // Insert stores a tuple with full view maintenance but without computing
 // the delta result — the silent path used by state preload and by the
-// adaptive operator's migration import (localjoin.Migrator).
+// adaptive operator's migration import (localjoin.Migrator). Every view
+// containing rel is refreshed with ref combos: the arriving tuple lands in
+// its singleton arena first (updateOrder is popcount-ascending), then each
+// larger view's delta combos are assembled by crossing the passing combos of
+// its complement's component views — pure ref merges, no tuple
+// re-materialization.
 func (j *TupleJoin) Insert(rel int, t types.Tuple) error {
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
 	}
-	if j.compact {
-		return j.insertCompact(rel, t)
-	}
-	for _, mask := range j.updateOrder[rel] {
-		deltas, err := j.joinWith(rel, t, mask&^(1<<rel))
-		if err != nil {
-			return err
-		}
-		for _, d := range deltas {
-			if err := j.insertMap(j.views[mask], d); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// insertCompact refreshes every view containing rel with ref combos: the
-// arriving tuple lands in its singleton arena first (updateOrder is
-// popcount-ascending), then each larger view's delta combos are assembled by
-// crossing the passing combos of its complement's component views — pure ref
-// merges, no tuple re-materialization.
-func (j *TupleJoin) insertCompact(rel int, t types.Tuple) error {
 	tRef := slab.NoRef
 	for _, mask := range j.updateOrder[rel] {
 		v := j.views[mask]
@@ -358,11 +296,11 @@ func (j *TupleJoin) crossInsert(v *tview, mask uint64, rel int, t types.Tuple, t
 	return rec(0)
 }
 
-// appendCombo stores one ref combo in a view (compact layout) and maintains
+// appendCombo stores one ref combo in a view and maintains
 // its boundary indexes. t is the arriving tuple of relation rel, saving a
 // decode when a boundary expression reads it.
 func (j *TupleJoin) appendCombo(v *tview, refs []slab.Ref, rel int, t types.Tuple) error {
-	idx := v.size(true)
+	idx := v.size()
 	v.refCombos = append(v.refCombos, refs...)
 	for ci, c := range j.g.Conjuncts {
 		var inside expr.Expr
@@ -405,10 +343,7 @@ func (j *TupleJoin) RelCount(rel int) int {
 	if v == nil {
 		return 0
 	}
-	if j.compact {
-		return v.arena.Len()
-	}
-	return len(v.combos)
+	return v.arena.Len()
 }
 
 // ExportRel snapshots the stored base tuples of one relation.
@@ -417,38 +352,26 @@ func (j *TupleJoin) ExportRel(rel int) []types.Tuple {
 	if v == nil {
 		return nil
 	}
-	if j.compact {
-		out := make([]types.Tuple, 0, v.arena.Len())
-		v.arena.Each(func(r slab.Ref) bool {
-			out = append(out, v.arena.Decode(r))
-			return true
-		})
-		return out
-	}
-	out := make([]types.Tuple, len(v.combos))
-	for i, d := range v.combos {
-		out[i] = d[rel]
-	}
+	out := make([]types.Tuple, 0, v.arena.Len())
+	v.arena.Each(func(r slab.Ref) bool {
+		out = append(out, v.arena.Decode(r))
+		return true
+	})
 	return out
 }
 
 // ExportRelFrames streams one relation's base rows as wire batch frames by
-// blitting the packed rows (localjoin.FrameExporter). Reports false in the
-// map layout or when the relation has no singleton view.
-func (j *TupleJoin) ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool {
-	if !j.compact {
-		return false
-	}
+// blitting the packed rows (localjoin.FrameExporter).
+func (j *TupleJoin) ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) {
 	v := j.views[uint64(1)<<rel]
 	if v == nil {
-		return false
+		return
 	}
 	if footer {
 		v.arena.EachFooterFrame(batchSize, nil, visit)
 	} else {
 		v.arena.EachFrame(batchSize, nil, visit)
 	}
-	return true
 }
 
 // joinWith extends tuple t of relation rel across the connected components
@@ -493,8 +416,8 @@ func (j *TupleJoin) joinWith(rel int, t types.Tuple, others uint64) ([]localjoin
 // probeView finds the view combos joinable with t: one conjunct between rel
 // and the view is used as the index probe, the rest as filters. It returns
 // the passing combo ordinals and, when materialize is set, their Deltas.
-// In the compact layout an equality probe matches by 64-bit key hash, so the
-// probe conjunct itself is re-verified — a hash collision can never
+// An equality probe matches by 64-bit key hash, so the probe conjunct itself
+// is re-verified — a hash collision can never
 // fabricate a result.
 func (j *TupleJoin) probeView(v *tview, rel int, t types.Tuple, materialize bool) ([]int, []localjoin.Delta, error) {
 	var incident []int
@@ -524,9 +447,8 @@ func (j *TupleJoin) probeView(v *tview, rel int, t types.Tuple, materialize bool
 		}
 	}
 	var candidates []int // combo ordinals
-	probeExact := false  // probe conjunct guaranteed to hold for candidates
 	if probeCi < 0 {
-		candidates = make([]int, v.size(j.compact))
+		candidates = make([]int, v.size())
 		for i := range candidates {
 			candidates[i] = i
 		}
@@ -538,15 +460,10 @@ func (j *TupleJoin) probeView(v *tview, rel int, t types.Tuple, materialize bool
 		}
 		switch c.Op {
 		case expr.Eq:
-			if j.compact {
-				j.refScratch = v.eqRef[probeCi].AppendRefs(j.refScratch[:0], val.Hash())
-				candidates = make([]int, len(j.refScratch))
-				for i, r := range j.refScratch {
-					candidates[i] = int(r)
-				}
-			} else {
-				candidates = refs(v.eqIdx[probeCi].Lookup(val))
-				probeExact = true
+			j.refScratch = v.eqRef[probeCi].AppendRefs(j.refScratch[:0], val.Hash())
+			candidates = make([]int, len(j.refScratch))
+			for i, r := range j.refScratch {
+				candidates[i] = int(r)
 			}
 		case expr.Lt: // val < key
 			candidates = treeRefs(v.rngIdx[probeCi], index.Excl(val), index.Unbounded())
@@ -565,9 +482,6 @@ func (j *TupleJoin) probeView(v *tview, rel int, t types.Tuple, materialize bool
 		combo := j.comboDelta(v, idx)
 		ok := true
 		for _, ci := range incident {
-			if ci == probeCi && probeExact {
-				continue
-			}
 			copy(scratch, combo)
 			scratch[rel] = t
 			holds, err := j.g.Conjuncts[ci].Holds(scratch)
@@ -589,14 +503,6 @@ func (j *TupleJoin) probeView(v *tview, rel int, t types.Tuple, materialize bool
 	return outIdx, outDeltas, nil
 }
 
-func refs(payloads []types.Tuple) []int {
-	out := make([]int, len(payloads))
-	for i, p := range payloads {
-		out[i] = int(p[0].I)
-	}
-	return out
-}
-
 func treeRefs(tr *index.Tree, lo, hi index.Bound) []int {
 	var out []int
 	tr.Range(lo, hi, func(_ types.Value, it index.Item) bool {
@@ -606,61 +512,18 @@ func treeRefs(tr *index.Tree, lo, hi index.Bound) []int {
 	return out
 }
 
-// insertMap appends a combo to a view (map layout) and maintains its
-// boundary indexes.
-func (j *TupleJoin) insertMap(v *tview, d localjoin.Delta) error {
-	idx := len(v.combos)
-	v.combos = append(v.combos, d)
-	for r := 0; r < j.g.NumRels; r++ {
-		if d[r] != nil {
-			v.mem += d[r].MemSize()
-		}
-	}
-	ref := types.Tuple{types.Int(int64(idx))}
-	for ci, c := range j.g.Conjuncts {
-		var inside expr.Expr
-		var insideRel int
-		switch {
-		case v.mask&(1<<c.LRel) != 0 && v.mask&(1<<c.RRel) == 0:
-			inside, insideRel = c.Left, c.LRel
-		case v.mask&(1<<c.RRel) != 0 && v.mask&(1<<c.LRel) == 0:
-			inside, insideRel = c.Right, c.RRel
-		default:
-			continue
-		}
-		val, err := inside.Eval(d[insideRel])
-		if err != nil {
-			return fmt.Errorf("dbtoaster: view key %s: %w", inside, err)
-		}
-		if h, ok := v.eqIdx[ci]; ok {
-			h.Insert(val, ref)
-		}
-		if tr, ok := v.rngIdx[ci]; ok {
-			tr.Insert(val, index.Item{T: ref, W: 1})
-		}
-	}
-	return nil
-}
-
-// MemSize approximates total view state — DBToaster's memory-for-CPU trade.
-// In the compact layout this is the real footprint: base-row slabs, 4-byte
-// ref combos and flat index arrays.
+// MemSize reports total view state — DBToaster's memory-for-CPU trade —
+// as the real footprint: base-row slabs, 4-byte ref combos and flat index
+// arrays.
 func (j *TupleJoin) MemSize() int {
 	n := 0
 	for _, v := range j.views {
-		if j.compact {
-			if v.arena != nil {
-				n += v.arena.MemSize()
-			}
-			n += 4*cap(v.refCombos) + 48
-			for _, h := range v.eqRef {
-				n += h.MemSize()
-			}
-		} else {
-			n += v.mem + 48
-			for _, h := range v.eqIdx {
-				n += h.MemSize()
-			}
+		if v.arena != nil {
+			n += v.arena.MemSize()
+		}
+		n += 4*cap(v.refCombos) + 48
+		for _, h := range v.eqRef {
+			n += h.MemSize()
 		}
 		for _, t := range v.rngIdx {
 			n += t.MemSize()
@@ -674,7 +537,7 @@ func (j *TupleJoin) StoredTuples() int {
 	n := 0
 	for mask, v := range j.views {
 		if bits.OnesCount64(mask) == 1 {
-			n += v.size(j.compact)
+			n += v.size()
 		}
 	}
 	return n
@@ -707,9 +570,6 @@ func (j *TupleJoin) ReleaseState() {
 // falls back to full-frame export (not tiered / no checkpoint store / no
 // singleton view).
 func (j *TupleJoin) ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
-	if !j.compact {
-		return nil, false, nil
-	}
 	v := j.views[uint64(1)<<rel]
 	if v == nil || v.arena == nil || !v.arena.Tiered() {
 		return nil, false, nil
@@ -726,7 +586,7 @@ func (j *TupleJoin) ExportRelTier(rel, batchSize int, footer bool, visit func(fr
 func (j *TupleJoin) ViewSizes() map[uint64]int {
 	out := make(map[uint64]int, len(j.views))
 	for mask, v := range j.views {
-		out[mask] = v.size(j.compact)
+		out[mask] = v.size()
 	}
 	return out
 }

@@ -1,21 +1,29 @@
 package enginetest
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"squall"
+	"squall/internal/dataflow"
 	"squall/internal/recovery"
+	"squall/internal/types"
 )
 
 var (
 	allSchemes = []squall.SchemeKind{squall.HashHypercube, squall.RandomHypercube, squall.HybridHypercube}
 	allLocals  = []squall.LocalJoinKind{squall.Traditional, squall.DBToaster}
 	allBatches = []int{1, 3, 64}
+	// allMachines sizes the matrix's cluster: 6 factors into several grid
+	// shapes; 7 is prime, so every hypercube grid over it is one-dimensional
+	// or leaves machines unused.
+	allMachines = []int{6, 7}
 )
 
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
-// through every (scheme x local join x batch size x adaptive on/off)
-// combination, bag-compared against the nested-loop oracle. Seeds are
+// through every (machines x scheme x local join x batch size x adaptive
+// on/off x execution path) combination, bag-compared against the nested-loop oracle. Seeds are
 // logged so any failure reproduces by pinning the seed.
 func TestDifferentialAllConfigs(t *testing.T) {
 	cases := []struct {
@@ -36,28 +44,20 @@ func TestDifferentialAllConfigs(t *testing.T) {
 			if len(ref) == 0 {
 				t.Fatalf("degenerate workload: oracle produced no rows")
 			}
-			for _, scheme := range allSchemes {
-				for _, local := range allLocals {
-					for _, batch := range allBatches {
-						for _, adaptive := range []bool{false, true} {
-							if adaptive && c.rels != 2 {
-								continue // the adaptive 1-Bucket operator is 2-way
-							}
-							for _, legacy := range []bool{false, true} {
-								if legacy && adaptive && batch != allBatches[0] {
-									// The legacy-state x adaptive corner is
-									// covered once per batch matrix; the full
-									// cross runs on the slab default.
-									continue
+			for _, machines := range allMachines {
+				for _, scheme := range allSchemes {
+					for _, local := range allLocals {
+						for _, batch := range allBatches {
+							for _, adaptive := range []bool{false, true} {
+								if adaptive && c.rels != 2 {
+									continue // the adaptive 1-Bucket operator is 2-way
 								}
 								for _, packedOff := range []bool{false, true} {
-									if packedOff && (legacy || adaptive) && batch != allBatches[0] {
-										// Boxed exec x legacy state is the
-										// pre-PR3 engine and adaptive sources
-										// are boxed either way: one batch
-										// point covers each corner; the full
-										// cross runs packed-vs-boxed on the
-										// slab default.
+									if packedOff && adaptive && batch != allBatches[0] {
+										// Adaptive sources are boxed either
+										// way: one batch point covers the
+										// corner; the full cross runs
+										// packed-vs-boxed on static runs.
 										continue
 									}
 									for _, vecOff := range []bool{false, true} {
@@ -67,19 +67,23 @@ func TestDifferentialAllConfigs(t *testing.T) {
 											// engine there.
 											continue
 										}
-										if vecOff && (legacy || adaptive) && batch != allBatches[0] {
+										if vecOff && adaptive && batch != allBatches[0] {
 											// Same corner pruning as boxed: the
 											// full vec-vs-packed cross runs on
-											// the slab default.
+											// static runs.
 											continue
 										}
 										ec := EngineConfig{
 											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, LegacyState: legacy,
+											Adaptive:  adaptive,
 											PackedOff: packedOff, VecOff: vecOff,
-											Machines: 6, Seed: c.seed,
+											Machines: machines, Seed: c.seed,
 										}
-										t.Run(ec.String(), func(t *testing.T) {
+										name := ec.String()
+										if machines != allMachines[0] {
+											name += fmt.Sprintf("/machines=%d", machines)
+										}
+										t.Run(name, func(t *testing.T) {
 											got, res, err := w.RunEngine(ec)
 											if err != nil {
 												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
@@ -92,12 +96,11 @@ func TestDifferentialAllConfigs(t *testing.T) {
 												if vecRows != 0 {
 													t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
 												}
-											} else if batch > 1 && !adaptive && !legacy && vecRows == 0 {
+											} else if batch > 1 && !adaptive && vecRows == 0 {
 												// Frames only exist on batched
 												// transport; adaptive edges stay
 												// per-row for the reshape
-												// protocol's bookkeeping, and
-												// map-layout operators emit boxed.
+												// protocol's bookkeeping.
 												t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
 											}
 										})
@@ -190,8 +193,8 @@ func TestSpillActuallySpills(t *testing.T) {
 }
 
 // TestDifferentialChaosKill is the fault-tolerance acceptance matrix: every
-// (scheme x local join x batch x adaptive x slab) configuration runs with
-// one joiner task killed at a seeded point and must stay bag-equal to the
+// (scheme x local join x batch x adaptive x execution path) configuration
+// runs with one joiner task killed at a seeded point and must stay bag-equal to the
 // nested-loop oracle — the kill is recovered live (peer refetch where the
 // scheme replicates, checkpoint + replay elsewhere), never surfaced as an
 // error.
@@ -221,52 +224,45 @@ func TestDifferentialChaosKill(t *testing.T) {
 							if adaptive && c.rels != 2 {
 								continue // the adaptive 1-Bucket operator is 2-way
 							}
-							for _, legacy := range []bool{false, true} {
-								if legacy && (adaptive || batch != allBatches[0]) {
-									// The map layout shares the recovery hooks'
-									// fallback path; one batch point covers it.
+							for _, packedOff := range []bool{false, true} {
+								if packedOff && (adaptive || batch != allBatches[2]) {
+									// Boxed exec under chaos: the corners
+									// are covered at one batch point each;
+									// the packed default runs the full
+									// kill matrix (packed frames in replay
+									// buffers, packed flushes through the
+									// pause gate).
 									continue
 								}
-								for _, packedOff := range []bool{false, true} {
-									if packedOff && (legacy || adaptive || batch != allBatches[2]) {
-										// Boxed exec under chaos: the corners
-										// are covered at one batch point each;
-										// the packed default runs the full
-										// kill matrix (packed frames in replay
-										// buffers, packed flushes through the
-										// pause gate).
+								for _, vecOff := range []bool{false, true} {
+									if vecOff && (packedOff || adaptive || batch != allBatches[2]) {
+										// Boxed runs carry no frames, and the
+										// corners are covered at one batch
+										// point; the vec default runs the
+										// full kill matrix (footered frames
+										// in replay buffers, frame delivery
+										// suppressed on the protected
+										// joiner).
 										continue
 									}
-									for _, vecOff := range []bool{false, true} {
-										if vecOff && (packedOff || legacy || adaptive || batch != allBatches[2]) {
-											// Boxed runs carry no frames, and the
-											// corners are covered at one batch
-											// point; the vec default runs the
-											// full kill matrix (footered frames
-											// in replay buffers, frame delivery
-											// suppressed on the protected
-											// joiner).
-											continue
-										}
-										ec := EngineConfig{
-											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive: adaptive, LegacyState: legacy,
-											PackedOff: packedOff, VecOff: vecOff,
-											Kill: true, Machines: 6, Seed: c.seed,
-										}
-										t.Run(ec.String(), func(t *testing.T) {
-											got, res, err := w.RunEngine(ec)
-											if err != nil {
-												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
-											}
-											if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
-												t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
-											}
-											if diff := DiffBags(ref, got); diff != "" {
-												t.Fatalf("seed=%d %v: engine diverges from oracle after kill:\n%s", c.seed, ec, diff)
-											}
-										})
+									ec := EngineConfig{
+										Scheme: scheme, Local: local, BatchSize: batch,
+										Adaptive:  adaptive,
+										PackedOff: packedOff, VecOff: vecOff,
+										Kill: true, Machines: 6, Seed: c.seed,
 									}
+									t.Run(ec.String(), func(t *testing.T) {
+										got, res, err := w.RunEngine(ec)
+										if err != nil {
+											t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+										}
+										if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
+											t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
+										}
+										if diff := DiffBags(ref, got); diff != "" {
+											t.Fatalf("seed=%d %v: engine diverges from oracle after kill:\n%s", c.seed, ec, diff)
+										}
+									})
 								}
 							}
 						}
@@ -336,6 +332,10 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 	// Start from the worst shape for an R-heavy stream: one row means every
 	// machine receives every R tuple.
 	q.Adapt.InitialRows, q.Adapt.InitialCols = 1, 8
+	// From 1x8 an R-heavy reshape keeps R in place and moves S, so S must
+	// be stored before the controller decides. S's first batches are in the
+	// joiner inboxes, ahead of any R tuple, by the time R starts.
+	q.Sources[1].Spout, q.Sources[0].Spout = afterEOS(q.Sources[1].Spout, q.Sources[0].Spout)
 	res, err := q.Run(squall.Options{Seed: seed, BatchSize: 16, ChannelBuf: 8})
 	if err != nil {
 		t.Fatalf("seed=%d adaptive run: %v", seed, err)
@@ -367,8 +367,8 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 // planes that reach into operator state: Local: DBToaster on 2-relation
 // graphs runs the base-relation core (Result.LocalJoin says so), and must
 // stay bag-equal to the oracle under a capped tier, a killed-and-recovered
-// task on tiered state, adaptive reshaping (with and without a kill) and
-// the map state layout. The two-process cluster leg of the same crossing is
+// task on tiered state, and adaptive reshaping (with and without a kill).
+// The two-process cluster leg of the same crossing is
 // in multiproc_test.go.
 func TestDifferentialViewLessDBToaster(t *testing.T) {
 	for _, c := range []struct {
@@ -437,9 +437,6 @@ func TestDifferentialViewLessDBToaster(t *testing.T) {
 				{Spill: true, Kill: true},
 				{Adaptive: true},
 				{Adaptive: true, Kill: true},
-				{LegacyState: true},
-				{LegacyState: true, Adaptive: true},
-				{LegacyState: true, Kill: true},
 			} {
 				ec.Scheme, ec.Local, ec.BatchSize, ec.Seed = base.Scheme, base.Local, base.BatchSize, base.Seed
 				ec.Machines = 4
@@ -519,4 +516,47 @@ func TestDifferentialAggregates(t *testing.T) {
 			}
 		})
 	}
+}
+
+// afterEOS wraps two spout factories so no task of the second emits until
+// every task of the first has reached end of stream.
+func afterEOS(first, second dataflow.SpoutFactory) (dataflow.SpoutFactory, dataflow.SpoutFactory) {
+	var once sync.Once
+	var left sync.WaitGroup
+	gate := make(chan struct{})
+	wrapFirst := func(task, ntasks int) dataflow.Spout {
+		once.Do(func() {
+			left.Add(ntasks)
+			go func() { left.Wait(); close(gate) }()
+		})
+		return &eosSpout{Spout: first(task, ntasks), done: left.Done}
+	}
+	wrapSecond := func(task, ntasks int) dataflow.Spout {
+		return &gatedSpout{Spout: second(task, ntasks), gate: gate}
+	}
+	return wrapFirst, wrapSecond
+}
+
+type eosSpout struct {
+	dataflow.Spout
+	done func()
+}
+
+func (s *eosSpout) Next() (types.Tuple, bool) {
+	t, ok := s.Spout.Next()
+	if !ok && s.done != nil {
+		s.done()
+		s.done = nil
+	}
+	return t, ok
+}
+
+type gatedSpout struct {
+	dataflow.Spout
+	gate <-chan struct{}
+}
+
+func (s *gatedSpout) Next() (types.Tuple, bool) {
+	<-s.gate
+	return s.Spout.Next()
 }

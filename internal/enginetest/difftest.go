@@ -198,9 +198,6 @@ type EngineConfig struct {
 	Local     squall.LocalJoinKind
 	BatchSize int
 	Adaptive  bool
-	// LegacyState runs the pre-slab map-backed operator state (the PR 3
-	// opt-out) instead of the compact slab default.
-	LegacyState bool
 	// PackedOff runs the boxed tuple pipeline instead of the packed-row
 	// execution default (the PR 5 opt-out), so the differential matrix
 	// covers both paths against the oracle and against each other.
@@ -242,10 +239,6 @@ func (c EngineConfig) String() string {
 	if c.Adaptive {
 		mode = "adaptive"
 	}
-	state := "slab"
-	if c.LegacyState {
-		state = "map"
-	}
 	exec := "vec"
 	if c.VecOff {
 		exec = "packed"
@@ -266,7 +259,7 @@ func (c EngineConfig) String() string {
 	if c.ForceDeltaJoin {
 		chaos += "/deltas"
 	}
-	return fmt.Sprintf("%v/%v/batch=%d/%s/%s/%s%s", c.Scheme, c.Local, c.BatchSize, mode, state, exec, chaos)
+	return fmt.Sprintf("%v/%v/batch=%d/%s/%s%s", c.Scheme, c.Local, c.BatchSize, mode, exec, chaos)
 }
 
 // workloadColumns is the (key, payload, seq) layout every generator emits; a
@@ -310,10 +303,9 @@ func (w *Workload) query(c EngineConfig) *squall.JoinQuery {
 // (all three must build the identical execution; see squall.RegisterClusterJob).
 func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 	opts := squall.Options{
-		Seed:        c.Seed,
-		BatchSize:   c.BatchSize,
-		LegacyState: c.LegacyState,
-		FinalPar:    c.FinalPar,
+		Seed:      c.Seed,
+		BatchSize: c.BatchSize,
+		FinalPar:  c.FinalPar,
 		// Shallow inboxes keep sources backpressured behind the joiner, so
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).

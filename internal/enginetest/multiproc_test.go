@@ -171,7 +171,8 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 
 	// The view-less DBToaster rule across the socket: on a 2-relation graph
 	// both processes must plan the same base-relation core, and its state
-	// must survive a remote kill, tiering and adaptive reshaping.
+	// must survive a remote kill (at batch 1 too), tiering and adaptive
+	// reshaping.
 	t.Run("viewless-dbtoaster-2way", func(t *testing.T) {
 		params := clusterjobs.WorkloadParams{Seed: 13, NumRels: 2, RowsPerRel: 400, KeyDomain: 30, WithTheta: true}
 		w2 := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, params.WithTheta)
@@ -181,7 +182,9 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 			{BatchSize: 4, Kill: true},
 			{BatchSize: 16, Spill: true, Kill: true},
 			{BatchSize: 3, Adaptive: true},
-			{BatchSize: 16, LegacyState: true},
+			// One-row batches and their replay cross TCP as ordinary
+			// batch/frame messages.
+			{BatchSize: 1, Kill: true},
 		} {
 			cfg.Scheme, cfg.Local, cfg.Machines, cfg.Seed = squall.HashHypercube, squall.DBToaster, 4, params.Seed
 			params.Config = cfg

@@ -1,3 +1,8 @@
+// Package index provides the in-memory indexes Squall's local join operators
+// build on the fly (§3.3): hash indexes over row refs for equi-join keys and
+// balanced binary trees for band/inequality keys. The tree is augmented with
+// subtree aggregates (count and weight sum) so range aggregates run in
+// O(log n), which is what DBToaster-style views need for non-equi boundaries.
 package index
 
 // RefHash is the open-addressing multimap backing slab-based operator state:

@@ -22,7 +22,7 @@ import (
 // wire-encoded arrival without materializing it.
 type PackedJoin interface {
 	// PackedCapable reports whether OnRow is usable for this operator's
-	// graph and layout; when false the caller must stay on OnTuple.
+	// graph; when false the caller must stay on OnTuple.
 	PackedCapable() bool
 	// OnRow is the packed OnTuple: it joins the encoded arrival against
 	// stored state, passes each delta result to emit as one encoded row
@@ -32,10 +32,10 @@ type PackedJoin interface {
 
 var _ PackedJoin = (*Traditional)(nil)
 
-// PackedCapable reports the packed fast path applies: compact slab state
-// and every conjunct side expression a plain column ref (offset reads).
-// Anything else falls back to the boxed OnTuple.
-func (j *Traditional) PackedCapable() bool { return j.compact && j.packedOK }
+// PackedCapable reports the packed fast path applies: every conjunct side
+// expression is a plain column ref (offset reads). Anything else falls back
+// to the boxed OnTuple.
+func (j *Traditional) PackedCapable() bool { return j.packedOK }
 
 // packedState is the reusable per-arrival scratch of the packed expansion,
 // sized at construction.

@@ -173,9 +173,9 @@ func TestPackedCapableFallback(t *testing.T) {
 	if NewTraditional(g).PackedCapable() {
 		t.Fatal("arith conjunct must not be packed-capable")
 	}
-	// The map layout must disable it too.
+	// Column-ref conjuncts keep it on.
 	eg := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	if NewTraditionalMap(eg).PackedCapable() {
-		t.Fatal("map layout must not be packed-capable")
+	if !NewTraditional(eg).PackedCapable() {
+		t.Fatal("column equi conjunct must be packed-capable")
 	}
 }

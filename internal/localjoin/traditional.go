@@ -9,12 +9,10 @@
 // indexes on every arrival, where DBToaster (internal/dbtoaster) reuses
 // materialized intermediate views.
 //
-// Stored state lives, by default, in the compact slab layout (PR 3): each
-// relation's tuples are packed rows in a slab.Arena addressed by 32-bit
-// refs, equi-conjunct indexes are open-addressing index.RefHash multimaps
-// keyed by the 64-bit canonical value hash, and tree indexes hold refs. The
-// pre-slab map layout ([]types.Tuple + map[string][]types.Tuple) is kept
-// behind NewTraditionalMap as the opt-out baseline.
+// Stored state is slab-backed: each relation's tuples are packed rows in a
+// slab.Arena addressed by 32-bit refs, equi-conjunct indexes are
+// open-addressing index.RefHash multimaps keyed by the 64-bit canonical
+// value hash, and tree indexes hold refs.
 package localjoin
 
 import (
@@ -67,10 +65,8 @@ type Migrator interface {
 }
 
 // FrameExporter is implemented by local joins that store relation state
-// wire-encoded (the slab layout) and can therefore stream it as ready-made
-// wire batch frames without materializing []types.Value tuples. It reports
-// false when the state is not frame-exportable (map layout), in which case
-// the caller falls back to ExportRel.
+// wire-encoded in slab arenas and can therefore stream it as ready-made wire
+// batch frames without materializing []types.Value tuples.
 type FrameExporter interface {
 	// ExportRelFrames passes one relation's stored tuples as wire batch
 	// frames of up to batchSize tuples to visit (frame buffer valid only
@@ -78,15 +74,12 @@ type FrameExporter interface {
 	// footer set, uniform-arity frames carry a column-offset footer (PR 6)
 	// so vectorized importers can view them column-wise; footers are
 	// advisory, so every consumer decodes footered frames identically.
-	ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool
+	ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool)
 }
 
-// store holds one relation's tuples plus its per-conjunct indexes, in one of
-// two layouts. Compact (arena != nil): packed rows addressed by refs, with
-// eqRef/rngIdx indexing refs. Map (arena == nil): the pre-PR3 layout with
-// shared tuple slices and string-keyed hash buckets.
+// store holds one relation's tuples as packed rows addressed by refs, plus
+// its per-conjunct indexes over those refs.
 type store struct {
-	// compact layout
 	arena   *slab.Arena
 	eqRef   map[int]*index.RefHash // conjunct id -> refs by key hash
 	lastRef slab.Ref               // ref of the most recent insert (windows)
@@ -97,14 +90,7 @@ type store struct {
 	// so reuse is safe (the decoded tuples themselves escape, the slice
 	// header does not).
 	candBuf []types.Tuple
-
-	// map layout
-	all   []types.Tuple
-	eqIdx map[int]*index.Hash
-	mem   int
-
-	// both layouts; compact stores Tuple{Int(ref)} items, map layout stores
-	// the tuples themselves.
+	// rngIdx holds Tuple{Int(ref)} items (refTuple).
 	rngIdx map[int]*index.Tree
 }
 
@@ -115,9 +101,8 @@ var (
 
 // Traditional is the index-nested-loop online multi-way join.
 type Traditional struct {
-	g       *expr.JoinGraph
-	stores  []*store
-	compact bool
+	g      *expr.JoinGraph
+	stores []*store
 	// sideExpr[c][rel] is the rel-side expression of conjunct c (nil if rel
 	// is not a side of c).
 	sideExpr [][]expr.Expr
@@ -140,35 +125,12 @@ type Traditional struct {
 // fires once at least this much tombstoned garbage has accumulated.
 const compactMinDeadBytes = 4 << 10
 
-// NewTraditional builds the operator for a join graph with the compact slab
-// state layout, creating hash indexes for equality conjuncts and tree
-// indexes for order conjuncts (§3.3's example: R.A = S.A AND 2·R.B < S.C
-// builds hash indexes on R.A, S.A and tree indexes on 2·R.B and S.C).
-func NewTraditional(g *expr.JoinGraph) *Traditional { return newTraditional(g, true) }
-
-// NewTraditionalMap builds the operator with the pre-slab map state layout —
-// the opt-out baseline (squall.Options.LegacyState) the compact engine is
-// benchmarked against.
-func NewTraditionalMap(g *expr.JoinGraph) *Traditional { return newTraditional(g, false) }
-
-// NewTraditionalTiered builds the compact-layout operator with tiered
-// arenas (PR 10): relation state seals into checksummed segments, compacts
-// segment-by-segment and spills to tc.Store under memory pressure. Refs
-// stay stable across seals and segment compactions, so indexes and window
-// queues never see a remap (OnCompact never fires in tiered mode).
-func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
-	j := newTraditional(g, true)
-	base := tc.KeyPrefix
-	for rel, s := range j.stores {
-		rc := tc
-		rc.KeyPrefix = fmt.Sprintf("%s-r%d", base, rel)
-		s.arena.EnableTier(rc)
-	}
-	return j
-}
-
-func newTraditional(g *expr.JoinGraph, compact bool) *Traditional {
-	j := &Traditional{g: g, compact: compact, packedOK: true}
+// NewTraditional builds the operator for a join graph, creating hash indexes
+// for equality conjuncts and tree indexes for order conjuncts (§3.3's
+// example: R.A = S.A AND 2·R.B < S.C builds hash indexes on R.A, S.A and
+// tree indexes on 2·R.B and S.C).
+func NewTraditional(g *expr.JoinGraph) *Traditional {
+	j := &Traditional{g: g, packedOK: true}
 	j.sideExpr = make([][]expr.Expr, len(g.Conjuncts))
 	j.sideCol = make([][]int, len(g.Conjuncts))
 	for ci, c := range g.Conjuncts {
@@ -189,42 +151,42 @@ func newTraditional(g *expr.JoinGraph, compact bool) *Traditional {
 	}
 	j.stores = make([]*store, g.NumRels)
 	for rel := range j.stores {
-		s := &store{rngIdx: map[int]*index.Tree{}}
-		if compact {
-			s.arena = slab.New()
-			s.eqRef = map[int]*index.RefHash{}
-		} else {
-			s.eqIdx = map[int]*index.Hash{}
-		}
+		s := &store{arena: slab.New(), eqRef: map[int]*index.RefHash{}, rngIdx: map[int]*index.Tree{}}
 		for ci, c := range g.Conjuncts {
 			if c.LRel != rel && c.RRel != rel {
 				continue
 			}
 			switch c.Op {
 			case expr.Eq:
-				if compact {
-					s.eqRef[ci] = index.NewRefHash()
-				} else {
-					s.eqIdx[ci] = index.NewHash()
-				}
+				s.eqRef[ci] = index.NewRefHash()
 			case expr.Lt, expr.Le, expr.Gt, expr.Ge:
 				s.rngIdx[ci] = index.NewTree()
 			}
 		}
 		j.stores[rel] = s
 	}
-	if compact {
-		j.packed.curs = make([]wire.Cursor, g.NumRels)
-	}
+	j.packed.curs = make([]wire.Cursor, g.NumRels)
 	j.compilePlan()
 	return j
 }
 
-// Compact reports whether the operator uses the slab state layout.
-func (j *Traditional) Compact() bool { return j.compact }
+// NewTraditionalTiered builds the operator with tiered
+// arenas (PR 10): relation state seals into checksummed segments, compacts
+// segment-by-segment and spills to tc.Store under memory pressure. Refs
+// stay stable across seals and segment compactions, so indexes and window
+// queues never see a remap (OnCompact never fires in tiered mode).
+func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
+	j := NewTraditional(g)
+	base := tc.KeyPrefix
+	for rel, s := range j.stores {
+		rc := tc
+		rc.KeyPrefix = fmt.Sprintf("%s-r%d", base, rel)
+		s.arena.EnableTier(rc)
+	}
+	return j
+}
 
-// refTuple wraps a row ref as the single-int tuple tree indexes store in
-// compact mode.
+// refTuple wraps a row ref as the single-int tuple tree indexes store.
 func refTuple(ref slab.Ref) types.Tuple { return types.Tuple{types.Int(int64(ref))} }
 
 // OnTuple joins t against the stored tuples of all other relations and then
@@ -250,50 +212,27 @@ func (j *Traditional) OnTuple(rel int, t types.Tuple) ([]Delta, error) {
 func (j *Traditional) Insert(rel int, t types.Tuple) error { return j.insert(rel, t) }
 
 // RelCount returns the stored tuples of one relation.
-func (j *Traditional) RelCount(rel int) int {
-	s := j.stores[rel]
-	if j.compact {
-		return s.arena.Len()
-	}
-	return len(s.all)
-}
+func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Len() }
 
 // ExportRel snapshots the stored tuples of one relation.
 func (j *Traditional) ExportRel(rel int) []types.Tuple {
-	s := j.stores[rel]
-	if j.compact {
-		out := make([]types.Tuple, 0, s.arena.Len())
-		s.arena.Each(func(r slab.Ref) bool {
-			out = append(out, s.arena.Decode(r))
-			return true
-		})
-		return out
-	}
-	out := make([]types.Tuple, len(s.all))
-	copy(out, s.all)
-	return out
+	return j.scanAll(j.stores[rel])
 }
 
 // ExportRelFrames streams one relation's stored rows as wire batch frames by
-// blitting the packed rows — no tuple materialization. Reports false in the
-// map layout.
-func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool {
-	if !j.compact {
-		return false
-	}
+// blitting the packed rows — no tuple materialization.
+func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) {
 	if footer {
 		j.stores[rel].arena.EachFooterFrame(batchSize, nil, visit)
 	} else {
 		j.stores[rel].arena.EachFrame(batchSize, nil, visit)
 	}
-	return true
 }
 
 // LastRef returns the ref of the most recently inserted tuple of one
-// relation — how window expiration remembers what to remove. Only
-// meaningful in the compact layout.
+// relation — how window expiration remembers what to remove.
 func (j *Traditional) LastRef(rel int) (slab.Ref, bool) {
-	if !j.compact || j.stores[rel].arena.Len() == 0 {
+	if j.stores[rel].arena.Len() == 0 {
 		return 0, false
 	}
 	return j.stores[rel].lastRef, true
@@ -302,44 +241,11 @@ func (j *Traditional) LastRef(rel int) (slab.Ref, bool) {
 // Remove deletes a stored tuple (window expiration), locating it via an
 // equi index when one exists.
 func (j *Traditional) Remove(rel int, t types.Tuple) (bool, error) {
-	s := j.stores[rel]
-	if j.compact {
-		ref, ok, err := j.findRef(rel, t)
-		if err != nil || !ok {
-			return false, err
-		}
-		return true, j.RemoveRef(rel, ref)
+	ref, ok, err := j.findRef(rel, t)
+	if err != nil || !ok {
+		return false, err
 	}
-	found := -1
-	for i, st := range s.all {
-		if st.Equal(t) {
-			found = i
-			break
-		}
-	}
-	if found < 0 {
-		return false, nil
-	}
-	s.all[found] = s.all[len(s.all)-1]
-	s.all = s.all[:len(s.all)-1]
-	s.mem -= t.MemSize()
-	for ci := range j.g.Conjuncts {
-		e := j.sideExpr[ci][rel]
-		if e == nil {
-			continue
-		}
-		v, err := e.Eval(t)
-		if err != nil {
-			return false, err
-		}
-		if h, ok := s.eqIdx[ci]; ok {
-			h.Delete(v, t)
-		}
-		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Delete(v, t)
-		}
-	}
-	return true, nil
+	return true, j.RemoveRef(rel, ref)
 }
 
 // findRef locates a live row equal to t: through the first equi index when
@@ -377,9 +283,6 @@ func (j *Traditional) findRef(rel int, t types.Tuple) (slab.Ref, bool, error) {
 
 // RemoveRef deletes a stored row by ref (window expiration's O(1) path).
 func (j *Traditional) RemoveRef(rel int, ref slab.Ref) error {
-	if !j.compact {
-		return fmt.Errorf("localjoin: RemoveRef needs the compact state layout")
-	}
 	s := j.stores[rel]
 	if !s.arena.Live(ref) {
 		return nil
@@ -421,9 +324,6 @@ func (j *Traditional) Compactions() int { return j.compactions }
 // path re-derives them from scratch.
 func (j *Traditional) maybeCompact(rel int) error {
 	s := j.stores[rel]
-	if s.arena == nil {
-		return nil
-	}
 	if s.arena.Tiered() {
 		// Tiered arenas compact segment-by-segment with stable refs: no
 		// rebuild, no index rewrite, no remap callback — just drive one
@@ -465,7 +365,7 @@ func (j *Traditional) maybeCompact(rel int) error {
 	return nil
 }
 
-// indexRef maintains the compact layout's per-conjunct indexes for one
+// indexRef maintains the per-conjunct indexes for one
 // stored row — shared by insert and the compaction reindex, so the two can
 // never drift apart on key canonicalization or item weights.
 func (j *Traditional) indexRef(s *store, rel int, ref slab.Ref, t types.Tuple) error {
@@ -490,30 +390,9 @@ func (j *Traditional) indexRef(s *store, rel int, ref slab.Ref, t types.Tuple) e
 
 func (j *Traditional) insert(rel int, t types.Tuple) error {
 	s := j.stores[rel]
-	if j.compact {
-		ref := s.arena.Append(t)
-		s.lastRef = ref
-		return j.indexRef(s, rel, ref, t)
-	}
-	s.all = append(s.all, t)
-	s.mem += t.MemSize()
-	for ci := range j.g.Conjuncts {
-		e := j.sideExpr[ci][rel]
-		if e == nil {
-			continue
-		}
-		v, err := e.Eval(t)
-		if err != nil {
-			return fmt.Errorf("localjoin: index key %s: %w", e, err)
-		}
-		if h, ok := s.eqIdx[ci]; ok {
-			h.Insert(v, t)
-		}
-		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Insert(v, index.Item{T: t, W: 1})
-		}
-	}
-	return nil
+	ref := s.arena.Append(t)
+	s.lastRef = ref
+	return j.indexRef(s, rel, ref, t)
 }
 
 // expand recursively extends a partial assignment along the arrival's
@@ -570,9 +449,6 @@ func (j *Traditional) probe(st *probeStep, partial []types.Tuple) ([]types.Tuple
 		lo, hi := st.bounds(v)
 		return j.treeCollect(s, s.rngIdx[st.ci], lo, hi), nil
 	}
-	if !j.compact {
-		return s.eqIdx[st.ci].Lookup(v), nil
-	}
 	// The equi probe matches by 64-bit key hash; verify each candidate's
 	// key value so a hash collision can never fabricate a result (one
 	// expression eval + compare per candidate, cheaper than re-running the
@@ -596,9 +472,6 @@ func (j *Traditional) probe(st *probeStep, partial []types.Tuple) ([]types.Tuple
 
 // scanAll returns every stored tuple of a relation (cross joins).
 func (j *Traditional) scanAll(s *store) []types.Tuple {
-	if !j.compact {
-		return s.all
-	}
 	out := make([]types.Tuple, 0, s.arena.Len())
 	s.arena.Each(func(r slab.Ref) bool {
 		out = append(out, s.arena.Decode(r))
@@ -608,39 +481,23 @@ func (j *Traditional) scanAll(s *store) []types.Tuple {
 }
 
 func (j *Traditional) treeCollect(s *store, tr *index.Tree, lo, hi index.Bound) []types.Tuple {
-	if j.compact {
-		out := s.candBuf[:0]
-		tr.Range(lo, hi, func(_ types.Value, it index.Item) bool {
-			out = append(out, s.arena.Decode(slab.Ref(it.T[0].I)))
-			return true
-		})
-		s.candBuf = out
-		return out
-	}
-	var out []types.Tuple
+	out := s.candBuf[:0]
 	tr.Range(lo, hi, func(_ types.Value, it index.Item) bool {
-		out = append(out, it.T)
+		out = append(out, s.arena.Decode(slab.Ref(it.T[0].I)))
 		return true
 	})
+	s.candBuf = out
 	return out
 }
 
-// MemSize approximates operator state (stored tuples + indexes). In the
-// compact layout this is the real byte footprint of the slabs and index
-// arrays rather than a per-tuple estimate.
+// MemSize reports operator state (stored tuples + indexes): the real byte
+// footprint of the slabs and index arrays rather than a per-tuple estimate.
 func (j *Traditional) MemSize() int {
 	n := 0
 	for _, s := range j.stores {
-		if j.compact {
-			n += s.arena.MemSize()
-			for _, h := range s.eqRef {
-				n += h.MemSize()
-			}
-		} else {
-			n += s.mem + 24
-			for _, h := range s.eqIdx {
-				n += h.MemSize()
-			}
+		n += s.arena.MemSize()
+		for _, h := range s.eqRef {
+			n += h.MemSize()
 		}
 		for _, t := range s.rngIdx {
 			n += t.MemSize()
@@ -663,9 +520,7 @@ func (j *Traditional) StoredTuples() int {
 func (j *Traditional) SpilledBytes() int {
 	n := 0
 	for _, s := range j.stores {
-		if s.arena != nil {
-			n += s.arena.SpilledBytes()
-		}
+		n += s.arena.SpilledBytes()
 	}
 	return n
 }
@@ -674,9 +529,7 @@ func (j *Traditional) SpilledBytes() int {
 // operator instance is dropped (task rebirth, reshape, run end).
 func (j *Traditional) ReleaseState() {
 	for _, s := range j.stores {
-		if s.arena != nil {
-			s.arena.ReleaseTier()
-		}
+		s.arena.ReleaseTier()
 	}
 }
 
@@ -686,7 +539,7 @@ func (j *Traditional) ReleaseState() {
 // ok=false when the relation is not tiered or has no checkpoint store —
 // the caller falls back to full-frame export.
 func (j *Traditional) ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
-	if !j.compact || !j.stores[rel].arena.Tiered() {
+	if !j.stores[rel].arena.Tiered() {
 		return nil, false, nil
 	}
 	a := j.stores[rel].arena

@@ -104,168 +104,136 @@ func chainGraph() *expr.JoinGraph {
 	)
 }
 
-// stateModes runs a scenario under both state layouts: the compact slab
-// default and the map opt-out baseline.
-var stateModes = []struct {
-	name string
-	mk   func(*expr.JoinGraph) *Traditional
-}{
-	{"slab", NewTraditional},
-	{"map", NewTraditionalMap},
-}
-
-func runBothModes(t *testing.T, fn func(t *testing.T, mk func(*expr.JoinGraph) *Traditional)) {
-	for _, m := range stateModes {
-		t.Run(m.name, func(t *testing.T) { fn(t, m.mk) })
+func TestTraditionalEquiChainMatchesBruteForce(t *testing.T) {
+	g := chainGraph()
+	for seed := int64(0); seed < 5; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		rels := [][]types.Tuple{genRel(r, 30, 2, 6), genRel(r, 30, 2, 6), genRel(r, 30, 2, 6)}
+		want := bruteForce(t, g, rels)
+		got := streamJoin(t, NewTraditional(g), rels, seed)
+		if !equalTupleSets(got, want) {
+			t.Fatalf("seed %d: online join produced %d rows, brute force %d", seed, len(got), len(want))
+		}
 	}
 }
 
-func TestTraditionalEquiChainMatchesBruteForce(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		g := chainGraph()
-		for seed := int64(0); seed < 5; seed++ {
-			r := rand.New(rand.NewSource(seed))
-			rels := [][]types.Tuple{genRel(r, 30, 2, 6), genRel(r, 30, 2, 6), genRel(r, 30, 2, 6)}
-			want := bruteForce(t, g, rels)
-			got := streamJoin(t, mk(g), rels, seed)
-			if !equalTupleSets(got, want) {
-				t.Fatalf("seed %d: online join produced %d rows, brute force %d", seed, len(got), len(want))
-			}
-		}
-	})
-}
-
 func TestTraditionalThetaJoin(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		// R.A = S.A AND 2*R.B < S.C — the §3.3 example.
-		g := expr.MustJoinGraph(2,
-			expr.EquiCol(0, 0, 1, 0),
-			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Lt,
-				Left:  expr.Arith{Op: expr.Mul, L: expr.I(2), R: expr.C(1)},
-				Right: expr.C(1)},
-		)
-		r := rand.New(rand.NewSource(9))
-		rels := [][]types.Tuple{genRel(r, 50, 2, 10), genRel(r, 50, 2, 20)}
-		want := bruteForce(t, g, rels)
-		got := streamJoin(t, mk(g), rels, 9)
-		if len(want) == 0 {
-			t.Fatal("workload produced no matches")
-		}
-		if !equalTupleSets(got, want) {
-			t.Fatalf("theta join: %d vs brute force %d", len(got), len(want))
-		}
-	})
+	// R.A = S.A AND 2*R.B < S.C — the §3.3 example.
+	g := expr.MustJoinGraph(2,
+		expr.EquiCol(0, 0, 1, 0),
+		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Lt,
+			Left:  expr.Arith{Op: expr.Mul, L: expr.I(2), R: expr.C(1)},
+			Right: expr.C(1)},
+	)
+	r := rand.New(rand.NewSource(9))
+	rels := [][]types.Tuple{genRel(r, 50, 2, 10), genRel(r, 50, 2, 20)}
+	want := bruteForce(t, g, rels)
+	got := streamJoin(t, NewTraditional(g), rels, 9)
+	if len(want) == 0 {
+		t.Fatal("workload produced no matches")
+	}
+	if !equalTupleSets(got, want) {
+		t.Fatalf("theta join: %d vs brute force %d", len(got), len(want))
+	}
 }
 
 func TestTraditionalInequalityOnlyJoin(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		g := expr.MustJoinGraph(2, expr.ThetaCol(0, 0, expr.Ge, 1, 0))
-		r := rand.New(rand.NewSource(17))
-		rels := [][]types.Tuple{genRel(r, 40, 1, 15), genRel(r, 40, 1, 15)}
-		want := bruteForce(t, g, rels)
-		got := streamJoin(t, mk(g), rels, 17)
-		if !equalTupleSets(got, want) {
-			t.Fatalf("inequality join: %d vs %d", len(got), len(want))
-		}
-	})
+	g := expr.MustJoinGraph(2, expr.ThetaCol(0, 0, expr.Ge, 1, 0))
+	r := rand.New(rand.NewSource(17))
+	rels := [][]types.Tuple{genRel(r, 40, 1, 15), genRel(r, 40, 1, 15)}
+	want := bruteForce(t, g, rels)
+	got := streamJoin(t, NewTraditional(g), rels, 17)
+	if !equalTupleSets(got, want) {
+		t.Fatalf("inequality join: %d vs %d", len(got), len(want))
+	}
 }
 
 func TestTraditionalNeJoinFallsBackToScan(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		g := expr.MustJoinGraph(2, expr.ThetaCol(0, 0, expr.Ne, 1, 0))
-		r := rand.New(rand.NewSource(23))
-		rels := [][]types.Tuple{genRel(r, 20, 1, 4), genRel(r, 20, 1, 4)}
-		want := bruteForce(t, g, rels)
-		got := streamJoin(t, mk(g), rels, 23)
-		if !equalTupleSets(got, want) {
-			t.Fatalf("<> join: %d vs %d", len(got), len(want))
-		}
-	})
+	g := expr.MustJoinGraph(2, expr.ThetaCol(0, 0, expr.Ne, 1, 0))
+	r := rand.New(rand.NewSource(23))
+	rels := [][]types.Tuple{genRel(r, 20, 1, 4), genRel(r, 20, 1, 4)}
+	want := bruteForce(t, g, rels)
+	got := streamJoin(t, NewTraditional(g), rels, 23)
+	if !equalTupleSets(got, want) {
+		t.Fatalf("<> join: %d vs %d", len(got), len(want))
+	}
 }
 
 func TestTraditionalCrossJoinComponent(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		// R joins S; T is a cross product (disconnected).
-		g := expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0))
-		r := rand.New(rand.NewSource(31))
-		rels := [][]types.Tuple{genRel(r, 10, 1, 4), genRel(r, 10, 1, 4), genRel(r, 5, 1, 4)}
-		want := bruteForce(t, g, rels)
-		got := streamJoin(t, mk(g), rels, 31)
-		if !equalTupleSets(got, want) {
-			t.Fatalf("cross join: %d vs %d", len(got), len(want))
-		}
-	})
+	// R joins S; T is a cross product (disconnected).
+	g := expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0))
+	r := rand.New(rand.NewSource(31))
+	rels := [][]types.Tuple{genRel(r, 10, 1, 4), genRel(r, 10, 1, 4), genRel(r, 5, 1, 4)}
+	want := bruteForce(t, g, rels)
+	got := streamJoin(t, NewTraditional(g), rels, 31)
+	if !equalTupleSets(got, want) {
+		t.Fatalf("cross join: %d vs %d", len(got), len(want))
+	}
 }
 
 func TestTraditionalBandJoin(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		// |R.a - S.b| <= 2, as S.b <= R.a + 2 AND S.b >= R.a - 2.
-		g := expr.MustJoinGraph(2,
-			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Ge,
-				Left:  expr.Arith{Op: expr.Add, L: expr.C(0), R: expr.I(2)},
-				Right: expr.C(0)},
-			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Le,
-				Left:  expr.Arith{Op: expr.Sub, L: expr.C(0), R: expr.I(2)},
-				Right: expr.C(0)},
-		)
-		r := rand.New(rand.NewSource(37))
-		rels := [][]types.Tuple{genRel(r, 60, 1, 30), genRel(r, 60, 1, 30)}
-		want := bruteForce(t, g, rels)
-		got := streamJoin(t, mk(g), rels, 37)
-		if len(want) == 0 {
-			t.Fatal("no band matches")
-		}
-		if !equalTupleSets(got, want) {
-			t.Fatalf("band join: %d vs %d", len(got), len(want))
-		}
-	})
+	// |R.a - S.b| <= 2, as S.b <= R.a + 2 AND S.b >= R.a - 2.
+	g := expr.MustJoinGraph(2,
+		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Ge,
+			Left:  expr.Arith{Op: expr.Add, L: expr.C(0), R: expr.I(2)},
+			Right: expr.C(0)},
+		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Le,
+			Left:  expr.Arith{Op: expr.Sub, L: expr.C(0), R: expr.I(2)},
+			Right: expr.C(0)},
+	)
+	r := rand.New(rand.NewSource(37))
+	rels := [][]types.Tuple{genRel(r, 60, 1, 30), genRel(r, 60, 1, 30)}
+	want := bruteForce(t, g, rels)
+	got := streamJoin(t, NewTraditional(g), rels, 37)
+	if len(want) == 0 {
+		t.Fatal("no band matches")
+	}
+	if !equalTupleSets(got, want) {
+		t.Fatalf("band join: %d vs %d", len(got), len(want))
+	}
 }
 
 func TestTraditionalRemoveExpiresState(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-		j := mk(g)
-		old := types.Tuple{types.Int(5)}
-		if _, err := j.OnTuple(0, old); err != nil {
-			t.Fatal(err)
-		}
-		ok, err := j.Remove(0, old)
-		if err != nil || !ok {
-			t.Fatalf("Remove = %v, %v", ok, err)
-		}
-		deltas, err := j.OnTuple(1, types.Tuple{types.Int(5)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(deltas) != 0 {
-			t.Errorf("expired tuple still joins: %v", deltas)
-		}
-		if ok, _ := j.Remove(0, old); ok {
-			t.Error("double remove must fail")
-		}
-		if j.StoredTuples() != 1 {
-			t.Errorf("StoredTuples = %d", j.StoredTuples())
-		}
-	})
+	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
+	j := NewTraditional(g)
+	old := types.Tuple{types.Int(5)}
+	if _, err := j.OnTuple(0, old); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := j.Remove(0, old)
+	if err != nil || !ok {
+		t.Fatalf("Remove = %v, %v", ok, err)
+	}
+	deltas, err := j.OnTuple(1, types.Tuple{types.Int(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != 0 {
+		t.Errorf("expired tuple still joins: %v", deltas)
+	}
+	if ok, _ := j.Remove(0, old); ok {
+		t.Error("double remove must fail")
+	}
+	if j.StoredTuples() != 1 {
+		t.Errorf("StoredTuples = %d", j.StoredTuples())
+	}
 }
 
 func TestTraditionalMemSizeGrows(t *testing.T) {
-	runBothModes(t, func(t *testing.T, mk func(*expr.JoinGraph) *Traditional) {
-		g := chainGraph()
-		j := mk(g)
-		before := j.MemSize()
-		for i := 0; i < 100; i++ {
-			if _, err := j.OnTuple(i%3, types.Tuple{types.Int(int64(i)), types.Int(int64(i))}); err != nil {
-				t.Fatal(err)
-			}
+	g := chainGraph()
+	j := NewTraditional(g)
+	before := j.MemSize()
+	for i := 0; i < 100; i++ {
+		if _, err := j.OnTuple(i%3, types.Tuple{types.Int(int64(i)), types.Int(int64(i))}); err != nil {
+			t.Fatal(err)
 		}
-		if j.MemSize() <= before {
-			t.Error("MemSize must grow with state")
-		}
-		if j.StoredTuples() != 100 {
-			t.Errorf("StoredTuples = %d", j.StoredTuples())
-		}
-	})
+	}
+	if j.MemSize() <= before {
+		t.Error("MemSize must grow with state")
+	}
+	if j.StoredTuples() != 100 {
+		t.Errorf("StoredTuples = %d", j.StoredTuples())
+	}
 }
 
 func TestTraditionalRejectsBadRelation(t *testing.T) {
@@ -282,14 +250,11 @@ func TestDeltaConcat(t *testing.T) {
 	}
 }
 
-// TestTraditionalRefLifecycle covers the compact layout's ref-based hooks:
-// LastRef after insert, RemoveRef unindexing, and export parity.
+// TestTraditionalRefLifecycle covers the ref-based hooks: LastRef after
+// insert, RemoveRef unindexing, and export parity.
 func TestTraditionalRefLifecycle(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	j := NewTraditional(g)
-	if !j.Compact() {
-		t.Fatal("NewTraditional must default to the compact layout")
-	}
 	if _, ok := j.LastRef(0); ok {
 		t.Error("LastRef on empty relation must report false")
 	}
@@ -325,31 +290,36 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraditionalExportParityAndFrames: both layouts export identical
-// relation snapshots, and the compact layout's frame export decodes to the
-// same tuples via the wire batch decoder.
+// TestTraditionalExportParityAndFrames: ExportRel returns exactly the
+// inserted rows and round-trips through Insert into a fresh operator, and
+// the frame export decodes to the same tuples via the wire batch decoder.
 func TestTraditionalExportParityAndFrames(t *testing.T) {
 	g := chainGraph()
 	r := rand.New(rand.NewSource(41))
 	rels := [][]types.Tuple{genRel(r, 40, 2, 6), genRel(r, 40, 2, 6), genRel(r, 40, 2, 6)}
-	slabJ, mapJ := NewTraditional(g), NewTraditionalMap(g)
+	slabJ, reJ := NewTraditional(g), NewTraditional(g)
 	for rel, rows := range rels {
 		for _, row := range rows {
 			if err := slabJ.Insert(rel, row); err != nil {
 				t.Fatal(err)
 			}
-			if err := mapJ.Insert(rel, row); err != nil {
-				t.Fatal(err)
-			}
 		}
 	}
 	for rel := range rels {
-		a, b := slabJ.ExportRel(rel), mapJ.ExportRel(rel)
-		if !equalTupleSets(a, b) {
-			t.Fatalf("rel %d: export parity broken (%d vs %d rows)", rel, len(a), len(b))
+		b := append([]types.Tuple(nil), rels[rel]...)
+		if a := slabJ.ExportRel(rel); !equalTupleSets(a, b) {
+			t.Fatalf("rel %d: export diverges from the inserted rows (%d vs %d rows)", rel, len(a), len(b))
+		}
+		for _, row := range slabJ.ExportRel(rel) {
+			if err := reJ.Insert(rel, row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if a := reJ.ExportRel(rel); !equalTupleSets(a, b) {
+			t.Fatalf("rel %d: export does not round-trip through Insert (%d vs %d rows)", rel, len(a), len(b))
 		}
 		var fromFrames []types.Tuple
-		ok := slabJ.ExportRelFrames(rel, 7, false, func(frame []byte, count int) bool {
+		slabJ.ExportRelFrames(rel, 7, false, func(frame []byte, count int) bool {
 			tuples, _, err := wire.DecodeBatch(frame)
 			if err != nil || len(tuples) != count {
 				t.Fatalf("rel %d frame: %v (%d tuples, count %d)", rel, err, len(tuples), count)
@@ -357,14 +327,11 @@ func TestTraditionalExportParityAndFrames(t *testing.T) {
 			fromFrames = append(fromFrames, tuples...)
 			return true
 		})
-		if !ok {
-			t.Fatalf("compact join must support frame export")
-		}
 		if !equalTupleSets(fromFrames, b) {
 			t.Fatalf("rel %d: frame export diverges from snapshot", rel)
 		}
 		var footered []types.Tuple
-		ok = slabJ.ExportRelFrames(rel, 7, true, func(frame []byte, count int) bool {
+		slabJ.ExportRelFrames(rel, 7, true, func(frame []byte, count int) bool {
 			var foot wire.Footer
 			if count > 0 && !wire.ParseFooter(frame, &foot) {
 				t.Fatalf("rel %d: footered export carries no valid footer", rel)
@@ -376,44 +343,44 @@ func TestTraditionalExportParityAndFrames(t *testing.T) {
 			footered = append(footered, tuples...)
 			return true
 		})
-		if !ok {
-			t.Fatalf("compact join must support footered frame export")
-		}
 		if !equalTupleSets(footered, b) {
 			t.Fatalf("rel %d: footered frame export diverges from snapshot", rel)
 		}
-		if mapJ.ExportRelFrames(rel, 7, false, func([]byte, int) bool { return true }) {
-			t.Error("map layout must report frames unsupported")
-		}
+	}
+	// Probing the round-tripped operator gives the original's deltas.
+	probe := types.Tuple{types.Int(2), types.Int(3)}
+	da, err := slabJ.OnTuple(1, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := reJ.OnTuple(1, probe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(da) != len(db) {
+		t.Fatalf("round-tripped state joins to %d deltas, original %d", len(db), len(da))
 	}
 }
 
-// BenchmarkTraditionalOnTuple measures the probe+insert hot path per state
-// layout: S arrivals joining against 100k stored R tuples (~1 match each).
+// BenchmarkTraditionalOnTuple measures the probe+insert hot path: S
+// arrivals joining against 100k stored R tuples (~1 match each).
 func BenchmarkTraditionalOnTuple(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		mk   func(*expr.JoinGraph) *Traditional
-	}{{"slab", NewTraditional}, {"map", NewTraditionalMap}} {
-		b.Run(mode.name, func(b *testing.B) {
-			g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-			j := mode.mk(g)
-			const n = 100_000
-			for i := 0; i < n; i++ {
-				t := types.Tuple{types.Int(int64(i)), types.Str("1996-01-02"), types.Float(float64(i) + 0.25), types.Str("BUILDING")}
-				if err := j.Insert(0, t); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				t := types.Tuple{types.Int(int64(i % n)), types.Str("1996-01-02"), types.Float(float64(i)), types.Str("MACHINE")}
-				if _, err := j.OnTuple(1, t); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
+	j := NewTraditional(g)
+	const n = 100_000
+	for i := 0; i < n; i++ {
+		t := types.Tuple{types.Int(int64(i)), types.Str("1996-01-02"), types.Float(float64(i) + 0.25), types.Str("BUILDING")}
+		if err := j.Insert(0, t); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t := types.Tuple{types.Int(int64(i % n)), types.Str("1996-01-02"), types.Float(float64(i)), types.Str("MACHINE")}
+		if _, err := j.OnTuple(1, t); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -35,25 +35,23 @@ func (k LocalJoinKind) String() string {
 
 // JoinBolt runs a local multi-way join per task and emits delta result
 // tuples (concatenated relation order), optionally post-processed by a
-// pipeline. relOf maps upstream component names to relation indexes; legacy
-// selects the pre-slab map state layout (squall.Options.LegacyState).
+// pipeline. relOf maps upstream component names to relation indexes.
 // packed, when the local algorithm is packed-capable for this graph, makes
 // the bolt frame-capable (dataflow.RowBolt): arrivals blit into the slab
 // without a decode/re-encode round trip and delta rows leave as spliced
 // encoded bytes (squall.Options.PackedExec).
 //
-// tier, when non-nil, puts the slab layouts' base-row arenas in tiered mode
-// (sealed, checksummed, spillable segments — squall.Options.Tier); it is
-// ignored by the legacy map layouts, which have no arenas to tier.
-func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, legacy, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
+// tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
+// checksummed, spillable segments — squall.Options.Tier).
+func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		var tc *slab.TierConfig
-		if tier != nil && !legacy {
+		if tier != nil {
 			c := *tier
 			c.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
 			tc = &c
 		}
-		mk := func() localjoin.MultiJoin { return newLocalJoin(g, kind, legacy, tc) }
+		mk := func() localjoin.MultiJoin { return newLocalJoin(g, kind, tc) }
 		jb := &joinBolt{mk: mk, mj: mk(), relOf: relOf, post: post}
 		if packed {
 			if pj, ok := jb.mj.(localjoin.PackedJoin); ok && pj.PackedCapable() {
@@ -64,17 +62,13 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 	}
 }
 
-// newLocalJoin builds one task's operator: the state layout (map, tiered
-// slab, slab) crossed with the algorithm. What DBToaster means for this
+// newLocalJoin builds one task's operator: the state layout (tiered or
+// resident slab) crossed with the algorithm. What DBToaster means for this
 // graph — the view operator, or the base-relation core when there is no
 // view to keep — is dbtoaster's decision, not made here.
-func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, legacy bool, tc *slab.TierConfig) localjoin.MultiJoin {
+func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, tc *slab.TierConfig) localjoin.MultiJoin {
 	dbt := kind == DBToaster
 	switch {
-	case legacy && dbt:
-		return dbtoaster.NewTupleJoinMap(g)
-	case legacy:
-		return localjoin.NewTraditionalMap(g)
 	case tc != nil && dbt:
 		return dbtoaster.NewTupleJoinTiered(g, *tc)
 	case tc != nil:
@@ -259,16 +253,16 @@ func (b *joinBolt) ExportState(side int) []types.Tuple {
 }
 
 // ExportStateFrames streams one side's state as ready wire batch frames
-// (dataflow.FrameExporter) when the local join stores rows wire-encoded —
-// the slab layouts blit packed rows without materializing tuples. Reports
-// false when the local algorithm cannot (map layout), sending the caller to
-// ExportState.
+// (dataflow.FrameExporter) by blitting the local join's packed slab rows
+// without materializing tuples. Reports false when the local algorithm
+// stores no slab rows, sending the caller to ExportState.
 func (b *joinBolt) ExportStateFrames(side, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool {
 	fe, ok := b.mj.(localjoin.FrameExporter)
 	if !ok {
 		return false
 	}
-	return fe.ExportRelFrames(side, batchSize, footer, visit)
+	fe.ExportRelFrames(side, batchSize, footer, visit)
+	return true
 }
 
 // ResetForReshape rebuilds the local join from scratch, re-inserting only

@@ -217,15 +217,7 @@ func (k AggKind) String() string {
 	}
 }
 
-// groupState is one group's accumulator (map layout).
-type groupState struct {
-	group types.Tuple
-	cnt   int64
-	sum   float64
-}
-
-// groupAcc is one group's accumulator in the compact layout: the group key
-// lives as a wire-encoded row in the shared arena, addressed by ref.
+// groupAcc is one group's accumulator: the group key lives as a wire-encoded row in the shared arena, addressed by ref.
 type groupAcc struct {
 	ref slab.Ref
 	cnt int64
@@ -237,26 +229,19 @@ type groupAcc struct {
 // final values are emitted on Finish; with Incremental set, the refreshed
 // aggregate row is emitted on every update (online view maintenance).
 //
-// The group table defaults to the compact slab layout (PR 3): group keys are
-// wire-encoded rows in a slab.Arena, probed through an open-addressing
-// index.RefHash on the hash of the encoded bytes and verified by byte
-// equality — exact (two groups are one iff their encodings match, the same
-// identity the old string keys had) with zero allocations per update. The
-// pre-slab map layout survives behind NewMapAgg as the opt-out baseline.
+// The group table is slab-backed: group keys are wire-encoded rows in a
+// slab.Arena, probed through an open-addressing index.RefHash on the hash of
+// the encoded bytes and verified by byte equality — exact (two groups are
+// one iff their encodings match) with zero allocations per update.
 type Agg struct {
 	GroupBy     []expr.Expr
 	Kind        AggKind
 	SumE        expr.Expr // required for Sum/Avg
 	Incremental bool
 
-	// compact layout
 	arena  *slab.Arena
 	idx    *index.RefHash
 	states []groupAcc
-
-	// map layout
-	groups map[string]*groupState
-	mem    int
 
 	// per-update scratch (one bolt task, single-threaded)
 	sKey types.Tuple
@@ -275,25 +260,18 @@ type Agg struct {
 	slots   []int32
 }
 
-// NewAgg copies the configuration into a fresh accumulator with the compact
+// NewAgg copies the configuration into a fresh accumulator with an empty
 // group table.
 func NewAgg(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) *Agg {
 	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE, Incremental: incremental,
 		arena: slab.New(), idx: index.NewRefHash()}
 }
 
-// NewMapAgg builds the accumulator with the pre-slab map group table — the
-// opt-out baseline (squall.Options.LegacyState).
-func NewMapAgg(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) *Agg {
-	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE, Incremental: incremental,
-		groups: map[string]*groupState{}}
-}
-
 // Update folds one tuple with an explicit (cnt, sum) weight — the join bolts
 // feed pre-aggregated deltas this way. It returns the refreshed output row
 // when Incremental is set. The group key is evaluated into reusable scratch
-// and only owned (cloned / appended to the arena) on a group's first
-// appearance, so steady-state updates allocate nothing.
+// and only appended to the arena on a group's first appearance, so
+// steady-state updates allocate nothing.
 func (a *Agg) Update(t types.Tuple, cnt int64, sum float64) (types.Tuple, error) {
 	if cap(a.sKey) < len(a.GroupBy) {
 		a.sKey = make(types.Tuple, len(a.GroupBy))
@@ -305,22 +283,6 @@ func (a *Agg) Update(t types.Tuple, cnt int64, sum float64) (types.Tuple, error)
 			return nil, err
 		}
 		g[i] = v
-	}
-	if a.groups != nil { // map layout
-		a.sBuf = g.AppendKey(a.sBuf[:0])
-		st, ok := a.groups[string(a.sBuf)] // alloc-free probe
-		if !ok {
-			st = &groupState{group: g.Clone()}
-			k := string(a.sBuf) // owned copy, the map retains it
-			a.groups[k] = st
-			a.mem += st.group.MemSize() + len(k) + 32
-		}
-		st.cnt += cnt
-		st.sum += sum
-		if !a.Incremental {
-			return nil, nil
-		}
-		return a.rowOf(st.group, st.cnt, st.sum), nil
 	}
 	a.sBuf = wire.Encode(a.sBuf[:0], g)
 	st := a.bumpEncoded(cnt, sum)
@@ -367,11 +329,11 @@ func (a *Agg) slotFor(key []byte) int {
 }
 
 // PackedCapable reports whether the row-based folds (FoldRow / UpdateRow)
-// apply: the compact group table, non-incremental accumulation (packed
-// callers emit nothing per update) and column-ref group-by / SUM
-// expressions, so the group key splices straight off the encoded row.
+// apply: non-incremental accumulation (packed callers emit nothing per
+// update) and column-ref group-by / SUM expressions, so the group key
+// splices straight off the encoded row.
 func (a *Agg) PackedCapable() bool {
-	if a.groups != nil || a.Incremental {
+	if a.Incremental {
 		return false
 	}
 	cols, ok := expr.ProjectionCols(a.GroupBy)
@@ -476,13 +438,6 @@ func (a *Agg) rowOf(group types.Tuple, cnt int64, sum float64) types.Tuple {
 
 // Rows returns the current aggregate rows.
 func (a *Agg) Rows() []types.Tuple {
-	if a.groups != nil {
-		out := make([]types.Tuple, 0, len(a.groups))
-		for _, st := range a.groups {
-			out = append(out, a.rowOf(st.group, st.cnt, st.sum))
-		}
-		return out
-	}
 	out := make([]types.Tuple, 0, len(a.states))
 	for i := range a.states {
 		st := &a.states[i]
@@ -492,18 +447,10 @@ func (a *Agg) Rows() []types.Tuple {
 }
 
 // Groups returns the number of distinct groups.
-func (a *Agg) Groups() int {
-	if a.groups != nil {
-		return len(a.groups)
-	}
-	return len(a.states)
-}
+func (a *Agg) Groups() int { return len(a.states) }
 
-// MemSize approximates accumulator state; real bytes in the compact layout.
+// MemSize reports accumulator state in real bytes.
 func (a *Agg) MemSize() int {
-	if a.groups != nil {
-		return a.mem + 48
-	}
 	return a.arena.MemSize() + a.idx.MemSize() + 24*cap(a.states) + 48
 }
 
@@ -535,23 +482,14 @@ func (b aggBolt) Finish(out *dataflow.Collector) error {
 
 func (b aggBolt) MemSize() int { return b.a.MemSize() }
 
-// newAgg picks the group-table layout: compact slab (default) or the map
-// opt-out (squall.Options.LegacyState).
-func newAgg(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental, legacy bool) *Agg {
-	if legacy {
-		return NewMapAgg(groupBy, kind, sumE, incremental)
-	}
-	return NewAgg(groupBy, kind, sumE, incremental)
-}
-
 // AggBolt builds a per-task aggregation component. Upstream edges must group
 // by the group-by columns (Fields or KeyMapped) so each group lands on one
-// task. legacy selects the pre-slab map group table; packed additionally
-// makes the bolt frame-capable (dataflow.RowBolt) when the accumulator's
-// expressions lower, so incoming packed frames fold without decoding.
-func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental, legacy, packed bool) dataflow.BoltFactory {
+// task. packed makes the bolt frame-capable (dataflow.RowBolt) when the
+// accumulator's expressions lower, so incoming packed frames fold without
+// decoding.
+func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental, packed bool) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
-		a := newAgg(groupBy, kind, sumE, incremental, legacy)
+		a := NewAgg(groupBy, kind, sumE, incremental)
 		if packed && a.PackedCapable() {
 			return packedAggBolt{aggBolt{a}, &vec.FrameView{}, &wire.Cursor{}}
 		}
@@ -575,15 +513,14 @@ func (b packedAggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) e
 
 // MergeBolt merges pre-aggregated partial rows of shape (group..., cnt, sum)
 // emitted by AggJoinBolt tasks into final aggregate rows. ngroup is the
-// number of leading group columns; legacy selects the pre-slab map group
-// table; packed makes the bolt frame-capable.
-func MergeBolt(ngroup int, kind AggKind, incremental, legacy, packed bool) dataflow.BoltFactory {
+// number of leading group columns; packed makes the bolt frame-capable.
+func MergeBolt(ngroup int, kind AggKind, incremental, packed bool) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		groupBy := make([]expr.Expr, ngroup)
 		for i := range groupBy {
 			groupBy[i] = expr.C(i)
 		}
-		mb := &mergeBolt{a: newAgg(groupBy, kind, nil, incremental, legacy), ngroup: ngroup}
+		mb := &mergeBolt{a: NewAgg(groupBy, kind, nil, incremental), ngroup: ngroup}
 		if packed && mb.a.PackedCapable() {
 			return packedMergeBolt{mb, &vec.FrameView{}, &wire.Cursor{}}
 		}

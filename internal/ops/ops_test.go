@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -57,38 +58,34 @@ func TestAggCountSumAvg(t *testing.T) {
 		{Sum, map[string]float64{"a": 4, "b": 10}},
 		{Avg, map[string]float64{"a": 2, "b": 10}},
 	} {
-		for _, mk := range []func([]expr.Expr, AggKind, expr.Expr, bool) *Agg{NewAgg, NewMapAgg} {
-			a := mk([]expr.Expr{expr.C(0)}, tc.kind, expr.C(1), false)
-			for _, r := range rows {
-				if _, err := a.Fold(r); err != nil {
-					t.Fatal(err)
-				}
+		a := NewAgg([]expr.Expr{expr.C(0)}, tc.kind, expr.C(1), false)
+		for _, r := range rows {
+			if _, err := a.Fold(r); err != nil {
+				t.Fatal(err)
 			}
-			got := map[string]float64{}
-			for _, row := range a.Rows() {
-				f, _ := row[1].AsFloat()
-				got[row[0].Str] = f
-			}
-			for k, want := range tc.want {
-				if math.Abs(got[k]-want) > 1e-9 {
-					t.Errorf("%s group %s = %g, want %g", tc.kind, k, got[k], want)
-				}
+		}
+		got := map[string]float64{}
+		for _, row := range a.Rows() {
+			f, _ := row[1].AsFloat()
+			got[row[0].Str] = f
+		}
+		for k, want := range tc.want {
+			if math.Abs(got[k]-want) > 1e-9 {
+				t.Errorf("%s group %s = %g, want %g", tc.kind, k, got[k], want)
 			}
 		}
 	}
 }
 
 func TestAggIncrementalEmitsUpdates(t *testing.T) {
-	for _, mk := range []func([]expr.Expr, AggKind, expr.Expr, bool) *Agg{NewAgg, NewMapAgg} {
-		a := mk([]expr.Expr{expr.C(0)}, Count, nil, true)
-		r1, err := a.Fold(types.Tuple{types.Str("k")})
-		if err != nil || r1 == nil || r1[1].I != 1 {
-			t.Fatalf("first update = %v, %v", r1, err)
-		}
-		r2, _ := a.Fold(types.Tuple{types.Str("k")})
-		if r2[1].I != 2 {
-			t.Errorf("second update = %v", r2)
-		}
+	a := NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true)
+	r1, err := a.Fold(types.Tuple{types.Str("k")})
+	if err != nil || r1 == nil || r1[1].I != 1 {
+		t.Fatalf("first update = %v, %v", r1, err)
+	}
+	r2, _ := a.Fold(types.Tuple{types.Str("k")})
+	if r2[1].I != 2 {
+		t.Errorf("second update = %v", r2)
 	}
 }
 
@@ -122,7 +119,7 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 		Spout("R", 1, dataflow.SliceSpout(r)).
 		Spout("S", 1, dataflow.SliceSpout(s)).
 		Spout("T", 1, dataflow.SliceSpout(u)).
-		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, false, false, nil)).
+		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, false, nil)).
 		Bolt("sink", 1, sink.Factory()).
 		Input("join", "R", dataflow.Global()).
 		Input("join", "S", dataflow.Global()).
@@ -175,7 +172,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 			Spout("R", 2, dataflow.SliceSpout(r)).
 			Spout("S", 2, dataflow.SliceSpout(s)).
 			Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, packed)).
-			Bolt("merge", 1, MergeBolt(1, Count, false, false, packed)).
+			Bolt("merge", 1, MergeBolt(1, Count, false, packed)).
 			Bolt("sink", 1, sink.Factory()).
 			Input("join", "R", dataflow.Fields(0)).
 			Input("join", "S", dataflow.Fields(0)).
@@ -202,7 +199,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 }
 
 func TestMergeBoltRejectsBadArity(t *testing.T) {
-	b := MergeBolt(1, Count, false, false, false)(0, 1)
+	b := MergeBolt(1, Count, false, false)(0, 1)
 	err := b.Execute(dataflow.Input{Tuple: types.Tuple{types.Int(1)}}, nil)
 	if err == nil {
 		t.Error("short merge row must error")
@@ -211,7 +208,7 @@ func TestMergeBoltRejectsBadArity(t *testing.T) {
 
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, false, false, nil)(0, 1)
+	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, false, nil)(0, 1)
 	err := b.Execute(dataflow.Input{Stream: "???", Tuple: types.Tuple{types.Int(1)}}, nil)
 	if err == nil {
 		t.Error("unknown stream must error")
@@ -222,19 +219,20 @@ func sortRows(rows []types.Tuple) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
 }
 
-// TestAggLayoutParity drives random updates through both group-table
-// layouts and requires identical result rows — including the group-identity
-// corner where Int(2) and Float(2.0) are distinct groups (their canonical
-// encodings differ), which the compact layout's byte-equality verification
-// must preserve.
-func TestAggLayoutParity(t *testing.T) {
-	slabA := NewAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
-	mapA := NewMapAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
+// TestAggGroupsMatchReference drives updates through the group table and
+// requires the result rows of a plain-Go reference keyed by (kind, value)
+// per group column — including the group-identity corners: Int(2) and
+// Float(2.0) are distinct groups (their canonical encodings differ), which
+// the byte-equality verification must preserve, and NULL group-by values
+// form one group.
+func TestAggGroupsMatchReference(t *testing.T) {
+	a := NewAgg([]expr.Expr{expr.C(0), expr.C(1)}, Sum, expr.C(2), false)
 	rows := []types.Tuple{
 		{types.Int(2), types.Str("x"), types.Int(1)},
 		{types.Float(2.0), types.Str("x"), types.Int(10)}, // distinct group from Int(2)
 		{types.Int(2), types.Str("x"), types.Int(100)},
 		{types.Null(), types.Str(""), types.Int(7)},
+		{types.Null(), types.Str(""), types.Int(5)}, // same NULL group
 		{types.Int(-5), types.Str("long payload string"), types.Int(3)},
 	}
 	for i := 0; i < 200; i++ {
@@ -242,41 +240,59 @@ func TestAggLayoutParity(t *testing.T) {
 			types.Int(int64(i % 17)), types.Str("g"), types.Int(int64(i)),
 		})
 	}
+	groupKey := func(g types.Tuple) string {
+		var k string
+		for _, v := range g {
+			k += fmt.Sprintf("%d:%s|", v.Kind(), v)
+		}
+		return k
+	}
+	want := map[string]float64{}
 	for _, r := range rows {
-		if _, err := slabA.Fold(r); err != nil {
+		if _, err := a.Fold(r); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := mapA.Fold(r); err != nil {
-			t.Fatal(err)
+		want[groupKey(r[:2])] += float64(r[2].I)
+	}
+	if a.Groups() != len(want) {
+		t.Fatalf("groups = %d, reference %d", a.Groups(), len(want))
+	}
+	got := map[string]float64{}
+	for _, r := range a.Rows() {
+		k := groupKey(r[:2])
+		if _, dup := got[k]; dup {
+			t.Fatalf("group %q emitted twice", k)
+		}
+		got[k], _ = r[2].AsFloat()
+	}
+	for k, v := range want {
+		if got[k] != v {
+			t.Errorf("group %q: sum %g, reference %g", k, got[k], v)
 		}
 	}
-	if slabA.Groups() != mapA.Groups() {
-		t.Fatalf("group counts diverge: slab %d, map %d", slabA.Groups(), mapA.Groups())
-	}
-	key := func(rs []types.Tuple) map[string]string {
-		out := map[string]string{}
-		for _, r := range rs {
-			out[r[:2].Key()] = r.String()
-		}
-		return out
-	}
-	sr, mr := key(slabA.Rows()), key(mapA.Rows())
-	for k, v := range mr {
-		if sr[k] != v {
-			t.Errorf("group %q: slab %q, map %q", k, sr[k], v)
+	for _, c := range []struct {
+		g    types.Tuple
+		want float64
+	}{
+		{types.Tuple{types.Int(2), types.Str("x")}, 101},
+		{types.Tuple{types.Float(2.0), types.Str("x")}, 10},
+		{types.Tuple{types.Null(), types.Str("")}, 12},
+	} {
+		if got[groupKey(c.g)] != c.want {
+			t.Errorf("group %v: sum %g, want %g", c.g, got[groupKey(c.g)], c.want)
 		}
 	}
 }
 
 // TestAggUpdateAllocFree pins the satellite fix: steady-state updates (all
-// groups already present) must not allocate, in either layout.
+// groups already present) must not allocate.
 func TestAggUpdateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		a    *Agg
 	}{
-		{"slab", NewAgg([]expr.Expr{expr.C(0)}, Count, nil, false)},
-		{"map", NewMapAgg([]expr.Expr{expr.C(0)}, Count, nil, false)},
+		{"count", NewAgg([]expr.Expr{expr.C(0)}, Count, nil, false)},
+		{"sum", NewAgg([]expr.Expr{expr.C(0)}, Sum, expr.C(0), false)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rows := make([]types.Tuple, 64)

@@ -208,8 +208,8 @@ func TestAggPackedCapableFallbacks(t *testing.T) {
 	if NewAgg([]expr.Expr{expr.C(0)}, Sum, arith, false).PackedCapable() {
 		t.Fatal("arith SUM must not be packed-capable")
 	}
-	if NewMapAgg([]expr.Expr{expr.C(0)}, Count, nil, false).PackedCapable() {
-		t.Fatal("map layout must not be packed-capable")
+	if !NewAgg([]expr.Expr{expr.C(0)}, Sum, expr.C(1), false).PackedCapable() {
+		t.Fatal("column group-by and SUM must be packed-capable")
 	}
 	if NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true).PackedCapable() {
 		t.Fatal("incremental agg must not be packed-capable")

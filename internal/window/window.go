@@ -82,9 +82,8 @@ func SlidingConjuncts(relA, tsColA, relB, tsColB int, size int64) []expr.JoinCon
 // bucket ids, so Advance is O(evicted) — fully expired buckets evict
 // wholesale, only the single bucket straddling the cut is scanned — instead
 // of the pre-PR3 full-queue rescan per watermark; a min-timestamp early-out
-// makes watermark-only advances free. When the wrapped join uses the
-// compact slab layout the entries are row refs and eviction unindexes the
-// row in place (RemoveRef); the map layout falls back to tuple search.
+// makes watermark-only advances free. Entries are row refs into the wrapped
+// join's arenas, and eviction unindexes the row in place (RemoveRef).
 type Expirer struct {
 	join    *localjoin.Traditional
 	tsCols  []int // per relation
@@ -105,8 +104,7 @@ type expBucket struct {
 type expEntry struct {
 	ts  int64
 	rel int
-	ref slab.Ref    // compact layout
-	t   types.Tuple // map layout
+	ref slab.Ref
 }
 
 // NewExpirer wraps a traditional join whose relation r carries its event
@@ -133,7 +131,7 @@ func (e *Expirer) rewriteRefs(rel int, remap []slab.Ref) {
 	for _, b := range e.buckets {
 		for i := range b.entries {
 			en := &b.entries[i]
-			if en.rel != rel || en.t != nil {
+			if en.rel != rel {
 				continue
 			}
 			if int(en.ref) < len(remap) {
@@ -190,12 +188,8 @@ func (e *Expirer) OnTuple(rel int, t types.Tuple) ([]localjoin.Delta, error) {
 	if err != nil {
 		return nil, err
 	}
-	en := expEntry{ts: ts, rel: rel}
-	if ref, ok := e.join.LastRef(rel); ok {
-		en.ref = ref
-	} else {
-		en.t = t
-	}
+	ref, _ := e.join.LastRef(rel) // always set: OnTuple just stored t
+	en := expEntry{ts: ts, rel: rel, ref: ref}
 	id := floorDiv(ts, e.granule)
 	b := e.buckets[id]
 	if b == nil {
@@ -212,13 +206,7 @@ func (e *Expirer) OnTuple(rel int, t types.Tuple) ([]localjoin.Delta, error) {
 }
 
 // remove evicts one registered entry from the wrapped join.
-func (e *Expirer) remove(en expEntry) error {
-	if en.t == nil {
-		return e.join.RemoveRef(en.rel, en.ref)
-	}
-	_, err := e.join.Remove(en.rel, en.t)
-	return err
-}
+func (e *Expirer) remove(en expEntry) error { return e.join.RemoveRef(en.rel, en.ref) }
 
 // Advance evicts every stored tuple with ts < watermark - horizon and
 // returns the number evicted.

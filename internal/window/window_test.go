@@ -230,81 +230,74 @@ func TestWindowAggValidation(t *testing.T) {
 // TestExpirerSkewedArrivalTrace is the satellite regression for the
 // Advance rework: a skewed trace — bursts of close timestamps, out-of-order
 // within the horizon, and long runs of watermarks that expire nothing —
-// must (a) evict exactly the reference set in both join state layouts and
+// must (a) evict exactly the reference set and
 // (b) do work proportional to evictions, not to stored state. The pre-PR3
 // implementation rescanned the whole queue on every watermark, failing (b)
 // by two orders of magnitude on this trace.
 func TestExpirerSkewedArrivalTrace(t *testing.T) {
 	const horizon = 100
 	g := expr.MustJoinGraph(2, SlidingConjuncts(0, 0, 1, 0, horizon)...)
-	for _, mode := range []struct {
-		name string
-		mk   func(*expr.JoinGraph) *localjoin.Traditional
-	}{{"slab", localjoin.NewTraditional}, {"map", localjoin.NewTraditionalMap}} {
-		t.Run(mode.name, func(t *testing.T) {
-			r := rand.New(rand.NewSource(71))
-			e := NewExpirer(mode.mk(g), []int{0, 0}, horizon)
-			type live struct{ ts int64 }
-			var model []live
-			watermark := int64(0)
-			advances, inserted := 0, 0
-			for step := 0; step < 400; step++ {
-				switch {
-				case step%7 == 3:
-					// Watermark-only advance: often expires nothing (skew —
-					// the stream stalls while watermarks keep coming).
-					watermark += int64(r.Intn(8))
-					advances++
-					cut := watermark - horizon
-					want := 0
-					keep := model[:0]
-					for _, m := range model {
-						if m.ts < cut {
-							want++
-						} else {
-							keep = append(keep, m)
-						}
-					}
-					model = keep
-					got, err := e.Advance(watermark)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != want {
-						t.Fatalf("step %d: Advance(%d) evicted %d, reference %d", step, watermark, got, want)
-					}
-				default:
-					// Burst of arrivals clustered near the watermark, jittered
-					// out of order within the horizon.
-					for k := 0; k < 4; k++ {
-						ts := watermark + int64(r.Intn(20)) - int64(r.Intn(int(horizon/2)))
-						if ts < watermark-horizon {
-							ts = watermark - horizon // stay inside the contract
-						}
-						if _, err := e.OnTuple(r.Intn(2), types.Tuple{types.Int(ts)}); err != nil {
-							t.Fatal(err)
-						}
-						model = append(model, live{ts})
-						inserted++
-					}
+	r := rand.New(rand.NewSource(71))
+	e := NewExpirer(localjoin.NewTraditional(g), []int{0, 0}, horizon)
+	type live struct{ ts int64 }
+	var model []live
+	watermark := int64(0)
+	advances, inserted := 0, 0
+	for step := 0; step < 400; step++ {
+		switch {
+		case step%7 == 3:
+			// Watermark-only advance: often expires nothing (skew —
+			// the stream stalls while watermarks keep coming).
+			watermark += int64(r.Intn(8))
+			advances++
+			cut := watermark - horizon
+			want := 0
+			keep := model[:0]
+			for _, m := range model {
+				if m.ts < cut {
+					want++
+				} else {
+					keep = append(keep, m)
 				}
 			}
-			if e.Stored() != len(model) {
-				t.Fatalf("Stored = %d, reference %d", e.Stored(), len(model))
+			model = keep
+			got, err := e.Advance(watermark)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if e.Evicted()+e.Stored() != inserted {
-				t.Fatalf("evicted %d + stored %d != inserted %d", e.Evicted(), e.Stored(), inserted)
+			if got != want {
+				t.Fatalf("step %d: Advance(%d) evicted %d, reference %d", step, watermark, got, want)
 			}
-			// Work bound: entries examined across all Advances must be within
-			// a small constant of evictions plus one straddling bucket scan
-			// per advance — not advances x stored (the old rescan behavior,
-			// which lands around inserted x advances / 2 ≈ 150k here).
-			bucketSlack := advances * 2 * (inserted/advances + 8)
-			if e.scanned > 2*e.Evicted()+bucketSlack {
-				t.Fatalf("Advance examined %d entries for %d evictions over %d advances; full-rescan regression",
-					e.scanned, e.Evicted(), advances)
+		default:
+			// Burst of arrivals clustered near the watermark, jittered
+			// out of order within the horizon.
+			for k := 0; k < 4; k++ {
+				ts := watermark + int64(r.Intn(20)) - int64(r.Intn(int(horizon/2)))
+				if ts < watermark-horizon {
+					ts = watermark - horizon // stay inside the contract
+				}
+				if _, err := e.OnTuple(r.Intn(2), types.Tuple{types.Int(ts)}); err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, live{ts})
+				inserted++
 			}
-		})
+		}
+	}
+	if e.Stored() != len(model) {
+		t.Fatalf("Stored = %d, reference %d", e.Stored(), len(model))
+	}
+	if e.Evicted()+e.Stored() != inserted {
+		t.Fatalf("evicted %d + stored %d != inserted %d", e.Evicted(), e.Stored(), inserted)
+	}
+	// Work bound: entries examined across all Advances must be within
+	// a small constant of evictions plus one straddling bucket scan
+	// per advance — not advances x stored (the old rescan behavior,
+	// which lands around inserted x advances / 2 ≈ 150k here).
+	bucketSlack := advances * 2 * (inserted/advances + 8)
+	if e.scanned > 2*e.Evicted()+bucketSlack {
+		t.Fatalf("Advance examined %d entries for %d evictions over %d advances; full-rescan regression",
+			e.scanned, e.Evicted(), advances)
 	}
 }
 

@@ -193,13 +193,9 @@ type Options struct {
 	// ChannelBuf overrides the per-task inbox depth.
 	ChannelBuf int
 	// BatchSize caps tuples per transport envelope (default
-	// dataflow.DefaultBatchSize; 1 = legacy per-tuple transport).
+	// dataflow.DefaultBatchSize). 1 ships one-row batches: every tuple is
+	// sent, serialized and decoded on its own, Figure 5's per-tuple series.
 	BatchSize int
-	// LegacyState opts out of the compact slab-backed operator state (PR 3)
-	// and runs joins and aggregations on the pre-slab map layout — the
-	// comparison baseline squallbench's `state` experiment measures against.
-	// Default off: compact state is the engine default.
-	LegacyState bool
 	// PackedExec controls the packed-row execution path (PR 5): sources
 	// encode each tuple once and selections, projections, routing, transport
 	// and slab inserts all run on the encoded bytes — a tuple crossing
@@ -243,8 +239,7 @@ type Options struct {
 	// seal cold segments into checksummed, append-frozen blobs that spill to
 	// a segment store under memory pressure and fault back in on demand, so
 	// a join whose state exceeds MemCapBytes keeps running instead of
-	// aborting. Ignored with LegacyState (the map layouts have no arenas)
-	// and by the aggregate-view fast path.
+	// aborting. Ignored by the aggregate-view fast path.
 	Tier *TierOptions
 }
 
@@ -618,7 +613,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	// the recovery policy resolves its checkpoint store.
 	var tier *slab.TierConfig
 	var pressure *slab.Pressure
-	if opt.Tier != nil && !opt.LegacyState {
+	if opt.Tier != nil {
 		to := opt.Tier
 		store := to.Store
 		if store == nil && to.SpillDir != "" {
@@ -664,7 +659,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			spec.Sum = q.Agg.Sum
 		}
 		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf, packed))
-		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false, opt.LegacyState, packed))
+		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false, packed))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("merge", joiner, mergeGrouping(len(q.Agg.GroupBy)))
 		b.Input("sink", "merge", dataflow.Global())
@@ -689,13 +684,13 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			}
 			sumE = expr.C(offsets[q.Agg.Sum.Rel] + col)
 		}
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, opt.LegacyState, packed, tier))
-		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupEs, q.Agg.Kind, sumE, false, opt.LegacyState, packed))
+		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, packed, tier))
+		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupEs, q.Agg.Kind, sumE, false, packed))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("agg", joiner, dataflow.Fields(groupCols...))
 		b.Input("sink", "agg", dataflow.Global())
 	default:
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, q.Post, opt.LegacyState, packed, tier))
+		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, q.Post, packed, tier))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("sink", joiner, dataflow.Global())
 	}
