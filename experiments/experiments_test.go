@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"squall"
 	"squall/internal/dataflow"
 	"squall/internal/datagen"
+	"squall/internal/expr"
+	"squall/internal/types"
 )
 
 // TestFigure6ShapeMultiwayBeatsPipeline: the multi-way join must ship fewer
@@ -160,34 +164,71 @@ func TestQ3SchemesAgree(t *testing.T) {
 
 // TestFigure5StagesOrdering: the bars must be monotone in the documented
 // way — date selection costs more than int selection; the network hop adds
-// visible cost over the int selection.
+// visible cost over the int selection. Every timing is the best of six
+// interleaved rounds, rotating which run goes first, so a slow stretch of
+// the machine lands on all of them instead of on one.
+//
+// The network hop is compared stage against stage. The two selection bars
+// differ only in their selection, a few percent of a stage's wall time at
+// this scale and inside its run-to-run spread, so the selections themselves
+// are compared on the same parsed Orders rows the stages read.
 func TestFigure5StagesOrdering(t *testing.T) {
 	gen := datagen.NewTPCH(31, 120000, 0)
 	stages := Figure5Stages(gen, 4, 9)
 	if len(stages) != 5 {
 		t.Fatalf("stages = %d", len(stages))
 	}
-	durs := map[string]float64{}
-	for _, s := range stages {
-		best := 1e18
-		for rep := 0; rep < 3; rep++ { // min-of-3 to de-noise
+	orders := make([]types.Tuple, gen.Orders())
+	for i := range orders {
+		orders[i] = gen.Order(int64(i))
+	}
+	runs := []Figure5Stage{
+		stages[1], // RF+sel(int)
+		stages[3], // RF+sel(int),network
+		{Name: "sel(int)", Run: selectAll(selInt, orders)},
+		{Name: "sel(date)", Run: selectAll(selDate, orders)},
+	}
+	rounds := 6
+	if raceEnabled {
+		rounds = 1 // the stages still run; their timings mean nothing here
+	}
+	best := map[string]time.Duration{}
+	for round := 0; round < rounds; round++ {
+		for k := range runs {
+			s := runs[(round+k)%len(runs)]
+			runtime.GC() // no run pays for the garbage of the one before
 			d, err := s.Run()
 			if err != nil {
 				t.Fatalf("%s: %v", s.Name, err)
 			}
-			if sec := d.Seconds(); sec < best {
-				best = sec
+			if b, ok := best[s.Name]; !ok || d < b {
+				best[s.Name] = d
 			}
 		}
-		durs[s.Name] = best
 	}
-	if durs["RF+sel(date)"] <= durs["RF+sel(int)"] {
-		t.Errorf("date selection (%.4fs) must cost more than int selection (%.4fs)",
-			durs["RF+sel(date)"], durs["RF+sel(int)"])
+	if raceEnabled {
+		t.Skip("timing assertions skipped under -race")
 	}
-	if durs["RF+sel(int),network"] <= durs["RF+sel(int)"] {
-		t.Errorf("network hop (%.4fs) must cost more than no network (%.4fs)",
-			durs["RF+sel(int),network"], durs["RF+sel(int)"])
+	t.Logf("best of %d: %v", rounds, best)
+	if best["sel(date)"] <= best["sel(int)"] {
+		t.Errorf("date selection (%v) must cost more than int selection (%v)", best["sel(date)"], best["sel(int)"])
+	}
+	if best["RF+sel(int),network"] <= best["RF+sel(int)"] {
+		t.Errorf("network hop (%v) must cost more than no network (%v)",
+			best["RF+sel(int),network"], best["RF+sel(int)"])
+	}
+}
+
+// selectAll times p over every row.
+func selectAll(p expr.Pred, rows []types.Tuple) func() (time.Duration, error) {
+	return func() (time.Duration, error) {
+		start := time.Now()
+		for _, r := range rows {
+			if _, err := p.Eval(r); err != nil {
+				return 0, err
+			}
+		}
+		return time.Since(start), nil
 	}
 }
 

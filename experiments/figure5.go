@@ -19,6 +19,13 @@ type Figure5Stage struct {
 	Run  func() (time.Duration, error)
 }
 
+// The Figure 5 selections: both keep every Orders row, so the stages differ
+// only in what a selection costs.
+var (
+	selInt  = expr.Cmp{Op: expr.Ge, L: expr.C(1), R: expr.I(0)}                         // custkey >= 0
+	selDate = expr.Cmp{Op: expr.Ge, L: expr.Date{Inner: expr.C(2)}, R: expr.I(-100000)} // parses orderdate
+)
+
 // Figure5Stages builds the five bars over Customer ⋈ Orders (§6):
 //
 //	ReadFile (RF)        — read + parse the Orders lines, no network cost
@@ -43,9 +50,6 @@ func Figure5Stages(gen *datagen.TPCH, machines int, seed int64) []Figure5Stage {
 // (0 = engine default). batchSize=1 ships one-row batches, the per-tuple
 // baseline the PR 1 batching speedup is measured against.
 func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize int) []Figure5Stage {
-	noopInt := expr.Cmp{Op: expr.Ge, L: expr.C(1), R: expr.I(0)}                          // custkey >= 0: keeps all
-	noopDate := expr.Cmp{Op: expr.Ge, L: expr.Date{Inner: expr.C(2)}, R: expr.I(-100000)} // parses orderdate, keeps all
-
 	readStage := func(name string, sel expr.Pred, serialize bool) Figure5Stage {
 		return Figure5Stage{Name: name, Run: func() (time.Duration, error) {
 			lines, err := gen.LineSpout("orders")
@@ -109,9 +113,9 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 
 	return []Figure5Stage{
 		readStage("ReadFile (RF)", nil, false),
-		readStage("RF+sel(int)", noopInt, false),
-		readStage("RF+sel(date)", noopDate, false),
-		readStage("RF+sel(int),network", noopInt, true),
+		readStage("RF+sel(int)", selInt, false),
+		readStage("RF+sel(date)", selDate, false),
+		readStage("RF+sel(int),network", selInt, true),
 		fullJoin,
 	}
 }

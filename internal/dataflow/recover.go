@@ -598,9 +598,9 @@ func (a *recState) handleFault(f faultNote) bool {
 		if haveCk && ck.Segments != nil && rel < len(ck.Segments) {
 			// v2 manifest: the relation's sealed rows live in the store as
 			// referenced segments; read each back, verify it byte-for-byte
-			// against the manifest's CRC, and ship only the rows its
-			// liveness bitmap kept. A corrupt or missing checkpoint segment
-			// fails the run — fabricating state is worse than dying.
+			// against the manifest's CRC, and ship its rows. A corrupt or
+			// missing checkpoint segment fails the run — fabricating state
+			// is worse than dying.
 			if !a.restoreSegments(f.task, rel, ck.Segments[rel]) {
 				return false
 			}
@@ -799,10 +799,10 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 
 	// Tiered bolts checkpoint incrementally (PR 10): sealed segments were
 	// persisted to the checkpoint store when they sealed (or spilled), so the
-	// manifest references them by key + CRC + liveness bitmap and only the
-	// hot (unsealed) rows are re-exported as frames. The v2 export is
-	// all-or-nothing across relations — every relation shares one state
-	// layout, so a single renege sends the whole checkpoint to the v1 path.
+	// manifest references them by key + CRC and only the hot (unsealed) rows
+	// are re-exported as frames. The v2 export is all-or-nothing across
+	// relations — every relation shares one state layout, so a single renege
+	// sends the whole checkpoint to the v1 path.
 	if te, ok := bolt.(TierExporter); ok {
 		if _, ok := a.pol.Store.(slab.SegmentStore); ok {
 			tiered := true
@@ -884,9 +884,10 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 // recovering task. Every blob read back from the store is verified
 // byte-for-byte: the segment codec's own CRC must decode clean AND match the
 // CRC the manifest recorded at checkpoint time, and the row count must match.
-// Rows the manifest's liveness bitmap marks dead are skipped — a restore must
-// not resurrect deleted state. Any failure fails the run: the alternatives
-// are fabricating rows or silently dropping them.
+// Rows a manifest's Dead bitmap marks are skipped (arenas write none, but a
+// restore honours what it reads back). Any failure fails the run, including
+// a segment holding an empty row span: the alternatives are fabricating rows
+// or silently dropping them.
 func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bool {
 	ss, ok := a.pol.Store.(slab.SegmentStore)
 	if !ok {
@@ -926,7 +927,7 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 			}
 		}
 		if err != nil {
-			a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d: %w", a.node.name, task, rel, si, err))
+			a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d (%s): %w", a.node.name, task, rel, si, sr.Key, err))
 			return false
 		}
 		m.SegmentBytes.Add(int64(len(blob)))
@@ -935,11 +936,7 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 			if i/64 < len(sr.Dead) && sr.Dead[i/64]>>(uint(i)%64)&1 == 1 {
 				continue
 			}
-			span := payload[offs[i]:offs[i+1]]
-			if len(span) == 0 {
-				continue // compacted-away dead row
-			}
-			t, _, err := wire.Decode(span)
+			t, _, err := wire.Decode(payload[offs[i]:offs[i+1]])
 			if err != nil {
 				a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d row %d: %w", a.node.name, task, rel, si, i, err))
 				return false

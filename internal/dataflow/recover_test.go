@@ -1,13 +1,18 @@
 package dataflow
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"squall/internal/recovery"
+	"squall/internal/slab"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // crossJoin is a minimal 2-relation online cross join used to exercise the
@@ -401,5 +406,66 @@ func TestReplayBufferTrim(t *testing.T) {
 		if buf[i].seq != want {
 			t.Fatalf("entry %d has seq %d, want %d", i, buf[i].seq, want)
 		}
+	}
+}
+
+// emptySpanStore is a MemStore whose every checkpoint of relation 1 also
+// references one sealed segment holding an empty row span under a valid CRC.
+type emptySpanStore struct {
+	*recovery.MemStore
+	ref recovery.SegmentRef
+}
+
+func (s *emptySpanStore) Put(component string, task int, ck *recovery.Checkpoint) error {
+	ck.Segments = [][]recovery.SegmentRef{nil, {s.ref}}
+	return s.MemStore.Put(component, task, ck)
+}
+
+// TestRestoreRejectsEmptySpanSegment: a checkpoint segment with an empty row
+// span decodes to fewer rows than it claims, so restoring from it must fail
+// the run with an error naming the segment instead of restoring a row fewer.
+func TestRestoreRejectsEmptySpanSegment(t *testing.T) {
+	rows := [][]byte{
+		wire.Encode(nil, types.Tuple{types.Int(-1), types.Str("s")}),
+		nil,
+		wire.Encode(nil, types.Tuple{types.Int(-2), types.Str("s")}),
+	}
+	var payload []byte
+	offs := []uint32{0}
+	for _, r := range rows {
+		payload = append(payload, r...)
+		offs = append(offs, uint32(len(payload)))
+	}
+	blob := slab.AppendSegment(nil, offs, payload)
+	store := &emptySpanStore{MemStore: recovery.NewMemStore(), ref: recovery.SegmentRef{
+		Key:  "ck-empty-span-s0",
+		CRC:  binary.LittleEndian.Uint32(blob[len(blob)-4:]),
+		Rows: int64(len(rows)),
+	}}
+	if err := store.PutSegment(store.ref.Key, blob); err != nil {
+		t.Fatal(err)
+	}
+
+	rRows, sRows := recWorkload(120, 300)
+	const par = 3
+	b := NewBuilder()
+	b.Spout("R", 1, SliceSpout(rRows))
+	b.Spout("S", 1, SliceSpout(sRows))
+	b.Bolt("join", par, func(task, ntasks int) Bolt { return &crossJoin{} })
+	b.Bolt("sink", 1, NewGather().Factory())
+	b.Input("join", "R", All())
+	b.Input("join", "S", Fields(0))
+	b.Input("sink", "join", Global())
+	topo, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol := recPolicy(par, &FaultPlan{Task: 1, AfterTuples: 60}, store, true, 24)
+	_, err = Run(topo, Options{Seed: 1, BatchSize: 4, ChannelBuf: 2, Recovery: pol})
+	if err == nil {
+		t.Fatal("restore from a segment with an empty row span succeeded")
+	}
+	if !errors.Is(err, slab.ErrSegmentCorrupt) || !strings.Contains(err.Error(), store.ref.Key) {
+		t.Fatalf("run error %q must wrap ErrSegmentCorrupt and name segment %s", err, store.ref.Key)
 	}
 }

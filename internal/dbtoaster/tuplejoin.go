@@ -343,7 +343,7 @@ func (j *TupleJoin) RelCount(rel int) int {
 	if v == nil {
 		return 0
 	}
-	return v.arena.Len()
+	return v.arena.Rows()
 }
 
 // ExportRel snapshots the stored base tuples of one relation.
@@ -352,11 +352,10 @@ func (j *TupleJoin) ExportRel(rel int) []types.Tuple {
 	if v == nil {
 		return nil
 	}
-	out := make([]types.Tuple, 0, v.arena.Len())
-	v.arena.Each(func(r slab.Ref) bool {
-		out = append(out, v.arena.Decode(r))
-		return true
-	})
+	out := make([]types.Tuple, 0, v.arena.Rows())
+	for r := range v.arena.Rows() {
+		out = append(out, v.arena.Decode(slab.Ref(r)))
+	}
 	return out
 }
 

@@ -126,72 +126,6 @@ func insert(n *tnode, key types.Value, it Item) *tnode {
 	return balance(n)
 }
 
-// Delete removes the first item under key whose tuple equals tup, reporting
-// whether a removal happened.
-func (t *Tree) Delete(key types.Value, tup types.Tuple) bool {
-	var removed bool
-	t.root, removed = del(t.root, key, tup)
-	if removed {
-		t.mem -= tup.MemSize() + key.MemSize()
-	}
-	return removed
-}
-
-func del(n *tnode, key types.Value, tup types.Tuple) (*tnode, bool) {
-	if n == nil {
-		return nil, false
-	}
-	var removed bool
-	switch c := key.Compare(n.key); {
-	case c < 0:
-		n.l, removed = del(n.l, key, tup)
-	case c > 0:
-		n.r, removed = del(n.r, key, tup)
-	default:
-		for i, it := range n.items {
-			if it.T.Equal(tup) {
-				n.items = append(n.items[:i], n.items[i+1:]...)
-				removed = true
-				break
-			}
-		}
-		if len(n.items) == 0 && removed {
-			// Remove the node itself.
-			if n.l == nil {
-				return n.r, true
-			}
-			if n.r == nil {
-				return n.l, true
-			}
-			// Replace with in-order successor.
-			succ := n.r
-			for succ.l != nil {
-				succ = succ.l
-			}
-			n.key, n.items = succ.key, succ.items
-			succ.items = nil // mark hollow; remove below by key with empty match
-			n.r = removeHollow(n.r)
-		}
-	}
-	if !removed {
-		return n, false
-	}
-	return balance(n), true
-}
-
-// removeHollow deletes the leftmost hollow (items==nil) node, used during
-// successor replacement.
-func removeHollow(n *tnode) *tnode {
-	if n.l == nil {
-		if n.items == nil {
-			return n.r
-		}
-		return n // not hollow; shouldn't happen
-	}
-	n.l = removeHollow(n.l)
-	return balance(n)
-}
-
 // Len returns the number of stored items.
 func (t *Tree) Len() int64 { return cnt(t.root) }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // Property tests cross-checking the AVL tree against a sorted-slice oracle
-// (mirroring internal/ewh/property_test.go): random insert/delete traces,
-// then range lookups, subtree count/sum aggregates and balance are compared
-// against brute force over the oracle.
+// (mirroring internal/ewh/property_test.go): random insert traces, then
+// range lookups and subtree count/sum aggregates are compared against brute
+// force over the oracle.
 
 // oracleEntry is one (key, tuple, weight) item of the reference model.
 type oracleEntry struct {
@@ -53,26 +53,14 @@ func randBoundPair(rng *rand.Rand, domain int64) (Bound, Bound) {
 	return mk(), mk()
 }
 
-// runTrace drives ops random inserts/deletes on both structures.
-func runTrace(t *testing.T, rng *rand.Rand, tr *Tree, oracle treeOracle, ops int, domain int64) treeOracle {
-	t.Helper()
-	seq := int64(0)
+// runTrace drives ops random inserts on both structures.
+func runTrace(rng *rand.Rand, tr *Tree, oracle treeOracle, ops int, domain int64) treeOracle {
 	for op := 0; op < ops; op++ {
-		if rng.Intn(3) != 0 || len(oracle) == 0 {
-			k := randKey(rng, domain)
-			seq++
-			tup := types.Tuple{k, types.Int(seq)}
-			w := float64(rng.Intn(10))
-			tr.Insert(k, Item{T: tup, W: w})
-			oracle = append(oracle, oracleEntry{key: k, t: tup, w: w})
-		} else {
-			vi := rng.Intn(len(oracle))
-			victim := oracle[vi]
-			if !tr.Delete(victim.key, victim.t) {
-				t.Fatalf("op %d: oracle holds %v under %v, tree delete failed", op, victim.t, victim.key)
-			}
-			oracle = append(oracle[:vi], oracle[vi+1:]...)
-		}
+		k := randKey(rng, domain)
+		tup := types.Tuple{k, types.Int(int64(op))}
+		w := float64(rng.Intn(10))
+		tr.Insert(k, Item{T: tup, W: w})
+		oracle = append(oracle, oracleEntry{key: k, t: tup, w: w})
 	}
 	return oracle
 }
@@ -83,7 +71,7 @@ func TestTreePropertyRangeVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 60; trial++ {
 		tr := NewTree()
-		oracle := runTrace(t, rng, tr, nil, 300+rng.Intn(400), int64(5+rng.Intn(60)))
+		oracle := runTrace(rng, tr, nil, 300+rng.Intn(400), int64(5+rng.Intn(60)))
 		if int(tr.Len()) != len(oracle) {
 			t.Fatalf("trial %d: tree Len %d, oracle %d", trial, tr.Len(), len(oracle))
 		}
@@ -134,7 +122,7 @@ func TestTreePropertyRangeAggVsOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	for trial := 0; trial < 60; trial++ {
 		tr := NewTree()
-		oracle := runTrace(t, rng, tr, nil, 200+rng.Intn(500), int64(4+rng.Intn(50)))
+		oracle := runTrace(rng, tr, nil, 200+rng.Intn(500), int64(4+rng.Intn(50)))
 		for probe := 0; probe < 30; probe++ {
 			lo, hi := randBoundPair(rng, 60)
 			var wc int64
@@ -149,51 +137,6 @@ func TestTreePropertyRangeAggVsOracle(t *testing.T) {
 			if gc != wc || math.Abs(gs-ws) > 1e-9 {
 				t.Fatalf("trial %d probe %d: RangeAgg = (%d, %.1f), oracle (%d, %.1f)", trial, probe, gc, gs, wc, ws)
 			}
-		}
-	}
-}
-
-// TestTreePropertyDeleteRebalance: delete-heavy traces (forcing node
-// removals with successor replacement) keep the tree consistent, balanced
-// within the AVL height bound, and its memory accounting reversible.
-func TestTreePropertyDeleteRebalance(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 40; trial++ {
-		tr := NewTree()
-		base := tr.MemSize()
-		oracle := runTrace(t, rng, tr, nil, 400, int64(3+rng.Intn(20)))
-		// Drain in random order: every node-removal path (leaf, one child,
-		// two children with successor swap) gets exercised.
-		for len(oracle) > 0 {
-			vi := rng.Intn(len(oracle))
-			victim := oracle[vi]
-			if !tr.Delete(victim.key, victim.t) {
-				t.Fatalf("trial %d: delete of present item failed", trial)
-			}
-			oracle = append(oracle[:vi], oracle[vi+1:]...)
-			if int(tr.Len()) != len(oracle) {
-				t.Fatalf("trial %d: Len %d after delete, oracle %d", trial, tr.Len(), len(oracle))
-			}
-			if n := tr.Len(); n > 0 {
-				// AVL height bound: h <= 1.4405 log2(n+2).
-				if h := float64(tr.Height()); h > 1.4405*math.Log2(float64(n)+2)+1 {
-					t.Fatalf("trial %d: height %.0f exceeds AVL bound for %d items", trial, h, n)
-				}
-			}
-			// Aggregates must stay consistent under deletion.
-			c, _ := tr.RangeAgg(Unbounded(), Unbounded())
-			if c != tr.Len() {
-				t.Fatalf("trial %d: full-range count %d vs Len %d", trial, c, tr.Len())
-			}
-		}
-		if tr.Height() != 0 {
-			t.Fatalf("trial %d: drained tree has height %d", trial, tr.Height())
-		}
-		if tr.MemSize() != base {
-			t.Fatalf("trial %d: MemSize %d after drain, want %d", trial, tr.MemSize(), base)
-		}
-		if tr.Delete(types.Int(0), types.Tuple{types.Int(0)}) {
-			t.Fatalf("trial %d: delete on empty tree succeeded", trial)
 		}
 	}
 }

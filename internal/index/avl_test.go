@@ -82,32 +82,6 @@ func TestTreeRangeAggSum(t *testing.T) {
 	}
 }
 
-func TestTreeDelete(t *testing.T) {
-	tr := NewTree()
-	tups := make([]types.Tuple, 0, 20)
-	for v := int64(0); v < 20; v++ {
-		tup := types.Tuple{types.Int(v), types.Int(v * 10)}
-		tups = append(tups, tup)
-		tr.Insert(types.Int(v%5), Item{T: tup, W: 1})
-	}
-	if !tr.Delete(types.Int(3), tups[3]) {
-		t.Fatal("delete of present item must succeed")
-	}
-	if tr.Delete(types.Int(3), tups[3]) {
-		t.Fatal("double delete must fail")
-	}
-	if tr.Delete(types.Int(4), tups[3]) {
-		t.Fatal("delete under wrong key must fail")
-	}
-	if tr.Len() != 19 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-	cntAll, _ := tr.RangeAgg(Unbounded(), Unbounded())
-	if cntAll != 19 {
-		t.Errorf("aggregate count = %d", cntAll)
-	}
-}
-
 func TestTreeBalancedHeight(t *testing.T) {
 	tr := NewTree()
 	const n = 1 << 12
@@ -130,19 +104,11 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 	}
 	var ref []entry
 	for op := 0; op < 4000; op++ {
-		if r.Intn(3) != 0 || len(ref) == 0 {
-			k := r.Int63n(60)
-			tup := types.Tuple{types.Int(k), types.Int(int64(op))}
-			w := float64(r.Intn(10))
-			tr.Insert(types.Int(k), Item{T: tup, W: w})
-			ref = append(ref, entry{k, tup, w})
-		} else {
-			i := r.Intn(len(ref))
-			if !tr.Delete(types.Int(ref[i].k), ref[i].t) {
-				t.Fatal("model holds item the tree lacks")
-			}
-			ref = append(ref[:i], ref[i+1:]...)
-		}
+		k := r.Int63n(60)
+		tup := types.Tuple{types.Int(k), types.Int(int64(op))}
+		w := float64(r.Intn(10))
+		tr.Insert(types.Int(k), Item{T: tup, W: w})
+		ref = append(ref, entry{k, tup, w})
 		if op%97 == 0 {
 			lo, hi := r.Int63n(60), r.Int63n(60)
 			if lo > hi {
@@ -159,6 +125,11 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 			gotC, gotS := tr.RangeAgg(Incl(types.Int(lo)), Incl(types.Int(hi)))
 			if gotC != wantC || math.Abs(gotS-wantS) > 1e-6 {
 				t.Fatalf("op %d: RangeAgg[%d,%d] = (%d,%g), want (%d,%g)", op, lo, hi, gotC, gotS, wantC, wantS)
+			}
+			var visited int64
+			tr.Range(Incl(types.Int(lo)), Incl(types.Int(hi)), func(types.Value, Item) bool { visited++; return true })
+			if visited != wantC {
+				t.Fatalf("op %d: Range[%d,%d] visited %d, want %d", op, lo, hi, visited, wantC)
 			}
 		}
 	}
@@ -206,11 +177,7 @@ func TestTreeMemSize(t *testing.T) {
 	base := tr.MemSize()
 	tup := types.Tuple{types.Str("payload")}
 	tr.Insert(types.Int(1), Item{T: tup, W: 1})
-	if tr.MemSize() <= base {
-		t.Error("MemSize must grow")
-	}
-	tr.Delete(types.Int(1), tup)
-	if tr.MemSize() != base {
-		t.Error("MemSize must shrink back after delete")
+	if got, want := tr.MemSize(), base+tup.MemSize()+types.Int(1).MemSize(); got != want {
+		t.Errorf("MemSize = %d after one insert, want %d", got, want)
 	}
 }

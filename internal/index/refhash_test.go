@@ -1,103 +1,89 @@
 package index
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
-func TestRefHashInsertLookupDelete(t *testing.T) {
+func TestRefHashInsertLookup(t *testing.T) {
 	h := NewRefHash()
 	h.Insert(10, 1)
 	h.Insert(10, 2)
 	h.Insert(99, 3)
 	refs := h.AppendRefs(nil, 10)
-	if len(refs) != 2 {
-		t.Fatalf("AppendRefs(10) = %v", refs)
+	if len(refs) != 2 || refs[0] != 2 || refs[1] != 1 {
+		t.Fatalf("AppendRefs(10) = %v, want [2 1] (most recent first)", refs)
 	}
 	if got := h.AppendRefs(nil, 7); len(got) != 0 {
 		t.Fatalf("AppendRefs(7) = %v", got)
 	}
-	if h.Len() != 3 || h.Keys() != 2 {
-		t.Fatalf("Len=%d Keys=%d", h.Len(), h.Keys())
-	}
-	if !h.Delete(10, 1) || h.Delete(10, 1) {
-		t.Fatal("Delete must remove exactly one posting")
-	}
-	if refs = h.AppendRefs(refs[:0], 10); len(refs) != 1 || refs[0] != 2 {
-		t.Fatalf("after delete: %v", refs)
-	}
-	if !h.Delete(10, 2) {
-		t.Fatal("deleting last posting")
-	}
-	if h.Keys() != 1 || len(h.AppendRefs(nil, 10)) != 0 {
-		t.Fatal("key must vanish with its last posting")
-	}
-	// The tombstoned slot must not break probing for other keys.
 	if got := h.AppendRefs(nil, 99); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("AppendRefs(99) = %v", got)
 	}
+	if h.Len() != 3 || h.Keys() != 2 {
+		t.Fatalf("Len=%d Keys=%d", h.Len(), h.Keys())
+	}
 }
 
-// TestRefHashAgainstReferenceModel drives random inserts and deletes against
-// a map-of-slices oracle, including adversarial hashes that collide on the
-// low bits (same initial probe slot), exercising probe chains, tombstones
-// and rehash growth.
+// TestRefHashAgainstReferenceModel drives random inserts against a
+// map-of-slices oracle, including adversarial hashes that collide on the
+// low bits (same initial probe slot), and checks every key after each
+// rehash as the table grows from 8 to at least 2^16 slots.
 func TestRefHashAgainstReferenceModel(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	h := NewRefHash()
 	ref := map[uint64][]uint32{}
-	hashes := make([]uint64, 40)
-	for i := range hashes {
-		// Many keys share low bits: adjacent probe chains collide hard.
-		hashes[i] = uint64(i%8) | uint64(i)<<32
-	}
-	for op := 0; op < 20000; op++ {
-		k := hashes[r.Intn(len(hashes))]
-		if r.Intn(3) != 0 || len(ref[k]) == 0 {
-			v := uint32(r.Intn(1000))
-			h.Insert(k, v)
-			ref[k] = append(ref[k], v)
-		} else {
-			victim := ref[k][r.Intn(len(ref[k]))]
-			if !h.Delete(k, victim) {
-				t.Fatalf("op %d: model has ref %d under %d, index lacks it", op, victim, k)
+	total := 0
+	scratch := make([]uint32, 0, 64)
+	check := func(when string) {
+		t.Helper()
+		for k, want := range ref {
+			got := h.AppendRefs(scratch[:0], k)
+			if len(got) != len(want) {
+				t.Fatalf("%s: hash %#x has %d refs, model %d", when, k, len(got), len(want))
 			}
-			for i, v := range ref[k] {
-				if v == victim {
-					ref[k] = append(ref[k][:i], ref[k][i+1:]...)
-					break
+			// Postings come back most recent first.
+			for i, v := range got {
+				if v != want[len(want)-1-i] {
+					t.Fatalf("%s: hash %#x posting %d = %d, model %d", when, k, i, v, want[len(want)-1-i])
 				}
 			}
 		}
-	}
-	total, keys := 0, 0
-	scratch := make([]uint32, 0, 64)
-	for k, want := range ref {
-		got := h.AppendRefs(scratch[:0], k)
-		if len(got) != len(want) {
-			t.Fatalf("hash %d: index has %d refs, model %d", k, len(got), len(want))
+		if h.Len() != total || h.Keys() != len(ref) {
+			t.Fatalf("%s: Len=%d Keys=%d, model %d/%d", when, h.Len(), h.Keys(), total, len(ref))
 		}
-		// Bag equality: postings are unordered relative to the model.
-		bag := map[uint32]int{}
-		for _, v := range got {
-			bag[v]++
-		}
-		for _, v := range want {
-			bag[v]--
-		}
-		for v, n := range bag {
-			if n != 0 {
-				t.Fatalf("hash %d: ref %d count off by %d", k, v, n)
+		for i := 0; i < 64; i++ {
+			// Model keys never set bit 63.
+			if k := r.Uint64() | 1<<63; len(h.AppendRefs(scratch[:0], k)) != 0 {
+				t.Fatalf("%s: absent hash %#x has refs", when, k)
 			}
 		}
-		total += len(want)
-		if len(want) > 0 {
-			keys++
+	}
+	insert := func(k uint64) {
+		v := uint32(r.Intn(1 << 20))
+		slots := len(h.slots)
+		h.Insert(k, v)
+		ref[k] = append(ref[k], v)
+		total++
+		if slots != 0 && len(h.slots) != slots {
+			check(fmt.Sprintf("after growth to %d slots", len(h.slots)))
 		}
 	}
-	if h.Len() != total || h.Keys() != keys {
-		t.Fatalf("Len=%d Keys=%d, model %d/%d", h.Len(), h.Keys(), total, keys)
+	// Hot keys sharing their low bits: adjacent probe chains collide hard
+	// and every key carries a posting chain.
+	hot := make([]uint64, 40)
+	for i := range hot {
+		hot[i] = uint64(i%8) | uint64(i)<<32
 	}
+	for op := 0; op < 20000; op++ {
+		insert(hot[r.Intn(len(hot))])
+	}
+	// Then enough distinct keys to push the table past 2^16 slots.
+	for len(h.slots) < 1<<16 {
+		insert(r.Uint64() &^ (1 << 63))
+	}
+	check("final")
 }
 
 func TestRefHashEachEarlyStop(t *testing.T) {

@@ -84,7 +84,6 @@ func fieldOf(cur *wire.Cursor, col int) error {
 func (j *Traditional) insertRow(rel int, row []byte, cur *wire.Cursor) error {
 	s := j.stores[rel]
 	ref := s.arena.AppendEncoded(row)
-	s.lastRef = ref
 	for ci := range j.g.Conjuncts {
 		if j.sideExpr[ci][rel] == nil {
 			continue
@@ -153,10 +152,9 @@ func (j *Traditional) expandPacked(ps *packedState, steps []probeStep, emit func
 			return true
 		})
 	default: // cross join or Ne-only: scan
-		s.arena.Each(func(r slab.Ref) bool {
+		for r := range s.arena.Rows() {
 			s.refBuf = append(s.refBuf, uint32(r))
-			return true
-		})
+		}
 	}
 candidates:
 	for _, ref := range s.refBuf {

@@ -12,7 +12,8 @@
 // Stored state is slab-backed: each relation's tuples are packed rows in a
 // slab.Arena addressed by 32-bit refs, equi-conjunct indexes are
 // open-addressing index.RefHash multimaps keyed by the 64-bit canonical
-// value hash, and tree indexes hold refs.
+// value hash, and tree indexes hold refs. State keeps full history: a stored
+// tuple is never removed, so refs and indexes only grow.
 package localjoin
 
 import (
@@ -80,11 +81,9 @@ type FrameExporter interface {
 // store holds one relation's tuples as packed rows addressed by refs, plus
 // its per-conjunct indexes over those refs.
 type store struct {
-	arena   *slab.Arena
-	eqRef   map[int]*index.RefHash // conjunct id -> refs by key hash
-	lastRef slab.Ref               // ref of the most recent insert (windows)
-	refBuf  []uint32               // probe scratch
-	decBuf  types.Tuple            // decode scratch (non-escaping uses only)
+	arena  *slab.Arena
+	eqRef  map[int]*index.RefHash // conjunct id -> refs by key hash
+	refBuf []uint32               // probe scratch
 	// candBuf is the reusable candidate slice: a store is probed at most
 	// once per expand chain, and the slice is only read during that chain,
 	// so reuse is safe (the decoded tuples themselves escape, the slice
@@ -114,16 +113,7 @@ type Traditional struct {
 	packed   packedState
 	// plan[rel] is the expansion an arrival of rel drives (plan.go).
 	plan [][]probeStep
-	// onCompact, when set, is invoked after a relation's arena is compacted
-	// with the ref remap, so external ref holders (window expiration queues)
-	// can rewrite their refs.
-	onCompact   func(rel int, remap []slab.Ref)
-	compactions int
 }
-
-// compactMinDeadBytes keeps tiny stores from thrashing: compaction only
-// fires once at least this much tombstoned garbage has accumulated.
-const compactMinDeadBytes = 4 << 10
 
 // NewTraditional builds the operator for a join graph, creating hash indexes
 // for equality conjuncts and tree indexes for order conjuncts (§3.3's
@@ -170,11 +160,10 @@ func NewTraditional(g *expr.JoinGraph) *Traditional {
 	return j
 }
 
-// NewTraditionalTiered builds the operator with tiered
-// arenas (PR 10): relation state seals into checksummed segments, compacts
-// segment-by-segment and spills to tc.Store under memory pressure. Refs
-// stay stable across seals and segment compactions, so indexes and window
-// queues never see a remap (OnCompact never fires in tiered mode).
+// NewTraditionalTiered builds the operator with tiered arenas: relation
+// state seals into checksummed segments and spills to tc.Store under memory
+// pressure. Refs stay stable across seals and spills, so the indexes never
+// see a remap.
 func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
 	j := NewTraditional(g)
 	base := tc.KeyPrefix
@@ -201,18 +190,14 @@ func (j *Traditional) OnTuple(rel int, t types.Tuple) ([]Delta, error) {
 	if err := j.expand(j.plan[rel], partial, &out); err != nil {
 		return nil, err
 	}
-	if err := j.insert(rel, t); err != nil {
+	if err := j.Insert(rel, t); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// Insert stores a tuple without producing results (state preload, e.g.
-// during fault-tolerance recovery, or migration import).
-func (j *Traditional) Insert(rel int, t types.Tuple) error { return j.insert(rel, t) }
-
 // RelCount returns the stored tuples of one relation.
-func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Len() }
+func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Rows() }
 
 // ExportRel snapshots the stored tuples of one relation.
 func (j *Traditional) ExportRel(rel int) []types.Tuple {
@@ -229,146 +214,11 @@ func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit fun
 	}
 }
 
-// LastRef returns the ref of the most recently inserted tuple of one
-// relation — how window expiration remembers what to remove.
-func (j *Traditional) LastRef(rel int) (slab.Ref, bool) {
-	if j.stores[rel].arena.Len() == 0 {
-		return 0, false
-	}
-	return j.stores[rel].lastRef, true
-}
-
-// Remove deletes a stored tuple (window expiration), locating it via an
-// equi index when one exists.
-func (j *Traditional) Remove(rel int, t types.Tuple) (bool, error) {
-	ref, ok, err := j.findRef(rel, t)
-	if err != nil || !ok {
-		return false, err
-	}
-	return true, j.RemoveRef(rel, ref)
-}
-
-// findRef locates a live row equal to t: through the first equi index when
-// the relation has one, by arena scan otherwise.
-func (j *Traditional) findRef(rel int, t types.Tuple) (slab.Ref, bool, error) {
+// Insert stores a tuple with its index maintenance but produces no results
+// (state preload, e.g. during fault-tolerance recovery, or migration import).
+func (j *Traditional) Insert(rel int, t types.Tuple) error {
 	s := j.stores[rel]
-	for ci, h := range s.eqRef {
-		e := j.sideExpr[ci][rel]
-		v, err := e.Eval(t)
-		if err != nil {
-			return 0, false, err
-		}
-		found, ok := slab.NoRef, false
-		h.Each(v.Hash(), func(ref uint32) bool {
-			s.decBuf = s.arena.DecodeInto(s.decBuf, slab.Ref(ref))
-			if s.decBuf.Equal(t) {
-				found, ok = slab.Ref(ref), true
-				return false
-			}
-			return true
-		})
-		return found, ok, nil
-	}
-	found, ok := slab.NoRef, false
-	s.arena.Each(func(ref slab.Ref) bool {
-		s.decBuf = s.arena.DecodeInto(s.decBuf, ref)
-		if s.decBuf.Equal(t) {
-			found, ok = ref, true
-			return false
-		}
-		return true
-	})
-	return found, ok, nil
-}
-
-// RemoveRef deletes a stored row by ref (window expiration's O(1) path).
-func (j *Traditional) RemoveRef(rel int, ref slab.Ref) error {
-	s := j.stores[rel]
-	if !s.arena.Live(ref) {
-		return nil
-	}
-	t := s.arena.Decode(ref)
-	for ci := range j.g.Conjuncts {
-		e := j.sideExpr[ci][rel]
-		if e == nil {
-			continue
-		}
-		v, err := e.Eval(t)
-		if err != nil {
-			return err
-		}
-		if h, ok := s.eqRef[ci]; ok {
-			h.Delete(v.Hash(), uint32(ref))
-		}
-		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Delete(v, refTuple(ref))
-		}
-	}
-	s.arena.Free(ref)
-	return j.maybeCompact(rel)
-}
-
-// OnCompact registers the (single) compaction callback: fn runs after a
-// relation's arena has been rebuilt, with remap[old] giving each row's new
-// ref (slab.NoRef for rows that were dead). Holders of refs outside the
-// operator — the window expiration queue — must rewrite through it.
-func (j *Traditional) OnCompact(fn func(rel int, remap []slab.Ref)) { j.onCompact = fn }
-
-// Compactions reports how many arena compactions have run.
-func (j *Traditional) Compactions() int { return j.compactions }
-
-// maybeCompact rebuilds a relation's arena and indexes once tombstoned
-// bytes dominate live bytes (the DeadBytes/LiveBytes signal DESIGN.md
-// documents): the arena is compacted in arrival order and the per-conjunct
-// indexes are rebuilt against the new refs, exactly as the reshape rebuild
-// path re-derives them from scratch.
-func (j *Traditional) maybeCompact(rel int) error {
-	s := j.stores[rel]
-	if s.arena.Tiered() {
-		// Tiered arenas compact segment-by-segment with stable refs: no
-		// rebuild, no index rewrite, no remap callback — just drive one
-		// amortized maintenance step.
-		s.arena.Maintain()
-		return nil
-	}
-	if s.arena.DeadBytes() < compactMinDeadBytes || s.arena.DeadBytes() <= s.arena.LiveBytes() {
-		return nil
-	}
-	remap := s.arena.Compact()
-	for ci := range s.eqRef {
-		s.eqRef[ci] = index.NewRefHash()
-	}
-	for ci := range s.rngIdx {
-		s.rngIdx[ci] = index.NewTree()
-	}
-	var reindexErr error
-	s.arena.Each(func(ref slab.Ref) bool {
-		s.decBuf = s.arena.DecodeInto(s.decBuf, ref)
-		if err := j.indexRef(s, rel, ref, s.decBuf); err != nil {
-			reindexErr = fmt.Errorf("localjoin: compaction reindex: %w", err)
-			return false
-		}
-		return true
-	})
-	if reindexErr != nil {
-		return reindexErr
-	}
-	if int(s.lastRef) < len(remap) && remap[s.lastRef] != slab.NoRef {
-		s.lastRef = remap[s.lastRef]
-	} else {
-		s.lastRef = 0
-	}
-	j.compactions++
-	if j.onCompact != nil {
-		j.onCompact(rel, remap)
-	}
-	return nil
-}
-
-// indexRef maintains the per-conjunct indexes for one
-// stored row — shared by insert and the compaction reindex, so the two can
-// never drift apart on key canonicalization or item weights.
-func (j *Traditional) indexRef(s *store, rel int, ref slab.Ref, t types.Tuple) error {
+	ref := s.arena.Append(t)
 	for ci := range j.g.Conjuncts {
 		e := j.sideExpr[ci][rel]
 		if e == nil {
@@ -386,13 +236,6 @@ func (j *Traditional) indexRef(s *store, rel int, ref slab.Ref, t types.Tuple) e
 		}
 	}
 	return nil
-}
-
-func (j *Traditional) insert(rel int, t types.Tuple) error {
-	s := j.stores[rel]
-	ref := s.arena.Append(t)
-	s.lastRef = ref
-	return j.indexRef(s, rel, ref, t)
 }
 
 // expand recursively extends a partial assignment along the arrival's
@@ -472,11 +315,10 @@ func (j *Traditional) probe(st *probeStep, partial []types.Tuple) ([]types.Tuple
 
 // scanAll returns every stored tuple of a relation (cross joins).
 func (j *Traditional) scanAll(s *store) []types.Tuple {
-	out := make([]types.Tuple, 0, s.arena.Len())
-	s.arena.Each(func(r slab.Ref) bool {
-		out = append(out, s.arena.Decode(r))
-		return true
-	})
+	out := make([]types.Tuple, 0, s.arena.Rows())
+	for r := range s.arena.Rows() {
+		out = append(out, s.arena.Decode(slab.Ref(r)))
+	}
 	return out
 }
 

@@ -193,32 +193,6 @@ func TestTraditionalBandJoin(t *testing.T) {
 	}
 }
 
-func TestTraditionalRemoveExpiresState(t *testing.T) {
-	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	j := NewTraditional(g)
-	old := types.Tuple{types.Int(5)}
-	if _, err := j.OnTuple(0, old); err != nil {
-		t.Fatal(err)
-	}
-	ok, err := j.Remove(0, old)
-	if err != nil || !ok {
-		t.Fatalf("Remove = %v, %v", ok, err)
-	}
-	deltas, err := j.OnTuple(1, types.Tuple{types.Int(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(deltas) != 0 {
-		t.Errorf("expired tuple still joins: %v", deltas)
-	}
-	if ok, _ := j.Remove(0, old); ok {
-		t.Error("double remove must fail")
-	}
-	if j.StoredTuples() != 1 {
-		t.Errorf("StoredTuples = %d", j.StoredTuples())
-	}
-}
-
 func TestTraditionalMemSizeGrows(t *testing.T) {
 	g := chainGraph()
 	j := NewTraditional(g)
@@ -250,43 +224,56 @@ func TestDeltaConcat(t *testing.T) {
 	}
 }
 
-// TestTraditionalRefLifecycle covers the ref-based hooks: LastRef after
-// insert, RemoveRef unindexing, and export parity.
+// TestTraditionalRefLifecycle covers the ref contract the indexes rely on:
+// boxed and packed inserts take dense refs in arrival order, every stored row
+// stays addressable and indexed, and export returns the rows in ref order.
 func TestTraditionalRefLifecycle(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	j := NewTraditional(g)
-	if _, ok := j.LastRef(0); ok {
-		t.Error("LastRef on empty relation must report false")
-	}
-	var refs []slab.Ref
+	var cur wire.Cursor
+	var want []types.Tuple
 	for i := 0; i < 10; i++ {
-		if _, err := j.OnTuple(0, types.Tuple{types.Int(int64(i % 3)), types.Int(int64(i))}); err != nil {
+		tup := types.Tuple{types.Int(int64(i % 3)), types.Int(int64(i))}
+		want = append(want, tup)
+		if i%2 == 0 {
+			if _, err := j.OnTuple(0, tup); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		row := wire.Encode(nil, tup)
+		if err := cur.Reset(row); err != nil {
 			t.Fatal(err)
 		}
-		ref, ok := j.LastRef(0)
-		if !ok {
-			t.Fatal("LastRef after insert")
+		if err := j.OnRow(0, row, &cur, func([]byte) error { return nil }); err != nil {
+			t.Fatal(err)
 		}
-		refs = append(refs, ref)
 	}
-	if err := j.RemoveRef(0, refs[4]); err != nil {
-		t.Fatal(err)
+	a := j.stores[0].arena
+	if j.RelCount(0) != len(want) || a.Rows() != len(want) {
+		t.Fatalf("RelCount = %d, Rows = %d, want %d", j.RelCount(0), a.Rows(), len(want))
 	}
-	if err := j.RemoveRef(0, refs[4]); err != nil { // idempotent on dead refs
-		t.Fatal(err)
+	for i, tup := range want {
+		if got := a.Decode(slab.Ref(i)); !got.Equal(tup) {
+			t.Fatalf("ref %d holds %v, want %v (refs must be dense in arrival order)", i, got, tup)
+		}
 	}
-	if j.RelCount(0) != 9 {
-		t.Fatalf("RelCount = %d after RemoveRef", j.RelCount(0))
+	for i, got := range j.ExportRel(0) {
+		if !got.Equal(want[i]) {
+			t.Fatalf("export row %d = %v, want %v", i, got, want[i])
+		}
 	}
-	// The removed tuple (key 1, seq 4) must no longer join.
+	// Every stored row with key 1 joins, whichever path inserted it.
 	deltas, err := j.OnTuple(1, types.Tuple{types.Int(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seqs := map[int64]bool{}
 	for _, d := range deltas {
-		if d[0][1].I == 4 {
-			t.Fatalf("removed row still joins: %v", d)
-		}
+		seqs[d[0][1].I] = true
+	}
+	if len(deltas) != 3 || !seqs[1] || !seqs[4] || !seqs[7] {
+		t.Fatalf("key 1 joined %v, want seqs 1, 4 and 7", deltas)
 	}
 }
 
@@ -382,76 +369,4 @@ func BenchmarkTraditionalOnTuple(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// TestCompactionTriggerRebuildsIndexes drives enough insert/remove churn
-// that DeadBytes overtakes LiveBytes, and checks the automatic compaction
-// rebuilds the indexes consistently: post-compaction probes agree with a
-// brute-force join over the surviving tuples.
-func TestCompactionTriggerRebuildsIndexes(t *testing.T) {
-	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	j := NewTraditional(g)
-	const n = 1200
-	mkRow := func(i int) types.Tuple {
-		return types.Tuple{types.Int(int64(i % 50)), types.Int(int64(i)), types.Str("some-padding-payload")}
-	}
-	for i := 0; i < n; i++ {
-		if err := j.Insert(0, mkRow(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Remove the first 80% by value (refs renumber across compactions, so
-	// raw ref arithmetic would be meaningless here): dead bytes overtake
-	// live bytes well past the 4 KiB floor, so the trigger must have fired.
-	for i := 0; i < n*8/10; i++ {
-		if ok, err := j.Remove(0, mkRow(i)); err != nil || !ok {
-			t.Fatalf("remove %d: %v %v", i, ok, err)
-		}
-	}
-	if j.Compactions() == 0 {
-		t.Fatal("compaction trigger never fired")
-	}
-	if s := j.stores[0]; s.arena.DeadBytes() > s.arena.LiveBytes() {
-		t.Fatalf("post-compaction arena still dominated by garbage: dead=%d live=%d",
-			s.arena.DeadBytes(), s.arena.LiveBytes())
-	}
-	// The surviving state must behave exactly like a fresh operator holding
-	// the same tuples: probe every key through OnTuple and compare against
-	// brute force.
-	var survivors []types.Tuple
-	s := j.stores[0]
-	s.arena.Each(func(r slab.Ref) bool {
-		survivors = append(survivors, s.arena.Decode(r))
-		return true
-	})
-	if len(survivors) != n-n*8/10 {
-		t.Fatalf("%d survivors, want %d", len(survivors), n-n*8/10)
-	}
-	var got []types.Tuple
-	for k := 0; k < 50; k++ {
-		probe := types.Tuple{types.Int(int64(k)), types.Int(-1), types.Str("probe")}
-		deltas, err := j.OnTuple(1, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deltas {
-			got = append(got, d.Concat())
-		}
-		// Remove the probe again so later probes don't see it.
-		if ok, err := j.Remove(1, probe); err != nil || !ok {
-			t.Fatalf("probe removal: %v %v", ok, err)
-		}
-	}
-	want := bruteForce(t, g, [][]types.Tuple{survivors, probesFor(50)})
-	if !equalTupleSets(got, want) {
-		t.Fatalf("post-compaction probes diverge: %d rows vs %d", len(got), len(want))
-	}
-}
-
-func probesFor(keys int) []types.Tuple {
-	out := make([]types.Tuple, keys)
-	for k := range out {
-		out[k] = types.Tuple{types.Int(int64(k)), types.Int(-1), types.Str("probe")}
-	}
-	return out
 }

@@ -59,9 +59,10 @@ func (m *Manifest) CursorFor(stream string, fromTask int) int64 {
 // SegmentRef references one sealed slab segment from an incremental (v2)
 // checkpoint: the segment blob was persisted to the segment side of the
 // store once, at seal time, under Key; the checkpoint carries only the
-// reference plus the tombstone bitmap observed at checkpoint time (restore
-// skips those rows). CRC pins the exact blob — a substituted or corrupted
-// segment fails verification at restore instead of fabricating rows.
+// reference. CRC pins the exact blob — a substituted or corrupted segment
+// fails verification at restore instead of fabricating rows. Dead is an
+// optional per-row skip bitmap the v2 codec keeps: arenas are append-only
+// and write none, and restore skips any row it marks.
 type SegmentRef struct {
 	Key  string
 	CRC  uint32

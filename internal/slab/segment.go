@@ -13,9 +13,8 @@ import (
 // is header-led ("SQSG" magic, version, row count, per-row byte spans) with
 // the raw row payload following and a CRC32 trailer over every preceding
 // byte — a torn write, a flipped bit or a truncated file is detected before
-// a single row is decoded. Rows compacted away inside a sealed segment are
-// encoded as zero-length spans, so the segment index keeps one slot per
-// original ref and refs stay stable across compaction.
+// a single row is decoded. Every row is a wire-encoded tuple, which is never
+// empty, so a zero-length span is corruption and fails the decode.
 
 const (
 	segMagic   = "SQSG"
@@ -82,6 +81,9 @@ func DecodeSegment(src []byte) (offs []uint32, payload []byte, crc uint32, err e
 			return nil, nil, 0, fmt.Errorf("%w: bad span %d", ErrSegmentCorrupt, i)
 		}
 		pos += c
+		if span == 0 {
+			return nil, nil, 0, fmt.Errorf("%w: empty row span %d", ErrSegmentCorrupt, i)
+		}
 		total += span
 		if total > uint64(len(body)) {
 			return nil, nil, 0, fmt.Errorf("%w: spans exceed body", ErrSegmentCorrupt)

@@ -20,7 +20,6 @@ func buildSegment(rows [][]byte) ([]uint32, []byte) {
 func TestSegmentRoundTrip(t *testing.T) {
 	rows := [][]byte{
 		[]byte("hello"),
-		{}, // zero-length span (compacted-away row)
 		[]byte("a much longer row payload with some bytes"),
 		{0x00, 0xff, 0x80},
 	}
@@ -56,6 +55,15 @@ func TestSegmentEmptyRows(t *testing.T) {
 	}
 }
 
+// A row is never empty, so a segment with a zero-length span is corrupt even
+// when its CRC is valid: decoding it must fail rather than yield a row fewer.
+func TestSegmentRejectsEmptySpan(t *testing.T) {
+	offs, payload := buildSegment([][]byte{[]byte("row-one"), {}, []byte("row-three")})
+	if _, _, _, err := DecodeSegment(AppendSegment(nil, offs, payload)); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("DecodeSegment(empty span) = %v, want ErrSegmentCorrupt", err)
+	}
+}
+
 // Every single-byte mutation of an encoded segment must be rejected — the
 // CRC covers all preceding bytes including magic and header.
 func TestSegmentRejectsMutations(t *testing.T) {
@@ -81,8 +89,10 @@ func TestSegmentRejectsMutations(t *testing.T) {
 }
 
 func FuzzSegment(f *testing.F) {
-	offs, payload := buildSegment([][]byte{[]byte("seed-row"), {}, []byte("another")})
+	offs, payload := buildSegment([][]byte{[]byte("seed-row"), []byte("another")})
 	f.Add(AppendSegment(nil, offs, payload))
+	offs, payload = buildSegment([][]byte{[]byte("seed-row"), {}, []byte("another")})
+	f.Add(AppendSegment(nil, offs, payload)) // valid CRC, empty span: must fail
 	f.Add([]byte("SQSG"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -91,6 +101,11 @@ func FuzzSegment(f *testing.F) {
 		gotOffs, gotPayload, crc, err := DecodeSegment(data)
 		if err != nil {
 			return
+		}
+		for i := 0; i+1 < len(gotOffs); i++ {
+			if gotOffs[i] == gotOffs[i+1] {
+				t.Fatalf("decode accepted an empty span at row %d", i)
+			}
 		}
 		re := AppendSegment(nil, gotOffs, gotPayload)
 		reOffs, rePayload, reCRC, err := DecodeSegment(re)

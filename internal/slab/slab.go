@@ -11,6 +11,10 @@
 // Rows being byte-identical to the wire encoding is load-bearing: state
 // migration (internal/dataflow/adapt.go) blits stored rows straight into
 // batch frames without ever re-materializing []types.Value tuples.
+//
+// State is append-only: the reproduction keeps full history (the paper's §2
+// windows are not reproduced), so a row is never deleted, refs are dense
+// and never reused, and every ref below Rows is a stored row.
 package slab
 
 import (
@@ -31,20 +35,17 @@ type Ref uint32
 // combo). It is not a valid Ref.
 const NoRef Ref = math.MaxUint32
 
-// Arena is an append-only packed row store with tombstone deletion. The zero
-// value is not ready; use New. An Arena is owned by one task (not safe for
-// concurrent use): Decode reuses internal scratch.
+// Arena is an append-only packed row store. The zero value is not ready; use
+// New. An Arena is owned by one task (not safe for concurrent use): Decode
+// reuses internal scratch.
 type Arena struct {
-	buf       []byte   // wire-encoded rows, back to back (tiered: the hot region)
-	offs      []uint32 // offs[i] = start of row i in buf; end = offs[i+1] or len(buf)
-	dead      []uint64 // tombstone bitmap, 1 bit per row (always globally indexed)
-	live      int      // rows not tombstoned
-	deadBytes int      // bytes occupied by tombstoned rows (compaction signal)
+	buf  []byte   // wire-encoded rows, back to back (tiered: the hot region)
+	offs []uint32 // offs[i] = start of row i in buf; end = offs[i+1] or len(buf)
 
 	// t, when non-nil, runs the tiered state layer (tier.go): buf/offs hold
 	// only the hot tail past the last seal and refs below the hot base
-	// resolve through sealed segments. Nil keeps the legacy single-slab
-	// behavior bit for bit.
+	// resolve through sealed segments. Nil keeps the single-slab behavior
+	// bit for bit.
 	t *tier
 
 	// Decode scratch: string payloads of the row being decoded and which
@@ -80,7 +81,6 @@ func (a *Arena) Append(t types.Tuple) Ref {
 	ref := Ref(a.Rows())
 	a.offs = append(a.offs, uint32(len(a.buf)))
 	a.buf = wire.Encode(a.buf, t)
-	a.live++
 	if a.t != nil {
 		a.t.afterAppend(a)
 	}
@@ -94,24 +94,19 @@ func (a *Arena) AppendEncoded(row []byte) Ref {
 	ref := Ref(a.Rows())
 	a.offs = append(a.offs, uint32(len(a.buf)))
 	a.buf = append(a.buf, row...)
-	a.live++
 	if a.t != nil {
 		a.t.afterAppend(a)
 	}
 	return ref
 }
 
-// Rows returns the total rows ever appended, including tombstoned ones.
-// Valid refs are [0, Rows).
+// Rows returns the number of stored rows. Valid refs are [0, Rows).
 func (a *Arena) Rows() int {
 	if a.t != nil {
 		return a.t.hotBase() + len(a.offs)
 	}
 	return len(a.offs)
 }
-
-// Len returns the number of live (non-tombstoned) rows.
-func (a *Arena) Len() int { return a.live }
 
 // rowSpan returns the [start, end) byte range of a row.
 func (a *Arena) rowSpan(r Ref) (int, int) {
@@ -240,150 +235,43 @@ func (a *Arena) DecodeInto(buf types.Tuple, r Ref) types.Tuple {
 	return out
 }
 
-// Live reports whether a row has not been tombstoned.
-func (a *Arena) Live(r Ref) bool {
-	if int(r) >= a.Rows() {
-		return false
-	}
-	return len(a.dead) <= int(r)/64 || a.dead[r/64]&(1<<(r%64)) == 0
-}
-
-// Free tombstones a row: its bytes stay in the slab (append-only), its ref
-// stops being live, and DeadBytes grows so callers can decide to compact
-// (rebuild) when waste dominates. Freeing a dead or out-of-range ref is a
-// no-op. Tiered arenas never clear dead bits (segment compaction encodes
-// removed rows as zero-length spans), so the bitmap is the single source
-// of liveness across seals and spills.
-func (a *Arena) Free(r Ref) {
-	if int(r) >= a.Rows() || !a.Live(r) {
-		return
-	}
-	for len(a.dead) <= int(r)/64 {
-		a.dead = append(a.dead, 0)
-	}
-	a.dead[r/64] |= 1 << (r % 64)
-	a.live--
-	if a.t != nil {
-		a.t.noteFree(a, r)
-		return
-	}
-	start, end := a.rowSpan(r)
-	a.deadBytes += end - start
-}
-
-// Each visits live rows in ref order; fn returning false stops the scan.
-func (a *Arena) Each(fn func(Ref) bool) {
-	for i, n := 0, a.Rows(); i < n; i++ {
-		r := Ref(i)
-		if a.Live(r) && !fn(r) {
-			return
-		}
-	}
-}
-
-// DeadBytes reports bytes held by tombstoned rows.
-func (a *Arena) DeadBytes() int { return a.deadBytes }
-
-// LiveBytes reports bytes held by live rows (on a tiered arena this counts
-// spilled payloads too — it measures logical state, not residency).
-func (a *Arena) LiveBytes() int {
-	if a.t != nil {
-		return len(a.buf) + int(a.t.segPayloadTotal) - a.deadBytes
-	}
-	return len(a.buf) - a.deadBytes
-}
-
 // MemSize reports the arena's real in-memory footprint in bytes: the byte
-// slab, the offset table and the tombstone bitmap, at their allocated
-// capacities. Unlike types.Tuple.MemSize sums, this is the number the Go
-// heap actually pays. On a tiered arena this counts only resident bytes —
-// sealed-segment payloads currently in RAM plus their offset tables —
-// which is what makes MemLimitPerTask a cap on residency, not on state.
+// slab and the offset table at their allocated capacities. Unlike
+// types.Tuple.MemSize sums, this is the number the Go heap actually pays. On
+// a tiered arena this counts only resident bytes — sealed-segment payloads
+// currently in RAM plus their offset tables — which is what makes
+// MemLimitPerTask a cap on residency, not on state.
 func (a *Arena) MemSize() int {
-	n := cap(a.buf) + 4*cap(a.offs) + 8*cap(a.dead) + 64
+	n := cap(a.buf) + 4*cap(a.offs) + 64
 	if a.t != nil {
 		n += int(a.t.residentBlobBytes) + 4*(a.t.segRows+1)*len(a.t.segs)
 	}
 	return n
 }
 
-// Compact rebuilds the arena with only its live rows, reclaiming tombstoned
-// bytes, and returns the ref remap: remap[old] is the old row's new ref, or
-// NoRef if the row was dead. Refs are renumbered densely in arrival order,
-// so iteration order is preserved. Callers owning external ref tables
-// (indexes, window expiration queues) must rewrite them through the remap —
-// localjoin.Traditional drives this from its DeadBytes > LiveBytes trigger.
-//
-// On a tiered arena Compact never renumbers: it force-compacts every
-// resident sealed segment in place and returns an identity remap (NoRef
-// for dead rows), since refs are stable by construction. Prefer Maintain
-// for incremental, amortized compaction.
-func (a *Arena) Compact() []Ref {
-	if a.t != nil {
-		a.t.compactAll(a)
-		remap := make([]Ref, a.Rows())
-		for i := range remap {
-			if a.Live(Ref(i)) {
-				remap[i] = Ref(i)
-			} else {
-				remap[i] = NoRef
-			}
-		}
-		return remap
-	}
-	remap := make([]Ref, len(a.offs))
-	buf := make([]byte, 0, a.LiveBytes())
-	offs := make([]uint32, 0, a.live)
-	for i := range a.offs {
-		r := Ref(i)
-		if !a.Live(r) {
-			remap[i] = NoRef
-			continue
-		}
-		remap[i] = Ref(len(offs))
-		offs = append(offs, uint32(len(buf)))
-		start, end := a.rowSpan(r)
-		buf = append(buf, a.buf[start:end]...)
-	}
-	a.buf = buf
-	a.offs = offs
-	a.dead = nil
-	a.deadBytes = 0
-	return remap
-}
-
-// EachFrame chunks the live rows into wire batch frames of up to batchSize
-// rows each — varint(count) followed by the rows' stored bytes, blitted
-// without decoding — and passes each frame (and its row count) to visit.
-// Frames reuse one internal buffer, valid only during the callback; visit
+// EachFrame chunks the rows into wire batch frames of up to batchSize rows
+// each — varint(count) followed by the rows' stored bytes, blitted without
+// decoding — and passes each frame (and its row count) to visit. Frames
+// reuse one internal buffer, valid only during the callback; visit
 // returning false stops the scan. scratch, if non-nil, seeds the buffer.
 func (a *Arena) EachFrame(batchSize int, scratch []byte, visit func(frame []byte, count int) bool) {
+	a.framesFrom(0, batchSize, scratch, visit)
+}
+
+// framesFrom is EachFrame over the rows [from, Rows).
+func (a *Arena) framesFrom(from, batchSize int, scratch []byte, visit func(frame []byte, count int) bool) {
 	if batchSize <= 0 {
 		batchSize = 1
 	}
 	frame := scratch[:0]
-	remaining := a.live
-	count := 0
-	for i, n := 0, a.Rows(); i < n; i++ {
-		r := Ref(i)
-		if !a.Live(r) {
-			continue
+	for i, n := from, a.Rows(); i < n; {
+		count := min(batchSize, n-i)
+		frame = binary.AppendUvarint(frame[:0], uint64(count))
+		for end := i + count; i < end; i++ {
+			frame = append(frame, a.RowBytes(Ref(i))...)
 		}
-		if count == 0 {
-			n := remaining
-			if n > batchSize {
-				n = batchSize
-			}
-			frame = binary.AppendUvarint(frame[:0], uint64(n))
-		}
-		frame = append(frame, a.RowBytes(r)...)
-		count++
-		remaining--
-		if count == batchSize || remaining == 0 {
-			if !visit(frame, count) {
-				return
-			}
-			count = 0
+		if !visit(frame, count) {
+			return
 		}
 	}
 }

@@ -44,8 +44,8 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 			t.Fatalf("row %d: decoded %v, want %v", i, got, w)
 		}
 	}
-	if a.Len() != 500 || a.Rows() != 500 {
-		t.Fatalf("Len=%d Rows=%d", a.Len(), a.Rows())
+	if a.Rows() != 500 {
+		t.Fatalf("Rows=%d", a.Rows())
 	}
 }
 
@@ -80,55 +80,17 @@ func TestRowBytesMatchWireEncoding(t *testing.T) {
 	}
 }
 
-func TestFreeTombstones(t *testing.T) {
-	a := New()
-	refs := make([]Ref, 10)
-	for i := range refs {
-		refs[i] = a.Append(types.Tuple{types.Int(int64(i))})
-	}
-	a.Free(refs[3])
-	a.Free(refs[7])
-	a.Free(refs[7]) // double free is a no-op
-	if a.Len() != 8 {
-		t.Fatalf("Len=%d after 2 frees", a.Len())
-	}
-	if a.Live(refs[3]) || !a.Live(refs[5]) {
-		t.Error("Live bits wrong")
-	}
-	wantDead := len(a.RowBytes(refs[3])) + len(a.RowBytes(refs[7]))
-	if a.DeadBytes() != wantDead {
-		t.Errorf("DeadBytes=%d, want %d", a.DeadBytes(), wantDead)
-	}
-	var seen []int64
-	a.Each(func(r Ref) bool {
-		seen = append(seen, a.Decode(r)[0].I)
-		return true
-	})
-	if len(seen) != 8 {
-		t.Fatalf("Each visited %d", len(seen))
-	}
-	for _, v := range seen {
-		if v == 3 || v == 7 {
-			t.Errorf("Each visited freed row %d", v)
-		}
-	}
-}
-
 // TestEachFrameDecodesAsWireBatches: frames produced by blitting stored rows
 // must decode with the ordinary wire batch decoder, byte-compatibly with
 // EncodeBatch over the same tuples — the property state migration relies on.
 func TestEachFrameDecodesAsWireBatches(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	a := New()
-	var live []types.Tuple
+	var want []types.Tuple
 	for i := 0; i < 100; i++ {
 		tup := randTuple(r)
-		ref := a.Append(tup)
-		if i%5 == 2 {
-			a.Free(ref)
-			continue
-		}
-		live = append(live, tup)
+		a.Append(tup)
+		want = append(want, tup)
 	}
 	for _, batchSize := range []int{1, 7, 64, 1000} {
 		var got []types.Tuple
@@ -149,12 +111,12 @@ func TestEachFrameDecodesAsWireBatches(t *testing.T) {
 			got = append(got, tuples...)
 			return true
 		})
-		if len(got) != len(live) {
-			t.Fatalf("batch=%d: %d tuples across frames, want %d", batchSize, len(got), len(live))
+		if len(got) != len(want) {
+			t.Fatalf("batch=%d: %d tuples across frames, want %d", batchSize, len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].Equal(live[i]) {
-				t.Fatalf("batch=%d row %d: %v vs %v", batchSize, i, got[i], live[i])
+			if !got[i].Equal(want[i]) {
+				t.Fatalf("batch=%d row %d: %v vs %v", batchSize, i, got[i], want[i])
 			}
 		}
 	}
@@ -173,69 +135,5 @@ func TestMemSizeTracksRealBytes(t *testing.T) {
 	// ~12 bytes of row payload + 4 of offset per row, at slice-growth slack.
 	if per := float64(sz-base) / 1000; per > 48 {
 		t.Errorf("%.1f bytes per stored row; compactness lost", per)
-	}
-}
-
-func TestCompactReclaimsDeadBytes(t *testing.T) {
-	a := New()
-	var refs []Ref
-	for i := 0; i < 200; i++ {
-		refs = append(refs, a.Append(types.Tuple{types.Int(int64(i)), types.Str("payload")}))
-	}
-	// Free every other row.
-	var live []Ref
-	for i, r := range refs {
-		if i%2 == 0 {
-			a.Free(r)
-		} else {
-			live = append(live, r)
-		}
-	}
-	if a.DeadBytes() == 0 {
-		t.Fatal("frees must accumulate dead bytes")
-	}
-	before := make([]types.Tuple, len(live))
-	for i, r := range live {
-		before[i] = a.Decode(r)
-	}
-	remap := a.Compact()
-	if len(remap) != len(refs) {
-		t.Fatalf("remap covers %d rows, want %d", len(remap), len(refs))
-	}
-	if a.DeadBytes() != 0 {
-		t.Fatalf("DeadBytes = %d after compaction", a.DeadBytes())
-	}
-	if a.Len() != len(live) || a.Rows() != len(live) {
-		t.Fatalf("Len/Rows = %d/%d, want %d", a.Len(), a.Rows(), len(live))
-	}
-	for i, r := range refs {
-		if i%2 == 0 {
-			if remap[r] != NoRef {
-				t.Fatalf("dead row %d remapped to %d", r, remap[r])
-			}
-			continue
-		}
-		nr := remap[r]
-		if nr == NoRef || !a.Live(nr) {
-			t.Fatalf("live row %d lost in compaction", r)
-		}
-	}
-	for i, r := range live {
-		got := a.Decode(remap[r])
-		if !got.Equal(before[i]) {
-			t.Fatalf("row %d: %v -> %v", r, before[i], got)
-		}
-	}
-	// Arrival order is preserved: refs renumber densely.
-	for i := 1; i < len(live); i++ {
-		if remap[live[i]] != remap[live[i-1]]+1 {
-			t.Fatalf("compacted refs not dense in arrival order: %v -> %v", live, remap)
-		}
-	}
-	// Freeing and compacting everything leaves an empty arena.
-	a.Each(func(r Ref) bool { a.Free(r); return true })
-	a.Compact()
-	if a.Len() != 0 || a.LiveBytes() != 0 {
-		t.Fatalf("empty compaction: len=%d liveBytes=%d", a.Len(), a.LiveBytes())
 	}
 }

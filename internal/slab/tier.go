@@ -14,16 +14,12 @@ import (
 // appended to) and a list of sealed segments: append-frozen runs of exactly
 // SegmentRows rows each. Sealing never renumbers anything — ref r lives in
 // segment r/SegmentRows (or the hot region past the last seal) forever, so
-// indexes and window queues keep their refs across seals, spills and
-// segment compactions. Sealed segments are:
+// indexes keep their refs across seals and spills. Sealed segments are:
 //
-//	hot → sealed ─→ spilled ──→ quarantined
-//	        │          │  ↑
-//	        └─compact──┘  └─ faulted back in (read-through cache)
+//	hot → sealed → spilled ──→ quarantined
+//	                  ↑
+//	                  └─ faulted back in (read-through cache)
 //
-//   - compacted in place segment-by-segment (dead rows become zero-length
-//     spans; refs stay stable) instead of the legacy stop-the-world
-//     Arena.Compact rebuild;
 //   - spilled to a SegmentStore in the checksummed segment encoding once
 //     memory pressure demands it (or eagerly when no Pressure ladder is
 //     attached), dropping the in-RAM payload;
@@ -33,7 +29,7 @@ import (
 //     plane turns into a checkpoint restore (never fabricated rows).
 //
 // The tier is opt-in per arena (EnableTier on an empty arena); a plain
-// arena is byte-for-byte the legacy code path.
+// arena is byte-for-byte the single-slab code path.
 
 // tierGen distinguishes arena generations within one process so a reborn
 // task's segments never collide with its predecessor's keys in a shared
@@ -51,12 +47,11 @@ type SegmentStore interface {
 
 // TierConfig configures one arena's tier.
 type TierConfig struct {
-	// SegmentRows is the seal threshold (rows per sealed segment). Rounded
-	// up to a multiple of 64 so per-segment dead bitmaps are word-aligned.
-	// Default 1024.
+	// SegmentRows is the seal threshold (rows per sealed segment). Default
+	// 1024.
 	SegmentRows int
 	// Store is the spill target. Nil disables spilling: the tier still
-	// seals and compacts segment-by-segment but keeps everything resident.
+	// seals segments but keeps everything resident.
 	Store SegmentStore
 	// CkStore is the checkpoint domain for incremental checkpoints: sealed
 	// segments are persisted here once ("ck-" keys, written before the
@@ -94,9 +89,8 @@ func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 
 // SegmentCk references one sealed segment from an incremental checkpoint:
 // the blob lives in the checkpoint store under Key (written once, at seal
-// persistence), and Dead is the segment's tombstone bitmap at checkpoint
-// time — restore skips those rows, which also covers rows compacted away
-// after the blob was written (dead bits are never cleared in tiered mode).
+// persistence). Dead is the v2 manifest's per-row skip bitmap; arenas never
+// delete rows, so SealedSegmentCks always leaves it nil.
 type SegmentCk struct {
 	Key  string
 	CRC  uint32
@@ -121,10 +115,9 @@ type TierStats struct {
 // always (4*(segRows+1) bytes — the ref→span map); blob is the packed row
 // payload and is nil while spilled and uncached.
 type segment struct {
-	offs        []uint32 // segRows+1 local offsets; zero-length span = compacted-away row
+	offs        []uint32 // segRows+1 local offsets
 	blob        []byte   // row payload; nil when spilled and not faulted in
 	crc         uint32   // CRC of the encoded segment (set at first encode)
-	deadBytes   int      // tombstoned payload bytes not yet compacted
 	spilled     bool     // a verified copy lives in cfg.Store under key
 	key         string   // spill-store key
 	persisted   bool     // a copy lives in cfg.CkStore under ckKey
@@ -141,13 +134,10 @@ type tier struct {
 	gauge   *PressureGauge
 	keyBase string
 
-	hotDeadBytes      int   // tombstoned bytes in the hot region (moves into the segment at seal)
 	residentBlobBytes int64 // payload bytes of segments currently in RAM
-	segPayloadTotal   int64 // logical payload bytes of all sealed segments
 	spilledPayload    int64 // payload bytes of segments with a spill copy
 	cached            int   // spilled segments currently faulted in
 	appends           int   // amortization counter for maintenance from Append
-	compactCursor     int   // round-robin position of the background compactor
 	spills            int64
 	faults            int64
 	spillErrors       int64
@@ -167,7 +157,6 @@ func (a *Arena) EnableTier(cfg TierConfig) {
 	if cfg.SegmentRows <= 0 {
 		cfg.SegmentRows = 1024
 	}
-	cfg.SegmentRows = (cfg.SegmentRows + 63) &^ 63
 	if cfg.CacheSegments <= 0 {
 		cfg.CacheSegments = 4
 	}
@@ -234,16 +223,6 @@ func (a *Arena) ReleaseTier() {
 	}
 }
 
-// Maintain runs one amortized maintenance step: at most one segment
-// compaction, at most one pressure-driven spill, and a gauge sync. Cheap
-// enough to call from operator hot paths (it is also driven automatically
-// from Append); no-op on a plain arena.
-func (a *Arena) Maintain() {
-	if a.t != nil {
-		a.t.maintain(a)
-	}
-}
-
 // hotBase returns the first hot (unsealed) ref.
 func (t *tier) hotBase() int { return len(t.segs) * t.segRows }
 
@@ -272,15 +251,12 @@ func (t *tier) seal(a *Arena) {
 	copy(offs, a.offs)
 	offs[n] = uint32(len(a.buf))
 	seg := &segment{
-		offs:      offs,
-		blob:      a.buf,
-		deadBytes: t.hotDeadBytes,
-		tick:      t.nextTick(),
+		offs: offs,
+		blob: a.buf,
+		tick: t.nextTick(),
 	}
 	t.segs = append(t.segs, seg)
-	t.hotDeadBytes = 0
 	t.residentBlobBytes += int64(len(seg.blob))
-	t.segPayloadTotal += int64(len(seg.blob))
 	a.buf = nil
 	a.offs = a.offs[:0]
 	if t.cfg.Store != nil && t.cfg.Pressure == nil {
@@ -290,62 +266,10 @@ func (t *tier) seal(a *Arena) {
 	t.syncGauge(a)
 }
 
-// maintain is one background-compactor + spill-ladder step.
+// maintain is one spill-ladder step plus a gauge sync.
 func (t *tier) maintain(a *Arena) {
-	t.compactStep(a)
 	t.spillStep(a)
 	t.syncGauge(a)
-}
-
-// compactStep advances the round-robin compactor one segment, rewriting it
-// without its tombstoned payload when waste dominates. Spilled and
-// quarantined segments are immutable and skipped.
-func (t *tier) compactStep(a *Arena) {
-	if len(t.segs) == 0 {
-		return
-	}
-	t.compactCursor++
-	if t.compactCursor >= len(t.segs) {
-		t.compactCursor = 0
-	}
-	si := t.compactCursor
-	seg := t.segs[si]
-	payload := int(seg.offs[len(seg.offs)-1])
-	if seg.spilled || seg.quarantined || seg.blob == nil {
-		return
-	}
-	if seg.deadBytes < compactMinDead || seg.deadBytes*2 <= payload {
-		return
-	}
-	t.compactSeg(a, si)
-}
-
-// compactMinDead is the per-segment compaction floor: below this much
-// tombstoned payload a rewrite isn't worth the copy.
-const compactMinDead = 4 << 10
-
-// compactSeg rewrites one resident segment keeping only live rows; dead
-// rows become zero-length spans so refs stay stable and the slot count
-// never changes.
-func (t *tier) compactSeg(a *Arena, si int) {
-	seg := t.segs[si]
-	base := si * t.segRows
-	old := len(seg.blob)
-	buf := make([]byte, 0, old-seg.deadBytes)
-	offs := make([]uint32, len(seg.offs))
-	for i := 0; i < t.segRows; i++ {
-		offs[i] = uint32(len(buf))
-		if a.Live(Ref(base + i)) {
-			buf = append(buf, seg.blob[seg.offs[i]:seg.offs[i+1]]...)
-		}
-	}
-	offs[t.segRows] = uint32(len(buf))
-	seg.blob = buf
-	seg.offs = offs
-	t.residentBlobBytes += int64(len(buf) - old)
-	t.segPayloadTotal += int64(len(buf) - old)
-	a.deadBytes -= seg.deadBytes
-	seg.deadBytes = 0
 }
 
 // spillStep spills at most one cold segment when the ladder (or eager
@@ -509,27 +433,6 @@ func (t *tier) quarantine(a *Arena, si int, cause error) {
 	panic(&CorruptSegmentError{Key: seg.key, Segment: si, Err: cause})
 }
 
-// noteFree records a tombstone's byte cost against the right region.
-func (t *tier) noteFree(a *Arena, r Ref) {
-	hb := t.hotBase()
-	if int(r) >= hb {
-		i := int(r) - hb
-		start := int(a.offs[i])
-		end := len(a.buf)
-		if i+1 < len(a.offs) {
-			end = int(a.offs[i+1])
-		}
-		a.deadBytes += end - start
-		t.hotDeadBytes += end - start
-		return
-	}
-	seg := t.segs[int(r)/t.segRows]
-	i := int(r) % t.segRows
-	span := int(seg.offs[i+1] - seg.offs[i])
-	a.deadBytes += span
-	seg.deadBytes += span
-}
-
 // syncGauge folds the arena's current footprint into the pressure ladder.
 func (t *tier) syncGauge(a *Arena) {
 	if t.gauge == nil {
@@ -538,39 +441,11 @@ func (t *tier) syncGauge(a *Arena) {
 	t.gauge.set(int64(a.MemSize()), t.spilledPayload, int64(len(t.segs)))
 }
 
-// compactAll force-compacts every resident segment (the tiered half of the
-// public Compact API).
-func (t *tier) compactAll(a *Arena) {
-	for si, seg := range t.segs {
-		if seg.spilled || seg.quarantined || seg.blob == nil || seg.deadBytes == 0 {
-			continue
-		}
-		t.compactSeg(a, si)
-	}
-	t.syncGauge(a)
-}
-
-// deadWords copies the word-aligned slice of the global tombstone bitmap
-// covering segment si (segRows is a multiple of 64), zero-padded past the
-// bitmap's lazily-grown end.
-func (t *tier) deadWords(a *Arena, si int) []uint64 {
-	words := t.segRows / 64
-	start := si * words
-	out := make([]uint64, words)
-	for i := 0; i < words; i++ {
-		if start+i < len(a.dead) {
-			out[i] = a.dead[start+i]
-		}
-	}
-	return out
-}
-
 // SealedSegmentCks persists every not-yet-persisted sealed segment to the
 // tier's checkpoint store and returns one SegmentCk per sealed segment:
 // the incremental-checkpoint manifest. Segments persisted by an earlier
 // call (or at spill time) are referenced without being rewritten — the
-// incremental property. The per-segment Dead bitmaps are snapshotted now,
-// so restore observes tombstones later than the blob write.
+// incremental property.
 func (a *Arena) SealedSegmentCks() ([]SegmentCk, error) {
 	t := a.t
 	if t == nil {
@@ -591,12 +466,7 @@ func (a *Arena) SealedSegmentCks() ([]SegmentCk, error) {
 			}
 			seg.persisted, seg.ckKey, seg.ckCRC = true, ckKey, crc
 		}
-		out = append(out, SegmentCk{
-			Key:  seg.ckKey,
-			CRC:  seg.ckCRC,
-			Rows: t.segRows,
-			Dead: t.deadWords(a, si),
-		})
+		out = append(out, SegmentCk{Key: seg.ckKey, CRC: seg.ckCRC, Rows: t.segRows})
 	}
 	return out, nil
 }
@@ -611,44 +481,11 @@ func (a *Arena) EachHotFrame(batchSize int, footer bool, scratch []byte, visit f
 			return visit(wire.AppendFooter(frame), count)
 		}
 	}
-	if batchSize <= 0 {
-		batchSize = 1
-	}
 	hb := 0
 	if a.t != nil {
 		hb = a.t.hotBase()
 	}
-	liveHot := 0
-	for i := hb; i < a.Rows(); i++ {
-		if a.Live(Ref(i)) {
-			liveHot++
-		}
-	}
-	frame := scratch[:0]
-	count := 0
-	remaining := liveHot
-	for i := hb; i < a.Rows(); i++ {
-		r := Ref(i)
-		if !a.Live(r) {
-			continue
-		}
-		if count == 0 {
-			n := remaining
-			if n > batchSize {
-				n = batchSize
-			}
-			frame = binary.AppendUvarint(frame[:0], uint64(n))
-		}
-		frame = append(frame, a.RowBytes(r)...)
-		count++
-		remaining--
-		if count == batchSize || remaining == 0 {
-			if !emit(frame, count) {
-				return
-			}
-			count = 0
-		}
-	}
+	a.framesFrom(hb, batchSize, scratch, emit)
 }
 
 // SpillReporter is implemented by operator state that can distinguish

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // mapStore is a SegmentStore for tests, with optional fault injection.
@@ -50,52 +51,44 @@ func tupleFor(i int) types.Tuple {
 	}
 }
 
-// Tiered and legacy arenas must agree on every observable after a random
-// append/free workload (no store: seal + segment compaction only).
+// A plain and a tiered arena fed the same rows must agree on refs, Rows and
+// every row's bytes while the tiered one seals, spills eagerly and faults
+// segments back in through a two-segment cache.
 func TestTieredEquivalence(t *testing.T) {
-	legacy := New()
+	plain := New()
 	tiered := New()
-	tiered.EnableTier(TierConfig{SegmentRows: 64})
+	tiered.EnableTier(TierConfig{SegmentRows: 64, Store: newMapStore(), CacheSegments: 2, KeyPrefix: "eq"})
 
 	rng := rand.New(rand.NewSource(42))
-	var refs []Ref
 	for i := 0; i < 2000; i++ {
 		tup := tupleFor(i)
-		r1 := legacy.Append(tup)
+		r1 := plain.Append(tup)
 		r2 := tiered.Append(tup)
 		if r1 != r2 {
-			t.Fatalf("ref divergence at %d: legacy %d tiered %d", i, r1, r2)
+			t.Fatalf("ref divergence at %d: plain %d tiered %d", i, r1, r2)
 		}
-		refs = append(refs, r1)
-		if rng.Intn(3) == 0 && len(refs) > 0 {
-			victim := refs[rng.Intn(len(refs))]
-			legacy.Free(victim)
-			tiered.Free(victim)
+		if rng.Intn(3) == 0 { // read an older row mid-stream: faults a spilled segment in
+			r := Ref(rng.Intn(i + 1))
+			if string(plain.RowBytes(r)) != string(tiered.RowBytes(r)) {
+				t.Fatalf("row %d bytes diverge mid-stream", r)
+			}
 		}
 	}
-	for i := 0; i < 500; i++ {
-		tiered.Maintain() // drive segment compaction
+	if plain.Rows() != tiered.Rows() {
+		t.Fatalf("rows diverge: plain %d tiered %d", plain.Rows(), tiered.Rows())
 	}
-	if legacy.Rows() != tiered.Rows() || legacy.Len() != tiered.Len() {
-		t.Fatalf("rows/len diverge: legacy %d/%d tiered %d/%d",
-			legacy.Rows(), legacy.Len(), tiered.Rows(), tiered.Len())
-	}
-	for i := 0; i < legacy.Rows(); i++ {
+	for i := 0; i < plain.Rows(); i++ {
 		r := Ref(i)
-		if legacy.Live(r) != tiered.Live(r) {
-			t.Fatalf("liveness diverges at ref %d", r)
+		if string(plain.RowBytes(r)) != string(tiered.RowBytes(r)) {
+			t.Fatalf("row %d bytes diverge", r)
 		}
-		if !legacy.Live(r) {
-			continue
-		}
-		want := legacy.Decode(r)
-		got := tiered.Decode(r)
-		if fmt.Sprint(want) != fmt.Sprint(got) {
-			t.Fatalf("row %d diverges:\nlegacy %v\ntiered %v", r, want, got)
+		if want, got := plain.Decode(r), tiered.Decode(r); !got.Equal(want) {
+			t.Fatalf("row %d diverges:\nplain  %v\ntiered %v", r, want, got)
 		}
 	}
-	if tiered.SealedSegments() == 0 {
-		t.Fatal("no segments sealed")
+	st := tiered.TierStats()
+	if st.SealedSegments == 0 || st.SpilledSegments != st.SealedSegments || st.Faults == 0 {
+		t.Fatalf("tier never sealed, spilled and faulted: %+v", st)
 	}
 }
 
@@ -137,35 +130,48 @@ func TestTierSpillFaultIn(t *testing.T) {
 		t.Fatal("SpilledBytes = 0 after spilling")
 	}
 	// MemSize must be far below the logical state (most payload on disk).
-	if a.MemSize() >= a.LiveBytes() {
-		t.Fatalf("MemSize %d not reduced below logical %d", a.MemSize(), a.LiveBytes())
+	logical := 0
+	for _, tup := range want {
+		logical += len(wire.Encode(nil, tup))
+	}
+	if a.MemSize() >= logical {
+		t.Fatalf("MemSize %d not reduced below logical %d", a.MemSize(), logical)
 	}
 }
 
-// Refs must survive seal + spill + compaction unchanged (the stable-ref
-// contract that lets indexes and window queues skip remapping).
+// Refs must survive seal + spill + fault-in unchanged (the stable-ref
+// contract that lets indexes hold refs without remapping): every ref handed
+// out by Append still names its row after the state around it has been
+// sealed, spilled under a pressure ladder and faulted back in.
 func TestTierStableRefs(t *testing.T) {
+	p := NewPressure(32 << 10)
 	a := New()
-	a.EnableTier(TierConfig{SegmentRows: 64})
-	var live []Ref
-	var want []types.Tuple
+	a.EnableTier(TierConfig{SegmentRows: 100, Store: newMapStore(), Pressure: p, CacheSegments: 2, KeyPrefix: "s"})
+	defer a.ReleaseTier()
+	var refs []Ref
 	for i := 0; i < 1500; i++ {
-		tup := tupleFor(i)
-		r := a.Append(tup)
-		if i%3 == 0 {
-			a.Free(r)
-		} else {
-			live = append(live, r)
-			want = append(want, tup)
+		r := a.Append(tupleFor(i))
+		if int(r) != i {
+			t.Fatalf("append %d got ref %d; refs must be dense", i, r)
 		}
+		refs = append(refs, r)
 	}
-	remap := a.Compact() // tiered: identity remap, in-place segment rewrites
-	for i, r := range live {
-		if remap[r] != r {
-			t.Fatalf("remap[%d] = %d, want identity", r, remap[r])
-		}
-		if fmt.Sprint(a.Decode(r)) != fmt.Sprint(want[i]) {
-			t.Fatalf("row %d diverges after compaction", r)
+	if a.Rows() != len(refs) {
+		t.Fatalf("Rows = %d, want %d", a.Rows(), len(refs))
+	}
+	if st := a.TierStats(); st.SpilledSegments == 0 {
+		t.Fatalf("nothing spilled: %+v", st)
+	}
+	// Newest first, then oldest first: both directions fault segments in.
+	for pass := 0; pass < 2; pass++ {
+		for k := range refs {
+			i := k
+			if pass == 0 {
+				i = len(refs) - 1 - k
+			}
+			if got := a.Decode(refs[i]); !got.Equal(tupleFor(i)) {
+				t.Fatalf("pass %d: ref %d holds %v, want %v", pass, refs[i], got, tupleFor(i))
+			}
 		}
 	}
 }
@@ -213,9 +219,9 @@ func TestTierQuarantine(t *testing.T) {
 	}()
 }
 
-// Incremental checkpoints: segments persist to the ck store exactly once;
-// later calls reference them by key without rewriting, and the dead
-// bitmaps snapshot checkpoint-time tombstones.
+// Incremental checkpoints: segments persist to the ck store exactly once,
+// later calls reference them by key without rewriting, and no reference
+// carries a Dead bitmap (arenas never delete rows).
 func TestSealedSegmentCks(t *testing.T) {
 	ck := newMapStore()
 	a := New()
@@ -235,7 +241,6 @@ func TestSealedSegmentCks(t *testing.T) {
 		t.Fatalf("%d puts for %d new segments", firstPuts, len(cks))
 	}
 
-	a.Free(Ref(0)) // tombstone after persistence
 	for i := 200; i < 280; i++ {
 		a.Append(tupleFor(i))
 	}
@@ -247,11 +252,11 @@ func TestSealedSegmentCks(t *testing.T) {
 	if ck.puts != firstPuts+newSegs {
 		t.Fatalf("incremental violated: %d new puts for %d new segments", ck.puts-firstPuts, newSegs)
 	}
-	if cks2[0].Dead[0]&1 == 0 {
-		t.Fatal("checkpoint-time tombstone not in Dead bitmap")
-	}
 	// Blobs in the store must decode and match their recorded CRC.
 	for _, c := range cks2 {
+		if c.Dead != nil {
+			t.Fatalf("ck %s carries a Dead bitmap %v", c.Key, c.Dead)
+		}
 		blob, ok, err := ck.GetSegment(c.Key)
 		if err != nil || !ok {
 			t.Fatalf("ck blob %s missing (%v)", c.Key, err)

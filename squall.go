@@ -239,14 +239,14 @@ type Options struct {
 	// seal cold segments into checksummed, append-frozen blobs that spill to
 	// a segment store under memory pressure and fault back in on demand, so
 	// a join whose state exceeds MemCapBytes keeps running instead of
-	// aborting. Ignored by the aggregate-view fast path.
+	// aborting. State is append-only (full history), so segments are never
+	// rewritten once sealed. Ignored by the aggregate-view fast path.
 	Tier *TierOptions
 }
 
 // TierOptions tune the tiered state layer (Options.Tier).
 type TierOptions struct {
-	// SegmentRows is the rows per sealed segment (default 1024; rounded to a
-	// multiple of 64).
+	// SegmentRows is the rows per sealed segment (default 1024).
 	SegmentRows int
 	// CacheSegments caps how many spilled segments one arena keeps faulted
 	// in at a time (default 4).
