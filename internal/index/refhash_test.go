@@ -98,6 +98,38 @@ func TestRefHashEachEarlyStop(t *testing.T) {
 	}
 }
 
+// With no tombstones a probe chain ends only at an empty slot, so the table
+// must never fill: it doubles once distinct keys reach 3/4 of the slots, and
+// postings under an existing key never grow it.
+func TestRefHashLoadFactor(t *testing.T) {
+	t.Run("distinct_keys", func(t *testing.T) {
+		h := NewRefHash()
+		for i := 0; i < 5000; i++ {
+			before := len(h.slots)
+			h.Insert(uint64(i)<<3, uint32(i)) // shared low bits: long chains
+			if before != 0 && 4*(h.Keys()-1) >= 3*before && len(h.slots) != 2*before {
+				t.Fatalf("key %d: %d slots at %d keys, want growth to %d", i, len(h.slots), h.Keys()-1, 2*before)
+			}
+			if 4*(h.Keys()-1) >= 3*len(h.slots) {
+				t.Fatalf("key %d: %d keys in %d slots exceeds 3/4 load", i, h.Keys(), len(h.slots))
+			}
+		}
+		// An absent key's probe must reach an empty slot and stop.
+		if got := h.AppendRefs(nil, 1); len(got) != 0 {
+			t.Fatalf("absent key has refs %v", got)
+		}
+	})
+	t.Run("postings_under_one_key", func(t *testing.T) {
+		h := NewRefHash()
+		for i := 0; i < 5000; i++ {
+			h.Insert(42, uint32(i))
+		}
+		if len(h.slots) != 8 || h.Keys() != 1 || h.Len() != 5000 {
+			t.Fatalf("%d slots, %d keys, %d refs; want 8, 1, 5000", len(h.slots), h.Keys(), h.Len())
+		}
+	})
+}
+
 func TestRefHashMemSizeGrows(t *testing.T) {
 	h := NewRefHash()
 	before := h.MemSize()

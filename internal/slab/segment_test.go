@@ -2,7 +2,10 @@ package slab
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -61,6 +64,50 @@ func TestSegmentRejectsEmptySpan(t *testing.T) {
 	offs, payload := buildSegment([][]byte{[]byte("row-one"), {}, []byte("row-three")})
 	if _, _, _, err := DecodeSegment(AppendSegment(nil, offs, payload)); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("DecodeSegment(empty span) = %v, want ErrSegmentCorrupt", err)
+	}
+}
+
+// sealBody appends the CRC32 trailer to a hand-built segment body, so a
+// malformed header or span table reaches the structural checks instead of
+// failing the checksum first.
+func sealBody(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+}
+
+// Each structural check of DecodeSegment must reject its own malformation
+// even behind a valid CRC (the mutation test below only ever trips the CRC).
+func TestSegmentStructuralChecks(t *testing.T) {
+	hdr := func(magic string, version byte, rest ...byte) []byte {
+		return append(append([]byte(magic), version), rest...)
+	}
+	if got, want := sealBody(hdr(segMagic, segVersion, 1, 3, 'a', 'b', 'c')),
+		AppendSegment(nil, []uint32{0, 3}, []byte("abc")); !bytes.Equal(got, want) {
+		t.Fatalf("hand-built segment %x != AppendSegment %x", got, want)
+	}
+	cases := []struct {
+		name string
+		body []byte
+		want string
+	}{
+		{"bad_magic", hdr("SQSX", segVersion, 1, 3, 'a', 'b', 'c'), "bad magic"},
+		{"unsupported_version", hdr(segMagic, segVersion+1, 1, 3, 'a', 'b', 'c'), "unsupported version 2"},
+		{"truncated_row_count", hdr(segMagic, segVersion, 0x80), "bad row count"},
+		{"row_count_exceeds_body", hdr(segMagic, segVersion, 5, 3, 'a'), "row count 5 exceeds body"},
+		{"truncated_span", hdr(segMagic, segVersion, 1, 0x80), "bad span 0"},
+		{"spans_exceed_body", hdr(segMagic, segVersion, 1, 0xc8, 0x01, 'a', 'b', 'c'), "spans exceed body"},
+		{"payload_short_of_spans", hdr(segMagic, segVersion, 1, 5, 'a', 'b', 'c'), "payload 3B, spans say 5B"},
+		{"payload_past_spans", hdr(segMagic, segVersion, 1, 2, 'a', 'b', 'c'), "payload 3B, spans say 2B"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, _, _, err := DecodeSegment(sealBody(c.body))
+			if !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("DecodeSegment = %v, want ErrSegmentCorrupt", err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("DecodeSegment = %q, want the %q check", err, c.want)
+			}
+		})
 	}
 }
 

@@ -268,6 +268,56 @@ func TestSealedSegmentCks(t *testing.T) {
 	}
 }
 
+// EachHotFrame covers exactly the rows appended since the last seal (every
+// row on a plain arena), blitted byte-identical to EncodeBatch over the same
+// tuples, bare or footered. Segments hold exactly SegmentRows rows, so the
+// seal count and hot tail follow SegmentRows even when it is not a multiple
+// of 64.
+func TestEachHotFrameCoversRowsSinceLastSeal(t *testing.T) {
+	const n, batch = 250, 16
+	for _, segRows := range []int{0, 1, 7, 64, 100} {
+		name := fmt.Sprintf("segment_rows_%d", segRows)
+		if segRows == 0 {
+			name = "plain"
+		}
+		t.Run(name, func(t *testing.T) {
+			a := New()
+			if segRows > 0 {
+				a.EnableTier(TierConfig{SegmentRows: segRows, KeyPrefix: "h"})
+			}
+			want := make([]types.Tuple, n)
+			for i := range want {
+				want[i] = tupleFor(i)
+				a.Append(want[i])
+			}
+			hot := want
+			if segRows > 0 {
+				if got := a.SealedSegments(); got != n/segRows {
+					t.Fatalf("%d sealed segments, want %d", got, n/segRows)
+				}
+				hot = want[n/segRows*segRows:]
+			}
+			for _, footer := range []bool{false, true} {
+				rows := 0
+				a.EachHotFrame(batch, footer, nil, func(frame []byte, count int) bool {
+					exp := wire.EncodeBatch(nil, hot[rows:rows+count])
+					if footer {
+						exp = wire.AppendFooter(exp)
+					}
+					if string(frame) != string(exp) {
+						t.Fatalf("footer=%v: frame at hot row %d differs from EncodeBatch", footer, rows)
+					}
+					rows += count
+					return true
+				})
+				if rows != len(hot) {
+					t.Fatalf("footer=%v: hot frames carried %d rows, want %d", footer, rows, len(hot))
+				}
+			}
+		})
+	}
+}
+
 // Spill-store write failures must leave segments resident and counted, not
 // lose state (degradation, not data loss).
 func TestTierSpillErrorKeepsResident(t *testing.T) {
