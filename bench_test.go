@@ -1,11 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // (§6, §7). Each benchmark maps to one experiment of DESIGN.md's
-// per-experiment index; `go test -bench=. -benchmem` prints the series, and
-// `cmd/squallbench` renders the same data as paper-style tables.
+// per-experiment index; `go test -bench=. -benchmem` prints the series.
 //
 // Scales are reduced (the paper ran 10G-80G TPC-H on a 220-thread cluster;
-// we run thousandth-scale in-process) — EXPERIMENTS.md records the measured
-// vs published shapes.
+// we run thousandth-scale in-process); DESIGN.md records the measured vs
+// published shapes, and the shape tests (experiments/, squall_test.go) gate
+// the ones that hold at this scale.
 package squall_test
 
 import (
@@ -308,6 +308,29 @@ func BenchmarkSection5_HashImperfection(b *testing.B) {
 			b.ReportMetric(res.HashSuboptimal, "hash-subopt-frac")
 		})
 	}
+}
+
+// BenchmarkSection5_Recovery regenerates the §5 fault-tolerance claim ("network
+// accesses are several times faster than disk accesses"): one joiner of a
+// replicated Random-Hypercube 2-way join is killed mid-run and recovered from
+// a peer, then from its checkpoint on the modeled disk (2 ms seek, 120 MB/s).
+// Reports both recovery times and the peer-recovered run's elapsed time over
+// the fault-free run's, each the best of three runs.
+func BenchmarkSection5_Recovery(b *testing.B) {
+	var res experiments.RecoveryResult
+	for i := 0; i < b.N; i++ {
+		var err error
+		res, err = experiments.Section5Recovery(experiments.RecoveryConfig{RTuples: 60_000, STuples: 60_000, Machines: 8, Reps: 3})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if !res.BagEqual {
+			b.Fatal("recovered runs are not bag-equal to the fault-free run")
+		}
+	}
+	b.ReportMetric(float64(res.Peer.Recovery)/1e3, "peer-recovery-us")
+	b.ReportMetric(float64(res.Disk.Recovery)/1e3, "disk-recovery-us")
+	b.ReportMetric(res.Overhead(), "recovered-overhead-x")
 }
 
 // BenchmarkSection5_TemporalSkew regenerates the §5 temporal-skew analysis:

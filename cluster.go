@@ -169,7 +169,7 @@ type ClusterSpec struct {
 	Retry transport.RetryPolicy
 	// Fault, when set, wraps every coordinator-dialed connection for
 	// deterministic fault injection (see transport.FaultSpec) — the chaos
-	// hook used by tests and squallbench.
+	// hook the cluster tests use.
 	Fault *transport.FaultSpec
 	// Store, when set, is served by the coordinator to every worker over
 	// the session link, making checkpoint state survive the process that

@@ -283,6 +283,18 @@ func TestClusterPolicyRetryPartition(t *testing.T) {
 // Under FateShare the same mid-run worker loss still fails loudly — the
 // differential baseline.
 func TestClusterPolicyFateShareStillFails(t *testing.T) {
+	deadWorkerFails(t, squall.FateShare)
+}
+
+// Under Retry a dead worker is not a transient fault: re-dispatching onto it
+// must fail the run, not report success.
+func TestClusterPolicyRetryDeadWorkerFails(t *testing.T) {
+	deadWorkerFails(t, squall.Retry)
+}
+
+// deadWorkerFails kills the joiner's worker mid-run under policy and expects
+// the run to fail promptly.
+func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 	cfg := enginetest.EngineConfig{
 		Scheme: squall.HashHypercube, Local: squall.Traditional,
 		BatchSize: 8, Machines: 4, Seed: 42,
@@ -297,7 +309,7 @@ func TestClusterPolicyFateShareStillFails(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	opts.Cluster = chaosSpec(addrs, params, squall.FateShare)
+	opts.Cluster = chaosSpec(addrs, params, policy)
 	done := make(chan error, 1)
 	go func() {
 		_, err := q.Run(opts)
@@ -306,10 +318,10 @@ func TestClusterPolicyFateShareStillFails(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatalf("FateShare run succeeded despite a dead worker")
+			t.Fatalf("%v run succeeded despite a dead worker", policy)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("FateShare run hung after worker death")
+		t.Fatalf("%v run hung after worker death", policy)
 	}
 }
 

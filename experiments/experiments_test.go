@@ -139,6 +139,93 @@ func TestFigure8ShapeGoogleTaskCount(t *testing.T) {
 	}
 }
 
+// TestFigure8Shape locks Figure 8's headline at the benchmark's scale: on the
+// high fan-out 3-Reachability query, DBToaster's aggregate views beat the
+// traditional local join, which re-enumerates every 2-hop match. TPCH9-Partial
+// and Q3 are timed and logged, not gated: at this scale neither local join is
+// reliably ahead on them. Each timing is the best of interleaved rounds with
+// rotating order and a GC before every run; both local joins must agree on
+// the result count.
+func TestFigure8Shape(t *testing.T) {
+	gen := datagen.NewTPCH(42, 60_000, 2)
+	web := datagen.NewWebGraph(3, 3000, 30000, 0)
+	cases := []struct {
+		name  string
+		build func(squall.LocalJoinKind) *squall.JoinQuery
+	}{
+		{"Reachability3", func(l squall.LocalJoinKind) *squall.JoinQuery {
+			return Reachability3(web, squall.HybridHypercube, l, 8)
+		}},
+		{"TPCH9-Partial", func(l squall.LocalJoinKind) *squall.JoinQuery {
+			return TPCH9Partial(gen, squall.HybridHypercube, l, 8)
+		}},
+		{"Q3", func(l squall.LocalJoinKind) *squall.JoinQuery {
+			return Q3(gen, squall.HybridHypercube, l, 8)
+		}},
+	}
+	locals := []squall.LocalJoinKind{squall.DBToaster, squall.Traditional}
+	rounds := 5
+	if raceEnabled {
+		rounds = 1
+	}
+	for _, c := range cases {
+		best := map[squall.LocalJoinKind]time.Duration{}
+		rows := map[squall.LocalJoinKind]int64{}
+		for round := 0; round < rounds; round++ {
+			for k := range locals {
+				local := locals[(round+k)%len(locals)]
+				runtime.GC()
+				res, err := c.build(local).Run(squall.Options{Seed: 5})
+				if err != nil {
+					t.Fatalf("%s/%v: %v", c.name, local, err)
+				}
+				rows[local] = res.RowCount
+				if b, ok := best[local]; !ok || res.Metrics.Elapsed < b {
+					best[local] = res.Metrics.Elapsed
+				}
+			}
+		}
+		if rows[squall.DBToaster] != rows[squall.Traditional] {
+			t.Fatalf("%s: DBToaster %d rows, Traditional %d", c.name, rows[squall.DBToaster], rows[squall.Traditional])
+		}
+		dbt, trad := best[squall.DBToaster], best[squall.Traditional]
+		t.Logf("%s: DBToaster %v, Traditional %v (best of %d)", c.name, dbt, trad, rounds)
+		if c.name == "Reachability3" && !raceEnabled && dbt >= trad {
+			t.Errorf("Reachability3: DBToaster (%v) must beat Traditional (%v)", dbt, trad)
+		}
+	}
+}
+
+// TestSection5Recovery is the §5 recovery claim at CI scale: a killed joiner
+// of a replicated Random-Hypercube join comes back bag-equal from peers and
+// from the modeled disk, each relation takes the route asked for, and the
+// peer route is the faster one.
+func TestSection5Recovery(t *testing.T) {
+	reps := 3
+	if raceEnabled {
+		reps = 1 // the runs and their routes still count; their timings do not
+	}
+	res, err := Section5Recovery(RecoveryConfig{RTuples: 16_000, STuples: 16_000, Machines: 8, Reps: reps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []RecoveryRun{res.FaultFree, res.Peer, res.Disk} {
+		t.Logf("%-10s elapsed %v, recovery %v, routes %dp/%dc", r.Name, r.Elapsed, r.Recovery, r.PeerRels, r.CheckpointRels)
+	}
+	if !res.BagEqual || res.FaultFree.Rows == 0 {
+		t.Fatalf("recovered runs are not bag-equal to the fault-free run (%d rows)", res.FaultFree.Rows)
+	}
+	if res.Peer.PeerRels != 2 {
+		t.Errorf("peer run recovered %d of 2 relations from peers", res.Peer.PeerRels)
+	}
+	if res.Disk.CheckpointRels != 2 {
+		t.Errorf("disk run recovered %d of 2 relations from checkpoints", res.Disk.CheckpointRels)
+	}
+	if !raceEnabled && res.Peer.Recovery >= res.Disk.Recovery {
+		t.Errorf("peer recovery (%v) is not faster than disk recovery (%v)", res.Peer.Recovery, res.Disk.Recovery)
+	}
+}
+
 // TestQ3SchemesAgree: Q3 under zipf custkey skew across schemes.
 func TestQ3SchemesAgree(t *testing.T) {
 	gen := datagen.NewTPCH(21, 30000, 2)

@@ -41,7 +41,7 @@ var (
 // The stages run at BatchSize=1 — one-row batches, so every tuple is
 // shipped, serialized and decoded on its own as in the figure (Storm ships
 // tuples individually); Figure5StagesBatch is the batched-transport variant
-// used by the PR 1 comparison harness.
+// BenchmarkFigure5_Bottleneck compares it against.
 func Figure5Stages(gen *datagen.TPCH, machines int, seed int64) []Figure5Stage {
 	return Figure5StagesBatch(gen, machines, seed, 1)
 }
@@ -99,11 +99,10 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 				Kind:    squall.Count,
 			},
 		}
-		// The figure decomposes the boxed pipeline's cost structure, and the
-		// PR 1 batch experiment reuses this stage as its one-row-vs-batched
-		// transport comparison: pin the boxed execution path so batchSize=1
-		// keeps measuring per-tuple shipping of boxed tuples (the packed path
-		// has its own experiment, `squallbench exec`).
+		// The figure decomposes the boxed pipeline's cost structure, and
+		// BenchmarkFigure5_Bottleneck reuses this stage as its one-row-vs-
+		// batched transport comparison: pin the boxed execution path so
+		// batchSize=1 keeps measuring per-tuple shipping of boxed tuples.
 		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize, PackedExec: squall.PackedOff})
 		if err != nil {
 			return 0, err

@@ -1,7 +1,7 @@
 // Package experiments defines the paper's evaluation workloads (§6, §7) as
-// reusable query builders. The benchmark suite (bench_test.go), the
-// squallbench CLI and the integration tests all run these definitions, so
-// EXPERIMENTS.md numbers are regenerated from a single source of truth.
+// reusable query builders. The paper benchmarks (bench_test.go) and the
+// shape tests here both run these definitions, so every reported number is
+// regenerated from a single source of truth.
 package experiments
 
 import (

@@ -1,9 +1,8 @@
 // Package clusterjobs registers the cluster jobs every squall worker binary
 // must know (see squall.RegisterClusterJob): a cluster worker rebuilds its
 // share of a run from a job name plus opaque parameters, so any binary that
-// may serve as a worker — cmd/squalld, the enginetest test binary,
-// squallbench's worker mode — imports this package and gets the identical
-// plan construction the coordinator used.
+// may serve as a worker — cmd/squalld, the enginetest test binary — imports
+// this package and gets the identical plan construction the coordinator used.
 package clusterjobs
 
 import (
@@ -18,8 +17,8 @@ import (
 )
 
 // WorkloadJob rebuilds a deterministic enginetest workload and one engine
-// configuration over it. It backs both the multi-process differential tests
-// and squallbench's net experiment: the workload generator is seeded, so the
+// configuration over it. It backs the multi-process differential and the
+// cluster chaos tests: the workload generator is seeded, so the
 // coordinator and every worker derive identical relations from the params
 // alone — no tuple data crosses the wire at setup.
 const WorkloadJob = "enginetest-workload"

@@ -191,7 +191,8 @@ func TestHybridAllSkewedActsLikeRandom(t *testing.T) {
 // tpch9Spec is the TPCH9-Partial join Lineitem ⋈ PartSupp ⋈ Part:
 // L.pk = PS.pk = P.pk and L.sk = PS.sk. Columns: L=(pk, sk, ...),
 // PS=(pk, sk, ...), P=(pk, ...). Sizes follow TPC-H with the Q9 Part filter
-// applied (Part ≈ 0.1M at 10G scale; see EXPERIMENTS.md).
+// applied (Part ≈ 0.1M at 10G scale: the green-part filter keeps 1/20 of
+// the 2M parts).
 func tpch9Spec(l, ps, p int64) JoinSpec {
 	return JoinSpec{
 		Graph: expr.MustJoinGraph(3,

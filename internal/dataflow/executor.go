@@ -230,6 +230,41 @@ type Collector struct {
 	recShared  []bool
 	recPid     int
 	inRecGate  bool
+	// held is set on a recovery-protected task while it executes one tuple:
+	// Emit parks tuples in heldT, EmitRow parks rows in heldRows (ending at
+	// heldEnds), and settle ships or drops them once the tuple returns. A
+	// panic captured mid-tuple then never leaves the tuple half-emitted —
+	// the packed join emits per match, and a corrupt spilled segment fails
+	// its fault-in mid-probe.
+	held     bool
+	heldT    []types.Tuple
+	heldRows []byte
+	heldEnds []int
+}
+
+// settle ends a held tuple whose execution returned err: on success its
+// parked emissions go out through the normal Emit/EmitRow paths, on failure
+// (a panic, re-run after the restore) they are dropped.
+func (c *Collector) settle(err error) error {
+	c.held = false
+	if err == nil {
+		start := 0
+		for _, end := range c.heldEnds {
+			if err = c.EmitRow(c.heldRows[start:end]); err != nil {
+				break
+			}
+			start = end
+		}
+		for _, t := range c.heldT {
+			if err != nil {
+				break
+			}
+			err = c.Emit(t)
+		}
+	}
+	clear(c.heldT)
+	c.heldT, c.heldRows, c.heldEnds = c.heldT[:0], c.heldRows[:0], c.heldEnds[:0]
+	return err
 }
 
 // recEnter joins the recovery pause gate unless this goroutine already holds
@@ -255,6 +290,10 @@ func (c *Collector) recExit() {
 // so the caller must not mutate it after emitting — the engine-wide
 // tuples-are-immutable convention (types.Tuple) is load-bearing here.
 func (c *Collector) Emit(t types.Tuple) error {
+	if c.held {
+		c.heldT = append(c.heldT, t)
+		return nil
+	}
 	c.metrics.Emitted.Add(1)
 	for ei, e := range c.node.outputs {
 		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
@@ -292,8 +331,8 @@ func (c *Collector) Emit(t types.Tuple) error {
 			// sub-BatchSize frames for the uneven targets here: flushing
 			// only the targets sharing pending replicas would need
 			// per-tuple target-set bookkeeping on the hot path, and the
-			// conservative whole-edge flush is what the `recover`
-			// experiment's <25% overhead gate already prices in.
+			// conservative whole-edge flush is already priced into the
+			// recovered-run overhead BenchmarkSection5_Recovery reports.
 			if err := c.flushEdgeTracked(ei); err != nil {
 				return err
 			}
@@ -318,6 +357,11 @@ func (c *Collector) Emit(t types.Tuple) error {
 // non-adaptive edges costs N memcpys, zero decodes and zero re-encodes.
 // The row is copied immediately, so the caller may reuse its buffer.
 func (c *Collector) EmitRow(row []byte) error {
+	if c.held {
+		c.heldRows = append(c.heldRows, row...)
+		c.heldEnds = append(c.heldEnds, len(c.heldRows))
+		return nil
+	}
 	c.metrics.Emitted.Add(1)
 	if err := c.rowCur.Reset(row); err != nil {
 		return fmt.Errorf("dataflow: EmitRow from %s[%d]: %w", c.node.name, c.task, err)
@@ -1148,9 +1192,11 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	}
 
 	// deliver applies one data envelope tuple by tuple (or, for packed
-	// frames into a RowBolt, row by row without decoding). A panic with an
-	// open recovery session (and no conflicting round) is captured as the
-	// poisoned envelope and reported via errPanicCaptured.
+	// frames into a RowBolt, row by row without decoding). On a protected
+	// task each tuple's emissions are held until it returns (Collector.held),
+	// so a panic with an open recovery session (and no conflicting round)
+	// drops the poisoned tuple's partial output, is captured as the poisoned
+	// envelope and reported via errPanicCaptured.
 	// vecHere gates whole-frame delivery: vectorized execution stays off on
 	// recovery-protected tasks (their replay bookkeeping is per row) and on
 	// adaptive joiners (per-row load reports drive the controller).
@@ -1200,7 +1246,12 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			k := 0
 			_, _, err := wire.EachRow(env.frame, &rcur, func(row []byte) error {
 				in.Row = row
-				if err := safeExecuteRow(rowBolt, in, col); err != nil {
+				col.held = rs != nil
+				err := safeExecuteRow(rowBolt, in, col)
+				if col.held {
+					err = col.settle(err)
+				}
+				if err != nil {
 					pf, panicked := err.(*panicFault)
 					if !panicked {
 						return err
@@ -1233,7 +1284,12 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 		}
 		for i := 0; i < len(batch); i++ {
 			in.Tuple = batch[i]
-			if err := safeExecute(bolt, in, col); err != nil {
+			col.held = rs != nil
+			err := safeExecute(bolt, in, col)
+			if col.held {
+				err = col.settle(err)
+			}
+			if err != nil {
 				pf, panicked := err.(*panicFault)
 				if !panicked {
 					return err
@@ -1490,9 +1546,9 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 		if err := deliver(env, true); err != nil {
 			if err == errPanicCaptured {
 				// Pending outputs hold only deltas of fully applied tuples
-				// (operators emit a tuple's deltas after OnTuple returns):
-				// flush them, drop the poisoned state, restore from the
-				// checkpoint route.
+				// (the poisoned tuple's held emissions were dropped): flush
+				// them, drop the poisoned state, restore from the checkpoint
+				// route.
 				if ferr := col.flushAll(); ferr != nil {
 					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] panic flush: %w", n.name, task, ferr))
 					return

@@ -45,8 +45,10 @@
 //     whose deltas the dying task never emitted), silently re-imports the
 //     applied prefix of the poisoned batch, and reprocesses the rest plus
 //     every stashed later envelope with full emission. Exactly-once holds
-//     because the engine's operators emit a tuple's deltas only after its
-//     OnTuple returns — a panic never leaves a tuple half-emitted. Capture
+//     because a protected task's collector holds each tuple's emissions
+//     until its execution returns and drops them on a panic — a panic never
+//     leaves a tuple half-emitted, even in the packed join, which emits per
+//     match while a probe may still fault a corrupt segment in. Capture
 //     requires a non-adaptive run: a reshape barrier already enqueued in
 //     the panicking task's inbox cannot be reconciled with its state loss,
 //     so adaptive runs surface panics as run errors (injected kills recover
@@ -72,8 +74,8 @@ import (
 // FaultPlan injects one deterministic task kill: the protected component's
 // task Task is killed once it has received AfterTuples tuples. The kill is
 // delivered at a quiesced point (see package comment), so the run must stay
-// exactly-once; squallbench's `recover` experiment and the enginetest chaos
-// dimension are built on it.
+// exactly-once; the §5 recovery experiment (experiments.Section5Recovery)
+// and the enginetest chaos dimension are built on it.
 type FaultPlan struct {
 	Task        int
 	AfterTuples int

@@ -34,18 +34,22 @@ func relOfStream(stream string) int {
 func (j *crossJoin) Execute(in Input, out *Collector) error {
 	rel := relOfStream(in.Stream)
 	for _, other := range j.rels[1-rel] {
-		pair := make(types.Tuple, 0, len(in.Tuple)+len(other))
-		if rel == 0 {
-			pair = append(append(pair, in.Tuple...), other...)
-		} else {
-			pair = append(append(pair, other...), in.Tuple...)
-		}
-		if err := out.Emit(pair); err != nil {
+		if err := out.Emit(pairOf(rel, in.Tuple, other)); err != nil {
 			return err
 		}
 	}
 	j.rels[rel] = append(j.rels[rel], in.Tuple)
 	return nil
+}
+
+// pairOf concatenates an arrival of relation rel with a stored tuple of the
+// other relation, R row first.
+func pairOf(rel int, t, other types.Tuple) types.Tuple {
+	pair := make(types.Tuple, 0, len(t)+len(other))
+	if rel == 0 {
+		return append(append(pair, t...), other...)
+	}
+	return append(append(pair, other...), t...)
 }
 
 func (j *crossJoin) Finish(*Collector) error { return nil }
@@ -302,6 +306,53 @@ func TestPanicCaptureRecovery(t *testing.T) {
 	// Panic recovery must never trust a peer snapshot (unemitted deltas).
 	if m.Recovery.PeerRels.Load() != 0 {
 		t.Fatalf("panic recovery took a peer route")
+	}
+	diffBags(t, want, got)
+}
+
+// midEmitPanicJoin panics once, at its Nth Execute, after emitting the first
+// of the arrival's pairs — as a packed join does when a probe faults a
+// corrupt spilled segment in after some matches went out.
+type midEmitPanicJoin struct {
+	crossJoin
+	armed   *atomic.Bool
+	after   int
+	applied int
+}
+
+func (j *midEmitPanicJoin) Execute(in Input, out *Collector) error {
+	j.applied++
+	rel := relOfStream(in.Stream)
+	if j.applied >= j.after && len(j.rels[1-rel]) > 1 && j.armed.CompareAndSwap(true, false) {
+		if err := out.Emit(pairOf(rel, in.Tuple, j.rels[1-rel][0])); err != nil {
+			return err
+		}
+		panic("injected panic after a partial emission")
+	}
+	return j.crossJoin.Execute(in, out)
+}
+
+// TestPanicMidEmitRecovery: a panic after part of a tuple's output was
+// emitted must not duplicate that part — the re-run emits the tuple's whole
+// output once.
+func TestPanicMidEmitRecovery(t *testing.T) {
+	rRows, sRows := recWorkload(100, 240)
+	const par = 3
+	opts := Options{Seed: 9, BatchSize: 4, ChannelBuf: 2}
+	want, _ := runRecTopology(t, rRows, sRows, par, nil, nil, opts)
+
+	armed := &atomic.Bool{}
+	armed.Store(true)
+	boltOf := func(task, ntasks int) Bolt {
+		if task == 1 {
+			return &midEmitPanicJoin{armed: armed, after: 70}
+		}
+		return &crossJoin{}
+	}
+	pol := recPolicy(par, nil, recovery.NewMemStore(), false, 48)
+	got, m := runRecTopology(t, rRows, sRows, par, pol, boltOf, opts)
+	if p := m.Recovery.Panics.Load(); p != 1 {
+		t.Fatalf("panics recovered = %d, want 1", p)
 	}
 	diffBags(t, want, got)
 }

@@ -3,6 +3,7 @@ package recovery
 import (
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -225,6 +226,36 @@ func TestDiskStoreDetectsCorruption(t *testing.T) {
 	}
 	if _, ok, err := disk.Get("joiner", 1); !ok || err != nil {
 		t.Fatalf("legacy file rejected: %v, %v", ok, err)
+	}
+}
+
+// Checkpoint and segment file names share one sanitizer: every rune outside
+// [A-Za-z0-9_-] becomes '_', so names that differ only in such a rune land
+// on the same file, and no name can leave the store directory.
+func TestDiskStoreFileNames(t *testing.T) {
+	dir := t.TempDir()
+	disk, err := NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := disk.fileFor("join/er", 2), disk.fileFor("join:er", 2); a != b || filepath.Base(a) != "join_er-2.ckpt" {
+		t.Fatalf("checkpoint files %q and %q, want both join_er-2.ckpt", a, b)
+	}
+	if a, b := disk.segFileFor("sp-a.b"), disk.segFileFor("sp-aéb"); a != b || filepath.Base(a) != "sp-a_b.seg" {
+		t.Fatalf("segment files %q and %q, want both sp-a_b.seg", a, b)
+	}
+	for _, p := range []string{disk.fileFor("../../x", 0), disk.segFileFor("../x")} {
+		if filepath.Dir(p) != dir {
+			t.Fatalf("%q escapes the store directory %q", p, dir)
+		}
+	}
+	// Through the store: a segment put under one key reads back under the
+	// other.
+	if err := disk.PutSegment("sp-k/1", []byte("blob")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok, err := disk.GetSegment("sp-k:1"); err != nil || !ok || string(got) != "blob" {
+		t.Fatalf("GetSegment(sp-k:1) = %q, %v, %v; want the blob put under sp-k/1", got, ok, err)
 	}
 }
 

@@ -203,17 +203,23 @@ func NewModeledDiskStore(dir string, seek time.Duration, readBytesPerSec int64) 
 	return s, nil
 }
 
-// fileFor sanitizes the component name into a stable file name.
-func (s *DiskStore) fileFor(component string, task int) string {
-	clean := strings.Map(func(r rune) rune {
+// fileSafe maps every rune outside [A-Za-z0-9_-] to '_', so a component
+// name or segment key becomes a file name that stays inside the store
+// directory.
+func fileSafe(name string) string {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
 			return r
 		default:
 			return '_'
 		}
-	}, component)
-	return filepath.Join(s.dir, fmt.Sprintf("%s-%d.ckpt", clean, task))
+	}, name)
+}
+
+// fileFor sanitizes the component name into a stable file name.
+func (s *DiskStore) fileFor(component string, task int) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s-%d.ckpt", fileSafe(component), task))
 }
 
 // writeAtomic writes data through a temp file and rename under the store
@@ -270,15 +276,7 @@ func (s *DiskStore) Get(component string, task int) (*Checkpoint, bool, error) {
 // segFileFor sanitizes a segment key into a stable file name, kept apart
 // from checkpoint files by extension.
 func (s *DiskStore) segFileFor(key string) string {
-	clean := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_':
-			return r
-		default:
-			return '_'
-		}
-	}, key)
-	return filepath.Join(s.dir, clean+".seg")
+	return filepath.Join(s.dir, fileSafe(key)+".seg")
 }
 
 // PutSegment atomically writes one sealed slab segment

@@ -16,7 +16,7 @@ import (
 // socket, a dropped or torn write desynchronizes the peer's parser exactly
 // the way a real half-dead link does; PartitionAfter models a one-way
 // partition (writes vanish, reads still flow), which only heartbeats can
-// detect. Tests and squallbench use it to exercise every rung of the
+// detect. The cluster chaos tests use it to exercise every rung of the
 // detection/retry/recovery ladder without killing processes and hoping.
 //
 // A FaultSpec is shared by every connection it wraps; use it by pointer and
