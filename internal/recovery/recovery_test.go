@@ -1,10 +1,13 @@
 package recovery
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"squall/internal/types"
@@ -295,4 +298,89 @@ func TestSegmentStoreMethods(t *testing.T) {
 			}
 		})
 	}
+}
+
+// DiskStore reads take no lock: writes replace files by rename, so a read
+// racing any number of writes to the same key returns one of the written
+// blobs whole — never an error, a miss or a torn mix of two writes.
+func TestDiskStoreReadsRaceWrites(t *testing.T) {
+	disk, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writes, readers = 100, 2
+	race := func(t *testing.T, put func(v int) error, check func() error) {
+		if err := put(0); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		done := make(chan struct{})
+		errs := make(chan error, 2+readers)
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(v int) {
+				defer wg.Done()
+				for i := 0; i < writes; i++ {
+					if err := put(v); err != nil {
+						errs <- err
+						return
+					}
+				}
+			}(w)
+		}
+		var rg sync.WaitGroup
+		for r := 0; r < readers; r++ {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				for {
+					if err := check(); err != nil {
+						errs <- err
+						return
+					}
+					select {
+					case <-done:
+						return
+					default:
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		close(done)
+		rg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+	}
+
+	t.Run("segment", func(t *testing.T) {
+		blobs := [][]byte{bytes.Repeat([]byte("a"), 4<<10), bytes.Repeat([]byte("bc"), 9<<10)}
+		race(t, func(v int) error { return disk.PutSegment("sp-race", blobs[v]) }, func() error {
+			got, ok, err := disk.GetSegment("sp-race")
+			if err != nil || !ok {
+				return fmt.Errorf("GetSegment = ok %v, err %v", ok, err)
+			}
+			if !bytes.Equal(got, blobs[0]) && !bytes.Equal(got, blobs[1]) {
+				return fmt.Errorf("GetSegment returned a %dB blob that was never written", len(got))
+			}
+			return nil
+		})
+	})
+	t.Run("checkpoint", func(t *testing.T) {
+		cks := []*Checkpoint{sampleCheckpoint(), sampleCheckpoint()}
+		cks[1].Frames[0] = append(cks[1].Frames[0], bytes.Repeat(cks[1].Frames[0][0], 64))
+		cks[1].Tuples = 130
+		race(t, func(v int) error { return disk.Put("joiner", 3, cks[v]) }, func() error {
+			got, ok, err := disk.Get("joiner", 3)
+			if err != nil || !ok {
+				return fmt.Errorf("Get = ok %v, err %v", ok, err)
+			}
+			if !reflect.DeepEqual(got, cks[0]) && !reflect.DeepEqual(got, cks[1]) {
+				return fmt.Errorf("Get returned a checkpoint that was never written: %d tuples", got.Tuples)
+			}
+			return nil
+		})
+	})
 }

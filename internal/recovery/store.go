@@ -162,9 +162,11 @@ func (s *MemStore) DeleteSegment(key string) error {
 // DiskStore persists checkpoints as one file per (component, task) under a
 // directory — the paper's baseline recovery medium ("network accesses are
 // several times faster than disk accesses"). Writes go through a temp file
-// and rename, so a crash mid-write never leaves a torn checkpoint; Get reads
-// and re-decodes the file on every call, charging recovery with the disk
-// round trip.
+// and rename, so a crash mid-write never leaves a torn checkpoint and a
+// reader sees either the whole old file or the whole new one; reads
+// therefore take no lock, and concurrent fault-ins never queue behind each
+// other or behind a checkpoint write. Get reads and re-decodes the file on
+// every call, charging recovery with the disk round trip.
 //
 // Like the wire layer's CPU-for-network substitution (DESIGN.md), the read
 // path can model the paper's cluster disk: SeekLatency is charged once per
@@ -175,7 +177,7 @@ func (s *MemStore) DeleteSegment(key string) error {
 // Zero values disable the model (raw filesystem speed).
 type DiskStore struct {
 	dir string
-	mu  sync.Mutex
+	mu  sync.Mutex // serializes writes (one shared temp file per path) and deletes
 	// SeekLatency and ReadBytesPerSec model the recovery medium on Get.
 	SeekLatency     time.Duration
 	ReadBytesPerSec int64
@@ -246,9 +248,7 @@ func (s *DiskStore) Put(component string, task int, ck *Checkpoint) error {
 // Get reads and decodes the checkpoint file, charging the modeled seek and
 // bandwidth when configured.
 func (s *DiskStore) Get(component string, task int) (*Checkpoint, bool, error) {
-	s.mu.Lock()
 	blob, err := os.ReadFile(s.fileFor(component, task))
-	s.mu.Unlock()
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}
@@ -289,9 +289,7 @@ func (s *DiskStore) PutSegment(key string, blob []byte) error {
 // GetSegment reads one sealed segment, charging the modeled seek and
 // bandwidth when configured (a fault-in is a disk read).
 func (s *DiskStore) GetSegment(key string) ([]byte, bool, error) {
-	s.mu.Lock()
 	blob, err := os.ReadFile(s.segFileFor(key))
-	s.mu.Unlock()
 	if errors.Is(err, os.ErrNotExist) {
 		return nil, false, nil
 	}

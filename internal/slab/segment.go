@@ -19,6 +19,7 @@ import (
 const (
 	segMagic   = "SQSG"
 	segVersion = 1
+	segCRCLen  = 4 // little-endian CRC32 (IEEE) trailer
 )
 
 // ErrSegmentCorrupt is the sentinel under every segment decode failure;
@@ -42,16 +43,19 @@ func AppendSegment(dst []byte, offs []uint32, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc)
 }
 
-// DecodeSegment decodes one sealed segment. It returns the reconstructed
+// DecodeSegment decodes one sealed segment with no other knowledge of it —
+// the checkpoint-restore path, where no offset table is resident. (Fault-in
+// verifies against the segment's seal-time identity instead; see
+// segment.verify in tier.go.) It returns the reconstructed
 // local offset table (nrows+1 entries, end sentinel included), the row
 // payload (aliasing src — callers must not mutate it), and the CRC recorded
 // in the trailer. It never panics on malformed input and bounds every
 // allocation by len(src): any mutation of an encoded segment fails the CRC.
 func DecodeSegment(src []byte) (offs []uint32, payload []byte, crc uint32, err error) {
-	if len(src) < len(segMagic)+1+1+4 {
+	if len(src) < len(segMagic)+1+1+segCRCLen {
 		return nil, nil, 0, fmt.Errorf("%w: short segment (%d bytes)", ErrSegmentCorrupt, len(src))
 	}
-	body, tail := src[:len(src)-4], src[len(src)-4:]
+	body, tail := src[:len(src)-segCRCLen], src[len(src)-segCRCLen:]
 	crc = binary.LittleEndian.Uint32(tail)
 	if crc32.ChecksumIEEE(body) != crc {
 		return nil, nil, 0, fmt.Errorf("%w: checksum mismatch", ErrSegmentCorrupt)

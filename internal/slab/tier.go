@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"sync/atomic"
 
 	"squall/internal/wire"
@@ -24,9 +25,11 @@ import (
 //     memory pressure demands it (or eagerly when no Pressure ladder is
 //     attached), dropping the in-RAM payload;
 //   - faulted back in on access through a count-capped LRU cache, every
-//     read CRC-verified — a corrupt or torn segment is quarantined and the
-//     access panics with *CorruptSegmentError, which the dataflow recovery
-//     plane turns into a checkpoint restore (never fabricated rows).
+//     read checked against the segment's seal-time identity (exact encoded
+//     length and CRC) and sliced with the resident offset table — a corrupt,
+//     torn or substituted segment is quarantined and the access panics with
+//     *CorruptSegmentError, which the dataflow recovery plane turns into a
+//     checkpoint restore (never fabricated rows).
 //
 // The tier is opt-in per arena (EnableTier on an empty arena); a plain
 // arena is byte-for-byte the single-slab code path.
@@ -117,7 +120,8 @@ type TierStats struct {
 type segment struct {
 	offs        []uint32 // segRows+1 local offsets
 	blob        []byte   // row payload; nil when spilled and not faulted in
-	crc         uint32   // CRC of the encoded segment (set at first encode)
+	crc         uint32   // CRC of the spilled encoding (set at spill)
+	encLen      int      // byte length of the spilled encoding (set at spill)
 	spilled     bool     // a verified copy lives in cfg.Store under key
 	key         string   // spill-store key
 	persisted   bool     // a copy lives in cfg.CkStore under ckKey
@@ -303,7 +307,7 @@ func (t *tier) spillStep(a *Arena) {
 func (t *tier) spillSeg(a *Arena, si int) {
 	seg := t.segs[si]
 	enc := AppendSegment(nil, seg.offs, seg.blob)
-	crc := binary.LittleEndian.Uint32(enc[len(enc)-4:])
+	crc := binary.LittleEndian.Uint32(enc[len(enc)-segCRCLen:])
 	if t.cfg.CkStore != nil && !seg.persisted {
 		ckKey := fmt.Sprintf("ck-%s-s%d", t.keyBase, si)
 		if err := t.cfg.CkStore.PutSegment(ckKey, enc); err != nil {
@@ -319,7 +323,7 @@ func (t *tier) spillSeg(a *Arena, si int) {
 		t.cfg.Pressure.noteSpillError()
 		return
 	}
-	seg.spilled, seg.key, seg.crc = true, key, crc
+	seg.spilled, seg.key, seg.crc, seg.encLen = true, key, crc, len(enc)
 	t.residentBlobBytes -= int64(len(seg.blob))
 	t.spilledPayload += int64(len(seg.blob))
 	seg.blob = nil
@@ -349,8 +353,9 @@ func (t *tier) rowBytes(a *Arena, r Ref) []byte {
 }
 
 // ensureBlob returns the segment with its payload resident, faulting it in
-// from the spill store (CRC-verified) if needed. A corrupt, missing or
-// mismatched blob quarantines the segment and panics *CorruptSegmentError.
+// from the spill store (verified against its seal-time identity) if needed.
+// A corrupt, missing or mismatched blob quarantines the segment and panics
+// *CorruptSegmentError.
 func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	seg := t.segs[si]
 	seg.tick = t.nextTick()
@@ -367,13 +372,7 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	}
 	var payload []byte
 	if err == nil {
-		var offs []uint32
-		var crc uint32
-		offs, payload, crc, err = DecodeSegment(blob)
-		if err == nil && (crc != seg.crc || len(offs) != len(seg.offs) ||
-			offs[len(offs)-1] != seg.offs[len(seg.offs)-1]) {
-			err = fmt.Errorf("%w: blob does not match sealed identity", ErrSegmentCorrupt)
-		}
+		payload, err = seg.verify(blob)
 	}
 	if err != nil {
 		t.quarantine(a, si, err) // panics
@@ -386,6 +385,34 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	t.cfg.Pressure.noteFault()
 	t.syncGauge(a)
 	return seg
+}
+
+// verify checks a fetched spill blob against the segment's seal-time
+// identity and returns its row payload, aliasing blob. The blob must have
+// exactly the spilled encoding's length, a trailer CRC matching both a fresh
+// CRC of the body and the CRC recorded at spill, and the codec's magic and
+// version. The span header is not re-parsed: a blob of the sealed length
+// and CRC is the sealed encoding, whose spans the resident offset table
+// already holds, so the payload is the body's last offs[nrows] bytes.
+func (seg *segment) verify(blob []byte) ([]byte, error) {
+	if len(blob) != seg.encLen {
+		return nil, fmt.Errorf("%w: blob is %dB, sealed encoding %dB", ErrSegmentCorrupt, len(blob), seg.encLen)
+	}
+	body := blob[:len(blob)-segCRCLen]
+	crc := binary.LittleEndian.Uint32(blob[len(body):])
+	if crc32.ChecksumIEEE(body) != crc {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrSegmentCorrupt)
+	}
+	if string(body[:len(segMagic)]) != segMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrSegmentCorrupt)
+	}
+	if body[len(segMagic)] != segVersion {
+		return nil, fmt.Errorf("%w: unsupported version %d", ErrSegmentCorrupt, body[len(segMagic)])
+	}
+	if crc != seg.crc {
+		return nil, fmt.Errorf("%w: checksum %08x is not the sealed %08x", ErrSegmentCorrupt, crc, seg.crc)
+	}
+	return body[len(body)-int(seg.offs[len(seg.offs)-1]):], nil
 }
 
 // evictFor makes room in the fault-in cache by dropping the coldest cached
@@ -459,7 +486,7 @@ func (a *Arena) SealedSegmentCks() ([]SegmentCk, error) {
 		if !seg.persisted {
 			// Unpersisted ⇒ never spilled ⇒ payload resident.
 			enc := AppendSegment(nil, seg.offs, seg.blob)
-			crc := binary.LittleEndian.Uint32(enc[len(enc)-4:])
+			crc := binary.LittleEndian.Uint32(enc[len(enc)-segCRCLen:])
 			ckKey := fmt.Sprintf("ck-%s-s%d", t.keyBase, si)
 			if err := t.cfg.CkStore.PutSegment(ckKey, enc); err != nil {
 				return nil, fmt.Errorf("slab: persist segment %d: %w", si, err)

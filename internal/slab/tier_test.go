@@ -1,9 +1,12 @@
 package slab
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"squall/internal/types"
@@ -217,6 +220,162 @@ func TestTierQuarantine(t *testing.T) {
 		a.RowBytes(0)
 		t.Fatal("second read of quarantined segment did not panic")
 	}()
+}
+
+// spilledArena returns an eagerly spilling tiered arena over store holding
+// rows row(0..n-1) in segments of segRows rows.
+func spilledArena(t testing.TB, store *mapStore, segRows, cache, n int, row func(int) types.Tuple) *Arena {
+	a := New()
+	a.EnableTier(TierConfig{SegmentRows: segRows, Store: store, CacheSegments: cache, KeyPrefix: "v"})
+	for i := 0; i < n; i++ {
+		a.Append(row(i))
+	}
+	if st := a.TierStats(); st.SpilledSegments != n/segRows {
+		t.Fatalf("%d of %d segments spilled", st.SpilledSegments, n/segRows)
+	}
+	return a
+}
+
+// rowBytesOrCorrupt reads ref r, returning the *CorruptSegmentError it
+// panics with (nil when the read succeeds). Any other panic propagates.
+func rowBytesOrCorrupt(a *Arena, r Ref) (row []byte, ce *CorruptSegmentError) {
+	defer func() {
+		if p := recover(); p != nil {
+			err, ok := p.(error)
+			if !ok || !errors.As(err, &ce) {
+				panic(p)
+			}
+		}
+	}()
+	return a.RowBytes(r), nil
+}
+
+// Fault-in accepts only the sealed encoding itself: a blob that differs in
+// length, CRC, magic or sealed identity — even one that DecodeSegment would
+// accept — quarantines the segment and panics *CorruptSegmentError, with
+// the check that caught it named in the error.
+func TestFaultInRejectsBlobsOffSealedIdentity(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(t *testing.T, sealed []byte) []byte
+		want string
+	}{
+		{"permuted_payload_valid_crc", func(t *testing.T, b []byte) []byte {
+			offs, payload, _, err := DecodeSegment(b)
+			if err != nil {
+				t.Fatalf("sealed blob does not decode: %v", err)
+			}
+			rot := append(append([]byte(nil), payload[1:]...), payload[0])
+			return AppendSegment(nil, offs, rot)
+		}, "not the sealed"},
+		{"trailing_byte", func(_ *testing.T, b []byte) []byte { return append(append([]byte(nil), b...), 0) }, "sealed encoding"},
+		{"truncated_byte", func(_ *testing.T, b []byte) []byte { return append([]byte(nil), b[:len(b)-1]...) }, "sealed encoding"},
+		{"bad_magic_valid_crc", func(_ *testing.T, b []byte) []byte {
+			body := append([]byte(nil), b[:len(b)-segCRCLen]...)
+			body[0] = 'X'
+			return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		}, "bad magic"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			store := newMapStore()
+			a := spilledArena(t, store, 64, 2, 200, tupleFor)
+			key := a.t.segs[0].key
+			sealed := store.m[key]
+			mut := c.mut(t, sealed)
+			if string(mut) == string(sealed) {
+				t.Fatal("mutation left the sealed blob unchanged")
+			}
+			store.m[key] = mut
+			if _, ce := rowBytesOrCorrupt(a, 0); ce == nil {
+				t.Fatal("fault-in accepted a blob off the sealed identity")
+			} else if !errors.Is(ce, ErrSegmentCorrupt) || ce.Segment != 0 || !strings.Contains(ce.Error(), c.want) {
+				t.Fatalf("panic %v, want segment 0 wrapping ErrSegmentCorrupt from the %q check", ce, c.want)
+			}
+			if st := a.TierStats(); st.Quarantined != 1 {
+				t.Fatalf("quarantined = %d, want 1", st.Quarantined)
+			}
+			if _, ok := store.m[key]; ok {
+				t.Fatal("quarantine left the bad blob in the store")
+			}
+			// The other segments still fault in and read back intact.
+			if got := a.Decode(64); !got.Equal(tupleFor(64)) {
+				t.Fatalf("segment 1 row 0 = %v after quarantining segment 0", got)
+			}
+		})
+	}
+}
+
+// A steady-state fault-in from an in-memory store allocates nothing: the
+// blob is verified in place, the payload aliases it and the resident offset
+// table locates rows. The reads cycle through more spilled segments than
+// the cache holds, so every read is a fault and an eviction.
+func TestFaultInNoAllocSteadyState(t *testing.T) {
+	const segRows, segs, cache = 64, 8, 2
+	a := spilledArena(t, newMapStore(), segRows, cache, segRows*segs, tupleFor)
+	faults := a.TierStats().Faults
+	sum := 0
+	allocs := testing.AllocsPerRun(50, func() {
+		for s := 0; s < segs; s++ {
+			sum += len(a.RowBytes(Ref(s*segRows + s)))
+		}
+	})
+	if got := a.TierStats().Faults - faults; got != 51*segs {
+		t.Fatalf("%d faults over 51 passes of %d segments; every read must fault", got, segs)
+	}
+	if sum == 0 {
+		t.Fatal("faulted rows are empty")
+	}
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per pass of %d faults, want 0", allocs, segs)
+	}
+}
+
+// FuzzFaultInVerify substitutes arbitrary bytes for a spilled segment's
+// blob. Fault-in must either reject it — panicking *CorruptSegmentError
+// wrapping ErrSegmentCorrupt, never anything else — or have been handed the
+// sealed encoding byte for byte, in which case every row reads back intact.
+// Rows are one small int each, keeping the seed blobs short enough for the
+// fuzzer to minimize.
+func FuzzFaultInVerify(f *testing.F) {
+	const segRows, n = 8, 24
+	row := func(i int) types.Tuple { return types.Tuple{types.Int(int64(i))} }
+	want := make([][]byte, segRows)
+	for i := range want {
+		want[i] = wire.Encode(nil, row(i))
+	}
+	seed := newMapStore()
+	for _, s := range spilledArena(f, seed, segRows, 1, n, row).t.segs {
+		f.Add(seed.m[s.key])
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		store := newMapStore()
+		a := spilledArena(t, store, segRows, 1, n, row)
+		key := a.t.segs[0].key
+		sealed := store.m[key]
+		store.m[key] = blob
+		for i := 0; i < segRows; i++ {
+			got, ce := rowBytesOrCorrupt(a, Ref(i))
+			if ce != nil {
+				if !errors.Is(ce, ErrSegmentCorrupt) {
+					t.Fatalf("rejection does not wrap ErrSegmentCorrupt: %v", ce)
+				}
+				if i != 0 {
+					t.Fatalf("row 0 read fine but row %d was rejected: %v", i, ce)
+				}
+				return
+			}
+			if string(blob) != string(sealed) {
+				t.Fatalf("fault-in accepted a %dB blob that is not the sealed encoding", len(blob))
+			}
+			if string(got) != string(want[i]) {
+				t.Fatalf("row %d reads back altered", i)
+			}
+		}
+	})
 }
 
 // Incremental checkpoints: segments persist to the ck store exactly once,
