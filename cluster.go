@@ -339,9 +339,6 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 	if len(spec.Workers) == 0 {
 		return nil, fmt.Errorf("squall: cluster run needs at least one worker address")
 	}
-	if opt.NoSerialize {
-		return nil, fmt.Errorf("squall: NoSerialize cannot cross process boundaries — cluster runs serialize every edge")
-	}
 	if spec.Job == "" {
 		return nil, fmt.Errorf("squall: cluster run needs a registered job name")
 	}

@@ -121,7 +121,6 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 	}{
 		{"no workers", func(o *squall.Options) { o.Cluster.Workers = nil }, "at least one worker"},
 		{"no job", func(o *squall.Options) { o.Cluster.Job = "" }, "job name"},
-		{"noserialize", func(o *squall.Options) { o.NoSerialize = true }, "NoSerialize"},
 		{"unregistered job", func(o *squall.Options) { o.Cluster.Job = "no-such-job" }, "not registered"},
 		{"sink off coordinator", func(o *squall.Options) {
 			o.Cluster.Place = map[string]int{"rel0": 0, "rel1": 1, "rel2": 0, "joiner": 1, "sink": 1}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"sync"
 	"time"
 
 	"squall"
@@ -28,17 +30,23 @@ var (
 
 // Figure5Stages builds the five bars over Customer ⋈ Orders (§6):
 //
-//	ReadFile (RF)        — read + parse the Orders lines, no network cost
+//	ReadFile (RF)        — read + parse the Orders lines, source alone
 //	RF+sel(int)          — plus a no-op selection over an int field
 //	RF+sel(date)         — plus a no-op selection parsing the date field
 //	RF+sel(int),network  — int selection plus a serialized network hop
 //	Full join            — Customer ⋈ Orders, hash partitioned, DBToaster
 //
+// The three ReadFile stages time the source alone: machines goroutines, each
+// draining its own spout + selection instance and counting rows, with no
+// topology and so no encode, hop or decode. The network stage runs the same
+// source through the engine, which encodes each row once, ships it in a
+// frame and decodes it at the counting bolt.
+//
 // The paper's findings to reproduce: sel(int) is ~1–2% of the run, sel(date)
 // is ~10x sel(int) (Date instances are created from strings), the network
 // hop dominates (~60%), and join computation is a small share (~14%).
 //
-// The stages run at BatchSize=1 — one-row batches, so every tuple is
+// The engine stages run at BatchSize=1 — one-row frames, so every tuple is
 // shipped, serialized and decoded on its own as in the figure (Storm ships
 // tuples individually); Figure5StagesBatch is the batched-transport variant
 // BenchmarkFigure5_Bottleneck compares it against.
@@ -50,38 +58,75 @@ func Figure5Stages(gen *datagen.TPCH, machines int, seed int64) []Figure5Stage {
 // (0 = engine default). batchSize=1 ships one-row batches, the per-tuple
 // baseline the PR 1 batching speedup is measured against.
 func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize int) []Figure5Stage {
-	readStage := func(name string, sel expr.Pred, serialize bool) Figure5Stage {
+	source := func(sel expr.Pred) (dataflow.SpoutFactory, error) {
+		lines, err := gen.LineSpout("orders")
+		if err != nil {
+			return nil, err
+		}
+		pipe := ops.Pipeline{parseOp{datagen.OrdersSchema}}
+		if sel != nil {
+			pipe = append(pipe, ops.Select{P: sel})
+		}
+		return ops.PipedSpout(lines, pipe), nil
+	}
+	readStage := func(name string, sel expr.Pred) Figure5Stage {
 		return Figure5Stage{Name: name, Run: func() (time.Duration, error) {
-			lines, err := gen.LineSpout("orders")
+			src, err := source(sel)
 			if err != nil {
 				return 0, err
 			}
-			pipe := ops.Pipeline{parseOp{datagen.OrdersSchema}}
-			if sel != nil {
-				pipe = append(pipe, ops.Select{P: sel})
+			start := time.Now()
+			var wg sync.WaitGroup
+			rows := make([]int, machines)
+			for task := range rows {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for sp := src(task, machines); ; rows[task]++ {
+						if _, ok := sp.Next(); !ok {
+							return
+						}
+					}
+				}()
 			}
-			count := func(int, int) dataflow.Bolt {
-				n := 0
-				return dataflow.FuncBolt{OnTuple: func(dataflow.Input, *dataflow.Collector) error {
-					n++
-					return nil
-				}}
+			wg.Wait()
+			elapsed := time.Since(start)
+			total := 0
+			for _, n := range rows {
+				total += n
 			}
-			b := dataflow.NewBuilder().
-				Spout("orders", machines, ops.PipedSpout(lines, pipe)).
-				Bolt("sink", machines, count).
-				Input("sink", "orders", dataflow.Shuffle())
-			topo, err := b.Build()
-			if err != nil {
-				return 0, err
+			if int64(total) != gen.Orders() {
+				return 0, fmt.Errorf("experiments: %s read %d of %d orders", name, total, gen.Orders())
 			}
-			m, err := dataflow.Run(topo, dataflow.Options{Seed: seed, NoSerialize: !serialize, BatchSize: batchSize})
-			if err != nil {
-				return 0, err
-			}
-			return m.Elapsed, nil
+			return elapsed, nil
 		}}
 	}
+	networkStage := Figure5Stage{Name: "RF+sel(int),network", Run: func() (time.Duration, error) {
+		src, err := source(selInt)
+		if err != nil {
+			return 0, err
+		}
+		count := func(int, int) dataflow.Bolt {
+			n := 0
+			return dataflow.FuncBolt{OnTuple: func(dataflow.Input, *dataflow.Collector) error {
+				n++
+				return nil
+			}}
+		}
+		topo, err := dataflow.NewBuilder().
+			Spout("orders", machines, src).
+			Bolt("sink", machines, count).
+			Input("sink", "orders", dataflow.Shuffle()).
+			Build()
+		if err != nil {
+			return 0, err
+		}
+		m, err := dataflow.Run(topo, dataflow.Options{Seed: seed, BatchSize: batchSize})
+		if err != nil {
+			return 0, err
+		}
+		return m.Elapsed, nil
+	}}
 
 	fullJoin := Figure5Stage{Name: "Full join", Run: func() (time.Duration, error) {
 		graph := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 1)) // C.custkey = O.custkey
@@ -99,11 +144,7 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 				Kind:    squall.Count,
 			},
 		}
-		// The figure decomposes the boxed pipeline's cost structure, and
-		// BenchmarkFigure5_Bottleneck reuses this stage as its one-row-vs-
-		// batched transport comparison: pin the boxed execution path so
-		// batchSize=1 keeps measuring per-tuple shipping of boxed tuples.
-		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize, PackedExec: squall.PackedOff})
+		res, err := q.Run(squall.Options{Seed: seed, SourcePar: machines, BatchSize: batchSize})
 		if err != nil {
 			return 0, err
 		}
@@ -111,10 +152,10 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 	}}
 
 	return []Figure5Stage{
-		readStage("ReadFile (RF)", nil, false),
-		readStage("RF+sel(int)", selInt, false),
-		readStage("RF+sel(date)", selDate, false),
-		readStage("RF+sel(int),network", selInt, true),
+		readStage("ReadFile (RF)", nil),
+		readStage("RF+sel(int)", selInt),
+		readStage("RF+sel(date)", selDate),
+		networkStage,
 		fullJoin,
 	}
 }

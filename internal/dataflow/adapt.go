@@ -9,8 +9,8 @@
 //     per-run controller goroutine, which feeds them to the decision logic
 //     shared with the offline operator (adaptive.Decide).
 //  2. When a better matrix clears the hysteresis margin, the controller
-//     closes a pause gate: producers route-and-send adaptive-edge tuples
-//     inside the gate, so once the gate is drained every tuple routed under
+//     closes a pause gate: producers route-and-send adaptive-edge rows
+//     inside the gate, so once the gate is drained every row routed under
 //     the old matrix is already enqueued.
 //  3. The controller enqueues a reshape barrier marker into every joiner
 //     task's inbox. FIFO inboxes guarantee each task sees all old-epoch
@@ -534,7 +534,7 @@ func (s *migSession) complete(par int) bool { return s.dones == par }
 
 // sideExport is the state one primary ships for one side: either pre-built
 // wire batch frames (slab-backed state, snapshotted by blitting rows) or
-// materialized tuples (state without slab rows, or the NoSerialize path).
+// materialized tuples (state without slab rows).
 type sideExport struct {
 	frames [][]byte // each a complete wire batch frame
 	tuples []types.Tuple
@@ -542,20 +542,17 @@ type sideExport struct {
 }
 
 // snapshotExport captures one side's state before ResetForReshape rebuilds
-// it. With serialization on and frame-exporting state it copies the packed
-// frames — encoded bytes, no tuple materialization; otherwise it snapshots
-// decoded tuples.
+// it. Frame-exporting state copies the packed frames — encoded bytes, no
+// tuple materialization; other state snapshots decoded tuples.
 func (a *adaptState) snapshotExport(rep Repartitioner, side int, dests []int) sideExport {
 	exp := sideExport{dests: dests}
-	if !a.ex.opts.NoSerialize {
-		if fe, ok := rep.(FrameExporter); ok {
-			done := fe.ExportStateFrames(side, a.ex.opts.BatchSize, a.ex.opts.VecExec, func(frame []byte, _ int) bool {
-				exp.frames = append(exp.frames, append([]byte(nil), frame...))
-				return true
-			})
-			if done {
-				return exp
-			}
+	if fe, ok := rep.(FrameExporter); ok {
+		done := fe.ExportStateFrames(side, a.ex.opts.BatchSize, a.ex.opts.VecExec, func(frame []byte, _ int) bool {
+			exp.frames = append(exp.frames, append([]byte(nil), frame...))
+			return true
+		})
+		if done {
+			return exp
 		}
 	}
 	exp.tuples = rep.ExportState(side)
@@ -624,7 +621,7 @@ func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics
 // sendExports ships one task's exports as wire batch frames, then marks the
 // end of its exports to every peer. Slab-backed state arrives as pre-built
 // frames (snapshotExport blitted the packed rows), so this path never
-// re-encodes; boxed tuples from ExportState are chunked and encoded here. Runs
+// re-encodes; tuples from ExportState are chunked and encoded here. Runs
 // concurrently with the task's main loop; TaskMetrics fields are atomics.
 func (a *adaptState) sendExports(task int, tm *TaskMetrics, epoch int, exports [2]sideExport) {
 	defer a.exportWG.Done()
@@ -662,18 +659,7 @@ func (a *adaptState) sendExports(task int, tm *TaskMetrics, epoch int, exports [
 			if end > len(exp.tuples) {
 				end = len(exp.tuples)
 			}
-			chunk := exp.tuples[start:end]
-			if a.ex.opts.NoSerialize {
-				for _, d := range exp.dests {
-					a.ex.metrics.Adapt.MigratedTuples.Add(int64(len(chunk)))
-					env := envelope{from: task, ctrl: ctrlMigBatch, mig: &migBatch{epoch: epoch, side: side, tuples: chunk}}
-					if !a.ex.send(a.node, d, env) {
-						return
-					}
-				}
-				continue
-			}
-			scratch = wire.EncodeBatch(scratch[:0], chunk)
+			scratch = wire.EncodeBatch(scratch[:0], exp.tuples[start:end])
 			if !shipFrame(scratch, side, exp.dests) {
 				return
 			}
@@ -714,7 +700,7 @@ func (a *adaptState) ackMigration(task, epoch int, rep Repartitioner) {
 	}
 }
 
-// producerEOS flushes an adaptive edge's pending batches and broadcasts the
+// producerEOS flushes an adaptive edge's pending frames and broadcasts the
 // producer task's EOS, all from inside the gate, so a paused reshape never
 // interleaves with them; it then retires the producer from the live count
 // before releasing the gate (the controller must observe an exact count
@@ -743,7 +729,7 @@ func (c *Collector) producerEOS(ei int) {
 	side := c.adaptSide[ei]
 	for coord := range c.adaptOut[ei] {
 		if err := c.flushAdaptive(ei, side, coord, m); err != nil {
-			// Abort (send refused) is a no-op; surface wire corruption.
+			// Abort (send refused) is a no-op; surface anything else.
 			c.ex.fail(fmt.Errorf("dataflow: %s[%d] final adaptive flush: %w", c.node.name, c.task, err))
 			return
 		}
@@ -755,15 +741,15 @@ func (c *Collector) producerEOS(ei int) {
 	}
 }
 
-// emitAdaptive routes one tuple on an adaptive edge: 1-Bucket routing under
-// the current matrix. Tuples are buffered once per edge under their picked
-// coordinate (row for the R side, column for S); a flush replicates the
-// frame to every cell of the coordinate, so PR 1's batch amortization
-// survives replication without per-cell tuple copies. If the matrix changed
-// since the last emit, pending (unsent) batches are re-routed under the new
-// shape first — they were never delivered, so they are not state anywhere
-// and re-routing them is indistinguishable from fresh arrivals.
-func (c *Collector) emitAdaptive(ei, side int, t types.Tuple) error {
+// emitAdaptive routes one row on an adaptive edge: 1-Bucket routing under
+// the current matrix. Rows are buffered once per edge under their picked
+// coordinate (row for the R side, column for S); a flush copies the frame
+// to every cell of the coordinate, so batch amortization survives
+// replication without per-cell row appends. If the matrix changed since the
+// last emit, pending (unsent) rows are re-routed under the new shape first —
+// they were never delivered, so they are not state anywhere and re-routing
+// them is indistinguishable from fresh arrivals.
+func (c *Collector) emitAdaptive(ei, side int, row []byte) error {
 	a := c.ex.adapt
 	m, epoch, ok := a.enter()
 	if !ok {
@@ -776,30 +762,31 @@ func (c *Collector) emitAdaptive(ei, side int, t types.Tuple) error {
 		}
 		c.adaptEpoch = epoch
 	}
-	return c.routeAdaptive(ei, side, t, m)
+	return c.routeAdaptive(ei, side, row, m)
 }
 
-// routeAdaptive buffers t under a random coordinate of m, flushing the
-// coordinate's batch when full. Must run inside the gate.
-func (c *Collector) routeAdaptive(ei, side int, t types.Tuple, m adaptive.Matrix) error {
+// routeAdaptive buffers row under a random coordinate of m, flushing the
+// coordinate's frame when full. Must run inside the gate.
+func (c *Collector) routeAdaptive(ei, side int, row []byte, m adaptive.Matrix) error {
 	coord := c.rng.Intn(m.Rows)
 	if side == 1 {
 		coord = c.rng.Intn(m.Cols)
 	}
-	c.adaptOut[ei][coord] = append(c.adaptOut[ei][coord], t)
-	if len(c.adaptOut[ei][coord]) >= c.batchSize {
+	// No footer: adaptive joiners take rows one at a time (load reports).
+	if c.appendRow(&c.adaptOut[ei][coord], row, false) {
 		return c.flushAdaptive(ei, side, coord, m)
 	}
 	return nil
 }
 
-// flushAdaptive ships one coordinate's pending batch to every cell of that
-// row (side 0) or column (side 1): one wire frame encoded once, decoded per
-// destination, each destination charged like a unicast transfer (the
-// DESIGN.md substitution). Must run inside the gate.
+// flushAdaptive ships one coordinate's pending frame to every cell of that
+// row (side 0) or column (side 1). Each cell receives its own copy of the
+// frame — the last one takes the buffer itself — and each copy is charged
+// to BytesOut like a unicast transfer (the DESIGN.md substitution). Must
+// run inside the gate.
 func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error {
-	batch := c.adaptOut[ei][coord]
-	if len(batch) == 0 {
+	rb := &c.adaptOut[ei][coord]
+	if rb.count == 0 {
 		return nil
 	}
 	e := c.node.outputs[ei]
@@ -813,49 +800,35 @@ func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error 
 			c.tbuf = append(c.tbuf, row*m.Cols+coord)
 		}
 	}
-	// On a recovery-tracked edge each destination's copy is stamped with its
-	// own (producer, target) sequence and retained for replay; the caller
-	// already holds the recovery gate (emitAdaptiveGated / eos).
+	// On a recovery-tracked edge each cell's copy is stamped with its own
+	// (producer, target) sequence and retained for replay, so it is never
+	// pooled; the caller already holds the recovery gate
+	// (emitAdaptiveGated / eos).
 	tracked := c.recTracked != nil && c.recTracked[ei]
-	if c.ex.opts.NoSerialize {
-		// Destinations share the (immutable) tuples and the slice; the
-		// buffer cannot be reused because consumers own what they receive.
-		out := batch
-		c.adaptOut[ei][coord] = make([]types.Tuple, 0, c.batchSize)
-		for _, target := range c.tbuf {
-			c.metrics.Sent.Add(int64(len(out)))
-			c.metrics.Batches.Add(1)
-			env := envelope{stream: c.node.name, from: c.task, batch: out}
-			if tracked {
-				c.recSeq[ei][target]++
-				env.seq = c.recSeq[ei][target]
-				c.ex.rec.record(c.recPid, target, replayEnt{seq: env.seq, tuples: out, count: len(out)})
-			}
-			if !c.ex.send(e.to, target, env) {
-				return c.ex.abortErr()
-			}
+	frame, count, box := c.seal(rb, false), rb.count, rb.box
+	rb.box, rb.buf, rb.count = nil, nil, 0
+	last := len(c.tbuf) - 1
+	for i, target := range c.tbuf {
+		env := envelope{stream: c.node.name, from: c.task, frame: frame, count: count}
+		switch {
+		case i < last && tracked:
+			env.frame = append([]byte(nil), frame...)
+		case i < last:
+			env.pframe = getFrameBox()
+			env.frame = append((*env.pframe)[:0], frame...)
+		case tracked:
+			*box = nil
+			putFrameBox(box)
+		default:
+			env.pframe = box
 		}
-		return nil
-	}
-	c.scratch = wire.EncodeBatch(c.scratch[:0], batch)
-	c.adaptOut[ei][coord] = batch[:0]
-	var sharedFrame []byte // one retained copy backs every destination's entry
-	for _, target := range c.tbuf {
-		out, _, err := c.dec.Decode(c.scratch)
-		if err != nil {
-			return fmt.Errorf("dataflow: wire corruption on %s->%s: %w", e.from.name, e.to.name, err)
-		}
-		c.metrics.BytesOut.Add(int64(len(c.scratch)))
-		c.metrics.Sent.Add(int64(len(out)))
+		c.metrics.BytesOut.Add(int64(len(frame)))
+		c.metrics.Sent.Add(int64(count))
 		c.metrics.Batches.Add(1)
-		env := envelope{stream: c.node.name, from: c.task, batch: out}
 		if tracked {
-			if sharedFrame == nil {
-				sharedFrame = append([]byte(nil), c.scratch...)
-			}
 			c.recSeq[ei][target]++
 			env.seq = c.recSeq[ei][target]
-			c.ex.rec.record(c.recPid, target, replayEnt{seq: env.seq, frame: sharedFrame, count: len(out)})
+			c.ex.rec.record(c.recPid, target, replayEnt{seq: env.seq, frame: env.frame, count: count})
 		}
 		if !c.ex.send(e.to, target, env) {
 			return c.ex.abortErr()
@@ -864,25 +837,40 @@ func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error 
 	return nil
 }
 
-// rerouteAdaptive re-assigns every pending (unsent) adaptive batch under
-// the new matrix. All coordinates are drained before any tuple is
-// re-routed — a tuple re-buffered into a not-yet-visited coordinate must
-// not be picked up twice. Must run inside the gate.
+// rerouteAdaptive re-assigns every pending (unsent) adaptive row under the
+// new matrix. All of an edge's coordinates are drained into scratch before
+// any row is re-routed — a row re-buffered into a not-yet-visited
+// coordinate must not be picked up twice. Must run inside the gate.
 func (c *Collector) rerouteAdaptive(m adaptive.Matrix) error {
+	var cur wire.Cursor
 	for ei, side := range c.adaptSide {
 		if side < 0 {
 			continue
 		}
-		pending := c.adaptReroute[:0]
-		for coord, batch := range c.adaptOut[ei] {
-			pending = append(pending, batch...)
-			c.adaptOut[ei][coord] = batch[:0]
+		pending, ends := c.adaptReroute[:0], c.adaptEnds[:0]
+		for coord := range c.adaptOut[ei] {
+			rb := &c.adaptOut[ei][coord]
+			if rb.count == 0 {
+				continue
+			}
+			for rows := rb.buf[c.hdrRoom:]; len(rows) > 0; {
+				n, err := cur.Parse(rows)
+				if err != nil {
+					return fmt.Errorf("dataflow: pending adaptive row: %w", err)
+				}
+				pending = append(pending, rows[:n]...)
+				ends = append(ends, len(pending))
+				rows = rows[n:]
+			}
+			rb.buf, rb.count = rb.buf[:c.hdrRoom], 0
 		}
-		c.adaptReroute = pending
-		for _, t := range pending {
-			if err := c.routeAdaptive(ei, side, t, m); err != nil {
+		c.adaptReroute, c.adaptEnds = pending, ends
+		start := 0
+		for _, end := range ends {
+			if err := c.routeAdaptive(ei, side, pending[start:end], m); err != nil {
 				return err
 			}
+			start = end
 		}
 	}
 	return nil

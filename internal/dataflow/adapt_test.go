@@ -1,12 +1,17 @@
 package dataflow
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
+	"squall/internal/adaptive"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // pairBolt is a minimal 2-way cross-join task: every R tuple must pair with
@@ -110,7 +115,8 @@ func pairBag(rows []types.Tuple) map[string]int {
 
 // TestAdaptiveReshapePreservesPairs drives a heavily drifting |R|:|S| ratio
 // through the live adaptive operator and asserts the cross product is
-// produced exactly once despite one or more migrations, at both transports.
+// produced exactly once despite one or more migrations, at one-row, ragged
+// and full frames.
 func TestAdaptiveReshapePreservesPairs(t *testing.T) {
 	// |R| is large enough that the stream cannot fit in the in-flight
 	// budget (ChannelBuf x BatchSize x tasks) even at batch=64: the
@@ -123,7 +129,7 @@ func TestAdaptiveReshapePreservesPairs(t *testing.T) {
 	// scheduling. The drift is unchanged — S lands first, then R floods.
 	rHoldoff = 20 * time.Millisecond
 	defer func() { rHoldoff = 0 }()
-	for _, batch := range []int{1, 64} {
+	for _, batch := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			// A reshape whose dimension sizes divide the old ones migrates
 			// nothing (every surviving cell keeps its state in place), so a
@@ -246,5 +252,214 @@ func TestAdaptiveNonRepartitioner(t *testing.T) {
 	pol := &AdaptivePolicy{Component: "join", RStream: "R", SStream: "S"}
 	if _, err := Run(topo, Options{Adaptive: pol}); err == nil {
 		t.Fatal("want Repartitioner error")
+	}
+}
+
+// adaptHarness drives the producer side of the adaptive edges by hand: an
+// execution with the control plane installed but no tasks running, so a
+// test can emit rows, move the routing matrix while rows sit in the
+// coordinate buffers, and read every frame the joiner inboxes received.
+type adaptHarness struct {
+	ex   *execution
+	r, s *Collector
+}
+
+func newAdaptHarness(t *testing.T, par, batch int, m0 [2]int) *adaptHarness {
+	t.Helper()
+	topo, _ := buildAdaptiveTopo(t, 0, 0, par, func() Bolt { return &pairBolt{} })
+	ex := &execution{
+		topo:    topo,
+		opts:    Options{Seed: 1, BatchSize: batch},
+		inboxes: make(map[*node][]chan envelope),
+		abort:   make(chan struct{}),
+		metrics: &RunMetrics{Components: make(map[string]*ComponentMetrics)},
+	}
+	for _, n := range topo.nodes {
+		cm := &ComponentMetrics{Name: n.name, Par: n.par, Tasks: make([]*TaskMetrics, n.par)}
+		chans := make([]chan envelope, n.par)
+		for i := range chans {
+			chans[i] = make(chan envelope, 1<<14)
+			cm.Tasks[i] = &TaskMetrics{}
+		}
+		ex.inboxes[n] = chans
+		ex.metrics.Components[n.name] = cm
+	}
+	pol := &AdaptivePolicy{Component: "join", RStream: "R", SStream: "S", InitialRows: m0[0], InitialCols: m0[1]}
+	if err := ex.initAdaptive(pol); err != nil {
+		t.Fatal(err)
+	}
+	return &adaptHarness{ex: ex, r: ex.collector(topo.byN["R"], 0), s: ex.collector(topo.byN["S"], 0)}
+}
+
+// reshape installs m the way a completed round does: close the gate, then
+// reopen it under the new matrix (bumping the routing epoch).
+func (h *adaptHarness) reshape(t *testing.T, rows, cols int) {
+	t.Helper()
+	if !h.ex.adapt.pause() {
+		t.Fatal("pause aborted")
+	}
+	h.ex.adapt.resume(adaptive.Matrix{Rows: rows, Cols: cols})
+}
+
+// drain empties every joiner inbox, returning the data envelopes per task.
+func (h *adaptHarness) drain() [][]envelope {
+	join := h.ex.topo.byN["join"]
+	out := make([][]envelope, join.par)
+	for task, ch := range h.ex.inboxes[join] {
+		for len(ch) > 0 {
+			if env := <-ch; !env.eos {
+				out[task] = append(out[task], env)
+			}
+		}
+	}
+	return out
+}
+
+// cellsOf maps each delivered row id to the sorted tasks that received it.
+func cellsOf(t *testing.T, got [][]envelope) map[int64][]int {
+	t.Helper()
+	cells := map[int64][]int{}
+	for task, envs := range got {
+		for _, env := range envs {
+			rows, _, err := wire.DecodeBatch(env.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != env.count {
+				t.Fatalf("frame says %d rows, holds %d", env.count, len(rows))
+			}
+			for _, r := range rows {
+				cells[r[0].I] = append(cells[r[0].I], task)
+			}
+		}
+	}
+	return cells
+}
+
+// pendingRows counts the rows sitting in a collector's coordinate buffers.
+func pendingRows(c *Collector) int {
+	n := 0
+	for _, coords := range c.adaptOut {
+		for _, rb := range coords {
+			n += rb.count
+		}
+	}
+	return n
+}
+
+// TestAdaptiveReshapeReroutesPendingRows: a reshape that lands while rows
+// sit in the coordinate buffers re-routes every pending row exactly once.
+// Each R row must reach exactly one whole row of cells and each S row one
+// whole column — of the matrix in force when its frame was flushed — which
+// is what keeps every (R, S) pair meeting at exactly one cell.
+func TestAdaptiveReshapeReroutesPendingRows(t *testing.T) {
+	const par, perPhase = 4, 100
+	for _, batch := range []int{1, 7, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			h := newAdaptHarness(t, par, batch, [2]int{2, 2})
+			emit := func(from int) {
+				for i := from; i < from+perPhase; i++ {
+					if err := h.r.Emit(types.Tuple{types.Int(int64(i))}); err != nil {
+						t.Fatal(err)
+					}
+					if err := h.s.Emit(types.Tuple{types.Int(int64(1_000_000 + i))}); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			emit(0)
+			before := cellsOf(t, h.drain())
+			pending := pendingRows(h.r) + pendingRows(h.s)
+			if batch > 1 && pending == 0 {
+				t.Fatal("no rows pending at the reshape; the test exercises nothing")
+			}
+			h.reshape(t, 4, 1)
+			emit(perPhase)
+			h.r.eos()
+			h.s.eos()
+			after := cellsOf(t, h.drain())
+			if got := pendingRows(h.r) + pendingRows(h.s); got != 0 {
+				t.Fatalf("%d rows still buffered after EOS", got)
+			}
+			// R rows: a row of cells {2r, 2r+1} under 2x2, one cell under 4x1.
+			// S rows: a column {c, 2+c} under 2x2, every cell under 4x1.
+			isOld := func(id int64, cells []int) bool {
+				if id < 1_000_000 {
+					return len(cells) == 2 && cells[0]%2 == 0 && cells[1] == cells[0]+1
+				}
+				return len(cells) == 2 && cells[0] < 2 && cells[1] == cells[0]+2
+			}
+			isNew := func(id int64, cells []int) bool {
+				if id < 1_000_000 {
+					return len(cells) == 1
+				}
+				return len(cells) == par && cells[0] == 0 && cells[3] == 3
+			}
+			rerouted := 0
+			for _, side := range []int64{0, 1_000_000} {
+				for i := int64(0); i < 2*perPhase; i++ {
+					id := side + i
+					b, a := before[id], after[id]
+					sort.Ints(a)
+					switch {
+					case len(b) > 0 && len(a) > 0:
+						t.Fatalf("row %d delivered before and after the reshape: %v then %v", id, b, a)
+					case len(b) > 0:
+						sort.Ints(b)
+						if i >= perPhase || !isOld(id, b) {
+							t.Fatalf("row %d reached cells %v under the old matrix", id, b)
+						}
+					case !isNew(id, a):
+						t.Fatalf("row %d reached cells %v under the new matrix", id, a)
+					case i < perPhase:
+						rerouted++
+					}
+				}
+			}
+			if rerouted != pending {
+				t.Fatalf("%d rows were pending at the reshape, %d arrived re-routed", pending, rerouted)
+			}
+		})
+	}
+}
+
+// TestAdaptiveFlushCopiesPerCell: a flush to an R row of k cells charges
+// k x the frame length to BytesOut and hands every cell its own copy of the
+// frame — no two cells' frames share a backing array, so one consumer
+// recycling its buffer can never corrupt another's.
+func TestAdaptiveFlushCopiesPerCell(t *testing.T) {
+	const k, batch = 4, 8
+	h := newAdaptHarness(t, k, batch, [2]int{1, k})
+	for i := 0; i < batch; i++ {
+		if err := h.r.Emit(types.Tuple{types.Int(int64(i)), types.Str("payload")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := h.drain()
+	var frames [][]byte
+	for task, envs := range got {
+		if len(envs) != 1 || envs[0].count != batch {
+			t.Fatalf("cell %d got %d frames, want one of %d rows", task, len(envs), batch)
+		}
+		if envs[0].pframe == nil {
+			t.Fatalf("cell %d frame is not pooled", task)
+		}
+		frames = append(frames, envs[0].frame)
+	}
+	want := int64(k * len(frames[0]))
+	if out := h.r.metrics.BytesOut.Load(); out != want {
+		t.Fatalf("BytesOut = %d, want %d cells x %d bytes = %d", out, k, len(frames[0]), want)
+	}
+	for i := range frames {
+		if !bytes.Equal(frames[i], frames[0]) {
+			t.Fatalf("cell %d frame differs from cell 0", i)
+		}
+		lo := uintptr(unsafe.Pointer(unsafe.SliceData(frames[i])))
+		for j := i + 1; j < len(frames); j++ {
+			lo2 := uintptr(unsafe.Pointer(unsafe.SliceData(frames[j])))
+			if lo < lo2+uintptr(cap(frames[j])) && lo2 < lo+uintptr(cap(frames[i])) {
+				t.Fatalf("cells %d and %d share a frame backing array", i, j)
+			}
+		}
 	}
 }

@@ -2,11 +2,13 @@ package dataflow
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // runWithWatchdog fails the test instead of hanging forever if a transport
@@ -274,5 +276,52 @@ func TestBatchedTransportStillCopies(t *testing.T) {
 	}
 	if m.TotalBatches() >= m.TotalSent() {
 		t.Errorf("sent %d tuples in %d envelopes; expected batching", m.TotalSent(), m.TotalBatches())
+	}
+}
+
+// TestEmitFIFOAcrossEmitAndEmitRow: Emit and EmitRow feed the same
+// per-(edge, target) frames, so a bolt that alternates them on one edge
+// still delivers its rows to every target in emission order — at one-row
+// frames and at full batches alike.
+func TestEmitFIFOAcrossEmitAndEmitRow(t *testing.T) {
+	const n = 1000
+	for _, batch := range []int{1, 64} {
+		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
+			sink := newOrderSink()
+			mixer := func(int, int) Bolt {
+				var enc []byte
+				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
+					if in.Tuple[0].I%2 == 0 {
+						return out.Emit(in.Tuple)
+					}
+					enc = wire.Encode(enc[:0], in.Tuple)
+					return out.EmitRow(enc)
+				}}
+			}
+			topo, err := NewBuilder().
+				Spout("src", 1, GenSpout(n, func(i int) types.Tuple {
+					return types.Tuple{types.Int(int64(i))}
+				})).
+				Bolt("mix", 1, mixer).
+				Bolt("sink", 1, sink.factory()).
+				Input("mix", "src", Global()).
+				Input("sink", "mix", Global()).
+				Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := runWithWatchdog(t, topo, Options{Seed: 1, BatchSize: batch}); err != nil {
+				t.Fatal(err)
+			}
+			seq := sink.seqs[[2]interface{}{"mix", 0}]
+			if len(seq) != n {
+				t.Fatalf("delivered %d rows, want %d", len(seq), n)
+			}
+			for i, v := range seq {
+				if v != int64(i) {
+					t.Fatalf("row %d arrived at position %d: %v", v, i, seq[max(0, i-3):i+1])
+				}
+			}
+		})
 	}
 }

@@ -406,6 +406,25 @@ func TestGroupingBadTargetAborts(t *testing.T) {
 	}
 }
 
+// finishOnly is a Bolt with no delivery face.
+type finishOnly struct{}
+
+func (finishOnly) Finish(*Collector) error { return nil }
+
+// TestBoltWithoutDeliveryFaceFails: a bolt that implements neither
+// ExecuteRow nor Execute cannot receive rows, and the run says so.
+func TestBoltWithoutDeliveryFaceFails(t *testing.T) {
+	topo, _ := NewBuilder().
+		Spout("src", 1, SliceSpout(intRows(10))).
+		Bolt("b", 1, func(int, int) Bolt { return finishOnly{} }).
+		Input("b", "src", Global()).
+		Build()
+	_, err := Run(topo, Options{})
+	if err == nil || !strings.Contains(err.Error(), "neither ExecuteRow nor Execute") {
+		t.Errorf("faceless bolt must fail the run: %v", err)
+	}
+}
+
 func ExampleRun() {
 	rows := []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}}
 	sum := int64(0)

@@ -47,10 +47,6 @@ type Options struct {
 	// MemLimitPerTask, when > 0, aborts the run with ErrMemoryOverflow if any
 	// MemReporter bolt's state exceeds this many bytes.
 	MemLimitPerTask int
-	// NoSerialize skips the per-hop tuple (de)serialization. Used by tests
-	// and by analytical benches where network cost must be excluded
-	// (Figure 5 isolates it explicitly instead).
-	NoSerialize bool
 	// VecExec enables vectorized frame execution (PR 6): producers append a
 	// column-offset footer to every packed frame they flush, and consumers
 	// implementing FrameBolt receive whole frames instead of a per-row walk.
@@ -100,24 +96,21 @@ type Options struct {
 	Net *NetPlane
 }
 
-// envelope is one channel message: a batch of tuples sharing provenance
-// (same producer task, same stream), a packed frame of wire-encoded rows
-// (EmitRow's zero-materialization transport, PR 5), an EOS marker, or a
+// envelope is one channel message: a packed frame of wire-encoded rows
+// sharing provenance (same producer task, same stream), an EOS marker, or a
 // control message (adaptive barrier / migration traffic, or recovery kill /
-// restore traffic).
+// restore traffic). Frames are the only data payload an edge carries.
 type envelope struct {
-	batch []types.Tuple
 	// frame is a wire batch frame (varint(count) + encoded rows) shipped
 	// without decoding; count is its row count. RowBolt consumers walk it
-	// with a cursor, everyone else receives it decoded.
+	// with a cursor, everyone else receives its rows decoded.
 	frame []byte
 	count int
-	// pframe/pbatch, when non-nil, are the pool boxes the consumer refills
-	// with the consumed payload and returns after delivery — the whole
-	// recycle is allocation-free. Never set on recovery-tracked edges,
-	// whose payloads are retained for replay/stash.
+	// pframe, when non-nil, is the pool box the consumer refills with the
+	// consumed frame and returns after delivery — the whole recycle is
+	// allocation-free. Never set on recovery-tracked edges, whose frames are
+	// retained for replay/stash.
 	pframe *[]byte
-	pbatch *[]types.Tuple
 	stream string
 	from   int
 	// seq is the per-(producer task, destination task) sequence number on
@@ -131,37 +124,27 @@ type envelope struct {
 	rec  *recMsg     // recovery-plane payload
 }
 
-// Transport pools: steady-state runs recycle envelope payloads between
-// consumer and producer instead of churning them through the GC — the
-// NoSerialize batch slices, the decoded-batch tuple headers, and the packed
-// frame buffers. Payloads on recovery-tracked edges are never pooled (the
-// replay buffer or the consumer's stash retains them).
-var (
-	batchPool = sync.Pool{New: func() any { s := []types.Tuple(nil); return &s }}
-	framePool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
-)
+// framePool recycles frame buffers between consumer and producer instead of
+// churning them through the GC. Frames on recovery-tracked edges are never
+// pooled (the replay buffer or the consumer's stash retains them).
+var framePool = sync.Pool{New: func() any { b := []byte(nil); return &b }}
 
-// releaseEnv refills a delivered envelope's pool boxes with the consumed
-// payloads and returns them.
+// releaseEnv refills a delivered envelope's pool box with the consumed frame
+// and returns it.
 func releaseEnv(env *envelope) {
 	if env.pframe != nil {
 		*env.pframe = env.frame[:0]
 		putFrameBox(env.pframe)
 		env.pframe, env.frame = nil, nil
 	}
-	if env.pbatch != nil {
-		*env.pbatch = env.batch[:0]
-		putBatchBox(env.pbatch)
-		env.pbatch, env.batch = nil, nil
-	}
 }
 
 // rowBatch is one (edge, target) packed accumulation buffer: encoded rows
-// appended back to back after hdrRoom reserved bytes, where flushRow stamps
-// the frame's count varint. box is the pool box the buffer came from; it
-// travels in the flushed envelope so the consumer's return trip reuses it.
-// Under VecExec, foot accumulates the column-offset footer as rows land, so
-// the flush appends it without re-scanning the frame.
+// appended back to back after hdrRoom reserved bytes, where seal stamps the
+// frame's count varint. box is the pool box the buffer came from; it travels
+// in the flushed envelope so the consumer's return trip reuses it. Under
+// VecExec, foot accumulates the column-offset footer as rows land, so the
+// flush appends it without re-scanning the frame.
 type rowBatch struct {
 	box   *[]byte
 	buf   []byte
@@ -169,9 +152,11 @@ type rowBatch struct {
 	foot  wire.FooterBuilder
 }
 
-// Collector routes a task's emitted tuples to the downstream tasks chosen by
-// each outgoing edge's grouping, accumulating per-(edge, target) batches
-// that flush at Options.BatchSize and on EOS. One Collector belongs to one
+// Collector routes a task's emitted rows to the downstream tasks chosen by
+// each outgoing edge's grouping, accumulating per-(edge, target) packed
+// frames that flush at Options.BatchSize and on EOS. Emit and EmitRow feed
+// the same buffers, so a task may mix them freely on one edge and every
+// target still sees its rows in emission order. One Collector belongs to one
 // task; it is not safe for concurrent use.
 type Collector struct {
 	ex        *execution
@@ -180,49 +165,41 @@ type Collector struct {
 	rng       *rand.Rand
 	metrics   *TaskMetrics
 	batchSize int
-	scratch   []byte
 	tbuf      []int
-	dec       wire.BatchDecoder
-	// out[edge][target] is the pending batch bound for one downstream inbox;
-	// outBox[edge][target] is the pool box its slice came from (nil until
-	// the slot's first pooled refill).
-	out    [][][]types.Tuple
-	outBox [][]*[]types.Tuple
-	// Packed emission (EmitRow): pout[edge][target] accumulates encoded rows
-	// that flush as ready wire frames — rows cross the edge without ever
-	// being decoded. rowGroup caches each edge's RowGrouping (nil = the
-	// grouping needs a materialized tuple); rowCur/routeT are the per-emit
-	// cursor and the fallback-materialization scratch; hdrRoom is the space
-	// reserved for the frame count varint. A task must not interleave Emit
-	// and EmitRow on the same edge mid-stream — the two buffer families
-	// flush independently, so mixing would break per-target FIFO framing
-	// (bag semantics tolerate it, but nothing in the engine does it).
-	pout     [][]rowBatch
+	// out[edge][target] accumulates encoded rows that flush as ready wire
+	// frames — rows cross the edge without ever being decoded. rowGroup
+	// caches each edge's RowGrouping (nil = the grouping needs a
+	// materialized tuple); rowCur/routeT are the per-emit cursor and the
+	// fallback-materialization scratch; enc is Emit's encode scratch;
+	// hdrRoom is the space reserved for the frame count varint.
+	out      [][]rowBatch
 	rowGroup []RowGrouping
 	rowCur   wire.Cursor
 	routeT   types.Tuple
+	enc      []byte
 	hdrRoom  int
-	// vec mirrors Options.VecExec: EmitRow feeds each pending frame's footer
+	// vec mirrors Options.VecExec: emit feeds each pending frame's footer
 	// builder and flushRow appends the footer before shipping.
 	vec bool
 	// adaptSide[edge] is the adaptive side (0 = R, 1 = S) of each outgoing
 	// edge, -1 for normal edges; nil when this node has no adaptive edges.
 	adaptSide []int
-	// adaptOut[edge][coord] is the pending adaptive batch for one matrix
-	// coordinate (row for the R side, column for S): tuples are buffered
-	// once per coordinate and the flushed frame is replicated to every cell
-	// of that row/column. adaptEpoch is the routing epoch the pending
-	// batches were assigned under; adaptReroute is reroute scratch.
-	adaptOut     [][][]types.Tuple
+	// adaptOut[edge][coord] is the pending adaptive frame for one matrix
+	// coordinate (row for the R side, column for S): rows are buffered once
+	// per coordinate and the flushed frame is copied to every cell of that
+	// row/column. adaptEpoch is the routing epoch the pending rows were
+	// assigned under; adaptReroute/adaptEnds are reroute scratch.
+	adaptOut     [][]rowBatch
 	adaptEpoch   int
-	adaptReroute []types.Tuple
+	adaptReroute []byte
+	adaptEnds    []int
 	// recTracked[edge] marks outgoing edges into the recovery-protected
 	// component (nil when this node has none): their sends are sequence-
 	// tagged, retained for replay, and pass through the recovery pause gate.
 	// recSeq[edge][target] is the last assigned sequence; recShared[edge]
-	// records whether any currently-buffered tuple of the edge routed to
-	// multiple targets (such tuples must flush as one gate session, see
-	// Emit); recPid is this producer task's id in the replay-buffer table;
+	// records whether any currently-buffered row of the edge routed to
+	// multiple targets (such rows must flush as one gate session, see
+	// emit); recPid is this producer task's id in the replay-buffer table;
 	// inRecGate tracks gate re-entrancy (the gate is counting, so a nested
 	// enter while paused would self-deadlock).
 	recTracked []bool
@@ -230,21 +207,19 @@ type Collector struct {
 	recShared  []bool
 	recPid     int
 	inRecGate  bool
-	// held is set on a recovery-protected task while it executes one tuple:
-	// Emit parks tuples in heldT, EmitRow parks rows in heldRows (ending at
-	// heldEnds), and settle ships or drops them once the tuple returns. A
-	// panic captured mid-tuple then never leaves the tuple half-emitted —
-	// the packed join emits per match, and a corrupt spilled segment fails
-	// its fault-in mid-probe.
+	// held is set on a recovery-protected task while it executes one row:
+	// emissions are parked in heldRows (ending at heldEnds), and settle
+	// ships or drops them once the row returns. A panic captured mid-row
+	// then never leaves the row half-emitted — the packed join emits per
+	// match, and a corrupt spilled segment fails its fault-in mid-probe.
 	held     bool
-	heldT    []types.Tuple
 	heldRows []byte
 	heldEnds []int
 }
 
-// settle ends a held tuple whose execution returned err: on success its
-// parked emissions go out through the normal Emit/EmitRow paths, on failure
-// (a panic, re-run after the restore) they are dropped.
+// settle ends a held row whose execution returned err: on success its parked
+// emissions go out in order, on failure (a panic, re-run after the restore)
+// they are dropped.
 func (c *Collector) settle(err error) error {
 	c.held = false
 	if err == nil {
@@ -255,15 +230,8 @@ func (c *Collector) settle(err error) error {
 			}
 			start = end
 		}
-		for _, t := range c.heldT {
-			if err != nil {
-				break
-			}
-			err = c.Emit(t)
-		}
 	}
-	clear(c.heldT)
-	c.heldT, c.heldRows, c.heldEnds = c.heldT[:0], c.heldRows[:0], c.heldEnds[:0]
+	c.heldRows, c.heldEnds = c.heldRows[:0], c.heldEnds[:0]
 	return err
 }
 
@@ -285,78 +253,26 @@ func (c *Collector) recExit() {
 	c.ex.rec.exit()
 }
 
-// Emit ships t to all subscribed downstream components. The tuple may be
-// retained in pending batch buffers until the next flush (batch full, EOS),
-// so the caller must not mutate it after emitting — the engine-wide
-// tuples-are-immutable convention (types.Tuple) is load-bearing here.
+// Emit ships t to all subscribed downstream components. The tuple is encoded
+// once, here, and travels as a packed row like every EmitRow row; the caller
+// may reuse it afterwards.
 func (c *Collector) Emit(t types.Tuple) error {
-	if c.held {
-		c.heldT = append(c.heldT, t)
-		return nil
-	}
-	c.metrics.Emitted.Add(1)
-	for ei, e := range c.node.outputs {
-		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], t); err != nil {
-				return err
-			}
-			continue
-		}
-		c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
-		full := false
-		for _, target := range c.tbuf {
-			if target < 0 || target >= e.to.par {
-				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
-			}
-			c.out[ei][target] = append(c.out[ei][target], t)
-			if len(c.out[ei][target]) >= c.batchSize {
-				full = true
-			}
-		}
-		if c.recTracked != nil && c.recTracked[ei] && len(c.tbuf) > 1 {
-			c.recShared[ei] = true
-		}
-		if !full {
-			continue
-		}
-		if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
-			// A replicated tuple is pending somewhere on this edge: flush
-			// every target together inside one gate session, so the tuple is
-			// never delivered to one copy's task while still buffered for
-			// another when a recovery round quiesces the edge — a peer
-			// snapshot would disagree with the failed task's applied
-			// history. Edges carrying only unicast tuples keep the ordinary
-			// per-target flush (full batch amortization): with no replicas,
-			// nothing can be split. Replicating edges deliberately accept
-			// sub-BatchSize frames for the uneven targets here: flushing
-			// only the targets sharing pending replicas would need
-			// per-tuple target-set bookkeeping on the hot path, and the
-			// conservative whole-edge flush is already priced into the
-			// recovered-run overhead BenchmarkSection5_Recovery reports.
-			if err := c.flushEdgeTracked(ei); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, target := range c.tbuf {
-			if len(c.out[ei][target]) >= c.batchSize {
-				if err := c.flush(ei, target); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	return nil
+	c.enc = wire.Encode(c.enc[:0], t)
+	return c.emit(c.enc, t)
 }
 
 // EmitRow ships one wire-encoded row to all subscribed downstream
 // components without materializing a tuple: routing reads the encoded
 // fields through a cursor (RowGrouping), and the row's bytes are appended
 // straight into per-(edge, target) frame buffers that flush as ready wire
-// frames. This is the packed execution hot path (PR 5): a row crossing N
-// non-adaptive edges costs N memcpys, zero decodes and zero re-encodes.
-// The row is copied immediately, so the caller may reuse its buffer.
-func (c *Collector) EmitRow(row []byte) error {
+// frames. A row crossing N edges costs N memcpys, zero decodes and zero
+// re-encodes. The row is copied immediately, so the caller may reuse its
+// buffer.
+func (c *Collector) EmitRow(row []byte) error { return c.emit(row, nil) }
+
+// emit routes one encoded row. t, when non-nil, is the row's tuple, already
+// in hand: groupings route it with Targets instead of reading the cursor.
+func (c *Collector) emit(row []byte, t types.Tuple) error {
 	if c.held {
 		c.heldRows = append(c.heldRows, row...)
 		c.heldEnds = append(c.heldEnds, len(c.heldRows))
@@ -364,45 +280,33 @@ func (c *Collector) EmitRow(row []byte) error {
 	}
 	c.metrics.Emitted.Add(1)
 	if err := c.rowCur.Reset(row); err != nil {
-		return fmt.Errorf("dataflow: EmitRow from %s[%d]: %w", c.node.name, c.task, err)
+		return fmt.Errorf("dataflow: emit from %s[%d]: %w", c.node.name, c.task, err)
 	}
-	materialized := false
 	for ei, e := range c.node.outputs {
 		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			// Adaptive edges keep tuple semantics: their coordinate buffers
-			// retain tuples across the reshape protocol, so the row is
-			// materialized once (owned — the buffer outlives this call).
-			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], c.rowCur.Tuple(nil)); err != nil {
+			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], row); err != nil {
 				return err
 			}
 			continue
 		}
-		if rg := c.rowGroup[ei]; rg != nil {
+		switch rg := c.rowGroup[ei]; {
+		case t != nil:
+			c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
+		case rg != nil:
 			c.tbuf = rg.RowTargets(&c.rowCur, e.to.par, c.rng, c.tbuf[:0])
-		} else {
-			// The grouping has no packed path: materialize into reusable
-			// scratch (groupings never retain the tuple).
-			if !materialized {
-				c.routeT = c.rowCur.Tuple(c.routeT)
-				materialized = true
-			}
-			c.tbuf = e.grouping.Targets(c.routeT, e.to.par, c.rng, c.tbuf[:0])
+		default:
+			// The grouping has no packed path: materialize once into
+			// reusable scratch (groupings never retain the tuple).
+			c.routeT = c.rowCur.Tuple(c.routeT)
+			t = c.routeT
+			c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
 		}
 		full := false
 		for _, target := range c.tbuf {
 			if target < 0 || target >= e.to.par {
 				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
 			}
-			rb := &c.pout[ei][target]
-			if rb.buf == nil {
-				c.newRowBuf(rb)
-			}
-			if c.vec {
-				rb.foot.AddRow(len(rb.buf)-c.hdrRoom, &c.rowCur)
-			}
-			rb.buf = append(rb.buf, row...)
-			rb.count++
-			if rb.count >= c.batchSize {
+			if c.appendRow(&c.out[ei][target], row, c.vec) {
 				full = true
 			}
 		}
@@ -413,15 +317,26 @@ func (c *Collector) EmitRow(row []byte) error {
 			continue
 		}
 		if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
-			// Same invariant as Emit: a replicated row pending on a tracked
-			// edge flushes every target inside one gate session.
+			// A replicated row is pending somewhere on this edge: flush every
+			// target together inside one gate session, so the row is never
+			// delivered to one copy's task while still buffered for another
+			// when a recovery round quiesces the edge — a peer snapshot would
+			// disagree with the failed task's applied history. Edges carrying
+			// only unicast rows keep the ordinary per-target flush (full batch
+			// amortization): with no replicas, nothing can be split.
+			// Replicating edges deliberately accept sub-BatchSize frames for
+			// the uneven targets here: flushing only the targets sharing
+			// pending replicas would need per-row target-set bookkeeping on
+			// the hot path, and the conservative whole-edge flush is already
+			// priced into the recovered-run overhead
+			// BenchmarkSection5_Recovery reports.
 			if err := c.flushEdgeTracked(ei); err != nil {
 				return err
 			}
 			continue
 		}
 		for _, target := range c.tbuf {
-			if c.pout[ei][target].count >= c.batchSize {
+			if c.out[ei][target].count >= c.batchSize {
 				if err := c.flushRow(ei, target); err != nil {
 					return err
 				}
@@ -431,27 +346,52 @@ func (c *Collector) EmitRow(row []byte) error {
 	return nil
 }
 
-// newRowBuf takes a frame buffer (and its box) from the pool with hdrRoom
-// bytes reserved for the count varint flushRow stamps.
-func (c *Collector) newRowBuf(rb *rowBatch) {
-	p := getFrameBox()
-	buf := *p
-	if cap(buf) < c.hdrRoom {
-		buf = make([]byte, c.hdrRoom, c.hdrRoom+512)
+// appendRow adds the row rowCur is positioned on to one pending frame,
+// taking a buffer from the pool when the frame is empty, and reports
+// whether the frame reached BatchSize. footer feeds the frame's
+// column-offset footer builder.
+func (c *Collector) appendRow(rb *rowBatch, row []byte, footer bool) bool {
+	if rb.buf == nil {
+		p := getFrameBox()
+		buf := *p
+		if cap(buf) < c.hdrRoom {
+			buf = make([]byte, c.hdrRoom, c.hdrRoom+512)
+		}
+		rb.box, rb.buf = p, buf[:c.hdrRoom]
+		if footer {
+			rb.foot.Reset()
+		}
 	}
-	rb.box, rb.buf = p, buf[:c.hdrRoom]
-	if c.vec {
-		rb.foot.Reset()
+	if footer {
+		rb.foot.AddRow(len(rb.buf)-c.hdrRoom, &c.rowCur)
 	}
+	rb.buf = append(rb.buf, row...)
+	rb.count++
+	return rb.count >= c.batchSize
 }
 
-// flushRow ships the pending packed frame of one (edge, target) buffer: the
-// count varint is stamped into the reserved header room and the buffer is
-// handed to the consumer as-is — the frame was effectively "encoded" by the
-// row appends themselves. Tracked edges sequence-tag the frame and retain
-// it for replay, exactly like flush.
+// seal turns a pending buffer into a ready wire frame: the footer (when
+// footer is set) is appended and the count varint stamped into the reserved
+// header room. The footer's offsets are relative to the rows region, so
+// appending it before the varint lands is safe whatever the varint's width.
+func (c *Collector) seal(rb *rowBatch, footer bool) []byte {
+	if footer {
+		rb.buf = rb.foot.Append(rb.buf)
+	}
+	var hdr [10]byte
+	hl := binary.PutUvarint(hdr[:], uint64(rb.count))
+	start := c.hdrRoom - hl
+	copy(rb.buf[start:], hdr[:hl])
+	return rb.buf[start:]
+}
+
+// flushRow ships the pending frame of one (edge, target) buffer: the buffer
+// is handed to the consumer as-is — the frame was effectively "encoded" by
+// the row appends themselves. On edges into a recovery-protected component
+// the send happens inside the recovery gate, carries the next (producer,
+// target) sequence number, and the frame is retained in the replay buffer.
 func (c *Collector) flushRow(ei, target int) error {
-	rb := &c.pout[ei][target]
+	rb := &c.out[ei][target]
 	if rb.count == 0 {
 		return nil
 	}
@@ -466,17 +406,7 @@ func (c *Collector) flushRow(ei, target int) error {
 			defer c.recExit()
 		}
 	}
-	if c.vec {
-		// The footer's offsets are relative to the rows region, so appending
-		// it before the count varint is stamped is safe regardless of the
-		// varint's width.
-		rb.buf = rb.foot.Append(rb.buf)
-	}
-	var hdr [10]byte
-	hl := binary.PutUvarint(hdr[:], uint64(rb.count))
-	start := c.hdrRoom - hl
-	copy(rb.buf[start:], hdr[:hl])
-	frame := rb.buf[start:]
+	frame := c.seal(rb, c.vec)
 	env := envelope{stream: c.node.name, from: c.task, frame: frame, count: rb.count}
 	c.metrics.BytesOut.Add(int64(len(frame)))
 	c.metrics.Sent.Add(int64(rb.count))
@@ -499,7 +429,7 @@ func (c *Collector) flushRow(ei, target int) error {
 	return nil
 }
 
-// flushEdgeTracked drains every pending batch of one recovery-tracked edge
+// flushEdgeTracked drains every pending frame of one recovery-tracked edge
 // inside a single gate session, so the gate never splits a replication group.
 func (c *Collector) flushEdgeTracked(ei int) error {
 	entered, ok := c.recEnter()
@@ -510,11 +440,6 @@ func (c *Collector) flushEdgeTracked(ei int) error {
 		defer c.recExit()
 	}
 	for target := range c.out[ei] {
-		if err := c.flush(ei, target); err != nil {
-			return err
-		}
-	}
-	for target := range c.pout[ei] {
 		if err := c.flushRow(ei, target); err != nil {
 			return err
 		}
@@ -523,10 +448,10 @@ func (c *Collector) flushEdgeTracked(ei int) error {
 	return nil
 }
 
-// emitAdaptiveGated routes one adaptive-edge tuple, holding the recovery
-// gate (when installed) outside the adaptive gate — the lock order the
-// control planes' round serialization (roundMu) relies on.
-func (c *Collector) emitAdaptiveGated(ei, side int, t types.Tuple) error {
+// emitAdaptiveGated routes one adaptive-edge row, holding the recovery gate
+// (when installed) outside the adaptive gate — the lock order the control
+// planes' round serialization (roundMu) relies on.
+func (c *Collector) emitAdaptiveGated(ei, side int, row []byte) error {
 	if c.recTracked != nil && c.recTracked[ei] {
 		entered, ok := c.recEnter()
 		if !ok {
@@ -536,108 +461,12 @@ func (c *Collector) emitAdaptiveGated(ei, side int, t types.Tuple) error {
 			defer c.recExit()
 		}
 	}
-	return c.emitAdaptive(ei, side, t)
+	return c.emitAdaptive(ei, side, row)
 }
 
-// flush ships the pending batch of one (edge, target) buffer downstream. On
-// edges into a recovery-protected component the send happens inside the
-// recovery gate, carries the next (producer, target) sequence number, and is
-// retained in the replay buffer.
-func (c *Collector) flush(ei, target int) error {
-	batch := c.out[ei][target]
-	if len(batch) == 0 {
-		return nil
-	}
-	e := c.node.outputs[ei]
-	tracked := c.recTracked != nil && c.recTracked[ei]
-	if tracked {
-		entered, ok := c.recEnter()
-		if !ok {
-			return c.ex.abortErr()
-		}
-		if entered {
-			defer c.recExit()
-		}
-	}
-	env := envelope{stream: c.node.name, from: c.task}
-	var ent replayEnt
-	switch {
-	case c.ex.opts.NoSerialize:
-		// The consumer takes ownership of the slice; start a fresh buffer
-		// from the pool. The outgoing slice's box (outBox) travels in the
-		// envelope so the consumer's return trip recycles both without
-		// allocating — unless the edge retains payloads for replay.
-		env.batch = batch
-		box := c.outBox[ei][target]
-		if tracked {
-			// Replay re-delivers the same immutable tuples; only the empty
-			// box returns to the pool.
-			ent = replayEnt{tuples: batch, count: len(batch)}
-			if box != nil {
-				*box = nil
-				putBatchBox(box)
-			}
-		} else {
-			if box == nil {
-				box = new([]types.Tuple) // first flush of this slot
-				adoptBatchBox(box)
-			}
-			env.pbatch = box
-		}
-		p := getBatchBox()
-		next := *p
-		if cap(next) < c.batchSize {
-			next = make([]types.Tuple, 0, c.batchSize)
-		}
-		c.out[ei][target] = next[:0]
-		c.outBox[ei][target] = p
-		c.metrics.Sent.Add(int64(len(batch)))
-	default:
-		// One wire frame per flush: the destination receives its own
-		// deserialized copies, exactly as on a real network, but the frame
-		// cost is paid once per batch. The accumulation buffer is reusable
-		// because only the decoded copies leave this task. The decoded
-		// tuple headers land in a pooled slice (the value arena stays fresh
-		// per frame, so retained tuples are unaffected by recycling) whose
-		// box rides the envelope back to the pool.
-		c.scratch = wire.EncodeBatch(c.scratch[:0], batch)
-		p := getBatchBox()
-		out, _, err := c.dec.DecodeReuse(c.scratch, *p)
-		if err != nil {
-			return fmt.Errorf("dataflow: wire corruption on %s->%s: %w", e.from.name, e.to.name, err)
-		}
-		env.batch = out
-		if tracked {
-			// The consumer may stash the batch during a recovery round;
-			// only the empty box returns.
-			*p = nil
-			putBatchBox(p)
-		} else {
-			env.pbatch = p
-		}
-		c.metrics.BytesOut.Add(int64(len(c.scratch)))
-		c.out[ei][target] = batch[:0]
-		c.metrics.Sent.Add(int64(len(out)))
-		if tracked {
-			ent = replayEnt{frame: append([]byte(nil), c.scratch...), count: len(out)}
-		}
-	}
-	c.metrics.Batches.Add(1)
-	if tracked {
-		c.recSeq[ei][target]++
-		env.seq = c.recSeq[ei][target]
-		ent.seq = env.seq
-		c.ex.rec.record(c.recPid, target, ent)
-	}
-	if !c.ex.send(e.to, target, env) {
-		return c.ex.abortErr()
-	}
-	return nil
-}
-
-// flushAll drains every pending batch — tuple and packed row buffers alike —
-// preserving per-target FIFO order. Tracked edges with a replicated tuple
-// pending drain inside one gate session per edge (see Emit).
+// flushAll drains every pending frame, preserving per-target FIFO order.
+// Tracked edges with a replicated row pending drain inside one gate session
+// per edge (see emit).
 func (c *Collector) flushAll() error {
 	for ei := range c.node.outputs {
 		if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
@@ -647,11 +476,6 @@ func (c *Collector) flushAll() error {
 			continue
 		}
 		for target := range c.out[ei] {
-			if err := c.flush(ei, target); err != nil {
-				return err
-			}
-		}
-		for target := range c.pout[ei] {
 			if err := c.flushRow(ei, target); err != nil {
 				return err
 			}
@@ -661,32 +485,21 @@ func (c *Collector) flushAll() error {
 }
 
 // close returns the pool boxes the collector still holds once the task is
-// done emitting: the NoSerialize accumulation boxes parked in outBox (every
-// flush Gets a replacement that the final flush strands there), and any
-// packed-row buffer an abort left unflushed. Without it, every task retired
-// one box per output slot per run — never unsafe, but a steady leak that
-// degraded the pools back toward per-envelope allocation on repeated runs,
-// and noise that would mask real leaks in the pool ledger. Must run after
-// the last flush/eos; boxes in envelopes already sent are owned downstream
-// and are not touched.
+// done emitting: any pending buffer an abort left unflushed. Without it an
+// aborted task retired one box per unflushed slot — never unsafe, but noise
+// that would mask real leaks in the pool ledger. Must run after the last
+// flush/eos; boxes in envelopes already sent are owned downstream and are
+// not touched.
 func (c *Collector) close() {
-	for ei := range c.outBox {
-		for t, box := range c.outBox[ei] {
-			if box != nil {
-				*box = nil
-				putBatchBox(box)
-				c.outBox[ei][t] = nil
-				c.out[ei][t] = nil
-			}
-		}
-	}
-	for ei := range c.pout {
-		for t := range c.pout[ei] {
-			rb := &c.pout[ei][t]
-			if rb.box != nil {
-				*rb.box = nil
-				putFrameBox(rb.box)
-				rb.box, rb.buf, rb.count = nil, nil, 0
+	for _, bufs := range [][][]rowBatch{c.out, c.adaptOut} {
+		for ei := range bufs {
+			for t := range bufs[ei] {
+				rb := &bufs[ei][t]
+				if rb.box != nil {
+					*rb.box = nil
+					putFrameBox(rb.box)
+					rb.box, rb.buf, rb.count = nil, nil, 0
+				}
 			}
 		}
 	}
@@ -843,9 +656,6 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 		metrics: &RunMetrics{Components: make(map[string]*ComponentMetrics, len(t.nodes)), topo: t},
 	}
 	if opts.Net != nil {
-		if opts.NoSerialize {
-			return nil, errors.New("dataflow: NoSerialize cannot cross process boundaries — cluster runs serialize every edge")
-		}
 		// Set before initAdaptive/initRecovery: both size their accounting to
 		// the locally hosted slice of the topology.
 		ex.net = opts.Net
@@ -938,14 +748,10 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 }
 
 func (ex *execution) collector(n *node, task int) *Collector {
-	out := make([][][]types.Tuple, len(n.outputs))
-	outBox := make([][]*[]types.Tuple, len(n.outputs))
-	pout := make([][]rowBatch, len(n.outputs))
+	out := make([][]rowBatch, len(n.outputs))
 	rowGroup := make([]RowGrouping, len(n.outputs))
 	for i, e := range n.outputs {
-		out[i] = make([][]types.Tuple, e.to.par)
-		outBox[i] = make([]*[]types.Tuple, e.to.par)
-		pout[i] = make([]rowBatch, e.to.par)
+		out[i] = make([]rowBatch, e.to.par)
 		rowGroup[i], _ = e.grouping.(RowGrouping)
 	}
 	hdrRoom := 1
@@ -953,14 +759,14 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		hdrRoom++
 	}
 	var adaptSide []int
-	var adaptOut [][][]types.Tuple
+	var adaptOut [][]rowBatch
 	if ex.adapt != nil {
 		if adaptSide = ex.adapt.sidesFor(n); adaptSide != nil {
-			adaptOut = make([][][]types.Tuple, len(n.outputs))
+			adaptOut = make([][]rowBatch, len(n.outputs))
 			for ei, side := range adaptSide {
 				if side >= 0 {
 					// A coordinate never exceeds the joiner's task count.
-					adaptOut[ei] = make([][]types.Tuple, ex.adapt.node.par)
+					adaptOut[ei] = make([]rowBatch, ex.adapt.node.par)
 				}
 			}
 		}
@@ -989,8 +795,6 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		metrics:    ex.metrics.Components[n.name].Tasks[task],
 		batchSize:  ex.opts.BatchSize,
 		out:        out,
-		outBox:     outBox,
-		pout:       pout,
 		rowGroup:   rowGroup,
 		hdrRoom:    hdrRoom,
 		vec:        ex.opts.VecExec,
@@ -1011,9 +815,8 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 	sp := n.spout(task, n.par)
 	// Packed sources (RowSpout) hand the executor wire-encoded rows: one
 	// encode at the source, then routing, transport and state inserts all
-	// work on the bytes. NoSerialize runs skip it — there the tuple path is
-	// the cheap one, frames would reintroduce the cost being excluded.
-	if rsp, ok := sp.(RowSpout); ok && !ex.opts.NoSerialize {
+	// work on the bytes. Tuple spouts are encoded once, by Emit.
+	if rsp, ok := sp.(RowSpout); ok {
 		for i := 0; ; i++ {
 			if i%col.batchSize == 0 {
 				select {
@@ -1055,7 +858,7 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 	}
 }
 
-// panicFault is a panic captured inside Bolt.Execute, carried as an error so
+// panicFault is a panic captured inside a bolt callback, carried as an error so
 // the executor can either convert it into a recovery round or fail the run
 // with the stack attached.
 type panicFault struct {
@@ -1068,8 +871,8 @@ func (p *panicFault) Error() string { return fmt.Sprintf("bolt panic: %v", p.val
 // errPanicCaptured signals that a panic was absorbed into a recovery round.
 var errPanicCaptured = errors.New("dataflow: bolt panic captured")
 
-// safeExecute runs Bolt.Execute with panic capture.
-func safeExecute(b Bolt, in Input, col *Collector) (err error) {
+// safeExecute runs TupleBolt.Execute with panic capture.
+func safeExecute(b TupleBolt, in Input, col *Collector) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicFault{val: r, stack: debug.Stack()}
@@ -1117,9 +920,29 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	// The task owns its bolt's external charges (pressure gauges); refund
 	// them when the task exits, whatever bolt instance it ends with.
 	defer func() { releaseState(bolt) }()
-	mem, hasMem := bolt.(MemReporter)
-	rowBolt, _ := bolt.(RowBolt)
-	frameBolt, _ := bolt.(FrameBolt)
+	var (
+		mem       MemReporter
+		hasMem    bool
+		rowBolt   RowBolt
+		tupleBolt TupleBolt
+		frameBolt FrameBolt
+	)
+	// faces resolves the delivery face of the current bolt instance: rows
+	// in place for a RowBolt, decoded tuples for anything else.
+	faces := func() bool {
+		mem, hasMem = bolt.(MemReporter)
+		rowBolt, _ = bolt.(RowBolt)
+		tupleBolt, _ = bolt.(TupleBolt)
+		frameBolt, _ = bolt.(FrameBolt)
+		if rowBolt == nil && tupleBolt == nil {
+			ex.fail(fmt.Errorf("dataflow: bolt %s[%d] (%T) implements neither ExecuteRow nor Execute", n.name, task, bolt))
+			return false
+		}
+		return true
+	}
+	if !faces() {
+		return
+	}
 	tm := col.metrics
 
 	// Adaptive joiner tasks repartition state on reshape barriers and feed
@@ -1147,9 +970,9 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	rebirth := func() bool {
 		releaseState(bolt) // the replaced instance must not keep its gauge charges
 		bolt = n.bolt(task, n.par)
-		mem, hasMem = bolt.(MemReporter)
-		rowBolt, _ = bolt.(RowBolt)
-		frameBolt, _ = bolt.(FrameBolt)
+		if !faces() {
+			return false
+		}
 		if adaptHere {
 			rep, _ = bolt.(Repartitioner)
 		}
@@ -1170,7 +993,8 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	}
 	inbox := ex.inboxes[n][task]
 	processed := 0
-	var fdec wire.BatchDecoder // frame decoding for non-RowBolt consumers
+	var fdec wire.BatchDecoder // frame decoding for TupleBolt consumers
+	var tbatch []types.Tuple   // decoded-row headers, reused across frames
 	var rcur wire.Cursor       // frame row cursor
 
 	// postTuple is the shared per-tuple/per-row bookkeeping: adaptive load
@@ -1191,116 +1015,88 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 		return nil
 	}
 
-	// deliver applies one data envelope tuple by tuple (or, for packed
-	// frames into a RowBolt, row by row without decoding). On a protected
-	// task each tuple's emissions are held until it returns (Collector.held),
-	// so a panic with an open recovery session (and no conflicting round)
-	// drops the poisoned tuple's partial output, is captured as the poisoned
-	// envelope and reported via errPanicCaptured.
-	// vecHere gates whole-frame delivery: vectorized execution stays off on
-	// recovery-protected tasks (their replay bookkeeping is per row) and on
-	// adaptive joiners (per-row load reports drive the controller).
+	// settleRow finishes one delivered row whose callback returned err: on
+	// a protected task the row's emissions were held (Collector.held) and
+	// now ship or drop, so a panic with an open recovery session (and no
+	// conflicting round) drops the poisoned row's partial output, is
+	// captured with the row's index (the main loop adds the envelope), and
+	// is reported via errPanicCaptured.
+	settleRow := func(k int, err error) error {
+		if col.held {
+			err = col.settle(err)
+		}
+		if err != nil {
+			pf, panicked := err.(*panicFault)
+			if !panicked {
+				return err
+			}
+			if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
+				rs.poisoned = &poisonedEnv{idx: k}
+				return errPanicCaptured
+			}
+			return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
+		}
+		return postTuple()
+	}
+
+	// deliver applies one data frame from row index from on: whole to a
+	// FrameBolt, row by row in place to a RowBolt, decoded at the boundary
+	// to a TupleBolt. vecHere gates whole-frame delivery: vectorized
+	// execution stays off on recovery-protected tasks (their replay
+	// bookkeeping is per row) and on adaptive joiners (per-row load reports
+	// drive the controller).
 	vecHere := ex.opts.VecExec && rs == nil && !adaptHere
-	var deliver func(env envelope, count bool) error
-	deliver = func(env envelope, count bool) error {
-		if env.frame != nil {
-			if count {
-				tm.Received.Add(int64(env.count))
-			}
-			if frameBolt != nil && vecHere && mig == nil {
-				// Vectorized path: the bolt takes the frame whole, footer and
-				// all. ExecuteFrame owns the per-row fallback, so delivery is
-				// unconditional once the bolt is frame-capable.
-				in := FrameInput{Stream: env.stream, FromTask: env.from, Frame: env.frame, Count: env.count}
-				if err := safeExecuteFrame(frameBolt, in, col); err != nil {
-					if pf, ok := err.(*panicFault); ok {
-						return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
-					}
-					return err
-				}
-				tm.VecRows.Add(int64(env.count))
-				processed += env.count
-				if hasMem {
-					ex.checkMem(n, task, tm, mem)
-					select {
-					case <-ex.abort:
-						return ex.abortErr()
-					default:
-					}
-				}
-				return nil
-			}
-			if rowBolt == nil {
-				// Not frame-capable: strip any footer and hand the frame over
-				// decoded (boxed edges never see footers).
-				batch, _, err := fdec.Decode(wire.StripFooter(env.frame))
-				if err != nil {
-					return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, err)
-				}
-				dec := env
-				dec.frame, dec.count, dec.pframe = nil, 0, nil
-				dec.batch = batch
-				return deliver(dec, false)
-			}
-			in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &rcur}
-			k := 0
-			_, _, err := wire.EachRow(env.frame, &rcur, func(row []byte) error {
-				in.Row = row
-				col.held = rs != nil
-				err := safeExecuteRow(rowBolt, in, col)
-				if col.held {
-					err = col.settle(err)
-				}
-				if err != nil {
-					pf, panicked := err.(*panicFault)
-					if !panicked {
-						return err
-					}
-					if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
-						// The poisoned envelope is retained decoded: the
-						// restore path re-imports the applied prefix and
-						// reprocesses the rest through the tuple path.
-						pb, _, derr := wire.DecodeBatch(wire.StripFooter(env.frame))
-						if derr != nil {
-							return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, derr)
-						}
-						rs.poisoned = &poisonedEnv{env: env, batch: pb, idx: k}
-						return errPanicCaptured
-					}
+	deliver := func(env envelope, count bool, from int) error {
+		if count {
+			tm.Received.Add(int64(env.count))
+		}
+		if frameBolt != nil && vecHere && mig == nil {
+			// Vectorized path: the bolt takes the frame whole, footer and
+			// all. ExecuteFrame owns the per-row fallback, so delivery is
+			// unconditional once the bolt is frame-capable.
+			in := FrameInput{Stream: env.stream, FromTask: env.from, Frame: env.frame, Count: env.count}
+			if err := safeExecuteFrame(frameBolt, in, col); err != nil {
+				if pf, ok := err.(*panicFault); ok {
 					return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
 				}
-				k++
-				return postTuple()
-			})
-			if err != nil {
 				return err
+			}
+			tm.VecRows.Add(int64(env.count))
+			processed += env.count
+			if hasMem {
+				ex.checkMem(n, task, tm, mem)
+				select {
+				case <-ex.abort:
+					return ex.abortErr()
+				default:
+				}
 			}
 			return nil
 		}
-		batch := env.batch
-		in := Input{Stream: env.stream, FromTask: env.from}
-		if count {
-			tm.Received.Add(int64(len(batch)))
+		if rowBolt != nil {
+			in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &rcur}
+			k := 0
+			_, _, err := wire.EachRow(env.frame, &rcur, func(row []byte) error {
+				if k++; k <= from {
+					return nil
+				}
+				in.Row = row
+				col.held = rs != nil
+				return settleRow(k-1, safeExecuteRow(rowBolt, in, col))
+			})
+			return err
 		}
-		for i := 0; i < len(batch); i++ {
-			in.Tuple = batch[i]
+		// The decoded tuples own fresh value arenas; only the header slice
+		// is reused, so a bolt may keep the tuples it is handed.
+		var err error
+		if tbatch, _, err = fdec.DecodeReuse(wire.StripFooter(env.frame), tbatch[:0]); err != nil {
+			return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, err)
+		}
+		in := Input{Stream: env.stream, FromTask: env.from}
+		for k := from; k < len(tbatch); k++ {
+			in.Tuple = tbatch[k]
 			col.held = rs != nil
-			err := safeExecute(bolt, in, col)
-			if col.held {
-				err = col.settle(err)
-			}
-			if err != nil {
-				pf, panicked := err.(*panicFault)
-				if !panicked {
-					return err
-				}
-				if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
-					rs.poisoned = &poisonedEnv{env: env, batch: batch, idx: i}
-					return errPanicCaptured
-				}
-				return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
-			}
-			if err := postTuple(); err != nil {
+			if err := settleRow(k, safeExecute(tupleBolt, in, col)); err != nil {
 				return err
 			}
 		}
@@ -1312,29 +1108,27 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	// emission, re-checkpoint, and ack the manager.
 	finishRecovery := func() error {
 		if p := rs.poisoned; p != nil {
-			rel := ex.rec.pol.RelOf[p.env.stream]
 			if p.idx > 0 {
 				// The applied prefix already emitted its deltas before the
 				// crash; re-import it silently.
-				if err := bolt.(Repartitioner).ImportState(rel, p.batch[:p.idx]); err != nil {
+				batch, _, err := fdec.Decode(wire.StripFooter(p.env.frame))
+				if err != nil {
+					return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, err)
+				}
+				if err := bolt.(Repartitioner).ImportState(ex.rec.pol.RelOf[p.env.stream], batch[:p.idx]); err != nil {
 					return err
 				}
 			}
-			// The crashing tuple and the rest of the batch never emitted:
+			// The crashing row and the rest of the frame never emitted:
 			// reprocess them fully (Received was counted at first delivery).
-			// A poisoned frame was decoded at capture time, so the re-run
-			// always goes through the tuple path.
-			reEnv := p.env
-			reEnv.batch = p.batch[p.idx:]
-			reEnv.frame, reEnv.count = nil, 0
-			if err := deliver(reEnv, false); err != nil {
+			if err := deliver(p.env, false, p.idx); err != nil {
 				return err
 			}
 			rs.applied(&p.env)
 			rs.poisoned = nil
 		}
 		for _, env := range rs.stash {
-			if err := deliver(env, true); err != nil {
+			if err := deliver(env, true, 0); err != nil {
 				return err
 			}
 			rs.applied(&env)
@@ -1520,13 +1314,10 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					ckptCur = rs.manifest.CursorFor(env.stream, env.from)
 				}
 				if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
-					batch := env.batch
-					if batch == nil {
-						var err error
-						if batch, _, err = fdec.Decode(wire.StripFooter(env.frame)); err != nil {
-							ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay frame corrupt: %w", n.name, task, err))
-							return
-						}
+					batch, _, err := fdec.Decode(wire.StripFooter(env.frame))
+					if err != nil {
+						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay frame corrupt: %w", n.name, task, err))
+						return
 					}
 					if err := bolt.(Repartitioner).ImportState(rel, batch); err != nil {
 						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay import: %w", n.name, task, err))
@@ -1539,12 +1330,9 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				continue // late duplicate of replayed input
 			}
 		}
-		nIn := env.count
-		if env.batch != nil {
-			nIn = len(env.batch)
-		}
-		if err := deliver(env, true); err != nil {
+		if err := deliver(env, true, 0); err != nil {
 			if err == errPanicCaptured {
+				rs.poisoned.env = env
 				// Pending outputs hold only deltas of fully applied tuples
 				// (the poisoned tuple's held emissions were dropped): flush
 				// them, drop the poisoned state, restore from the checkpoint
@@ -1574,8 +1362,8 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			ex.fail(fmt.Errorf("dataflow: bolt %s[%d]: %w", n.name, task, err))
 			return
 		}
-		// The envelope's payload is consumed (frames were walked in place,
-		// decoded tuples copied their strings): recycle pooled buffers.
+		// The frame is consumed (walked in place, or decoded into fresh
+		// arenas): recycle its pooled buffer.
 		releaseEnv(&env)
 		if rs != nil {
 			rs.applied(&env)
@@ -1588,7 +1376,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					return
 				}
 			}
-			rs.sinceCkpt += nIn
+			rs.sinceCkpt += env.count
 			if rs.sinceCkpt >= ex.rec.pol.CheckpointEvery {
 				if err := rs.checkpoint(bolt); err != nil {
 					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] checkpoint: %w", n.name, task, err))

@@ -6,7 +6,7 @@
 // barriers and migrations, recovery kills and restores) process-local: the
 // manager goroutine of a protected component runs on the worker hosting it,
 // peers exchange state through ordinary inboxes, and only *data* envelopes
-// (batches, frames, EOS) ever cross a socket. What the control
+// (frames, EOS) ever cross a socket. What the control
 // planes need from remote workers is a small RPC set carried on the same
 // connections: gate pause/resume, quiesce tokens that flush in-flight data
 // ahead of control markers, replay requests against remote producers' replay
@@ -42,12 +42,12 @@ import (
 var ErrLink = errors.New("cluster infrastructure failure")
 
 // Dataflow-plane message kinds (all below transport.KindUser; kind 1 is the
-// transport handshake). Kind 4 stays unassigned so that a peer speaking an
-// older protocol, which shipped lone tuples under it, fails the run as an
-// unknown kind instead of being misread.
+// transport handshake). Kinds 3 and 4 stay unassigned so that a peer
+// speaking an older protocol, which shipped tuple batches (3) and lone
+// tuples (4) under them, fails the run as an unknown kind instead of being
+// misread.
 const (
 	mkFrame      byte = 2  // packed batch frame        A=node B=task C=from D=seq
-	mkBatch      byte = 3  // encoded tuple batch       A=node B=task C=from D=seq
 	mkEOS        byte = 5  // end of stream             A=node B=task C=from
 	mkCredit     byte = 6  // flow-control grant        A=node B=task C=count
 	mkAbort      byte = 7  // run failed here           Payload=error text
@@ -136,7 +136,6 @@ type netLink struct {
 	conn    *transport.Conn
 	credMu  sync.Mutex
 	creds   map[int64]*transport.Credit // sender-side windows, keyed by flow
-	dec     wire.BatchDecoder           // read-loop-owned batch decoder
 	gateOps [2]chan gateOp
 }
 
@@ -365,7 +364,7 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	switch m.Kind {
 	case mkCredit:
 		lk.credit(flowKey(int(m.A), int(m.B)), p.window).Grant(int(m.C))
-	case mkFrame, mkBatch, mkEOS:
+	case mkFrame, mkEOS:
 		p.recvData(lk, m)
 	case mkToken:
 		// A flush token rides the data path: staged behind every data message
@@ -434,10 +433,10 @@ func (p *NetPlane) gateRequest(lk *netLink, plane int, op gateOp) {
 }
 
 // recvData admits one data message into the local staging queues. Frames get
-// the full untrusted-bytes admission check; payloads on recovery-tracked
-// edges (seq > 0) are copied into unpooled buffers because the consumer's
-// stash or dedup may retain them, everything else recycles pool boxes exactly
-// like the in-process transport.
+// the full untrusted-bytes admission check; frames on recovery-tracked edges
+// (seq > 0) are copied into unpooled buffers because the consumer's stash or
+// dedup may retain them, everything else recycles pool boxes exactly like
+// the in-process transport.
 func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
 	ni, task := int(m.A), int(m.B)
 	n := p.nodeAt(ni)
@@ -462,24 +461,6 @@ func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
 			box := getFrameBox()
 			*box = append((*box)[:0], m.Payload...)
 			env.frame, env.pframe = *box, box
-		}
-	case mkBatch:
-		if env.seq > 0 {
-			t, _, err := lk.dec.Decode(m.Payload)
-			if err != nil {
-				p.fail(fmt.Errorf("dataflow: worker %d sent a malformed batch for %s[%d]: %w", lk.worker, n.name, task, err))
-				return
-			}
-			env.batch = t
-		} else {
-			box := getBatchBox()
-			t, _, err := lk.dec.DecodeReuse(m.Payload, (*box)[:0])
-			if err != nil {
-				putBatchBox(box)
-				p.fail(fmt.Errorf("dataflow: worker %d sent a malformed batch for %s[%d]: %w", lk.worker, n.name, task, err))
-				return
-			}
-			env.batch, env.pbatch = t, box
 		}
 	}
 	// Every data message (EOS included) consumed one sender credit.
@@ -559,8 +540,8 @@ func (p *NetPlane) sendCredit(lk *netLink, flow int64, n int) {
 
 // sendRemote ships one data envelope to the worker hosting its destination.
 // It blocks on the flow's credit window (the cross-process equivalent of a
-// full inbox), serializes batch payloads through a pooled scratch buffer, and
-// recycles the envelope's pool boxes once the bytes are on the wire.
+// full inbox), writes the frame as-is, and recycles the envelope's pool box
+// once the bytes are on the wire.
 func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 	if env.ctrl != ctrlNone || env.rec != nil || env.mig != nil || env.cmd != nil {
 		p.fail(fmt.Errorf("dataflow: control envelope for %s[%d] would cross a process boundary (placement bug)", to.name, task))
@@ -576,28 +557,15 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 		return false
 	}
 	m := transport.Msg{Stream: env.stream, A: int64(ni), B: int64(task), C: int64(env.from), D: env.seq}
-	var scratch *[]byte
-	switch {
-	case env.eos:
+	m.Kind, m.Payload = mkFrame, env.frame
+	if env.eos {
 		m.Kind = mkEOS
-	case env.frame != nil:
-		m.Kind = mkFrame
-		m.Payload = env.frame
-	default:
-		m.Kind = mkBatch
-		scratch = getFrameBox()
-		m.Payload = wire.EncodeBatch((*scratch)[:0], env.batch)
 	}
-	err := lk.conn.WriteMsg(&m)
-	if scratch != nil {
-		*scratch = m.Payload[:0]
-		putFrameBox(scratch)
-	}
-	if err != nil {
+	if err := lk.conn.WriteMsg(&m); err != nil {
 		p.fail(fmt.Errorf("dataflow: send to %s[%d] on worker %d: %w", to.name, task, lk.worker, err))
 		return false
 	}
-	// The payload is on the wire; recycle the boxes the local consumer would
+	// The frame is on the wire; recycle the box the local consumer would
 	// have returned.
 	releaseEnv(&env)
 	return true
@@ -850,10 +818,6 @@ func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
 			for _, ent := range ex.rec.snapshotBuf(base+t, req.Victim) {
 				if ent.seq <= ckptCur {
 					continue
-				}
-				if ent.frame == nil {
-					p.fail(fmt.Errorf("dataflow: replay entry on %s has no serialized payload", e.from.name))
-					return
 				}
 				m := transport.Msg{Kind: mkFrame, Stream: e.from.name, A: int64(ni), B: int64(req.Victim), C: int64(t), D: ent.seq, Payload: ent.frame}
 				if !lk.credit(flowKey(ni, req.Victim), p.window).Acquire(ex.abort) {

@@ -193,18 +193,6 @@ func TestNetLinearPipeline(t *testing.T) {
 	}
 }
 
-// TestNetNoSerializeRejected: NoSerialize edges cannot cross process
-// boundaries; a cluster run must refuse the combination up front.
-func TestNetNoSerializeRejected(t *testing.T) {
-	topo, _ := ledgerTopo(t, intRows(8), passBolt)
-	p := NewNetPlane(NetConfig{Self: 0, Workers: 1, Links: []*transport.Conn{nil}})
-	defer p.Shutdown()
-	_, err := Run(topo, Options{Seed: 1, NoSerialize: true, Net: p})
-	if err == nil || !strings.Contains(err.Error(), "NoSerialize") {
-		t.Fatalf("err = %v, want NoSerialize rejection", err)
-	}
-}
-
 // buildNetRecTopo is the recover_test workload (R broadcast = peer
 // recoverable, S hash-partitioned = checkpoint route) shaped for cluster
 // placement tests.
@@ -447,71 +435,80 @@ func TestNetWorkerLoss(t *testing.T) {
 	}
 }
 
-// TestNetRetiredSingleKindFails: message kind 4 once carried one encoded
-// tuple. One-row batches now cross the socket as ordinary batch and frame
-// messages, so a peer that still sends kind 4 must fail the run with the
-// unknown-kind error — not hang, and not deliver the tuple — whether the
-// message lands before the run binds the plane (parked, then drained by
-// bind) or mid-run.
+// TestNetRetiredSingleKindFails: message kinds 3 and 4 once carried an
+// encoded tuple batch and one encoded tuple. Every data edge now crosses the
+// socket as frame messages, so a peer that still sends either kind must fail
+// the run with the unknown-kind error — not hang, and not deliver the
+// tuples — whether the message lands before the run binds the plane
+// (parked, then drained by bind) or mid-run.
 func TestNetRetiredSingleKindFails(t *testing.T) {
-	for _, preBind := range []bool{true, false} {
-		t.Run(fmt.Sprintf("prebind=%v", preBind), func(t *testing.T) {
-			mesh := dialMesh(t, 2)
-			defer func() {
-				for _, row := range mesh {
-					for _, c := range row {
-						if c != nil {
-							c.Close()
+	retired := []struct {
+		kind    byte
+		payload []byte
+	}{
+		{3, wire.EncodeBatch(nil, []types.Tuple{{types.Int(-1)}})},
+		{4, wire.Encode(nil, types.Tuple{types.Int(-1)})},
+	}
+	for _, rk := range retired {
+		for _, preBind := range []bool{true, false} {
+			t.Run(fmt.Sprintf("kind=%d/prebind=%v", rk.kind, preBind), func(t *testing.T) {
+				mesh := dialMesh(t, 2)
+				defer func() {
+					for _, row := range mesh {
+						for _, c := range row {
+							if c != nil {
+								c.Close()
+							}
 						}
 					}
+				}()
+				// Worker 1 hosts nothing: its end of the link is the stale peer.
+				place := map[string]int{"src": 0, "sink": 0}
+				plane := NewNetPlane(NetConfig{Self: 0, Workers: 2, Place: place, Links: mesh[0]})
+				defer plane.Shutdown()
+				g := NewGather()
+				topo, err := NewBuilder().
+					Spout("src", 1, GenSpout(5000, func(i int) types.Tuple {
+						time.Sleep(time.Millisecond) // keep the run open for the peer
+						return types.Tuple{types.Int(int64(i))}
+					})).
+					Bolt("sink", 1, g.Factory()).
+					Input("sink", "src", Global()).
+					Build()
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-			// Worker 1 hosts nothing: its end of the link is the stale peer.
-			place := map[string]int{"src": 0, "sink": 0}
-			plane := NewNetPlane(NetConfig{Self: 0, Workers: 2, Place: place, Links: mesh[0]})
-			defer plane.Shutdown()
-			g := NewGather()
-			topo, err := NewBuilder().
-				Spout("src", 1, GenSpout(5000, func(i int) types.Tuple {
-					time.Sleep(time.Millisecond) // keep the run open for the peer
-					return types.Tuple{types.Int(int64(i))}
-				})).
-				Bolt("sink", 1, g.Factory()).
-				Input("sink", "src", Global()).
-				Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sinkIdx := -1
-			for i, n := range topo.nodes {
-				if n.name == "sink" {
-					sinkIdx = i
+				sinkIdx := -1
+				for i, n := range topo.nodes {
+					if n.name == "sink" {
+						sinkIdx = i
+					}
 				}
-			}
-			send := func() {
-				stale := transport.Msg{Kind: 4, Stream: "src", A: int64(sinkIdx), B: 0, C: 0,
-					Payload: wire.Encode(nil, types.Tuple{types.Int(-1)})}
-				if err := mesh[1][0].WriteMsg(&stale); err != nil {
-					t.Error(err)
+				send := func() {
+					stale := transport.Msg{Kind: rk.kind, Stream: "src", A: int64(sinkIdx), B: 0, C: 0, Payload: rk.payload}
+					if err := mesh[1][0].WriteMsg(&stale); err != nil {
+						t.Error(err)
+					}
 				}
-			}
-			if preBind {
-				send()
-				// Biases the message onto the parked path; either arrival
-				// order must fail the run the same way.
-				time.Sleep(20 * time.Millisecond)
-			} else {
-				time.AfterFunc(50*time.Millisecond, send)
-			}
-			_, err = runWithWatchdog(t, topo, Options{Seed: 1, Net: plane})
-			if err == nil || !strings.Contains(err.Error(), "unknown message kind 4") {
-				t.Fatalf("run with a kind-4 peer message returned %v, want the unknown-kind error", err)
-			}
-			for _, r := range g.Rows() {
-				if r[0].I == -1 {
-					t.Fatal("the retired kind's tuple was delivered")
+				if preBind {
+					send()
+					// Biases the message onto the parked path; either arrival
+					// order must fail the run the same way.
+					time.Sleep(20 * time.Millisecond)
+				} else {
+					time.AfterFunc(50*time.Millisecond, send)
 				}
-			}
-		})
+				_, err = runWithWatchdog(t, topo, Options{Seed: 1, Net: plane})
+				want := fmt.Sprintf("unknown message kind %d", rk.kind)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("run with a kind-%d peer message returned %v, want the unknown-kind error", rk.kind, err)
+				}
+				for _, r := range g.Rows() {
+					if r[0].I == -1 {
+						t.Fatal("the retired kind's tuple was delivered")
+					}
+				}
+			})
+		}
 	}
 }

@@ -158,7 +158,7 @@ func TestPackedTransportDecodedForPlainBolt(t *testing.T) {
 }
 
 // TestPackedEmitRowMetrics pins the transport accounting: emitted/sent
-// counts match the boxed path and bytes flow.
+// counts are one per row and bytes flow.
 func TestPackedEmitRowMetrics(t *testing.T) {
 	rows := packedTestRows(200)
 	sink := &rowGather{}

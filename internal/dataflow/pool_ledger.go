@@ -1,4 +1,4 @@
-// Pool lifecycle auditing. Every frame/batch pool box moves through the
+// Pool lifecycle auditing. Every frame pool box moves through the
 // accessors below instead of touching the sync.Pools directly, so a debug
 // ledger (installed by tests) can audit the transport's recycling protocol:
 //
@@ -20,8 +20,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"squall/internal/types"
 )
 
 var ledger atomic.Pointer[poolLedger]
@@ -103,27 +101,4 @@ func putFrameBox(p *[]byte) {
 		l.put(p)
 	}
 	framePool.Put(p)
-}
-
-func getBatchBox() *[]types.Tuple {
-	p := batchPool.Get().(*[]types.Tuple)
-	if l := ledger.Load(); l != nil {
-		l.get(p)
-	}
-	return p
-}
-
-func putBatchBox(p *[]types.Tuple) {
-	if l := ledger.Load(); l != nil {
-		l.put(p)
-	}
-	batchPool.Put(p)
-}
-
-// adoptBatchBox registers a box that entered circulation outside the pool
-// (the first flush of a NoSerialize slot allocates its box directly).
-func adoptBatchBox(p *[]types.Tuple) {
-	if l := ledger.Load(); l != nil {
-		l.get(p)
-	}
 }

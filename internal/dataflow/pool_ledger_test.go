@@ -52,31 +52,43 @@ func assertNoDoublePut(t *testing.T, errs []string) {
 }
 
 // TestPoolLedgerCleanRuns: a run that finishes normally must return every box
-// to the pools, across every transport mode. NoSerialize is the regression
-// case: before Collector.close() the last flush of each output slot stranded
-// one batch box per (task, edge, target) forever.
+// to the pools, across every transport mode. The adaptive case routes through
+// the pooled coordinate frames, each flush copying its frame per cell.
 func TestPoolLedgerCleanRuns(t *testing.T) {
+	linear := func(t *testing.T) (*Topology, *Gather, int) {
+		topo, g := ledgerTopo(t, intRows(500), passBolt)
+		return topo, g, 500
+	}
+	adaptiveTopo := func(t *testing.T) (*Topology, *Gather, int) {
+		topo, g := buildAdaptiveTopo(t, 300, 40, 4, func() Bolt { return &pairBolt{} })
+		return topo, g, 300 * 40
+	}
+	pol := &AdaptivePolicy{
+		Component: "join", RStream: "R", SStream: "S",
+		InitialRows: 1, InitialCols: 4, ReportEvery: 8, MinObserved: 32, MinGain: 0.01,
+	}
 	cases := []struct {
-		name string
-		opts Options
+		name  string
+		build func(t *testing.T) (*Topology, *Gather, int)
+		opts  Options
 	}{
-		{"packed", Options{Seed: 1}},
-		{"per-tuple", Options{Seed: 1, BatchSize: 1}},
-		{"noserialize", Options{Seed: 1, NoSerialize: true}},
-		{"vecexec", Options{Seed: 1, VecExec: true}},
-		{"tiny-buf", Options{Seed: 1, ChannelBuf: 2, BatchSize: 4}},
+		{"packed", linear, Options{Seed: 1}},
+		{"per-tuple", linear, Options{Seed: 1, BatchSize: 1}},
+		{"vecexec", linear, Options{Seed: 1, VecExec: true}},
+		{"tiny-buf", linear, Options{Seed: 1, ChannelBuf: 2, BatchSize: 4}},
+		{"adaptive", adaptiveTopo, Options{Seed: 1, BatchSize: 16, ChannelBuf: 8, Adaptive: pol}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			startPoolLedger()
-			topo, g := ledgerTopo(t, intRows(500), passBolt)
+			topo, g, want := tc.build(t)
 			_, err := Run(topo, tc.opts)
 			outstanding, errs := stopPoolLedger()
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if got := len(g.Rows()); got != 500 {
-				t.Fatalf("rows = %d, want 500", got)
+			if got := len(g.Rows()); got != want {
+				t.Fatalf("rows = %d, want %d", got, want)
 			}
 			assertNoDoublePut(t, errs)
 			for _, site := range outstanding {
@@ -104,21 +116,6 @@ func TestPoolLedgerAbortPaths(t *testing.T) {
 				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
 					n++
 					if task == 1 && n > 40 {
-						return boom
-					}
-					return out.Emit(in.Tuple)
-				}}
-			},
-			wantErr: "boom",
-		},
-		{
-			name: "bolt error noserialize",
-			opts: Options{Seed: 1, NoSerialize: true},
-			mid: func(task, _ int) Bolt {
-				n := 0
-				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-					n++
-					if task == 2 && n > 25 {
 						return boom
 					}
 					return out.Emit(in.Tuple)

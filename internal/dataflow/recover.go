@@ -183,10 +183,9 @@ type recMsg struct {
 
 // replayEnt is one retained envelope in a producer's replay buffer.
 type replayEnt struct {
-	seq    int64
-	frame  []byte        // encoded batch frame (nil on the NoSerialize path)
-	tuples []types.Tuple // NoSerialize payload
-	count  int
+	seq   int64
+	frame []byte // encoded batch frame
+	count int
 }
 
 // faultNote is a task's fault notification to the manager.
@@ -641,17 +640,9 @@ func (a *recState) handleFault(f faultNote) bool {
 				if ent.seq <= ckptCur {
 					continue
 				}
-				env := envelope{stream: e.from.name, from: p, seq: ent.seq}
-				if ent.frame == nil {
-					env.batch = ent.tuples
-				} else {
-					out, _, err := dec.Decode(ent.frame)
-					if err != nil {
-						a.ex.fail(fmt.Errorf("dataflow: replay corruption on %s->%s: %w", e.from.name, a.node.name, err))
-						return false
-					}
-					env.batch = out
-				}
+				// The retained frame is shared with the buffer: replay never
+				// pools it, and consumers only read frames.
+				env := envelope{stream: e.from.name, from: p, seq: ent.seq, frame: ent.frame, count: ent.count}
 				m.ReplayedEnvelopes.Add(1)
 				m.ReplayedTuples.Add(int64(ent.count))
 				if !a.ex.send(a.node, f.task, env) {
@@ -705,12 +696,11 @@ func (a *recState) handleFault(f faultNote) bool {
 	return true
 }
 
-// poisonedEnv is the envelope a captured panic interrupted: tuples before
-// idx were fully applied and emitted, tuples from idx on were not.
+// poisonedEnv is the frame a captured panic interrupted: rows before idx
+// were fully applied and emitted, rows from idx on were not.
 type poisonedEnv struct {
-	env   envelope
-	batch []types.Tuple
-	idx   int
+	env envelope
+	idx int
 }
 
 // recSession is the consumer-side state of one protected task.
@@ -975,7 +965,7 @@ func (s *recSession) serveStateReq(bolt Bolt, tm *TaskMetrics, msg *recMsg) bool
 		return a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: &recMsg{rel: msg.rel, tuples: out}})
 	}
 	served := false
-	if fe, ok := bolt.(FrameExporter); ok && !a.ex.opts.NoSerialize {
+	if fe, ok := bolt.(FrameExporter); ok {
 		// Peer serving decodes each frame right here before shipping tuples,
 		// so a footer would only inflate the charged bytes: always bare.
 		served = fe.ExportStateFrames(msg.rel, batch, false, ship)
@@ -993,13 +983,6 @@ func (s *recSession) serveStateReq(bolt Bolt, tm *TaskMetrics, msg *recMsg) bool
 				end = len(tuples)
 			}
 			chunk := tuples[start:end]
-			if a.ex.opts.NoSerialize {
-				m.RestoredTuples.Add(int64(len(chunk)))
-				if !a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: &recMsg{rel: msg.rel, tuples: chunk}}) {
-					return false
-				}
-				continue
-			}
 			s.scratch = wire.EncodeBatch(s.scratch[:0], chunk)
 			if !ship(s.scratch, len(chunk)) {
 				return false

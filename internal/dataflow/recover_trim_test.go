@@ -14,6 +14,7 @@ import (
 
 	"squall/internal/recovery"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // newTrimFixture builds a bound recState for an R(par=2) -> join(par=2)
@@ -42,7 +43,7 @@ func newTrimFixture(t *testing.T) *recState {
 }
 
 func trimEnt(seq int64) replayEnt {
-	return replayEnt{seq: seq, count: 1, tuples: []types.Tuple{{types.Int(seq)}}}
+	return replayEnt{seq: seq, count: 1, frame: wire.EncodeBatch(nil, []types.Tuple{{types.Int(seq)}})}
 }
 
 func bufSeqs(a *recState, pid, target int) []int64 {

@@ -5,17 +5,20 @@
 // tuples among the consumer's tasks, exactly like Storm's stream groupings.
 //
 // A "machine" in the paper maps to a task here: one goroutine with private
-// state, fed by a bounded channel. Every tuple crossing an edge is
-// serialized and deserialized (internal/wire), so the CPU cost of a hop
-// stands in for the network cost on the paper's 1 Gbit cluster, and tuple
-// counts (load, replication factor) are measured identically.
+// state, fed by a bounded channel. Every row crossing an edge travels
+// serialized (internal/wire), so the CPU cost of a hop stands in for the
+// network cost on the paper's 1 Gbit cluster, and tuple counts (load,
+// replication factor) are measured identically.
 //
-// Transport is micro-batched: producers accumulate per-(edge, target)
-// batches of up to Options.BatchSize tuples and ship each batch as one
-// channel send carrying one wire frame, flushing partial batches at EOS.
-// BatchSize=1 ships one-row batches, so every tuple pays its own send and
-// frame; see DESIGN.md for the framing and its interaction with the
-// network-cost substitution.
+// Every data edge carries one payload shape: packed frames of wire-encoded
+// rows. Producers accumulate per-(edge, target) frames of up to
+// Options.BatchSize rows and ship each frame as one channel send, flushing
+// partial frames at EOS. BatchSize=1 ships one-row frames, so every tuple
+// pays its own send and frame; see DESIGN.md for the framing and its
+// interaction with the network-cost substitution. Tuples exist only at the
+// API edge: a tuple spout's rows are encoded once by the executor, a
+// RowBolt reads the rows in place, and any other bolt gets each row decoded
+// at its own boundary.
 package dataflow
 
 import (
@@ -33,10 +36,10 @@ type Spout interface {
 }
 
 // RowSpout is optionally implemented by spouts that produce wire-encoded
-// rows directly (the packed execution path, PR 5). When serialization is on,
-// the executor drives NextRow instead of Next and routes each row through
-// Collector.EmitRow without materializing a tuple. The returned row is only
-// read until the next NextRow call, so implementations may reuse one buffer.
+// rows directly. The executor drives NextRow instead of Next and routes each
+// row through Collector.EmitRow without materializing a tuple. The returned
+// row is only read until the next NextRow call, so implementations may reuse
+// one buffer.
 type RowSpout interface {
 	NextRow() ([]byte, bool)
 }
@@ -62,13 +65,12 @@ type RowInput struct {
 	Cur      *wire.Cursor // parsed view over Row
 }
 
-// RowBolt is optionally implemented by bolts that consume wire-encoded rows
-// directly (packed execution, PR 5). Frames reaching such a bolt skip
-// DecodeBatch entirely: the executor walks the frame with one cursor and
-// calls ExecuteRow once per row. Bolts not implementing it receive the same
-// frames decoded, through Execute — the two paths must be semantically
-// identical.
+// RowBolt is implemented by bolts that consume wire-encoded rows directly:
+// the executor walks each frame with one cursor and calls ExecuteRow once per
+// row, with no decode. Bolts that are not RowBolts must be TupleBolts, whose
+// rows are decoded at their own boundary.
 type RowBolt interface {
+	Bolt
 	ExecuteRow(in RowInput, out *Collector) error
 }
 
@@ -95,13 +97,21 @@ type FrameBolt interface {
 	ExecuteFrame(in FrameInput, out *Collector) error
 }
 
-// Bolt consumes tuples and emits new ones. Execute is called once per
-// incoming tuple; Finish is called after every upstream task has finished
-// (full-history semantics: operators may hold state across the whole run and
-// flush results at the end, e.g. final aggregations).
+// Bolt is one task of a computation component. Rows reach it through
+// exactly one of two faces — RowBolt (encoded rows read in place) or
+// TupleBolt (each row decoded at the bolt's boundary) — and Finish is called
+// after every upstream task has finished (full-history semantics: operators
+// may hold state across the whole run and flush results at the end, e.g.
+// final aggregations).
 type Bolt interface {
-	Execute(in Input, out *Collector) error
 	Finish(out *Collector) error
+}
+
+// TupleBolt consumes decoded tuples: Execute is called once per incoming
+// row, decoded at the bolt's boundary. The tuple is the bolt's to keep.
+type TupleBolt interface {
+	Bolt
+	Execute(in Input, out *Collector) error
 }
 
 // BoltFactory builds the Bolt instance for one task of a bolt component.

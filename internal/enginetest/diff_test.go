@@ -7,6 +7,7 @@ import (
 
 	"squall"
 	"squall/internal/dataflow"
+	"squall/internal/localjoin"
 	"squall/internal/recovery"
 	"squall/internal/types"
 )
@@ -19,12 +20,17 @@ var (
 	// shapes; 7 is prime, so every hypercube grid over it is one-dimensional
 	// or leaves machines unused.
 	allMachines = []int{6, 7}
+	// execLegs are the execution paths crossed with the static matrix: the
+	// vectorized default, vec off (rows delivered one at a time), and
+	// computed join keys (the operators' tuple faces; see
+	// EngineConfig.ExprKeys).
+	execLegs = []struct{ vecOff, exprKeys bool }{{false, false}, {true, false}, {false, true}}
 )
 
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
 // through every (machines x scheme x local join x batch size x adaptive
-// on/off x execution path) combination, bag-compared against the nested-loop oracle. Seeds are
-// logged so any failure reproduces by pinning the seed.
+// on/off x execution leg) combination, bag-compared against the nested-loop
+// oracle. Seeds are logged so any failure reproduces by pinning the seed.
 func TestDifferentialAllConfigs(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -52,59 +58,45 @@ func TestDifferentialAllConfigs(t *testing.T) {
 								if adaptive && c.rels != 2 {
 									continue // the adaptive 1-Bucket operator is 2-way
 								}
-								for _, packedOff := range []bool{false, true} {
-									if packedOff && adaptive && batch != allBatches[0] {
-										// Adaptive sources are boxed either
-										// way: one batch point covers the
-										// corner; the full cross runs
-										// packed-vs-boxed on static runs.
+								for _, leg := range execLegs {
+									if leg != execLegs[0] && adaptive && batch != allBatches[0] {
+										// Adaptive joiners take rows one at
+										// a time and route without keys
+										// either way: one batch point covers
+										// each corner; the full crosses run
+										// on static runs.
 										continue
 									}
-									for _, vecOff := range []bool{false, true} {
-										if vecOff && packedOff {
-											// The boxed pipeline carries no
-											// frames: vec on/off is the same
-											// engine there.
-											continue
-										}
-										if vecOff && adaptive && batch != allBatches[0] {
-											// Same corner pruning as boxed: the
-											// full vec-vs-packed cross runs on
-											// static runs.
-											continue
-										}
-										ec := EngineConfig{
-											Scheme: scheme, Local: local, BatchSize: batch,
-											Adaptive:  adaptive,
-											PackedOff: packedOff, VecOff: vecOff,
-											Machines: machines, Seed: c.seed,
-										}
-										name := ec.String()
-										if machines != allMachines[0] {
-											name += fmt.Sprintf("/machines=%d", machines)
-										}
-										t.Run(name, func(t *testing.T) {
-											got, res, err := w.RunEngine(ec)
-											if err != nil {
-												t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
-											}
-											if diff := DiffBags(ref, got); diff != "" {
-												t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
-											}
-											vecRows := res.Metrics.TotalVecRows()
-											if vecOff || packedOff {
-												if vecRows != 0 {
-													t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
-												}
-											} else if batch > 1 && !adaptive && vecRows == 0 {
-												// Frames only exist on batched
-												// transport; adaptive edges stay
-												// per-row for the reshape
-												// protocol's bookkeeping.
-												t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
-											}
-										})
+									ec := EngineConfig{
+										Scheme: scheme, Local: local, BatchSize: batch,
+										Adaptive: adaptive, VecOff: leg.vecOff, ExprKeys: leg.exprKeys,
+										Machines: machines, Seed: c.seed,
 									}
+									name := ec.String()
+									if machines != allMachines[0] {
+										name += fmt.Sprintf("/machines=%d", machines)
+									}
+									t.Run(name, func(t *testing.T) {
+										got, res, err := w.RunEngine(ec)
+										if err != nil {
+											t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+										}
+										if diff := DiffBags(ref, got); diff != "" {
+											t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
+										}
+										vecRows := res.Metrics.TotalVecRows()
+										if leg.vecOff {
+											if vecRows != 0 {
+												t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
+											}
+										} else if batch > 1 && !adaptive && vecRows == 0 {
+											// Frames only exist on batched
+											// transport; adaptive edges stay
+											// per-row for the reshape
+											// protocol's bookkeeping.
+											t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
+										}
+									})
 								}
 							}
 						}
@@ -112,6 +104,28 @@ func TestDifferentialAllConfigs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExprKeysDefeatLowering pins what the computed-keys leg is for: the
+// rewritten graph must not lower to offset reads, or the leg silently
+// repeats the vec default instead of running the tuple faces.
+func TestExprKeysDefeatLowering(t *testing.T) {
+	w := RandomWorkload(1, 3, 4, 2, true)
+	ec := EngineConfig{Scheme: squall.HashHypercube, BatchSize: 1, Machines: 6}
+	if q, _ := w.Plan(ec); !localjoin.NewTraditional(q.Graph).PackedCapable() {
+		t.Fatalf("plain graph %v does not lower", q.Graph.Conjuncts)
+	}
+	ec.ExprKeys = true
+	q, _ := w.Plan(ec)
+	if localjoin.NewTraditional(q.Graph).PackedCapable() {
+		t.Fatalf("computed-key graph %v lowers to column reads", q.Graph.Conjuncts)
+	}
+	for i, c := range q.Graph.Conjuncts {
+		want := w.Graph.Conjuncts[i]
+		if c.LRel != want.LRel || c.RRel != want.RRel || c.Op != want.Op {
+			t.Fatalf("conjunct %d: rewrite changed its relations or operator: %v, want %v", i, c, want)
+		}
 	}
 }
 
@@ -193,7 +207,7 @@ func TestSpillActuallySpills(t *testing.T) {
 }
 
 // TestDifferentialChaosKill is the fault-tolerance acceptance matrix: every
-// (scheme x local join x batch x adaptive x execution path) configuration
+// (scheme x local join x batch x adaptive x execution leg) configuration
 // runs with one joiner task killed at a seeded point and must stay bag-equal to the
 // nested-loop oracle — the kill is recovered live (peer refetch where the
 // scheme replicates, checkpoint + replay elsewhere), never surfaced as an
@@ -224,46 +238,32 @@ func TestDifferentialChaosKill(t *testing.T) {
 							if adaptive && c.rels != 2 {
 								continue // the adaptive 1-Bucket operator is 2-way
 							}
-							for _, packedOff := range []bool{false, true} {
-								if packedOff && (adaptive || batch != allBatches[2]) {
-									// Boxed exec under chaos: the corners
-									// are covered at one batch point each;
-									// the packed default runs the full
-									// kill matrix (packed frames in replay
-									// buffers, packed flushes through the
-									// pause gate).
+							for _, leg := range execLegs {
+								if leg != execLegs[0] && (adaptive || batch != allBatches[2]) {
+									// The corners are covered at one batch
+									// point; the default runs the full
+									// kill matrix (footered frames in
+									// replay buffers, frame delivery
+									// suppressed on the protected joiner).
 									continue
 								}
-								for _, vecOff := range []bool{false, true} {
-									if vecOff && (packedOff || adaptive || batch != allBatches[2]) {
-										// Boxed runs carry no frames, and the
-										// corners are covered at one batch
-										// point; the vec default runs the
-										// full kill matrix (footered frames
-										// in replay buffers, frame delivery
-										// suppressed on the protected
-										// joiner).
-										continue
-									}
-									ec := EngineConfig{
-										Scheme: scheme, Local: local, BatchSize: batch,
-										Adaptive:  adaptive,
-										PackedOff: packedOff, VecOff: vecOff,
-										Kill: true, Machines: 6, Seed: c.seed,
-									}
-									t.Run(ec.String(), func(t *testing.T) {
-										got, res, err := w.RunEngine(ec)
-										if err != nil {
-											t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
-										}
-										if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
-											t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
-										}
-										if diff := DiffBags(ref, got); diff != "" {
-											t.Fatalf("seed=%d %v: engine diverges from oracle after kill:\n%s", c.seed, ec, diff)
-										}
-									})
+								ec := EngineConfig{
+									Scheme: scheme, Local: local, BatchSize: batch,
+									Adaptive: adaptive, VecOff: leg.vecOff, ExprKeys: leg.exprKeys,
+									Kill: true, Machines: 6, Seed: c.seed,
 								}
+								t.Run(ec.String(), func(t *testing.T) {
+									got, res, err := w.RunEngine(ec)
+									if err != nil {
+										t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+									}
+									if f := res.Metrics.Recovery.Faults.Load(); f != 1 {
+										t.Fatalf("seed=%d %v: %d faults recovered, want 1", c.seed, ec, f)
+									}
+									if diff := DiffBags(ref, got); diff != "" {
+										t.Fatalf("seed=%d %v: engine diverges from oracle after kill:\n%s", c.seed, ec, diff)
+									}
+								})
 							}
 						}
 					}
@@ -454,9 +454,11 @@ func TestDifferentialViewLessDBToaster(t *testing.T) {
 // TestDifferentialAggregates is the aggregate dimension: COUNT(*) and SUM
 // over a 2-way graph and a 3-way chain with zipf keys, grouped by columns of
 // different relations, run under DBToaster — aggregate views in the joiner —
-// across scheme x batch x packed on/off x final parallelism and compared, as
-// bags, with the oracle aggregated in plain Go. One ForceDeltaJoin leg runs
-// the same queries with deltas shipped to a downstream aggregation instead.
+// across scheme x batch x final parallelism x computed keys on/off and
+// compared, as bags, with the oracle aggregated in plain Go. One
+// ForceDeltaJoin leg runs the same queries with deltas shipped to a
+// downstream aggregation instead (column-ref GROUP BY only: a downstream
+// aggregation rejects computed keys at plan time).
 // The two-process cluster leg is in multiproc_test.go.
 func TestDifferentialAggregates(t *testing.T) {
 	for _, c := range []struct {
@@ -492,11 +494,11 @@ func TestDifferentialAggregates(t *testing.T) {
 				}
 				for _, scheme := range allSchemes {
 					for _, batch := range []int{1, 64} {
-						for _, packedOff := range []bool{false, true} {
-							for _, finalPar := range []int{1, 2} {
+						for _, finalPar := range []int{1, 2} {
+							for _, exprKeys := range []bool{false, true} {
 								ec := EngineConfig{
 									Scheme: scheme, Local: squall.DBToaster, BatchSize: batch,
-									PackedOff: packedOff, Agg: agg, FinalPar: finalPar,
+									Agg: agg, FinalPar: finalPar, ExprKeys: exprKeys,
 									Machines: 6, Seed: c.seed,
 								}
 								t.Run(ec.String(), func(t *testing.T) { run(t, ec, "dbtoaster.AggJoin") })

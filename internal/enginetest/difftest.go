@@ -180,16 +180,41 @@ type AggConfig struct {
 	Sum     *AggCol
 }
 
-// spec renders the aggregate for a JoinQuery.
-func (a *AggConfig) spec() *squall.AggSpec {
+// spec renders the aggregate for a JoinQuery, its columns computed when
+// exprKeys is set (see EngineConfig.ExprKeys).
+func (a *AggConfig) spec(exprKeys bool) *squall.AggSpec {
+	col := func(c AggCol) squall.ColRef {
+		if exprKeys {
+			return squall.ColRef{Rel: c.Rel, E: computed(expr.C(c.Col))}
+		}
+		return squall.ColRef{Rel: c.Rel, E: expr.C(c.Col)}
+	}
 	s := &squall.AggSpec{Kind: squall.Count}
 	for _, c := range a.GroupBy {
-		s.GroupBy = append(s.GroupBy, squall.ColRef{Rel: c.Rel, E: expr.C(c.Col)})
+		s.GroupBy = append(s.GroupBy, col(c))
 	}
 	if a.Sum != nil {
-		s.Kind, s.Sum = squall.Sum, &squall.ColRef{Rel: a.Sum.Rel, E: expr.C(a.Sum.Col)}
+		sum := col(*a.Sum)
+		s.Kind, s.Sum = squall.Sum, &sum
 	}
 	return s
+}
+
+// computed rewrites e as e + 0: the same value (NULL stays NULL, an int
+// stays an int), but no longer a column ref.
+func computed(e expr.Expr) expr.Expr {
+	return expr.Arith{Op: expr.Add, L: e, R: expr.I(0)}
+}
+
+// ExprKeyGraph is the workload's join graph with every conjunct side
+// computed (see EngineConfig.ExprKeys).
+func (w *Workload) ExprKeyGraph() *expr.JoinGraph {
+	cs := make([]expr.JoinConjunct, len(w.Graph.Conjuncts))
+	for i, c := range w.Graph.Conjuncts {
+		c.Left, c.Right = computed(c.Left), computed(c.Right)
+		cs[i] = c
+	}
+	return expr.MustJoinGraph(w.Graph.NumRels, cs...)
 }
 
 // EngineConfig is one point of the differential matrix.
@@ -198,15 +223,17 @@ type EngineConfig struct {
 	Local     squall.LocalJoinKind
 	BatchSize int
 	Adaptive  bool
-	// PackedOff runs the boxed tuple pipeline instead of the packed-row
-	// execution default (the PR 5 opt-out), so the differential matrix
-	// covers both paths against the oracle and against each other.
-	PackedOff bool
 	// VecOff runs the packed transport without frame footers or whole-frame
-	// delivery (the PR 6 opt-out): packed rows are delivered one at a time,
-	// reproducing the PR 5 engine bit for bit. Meaningless with PackedOff —
-	// the boxed pipeline never carries frames.
+	// delivery: packed rows are delivered one at a time, the row-at-a-time
+	// engine bit for bit.
 	VecOff bool
+	// ExprKeys writes every join key and aggregate column as the equivalent
+	// computed expression col + 0 instead of a column ref. No operator can
+	// lower that to an offset read: hypercube groupings route the decoded
+	// tuple, the Traditional joiner and the downstream aggregation run their
+	// tuple faces (each row decoded at the bolt boundary), and AggJoin
+	// evaluates its arrivals. The oracle keeps the plain graph.
+	ExprKeys bool
 	// Kill enables the chaos dimension (PR 4): one joiner task is killed at
 	// a seeded point mid-run and recovered live (peer refetch when the
 	// scheme replicates the relation, checkpoint + replay otherwise); the
@@ -243,8 +270,8 @@ func (c EngineConfig) String() string {
 	if c.VecOff {
 		exec = "packed"
 	}
-	if c.PackedOff {
-		exec = "boxed"
+	if c.ExprKeys {
+		exec += "/exprkeys"
 	}
 	chaos := ""
 	if c.Kill {
@@ -278,8 +305,11 @@ func (w *Workload) query(c EngineConfig) *squall.JoinQuery {
 		Machines: c.Machines,
 		Local:    c.Local,
 	}
+	if c.ExprKeys {
+		q.Graph = w.ExprKeyGraph()
+	}
 	if c.Agg != nil {
-		q.Agg, q.ForceDeltaJoin = c.Agg.spec(), c.ForceDeltaJoin
+		q.Agg, q.ForceDeltaJoin = c.Agg.spec(c.ExprKeys), c.ForceDeltaJoin
 	}
 	for rel, rows := range w.Rels {
 		q.Sources = append(q.Sources, squall.Source{
@@ -310,9 +340,6 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).
 		ChannelBuf: 8,
-	}
-	if c.PackedOff {
-		opts.PackedExec = squall.PackedOff
 	}
 	if c.VecOff {
 		opts.VecExec = squall.VecOff

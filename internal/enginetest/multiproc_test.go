@@ -116,8 +116,8 @@ func runWorkloadCluster(t *testing.T, addrs []string, params clusterjobs.Workloa
 
 // TestClusterMultiProcessDifferential is the multi-process differential: a
 // coordinator plus two re-executed worker processes over loopback TCP, across
-// schemes, locals, batch sizes, both execution pipelines, the adaptive
-// reshape path and a chaos kill of the (remote) joiner.
+// schemes, locals, batch sizes, vec on and off, the adaptive reshape path
+// and a chaos kill of the (remote) joiner.
 func TestClusterMultiProcessDifferential(t *testing.T) {
 	addr1, _ := startWorkerProc(t)
 	addr2, _ := startWorkerProc(t)
@@ -137,7 +137,6 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 		{Scheme: squall.RandomHypercube, Local: squall.Traditional, BatchSize: 8},
 		{Scheme: squall.HybridHypercube, Local: squall.Traditional, BatchSize: 16},
 		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 16, VecOff: true},
-		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 16, PackedOff: true},
 		{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 4, Kill: true},
 	}
 	for _, cfg := range configs {
@@ -158,15 +157,21 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 		})
 	}
 
-	// The adaptive 1-Bucket operator is 2-way: its own workload.
+	// The adaptive 1-Bucket operator is 2-way: its own workload. At batch
+	// 16 multi-row packed coordinate frames cross TCP.
 	t.Run("adaptive-2way", func(t *testing.T) {
 		params := clusterjobs.WorkloadParams{Seed: 12, NumRels: 2, RowsPerRel: 200, KeyDomain: 20}
 		w2 := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, false)
-		params.Config = enginetest.EngineConfig{
-			Scheme: squall.HashHypercube, Local: squall.Traditional,
-			BatchSize: 3, Adaptive: true, Machines: 6, Seed: params.Seed,
+		ref2 := w2.ReferenceBag()
+		for _, batch := range []int{3, 16} {
+			params.Config = enginetest.EngineConfig{
+				Scheme: squall.HashHypercube, Local: squall.Traditional,
+				BatchSize: batch, Adaptive: true, Machines: 6, Seed: params.Seed,
+			}
+			t.Run(params.Config.String(), func(t *testing.T) {
+				runWorkloadCluster(t, addrs, params, ref2)
+			})
 		}
-		runWorkloadCluster(t, addrs, params, w2.ReferenceBag())
 	})
 
 	// The view-less DBToaster rule across the socket: on a 2-relation graph
@@ -182,8 +187,8 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 			{BatchSize: 4, Kill: true},
 			{BatchSize: 16, Spill: true, Kill: true},
 			{BatchSize: 3, Adaptive: true},
-			// One-row batches and their replay cross TCP as ordinary
-			// batch/frame messages.
+			// One-row frames and their replay cross TCP as ordinary frame
+			// messages.
 			{BatchSize: 1, Kill: true},
 		} {
 			cfg.Scheme, cfg.Local, cfg.Machines, cfg.Seed = squall.HashHypercube, squall.DBToaster, 4, params.Seed

@@ -35,15 +35,15 @@ func (k LocalJoinKind) String() string {
 
 // JoinBolt runs a local multi-way join per task and emits delta result
 // tuples (concatenated relation order), optionally post-processed by a
-// pipeline. relOf maps upstream component names to relation indexes.
-// packed, when the local algorithm is packed-capable for this graph, makes
-// the bolt frame-capable (dataflow.RowBolt): arrivals blit into the slab
-// without a decode/re-encode round trip and delta rows leave as spliced
-// encoded bytes (squall.Options.PackedExec).
+// pipeline. relOf maps upstream component names to relation indexes. When
+// the local algorithm is packed-capable for this graph the bolt is a
+// dataflow.RowBolt: arrivals blit into the slab without a decode/re-encode
+// round trip and delta rows leave as spliced encoded bytes. Otherwise each
+// arrival is decoded at the bolt's boundary.
 //
 // tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
 // checksummed, spillable segments — squall.Options.Tier).
-func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, packed bool, tier *slab.TierConfig) dataflow.BoltFactory {
+func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, tier *slab.TierConfig) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		var tc *slab.TierConfig
 		if tier != nil {
@@ -53,10 +53,8 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 		}
 		mk := func() localjoin.MultiJoin { return newLocalJoin(g, kind, tc) }
 		jb := &joinBolt{mk: mk, mj: mk(), relOf: relOf, post: post}
-		if packed {
-			if pj, ok := jb.mj.(localjoin.PackedJoin); ok && pj.PackedCapable() {
-				return &packedJoinBolt{joinBolt: jb, pp: CompilePipeline(post)}
-			}
+		if pj, ok := jb.mj.(localjoin.PackedJoin); ok && pj.PackedCapable() {
+			return &packedJoinBolt{joinBolt: jb, pp: CompilePipeline(post)}
 		}
 		return jb
 	}
@@ -91,16 +89,13 @@ func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason 
 	return "localjoin.Traditional", "Traditional: base-relation indexes re-probed on every arrival"
 }
 
-// packedJoinBolt is joinBolt's frame-capable wrapper. Both entry points emit
-// packed rows — ExecuteRow natively, Execute by encoding the incoming tuple
-// first — so one task never interleaves tuple and row batches on an edge.
+// packedJoinBolt is joinBolt's row face: encoded arrivals in, encoded delta
+// rows out.
 type packedJoinBolt struct {
 	*joinBolt
 	pp     *PackedPipeline // compiled post pipeline (empty = pass-through)
 	out    *dataflow.Collector
 	emitFn func(row []byte) error
-	enc    []byte
-	encCur wire.Cursor
 }
 
 var _ dataflow.RowBolt = (*packedJoinBolt)(nil)
@@ -132,17 +127,6 @@ func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collecto
 	// mk() preserves the concrete type, so reshape/recovery rebuilds stay
 	// packed-capable; assert per call rather than caching across rebirths.
 	return b.mj.(localjoin.PackedJoin).OnRow(rel, in.Row, in.Cur, b.emitFn)
-}
-
-// Execute handles tuple-path deliveries (adaptive edges, recovery replays)
-// by encoding once and reusing the packed path, keeping the output family
-// uniform.
-func (b *packedJoinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
-	b.enc = wire.Encode(b.enc[:0], in.Tuple)
-	if err := b.encCur.Reset(b.enc); err != nil {
-		return err
-	}
-	return b.ExecuteRow(dataflow.RowInput{Stream: in.Stream, FromTask: in.FromTask, Row: b.enc, Cur: &b.encCur}, out)
 }
 
 type joinBolt struct {
@@ -325,17 +309,13 @@ func (b *joinBolt) ImportState(side int, tuples []types.Tuple) error {
 // AggJoinBolt runs the aggregate-view DBToaster operator (HyLD with a final
 // aggregation pushed into the joiner). Each task emits partial rows
 // (group..., cnt, sum) on Finish; route them to MergeBolt via Fields on the
-// group columns (or Global for a single merger). packed makes the bolt
-// frame-capable (dataflow.RowBolt): arrivals feed the views straight off
-// the wire and Finish splices the partial rows out of the result arena.
-func AggJoinBolt(g *expr.JoinGraph, spec dbtoaster.AggSpec, relOf map[string]int, packed bool) dataflow.BoltFactory {
+// group columns (or Global for a single merger). The bolt is a
+// dataflow.RowBolt: arrivals feed the views straight off the wire and
+// Finish splices the partial rows out of the result arena.
+func AggJoinBolt(g *expr.JoinGraph, spec dbtoaster.AggSpec, relOf map[string]int) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		a, err := dbtoaster.NewAggJoin(g, spec)
-		b := &aggJoinBolt{a: a, err: err, relOf: relOf}
-		if packed {
-			return packedAggJoinBolt{b}
-		}
-		return b
+		return &aggJoinBolt{a: a, err: err, relOf: relOf}
 	}
 }
 
@@ -345,36 +325,24 @@ type aggJoinBolt struct {
 	relOf map[string]int
 }
 
-func (b *aggJoinBolt) rel(stream string) (int, error) {
-	if b.err != nil {
-		return 0, b.err
-	}
-	rel, ok := b.relOf[stream]
-	if !ok {
-		return 0, fmt.Errorf("ops: agg join bolt has no relation for stream %q", stream)
-	}
-	return rel, nil
-}
+var _ dataflow.RowBolt = (*aggJoinBolt)(nil)
 
-func (b *aggJoinBolt) Execute(in dataflow.Input, _ *dataflow.Collector) error {
-	rel, err := b.rel(in.Stream)
-	if err != nil {
-		return err
+func (b *aggJoinBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	if b.err != nil {
+		return b.err
 	}
-	_, err = b.a.OnTuple(rel, in.Tuple)
-	return err
+	rel, ok := b.relOf[in.Stream]
+	if !ok {
+		return fmt.Errorf("ops: agg join bolt has no relation for stream %q", in.Stream)
+	}
+	return b.a.OnRow(rel, in.Cur)
 }
 
 func (b *aggJoinBolt) Finish(out *dataflow.Collector) error {
 	if b.err != nil {
 		return b.err
 	}
-	for _, d := range b.a.Result() {
-		if err := out.Emit(append(d.Group, types.Int(d.Cnt), types.Float(d.Sum))); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.a.EachResultRow(out.EmitRow)
 }
 
 func (b *aggJoinBolt) MemSize() int {
@@ -382,25 +350,4 @@ func (b *aggJoinBolt) MemSize() int {
 		return 0
 	}
 	return b.a.MemSize()
-}
-
-// packedAggJoinBolt is aggJoinBolt's frame-capable wrapper: rows in, rows
-// out, no decode on either side.
-type packedAggJoinBolt struct{ *aggJoinBolt }
-
-var _ dataflow.RowBolt = packedAggJoinBolt{}
-
-func (b packedAggJoinBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
-	rel, err := b.rel(in.Stream)
-	if err != nil {
-		return err
-	}
-	return b.a.OnRow(rel, in.Cur)
-}
-
-func (b packedAggJoinBolt) Finish(out *dataflow.Collector) error {
-	if b.err != nil {
-		return b.err
-	}
-	return b.a.EachResultRow(out.EmitRow)
 }

@@ -484,13 +484,13 @@ func (b aggBolt) MemSize() int { return b.a.MemSize() }
 
 // AggBolt builds a per-task aggregation component. Upstream edges must group
 // by the group-by columns (Fields or KeyMapped) so each group lands on one
-// task. packed makes the bolt frame-capable (dataflow.RowBolt) when the
-// accumulator's expressions lower, so incoming packed frames fold without
-// decoding.
-func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental, packed bool) dataflow.BoltFactory {
+// task. When the accumulator's expressions lower the bolt is a
+// dataflow.RowBolt, so incoming frames fold without decoding; otherwise each
+// row is decoded at the bolt's boundary.
+func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		a := NewAgg(groupBy, kind, sumE, incremental)
-		if packed && a.PackedCapable() {
+		if a.PackedCapable() {
 			return packedAggBolt{aggBolt{a}, &vec.FrameView{}, &wire.Cursor{}}
 		}
 		return aggBolt{a}
@@ -513,15 +513,16 @@ func (b packedAggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) e
 
 // MergeBolt merges pre-aggregated partial rows of shape (group..., cnt, sum)
 // emitted by AggJoinBolt tasks into final aggregate rows. ngroup is the
-// number of leading group columns; packed makes the bolt frame-capable.
-func MergeBolt(ngroup int, kind AggKind, incremental, packed bool) dataflow.BoltFactory {
+// number of leading group columns; the bolt reads rows in place unless the
+// merge is incremental.
+func MergeBolt(ngroup int, kind AggKind, incremental bool) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		groupBy := make([]expr.Expr, ngroup)
 		for i := range groupBy {
 			groupBy[i] = expr.C(i)
 		}
 		mb := &mergeBolt{a: NewAgg(groupBy, kind, nil, incremental), ngroup: ngroup}
-		if packed && mb.a.PackedCapable() {
+		if mb.a.PackedCapable() {
 			return packedMergeBolt{mb, &vec.FrameView{}, &wire.Cursor{}}
 		}
 		return mb

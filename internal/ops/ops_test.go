@@ -10,6 +10,7 @@ import (
 	"squall/internal/dbtoaster"
 	"squall/internal/expr"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 func TestSelectAndProject(t *testing.T) {
@@ -119,7 +120,7 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 		Spout("R", 1, dataflow.SliceSpout(r)).
 		Spout("S", 1, dataflow.SliceSpout(s)).
 		Spout("T", 1, dataflow.SliceSpout(u)).
-		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, false, nil)).
+		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, nil)).
 		Bolt("sink", 1, sink.Factory()).
 		Input("join", "R", dataflow.Global()).
 		Input("join", "S", dataflow.Global()).
@@ -151,9 +152,9 @@ func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
 	}
 }
 
-// TestAggJoinBoltWithMerge runs the aggregate-view joiner boxed and packed:
-// the packed bolt takes tuple-path deliveries through Execute and hands the
-// merger spliced rows on Finish, so both must merge to the same answer.
+// TestAggJoinBoltWithMerge runs the aggregate-view joiner under tuple
+// spouts (encoded once by the executor) and checks the merger's answer
+// after the joiners hand it spliced partial rows on Finish.
 func TestAggJoinBoltWithMerge(t *testing.T) {
 	// COUNT(*) GROUP BY R.y over R ⋈ S on y, parallel joiners + one merger.
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
@@ -166,51 +167,63 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		r = append(r, types.Tuple{types.Int(int64(i % 5))})
 		s = append(s, types.Tuple{types.Int(int64(i % 5))})
 	}
-	for _, packed := range []bool{false, true} {
-		sink := dataflow.NewGather()
-		topo, err := dataflow.NewBuilder().
-			Spout("R", 2, dataflow.SliceSpout(r)).
-			Spout("S", 2, dataflow.SliceSpout(s)).
-			Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1}, packed)).
-			Bolt("merge", 1, MergeBolt(1, Count, false, packed)).
-			Bolt("sink", 1, sink.Factory()).
-			Input("join", "R", dataflow.Fields(0)).
-			Input("join", "S", dataflow.Fields(0)).
-			Input("merge", "join", dataflow.Global()).
-			Input("sink", "merge", dataflow.Global()).
-			Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
-			t.Fatal(err)
-		}
-		rows := sink.SortedRows()
-		if len(rows) != 5 {
-			t.Fatalf("packed=%v: groups = %v", packed, rows)
-		}
-		for _, row := range rows {
-			// Each key appears 8x in R and 8x in S: count 64.
-			if row[1].I != 64 {
-				t.Errorf("packed=%v: group %v count = %v, want 64", packed, row[0], row[1])
-			}
+	sink := dataflow.NewGather()
+	topo, err := dataflow.NewBuilder().
+		Spout("R", 2, dataflow.SliceSpout(r)).
+		Spout("S", 2, dataflow.SliceSpout(s)).
+		Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1})).
+		Bolt("merge", 1, MergeBolt(1, Count, false)).
+		Bolt("sink", 1, sink.Factory()).
+		Input("join", "R", dataflow.Fields(0)).
+		Input("join", "S", dataflow.Fields(0)).
+		Input("merge", "join", dataflow.Global()).
+		Input("sink", "merge", dataflow.Global()).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
+		t.Fatal(err)
+	}
+	rows := sink.SortedRows()
+	if len(rows) != 5 {
+		t.Fatalf("groups = %v", rows)
+	}
+	for _, row := range rows {
+		// Each key appears 8x in R and 8x in S: count 64.
+		if row[1].I != 64 {
+			t.Errorf("group %v count = %v, want 64", row[0], row[1])
 		}
 	}
 }
 
+// rowInput encodes t as the RowInput a RowBolt would be handed.
+func rowInput(t *testing.T, stream string, tu types.Tuple) dataflow.RowInput {
+	t.Helper()
+	row := wire.Encode(nil, tu)
+	cur := &wire.Cursor{}
+	if err := cur.Reset(row); err != nil {
+		t.Fatal(err)
+	}
+	return dataflow.RowInput{Stream: stream, Row: row, Cur: cur}
+}
+
+// TestMergeBoltRejectsBadArity covers both faces: the row face of a final
+// merge and the tuple face of an incremental one.
 func TestMergeBoltRejectsBadArity(t *testing.T) {
-	b := MergeBolt(1, Count, false, false)(0, 1)
-	err := b.Execute(dataflow.Input{Tuple: types.Tuple{types.Int(1)}}, nil)
-	if err == nil {
+	short := types.Tuple{types.Int(1)}
+	if err := MergeBolt(1, Count, false)(0, 1).(dataflow.RowBolt).ExecuteRow(rowInput(t, "", short), nil); err == nil {
 		t.Error("short merge row must error")
+	}
+	if err := MergeBolt(1, Count, true)(0, 1).(dataflow.TupleBolt).Execute(dataflow.Input{Tuple: short}, nil); err == nil {
+		t.Error("short merge tuple must error")
 	}
 }
 
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, false, nil)(0, 1)
-	err := b.Execute(dataflow.Input{Stream: "???", Tuple: types.Tuple{types.Int(1)}}, nil)
-	if err == nil {
+	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, nil)(0, 1).(dataflow.RowBolt)
+	if err := b.ExecuteRow(rowInput(t, "???", types.Tuple{types.Int(1)}), nil); err == nil {
 		t.Error("unknown stream must error")
 	}
 }

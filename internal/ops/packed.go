@@ -299,7 +299,7 @@ func (pp *PackedPipeline) RunFrame(view *vec.FrameView, emit func(row []byte, cu
 // the returned spouts also implement dataflow.RowSpout: tuples are encoded
 // once at the source and the pipeline runs packed over the encoded row, so
 // the executor can route and transport the bytes without ever materializing
-// a tuple again. The tuple path (Next) stays available for NoSerialize runs.
+// a tuple again.
 func PackedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.SpoutFactory {
 	return func(task, ntasks int) dataflow.Spout {
 		s := &packedSpout{pp: CompilePipeline(p)}

@@ -243,7 +243,7 @@ func TestPackedAggBoltExecuteFrame(t *testing.T) {
 		rows[i] = pipelineRow(rng, i)
 	}
 	build := func() dataflow.Bolt {
-		return AggBolt([]expr.Expr{expr.C(0)}, Avg, expr.C(2), false, true)(0, 1)
+		return AggBolt([]expr.Expr{expr.C(0)}, Avg, expr.C(2), false)(0, 1)
 	}
 	ref := build().(packedAggBolt)
 	var cur wire.Cursor
@@ -304,7 +304,7 @@ func TestPackedMergeBoltExecuteFrame(t *testing.T) {
 		floatCnt[i] = types.Tuple{tu[0], types.Float(float64(tu[1].I)), tu[2]}
 	}
 	for name, input := range map[string][]types.Tuple{"int-cnt": partials, "float-cnt": floatCnt} {
-		ref := MergeBolt(1, Avg, false, true)(0, 1).(packedMergeBolt)
+		ref := MergeBolt(1, Avg, false)(0, 1).(packedMergeBolt)
 		var cur wire.Cursor
 		var enc []byte
 		for _, tu := range input {
@@ -316,7 +316,7 @@ func TestPackedMergeBoltExecuteFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		fb, ok := MergeBolt(1, Avg, false, true)(0, 1).(dataflow.FrameBolt)
+		fb, ok := MergeBolt(1, Avg, false)(0, 1).(dataflow.FrameBolt)
 		if !ok {
 			t.Fatal("packed merge bolt must be a FrameBolt")
 		}

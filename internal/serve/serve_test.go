@@ -16,9 +16,9 @@ func testSpout(n int) dataflow.SpoutFactory {
 	})
 }
 
-// drain pulls every tuple out of a tap via the boxed spout.
+// drainTap pulls every tuple out of a tap through the spout's tuple face.
 func drainTap(t *Tap) []types.Tuple {
-	sp := TapSpout(t, nil, false, nil)(0, 1)
+	sp := TapSpout(t, nil, nil)(0, 1)
 	var out []types.Tuple
 	for {
 		tu, ok := sp.Next()
@@ -97,7 +97,7 @@ func TestTapSpoutPre(t *testing.T) {
 	}
 	// Pre drops every tuple with col1 != 0 (i%7 == 0 survives: 15 of 100).
 	pre := ops.Pipeline{keepMod7{}}
-	sp := TapSpout(tap, pre, true, nil)(0, 1)
+	sp := TapSpout(tap, pre, nil)(0, 1)
 	rs := sp.(dataflow.RowSpout)
 	s.Start()
 	rows := 0

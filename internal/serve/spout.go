@@ -14,10 +14,9 @@ import (
 // shared source. The query's Pre pipeline runs here, per query, over the
 // shared rows — the scan and the encode are shared, the selection is not.
 //
-// packed=true yields a dataflow.RowSpout: rows flow from the shared frame
-// through the compiled packed pipeline without materializing tuples (the
-// executor then drives EmitRow exactly as it does for ops.PackedSpout).
-// packed=false yields a plain boxed spout for NoSerialize/PackedOff runs.
+// The spout is a dataflow.RowSpout: rows flow from the shared frame through
+// the compiled packed pipeline without materializing tuples (the executor
+// then drives EmitRow exactly as it does for ops.PackedSpout).
 //
 // With SourcePar > 1 the factory's instances share the tap: tasks steal
 // whole frames from one window, which splits the stream arbitrarily but
@@ -26,21 +25,15 @@ import (
 // onErr, when non-nil, receives the first pipeline or framing error; the
 // spout then ends its stream instead of panicking, so one query's bad
 // pipeline never takes down the serving process.
-func TapSpout(t *Tap, pre ops.Pipeline, packed bool, onErr func(error)) dataflow.SpoutFactory {
+func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.SpoutFactory {
 	return func(task, ntasks int) dataflow.Spout {
-		if packed {
-			s := &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
-			s.emitRow = func(row []byte, _ *wire.Cursor) error {
-				s.qoffs = append(s.qoffs, len(s.qbuf))
-				s.qbuf = append(s.qbuf, row...)
-				return nil
-			}
-			return s
+		s := &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
+		s.emitRow = func(row []byte, _ *wire.Cursor) error {
+			s.qoffs = append(s.qoffs, len(s.qbuf))
+			s.qbuf = append(s.qbuf, row...)
+			return nil
 		}
-		inner := func(task, ntasks int) dataflow.Spout {
-			return &tapTupleSpout{walk: walk{tap: t, onErr: onErr}}
-		}
-		return ops.PipedSpout(inner, pre)(task, ntasks)
+		return s
 	}
 }
 
@@ -148,8 +141,8 @@ func (s *tapRowSpout) NextRow() ([]byte, bool) {
 	}
 }
 
-// Next materializes via NextRow — only reached when the executor runs this
-// spout boxed (it prefers NextRow whenever serialization is on).
+// Next materializes via NextRow (dataflow.Spout); the executor always
+// drives NextRow.
 func (s *tapRowSpout) Next() (types.Tuple, bool) {
 	row, ok := s.NextRow()
 	if !ok {
@@ -161,18 +154,4 @@ func (s *tapRowSpout) Next() (types.Tuple, bool) {
 		return nil, false
 	}
 	return cur.Tuple(nil), true
-}
-
-// tapTupleSpout is the boxed consumer: each shared row is decoded into a
-// fresh tuple (PR 5 off / NoSerialize runs). Pre runs in the PipedSpout
-// wrapper around it.
-type tapTupleSpout struct {
-	walk
-}
-
-func (s *tapTupleSpout) Next() (types.Tuple, bool) {
-	if _, ok := s.nextRaw(); !ok {
-		return nil, false
-	}
-	return s.cur.Tuple(nil), true
 }

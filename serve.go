@@ -286,7 +286,6 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	// not) and is installed raw: plan() must not re-wrap it.
 	q2 := *req.Query
 	q2.Sources = append([]Source(nil), req.Query.Sources...)
-	packed := opt.PackedExec != PackedOff && !opt.NoSerialize && !q2.AdaptiveJoin
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -320,7 +319,7 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 			return nil, fmt.Errorf("squall: Register %q: %w", req.ID, err)
 		}
 		taps = append(taps, tap)
-		s.Spout = serve.TapSpout(tap, s.Pre, packed, sq.sourceFailed)
+		s.Spout = serve.TapSpout(tap, s.Pre, sq.sourceFailed)
 		s.raw = true
 		if s.Size == 0 {
 			s.Size = e.sizeOf[s.Name]

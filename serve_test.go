@@ -88,16 +88,15 @@ func newServeEngine(opt squall.Options, src serve.SourceOptions) *squall.Engine 
 
 // TestServeDifferential: K queries registered on one pair of shared spouts
 // must each produce output bag-equal to the same query run standalone,
-// crossed with the packed/vec execution modes.
+// crossed with vec on and off.
 func TestServeDifferential(t *testing.T) {
 	const K = 8
 	modes := []struct {
 		name string
 		opt  squall.Options
 	}{
-		{"packed-vec", squall.Options{PackedExec: squall.PackedOn, VecExec: squall.VecOn}},
-		{"packed-novec", squall.Options{PackedExec: squall.PackedOn, VecExec: squall.VecOff}},
-		{"boxed", squall.Options{PackedExec: squall.PackedOff}},
+		{"packed-vec", squall.Options{VecExec: squall.VecOn}},
+		{"packed-novec", squall.Options{VecExec: squall.VecOff}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -163,7 +162,7 @@ func (f *failAfterOp) Apply(t types.Tuple) ([]types.Tuple, error) {
 // TestServeErrorIsolation: a query with a failing Pre pipeline is detached
 // and reported; its siblings on the same shared sources are unaffected.
 func TestServeErrorIsolation(t *testing.T) {
-	opt := squall.Options{PackedExec: squall.PackedOn}
+	opt := squall.Options{}
 	want0 := runOrFail(t, serveQuery(0, false), opt).SortedRows()
 	want1 := runOrFail(t, serveQuery(1, false), opt).SortedRows()
 
@@ -216,7 +215,7 @@ func (s slowOp) Apply(t types.Tuple) ([]types.Tuple, error) {
 // is detached with ErrQueryStalled after the stall timeout; its sibling
 // streams on and stays bag-equal to its standalone run.
 func TestServeStalledQuery(t *testing.T) {
-	opt := squall.Options{PackedExec: squall.PackedOn}
+	opt := squall.Options{}
 	want := runOrFail(t, serveQuery(3, false), opt).SortedRows()
 
 	eng := newServeEngine(opt, serve.SourceOptions{
@@ -252,7 +251,7 @@ func TestServeStalledQuery(t *testing.T) {
 // typed error while other tenants keep registering and running; releasing
 // the tenant's queries releases its charge.
 func TestServeAdmission(t *testing.T) {
-	opt := squall.Options{PackedExec: squall.PackedOn}
+	opt := squall.Options{}
 	eng := newServeEngine(opt, serve.SourceOptions{})
 	defer eng.Close()
 	eng.SetTenantBudget("small", serve.Budget{MaxBytes: 1024})
@@ -305,7 +304,7 @@ func TestServeAdmission(t *testing.T) {
 // TestServeEvict: Evict lets a registration push out the tenant's oldest
 // query to fit MaxQueries instead of being rejected.
 func TestServeEvict(t *testing.T) {
-	opt := squall.Options{PackedExec: squall.PackedOn}
+	opt := squall.Options{}
 	eng := newServeEngine(opt, serve.SourceOptions{})
 	defer eng.Close()
 	eng.SetTenantBudget("t", serve.Budget{MaxQueries: 1})
@@ -341,7 +340,7 @@ func TestServeEvict(t *testing.T) {
 // finished gets everything as replay; a slow subscriber is handled by
 // policy without blocking the engine.
 func TestServeSubscription(t *testing.T) {
-	opt := squall.Options{PackedExec: squall.PackedOn}
+	opt := squall.Options{}
 	want := runOrFail(t, serveQuery(1, false), opt).SortedRows()
 
 	eng := newServeEngine(opt, serve.SourceOptions{})

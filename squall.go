@@ -100,8 +100,8 @@ type Source struct {
 	Size   int64
 	Pre    ops.Pipeline
 	// raw marks Spout as execution-ready: plan() installs it verbatim instead
-	// of wrapping it in the packed/boxed adapters (and Pre is expected to be
-	// already applied inside it). The serving engine sets it on the fan-out
+	// of wrapping it in ops.PackedSpout (and Pre is expected to be already
+	// applied inside it). The serving engine sets it on the fan-out
 	// taps it substitutes for shared sources, whose frames arrive
 	// pre-encoded.
 	raw bool
@@ -188,33 +188,25 @@ type Options struct {
 	// CollectLimit caps collected result rows (0 = collect everything);
 	// overflowing rows are counted, not stored.
 	CollectLimit int
-	// NoSerialize disables the per-hop wire simulation (micro-benchmarks).
-	NoSerialize bool
 	// ChannelBuf overrides the per-task inbox depth.
 	ChannelBuf int
-	// BatchSize caps tuples per transport envelope (default
-	// dataflow.DefaultBatchSize). 1 ships one-row batches: every tuple is
-	// sent, serialized and decoded on its own, Figure 5's per-tuple series.
+	// BatchSize caps rows per transport frame (default
+	// dataflow.DefaultBatchSize). 1 ships one-row frames: every tuple is
+	// sent and framed on its own, Figure 5's per-tuple series.
+	//
+	// Every run executes packed: sources encode each tuple once and
+	// selections, projections, routing, transport and slab inserts all run
+	// on the encoded bytes — a tuple crossing source -> select/project ->
+	// hash-route -> join/agg insert is decoded zero times unless an
+	// operator needs a typed value.
 	BatchSize int
-	// PackedExec controls the packed-row execution path (PR 5): sources
-	// encode each tuple once and selections, projections, routing, transport
-	// and slab inserts all run on the encoded bytes — a tuple crossing
-	// source -> select/project -> hash-route -> join/agg insert is decoded
-	// zero times unless an operator needs a typed value. Default on
-	// (PackedDefault == PackedOn); set PackedOff to run the legacy boxed
-	// tuple pipeline, the differential/benchmark baseline. NoSerialize runs
-	// and adaptive source edges always use the boxed path (there the
-	// encoding either must not exist or must stay tuple-shaped for the
-	// migration protocol).
-	PackedExec PackedMode
-	// VecExec controls the vectorized frame execution path (PR 6): producers
-	// append a column-offset footer to every packed frame and frame-capable
+	// VecExec controls the vectorized frame execution path: producers append
+	// a column-offset footer to every packed frame and frame-capable
 	// operators (select/project pipelines, aggregations, merges, the sink)
 	// consume whole frames with selection-vector kernels instead of row-at-a-
-	// time calls. Default on whenever packed execution runs (VecDefault ==
-	// VecOn); set VecOff to reproduce the PR 5 packed-row transport bit for
-	// bit — the differential/benchmark baseline. Meaningless without packed
-	// execution: boxed runs never carry frames.
+	// time calls. Default on (VecDefault == VecOn); set VecOff to reproduce
+	// the row-at-a-time packed transport bit for bit — the
+	// differential/benchmark baseline.
 	VecExec VecMode
 	// Recovery enables the live fault-tolerance subsystem (PR 4) on the
 	// joiner: periodic state checkpoints, panic capture, and kill recovery
@@ -233,7 +225,7 @@ type Options struct {
 	// connected by TCP: this process becomes the coordinator (worker 0) and
 	// drives the run end to end (see cluster.go). The query must be
 	// registered as a cluster job so every worker can rebuild the identical
-	// plan. Incompatible with NoSerialize.
+	// plan.
 	Cluster *ClusterSpec
 	// Tier, when set, runs the joiner's slab state tiered (PR 10): arenas
 	// seal cold segments into checksummed, append-frozen blobs that spill to
@@ -270,23 +262,11 @@ type TierOptions struct {
 	pressure *slab.Pressure
 }
 
-// PackedMode selects the execution path (Options.PackedExec).
-type PackedMode uint8
-
-const (
-	// PackedDefault is the zero value: packed execution on.
-	PackedDefault PackedMode = iota
-	// PackedOn forces the packed-row path explicitly.
-	PackedOn
-	// PackedOff opts out: the boxed tuple pipeline end to end.
-	PackedOff
-)
-
 // VecMode selects the vectorized frame path (Options.VecExec).
 type VecMode uint8
 
 const (
-	// VecDefault is the zero value: vectorized execution on (with packed).
+	// VecDefault is the zero value: vectorized execution on.
 	VecDefault VecMode = iota
 	// VecOn forces the vectorized frame path explicitly.
 	VecOn
@@ -376,25 +356,11 @@ func (s *limitSink) factory() dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt { return sinkBolt{s} }
 }
 
-// sinkBolt collects rows on both execution paths. The packed path
-// (ExecuteRow) counts encoded rows without decoding and only materializes
-// the ones actually kept — with a CollectLimit, the terminal decode cost of
-// a run drops to O(limit).
+// sinkBolt collects rows: Result.Rows is decoded here, at the sink. It
+// counts encoded rows without decoding and only materializes the ones
+// actually kept — with a CollectLimit, the terminal decode cost of a run
+// drops to O(limit).
 type sinkBolt struct{ s *limitSink }
-
-func (b sinkBolt) Execute(in dataflow.Input, _ *dataflow.Collector) error {
-	s := b.s
-	s.mu.Lock()
-	s.count++
-	if s.limit <= 0 || len(s.rows) < s.limit {
-		s.rows = append(s.rows, in.Tuple)
-	}
-	s.mu.Unlock()
-	if s.notify != nil {
-		s.notify([]Tuple{in.Tuple})
-	}
-	return nil
-}
 
 func (b sinkBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	s := b.s
@@ -574,19 +540,13 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		opt.FinalPar = 1
 	}
 
-	// Packed execution (PR 5): on by default, off for NoSerialize runs (the
-	// encoding must not exist there). Sources stay boxed on adaptive runs —
-	// the adaptive edges' coordinate buffers and migration protocol are
-	// tuple-shaped, so a packed source would pay encode+decode per tuple
-	// for nothing — but the joiner itself stays frame-capable.
-	packed := opt.PackedExec != PackedOff && !opt.NoSerialize
+	// Every source encodes once, at the source: Pre runs packed over the
+	// encoded row and the executor routes the bytes.
 	b := dataflow.NewBuilder()
 	relOf := map[string]int{}
 	for i, s := range q.Sources {
-		spout := ops.PipedSpout(s.Spout, s.Pre)
-		if s.raw {
-			spout = s.Spout
-		} else if packed && !q.AdaptiveJoin {
+		spout := s.Spout
+		if !s.raw {
 			spout = ops.PackedSpout(s.Spout, s.Pre)
 		}
 		b.Spout(s.Name, opt.SourcePar, spout)
@@ -658,8 +618,8 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			spec.Kind = dbtoaster.AggSum
 			spec.Sum = q.Agg.Sum
 		}
-		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf, packed))
-		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false, packed))
+		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf))
+		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("merge", joiner, mergeGrouping(len(q.Agg.GroupBy)))
 		b.Input("sink", "merge", dataflow.Global())
@@ -684,13 +644,13 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			}
 			sumE = expr.C(offsets[q.Agg.Sum.Rel] + col)
 		}
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, packed, tier))
-		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupEs, q.Agg.Kind, sumE, false, packed))
+		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, tier))
+		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupEs, q.Agg.Kind, sumE, false))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("agg", joiner, dataflow.Fields(groupCols...))
 		b.Input("sink", "agg", dataflow.Global())
 	default:
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, q.Post, packed, tier))
+		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, q.Post, tier))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("sink", joiner, dataflow.Global())
 	}
@@ -768,8 +728,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			ChannelBuf:      opt.ChannelBuf,
 			BatchSize:       opt.BatchSize,
 			MemLimitPerTask: opt.MemLimitPerTask,
-			NoSerialize:     opt.NoSerialize,
-			VecExec:         packed && opt.VecExec != VecOff,
+			VecExec:         opt.VecExec != VecOff,
 			Adaptive:        policy,
 			Recovery:        recPolicy,
 			Pressure:        pressure,

@@ -200,7 +200,7 @@ func TestVecExecAgreesWithVecOff(t *testing.T) {
 	for _, local := range []squall.LocalJoinKind{squall.Traditional, squall.DBToaster} {
 		// ForceDeltaJoin keeps the downstream aggregation (the frame-capable
 		// operator) in the plan for both locals; the DBToaster aggregate-view
-		// fast path emits boxed partials and never carries frames.
+		// fast path would replace it with a merge of partial rows.
 		mkQuery := func() *squall.JoinQuery {
 			q := tpch9Query(squall.HashHypercube, local, 0, 4)
 			q.ForceDeltaJoin = true

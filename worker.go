@@ -437,10 +437,6 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		opt.Tier = &t
 	}
 	s.mu.Unlock()
-	if opt.NoSerialize {
-		failSession(conn, fmt.Errorf("cluster job %q asks for NoSerialize", spec.Job))
-		return
-	}
 	plan, err := query.plan(opt)
 	if err != nil {
 		failSession(conn, fmt.Errorf("planning cluster job %q: %w", spec.Job, err))
