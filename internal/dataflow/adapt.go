@@ -17,11 +17,14 @@
 //     tuples before the barrier.
 //  4. On the barrier, each task resolves which sides it keeps (its cell
 //     coordinates are unchanged between the matrices) and which it drops;
-//     row/column primaries export the moving state to its new owners over
-//     the ordinary wire batch framing — migration bytes are charged to the
-//     sender's BytesOut exactly like any network transfer. Imports are
-//     silent inserts: every pair among pre-barrier state already met at
-//     exactly one old cell, so re-probing would double-count results.
+//     row/column primaries snapshot the moving state as wire batch frames
+//     blitted from their slab rows and ship each frame, shared read-only,
+//     to every new owner — migration bytes are charged to the sender's
+//     BytesOut once per destination, exactly like any network transfer.
+//     Importers walk the frame and copy each row into their own arenas
+//     (ImportRow). Imports are silent inserts: every pair among
+//     pre-barrier state already met at exactly one old cell, so
+//     re-probing would double-count results.
 //  5. When a task holds migration-done markers from every peer it acks the
 //     controller; once all tasks ack, the controller installs the new
 //     matrix and reopens the gate. New tuples route under the new shape.
@@ -31,46 +34,57 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"squall/internal/adaptive"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
 // Repartitioner is implemented by bolts whose per-relation state can be
-// exported, discarded and re-imported while a run is live. Sides are the
-// adaptive join's relation indexes (0 = R, the row side; 1 = S, the column
-// side). The executor requires the adaptive component's bolts to implement
+// exported, discarded and re-imported while a run is live. State moves in
+// one shape: encoded rows in wire batch frames. Sides are the adaptive
+// join's relation indexes (0 = R, the row side; 1 = S, the column side);
+// the recovery plane uses the same hooks with relation indexes. The
+// executor requires adaptive and recovery-protected bolts to implement
 // this interface.
 type Repartitioner interface {
 	// StoredCount returns the stored tuples of one side (load reports).
 	StoredCount(side int) int
-	// ExportState snapshots the stored tuples of one side. The returned
-	// slice must remain valid after ResetForReshape.
-	ExportState(side int) []types.Tuple
+	// ExportStateFrames streams one side's stored rows as bare wire batch
+	// frames of up to batchSize rows. The frame buffer is only valid during
+	// the visit callback; visit returning false stops the stream.
+	ExportStateFrames(side, batchSize int, visit func(frame []byte, count int) bool)
 	// ResetForReshape rebuilds local state retaining only the indicated
-	// sides; dropped sides are refilled through ImportState.
+	// sides; dropped sides are refilled through ImportRow.
 	ResetForReshape(keep [2]bool) error
-	// ImportState silently inserts migrated tuples: state is updated but no
-	// join results are produced (the pairs already met pre-migration).
-	ImportState(side int, tuples []types.Tuple) error
+	// ImportRow silently inserts one encoded row (cur views it): state is
+	// updated but no join results are produced (the pairs already met
+	// before the migration or the fault). The row must be copied if kept.
+	ImportRow(side int, row []byte, cur *wire.Cursor) error
 }
 
-// FrameExporter is optionally implemented by Repartitioners whose state is
-// stored wire-encoded in slab arenas: ExportStateFrames streams one
-// side's stored tuples as ready-made wire batch frames of up to batchSize
-// tuples, blitted from the packed rows without materializing []types.Value
-// tuples. The frame buffer is only valid during the visit callback; visit
-// returning false stops the stream. It reports false when the state is not
-// frame-exportable, in which case the migration path falls back to
-// ExportState. With footer set, uniform-arity frames carry a
-// column-offset footer (PR 6); footers are advisory, so every frame
-// consumer decodes footered exports identically.
-type FrameExporter interface {
-	ExportStateFrames(side, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool
+// errImportLimit stops importFrame's walk at its row limit.
+var errImportLimit = errors.New("dataflow: import limit reached")
+
+// importFrame silently inserts one state frame's rows through ImportRow —
+// the single import face of migration, restore, replay and the poisoned
+// prefix. A limit >= 0 stops the walk after that many rows.
+func importFrame(rep Repartitioner, side int, frame []byte, limit int, cur *wire.Cursor) error {
+	k := 0
+	_, _, err := wire.EachRow(frame, cur, func(row []byte) error {
+		if limit >= 0 && k == limit {
+			return errImportLimit
+		}
+		k++
+		return rep.ImportRow(side, row, cur)
+	})
+	if err == errImportLimit {
+		return nil
+	}
+	return err
 }
 
 // AdaptivePolicy configures live 1-Bucket adaptation of one 2-way join
@@ -128,7 +142,7 @@ const (
 	ctrlNone ctrlKind = iota
 	// ctrlReshape is the barrier marker opening a migration round.
 	ctrlReshape
-	// ctrlMigBatch carries one wire frame of migrated state.
+	// ctrlMigBatch carries one wire batch frame of migrated state.
 	ctrlMigBatch
 	// ctrlMigDone marks the end of one peer's exports.
 	ctrlMigDone
@@ -140,11 +154,14 @@ type reshapeCmd struct {
 	old, next adaptive.Matrix
 }
 
-// migBatch is one chunk of migrated state.
+// migBatch is one frame of migrated state. A primary ships the same
+// migBatch to every destination: the frame is immutable once snapshotted,
+// and each importer copies its rows into its own arena.
 type migBatch struct {
-	epoch  int
-	side   int
-	tuples []types.Tuple
+	epoch int
+	side  int
+	frame []byte
+	count int
 }
 
 // loadReport is one joiner task's stored-state sizes, tagged with the
@@ -527,35 +544,27 @@ func (a *adaptState) sendCtrl(task int, env envelope) bool {
 // migSession tracks one joiner task's progress through a migration round.
 type migSession struct {
 	epoch int
-	dones int // peers (including self) whose exports have fully arrived
+	dones int         // peers (including self) whose exports have fully arrived
+	cur   wire.Cursor // import row cursor
 }
 
 func (s *migSession) complete(par int) bool { return s.dones == par }
 
-// sideExport is the state one primary ships for one side: either pre-built
-// wire batch frames (slab-backed state, snapshotted by blitting rows) or
-// materialized tuples (state without slab rows).
+// sideExport is the state one primary ships for one side: frames blitted
+// from its slab rows, each sent to every destination.
 type sideExport struct {
-	frames [][]byte // each a complete wire batch frame
-	tuples []types.Tuple
-	dests  []int
+	batches []*migBatch
+	dests   []int
 }
 
 // snapshotExport captures one side's state before ResetForReshape rebuilds
-// it. Frame-exporting state copies the packed frames — encoded bytes, no
-// tuple materialization; other state snapshots decoded tuples.
-func (a *adaptState) snapshotExport(rep Repartitioner, side int, dests []int) sideExport {
+// it, copying each exported frame once.
+func (a *adaptState) snapshotExport(rep Repartitioner, epoch, side int, dests []int) sideExport {
 	exp := sideExport{dests: dests}
-	if fe, ok := rep.(FrameExporter); ok {
-		done := fe.ExportStateFrames(side, a.ex.opts.BatchSize, a.ex.opts.VecExec, func(frame []byte, _ int) bool {
-			exp.frames = append(exp.frames, append([]byte(nil), frame...))
-			return true
-		})
-		if done {
-			return exp
-		}
-	}
-	exp.tuples = rep.ExportState(side)
+	rep.ExportStateFrames(side, a.ex.opts.BatchSize, func(frame []byte, count int) bool {
+		exp.batches = append(exp.batches, &migBatch{epoch: epoch, side: side, frame: append([]byte(nil), frame...), count: count})
+		return true
+	})
 	return exp
 }
 
@@ -592,7 +601,7 @@ func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics
 				dests = append(dests, d)
 			}
 			if len(dests) > 0 {
-				exports[0] = a.snapshotExport(rep, 0, dests)
+				exports[0] = a.snapshotExport(rep, cmd.epoch, 0, dests)
 			}
 		}
 		if row == 0 {
@@ -606,7 +615,7 @@ func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics
 				dests = append(dests, d)
 			}
 			if len(dests) > 0 {
-				exports[1] = a.snapshotExport(rep, 1, dests)
+				exports[1] = a.snapshotExport(rep, cmd.epoch, 1, dests)
 			}
 		}
 	}
@@ -618,50 +627,21 @@ func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics
 	return &migSession{epoch: cmd.epoch}, nil
 }
 
-// sendExports ships one task's exports as wire batch frames, then marks the
-// end of its exports to every peer. Slab-backed state arrives as pre-built
-// frames (snapshotExport blitted the packed rows), so this path never
-// re-encodes; tuples from ExportState are chunked and encoded here. Runs
+// sendExports ships one task's exports, each frame to every destination,
+// then marks the end of its exports to every peer. Each copy is charged to
+// the sender like a data hop (DESIGN.md substitution table). Runs
 // concurrently with the task's main loop; TaskMetrics fields are atomics.
 func (a *adaptState) sendExports(task int, tm *TaskMetrics, epoch int, exports [2]sideExport) {
 	defer a.exportWG.Done()
-	var scratch []byte
-	var dec wire.BatchDecoder
-	batchSize := a.ex.opts.BatchSize
-	// shipFrame delivers one encoded frame to every destination, each
-	// receiving its own decoded copies and the sender charged the frame
-	// bytes, exactly like a data hop (DESIGN.md substitution table).
-	shipFrame := func(frame []byte, side int, dests []int) bool {
-		for _, d := range dests {
-			out, _, err := dec.Decode(frame)
-			if err != nil {
-				a.ex.fail(fmt.Errorf("dataflow: migration wire corruption at %s[%d]: %w", a.node.name, task, err))
-				return false
-			}
-			tm.BytesOut.Add(int64(len(frame)))
-			a.ex.metrics.Adapt.MigratedBytes.Add(int64(len(frame)))
-			a.ex.metrics.Adapt.MigratedTuples.Add(int64(len(out)))
-			env := envelope{from: task, ctrl: ctrlMigBatch, mig: &migBatch{epoch: epoch, side: side, tuples: out}}
-			if !a.ex.send(a.node, d, env) {
-				return false
-			}
-		}
-		return true
-	}
-	for side, exp := range exports {
-		for _, frame := range exp.frames {
-			if !shipFrame(frame, side, exp.dests) {
-				return
-			}
-		}
-		for start := 0; start < len(exp.tuples); start += batchSize {
-			end := start + batchSize
-			if end > len(exp.tuples) {
-				end = len(exp.tuples)
-			}
-			scratch = wire.EncodeBatch(scratch[:0], exp.tuples[start:end])
-			if !shipFrame(scratch, side, exp.dests) {
-				return
+	for _, exp := range exports {
+		for _, b := range exp.batches {
+			for _, d := range exp.dests {
+				tm.BytesOut.Add(int64(len(b.frame)))
+				a.ex.metrics.Adapt.MigratedBytes.Add(int64(len(b.frame)))
+				a.ex.metrics.Adapt.MigratedTuples.Add(int64(b.count))
+				if !a.ex.send(a.node, d, envelope{from: task, ctrl: ctrlMigBatch, mig: b}) {
+					return
+				}
 			}
 		}
 	}
@@ -679,7 +659,7 @@ func (a *adaptState) applyMig(mig *migSession, rep Repartitioner, env envelope) 
 		if env.mig.epoch != mig.epoch {
 			return fmt.Errorf("dataflow: migration batch for epoch %d during epoch %d", env.mig.epoch, mig.epoch)
 		}
-		return rep.ImportState(env.mig.side, env.mig.tuples)
+		return importFrame(rep, env.mig.side, env.mig.frame, -1, &mig.cur)
 	case ctrlMigDone:
 		mig.dones++
 		return nil

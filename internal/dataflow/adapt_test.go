@@ -24,6 +24,8 @@ type pairBolt struct {
 	failAfter int
 }
 
+var _ Repartitioner = (*pairBolt)(nil)
+
 func (b *pairBolt) side(stream string) int {
 	if stream == "S" {
 		return 1
@@ -55,10 +57,21 @@ func (b *pairBolt) Finish(*Collector) error { return nil }
 
 func (b *pairBolt) StoredCount(side int) int { return len(b.sides[side]) }
 
-func (b *pairBolt) ExportState(side int) []types.Tuple {
-	out := make([]types.Tuple, len(b.sides[side]))
-	copy(out, b.sides[side])
-	return out
+func (b *pairBolt) ExportStateFrames(side, batchSize int, visit func(frame []byte, count int) bool) {
+	exportTupleFrames(b.sides[side], batchSize, visit)
+}
+
+// exportTupleFrames encodes a test double's stored tuples into wire batch
+// frames of up to batchSize rows, the Repartitioner export shape.
+func exportTupleFrames(ts []types.Tuple, batchSize int, visit func(frame []byte, count int) bool) {
+	var frame []byte
+	for start := 0; start < len(ts); start += batchSize {
+		end := min(start+batchSize, len(ts))
+		frame = wire.EncodeBatch(frame[:0], ts[start:end])
+		if !visit(frame, end-start) {
+			return
+		}
+	}
 }
 
 func (b *pairBolt) ResetForReshape(keep [2]bool) error {
@@ -70,8 +83,8 @@ func (b *pairBolt) ResetForReshape(keep [2]bool) error {
 	return nil
 }
 
-func (b *pairBolt) ImportState(side int, tuples []types.Tuple) error {
-	b.sides[side] = append(b.sides[side], tuples...)
+func (b *pairBolt) ImportRow(side int, _ []byte, cur *wire.Cursor) error {
+	b.sides[side] = append(b.sides[side], cur.Tuple(nil))
 	return nil
 }
 

@@ -1111,11 +1111,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			if p.idx > 0 {
 				// The applied prefix already emitted its deltas before the
 				// crash; re-import it silently.
-				batch, _, err := fdec.Decode(wire.StripFooter(p.env.frame))
-				if err != nil {
-					return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, err)
-				}
-				if err := bolt.(Repartitioner).ImportState(ex.rec.pol.RelOf[p.env.stream], batch[:p.idx]); err != nil {
+				if err := importFrame(bolt.(Repartitioner), ex.rec.pol.RelOf[p.env.stream], p.env.frame, p.idx, &rs.cur); err != nil {
 					return err
 				}
 			}
@@ -1203,7 +1199,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] stray recovery batch", n.name, task))
 					return
 				}
-				if err := bolt.(Repartitioner).ImportState(env.rec.rel, env.rec.tuples); err != nil {
+				if err := importFrame(bolt.(Repartitioner), env.rec.rel, env.rec.frame, -1, &rs.cur); err != nil {
 					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] restore import: %w", n.name, task, err))
 					return
 				}
@@ -1314,12 +1310,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					ckptCur = rs.manifest.CursorFor(env.stream, env.from)
 				}
 				if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
-					batch, _, err := fdec.Decode(wire.StripFooter(env.frame))
-					if err != nil {
-						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay frame corrupt: %w", n.name, task, err))
-						return
-					}
-					if err := bolt.(Repartitioner).ImportState(rel, batch); err != nil {
+					if err := importFrame(bolt.(Repartitioner), rel, env.frame, -1, &rs.cur); err != nil {
 						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay import: %w", n.name, task, err))
 						return
 					}

@@ -12,8 +12,8 @@
 //     the cursor is silently dropped, which makes re-delivery idempotent.
 //
 //   - Incremental checkpoints. Every CheckpointEvery applied tuples a task
-//     snapshots its per-relation state as wire batch frames (blitted from
-//     the slab arenas via FrameExporter — no tuple re-materialization) plus
+//     snapshots its per-relation state as bare wire batch frames (blitted
+//     from the slab arenas — no tuple re-materialization) plus
 //     a manifest of its cursors, into a pluggable recovery.CheckpointStore.
 //     A committed checkpoint trims the producers' replay buffers up to its
 //     cursors, which is what keeps them bounded. After a live reshape
@@ -35,8 +35,11 @@
 //     complete copy; for the adaptive 1-Bucket matrix, the other cells of
 //     the failed cell's row (R) or column (S) — or, when nothing replicates,
 //     the last checkpoint plus a replay of the retained envelopes past its
-//     cursors. Restores are silent inserts: every delta these tuples could
-//     produce was already emitted before the fault.
+//     cursors. State travels as frames on every route — peer exports,
+//     checkpoint frames, sealed segments (rows sliced out of the verified
+//     blob) and replayed input — and the failed task walks each one through
+//     Repartitioner.ImportRow. Restores are silent inserts: every delta
+//     these rows could produce was already emitted before the fault.
 //
 //   - Panic capture. A panic inside Bolt.Execute is converted into a fault.
 //     The poisoned envelope is only partially applied, so the task flushes
@@ -60,6 +63,7 @@
 package dataflow
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -67,7 +71,6 @@ import (
 
 	"squall/internal/recovery"
 	"squall/internal/slab"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
@@ -158,7 +161,7 @@ const (
 	// ctrlRecBegin opens a recovery round at the failed task: routes per
 	// relation plus the checkpoint manifest restore starts from.
 	ctrlRecBegin
-	// ctrlRecBatch carries restored state tuples for one relation.
+	// ctrlRecBatch carries one frame of restored state for one relation.
 	ctrlRecBatch
 	// ctrlRecDone marks the end of one relation's restore.
 	ctrlRecDone
@@ -176,7 +179,7 @@ const (
 type recMsg struct {
 	rel      int
 	target   int
-	tuples   []types.Tuple
+	frame    []byte             // ctrlRecBatch: wire batch frame of restored rows
 	routes   []int              // per rel: serving peer task, or -1 for checkpoint
 	manifest *recovery.Manifest // checkpoint manifest (nil when none exists)
 }
@@ -586,7 +589,6 @@ func (a *recState) handleFault(f faultNote) bool {
 		return false
 	}
 
-	var dec wire.BatchDecoder
 	for rel, peer := range routes {
 		if peer >= 0 {
 			m.PeerRels.Add(1)
@@ -607,15 +609,13 @@ func (a *recState) handleFault(f faultNote) bool {
 			}
 		}
 		if haveCk && rel < len(ck.Frames) {
+			// Checkpoint frames ship as stored: the importer walks them and
+			// fails the run on a malformed row.
 			for _, frame := range ck.Frames[rel] {
-				tuples, _, err := dec.Decode(frame)
-				if err != nil {
-					a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d corrupt: %w", a.node.name, f.task, rel, err))
-					return false
-				}
-				m.RestoredTuples.Add(int64(len(tuples)))
+				n, _ := binary.Uvarint(frame)
+				m.RestoredTuples.Add(int64(n))
 				m.RestoredBytes.Add(int64(len(frame)))
-				if !a.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, tuples: tuples}}) {
+				if !a.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
 					return false
 				}
 			}
@@ -723,7 +723,7 @@ type recSession struct {
 	dones      int
 	stash      []envelope
 	poisoned   *poisonedEnv
-	scratch    []byte
+	cur        wire.Cursor // import row cursor
 }
 
 // newSession prepares the consumer-side recovery state for one task of the
@@ -788,6 +788,12 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 		}
 	}
 	batch := a.ex.opts.BatchSize
+	var frames [][]byte
+	keep := func(frame []byte, count int) bool {
+		frames = append(frames, append([]byte(nil), frame...))
+		ck.Tuples += int64(count)
+		return true
+	}
 
 	// Tiered bolts checkpoint incrementally (PR 10): sealed segments were
 	// persisted to the checkpoint store when they sealed (or spilled), so the
@@ -799,12 +805,8 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 		if _, ok := a.pol.Store.(slab.SegmentStore); ok {
 			tiered := true
 			for rel := 0; rel < a.pol.NumRels && tiered; rel++ {
-				var frames [][]byte
-				cks, relOK, err := te.ExportStateTier(rel, batch, a.ex.opts.VecExec, func(frame []byte, count int) bool {
-					frames = append(frames, append([]byte(nil), frame...))
-					ck.Tuples += int64(count)
-					return true
-				})
+				frames = nil
+				cks, relOK, err := te.ExportStateTier(rel, batch, keep)
 				if err != nil {
 					return err
 				}
@@ -826,27 +828,8 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 	}
 	if ck.Segments == nil {
 		for rel := 0; rel < a.pol.NumRels; rel++ {
-			var frames [][]byte
-			blitted := false
-			if fe, ok := bolt.(FrameExporter); ok {
-				blitted = fe.ExportStateFrames(rel, batch, a.ex.opts.VecExec, func(frame []byte, count int) bool {
-					frames = append(frames, append([]byte(nil), frame...))
-					ck.Tuples += int64(count)
-					return true
-				})
-			}
-			if !blitted {
-				tuples := rep.ExportState(rel)
-				for start := 0; start < len(tuples); start += batch {
-					end := start + batch
-					if end > len(tuples) {
-						end = len(tuples)
-					}
-					s.scratch = wire.EncodeBatch(s.scratch[:0], tuples[start:end])
-					frames = append(frames, append([]byte(nil), s.scratch...))
-					ck.Tuples += int64(end - start)
-				}
-			}
+			frames = nil
+			rep.ExportStateFrames(rel, batch, keep)
 			ck.Frames = append(ck.Frames, frames)
 		}
 	}
@@ -873,13 +856,14 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 }
 
 // restoreSegments ships one relation's sealed checkpoint segments to the
-// recovering task. Every blob read back from the store is verified
-// byte-for-byte: the segment codec's own CRC must decode clean AND match the
-// CRC the manifest recorded at checkpoint time, and the row count must match.
+// recovering task, one frame per segment. Every blob read back from the
+// store is verified byte-for-byte: the segment codec's own CRC must decode
+// clean AND match the CRC the manifest recorded at checkpoint time, the row
+// count must match, and every row span must hold exactly one encoded row.
 // Rows a manifest's Dead bitmap marks are skipped (arenas write none, but a
 // restore honours what it reads back). Any failure fails the run, including
-// a segment holding an empty row span: the alternatives are fabricating rows
-// or silently dropping them.
+// an empty row span or trailing bytes after a row: the alternatives are
+// fabricating rows or silently dropping them.
 func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bool {
 	ss, ok := a.pol.Store.(slab.SegmentStore)
 	if !ok {
@@ -887,19 +871,7 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 		return false
 	}
 	m := &a.ex.metrics.Recovery
-	batch := a.ex.opts.BatchSize
-	var tuples []types.Tuple
-	flush := func() bool {
-		if len(tuples) == 0 {
-			return true
-		}
-		m.RestoredTuples.Add(int64(len(tuples)))
-		if !a.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, tuples: tuples}}) {
-			return false
-		}
-		tuples = nil
-		return true
-	}
+	var cur wire.Cursor
 	for si, sr := range refs {
 		blob, found, err := ss.GetSegment(sr.Key)
 		if err == nil && !found {
@@ -918,76 +890,56 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 				err = fmt.Errorf("segment %q holds %d rows, manifest says %d", sr.Key, len(offs)-1, sr.Rows)
 			}
 		}
+		dead := func(i int) bool { return i/64 < len(sr.Dead) && sr.Dead[i/64]>>(uint(i)%64)&1 == 1 }
+		live := 0
+		for i := 0; i+1 < len(offs); i++ {
+			if !dead(i) {
+				live++
+			}
+		}
+		frame := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(payload)), uint64(live))
+		for i := 0; err == nil && i+1 < len(offs); i++ {
+			if dead(i) {
+				continue
+			}
+			span := payload[offs[i]:offs[i+1]]
+			if rerr := cur.Reset(span); rerr != nil {
+				err = fmt.Errorf("%w: row %d: %v", slab.ErrSegmentCorrupt, i, rerr)
+			}
+			frame = append(frame, span...)
+		}
 		if err != nil {
 			a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d (%s): %w", a.node.name, task, rel, si, sr.Key, err))
 			return false
 		}
 		m.SegmentBytes.Add(int64(len(blob)))
 		m.RestoredBytes.Add(int64(len(blob)))
-		for i := 0; i+1 < len(offs); i++ {
-			if i/64 < len(sr.Dead) && sr.Dead[i/64]>>(uint(i)%64)&1 == 1 {
-				continue
-			}
-			t, _, err := wire.Decode(payload[offs[i]:offs[i+1]])
-			if err != nil {
-				a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d row %d: %w", a.node.name, task, rel, si, i, err))
-				return false
-			}
-			tuples = append(tuples, t)
-			if len(tuples) >= batch {
-				if !flush() {
-					return false
-				}
-			}
+		m.RestoredTuples.Add(int64(live))
+		if live == 0 {
+			continue
+		}
+		if !a.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
+			return false
 		}
 	}
-	return flush()
+	return true
 }
 
-// serveStateReq exports one relation to a recovering peer over its inbox, as
-// decoded wire batch frames — the live form of ft's "recover from a peer
-// machine" route. Bytes are charged to this (serving) task like any network
-// transfer.
+// serveStateReq exports one relation to a recovering peer over its inbox as
+// bare wire batch frames, each copied once — the live form of ft's "recover
+// from a peer machine" route. Bytes are charged to this (serving) task like
+// any network transfer.
 func (s *recSession) serveStateReq(bolt Bolt, tm *TaskMetrics, msg *recMsg) bool {
 	a := s.a
 	m := &a.ex.metrics.Recovery
-	batch := a.ex.opts.BatchSize
-	var dec wire.BatchDecoder
-	ship := func(frame []byte, count int) bool {
-		out, _, err := dec.Decode(frame)
-		if err != nil {
-			a.ex.fail(fmt.Errorf("dataflow: peer export corruption at %s[%d]: %w", a.node.name, s.task, err))
-			return false
-		}
+	ok := true
+	bolt.(Repartitioner).ExportStateFrames(msg.rel, a.ex.opts.BatchSize, func(frame []byte, count int) bool {
 		tm.BytesOut.Add(int64(len(frame)))
 		m.RestoredBytes.Add(int64(len(frame)))
 		m.RestoredTuples.Add(int64(count))
-		return a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: &recMsg{rel: msg.rel, tuples: out}})
-	}
-	served := false
-	if fe, ok := bolt.(FrameExporter); ok {
-		// Peer serving decodes each frame right here before shipping tuples,
-		// so a footer would only inflate the charged bytes: always bare.
-		served = fe.ExportStateFrames(msg.rel, batch, false, ship)
-	}
-	if !served {
-		rep, ok := bolt.(Repartitioner)
-		if !ok {
-			a.ex.fail(fmt.Errorf("dataflow: recovery bolt %T cannot export state", bolt))
-			return false
-		}
-		tuples := rep.ExportState(msg.rel)
-		for start := 0; start < len(tuples); start += batch {
-			end := start + batch
-			if end > len(tuples) {
-				end = len(tuples)
-			}
-			chunk := tuples[start:end]
-			s.scratch = wire.EncodeBatch(s.scratch[:0], chunk)
-			if !ship(s.scratch, len(chunk)) {
-				return false
-			}
-		}
-	}
-	return a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecDone, rec: &recMsg{rel: msg.rel}})
+		rec := &recMsg{rel: msg.rel, frame: append([]byte(nil), frame...)}
+		ok = a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: rec})
+		return ok
+	})
+	return ok && a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecDone, rec: &recMsg{rel: msg.rel}})
 }

@@ -24,6 +24,8 @@ type crossJoin struct {
 	rels [2][]types.Tuple
 }
 
+var _ Repartitioner = (*crossJoin)(nil)
+
 func relOfStream(stream string) int {
 	if stream == "R" {
 		return 0
@@ -56,8 +58,8 @@ func (j *crossJoin) Finish(*Collector) error { return nil }
 
 func (j *crossJoin) StoredCount(side int) int { return len(j.rels[side]) }
 
-func (j *crossJoin) ExportState(side int) []types.Tuple {
-	return append([]types.Tuple(nil), j.rels[side]...)
+func (j *crossJoin) ExportStateFrames(side, batchSize int, visit func(frame []byte, count int) bool) {
+	exportTupleFrames(j.rels[side], batchSize, visit)
 }
 
 func (j *crossJoin) ResetForReshape(keep [2]bool) error {
@@ -69,8 +71,8 @@ func (j *crossJoin) ResetForReshape(keep [2]bool) error {
 	return nil
 }
 
-func (j *crossJoin) ImportState(side int, tuples []types.Tuple) error {
-	j.rels[side] = append(j.rels[side], tuples...)
+func (j *crossJoin) ImportRow(side int, _ []byte, cur *wire.Cursor) error {
+	j.rels[side] = append(j.rels[side], cur.Tuple(nil))
 	return nil
 }
 
@@ -460,63 +462,71 @@ func TestReplayBufferTrim(t *testing.T) {
 	}
 }
 
-// emptySpanStore is a MemStore whose every checkpoint of relation 1 also
-// references one sealed segment holding an empty row span under a valid CRC.
-type emptySpanStore struct {
+// segmentStore is a MemStore whose every checkpoint of relation 1 also
+// references one crafted sealed segment under a valid CRC.
+type segmentStore struct {
 	*recovery.MemStore
 	ref recovery.SegmentRef
 }
 
-func (s *emptySpanStore) Put(component string, task int, ck *recovery.Checkpoint) error {
+func (s *segmentStore) Put(component string, task int, ck *recovery.Checkpoint) error {
 	ck.Segments = [][]recovery.SegmentRef{nil, {s.ref}}
 	return s.MemStore.Put(component, task, ck)
 }
 
-// TestRestoreRejectsEmptySpanSegment: a checkpoint segment with an empty row
-// span decodes to fewer rows than it claims, so restoring from it must fail
-// the run with an error naming the segment instead of restoring a row fewer.
-func TestRestoreRejectsEmptySpanSegment(t *testing.T) {
-	rows := [][]byte{
-		wire.Encode(nil, types.Tuple{types.Int(-1), types.Str("s")}),
-		nil,
-		wire.Encode(nil, types.Tuple{types.Int(-2), types.Str("s")}),
-	}
-	var payload []byte
-	offs := []uint32{0}
-	for _, r := range rows {
-		payload = append(payload, r...)
-		offs = append(offs, uint32(len(payload)))
-	}
-	blob := slab.AppendSegment(nil, offs, payload)
-	store := &emptySpanStore{MemStore: recovery.NewMemStore(), ref: recovery.SegmentRef{
-		Key:  "ck-empty-span-s0",
-		CRC:  binary.LittleEndian.Uint32(blob[len(blob)-4:]),
-		Rows: int64(len(rows)),
-	}}
-	if err := store.PutSegment(store.ref.Key, blob); err != nil {
-		t.Fatal(err)
-	}
+// TestRestoreRejectsMalformedSegment: restoring from a checkpoint segment
+// whose CRC is valid but whose row spans do not hold exactly one row each
+// must fail the run with an error naming the segment, instead of restoring
+// a row fewer (an empty span) or a row read past its span's last byte (a
+// trailing byte after a valid row).
+func TestRestoreRejectsMalformedSegment(t *testing.T) {
+	row := func(k int64) []byte { return wire.Encode(nil, types.Tuple{types.Int(k), types.Str("s")}) }
+	for _, c := range []struct {
+		name string
+		rows [][]byte
+	}{
+		{"empty-span", [][]byte{row(-1), nil, row(-2)}},
+		{"trailing-byte", [][]byte{row(-1), append(row(-2), 0), row(-3)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var payload []byte
+			offs := []uint32{0}
+			for _, r := range c.rows {
+				payload = append(payload, r...)
+				offs = append(offs, uint32(len(payload)))
+			}
+			blob := slab.AppendSegment(nil, offs, payload)
+			store := &segmentStore{MemStore: recovery.NewMemStore(), ref: recovery.SegmentRef{
+				Key:  "ck-" + c.name + "-s0",
+				CRC:  binary.LittleEndian.Uint32(blob[len(blob)-4:]),
+				Rows: int64(len(c.rows)),
+			}}
+			if err := store.PutSegment(store.ref.Key, blob); err != nil {
+				t.Fatal(err)
+			}
 
-	rRows, sRows := recWorkload(120, 300)
-	const par = 3
-	b := NewBuilder()
-	b.Spout("R", 1, SliceSpout(rRows))
-	b.Spout("S", 1, SliceSpout(sRows))
-	b.Bolt("join", par, func(task, ntasks int) Bolt { return &crossJoin{} })
-	b.Bolt("sink", 1, NewGather().Factory())
-	b.Input("join", "R", All())
-	b.Input("join", "S", Fields(0))
-	b.Input("sink", "join", Global())
-	topo, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pol := recPolicy(par, &FaultPlan{Task: 1, AfterTuples: 60}, store, true, 24)
-	_, err = Run(topo, Options{Seed: 1, BatchSize: 4, ChannelBuf: 2, Recovery: pol})
-	if err == nil {
-		t.Fatal("restore from a segment with an empty row span succeeded")
-	}
-	if !errors.Is(err, slab.ErrSegmentCorrupt) || !strings.Contains(err.Error(), store.ref.Key) {
-		t.Fatalf("run error %q must wrap ErrSegmentCorrupt and name segment %s", err, store.ref.Key)
+			rRows, sRows := recWorkload(120, 300)
+			const par = 3
+			b := NewBuilder()
+			b.Spout("R", 1, SliceSpout(rRows))
+			b.Spout("S", 1, SliceSpout(sRows))
+			b.Bolt("join", par, func(task, ntasks int) Bolt { return &crossJoin{} })
+			b.Bolt("sink", 1, NewGather().Factory())
+			b.Input("join", "R", All())
+			b.Input("join", "S", Fields(0))
+			b.Input("sink", "join", Global())
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pol := recPolicy(par, &FaultPlan{Task: 1, AfterTuples: 60}, store, true, 24)
+			_, err = Run(topo, Options{Seed: 1, BatchSize: 4, ChannelBuf: 2, Recovery: pol})
+			if err == nil {
+				t.Fatal("restore from a malformed segment succeeded")
+			}
+			if !errors.Is(err, slab.ErrSegmentCorrupt) || !strings.Contains(err.Error(), store.ref.Key) {
+				t.Fatalf("run error %q must wrap ErrSegmentCorrupt and name segment %s", err, store.ref.Key)
+			}
+		})
 	}
 }

@@ -69,3 +69,13 @@ func (j *TupleJoin) insertEncoded(rel int, t types.Tuple, row []byte) error {
 	}
 	return nil
 }
+
+// ImportRow stores one encoded row with full view maintenance and no delta
+// results (localjoin.Migrator): migration imports and recovery restores.
+func (j *TupleJoin) ImportRow(rel int, row []byte, cur *wire.Cursor) error {
+	if rel < 0 || rel >= j.g.NumRels {
+		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
+	}
+	j.decBuf = cur.Tuple(j.decBuf)
+	return j.insertEncoded(rel, j.decBuf, row)
+}

@@ -220,8 +220,7 @@ func (j *TupleJoin) OnTuple(rel int, t types.Tuple) ([]localjoin.Delta, error) {
 }
 
 // Insert stores a tuple with full view maintenance but without computing
-// the delta result — the silent path used by state preload and by the
-// adaptive operator's migration import (localjoin.Migrator). Every view
+// the delta result — the silent path used by state preload. Every view
 // containing rel is refreshed with ref combos: the arriving tuple lands in
 // its singleton arena first (updateOrder is popcount-ascending), then each
 // larger view's delta combos are assembled by crossing the passing combos of
@@ -344,19 +343,6 @@ func (j *TupleJoin) RelCount(rel int) int {
 		return 0
 	}
 	return v.arena.Rows()
-}
-
-// ExportRel snapshots the stored base tuples of one relation.
-func (j *TupleJoin) ExportRel(rel int) []types.Tuple {
-	v := j.views[uint64(1)<<rel]
-	if v == nil {
-		return nil
-	}
-	out := make([]types.Tuple, 0, v.arena.Rows())
-	for r := range v.arena.Rows() {
-		out = append(out, v.arena.Decode(slab.Ref(r)))
-	}
-	return out
 }
 
 // ExportRelFrames streams one relation's base rows as wire batch frames by

@@ -174,6 +174,33 @@ func TestDifferentialSpill(t *testing.T) {
 					}
 				}
 			}
+			// Computed keys under a kill: the segment restore lands in the
+			// Traditional joiner's decode-and-Insert import branch. The kill
+			// waits for 200 received tuples, by which the task has sealed
+			// segments on both workloads, and one-row frames keep input
+			// flowing after it, so later arrivals probe the restored rows.
+			ec := EngineConfig{
+				Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 1,
+				Spill: true, Kill: true, ExprKeys: true, Machines: 2, Seed: c.seed,
+			}
+			t.Run(ec.String(), func(t *testing.T) {
+				q, opts := w.Plan(ec)
+				opts.FaultPlan.AfterTuples = 200
+				res, err := q.Run(opts)
+				if err != nil {
+					t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
+				}
+				got := make(map[string]int, len(res.Rows))
+				for _, r := range res.Rows {
+					got[r.Key()]++
+				}
+				if diff := DiffBags(ref, got); diff != "" {
+					t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
+				}
+				if res.Metrics.Recovery.SegmentBytes.Load() == 0 {
+					t.Fatalf("seed=%d %v: the kill restored no sealed segment", c.seed, ec)
+				}
+			})
 		})
 	}
 }
@@ -308,7 +335,8 @@ func TestChaosKillMidStreamPeerRoute(t *testing.T) {
 // TestDifferentialAdaptiveDrift is the acceptance scenario: under a
 // heavily drifting |R| : |S| ratio the adaptive run must reshape at least
 // once, report migrated bytes, and stay bag-equal to both the oracle and
-// the frozen-matrix static run.
+// the frozen-matrix static run. The computed-keys leg migrates through the
+// Traditional joiner's decode-and-Insert import branch.
 func TestDifferentialAdaptiveDrift(t *testing.T) {
 	const seed = int64(21)
 	t.Logf("workload seed=%d", seed)
@@ -318,12 +346,19 @@ func TestDifferentialAdaptiveDrift(t *testing.T) {
 	big := RandomWorkload(seed+1, 2, 6000, 40, false)
 	w.Rels[0] = big.Rels[0]
 	ref := w.ReferenceBag()
+	for _, exprKeys := range []bool{false, true} {
+		t.Run(fmt.Sprintf("exprkeys=%v", exprKeys), func(t *testing.T) {
+			adaptiveDrift(t, w, ref, seed, exprKeys)
+		})
+	}
+}
 
+func adaptiveDrift(t *testing.T, w *Workload, ref map[string]int, seed int64, exprKeys bool) {
 	// A moderate batch size keeps the in-flight tuple budget small enough
 	// that the controller observes the drift while the stream is live.
 	adaptiveCfg := EngineConfig{
 		Scheme: squall.RandomHypercube, Local: squall.Traditional,
-		BatchSize: 16, Adaptive: true, Machines: 8, Seed: seed,
+		BatchSize: 16, Adaptive: true, ExprKeys: exprKeys, Machines: 8, Seed: seed,
 	}
 	staticCfg := adaptiveCfg
 	staticCfg.Adaptive = false

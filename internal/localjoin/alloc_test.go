@@ -218,3 +218,49 @@ func TestOnRowTouchesEachSpilledCandidateOnce(t *testing.T) {
 		})
 	}
 }
+
+// TestImportRowNoAllocSteadyState pins the import face migration, restore
+// and replay share: on a lowered graph a row blits into the arena and keys
+// its indexes off the cursor, so once arena and index growth have
+// amortized an imported row costs zero heap objects.
+func TestImportRowNoAllocSteadyState(t *testing.T) {
+	g := chainGraph()
+	j := NewTraditional(g)
+	if !j.PackedCapable() {
+		t.Fatal("chain graph does not lower")
+	}
+	const keys = 64
+	rows := make([][][]byte, g.NumRels)
+	for rel := range rows {
+		for k := 0; k < keys; k++ {
+			tu := types.Tuple{types.Int(int64(k)), types.Int(int64(k)), types.Str("payload")}
+			rows[rel] = append(rows[rel], wire.Encode(nil, tu))
+		}
+	}
+	var cur wire.Cursor
+	i := 0
+	imp := func() {
+		rel, k := i%g.NumRels, (i/g.NumRels)%keys
+		i++
+		row := rows[rel][k]
+		if err := cur.Reset(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.ImportRow(rel, row, &cur); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := 0; w < 4*keys*g.NumRels; w++ {
+		imp()
+	}
+	allocs := testing.AllocsPerRun(2000, imp)
+	if j.StoredTuples() != i {
+		t.Fatalf("stored %d rows after %d imports", j.StoredTuples(), i)
+	}
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	if allocs != 0 {
+		t.Fatalf("ImportRow allocates %v objects per row in steady state, want 0", allocs)
+	}
+}

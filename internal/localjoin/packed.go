@@ -79,8 +79,8 @@ func fieldOf(cur *wire.Cursor, col int) error {
 
 // insertRow blits the arrival into the relation's arena and maintains its
 // per-conjunct indexes off the encoded fields. The key hashes are
-// types.Value hashes of the fields, so packed and boxed inserts (migration
-// imports, recovery restores) share one index.
+// types.Value hashes of the fields, so packed inserts and Insert share one
+// index.
 func (j *Traditional) insertRow(rel int, row []byte, cur *wire.Cursor) error {
 	s := j.stores[rel]
 	ref := s.arena.AppendEncoded(row)

@@ -105,10 +105,10 @@ func TestOnRowAgreesWithOnTuple(t *testing.T) {
 			// exports equal packed exports as bags.
 			for rel := 0; rel < c.rels; rel++ {
 				wb, pb := map[string]int{}, map[string]int{}
-				for _, tu := range boxed.ExportRel(rel) {
+				for _, tu := range frameTuples(t, boxed, rel, 16) {
 					wb[tu.Key()]++
 				}
-				for _, tu := range packed.ExportRel(rel) {
+				for _, tu := range frameTuples(t, packed, rel, 16) {
 					pb[tu.Key()]++
 				}
 				for k, n := range wb {

@@ -52,17 +52,17 @@ type MultiJoin interface {
 }
 
 // Migrator is implemented by local joins whose per-relation state can be
-// snapshotted and silently rebuilt — the hooks live repartitioning (the
-// adaptive 1-Bucket operator's state migration) is built on.
+// exported as frames and silently rebuilt row by row — the hooks live
+// repartitioning (the adaptive 1-Bucket operator's state migration) and
+// recovery restores are built on.
 type Migrator interface {
 	// RelCount returns the stored tuples of one relation.
 	RelCount(rel int) int
-	// ExportRel snapshots the stored tuples of one relation; the returned
-	// slice stays valid after further inserts.
-	ExportRel(rel int) []types.Tuple
-	// Insert stores a tuple with index/view maintenance but produces no
-	// delta results (state preload and migration import).
-	Insert(rel int, t types.Tuple) error
+	FrameExporter
+	// ImportRow stores one encoded row (cur views it) with index/view
+	// maintenance but produces no delta results. The row is copied; it
+	// need not outlive the call.
+	ImportRow(rel int, row []byte, cur *wire.Cursor) error
 }
 
 // FrameExporter is implemented by local joins that store relation state
@@ -111,6 +111,7 @@ type Traditional struct {
 	sideCol  [][]int
 	packedOK bool
 	packed   packedState
+	decBuf   types.Tuple // ImportRow scratch on computed-key graphs
 	// plan[rel] is the expansion an arrival of rel drives (plan.go).
 	plan [][]probeStep
 }
@@ -199,11 +200,6 @@ func (j *Traditional) OnTuple(rel int, t types.Tuple) ([]Delta, error) {
 // RelCount returns the stored tuples of one relation.
 func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Rows() }
 
-// ExportRel snapshots the stored tuples of one relation.
-func (j *Traditional) ExportRel(rel int) []types.Tuple {
-	return j.scanAll(j.stores[rel])
-}
-
 // ExportRelFrames streams one relation's stored rows as wire batch frames by
 // blitting the packed rows — no tuple materialization.
 func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) {
@@ -214,8 +210,22 @@ func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit fun
 	}
 }
 
+// ImportRow stores one encoded row without producing results (migration
+// import, recovery restore). A lowered graph blits the row and keys its
+// indexes off the encoded fields; computed keys need the tuple for Eval.
+func (j *Traditional) ImportRow(rel int, row []byte, cur *wire.Cursor) error {
+	if rel < 0 || rel >= j.g.NumRels {
+		return fmt.Errorf("localjoin: relation %d out of range", rel)
+	}
+	if j.packedOK {
+		return j.insertRow(rel, row, cur)
+	}
+	j.decBuf = cur.Tuple(j.decBuf)
+	return j.Insert(rel, j.decBuf)
+}
+
 // Insert stores a tuple with its index maintenance but produces no results
-// (state preload, e.g. during fault-tolerance recovery, or migration import).
+// (state preload).
 func (j *Traditional) Insert(rel int, t types.Tuple) error {
 	s := j.stores[rel]
 	ref := s.arena.Append(t)

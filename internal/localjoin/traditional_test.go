@@ -258,7 +258,7 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 			t.Fatalf("ref %d holds %v, want %v (refs must be dense in arrival order)", i, got, tup)
 		}
 	}
-	for i, got := range j.ExportRel(0) {
+	for i, got := range frameTuples(t, j, 0, 4) {
 		if !got.Equal(want[i]) {
 			t.Fatalf("export row %d = %v, want %v", i, got, want[i])
 		}
@@ -277,11 +277,59 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 	}
 }
 
-// TestTraditionalExportParityAndFrames: ExportRel returns exactly the
-// inserted rows and round-trips through Insert into a fresh operator, and
-// the frame export decodes to the same tuples via the wire batch decoder.
+// frameTuples decodes one relation's frame export (batchSize rows a frame)
+// back to tuples, checking each frame's count.
+func frameTuples(t *testing.T, j FrameExporter, rel, batchSize int) []types.Tuple {
+	t.Helper()
+	var out []types.Tuple
+	j.ExportRelFrames(rel, batchSize, false, func(frame []byte, count int) bool {
+		tuples, _, err := wire.DecodeBatch(frame)
+		if err != nil || len(tuples) != count {
+			t.Fatalf("rel %d frame: %v (%d tuples, count %d)", rel, err, len(tuples), count)
+		}
+		out = append(out, tuples...)
+		return true
+	})
+	return out
+}
+
+// importRel streams one relation from src's frame export into dst's
+// ImportRow — the migration and restore import path.
+func importRel(t *testing.T, dst Migrator, src FrameExporter, rel int) {
+	t.Helper()
+	var cur wire.Cursor
+	var err error
+	src.ExportRelFrames(rel, 7, false, func(frame []byte, _ int) bool {
+		_, _, err = wire.EachRow(frame, &cur, func(row []byte) error { return dst.ImportRow(rel, row, &cur) })
+		return err == nil
+	})
+	if err != nil {
+		t.Fatalf("rel %d import: %v", rel, err)
+	}
+}
+
+// TestTraditionalExportParityAndFrames: the frame export holds exactly the
+// inserted rows, bare or footered, and round-trips through ImportRow into a
+// fresh operator, on lowered and computed-key graphs alike.
 func TestTraditionalExportParityAndFrames(t *testing.T) {
-	g := chainGraph()
+	computed := func(e expr.Expr) expr.Expr { return expr.Arith{Op: expr.Add, L: e, R: expr.I(0)} }
+	for _, c := range []struct {
+		name string
+		g    *expr.JoinGraph
+	}{
+		{"lowered", chainGraph()},
+		{"computed", expr.MustJoinGraph(3,
+			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq, Left: computed(expr.C(1)), Right: computed(expr.C(0))},
+			expr.JoinConjunct{LRel: 1, RRel: 2, Op: expr.Eq, Left: computed(expr.C(1)), Right: computed(expr.C(0))})},
+	} {
+		if got := NewTraditional(c.g).PackedCapable(); got != (c.name == "lowered") {
+			t.Fatalf("%s graph: PackedCapable = %v", c.name, got)
+		}
+		t.Run(c.name, func(t *testing.T) { exportParity(t, c.g) })
+	}
+}
+
+func exportParity(t *testing.T, g *expr.JoinGraph) {
 	r := rand.New(rand.NewSource(41))
 	rels := [][]types.Tuple{genRel(r, 40, 2, 6), genRel(r, 40, 2, 6), genRel(r, 40, 2, 6)}
 	slabJ, reJ := NewTraditional(g), NewTraditional(g)
@@ -294,28 +342,12 @@ func TestTraditionalExportParityAndFrames(t *testing.T) {
 	}
 	for rel := range rels {
 		b := append([]types.Tuple(nil), rels[rel]...)
-		if a := slabJ.ExportRel(rel); !equalTupleSets(a, b) {
-			t.Fatalf("rel %d: export diverges from the inserted rows (%d vs %d rows)", rel, len(a), len(b))
+		if a := frameTuples(t, slabJ, rel, 7); !equalTupleSets(a, b) {
+			t.Fatalf("rel %d: frame export diverges from the inserted rows (%d vs %d rows)", rel, len(a), len(b))
 		}
-		for _, row := range slabJ.ExportRel(rel) {
-			if err := reJ.Insert(rel, row); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if a := reJ.ExportRel(rel); !equalTupleSets(a, b) {
-			t.Fatalf("rel %d: export does not round-trip through Insert (%d vs %d rows)", rel, len(a), len(b))
-		}
-		var fromFrames []types.Tuple
-		slabJ.ExportRelFrames(rel, 7, false, func(frame []byte, count int) bool {
-			tuples, _, err := wire.DecodeBatch(frame)
-			if err != nil || len(tuples) != count {
-				t.Fatalf("rel %d frame: %v (%d tuples, count %d)", rel, err, len(tuples), count)
-			}
-			fromFrames = append(fromFrames, tuples...)
-			return true
-		})
-		if !equalTupleSets(fromFrames, b) {
-			t.Fatalf("rel %d: frame export diverges from snapshot", rel)
+		importRel(t, reJ, slabJ, rel)
+		if a := frameTuples(t, reJ, rel, 7); !equalTupleSets(a, b) {
+			t.Fatalf("rel %d: export does not round-trip through ImportRow (%d vs %d rows)", rel, len(a), len(b))
 		}
 		var footered []types.Tuple
 		slabJ.ExportRelFrames(rel, 7, true, func(frame []byte, count int) bool {

@@ -51,9 +51,9 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 			c.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
 			tc = &c
 		}
-		mk := func() localjoin.MultiJoin { return newLocalJoin(g, kind, tc) }
+		mk := func() dbtoaster.Join { return newLocalJoin(g, kind, tc) }
 		jb := &joinBolt{mk: mk, mj: mk(), relOf: relOf, post: post}
-		if pj, ok := jb.mj.(localjoin.PackedJoin); ok && pj.PackedCapable() {
+		if jb.mj.PackedCapable() {
 			return &packedJoinBolt{joinBolt: jb, pp: CompilePipeline(post)}
 		}
 		return jb
@@ -64,7 +64,7 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 // resident slab) crossed with the algorithm. What DBToaster means for this
 // graph — the view operator, or the base-relation core when there is no
 // view to keep — is dbtoaster's decision, not made here.
-func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, tc *slab.TierConfig) localjoin.MultiJoin {
+func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, tc *slab.TierConfig) dbtoaster.Join {
 	dbt := kind == DBToaster
 	switch {
 	case tc != nil && dbt:
@@ -124,14 +124,14 @@ func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collecto
 			})
 		}
 	}
-	// mk() preserves the concrete type, so reshape/recovery rebuilds stay
-	// packed-capable; assert per call rather than caching across rebirths.
-	return b.mj.(localjoin.PackedJoin).OnRow(rel, in.Row, in.Cur, b.emitFn)
+	// mk() builds the same operator, so reshape/recovery rebuilds stay
+	// packed-capable.
+	return b.mj.OnRow(rel, in.Row, in.Cur, b.emitFn)
 }
 
 type joinBolt struct {
-	mk    func() localjoin.MultiJoin // fresh operator for reshape rebuilds
-	mj    localjoin.MultiJoin
+	mk    func() dbtoaster.Join // fresh operator for reshape rebuilds
+	mj    dbtoaster.Join
 	relOf map[string]int
 	post  Pipeline
 }
@@ -166,144 +166,79 @@ func (b *joinBolt) Finish(*dataflow.Collector) error { return nil }
 
 func (b *joinBolt) MemSize() int { return b.mj.MemSize() }
 
-// tierJoin is the tier surface the slab-backed local joins expose; the map
-// layouts don't implement it, and the bolt degrades gracefully.
-type tierJoin interface {
-	SpilledBytes() int
-	ReleaseState()
-	ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error)
-}
-
 // SpilledBytes reports state bytes resident on disk only (slab.SpillReporter;
 // MemSize already excludes them).
-func (b *joinBolt) SpilledBytes() int {
-	if tj, ok := b.mj.(tierJoin); ok {
-		return tj.SpilledBytes()
-	}
-	return 0
-}
+func (b *joinBolt) SpilledBytes() int { return b.mj.SpilledBytes() }
 
 // ReleaseState refunds the operator's pressure-gauge charges
 // (dataflow.StateReleaser); called when the task instance is dropped.
-func (b *joinBolt) ReleaseState() {
-	if tj, ok := b.mj.(tierJoin); ok {
-		tj.ReleaseState()
-	}
-}
+func (b *joinBolt) ReleaseState() { b.mj.ReleaseState() }
 
 // ExportStateTier exports one relation for an incremental checkpoint: sealed
-// segments by store reference, hot rows as frames (dataflow.TierExporter).
-// ok=false sends the caller to the full-frame path.
-func (b *joinBolt) ExportStateTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
-	tj, ok := b.mj.(tierJoin)
-	if !ok {
-		return nil, false, nil
-	}
-	return tj.ExportRelTier(rel, batchSize, footer, visit)
+// segments by store reference, hot rows as bare frames
+// (dataflow.TierExporter). ok=false sends the caller to the full-frame path.
+func (b *joinBolt) ExportStateTier(rel, batchSize int, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
+	return b.mj.ExportRelTier(rel, batchSize, false, visit)
 }
 
 // Live-repartitioning hooks (dataflow.Repartitioner), backed by the local
-// join's localjoin.Migrator snapshot/silent-insert primitives. Sides are
+// join's localjoin.Migrator frame export and silent row import. Sides are
 // the adaptive 1-Bucket relation indexes (0 = rows, 1 = columns).
 var _ dataflow.Repartitioner = (*joinBolt)(nil)
 
-// migrator returns the local join's migration hooks, or an error for local
-// algorithms that cannot snapshot their state.
-func (b *joinBolt) migrator() (localjoin.Migrator, error) {
-	m, ok := b.mj.(localjoin.Migrator)
-	if !ok {
-		return nil, fmt.Errorf("ops: local join %T does not support state migration", b.mj)
-	}
-	return m, nil
-}
-
 // StoredCount reports one side's stored tuples for the control plane's
 // load reports.
-func (b *joinBolt) StoredCount(side int) int {
-	m, err := b.migrator()
-	if err != nil {
-		return 0
-	}
-	return m.RelCount(side)
+func (b *joinBolt) StoredCount(side int) int { return b.mj.RelCount(side) }
+
+// ExportStateFrames streams one side's state as bare wire batch frames
+// blitted from the local join's slab rows.
+func (b *joinBolt) ExportStateFrames(side, batchSize int, visit func(frame []byte, count int) bool) {
+	b.mj.ExportRelFrames(side, batchSize, false, visit)
 }
 
-// ExportState snapshots one side's stored tuples for migration.
-func (b *joinBolt) ExportState(side int) []types.Tuple {
-	m, err := b.migrator()
-	if err != nil {
-		return nil
-	}
-	return m.ExportRel(side)
-}
+// reshapeFrameRows sizes the frames ResetForReshape streams kept state in.
+const reshapeFrameRows = 256
 
-// ExportStateFrames streams one side's state as ready wire batch frames
-// (dataflow.FrameExporter) by blitting the local join's packed slab rows
-// without materializing tuples. Reports false when the local algorithm
-// stores no slab rows, sending the caller to ExportState.
-func (b *joinBolt) ExportStateFrames(side, batchSize int, footer bool, visit func(frame []byte, count int) bool) bool {
-	fe, ok := b.mj.(localjoin.FrameExporter)
-	if !ok {
-		return false
-	}
-	fe.ExportRelFrames(side, batchSize, footer, visit)
-	return true
-}
-
-// ResetForReshape rebuilds the local join from scratch, re-inserting only
-// the sides this task keeps under the new matrix. Rebuilding (rather than
-// deleting per-tuple) keeps the hook implementable by every local
-// algorithm, including view-materializing ones.
+// ResetForReshape rebuilds the local join from scratch, streaming only the
+// sides this task keeps under the new matrix from the old operator's frames
+// into the fresh one. Rebuilding (rather than deleting per-tuple) keeps the
+// hook implementable by every local algorithm, including
+// view-materializing ones.
 func (b *joinBolt) ResetForReshape(keep [2]bool) error {
 	if keep[0] && keep[1] {
 		// Both sides stay in place (the cell's coordinates survived the
 		// reshape): nothing to rebuild, and any merged-in state arrives
-		// through ImportState.
+		// through ImportRow.
 		return nil
 	}
-	m, err := b.migrator()
-	if err != nil {
-		return err
-	}
-	var kept [2][]types.Tuple
-	for side, k := range keep {
-		if k {
-			kept[side] = m.ExportRel(side)
-		}
-	}
 	fresh := b.mk()
-	fm, ok := fresh.(localjoin.Migrator)
-	if !ok {
-		return fmt.Errorf("ops: local join %T does not support state migration", fresh)
-	}
-	for side, ts := range kept {
-		for _, t := range ts {
-			if err := fm.Insert(side, t); err != nil {
-				return err
-			}
+	var cur wire.Cursor
+	var err error
+	for side, k := range keep {
+		if !k {
+			continue
+		}
+		b.mj.ExportRelFrames(side, reshapeFrameRows, false, func(frame []byte, _ int) bool {
+			_, _, err = wire.EachRow(frame, &cur, func(row []byte) error {
+				return fresh.ImportRow(side, row, &cur)
+			})
+			return err == nil
+		})
+		if err != nil {
+			return err
 		}
 	}
 	// The old operator is dropped: refund its pressure-gauge charges before
 	// the fresh one starts accruing its own.
-	if tj, ok := b.mj.(tierJoin); ok {
-		tj.ReleaseState()
-	}
+	b.mj.ReleaseState()
 	b.mj = fresh
 	return nil
 }
 
-// ImportState silently inserts migrated tuples: no delta results, because
-// every pair among pre-barrier state already met at exactly one old cell.
-func (b *joinBolt) ImportState(side int, tuples []types.Tuple) error {
-	m, err := b.migrator()
-	if err != nil {
-		return err
-	}
-	for _, t := range tuples {
-		if err := m.Insert(side, t); err != nil {
-			return err
-		}
-	}
-	return nil
+// ImportRow silently inserts one migrated or restored row: no delta
+// results, because every pair among that state already met.
+func (b *joinBolt) ImportRow(side int, row []byte, cur *wire.Cursor) error {
+	return b.mj.ImportRow(side, row, cur)
 }
 
 // AggJoinBolt runs the aggregate-view DBToaster operator (HyLD with a final

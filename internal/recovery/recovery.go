@@ -14,7 +14,8 @@
 //     resumes from, and
 //   - per relation, the stored tuples as ready-made wire batch frames,
 //     blitted from the slab arenas (slab.Arena.EachFrame /
-//     dataflow.FrameExporter) without re-materializing tuples.
+//     dataflow.Repartitioner.ExportStateFrames) without re-materializing
+//     tuples.
 //
 // Rows being byte-identical to the wire encoding is what makes checkpoints
 // cheap: a checkpoint write is a memcpy of packed rows plus a small
