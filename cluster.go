@@ -64,10 +64,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"squall/internal/dataflow"
@@ -313,22 +311,11 @@ func defaultPlacement(p *queryPlan, nSources, workers int) map[string]int {
 var errTransient = errors.New("transient infrastructure failure")
 
 // recoverableErr reports whether a failed attempt may be retried or
-// recovered: infrastructure failures (lost links, declared-dead peers,
-// exhausted dial budgets, raw socket errors) qualify; job errors do not.
+// recovered: coordinator-detected transient failures (exhausted dial
+// budgets, missing completions) and infrastructure failures as
+// dataflow.IsInfra classifies them qualify; job errors do not.
 func recoverableErr(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, errTransient) || errors.Is(err, dataflow.ErrLink) || errors.Is(err, transport.ErrPeerLost) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
-	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
-		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.ECONNREFUSED) ||
-		errors.Is(err, syscall.EPIPE)
+	return errors.Is(err, errTransient) || dataflow.IsInfra(err)
 }
 
 // runCluster drives a cluster session as its coordinator: validate once,

@@ -5,16 +5,16 @@
 //
 // The protocol per reshape:
 //
-//  1. Joiner tasks push periodic load reports (stored tuples per side) to a
-//     per-run controller goroutine, which feeds them to the decision logic
+//  1. Joiner tasks push periodic load reports (stored tuples per side) to
+//     the execution's control loop, which feeds them to the decision logic
 //     shared with the offline operator (adaptive.Decide).
-//  2. When a better matrix clears the hysteresis margin, the controller
-//     closes a pause gate: producers route-and-send adaptive-edge rows
-//     inside the gate, so once the gate is drained every row routed under
-//     the old matrix is already enqueued.
-//  3. The controller enqueues a reshape barrier marker into every joiner
-//     task's inbox. FIFO inboxes guarantee each task sees all old-epoch
-//     tuples before the barrier.
+//  2. When a better matrix clears the hysteresis margin, the loop opens a
+//     round (execution.round) and closes the execution's one gate:
+//     producers route-and-send adaptive-edge rows inside the gate, so once
+//     it is drained every row routed under the old matrix is enqueued.
+//  3. The round enqueues a reshape barrier marker into every joiner task's
+//     inbox. FIFO inboxes guarantee each task sees all old-epoch tuples
+//     before the barrier.
 //  4. On the barrier, each task resolves which sides it keeps (its cell
 //     coordinates are unchanged between the matrices) and which it drops;
 //     row/column primaries snapshot the moving state as wire batch frames
@@ -26,8 +26,8 @@
 //     pre-barrier state already met at exactly one old cell, so
 //     re-probing would double-count results.
 //  5. When a task holds migration-done markers from every peer it acks the
-//     controller; once all tasks ack, the controller installs the new
-//     matrix and reopens the gate. New tuples route under the new shape.
+//     controller; once all tasks ack, the round reopens the gate under the
+//     new matrix, bumping its epoch. New tuples route under the new shape.
 //
 // See DESIGN.md ("Runtime adaptation") for the cost accounting and the
 // exactly-once argument.
@@ -186,24 +186,15 @@ type AdaptMetrics struct {
 	FinalRows, FinalCols atomic.Int64
 }
 
-// adaptState is the per-run control plane: the pause gate producers route
-// through, the controller's decision inputs, and the migration plumbing.
+// adaptState is the per-run adaptive plane: the controller's decision
+// inputs and the migration plumbing. Producers route under the matrix the
+// execution's gate publishes.
 type adaptState struct {
 	ex   *execution
 	pol  AdaptivePolicy
 	node *node // the adaptive joiner
 	// sideByNode maps a producer node to 0 (R) or 1 (S).
 	sideByNode map[*node]int
-
-	mu       sync.Mutex
-	matrix   adaptive.Matrix // current routing matrix (read inside the gate)
-	paused   bool
-	active   int           // producers inside the gate
-	resumeCh chan struct{} // closed when the gate reopens
-	idleCh   chan struct{} // closed when active hits 0 while paused
-	// routeEpoch counts matrix installs: producers compare it against the
-	// epoch of their pending batches and re-route stale ones.
-	routeEpoch int
 
 	// live counts producer tasks on adaptive edges that have not sent EOS;
 	// decremented inside the gate, so after a pause the controller reads an
@@ -217,15 +208,12 @@ type adaptState struct {
 	// lossy periodic reports), so the controller's post-reshape picture is
 	// complete by construction.
 	acks     chan loadReport
-	quit     chan struct{} // closed by Run after all tasks finish
-	done     chan struct{} // closed when the controller goroutine exits
 	exportWG sync.WaitGroup
 
-	cur      adaptive.Matrix // controller's view; sole writer
+	// Controller-owned (the control loop is their only reader and writer).
 	epoch    int
 	reshapes int
-	// latest holds each task's most recent load report (controller-owned:
-	// written from run() and from reshape()'s ack wait, same goroutine).
+	// latest holds each task's most recent load report.
 	latest []loadReport
 }
 
@@ -249,7 +237,7 @@ func (ex *execution) initAdaptive(pol *AdaptivePolicy) error {
 		return fmt.Errorf("dataflow: adaptive R and S streams must differ, both are %q", p.RStream)
 	}
 	// All inputs of the adaptive component must be the two adaptive edges:
-	// any other producer would bypass the pause gate and break the barrier.
+	// any other producer would bypass the gate and break the barrier.
 	if len(n.inputs) != 2 {
 		return fmt.Errorf("dataflow: adaptive component %q needs exactly inputs %q and %q", p.Component, p.RStream, p.SStream)
 	}
@@ -270,13 +258,8 @@ func (ex *execution) initAdaptive(pol *AdaptivePolicy) error {
 		pol:        p,
 		node:       n,
 		sideByNode: map[*node]int{rn: 0, sn: 1},
-		matrix:     m,
-		cur:        m,
-		resumeCh:   make(chan struct{}),
 		reports:    make(chan loadReport, 8*n.par),
 		acks:       make(chan loadReport, n.par),
-		quit:       make(chan struct{}),
-		done:       make(chan struct{}),
 	}
 	liveCnt := rn.par + sn.par
 	if ex.net != nil {
@@ -294,7 +277,7 @@ func (ex *execution) initAdaptive(pol *AdaptivePolicy) error {
 	a.latest = make([]loadReport, n.par)
 	ex.metrics.Adapt.FinalRows.Store(int64(m.Rows))
 	ex.metrics.Adapt.FinalCols.Store(int64(m.Cols))
-	ex.adapt = a
+	ex.adapt, ex.ctl, ex.gate.m = a, n, m
 	return nil
 }
 
@@ -320,75 +303,6 @@ func (a *adaptState) sidesFor(n *node) []int {
 	return out
 }
 
-// enter joins the pause gate, blocking while a reshape is in flight. It
-// returns the routing matrix to use and its epoch (bumped whenever the
-// matrix changes, so producers can detect pending batches routed under a
-// superseded shape); ok is false when the run aborted.
-func (a *adaptState) enter() (m adaptive.Matrix, epoch int, ok bool) {
-	a.mu.Lock()
-	for a.paused {
-		ch := a.resumeCh
-		a.mu.Unlock()
-		select {
-		case <-ch:
-		case <-a.ex.abort:
-			return adaptive.Matrix{}, 0, false
-		}
-		a.mu.Lock()
-	}
-	a.active++
-	m = a.matrix
-	epoch = a.routeEpoch
-	a.mu.Unlock()
-	return m, epoch, true
-}
-
-// exit leaves the gate, waking a paused controller once drained.
-func (a *adaptState) exit() {
-	a.mu.Lock()
-	a.active--
-	if a.active == 0 && a.paused && a.idleCh != nil {
-		close(a.idleCh)
-		a.idleCh = nil
-	}
-	a.mu.Unlock()
-}
-
-// pause closes the gate and waits until no producer is inside it: at that
-// point every tuple routed under the old matrix is enqueued, so a barrier
-// marker enqueued next is ordered after all of them.
-func (a *adaptState) pause() bool {
-	a.mu.Lock()
-	a.paused = true
-	a.resumeCh = make(chan struct{})
-	if a.active == 0 {
-		a.mu.Unlock()
-		return true
-	}
-	idle := make(chan struct{})
-	a.idleCh = idle
-	a.mu.Unlock()
-	select {
-	case <-idle:
-		return true
-	case <-a.ex.abort:
-		return false
-	}
-}
-
-// resume installs the matrix and reopens the gate.
-func (a *adaptState) resume(m adaptive.Matrix) {
-	a.mu.Lock()
-	if m != a.matrix {
-		a.matrix = m
-		a.routeEpoch++
-	}
-	a.paused = false
-	ch := a.resumeCh
-	a.mu.Unlock()
-	close(ch)
-}
-
 // report delivers one task's load report, dropping it when the controller
 // is busy (reports are advisory; the next one supersedes).
 func (a *adaptState) report(task, epoch int, rep Repartitioner) {
@@ -398,147 +312,96 @@ func (a *adaptState) report(task, epoch int, rep Repartitioner) {
 	}
 }
 
-// run is the controller goroutine: aggregate load reports, decide, reshape.
-func (a *adaptState) run() {
-	defer close(a.done)
-	for {
+// observe is the control loop's handling of one load report: aggregate,
+// decide, and reshape when a better matrix clears the hysteresis margin. It
+// reports false when the run is shutting down.
+func (a *adaptState) observe(rep loadReport) bool {
+	a.latest[rep.task] = rep
+	// Drain whatever else is already queued before deciding: after a
+	// reshape every task's refresh report is enqueued before its ack,
+	// so this guarantees the first post-reshape decision sees all of
+	// them rather than a single task's slice of the new placement.
+	for drained := false; !drained; {
 		select {
 		case rep := <-a.reports:
 			a.latest[rep.task] = rep
-		case <-a.ex.abort:
-			return
-		case <-a.quit:
-			return
-		}
-		// Drain whatever else is already queued before deciding: after a
-		// reshape every task's refresh report is enqueued before its ack,
-		// so this guarantees the first post-reshape decision sees all of
-		// them rather than a single task's slice of the new placement.
-		for drained := false; !drained; {
-			select {
-			case rep := <-a.reports:
-				a.latest[rep.task] = rep
-			default:
-				drained = true
-			}
-		}
-		if a.pol.Static {
-			continue
-		}
-		if a.pol.MaxReshapes > 0 && a.reshapes >= a.pol.MaxReshapes {
-			continue
-		}
-		// Aggregate only reports measured under the current matrix: counts
-		// from another epoch carry that shape's replication factors, and a
-		// partial post-reshape view (one task's counts, the rest missing)
-		// whipsaws the observed ratio. Every task re-reports the instant it
-		// finishes a migration round, so the picture is complete again right
-		// after each reshape.
-		var storedR, storedS int64
-		for _, rep := range a.latest {
-			if rep.epoch == a.epoch {
-				storedR += rep.r
-				storedS += rep.s
-			}
-		}
-		// Tasks store replicated copies — an R tuple lives on every cell of
-		// its row — so the summed counts overstate the relation sizes by the
-		// current replication factors. Undo them, or the decision would
-		// chase its own matrix shape and oscillate.
-		r := float64(storedR) / float64(a.cur.Cols)
-		s := float64(storedS) / float64(a.cur.Rows)
-		if r+s < float64(a.pol.MinObserved) {
-			continue
-		}
-		next, ok := adaptive.Decide(a.node.par, a.cur, r, s, a.pol.MinGain)
-		if !ok {
-			continue
-		}
-		if !a.reshape(next) {
-			return
+		default:
+			drained = true
 		}
 	}
+	if a.pol.Static || (a.pol.MaxReshapes > 0 && a.reshapes >= a.pol.MaxReshapes) {
+		return true
+	}
+	// Aggregate only reports measured under the current matrix: counts
+	// from another epoch carry that shape's replication factors, and a
+	// partial post-reshape view (one task's counts, the rest missing)
+	// whipsaws the observed ratio. Every task re-reports the instant it
+	// finishes a migration round, so the picture is complete again right
+	// after each reshape.
+	var storedR, storedS int64
+	for _, rep := range a.latest {
+		if rep.epoch == a.epoch {
+			storedR += rep.r
+			storedS += rep.s
+		}
+	}
+	// Tasks store replicated copies — an R tuple lives on every cell of
+	// its row — so the summed counts overstate the relation sizes by the
+	// current replication factors. Undo them, or the decision would
+	// chase its own matrix shape and oscillate.
+	cur := a.ex.gate.matrix()
+	r := float64(storedR) / float64(cur.Cols)
+	s := float64(storedS) / float64(cur.Rows)
+	if r+s < float64(a.pol.MinObserved) {
+		return true
+	}
+	next, ok := adaptive.Decide(a.node.par, cur, r, s, a.pol.MinGain)
+	if !ok {
+		return true
+	}
+	return a.reshape(next)
 }
 
 // reshape runs one barrier/migrate/resume round. It reports false when the
-// run is shutting down (abort, or all tasks already finished). The round
-// holds the execution's roundMu end to end, serializing it against recovery
-// rounds (recover.go) — a task is never migrating and restoring at once, and
-// the recovery manager reads a.cur under the same lock.
+// run is shutting down (abort, or all tasks already finished).
 func (a *adaptState) reshape(next adaptive.Matrix) bool {
-	a.ex.roundMu.Lock()
-	defer a.ex.roundMu.Unlock()
-	if !a.pause() {
-		return false
-	}
-	// Cluster round: pause the adaptive gate on every remote producer worker
-	// (their acks report how many of their producers are still live), then
-	// flush in-flight remote data ahead of the barrier markers with tokens
-	// through every joiner inbox — post-barrier data mid-migration is a
-	// protocol violation the executor fails on.
-	var remoteLive int64
-	if a.ex.net != nil {
-		var ok bool
-		if remoteLive, ok = a.ex.net.pauseRemote(planeAdapt, a.node); !ok {
-			return false
+	return a.ex.round(func(remoteLive int64) []int {
+		// If every adaptive producer has already EOS'd, joiner tasks may
+		// have exited and a barrier would never be acked: the stream is
+		// over, so the reshape is pointless anyway.
+		if a.live.Load()+remoteLive == 0 {
+			return nil
 		}
-	}
-	// If every adaptive producer has already EOS'd, joiner tasks may have
-	// exited and a barrier would never be acked: the stream is over, so the
-	// reshape is pointless anyway.
-	if a.live.Load()+remoteLive == 0 {
-		if a.ex.net != nil && !a.ex.net.resumeRemote(planeAdapt, a.node, a.cur.Rows, a.cur.Cols) {
-			return false
+		return allTasks(a.node)
+	}, func(cur adaptive.Matrix) (adaptive.Matrix, bool) {
+		a.epoch++
+		cmd := &reshapeCmd{epoch: a.epoch, old: cur, next: next}
+		for t := 0; t < a.node.par; t++ {
+			if !a.ex.sendCtrl(t, envelope{ctrl: ctrlReshape, cmd: cmd}) {
+				return cur, false
+			}
 		}
-		a.resume(a.cur)
-		return true
-	}
-	if a.ex.net != nil && !a.ex.net.quiesce(a.node, allTasks(a.node)) {
-		return false
-	}
-	a.epoch++
-	cmd := &reshapeCmd{epoch: a.epoch, old: a.cur, next: next}
-	for t := 0; t < a.node.par; t++ {
-		if !a.sendCtrl(t, envelope{ctrl: ctrlReshape, cmd: cmd}) {
-			return false
+		for got := 0; got < a.node.par; {
+			select {
+			case ack := <-a.acks:
+				a.latest[ack.task] = ack
+				got++
+			case rep := <-a.reports:
+				// Keep draining the lossy periodic queue while waiting; stale
+				// pre-pause entries are epoch-filtered at aggregation time.
+				a.latest[rep.task] = rep
+			case <-a.ex.abort:
+				return cur, false
+			case <-a.ex.ctlQuit:
+				return cur, false
+			}
 		}
-	}
-	for got := 0; got < a.node.par; {
-		select {
-		case ack := <-a.acks:
-			a.latest[ack.task] = ack
-			got++
-		case rep := <-a.reports:
-			// Keep draining the lossy periodic queue while waiting; stale
-			// pre-pause entries are epoch-filtered at aggregation time.
-			a.latest[rep.task] = rep
-		case <-a.ex.abort:
-			return false
-		case <-a.quit:
-			return false
-		}
-	}
-	a.cur = next
-	a.reshapes++
-	a.ex.metrics.Adapt.Reshapes.Add(1)
-	a.ex.metrics.Adapt.FinalRows.Store(int64(next.Rows))
-	a.ex.metrics.Adapt.FinalCols.Store(int64(next.Cols))
-	if a.ex.net != nil && !a.ex.net.resumeRemote(planeAdapt, a.node, next.Rows, next.Cols) {
-		return false
-	}
-	a.resume(next)
-	return true
-}
-
-func (a *adaptState) sendCtrl(task int, env envelope) bool {
-	select {
-	case a.ex.inboxes[a.node][task] <- env:
-		return true
-	case <-a.ex.abort:
-		return false
-	case <-a.quit:
-		return false
-	}
+		a.reshapes++
+		a.ex.metrics.Adapt.Reshapes.Add(1)
+		a.ex.metrics.Adapt.FinalRows.Store(int64(next.Rows))
+		a.ex.metrics.Adapt.FinalCols.Store(int64(next.Cols))
+		return next, true
+	})
 }
 
 // migSession tracks one joiner task's progress through a migration round.
@@ -676,48 +539,7 @@ func (a *adaptState) ackMigration(task, epoch int, rep Repartitioner) {
 	select {
 	case a.acks <- ack:
 	case <-a.ex.abort:
-	case <-a.quit:
-	}
-}
-
-// producerEOS flushes an adaptive edge's pending frames and broadcasts the
-// producer task's EOS, all from inside the gate, so a paused reshape never
-// interleaves with them; it then retires the producer from the live count
-// before releasing the gate (the controller must observe an exact count
-// after any pause).
-func (c *Collector) producerEOS(ei int) {
-	a := c.ex.adapt
-	e := c.node.outputs[ei]
-	m, epoch, ok := a.enter()
-	if !ok {
-		a.live.Add(-1) // aborting; the controller is unwinding too
-		return
-	}
-	// The decrement must happen before exit(): the controller reads live
-	// right after draining the gate, and a retired producer observed late
-	// would let it open a barrier that joiner tasks (their EOS set already
-	// complete) will never read.
-	defer a.exit()
-	defer a.live.Add(-1)
-	if c.adaptEpoch != epoch {
-		if err := c.rerouteAdaptive(m); err != nil {
-			c.ex.fail(fmt.Errorf("dataflow: %s[%d] final adaptive reroute: %w", c.node.name, c.task, err))
-			return
-		}
-		c.adaptEpoch = epoch
-	}
-	side := c.adaptSide[ei]
-	for coord := range c.adaptOut[ei] {
-		if err := c.flushAdaptive(ei, side, coord, m); err != nil {
-			// Abort (send refused) is a no-op; surface anything else.
-			c.ex.fail(fmt.Errorf("dataflow: %s[%d] final adaptive flush: %w", c.node.name, c.task, err))
-			return
-		}
-	}
-	for target := 0; target < e.to.par; target++ {
-		if !c.ex.send(e.to, target, envelope{stream: c.node.name, from: c.task, eos: true}) {
-			return
-		}
+	case <-a.ex.ctlQuit:
 	}
 }
 
@@ -725,36 +547,58 @@ func (c *Collector) producerEOS(ei int) {
 // the current matrix. Rows are buffered once per edge under their picked
 // coordinate (row for the R side, column for S); a flush copies the frame
 // to every cell of the coordinate, so batch amortization survives
-// replication without per-cell row appends. If the matrix changed since the
-// last emit, pending (unsent) rows are re-routed under the new shape first —
-// they were never delivered, so they are not state anywhere and re-routing
-// them is indistinguishable from fresh arrivals.
+// replication without per-cell row appends.
 func (c *Collector) emitAdaptive(ei, side int, row []byte) error {
-	a := c.ex.adapt
-	m, epoch, ok := a.enter()
-	if !ok {
+	if !c.gateEnter() {
 		return c.ex.abortErr()
 	}
-	defer a.exit()
-	if c.adaptEpoch != epoch {
-		if err := c.rerouteAdaptive(m); err != nil {
-			return err
-		}
-		c.adaptEpoch = epoch
+	defer c.gateExit()
+	if err := c.syncRoute(); err != nil {
+		return err
 	}
-	return c.routeAdaptive(ei, side, row, m)
+	return c.routeAdaptive(ei, side, row)
 }
 
-// routeAdaptive buffers row under a random coordinate of m, flushing the
-// coordinate's frame when full. Must run inside the gate.
-func (c *Collector) routeAdaptive(ei, side int, row []byte, m adaptive.Matrix) error {
-	coord := c.rng.Intn(m.Rows)
+// syncRoute re-routes the pending (unsent) adaptive rows when the matrix
+// changed since they were assigned. They were never delivered, so they are
+// not state anywhere and re-routing them is indistinguishable from fresh
+// arrivals. Must run inside the gate.
+func (c *Collector) syncRoute() error {
+	if c.adaptEpoch == c.routeEpoch {
+		return nil
+	}
+	if err := c.rerouteAdaptive(); err != nil {
+		return err
+	}
+	c.adaptEpoch = c.routeEpoch
+	return nil
+}
+
+// flushAdaptiveEdge ships every pending coordinate frame of one adaptive
+// edge under the current matrix. Must run inside the gate.
+func (c *Collector) flushAdaptiveEdge(ei int) error {
+	if err := c.syncRoute(); err != nil {
+		return err
+	}
+	for coord := range c.adaptOut[ei] {
+		if err := c.flushAdaptive(ei, c.adaptSide[ei], coord); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// routeAdaptive buffers row under a random coordinate of the current
+// matrix, flushing the coordinate's frame when full. Must run inside the
+// gate.
+func (c *Collector) routeAdaptive(ei, side int, row []byte) error {
+	coord := c.rng.Intn(c.route.Rows)
 	if side == 1 {
-		coord = c.rng.Intn(m.Cols)
+		coord = c.rng.Intn(c.route.Cols)
 	}
 	// No footer: adaptive joiners take rows one at a time (load reports).
 	if c.appendRow(&c.adaptOut[ei][coord], row, false) {
-		return c.flushAdaptive(ei, side, coord, m)
+		return c.flushAdaptive(ei, side, coord)
 	}
 	return nil
 }
@@ -764,12 +608,12 @@ func (c *Collector) routeAdaptive(ei, side int, row []byte, m adaptive.Matrix) e
 // frame — the last one takes the buffer itself — and each copy is charged
 // to BytesOut like a unicast transfer (the DESIGN.md substitution). Must
 // run inside the gate.
-func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error {
+func (c *Collector) flushAdaptive(ei, side, coord int) error {
 	rb := &c.adaptOut[ei][coord]
 	if rb.count == 0 {
 		return nil
 	}
-	e := c.node.outputs[ei]
+	e, m := c.node.outputs[ei], c.route
 	c.tbuf = c.tbuf[:0]
 	if side == 0 {
 		for col := 0; col < m.Cols; col++ {
@@ -782,8 +626,7 @@ func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error 
 	}
 	// On a recovery-tracked edge each cell's copy is stamped with its own
 	// (producer, target) sequence and retained for replay, so it is never
-	// pooled; the caller already holds the recovery gate
-	// (emitAdaptiveGated / eos).
+	// pooled; the caller already holds the gate (emitAdaptive / gatedEOS).
 	tracked := c.recTracked != nil && c.recTracked[ei]
 	frame, count, box := c.seal(rb, false), rb.count, rb.box
 	rb.box, rb.buf, rb.count = nil, nil, 0
@@ -818,10 +661,10 @@ func (c *Collector) flushAdaptive(ei, side, coord int, m adaptive.Matrix) error 
 }
 
 // rerouteAdaptive re-assigns every pending (unsent) adaptive row under the
-// new matrix. All of an edge's coordinates are drained into scratch before
-// any row is re-routed — a row re-buffered into a not-yet-visited
+// current matrix. All of an edge's coordinates are drained into scratch
+// before any row is re-routed — a row re-buffered into a not-yet-visited
 // coordinate must not be picked up twice. Must run inside the gate.
-func (c *Collector) rerouteAdaptive(m adaptive.Matrix) error {
+func (c *Collector) rerouteAdaptive() error {
 	var cur wire.Cursor
 	for ei, side := range c.adaptSide {
 		if side < 0 {
@@ -847,7 +690,7 @@ func (c *Collector) rerouteAdaptive(m adaptive.Matrix) error {
 		c.adaptReroute, c.adaptEnds = pending, ends
 		start := 0
 		for _, end := range ends {
-			if err := c.routeAdaptive(ei, side, pending[start:end], m); err != nil {
+			if err := c.routeAdaptive(ei, side, pending[start:end]); err != nil {
 				return err
 			}
 			start = end

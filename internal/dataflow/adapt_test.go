@@ -280,9 +280,10 @@ type adaptHarness struct {
 func newAdaptHarness(t *testing.T, par, batch int, m0 [2]int) *adaptHarness {
 	t.Helper()
 	topo, _ := buildAdaptiveTopo(t, 0, 0, par, func() Bolt { return &pairBolt{} })
+	pol := &AdaptivePolicy{Component: "join", RStream: "R", SStream: "S", InitialRows: m0[0], InitialCols: m0[1]}
 	ex := &execution{
 		topo:    topo,
-		opts:    Options{Seed: 1, BatchSize: batch},
+		opts:    Options{Seed: 1, BatchSize: batch, Adaptive: pol},
 		inboxes: make(map[*node][]chan envelope),
 		abort:   make(chan struct{}),
 		metrics: &RunMetrics{Components: make(map[string]*ComponentMetrics)},
@@ -297,8 +298,7 @@ func newAdaptHarness(t *testing.T, par, batch int, m0 [2]int) *adaptHarness {
 		ex.inboxes[n] = chans
 		ex.metrics.Components[n.name] = cm
 	}
-	pol := &AdaptivePolicy{Component: "join", RStream: "R", SStream: "S", InitialRows: m0[0], InitialCols: m0[1]}
-	if err := ex.initAdaptive(pol); err != nil {
+	if err := ex.initControl(); err != nil {
 		t.Fatal(err)
 	}
 	return &adaptHarness{ex: ex, r: ex.collector(topo.byN["R"], 0), s: ex.collector(topo.byN["S"], 0)}
@@ -308,10 +308,10 @@ func newAdaptHarness(t *testing.T, par, batch int, m0 [2]int) *adaptHarness {
 // reopen it under the new matrix (bumping the routing epoch).
 func (h *adaptHarness) reshape(t *testing.T, rows, cols int) {
 	t.Helper()
-	if !h.ex.adapt.pause() {
+	if !h.ex.gate.pause() {
 		t.Fatal("pause aborted")
 	}
-	h.ex.adapt.resume(adaptive.Matrix{Rows: rows, Cols: cols})
+	h.ex.gate.resume(adaptive.Matrix{Rows: rows, Cols: cols})
 }
 
 // drain empties every joiner inbox, returning the data envelopes per task.

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"squall/internal/adaptive"
 	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/wire"
@@ -62,7 +63,8 @@ type Options struct {
 	// Recovery, when set, protects one component with the live
 	// fault-tolerance subsystem: sequence-tagged inputs, incremental
 	// checkpoints, and kill/panic recovery by peer refetch or checkpoint +
-	// replay (see recover.go).
+	// replay (see recover.go). With Adaptive also set, both policies must
+	// name the same component: one gate and one control loop serve it.
 	Recovery *RecoveryPolicy
 	// Cancel, when non-nil, aborts the run with ErrCanceled once the channel
 	// is closed. The long-lived serving engine uses it to detach a registered
@@ -195,18 +197,21 @@ type Collector struct {
 	adaptEnds    []int
 	// recTracked[edge] marks outgoing edges into the recovery-protected
 	// component (nil when this node has none): their sends are sequence-
-	// tagged, retained for replay, and pass through the recovery pause gate.
+	// tagged, retained for replay, and pass through the gate.
 	// recSeq[edge][target] is the last assigned sequence; recShared[edge]
 	// records whether any currently-buffered row of the edge routed to
 	// multiple targets (such rows must flush as one gate session, see
-	// emit); recPid is this producer task's id in the replay-buffer table;
-	// inRecGate tracks gate re-entrancy (the gate is counting, so a nested
-	// enter while paused would self-deadlock).
+	// emit); recPid is this producer task's id in the replay-buffer table.
 	recTracked []bool
 	recSeq     [][]int64
 	recShared  []bool
 	recPid     int
-	inRecGate  bool
+	// gateDepth counts this task's nested gate sessions (see gateEnter);
+	// route and routeEpoch are the matrix and epoch the open session
+	// routes under.
+	gateDepth  int
+	route      adaptive.Matrix
+	routeEpoch int
 	// held is set on a recovery-protected task while it executes one row:
 	// emissions are parked in heldRows (ending at heldEnds), and settle
 	// ships or drops them once the row returns. A panic captured mid-row
@@ -235,22 +240,28 @@ func (c *Collector) settle(err error) error {
 	return err
 }
 
-// recEnter joins the recovery pause gate unless this goroutine already holds
-// it; entered reports whether recExit must be called, ok is false on abort.
-func (c *Collector) recEnter() (entered, ok bool) {
-	if c.inRecGate {
-		return false, true
+// gateEnter opens one gate session for this task, or joins the session it
+// already holds: sessions nest (a whole-edge flush wraps per-target
+// flushes), and a nested enter on the counting gate after a round closed it
+// would wait on this task's own exit forever. The outermost enter captures
+// the matrix and epoch the session routes under. False means the run
+// aborted; otherwise every gateEnter is paired with one gateExit.
+func (c *Collector) gateEnter() bool {
+	if c.gateDepth == 0 {
+		m, epoch, ok := c.ex.gate.enter()
+		if !ok {
+			return false
+		}
+		c.route, c.routeEpoch = m, epoch
 	}
-	if !c.ex.rec.enter() {
-		return false, false
-	}
-	c.inRecGate = true
-	return true, true
+	c.gateDepth++
+	return true
 }
 
-func (c *Collector) recExit() {
-	c.inRecGate = false
-	c.ex.rec.exit()
+func (c *Collector) gateExit() {
+	if c.gateDepth--; c.gateDepth == 0 {
+		c.ex.gate.exit()
+	}
 }
 
 // Emit ships t to all subscribed downstream components. The tuple is encoded
@@ -284,7 +295,7 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 	}
 	for ei, e := range c.node.outputs {
 		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			if err := c.emitAdaptiveGated(ei, c.adaptSide[ei], row); err != nil {
+			if err := c.emitAdaptive(ei, c.adaptSide[ei], row); err != nil {
 				return err
 			}
 			continue
@@ -388,7 +399,7 @@ func (c *Collector) seal(rb *rowBatch, footer bool) []byte {
 // flushRow ships the pending frame of one (edge, target) buffer: the buffer
 // is handed to the consumer as-is — the frame was effectively "encoded" by
 // the row appends themselves. On edges into a recovery-protected component
-// the send happens inside the recovery gate, carries the next (producer,
+// the send happens inside the gate, carries the next (producer,
 // target) sequence number, and the frame is retained in the replay buffer.
 func (c *Collector) flushRow(ei, target int) error {
 	rb := &c.out[ei][target]
@@ -398,13 +409,10 @@ func (c *Collector) flushRow(ei, target int) error {
 	e := c.node.outputs[ei]
 	tracked := c.recTracked != nil && c.recTracked[ei]
 	if tracked {
-		entered, ok := c.recEnter()
-		if !ok {
+		if !c.gateEnter() {
 			return c.ex.abortErr()
 		}
-		if entered {
-			defer c.recExit()
-		}
+		defer c.gateExit()
 	}
 	frame := c.seal(rb, c.vec)
 	env := envelope{stream: c.node.name, from: c.task, frame: frame, count: rb.count}
@@ -432,13 +440,10 @@ func (c *Collector) flushRow(ei, target int) error {
 // flushEdgeTracked drains every pending frame of one recovery-tracked edge
 // inside a single gate session, so the gate never splits a replication group.
 func (c *Collector) flushEdgeTracked(ei int) error {
-	entered, ok := c.recEnter()
-	if !ok {
+	if !c.gateEnter() {
 		return c.ex.abortErr()
 	}
-	if entered {
-		defer c.recExit()
-	}
+	defer c.gateExit()
 	for target := range c.out[ei] {
 		if err := c.flushRow(ei, target); err != nil {
 			return err
@@ -446,22 +451,6 @@ func (c *Collector) flushEdgeTracked(ei int) error {
 	}
 	c.recShared[ei] = false
 	return nil
-}
-
-// emitAdaptiveGated routes one adaptive-edge row, holding the recovery gate
-// (when installed) outside the adaptive gate — the lock order the control
-// planes' round serialization (roundMu) relies on.
-func (c *Collector) emitAdaptiveGated(ei, side int, row []byte) error {
-	if c.recTracked != nil && c.recTracked[ei] {
-		entered, ok := c.recEnter()
-		if !ok {
-			return c.ex.abortErr()
-		}
-		if entered {
-			defer c.recExit()
-		}
-	}
-	return c.emitAdaptive(ei, side, row)
 }
 
 // flushAll drains every pending frame, preserving per-target FIFO order.
@@ -516,29 +505,10 @@ func (c *Collector) eos() {
 		return
 	}
 	for ei, e := range c.node.outputs {
-		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			// EOS on an adaptive edge goes through the pause gate(s) so it
-			// cannot interleave with a reshape barrier (adapt.go) or a
-			// recovery round (recover.go).
-			if c.recTracked != nil && c.recTracked[ei] {
-				entered, ok := c.recEnter()
-				if !ok {
-					// Aborting; the adaptive controller still needs its exact
-					// live count to unwind.
-					c.ex.adapt.live.Add(-1)
-					return
-				}
-				c.producerEOS(ei)
-				if entered {
-					c.recExit()
-				}
-				continue
-			}
-			c.producerEOS(ei)
-			continue
-		}
-		if c.recTracked != nil && c.recTracked[ei] {
-			if !c.trackedEOS(ei) {
+		if e.to == c.ex.ctl {
+			// EOS into the controlled component goes through the gate, so it
+			// cannot interleave with a reshape barrier or a recovery round.
+			if !c.gatedEOS(ei) {
 				return
 			}
 			continue
@@ -551,17 +521,31 @@ func (c *Collector) eos() {
 	}
 }
 
-// trackedEOS broadcasts a producer task's EOS on a recovery-tracked edge
-// from inside the gate, so a recovery round never interleaves with it.
-func (c *Collector) trackedEOS(ei int) bool {
-	e := c.node.outputs[ei]
-	entered, ok := c.recEnter()
-	if !ok {
+// gatedEOS broadcasts a producer task's EOS on an edge into the controlled
+// component from inside one gate session. On an adaptive edge the session
+// first flushes the pending coordinate frames under the current matrix and
+// retires the producer from the live count before it exits: a round reads
+// live right after its pause, and a retired producer counted late would let
+// it open a barrier that joiner tasks, their EOS set already complete, never
+// read.
+func (c *Collector) gatedEOS(ei int) bool {
+	adapt := c.adaptSide != nil && c.adaptSide[ei] >= 0
+	if !c.gateEnter() {
+		if adapt {
+			c.ex.adapt.live.Add(-1) // aborting; the controller is unwinding too
+		}
 		return false
 	}
-	if entered {
-		defer c.recExit()
+	defer c.gateExit()
+	if adapt {
+		defer c.ex.adapt.live.Add(-1) // runs before gateExit
+		if err := c.flushAdaptiveEdge(ei); err != nil {
+			// Abort (send refused) is a no-op; surface anything else.
+			c.ex.fail(fmt.Errorf("dataflow: %s[%d] final adaptive flush: %w", c.node.name, c.task, err))
+			return false
+		}
 	}
+	e := c.node.outputs[ei]
 	for target := 0; target < e.to.par; target++ {
 		if !c.ex.send(e.to, target, envelope{stream: c.node.name, from: c.task, eos: true}) {
 			return false
@@ -582,10 +566,210 @@ type execution struct {
 	adapt   *adaptState // non-nil when Options.Adaptive is set
 	rec     *recState   // non-nil when Options.Recovery is set
 	net     *NetPlane   // non-nil when Options.Net is set (cluster worker)
-	// roundMu serializes control-plane rounds: an adaptive reshape and a
-	// recovery round each hold it end to end, so a task is never asked to
-	// migrate state and rebuild it in the same breath.
-	roundMu sync.Mutex
+	// ctl is the controlled component — the adaptive joiner, the
+	// recovery-protected bolt, or both at once — and gate the one producer
+	// gate on every edge into it; both are nil when neither policy is set.
+	// ctlQuit/ctlDone bracket the control loop (see control).
+	ctl     *node
+	gate    *gate
+	ctlQuit chan struct{}
+	ctlDone chan struct{}
+}
+
+// gate is the producer gate into the controlled component. Producers enter
+// it around every route-and-send on an edge into that component and around
+// their EOS there; a control round closes it with pause, which returns once
+// no producer is inside — every frame routed before it is then enqueued —
+// and reopens it with resume. It also publishes the adaptive routing matrix
+// (zero on runs without adaptation) and its epoch, which counts matrix
+// changes so producers can re-route rows buffered under a superseded shape.
+type gate struct {
+	abort    <-chan struct{}
+	mu       sync.Mutex
+	m        adaptive.Matrix
+	epoch    int
+	paused   bool
+	active   int           // producers inside the gate
+	resumeCh chan struct{} // closed when the gate reopens
+	idleCh   chan struct{} // closed when active hits 0 while paused
+}
+
+// enter joins the gate, blocking while a round holds it closed. It returns
+// the routing matrix and its epoch; ok is false when the run aborted.
+func (g *gate) enter() (route adaptive.Matrix, epoch int, ok bool) {
+	g.mu.Lock()
+	for g.paused {
+		ch := g.resumeCh
+		g.mu.Unlock()
+		select {
+		case <-ch:
+		case <-g.abort:
+			return adaptive.Matrix{}, 0, false
+		}
+		g.mu.Lock()
+	}
+	g.active++
+	route, epoch = g.m, g.epoch
+	g.mu.Unlock()
+	return route, epoch, true
+}
+
+// exit leaves the gate, waking a pausing round once it drains.
+func (g *gate) exit() {
+	g.mu.Lock()
+	g.active--
+	if g.active == 0 && g.paused && g.idleCh != nil {
+		close(g.idleCh)
+		g.idleCh = nil
+	}
+	g.mu.Unlock()
+}
+
+// pause closes the gate and waits until no producer is inside it; false
+// means the run aborted first.
+func (g *gate) pause() bool {
+	g.mu.Lock()
+	g.paused = true
+	g.resumeCh = make(chan struct{})
+	if g.active == 0 {
+		g.mu.Unlock()
+		return true
+	}
+	idle := make(chan struct{})
+	g.idleCh = idle
+	g.mu.Unlock()
+	select {
+	case <-idle:
+		return true
+	case <-g.abort:
+		return false
+	}
+}
+
+// resume installs next and reopens the gate. The epoch moves only when the
+// matrix does: recovery rounds pass the current matrix back.
+func (g *gate) resume(next adaptive.Matrix) {
+	g.mu.Lock()
+	if next != g.m {
+		g.m = next
+		g.epoch++
+	}
+	g.paused = false
+	ch := g.resumeCh
+	g.mu.Unlock()
+	close(ch)
+}
+
+// matrix returns the installed routing matrix.
+func (g *gate) matrix() adaptive.Matrix {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.m
+}
+
+// initControl installs the control planes the options ask for. Both act on
+// one controlled component, through one gate and one control loop.
+func (ex *execution) initControl() error {
+	ad, rc := ex.opts.Adaptive, ex.opts.Recovery
+	if ad == nil && rc == nil {
+		return nil
+	}
+	if ad != nil && rc != nil && ad.Component != rc.Component {
+		return fmt.Errorf("dataflow: adaptive component %q and recovery component %q differ: a run controls one component", ad.Component, rc.Component)
+	}
+	ex.gate = &gate{abort: ex.abort, resumeCh: make(chan struct{})}
+	ex.ctlQuit, ex.ctlDone = make(chan struct{}), make(chan struct{})
+	if ad != nil {
+		if err := ex.initAdaptive(ad); err != nil {
+			return err
+		}
+	}
+	if rc != nil {
+		return ex.initRecovery(rc)
+	}
+	return nil
+}
+
+// control is the execution's one control loop: it folds adaptive load
+// reports and fault notes and runs each round to completion before taking
+// the next message, so rounds are serial by construction — a task is never
+// asked to migrate state and rebuild it at once. It runs on the worker
+// hosting the controlled component, which keeps every control envelope
+// process-local.
+func (ex *execution) control() {
+	defer close(ex.ctlDone)
+	var reports chan loadReport
+	var faults chan faultNote
+	if ex.adapt != nil {
+		reports = ex.adapt.reports
+	}
+	if ex.rec != nil {
+		faults = ex.rec.faults
+	}
+	for ok := true; ok; {
+		select {
+		case rep := <-reports:
+			ok = ex.adapt.observe(rep)
+		case f := <-faults:
+			ok = ex.rec.handleFault(f)
+		case <-ex.abort:
+			return
+		case <-ex.ctlQuit:
+			return
+		}
+	}
+}
+
+// round runs one control round — a reshape or a recovery. It closes the gate
+// here and on every remote producer worker, whose pause acks report how many
+// of their adaptive producers are still live. tasks, given that remote
+// count, names the controlled tasks the round touches; nil means the stream
+// is over, and the round reopens at once. Otherwise round flushes the remote
+// producers' in-flight data to those tasks with quiesce tokens and calls act
+// with the installed matrix. Invariant, from then until act returns: no
+// producer is inside the gate anywhere in the cluster, and every data frame
+// routed to those tasks before the pause has reached their inboxes, ahead of
+// any control marker act enqueues. act returns the matrix to reopen under
+// (the same one unless it reshaped). round reports false when the run is
+// aborting or over; the gate then stays closed, which no task still needs.
+func (ex *execution) round(tasks func(remoteLive int64) []int, act func(cur adaptive.Matrix) (adaptive.Matrix, bool)) bool {
+	if !ex.gate.pause() {
+		return false
+	}
+	var remoteLive int64
+	if ex.net != nil {
+		var ok bool
+		if remoteLive, ok = ex.net.pauseRemote(ex.ctl); !ok {
+			return false
+		}
+	}
+	next := ex.gate.matrix()
+	if ts := tasks(remoteLive); ts != nil {
+		if ex.net != nil && !ex.net.quiesce(ex.ctl, ts) {
+			return false
+		}
+		var ok bool
+		if next, ok = act(next); !ok {
+			return false
+		}
+	}
+	if ex.net != nil && !ex.net.resumeRemote(ex.ctl, next) {
+		return false
+	}
+	ex.gate.resume(next)
+	return true
+}
+
+// sendCtrl enqueues a control envelope into one controlled task's inbox.
+func (ex *execution) sendCtrl(task int, env envelope) bool {
+	select {
+	case ex.inboxes[ex.ctl][task] <- env:
+		return true
+	case <-ex.abort:
+		return false
+	case <-ex.ctlQuit:
+		return false
+	}
 }
 
 func (ex *execution) fail(err error) {
@@ -656,7 +840,7 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 		metrics: &RunMetrics{Components: make(map[string]*ComponentMetrics, len(t.nodes)), topo: t},
 	}
 	if opts.Net != nil {
-		// Set before initAdaptive/initRecovery: both size their accounting to
+		// Set before initControl: the adaptive plane sizes its live count to
 		// the locally hosted slice of the topology.
 		ex.net = opts.Net
 	}
@@ -670,15 +854,8 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 		ex.inboxes[n] = chans
 		ex.metrics.Components[n.name] = cm
 	}
-	if opts.Adaptive != nil {
-		if err := ex.initAdaptive(opts.Adaptive); err != nil {
-			return nil, err
-		}
-	}
-	if opts.Recovery != nil {
-		if err := ex.initRecovery(opts.Recovery); err != nil {
-			return nil, err
-		}
+	if err := ex.initControl(); err != nil {
+		return nil, err
 	}
 	if ex.net != nil {
 		if err := ex.net.bind(ex); err != nil {
@@ -706,18 +883,14 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 	}
 
 	// In a cluster run, only the locally placed slice executes here: local
-	// tasks, and a control-plane manager only when its protected component is
-	// hosted here (keeping every control envelope process-local).
+	// tasks, and the control loop only where the controlled component is
+	// hosted.
 	local := func(n *node) bool { return ex.net == nil || ex.net.owns(n) }
 	start := time.Now()
 	var wg sync.WaitGroup
-	runAdapt := ex.adapt != nil && local(ex.adapt.node)
-	runRec := ex.rec != nil && local(ex.rec.node)
-	if runAdapt {
-		go ex.adapt.run()
-	}
-	if runRec {
-		go ex.rec.run()
+	runCtl := ex.ctl != nil && local(ex.ctl)
+	if runCtl {
+		go ex.control()
 	}
 	for _, n := range t.nodes {
 		if !local(n) {
@@ -734,14 +907,12 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 	}
 	wg.Wait()
 	stopCancel()
-	if runAdapt {
-		close(ex.adapt.quit)
-		<-ex.adapt.done
-		ex.adapt.exportWG.Wait()
+	if runCtl {
+		close(ex.ctlQuit)
+		<-ex.ctlDone
 	}
-	if runRec {
-		close(ex.rec.quit)
-		<-ex.rec.done
+	if ex.adapt != nil {
+		ex.adapt.exportWG.Wait()
 	}
 	ex.metrics.Elapsed = time.Since(start)
 	return ex.metrics, ex.err
@@ -1105,7 +1276,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 
 	// finishRecovery closes a restore round: re-apply the poisoned envelope
 	// across its emission boundary, reprocess the stashed backlog with full
-	// emission, re-checkpoint, and ack the manager.
+	// emission, re-checkpoint, and ack the recovery round.
 	finishRecovery := func() error {
 		if p := rs.poisoned; p != nil {
 			if p.idx > 0 {
@@ -1166,7 +1337,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 				// A captured panic may have beaten the marker here: the
 				// restore session it opened stands (clobbering it would lose
 				// the stash and the poisoned envelope), and the ack tells the
-				// manager to run this round with panic semantics instead.
+				// round to run with panic semantics instead.
 				alreadyPanicked := rs.recovering
 				if !alreadyPanicked {
 					// The kill lands at a quiesced point (every delivered
@@ -1344,7 +1515,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 					}
 				}
 				// With a kill trigger outstanding (rs.requested), no note is
-				// sent: the manager's in-flight kill round will reach this
+				// sent: the in-flight kill round will reach this
 				// task, learn of the panic from the kill ack, and service
 				// this session with panic semantics — a second note would
 				// open a stray round against an already-restored task.

@@ -2,15 +2,15 @@
 //
 // A NetPlane extends one in-process execution into a slice of a cluster run.
 // Placement is component-granular — every task of a component lives on the
-// same worker — which keeps both control planes' envelope traffic (adaptive
-// barriers and migrations, recovery kills and restores) process-local: the
-// manager goroutine of a protected component runs on the worker hosting it,
-// peers exchange state through ordinary inboxes, and only *data* envelopes
-// (frames, EOS) ever cross a socket. What the control
-// planes need from remote workers is a small RPC set carried on the same
-// connections: gate pause/resume, quiesce tokens that flush in-flight data
-// ahead of control markers, replay requests against remote producers' replay
-// buffers, trim commits, and abort propagation.
+// same worker — which keeps all control envelope traffic (adaptive barriers
+// and migrations, recovery kills and restores) process-local: the control
+// loop runs on the worker hosting the controlled component, peers exchange
+// state through ordinary inboxes, and only *data* envelopes (frames, EOS)
+// ever cross a socket. What a control round needs from remote workers is a
+// small RPC set carried on the same connections: pause/resume of the one
+// producer gate, quiesce tokens that flush in-flight data ahead of control
+// markers, replay requests against remote producers' replay buffers, trim
+// commits, and abort propagation.
 //
 // Flow control replaces channel blocking with per-(destination task) credit
 // windows: a producer acquires one credit per envelope before writing, the
@@ -24,9 +24,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"syscall"
 
 	"squall/internal/adaptive"
 	"squall/internal/recovery"
@@ -41,6 +44,29 @@ import (
 // (an operator error, a bad plan) is permanent and escalates as-is.
 var ErrLink = errors.New("cluster infrastructure failure")
 
+// IsInfra reports whether err is a cluster infrastructure failure rather
+// than a job error: ErrLink, a declared-dead peer, or a raw socket error —
+// a closed or reset connection, a broken pipe, a refused dial, EOF
+// mid-message. A worker's failure report, the abort it broadcasts to its
+// peers and the coordinator's retry decision all classify through it, so a
+// worker whose own write hit a closed connection is retried like one whose
+// peer vanished.
+func IsInfra(err error) bool {
+	if err == nil {
+		return false
+	}
+	if errors.Is(err, ErrLink) || errors.Is(err, transport.ErrPeerLost) {
+		return true
+	}
+	var ne net.Error // includes net.ErrClosed
+	if errors.As(err, &ne) {
+		return true
+	}
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) ||
+		errors.Is(err, syscall.ECONNRESET) || errors.Is(err, syscall.ECONNREFUSED) ||
+		errors.Is(err, syscall.EPIPE)
+}
+
 // Dataflow-plane message kinds (all below transport.KindUser; kind 1 is the
 // transport handshake). Kinds 3 and 4 stay unassigned so that a peer
 // speaking an older protocol, which shipped tuple batches (3) and lone
@@ -51,19 +77,13 @@ const (
 	mkEOS        byte = 5  // end of stream             A=node B=task C=from
 	mkCredit     byte = 6  // flow-control grant        A=node B=task C=count
 	mkAbort      byte = 7  // run failed here           Payload=error text
-	mkGatePause  byte = 8  // close a producer gate     A=plane
-	mkGatePaused byte = 9  // gate closed ack           A=plane C=local live count
-	mkGateResume byte = 10 // reopen a producer gate    A=plane B=rows C=cols
+	mkGatePause  byte = 8  // close the producer gate
+	mkGatePaused byte = 9  // gate closed ack           C=local live count
+	mkGateResume byte = 10 // reopen the producer gate  B=rows C=cols
 	mkSendToken  byte = 11 // flush your sends to A/B   A=node B=task C=token id
 	mkToken      byte = 12 // flush token (data path)   A=node B=task C=token id
 	mkReplayReq  byte = 13 // replay retained input     Payload=replayReq JSON
 	mkTrim       byte = 14 // checkpoint trim commit    Payload=trimMsg JSON
-)
-
-// Gate planes addressed by mkGatePause/mkGateResume.
-const (
-	planeAdapt = 0
-	planeRec   = 1
 )
 
 // replayReq asks a worker to re-deliver the retained input of its hosted
@@ -97,7 +117,7 @@ type NetConfig struct {
 	OnPeerMsg func(from int, m transport.Msg)
 }
 
-// gateOp is one ordered pause/resume request against a local producer gate.
+// gateOp is one ordered pause/resume request against the local gate.
 type gateOp struct {
 	pause      bool
 	rows, cols int
@@ -136,7 +156,7 @@ type netLink struct {
 	conn    *transport.Conn
 	credMu  sync.Mutex
 	creds   map[int64]*transport.Credit // sender-side windows, keyed by flow
-	gateOps [2]chan gateOp
+	gateOps chan gateOp
 }
 
 func flowKey(node, task int) int64 { return int64(node)<<32 | int64(task) }
@@ -178,7 +198,7 @@ type NetPlane struct {
 	tokNext int64
 	tokWait map[int64]chan struct{}
 
-	gateAcks [2]chan int64
+	gateAcks chan int64
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -193,22 +213,17 @@ type pendMsg struct {
 // when a Run binds the plane (messages arriving earlier are parked).
 func NewNetPlane(cfg NetConfig) *NetPlane {
 	p := &NetPlane{
-		cfg:     cfg,
-		links:   make([]*netLink, len(cfg.Links)),
-		tokWait: make(map[int64]chan struct{}),
-		closed:  make(chan struct{}),
-	}
-	for i := range p.gateAcks {
-		p.gateAcks[i] = make(chan int64, cfg.Workers)
+		cfg:      cfg,
+		links:    make([]*netLink, len(cfg.Links)),
+		tokWait:  make(map[int64]chan struct{}),
+		gateAcks: make(chan int64, cfg.Workers),
+		closed:   make(chan struct{}),
 	}
 	for w, c := range cfg.Links {
 		if c == nil {
 			continue
 		}
-		lk := &netLink{worker: w, conn: c, creds: make(map[int64]*transport.Credit)}
-		for i := range lk.gateOps {
-			lk.gateOps[i] = make(chan gateOp, 8)
-		}
+		lk := &netLink{worker: w, conn: c, creds: make(map[int64]*transport.Credit), gateOps: make(chan gateOp, 8)}
 		p.links[w] = lk
 		go p.readLoop(lk)
 	}
@@ -262,7 +277,7 @@ func (p *NetPlane) fail(err error) {
 // ignored: a dead link's worker learns of the failure from the EOF instead.
 func (p *NetPlane) broadcastAbort(err error) {
 	var infra int64
-	if errors.Is(err, ErrLink) || errors.Is(err, transport.ErrPeerLost) {
+	if IsInfra(err) {
 		infra = 1
 	}
 	m := transport.Msg{Kind: mkAbort, A: infra, Payload: []byte(err.Error())}
@@ -312,8 +327,7 @@ func (p *NetPlane) bind(ex *execution) error {
 		if lk == nil {
 			continue
 		}
-		go p.gateWorker(lk, planeAdapt)
-		go p.gateWorker(lk, planeRec)
+		go p.gateWorker(lk)
 	}
 	// Drain parked messages under the lock: a read loop observing ex != nil
 	// is thereby guaranteed the backlog has already been handled, preserving
@@ -383,15 +397,11 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 			p.fail(fmt.Errorf("dataflow: flush token to worker %d: %w", lk.worker, err))
 		}
 	case mkGatePause:
-		p.gateRequest(lk, int(m.A), gateOp{pause: true})
+		p.gateRequest(lk, gateOp{pause: true})
 	case mkGateResume:
-		p.gateRequest(lk, int(m.A), gateOp{rows: int(m.B), cols: int(m.C)})
+		p.gateRequest(lk, gateOp{rows: int(m.B), cols: int(m.C)})
 	case mkGatePaused:
-		if m.A != planeAdapt && m.A != planeRec {
-			p.fail(fmt.Errorf("dataflow: worker %d acked an unknown gate plane %d", lk.worker, m.A))
-			return
-		}
-		p.gateAcks[m.A] <- m.C // cap = Workers: never blocks the read loop
+		p.gateAcks <- m.C // cap = Workers: never blocks the read loop
 	case mkReplayReq:
 		var req replayReq
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
@@ -421,13 +431,9 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	}
 }
 
-func (p *NetPlane) gateRequest(lk *netLink, plane int, op gateOp) {
-	if plane != planeAdapt && plane != planeRec {
-		p.fail(fmt.Errorf("dataflow: worker %d addressed unknown gate plane %d", lk.worker, plane))
-		return
-	}
+func (p *NetPlane) gateRequest(lk *netLink, op gateOp) {
 	select {
-	case lk.gateOps[plane] <- op:
+	case lk.gateOps <- op:
 	case <-p.closed:
 	}
 }
@@ -572,41 +578,36 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 }
 
 // gateWorker applies one link's pause/resume requests against the local
-// producer gates in arrival order, acking pauses with the local live count
-// (the adaptive controller sums these into its cluster-wide early-out check).
-func (p *NetPlane) gateWorker(lk *netLink, plane int) {
+// gate in arrival order, acking pauses with the local adaptive live count (0
+// without adaptation; the controller sums these into its cluster-wide
+// early-out check).
+func (p *NetPlane) gateWorker(lk *netLink) {
 	for {
 		var op gateOp
 		select {
-		case op = <-lk.gateOps[plane]:
+		case op = <-lk.gateOps:
 		case <-p.closed:
 			return
 		}
+		g := p.ex.gate
 		switch {
-		case plane == planeAdapt && p.ex.adapt == nil, plane == planeRec && p.ex.rec == nil:
-			p.fail(fmt.Errorf("dataflow: worker %d drove a gate for a control plane this run does not have", lk.worker))
+		case g == nil:
+			p.fail(fmt.Errorf("dataflow: worker %d drove a gate this run does not have", lk.worker))
 			return
-		case op.pause && plane == planeAdapt:
-			if !p.ex.adapt.pause() {
-				return
-			}
-			live := p.ex.adapt.live.Load()
-			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, A: planeAdapt, C: live}); err != nil {
-				p.fail(fmt.Errorf("dataflow: gate ack to worker %d: %w", lk.worker, err))
-				return
-			}
 		case op.pause:
-			if !p.ex.rec.pause() {
+			if !g.pause() {
 				return
 			}
-			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, A: planeRec}); err != nil {
+			var live int64
+			if p.ex.adapt != nil {
+				live = p.ex.adapt.live.Load()
+			}
+			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, C: live}); err != nil {
 				p.fail(fmt.Errorf("dataflow: gate ack to worker %d: %w", lk.worker, err))
 				return
 			}
-		case plane == planeAdapt:
-			p.ex.adapt.resume(adaptive.Matrix{Rows: op.rows, Cols: op.cols})
 		default:
-			p.ex.rec.resume()
+			g.resume(adaptive.Matrix{Rows: op.rows, Cols: op.cols})
 		}
 	}
 }
@@ -628,14 +629,14 @@ func (p *NetPlane) remoteProducerWorkers(prot *node) []int {
 	return ws
 }
 
-// pauseRemote closes the given plane's producer gate on every remote worker
-// feeding prot and waits for the acks, returning the sum of the remote live
-// producer counts. Rounds are serialized by roundMu, so at most one
-// pauseRemote per plane is ever outstanding.
-func (p *NetPlane) pauseRemote(plane int, prot *node) (int64, bool) {
+// pauseRemote closes the gate on every remote worker feeding prot and waits
+// for the acks, returning the sum of the remote live producer counts. Rounds
+// are serial on the control loop, so at most one pauseRemote is ever
+// outstanding.
+func (p *NetPlane) pauseRemote(prot *node) (int64, bool) {
 	ws := p.remoteProducerWorkers(prot)
 	for _, w := range ws {
-		if err := p.links[w].conn.WriteMsg(&transport.Msg{Kind: mkGatePause, A: int64(plane)}); err != nil {
+		if err := p.links[w].conn.WriteMsg(&transport.Msg{Kind: mkGatePause}); err != nil {
 			p.fail(fmt.Errorf("dataflow: gate pause to worker %d: %w", w, err))
 			return 0, false
 		}
@@ -643,7 +644,7 @@ func (p *NetPlane) pauseRemote(plane int, prot *node) (int64, bool) {
 	var live int64
 	for range ws {
 		select {
-		case v := <-p.gateAcks[plane]:
+		case v := <-p.gateAcks:
 			live += v
 		case <-p.ex.abort:
 			return 0, false
@@ -652,12 +653,12 @@ func (p *NetPlane) pauseRemote(plane int, prot *node) (int64, bool) {
 	return live, true
 }
 
-// resumeRemote reopens the plane's gate on every remote producer worker. For
-// the adaptive plane the new routing matrix shape rides along so remote
-// producers reroute against the post-reshape placement.
-func (p *NetPlane) resumeRemote(plane int, prot *node, rows, cols int) bool {
+// resumeRemote reopens the gate on every remote producer worker. The routing
+// matrix rides along, so remote producers reroute against a post-reshape
+// placement.
+func (p *NetPlane) resumeRemote(prot *node, m adaptive.Matrix) bool {
 	for _, w := range p.remoteProducerWorkers(prot) {
-		msg := transport.Msg{Kind: mkGateResume, A: int64(plane), B: int64(rows), C: int64(cols)}
+		msg := transport.Msg{Kind: mkGateResume, B: int64(m.Rows), C: int64(m.Cols)}
 		if err := p.links[w].conn.WriteMsg(&msg); err != nil {
 			p.fail(fmt.Errorf("dataflow: gate resume to worker %d: %w", w, err))
 			return false
@@ -703,7 +704,7 @@ func (p *NetPlane) waitTokens(chs []chan struct{}) bool {
 // quiesce flushes every remote producer's in-flight data to the given tasks
 // of prot: one token per (remote worker, task), each delivered through the
 // data path and therefore ordered behind everything that worker had already
-// sent. Both control planes call this after closing the gates and before
+// sent. Every round calls this after closing the gates and before
 // enqueueing any control marker — the cluster equivalent of the in-process
 // invariant that a paused gate leaves nothing between a producer and the
 // inbox.

@@ -10,11 +10,14 @@
 package dataflow
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -509,6 +512,121 @@ func TestNetRetiredSingleKindFails(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestNetAdaptiveKill runs both control planes on one run across a socket:
+// the adaptive joiner lives on worker 1, its producers on worker 0, and one
+// joiner task is killed mid-stream. Reshape and recovery rounds share the one
+// gate on each side of the wire; the result must be bag-equal to the
+// in-process static-matrix reference, every pair exactly once, with at least
+// one reshape and exactly one recovered kill.
+func TestNetAdaptiveKill(t *testing.T) {
+	const nR, nS, par = 4000, 30, 8
+	build := func() (*Topology, *Gather) {
+		return buildAdaptiveTopo(t, nR, nS, par, func() Bolt { return &pairBolt{} })
+	}
+	pol := func(static bool) *AdaptivePolicy {
+		return &AdaptivePolicy{
+			Component: "join", RStream: "R", SStream: "S",
+			InitialRows: 1, InitialCols: par, Static: static,
+			ReportEvery: 16, MinObserved: 64, MinGain: 0.05,
+		}
+	}
+	ref, refG := build()
+	if _, err := Run(ref, Options{Seed: 7, Adaptive: pol(true)}); err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+	want := rowBag(refG.Rows())
+	if len(want) != nR*nS {
+		t.Fatalf("reference holds %d distinct pairs, want %d", len(want), nR*nS)
+	}
+
+	// See TestNetAdaptiveReshape: S lands first and small credit windows
+	// keep the spouts alive while the controller observes the drift.
+	rHoldoff = 20 * time.Millisecond
+	defer func() { rHoldoff = 0 }()
+	place := map[string]int{"R": 0, "S": 0, "join": 1, "sink": 0}
+	reshaped := false
+	for _, seed := range []int64{7, 8, 9} {
+		opts := Options{Seed: seed, BatchSize: 16, ChannelBuf: 4, Adaptive: pol(false)}
+		opts.Recovery = &RecoveryPolicy{
+			Component: "join", RelOf: map[string]int{"R": 0, "S": 1}, NumRels: 2,
+			Store: recovery.NewMemStore(), CheckpointEvery: 256,
+			Fault: &FaultPlan{Task: 1, AfterTuples: 200},
+		}
+		results, gathers, _ := runNetCluster(t, 2, place, opts, build)
+		requireAllOK(t, results)
+		diffBags(t, want, rowBag(gathers[0].Rows()))
+		if got := len(gathers[0].Rows()); got != nR*nS {
+			t.Fatalf("seed %d: %d result rows, want %d", seed, got, nR*nS)
+		}
+		am, rm := &results[1].m.Adapt, &results[1].m.Recovery
+		t.Logf("seed %d: reshapes=%d kills=%d final=%dx%d", seed,
+			am.Reshapes.Load(), rm.Kills.Load(), am.FinalRows.Load(), am.FinalCols.Load())
+		if got := rm.Kills.Load(); got != 1 {
+			t.Fatalf("seed %d: recovered kills = %d, want 1", seed, got)
+		}
+		if am.Reshapes.Load() > 0 {
+			reshaped = true
+			break
+		}
+	}
+	if !reshaped {
+		t.Fatal("no seed produced a reshape: the shared gate was never driven by both rounds")
+	}
+}
+
+// TestNetAbortClassifiesSocketErrors: a worker whose own write hits a closed
+// connection fails with a raw socket error, not ErrLink. Its abort must still
+// reach the coordinating worker classified as infrastructure — otherwise a
+// Recover policy would give up on what is a lost link.
+func TestNetAbortClassifiesSocketErrors(t *testing.T) {
+	closed := fmt.Errorf("dataflow: send to sink[0] on worker 0: %w",
+		&net.OpError{Op: "write", Net: "tcp", Err: net.ErrClosed})
+	build := func() (*Topology, *Gather) {
+		g := NewGather()
+		topo, err := NewBuilder().
+			Spout("src", 1, GenSpout(100, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i))} })).
+			Bolt("mid", 1, func(int, int) Bolt { return &pairBolt{fail: closed} }).
+			Bolt("sink", 1, g.Factory()).
+			Input("mid", "src", Shuffle()).
+			Input("sink", "mid", Global()).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo, g
+	}
+	place := map[string]int{"src": 0, "mid": 1, "sink": 0}
+	results, _, _ := runNetCluster(t, 2, place, Options{Seed: 1}, build)
+	if err := results[1].err; !errors.Is(err, net.ErrClosed) || !IsInfra(err) {
+		t.Fatalf("failing worker: %v, want its own socket error classified as infrastructure", err)
+	}
+	if err := results[0].err; err == nil || !errors.Is(err, ErrLink) {
+		t.Fatalf("coordinating worker: %v, want the relayed abort marked ErrLink", err)
+	}
+}
+
+func TestIsInfra(t *testing.T) {
+	for _, tc := range []struct {
+		err  error
+		want bool
+	}{
+		{nil, false},
+		{errors.New("bolt failed"), false},
+		{fmt.Errorf("wrapped: %w", ErrMemoryOverflow), false},
+		{fmt.Errorf("link: %w", ErrLink), true},
+		{fmt.Errorf("peer: %w", transport.ErrPeerLost), true},
+		{fmt.Errorf("send: %w", &net.OpError{Op: "write", Net: "tcp", Err: net.ErrClosed}), true},
+		{fmt.Errorf("close: %w", net.ErrClosed), true},
+		{fmt.Errorf("read: %w", io.ErrUnexpectedEOF), true},
+		{fmt.Errorf("write: %w", syscall.EPIPE), true},
+		{fmt.Errorf("read: %w", syscall.ECONNRESET), true},
+	} {
+		if got := IsInfra(tc.err); got != tc.want {
+			t.Errorf("IsInfra(%v) = %v, want %v", tc.err, got, tc.want)
 		}
 	}
 }

@@ -22,14 +22,15 @@
 //     replay could not reconstruct the new placement.
 //
 //   - Quiesced kills. An injected fault (Options.Recovery.Fault) fires
-//     through the manager: it serializes with reshape rounds (roundMu),
-//     closes a pause gate on the tracked edges, and only then enqueues the
-//     kill marker, so FIFO inboxes guarantee the dying task has applied
-//     every delivered envelope and flushed every pending output. The loss is
-//     then pure state loss at a consistent point.
+//     through the execution's control loop as one round (execution.round,
+//     serial with reshape rounds): the round closes the gate on the tracked
+//     edges, and only then enqueues the kill marker, so FIFO inboxes
+//     guarantee the dying task has applied every delivered envelope and
+//     flushed every pending output. The loss is then pure state loss at a
+//     consistent point.
 //
-//   - Recovery routes. Per relation, the manager picks the cheapest source
-//     (ft.RecoveryPlan made live): a peer task holding an identical
+//   - Recovery routes. Per relation, the recovery round picks the cheapest
+//     source (ft.RecoveryPlan made live): a peer task holding an identical
 //     partition — the scheme replicated the relation, so any machine sharing
 //     the failed task's coordinates on the relation's own dimensions is a
 //     complete copy; for the adaptive 1-Bucket matrix, the other cells of
@@ -55,8 +56,9 @@
 //     requires a non-adaptive run: a reshape barrier already enqueued in
 //     the panicking task's inbox cannot be reconciled with its state loss,
 //     so adaptive runs surface panics as run errors (injected kills recover
-//     on adaptive runs too — the manager serializes them with reshape
-//     rounds via roundMu before delivering the marker).
+//     on adaptive runs too — the control loop runs their rounds between
+//     reshape rounds, and a recovery round reopens the gate under the
+//     unchanged matrix).
 //
 // See DESIGN.md ("Fault tolerance") for the protocol walkthrough and the
 // substitution-table row for recovery traffic.
@@ -69,6 +71,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"squall/internal/adaptive"
 	"squall/internal/recovery"
 	"squall/internal/slab"
 	"squall/internal/wire"
@@ -191,7 +194,7 @@ type replayEnt struct {
 	count int
 }
 
-// faultNote is a task's fault notification to the manager.
+// faultNote is a task's fault notification to the control loop.
 type faultNote struct {
 	task     int
 	panicked bool
@@ -215,19 +218,12 @@ type recState struct {
 	// destination) pair; trims[pid][target] is the newest checkpoint cursor,
 	// below which entries are pruned. bufMus[pid] guards that producer's
 	// buffers: a pid's buffers are written only by its own (single-threaded)
-	// producer task and read only by the manager during a restore, so
+	// producer task and read only by recovery rounds during a restore, so
 	// per-producer locks see no steady-state contention even on the
 	// BatchSize=1 path, where every tuple copy records an entry.
 	bufMus []sync.Mutex
 	bufs   [][][]replayEnt
 	trims  [][]atomic.Int64
-
-	// Pause gate on the tracked edges (same protocol as the adaptive gate).
-	mu       sync.Mutex
-	paused   bool
-	active   int
-	resumeCh chan struct{}
-	idleCh   chan struct{}
 
 	faults chan faultNote
 	// killAck reports the victim reached the kill marker; true means a
@@ -235,8 +231,6 @@ type recState struct {
 	// with panic semantics (checkpoint routes only).
 	killAck chan bool
 	acks    chan int
-	quit    chan struct{}
-	done    chan struct{}
 	// planDone is closed when the fault plan is resolved (recovered or
 	// voided); protected tasks that finish their EOS set linger on it so a
 	// late kill still finds every peer alive and draining.
@@ -262,12 +256,9 @@ func (ex *execution) initRecovery(pol *RecoveryPolicy) error {
 		node:      n,
 		relOfEdge: make([]int, len(n.inputs)),
 		pidBase:   map[*node]int{},
-		resumeCh:  make(chan struct{}),
 		faults:    make(chan faultNote, 2+n.par),
 		killAck:   make(chan bool, 1),
 		acks:      make(chan int, 1),
-		quit:      make(chan struct{}),
-		done:      make(chan struct{}),
 		planDone:  make(chan struct{}),
 		scheduled: p.Fault != nil,
 	}
@@ -299,7 +290,7 @@ func (ex *execution) initRecovery(pol *RecoveryPolicy) error {
 	if !a.scheduled {
 		a.resolvePlan() // nothing to linger for
 	}
-	ex.rec = a
+	ex.rec, ex.ctl = a, n
 	return nil
 }
 
@@ -362,110 +353,16 @@ func (a *recState) resolvePlan() {
 	a.planOnce.Do(func() { close(a.planDone) })
 }
 
-// enter joins the pause gate, blocking while a recovery round is in flight;
-// ok is false when the run aborted.
-func (a *recState) enter() bool {
-	a.mu.Lock()
-	for a.paused {
-		ch := a.resumeCh
-		a.mu.Unlock()
-		select {
-		case <-ch:
-		case <-a.ex.abort:
-			return false
-		}
-		a.mu.Lock()
-	}
-	a.active++
-	a.mu.Unlock()
-	return true
-}
-
-// exit leaves the gate, waking a paused manager once drained.
-func (a *recState) exit() {
-	a.mu.Lock()
-	a.active--
-	if a.active == 0 && a.paused && a.idleCh != nil {
-		close(a.idleCh)
-		a.idleCh = nil
-	}
-	a.mu.Unlock()
-}
-
-// pause closes the gate and waits until no producer is inside it: every
-// envelope sent under the open gate is then enqueued, so a control marker
-// enqueued next is ordered after all of them.
-func (a *recState) pause() bool {
-	a.mu.Lock()
-	a.paused = true
-	a.resumeCh = make(chan struct{})
-	if a.active == 0 {
-		a.mu.Unlock()
-		return true
-	}
-	idle := make(chan struct{})
-	a.idleCh = idle
-	a.mu.Unlock()
-	select {
-	case <-idle:
-		return true
-	case <-a.ex.abort:
-		return false
-	}
-}
-
-// resume reopens the gate.
-func (a *recState) resume() {
-	a.mu.Lock()
-	a.paused = false
-	ch := a.resumeCh
-	a.mu.Unlock()
-	close(ch)
-}
-
-func (a *recState) sendCtrl(task int, env envelope) bool {
-	select {
-	case a.ex.inboxes[a.node][task] <- env:
-		return true
-	case <-a.ex.abort:
-		return false
-	case <-a.quit:
-		return false
-	}
-}
-
-// run is the manager goroutine: it serializes fault handling with reshape
-// rounds and orchestrates each recovery.
-func (a *recState) run() {
-	defer close(a.done)
-	for {
-		select {
-		case f := <-a.faults:
-			if f.void {
-				a.resolvePlan()
-				continue
-			}
-			if !a.handleFault(f) {
-				return
-			}
-		case <-a.ex.abort:
-			return
-		case <-a.quit:
-			return
-		}
-	}
-}
-
 // peersFor resolves the live peer set for one (task, relation): the policy's
 // scheme-derived peers, or the adaptive matrix's row/column when the
-// component runs adaptively (the matrix is stable here — reshape rounds and
-// recovery rounds serialize on roundMu).
+// component runs adaptively (the matrix is stable here: rounds are serial
+// on the control loop).
 func (a *recState) peersFor(task, rel int) []int {
 	if a.pol.PeersFor != nil {
 		return a.pol.PeersFor(task, rel)
 	}
-	if ad := a.ex.adapt; ad != nil && rel < 2 {
-		m := ad.cur
+	if a.ex.adapt != nil && rel < 2 {
+		m := a.ex.gate.matrix()
 		if task >= m.Rows*m.Cols {
 			return nil
 		}
@@ -489,37 +386,30 @@ func (a *recState) peersFor(task, rel int) []int {
 	return nil
 }
 
-// handleFault runs one recovery round end to end. It reports false when the
-// run is shutting down.
+// handleFault is the control loop's handling of one fault note: a voided
+// plan resolves, anything else runs one recovery round end to end. It
+// reports false when the run is shutting down.
 func (a *recState) handleFault(f faultNote) bool {
-	a.ex.roundMu.Lock()
-	defer a.ex.roundMu.Unlock()
-	if !a.pause() {
-		return false
+	if f.void {
+		a.resolvePlan()
+		return true
 	}
-	defer a.resume()
 	start := time.Now()
-	m := &a.ex.metrics.Recovery
-
-	// Cluster round: close the recovery gate on every remote producer worker,
-	// then flush their in-flight data ahead of any control marker with tokens
-	// through the victim's (and, for kill rounds, every peer's) inbox. This
-	// restores the in-process invariant that a closed gate leaves nothing
-	// between a producer and the protected inboxes — without it, a kill
-	// marker or state request could overtake data still staged on the wire.
-	if a.ex.net != nil {
-		if _, ok := a.ex.net.pauseRemote(planeRec, a.node); !ok {
-			return false
-		}
-		defer a.ex.net.resumeRemote(planeRec, a.node, 0, 0)
-		tasks := []int{f.task}
-		if !f.panicked {
-			tasks = allTasks(a.node)
-		}
-		if !a.ex.net.quiesce(a.node, tasks) {
-			return false
-		}
+	// A panic round quiesces only the victim (its peers may already have
+	// exited); a kill round may route state from any peer.
+	tasks := []int{f.task}
+	if !f.panicked {
+		tasks = allTasks(a.node)
 	}
+	return a.ex.round(func(int64) []int { return tasks }, func(cur adaptive.Matrix) (adaptive.Matrix, bool) {
+		return cur, a.restore(f, start)
+	})
+}
+
+// restore runs the body of a recovery round behind the closed gate: kill,
+// route, ship state, replay, and wait for the victim's ack.
+func (a *recState) restore(f faultNote, start time.Time) bool {
+	m := &a.ex.metrics.Recovery
 
 	// An injected kill is delivered only now, behind the closed gate: FIFO
 	// inboxes guarantee the task has applied every delivered envelope before
@@ -533,7 +423,7 @@ func (a *recState) handleFault(f faultNote) bool {
 	// peer snapshot would swallow the panicked task's unemitted deltas).
 	killRound := !f.panicked
 	if killRound {
-		if !a.sendCtrl(f.task, envelope{ctrl: ctrlKill}) {
+		if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlKill}) {
 			return false
 		}
 		select {
@@ -543,7 +433,7 @@ func (a *recState) handleFault(f faultNote) bool {
 			}
 		case <-a.ex.abort:
 			return false
-		case <-a.quit:
+		case <-a.ex.ctlQuit:
 			return false
 		}
 	}
@@ -585,14 +475,14 @@ func (a *recState) handleFault(f faultNote) bool {
 	if haveCk {
 		begin.manifest = &ck.Manifest
 	}
-	if !a.sendCtrl(f.task, envelope{ctrl: ctrlRecBegin, rec: begin}) {
+	if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecBegin, rec: begin}) {
 		return false
 	}
 
 	for rel, peer := range routes {
 		if peer >= 0 {
 			m.PeerRels.Add(1)
-			if !a.sendCtrl(peer, envelope{ctrl: ctrlStateReq, rec: &recMsg{rel: rel, target: f.task}}) {
+			if !a.ex.sendCtrl(peer, envelope{ctrl: ctrlStateReq, rec: &recMsg{rel: rel, target: f.task}}) {
 				return false
 			}
 			continue
@@ -615,7 +505,7 @@ func (a *recState) handleFault(f faultNote) bool {
 				n, _ := binary.Uvarint(frame)
 				m.RestoredTuples.Add(int64(n))
 				m.RestoredBytes.Add(int64(len(frame)))
-				if !a.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
+				if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
 					return false
 				}
 			}
@@ -666,7 +556,7 @@ func (a *recState) handleFault(f faultNote) bool {
 	}
 	for rel, peer := range routes {
 		if peer < 0 {
-			if !a.sendCtrl(f.task, envelope{ctrl: ctrlRecDone, rec: &recMsg{rel: rel}}) {
+			if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecDone, rec: &recMsg{rel: rel}}) {
 				return false
 			}
 		}
@@ -676,7 +566,7 @@ func (a *recState) handleFault(f faultNote) bool {
 	case <-a.acks:
 	case <-a.ex.abort:
 		return false
-	case <-a.quit:
+	case <-a.ex.ctlQuit:
 		return false
 	}
 	m.Faults.Add(1)
@@ -713,7 +603,7 @@ type recSession struct {
 	sinceCkpt int
 	// Fault-plan state.
 	armed     bool // this task is the plan target and the trigger hasn't fired
-	requested bool // trigger sent to the manager, resolution pending
+	requested bool // trigger sent to the control loop, resolution pending
 	// Recovery-round state.
 	recovering bool
 	panicked   bool
@@ -758,7 +648,7 @@ func (s *recSession) applied(env *envelope) {
 // startRecovery flips the session into restore mode. The caller has already
 // replaced the bolt and flushed the collector's pending output. requested is
 // deliberately left alone: a panic that preempts an outstanding kill trigger
-// still owes the manager's kill marker its ack, and the kill round then
+// still owes the kill round's marker its ack, and the kill round then
 // services this session with panic semantics.
 func (s *recSession) startRecovery(panicked bool) {
 	s.recovering = true
@@ -918,7 +808,7 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 		if live == 0 {
 			continue
 		}
-		if !a.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
+		if !a.ex.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
 			return false
 		}
 	}

@@ -187,6 +187,9 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 			{BatchSize: 4, Kill: true},
 			{BatchSize: 16, Spill: true, Kill: true},
 			{BatchSize: 3, Adaptive: true},
+			// Both control planes on one run across the socket: reshape and
+			// recovery rounds share the one producer gate on each worker.
+			{BatchSize: 3, Adaptive: true, Kill: true},
 			// One-row frames and their replay cross TCP as ordinary frame
 			// messages.
 			{BatchSize: 1, Kill: true},

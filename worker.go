@@ -14,7 +14,6 @@ package squall
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -547,8 +546,7 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 	metrics, runErr := dataflow.Run(plan.topo, dopts)
 	if runErr != nil {
 		s.countFailed()
-		infra := errors.Is(runErr, dataflow.ErrLink) || errors.Is(runErr, transport.ErrPeerLost)
-		sendFailed(conn, runErr, infra)
+		sendFailed(conn, runErr, dataflow.IsInfra(runErr))
 	} else if body, err := json.Marshal(plane.LocalSnapshot(metrics)); err != nil {
 		sendFailed(conn, err, false)
 	} else {
