@@ -596,8 +596,7 @@ func (c *Collector) routeAdaptive(ei, side int, row []byte) error {
 	if side == 1 {
 		coord = c.rng.Intn(c.route.Cols)
 	}
-	// No footer: adaptive joiners take rows one at a time (load reports).
-	if c.appendRow(&c.adaptOut[ei][coord], row, false) {
+	if c.appendRow(&c.adaptOut[ei][coord], row) {
 		return c.flushAdaptive(ei, side, coord)
 	}
 	return nil
@@ -628,7 +627,7 @@ func (c *Collector) flushAdaptive(ei, side, coord int) error {
 	// (producer, target) sequence and retained for replay, so it is never
 	// pooled; the caller already holds the gate (emitAdaptive / gatedEOS).
 	tracked := c.recTracked != nil && c.recTracked[ei]
-	frame, count, box := c.seal(rb, false), rb.count, rb.box
+	frame, count, box := c.seal(rb), rb.count, rb.box
 	rb.box, rb.buf, rb.count = nil, nil, 0
 	last := len(c.tbuf) - 1
 	for i, target := range c.tbuf {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime/debug"
 	"sync"
 	"time"
 
@@ -48,13 +47,6 @@ type Options struct {
 	// MemLimitPerTask, when > 0, aborts the run with ErrMemoryOverflow if any
 	// MemReporter bolt's state exceeds this many bytes.
 	MemLimitPerTask int
-	// VecExec enables vectorized frame execution (PR 6): producers append a
-	// column-offset footer to every packed frame they flush, and consumers
-	// implementing FrameBolt receive whole frames instead of a per-row walk.
-	// Off reproduces the PR 5 packed transport bit for bit. Frame delivery is
-	// disabled per task on recovery-protected and adaptive bolts, whose
-	// control planes need per-row delivery bookkeeping.
-	VecExec bool
 	// Adaptive, when set, runs one 2-way join component as a live adaptive
 	// 1-Bucket operator: its input edges route by the policy's matrix, a
 	// controller reshapes the matrix as the observed size ratio drifts, and
@@ -144,14 +136,11 @@ func releaseEnv(env *envelope) {
 // rowBatch is one (edge, target) packed accumulation buffer: encoded rows
 // appended back to back after hdrRoom reserved bytes, where seal stamps the
 // frame's count varint. box is the pool box the buffer came from; it travels
-// in the flushed envelope so the consumer's return trip reuses it. Under
-// VecExec, foot accumulates the column-offset footer as rows land, so the
-// flush appends it without re-scanning the frame.
+// in the flushed envelope so the consumer's return trip reuses it.
 type rowBatch struct {
 	box   *[]byte
 	buf   []byte
 	count int
-	foot  wire.FooterBuilder
 }
 
 // Collector routes a task's emitted rows to the downstream tasks chosen by
@@ -180,9 +169,6 @@ type Collector struct {
 	routeT   types.Tuple
 	enc      []byte
 	hdrRoom  int
-	// vec mirrors Options.VecExec: emit feeds each pending frame's footer
-	// builder and flushRow appends the footer before shipping.
-	vec bool
 	// adaptSide[edge] is the adaptive side (0 = R, 1 = S) of each outgoing
 	// edge, -1 for normal edges; nil when this node has no adaptive edges.
 	adaptSide []int
@@ -317,7 +303,7 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 			if target < 0 || target >= e.to.par {
 				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
 			}
-			if c.appendRow(&c.out[ei][target], row, c.vec) {
+			if c.appendRow(&c.out[ei][target], row) {
 				full = true
 			}
 		}
@@ -357,11 +343,10 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 	return nil
 }
 
-// appendRow adds the row rowCur is positioned on to one pending frame,
-// taking a buffer from the pool when the frame is empty, and reports
-// whether the frame reached BatchSize. footer feeds the frame's
-// column-offset footer builder.
-func (c *Collector) appendRow(rb *rowBatch, row []byte, footer bool) bool {
+// appendRow adds one encoded row to a pending frame, taking a buffer from
+// the pool when the frame is empty, and reports whether the frame reached
+// BatchSize.
+func (c *Collector) appendRow(rb *rowBatch, row []byte) bool {
 	if rb.buf == nil {
 		p := getFrameBox()
 		buf := *p
@@ -369,26 +354,15 @@ func (c *Collector) appendRow(rb *rowBatch, row []byte, footer bool) bool {
 			buf = make([]byte, c.hdrRoom, c.hdrRoom+512)
 		}
 		rb.box, rb.buf = p, buf[:c.hdrRoom]
-		if footer {
-			rb.foot.Reset()
-		}
-	}
-	if footer {
-		rb.foot.AddRow(len(rb.buf)-c.hdrRoom, &c.rowCur)
 	}
 	rb.buf = append(rb.buf, row...)
 	rb.count++
 	return rb.count >= c.batchSize
 }
 
-// seal turns a pending buffer into a ready wire frame: the footer (when
-// footer is set) is appended and the count varint stamped into the reserved
-// header room. The footer's offsets are relative to the rows region, so
-// appending it before the varint lands is safe whatever the varint's width.
-func (c *Collector) seal(rb *rowBatch, footer bool) []byte {
-	if footer {
-		rb.buf = rb.foot.Append(rb.buf)
-	}
+// seal turns a pending buffer into a ready wire frame by stamping the count
+// varint into the reserved header room.
+func (c *Collector) seal(rb *rowBatch) []byte {
 	var hdr [10]byte
 	hl := binary.PutUvarint(hdr[:], uint64(rb.count))
 	start := c.hdrRoom - hl
@@ -414,7 +388,7 @@ func (c *Collector) flushRow(ei, target int) error {
 		}
 		defer c.gateExit()
 	}
-	frame := c.seal(rb, c.vec)
+	frame := c.seal(rb)
 	env := envelope{stream: c.node.name, from: c.task, frame: frame, count: rb.count}
 	c.metrics.BytesOut.Add(int64(len(frame)))
 	c.metrics.Sent.Add(int64(rb.count))
@@ -968,7 +942,6 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		out:        out,
 		rowGroup:   rowGroup,
 		hdrRoom:    hdrRoom,
-		vec:        ex.opts.VecExec,
 		adaptSide:  adaptSide,
 		adaptOut:   adaptOut,
 		recTracked: recTracked,
@@ -983,32 +956,30 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 	col := ex.collector(n, task)
 	defer col.close() // after eos: the final flush decides which boxes remain
 	defer col.eos()
-	sp := n.spout(task, n.par)
 	// Packed sources (RowSpout) hand the executor wire-encoded rows: one
 	// encode at the source, then routing, transport and state inserts all
-	// work on the bytes. Tuple spouts are encoded once, by Emit.
+	// work on the bytes. Tuple spouts are encoded once, by Emit. step emits
+	// the next row either way and reports false once the source is drained.
+	sp := n.spout(task, n.par)
+	step := func() (bool, error) {
+		t, ok := sp.Next()
+		if !ok {
+			return false, nil
+		}
+		return true, col.Emit(t)
+	}
 	if rsp, ok := sp.(RowSpout); ok {
-		for i := 0; ; i++ {
-			if i%col.batchSize == 0 {
-				select {
-				case <-ex.abort:
-					return
-				default:
-				}
-				ex.spoutThrottle()
-			}
+		step = func() (bool, error) {
 			row, ok := rsp.NextRow()
 			if !ok {
-				return
+				return false, nil
 			}
-			if err := col.EmitRow(row); err != nil {
-				ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, err))
-				return
-			}
+			return true, col.EmitRow(row)
 		}
 	}
-	// The abort poll is amortized to once per batch; flushes inside Emit
-	// observe aborts anyway, so a stuck downstream never wedges the spout.
+	// The abort poll is amortized to once per batch; flushes inside the
+	// emit observe aborts anyway, so a stuck downstream never wedges the
+	// spout.
 	for i := 0; ; i++ {
 		if i%col.batchSize == 0 {
 			select {
@@ -1018,578 +989,15 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 			}
 			ex.spoutThrottle()
 		}
-		tuple, ok := sp.Next()
-		if !ok {
-			return
-		}
-		if err := col.Emit(tuple); err != nil {
+		more, err := step()
+		if err != nil {
 			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, err))
 			return
 		}
-	}
-}
-
-// panicFault is a panic captured inside a bolt callback, carried as an error so
-// the executor can either convert it into a recovery round or fail the run
-// with the stack attached.
-type panicFault struct {
-	val   any
-	stack []byte
-}
-
-func (p *panicFault) Error() string { return fmt.Sprintf("bolt panic: %v", p.val) }
-
-// errPanicCaptured signals that a panic was absorbed into a recovery round.
-var errPanicCaptured = errors.New("dataflow: bolt panic captured")
-
-// safeExecute runs TupleBolt.Execute with panic capture.
-func safeExecute(b TupleBolt, in Input, col *Collector) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicFault{val: r, stack: debug.Stack()}
-		}
-	}()
-	return b.Execute(in, col)
-}
-
-// safeExecuteRow runs RowBolt.ExecuteRow with panic capture.
-func safeExecuteRow(b RowBolt, in RowInput, col *Collector) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicFault{val: r, stack: debug.Stack()}
-		}
-	}()
-	return b.ExecuteRow(in, col)
-}
-
-// safeExecuteFrame runs FrameBolt.ExecuteFrame with panic capture.
-func safeExecuteFrame(b FrameBolt, in FrameInput, col *Collector) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicFault{val: r, stack: debug.Stack()}
-		}
-	}()
-	return b.ExecuteFrame(in, col)
-}
-
-// safeFinish runs Bolt.Finish with panic capture (never recoverable — the
-// stream is over — but a panic must fail the run, not crash the process).
-func safeFinish(b Bolt, col *Collector) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &panicFault{val: r, stack: debug.Stack()}
-		}
-	}()
-	return b.Finish(col)
-}
-
-func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
-	defer wg.Done()
-	col := ex.collector(n, task)
-	defer col.close() // eos (or an abort) has flushed whatever will flush
-	bolt := n.bolt(task, n.par)
-	// The task owns its bolt's external charges (pressure gauges); refund
-	// them when the task exits, whatever bolt instance it ends with.
-	defer func() { releaseState(bolt) }()
-	var (
-		mem       MemReporter
-		hasMem    bool
-		rowBolt   RowBolt
-		tupleBolt TupleBolt
-		frameBolt FrameBolt
-	)
-	// faces resolves the delivery face of the current bolt instance: rows
-	// in place for a RowBolt, decoded tuples for anything else.
-	faces := func() bool {
-		mem, hasMem = bolt.(MemReporter)
-		rowBolt, _ = bolt.(RowBolt)
-		tupleBolt, _ = bolt.(TupleBolt)
-		frameBolt, _ = bolt.(FrameBolt)
-		if rowBolt == nil && tupleBolt == nil {
-			ex.fail(fmt.Errorf("dataflow: bolt %s[%d] (%T) implements neither ExecuteRow nor Execute", n.name, task, bolt))
-			return false
-		}
-		return true
-	}
-	if !faces() {
-		return
-	}
-	tm := col.metrics
-
-	// Adaptive joiner tasks repartition state on reshape barriers and feed
-	// the controller load reports.
-	var rep Repartitioner
-	adaptHere := ex.adapt != nil && ex.adapt.node == n
-	if adaptHere {
-		var ok bool
-		if rep, ok = bolt.(Repartitioner); !ok {
-			ex.fail(fmt.Errorf("dataflow: adaptive bolt %s[%d] (%T) does not implement Repartitioner", n.name, task, bolt))
+		if !more {
 			return
 		}
 	}
-	// Recovery-protected tasks track input cursors, checkpoint periodically,
-	// and rebuild their state after a kill or captured panic.
-	var rs *recSession
-	if ex.rec != nil && ex.rec.node == n {
-		if _, ok := bolt.(Repartitioner); !ok {
-			ex.fail(fmt.Errorf("dataflow: recovery bolt %s[%d] (%T) does not implement Repartitioner", n.name, task, bolt))
-			return
-		}
-		rs = ex.rec.newSession(task)
-	}
-	// rebirth replaces the bolt after a fault dropped its state.
-	rebirth := func() bool {
-		releaseState(bolt) // the replaced instance must not keep its gauge charges
-		bolt = n.bolt(task, n.par)
-		if !faces() {
-			return false
-		}
-		if adaptHere {
-			rep, _ = bolt.(Repartitioner)
-		}
-		if _, ok := bolt.(Repartitioner); !ok {
-			ex.fail(fmt.Errorf("dataflow: recovery bolt %s[%d] (%T) does not implement Repartitioner", n.name, task, bolt))
-			return false
-		}
-		return true
-	}
-
-	var mig *migSession  // non-nil while a migration round is open
-	var early []envelope // migration traffic that outran our barrier marker
-	taskEpoch := 0       // reshape epoch this task's state conforms to
-
-	expectEOS := 0
-	for _, e := range n.inputs {
-		expectEOS += e.from.par
-	}
-	inbox := ex.inboxes[n][task]
-	processed := 0
-	var fdec wire.BatchDecoder // frame decoding for TupleBolt consumers
-	var tbatch []types.Tuple   // decoded-row headers, reused across frames
-	var rcur wire.Cursor       // frame row cursor
-
-	// postTuple is the shared per-tuple/per-row bookkeeping: adaptive load
-	// reports and the amortized memory check + abort poll.
-	postTuple := func() error {
-		processed++
-		if adaptHere && processed%ex.adapt.pol.ReportEvery == 0 {
-			ex.adapt.report(task, taskEpoch, rep)
-		}
-		if hasMem && processed%256 == 0 {
-			ex.checkMem(n, task, tm, mem)
-			select {
-			case <-ex.abort:
-				return ex.abortErr()
-			default:
-			}
-		}
-		return nil
-	}
-
-	// settleRow finishes one delivered row whose callback returned err: on
-	// a protected task the row's emissions were held (Collector.held) and
-	// now ship or drop, so a panic with an open recovery session (and no
-	// conflicting round) drops the poisoned row's partial output, is
-	// captured with the row's index (the main loop adds the envelope), and
-	// is reported via errPanicCaptured.
-	settleRow := func(k int, err error) error {
-		if col.held {
-			err = col.settle(err)
-		}
-		if err != nil {
-			pf, panicked := err.(*panicFault)
-			if !panicked {
-				return err
-			}
-			if rs != nil && !rs.recovering && ex.adapt == nil && mig == nil {
-				rs.poisoned = &poisonedEnv{idx: k}
-				return errPanicCaptured
-			}
-			return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
-		}
-		return postTuple()
-	}
-
-	// deliver applies one data frame from row index from on: whole to a
-	// FrameBolt, row by row in place to a RowBolt, decoded at the boundary
-	// to a TupleBolt. vecHere gates whole-frame delivery: vectorized
-	// execution stays off on recovery-protected tasks (their replay
-	// bookkeeping is per row) and on adaptive joiners (per-row load reports
-	// drive the controller).
-	vecHere := ex.opts.VecExec && rs == nil && !adaptHere
-	deliver := func(env envelope, count bool, from int) error {
-		if count {
-			tm.Received.Add(int64(env.count))
-		}
-		if frameBolt != nil && vecHere && mig == nil {
-			// Vectorized path: the bolt takes the frame whole, footer and
-			// all. ExecuteFrame owns the per-row fallback, so delivery is
-			// unconditional once the bolt is frame-capable.
-			in := FrameInput{Stream: env.stream, FromTask: env.from, Frame: env.frame, Count: env.count}
-			if err := safeExecuteFrame(frameBolt, in, col); err != nil {
-				if pf, ok := err.(*panicFault); ok {
-					return fmt.Errorf("dataflow: bolt %s[%d] panicked: %v\n%s", n.name, task, pf.val, pf.stack)
-				}
-				return err
-			}
-			tm.VecRows.Add(int64(env.count))
-			processed += env.count
-			if hasMem {
-				ex.checkMem(n, task, tm, mem)
-				select {
-				case <-ex.abort:
-					return ex.abortErr()
-				default:
-				}
-			}
-			return nil
-		}
-		if rowBolt != nil {
-			in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &rcur}
-			k := 0
-			_, _, err := wire.EachRow(env.frame, &rcur, func(row []byte) error {
-				if k++; k <= from {
-					return nil
-				}
-				in.Row = row
-				col.held = rs != nil
-				return settleRow(k-1, safeExecuteRow(rowBolt, in, col))
-			})
-			return err
-		}
-		// The decoded tuples own fresh value arenas; only the header slice
-		// is reused, so a bolt may keep the tuples it is handed.
-		var err error
-		if tbatch, _, err = fdec.DecodeReuse(wire.StripFooter(env.frame), tbatch[:0]); err != nil {
-			return fmt.Errorf("dataflow: frame corruption into %s[%d]: %w", n.name, task, err)
-		}
-		in := Input{Stream: env.stream, FromTask: env.from}
-		for k := from; k < len(tbatch); k++ {
-			in.Tuple = tbatch[k]
-			col.held = rs != nil
-			if err := settleRow(k, safeExecute(tupleBolt, in, col)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	// finishRecovery closes a restore round: re-apply the poisoned envelope
-	// across its emission boundary, reprocess the stashed backlog with full
-	// emission, re-checkpoint, and ack the recovery round.
-	finishRecovery := func() error {
-		if p := rs.poisoned; p != nil {
-			if p.idx > 0 {
-				// The applied prefix already emitted its deltas before the
-				// crash; re-import it silently.
-				if err := importFrame(bolt.(Repartitioner), ex.rec.pol.RelOf[p.env.stream], p.env.frame, p.idx, &rs.cur); err != nil {
-					return err
-				}
-			}
-			// The crashing row and the rest of the frame never emitted:
-			// reprocess them fully (Received was counted at first delivery).
-			if err := deliver(p.env, false, p.idx); err != nil {
-				return err
-			}
-			rs.applied(&p.env)
-			rs.poisoned = nil
-		}
-		for _, env := range rs.stash {
-			if err := deliver(env, true, 0); err != nil {
-				return err
-			}
-			rs.applied(&env)
-		}
-		rs.stash = nil
-		// A fresh checkpoint pins the restored state as the new replay
-		// horizon before new input flows.
-		if err := rs.checkpoint(bolt); err != nil {
-			return err
-		}
-		rs.recovering = false
-		select {
-		case ex.rec.acks <- task:
-		case <-ex.abort:
-			return ex.abortErr()
-		}
-		return nil
-	}
-
-	for expectEOS > 0 || mig != nil || (rs != nil && rs.busy()) {
-		var env envelope
-		select {
-		case env = <-inbox:
-		case <-ex.abort:
-			return
-		}
-		if env.eos {
-			expectEOS--
-			continue
-		}
-		if env.ctrl >= ctrlKill {
-			switch env.ctrl {
-			case ctrlKill:
-				if rs == nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] received a kill without a recovery session", n.name, task))
-					return
-				}
-				rs.requested = false
-				// A captured panic may have beaten the marker here: the
-				// restore session it opened stands (clobbering it would lose
-				// the stash and the poisoned envelope), and the ack tells the
-				// round to run with panic semantics instead.
-				alreadyPanicked := rs.recovering
-				if !alreadyPanicked {
-					// The kill lands at a quiesced point (every delivered
-					// envelope applied): the pending outputs are legitimate
-					// results in flight — flush them, then lose the state.
-					if err := col.flushAll(); err != nil {
-						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] kill flush: %w", n.name, task, err))
-						return
-					}
-					if !rebirth() {
-						return
-					}
-					rs.startRecovery(false)
-				}
-				select {
-				case ex.rec.killAck <- alreadyPanicked:
-				case <-ex.abort:
-					return
-				}
-			case ctrlRecBegin:
-				if rs == nil || !rs.recovering {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] stray recovery begin", n.name, task))
-					return
-				}
-				rs.began = true
-				rs.routes = env.rec.routes
-				rs.manifest = env.rec.manifest
-			case ctrlRecBatch:
-				if rs == nil || !rs.recovering || !rs.began {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] stray recovery batch", n.name, task))
-					return
-				}
-				if err := importFrame(bolt.(Repartitioner), env.rec.rel, env.rec.frame, -1, &rs.cur); err != nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] restore import: %w", n.name, task, err))
-					return
-				}
-			case ctrlRecDone:
-				if rs == nil || !rs.recovering || !rs.began {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] stray recovery done", n.name, task))
-					return
-				}
-				rs.dones++
-				if rs.dones == ex.rec.pol.NumRels {
-					if err := finishRecovery(); err != nil {
-						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] recovery: %w", n.name, task, err))
-						return
-					}
-				}
-			case ctrlNetFlush:
-				if ex.net == nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] received a flush token without a network plane", n.name, task))
-					return
-				}
-				ex.net.tokenSeen(env.seq)
-			case ctrlStateReq:
-				if rs == nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] stray state request", n.name, task))
-					return
-				}
-				if rs.recovering {
-					// A concurrently-panicked peer has been rebirthed and is
-					// mid-restore: exporting its (empty) state would silently
-					// restore the victim wrong. Concurrent double-fault
-					// recovery is out of scope — fail loudly instead.
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] asked to serve rel %d while itself recovering (concurrent double fault)", n.name, task, env.rec.rel))
-					return
-				}
-				if !rs.serveStateReq(bolt, tm, env.rec) {
-					return
-				}
-			}
-			continue
-		}
-		if env.ctrl != ctrlNone {
-			if env.ctrl == ctrlReshape {
-				var err error
-				if mig, err = ex.adapt.beginMigration(task, rep, tm, env.cmd); err == nil {
-					for _, e2 := range early {
-						if err = ex.adapt.applyMig(mig, rep, e2); err != nil {
-							break
-						}
-					}
-					early = nil
-				}
-				if err != nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] reshape: %w", n.name, task, err))
-					return
-				}
-			} else if mig == nil {
-				// A peer's exports for the round whose barrier marker we
-				// have not drained to yet; replay them once it arrives.
-				early = append(early, env)
-			} else if err := ex.adapt.applyMig(mig, rep, env); err != nil {
-				ex.fail(fmt.Errorf("dataflow: bolt %s[%d] migration: %w", n.name, task, err))
-				return
-			}
-			if mig != nil && mig.complete(n.par) {
-				taskEpoch = mig.epoch
-				// A reshape moved state between tasks without consuming
-				// input, so older checkpoints can no longer be reconciled
-				// with replay cursors: re-checkpoint the new placement
-				// before any post-reshape tuple arrives.
-				if rs != nil {
-					if err := rs.checkpoint(bolt); err != nil {
-						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] post-reshape checkpoint: %w", n.name, task, err))
-						return
-					}
-				}
-				// The ack carries this task's post-migration load refresh
-				// on a blocking path, so the controller's first
-				// post-reshape decision sees every task's slice of the new
-				// placement rather than a partial picture that would
-				// whipsaw it.
-				ex.adapt.ackMigration(task, taskEpoch, rep)
-				mig = nil
-			}
-			continue
-		}
-		if mig != nil {
-			ex.fail(fmt.Errorf("dataflow: bolt %s[%d] received data mid-migration (barrier violated)", n.name, task))
-			return
-		}
-		if rs != nil {
-			if rs.recovering {
-				if !rs.began {
-					// Pre-gate traffic a panic left unapplied: reprocess it
-					// after the restore completes.
-					rs.stash = append(rs.stash, env)
-					continue
-				}
-				// Replayed input: silently re-import what was applied before
-				// the fault but after the checkpoint; older is in the
-				// checkpoint, newer is stashed.
-				rel, ok := ex.rec.pol.RelOf[env.stream]
-				if !ok {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay from unmapped stream %q", n.name, task, env.stream))
-					return
-				}
-				var ckptCur int64
-				if rs.manifest != nil {
-					ckptCur = rs.manifest.CursorFor(env.stream, env.from)
-				}
-				if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
-					if err := importFrame(bolt.(Repartitioner), rel, env.frame, -1, &rs.cur); err != nil {
-						ex.fail(fmt.Errorf("dataflow: bolt %s[%d] replay import: %w", n.name, task, err))
-						return
-					}
-				}
-				continue
-			}
-			if !rs.dedup(&env) {
-				continue // late duplicate of replayed input
-			}
-		}
-		if err := deliver(env, true, 0); err != nil {
-			if err == errPanicCaptured {
-				rs.poisoned.env = env
-				// Pending outputs hold only deltas of fully applied tuples
-				// (the poisoned tuple's held emissions were dropped): flush
-				// them, drop the poisoned state, restore from the checkpoint
-				// route.
-				if ferr := col.flushAll(); ferr != nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] panic flush: %w", n.name, task, ferr))
-					return
-				}
-				if !rebirth() {
-					return
-				}
-				rs.startRecovery(true)
-				if !rs.requested {
-					select {
-					case ex.rec.faults <- faultNote{task: task, panicked: true}:
-					case <-ex.abort:
-						return
-					}
-				}
-				// With a kill trigger outstanding (rs.requested), no note is
-				// sent: the in-flight kill round will reach this
-				// task, learn of the panic from the kill ack, and service
-				// this session with panic semantics — a second note would
-				// open a stray round against an already-restored task.
-				continue
-			}
-			ex.fail(fmt.Errorf("dataflow: bolt %s[%d]: %w", n.name, task, err))
-			return
-		}
-		// The frame is consumed (walked in place, or decoded into fresh
-		// arenas): recycle its pooled buffer.
-		releaseEnv(&env)
-		if rs != nil {
-			rs.applied(&env)
-			if rs.armed && tm.Received.Load() >= int64(ex.rec.pol.Fault.AfterTuples) {
-				rs.armed = false
-				rs.requested = true
-				select {
-				case ex.rec.faults <- faultNote{task: task}:
-				case <-ex.abort:
-					return
-				}
-			}
-			rs.sinceCkpt += env.count
-			if rs.sinceCkpt >= ex.rec.pol.CheckpointEvery {
-				if err := rs.checkpoint(bolt); err != nil {
-					ex.fail(fmt.Errorf("dataflow: bolt %s[%d] checkpoint: %w", n.name, task, err))
-					return
-				}
-			}
-		}
-	}
-	if rs != nil && ex.rec.scheduled {
-		if rs.armed {
-			// The plan never fired (this task received too few tuples):
-			// resolve it so lingering peers release.
-			select {
-			case ex.rec.faults <- faultNote{task: task, void: true}:
-			case <-ex.abort:
-				return
-			}
-		}
-		// Linger until the fault plan resolves: a kill landing at the very
-		// end of the stream must still find every peer alive and able to
-		// serve its partitions.
-		for lingering := true; lingering; {
-			select {
-			case <-ex.rec.planDone:
-				lingering = false
-			case env := <-inbox:
-				if env.ctrl == ctrlStateReq {
-					if !rs.serveStateReq(bolt, tm, env.rec) {
-						return
-					}
-				} else if env.ctrl == ctrlNetFlush && ex.net != nil {
-					// A late cluster round is quiescing this (finished) task;
-					// the token must still complete its round trip.
-					ex.net.tokenSeen(env.seq)
-				}
-			case <-ex.abort:
-				return
-			}
-		}
-	}
-	if hasMem {
-		ex.checkMem(n, task, tm, mem)
-	}
-	if err := safeFinish(bolt, col); err != nil {
-		if pf, ok := err.(*panicFault); ok {
-			err = fmt.Errorf("panicked: %v\n%s", pf.val, pf.stack)
-		}
-		ex.fail(fmt.Errorf("dataflow: bolt %s[%d] finish: %w", n.name, task, err))
-		return
-	}
-	col.eos()
 }
 
 func (ex *execution) checkMem(n *node, task int, tm *TaskMetrics, mem MemReporter) {

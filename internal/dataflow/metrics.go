@@ -15,7 +15,10 @@ type TaskMetrics struct {
 	Batches  atomic.Int64 // envelopes (batch frames) sent downstream
 	BytesOut atomic.Int64 // serialized bytes shipped downstream
 	MaxMem   atomic.Int64 // high-water state size (MemReporter bolts)
-	VecRows  atomic.Int64 // rows delivered through whole-frame (vectorized) execution
+	// VecRows is rows delivered as whole frames. No engine path sets it:
+	// bolts take rows one at a time. The benchmark still reads it as
+	// dataflow.vec_share.
+	VecRows atomic.Int64
 }
 
 // ComponentMetrics aggregates the tasks of one component.
@@ -177,19 +180,6 @@ func (m *RunMetrics) TotalSent() int64 {
 	for _, c := range m.Components {
 		for _, t := range c.Tasks {
 			s += t.Sent.Load()
-		}
-	}
-	return s
-}
-
-// TotalVecRows sums rows delivered through whole-frame (vectorized)
-// execution across all tasks — how much of the run the FrameBolt path
-// actually carried (0 with VecExec off).
-func (m *RunMetrics) TotalVecRows() int64 {
-	var s int64
-	for _, c := range m.Components {
-		for _, t := range c.Tasks {
-			s += t.VecRows.Load()
 		}
 	}
 	return s

@@ -858,7 +858,7 @@ func (p *NetPlane) trimBroadcast(prot *node, task int, cursors map[string][]int6
 
 // TaskCounters is one task's metrics flattened for the completion exchange.
 type TaskCounters struct {
-	Received, Emitted, Sent, Batches, BytesOut, MaxMem, VecRows int64
+	Received, Emitted, Sent, Batches, BytesOut, MaxMem int64
 }
 
 // MetricsSnapshot is one worker's contribution to the run metrics, shipped
@@ -893,7 +893,6 @@ func (p *NetPlane) LocalSnapshot(m *RunMetrics) *MetricsSnapshot {
 			tcs[i] = TaskCounters{
 				Received: t.Received.Load(), Emitted: t.Emitted.Load(), Sent: t.Sent.Load(),
 				Batches: t.Batches.Load(), BytesOut: t.BytesOut.Load(), MaxMem: t.MaxMem.Load(),
-				VecRows: t.VecRows.Load(),
 			}
 		}
 		s.Components[n.name] = tcs
@@ -935,7 +934,6 @@ func (p *NetPlane) ApplySnapshot(m *RunMetrics, s *MetricsSnapshot) {
 			t.Batches.Store(tc.Batches)
 			t.BytesOut.Store(tc.BytesOut)
 			t.MaxMem.Store(tc.MaxMem)
-			t.VecRows.Store(tc.VecRows)
 		}
 	}
 	m.Adapt.Reshapes.Add(s.Reshapes)

@@ -139,8 +139,8 @@ func rowBag(rows []types.Tuple) map[string]int {
 }
 
 // TestNetLinearPipeline splits src -> double -> sink across two and three
-// workers and asserts bag equality with the single-process run, at the
-// packed, per-tuple and vectorized transports.
+// workers and asserts bag equality with the single-process run, with full,
+// one-row and small frames.
 func TestNetLinearPipeline(t *testing.T) {
 	const rows = 2000
 	build := func() (*Topology, *Gather) {
@@ -177,7 +177,6 @@ func TestNetLinearPipeline(t *testing.T) {
 		{"two-workers", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1}},
 		{"three-workers-chain", 3, map[string]int{"src": 0, "double": 1, "sink": 2}, Options{Seed: 1}},
 		{"per-tuple", 2, map[string]int{"src": 1, "double": 0, "sink": 1}, Options{Seed: 1, BatchSize: 1}},
-		{"vecexec", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1, VecExec: true}},
 		{"tiny-window", 2, map[string]int{"src": 0, "double": 1, "sink": 0}, Options{Seed: 1, ChannelBuf: 2, BatchSize: 8}},
 	}
 	for _, tc := range cases {

@@ -83,7 +83,7 @@ func packedTestRows(n int) []types.Tuple {
 }
 
 // TestPackedTransportToRowBolt runs a RowSpout through Fields routing into
-// a frame-capable bolt and checks every row arrives exactly once via the
+// a RowBolt and checks every row arrives exactly once via the
 // packed path, partitioned identically to the boxed grouping.
 func TestPackedTransportToRowBolt(t *testing.T) {
 	for _, batch := range []int{1, 3, 64} {

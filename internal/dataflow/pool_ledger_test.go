@@ -74,7 +74,6 @@ func TestPoolLedgerCleanRuns(t *testing.T) {
 	}{
 		{"packed", linear, Options{Seed: 1}},
 		{"per-tuple", linear, Options{Seed: 1, BatchSize: 1}},
-		{"vecexec", linear, Options{Seed: 1, VecExec: true}},
 		{"tiny-buf", linear, Options{Seed: 1, ChannelBuf: 2, BatchSize: 4}},
 		{"adaptive", adaptiveTopo, Options{Seed: 1, BatchSize: 16, ChannelBuf: 8, Adaptive: pol}},
 	}
@@ -193,10 +192,11 @@ func TestPoolLedgerRecoveryRun(t *testing.T) {
 }
 
 // TestBatchSizeOneAllocsPerTuple: one-row batches ride the ordinary pooled
-// batch path, so once the pools are warm a tuple costs only its decoded
-// copy (the value arena a real network hop would allocate too) beyond what
-// a full batch costs per tuple — no per-tuple batch slice, envelope box or
-// frame buffer — and every box taken goes back to the pools.
+// batch path, so once the pools are warm a tuple costs at most its decoded
+// copy beyond what a full batch costs per tuple — no per-tuple batch slice,
+// envelope box or frame buffer — and every box taken goes back to the
+// pools. A full batch costs well under one allocation per tuple: the tuple
+// face carves decoded tuples out of shared value chunks.
 func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
 	const n = 20_000
 	rows := intRows(n)
@@ -235,5 +235,8 @@ func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
 	}
 	if one-full > 1.25 {
 		t.Errorf("batch=1 allocates %.2f objects per tuple beyond a full batch's %.2f; want at most the decoded copy", one-full, full)
+	}
+	if full > 0.1 {
+		t.Errorf("batch=%d allocates %.3f objects per tuple; want at most 0.1", DefaultBatchSize, full)
 	}
 }

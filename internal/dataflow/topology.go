@@ -74,29 +74,6 @@ type RowBolt interface {
 	ExecuteRow(in RowInput, out *Collector) error
 }
 
-// FrameInput is one transport frame delivered intact to a FrameBolt. Frame
-// aliases the transport buffer and is valid only for the duration of
-// ExecuteFrame — bolts that keep rows must copy the bytes.
-type FrameInput struct {
-	Stream   string // name of the upstream component
-	FromTask int    // task index within the upstream component
-	Frame    []byte // one complete wire batch frame, possibly footered
-	Count    int    // rows in the frame
-}
-
-// FrameBolt is optionally implemented by RowBolts that can consume a whole
-// packed frame at once (vectorized execution, PR 6). When Options.VecExec is
-// on, frames reaching such a bolt are delivered intact — with their
-// column-offset footer, if the producer wrote one — instead of being walked
-// row by row. ExecuteFrame must process every row of the frame, falling back
-// internally to a per-row cursor walk when the frame carries no usable
-// footer, and must leave state and emissions identical to Count ExecuteRow
-// calls.
-type FrameBolt interface {
-	RowBolt
-	ExecuteFrame(in FrameInput, out *Collector) error
-}
-
 // Bolt is one task of a computation component. Rows reach it through
 // exactly one of two faces — RowBolt (encoded rows read in place) or
 // TupleBolt (each row decoded at the bolt's boundary) — and Finish is called

@@ -21,10 +21,14 @@ var (
 	// or leaves machines unused.
 	allMachines = []int{6, 7}
 	// execLegs are the execution paths crossed with the static matrix: the
-	// vectorized default, vec off (rows delivered one at a time), and
-	// computed join keys (the operators' tuple faces; see
-	// EngineConfig.ExprKeys).
-	execLegs = []struct{ vecOff, exprKeys bool }{{false, false}, {true, false}, {false, true}}
+	// default (one producer task per relation, operators' row faces), two
+	// producer tasks per relation (per-producer replay buffers and
+	// sequences; see EngineConfig.SourcePar), and computed join keys (the
+	// operators' tuple faces; see EngineConfig.ExprKeys).
+	execLegs = []struct {
+		sourcePar int
+		exprKeys  bool
+	}{{1, false}, {2, false}, {1, true}}
 )
 
 // TestDifferentialAllConfigs is the harness proper: randomized workloads
@@ -60,16 +64,15 @@ func TestDifferentialAllConfigs(t *testing.T) {
 								}
 								for _, leg := range execLegs {
 									if leg != execLegs[0] && adaptive && batch != allBatches[0] {
-										// Adaptive joiners take rows one at
-										// a time and route without keys
-										// either way: one batch point covers
-										// each corner; the full crosses run
-										// on static runs.
+										// Adaptive edges route without
+										// keys: one batch point covers each
+										// corner; the full crosses run on
+										// static runs.
 										continue
 									}
 									ec := EngineConfig{
 										Scheme: scheme, Local: local, BatchSize: batch,
-										Adaptive: adaptive, VecOff: leg.vecOff, ExprKeys: leg.exprKeys,
+										Adaptive: adaptive, SourcePar: leg.sourcePar, ExprKeys: leg.exprKeys,
 										Machines: machines, Seed: c.seed,
 									}
 									name := ec.String()
@@ -77,24 +80,12 @@ func TestDifferentialAllConfigs(t *testing.T) {
 										name += fmt.Sprintf("/machines=%d", machines)
 									}
 									t.Run(name, func(t *testing.T) {
-										got, res, err := w.RunEngine(ec)
+										got, _, err := w.RunEngine(ec)
 										if err != nil {
 											t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
 										}
 										if diff := DiffBags(ref, got); diff != "" {
 											t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
-										}
-										vecRows := res.Metrics.TotalVecRows()
-										if leg.vecOff {
-											if vecRows != 0 {
-												t.Fatalf("seed=%d %v: %d rows through frame execution on a vec-off run", c.seed, ec, vecRows)
-											}
-										} else if batch > 1 && !adaptive && vecRows == 0 {
-											// Frames only exist on batched
-											// transport; adaptive edges stay
-											// per-row for the reshape
-											// protocol's bookkeeping.
-											t.Fatalf("seed=%d %v: vec run carried no rows through frame execution", c.seed, ec)
 										}
 									})
 								}
@@ -269,14 +260,12 @@ func TestDifferentialChaosKill(t *testing.T) {
 								if leg != execLegs[0] && (adaptive || batch != allBatches[2]) {
 									// The corners are covered at one batch
 									// point; the default runs the full
-									// kill matrix (footered frames in
-									// replay buffers, frame delivery
-									// suppressed on the protected joiner).
+									// kill matrix.
 									continue
 								}
 								ec := EngineConfig{
 									Scheme: scheme, Local: local, BatchSize: batch,
-									Adaptive: adaptive, VecOff: leg.vecOff, ExprKeys: leg.exprKeys,
+									Adaptive: adaptive, SourcePar: leg.sourcePar, ExprKeys: leg.exprKeys,
 									Kill: true, Machines: 6, Seed: c.seed,
 								}
 								t.Run(ec.String(), func(t *testing.T) {

@@ -223,10 +223,11 @@ type EngineConfig struct {
 	Local     squall.LocalJoinKind
 	BatchSize int
 	Adaptive  bool
-	// VecOff runs the packed transport without frame footers or whole-frame
-	// delivery: packed rows are delivered one at a time, the row-at-a-time
-	// engine bit for bit.
-	VecOff bool
+	// SourcePar runs every source component with this many tasks (0 means
+	// 1), so each joiner task reads several producers per relation: one
+	// replay buffer and one sequence per producer, dedup across them, and
+	// the adaptive gate's live count over all of them.
+	SourcePar int
 	// ExprKeys writes every join key and aggregate column as the equivalent
 	// computed expression col + 0 instead of a column ref. No operator can
 	// lower that to an offset read: hypercube groupings route the decoded
@@ -266,9 +267,9 @@ func (c EngineConfig) String() string {
 	if c.Adaptive {
 		mode = "adaptive"
 	}
-	exec := "vec"
-	if c.VecOff {
-		exec = "packed"
+	exec := "rows"
+	if c.SourcePar > 1 {
+		exec += fmt.Sprintf("/srcpar=%d", c.SourcePar)
 	}
 	if c.ExprKeys {
 		exec += "/exprkeys"
@@ -335,14 +336,12 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 	opts := squall.Options{
 		Seed:      c.Seed,
 		BatchSize: c.BatchSize,
+		SourcePar: c.SourcePar,
 		FinalPar:  c.FinalPar,
 		// Shallow inboxes keep sources backpressured behind the joiner, so
 		// adaptive runs observe ratios mid-stream (and every run exercises
 		// flow control).
 		ChannelBuf: 8,
-	}
-	if c.VecOff {
-		opts.VecExec = squall.VecOff
 	}
 	if c.Kill {
 		// Task 0 always exists (and is always a matrix cell in adaptive

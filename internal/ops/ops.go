@@ -15,7 +15,6 @@ import (
 	"squall/internal/index"
 	"squall/internal/slab"
 	"squall/internal/types"
-	"squall/internal/vec"
 	"squall/internal/wire"
 )
 
@@ -491,21 +490,15 @@ func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool
 	return func(task, ntasks int) dataflow.Bolt {
 		a := NewAgg(groupBy, kind, sumE, incremental)
 		if a.PackedCapable() {
-			return packedAggBolt{aggBolt{a}, &vec.FrameView{}, &wire.Cursor{}}
+			return packedAggBolt{aggBolt{a}}
 		}
 		return aggBolt{a}
 	}
 }
 
-// packedAggBolt adds the frame path to aggBolt: one cursor read per row,
-// group keys spliced from the encoded fields, zero materialization. It is
-// also a dataflow.FrameBolt: footered frames fold group-wise through
-// Agg.FoldFrame (see vec.go), bare ones through the per-row walk.
-type packedAggBolt struct {
-	aggBolt
-	view *vec.FrameView
-	fcur *wire.Cursor
-}
+// packedAggBolt is aggBolt's row face: one cursor read per row, group keys
+// spliced from the encoded fields, zero materialization.
+type packedAggBolt struct{ aggBolt }
 
 func (b packedAggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	return b.a.FoldRow(in.Cur)
@@ -523,27 +516,18 @@ func MergeBolt(ngroup int, kind AggKind, incremental bool) dataflow.BoltFactory 
 		}
 		mb := &mergeBolt{a: NewAgg(groupBy, kind, nil, incremental), ngroup: ngroup}
 		if mb.a.PackedCapable() {
-			return packedMergeBolt{mb, &vec.FrameView{}, &wire.Cursor{}}
+			return packedMergeBolt{mb}
 		}
 		return mb
 	}
 }
 
-// packedMergeBolt adds the frame path to mergeBolt: cnt and sum are read
-// off the encoded row under the same coercions the boxed path applies. Like
-// packedAggBolt it is frame-capable: uniform (cnt, sum) columns gather into
-// slices and fold group-wise (see vec.go).
-type packedMergeBolt struct {
-	*mergeBolt
-	view *vec.FrameView
-	fcur *wire.Cursor
-}
+// packedMergeBolt is mergeBolt's row face: cnt and sum are read off the
+// encoded row under the same coercions the boxed path applies.
+type packedMergeBolt struct{ *mergeBolt }
 
 func (b packedMergeBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
-	return b.mergeRow(in.Cur)
-}
-
-func (b packedMergeBolt) mergeRow(cur *wire.Cursor) error {
+	cur := in.Cur
 	if cur.Arity() != b.ngroup+2 {
 		return fmt.Errorf("ops: merge row arity %d, want %d group cols + cnt + sum", cur.Arity(), b.ngroup)
 	}

@@ -220,6 +220,48 @@ func TestMergeBoltRejectsBadArity(t *testing.T) {
 	}
 }
 
+// TestMergeBoltFacesAgree feeds the same partial rows to the merge's row
+// face and to its tuple face: cnt and sum read off the encoded row must
+// follow the boxed coercions, float counts truncating like AsInt.
+func TestMergeBoltFacesAgree(t *testing.T) {
+	partials := make([]types.Tuple, 0, 60)
+	for i := 0; i < 60; i++ {
+		partials = append(partials, types.Tuple{
+			types.Int(int64(i % 7)), types.Int(int64(1 + i%3)), types.Float(float64(i) / 2),
+		})
+	}
+	floatCnt := make([]types.Tuple, len(partials))
+	for i, tu := range partials {
+		floatCnt[i] = types.Tuple{tu[0], types.Float(float64(tu[1].I) + 0.5), tu[2]}
+	}
+	for name, input := range map[string][]types.Tuple{"int-cnt": partials, "float-cnt": floatCnt} {
+		t.Run(name, func(t *testing.T) {
+			rows := MergeBolt(1, Avg, false)(0, 1).(packedMergeBolt)
+			tuples := &mergeBolt{a: NewAgg([]expr.Expr{expr.C(0)}, Avg, nil, false), ngroup: 1}
+			for _, tu := range input {
+				if err := rows.ExecuteRow(rowInput(t, "", tu), nil); err != nil {
+					t.Fatal(err)
+				}
+				if err := tuples.Execute(dataflow.Input{Tuple: tu}, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			got, want := rows.a.Rows(), tuples.a.Rows()
+			for _, rs := range [][]types.Tuple{got, want} {
+				sort.Slice(rs, func(i, j int) bool { return rs[i].Compare(rs[j]) < 0 })
+			}
+			if len(got) != len(want) {
+				t.Fatalf("row face %d groups, tuple face %d", len(got), len(want))
+			}
+			for i := range got {
+				if got[i].Compare(want[i]) != 0 {
+					t.Fatalf("group %d: row face %v, tuple face %v", i, got[i], want[i])
+				}
+			}
+		})
+	}
+}
+
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, nil)(0, 1).(dataflow.RowBolt)

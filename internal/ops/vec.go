@@ -1,18 +1,15 @@
-// Vectorized operator paths (PR 6): group-wise aggregation folds over
-// footered frames, and the FrameBolt adapters that let the executor hand
-// whole transport frames to the packed agg/merge bolts. Every frame entry
-// point falls back — to the row-at-a-time walk of the same frame — whenever
-// the footer is missing or a referenced column defeats the kernels, so
-// semantics are identical with vectorized execution on or off.
+// Group-wise aggregation over footered frames (PR 6). The engine hands
+// bolts rows, so these kernels serve the benchmark's frame replay, which
+// measures them against the row path. FoldFrame declines, touching no
+// state, whenever a referenced column defeats the kernels, and the caller
+// folds the frame row by row instead.
 package ops
 
 import (
 	"fmt"
 
-	"squall/internal/dataflow"
 	"squall/internal/types"
 	"squall/internal/vec"
-	"squall/internal/wire"
 )
 
 // FoldFrame folds the selected rows of a footered frame into the group
@@ -51,14 +48,14 @@ func (a *Agg) FoldFrame(view *vec.FrameView, sel vec.Sel) (handled bool, err err
 	} else if a.Kind != Count {
 		return true, fmt.Errorf("ops: %s needs a sum expression", a.Kind)
 	}
-	return a.foldFrameSlots(view, sel, nil, sums)
+	return a.foldFrameSlots(view, sel, sums)
 }
 
-// foldFrameSlots is the shared core of the frame folds: per-row count from
-// cnts (nil = 1 each) and per-row sum from sums (nil = 0 each), both indexed
-// by frame row. The key-splice pass runs to completion before any state
-// mutates, preserving the handled=false contract.
-func (a *Agg) foldFrameSlots(view *vec.FrameView, sel vec.Sel, cnts []int64, sums []float64) (bool, error) {
+// foldFrameSlots is FoldFrame's core: each selected row counts once and
+// adds its sum from sums (nil = 0 each), indexed by frame row. The
+// key-splice pass runs to completion before any state mutates, preserving
+// the handled=false contract.
+func (a *Agg) foldFrameSlots(view *vec.FrameView, sel vec.Sel, sums []float64) (bool, error) {
 	nc := view.NCols()
 	for _, c := range a.groupCols {
 		if c < 0 || c >= nc {
@@ -85,95 +82,16 @@ func (a *Agg) foldFrameSlots(view *vec.FrameView, sel vec.Sel, cnts []int64, sum
 		slots[k] = int32(a.slotFor(a.keyBuf[start:end]))
 		start = end
 	}
-	switch {
-	case cnts == nil && sums == nil:
+	if sums == nil {
 		for _, s := range slots {
 			a.states[s].cnt++
 		}
-	case cnts == nil:
-		for k, s := range slots {
-			st := &a.states[s]
-			st.cnt++
-			st.sum += sums[sel[k]]
-		}
-	default:
-		for k, s := range slots {
-			st := &a.states[s]
-			st.cnt += cnts[sel[k]]
-			if sums != nil {
-				st.sum += sums[sel[k]]
-			}
-		}
-	}
-	return true, nil
-}
-
-// ExecuteFrame folds one transport frame (dataflow.FrameBolt): group-wise
-// through FoldFrame when the frame carries a usable footer, row by row
-// otherwise.
-func (b packedAggBolt) ExecuteFrame(in dataflow.FrameInput, _ *dataflow.Collector) error {
-	if b.view.Reset(in.Frame) {
-		handled, err := b.a.FoldFrame(b.view, b.view.All())
-		if err != nil {
-			return err
-		}
-		if handled {
-			return nil
-		}
-	}
-	_, _, err := wire.EachRow(in.Frame, b.fcur, func(_ []byte) error {
-		return b.a.FoldRow(b.fcur)
-	})
-	return err
-}
-
-// ExecuteFrame merges one frame of partial rows (dataflow.FrameBolt).
-func (b packedMergeBolt) ExecuteFrame(in dataflow.FrameInput, _ *dataflow.Collector) error {
-	if b.view.Reset(in.Frame) {
-		handled, err := b.mergeFrame(b.view)
-		if err != nil {
-			return err
-		}
-		if handled {
-			return nil
-		}
-	}
-	_, _, err := wire.EachRow(in.Frame, b.fcur, func(_ []byte) error {
-		return b.mergeRow(b.fcur)
-	})
-	return err
-}
-
-// mergeFrame gathers the trailing (cnt, sum) columns and folds the frame
-// group-wise. The boxed path coerces cnt through AsInt (floats truncate,
-// strings parse), so only a uniformly-INT cnt column vectorizes; anything
-// else falls back to the per-row walk rather than guessing.
-func (b packedMergeBolt) mergeFrame(v *vec.FrameView) (bool, error) {
-	sel := v.All()
-	if len(sel) == 0 {
 		return true, nil
 	}
-	if v.NCols() != b.ngroup+2 {
-		return true, fmt.Errorf("ops: merge row arity %d, want %d group cols + cnt + sum", v.NCols(), b.ngroup)
+	for k, s := range slots {
+		st := &a.states[s]
+		st.cnt++
+		st.sum += sums[sel[k]]
 	}
-	if types.Kind(v.KindByte(b.ngroup)) != types.KindInt {
-		return false, nil
-	}
-	cnts, ok := v.Int64s(b.ngroup)
-	if !ok {
-		return false, nil
-	}
-	var sums []float64
-	switch types.Kind(v.KindByte(b.ngroup + 1)) {
-	case types.KindInt, types.KindFloat:
-		sums, ok = v.NumsAsFloat64(b.ngroup + 1)
-		if !ok {
-			return false, nil
-		}
-	case types.KindNull:
-		// FieldFloat's error is discarded on the row path; NULL sums are 0.
-	default:
-		return false, nil
-	}
-	return b.a.foldFrameSlots(v, sel, cnts, sums)
+	return true, nil
 }

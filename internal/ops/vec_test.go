@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"squall/internal/dataflow"
 	"squall/internal/expr"
 	"squall/internal/types"
 	"squall/internal/vec"
@@ -231,115 +230,5 @@ func TestAggFoldFrameFallbackTouchesNothing(t *testing.T) {
 	rowsOut := a.Rows()
 	if len(rowsOut) != 1 || rowsOut[0][1].F != 6 {
 		t.Fatalf("row-path fold after fallback: %v", rowsOut)
-	}
-}
-
-// TestPackedAggBoltExecuteFrame drives the FrameBolt face with footered and
-// bare frames and checks both match the per-row face.
-func TestPackedAggBoltExecuteFrame(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	rows := make([]types.Tuple, 120)
-	for i := range rows {
-		rows[i] = pipelineRow(rng, i)
-	}
-	build := func() dataflow.Bolt {
-		return AggBolt([]expr.Expr{expr.C(0)}, Avg, expr.C(2), false)(0, 1)
-	}
-	ref := build().(packedAggBolt)
-	var cur wire.Cursor
-	var enc []byte
-	for _, tu := range rows {
-		enc = wire.Encode(enc[:0], tu)
-		if err := cur.Reset(enc); err != nil {
-			t.Fatal(err)
-		}
-		if err := ref.ExecuteRow(dataflow.RowInput{Row: enc, Cur: &cur}, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for name, foot := range map[string]bool{"footered": true, "bare": false} {
-		fb, ok := build().(dataflow.FrameBolt)
-		if !ok {
-			t.Fatal("packed agg bolt must be a FrameBolt")
-		}
-		for off := 0; off < len(rows); off += 40 {
-			frame := wire.EncodeBatch(nil, rows[off:off+40])
-			if foot {
-				frame = wire.AppendFooter(frame)
-			}
-			if err := fb.ExecuteFrame(dataflow.FrameInput{Frame: frame, Count: 40}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := fb.(packedAggBolt).a
-		wantBag := map[string]int{}
-		for _, r := range ref.a.Rows() {
-			wantBag[r.Key()]++
-		}
-		for _, r := range got.Rows() {
-			k := r.Key()
-			if wantBag[k] == 0 {
-				t.Fatalf("%s: frame-path row %v not in row-path rows", name, r)
-			}
-			wantBag[k]--
-		}
-		if got.Groups() != ref.a.Groups() {
-			t.Fatalf("%s: groups %d vs %d", name, got.Groups(), ref.a.Groups())
-		}
-	}
-}
-
-// TestPackedMergeBoltExecuteFrame drives the merge FrameBolt with uniform
-// (vectorizable) and float-cnt (fallback) partial rows.
-func TestPackedMergeBoltExecuteFrame(t *testing.T) {
-	partials := make([]types.Tuple, 0, 60)
-	for i := 0; i < 60; i++ {
-		partials = append(partials, types.Tuple{
-			types.Int(int64(i % 7)), types.Int(int64(1 + i%3)), types.Float(float64(i) / 2),
-		})
-	}
-	// Float counts force the per-row walk (AsInt truncation stays boxed).
-	floatCnt := make([]types.Tuple, len(partials))
-	for i, tu := range partials {
-		floatCnt[i] = types.Tuple{tu[0], types.Float(float64(tu[1].I)), tu[2]}
-	}
-	for name, input := range map[string][]types.Tuple{"int-cnt": partials, "float-cnt": floatCnt} {
-		ref := MergeBolt(1, Avg, false)(0, 1).(packedMergeBolt)
-		var cur wire.Cursor
-		var enc []byte
-		for _, tu := range input {
-			enc = wire.Encode(enc[:0], tu)
-			if err := cur.Reset(enc); err != nil {
-				t.Fatal(err)
-			}
-			if err := ref.ExecuteRow(dataflow.RowInput{Row: enc, Cur: &cur}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		fb, ok := MergeBolt(1, Avg, false)(0, 1).(dataflow.FrameBolt)
-		if !ok {
-			t.Fatal("packed merge bolt must be a FrameBolt")
-		}
-		for off := 0; off < len(input); off += 20 {
-			frame := frameOf(input[off : off+20])
-			if err := fb.ExecuteFrame(dataflow.FrameInput{Frame: frame, Count: 20}, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got := fb.(packedMergeBolt).a
-		wantBag := map[string]int{}
-		for _, r := range ref.a.Rows() {
-			wantBag[r.Key()]++
-		}
-		for _, r := range got.Rows() {
-			k := r.Key()
-			if wantBag[k] == 0 {
-				t.Fatalf("%s: frame-path row %v not in row-path rows", name, r)
-			}
-			wantBag[k]--
-		}
-		if got.Groups() != ref.a.Groups() {
-			t.Fatalf("%s: groups %d vs %d", name, got.Groups(), ref.a.Groups())
-		}
 	}
 }

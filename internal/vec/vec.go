@@ -9,9 +9,9 @@
 // Comparison kernels reproduce the engine's boxed ordering exactly: floats
 // compare through the same three-way-then-CmpHolds shape as
 // types.Value.Compare, so NaN operands yield cmp==0 (Eq holds, Lt does not)
-// on the vectorized path precisely as they do on the row path. That
-// bit-for-bit agreement is what lets enginetest cross VecExec on/off into
-// the differential matrix.
+// on the vectorized path precisely as they do on the row path; the expr and
+// ops frame differentials pin that agreement. The engine hands bolts rows,
+// so these kernels serve the benchmark's frame replay.
 package vec
 
 // Sel is a selection vector: strictly increasing row indexes into one

@@ -165,8 +165,7 @@ func (f *Footer) ColOffsets(c int, dst []int32) ([]int32, bool) {
 }
 
 // StripFooter returns frame without its column-offset footer when a valid
-// one is present, and frame unchanged otherwise — the boxed/legacy edge
-// normalization.
+// one is present, and frame unchanged otherwise.
 func StripFooter(frame []byte) []byte {
 	var f Footer
 	if !ParseFooter(frame, &f) {
@@ -175,11 +174,11 @@ func StripFooter(frame []byte) []byte {
 	return frame[:f.RowsEnd]
 }
 
-// FooterBuilder accumulates per-row field offsets while a producer appends
-// rows to a frame buffer, then appends the encoded footer in one call — the
-// incremental form the dataflow Collector uses so flushing a frame never
-// re-scans it. The zero value is empty and ready; Reset recycles the scratch
-// for the next frame.
+// FooterBuilder accumulates per-row field offsets while rows are appended
+// to a frame buffer, then appends the encoded footer in one call, so a
+// frame is never re-scanned (AppendFooter drives it over a finished frame).
+// The zero value is empty and ready; Reset recycles the scratch for the
+// next frame.
 type FooterBuilder struct {
 	ncols int
 	rows  int

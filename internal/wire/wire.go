@@ -162,15 +162,6 @@ type span struct {
 // Decode parses one batch frame from src, returning the tuples and the
 // number of bytes consumed.
 func (d *BatchDecoder) Decode(src []byte) ([]types.Tuple, int, error) {
-	return d.DecodeReuse(src, nil)
-}
-
-// DecodeReuse is Decode writing the tuple headers into reuse (grown when too
-// small) instead of a fresh slice — the transport's batch-slice pool feeds
-// recycled slices through here. Only the outer []types.Tuple is reused; the
-// value arena and string backing are fresh per frame, so retained tuples
-// stay valid like Decode's.
-func (d *BatchDecoder) DecodeReuse(src []byte, reuse []types.Tuple) ([]types.Tuple, int, error) {
 	count, consumed := binary.Uvarint(src)
 	if consumed <= 0 {
 		return nil, 0, fmt.Errorf("wire: bad batch header")
@@ -279,12 +270,7 @@ func (d *BatchDecoder) DecodeReuse(src []byte, reuse []types.Tuple) ([]types.Tup
 	// Slice the tuples out of the final arena only now: append may have
 	// relocated it while decoding. Capacity-clamped so a consumer appending
 	// to one tuple cannot clobber the next.
-	tuples := reuse[:0]
-	if uint64(cap(tuples)) < count {
-		tuples = make([]types.Tuple, count)
-	} else {
-		tuples = tuples[:count]
-	}
+	tuples := make([]types.Tuple, count)
 	start := 0
 	for i, arity := range d.arities {
 		tuples[i] = types.Tuple(arena[start : start+arity : start+arity])

@@ -2,7 +2,7 @@
 // Unregister of continuous JoinQuerys at runtime without restarting shared
 // sources. One physical spout per named source is wire-encoded once and its
 // packed frames fan out to every registered query plan (scan sharing over
-// the PR 5/6 frame path); per-query credit windows on the fan-out edges
+// the PR 5 packed frames); per-query credit windows on the fan-out edges
 // keep one slow or failing query from stalling its siblings; per-tenant
 // admission control and memory budgets ride the slab's real-bytes MemSize;
 // and Subscribe streams each query's result deltas to any number of

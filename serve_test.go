@@ -87,16 +87,16 @@ func newServeEngine(opt squall.Options, src serve.SourceOptions) *squall.Engine 
 }
 
 // TestServeDifferential: K queries registered on one pair of shared spouts
-// must each produce output bag-equal to the same query run standalone,
-// crossed with vec on and off.
+// must each produce output bag-equal to the same query run standalone, at
+// the default batch size and with one-row frames.
 func TestServeDifferential(t *testing.T) {
 	const K = 8
 	modes := []struct {
 		name string
 		opt  squall.Options
 	}{
-		{"packed-vec", squall.Options{VecExec: squall.VecOn}},
-		{"packed-novec", squall.Options{VecExec: squall.VecOff}},
+		{"batch=64", squall.Options{}},
+		{"batch=1", squall.Options{BatchSize: 1}},
 	}
 	for _, mode := range modes {
 		t.Run(mode.name, func(t *testing.T) {
@@ -408,6 +408,52 @@ func TestServeSubscription(t *testing.T) {
 	}
 	sortTuples(lateRows)
 	rowsExactlyEqual(t, "late subscriber", lateRows, want)
+}
+
+// TestSinkCollectLimit: under a CollectLimit the sink, which takes rows one
+// at a time, still counts every output row and retains exactly the limit,
+// and a subscriber still sees every row.
+func TestSinkCollectLimit(t *testing.T) {
+	const limit = 5
+	want := runOrFail(t, serveQuery(1, false), squall.Options{}).SortedRows()
+	if len(want) <= limit {
+		t.Fatalf("query yields %d rows; the test needs more than %d", len(want), limit)
+	}
+	opt := squall.Options{CollectLimit: limit}
+	check := func(what string, res *squall.Result) {
+		t.Helper()
+		if len(res.Rows) != limit || res.RowCount != int64(len(want)) {
+			t.Fatalf("%s: retained %d rows of %d counted, want %d of %d", what, len(res.Rows), res.RowCount, limit, len(want))
+		}
+	}
+	check("standalone", runOrFail(t, serveQuery(1, false), opt))
+
+	eng := newServeEngine(opt, serve.SourceOptions{})
+	defer eng.Close()
+	h, err := eng.Register(squall.RegisterRequest{Tenant: "a", ID: "q", Query: serveQuery(1, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live, err := eng.Subscribe("q", serve.SubOptions{Policy: serve.CoalesceDeltas, Buf: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	var got []squall.Tuple
+	for d := range live.C() {
+		got = append(got, d.Rows...)
+		if d.Final {
+			break
+		}
+	}
+	sortTuples(got)
+	rowsExactlyEqual(t, "subscriber", got, want)
+	eng.Drain()
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("served", res)
 }
 
 func sortTuples(rows []squall.Tuple) {

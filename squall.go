@@ -19,7 +19,6 @@
 package squall
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -34,7 +33,6 @@ import (
 	"squall/internal/recovery"
 	"squall/internal/slab"
 	"squall/internal/types"
-	"squall/internal/wire"
 )
 
 // Re-exported aliases so applications only import this package.
@@ -200,14 +198,6 @@ type Options struct {
 	// hash-route -> join/agg insert is decoded zero times unless an
 	// operator needs a typed value.
 	BatchSize int
-	// VecExec controls the vectorized frame execution path: producers append
-	// a column-offset footer to every packed frame and frame-capable
-	// operators (select/project pipelines, aggregations, merges, the sink)
-	// consume whole frames with selection-vector kernels instead of row-at-a-
-	// time calls. Default on (VecDefault == VecOn); set VecOff to reproduce
-	// the row-at-a-time packed transport bit for bit — the
-	// differential/benchmark baseline.
-	VecExec VecMode
 	// Recovery enables the live fault-tolerance subsystem (PR 4) on the
 	// joiner: periodic state checkpoints, panic capture, and kill recovery
 	// by peer refetch (when the scheme replicates a relation) or checkpoint
@@ -261,18 +251,6 @@ type TierOptions struct {
 	// a per-run ladder built from MemCapBytes.
 	pressure *slab.Pressure
 }
-
-// VecMode selects the vectorized frame path (Options.VecExec).
-type VecMode uint8
-
-const (
-	// VecDefault is the zero value: vectorized execution on.
-	VecDefault VecMode = iota
-	// VecOn forces the vectorized frame path explicitly.
-	VecOn
-	// VecOff opts out: packed rows delivered one at a time, no footers.
-	VecOff
-)
 
 // RecoveryOptions tune the fault-tolerance subsystem.
 type RecoveryOptions struct {
@@ -379,44 +357,6 @@ func (b sinkBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error 
 	}
 	return nil
 }
-
-// ExecuteFrame bulk-counts a whole frame under one lock and stops decoding
-// the moment the collect limit is reached — a full run with a small
-// CollectLimit touches O(limit) rows, not O(output).
-func (b sinkBolt) ExecuteFrame(in dataflow.FrameInput, _ *dataflow.Collector) error {
-	s := b.s
-	s.mu.Lock()
-	s.count += int64(in.Count)
-	if s.notify == nil && s.limit > 0 && len(s.rows) >= s.limit {
-		s.mu.Unlock()
-		return nil
-	}
-	var batch []Tuple
-	var cur wire.Cursor
-	_, _, err := wire.EachRow(in.Frame, &cur, func(_ []byte) error {
-		tup := cur.Tuple(nil)
-		if s.notify != nil {
-			batch = append(batch, tup)
-		}
-		if s.limit <= 0 || len(s.rows) < s.limit {
-			s.rows = append(s.rows, tup)
-		} else if s.notify == nil {
-			return errSinkFull
-		}
-		return nil
-	})
-	s.mu.Unlock()
-	if s.notify != nil && len(batch) > 0 {
-		s.notify(batch)
-	}
-	if err == errSinkFull {
-		return nil
-	}
-	return err
-}
-
-// errSinkFull stops the frame walk early once the collect limit is hit.
-var errSinkFull = errors.New("squall: sink collect limit reached")
 
 func (b sinkBolt) Finish(*dataflow.Collector) error { return nil }
 
@@ -728,7 +668,6 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			ChannelBuf:      opt.ChannelBuf,
 			BatchSize:       opt.BatchSize,
 			MemLimitPerTask: opt.MemLimitPerTask,
-			VecExec:         opt.VecExec != VecOff,
 			Adaptive:        policy,
 			Recovery:        recPolicy,
 			Pressure:        pressure,

@@ -192,45 +192,6 @@ func TestCollectLimitCapsRowsNotCount(t *testing.T) {
 	}
 }
 
-// TestVecExecAgreesWithVecOff runs the same query on the vectorized frame
-// path and on the PR 5 packed-row baseline: aggregates must agree, the vec
-// run must actually carry rows through whole-frame execution, and the off
-// run must carry none.
-func TestVecExecAgreesWithVecOff(t *testing.T) {
-	for _, local := range []squall.LocalJoinKind{squall.Traditional, squall.DBToaster} {
-		// ForceDeltaJoin keeps the downstream aggregation (the frame-capable
-		// operator) in the plan for both locals; the DBToaster aggregate-view
-		// fast path would replace it with a merge of partial rows.
-		mkQuery := func() *squall.JoinQuery {
-			q := tpch9Query(squall.HashHypercube, local, 0, 4)
-			q.ForceDeltaJoin = true
-			return q
-		}
-		on := runOrFail(t, mkQuery(), squall.Options{Seed: 9, VecExec: squall.VecOn})
-		off := runOrFail(t, mkQuery(), squall.Options{Seed: 9, VecExec: squall.VecOff})
-		aggRowsEqual(t, local.String(), on.SortedRows(), off.SortedRows())
-		if on.Metrics.TotalVecRows() == 0 {
-			t.Errorf("%v: VecOn run carried no rows through frame execution", local)
-		}
-		if n := off.Metrics.TotalVecRows(); n != 0 {
-			t.Errorf("%v: VecOff run carried %d rows through frame execution", local, n)
-		}
-	}
-}
-
-// TestVecExecCollectLimit pins the sink's frame face: bulk counting must
-// still see every output row while collection stops at the limit.
-func TestVecExecCollectLimit(t *testing.T) {
-	q := tpch9Query(squall.HybridHypercube, squall.DBToaster, 0, 4)
-	res := runOrFail(t, q, squall.Options{Seed: 4, CollectLimit: 5, VecExec: squall.VecOn})
-	if len(res.Rows) > 5 {
-		t.Errorf("collected %d rows, limit 5", len(res.Rows))
-	}
-	if res.RowCount <= 5 {
-		t.Errorf("RowCount = %d, want full count", res.RowCount)
-	}
-}
-
 func TestJoinWithoutAggEmitsDeltaRows(t *testing.T) {
 	gen := datagen.NewTPCH(7, 20_000, 0)
 	graph := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 1)) // C.custkey = O.custkey
