@@ -315,7 +315,8 @@ func BenchmarkSection5_HashImperfection(b *testing.B) {
 // replicated Random-Hypercube 2-way join is killed mid-run and recovered from
 // a peer, then from its checkpoint on the modeled disk (2 ms seek, 120 MB/s).
 // Reports both recovery times and the peer-recovered run's elapsed time over
-// the fault-free run's, each the best of three runs.
+// the fault-free run's, each the best of three interleaved runs, and both
+// routes' fetches priced by the substitution model (RecoveryRun.Price).
 func BenchmarkSection5_Recovery(b *testing.B) {
 	var res experiments.RecoveryResult
 	for i := 0; i < b.N; i++ {
@@ -331,6 +332,8 @@ func BenchmarkSection5_Recovery(b *testing.B) {
 	b.ReportMetric(float64(res.Peer.Recovery)/1e3, "peer-recovery-us")
 	b.ReportMetric(float64(res.Disk.Recovery)/1e3, "disk-recovery-us")
 	b.ReportMetric(res.Overhead(), "recovered-overhead-x")
+	b.ReportMetric(float64(res.Peer.Price)/1e3, "peer-priced-us")
+	b.ReportMetric(float64(res.Disk.Price)/1e3, "disk-priced-us")
 }
 
 // BenchmarkSection5_TemporalSkew regenerates the §5 temporal-skew analysis:

@@ -3,13 +3,17 @@ package squall_test
 import (
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"squall"
 	"squall/internal/clusterjobs"
+	"squall/internal/dataflow"
 	"squall/internal/enginetest"
 	"squall/internal/transport"
+	"squall/internal/types"
 )
 
 // startWorkers brings up n in-process WorkerServers on loopback listeners and
@@ -192,11 +196,46 @@ func chaosSpec(addrs []string, params clusterjobs.WorkloadParams, policy squall.
 	}
 }
 
-func runChaosCase(t *testing.T, params clusterjobs.WorkloadParams, spec *squall.ClusterSpec) *squall.Result {
+// killAfterRows returns a query edit that kills srv once the coordinator's
+// first source has handed the engine killRows rows. The coordinator hosts
+// that source under the default placement, and a trickled source still has
+// most of its rows to go then, so the kill lands mid-run however fast or
+// loaded the machine is — no sleep decides it. Later attempts rebuild the
+// same source; the kill fires once.
+func killAfterRows(srv *squall.WorkerServer) func(*squall.JoinQuery) {
+	const killRows = 100
+	return func(q *squall.JoinQuery) {
+		src := q.Sources[0].Spout
+		var rows atomic.Int64
+		var once sync.Once
+		q.Sources[0].Spout = func(task, ntasks int) dataflow.Spout {
+			sp := src(task, ntasks)
+			return spoutFunc(func() (types.Tuple, bool) {
+				t, ok := sp.Next()
+				if ok && rows.Add(1) == killRows {
+					once.Do(func() { go srv.Close() })
+				}
+				return t, ok
+			})
+		}
+	}
+}
+
+// spoutFunc adapts a function to dataflow.Spout.
+type spoutFunc func() (types.Tuple, bool)
+
+func (f spoutFunc) Next() (types.Tuple, bool) { return f() }
+
+// runChaosCase runs params under spec, after edit (when non-nil) adjusts the
+// coordinator's query, and checks the result against the oracle.
+func runChaosCase(t *testing.T, params clusterjobs.WorkloadParams, spec *squall.ClusterSpec, edit func(*squall.JoinQuery)) *squall.Result {
 	t.Helper()
 	q, opts, err := params.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
+	}
+	if edit != nil {
+		edit(q)
 	}
 	opts.Cluster = spec
 	res, err := q.Run(opts)
@@ -224,11 +263,8 @@ func TestClusterPolicyRecoverWorkerLoss(t *testing.T) {
 	}
 	params := trickledParams(cfg)
 	addrs, srvs := startWorkerHandles(t, 2)
-	go func() {
-		time.Sleep(80 * time.Millisecond)
-		srvs[0].Close() // worker 1: joiner host under default placement
-	}()
-	res := runChaosCase(t, params, chaosSpec(addrs, params, squall.Recover))
+	// Worker 1 hosts the joiner under the default placement.
+	res := runChaosCase(t, params, chaosSpec(addrs, params, squall.Recover), killAfterRows(srvs[0]))
 	cm := res.Metrics.Cluster
 	if cm.Attempts < 2 || cm.WorkersLost < 1 || cm.Reassigned < 1 {
 		t.Fatalf("recovery not exercised: %+v", cm)
@@ -247,11 +283,7 @@ func TestClusterPolicyRecoverTotalLoss(t *testing.T) {
 	}
 	params := trickledParams(cfg)
 	addrs, srvs := startWorkerHandles(t, 1)
-	go func() {
-		time.Sleep(80 * time.Millisecond)
-		srvs[0].Close()
-	}()
-	res := runChaosCase(t, params, chaosSpec(addrs, params, squall.Recover))
+	res := runChaosCase(t, params, chaosSpec(addrs, params, squall.Recover), killAfterRows(srvs[0]))
 	cm := res.Metrics.Cluster
 	if cm.WorkersLost != 1 || cm.Attempts < 2 {
 		t.Fatalf("total-loss recovery not exercised: %+v", cm)
@@ -272,7 +304,7 @@ func TestClusterPolicyRetryPartition(t *testing.T) {
 	// Fault only the first coordinator-dialed connection: attempt 0 starves
 	// behind the partition, attempt 1 runs clean.
 	spec.Fault = &transport.FaultSpec{Seed: 3, PartitionAfter: 30, MaxConns: 1}
-	res := runChaosCase(t, params, spec)
+	res := runChaosCase(t, params, spec, nil)
 	cm := res.Metrics.Cluster
 	if cm.Attempts != 2 || cm.WorkersLost != 0 {
 		t.Fatalf("partition retry not exercised: %+v", cm)
@@ -300,14 +332,11 @@ func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 	}
 	params := trickledParams(cfg)
 	addrs, srvs := startWorkerHandles(t, 2)
-	go func() {
-		time.Sleep(80 * time.Millisecond)
-		srvs[0].Close()
-	}()
 	q, opts, err := params.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
+	killAfterRows(srvs[0])(q)
 	opts.Cluster = chaosSpec(addrs, params, policy)
 	done := make(chan error, 1)
 	go func() {

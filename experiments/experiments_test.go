@@ -199,7 +199,9 @@ func TestFigure8Shape(t *testing.T) {
 // TestSection5Recovery is the §5 recovery claim at CI scale: a killed joiner
 // of a replicated Random-Hypercube join comes back bag-equal from peers and
 // from the modeled disk, each relation takes the route asked for, and the
-// peer route is the faster one.
+// peer route is the cheaper one. "Cheaper" is decided on what the engine
+// fetched, priced by the substitution model (RecoveryRun.Price), not on wall
+// time, which the other packages' tests stretch when they share the CPUs.
 func TestSection5Recovery(t *testing.T) {
 	reps := 3
 	if raceEnabled {
@@ -210,7 +212,7 @@ func TestSection5Recovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range []RecoveryRun{res.FaultFree, res.Peer, res.Disk} {
-		t.Logf("%-10s elapsed %v, recovery %v, routes %dp/%dc", r.Name, r.Elapsed, r.Recovery, r.PeerRels, r.CheckpointRels)
+		t.Logf("%-10s elapsed %v, recovery %v, routes %dp/%dc, fetches priced %v", r.Name, r.Elapsed, r.Recovery, r.PeerRels, r.CheckpointRels, r.Price)
 	}
 	if !res.BagEqual || res.FaultFree.Rows == 0 {
 		t.Fatalf("recovered runs are not bag-equal to the fault-free run (%d rows)", res.FaultFree.Rows)
@@ -221,8 +223,8 @@ func TestSection5Recovery(t *testing.T) {
 	if res.Disk.CheckpointRels != 2 {
 		t.Errorf("disk run recovered %d of 2 relations from checkpoints", res.Disk.CheckpointRels)
 	}
-	if !raceEnabled && res.Peer.Recovery >= res.Disk.Recovery {
-		t.Errorf("peer recovery (%v) is not faster than disk recovery (%v)", res.Peer.Recovery, res.Disk.Recovery)
+	if res.Peer.Price >= res.Disk.Price {
+		t.Errorf("peer recovery (priced %v) is not cheaper than disk recovery (priced %v)", res.Peer.Price, res.Disk.Price)
 	}
 }
 

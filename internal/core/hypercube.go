@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"squall/internal/dataflow"
 	"squall/internal/expr"
 	"squall/internal/types"
 	"squall/internal/wire"
@@ -99,63 +98,79 @@ func (hc *Hypercube) Targets(rel int, t types.Tuple, rng *rand.Rand, buf []int) 
 		return nil, fmt.Errorf("core: relation %d out of range", rel)
 	}
 	buf = append(buf[:0], 0)
-	for d, dim := range hc.Dims {
+	for d := range hc.Dims {
 		var coords [4]int
 		cs := coords[:0]
-		switch {
-		case !hc.owns[rel][d]:
-			// Replicate across the whole dimension.
-			if dim.Size == 1 {
-				cs = append(cs, 0)
-			} else {
-				for c := 0; c < dim.Size; c++ {
-					cs = append(cs, c)
-				}
-			}
-		case len(hc.exprs[rel][d]) == 0:
-			// Random coordinate (content-insensitive).
-			cs = append(cs, rng.Intn(dim.Size))
-		default:
-			for _, e := range hc.exprs[rel][d] {
-				v, err := e.Eval(t)
-				if err != nil {
-					return nil, fmt.Errorf("core: key %s of %s: %w", e, hc.spec.Names[rel], err)
-				}
-				c := int(v.Hash() % uint64(dim.Size))
-				dup := false
-				for _, prev := range cs {
-					if prev == c {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					cs = append(cs, c)
-				}
-			}
+		if len(hc.exprs[rel][d]) == 0 {
+			cs = hc.keyless(rel, d, rng, cs)
 		}
-		// Extend the partial machine indexes with this dimension's coords.
-		n := len(buf)
-		stride := hc.strides[d]
-		for ci := 1; ci < len(cs); ci++ {
-			for i := 0; i < n; i++ {
-				buf = append(buf, buf[i]+cs[ci]*stride)
+		for _, e := range hc.exprs[rel][d] {
+			v, err := e.Eval(t)
+			if err != nil {
+				return nil, fmt.Errorf("core: key %s of %s: %w", e, hc.spec.Names[rel], err)
 			}
+			cs = addCoord(cs, int(v.Hash()%uint64(hc.Dims[d].Size)))
 		}
-		for i := 0; i < n; i++ {
-			buf[i] += cs[0] * stride
-		}
+		buf = hc.extend(buf, d, cs)
 	}
 	return buf, nil
 }
 
-// GroupingFor adapts the scheme to a dataflow stream grouping for relation
-// rel's edge into the joiner component (whose parallelism must be
-// hc.Machines()). When every key expression of the relation is a plain
-// column ref — the overwhelmingly common case — the returned grouping also
-// implements dataflow.RowGrouping, so packed rows route off their encoded
-// bytes without materializing a tuple (PR 5).
-func (hc *Hypercube) GroupingFor(rel int) dataflow.Grouping {
+// keyless appends dimension d's coordinates for relation rel when rel does
+// not hash on d: every coordinate when rel replicates across d, one drawn
+// at random (content-insensitive) when rel owns d.
+func (hc *Hypercube) keyless(rel, d int, rng *rand.Rand, cs []int) []int {
+	size := hc.Dims[d].Size
+	if hc.owns[rel][d] {
+		return append(cs, rng.Intn(size))
+	}
+	for c := 0; c < size; c++ {
+		cs = append(cs, c)
+	}
+	return cs
+}
+
+// addCoord appends hash coordinate c unless cs already holds it.
+func addCoord(cs []int, c int) []int {
+	for _, prev := range cs {
+		if prev == c {
+			return cs
+		}
+	}
+	return append(cs, c)
+}
+
+// extend crosses the partial machine indexes in buf with dimension d's
+// coordinates cs.
+func (hc *Hypercube) extend(buf []int, d int, cs []int) []int {
+	n := len(buf)
+	stride := hc.strides[d]
+	for ci := 1; ci < len(cs); ci++ {
+		for i := 0; i < n; i++ {
+			buf = append(buf, buf[i]+cs[ci]*stride)
+		}
+	}
+	for i := 0; i < n; i++ {
+		buf[i] += cs[0] * stride
+	}
+	return buf
+}
+
+// Grouping is the stream-grouping face of a hypercube: the method set of
+// dataflow.Grouping, which the engine's edges accept. It is declared here so
+// that the engine can import core for its live adaptive shapes.
+type Grouping interface {
+	Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int
+}
+
+// GroupingFor adapts the scheme to a stream grouping for relation rel's edge
+// into the joiner component, whose parallelism must be at least
+// hc.Machines(): routing reaches only the first Machines() tasks. When every
+// key expression of the relation is a plain column ref — the overwhelmingly
+// common case — the returned grouping also implements dataflow.RowGrouping
+// (RowTargets), so packed rows route off their encoded bytes without
+// materializing a tuple.
+func (hc *Hypercube) GroupingFor(rel int) Grouping {
 	g := hcGrouping{hc: hc, rel: rel}
 	cols := make([][]int, len(hc.Dims))
 	for d := range hc.Dims {
@@ -180,8 +195,8 @@ type hcGrouping struct {
 }
 
 func (g hcGrouping) Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int {
-	if ntasks != g.hc.mach {
-		panic(fmt.Sprintf("core: joiner parallelism %d != hypercube machines %d", ntasks, g.hc.mach))
+	if ntasks < g.hc.mach {
+		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, g.hc.mach))
 	}
 	out, err := g.hc.Targets(g.rel, t, rng, buf)
 	if err != nil {
@@ -199,53 +214,22 @@ type hcRowGrouping struct {
 	cols [][]int // cols[dim] = key column indexes (hash dims only)
 }
 
-var _ dataflow.RowGrouping = hcRowGrouping{}
-
 func (g hcRowGrouping) RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
 	hc := g.hc
-	if ntasks != hc.mach {
-		panic(fmt.Sprintf("core: joiner parallelism %d != hypercube machines %d", ntasks, hc.mach))
+	if ntasks < hc.mach {
+		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, hc.mach))
 	}
 	buf = append(buf[:0], 0)
-	for d, dim := range hc.Dims {
+	for d := range hc.Dims {
 		var coords [4]int
 		cs := coords[:0]
-		switch {
-		case !hc.owns[g.rel][d]:
-			if dim.Size == 1 {
-				cs = append(cs, 0)
-			} else {
-				for c := 0; c < dim.Size; c++ {
-					cs = append(cs, c)
-				}
-			}
-		case len(g.cols[d]) == 0:
-			cs = append(cs, rng.Intn(dim.Size))
-		default:
-			for _, col := range g.cols[d] {
-				c := int(cur.ValueHash(col) % uint64(dim.Size))
-				dup := false
-				for _, prev := range cs {
-					if prev == c {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					cs = append(cs, c)
-				}
-			}
+		if len(g.cols[d]) == 0 {
+			cs = hc.keyless(g.rel, d, rng, cs)
 		}
-		n := len(buf)
-		stride := hc.strides[d]
-		for ci := 1; ci < len(cs); ci++ {
-			for i := 0; i < n; i++ {
-				buf = append(buf, buf[i]+cs[ci]*stride)
-			}
+		for _, col := range g.cols[d] {
+			cs = addCoord(cs, int(cur.ValueHash(col)%uint64(hc.Dims[d].Size)))
 		}
-		for i := 0; i < n; i++ {
-			buf[i] += cs[0] * stride
-		}
+		buf = hc.extend(buf, d, cs)
 	}
 	return buf
 }

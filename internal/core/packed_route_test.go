@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"squall/internal/dataflow"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -23,7 +22,10 @@ func TestRowTargetsAgreeWithTargets(t *testing.T) {
 		}
 		for rel := 0; rel < 3; rel++ {
 			g := hc.GroupingFor(rel)
-			rg, ok := g.(dataflow.RowGrouping)
+			// The engine's dataflow.RowGrouping face.
+			rg, ok := g.(interface {
+				RowTargets(*wire.Cursor, int, *rand.Rand, []int) []int
+			})
 			if !ok {
 				t.Fatalf("%v rel %d: column-ref scheme must be row-capable", kind, rel)
 			}

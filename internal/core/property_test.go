@@ -202,7 +202,7 @@ func TestMeetExactlyOnceTwoWayBand(t *testing.T) {
 		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Ge, Left: expr.C(0), Right: expr.Arith{Op: expr.Sub, L: expr.C(0), R: expr.I(1)}},
 	)
 	spec := JoinSpec{Graph: g, Names: []string{"R", "S"}, Sizes: []int64{50, 50}}
-	hc, err := OneBucket(spec, 9)
+	hc, err := OneBucket(spec, 9, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"squall/internal/expr"
 )
@@ -196,15 +197,77 @@ func TwoWayHash(spec JoinSpec, machines int) (*Hypercube, error) {
 	return BuildScheme(HashHypercube, spec, machines)
 }
 
-// OneBucket is the 2-way specialization of the Random-Hypercube: random
-// partitioning over a matrix [54]. It supports arbitrary theta-joins and is
-// resilient to data and temporal skew.
-func OneBucket(spec JoinSpec, machines int) (*Hypercube, error) {
-	if spec.Graph.NumRels != 2 {
+// OneBucket is the 2-way Random-Hypercube: the 1-Bucket matrix [54] over at
+// most machines joiner tasks. Relation 0 (R) picks a random row and
+// replicates across the columns, relation 1 (S) picks a random column and
+// replicates down the rows, so every (R, S) pair meets on exactly one cell
+// whatever the join condition: it supports arbitrary theta-joins and is
+// resilient to data and temporal skew. The dims are [S's columns, R's rows],
+// kept even at size 1, so cell = row*cols + col and coordinates compare
+// across the reshapes of an adaptive run (§5). rows x cols pins the matrix;
+// 0 x 0 lets the optimizer size it for spec.Sizes. Only spec.Names and
+// spec.Sizes are read.
+func OneBucket(spec JoinSpec, machines, rows, cols int) (*Hypercube, error) {
+	if len(spec.Names) != 2 || len(spec.Sizes) != 2 {
 		return nil, fmt.Errorf("core: OneBucket needs exactly 2 relations")
 	}
-	return BuildScheme(RandomHypercube, spec, machines)
+	// Each relation owns one random dim, R's rows first, so that among
+	// equal-load matrices the enumeration keeps the one with fewer rows.
+	p := optProblem{
+		sizes:    spec.Sizes,
+		dims:     [][]int{{0}, {1}},
+		topFreq:  [][]float64{{0}, {0}},
+		modes:    []PartMode{ModeRandom, ModeRandom},
+		nattrs:   2,
+		machines: machines,
+	}
+	if rows == 0 && cols == 0 {
+		res, err := optimize(p)
+		if err != nil {
+			return nil, err
+		}
+		rows, cols = res.sizes[0], res.sizes[1]
+	}
+	if rows < 1 || cols < 1 || rows*cols > machines {
+		return nil, fmt.Errorf("core: 1-Bucket matrix %dx%d does not fit %d machines", rows, cols, machines)
+	}
+	return &Hypercube{
+		Kind: RandomHypercube,
+		Dims: []Dim{
+			{Name: spec.Names[1], Size: cols, Mode: ModeRandom},
+			{Name: spec.Names[0], Size: rows, Mode: ModeRandom},
+		},
+		strides: []int{1, cols},
+		mach:    rows * cols,
+		exprs:   [][][]expr.Expr{make([][]expr.Expr, 2), make([][]expr.Expr, 2)},
+		owns:    [][]bool{{false, true}, {true, false}},
+		spec:    &JoinSpec{Names: spec.Names, Sizes: spec.Sizes},
+		pred:    evaluate(p, []int{rows, cols}),
+	}, nil
 }
 
-// Ensure expr is linked in the doc example below.
-var _ = expr.Eq
+// Matrix returns a OneBucket shape's rows x cols.
+func (hc *Hypercube) Matrix() (rows, cols int) { return hc.Dims[1].Size, hc.Dims[0].Size }
+
+// Reshape is the adaptive 1-Bucket decision (§5, "Hypercube sizes") on a
+// OneBucket shape: the matrix the optimizer picks for the observed relation
+// sizes r and s over machines tasks, and whether moving there is worth it.
+// The new matrix must cut the predicted per-machine load by at least the
+// relative margin minGain — the hysteresis that keeps a wavering ratio from
+// oscillating the shape, since every reshape migrates state.
+func (hc *Hypercube) Reshape(machines int, r, s, minGain float64) (*Hypercube, bool) {
+	spec := JoinSpec{Names: hc.spec.Names, Sizes: []int64{int64(math.Round(r)), int64(math.Round(s))}}
+	rows, cols := hc.Matrix()
+	cur, err := OneBucket(spec, machines, rows, cols)
+	if err != nil {
+		return hc, false
+	}
+	next, err := OneBucket(spec, machines, 0, 0)
+	if err != nil {
+		return hc, false
+	}
+	if nr, nc := next.Matrix(); nr == rows && nc == cols || next.pred.maxLoad > cur.pred.maxLoad*(1-minGain) {
+		return hc, false
+	}
+	return next, true
+}

@@ -563,7 +563,7 @@ func TestTwoWaySpecializations(t *testing.T) {
 	if len(hc.Dims) != 1 || hc.Dims[0].Mode != ModeHash {
 		t.Errorf("TwoWayHash = %v", hc)
 	}
-	ob, err := OneBucket(two, 16)
+	ob, err := OneBucket(two, 16, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestTwoWaySpecializations(t *testing.T) {
 	if _, err := TwoWayHash(theta, 8); err == nil {
 		t.Error("TwoWayHash on a theta join must fail")
 	}
-	if _, err := OneBucket(theta, 8); err != nil {
+	if _, err := OneBucket(theta, 8, 0, 0); err != nil {
 		t.Errorf("OneBucket on a theta join: %v", err)
 	}
 	if _, err := TwoWayHash(chainSpec(10), 8); err == nil {

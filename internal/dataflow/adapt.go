@@ -1,24 +1,31 @@
 // Live adaptive 1-Bucket execution (§5, "Hypercube sizes"): the control
-// plane that lets a running 2-way random-partitioned join reshape its
-// rows x cols matrix as the observed |R| : |S| ratio drifts, migrating only
-// the state whose cells change.
+// plane that lets a running 2-way join reshape its Random-Hypercube as the
+// observed |R| : |S| ratio drifts, migrating only the state whose cells
+// change. In the paper a 2-way Random-Hypercube is 1-Bucket, and so it is
+// here: the live shape is a *core.Hypercube built by core.OneBucket over two
+// random dims, [S's columns, R's rows], and it is the only geometry. The gate
+// publishes it; producers route adaptive edges through its GroupingFor into
+// their ordinary per-target buffers; migration and recovery peers read its
+// coordinates; and core's optimizer is the load model that reshapes it.
 //
 // The protocol per reshape:
 //
 //  1. Joiner tasks push periodic load reports (stored tuples per side) to
-//     the execution's control loop, which feeds them to the decision logic
-//     shared with the offline operator (adaptive.Decide).
-//  2. When a better matrix clears the hysteresis margin, the loop opens a
-//     round (execution.round) and closes the execution's one gate:
-//     producers route-and-send adaptive-edge rows inside the gate, so once
-//     it is drained every row routed under the old matrix is enqueued.
+//     the execution's control loop, which undoes the shape's replication
+//     and asks core for a better matrix (Hypercube.Reshape).
+//  2. When one clears the hysteresis margin, the loop opens a round
+//     (execution.round) and closes the execution's one gate: producers
+//     route and flush adaptive-edge rows inside the gate, so once it is
+//     drained every row routed under the old shape is either enqueued or
+//     still buffered at its producer.
 //  3. The round enqueues a reshape barrier marker into every joiner task's
-//     inbox. FIFO inboxes guarantee each task sees all old-epoch tuples
+//     inbox. FIFO inboxes guarantee each task sees all old-shape tuples
 //     before the barrier.
-//  4. On the barrier, each task resolves which sides it keeps (its cell
-//     coordinates are unchanged between the matrices) and which it drops;
-//     row/column primaries snapshot the moving state as wire batch frames
-//     blitted from their slab rows and ship each frame, shared read-only,
+//  4. On the barrier, each task applies the migration rule in hypercube
+//     coordinates (reshapePlan): it keeps a relation's state in place when
+//     its coordinates on the relation's dims are unchanged, and each
+//     relation's primary copy snapshots its state as wire batch frames
+//     blitted from its slab rows and ships each frame, shared read-only,
 //     to every new owner — migration bytes are charged to the sender's
 //     BytesOut once per destination, exactly like any network transfer.
 //     Importers walk the frame and copy each row into their own arenas
@@ -27,7 +34,9 @@
 //     re-probing would double-count results.
 //  5. When a task holds migration-done markers from every peer it acks the
 //     controller; once all tasks ack, the round reopens the gate under the
-//     new matrix, bumping its epoch. New tuples route under the new shape.
+//     new shape. A producer re-routes the rows it still buffers under the
+//     old shape in its first session after that, before routing anything
+//     new: they were never delivered, so they are fresh arrivals.
 //
 // See DESIGN.md ("Runtime adaptation") for the cost accounting and the
 // exactly-once argument.
@@ -39,7 +48,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
 	"squall/internal/wire"
 )
 
@@ -89,9 +98,9 @@ func importFrame(rep Repartitioner, side int, frame []byte, limit int, cur *wire
 
 // AdaptivePolicy configures live 1-Bucket adaptation of one 2-way join
 // component. The component's two input edges (from RStream and SStream) stop
-// using their registered groupings: R tuples pick a random row of the
-// current matrix and replicate across its columns, S tuples pick a random
-// column and replicate across its rows.
+// using their registered groupings and route through the live shape: R
+// tuples pick a random row and replicate across its columns, S tuples pick a
+// random column and replicate down its rows.
 type AdaptivePolicy struct {
 	// Component names the joiner whose matrix adapts. All of its inputs
 	// must come from RStream and SStream, and its bolts must implement
@@ -100,9 +109,9 @@ type AdaptivePolicy struct {
 	// RStream and SStream name the upstream components carrying the row
 	// and column relations.
 	RStream, SStream string
-	// InitialRows x InitialCols is the starting matrix (must fit the
-	// component's parallelism). Zero means the square-ish
-	// adaptive.OptimalMatrix(par, 1, 1).
+	// InitialRows x InitialCols pins the starting matrix through
+	// core.OneBucket (it must fit the component's parallelism). Zero means
+	// the optimizer's square-ish matrix for equal sizes.
 	InitialRows, InitialCols int
 	// ReportEvery is how many processed tuples a joiner task waits between
 	// load reports. Default 256.
@@ -148,10 +157,10 @@ const (
 	ctrlMigDone
 )
 
-// reshapeCmd is the barrier payload: the matrices to migrate between.
+// reshapeCmd is the barrier payload: the shapes to migrate between.
 type reshapeCmd struct {
 	epoch     int
-	old, next adaptive.Matrix
+	old, next *core.Hypercube
 }
 
 // migBatch is one frame of migrated state. A primary ships the same
@@ -166,8 +175,8 @@ type migBatch struct {
 
 // loadReport is one joiner task's stored-state sizes, tagged with the
 // reshape epoch the state was measured under: the controller aggregates
-// only current-epoch reports, because counts measured under another matrix
-// shape carry that shape's replication factors.
+// only current-epoch reports, because counts measured under another shape
+// carry that shape's replication factors.
 type loadReport struct {
 	task  int
 	epoch int
@@ -187,20 +196,14 @@ type AdaptMetrics struct {
 }
 
 // adaptState is the per-run adaptive plane: the controller's decision
-// inputs and the migration plumbing. Producers route under the matrix the
+// inputs and the migration plumbing. Producers route under the shape the
 // execution's gate publishes.
 type adaptState struct {
 	ex   *execution
 	pol  AdaptivePolicy
 	node *node // the adaptive joiner
-	// sideByNode maps a producer node to 0 (R) or 1 (S).
-	sideByNode map[*node]int
-
-	// live counts producer tasks on adaptive edges that have not sent EOS;
-	// decremented inside the gate, so after a pause the controller reads an
-	// exact value: if 0, every joiner task may already have exited and a
-	// barrier could never be acked.
-	live atomic.Int64
+	// relOf maps a producer node to its relation: 0 (R) or 1 (S).
+	relOf map[*node]int
 
 	reports chan loadReport
 	// acks carries each task's end-of-round acknowledgement together with
@@ -218,7 +221,7 @@ type adaptState struct {
 }
 
 // initAdaptive validates the policy against the topology and installs the
-// control plane on the execution.
+// control plane on the execution, publishing the initial shape on its gate.
 func (ex *execution) initAdaptive(pol *AdaptivePolicy) error {
 	p := pol.withDefaults()
 	n, ok := ex.topo.byN[p.Component]
@@ -246,59 +249,58 @@ func (ex *execution) initAdaptive(pol *AdaptivePolicy) error {
 			return fmt.Errorf("dataflow: adaptive component %q has non-adaptive input %q", p.Component, e.from.name)
 		}
 	}
-	m := adaptive.Matrix{Rows: p.InitialRows, Cols: p.InitialCols}
-	if m.Rows == 0 && m.Cols == 0 {
-		m = adaptive.OptimalMatrix(n.par, 1, 1)
+	spec := core.JoinSpec{Names: []string{p.RStream, p.SStream}, Sizes: []int64{1, 1}}
+	hc, err := core.OneBucket(spec, n.par, p.InitialRows, p.InitialCols)
+	if err != nil {
+		return fmt.Errorf("dataflow: adaptive component %q: %w", p.Component, err)
 	}
-	if m.Rows < 1 || m.Cols < 1 || m.Machines() > n.par {
-		return fmt.Errorf("dataflow: adaptive matrix %dx%d does not fit %d tasks", m.Rows, m.Cols, n.par)
+	ex.adapt = &adaptState{
+		ex:      ex,
+		pol:     p,
+		node:    n,
+		relOf:   map[*node]int{rn: 0, sn: 1},
+		reports: make(chan loadReport, 8*n.par),
+		acks:    make(chan loadReport, n.par),
+		latest:  make([]loadReport, n.par),
 	}
-	a := &adaptState{
-		ex:         ex,
-		pol:        p,
-		node:       n,
-		sideByNode: map[*node]int{rn: 0, sn: 1},
-		reports:    make(chan loadReport, 8*n.par),
-		acks:       make(chan loadReport, n.par),
-	}
-	liveCnt := rn.par + sn.par
-	if ex.net != nil {
-		// In a cluster run, live counts the producers hosted *here*; the
-		// controller adds the remote workers' counts from their pause acks.
-		liveCnt = 0
-		if ex.net.owns(rn) {
-			liveCnt += rn.par
-		}
-		if ex.net.owns(sn) {
-			liveCnt += sn.par
-		}
-	}
-	a.live.Store(int64(liveCnt))
-	a.latest = make([]loadReport, n.par)
-	ex.metrics.Adapt.FinalRows.Store(int64(m.Rows))
-	ex.metrics.Adapt.FinalCols.Store(int64(m.Cols))
-	ex.adapt, ex.ctl, ex.gate.m = a, n, m
+	ex.ctl, ex.gate.hc = n, hc
+	ex.adapt.setFinal(hc)
 	return nil
 }
 
-// sidesFor returns, for one producer node, the adaptive side of each output
-// edge (-1 for normal edges), or nil when the node has no adaptive edges.
-func (a *adaptState) sidesFor(n *node) []int {
-	side, ok := a.sideByNode[n]
+// matrix returns the live shape with rows x cols: the installed one when it
+// already has them, else a fresh core.OneBucket. A cluster worker rebuilds
+// the shape a remote round resumed under from its two dim sizes.
+func (a *adaptState) matrix(rows, cols int) (*core.Hypercube, error) {
+	cur := a.ex.gate.shape()
+	if r, c := cur.Matrix(); r == rows && c == cols {
+		return cur, nil
+	}
+	spec := core.JoinSpec{Names: []string{a.pol.RStream, a.pol.SStream}, Sizes: []int64{1, 1}}
+	return core.OneBucket(spec, a.node.par, rows, cols)
+}
+
+// setFinal records the matrix the run ends on, so far.
+func (a *adaptState) setFinal(hc *core.Hypercube) {
+	rows, cols := hc.Matrix()
+	a.ex.metrics.Adapt.FinalRows.Store(int64(rows))
+	a.ex.metrics.Adapt.FinalCols.Store(int64(cols))
+}
+
+// liveRels returns, for one producer node, the relation each output edge
+// carries into the adaptive joiner (-1 for other edges), or nil when the
+// node has no adaptive edge.
+func (a *adaptState) liveRels(n *node) []int {
+	rel, ok := a.relOf[n]
 	if !ok {
 		return nil
 	}
 	out := make([]int, len(n.outputs))
-	any := false
 	for i, e := range n.outputs {
 		out[i] = -1
 		if e.to == a.node {
-			out[i] = side
-			any = true
+			out[i] = rel
 		}
-	}
-	if !any {
-		return nil
 	}
 	return out
 }
@@ -349,13 +351,14 @@ func (a *adaptState) observe(rep loadReport) bool {
 	// its row — so the summed counts overstate the relation sizes by the
 	// current replication factors. Undo them, or the decision would
 	// chase its own matrix shape and oscillate.
-	cur := a.ex.gate.matrix()
-	r := float64(storedR) / float64(cur.Cols)
-	s := float64(storedS) / float64(cur.Rows)
+	cur := a.ex.gate.shape()
+	rows, cols := cur.Matrix()
+	r := float64(storedR) / float64(cols)
+	s := float64(storedS) / float64(rows)
 	if r+s < float64(a.pol.MinObserved) {
 		return true
 	}
-	next, ok := adaptive.Decide(a.node.par, cur, r, s, a.pol.MinGain)
+	next, ok := cur.Reshape(a.node.par, r, s, a.pol.MinGain)
 	if !ok {
 		return true
 	}
@@ -364,16 +367,16 @@ func (a *adaptState) observe(rep loadReport) bool {
 
 // reshape runs one barrier/migrate/resume round. It reports false when the
 // run is shutting down (abort, or all tasks already finished).
-func (a *adaptState) reshape(next adaptive.Matrix) bool {
+func (a *adaptState) reshape(next *core.Hypercube) bool {
 	return a.ex.round(func(remoteLive int64) []int {
 		// If every adaptive producer has already EOS'd, joiner tasks may
 		// have exited and a barrier would never be acked: the stream is
 		// over, so the reshape is pointless anyway.
-		if a.live.Load()+remoteLive == 0 {
+		if a.ex.gate.live.Load()+remoteLive == 0 {
 			return nil
 		}
 		return allTasks(a.node)
-	}, func(cur adaptive.Matrix) (adaptive.Matrix, bool) {
+	}, func(cur *core.Hypercube) (*core.Hypercube, bool) {
 		a.epoch++
 		cmd := &reshapeCmd{epoch: a.epoch, old: cur, next: next}
 		for t := 0; t < a.node.par; t++ {
@@ -398,8 +401,7 @@ func (a *adaptState) reshape(next adaptive.Matrix) bool {
 		}
 		a.reshapes++
 		a.ex.metrics.Adapt.Reshapes.Add(1)
-		a.ex.metrics.Adapt.FinalRows.Store(int64(next.Rows))
-		a.ex.metrics.Adapt.FinalCols.Store(int64(next.Cols))
+		a.setFinal(next)
 		return next, true
 	})
 }
@@ -431,55 +433,63 @@ func (a *adaptState) snapshotExport(rep Repartitioner, epoch, side int, dests []
 	return exp
 }
 
+// reshapePlan is the migration rule for one cell and relation, stated in
+// hypercube coordinates so that it reads the same for any dims. A cell that
+// held state under old keeps relation rel's state in place when it is a
+// cell of next whose coordinates on rel's own dims equal its old ones,
+// wrapped onto next's sizes — "only the state that changes cells
+// migrates". The relation's primary copy (primaryCell) exports to every
+// cell of next at its wrapped coordinates, except the cells that already
+// held the same copy under old.
+func reshapePlan(old, next *core.Hypercube, task, rel int) (keep, primary bool, dests []int) {
+	if task >= old.Machines() {
+		return false, false, nil // held no state under old
+	}
+	at := old.Coords(task)
+	want := make([]int, len(at)) // rel's coordinates under next
+	for d, c := range at {
+		if old.Owns(rel, d) {
+			want[d] = c % next.Dims[d].Size
+		}
+	}
+	// sameOn reports whether coords agree with ref on rel's own dims.
+	sameOn := func(coords, ref []int) bool {
+		for d := range coords {
+			if old.Owns(rel, d) && coords[d] != ref[d] {
+				return false
+			}
+		}
+		return true
+	}
+	keep = task < next.Machines() && sameOn(next.Coords(task), want)
+	if !primaryCell(old, rel, task) {
+		return keep, false, nil
+	}
+	for m := 0; m < next.Machines(); m++ {
+		if !sameOn(next.Coords(m), want) {
+			continue
+		}
+		if m < old.Machines() && sameOn(old.Coords(m), at) {
+			continue // an old holder of this copy retains it in place
+		}
+		dests = append(dests, m)
+	}
+	return keep, true, dests
+}
+
 // beginMigration runs the task-local half of the barrier: resolve what this
 // task keeps, snapshot what it must export as a primary, rebuild local
 // state, and ship the exports from a sender goroutine (the task's main loop
 // keeps draining its inbox, so peer exchanges cannot deadlock on full
 // inboxes).
 func (a *adaptState) beginMigration(task int, rep Repartitioner, tm *TaskMetrics, cmd *reshapeCmd) (*migSession, error) {
-	old, next := cmd.old, cmd.next
 	var exports [2]sideExport
 	var keep [2]bool
-	if task < old.Rows*old.Cols { // task held state under the old matrix
-		row, col := task/old.Cols, task%old.Cols
-		newRow, newCol := row%next.Rows, col%next.Cols
-		inNew := task < next.Rows*next.Cols
-		// A side survives in place iff this task is a cell of the new
-		// matrix on the same (wrapped) coordinate, i.e. the cell does not
-		// change for that side — the paper's "only the state that changes
-		// cells migrates".
-		keep[0] = inNew && task/next.Cols == newRow
-		keep[1] = inNew && task%next.Cols == newCol
-		if col == 0 {
-			// Leftmost cell of each old row holds the row's entire R state
-			// (row-side tuples replicate across columns): it is the row's
-			// primary, exporting to the new row's cells that don't already
-			// hold the state (old cells of this row that keep it).
-			var dests []int
-			for c := 0; c < next.Cols; c++ {
-				d := newRow*next.Cols + c
-				if d < old.Rows*old.Cols && d/old.Cols == row {
-					continue // old holder, retains in place
-				}
-				dests = append(dests, d)
-			}
-			if len(dests) > 0 {
-				exports[0] = a.snapshotExport(rep, cmd.epoch, 0, dests)
-			}
-		}
-		if row == 0 {
-			// Topmost cell of each old column: the column's S primary.
-			var dests []int
-			for r := 0; r < next.Rows; r++ {
-				d := r*next.Cols + newCol
-				if d < old.Rows*old.Cols && d%old.Cols == col {
-					continue
-				}
-				dests = append(dests, d)
-			}
-			if len(dests) > 0 {
-				exports[1] = a.snapshotExport(rep, cmd.epoch, 1, dests)
-			}
+	for rel := range keep {
+		var dests []int
+		keep[rel], _, dests = reshapePlan(cmd.old, cmd.next, task, rel)
+		if len(dests) > 0 {
+			exports[rel] = a.snapshotExport(rep, cmd.epoch, rel, dests)
 		}
 	}
 	if err := rep.ResetForReshape(keep); err != nil {
@@ -543,157 +553,14 @@ func (a *adaptState) ackMigration(task, epoch int, rep Repartitioner) {
 	}
 }
 
-// emitAdaptive routes one row on an adaptive edge: 1-Bucket routing under
-// the current matrix. Rows are buffered once per edge under their picked
-// coordinate (row for the R side, column for S); a flush copies the frame
-// to every cell of the coordinate, so batch amortization survives
-// replication without per-cell row appends.
-func (c *Collector) emitAdaptive(ei, side int, row []byte) error {
-	if !c.gateEnter() {
-		return c.ex.abortErr()
-	}
-	defer c.gateExit()
-	if err := c.syncRoute(); err != nil {
-		return err
-	}
-	return c.routeAdaptive(ei, side, row)
-}
-
-// syncRoute re-routes the pending (unsent) adaptive rows when the matrix
-// changed since they were assigned. They were never delivered, so they are
-// not state anywhere and re-routing them is indistinguishable from fresh
-// arrivals. Must run inside the gate.
-func (c *Collector) syncRoute() error {
-	if c.adaptEpoch == c.routeEpoch {
-		return nil
-	}
-	if err := c.rerouteAdaptive(); err != nil {
-		return err
-	}
-	c.adaptEpoch = c.routeEpoch
-	return nil
-}
-
-// flushAdaptiveEdge ships every pending coordinate frame of one adaptive
-// edge under the current matrix. Must run inside the gate.
-func (c *Collector) flushAdaptiveEdge(ei int) error {
-	if err := c.syncRoute(); err != nil {
-		return err
-	}
-	for coord := range c.adaptOut[ei] {
-		if err := c.flushAdaptive(ei, c.adaptSide[ei], coord); err != nil {
-			return err
+// primaryCell reports whether cell sits at coordinate 0 on every dim of hc
+// that relation rel does not own: the one cell of its replication group
+// whose copy stands for the group (the replicas hold identical rows).
+func primaryCell(hc *core.Hypercube, rel, cell int) bool {
+	for d, c := range hc.Coords(cell) {
+		if !hc.Owns(rel, d) && c != 0 {
+			return false
 		}
 	}
-	return nil
-}
-
-// routeAdaptive buffers row under a random coordinate of the current
-// matrix, flushing the coordinate's frame when full. Must run inside the
-// gate.
-func (c *Collector) routeAdaptive(ei, side int, row []byte) error {
-	coord := c.rng.Intn(c.route.Rows)
-	if side == 1 {
-		coord = c.rng.Intn(c.route.Cols)
-	}
-	if c.appendRow(&c.adaptOut[ei][coord], row) {
-		return c.flushAdaptive(ei, side, coord)
-	}
-	return nil
-}
-
-// flushAdaptive ships one coordinate's pending frame to every cell of that
-// row (side 0) or column (side 1). Each cell receives its own copy of the
-// frame — the last one takes the buffer itself — and each copy is charged
-// to BytesOut like a unicast transfer (the DESIGN.md substitution). Must
-// run inside the gate.
-func (c *Collector) flushAdaptive(ei, side, coord int) error {
-	rb := &c.adaptOut[ei][coord]
-	if rb.count == 0 {
-		return nil
-	}
-	e, m := c.node.outputs[ei], c.route
-	c.tbuf = c.tbuf[:0]
-	if side == 0 {
-		for col := 0; col < m.Cols; col++ {
-			c.tbuf = append(c.tbuf, coord*m.Cols+col)
-		}
-	} else {
-		for row := 0; row < m.Rows; row++ {
-			c.tbuf = append(c.tbuf, row*m.Cols+coord)
-		}
-	}
-	// On a recovery-tracked edge each cell's copy is stamped with its own
-	// (producer, target) sequence and retained for replay, so it is never
-	// pooled; the caller already holds the gate (emitAdaptive / gatedEOS).
-	tracked := c.recTracked != nil && c.recTracked[ei]
-	frame, count, box := c.seal(rb), rb.count, rb.box
-	rb.box, rb.buf, rb.count = nil, nil, 0
-	last := len(c.tbuf) - 1
-	for i, target := range c.tbuf {
-		env := envelope{stream: c.node.name, from: c.task, frame: frame, count: count}
-		switch {
-		case i < last && tracked:
-			env.frame = append([]byte(nil), frame...)
-		case i < last:
-			env.pframe = getFrameBox()
-			env.frame = append((*env.pframe)[:0], frame...)
-		case tracked:
-			*box = nil
-			putFrameBox(box)
-		default:
-			env.pframe = box
-		}
-		c.metrics.BytesOut.Add(int64(len(frame)))
-		c.metrics.Sent.Add(int64(count))
-		c.metrics.Batches.Add(1)
-		if tracked {
-			c.recSeq[ei][target]++
-			env.seq = c.recSeq[ei][target]
-			c.ex.rec.record(c.recPid, target, replayEnt{seq: env.seq, frame: env.frame, count: count})
-		}
-		if !c.ex.send(e.to, target, env) {
-			return c.ex.abortErr()
-		}
-	}
-	return nil
-}
-
-// rerouteAdaptive re-assigns every pending (unsent) adaptive row under the
-// current matrix. All of an edge's coordinates are drained into scratch
-// before any row is re-routed — a row re-buffered into a not-yet-visited
-// coordinate must not be picked up twice. Must run inside the gate.
-func (c *Collector) rerouteAdaptive() error {
-	var cur wire.Cursor
-	for ei, side := range c.adaptSide {
-		if side < 0 {
-			continue
-		}
-		pending, ends := c.adaptReroute[:0], c.adaptEnds[:0]
-		for coord := range c.adaptOut[ei] {
-			rb := &c.adaptOut[ei][coord]
-			if rb.count == 0 {
-				continue
-			}
-			for rows := rb.buf[c.hdrRoom:]; len(rows) > 0; {
-				n, err := cur.Parse(rows)
-				if err != nil {
-					return fmt.Errorf("dataflow: pending adaptive row: %w", err)
-				}
-				pending = append(pending, rows[:n]...)
-				ends = append(ends, len(pending))
-				rows = rows[n:]
-			}
-			rb.buf, rb.count = rb.buf[:c.hdrRoom], 0
-		}
-		c.adaptReroute, c.adaptEnds = pending, ends
-		start := 0
-		for _, end := range ends {
-			if err := c.routeAdaptive(ei, side, pending[start:end]); err != nil {
-				return err
-			}
-			start = end
-		}
-	}
-	return nil
+	return true
 }

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -270,8 +272,8 @@ func TestAdaptiveNonRepartitioner(t *testing.T) {
 
 // adaptHarness drives the producer side of the adaptive edges by hand: an
 // execution with the control plane installed but no tasks running, so a
-// test can emit rows, move the routing matrix while rows sit in the
-// coordinate buffers, and read every frame the joiner inboxes received.
+// test can emit rows, move the live shape while rows sit in the per-target
+// buffers, and read every frame the joiner inboxes received.
 type adaptHarness struct {
 	ex   *execution
 	r, s *Collector
@@ -304,14 +306,18 @@ func newAdaptHarness(t *testing.T, par, batch int, m0 [2]int) *adaptHarness {
 	return &adaptHarness{ex: ex, r: ex.collector(topo.byN["R"], 0), s: ex.collector(topo.byN["S"], 0)}
 }
 
-// reshape installs m the way a completed round does: close the gate, then
-// reopen it under the new matrix (bumping the routing epoch).
+// reshape installs a rows x cols shape the way a completed round does:
+// close the gate, then reopen it under the new shape.
 func (h *adaptHarness) reshape(t *testing.T, rows, cols int) {
 	t.Helper()
+	next, err := h.ex.adapt.matrix(rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !h.ex.gate.pause() {
 		t.Fatal("pause aborted")
 	}
-	h.ex.gate.resume(adaptive.Matrix{Rows: rows, Cols: cols})
+	h.ex.gate.resume(next)
 }
 
 // drain empties every joiner inbox, returning the data envelopes per task.
@@ -349,19 +355,25 @@ func cellsOf(t *testing.T, got [][]envelope) map[int64][]int {
 	return cells
 }
 
-// pendingRows counts the rows sitting in a collector's coordinate buffers.
+// pendingRows counts the rows sitting in a collector's adaptive buffers,
+// each replicated row once: the count of its group's primary buffer.
 func pendingRows(c *Collector) int {
 	n := 0
-	for _, coords := range c.adaptOut {
-		for _, rb := range coords {
-			n += rb.count
+	for ei, rel := range c.liveRel {
+		if rel < 0 || c.routed == nil {
+			continue
+		}
+		for target, rb := range c.out[ei] {
+			if primaryCell(c.routed, rel, target) {
+				n += rb.count
+			}
 		}
 	}
 	return n
 }
 
 // TestAdaptiveReshapeReroutesPendingRows: a reshape that lands while rows
-// sit in the coordinate buffers re-routes every pending row exactly once.
+// sit in the per-target buffers re-routes every pending row exactly once.
 // Each R row must reach exactly one whole row of cells and each S row one
 // whole column — of the matrix in force when its frame was flushed — which
 // is what keeps every (R, S) pair meeting at exactly one cell.
@@ -474,5 +486,59 @@ func TestAdaptiveFlushCopiesPerCell(t *testing.T) {
 				t.Fatalf("cells %d and %d share a frame backing array", i, j)
 			}
 		}
+	}
+}
+
+// TestReshapePlanMatchesTable pins the migration rule: stated in hypercube
+// coordinates, it must produce exactly the 2-D 1-Bucket exports the matrix
+// rule produced before it — keep flag, primary flag and destination set for
+// every old cell and relation of every (old, new) matrix pair over at most 8
+// machines (testdata/reshape_plan.txt, captured from that rule).
+func TestReshapePlanMatchesTable(t *testing.T) {
+	table, err := os.ReadFile("testdata/reshape_plan.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := func(dims string) *core.Hypercube {
+		var rows, cols int
+		if _, err := fmt.Sscanf(dims, "%dx%d", &rows, &cols); err != nil {
+			t.Fatalf("matrix %q: %v", dims, err)
+		}
+		hc, err := core.OneBucket(core.JoinSpec{Names: []string{"R", "S"}, Sizes: []int64{1, 1}}, 8, rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hc
+	}
+	checked := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(table)), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		var oldDims, newDims, dests string
+		var task, rel, keep, primary int
+		if _, err := fmt.Sscan(line, &oldDims, &newDims, &task, &rel, &keep, &primary, &dests); err != nil {
+			t.Fatalf("line %q: %v", line, err)
+		}
+		gotKeep, gotPrimary, gotDests := reshapePlan(shape(oldDims), shape(newDims), task, rel)
+		got := "-"
+		if len(gotDests) > 0 {
+			got = strings.Trim(strings.Join(strings.Fields(fmt.Sprint(gotDests)), ","), "[]")
+		}
+		if gotKeep != (keep == 1) || gotPrimary != (primary == 1) || got != dests {
+			t.Fatalf("%s -> %s cell %d rel %d: keep %v primary %v dests %s, want %q", oldDims, newDims, task, rel, gotKeep, gotPrimary, got, line)
+		}
+		checked++
+	}
+	// Every old cell of the 20 matrices that fit 8 machines, against each of
+	// the 20 new matrices, for both relations.
+	cells := 0
+	for rows := 1; rows <= 8; rows++ {
+		for cols := 1; rows*cols <= 8; cols++ {
+			cells += rows * cols
+		}
+	}
+	if want := cells * 20 * 2; checked != want {
+		t.Fatalf("checked %d table rows, want %d", checked, want)
 	}
 }

@@ -7,9 +7,10 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
 	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/wire"
@@ -48,9 +49,10 @@ type Options struct {
 	// MemReporter bolt's state exceeds this many bytes.
 	MemLimitPerTask int
 	// Adaptive, when set, runs one 2-way join component as a live adaptive
-	// 1-Bucket operator: its input edges route by the policy's matrix, a
-	// controller reshapes the matrix as the observed size ratio drifts, and
-	// joiner state migrates between tasks (see adapt.go).
+	// 1-Bucket operator: its input edges route through the live
+	// Random-Hypercube the gate publishes, a controller reshapes it as the
+	// observed size ratio drifts, and joiner state migrates between tasks
+	// (see adapt.go).
 	Adaptive *AdaptivePolicy
 	// Recovery, when set, protects one component with the live
 	// fault-tolerance subsystem: sequence-tagged inputs, incremental
@@ -158,46 +160,39 @@ type Collector struct {
 	batchSize int
 	tbuf      []int
 	// out[edge][target] accumulates encoded rows that flush as ready wire
-	// frames — rows cross the edge without ever being decoded. rowGroup
-	// caches each edge's RowGrouping (nil = the grouping needs a
-	// materialized tuple); rowCur/routeT are the per-emit cursor and the
-	// fallback-materialization scratch; enc is Emit's encode scratch;
-	// hdrRoom is the space reserved for the frame count varint.
+	// frames — rows cross the edge without ever being decoded. group and
+	// rowGroup are each edge's grouping and, when it routes packed rows, its
+	// RowGrouping (nil = the grouping needs a materialized tuple); rowCur/
+	// routeT are the per-emit cursor and the fallback-materialization
+	// scratch; enc is Emit's encode scratch; hdrRoom is the space reserved
+	// for the frame count varint.
 	out      [][]rowBatch
+	group    []Grouping
 	rowGroup []RowGrouping
 	rowCur   wire.Cursor
 	routeT   types.Tuple
 	enc      []byte
 	hdrRoom  int
-	// adaptSide[edge] is the adaptive side (0 = R, 1 = S) of each outgoing
-	// edge, -1 for normal edges; nil when this node has no adaptive edges.
-	adaptSide []int
-	// adaptOut[edge][coord] is the pending adaptive frame for one matrix
-	// coordinate (row for the R side, column for S): rows are buffered once
-	// per coordinate and the flushed frame is copied to every cell of that
-	// row/column. adaptEpoch is the routing epoch the pending rows were
-	// assigned under; adaptReroute/adaptEnds are reroute scratch.
-	adaptOut     [][]rowBatch
-	adaptEpoch   int
-	adaptReroute []byte
-	adaptEnds    []int
+	// liveRel[edge] is the relation an edge carries into the adaptive
+	// joiner, -1 on other edges; nil when this node has no adaptive edge.
+	// Such an edge routes and flushes only inside a gate session, through
+	// the grouping of the shape the session publishes; routed is the shape
+	// its pending rows were routed under.
+	liveRel []int
+	routed  *core.Hypercube
 	// recTracked[edge] marks outgoing edges into the recovery-protected
 	// component (nil when this node has none): their sends are sequence-
 	// tagged, retained for replay, and pass through the gate.
 	// recSeq[edge][target] is the last assigned sequence; recShared[edge]
 	// records whether any currently-buffered row of the edge routed to
 	// multiple targets (such rows must flush as one gate session, see
-	// emit); recPid is this producer task's id in the replay-buffer table.
+	// routeEdge); recPid is this producer task's id in the replay-buffer table.
 	recTracked []bool
 	recSeq     [][]int64
 	recShared  []bool
 	recPid     int
-	// gateDepth counts this task's nested gate sessions (see gateEnter);
-	// route and routeEpoch are the matrix and epoch the open session
-	// routes under.
-	gateDepth  int
-	route      adaptive.Matrix
-	routeEpoch int
+	// gateDepth counts this task's nested gate sessions (see gateEnter).
+	gateDepth int
 	// held is set on a recovery-protected task while it executes one row:
 	// emissions are parked in heldRows (ending at heldEnds), and settle
 	// ships or drops them once the row returns. A panic captured mid-row
@@ -229,16 +224,26 @@ func (c *Collector) settle(err error) error {
 // gateEnter opens one gate session for this task, or joins the session it
 // already holds: sessions nest (a whole-edge flush wraps per-target
 // flushes), and a nested enter on the counting gate after a round closed it
-// would wait on this task's own exit forever. The outermost enter captures
-// the matrix and epoch the session routes under. False means the run
-// aborted; otherwise every gateEnter is paired with one gateExit.
+// would wait on this task's own exit forever. When the outermost enter
+// finds a shape other than the one this task's adaptive rows were routed
+// under, it re-routes them first. False means the run aborted; otherwise
+// every gateEnter is paired with one gateExit.
 func (c *Collector) gateEnter() bool {
 	if c.gateDepth == 0 {
-		m, epoch, ok := c.ex.gate.enter()
+		hc, ok := c.ex.gate.enter()
 		if !ok {
 			return false
 		}
-		c.route, c.routeEpoch = m, epoch
+		if c.liveRel != nil && hc != c.routed {
+			c.gateDepth++
+			err := c.reroute(hc)
+			c.gateDepth--
+			if err != nil {
+				c.ex.gate.exit()
+				c.ex.fail(fmt.Errorf("dataflow: %s[%d] re-route: %w", c.node.name, c.task, err))
+				return false
+			}
+		}
 	}
 	c.gateDepth++
 	return true
@@ -248,6 +253,55 @@ func (c *Collector) gateExit() {
 	if c.gateDepth--; c.gateDepth == 0 {
 		c.ex.gate.exit()
 	}
+}
+
+// reroute installs shape hc's groupings on the adaptive edges and re-routes
+// the rows still pending under the previous shape. They were never
+// delivered, so they are not state anywhere and re-routing them is
+// indistinguishable from fresh arrivals. Every target of one replication
+// group holds identical pending rows (the group's buffers fill and flush
+// together), so only each group's primary buffer — the one at coordinate 0
+// on every dim the relation does not own — is walked; the other copies are
+// dropped. Runs inside the session gateEnter opened.
+func (c *Collector) reroute(hc *core.Hypercube) error {
+	old := c.routed
+	c.routed = hc
+	var cur wire.Cursor
+	for ei, rel := range c.liveRel {
+		if rel < 0 {
+			continue
+		}
+		c.group[ei] = hc.GroupingFor(rel)
+		c.rowGroup[ei], _ = c.group[ei].(RowGrouping)
+		if old == nil {
+			continue
+		}
+		var pending []byte
+		for target := range c.out[ei] {
+			rb := &c.out[ei][target]
+			if rb.count == 0 {
+				continue
+			}
+			if primaryCell(old, rel, target) {
+				pending = append(pending, rb.buf[c.hdrRoom:]...)
+			}
+			rb.buf, rb.count = rb.buf[:c.hdrRoom], 0
+		}
+		if c.recShared != nil {
+			c.recShared[ei] = false
+		}
+		for len(pending) > 0 {
+			n, err := cur.Parse(pending)
+			if err != nil {
+				return fmt.Errorf("pending row: %w", err)
+			}
+			if _, err := c.routeEdge(ei, pending[:n], nil, &cur); err != nil {
+				return err
+			}
+			pending = pending[n:]
+		}
+	}
+	return nil
 }
 
 // Emit ships t to all subscribed downstream components. The tuple is encoded
@@ -279,68 +333,86 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 	if err := c.rowCur.Reset(row); err != nil {
 		return fmt.Errorf("dataflow: emit from %s[%d]: %w", c.node.name, c.task, err)
 	}
-	for ei, e := range c.node.outputs {
-		if c.adaptSide != nil && c.adaptSide[ei] >= 0 {
-			if err := c.emitAdaptive(ei, c.adaptSide[ei], row); err != nil {
+	for ei := range c.node.outputs {
+		if c.liveRel == nil || c.liveRel[ei] < 0 {
+			var err error
+			if t, err = c.routeEdge(ei, row, t, &c.rowCur); err != nil {
 				return err
 			}
 			continue
 		}
-		switch rg := c.rowGroup[ei]; {
-		case t != nil:
-			c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
-		case rg != nil:
-			c.tbuf = rg.RowTargets(&c.rowCur, e.to.par, c.rng, c.tbuf[:0])
-		default:
-			// The grouping has no packed path: materialize once into
-			// reusable scratch (groupings never retain the tuple).
-			c.routeT = c.rowCur.Tuple(c.routeT)
-			t = c.routeT
-			c.tbuf = e.grouping.Targets(t, e.to.par, c.rng, c.tbuf[:0])
+		// An adaptive edge routes and buffers inside one gate session, so a
+		// reshape never lands between choosing a row's cells and buffering
+		// it. The session holds only this edge: a send on another edge may
+		// block on a consumer that itself waits at the gate.
+		if !c.gateEnter() {
+			return c.ex.abortErr()
 		}
-		full := false
-		for _, target := range c.tbuf {
-			if target < 0 || target >= e.to.par {
-				return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
-			}
-			if c.appendRow(&c.out[ei][target], row) {
-				full = true
-			}
-		}
-		if c.recTracked != nil && c.recTracked[ei] && len(c.tbuf) > 1 {
-			c.recShared[ei] = true
-		}
-		if !full {
-			continue
-		}
-		if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
-			// A replicated row is pending somewhere on this edge: flush every
-			// target together inside one gate session, so the row is never
-			// delivered to one copy's task while still buffered for another
-			// when a recovery round quiesces the edge — a peer snapshot would
-			// disagree with the failed task's applied history. Edges carrying
-			// only unicast rows keep the ordinary per-target flush (full batch
-			// amortization): with no replicas, nothing can be split.
-			// Replicating edges deliberately accept sub-BatchSize frames for
-			// the uneven targets here: flushing only the targets sharing
-			// pending replicas would need per-row target-set bookkeeping on
-			// the hot path, and the conservative whole-edge flush is already
-			// priced into the recovered-run overhead
-			// BenchmarkSection5_Recovery reports.
-			if err := c.flushEdgeTracked(ei); err != nil {
-				return err
-			}
-			continue
-		}
-		for _, target := range c.tbuf {
-			if c.out[ei][target].count >= c.batchSize {
-				if err := c.flushRow(ei, target); err != nil {
-					return err
-				}
-			}
+		_, err := c.routeEdge(ei, row, t, &c.rowCur)
+		c.gateExit()
+		if err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// routeEdge routes one row onto edge ei: cur views the row, and t, when
+// non-nil, is its tuple. It returns the tuple, materialized when the edge's
+// grouping needed one, so the next edge need not materialize it again.
+func (c *Collector) routeEdge(ei int, row []byte, t types.Tuple, cur *wire.Cursor) (types.Tuple, error) {
+	e := c.node.outputs[ei]
+	switch rg := c.rowGroup[ei]; {
+	case t != nil:
+		c.tbuf = c.group[ei].Targets(t, e.to.par, c.rng, c.tbuf[:0])
+	case rg != nil:
+		c.tbuf = rg.RowTargets(cur, e.to.par, c.rng, c.tbuf[:0])
+	default:
+		// The grouping has no packed path: materialize once into
+		// reusable scratch (groupings never retain the tuple).
+		c.routeT = cur.Tuple(c.routeT)
+		t = c.routeT
+		c.tbuf = c.group[ei].Targets(t, e.to.par, c.rng, c.tbuf[:0])
+	}
+	full := false
+	for _, target := range c.tbuf {
+		if target < 0 || target >= e.to.par {
+			return t, fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
+		}
+		if c.appendRow(&c.out[ei][target], row) {
+			full = true
+		}
+	}
+	if c.recTracked != nil && c.recTracked[ei] && len(c.tbuf) > 1 {
+		c.recShared[ei] = true
+	}
+	if !full {
+		return t, nil
+	}
+	if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
+		// A replicated row is pending somewhere on this edge: flush every
+		// target together inside one gate session, so the row is never
+		// delivered to one copy's task while still buffered for another
+		// when a recovery round quiesces the edge — a peer snapshot would
+		// disagree with the failed task's applied history. Edges carrying
+		// only unicast rows keep the ordinary per-target flush (full batch
+		// amortization): with no replicas, nothing can be split.
+		// Replicating edges deliberately accept sub-BatchSize frames for
+		// the uneven targets here: flushing only the targets sharing
+		// pending replicas would need per-row target-set bookkeeping on
+		// the hot path, and the conservative whole-edge flush is already
+		// priced into the recovered-run overhead
+		// BenchmarkSection5_Recovery reports.
+		return t, c.flushEdge(ei)
+	}
+	for _, target := range c.tbuf {
+		if c.out[ei][target].count >= c.batchSize {
+			if err := c.flushRow(ei, target); err != nil {
+				return t, err
+			}
+		}
+	}
+	return t, nil
 }
 
 // appendRow adds one encoded row to a pending frame, taking a buffer from
@@ -411,37 +483,34 @@ func (c *Collector) flushRow(ei, target int) error {
 	return nil
 }
 
-// flushEdgeTracked drains every pending frame of one recovery-tracked edge
-// inside a single gate session, so the gate never splits a replication group.
-func (c *Collector) flushEdgeTracked(ei int) error {
-	if !c.gateEnter() {
-		return c.ex.abortErr()
+// flushEdge drains every pending frame of one edge. An adaptive edge, or a
+// recovery-tracked edge with a replicated row pending, drains inside a
+// single gate session, so the gate never splits a replication group and an
+// adaptive edge flushes only rows routed under the published shape.
+func (c *Collector) flushEdge(ei int) error {
+	live := c.liveRel != nil && c.liveRel[ei] >= 0
+	if live || (c.recTracked != nil && c.recTracked[ei] && c.recShared[ei]) {
+		if !c.gateEnter() {
+			return c.ex.abortErr()
+		}
+		defer c.gateExit()
 	}
-	defer c.gateExit()
 	for target := range c.out[ei] {
 		if err := c.flushRow(ei, target); err != nil {
 			return err
 		}
 	}
-	c.recShared[ei] = false
+	if c.recShared != nil {
+		c.recShared[ei] = false
+	}
 	return nil
 }
 
 // flushAll drains every pending frame, preserving per-target FIFO order.
-// Tracked edges with a replicated row pending drain inside one gate session
-// per edge (see emit).
 func (c *Collector) flushAll() error {
 	for ei := range c.node.outputs {
-		if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
-			if err := c.flushEdgeTracked(ei); err != nil {
-				return err
-			}
-			continue
-		}
-		for target := range c.out[ei] {
-			if err := c.flushRow(ei, target); err != nil {
-				return err
-			}
+		if err := c.flushEdge(ei); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -454,15 +523,13 @@ func (c *Collector) flushAll() error {
 // flush/eos; boxes in envelopes already sent are owned downstream and are
 // not touched.
 func (c *Collector) close() {
-	for _, bufs := range [][][]rowBatch{c.out, c.adaptOut} {
-		for ei := range bufs {
-			for t := range bufs[ei] {
-				rb := &bufs[ei][t]
-				if rb.box != nil {
-					*rb.box = nil
-					putFrameBox(rb.box)
-					rb.box, rb.buf, rb.count = nil, nil, 0
-				}
+	for ei := range c.out {
+		for t := range c.out[ei] {
+			rb := &c.out[ei][t]
+			if rb.box != nil {
+				*rb.box = nil
+				putFrameBox(rb.box)
+				rb.box, rb.buf, rb.count = nil, nil, 0
 			}
 		}
 	}
@@ -496,29 +563,16 @@ func (c *Collector) eos() {
 }
 
 // gatedEOS broadcasts a producer task's EOS on an edge into the controlled
-// component from inside one gate session. On an adaptive edge the session
-// first flushes the pending coordinate frames under the current matrix and
-// retires the producer from the live count before it exits: a round reads
-// live right after its pause, and a retired producer counted late would let
-// it open a barrier that joiner tasks, their EOS set already complete, never
-// read.
+// component from inside one gate session, and retires the producer from the
+// gate's live count before the session ends: a round reads live right after
+// its pause, and a retired producer counted late would let it open a
+// barrier that joiner tasks, their EOS set already complete, never read.
 func (c *Collector) gatedEOS(ei int) bool {
-	adapt := c.adaptSide != nil && c.adaptSide[ei] >= 0
 	if !c.gateEnter() {
-		if adapt {
-			c.ex.adapt.live.Add(-1) // aborting; the controller is unwinding too
-		}
 		return false
 	}
 	defer c.gateExit()
-	if adapt {
-		defer c.ex.adapt.live.Add(-1) // runs before gateExit
-		if err := c.flushAdaptiveEdge(ei); err != nil {
-			// Abort (send refused) is a no-op; surface anything else.
-			c.ex.fail(fmt.Errorf("dataflow: %s[%d] final adaptive flush: %w", c.node.name, c.task, err))
-			return false
-		}
-	}
+	defer c.ex.gate.live.Add(-1) // runs before gateExit
 	e := c.node.outputs[ei]
 	for target := 0; target < e.to.par; target++ {
 		if !c.ex.send(e.to, target, envelope{stream: c.node.name, from: c.task, eos: true}) {
@@ -554,23 +608,28 @@ type execution struct {
 // it around every route-and-send on an edge into that component and around
 // their EOS there; a control round closes it with pause, which returns once
 // no producer is inside — every frame routed before it is then enqueued —
-// and reopens it with resume. It also publishes the adaptive routing matrix
-// (zero on runs without adaptation) and its epoch, which counts matrix
-// changes so producers can re-route rows buffered under a superseded shape.
+// and reopens it with resume. It also publishes the controlled component's
+// hypercube: the live shape adaptive edges route under, and the geometry
+// recovery peers come from (nil when the run has neither).
 type gate struct {
 	abort    <-chan struct{}
 	mu       sync.Mutex
-	m        adaptive.Matrix
-	epoch    int
+	hc       *core.Hypercube
 	paused   bool
 	active   int           // producers inside the gate
 	resumeCh chan struct{} // closed when the gate reopens
 	idleCh   chan struct{} // closed when active hits 0 while paused
+	// live counts the locally hosted producer tasks on edges into the
+	// controlled component that have not sent EOS; decremented inside the
+	// gate, so after a pause a round reads an exact value: if 0 (with every
+	// remote worker's count), every controlled task may already have
+	// exited and a barrier could never be acked.
+	live atomic.Int64
 }
 
 // enter joins the gate, blocking while a round holds it closed. It returns
-// the routing matrix and its epoch; ok is false when the run aborted.
-func (g *gate) enter() (route adaptive.Matrix, epoch int, ok bool) {
+// the published shape; ok is false when the run aborted.
+func (g *gate) enter() (hc *core.Hypercube, ok bool) {
 	g.mu.Lock()
 	for g.paused {
 		ch := g.resumeCh
@@ -578,14 +637,14 @@ func (g *gate) enter() (route adaptive.Matrix, epoch int, ok bool) {
 		select {
 		case <-ch:
 		case <-g.abort:
-			return adaptive.Matrix{}, 0, false
+			return nil, false
 		}
 		g.mu.Lock()
 	}
 	g.active++
-	route, epoch = g.m, g.epoch
+	hc = g.hc
 	g.mu.Unlock()
-	return route, epoch, true
+	return hc, true
 }
 
 // exit leaves the gate, waking a pausing round once it drains.
@@ -620,25 +679,22 @@ func (g *gate) pause() bool {
 	}
 }
 
-// resume installs next and reopens the gate. The epoch moves only when the
-// matrix does: recovery rounds pass the current matrix back.
-func (g *gate) resume(next adaptive.Matrix) {
+// resume publishes next and reopens the gate. Recovery rounds pass the
+// current shape back; producers re-route pending rows only when it changes.
+func (g *gate) resume(next *core.Hypercube) {
 	g.mu.Lock()
-	if next != g.m {
-		g.m = next
-		g.epoch++
-	}
+	g.hc = next
 	g.paused = false
 	ch := g.resumeCh
 	g.mu.Unlock()
 	close(ch)
 }
 
-// matrix returns the installed routing matrix.
-func (g *gate) matrix() adaptive.Matrix {
+// shape returns the published hypercube.
+func (g *gate) shape() *core.Hypercube {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.m
+	return g.hc
 }
 
 // initControl installs the control planes the options ask for. Both act on
@@ -653,13 +709,23 @@ func (ex *execution) initControl() error {
 	}
 	ex.gate = &gate{abort: ex.abort, resumeCh: make(chan struct{})}
 	ex.ctlQuit, ex.ctlDone = make(chan struct{}), make(chan struct{})
+	if rc != nil {
+		ex.gate.hc = rc.Shape // an adaptive run publishes its live shape instead
+		if err := ex.initRecovery(rc); err != nil {
+			return err
+		}
+	}
 	if ad != nil {
 		if err := ex.initAdaptive(ad); err != nil {
 			return err
 		}
 	}
-	if rc != nil {
-		return ex.initRecovery(rc)
+	// In a cluster run, live counts the producers hosted here; a round adds
+	// the remote workers' counts from their pause acks.
+	for _, e := range ex.ctl.inputs {
+		if ex.net == nil || ex.net.owns(e.from) {
+			ex.gate.live.Add(int64(e.from.par))
+		}
 	}
 	return nil
 }
@@ -696,17 +762,18 @@ func (ex *execution) control() {
 
 // round runs one control round — a reshape or a recovery. It closes the gate
 // here and on every remote producer worker, whose pause acks report how many
-// of their adaptive producers are still live. tasks, given that remote
-// count, names the controlled tasks the round touches; nil means the stream
-// is over, and the round reopens at once. Otherwise round flushes the remote
-// producers' in-flight data to those tasks with quiesce tokens and calls act
-// with the installed matrix. Invariant, from then until act returns: no
-// producer is inside the gate anywhere in the cluster, and every data frame
-// routed to those tasks before the pause has reached their inboxes, ahead of
-// any control marker act enqueues. act returns the matrix to reopen under
-// (the same one unless it reshaped). round reports false when the run is
-// aborting or over; the gate then stays closed, which no task still needs.
-func (ex *execution) round(tasks func(remoteLive int64) []int, act func(cur adaptive.Matrix) (adaptive.Matrix, bool)) bool {
+// of their producers into the controlled component are still live. tasks,
+// given that remote count, names the controlled tasks the round touches;
+// nil means the stream is over, and the round reopens at once. Otherwise
+// round flushes the remote producers' in-flight data to those tasks with
+// quiesce tokens and calls act with the published shape. Invariant, from
+// then until act returns: no producer is inside the gate anywhere in the
+// cluster, and every data frame routed to those tasks before the pause has
+// reached their inboxes, ahead of any control marker act enqueues. act
+// returns the shape to reopen under (the same one unless it reshaped).
+// round reports false when the run is aborting or over; the gate then stays
+// closed, which no task still needs.
+func (ex *execution) round(tasks func(remoteLive int64) []int, act func(cur *core.Hypercube) (*core.Hypercube, bool)) bool {
 	if !ex.gate.pause() {
 		return false
 	}
@@ -717,7 +784,7 @@ func (ex *execution) round(tasks func(remoteLive int64) []int, act func(cur adap
 			return false
 		}
 	}
-	next := ex.gate.matrix()
+	next := ex.gate.shape()
 	if ts := tasks(remoteLive); ts != nil {
 		if ex.net != nil && !ex.net.quiesce(ex.ctl, ts) {
 			return false
@@ -894,27 +961,20 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 
 func (ex *execution) collector(n *node, task int) *Collector {
 	out := make([][]rowBatch, len(n.outputs))
+	group := make([]Grouping, len(n.outputs))
 	rowGroup := make([]RowGrouping, len(n.outputs))
 	for i, e := range n.outputs {
 		out[i] = make([]rowBatch, e.to.par)
+		group[i] = e.grouping
 		rowGroup[i], _ = e.grouping.(RowGrouping)
 	}
 	hdrRoom := 1
 	for v := uint64(ex.opts.BatchSize); v >= 0x80; v >>= 7 {
 		hdrRoom++
 	}
-	var adaptSide []int
-	var adaptOut [][]rowBatch
+	var liveRel []int
 	if ex.adapt != nil {
-		if adaptSide = ex.adapt.sidesFor(n); adaptSide != nil {
-			adaptOut = make([][]rowBatch, len(n.outputs))
-			for ei, side := range adaptSide {
-				if side >= 0 {
-					// A coordinate never exceeds the joiner's task count.
-					adaptOut[ei] = make([]rowBatch, ex.adapt.node.par)
-				}
-			}
-		}
+		liveRel = ex.adapt.liveRels(n)
 	}
 	var recTracked, recShared []bool
 	var recSeq [][]int64
@@ -940,10 +1000,10 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		metrics:    ex.metrics.Components[n.name].Tasks[task],
 		batchSize:  ex.opts.BatchSize,
 		out:        out,
+		group:      group,
 		rowGroup:   rowGroup,
 		hdrRoom:    hdrRoom,
-		adaptSide:  adaptSide,
-		adaptOut:   adaptOut,
+		liveRel:    liveRel,
 		recTracked: recTracked,
 		recSeq:     recSeq,
 		recShared:  recShared,

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
 	"squall/internal/recovery"
 )
 
@@ -27,30 +27,39 @@ func async[T any](f func() T) <-chan T {
 }
 
 type entered struct {
-	m     adaptive.Matrix
-	epoch int
-	ok    bool
+	hc *core.Hypercube
+	ok bool
 }
 
 func enterAsync(g *gate) <-chan entered {
 	return async(func() entered {
-		m, epoch, ok := g.enter()
-		return entered{m, epoch, ok}
+		hc, ok := g.enter()
+		return entered{hc, ok}
 	})
+}
+
+// oneBucket builds a rows x cols live shape for the gate tests.
+func oneBucket(t *testing.T, rows, cols int) *core.Hypercube {
+	t.Helper()
+	hc, err := core.OneBucket(core.JoinSpec{Names: []string{"R", "S"}, Sizes: []int64{1, 1}}, rows*cols, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return hc
 }
 
 // TestGate pins the one producer gate's contract: the barrier both control
 // rounds (reshape and recovery), the cluster's remote gate worker and every
 // producer session share.
 func TestGate(t *testing.T) {
-	m0 := adaptive.Matrix{Rows: 2, Cols: 2}
+	m0 := oneBucket(t, 2, 2)
 	cases := []struct {
 		name string
 		run  func(t *testing.T, g *gate, abort chan struct{})
 	}{
 		{"pause waits for every entered producer", func(t *testing.T, g *gate, _ chan struct{}) {
 			for i := 0; i < 2; i++ {
-				if _, _, ok := g.enter(); !ok {
+				if _, ok := g.enter(); !ok {
 					t.Fatal("enter failed on an open gate")
 				}
 			}
@@ -76,13 +85,13 @@ func TestGate(t *testing.T) {
 				t.Fatal("enter passed a closed gate")
 			}
 			g.resume(m0)
-			if e := <-in; !e.ok || e.m != m0 {
+			if e := <-in; !e.ok || e.hc != m0 {
 				t.Fatalf("enter after resume = %+v, want ok under %v", e, m0)
 			}
 			g.exit()
 		}},
 		{"abort releases pause and enter", func(t *testing.T, g *gate, abort chan struct{}) {
-			if _, _, ok := g.enter(); !ok {
+			if _, ok := g.enter(); !ok {
 				t.Fatal("enter failed on an open gate")
 			}
 			paused := async(g.pause)
@@ -101,22 +110,17 @@ func TestGate(t *testing.T) {
 				t.Fatal("enter reported ok after abort")
 			}
 		}},
-		{"resume bumps the epoch only on a new matrix", func(t *testing.T, g *gate, _ chan struct{}) {
-			_, e0, _ := g.enter()
-			g.exit()
-			next := adaptive.Matrix{Rows: 4, Cols: 1}
-			for i, step := range []struct {
-				m     adaptive.Matrix
-				epoch int
-			}{{m0, e0}, {next, e0 + 1}, {next, e0 + 1}, {m0, e0 + 2}} {
+		{"resume publishes the shape it is given", func(t *testing.T, g *gate, _ chan struct{}) {
+			next := oneBucket(t, 4, 1)
+			for i, want := range []*core.Hypercube{m0, next, next, m0} {
 				if !g.pause() {
 					t.Fatal("pause of an idle gate failed")
 				}
-				g.resume(step.m)
-				m, epoch, ok := g.enter()
+				g.resume(want)
+				hc, ok := g.enter()
 				g.exit()
-				if !ok || m != step.m || epoch != step.epoch {
-					t.Fatalf("step %d: enter = (%v, %d, %v), want (%v, %d, true)", i, m, epoch, ok, step.m, step.epoch)
+				if !ok || hc != want || g.shape() != want {
+					t.Fatalf("step %d: enter = (%v, %v), want (%v, true)", i, hc, ok, want)
 				}
 			}
 		}},
@@ -146,15 +150,12 @@ func TestGate(t *testing.T) {
 			if !<-paused {
 				t.Fatal("pause failed after the session closed")
 			}
-			if c.route != m0 {
-				t.Fatalf("session routed under %v, want %v", c.route, m0)
-			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			abort := make(chan struct{})
-			g := &gate{abort: abort, m: m0, resumeCh: make(chan struct{})}
+			g := &gate{abort: abort, hc: m0, resumeCh: make(chan struct{})}
 			tc.run(t, g, abort)
 		})
 	}

@@ -31,7 +31,7 @@ import (
 	"sync/atomic"
 	"syscall"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
 	"squall/internal/recovery"
 	"squall/internal/transport"
 	"squall/internal/wire"
@@ -79,7 +79,7 @@ const (
 	mkAbort      byte = 7  // run failed here           Payload=error text
 	mkGatePause  byte = 8  // close the producer gate
 	mkGatePaused byte = 9  // gate closed ack           C=local live count
-	mkGateResume byte = 10 // reopen the producer gate  B=rows C=cols
+	mkGateResume byte = 10 // reopen the producer gate  B=rows C=cols of the live shape
 	mkSendToken  byte = 11 // flush your sends to A/B   A=node B=task C=token id
 	mkToken      byte = 12 // flush token (data path)   A=node B=task C=token id
 	mkReplayReq  byte = 13 // replay retained input     Payload=replayReq JSON
@@ -117,7 +117,8 @@ type NetConfig struct {
 	OnPeerMsg func(from int, m transport.Msg)
 }
 
-// gateOp is one ordered pause/resume request against the local gate.
+// gateOp is one ordered pause/resume request against the local gate. A
+// resume on an adaptive run carries the live shape's two dim sizes.
 type gateOp struct {
 	pause      bool
 	rows, cols int
@@ -578,9 +579,8 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 }
 
 // gateWorker applies one link's pause/resume requests against the local
-// gate in arrival order, acking pauses with the local adaptive live count (0
-// without adaptation; the controller sums these into its cluster-wide
-// early-out check).
+// gate in arrival order, acking pauses with the gate's local live count (the
+// controller sums these into its cluster-wide early-out check).
 func (p *NetPlane) gateWorker(lk *netLink) {
 	for {
 		var op gateOp
@@ -598,16 +598,20 @@ func (p *NetPlane) gateWorker(lk *netLink) {
 			if !g.pause() {
 				return
 			}
-			var live int64
-			if p.ex.adapt != nil {
-				live = p.ex.adapt.live.Load()
-			}
-			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, C: live}); err != nil {
+			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, C: g.live.Load()}); err != nil {
 				p.fail(fmt.Errorf("dataflow: gate ack to worker %d: %w", lk.worker, err))
 				return
 			}
 		default:
-			g.resume(adaptive.Matrix{Rows: op.rows, Cols: op.cols})
+			next := g.shape()
+			if a := p.ex.adapt; a != nil {
+				var err error
+				if next, err = a.matrix(op.rows, op.cols); err != nil {
+					p.fail(fmt.Errorf("dataflow: gate resume from worker %d: %w", lk.worker, err))
+					return
+				}
+			}
+			g.resume(next)
 		}
 	}
 }
@@ -653,12 +657,16 @@ func (p *NetPlane) pauseRemote(prot *node) (int64, bool) {
 	return live, true
 }
 
-// resumeRemote reopens the gate on every remote producer worker. The routing
-// matrix rides along, so remote producers reroute against a post-reshape
-// placement.
-func (p *NetPlane) resumeRemote(prot *node, m adaptive.Matrix) bool {
+// resumeRemote reopens the gate on every remote producer worker. On an
+// adaptive run the live shape's dim sizes ride along, so remote producers
+// re-route against a post-reshape placement.
+func (p *NetPlane) resumeRemote(prot *node, hc *core.Hypercube) bool {
+	var rows, cols int
+	if p.ex.adapt != nil {
+		rows, cols = hc.Matrix()
+	}
 	for _, w := range p.remoteProducerWorkers(prot) {
-		msg := transport.Msg{Kind: mkGateResume, B: int64(m.Rows), C: int64(m.Cols)}
+		msg := transport.Msg{Kind: mkGateResume, B: int64(rows), C: int64(cols)}
 		if err := p.links[w].conn.WriteMsg(&msg); err != nil {
 			p.fail(fmt.Errorf("dataflow: gate resume to worker %d: %w", w, err))
 			return false
@@ -873,7 +881,7 @@ type MetricsSnapshot struct {
 	Reshapes, MigratedTuples, MigratedBytes, FinalRows, FinalCols int64
 	RecOwner                                                      bool
 	Faults, Kills, Panics, PeerRels, CheckpointRels               int64
-	RestoredTuples, RestoredBytes                                 int64
+	RestoredTuples, PeerBytes, StoreReads, StoreBytes             int64
 	ReplayedEnvelopes, ReplayedTuples                             int64
 	Checkpoints, CheckpointBytes                                  int64
 	RecoveryNS, LastRecoveryNS                                    int64
@@ -907,7 +915,8 @@ func (p *NetPlane) LocalSnapshot(m *RunMetrics) *MetricsSnapshot {
 	r := &m.Recovery
 	s.Faults, s.Kills, s.Panics = r.Faults.Load(), r.Kills.Load(), r.Panics.Load()
 	s.PeerRels, s.CheckpointRels = r.PeerRels.Load(), r.CheckpointRels.Load()
-	s.RestoredTuples, s.RestoredBytes = r.RestoredTuples.Load(), r.RestoredBytes.Load()
+	s.RestoredTuples, s.PeerBytes = r.RestoredTuples.Load(), r.PeerBytes.Load()
+	s.StoreReads, s.StoreBytes = r.StoreReads.Load(), r.StoreBytes.Load()
 	s.ReplayedEnvelopes, s.ReplayedTuples = r.ReplayedEnvelopes.Load(), r.ReplayedTuples.Load()
 	s.Checkpoints, s.CheckpointBytes = r.Checkpoints.Load(), r.CheckpointBytes.Load()
 	s.RecoveryNS, s.LastRecoveryNS = r.RecoveryNS.Load(), r.LastRecoveryNS.Load()
@@ -950,7 +959,9 @@ func (p *NetPlane) ApplySnapshot(m *RunMetrics, s *MetricsSnapshot) {
 	r.PeerRels.Add(s.PeerRels)
 	r.CheckpointRels.Add(s.CheckpointRels)
 	r.RestoredTuples.Add(s.RestoredTuples)
-	r.RestoredBytes.Add(s.RestoredBytes)
+	r.PeerBytes.Add(s.PeerBytes)
+	r.StoreReads.Add(s.StoreReads)
+	r.StoreBytes.Add(s.StoreBytes)
 	r.ReplayedEnvelopes.Add(s.ReplayedEnvelopes)
 	r.ReplayedTuples.Add(s.ReplayedTuples)
 	r.Checkpoints.Add(s.Checkpoints)

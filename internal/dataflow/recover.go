@@ -30,13 +30,13 @@
 //     consistent point.
 //
 //   - Recovery routes. Per relation, the recovery round picks the cheapest
-//     source (ft.RecoveryPlan made live): a peer task holding an identical
-//     partition — the scheme replicated the relation, so any machine sharing
-//     the failed task's coordinates on the relation's own dimensions is a
-//     complete copy; for the adaptive 1-Bucket matrix, the other cells of
-//     the failed cell's row (R) or column (S) — or, when nothing replicates,
-//     the last checkpoint plus a replay of the retained envelopes past its
-//     cursors. State travels as frames on every route — peer exports,
+//     source (ft.RecoveryPlan made live over the hypercube the gate
+//     publishes — the static scheme, or an adaptive run's live shape): a
+//     peer task holding an identical partition — the scheme replicated the
+//     relation, so any machine sharing the failed task's coordinates on the
+//     relation's own dimensions is a complete copy — or, when nothing
+//     replicates, the last checkpoint plus a replay of the retained
+//     envelopes past its cursors. State travels as frames on every route — peer exports,
 //     checkpoint frames, sealed segments (rows sliced out of the verified
 //     blob) and replayed input — and the failed task walks each one through
 //     Repartitioner.ImportRow. Restores are silent inserts: every delta
@@ -58,7 +58,7 @@
 //     so adaptive runs surface panics as run errors (injected kills recover
 //     on adaptive runs too — the control loop runs their rounds between
 //     reshape rounds, and a recovery round reopens the gate under the
-//     unchanged matrix).
+//     unchanged shape).
 //
 // See DESIGN.md ("Fault tolerance") for the protocol walkthrough and the
 // substitution-table row for recovery traffic.
@@ -71,7 +71,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"squall/internal/adaptive"
+	"squall/internal/core"
+	"squall/internal/ft"
 	"squall/internal/recovery"
 	"squall/internal/slab"
 	"squall/internal/wire"
@@ -96,11 +97,11 @@ type RecoveryPolicy struct {
 	// index; NumRels is the relation count.
 	RelOf   map[string]int
 	NumRels int
-	// PeersFor returns the tasks holding an identical copy of relation rel's
-	// partition at `task` (empty when the scheme does not replicate rel).
-	// When nil and the component runs adaptively, peers come from the live
-	// matrix; otherwise recovery falls back to checkpoints.
-	PeersFor func(task, rel int) []int
+	// Shape is the component's partitioning: a relation is peer-recoverable
+	// at a failed task iff Shape replicates it, from the peers
+	// ft.RecoveryPlan names. An adaptive run uses its live shape instead.
+	// Nil sends every relation to the checkpoint route.
+	Shape *core.Hypercube
 	// Store persists checkpoints (default: an in-memory store).
 	Store recovery.CheckpointStore
 	// CheckpointEvery is the number of applied tuples between checkpoints
@@ -136,13 +137,16 @@ type RecoveryMetrics struct {
 	// PeerRels / CheckpointRels count per-relation recovery routes taken.
 	PeerRels       atomic.Int64
 	CheckpointRels atomic.Int64
-	// RestoredTuples / RestoredBytes measure state shipped during restores
-	// (peer refetch frames + checkpoint frames).
+	// RestoredTuples measures state rows shipped during restores, by either
+	// route. PeerBytes is what peers served (refetch frames, a network
+	// fetch); StoreReads and StoreBytes are what restores read back from the
+	// checkpoint store (one read per checkpoint, one per sealed segment).
 	RestoredTuples atomic.Int64
-	RestoredBytes  atomic.Int64
+	PeerBytes      atomic.Int64
+	StoreReads     atomic.Int64
+	StoreBytes     atomic.Int64
 	// SegmentBytes measures sealed-segment blobs read back from the
-	// checkpoint store during v2 (tiered) restores; a subset of
-	// RestoredBytes.
+	// checkpoint store during v2 (tiered) restores; a subset of StoreBytes.
 	SegmentBytes atomic.Int64
 	// ReplayedEnvelopes / ReplayedTuples measure re-delivered input.
 	ReplayedEnvelopes atomic.Int64
@@ -353,39 +357,6 @@ func (a *recState) resolvePlan() {
 	a.planOnce.Do(func() { close(a.planDone) })
 }
 
-// peersFor resolves the live peer set for one (task, relation): the policy's
-// scheme-derived peers, or the adaptive matrix's row/column when the
-// component runs adaptively (the matrix is stable here: rounds are serial
-// on the control loop).
-func (a *recState) peersFor(task, rel int) []int {
-	if a.pol.PeersFor != nil {
-		return a.pol.PeersFor(task, rel)
-	}
-	if a.ex.adapt != nil && rel < 2 {
-		m := a.ex.gate.matrix()
-		if task >= m.Rows*m.Cols {
-			return nil
-		}
-		row, col := task/m.Cols, task%m.Cols
-		var out []int
-		if rel == 0 { // R replicates across the row's columns
-			for c := 0; c < m.Cols; c++ {
-				if c != col {
-					out = append(out, row*m.Cols+c)
-				}
-			}
-		} else { // S replicates down the column's rows
-			for r := 0; r < m.Rows; r++ {
-				if r != row {
-					out = append(out, r*m.Cols+col)
-				}
-			}
-		}
-		return out
-	}
-	return nil
-}
-
 // handleFault is the control loop's handling of one fault note: a voided
 // plan resolves, anything else runs one recovery round end to end. It
 // reports false when the run is shutting down.
@@ -401,7 +372,7 @@ func (a *recState) handleFault(f faultNote) bool {
 	if !f.panicked {
 		tasks = allTasks(a.node)
 	}
-	return a.ex.round(func(int64) []int { return tasks }, func(cur adaptive.Matrix) (adaptive.Matrix, bool) {
+	return a.ex.round(func(int64) []int { return tasks }, func(cur *core.Hypercube) (*core.Hypercube, bool) {
 		return cur, a.restore(f, start)
 	})
 }
@@ -438,17 +409,20 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 		}
 	}
 
-	// Route per relation: peer refetch when the scheme replicates the
-	// relation and the fault is a quiesced kill (a panicked task has
-	// unemitted deltas a peer snapshot would swallow), checkpoint otherwise.
+	// Route per relation: peer refetch when the shape the gate publishes
+	// replicates the relation (it is stable here: rounds are serial) and
+	// the fault is a quiesced kill (a panicked task has unemitted deltas a
+	// peer snapshot would swallow), checkpoint otherwise.
+	var plans []ft.Plan
+	if hc := a.ex.gate.shape(); hc != nil && !f.panicked && !a.pol.DisablePeer {
+		plans, _ = ft.RecoveryPlan(hc, f.task) // a task outside the shape has no peers
+	}
 	routes := make([]int, a.pol.NumRels)
 	needCk := false
 	for rel := range routes {
 		routes[rel] = -1
-		if !f.panicked && !a.pol.DisablePeer {
-			if peers := a.peersFor(f.task, rel); len(peers) > 0 {
-				routes[rel] = peers[0]
-			}
+		if rel < len(plans) && !plans[rel].Checkpoint {
+			routes[rel] = plans[rel].Peers[0]
 		}
 		if routes[rel] < 0 {
 			needCk = true
@@ -468,6 +442,14 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 		if err != nil {
 			a.ex.fail(fmt.Errorf("dataflow: recovery of %s[%d]: %w", a.node.name, f.task, err))
 			return false
+		}
+		if haveCk {
+			m.StoreReads.Add(1)
+			for _, frames := range ck.Frames {
+				for _, frame := range frames {
+					m.StoreBytes.Add(int64(len(frame)))
+				}
+			}
 		}
 	}
 
@@ -504,7 +486,6 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 			for _, frame := range ck.Frames[rel] {
 				n, _ := binary.Uvarint(frame)
 				m.RestoredTuples.Add(int64(n))
-				m.RestoredBytes.Add(int64(len(frame)))
 				if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
 					return false
 				}
@@ -802,8 +783,9 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 			a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] rel %d segment %d (%s): %w", a.node.name, task, rel, si, sr.Key, err))
 			return false
 		}
+		m.StoreReads.Add(1)
 		m.SegmentBytes.Add(int64(len(blob)))
-		m.RestoredBytes.Add(int64(len(blob)))
+		m.StoreBytes.Add(int64(len(blob)))
 		m.RestoredTuples.Add(int64(live))
 		if live == 0 {
 			continue
@@ -825,7 +807,7 @@ func (s *recSession) serveStateReq(bolt Bolt, tm *TaskMetrics, msg *recMsg) bool
 	ok := true
 	bolt.(Repartitioner).ExportStateFrames(msg.rel, a.ex.opts.BatchSize, func(frame []byte, count int) bool {
 		tm.BytesOut.Add(int64(len(frame)))
-		m.RestoredBytes.Add(int64(len(frame)))
+		m.PeerBytes.Add(int64(len(frame)))
 		m.RestoredTuples.Add(int64(count))
 		rec := &recMsg{rel: msg.rel, frame: append([]byte(nil), frame...)}
 		ok = a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: rec})

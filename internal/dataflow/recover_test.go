@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"squall/internal/core"
 	"squall/internal/recovery"
 	"squall/internal/slab"
 	"squall/internal/types"
@@ -126,24 +127,18 @@ func runRecTopology(t *testing.T, rRows, sRows []types.Tuple, par int, pol *Reco
 }
 
 // recPolicy builds the policy for the test topology: R is replicated on
-// every task (any peer holds it), S is not (checkpoint route).
+// every task (any peer holds it), S is not (checkpoint route) — the peer
+// sets of a 1 x par 1-Bucket matrix.
 func recPolicy(par int, fault *FaultPlan, store recovery.CheckpointStore, disablePeer bool, every int) *RecoveryPolicy {
+	shape, err := core.OneBucket(core.JoinSpec{Names: []string{"R", "S"}, Sizes: []int64{1, 1}}, par, 1, par)
+	if err != nil {
+		panic(err)
+	}
 	return &RecoveryPolicy{
-		Component: "join",
-		RelOf:     map[string]int{"R": 0, "S": 1},
-		NumRels:   2,
-		PeersFor: func(task, rel int) []int {
-			if rel != 0 {
-				return nil
-			}
-			var peers []int
-			for p := 0; p < par; p++ {
-				if p != task {
-					peers = append(peers, p)
-				}
-			}
-			return peers
-		},
+		Component:       "join",
+		RelOf:           map[string]int{"R": 0, "S": 1},
+		NumRels:         2,
+		Shape:           shape,
 		Store:           store,
 		CheckpointEvery: every,
 		DisablePeer:     disablePeer,

@@ -63,11 +63,13 @@ func TestDifferentialAllConfigs(t *testing.T) {
 									continue // the adaptive 1-Bucket operator is 2-way
 								}
 								for _, leg := range execLegs {
-									if leg != execLegs[0] && adaptive && batch != allBatches[0] {
+									if leg.exprKeys && adaptive && batch != allBatches[0] {
 										// Adaptive edges route without
-										// keys: one batch point covers each
-										// corner; the full crosses run on
-										// static runs.
+										// keys: one batch point covers the
+										// computed-keys corner. Two
+										// producers per relation cross
+										// every batch point, so reshapes
+										// re-route pending rows at each.
 										continue
 									}
 									ec := EngineConfig{

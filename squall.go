@@ -23,12 +23,10 @@ import (
 	"sort"
 	"sync"
 
-	"squall/internal/adaptive"
 	"squall/internal/core"
 	"squall/internal/dataflow"
 	"squall/internal/dbtoaster"
 	"squall/internal/expr"
-	"squall/internal/ft"
 	"squall/internal/ops"
 	"squall/internal/recovery"
 	"squall/internal/slab"
@@ -138,12 +136,13 @@ type JoinQuery struct {
 	// (Figure 7's "Memory Overflow") — at the cost of shipping every delta.
 	ForceDeltaJoin bool
 	// AdaptiveJoin runs a 2-way join as the live Adaptive 1-Bucket operator
-	// (§5): tuples route by a rows x cols matrix over the Machines budget,
-	// and a runtime control plane reshapes the matrix as the observed
-	// |R| : |S| ratio drifts, migrating joiner state between tasks. The
-	// partitioning Scheme is bypassed on the joiner edges, and the
-	// aggregate-view fast path is disabled (aggregate views cannot migrate).
-	// Set via the Adaptive method; tune with Adapt.
+	// (§5): the joiner's partitioning is the 2-way Random-Hypercube — a
+	// rows x cols matrix (core.OneBucket) over the Machines budget, in place
+	// of the Scheme's hypercube — and a runtime control plane reshapes it as
+	// the observed |R| : |S| ratio drifts, migrating joiner state between
+	// tasks. Routing, migration and recovery peers all read that one live
+	// shape. The aggregate-view fast path is disabled (aggregate views
+	// cannot migrate). Set via the Adaptive method; tune with Adapt.
 	AdaptiveJoin bool
 	// Adapt tunes the adaptive execution (nil = defaults).
 	Adapt *AdaptConfig
@@ -469,7 +468,15 @@ func (q *JoinQuery) aggViewsDeclined(opt Options) string {
 
 // plan translates the query into a ready-to-run dataflow topology.
 func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
-	hc, err := q.BuildScheme()
+	const joiner = "joiner"
+	var hc *core.Hypercube
+	var policy *dataflow.AdaptivePolicy
+	var err error
+	if q.AdaptiveJoin {
+		hc, policy, err = q.adaptivePolicy(joiner)
+	} else {
+		hc, err = q.BuildScheme()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -494,15 +501,10 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	}
 
 	sink := &limitSink{limit: opt.CollectLimit}
-	const joiner = "joiner"
 	joinerPar := hc.Machines()
-	var policy *dataflow.AdaptivePolicy
 	if q.AdaptiveJoin {
-		if policy, err = q.adaptivePolicy(joiner); err != nil {
-			return nil, err
-		}
 		// The matrix may grow into the whole budget, so the joiner runs at
-		// full parallelism rather than the static scheme's choice.
+		// full parallelism rather than the initial shape's.
 		joinerPar = q.Machines
 	}
 	if opt.FaultPlan != nil && opt.Recovery == nil {
@@ -595,14 +597,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		b.Input("sink", joiner, dataflow.Global())
 	}
 	for i, s := range q.Sources {
-		g := hc.GroupingFor(i)
-		if q.AdaptiveJoin {
-			// The executor routes adaptive edges by the live matrix; the
-			// registered grouping is never consulted (and the static scheme
-			// was built for a different parallelism anyway).
-			g = dataflow.Shuffle()
-		}
-		b.Input(joiner, s.Name, g)
+		b.Input(joiner, s.Name, hc.GroupingFor(i))
 	}
 	topo, err := b.Build()
 	if err != nil {
@@ -616,10 +611,15 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			// default it) so tiered checkpoints can reference segments in it.
 			recStore = recovery.NewMemStore()
 		}
+		// The §5 plan made live: a relation is peer-recoverable at a failed
+		// machine iff the scheme replicates it, and the peers are the
+		// machines sharing the failed one's coordinates on the relation's own
+		// dimensions.
 		recPolicy = &dataflow.RecoveryPolicy{
 			Component:       joiner,
 			RelOf:           relOf,
 			NumRels:         len(q.Sources),
+			Shape:           hc,
 			Store:           recStore,
 			CheckpointEvery: opt.Recovery.CheckpointEvery,
 			DisablePeer:     opt.Recovery.DisablePeer,
@@ -631,20 +631,6 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 			// later manifests reference it instead of re-exporting the rows.
 			if ss, ok := recStore.(slab.SegmentStore); ok {
 				tier.CkStore = ss
-			}
-		}
-		if !q.AdaptiveJoin {
-			// The §5 plan made live: a relation is peer-recoverable at a
-			// failed machine iff the scheme replicates it, and the peers are
-			// the machines sharing the failed one's coordinates on the
-			// relation's own dimensions. Adaptive runs leave PeersFor nil:
-			// the engine derives peers from the live matrix instead.
-			recPolicy.PeersFor = func(task, rel int) []int {
-				plans, err := ft.RecoveryPlan(hc, task)
-				if err != nil || plans[rel].Checkpoint {
-					return nil
-				}
-				return plans[rel].Peers
 			}
 		}
 	}
@@ -681,27 +667,25 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 	}, nil
 }
 
-// adaptivePolicy translates the query's adaptive knobs into the dataflow
-// control plane's policy, defaulting the initial matrix to the offline
-// optimizer's choice for the declared source sizes.
-func (q *JoinQuery) adaptivePolicy(joiner string) (*dataflow.AdaptivePolicy, error) {
-	if len(q.Sources) != 2 {
-		return nil, fmt.Errorf("squall: adaptive 1-Bucket execution needs exactly 2 sources, got %d", len(q.Sources))
-	}
-	if q.Machines < 1 {
-		return nil, fmt.Errorf("squall: adaptive 1-Bucket execution needs Machines >= 1")
-	}
+// adaptivePolicy builds the adaptive run's initial shape — core.OneBucket,
+// pinned by the query's InitialRows x InitialCols or sized by the optimizer
+// for the declared source sizes — and the dataflow control plane's policy
+// that starts from it.
+func (q *JoinQuery) adaptivePolicy(joiner string) (*core.Hypercube, *dataflow.AdaptivePolicy, error) {
 	cfg := AdaptConfig{}
 	if q.Adapt != nil {
 		cfg = *q.Adapt
 	}
-	rows, cols := cfg.InitialRows, cfg.InitialCols
-	if rows == 0 && cols == 0 {
-		m := adaptive.OptimalMatrix(q.Machines,
-			float64(max(q.Sources[0].Size, int64(1))), float64(max(q.Sources[1].Size, int64(1))))
-		rows, cols = m.Rows, m.Cols
+	spec, err := q.spec()
+	if err != nil {
+		return nil, nil, err
 	}
-	return &dataflow.AdaptivePolicy{
+	hc, err := core.OneBucket(spec, q.Machines, cfg.InitialRows, cfg.InitialCols)
+	if err != nil {
+		return nil, nil, err
+	}
+	rows, cols := hc.Matrix()
+	return hc, &dataflow.AdaptivePolicy{
 		Component:   joiner,
 		RStream:     q.Sources[0].Name,
 		SStream:     q.Sources[1].Name,
