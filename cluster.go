@@ -333,6 +333,7 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.close() // validation only: every attempt plans afresh
 	workers := len(spec.Workers) + 1
 	if spec.Place != nil {
 		for _, c := range p.components {
@@ -500,6 +501,7 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.close()
 	runID := fmt.Sprintf("%s.%d", st.baseID, attempt)
 	workers := len(st.alive) + 1
 	if workers == 1 {

@@ -744,7 +744,7 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 	m := &a.ex.metrics.Recovery
 	var cur wire.Cursor
 	for si, sr := range refs {
-		blob, found, err := ss.GetSegment(sr.Key)
+		blob, found, err := ss.GetSegment(sr.Key, nil)
 		if err == nil && !found {
 			err = fmt.Errorf("segment %q missing from store", sr.Key)
 		}

@@ -127,20 +127,30 @@ func TestExprKeysDefeatLowering(t *testing.T) {
 // and spilling every sealed segment, so probes continually fault state back
 // in through the CRC-verified read path. Each configuration must stay
 // bag-equal to the oracle — with a mid-run task kill on top, recovery runs
-// through incremental (segment-referencing) checkpoints.
+// through incremental (segment-referencing) checkpoints. Each workload runs
+// two seeds: one spills to the in-process MemStore, whose blobs fault in
+// without a copy, the other to a DiskStore log, whose blobs fault into
+// recycled buffers.
 func TestDifferentialSpill(t *testing.T) {
 	cases := []struct {
 		name               string
 		seed               int64
 		rels, rows, domain int
 		theta              bool
+		disk               bool
 	}{
-		{"2way-equi", 31, 2, 400, 25, false},
-		{"3way-chain", 32, 3, 150, 10, false},
+		{"2way-equi", 31, 2, 400, 25, false, false},
+		{"2way-equi-disk", 34, 2, 400, 25, false, true},
+		{"3way-chain", 32, 3, 150, 10, false, false},
+		{"3way-chain-disk", 35, 3, 150, 10, false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v", c.seed, c.rels, c.rows, c.domain, c.theta)
+			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v disk=%v", c.seed, c.rels, c.rows, c.domain, c.theta, c.disk)
+			spillDir := ""
+			if c.disk {
+				spillDir = t.TempDir()
+			}
 			w := RandomWorkload(c.seed, c.rels, c.rows, c.domain, c.theta)
 			ref := w.ReferenceBag()
 			if len(ref) == 0 {
@@ -153,7 +163,7 @@ func TestDifferentialSpill(t *testing.T) {
 						// seal segments (sealing needs 64 rows per arena).
 						ec := EngineConfig{
 							Scheme: squall.HashHypercube, Local: local, BatchSize: batch,
-							Spill: true, Kill: kill, Machines: 2, Seed: c.seed,
+							Spill: true, SpillDir: spillDir, Kill: kill, Machines: 2, Seed: c.seed,
 						}
 						t.Run(ec.String(), func(t *testing.T) {
 							got, _, err := w.RunEngine(ec)
@@ -174,7 +184,7 @@ func TestDifferentialSpill(t *testing.T) {
 			// flowing after it, so later arrivals probe the restored rows.
 			ec := EngineConfig{
 				Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 1,
-				Spill: true, Kill: true, ExprKeys: true, Machines: 2, Seed: c.seed,
+				Spill: true, SpillDir: spillDir, Kill: true, ExprKeys: true, Machines: 2, Seed: c.seed,
 			}
 			t.Run(ec.String(), func(t *testing.T) {
 				q, opts := w.Plan(ec)

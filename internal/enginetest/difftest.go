@@ -247,6 +247,11 @@ type EngineConfig struct {
 	// the untiered runs. Combined with Kill, checkpoints go incremental
 	// (segment references) and recovery restores through them.
 	Spill bool
+	// SpillDir, when set on a Spill run, spills to a recovery.DiskStore in
+	// this directory (TierOptions.SpillDir) instead of the in-process
+	// MemStore: fault-ins then read into buffers the tier recycles, so a
+	// row slice kept past its segment's eviction reads as a wrong bag.
+	SpillDir string
 	// Agg puts an aggregate over the join; under DBToaster an equi-join
 	// aggregate runs as aggregate views inside the joiner. Compare against
 	// ReferenceAggBag.
@@ -280,6 +285,9 @@ func (c EngineConfig) String() string {
 	}
 	if c.Spill {
 		chaos += "/spill"
+		if c.SpillDir != "" {
+			chaos += "=disk"
+		}
 	}
 	if c.Agg != nil {
 		chaos += fmt.Sprintf("/agg/final=%d", max(c.FinalPar, 1))
@@ -355,7 +363,7 @@ func (w *Workload) Plan(c EngineConfig) (*squall.JoinQuery, squall.Options) {
 		// without a pressure ladder the tier spills eagerly at every seal,
 		// so differential workloads constantly decode spilled segments back
 		// through the CRC-verified read path.
-		opts.Tier = &squall.TierOptions{SegmentRows: 64, CacheSegments: 2}
+		opts.Tier = &squall.TierOptions{SegmentRows: 64, CacheSegments: 2, SpillDir: c.SpillDir}
 	}
 	return w.query(c), opts
 }

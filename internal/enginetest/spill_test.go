@@ -1,6 +1,9 @@
 package enginetest
 
 import (
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -132,8 +135,8 @@ func (c *corruptingStore) PutSegment(key string, blob []byte) error {
 	return c.inner.PutSegment(key, blob)
 }
 
-func (c *corruptingStore) GetSegment(key string) ([]byte, bool, error) {
-	return c.inner.GetSegment(key)
+func (c *corruptingStore) GetSegment(key string, dst []byte) ([]byte, bool, error) {
+	return c.inner.GetSegment(key, dst)
 }
 
 func (c *corruptingStore) DeleteSegment(key string) error {
@@ -148,30 +151,81 @@ func (c *corruptingStore) DeleteSegment(key string) error {
 // TestCorruptSpillSegmentRecovered: a spilled segment corrupted mid-run fails
 // its CRC on the next fault-in; the tier quarantines it and the task restores
 // through the recovery plane from its clean incremental checkpoint, reading
-// sealed segments back, and the run ends bag-equal to the untiered run.
+// sealed segments back, and the run ends bag-equal to the untiered run. The
+// spill store is the in-process MemStore once and a DiskStore log once,
+// where the bad blob lands in a recycled fault-in buffer.
 func TestCorruptSpillSegmentRecovered(t *testing.T) {
 	ref, _ := spillRun(t, squall.Options{})
-	// A mid-run target: checkpoints with segment references precede the
-	// fault, so the restore reads sealed segments instead of replaying only.
-	cs := &corruptingStore{inner: recovery.NewMemStore(), target: 48}
-	got, res := spillRun(t, squall.Options{
-		Recovery: &squall.RecoveryOptions{CheckpointEvery: spillRows / 32, DisablePeer: true},
-		Tier:     &squall.TierOptions{SegmentRows: spillSegRows, CacheSegments: 4, Store: cs},
-	})
-	if cs.victim == "" {
-		t.Fatalf("the run made fewer than %d spill writes", cs.target)
+	for _, tc := range []struct {
+		name  string
+		inner func(t *testing.T) slab.SegmentStore
+	}{
+		{"mem", func(*testing.T) slab.SegmentStore { return recovery.NewMemStore() }},
+		{"disk", func(t *testing.T) slab.SegmentStore {
+			ds, err := recovery.NewDiskStore(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { ds.Close() })
+			return ds
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A mid-run target: checkpoints with segment references precede
+			// the fault, so the restore reads sealed segments instead of
+			// replaying only.
+			cs := &corruptingStore{inner: tc.inner(t), target: 48}
+			got, res := spillRun(t, squall.Options{
+				Recovery: &squall.RecoveryOptions{CheckpointEvery: spillRows / 32, DisablePeer: true},
+				Tier:     &squall.TierOptions{SegmentRows: spillSegRows, CacheSegments: 4, Store: cs},
+			})
+			if cs.victim == "" {
+				t.Fatalf("the run made fewer than %d spill writes", cs.target)
+			}
+			if diff := DiffBags(ref, got); diff != "" {
+				t.Fatalf("recovered run diverges from the untiered run:\n%s", diff)
+			}
+			if !cs.quarantined {
+				t.Fatalf("corrupted segment %q was never quarantined", cs.victim)
+			}
+			rm := &res.Metrics.Recovery
+			if rm.Faults.Load() < 1 {
+				t.Fatalf("%d recoveries, want >= 1", rm.Faults.Load())
+			}
+			if rm.SegmentBytes.Load() == 0 {
+				t.Fatalf("the restore read no sealed segments back")
+			}
+		})
 	}
-	if diff := DiffBags(ref, got); diff != "" {
-		t.Fatalf("recovered run diverges from the untiered run:\n%s", diff)
+}
+
+// TestSpillDirClosedAfterRun: the segment store a run opens on
+// TierOptions.SpillDir is closed when Run returns — no file descriptor of
+// this process points into the spill directory afterwards, and the
+// directory holds no segment log. Linux only (it reads /proc/self/fd).
+func TestSpillDirClosedAfterRun(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("reads /proc/self/fd")
 	}
-	if !cs.quarantined {
-		t.Fatalf("corrupted segment %q was never quarantined", cs.victim)
+	_, uncapped := spillRun(t, squall.Options{Tier: &squall.TierOptions{SegmentRows: spillSegRows, MemCapBytes: 1 << 40}})
+	dir := t.TempDir()
+	_, res := spillRun(t, squall.Options{Tier: &squall.TierOptions{
+		SegmentRows: spillSegRows, MemCapBytes: uncapped.Pressure.PeakResident / 2, SpillDir: dir,
+	}})
+	if res.Pressure.Spills == 0 {
+		t.Fatal("the run spilled nothing: the spill store was never written")
 	}
-	rm := &res.Metrics.Recovery
-	if rm.Faults.Load() < 1 {
-		t.Fatalf("%d recoveries, want >= 1", rm.Faults.Load())
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rm.SegmentBytes.Load() == 0 {
-		t.Fatalf("the restore read no sealed segments back")
+	for _, fd := range fds {
+		target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name()))
+		if err == nil && strings.HasPrefix(target, dir) {
+			t.Fatalf("fd %s still points into the spill directory: %s", fd.Name(), target)
+		}
+	}
+	if left, _ := os.ReadDir(dir); len(left) != 0 {
+		t.Fatalf("the spill directory still holds %d entries, first %s", len(left), left[0].Name())
 	}
 }

@@ -153,7 +153,7 @@ func (s *countingStore) PutSegment(key string, blob []byte) error {
 	return nil
 }
 
-func (s *countingStore) GetSegment(key string) ([]byte, bool, error) {
+func (s *countingStore) GetSegment(key string, _ []byte) ([]byte, bool, error) {
 	s.gets++
 	b, ok := s.blobs[key]
 	return b, ok, nil

@@ -7,9 +7,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"squall/internal/slab"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -232,9 +234,11 @@ func TestDiskStoreDetectsCorruption(t *testing.T) {
 	}
 }
 
-// Checkpoint and segment file names share one sanitizer: every rune outside
+// Checkpoint file names go through one sanitizer: every rune outside
 // [A-Za-z0-9_-] becomes '_', so names that differ only in such a rune land
-// on the same file, and no name can leave the store directory.
+// on the same file, and no name can leave the store directory. Segment keys
+// are exact — they index the store's one segment log, which is created
+// inside the store directory and removed by Close.
 func TestDiskStoreFileNames(t *testing.T) {
 	dir := t.TempDir()
 	disk, err := NewDiskStore(dir)
@@ -244,53 +248,90 @@ func TestDiskStoreFileNames(t *testing.T) {
 	if a, b := disk.fileFor("join/er", 2), disk.fileFor("join:er", 2); a != b || filepath.Base(a) != "join_er-2.ckpt" {
 		t.Fatalf("checkpoint files %q and %q, want both join_er-2.ckpt", a, b)
 	}
-	if a, b := disk.segFileFor("sp-a.b"), disk.segFileFor("sp-aéb"); a != b || filepath.Base(a) != "sp-a_b.seg" {
-		t.Fatalf("segment files %q and %q, want both sp-a_b.seg", a, b)
+	if p := disk.fileFor("../../x", 0); filepath.Dir(p) != dir {
+		t.Fatalf("%q escapes the store directory %q", p, dir)
 	}
-	for _, p := range []string{disk.fileFor("../../x", 0), disk.segFileFor("../x")} {
-		if filepath.Dir(p) != dir {
-			t.Fatalf("%q escapes the store directory %q", p, dir)
+
+	// Segments: keys that would sanitize alike stay distinct, and a key
+	// shaped like a path names no file.
+	puts := map[string]string{"sp-k/1": "blob", "sp-k:1": "other", "../x": "up"}
+	for k, v := range puts {
+		if err := disk.PutSegment(k, []byte(v)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// Through the store: a segment put under one key reads back under the
-	// other.
-	if err := disk.PutSegment("sp-k/1", []byte("blob")); err != nil {
+	for k, v := range puts {
+		if got, ok, err := disk.GetSegment(k, nil); err != nil || !ok || string(got) != v {
+			t.Fatalf("GetSegment(%q) = %q, %v, %v; want %q", k, got, ok, err, v)
+		}
+	}
+	if _, ok, err := disk.GetSegment("sp-k_1", nil); ok || err != nil {
+		t.Fatalf("GetSegment(sp-k_1) = %v, %v; want a miss", ok, err)
+	}
+	logs, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, err := disk.GetSegment("sp-k:1"); err != nil || !ok || string(got) != "blob" {
-		t.Fatalf("GetSegment(sp-k:1) = %q, %v, %v; want the blob put under sp-k/1", got, ok, err)
+	if len(logs) != 1 || logs[0] != disk.log.Name() || filepath.Dir(logs[0]) != dir {
+		t.Fatalf("store directory holds %q, want only the segment log %q", logs, disk.log.Name())
+	}
+	if _, err := os.Stat(filepath.Join(filepath.Dir(dir), "x")); !os.IsNotExist(err) {
+		t.Fatalf("segment key ../x created a file outside the store: %v", err)
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(logs[0]); !os.IsNotExist(err) {
+		t.Fatalf("Close left the segment log behind: %v", err)
+	}
+	if err := disk.PutSegment("sp-late", []byte("x")); err == nil {
+		t.Fatal("PutSegment after Close succeeded")
+	}
+	if err := disk.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }
 
 // Both stores implement the slab.SegmentStore methods; verified
-// structurally here so the interface satisfaction never regresses.
+// structurally here so the interface satisfaction never regresses. The
+// disk store reads into the caller's buffer when it fits; the memory store
+// hands back its own copy and leaves the buffer alone.
 func TestSegmentStoreMethods(t *testing.T) {
 	disk, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { disk.Close() })
 	stores := map[string]interface {
 		PutSegment(string, []byte) error
-		GetSegment(string) ([]byte, bool, error)
+		GetSegment(string, []byte) ([]byte, bool, error)
 		DeleteSegment(string) error
 	}{"mem": NewMemStore(), "disk": disk}
 	for name, s := range stores {
 		t.Run(name, func(t *testing.T) {
-			if _, ok, err := s.GetSegment("sp-a-g1-s0"); ok || err != nil {
+			if _, ok, err := s.GetSegment("sp-a-g1-s0", nil); ok || err != nil {
 				t.Fatalf("empty GetSegment = %v, %v", ok, err)
 			}
 			blob := []byte("segment-bytes-\x00\xff")
 			if err := s.PutSegment("sp-a-g1-s0", blob); err != nil {
 				t.Fatal(err)
 			}
-			got, ok, err := s.GetSegment("sp-a-g1-s0")
+			got, ok, err := s.GetSegment("sp-a-g1-s0", nil)
 			if err != nil || !ok || !reflect.DeepEqual(got, blob) {
 				t.Fatalf("GetSegment = %q, %v, %v", got, ok, err)
+			}
+			dst := make([]byte, 0, 64)
+			got, ok, err = s.GetSegment("sp-a-g1-s0", dst)
+			if err != nil || !ok || !reflect.DeepEqual(got, blob) {
+				t.Fatalf("GetSegment into a buffer = %q, %v, %v", got, ok, err)
+			}
+			if copied := &got[0] == &dst[:1][0]; copied != (name == "disk") {
+				t.Fatalf("read into the caller's buffer: %v, want %v", copied, name == "disk")
 			}
 			if err := s.DeleteSegment("sp-a-g1-s0"); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok, _ := s.GetSegment("sp-a-g1-s0"); ok {
+			if _, ok, _ := s.GetSegment("sp-a-g1-s0", nil); ok {
 				t.Fatal("segment survived delete")
 			}
 			if err := s.DeleteSegment("never-existed"); err != nil {
@@ -300,16 +341,88 @@ func TestSegmentStoreMethods(t *testing.T) {
 	}
 }
 
-// DiskStore reads take no lock: writes replace files by rename, so a read
-// racing any number of writes to the same key returns one of the written
-// blobs whole — never an error, a miss or a torn mix of two writes.
+// A byte flipped inside one key's region of the segment log fails that
+// segment's fault-in verification — the tier quarantines it and panics
+// *CorruptSegmentError — while every other segment in the same log still
+// reads back intact.
+func TestSegmentLogCorruptionIsolated(t *testing.T) {
+	disk, err := NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { disk.Close() })
+	const segRows, segs = 16, 4
+	row := func(i int) types.Tuple { return types.Tuple{types.Int(int64(i)), types.Str(fmt.Sprintf("row-%d", i))} }
+	a := slab.New()
+	a.EnableTier(slab.TierConfig{SegmentRows: segRows, Store: disk, CacheSegments: 1, KeyPrefix: "log"})
+	for i := 0; i < segRows*segs; i++ {
+		a.Append(row(i))
+	}
+	if st := a.TierStats(); st.SpilledSegments != segs {
+		t.Fatalf("%d of %d segments spilled", st.SpilledSegments, segs)
+	}
+	var victim string
+	for k := range disk.segs {
+		if strings.HasSuffix(k, "-s1") {
+			victim = k
+		}
+	}
+	sp := disk.segs[victim]
+	b := []byte{0}
+	if _, err := disk.log.ReadAt(b, sp.off+int64(sp.n/2)); err != nil {
+		t.Fatal(err)
+	}
+	b[0] ^= 0x10
+	if _, err := disk.log.WriteAt(b, sp.off+int64(sp.n/2)); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(r int) (got types.Tuple, ce *slab.CorruptSegmentError) {
+		defer func() {
+			if p := recover(); p != nil {
+				var ok bool
+				if ce, ok = p.(*slab.CorruptSegmentError); !ok {
+					panic(p)
+				}
+			}
+		}()
+		return a.Decode(slab.Ref(r)), nil
+	}
+	if _, ce := read(segRows + 3); ce == nil || ce.Key != victim || !errors.Is(ce, slab.ErrSegmentCorrupt) {
+		t.Fatalf("corrupt segment read: error %v, want *CorruptSegmentError on %s", ce, victim)
+	}
+	if st := a.TierStats(); st.Quarantined != 1 {
+		t.Fatalf("%d segments quarantined, want 1", st.Quarantined)
+	}
+	if _, ok, _ := disk.GetSegment(victim, nil); ok {
+		t.Fatal("the quarantined segment is still in the store")
+	}
+	for r := 0; r < segRows*segs; r++ {
+		if r/segRows == 1 {
+			continue
+		}
+		if got, ce := read(r); ce != nil || !got.Equal(row(r)) {
+			t.Fatalf("row %d = %v (%v) after quarantining segment 1", r, got, ce)
+		}
+	}
+}
+
+// DiskStore reads never see a torn or unwritten blob. Checkpoint writes
+// replace files by rename; a segment put appends a fresh copy to the log and
+// republishes the key only after the write, and no published span is ever
+// overwritten. So a read racing any number of writes to the same key
+// returns one of the written blobs whole — never an error, a miss or a torn
+// mix of two writes — including when it reads into a reused buffer.
 func TestDiskStoreReadsRaceWrites(t *testing.T) {
 	disk, err := NewDiskStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { disk.Close() })
 	const writes, readers = 100, 2
-	race := func(t *testing.T, put func(v int) error, check func() error) {
+	// Each reader goroutine runs its own check from newCheck, so a check can
+	// keep per-reader state such as a reused buffer.
+	race := func(t *testing.T, put func(v int) error, newCheck func() func() error) {
 		if err := put(0); err != nil {
 			t.Fatal(err)
 		}
@@ -333,6 +446,7 @@ func TestDiskStoreReadsRaceWrites(t *testing.T) {
 			rg.Add(1)
 			go func() {
 				defer rg.Done()
+				check := newCheck()
 				for {
 					if err := check(); err != nil {
 						errs <- err
@@ -357,30 +471,36 @@ func TestDiskStoreReadsRaceWrites(t *testing.T) {
 
 	t.Run("segment", func(t *testing.T) {
 		blobs := [][]byte{bytes.Repeat([]byte("a"), 4<<10), bytes.Repeat([]byte("bc"), 9<<10)}
-		race(t, func(v int) error { return disk.PutSegment("sp-race", blobs[v]) }, func() error {
-			got, ok, err := disk.GetSegment("sp-race")
-			if err != nil || !ok {
-				return fmt.Errorf("GetSegment = ok %v, err %v", ok, err)
+		race(t, func(v int) error { return disk.PutSegment("sp-race", blobs[v]) }, func() func() error {
+			var buf []byte
+			return func() error {
+				got, ok, err := disk.GetSegment("sp-race", buf[:0])
+				if err != nil || !ok {
+					return fmt.Errorf("GetSegment = ok %v, err %v", ok, err)
+				}
+				if !bytes.Equal(got, blobs[0]) && !bytes.Equal(got, blobs[1]) {
+					return fmt.Errorf("GetSegment returned a %dB blob that was never written", len(got))
+				}
+				buf = got
+				return nil
 			}
-			if !bytes.Equal(got, blobs[0]) && !bytes.Equal(got, blobs[1]) {
-				return fmt.Errorf("GetSegment returned a %dB blob that was never written", len(got))
-			}
-			return nil
 		})
 	})
 	t.Run("checkpoint", func(t *testing.T) {
 		cks := []*Checkpoint{sampleCheckpoint(), sampleCheckpoint()}
 		cks[1].Frames[0] = append(cks[1].Frames[0], bytes.Repeat(cks[1].Frames[0][0], 64))
 		cks[1].Tuples = 130
-		race(t, func(v int) error { return disk.Put("joiner", 3, cks[v]) }, func() error {
-			got, ok, err := disk.Get("joiner", 3)
-			if err != nil || !ok {
-				return fmt.Errorf("Get = ok %v, err %v", ok, err)
+		race(t, func(v int) error { return disk.Put("joiner", 3, cks[v]) }, func() func() error {
+			return func() error {
+				got, ok, err := disk.Get("joiner", 3)
+				if err != nil || !ok {
+					return fmt.Errorf("Get = ok %v, err %v", ok, err)
+				}
+				if !reflect.DeepEqual(got, cks[0]) && !reflect.DeepEqual(got, cks[1]) {
+					return fmt.Errorf("Get returned a checkpoint that was never written: %d tuples", got.Tuples)
+				}
+				return nil
 			}
-			if !reflect.DeepEqual(got, cks[0]) && !reflect.DeepEqual(got, cks[1]) {
-				return fmt.Errorf("Get returned a checkpoint that was never written: %d tuples", got.Tuples)
-			}
-			return nil
 		})
 	})
 }

@@ -142,9 +142,11 @@ func (s *MemStore) PutSegment(key string, blob []byte) error {
 	return nil
 }
 
-// GetSegment returns one sealed segment's bytes (slab.SegmentStore). The
-// segment codec carries its own CRC; verification happens at decode.
-func (s *MemStore) GetSegment(key string) ([]byte, bool, error) {
+// GetSegment returns one sealed segment's bytes (slab.SegmentStore): the
+// store's own immutable copy, so dst is never written and nothing is
+// copied. The segment codec carries its own CRC; verification happens at
+// decode.
+func (s *MemStore) GetSegment(key string, _ []byte) ([]byte, bool, error) {
 	s.mu.Lock()
 	b, ok := s.segs[key]
 	s.mu.Unlock()
@@ -161,26 +163,47 @@ func (s *MemStore) DeleteSegment(key string) error {
 
 // DiskStore persists checkpoints as one file per (component, task) under a
 // directory — the paper's baseline recovery medium ("network accesses are
-// several times faster than disk accesses"). Writes go through a temp file
-// and rename, so a crash mid-write never leaves a torn checkpoint and a
-// reader sees either the whole old file or the whole new one; reads
-// therefore take no lock, and concurrent fault-ins never queue behind each
-// other or behind a checkpoint write. Get reads and re-decodes the file on
-// every call, charging recovery with the disk round trip.
+// several times faster than disk accesses"). Checkpoint writes go through a
+// temp file and rename, so a crash mid-write never leaves a torn checkpoint
+// and a reader sees either the whole old file or the whole new one. Get
+// reads and re-decodes the file on every call, charging recovery with the
+// disk round trip.
+//
+// Sealed slab segments live in one append-only log file per store, created
+// in the directory on the first PutSegment, with an in-memory index from key
+// to the blob's span. A put is one write at the log's end, published to the
+// index only once it succeeded; a get is one positioned read into the
+// caller's buffer. Published spans are never overwritten (a re-put appends a
+// fresh copy), so the log's lock covers bookkeeping only, never I/O, and
+// concurrent fault-ins never queue behind each other or behind a write. The
+// index dies with the store, so Close removes the log.
 //
 // Like the wire layer's CPU-for-network substitution (DESIGN.md), the read
 // path can model the paper's cluster disk: SeekLatency is charged once per
-// Get and ReadBytesPerSec bounds the modeled sequential bandwidth, so a
-// laptop's page cache does not stand in for the 2016 blades' spinning
-// disks. Writes are never throttled — production engines flush checkpoints
-// asynchronously, and only the recovery read sits on the critical path.
-// Zero values disable the model (raw filesystem speed).
+// Get or GetSegment and ReadBytesPerSec bounds the modeled sequential
+// bandwidth, so a laptop's page cache does not stand in for the 2016
+// blades' spinning disks. Writes are never throttled — production engines
+// flush checkpoints asynchronously, and only the recovery read sits on the
+// critical path. Zero values disable the model (raw filesystem speed).
 type DiskStore struct {
 	dir string
-	mu  sync.Mutex // serializes writes (one shared temp file per path) and deletes
-	// SeekLatency and ReadBytesPerSec model the recovery medium on Get.
+	mu  sync.Mutex // serializes checkpoint writes (one shared temp file per path)
+	// logMu guards the segment log's file, end and index; it is never held
+	// across a read or a write.
+	logMu  sync.Mutex
+	log    *os.File
+	logEnd int64
+	segs   map[string]logSpan
+	closed bool
+	// SeekLatency and ReadBytesPerSec model the recovery medium on reads.
 	SeekLatency     time.Duration
 	ReadBytesPerSec int64
+}
+
+// logSpan locates one segment blob in the log.
+type logSpan struct {
+	off int64
+	n   int
 }
 
 // NewDiskStore creates (if needed) and wraps a checkpoint directory.
@@ -206,8 +229,7 @@ func NewModeledDiskStore(dir string, seek time.Duration, readBytesPerSec int64) 
 }
 
 // fileSafe maps every rune outside [A-Za-z0-9_-] to '_', so a component
-// name or segment key becomes a file name that stays inside the store
-// directory.
+// name becomes a file name that stays inside the store directory.
 func fileSafe(name string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
@@ -255,13 +277,7 @@ func (s *DiskStore) Get(component string, task int) (*Checkpoint, bool, error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("recovery: checkpoint read: %w", err)
 	}
-	delay := s.SeekLatency
-	if s.ReadBytesPerSec > 0 {
-		delay += time.Duration(float64(len(blob)) / float64(s.ReadBytesPerSec) * float64(time.Second))
-	}
-	if delay > 0 {
-		time.Sleep(delay)
-	}
+	s.chargeRead(len(blob))
 	payload, err := unsealBlob(s.fileFor(component, task), blob)
 	if err != nil {
 		return nil, false, err
@@ -273,46 +289,96 @@ func (s *DiskStore) Get(component string, task int) (*Checkpoint, bool, error) {
 	return ck, true, nil
 }
 
-// segFileFor sanitizes a segment key into a stable file name, kept apart
-// from checkpoint files by extension.
-func (s *DiskStore) segFileFor(key string) string {
-	return filepath.Join(s.dir, fileSafe(key)+".seg")
-}
-
-// PutSegment atomically writes one sealed slab segment
-// (slab.SegmentStore). The segment codec carries its own CRC, so the blob
-// is stored bare.
-func (s *DiskStore) PutSegment(key string, blob []byte) error {
-	return s.writeAtomic(s.segFileFor(key), blob)
-}
-
-// GetSegment reads one sealed segment, charging the modeled seek and
-// bandwidth when configured (a fault-in is a disk read).
-func (s *DiskStore) GetSegment(key string) ([]byte, bool, error) {
-	blob, err := os.ReadFile(s.segFileFor(key))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("recovery: segment read: %w", err)
-	}
+// chargeRead sleeps for the modeled seek plus n bytes at the modeled
+// bandwidth (no-op when the model is off).
+func (s *DiskStore) chargeRead(n int) {
 	delay := s.SeekLatency
 	if s.ReadBytesPerSec > 0 {
-		delay += time.Duration(float64(len(blob)) / float64(s.ReadBytesPerSec) * float64(time.Second))
+		delay += time.Duration(float64(n) / float64(s.ReadBytesPerSec) * float64(time.Second))
 	}
 	if delay > 0 {
 		time.Sleep(delay)
 	}
-	return blob, true, nil
 }
 
-// DeleteSegment removes one sealed segment file (quarantine, garbage
-// collection). Deleting a missing segment is a no-op.
-func (s *DiskStore) DeleteSegment(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := os.Remove(s.segFileFor(key)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("recovery: segment delete: %w", err)
+// PutSegment appends one sealed slab segment to the log
+// (slab.SegmentStore) and points key at it. The segment codec carries its
+// own CRC, so the blob is stored bare. A failed write publishes nothing: the
+// key keeps its previous blob, if any.
+func (s *DiskStore) PutSegment(key string, blob []byte) error {
+	s.logMu.Lock()
+	if s.log == nil && !s.closed {
+		f, err := os.CreateTemp(s.dir, "segments-*.log")
+		if err != nil {
+			s.logMu.Unlock()
+			return fmt.Errorf("recovery: segment log: %w", err)
+		}
+		s.log, s.segs = f, map[string]logSpan{}
 	}
+	log, off := s.log, s.logEnd
+	s.logEnd += int64(len(blob))
+	s.logMu.Unlock()
+	if log == nil {
+		return errors.New("recovery: segment write on a closed store")
+	}
+	if _, err := log.WriteAt(blob, off); err != nil {
+		return fmt.Errorf("recovery: segment write: %w", err)
+	}
+	s.logMu.Lock()
+	if s.log == log {
+		s.segs[key] = logSpan{off: off, n: len(blob)}
+	}
+	s.logMu.Unlock()
 	return nil
+}
+
+// GetSegment reads one sealed segment into dst, reusing its capacity when it
+// holds the blob and allocating otherwise (slab.SegmentStore). It charges
+// the modeled seek and bandwidth when configured: a fault-in is a disk read.
+func (s *DiskStore) GetSegment(key string, dst []byte) ([]byte, bool, error) {
+	s.logMu.Lock()
+	sp, ok := s.segs[key]
+	log := s.log
+	s.logMu.Unlock()
+	if !ok {
+		return nil, false, nil
+	}
+	if cap(dst) < sp.n {
+		dst = make([]byte, sp.n)
+	}
+	dst = dst[:sp.n]
+	if _, err := log.ReadAt(dst, sp.off); err != nil {
+		return nil, false, fmt.Errorf("recovery: segment read: %w", err)
+	}
+	s.chargeRead(sp.n)
+	return dst, true, nil
+}
+
+// DeleteSegment drops one sealed segment from the index (quarantine,
+// garbage collection); its bytes stay in the log unreachable. Deleting a
+// missing segment is a no-op.
+func (s *DiskStore) DeleteSegment(key string) error {
+	s.logMu.Lock()
+	delete(s.segs, key)
+	s.logMu.Unlock()
+	return nil
+}
+
+// Close closes and removes the segment log: its index lives only in this
+// store, so its bytes are unreachable afterwards. Checkpoint files stay.
+// Segment writes after Close fail, and a closed store holds no segments.
+// Close is idempotent.
+func (s *DiskStore) Close() error {
+	s.logMu.Lock()
+	defer s.logMu.Unlock()
+	s.closed = true
+	if s.log == nil {
+		return nil
+	}
+	err := s.log.Close()
+	if rerr := os.Remove(s.log.Name()); err == nil {
+		err = rerr
+	}
+	s.log, s.logEnd, s.segs = nil, 0, nil
+	return err
 }

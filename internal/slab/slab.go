@@ -123,9 +123,17 @@ func (a *Arena) rowSpan(r Ref) (int, int) {
 
 // RowBytes returns the wire encoding of one row. The slice aliases the
 // arena; callers must not retain it across Appends — nor, on a tiered
-// arena, across other RowBytes calls (a fault-in may evict the segment
-// backing an earlier return). Reading a spilled row faults its segment in
-// from the store; a CRC failure panics *CorruptSegmentError.
+// arena, across other RowBytes calls on the same arena: a fault-in may
+// evict the segment backing an earlier return and read another segment
+// into the same buffer, so a retained slice can hold another segment's
+// bytes, not stale-but-valid ones. Reading a spilled row faults its segment
+// in from the store; a CRC failure panics *CorruptSegmentError.
+//
+// The tiered callers keep to this: localjoin's expandPacked holds one
+// cursor per relation, each relation its own arena, and resets a cursor
+// before its arena's next RowBytes; dbtoaster's TupleJoin reads stored rows
+// only through Decode; framesFrom copies each row into the frame, and
+// DecodeInto copies strings out before returning.
 func (a *Arena) RowBytes(r Ref) []byte {
 	if a.t != nil {
 		return a.t.rowBytes(a, r)
@@ -239,12 +247,13 @@ func (a *Arena) DecodeInto(buf types.Tuple, r Ref) types.Tuple {
 // slab and the offset table at their allocated capacities. Unlike
 // types.Tuple.MemSize sums, this is the number the Go heap actually pays. On
 // a tiered arena this counts only resident bytes — sealed-segment payloads
-// currently in RAM plus their offset tables — which is what makes
-// MemLimitPerTask a cap on residency, not on state.
+// currently in RAM plus their offset tables, and a freed fault-in buffer
+// awaiting its read — which is what makes MemLimitPerTask a cap on
+// residency, not on state.
 func (a *Arena) MemSize() int {
 	n := cap(a.buf) + 4*cap(a.offs) + 64
 	if a.t != nil {
-		n += int(a.t.residentBlobBytes) + 4*(a.t.segRows+1)*len(a.t.segs)
+		n += int(a.t.residentBlobBytes) + 4*(a.t.segRows+1)*len(a.t.segs) + cap(a.t.spare)
 	}
 	return n
 }

@@ -24,12 +24,15 @@ import (
 //   - spilled to a SegmentStore in the checksummed segment encoding once
 //     memory pressure demands it (or eagerly when no Pressure ladder is
 //     attached), dropping the in-RAM payload;
-//   - faulted back in on access through a count-capped LRU cache, every
-//     read checked against the segment's seal-time identity (exact encoded
-//     length and CRC) and sliced with the resident offset table — a corrupt,
-//     torn or substituted segment is quarantined and the access panics with
-//     *CorruptSegmentError, which the dataflow recovery plane turns into a
-//     checkpoint restore (never fabricated rows).
+//   - faulted back in on access through a count-capped LRU cache: the tier
+//     evicts first, then reads the blob into the buffer the eviction freed
+//     (a store that serves its own immutable bytes, like MemStore, is read
+//     without a copy). Every read is checked against the segment's
+//     seal-time identity (exact encoded length and CRC) and sliced with the
+//     resident offset table — a corrupt, torn or substituted segment is
+//     quarantined and the access panics with *CorruptSegmentError, which
+//     the dataflow recovery plane turns into a checkpoint restore (never
+//     fabricated rows).
 //
 // The tier is opt-in per arena (EnableTier on an empty arena); a plain
 // arena is byte-for-byte the single-slab code path.
@@ -42,9 +45,13 @@ var tierGen atomic.Uint64
 // SegmentStore persists sealed segments by key. recovery.MemStore and
 // recovery.DiskStore implement it structurally; slab declares the interface
 // so the state layer stays import-free of the recovery plane.
+//
+// GetSegment either copies the blob into dst — reusing dst's capacity when
+// it holds the blob, so the result aliases dst — or returns bytes the store
+// keeps immutable and leaves dst alone. dst may be nil.
 type SegmentStore interface {
 	PutSegment(key string, blob []byte) error
-	GetSegment(key string) (blob []byte, ok bool, err error)
+	GetSegment(key string, dst []byte) (blob []byte, ok bool, err error)
 	DeleteSegment(key string) error
 }
 
@@ -63,7 +70,10 @@ type TierConfig struct {
 	// re-exported as frames. Nil disables incremental checkpoints.
 	CkStore SegmentStore
 	// CacheSegments caps how many spilled segments may be held faulted-in
-	// at once (read-through LRU). Default 4.
+	// at once (read-through LRU). Default 4. A fault evicts before it reads,
+	// so a copying store reads into the buffer the eviction freed: the tier
+	// never holds more than CacheSegments fault-in buffers, and MemSize
+	// counts the one it holds between an eviction and the read.
 	CacheSegments int
 	// Pressure, when set, drives spilling: segments spill coldest-first
 	// only while the ladder is at PressureSpill or above. When nil and
@@ -120,6 +130,7 @@ type TierStats struct {
 type segment struct {
 	offs        []uint32 // segRows+1 local offsets
 	blob        []byte   // row payload; nil when spilled and not faulted in
+	buf         []byte   // the tier-owned fault-in buffer blob aliases, if any
 	crc         uint32   // CRC of the spilled encoding (set at spill)
 	encLen      int      // byte length of the spilled encoding (set at spill)
 	spilled     bool     // a verified copy lives in cfg.Store under key
@@ -147,6 +158,15 @@ type tier struct {
 	spillErrors       int64
 	quarantined       int
 	tick              uint64
+
+	// spare is the fault-in buffer the last eviction freed, waiting for the
+	// read that follows it (counted in MemSize). maxEnc is the largest
+	// spilled encoding, so every new buffer fits every spilled segment.
+	// storeServes records that the store answered with its own bytes: it
+	// does not copy, so it is never offered a buffer again.
+	spare       []byte
+	maxEnc      int
+	storeServes bool
 }
 
 // EnableTier converts an empty arena to tiered operation. Panics if the
@@ -324,6 +344,7 @@ func (t *tier) spillSeg(a *Arena, si int) {
 		return
 	}
 	seg.spilled, seg.key, seg.crc, seg.encLen = true, key, crc, len(enc)
+	t.maxEnc = max(t.maxEnc, len(enc))
 	t.residentBlobBytes -= int64(len(seg.blob))
 	t.spilledPayload += int64(len(seg.blob))
 	seg.blob = nil
@@ -366,10 +387,8 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 		panic(&CorruptSegmentError{Key: seg.key, Segment: si,
 			Err: fmt.Errorf("%w: already quarantined", ErrSegmentCorrupt)})
 	}
-	blob, ok, err := t.cfg.Store.GetSegment(seg.key)
-	if err == nil && !ok {
-		err = fmt.Errorf("%w: spilled segment missing from store", ErrSegmentCorrupt)
-	}
+	t.evictFor(a)
+	blob, err := t.fetch(seg)
 	var payload []byte
 	if err == nil {
 		payload, err = seg.verify(blob)
@@ -377,7 +396,6 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	if err != nil {
 		t.quarantine(a, si, err) // panics
 	}
-	t.evictFor(a)
 	seg.blob = payload
 	t.residentBlobBytes += int64(len(payload))
 	t.cached++
@@ -385,6 +403,35 @@ func (t *tier) ensureBlob(a *Arena, si int) *segment {
 	t.cfg.Pressure.noteFault()
 	t.syncGauge(a)
 	return seg
+}
+
+// fetch reads seg's spilled encoding. Unless the store has shown that it
+// serves its own bytes, the read goes into the spare buffer, or into a
+// fresh one sized for the largest spilled encoding; a blob that lands in
+// that buffer makes it seg's to hand back at eviction.
+func (t *tier) fetch(seg *segment) ([]byte, error) {
+	var dst []byte
+	if !t.storeServes {
+		dst, t.spare = t.spare, nil
+		if cap(dst) < seg.encLen {
+			dst = make([]byte, 0, t.maxEnc)
+		}
+	}
+	blob, ok, err := t.cfg.Store.GetSegment(seg.key, dst[:0])
+	if err == nil && !ok {
+		err = fmt.Errorf("%w: spilled segment missing from store", ErrSegmentCorrupt)
+	}
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case dst == nil: // a store known to serve its own bytes
+	case len(blob) > 0 && &blob[0] == &dst[:1][0]:
+		seg.buf = dst
+	default:
+		t.storeServes = true
+	}
+	return blob, nil
 }
 
 // verify checks a fetched spill blob against the segment's seal-time
@@ -415,12 +462,14 @@ func (seg *segment) verify(blob []byte) ([]byte, error) {
 	return body[len(body)-int(seg.offs[len(seg.offs)-1]):], nil
 }
 
-// evictFor makes room in the fault-in cache by dropping the coldest cached
-// spilled payload (already durable on disk, immutable once spilled). Once
-// the ladder reaches Backpressure the cache is the only resident pool the
-// tier can still shrink — probes keep faulting segments in regardless of
-// throttled sources — so the budget collapses to a single cached segment
-// until residency drops back under the watermark.
+// evictFor makes room in the fault-in cache for one more segment by
+// dropping the coldest cached spilled payloads (already durable on disk,
+// immutable once spilled). A dropped payload's tier-owned buffer becomes the
+// spare the following read fills; when one fault evicts several, the others
+// are dropped. Once the ladder reaches Backpressure the cache is the only
+// resident pool the tier can still shrink — probes keep faulting segments
+// in regardless of throttled sources — so the budget collapses to a single
+// cached segment until residency drops back under the watermark.
 func (t *tier) evictFor(a *Arena) {
 	limit := t.cfg.CacheSegments
 	if t.cfg.Pressure != nil && t.cfg.Pressure.Stage() >= PressureBackpressure {
@@ -439,7 +488,10 @@ func (t *tier) evictFor(a *Arena) {
 		}
 		s := t.segs[victim]
 		t.residentBlobBytes -= int64(len(s.blob))
-		s.blob = nil
+		if t.spare == nil {
+			t.spare = s.buf
+		}
+		s.blob, s.buf = nil, nil
 		t.cached--
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"squall/internal/recovery"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -36,7 +37,7 @@ func (s *mapStore) PutSegment(key string, blob []byte) error {
 	return nil
 }
 
-func (s *mapStore) GetSegment(key string) ([]byte, bool, error) {
+func (s *mapStore) GetSegment(key string, _ []byte) ([]byte, bool, error) {
 	b, ok := s.m[key]
 	return b, ok, nil
 }
@@ -224,7 +225,7 @@ func TestTierQuarantine(t *testing.T) {
 
 // spilledArena returns an eagerly spilling tiered arena over store holding
 // rows row(0..n-1) in segments of segRows rows.
-func spilledArena(t testing.TB, store *mapStore, segRows, cache, n int, row func(int) types.Tuple) *Arena {
+func spilledArena(t testing.TB, store SegmentStore, segRows, cache, n int, row func(int) types.Tuple) *Arena {
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: segRows, Store: store, CacheSegments: cache, KeyPrefix: "v"})
 	for i := 0; i < n; i++ {
@@ -334,6 +335,124 @@ func TestFaultInNoAllocSteadyState(t *testing.T) {
 	}
 }
 
+// newDiskStore returns a DiskStore in a test directory, closed at cleanup.
+func newDiskStore(t testing.TB) *recovery.DiskStore {
+	ds, err := recovery.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ds.Close() })
+	return ds
+}
+
+// parentMemSize is MemSize as it is without a spare fault-in buffer: the hot
+// region, every resident segment payload and every offset table.
+func parentMemSize(a *Arena) int {
+	n := cap(a.buf) + 4*cap(a.offs) + 64
+	for _, s := range a.t.segs {
+		n += len(s.blob) + 4*(a.t.segRows+1)
+	}
+	return n
+}
+
+// A steady-state fault-in from a copying store (the DiskStore log) allocates
+// nothing either: each fault evicts first and reads into the buffer the
+// eviction freed. The reads cycle through one segment more than the cache
+// holds, so every read is a fault and an eviction.
+func TestFaultInDiskStoreNoAllocSteadyState(t *testing.T) {
+	const segRows, cache = 64, 2
+	const segs = cache + 1
+	a := spilledArena(t, newDiskStore(t), segRows, cache, segRows*segs, tupleFor)
+	faults := a.TierStats().Faults
+	var sum uint64
+	allocs := testing.AllocsPerRun(50, func() {
+		for s := 0; s < segs; s++ {
+			sum += uint64(crc32.ChecksumIEEE(a.RowBytes(Ref(s*segRows + s))))
+		}
+	})
+	if got := a.TierStats().Faults - faults; got != 51*segs {
+		t.Fatalf("%d faults over 51 passes of %d segments; every read must fault", got, segs)
+	}
+	var want uint64
+	for s := 0; s < segs; s++ {
+		want += uint64(crc32.ChecksumIEEE(wire.Encode(nil, tupleFor(s*segRows+s))))
+	}
+	if sum != 51*want {
+		t.Fatal("rows faulted into recycled buffers read back wrong")
+	}
+	if a.t.storeServes {
+		t.Fatal("the tier took the DiskStore for a store that serves its own bytes")
+	}
+	if raceEnabled {
+		t.Skip("race detector instruments allocations")
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocs per pass of %d faults, want 0", allocs, segs)
+	}
+}
+
+// Between faults the tier holds no spare buffer, whatever the store: a
+// MemStore's blobs are served without a copy, so MemSize after any number
+// of faults is exactly the resident payloads plus offset tables; a
+// DiskStore's freed buffer is read into by the fault that freed it. At
+// Backpressure the cache collapses to one segment and the buffers it frees
+// are dropped.
+func TestFaultInKeepsNoSpareBuffer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		store func(t *testing.T) SegmentStore
+	}{
+		{"mem", func(*testing.T) SegmentStore { return recovery.NewMemStore() }},
+		{"disk", func(t *testing.T) SegmentStore { return newDiskStore(t) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const segRows, cache, segs = 64, 3, 6
+			a := spilledArena(t, tc.store(t), segRows, cache, segRows*segs+10, tupleFor)
+			check := func(when string) {
+				t.Helper()
+				if a.t.spare != nil {
+					t.Fatalf("%s: the tier keeps a %dB spare buffer", when, cap(a.t.spare))
+				}
+				if got, want := a.MemSize(), parentMemSize(a); got != want {
+					t.Fatalf("%s: MemSize %d, want %d", when, got, want)
+				}
+			}
+			for i := 0; i < 40; i++ {
+				a.RowBytes(Ref(i % segs * segRows))
+				check(fmt.Sprintf("after fault %d", i))
+			}
+			if st := a.TierStats(); st.CachedSegments != cache {
+				t.Fatalf("%d segments cached, want %d", st.CachedSegments, cache)
+			}
+			owned := 0
+			for _, s := range a.t.segs {
+				if s.buf != nil {
+					owned++
+				}
+			}
+			if want := map[string]int{"mem": 0, "disk": cache}[tc.name]; owned != want {
+				t.Fatalf("%d tier-owned fault-in buffers, want %d", owned, want)
+			}
+
+			// Backpressure: another arena's gauge holds the shared ladder
+			// above the watermark.
+			p := NewPressure(1 << 30)
+			a.t.cfg.Pressure = p
+			p.Gauge().set(p.Cap()*95/100, 0, 0)
+			if p.Stage() != PressureBackpressure {
+				t.Fatalf("stage %v, want backpressure", p.Stage())
+			}
+			for i := 0; i < 12; i++ {
+				a.RowBytes(Ref(i % segs * segRows))
+				check(fmt.Sprintf("after backpressure fault %d", i))
+				if st := a.TierStats(); st.CachedSegments != 1 {
+					t.Fatalf("%d segments cached at backpressure, want 1", st.CachedSegments)
+				}
+			}
+		})
+	}
+}
+
 // FuzzFaultInVerify substitutes arbitrary bytes for a spilled segment's
 // blob. Fault-in must either reject it — panicking *CorruptSegmentError
 // wrapping ErrSegmentCorrupt, never anything else — or have been handed the
@@ -416,7 +535,7 @@ func TestSealedSegmentCks(t *testing.T) {
 		if c.Dead != nil {
 			t.Fatalf("ck %s carries a Dead bitmap %v", c.Key, c.Dead)
 		}
-		blob, ok, err := ck.GetSegment(c.Key)
+		blob, ok, err := ck.GetSegment(c.Key, nil)
 		if err != nil || !ok {
 			t.Fatalf("ck blob %s missing (%v)", c.Key, err)
 		}

@@ -368,11 +368,13 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	if e.closed {
 		e.mu.Unlock()
 		detach()
+		p.close()
 		return nil, ErrEngineClosed
 	}
 	if _, dup := e.queries[req.ID]; dup {
 		e.mu.Unlock()
 		detach()
+		p.close()
 		return nil, fmt.Errorf("squall: Register %q: %w", req.ID, ErrDuplicateQuery)
 	}
 	e.queries[req.ID] = sq
@@ -500,6 +502,7 @@ func (sq *ServedQuery) run() {
 		}
 	}()
 	metrics, runErr := dataflow.Run(sq.plan.topo, sq.plan.dopts)
+	sq.plan.close()
 	close(stopDetach)
 	for _, t := range sq.taps {
 		t.Detach()

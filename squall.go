@@ -238,9 +238,10 @@ type TierOptions struct {
 	// serving engine) new registrations are rejected at the cap. Unlike
 	// MemLimitPerTask — which aborts — the cap degrades.
 	MemCapBytes int64
-	// SpillDir, when set (and Store is nil), spills segments to files in
-	// this directory. With both empty, segments spill to an in-process
-	// store: residency still drops, durability does not.
+	// SpillDir, when set (and Store is nil), spills segments to one
+	// append-only log per run in this directory; the run removes the log
+	// when it ends. With both empty, segments spill to an in-process store:
+	// residency still drops, durability does not.
 	SpillDir string
 	// Store overrides the segment store (tests, custom media).
 	Store slab.SegmentStore
@@ -411,6 +412,20 @@ type queryPlan struct {
 	// components lists every component name in topology order — the
 	// placement domain for cluster runs.
 	components []string
+	// spill is the segment store the plan opened on TierOptions.SpillDir
+	// (nil otherwise); close releases it once the run is over.
+	spill *recovery.DiskStore
+}
+
+// close releases what the plan opened for its run: the SpillDir segment
+// store and its log. Every caller of plan closes the plan on every exit
+// path once the plan's run, if any, has returned; closing twice is safe.
+// The log is scratch that no later run can read, so a failed close or
+// removal loses nothing and is not reported.
+func (p *queryPlan) close() {
+	if p.spill != nil {
+		_ = p.spill.Close()
+	}
 }
 
 // result assembles the Result for a finished run of this plan.
@@ -444,6 +459,7 @@ func (q *JoinQuery) Run(opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer p.close()
 	metrics, runErr := dataflow.Run(p.topo, p.dopts)
 	return p.result(metrics), runErr
 }
@@ -466,12 +482,18 @@ func (q *JoinQuery) aggViewsDeclined(opt Options) string {
 	return ""
 }
 
-// plan translates the query into a ready-to-run dataflow topology.
-func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
+// plan translates the query into a ready-to-run dataflow topology. A plan
+// that fails closes the spill store it opened.
+func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 	const joiner = "joiner"
 	var hc *core.Hypercube
 	var policy *dataflow.AdaptivePolicy
-	var err error
+	var spill *recovery.DiskStore
+	defer func() {
+		if err != nil && spill != nil {
+			_ = spill.Close() // scratch, as in queryPlan.close
+		}
+	}()
 	if q.AdaptiveJoin {
 		hc, policy, err = q.adaptivePolicy(joiner)
 	} else {
@@ -519,11 +541,10 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		to := opt.Tier
 		store := to.Store
 		if store == nil && to.SpillDir != "" {
-			ds, err := recovery.NewDiskStore(to.SpillDir)
-			if err != nil {
+			if spill, err = recovery.NewDiskStore(to.SpillDir); err != nil {
 				return nil, err
 			}
-			store = ds
+			store = spill
 		}
 		if store == nil {
 			store = recovery.NewMemStore()
@@ -664,6 +685,7 @@ func (q *JoinQuery) plan(opt Options) (*queryPlan, error) {
 		pressure:   pressure,
 		localJoin:  localJoin,
 		components: components,
+		spill:      spill,
 	}, nil
 }
 

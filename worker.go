@@ -441,6 +441,7 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		failSession(conn, fmt.Errorf("planning cluster job %q: %w", spec.Job, err))
 		return
 	}
+	defer plan.close()
 
 	// Assemble the links: the job connection is the coordinator link, lower
 	// peers are dialed, higher peers arrive through the rendezvous.
