@@ -43,7 +43,6 @@
 package dataflow
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,24 +74,12 @@ type Repartitioner interface {
 	ImportRow(side int, row []byte, cur *wire.Cursor) error
 }
 
-// errImportLimit stops importFrame's walk at its row limit.
-var errImportLimit = errors.New("dataflow: import limit reached")
-
 // importFrame silently inserts one state frame's rows through ImportRow —
-// the single import face of migration, restore, replay and the poisoned
-// prefix. A limit >= 0 stops the walk after that many rows.
-func importFrame(rep Repartitioner, side int, frame []byte, limit int, cur *wire.Cursor) error {
-	k := 0
+// the single import face of migration, restore and replay.
+func importFrame(rep Repartitioner, side int, frame []byte, cur *wire.Cursor) error {
 	_, _, err := wire.EachRow(frame, cur, func(row []byte) error {
-		if limit >= 0 && k == limit {
-			return errImportLimit
-		}
-		k++
 		return rep.ImportRow(side, row, cur)
 	})
-	if err == errImportLimit {
-		return nil
-	}
 	return err
 }
 
@@ -532,7 +519,7 @@ func (a *adaptState) applyMig(mig *migSession, rep Repartitioner, env envelope) 
 		if env.mig.epoch != mig.epoch {
 			return fmt.Errorf("dataflow: migration batch for epoch %d during epoch %d", env.mig.epoch, mig.epoch)
 		}
-		return importFrame(rep, env.mig.side, env.mig.frame, -1, &mig.cur)
+		return importFrame(rep, env.mig.side, env.mig.frame, &mig.cur)
 	case ctrlMigDone:
 		mig.dones++
 		return nil

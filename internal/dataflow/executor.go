@@ -193,19 +193,20 @@ type Collector struct {
 	recPid     int
 	// gateDepth counts this task's nested gate sessions (see gateEnter).
 	gateDepth int
-	// held is set on a recovery-protected task while it executes one row:
-	// emissions are parked in heldRows (ending at heldEnds), and settle
-	// ships or drops them once the row returns. A panic captured mid-row
-	// then never leaves the row half-emitted — the packed join emits per
-	// match, and a corrupt spilled segment fails its fault-in mid-probe.
+	// held is set on a recovery-protected task while it executes one
+	// delivered frame: emissions are parked in heldRows (ending at
+	// heldEnds), and settle ships or drops them once the frame's last row
+	// returns. A panic captured mid-frame then never leaves the frame
+	// half-emitted — the packed join emits per match, and a corrupt spilled
+	// segment fails its fault-in mid-probe.
 	held     bool
 	heldRows []byte
 	heldEnds []int
 }
 
-// settle ends a held row whose execution returned err: on success its parked
-// emissions go out in order, on failure (a panic, re-run after the restore)
-// they are dropped.
+// settle ends a held frame whose execution returned err: on success its
+// parked emissions go out in order, on failure (a panic; the frame re-runs
+// after the restore) they are dropped.
 func (c *Collector) settle(err error) error {
 	c.held = false
 	if err == nil {

@@ -42,17 +42,18 @@
 //     Repartitioner.ImportRow. Restores are silent inserts: every delta
 //     these rows could produce was already emitted before the fault.
 //
-//   - Panic capture. A panic inside Bolt.Execute is converted into a fault.
-//     The poisoned envelope is only partially applied, so the task flushes
-//     its pending outputs, drops its state, restores from checkpoint +
-//     replay (peer snapshots are unusable here: a peer has applied tuples
-//     whose deltas the dying task never emitted), silently re-imports the
-//     applied prefix of the poisoned batch, and reprocesses the rest plus
-//     every stashed later envelope with full emission. Exactly-once holds
-//     because a protected task's collector holds each tuple's emissions
-//     until its execution returns and drops them on a panic — a panic never
-//     leaves a tuple half-emitted, even in the packed join, which emits per
-//     match while a probe may still fault a corrupt segment in. Capture
+//   - Panic capture. A panic inside a bolt callback is converted into a
+//     fault, and the frame is the exactly-once unit: a protected task's
+//     collector holds every emission of a delivered frame until the frame's
+//     Last row returns, and drops them all on a panic. So a panic poisons
+//     its whole frame — whichever row it hit, nothing of the frame shipped,
+//     even in the packed join, which probes a frame as a set and emits per
+//     match while a probe may still fault a corrupt segment in. The task
+//     flushes its pending outputs (results of earlier, whole frames), drops
+//     its state, restores from checkpoint + replay (peer snapshots are
+//     unusable here: a peer has applied tuples whose deltas the dying task
+//     never emitted), and then re-runs the poisoned frame whole plus every
+//     stashed later envelope with full emission. Capture
 //     requires a non-adaptive run: a reshape barrier already enqueued in
 //     the panicking task's inbox cannot be reconciled with its state loss,
 //     so adaptive runs surface panics as run errors (injected kills recover
@@ -567,13 +568,6 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 	return true
 }
 
-// poisonedEnv is the frame a captured panic interrupted: rows before idx
-// were fully applied and emitted, rows from idx on were not.
-type poisonedEnv struct {
-	env envelope
-	idx int
-}
-
 // recSession is the consumer-side state of one protected task.
 type recSession struct {
 	a    *recState
@@ -593,7 +587,7 @@ type recSession struct {
 	manifest   *recovery.Manifest
 	dones      int
 	stash      []envelope
-	poisoned   *poisonedEnv
+	poisoned   *envelope   // the frame a captured panic interrupted
 	cur        wire.Cursor // import row cursor
 }
 

@@ -307,31 +307,56 @@ func TestPanicCaptureRecovery(t *testing.T) {
 	diffBags(t, want, got)
 }
 
-// midEmitPanicJoin panics once, at its Nth Execute, after emitting the first
-// of the arrival's pairs — as a packed join does when a probe faults a
-// corrupt spilled segment in after some matches went out.
+// midEmitPanicJoin is crossJoin's row face that panics once, at its Nth
+// row or later, on a row that is not the first of its frame, after emitting
+// the first of the arrival's pairs — as a packed join does when a probe
+// faults a corrupt spilled segment in after some matches went out. log
+// records, across the task's bolt instances, how often each row was
+// executed and silently imported, and which rows of the poisoned frame had
+// been delivered when it panicked.
 type midEmitPanicJoin struct {
 	crossJoin
 	armed   *atomic.Bool
 	after   int
 	applied int
+	log     *frameLog
+	frame   []string // keys of the current frame's rows delivered so far
 }
 
-func (j *midEmitPanicJoin) Execute(in Input, out *Collector) error {
+type frameLog struct {
+	executed, imported map[string]int
+	poisoned           []string
+}
+
+func (j *midEmitPanicJoin) ExecuteRow(in RowInput, out *Collector) error {
+	tu := in.Cur.Tuple(nil)
+	j.log.executed[tu.Key()]++
+	j.frame = append(j.frame, tu.Key())
 	j.applied++
 	rel := relOfStream(in.Stream)
-	if j.applied >= j.after && len(j.rels[1-rel]) > 1 && j.armed.CompareAndSwap(true, false) {
-		if err := out.Emit(pairOf(rel, in.Tuple, j.rels[1-rel][0])); err != nil {
+	if len(j.frame) > 1 && j.applied >= j.after && len(j.rels[1-rel]) > 1 && j.armed.CompareAndSwap(true, false) {
+		j.log.poisoned = append([]string(nil), j.frame...)
+		if err := out.Emit(pairOf(rel, tu, j.rels[1-rel][0])); err != nil {
 			return err
 		}
 		panic("injected panic after a partial emission")
 	}
-	return j.crossJoin.Execute(in, out)
+	if in.Last {
+		j.frame = j.frame[:0]
+	}
+	return j.crossJoin.Execute(Input{Stream: in.Stream, FromTask: in.FromTask, Tuple: tu}, out)
 }
 
-// TestPanicMidEmitRecovery: a panic after part of a tuple's output was
-// emitted must not duplicate that part — the re-run emits the tuple's whole
-// output once.
+func (j *midEmitPanicJoin) ImportRow(side int, row []byte, cur *wire.Cursor) error {
+	j.log.imported[cur.Tuple(nil).Key()]++
+	return j.crossJoin.ImportRow(side, row, cur)
+}
+
+// TestPanicMidEmitRecovery: the frame is the exactly-once unit. A panic on a
+// non-first row of a frame, after part of that row's output was emitted,
+// must ship none of the frame's emissions — neither the partial one nor
+// those of the rows before it in the frame — and the restore must re-run
+// the whole frame once with full emission, importing none of it silently.
 func TestPanicMidEmitRecovery(t *testing.T) {
 	rRows, sRows := recWorkload(100, 240)
 	const par = 3
@@ -340,9 +365,10 @@ func TestPanicMidEmitRecovery(t *testing.T) {
 
 	armed := &atomic.Bool{}
 	armed.Store(true)
+	log := &frameLog{executed: map[string]int{}, imported: map[string]int{}}
 	boltOf := func(task, ntasks int) Bolt {
 		if task == 1 {
-			return &midEmitPanicJoin{armed: armed, after: 70}
+			return &midEmitPanicJoin{armed: armed, after: 70, log: log}
 		}
 		return &crossJoin{}
 	}
@@ -351,6 +377,17 @@ func TestPanicMidEmitRecovery(t *testing.T) {
 	if p := m.Recovery.Panics.Load(); p != 1 {
 		t.Fatalf("panics recovered = %d, want 1", p)
 	}
+	if len(log.poisoned) < 2 {
+		t.Fatalf("the panic hit row %d of its frame, want a non-first row", len(log.poisoned))
+	}
+	t.Logf("panic on row %d of its frame", len(log.poisoned))
+	for _, key := range log.poisoned {
+		// Once in the poisoned delivery, once in the whole-frame re-run.
+		if e, i := log.executed[key], log.imported[key]; e != 2 || i != 0 {
+			t.Fatalf("poisoned-frame row %s: executed %d times, imported %d, want 2 and 0", key, e, i)
+		}
+	}
+	// Any emission of the poisoned delivery that shipped is a duplicate here.
 	diffBags(t, want, got)
 }
 

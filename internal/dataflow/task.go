@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime/debug"
@@ -180,7 +181,7 @@ func (t *boltTask) data(env envelope) error {
 		return nil
 	}
 	t.tm.Received.Add(int64(env.count))
-	if err := t.deliver(env, 0); err == errPanicCaptured {
+	if err := t.deliver(&env); err == errPanicCaptured {
 		return t.captured(env)
 	} else if err != nil {
 		return t.errf(": %w", err)
@@ -206,44 +207,37 @@ func (t *boltTask) data(env envelope) error {
 	return nil
 }
 
-// deliver applies one data frame's rows from row index from on, each
-// through the bolt's one face. On a protected task each row's emissions
-// are held until it returns (Collector.held), then settled.
-func (t *boltTask) deliver(env envelope, from int) error {
-	in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &t.cur}
-	t.dec.frame, t.dec.str = env.frame, ""
-	k := 0
-	_, _, err := wire.EachRow(env.frame, &t.cur, func(row []byte) error {
-		if k++; k <= from {
-			return nil
-		}
-		in.Row = row
-		t.col.held = t.rs != nil
-		return t.settle(k-1, t.call(&in))
-	})
-	return err
+// deliver applies one data frame: every row goes through the bolt's one
+// face, the final one flagged Last, under one panic guard for the frame. On
+// a protected task the frame's emissions are held until its last row
+// returns (Collector.held), then settled once.
+func (t *boltTask) deliver(env *envelope) error {
+	t.col.held = t.rs != nil
+	return t.settle(env.count, t.call(env))
 }
 
-// settle finishes row k of a delivered frame, whose callback returned err:
-// held emissions ship on success and drop on failure. A panic on a task
-// with an open recovery session, and no round it would conflict with, is
-// captured with the row's index and reported as errPanicCaptured.
-func (t *boltTask) settle(k int, err error) error {
+// settle finishes a delivered frame of rows whose walk returned err: held
+// emissions ship on success and drop on failure. A panic on a task with an
+// open recovery session, and no round it would conflict with, poisons the
+// whole frame and is reported as errPanicCaptured.
+func (t *boltTask) settle(rows int, err error) error {
 	if t.col.held {
 		err = t.col.settle(err)
 	}
 	if err != nil {
 		if _, ok := err.(*panicFault); ok && t.rs != nil && !t.rs.recovering && t.ex.adapt == nil && t.mig == nil {
-			t.rs.poisoned = &poisonedEnv{idx: k}
 			return errPanicCaptured
 		}
 		return err
 	}
-	t.processed++
-	if t.adaptHere && t.processed%t.ex.adapt.pol.ReportEvery == 0 {
-		t.ex.adapt.report(t.task, t.epoch, t.rep)
+	was := t.processed
+	t.processed += rows
+	if t.adaptHere {
+		if every := t.ex.adapt.pol.ReportEvery; t.processed/every != was/every {
+			t.ex.adapt.report(t.task, t.epoch, t.rep)
+		}
 	}
-	if t.mem != nil && t.processed%256 == 0 {
+	if t.mem != nil && t.processed/256 != was/256 {
 		t.ex.checkMem(t.n, t.task, t.tm, t.mem)
 		select {
 		case <-t.ex.abort:
@@ -254,18 +248,28 @@ func (t *boltTask) settle(k int, err error) error {
 	return nil
 }
 
-// call runs one bolt callback — exec on in, or Finish when in is nil —
-// turning a panic into a *panicFault.
-func (t *boltTask) call(in *RowInput) (err error) {
+// call runs one bolt callback — the walk of a whole frame, or Finish when
+// env is nil — turning a panic into a *panicFault. A panic poisons the
+// whole frame, so one guard per frame is enough.
+func (t *boltTask) call(env *envelope) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &panicFault{val: r, stack: debug.Stack()}
 		}
 	}()
-	if in == nil {
+	if env == nil {
 		return t.bolt.Finish(t.col)
 	}
-	return t.exec(*in, t.col)
+	in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &t.cur}
+	t.dec.frame, t.dec.str = env.frame, ""
+	n, _ := binary.Uvarint(env.frame) // EachRow rejects a bad header
+	k := uint64(0)
+	_, _, err = wire.EachRow(env.frame, &t.cur, func(row []byte) error {
+		k++
+		in.Row, in.Last = row, k == n
+		return t.exec(in, t.col)
+	})
+	return err
 }
 
 // panicFault is a panic captured inside a bolt callback, carried as an error
@@ -301,10 +305,10 @@ func (t *boltTask) restart(panicked bool) error {
 }
 
 // captured turns a panic captured mid-frame into a restore from the
-// checkpoint route: the poisoned frame is kept to re-apply across its
-// emission boundary, and the poisoned row's held emissions were dropped.
+// checkpoint route: the frame's held emissions were dropped, and the frame
+// is kept to re-run whole once the restore completes.
 func (t *boltTask) captured(env envelope) error {
-	t.rs.poisoned.env = env
+	t.rs.poisoned = &env
 	if err := t.restart(true); err != nil {
 		return err
 	}
@@ -342,7 +346,7 @@ func (t *boltTask) restoreData(env envelope) error {
 		ckptCur = rs.manifest.CursorFor(env.stream, env.from)
 	}
 	if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
-		if err := importFrame(t.rep, rel, env.frame, -1, &rs.cur); err != nil {
+		if err := importFrame(t.rep, rel, env.frame, &rs.cur); err != nil {
 			return t.errf(" replay import: %w", err)
 		}
 	}
@@ -376,7 +380,7 @@ func (t *boltTask) recControl(env envelope) error {
 		if !rs.recovering || !rs.began {
 			return t.errf(" stray recovery batch")
 		}
-		if err := importFrame(t.rep, env.rec.rel, env.rec.frame, -1, &rs.cur); err != nil {
+		if err := importFrame(t.rep, env.rec.rel, env.rec.frame, &rs.cur); err != nil {
 			return t.errf(" restore import: %w", err)
 		}
 	case ctrlRecDone:
@@ -424,31 +428,23 @@ func (t *boltTask) kill() error {
 	}
 }
 
-// finishRecovery closes a restore round: re-apply the poisoned frame across
-// its emission boundary, reprocess the stashed backlog with full emission,
-// re-checkpoint, and ack the round.
+// finishRecovery closes a restore round: re-run the poisoned frame whole
+// (none of its emissions shipped), reprocess the stashed backlog with full
+// emission, re-checkpoint, and ack the round.
 func (t *boltTask) finishRecovery() error {
 	rs := t.rs
 	if p := rs.poisoned; p != nil {
-		if p.idx > 0 {
-			// The applied prefix already emitted its deltas before the
-			// crash; re-import it silently.
-			if err := importFrame(t.rep, t.ex.rec.pol.RelOf[p.env.stream], p.env.frame, p.idx, &rs.cur); err != nil {
-				return err
-			}
-		}
-		// The crashing row and the rest of the frame never emitted.
-		if err := t.deliver(p.env, p.idx); err != nil {
+		if err := t.deliver(p); err != nil {
 			return err
 		}
-		rs.applied(&p.env)
+		rs.applied(p)
 		rs.poisoned = nil
 	}
-	for _, env := range rs.stash {
-		if err := t.deliver(env, 0); err != nil {
+	for i := range rs.stash {
+		if err := t.deliver(&rs.stash[i]); err != nil {
 			return err
 		}
-		rs.applied(&env)
+		rs.applied(&rs.stash[i])
 	}
 	rs.stash = nil
 	// A fresh checkpoint pins the restored state as the new replay horizon

@@ -55,14 +55,21 @@ type Input struct {
 }
 
 // RowInput identifies the provenance of one wire-encoded row delivered to a
-// RowBolt. Row and Cur alias the transport frame and are valid only for the
-// duration of ExecuteRow: a bolt that keeps the row must copy the bytes
-// (slab arenas blit them) — never retain the slice or the cursor.
+// RowBolt. Rows arrive a transport frame at a time, all of one frame from
+// one stream and task, and Last marks the frame's final row. Cur is valid
+// only for the duration of ExecuteRow. Row aliases the frame and stays valid
+// until ExecuteRow of the frame's Last row returns, so a bolt may stage a
+// frame's rows and consume them as a set on Last; past that it must copy
+// the bytes (slab arenas blit them) — never retain the slice or the cursor.
 type RowInput struct {
 	Stream   string       // name of the upstream component
 	FromTask int          // task index within the upstream component
 	Row      []byte       // one wire-encoded row
 	Cur      *wire.Cursor // parsed view over Row
+	// Last is set on the final row of the frame. A recovery-protected task
+	// holds the frame's emissions until that row returns and settles them
+	// once: the frame is the exactly-once unit.
+	Last bool
 }
 
 // RowBolt is implemented by bolts that consume wire-encoded rows directly:

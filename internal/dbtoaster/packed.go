@@ -50,6 +50,20 @@ func (j *TupleJoin) OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row [
 	return j.insertEncoded(rel, t, row)
 }
 
+// OnRows is OnRow over a frame, row by row: the views are probed per
+// materialized arrival, so there is no set to batch.
+func (j *TupleJoin) OnRows(rel int, rows [][]byte, emit func(row []byte) error) error {
+	for _, row := range rows {
+		if err := j.rowCur.Reset(row); err != nil {
+			return fmt.Errorf("dbtoaster: OnRows: %w", err)
+		}
+		if err := j.OnRow(rel, row, &j.rowCur, emit); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // insertEncoded is insertCompact with the arriving row's bytes blitted into
 // the singleton arena instead of re-encoding the tuple.
 func (j *TupleJoin) insertEncoded(rel int, t types.Tuple, row []byte) error {

@@ -40,6 +40,7 @@ import (
 	"squall/internal/localjoin"
 	"squall/internal/slab"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // tview is one materialized intermediate join: the combos of a connected
@@ -72,8 +73,9 @@ type TupleJoin struct {
 	updateOrder [][]uint64
 	full        uint64
 	refScratch  []uint32 // probe scratch
-	// packed-path scratch (packed.go): arrival materialization and delta
-	// emission buffers.
+	// packed-path scratch (packed.go): OnRows' row cursor, arrival
+	// materialization and delta emission buffers.
+	rowCur  wire.Cursor
 	decBuf  types.Tuple
 	emitBuf []byte
 	// merged is insert scratch: the ref combo under assembly, one slot per
@@ -90,6 +92,9 @@ type Join interface {
 	localjoin.Migrator
 	localjoin.FrameExporter
 	localjoin.PackedJoin
+	// OnRows joins a frame of encoded arrivals of one relation, emitting
+	// the bag OnRow would emit row by row; rows need only outlive the call.
+	OnRows(rel int, rows [][]byte, emit func(row []byte) error) error
 	ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error)
 	SpilledBytes() int
 	ReleaseState()

@@ -130,7 +130,9 @@ func TestExprKeysDefeatLowering(t *testing.T) {
 // through incremental (segment-referencing) checkpoints. Each workload runs
 // two seeds: one spills to the in-process MemStore, whose blobs fault in
 // without a copy, the other to a DiskStore log, whose blobs fault into
-// recycled buffers.
+// recycled buffers. The band leg (BandWorkload) puts a range probe first, so
+// the joiner's frame-at-a-time probe gathers tree-index candidates and
+// walks them segment by segment.
 func TestDifferentialSpill(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -138,20 +140,25 @@ func TestDifferentialSpill(t *testing.T) {
 		rels, rows, domain int
 		theta              bool
 		disk               bool
+		band               bool
 	}{
-		{"2way-equi", 31, 2, 400, 25, false, false},
-		{"2way-equi-disk", 34, 2, 400, 25, false, true},
-		{"3way-chain", 32, 3, 150, 10, false, false},
-		{"3way-chain-disk", 35, 3, 150, 10, false, true},
+		{"2way-equi", 31, 2, 400, 25, false, false, false},
+		{"2way-equi-disk", 34, 2, 400, 25, false, true, false},
+		{"3way-chain", 32, 3, 150, 10, false, false, false},
+		{"3way-chain-disk", 35, 3, 150, 10, false, true, false},
+		{"2way-band-disk", 36, 2, 300, 25, true, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v disk=%v", c.seed, c.rels, c.rows, c.domain, c.theta, c.disk)
+			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v disk=%v band=%v", c.seed, c.rels, c.rows, c.domain, c.theta, c.disk, c.band)
 			spillDir := ""
 			if c.disk {
 				spillDir = t.TempDir()
 			}
 			w := RandomWorkload(c.seed, c.rels, c.rows, c.domain, c.theta)
+			if c.band {
+				w = BandWorkload(c.seed, c.rows, c.domain)
+			}
 			ref := w.ReferenceBag()
 			if len(ref) == 0 {
 				t.Fatalf("degenerate workload: oracle produced no rows")
@@ -210,29 +217,36 @@ func TestDifferentialSpill(t *testing.T) {
 
 // TestSpillActuallySpills pins the dimension's premise: with the spill knobs
 // on, sealed segments really do land in the segment store (a regression
-// here would quietly turn TestDifferentialSpill into a plain slab run).
+// here would quietly turn TestDifferentialSpill into a plain slab run), on
+// the equi workload and on the band leg's.
 func TestSpillActuallySpills(t *testing.T) {
-	w := RandomWorkload(33, 2, 400, 25, false)
-	ref := w.ReferenceBag()
-	q, opts := w.Plan(EngineConfig{
-		Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 64,
-		Spill: true, Machines: 2, Seed: 33,
-	})
-	ms := recovery.NewMemStore()
-	opts.Tier.Store = ms
-	res, err := q.Run(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make(map[string]int, len(res.Rows))
-	for _, r := range res.Rows {
-		got[r.Key()]++
-	}
-	if diff := DiffBags(ref, got); diff != "" {
-		t.Fatalf("engine diverges from oracle:\n%s", diff)
-	}
-	if ms.Bytes() == 0 {
-		t.Fatalf("no sealed segments reached the spill store; the spill dimension is not exercising the tier")
+	for name, w := range map[string]*Workload{
+		"equi": RandomWorkload(33, 2, 400, 25, false),
+		"band": BandWorkload(36, 300, 25),
+	} {
+		t.Run(name, func(t *testing.T) {
+			ref := w.ReferenceBag()
+			q, opts := w.Plan(EngineConfig{
+				Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 64,
+				Spill: true, Machines: 2, Seed: w.Seed,
+			})
+			ms := recovery.NewMemStore()
+			opts.Tier.Store = ms
+			res, err := q.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make(map[string]int, len(res.Rows))
+			for _, r := range res.Rows {
+				got[r.Key()]++
+			}
+			if diff := DiffBags(ref, got); diff != "" {
+				t.Fatalf("engine diverges from oracle:\n%s", diff)
+			}
+			if ms.Bytes() == 0 {
+				t.Fatalf("no sealed segments reached the spill store; the spill dimension is not exercising the tier")
+			}
+		})
 	}
 }
 

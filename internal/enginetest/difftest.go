@@ -59,6 +59,15 @@ func RandomWorkload(seed int64, numRels, rowsPerRel, keyDomain int, withTheta bo
 	return w
 }
 
+// BandWorkload is RandomWorkload's two relations joined by its inequality
+// conjunct alone (rel0.payload < rel1.payload): a band join with no
+// equality, so a local join's first probe is a tree-index range.
+func BandWorkload(seed int64, rowsPerRel, keyDomain int) *Workload {
+	w := RandomWorkload(seed, 2, rowsPerRel, keyDomain, true)
+	w.Graph = expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1))
+	return w
+}
+
 // ZipfWorkload is the aggregate dimension's input: an equi chain on the key
 // column like RandomWorkload's, but with zipf-distributed keys (heavy keys
 // multiply fan-out, which is what aggregate views absorb), a few NULL keys,

@@ -142,10 +142,12 @@ func TestPackedHotPathHalvesAllocs(t *testing.T) {
 	}
 }
 
-// countingStore is a slab.SegmentStore that counts fault-ins.
+// countingStore is a slab.SegmentStore that counts fault-ins, in all and
+// per key once byKey is set.
 type countingStore struct {
 	blobs map[string][]byte
 	gets  int
+	byKey map[string]int
 }
 
 func (s *countingStore) PutSegment(key string, blob []byte) error {
@@ -155,6 +157,9 @@ func (s *countingStore) PutSegment(key string, blob []byte) error {
 
 func (s *countingStore) GetSegment(key string, _ []byte) ([]byte, bool, error) {
 	s.gets++
+	if s.byKey != nil {
+		s.byKey[key]++
+	}
 	b, ok := s.blobs[key]
 	return b, ok, nil
 }

@@ -156,7 +156,9 @@ func NewTraditional(g *expr.JoinGraph) *Traditional {
 		}
 		j.stores[rel] = s
 	}
-	j.packed.curs = make([]wire.Cursor, g.NumRels)
+	j.packed.curs = make([]*wire.Cursor, g.NumRels)
+	j.packed.own = make([]wire.Cursor, g.NumRels)
+	j.packed.one = make([][]byte, 1)
 	j.compilePlan()
 	return j
 }

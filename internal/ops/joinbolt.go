@@ -90,18 +90,23 @@ func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason 
 }
 
 // packedJoinBolt is joinBolt's row face: encoded arrivals in, encoded delta
-// rows out.
+// rows out. It stages a delivered frame's rows and joins them as one set on
+// the frame's Last row (Join.OnRows), so a spilled segment is faulted in
+// once per frame rather than once per matching arrival.
 type packedJoinBolt struct {
 	*joinBolt
 	pp     *PackedPipeline // compiled post pipeline (empty = pass-through)
 	out    *dataflow.Collector
 	emitFn func(row []byte) error
+	rows   [][]byte // the current frame's rows, staged until its Last row
 }
 
 var _ dataflow.RowBolt = (*packedJoinBolt)(nil)
 var _ dataflow.Repartitioner = (*packedJoinBolt)(nil)
 
-// ExecuteRow feeds one encoded arrival through the packed local join.
+// ExecuteRow stages one encoded arrival; the frame's Last row feeds the
+// staged frame through the packed local join. Every row of a frame comes
+// from one stream.
 func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) error {
 	rel, ok := b.relOf[in.Stream]
 	if !ok {
@@ -124,9 +129,16 @@ func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collecto
 			})
 		}
 	}
+	b.rows = append(b.rows, in.Row)
+	if !in.Last {
+		return nil
+	}
 	// mk() builds the same operator, so reshape/recovery rebuilds stay
 	// packed-capable.
-	return b.mj.OnRow(rel, in.Row, in.Cur, b.emitFn)
+	err := b.mj.OnRows(rel, b.rows, b.emitFn)
+	clear(b.rows) // the frame is recycled once delivered
+	b.rows = b.rows[:0]
+	return err
 }
 
 type joinBolt struct {

@@ -129,11 +129,12 @@ func (a *Arena) rowSpan(r Ref) (int, int) {
 // bytes, not stale-but-valid ones. Reading a spilled row faults its segment
 // in from the store; a CRC failure panics *CorruptSegmentError.
 //
-// The tiered callers keep to this: localjoin's expandPacked holds one
-// cursor per relation, each relation its own arena, and resets a cursor
-// before its arena's next RowBytes; dbtoaster's TupleJoin reads stored rows
-// only through Decode; framesFrom copies each row into the frame, and
-// DecodeInto copies strings out before returning.
+// The tiered callers keep to this: localjoin's packed join holds one
+// candidate cursor per relation, each relation its own arena, and resets a
+// cursor before its arena's next RowBytes (arrivals are read through
+// cursors over the delivered frame, never over an arena); dbtoaster's
+// TupleJoin reads stored rows only through Decode; framesFrom copies each
+// row into the frame, and DecodeInto copies strings out before returning.
 func (a *Arena) RowBytes(r Ref) []byte {
 	if a.t != nil {
 		return a.t.rowBytes(a, r)

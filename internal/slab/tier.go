@@ -207,6 +207,18 @@ func (a *Arena) SpilledBytes() int {
 	return int(a.t.spilledPayload)
 }
 
+// FaultSpan is the number of consecutive refs that share one fault-in —
+// the tier's SegmentRows — once any sealed segment has spilled, and 0 while
+// every row is resident (a plain arena, or a tier that never spilled), when
+// the order rows are read in costs nothing. Refs r and r' fault together
+// exactly when r/FaultSpan == r'/FaultSpan.
+func (a *Arena) FaultSpan() int {
+	if a.t == nil || a.t.spilledPayload == 0 {
+		return 0
+	}
+	return a.t.segRows
+}
+
 // SealedSegments reports the sealed segment count (0 for a plain arena).
 func (a *Arena) SealedSegments() int {
 	if a.t == nil {
