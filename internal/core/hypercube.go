@@ -165,33 +165,32 @@ type Grouping interface {
 
 // GroupingFor adapts the scheme to a stream grouping for relation rel's edge
 // into the joiner component, whose parallelism must be at least
-// hc.Machines(): routing reaches only the first Machines() tasks. When every
-// key expression of the relation is a plain column ref — the overwhelmingly
-// common case — the returned grouping also implements dataflow.RowGrouping
-// (RowTargets), so packed rows route off their encoded bytes without
-// materializing a tuple.
+// hc.Machines(): routing reaches only the first Machines() tasks. The
+// grouping routes encoded rows too (dataflow.RowGrouping), whatever the
+// keys: plain column keys hash off the encoded fields, and a relation with
+// a computed key routes its decoded row through Targets.
 func (hc *Hypercube) GroupingFor(rel int) Grouping {
-	g := hcGrouping{hc: hc, rel: rel}
-	cols := make([][]int, len(hc.Dims))
+	g := hcGrouping{hc: hc, rel: rel, cols: make([][]int, len(hc.Dims))}
 	for d := range hc.Dims {
-		if !hc.owns[rel][d] {
-			continue
-		}
 		for _, e := range hc.exprs[rel][d] {
 			c, ok := e.(expr.Col)
 			if !ok {
-				return g // unlowerable key: boxed routing only
+				g.cols = nil
+				return g
 			}
-			cols[d] = append(cols[d], c.Index)
+			g.cols[d] = append(g.cols[d], c.Index)
 		}
 	}
-	return hcRowGrouping{hcGrouping: g, cols: cols}
+	return g
 }
 
-// hcGrouping is the boxed hypercube grouping.
+// hcGrouping routes one relation's tuples and rows into the hypercube.
 type hcGrouping struct {
 	hc  *Hypercube
 	rel int
+	// cols[dim] are the hash key columns (hash dims only); nil when a key
+	// is computed.
+	cols [][]int
 }
 
 func (g hcGrouping) Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int {
@@ -205,16 +204,16 @@ func (g hcGrouping) Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int
 	return out
 }
 
-// hcRowGrouping adds the packed route: per hash dimension, the coordinate
-// comes from wire.Cursor.ValueHash on the key column — the same
-// types.Value.Hash the boxed path computes — so packed and boxed rows of a
-// relation land on identical machines.
-type hcRowGrouping struct {
-	hcGrouping
-	cols [][]int // cols[dim] = key column indexes (hash dims only)
-}
-
-func (g hcRowGrouping) RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
+// RowTargets routes an encoded row to the machines Targets picks for its
+// tuple, drawing the same random coordinates. Per hash dimension the
+// coordinate comes from wire.Cursor.ValueHash on the key column — the
+// types.Value.Hash Targets computes. A computed key is evaluated over the
+// decoded row; one that fails to evaluate panics, naming the key and the
+// relation.
+func (g hcGrouping) RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
+	if g.cols == nil {
+		return g.Targets(cur.Tuple(nil), ntasks, rng, buf)
+	}
 	hc := g.hc
 	if ntasks < hc.mach {
 		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, hc.mach))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -1017,6 +1018,13 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 	col := ex.collector(n, task)
 	defer col.close() // after eos: the final flush decides which boxes remain
 	defer col.eos()
+	// A panic — in the spout, or in a grouping routing its rows — fails the
+	// run with the stack attached, as a bolt's does, before eos and close.
+	defer func() {
+		if r := recover(); r != nil {
+			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, &panicFault{val: r, stack: debug.Stack()}))
+		}
+	}()
 	// Packed sources (RowSpout) hand the executor wire-encoded rows: one
 	// encode at the source, then routing, transport and state inserts all
 	// work on the bytes. Tuple spouts are encoded once, by Emit. step emits

@@ -12,9 +12,14 @@ package dataflow
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"squall/internal/core"
+	"squall/internal/expr"
 	"squall/internal/recovery"
 	"squall/internal/types"
 )
@@ -239,4 +244,87 @@ func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
 	if full > 0.1 {
 		t.Errorf("batch=%d allocates %.3f objects per tuple; want at most 0.1", DefaultBatchSize, full)
 	}
+}
+
+// TestSpoutPanicFailsRun: a panic in a spout's goroutine — here the
+// hypercube grouping evaluating a computed key, $0 + 1, over a string
+// column — fails the run with an error naming the key and the relation
+// instead of killing the process. The spout's deferred end-of-stream and
+// close still run, so every goroutine exits. S starts only once the joiner
+// has taken every row of R, so no frame is in flight when the run aborts
+// and the pool ledger must balance.
+func TestSpoutPanicFailsRun(t *testing.T) {
+	spec := core.JoinSpec{
+		Graph: expr.MustJoinGraph(2, expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq,
+			Left: expr.C(0), Right: expr.Arith{Op: expr.Add, L: expr.C(0), R: expr.I(1)}}),
+		Names: []string{"R", "S"},
+		Sizes: []int64{200, 200},
+	}
+	hc, err := core.BuildScheme(core.HashHypercube, spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var r, s []types.Tuple
+	for i := 0; i < 200; i++ {
+		r = append(r, types.Tuple{types.Int(int64(i))})
+		s = append(s, types.Tuple{types.Str("a")})
+	}
+	var gotR atomic.Int64
+	rDone := make(chan struct{})
+	baseline := runtime.NumGoroutine()
+	startPoolLedger()
+	topo, err := NewBuilder().
+		Spout("R", 1, SliceSpout(r)).
+		Spout("S", 1, func(int, int) Spout { return &gatedSpout{wait: rDone, rows: s} }).
+		Bolt("join", hc.Machines(), func(int, int) Bolt {
+			return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
+				if in.Stream == "R" && gotR.Add(1) == int64(len(r)) {
+					close(rDone)
+				}
+				return nil
+			}}
+		}).
+		Input("join", "R", hc.GroupingFor(0)).
+		Input("join", "S", hc.GroupingFor(1)).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Run(topo, Options{Seed: 1})
+	outstanding, errs := stopPoolLedger()
+	if err == nil {
+		t.Fatal("run succeeded, want the spout's panic as its error")
+	}
+	for _, want := range []string{"spout S[0]", "core: key ($0 + 1) of S", "not numeric"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("err = %v, want substring %q", err, want)
+		}
+	}
+	assertNoDoublePut(t, errs)
+	for _, site := range outstanding {
+		t.Errorf("leaked pool box, checked out at %s", site)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// gatedSpout emits rows once wait is closed.
+type gatedSpout struct {
+	wait <-chan struct{}
+	rows []types.Tuple
+}
+
+func (g *gatedSpout) Next() (types.Tuple, bool) {
+	<-g.wait
+	if len(g.rows) == 0 {
+		return nil, false
+	}
+	t := g.rows[0]
+	g.rows = g.rows[1:]
+	return t, true
 }

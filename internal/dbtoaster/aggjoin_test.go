@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"squall/internal/expr"
-	"squall/internal/localjoin"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -70,7 +69,7 @@ func TestAggJoinKeySemanticsMatchOracle(t *testing.T) {
 			for i := range rels {
 				rels[i] = mixedRel(rng, 40)
 			}
-			trad := localjoin.NewTraditional(tc.g)
+			trad := newTradRef(tc.g)
 			agg, err := NewAggJoin(tc.g, tc.spec)
 			if err != nil {
 				t.Fatal(err)
@@ -149,7 +148,7 @@ func TestAggJoinExpressionFallback(t *testing.T) {
 	}
 	r := rand.New(rand.NewSource(3))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 5), genRel(r, 30, 2, 5)}
-	trad := localjoin.NewTraditional(g)
+	trad := newTradRef(g)
 	agg, err := NewAggJoin(g, spec)
 	if err != nil {
 		t.Fatal(err)

@@ -29,6 +29,41 @@ type ev struct {
 	t   types.Tuple
 }
 
+// tradRef is the Traditional core as a tuple-level reference: each arrival
+// is encoded and joined through OnRow, and every emitted row is split back
+// into per-relation tuples by the arity each relation arrived with.
+type tradRef struct {
+	j     *localjoin.Traditional
+	arity []int
+}
+
+func newTradRef(g *expr.JoinGraph) *tradRef {
+	return &tradRef{j: localjoin.NewTraditional(g), arity: make([]int, g.NumRels)}
+}
+
+func (r *tradRef) OnTuple(rel int, tu types.Tuple) ([]localjoin.Delta, error) {
+	r.arity[rel] = len(tu)
+	row := wire.Encode(nil, tu)
+	var cur wire.Cursor
+	if err := cur.Reset(row); err != nil {
+		return nil, err
+	}
+	var out []localjoin.Delta
+	err := r.j.OnRow(rel, row, &cur, func(b []byte) error {
+		flat, _, err := wire.Decode(b)
+		if err != nil {
+			return err
+		}
+		d := make(localjoin.Delta, len(r.arity))
+		for i, n := range r.arity {
+			d[i], flat = flat[:n:n], flat[n:]
+		}
+		out = append(out, d)
+		return nil
+	})
+	return out, err
+}
+
 func shuffled(r *rand.Rand, rels [][]types.Tuple) []ev {
 	var stream []ev
 	for rel, rows := range rels {
@@ -99,8 +134,8 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 			for i := range rels {
 				rels[i] = genRel(r, 25, 2, 5)
 			}
-			trad := localjoin.NewTraditional(tc.g)
-			dbt := NewTupleJoin(tc.g)
+			trad := newTradRef(tc.g)
+			dbt := NewTupleJoin(tc.g).(*TupleJoin)
 			for _, e := range shuffled(r, rels) {
 				dt, err := trad.OnTuple(e.rel, e.t)
 				if err != nil {
@@ -124,8 +159,8 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(11))
 	rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
-	trad := localjoin.NewTraditional(g)
-	dbt := NewTupleJoin(g)
+	trad := newTradRef(g)
+	dbt := NewTupleJoin(g).(*TupleJoin)
 	total := 0
 	for _, e := range shuffled(r, rels) {
 		dt, err := trad.OnTuple(e.rel, e.t)
@@ -245,7 +280,7 @@ func TestAggJoinMatchesTraditionalAggregation(t *testing.T) {
 	for i := range rels {
 		rels[i] = genRel(r, 20, 2, 4)
 	}
-	trad := localjoin.NewTraditional(g)
+	trad := newTradRef(g)
 	agg, err := NewAggJoin(g, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +312,7 @@ func TestAggJoinCountOnly(t *testing.T) {
 	spec := AggSpec{GroupBy: []ColRef{{Rel: 0, E: expr.C(0)}}, Kind: AggCount}
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	trad := localjoin.NewTraditional(g)
+	trad := newTradRef(g)
 	agg, err := NewAggJoin(g, spec)
 	if err != nil {
 		t.Fatal(err)

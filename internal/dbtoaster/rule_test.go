@@ -68,40 +68,39 @@ func sameBag(t *testing.T, label string, i int, got, want map[string]int) {
 }
 
 // TestViewLessRuleEquivalence: on 2-relation graphs what NewTupleJoin hands
-// back — the base-relation core — emits, arrival by arrival, the delta bag
-// of the view operator it stands in for and of the nested-loop oracle,
-// through OnTuple and (where the graph lowers to column reads) OnRow.
+// back — the base-relation core — emits through OnRow, arrival by arrival,
+// the delta bag of the view operator it stands in for and of the
+// nested-loop oracle, on column and computed join keys alike.
 func TestViewLessRuleEquivalence(t *testing.T) {
 	cases := []struct {
-		name   string
-		g      *expr.JoinGraph
-		packed bool
+		name string
+		g    *expr.JoinGraph
 	}{
-		{"equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)), true},
-		{"theta", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1)), true},
-		{"theta-ge", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ge, 1, 1)), true},
-		{"ne-only", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ne, 1, 1)), true},
-		{"equi+filter", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0), expr.ThetaCol(0, 1, expr.Le, 1, 1)), true},
-		// 2·R.band = S.band: a side that is not a plain column, so the core
-		// cannot take packed rows and the engine stays on OnTuple.
+		{"equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))},
+		{"theta", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
+		{"theta-ge", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ge, 1, 1))},
+		{"ne-only", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ne, 1, 1))},
+		{"equi+filter", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0), expr.ThetaCol(0, 1, expr.Le, 1, 1))},
+		// 2·R.band = S.band: a side that is not a plain column, evaluated
+		// where the core reads it.
 		{"expr-side", expr.MustJoinGraph(2, expr.JoinConjunct{
 			LRel: 0, RRel: 1, Op: expr.Eq,
 			Left:  expr.Arith{Op: expr.Mul, L: expr.C(1), R: expr.I(2)},
 			Right: expr.C(1),
-		}), false},
+		})},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			boxed, packed := NewTupleJoin(c.g), NewTupleJoin(c.g)
-			if _, ok := boxed.(*localjoin.Traditional); !ok {
-				t.Fatalf("NewTupleJoin on a 2-relation graph returned %T, want the base-relation core", boxed)
+			core := NewTupleJoin(c.g)
+			if _, ok := core.(*localjoin.Traditional); !ok {
+				t.Fatalf("NewTupleJoin on a 2-relation graph returned %T, want the base-relation core", core)
 			}
-			if packed.PackedCapable() != c.packed {
-				t.Fatalf("PackedCapable = %v, want %v", packed.PackedCapable(), c.packed)
+			if !core.PackedCapable() {
+				t.Fatal("PackedCapable = false, want true")
 			}
 			views, viewsPacked := newTupleJoin(c.g), newTupleJoin(c.g)
 
-			onTuple := func(j localjoin.MultiJoin, rel int, tu types.Tuple) map[string]int {
+			onTuple := func(j *TupleJoin, rel int, tu types.Tuple) map[string]int {
 				deltas, err := j.OnTuple(rel, tu)
 				if err != nil {
 					t.Fatal(err)
@@ -143,12 +142,9 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 				for _, n := range want {
 					total += n
 				}
-				sameBag(t, "core OnTuple", i, onTuple(boxed, rel, tu), want)
 				sameBag(t, "view operator OnTuple", i, onTuple(views, rel, tu), want)
 				sameBag(t, "view operator OnRow", i, onRow(viewsPacked, rel, tu), want)
-				if c.packed {
-					sameBag(t, "core OnRow", i, onRow(packed, rel, tu), want)
-				}
+				sameBag(t, "core OnRow", i, onRow(core, rel, tu), want)
 				stored[rel] = append(stored[rel], tu)
 			}
 			if total == 0 {
@@ -184,7 +180,7 @@ func TestViewLessRuleCoversEveryLayout(t *testing.T) {
 		}
 	}
 	// A side expression that is not a plain column keeps the base-relation
-	// core off the packed path.
+	// core on the row path: it is evaluated where it is read.
 	exprSide := expr.MustJoinGraph(2, expr.JoinConjunct{
 		LRel: 0, RRel: 1, Op: expr.Eq,
 		Left:  expr.Arith{Op: expr.Mul, L: expr.C(0), R: expr.I(2)},
@@ -194,8 +190,8 @@ func TestViewLessRuleCoversEveryLayout(t *testing.T) {
 		"slab":   NewTupleJoin(exprSide),
 		"tiered": NewTupleJoinTiered(exprSide, tc),
 	} {
-		if j.PackedCapable() {
-			t.Errorf("%s: non-column conjunct must not be packed-capable", name)
+		if _, ok := j.(*localjoin.Traditional); !ok || !j.PackedCapable() {
+			t.Errorf("%s: non-column conjunct got %T, PackedCapable %v", name, j, j.PackedCapable())
 		}
 	}
 }

@@ -2,12 +2,15 @@ package enginetest
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"squall"
 	"squall/internal/dataflow"
-	"squall/internal/localjoin"
+	"squall/internal/expr"
+	"squall/internal/ft"
 	"squall/internal/recovery"
 	"squall/internal/types"
 )
@@ -23,8 +26,8 @@ var (
 	// execLegs are the execution paths crossed with the static matrix: the
 	// default (one producer task per relation, operators' row faces), two
 	// producer tasks per relation (per-producer replay buffers and
-	// sequences; see EngineConfig.SourcePar), and computed join keys (the
-	// operators' tuple faces; see EngineConfig.ExprKeys).
+	// sequences; see EngineConfig.SourcePar), and computed join keys
+	// (evaluated where the row path reads them; see EngineConfig.ExprKeys).
 	execLegs = []struct {
 		sourcePar int
 		exprKeys  bool
@@ -100,19 +103,21 @@ func TestDifferentialAllConfigs(t *testing.T) {
 	}
 }
 
-// TestExprKeysDefeatLowering pins what the computed-keys leg is for: the
-// rewritten graph must not lower to offset reads, or the leg silently
-// repeats the vec default instead of running the tuple faces.
+// TestExprKeysDefeatLowering pins what the computed-keys leg is for: every
+// rewritten conjunct side is an expression, not a column ref, so the leg
+// runs the row path's computed-key reads (evaluated where they are read)
+// instead of repeating the column-key legs.
 func TestExprKeysDefeatLowering(t *testing.T) {
 	w := RandomWorkload(1, 3, 4, 2, true)
 	ec := EngineConfig{Scheme: squall.HashHypercube, BatchSize: 1, Machines: 6}
-	if q, _ := w.Plan(ec); !localjoin.NewTraditional(q.Graph).PackedCapable() {
-		t.Fatalf("plain graph %v does not lower", q.Graph.Conjuncts)
-	}
 	ec.ExprKeys = true
 	q, _ := w.Plan(ec)
-	if localjoin.NewTraditional(q.Graph).PackedCapable() {
-		t.Fatalf("computed-key graph %v lowers to column reads", q.Graph.Conjuncts)
+	for i, c := range q.Graph.Conjuncts {
+		for _, e := range []expr.Expr{c.Left, c.Right} {
+			if _, ok := expr.ColIndex(e); ok {
+				t.Fatalf("conjunct %d (%v): side %v is still a column ref", i, c, e)
+			}
+		}
 	}
 	for i, c := range q.Graph.Conjuncts {
 		want := w.Graph.Conjuncts[i]
@@ -185,17 +190,16 @@ func TestDifferentialSpill(t *testing.T) {
 				}
 			}
 			// Computed keys under a kill: the segment restore lands in the
-			// Traditional joiner's decode-and-Insert import branch. The kill
-			// waits for 200 received tuples, by which the task has sealed
-			// segments on both workloads, and one-row frames keep input
-			// flowing after it, so later arrivals probe the restored rows.
+			// Traditional joiner's computed-key insertRow. One-row frames
+			// keep input flowing after the kill, so later arrivals probe the
+			// restored rows.
 			ec := EngineConfig{
 				Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 1,
 				Spill: true, SpillDir: spillDir, Kill: true, ExprKeys: true, Machines: 2, Seed: c.seed,
 			}
 			t.Run(ec.String(), func(t *testing.T) {
 				q, opts := w.Plan(ec)
-				opts.FaultPlan.AfterTuples = 200
+				opts.FaultPlan.AfterTuples = sealedKillPoint(t, w, q, opts)
 				res, err := q.Run(opts)
 				if err != nil {
 					t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
@@ -207,12 +211,60 @@ func TestDifferentialSpill(t *testing.T) {
 				if diff := DiffBags(ref, got); diff != "" {
 					t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
 				}
+				if k := res.Metrics.Recovery.Kills.Load(); k != 1 {
+					t.Fatalf("seed=%d %v: %d kills recovered, want 1", c.seed, ec, k)
+				}
 				if res.Metrics.Recovery.SegmentBytes.Load() == 0 {
 					t.Fatalf("seed=%d %v: the kill restored no sealed segment", c.seed, ec)
 				}
 			})
 		})
 	}
+}
+
+// sealedKillPoint picks the joiner task kill point at which, under every
+// interleaving of the task's input, the last checkpoint before the kill
+// holds a sealed segment of a relation that recovers through the checkpoint
+// route (no peer holds its rows). Until some such relation has more than
+// SegmentRows rows the task can have received at most every row of the
+// peer-routed relations and SegmentRows of each checkpoint-routed one; the
+// kill waits one checkpoint interval past that. The task's rows per relation
+// come from routing the workload through the plan's cube, and the point must
+// fall before the task's last row, or the kill would never fire.
+func sealedKillPoint(t *testing.T, w *Workload, q *squall.JoinQuery, opts squall.Options) int {
+	t.Helper()
+	task := opts.FaultPlan.Task
+	hc, err := q.BuildScheme()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans, err := ft.RecoveryPlan(hc, task)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	var buf []int
+	total, kill := 0, opts.Recovery.CheckpointEvery+1
+	rows := make([]int, len(w.Rels))
+	for rel, tuples := range w.Rels {
+		g := hc.GroupingFor(rel)
+		for _, tu := range tuples {
+			if buf = g.Targets(tu, hc.Machines(), rng, buf); slices.Contains(buf, task) {
+				rows[rel]++
+			}
+		}
+		total += rows[rel]
+		if plans[rel].Checkpoint {
+			kill += min(rows[rel], opts.Tier.SegmentRows)
+		} else {
+			kill += rows[rel]
+		}
+	}
+	if kill >= total {
+		t.Fatalf("setup: task %d holds %d rows (%v per relation), too few to seal a checkpoint-routed relation before a kill", task, total, rows)
+	}
+	t.Logf("task %d holds %v rows per relation; kill after %d of %d", task, rows, kill, total)
+	return kill
 }
 
 // TestSpillActuallySpills pins the dimension's premise: with the spill knobs

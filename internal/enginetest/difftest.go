@@ -239,10 +239,11 @@ type EngineConfig struct {
 	SourcePar int
 	// ExprKeys writes every join key and aggregate column as the equivalent
 	// computed expression col + 0 instead of a column ref. No operator can
-	// lower that to an offset read: hypercube groupings route the decoded
-	// tuple, the Traditional joiner and the downstream aggregation run their
-	// tuple faces (each row decoded at the bolt boundary), and AggJoin
-	// evaluates its arrivals. The oracle keeps the plain graph.
+	// read that at a field offset, and none leaves the row path for it: the
+	// hypercube groupings route each row by its decoded tuple, the
+	// Traditional joiner evaluates the key over the decoded row wherever it
+	// hashes, verifies, filters or indexes it, and AggJoin evaluates its
+	// arrivals. The oracle keeps the plain graph.
 	ExprKeys bool
 	// Kill enables the chaos dimension (PR 4): one joiner task is killed at
 	// a seeded point mid-run and recovered live (peer refetch when the

@@ -1,7 +1,6 @@
 package localjoin
 
 import (
-	"fmt"
 	"testing"
 
 	"squall/internal/expr"
@@ -66,79 +65,6 @@ func TestOnRowNoAllocSteadyState(t *testing.T) {
 				t.Fatalf("OnRow allocates %v objects per arrival in steady state, want 0", allocs)
 			}
 		})
-	}
-}
-
-// TestPackedHotPathHalvesAllocs: along one engine edge into a joiner —
-// frame in, selection, routing hash, probe and insert — the packed path
-// (cursor walk, compiled selection, cursor hash, OnRow) allocates at most
-// half the heap objects per tuple of the boxed path (batch decode, boxed
-// selection, tuple hash, OnTuple).
-func TestPackedHotPathHalvesAllocs(t *testing.T) {
-	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	const stored, batch = 2000, 64
-	row := func(key int64, i int) types.Tuple {
-		return types.Tuple{types.Int(key), types.Str(fmt.Sprintf("1996-%02d-%02d", 1+i%12, 1+i%28)),
-			types.Float(float64(i) + 0.25), types.Str("BUILDING")}
-	}
-	rows := make([]types.Tuple, batch)
-	for i := range rows {
-		rows[i] = row(int64(i*2654435761%stored), i)
-	}
-	frame := wire.EncodeBatch(nil, rows)
-	pred := expr.Cmp{Op: expr.Lt, L: expr.C(2), R: expr.F(1e9)} // keeps every row
-	ppred, ok := expr.CompilePred(pred)
-	if !ok {
-		t.Fatal("selection did not compile to a packed predicate")
-	}
-	perTuple := func(packed bool) float64 {
-		j := NewTraditional(g)
-		for i := 0; i < stored; i++ {
-			if err := j.Insert(0, row(int64(i), i)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var dec wire.BatchDecoder
-		var cur wire.Cursor
-		emit := func([]byte) error { return nil }
-		run := func() {
-			if packed {
-				_, _, err := wire.EachRow(frame, &cur, func(r []byte) error {
-					if keep, err := ppred(&cur); err != nil || !keep {
-						return err
-					}
-					_ = cur.Hash(0)
-					return j.OnRow(1, r, &cur, emit)
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			out, _, err := dec.Decode(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, tu := range out {
-				if keep, err := pred.Eval(tu); err != nil || !keep {
-					t.Fatalf("selection dropped %v: %v", tu, err)
-				}
-				_ = tu.Hash(0)
-				if _, err := j.OnTuple(1, tu); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		run() // warm scratch and arenas
-		return testing.AllocsPerRun(50, run) / batch
-	}
-	boxed, packed := perTuple(false), perTuple(true)
-	t.Logf("allocs/tuple: boxed %.2f, packed %.2f", boxed, packed)
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	if boxed < 2*packed || boxed == 0 {
-		t.Fatalf("packed path allocates %.2f objects per tuple, boxed %.2f: want at most half", packed, boxed)
 	}
 }
 

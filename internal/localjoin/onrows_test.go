@@ -3,6 +3,7 @@ package localjoin
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"squall/internal/expr"
@@ -12,7 +13,9 @@ import (
 )
 
 // onRowsGraphs covers every first-step probe kind OnRows gathers for: hash
-// (2-way equi, 3-way chain), range (band) and scan (Ne-only cross join).
+// (2-way equi, 3-way chain), range (band) and scan (Ne-only cross join),
+// and computed keys read on each: an equi conjunct, a range first step and
+// a filter.
 func onRowsGraphs() []struct {
 	name string
 	g    *expr.JoinGraph
@@ -25,6 +28,9 @@ func onRowsGraphs() []struct {
 		{"3way-chain", chainGraph()},
 		{"band", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
 		{"cross", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ne, 1, 1))},
+		{"expr-equi", exprEquiGraph()},
+		{"expr-band", exprBandGraph()},
+		{"expr-filter", exprFilterGraph()},
 	}
 }
 
@@ -32,7 +38,8 @@ func onRowsGraphs() []struct {
 // one frame at a time through OnRows and one row at a time through OnRow,
 // and requires bag-equal deltas per frame and equal stored state, on
 // resident arenas and on tiered ones that spill every sealed segment and
-// cache one (so the segment-bucketed walk runs).
+// cache one (so the segment-bucketed walk runs). Payloads are NULL one time
+// in eight, so computed keys also yield NULL.
 func TestOnRowsAgreesWithOnRow(t *testing.T) {
 	for _, gc := range onRowsGraphs() {
 		for _, tiered := range []bool{false, true} {
@@ -57,7 +64,7 @@ func TestOnRowsAgreesWithOnRow(t *testing.T) {
 					n := 1 + rng.Intn(9)
 					frame := make([][]byte, n)
 					for k := range frame {
-						frame[k] = wire.Encode(nil, packedDiffRow(rng, rel, i, 12))
+						frame[k] = wire.Encode(nil, nullPayloadRow(rng, rel, i, 12))
 						i++
 					}
 					want, got := map[string]int{}, map[string]int{}
@@ -100,6 +107,62 @@ func TestOnRowsAgreesWithOnRow(t *testing.T) {
 				t.Logf("%d deltas", deltas)
 			})
 		}
+	}
+}
+
+// TestOnRowsComputedKeyNullAndError: a computed key that yields NULL
+// matches nothing — not even a stored NULL key, though the two hash and
+// compare alike — and a key that fails to evaluate fails OnRows with an
+// error naming it.
+func TestOnRowsComputedKeyNullAndError(t *testing.T) {
+	for _, gc := range []struct {
+		name string
+		g    *expr.JoinGraph
+		pay  int64 // an S payload that joins R's payload 5
+	}{{"equi", exprEquiGraph(), 5}, {"band", exprBandGraph(), 10}, {"filter", exprFilterGraph(), 10}} {
+		t.Run(gc.name, func(t *testing.T) {
+			j := NewTraditional(gc.g)
+			null := types.Tuple{types.Int(1), types.Null(), types.Int(0)}
+			importTuple(t, j, 0, null)
+			importTuple(t, j, 0, types.Tuple{types.Int(1), types.Int(5), types.Int(1)})
+			frame := [][]byte{
+				wire.Encode(nil, types.Tuple{types.Int(1), types.Null(), types.Int(2)}),
+				wire.Encode(nil, types.Tuple{types.Int(1), types.Int(gc.pay), types.Int(3)}),
+			}
+			var got []types.Tuple
+			if err := j.OnRows(1, frame, func(r []byte) error {
+				d, _, err := wire.Decode(r)
+				got = append(got, d)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range got {
+				if d[1].IsNull() || d[4].IsNull() {
+					t.Fatalf("a NULL key matched: %v", d)
+				}
+			}
+			if len(got) != 1 || got[0][1].I != 5 || got[0][4].I != gc.pay {
+				t.Fatalf("deltas %v, want the one pair of payloads 5 and %d", got, gc.pay)
+			}
+		})
+	}
+	// key + 1 over a string key is not numeric.
+	g := expr.MustJoinGraph(2, expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq,
+		Left: expr.Arith{Op: expr.Add, L: expr.C(0), R: expr.I(1)}, Right: expr.C(0)})
+	j := NewTraditional(g)
+	importTuple(t, j, 1, types.Tuple{types.Int(2)})
+	err := j.OnRows(0, [][]byte{wire.Encode(nil, types.Tuple{types.Str("a")})}, func([]byte) error { return nil })
+	if err == nil || !strings.Contains(err.Error(), "($0 + 1)") {
+		t.Fatalf("OnRows on an unevaluable key returned %v, want an error naming the key", err)
+	}
+	var cur wire.Cursor
+	row := wire.Encode(nil, types.Tuple{types.Str("a")})
+	if err := cur.Reset(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.ImportRow(0, row, &cur); err == nil {
+		t.Fatal("ImportRow stored a row whose key does not evaluate")
 	}
 }
 

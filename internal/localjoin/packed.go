@@ -1,10 +1,11 @@
-// Packed execution (PR 5): the traditional local join consuming
-// wire-encoded arrivals directly. The arriving row is blitted into the
-// relation's slab arena (no wire.Encode round trip), index keys hash off
+// Packed execution: the traditional local join consuming wire-encoded
+// arrivals directly — its one path. The arriving row is blitted into the
+// relation's slab arena (no wire.Encode round trip), column keys hash off
 // the encoded field bytes, probe candidates are verified by field-view
-// comparison instead of decode-then-Eval, and delta results are emitted as
-// spliced encoded rows — the inner loop of a join task touches no
-// []types.Value from wire to slab to wire.
+// comparison, and delta results are emitted as spliced encoded rows — on
+// column keys the inner loop of a join task touches no []types.Value from
+// wire to slab to wire. A computed key is evaluated over the decoded row
+// where it is read, and hashes and compares as the same types.Value.
 package localjoin
 
 import (
@@ -19,24 +20,39 @@ import (
 	"squall/internal/wire"
 )
 
-// PackedJoin is implemented by local joins that can consume one
-// wire-encoded arrival without materializing it.
+// PackedJoin is implemented by local joins that consume wire-encoded
+// arrivals.
 type PackedJoin interface {
 	// PackedCapable reports whether OnRow is usable for this operator's
-	// graph; when false the caller must stay on OnTuple.
+	// graph. Every operator answers true; the benchmark's replay still asks.
 	PackedCapable() bool
-	// OnRow is the packed OnTuple: it joins the encoded arrival against
-	// stored state, passes each delta result to emit as one encoded row
-	// (valid only during the callback), then stores the arrival.
+	// OnRow joins the encoded arrival against stored state, passes each
+	// delta result to emit as one encoded row (valid only during the
+	// callback), then stores the arrival.
 	OnRow(rel int, row []byte, cur *wire.Cursor, emit func(row []byte) error) error
 }
 
 var _ PackedJoin = (*Traditional)(nil)
 
-// PackedCapable reports the packed fast path applies: every conjunct side
-// expression is a plain column ref (offset reads). Anything else falls back
-// to the boxed OnTuple.
-func (j *Traditional) PackedCapable() bool { return j.packedOK }
+// PackedCapable reports true: every graph runs on encoded rows.
+func (j *Traditional) PackedCapable() bool { return true }
+
+// key is one conjunct side as the row path reads it: column col of the
+// row, read in place, or — when e is set — the expression evaluated over
+// the decoded row. Both hash as types.Value.Hash (wire.Cursor.ValueHash on
+// a column) and order as types.Value.Compare (wire.CompareFields).
+type key struct {
+	col int
+	e   expr.Expr
+}
+
+// keyOf resolves a conjunct side.
+func keyOf(e expr.Expr) key {
+	if col, ok := expr.ColIndex(e); ok {
+		return key{col: col}
+	}
+	return key{e: e}
+}
 
 // packedState is the reusable scratch of the packed expansion, sized at
 // construction and grown to the largest frame.
@@ -53,14 +69,69 @@ type packedState struct {
 	// their positions keyed by segment.
 	candRow, candRef []uint32
 	order            []uint64
-	out              []byte // spliced result row
+	out              []byte      // spliced result row
+	tup              types.Tuple // decoded row a computed key evaluates over
+}
+
+// value reads k off cur: the field for a column key, the expression's
+// value over the decoded row for a computed one.
+func (ps *packedState) value(cur *wire.Cursor, k key) (types.Value, error) {
+	if k.e == nil {
+		if err := fieldOf(cur, k.col); err != nil {
+			return types.Value{}, err
+		}
+		return cur.Value(k.col), nil
+	}
+	ps.tup = cur.Tuple(ps.tup)
+	v, err := k.e.Eval(ps.tup)
+	if err != nil {
+		return v, fmt.Errorf("localjoin: key %s: %w", k.e, err)
+	}
+	return v, nil
+}
+
+// hash is k's index hash on cur: types.Value.Hash of its value, read off
+// the encoded field for a column key.
+func (ps *packedState) hash(cur *wire.Cursor, k key) (uint64, error) {
+	if k.e == nil {
+		if err := fieldOf(cur, k.col); err != nil {
+			return 0, err
+		}
+		return cur.ValueHash(k.col), nil
+	}
+	v, err := ps.value(cur, k)
+	return v.Hash(), err
+}
+
+// compare orders key a of acur against key b of bcur under
+// types.Value.Compare; anyNull reports a NULL operand (see
+// wire.Cursor.CompareValue). Two column keys compare in place.
+func (ps *packedState) compare(acur *wire.Cursor, a key, bcur *wire.Cursor, b key) (cmp int, anyNull bool, err error) {
+	if a.e == nil && b.e == nil {
+		if err := fieldOf(acur, a.col); err != nil {
+			return 0, false, err
+		}
+		if err := fieldOf(bcur, b.col); err != nil {
+			return 0, false, err
+		}
+		cmp, anyNull = wire.CompareFields(acur, a.col, bcur, b.col)
+		return cmp, anyNull, nil
+	}
+	av, err := ps.value(acur, a)
+	if err != nil {
+		return 0, false, err
+	}
+	bv, err := ps.value(bcur, b)
+	if err != nil {
+		return 0, false, err
+	}
+	return av.Compare(bv), av.IsNull() || bv.IsNull(), nil
 }
 
 // OnRow joins the encoded arrival against the stored relations and stores
-// it — the packed mirror of OnTuple, and OnRows of a one-row frame. The
-// emitted rows are the relation-order concatenations OnTuple's Delta.Concat
-// would produce, byte-identical to their wire encoding. cur is not read:
-// OnRows scans the row into a cursor of its own.
+// it: OnRows of a one-row frame. Each emitted row is the relation-order
+// concatenation of the joined rows (Delta.Concat, wire-encoded). cur is not
+// read: OnRows scans the row into a cursor of its own.
 func (j *Traditional) OnRow(rel int, row []byte, _ *wire.Cursor, emit func(row []byte) error) error {
 	ps := &j.packed
 	ps.one[0] = row
@@ -82,9 +153,6 @@ func (j *Traditional) OnRow(rel int, row []byte, _ *wire.Cursor, emit func(row [
 // row; only its order within the frame differs. Each row is scanned once,
 // into a staged cursor the probes and the insert share.
 func (j *Traditional) OnRows(rel int, rows [][]byte, emit func(row []byte) error) error {
-	if !j.PackedCapable() {
-		return fmt.Errorf("localjoin: OnRows on a non-packed-capable operator")
-	}
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("localjoin: relation %d out of range", rel)
 	}
@@ -182,32 +250,36 @@ func fieldOf(cur *wire.Cursor, col int) error {
 }
 
 // insertRow blits the arrival into the relation's arena and maintains its
-// per-conjunct indexes off the encoded fields. The key hashes are
-// types.Value hashes of the fields, so packed inserts and Insert share one
-// index.
+// per-conjunct indexes: hash indexes under the key's types.Value hash, tree
+// indexes under its value.
 func (j *Traditional) insertRow(rel int, row []byte, cur *wire.Cursor) error {
 	s := j.stores[rel]
 	ref := s.arena.AppendEncoded(row)
 	for ci := range j.g.Conjuncts {
-		if j.sideExpr[ci][rel] == nil {
+		if c := &j.g.Conjuncts[ci]; c.LRel != rel && c.RRel != rel {
 			continue
 		}
-		col := j.sideCol[ci][rel]
-		if err := fieldOf(cur, col); err != nil {
-			return fmt.Errorf("localjoin: index key: %w", err)
-		}
+		k := j.keys[ci][rel]
 		if h, ok := s.eqRef[ci]; ok {
-			h.Insert(cur.ValueHash(col), uint32(ref))
+			hash, err := j.packed.hash(cur, k)
+			if err != nil {
+				return fmt.Errorf("localjoin: index key: %w", err)
+			}
+			h.Insert(hash, uint32(ref))
 		}
 		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Insert(cur.Value(col), index.Item{T: refTuple(ref), W: 1})
+			v, err := j.packed.value(cur, k)
+			if err != nil {
+				return fmt.Errorf("localjoin: index key: %w", err)
+			}
+			tr.Insert(v, index.Item{T: refTuple(ref), W: 1})
 		}
 	}
 	return nil
 }
 
-// expandPacked is expand over encoded rows: partial assignments are row
-// cursors and completed assignments splice straight into the emit row.
+// expandPacked runs the remaining steps of a chain: partial assignments are
+// row cursors and completed assignments splice straight into the emit row.
 // Relations have an arena each and a relation is assigned once per chain,
 // so a candidate's view stays valid while deeper levels run.
 func (j *Traditional) expandPacked(ps *packedState, steps []probeStep, emit func([]byte) error) error {
@@ -246,24 +318,31 @@ func (j *Traditional) expandPacked(ps *packedState, steps []probeStep, emit func
 }
 
 // appendCands appends to dst the refs st's index returns for the key of
-// the assigned relation st.other: by 64-bit key hash for an equality (the
-// hash the boxed path indexes under; tryCand verifies each), by tree range
-// otherwise. A NULL key matches nothing (CmpOp.Apply).
+// the assigned relation st.other: by 64-bit key hash for an equality
+// (tryCand verifies each), by tree range otherwise. A NULL key matches
+// nothing (CmpOp.Apply).
 func (j *Traditional) appendCands(ps *packedState, st *probeStep, dst []uint32) ([]uint32, error) {
-	ocur := ps.curs[st.other]
-	if err := fieldOf(ocur, st.otherCol); err != nil {
+	ocur, k := ps.curs[st.other], st.otherKey
+	s := j.stores[st.next]
+	if k.e == nil && st.op == expr.Eq {
+		if err := fieldOf(ocur, k.col); err != nil {
+			return dst, err
+		}
+		if ocur.Kind(k.col) == types.KindNull {
+			return dst, nil
+		}
+		return s.eqRef[st.ci].AppendRefs(dst, ocur.ValueHash(k.col)), nil
+	}
+	// The key's value: a range bound (numeric fields materialize without
+	// allocating), or a computed key.
+	v, err := ps.value(ocur, k)
+	if err != nil || v.IsNull() {
 		return dst, err
 	}
-	if ocur.Kind(st.otherCol) == types.KindNull {
-		return dst, nil
-	}
-	s := j.stores[st.next]
 	if st.op == expr.Eq {
-		return s.eqRef[st.ci].AppendRefs(dst, ocur.ValueHash(st.otherCol)), nil
+		return s.eqRef[st.ci].AppendRefs(dst, v.Hash()), nil
 	}
-	// The range bound is the only value the packed path materializes
-	// (numeric fields do it without allocating).
-	lo, hi := st.bounds(ocur.Value(st.otherCol))
+	lo, hi := st.bounds(v)
 	s.rngIdx[st.ci].Range(lo, hi, func(_ types.Value, it index.Item) bool {
 		dst = append(dst, uint32(it.T[0].I))
 		return true
@@ -283,13 +362,11 @@ func (j *Traditional) tryCand(ps *packedState, st *probeStep, ref uint32, rest [
 		return fmt.Errorf("localjoin: corrupt stored row: %w", err)
 	}
 	if st.ci >= 0 && st.op == expr.Eq {
-		// Field-view verification, so a hash collision can never fabricate
-		// a result: the same Compare-equality the boxed path verifies with.
-		if err := fieldOf(cand, st.nextCol); err != nil {
+		// Verify the key, so a hash collision can never fabricate a result
+		// (appendCands already dropped a NULL probe key).
+		cmp, _, err := ps.compare(cand, st.nextKey, ps.curs[st.other], st.otherKey)
+		if err != nil || cmp != 0 {
 			return err
-		}
-		if cmp, _ := wire.CompareFields(cand, st.nextCol, ps.curs[st.other], st.otherCol); cmp != 0 {
-			return nil
 		}
 	}
 	for i := range st.filters {
@@ -303,16 +380,9 @@ func (j *Traditional) tryCand(ps *packedState, st *probeStep, ref uint32, rest [
 // filterHoldsPacked evaluates one filter conjunct between two assigned rows
 // under CmpOp.Apply semantics (NULL operands collapse to false).
 func filterHoldsPacked(ps *packedState, f *stepFilter) (bool, error) {
-	lcur, rcur := ps.curs[f.lrel], ps.curs[f.rrel]
-	if err := fieldOf(lcur, f.lcol); err != nil {
+	cmp, anyNull, err := ps.compare(ps.curs[f.lrel], f.lkey, ps.curs[f.rrel], f.rkey)
+	if err != nil || anyNull {
 		return false, err
-	}
-	if err := fieldOf(rcur, f.rcol); err != nil {
-		return false, err
-	}
-	cmp, anyNull := wire.CompareFields(lcur, f.lcol, rcur, f.rcol)
-	if anyNull {
-		return false, nil
 	}
 	return expr.CmpHolds(f.op, cmp), nil
 }

@@ -2,8 +2,8 @@
 // on the join graph — which relation is assigned next, which conjunct is
 // probed through an index and from which side, which conjuncts are left as
 // filters — is decided once at construction, per arrival relation, so the
-// per-arrival paths (expand/probe boxed, expandPacked packed) walk a slice
-// of steps and allocate nothing.
+// per-arrival path (probeFrame, expandPacked) walks a slice of steps and
+// allocates nothing.
 package localjoin
 
 import (
@@ -20,24 +20,22 @@ type probeStep struct {
 	// ci is the conjunct probed through next's index (equality beats range),
 	// -1 when none applies (cross join, Ne-only) and next is scanned. It
 	// reads key(t_next) op value(t_other) — op already oriented — with other
-	// an assigned relation; nextCol/otherCol are the two sides' columns when
-	// plain (the packed path), -1 otherwise.
+	// an assigned relation; nextKey/otherKey are the two sides' keys.
 	ci                int
 	op                expr.CmpOp
 	other             int
-	nextCol, otherCol int
+	nextKey, otherKey key
 	// filters are the remaining conjuncts between next and the assigned
 	// relations, checked per candidate.
 	filters []stepFilter
 }
 
 // stepFilter is one filter conjunct with its sides resolved: Left(t_lrel)
-// op Right(t_rrel), columns -1 when the side is not a plain column.
+// op Right(t_rrel).
 type stepFilter struct {
-	ci         int
 	op         expr.CmpOp
 	lrel, rrel int
-	lcol, rcol int
+	lkey, rkey key
 }
 
 // bounds is the tree range holding the keys k with k op v, for a non-NULL
@@ -124,12 +122,12 @@ func (j *Traditional) compileStep(have uint64, next int) probeStep {
 			// Oriented so LRel == next: Left(t_next) op Right(t_other).
 			o := c.Oriented(next)
 			st.op, st.other = o.Op, o.RRel
-			st.nextCol, st.otherCol = j.sideCol[ci][next], j.sideCol[ci][o.RRel]
+			st.nextKey, st.otherKey = j.keys[ci][next], j.keys[ci][o.RRel]
 			continue
 		}
 		st.filters = append(st.filters, stepFilter{
-			ci: ci, op: c.Op, lrel: c.LRel, rrel: c.RRel,
-			lcol: j.sideCol[ci][c.LRel], rcol: j.sideCol[ci][c.RRel],
+			op: c.Op, lrel: c.LRel, rrel: c.RRel,
+			lkey: j.keys[ci][c.LRel], rkey: j.keys[ci][c.RRel],
 		})
 	}
 	return st

@@ -43,10 +43,9 @@ func (d Delta) Concat() types.Tuple {
 	return out
 }
 
-// MultiJoin is an online local multi-way join operator: OnTuple feeds one
-// new tuple and returns the delta results it completes.
+// MultiJoin is the state face every online local multi-way join shares:
+// how much it holds.
 type MultiJoin interface {
-	OnTuple(rel int, t types.Tuple) ([]Delta, error)
 	MemSize() int
 	StoredTuples() int
 }
@@ -84,11 +83,6 @@ type store struct {
 	arena  *slab.Arena
 	eqRef  map[int]*index.RefHash // conjunct id -> refs by key hash
 	refBuf []uint32               // probe scratch
-	// candBuf is the reusable candidate slice: a store is probed at most
-	// once per expand chain, and the slice is only read during that chain,
-	// so reuse is safe (the decoded tuples themselves escape, the slice
-	// header does not).
-	candBuf []types.Tuple
 	// rngIdx holds Tuple{Int(ref)} items (refTuple).
 	rngIdx map[int]*index.Tree
 }
@@ -102,16 +96,10 @@ var (
 type Traditional struct {
 	g      *expr.JoinGraph
 	stores []*store
-	// sideExpr[c][rel] is the rel-side expression of conjunct c (nil if rel
-	// is not a side of c).
-	sideExpr [][]expr.Expr
-	// sideCol[c][rel] is sideExpr[c][rel]'s column index when it is a plain
-	// column ref (-1 otherwise); packedOK reports every side expression
-	// lowered, enabling the packed OnRow path (packed.go).
-	sideCol  [][]int
-	packedOK bool
-	packed   packedState
-	decBuf   types.Tuple // ImportRow scratch on computed-key graphs
+	// keys[c][rel] is the rel side of conjunct c as the row path reads it
+	// (the zero key when rel is not a side of c).
+	keys   [][]key
+	packed packedState
 	// plan[rel] is the expansion an arrival of rel drives (plan.go).
 	plan [][]probeStep
 }
@@ -119,26 +107,15 @@ type Traditional struct {
 // NewTraditional builds the operator for a join graph, creating hash indexes
 // for equality conjuncts and tree indexes for order conjuncts (§3.3's
 // example: R.A = S.A AND 2·R.B < S.C builds hash indexes on R.A, S.A and
-// tree indexes on 2·R.B and S.C).
+// tree indexes on 2·R.B and S.C). Each conjunct side resolves once, to a
+// column read in place or to an expression evaluated where it is read.
 func NewTraditional(g *expr.JoinGraph) *Traditional {
-	j := &Traditional{g: g, packedOK: true}
-	j.sideExpr = make([][]expr.Expr, len(g.Conjuncts))
-	j.sideCol = make([][]int, len(g.Conjuncts))
+	j := &Traditional{g: g}
+	j.keys = make([][]key, len(g.Conjuncts))
 	for ci, c := range g.Conjuncts {
-		j.sideExpr[ci] = make([]expr.Expr, g.NumRels)
-		j.sideExpr[ci][c.LRel] = c.Left
-		j.sideExpr[ci][c.RRel] = c.Right
-		j.sideCol[ci] = make([]int, g.NumRels)
-		for rel := range j.sideCol[ci] {
-			j.sideCol[ci][rel] = -1
-		}
-		for _, rel := range [2]int{c.LRel, c.RRel} {
-			if col, ok := expr.ColIndex(j.sideExpr[ci][rel]); ok {
-				j.sideCol[ci][rel] = col
-			} else {
-				j.packedOK = false
-			}
-		}
+		j.keys[ci] = make([]key, g.NumRels)
+		j.keys[ci][c.LRel] = keyOf(c.Left)
+		j.keys[ci][c.RRel] = keyOf(c.Right)
 	}
 	j.stores = make([]*store, g.NumRels)
 	for rel := range j.stores {
@@ -181,24 +158,6 @@ func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
 // refTuple wraps a row ref as the single-int tuple tree indexes store.
 func refTuple(ref slab.Ref) types.Tuple { return types.Tuple{types.Int(int64(ref))} }
 
-// OnTuple joins t against the stored tuples of all other relations and then
-// stores t (with index maintenance) for future arrivals.
-func (j *Traditional) OnTuple(rel int, t types.Tuple) ([]Delta, error) {
-	if rel < 0 || rel >= j.g.NumRels {
-		return nil, fmt.Errorf("localjoin: relation %d out of range", rel)
-	}
-	partial := make([]types.Tuple, j.g.NumRels)
-	partial[rel] = t
-	var out []Delta
-	if err := j.expand(j.plan[rel], partial, &out); err != nil {
-		return nil, err
-	}
-	if err := j.Insert(rel, t); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // RelCount returns the stored tuples of one relation.
 func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Rows() }
 
@@ -213,135 +172,13 @@ func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit fun
 }
 
 // ImportRow stores one encoded row without producing results (migration
-// import, recovery restore). A lowered graph blits the row and keys its
-// indexes off the encoded fields; computed keys need the tuple for Eval.
+// import, recovery restore): the row is blitted into the arena and keys its
+// indexes like an arrival does.
 func (j *Traditional) ImportRow(rel int, row []byte, cur *wire.Cursor) error {
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("localjoin: relation %d out of range", rel)
 	}
-	if j.packedOK {
-		return j.insertRow(rel, row, cur)
-	}
-	j.decBuf = cur.Tuple(j.decBuf)
-	return j.Insert(rel, j.decBuf)
-}
-
-// Insert stores a tuple with its index maintenance but produces no results
-// (state preload).
-func (j *Traditional) Insert(rel int, t types.Tuple) error {
-	s := j.stores[rel]
-	ref := s.arena.Append(t)
-	for ci := range j.g.Conjuncts {
-		e := j.sideExpr[ci][rel]
-		if e == nil {
-			continue
-		}
-		v, err := e.Eval(t)
-		if err != nil {
-			return fmt.Errorf("localjoin: index key %s: %w", e, err)
-		}
-		if h, ok := s.eqRef[ci]; ok {
-			h.Insert(v.Hash(), uint32(ref))
-		}
-		if tr, ok := s.rngIdx[ci]; ok {
-			tr.Insert(v, index.Item{T: refTuple(ref), W: 1})
-		}
-	}
-	return nil
-}
-
-// expand recursively extends a partial assignment along the arrival's
-// compiled steps, probing each next relation's index.
-func (j *Traditional) expand(steps []probeStep, partial []types.Tuple, out *[]Delta) error {
-	if len(steps) == 0 {
-		d := make(Delta, len(partial))
-		copy(d, partial)
-		*out = append(*out, d)
-		return nil
-	}
-	st := &steps[0]
-	candidates, err := j.probe(st, partial)
-	if err != nil {
-		return err
-	}
-candidates:
-	for _, cand := range candidates {
-		partial[st.next] = cand
-		for i := range st.filters {
-			holds, err := j.g.Conjuncts[st.filters[i].ci].Holds(partial)
-			if err != nil {
-				return err
-			}
-			if !holds {
-				continue candidates
-			}
-		}
-		if err := j.expand(steps[1:], partial, out); err != nil {
-			return err
-		}
-	}
-	partial[st.next] = nil
-	return nil
-}
-
-// probe returns the candidate tuples of the step's relation that pass its
-// probe conjunct against the partial assignment; the step's filters are
-// left to the caller.
-func (j *Traditional) probe(st *probeStep, partial []types.Tuple) ([]types.Tuple, error) {
-	s := j.stores[st.next]
-	if st.ci < 0 {
-		return j.scanAll(s), nil // cross join or Ne-only: scan
-	}
-	// The conjunct reads key(t_next) op v, v off the assigned side.
-	v, err := j.sideExpr[st.ci][st.other].Eval(partial[st.other])
-	if err != nil {
-		return nil, err
-	}
-	if v.IsNull() {
-		return nil, nil // a comparison with NULL holds for no key (CmpOp.Apply)
-	}
-	if st.op != expr.Eq {
-		lo, hi := st.bounds(v)
-		return j.treeCollect(s, s.rngIdx[st.ci], lo, hi), nil
-	}
-	// The equi probe matches by 64-bit key hash; verify each candidate's
-	// key value so a hash collision can never fabricate a result (one
-	// expression eval + compare per candidate, cheaper than re-running the
-	// conjunct as a filter).
-	s.refBuf = s.eqRef[st.ci].AppendRefs(s.refBuf[:0], v.Hash())
-	keyE := j.sideExpr[st.ci][st.next]
-	out := s.candBuf[:0]
-	for _, ref := range s.refBuf {
-		cand := s.arena.Decode(slab.Ref(ref))
-		kv, err := keyE.Eval(cand)
-		if err != nil {
-			return nil, err
-		}
-		if kv.Equal(v) {
-			out = append(out, cand)
-		}
-	}
-	s.candBuf = out
-	return out, nil
-}
-
-// scanAll returns every stored tuple of a relation (cross joins).
-func (j *Traditional) scanAll(s *store) []types.Tuple {
-	out := make([]types.Tuple, 0, s.arena.Rows())
-	for r := range s.arena.Rows() {
-		out = append(out, s.arena.Decode(slab.Ref(r)))
-	}
-	return out
-}
-
-func (j *Traditional) treeCollect(s *store, tr *index.Tree, lo, hi index.Bound) []types.Tuple {
-	out := s.candBuf[:0]
-	tr.Range(lo, hi, func(_ types.Value, it index.Item) bool {
-		out = append(out, s.arena.Decode(slab.Ref(it.T[0].I)))
-		return true
-	})
-	s.candBuf = out
-	return out
+	return j.insertRow(rel, row, cur)
 }
 
 // MemSize reports operator state (stored tuples + indexes): the real byte

@@ -56,9 +56,42 @@ func equalTupleSets(a, b []types.Tuple) bool {
 	return true
 }
 
+// joinRow feeds one arrival through OnRow and returns its delta rows,
+// decoded.
+func joinRow(t testing.TB, j *Traditional, rel int, tu types.Tuple) []types.Tuple {
+	t.Helper()
+	row := wire.Encode(nil, tu)
+	var cur wire.Cursor
+	if err := cur.Reset(row); err != nil {
+		t.Fatal(err)
+	}
+	var out []types.Tuple
+	if err := j.OnRow(rel, row, &cur, func(r []byte) error {
+		d, _, err := wire.Decode(r)
+		out = append(out, d)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// importTuple stores one tuple without probing, through ImportRow.
+func importTuple(t testing.TB, j *Traditional, rel int, tu types.Tuple) {
+	t.Helper()
+	row := wire.Encode(nil, tu)
+	var cur wire.Cursor
+	if err := cur.Reset(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.ImportRow(rel, row, &cur); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // streamJoin feeds the relations' tuples in a random interleaved order and
 // collects all deltas.
-func streamJoin(t *testing.T, j MultiJoin, rels [][]types.Tuple, seed int64) []types.Tuple {
+func streamJoin(t *testing.T, j *Traditional, rels [][]types.Tuple, seed int64) []types.Tuple {
 	t.Helper()
 	type ev struct {
 		rel int
@@ -74,13 +107,7 @@ func streamJoin(t *testing.T, j MultiJoin, rels [][]types.Tuple, seed int64) []t
 	r.Shuffle(len(stream), func(a, b int) { stream[a], stream[b] = stream[b], stream[a] })
 	var out []types.Tuple
 	for _, e := range stream {
-		deltas, err := j.OnTuple(e.rel, e.t)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deltas {
-			out = append(out, d.Concat())
-		}
+		out = append(out, joinRow(t, j, e.rel, e.t)...)
 	}
 	return out
 }
@@ -198,9 +225,7 @@ func TestTraditionalMemSizeGrows(t *testing.T) {
 	j := NewTraditional(g)
 	before := j.MemSize()
 	for i := 0; i < 100; i++ {
-		if _, err := j.OnTuple(i%3, types.Tuple{types.Int(int64(i)), types.Int(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
+		joinRow(t, j, i%3, types.Tuple{types.Int(int64(i)), types.Int(int64(i))})
 	}
 	if j.MemSize() <= before {
 		t.Error("MemSize must grow with state")
@@ -212,8 +237,16 @@ func TestTraditionalMemSizeGrows(t *testing.T) {
 
 func TestTraditionalRejectsBadRelation(t *testing.T) {
 	j := NewTraditional(chainGraph())
-	if _, err := j.OnTuple(7, types.Tuple{}); err == nil {
+	row := wire.Encode(nil, types.Tuple{types.Int(1)})
+	var cur wire.Cursor
+	if err := cur.Reset(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.OnRow(7, row, &cur, func([]byte) error { return nil }); err == nil {
 		t.Error("bad relation must error")
+	}
+	if err := j.ImportRow(7, row, &cur); err == nil {
+		t.Error("bad relation must error on import")
 	}
 }
 
@@ -225,8 +258,9 @@ func TestDeltaConcat(t *testing.T) {
 }
 
 // TestTraditionalRefLifecycle covers the ref contract the indexes rely on:
-// boxed and packed inserts take dense refs in arrival order, every stored row
-// stays addressable and indexed, and export returns the rows in ref order.
+// imported and joined rows take dense refs in arrival order, every stored
+// row stays addressable and indexed, and export returns the rows in ref
+// order.
 func TestTraditionalRefLifecycle(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	j := NewTraditional(g)
@@ -236,9 +270,7 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 		tup := types.Tuple{types.Int(int64(i % 3)), types.Int(int64(i))}
 		want = append(want, tup)
 		if i%2 == 0 {
-			if _, err := j.OnTuple(0, tup); err != nil {
-				t.Fatal(err)
-			}
+			importTuple(t, j, 0, tup)
 			continue
 		}
 		row := wire.Encode(nil, tup)
@@ -264,13 +296,10 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 		}
 	}
 	// Every stored row with key 1 joins, whichever path inserted it.
-	deltas, err := j.OnTuple(1, types.Tuple{types.Int(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	deltas := joinRow(t, j, 1, types.Tuple{types.Int(1)})
 	seqs := map[int64]bool{}
 	for _, d := range deltas {
-		seqs[d[0][1].I] = true
+		seqs[d[1].I] = true
 	}
 	if len(deltas) != 3 || !seqs[1] || !seqs[4] || !seqs[7] {
 		t.Fatalf("key 1 joined %v, want seqs 1, 4 and 7", deltas)
@@ -310,7 +339,7 @@ func importRel(t *testing.T, dst Migrator, src FrameExporter, rel int) {
 
 // TestTraditionalExportParityAndFrames: the frame export holds exactly the
 // inserted rows, bare or footered, and round-trips through ImportRow into a
-// fresh operator, on lowered and computed-key graphs alike.
+// fresh operator, on column-key and computed-key graphs alike.
 func TestTraditionalExportParityAndFrames(t *testing.T) {
 	computed := func(e expr.Expr) expr.Expr { return expr.Arith{Op: expr.Add, L: e, R: expr.I(0)} }
 	for _, c := range []struct {
@@ -322,9 +351,6 @@ func TestTraditionalExportParityAndFrames(t *testing.T) {
 			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq, Left: computed(expr.C(1)), Right: computed(expr.C(0))},
 			expr.JoinConjunct{LRel: 1, RRel: 2, Op: expr.Eq, Left: computed(expr.C(1)), Right: computed(expr.C(0))})},
 	} {
-		if got := NewTraditional(c.g).PackedCapable(); got != (c.name == "lowered") {
-			t.Fatalf("%s graph: PackedCapable = %v", c.name, got)
-		}
 		t.Run(c.name, func(t *testing.T) { exportParity(t, c.g) })
 	}
 }
@@ -335,9 +361,7 @@ func exportParity(t *testing.T, g *expr.JoinGraph) {
 	slabJ, reJ := NewTraditional(g), NewTraditional(g)
 	for rel, rows := range rels {
 		for _, row := range rows {
-			if err := slabJ.Insert(rel, row); err != nil {
-				t.Fatal(err)
-			}
+			importTuple(t, slabJ, rel, row)
 		}
 	}
 	for rel := range rels {
@@ -368,36 +392,35 @@ func exportParity(t *testing.T, g *expr.JoinGraph) {
 	}
 	// Probing the round-tripped operator gives the original's deltas.
 	probe := types.Tuple{types.Int(2), types.Int(3)}
-	da, err := slabJ.OnTuple(1, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	db, err := reJ.OnTuple(1, probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(da) != len(db) {
+	da, db := joinRow(t, slabJ, 1, probe), joinRow(t, reJ, 1, probe)
+	if len(da) == 0 || !equalTupleSets(da, db) {
 		t.Fatalf("round-tripped state joins to %d deltas, original %d", len(db), len(da))
 	}
 }
 
-// BenchmarkTraditionalOnTuple measures the probe+insert hot path: S
-// arrivals joining against 100k stored R tuples (~1 match each).
-func BenchmarkTraditionalOnTuple(b *testing.B) {
+// BenchmarkTraditionalOnRow measures the probe+insert hot path: S
+// arrivals joining against 100k stored R rows (~1 match each).
+func BenchmarkTraditionalOnRow(b *testing.B) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
 	j := NewTraditional(g)
 	const n = 100_000
 	for i := 0; i < n; i++ {
-		t := types.Tuple{types.Int(int64(i)), types.Str("1996-01-02"), types.Float(float64(i) + 0.25), types.Str("BUILDING")}
-		if err := j.Insert(0, t); err != nil {
-			b.Fatal(err)
-		}
+		importTuple(b, j, 0, types.Tuple{types.Int(int64(i)), types.Str("1996-01-02"), types.Float(float64(i) + 0.25), types.Str("BUILDING")})
 	}
+	rows := make([][]byte, 1024)
+	for i := range rows {
+		rows[i] = wire.Encode(nil, types.Tuple{types.Int(int64(i * 97 % n)), types.Str("1996-01-02"), types.Float(float64(i)), types.Str("MACHINE")})
+	}
+	var cur wire.Cursor
+	emit := func([]byte) error { return nil }
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		t := types.Tuple{types.Int(int64(i % n)), types.Str("1996-01-02"), types.Float(float64(i)), types.Str("MACHINE")}
-		if _, err := j.OnTuple(1, t); err != nil {
+		row := rows[i%len(rows)]
+		if err := cur.Reset(row); err != nil {
+			b.Fatal(err)
+		}
+		if err := j.OnRow(1, row, &cur, emit); err != nil {
 			b.Fatal(err)
 		}
 	}

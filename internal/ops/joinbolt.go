@@ -8,7 +8,6 @@ import (
 	"squall/internal/expr"
 	"squall/internal/localjoin"
 	"squall/internal/slab"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
@@ -34,12 +33,12 @@ func (k LocalJoinKind) String() string {
 }
 
 // JoinBolt runs a local multi-way join per task and emits delta result
-// tuples (concatenated relation order), optionally post-processed by a
-// pipeline. relOf maps upstream component names to relation indexes. When
-// the local algorithm is packed-capable for this graph the bolt is a
-// dataflow.RowBolt: arrivals blit into the slab without a decode/re-encode
-// round trip and delta rows leave as spliced encoded bytes. Otherwise each
-// arrival is decoded at the bolt's boundary.
+// rows (concatenated relation order), optionally post-processed by a
+// pipeline. relOf maps upstream component names to relation indexes. The
+// bolt is a dataflow.RowBolt: arrivals blit into the slab without a
+// decode/re-encode round trip and delta rows leave as spliced encoded
+// bytes; a computed join key is evaluated inside the local join, where it
+// is read.
 //
 // tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
 // checksummed, spillable segments — squall.Options.Tier).
@@ -52,11 +51,7 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 			tc = &c
 		}
 		mk := func() dbtoaster.Join { return newLocalJoin(g, kind, tc) }
-		jb := &joinBolt{mk: mk, mj: mk(), relOf: relOf, post: post}
-		if jb.mj.PackedCapable() {
-			return &packedJoinBolt{joinBolt: jb, pp: CompilePipeline(post)}
-		}
-		return jb
+		return &joinBolt{mk: mk, mj: mk(), relOf: relOf, pp: CompilePipeline(post)}
 	}
 }
 
@@ -89,25 +84,27 @@ func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason 
 	return "localjoin.Traditional", "Traditional: base-relation indexes re-probed on every arrival"
 }
 
-// packedJoinBolt is joinBolt's row face: encoded arrivals in, encoded delta
-// rows out. It stages a delivered frame's rows and joins them as one set on
-// the frame's Last row (Join.OnRows), so a spilled segment is faulted in
-// once per frame rather than once per matching arrival.
-type packedJoinBolt struct {
-	*joinBolt
+// joinBolt runs one task's local join over encoded rows: encoded arrivals
+// in, encoded delta rows out. It stages a delivered frame's rows and joins
+// them as one set on the frame's Last row (Join.OnRows), so a spilled
+// segment is faulted in once per frame rather than once per matching
+// arrival.
+type joinBolt struct {
+	mk     func() dbtoaster.Join // fresh operator for reshape rebuilds
+	mj     dbtoaster.Join
+	relOf  map[string]int
 	pp     *PackedPipeline // compiled post pipeline (empty = pass-through)
 	out    *dataflow.Collector
 	emitFn func(row []byte) error
 	rows   [][]byte // the current frame's rows, staged until its Last row
 }
 
-var _ dataflow.RowBolt = (*packedJoinBolt)(nil)
-var _ dataflow.Repartitioner = (*packedJoinBolt)(nil)
+var _ dataflow.RowBolt = (*joinBolt)(nil)
 
 // ExecuteRow stages one encoded arrival; the frame's Last row feeds the
-// staged frame through the packed local join. Every row of a frame comes
-// from one stream.
-func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) error {
+// staged frame through the local join. Every row of a frame comes from one
+// stream.
+func (b *joinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) error {
 	rel, ok := b.relOf[in.Stream]
 	if !ok {
 		return fmt.Errorf("ops: join bolt has no relation for stream %q", in.Stream)
@@ -133,45 +130,10 @@ func (b *packedJoinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collecto
 	if !in.Last {
 		return nil
 	}
-	// mk() builds the same operator, so reshape/recovery rebuilds stay
-	// packed-capable.
 	err := b.mj.OnRows(rel, b.rows, b.emitFn)
 	clear(b.rows) // the frame is recycled once delivered
 	b.rows = b.rows[:0]
 	return err
-}
-
-type joinBolt struct {
-	mk    func() dbtoaster.Join // fresh operator for reshape rebuilds
-	mj    dbtoaster.Join
-	relOf map[string]int
-	post  Pipeline
-}
-
-func (b *joinBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
-	rel, ok := b.relOf[in.Stream]
-	if !ok {
-		return fmt.Errorf("ops: join bolt has no relation for stream %q", in.Stream)
-	}
-	deltas, err := b.mj.OnTuple(rel, in.Tuple)
-	if err != nil {
-		return err
-	}
-	for _, d := range deltas {
-		rows := []types.Tuple{d.Concat()}
-		if b.post != nil {
-			rows, err = b.post.Apply(rows[0])
-			if err != nil {
-				return err
-			}
-		}
-		for _, r := range rows {
-			if err := out.Emit(r); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func (b *joinBolt) Finish(*dataflow.Collector) error { return nil }

@@ -12,21 +12,10 @@ import (
 	"squall/internal/wire"
 )
 
-// feedJoin drives one arrival through the operator face the bolt would use
-// — OnRow when the graph lowers, OnTuple otherwise — and adds its delta
-// rows to bag.
+// feedJoin drives one arrival through the bolt's operator (OnRow) and adds
+// its delta rows to bag.
 func feedJoin(t *testing.T, b *joinBolt, rel int, tu types.Tuple, bag map[string]int) {
 	t.Helper()
-	if !b.mj.PackedCapable() {
-		deltas, err := b.mj.OnTuple(rel, tu)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range deltas {
-			bag[d.Concat().Key()]++
-		}
-		return
-	}
 	row := wire.Encode(nil, tu)
 	var cur wire.Cursor
 	if err := cur.Reset(row); err != nil {
@@ -46,9 +35,9 @@ func feedJoin(t *testing.T, b *joinBolt, rel int, tu types.Tuple, bag map[string
 // and restore do — every side exported as frames, walked row by row into a
 // fresh bolt's ImportRow — and then feeds both bolts the same arrivals:
 // their delta bags must be equal. The table crosses the two operators with
-// lowered and computed join keys (the blit and the decode-and-Insert import
-// branches) and with resident and tiered arenas (tiered state spills every
-// sealed segment, so the export faults rows back in).
+// column and computed join keys (a computed key is evaluated as ImportRow
+// indexes the row) and with resident and tiered arenas (tiered state spills
+// every sealed segment, so the export faults rows back in).
 func TestJoinBoltImportRowRoundTrip(t *testing.T) {
 	computed := func(e expr.Expr) expr.Expr { return expr.Arith{Op: expr.Add, L: e, R: expr.I(0)} }
 	chain := func(key func(expr.Expr) expr.Expr) *expr.JoinGraph {
@@ -72,20 +61,13 @@ func TestJoinBoltImportRowRoundTrip(t *testing.T) {
 					}
 					mk := JoinBolt(chain(keys.key), kind, relOf, nil, tc)
 					boltOf := func() *joinBolt {
-						switch b := mk(0, 1).(type) {
-						case *packedJoinBolt:
-							return b.joinBolt
-						case *joinBolt:
-							return b
-						default:
-							t.Fatalf("JoinBolt built %T", b)
-							return nil
+						b, ok := mk(0, 1).(*joinBolt)
+						if !ok {
+							t.Fatalf("JoinBolt built %T", mk(0, 1))
 						}
+						return b
 					}
 					src, dst := boltOf(), boltOf()
-					if src.mj.PackedCapable() != (kind == DBToaster || keys.name == "plain") {
-						t.Fatalf("PackedCapable = %v on %s keys", src.mj.PackedCapable(), keys.name)
-					}
 					rng := rand.New(rand.NewSource(7))
 					arrival := func(i int) (int, types.Tuple) {
 						rel := rng.Intn(3)

@@ -174,24 +174,6 @@ func (s *pipedSpout) Next() (types.Tuple, bool) {
 	}
 }
 
-// MapBolt runs a pipeline inside a component and emits the results.
-func MapBolt(p Pipeline) dataflow.BoltFactory {
-	return func(task, ntasks int) dataflow.Bolt {
-		return dataflow.FuncBolt{OnTuple: func(in dataflow.Input, out *dataflow.Collector) error {
-			res, err := p.Apply(in.Tuple)
-			if err != nil {
-				return err
-			}
-			for _, t := range res {
-				if err := out.Emit(t); err != nil {
-					return err
-				}
-			}
-			return nil
-		}}
-	}
-}
-
 // AggKind enumerates the supported aggregates (§2: sum, count, average).
 type AggKind uint8
 
@@ -453,25 +435,25 @@ func (a *Agg) MemSize() int {
 	return a.arena.MemSize() + a.idx.MemSize() + 24*cap(a.states) + 48
 }
 
-// aggBolt adapts Agg to the dataflow engine.
-type aggBolt struct{ a *Agg }
-
-func (b aggBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
-	row, err := b.a.Fold(in.Tuple)
-	if err != nil {
-		return err
+// colAgg is a non-incremental Agg over plain columns, lowered at
+// construction: group by groupCols, SUM over sumCol (-1 for none).
+func colAgg(groupCols []int, kind AggKind, sumCol int) *Agg {
+	groupBy := make([]expr.Expr, len(groupCols))
+	for i, c := range groupCols {
+		groupBy[i] = expr.C(c)
 	}
-	if row != nil {
-		return out.Emit(row)
+	var sumE expr.Expr
+	if sumCol >= 0 {
+		sumE = expr.C(sumCol)
 	}
-	return nil
+	a := NewAgg(groupBy, kind, sumE, false)
+	a.groupCols, a.sumCol = groupCols, sumCol
+	return a
 }
 
-func (b aggBolt) Finish(out *dataflow.Collector) error {
-	if b.a.Incremental {
-		return nil
-	}
-	for _, row := range b.a.Rows() {
+// finishAgg emits an accumulator's final rows.
+func finishAgg(a *Agg, out *dataflow.Collector) error {
+	for _, row := range a.Rows() {
 		if err := out.Emit(row); err != nil {
 			return err
 		}
@@ -479,101 +461,62 @@ func (b aggBolt) Finish(out *dataflow.Collector) error {
 	return nil
 }
 
-func (b aggBolt) MemSize() int { return b.a.MemSize() }
-
-// AggBolt builds a per-task aggregation component. Upstream edges must group
-// by the group-by columns (Fields or KeyMapped) so each group lands on one
-// task. When the accumulator's expressions lower the bolt is a
-// dataflow.RowBolt, so incoming frames fold without decoding; otherwise each
-// row is decoded at the bolt's boundary.
-func AggBolt(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) dataflow.BoltFactory {
+// AggBolt builds a per-task aggregation component over plain columns of
+// its input rows: group by groupCols, SUM (or AVG) over sumCol, -1 when
+// the aggregate is COUNT. Upstream edges must group by the group-by columns
+// (Fields or KeyMapped) so each group lands on one task. The bolt is a
+// dataflow.RowBolt: each row folds off its cursor, group keys spliced from
+// the encoded fields, and the final rows leave on Finish.
+func AggBolt(groupCols []int, kind AggKind, sumCol int) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
-		a := NewAgg(groupBy, kind, sumE, incremental)
-		if a.PackedCapable() {
-			return packedAggBolt{aggBolt{a}}
-		}
-		return aggBolt{a}
+		return aggBolt{colAgg(groupCols, kind, sumCol)}
 	}
 }
 
-// packedAggBolt is aggBolt's row face: one cursor read per row, group keys
-// spliced from the encoded fields, zero materialization.
-type packedAggBolt struct{ aggBolt }
+type aggBolt struct{ a *Agg }
 
-func (b packedAggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+var _ dataflow.RowBolt = aggBolt{}
+
+func (b aggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	return b.a.FoldRow(in.Cur)
 }
 
+func (b aggBolt) Finish(out *dataflow.Collector) error { return finishAgg(b.a, out) }
+
+func (b aggBolt) MemSize() int { return b.a.MemSize() }
+
 // MergeBolt merges pre-aggregated partial rows of shape (group..., cnt, sum)
 // emitted by AggJoinBolt tasks into final aggregate rows. ngroup is the
-// number of leading group columns; the bolt reads rows in place unless the
-// merge is incremental.
-func MergeBolt(ngroup int, kind AggKind, incremental bool) dataflow.BoltFactory {
+// number of leading group columns. The bolt is a dataflow.RowBolt: cnt and
+// sum are read off the encoded row under the coercions Agg.Update's callers
+// apply (AsInt for cnt, AsFloat for sum).
+func MergeBolt(ngroup int, kind AggKind) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
-		groupBy := make([]expr.Expr, ngroup)
-		for i := range groupBy {
-			groupBy[i] = expr.C(i)
+		groupCols := make([]int, ngroup)
+		for i := range groupCols {
+			groupCols[i] = i
 		}
-		mb := &mergeBolt{a: NewAgg(groupBy, kind, nil, incremental), ngroup: ngroup}
-		if mb.a.PackedCapable() {
-			return packedMergeBolt{mb}
-		}
-		return mb
+		return mergeBolt{colAgg(groupCols, kind, -1)}
 	}
 }
 
-// packedMergeBolt is mergeBolt's row face: cnt and sum are read off the
-// encoded row under the same coercions the boxed path applies.
-type packedMergeBolt struct{ *mergeBolt }
+type mergeBolt struct{ a *Agg }
 
-func (b packedMergeBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
-	cur := in.Cur
-	if cur.Arity() != b.ngroup+2 {
-		return fmt.Errorf("ops: merge row arity %d, want %d group cols + cnt + sum", cur.Arity(), b.ngroup)
+var _ dataflow.RowBolt = mergeBolt{}
+
+func (b mergeBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	cur, ngroup := in.Cur, len(b.a.groupCols)
+	if cur.Arity() != ngroup+2 {
+		return fmt.Errorf("ops: merge row arity %d, want %d group cols + cnt + sum", cur.Arity(), ngroup)
 	}
-	cnt, ok := cur.FieldInt(b.ngroup)
+	cnt, ok := cur.FieldInt(ngroup)
 	if !ok {
-		return fmt.Errorf("ops: merge row cnt %v not integer", cur.Value(b.ngroup))
+		return fmt.Errorf("ops: merge row cnt %v not integer", cur.Value(ngroup))
 	}
-	sum, _ := cur.FieldFloat(b.ngroup + 1)
+	sum, _ := cur.FieldFloat(ngroup + 1)
 	return b.a.UpdateRow(cur, cnt, sum)
 }
 
-type mergeBolt struct {
-	a      *Agg
-	ngroup int
-}
+func (b mergeBolt) Finish(out *dataflow.Collector) error { return finishAgg(b.a, out) }
 
-func (b *mergeBolt) Execute(in dataflow.Input, out *dataflow.Collector) error {
-	t := in.Tuple
-	if len(t) != b.ngroup+2 {
-		return fmt.Errorf("ops: merge row arity %d, want %d group cols + cnt + sum", len(t), b.ngroup)
-	}
-	cnt, ok := t[b.ngroup].AsInt()
-	if !ok {
-		return fmt.Errorf("ops: merge row cnt %v not integer", t[b.ngroup])
-	}
-	sum, _ := t[b.ngroup+1].AsFloat()
-	row, err := b.a.Update(t, cnt, sum)
-	if err != nil {
-		return err
-	}
-	if row != nil {
-		return out.Emit(row)
-	}
-	return nil
-}
-
-func (b *mergeBolt) Finish(out *dataflow.Collector) error {
-	if b.a.Incremental {
-		return nil
-	}
-	for _, row := range b.a.Rows() {
-		if err := out.Emit(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (b *mergeBolt) MemSize() int { return b.a.MemSize() }
+func (b mergeBolt) MemSize() int { return b.a.MemSize() }

@@ -172,7 +172,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		Spout("R", 2, dataflow.SliceSpout(r)).
 		Spout("S", 2, dataflow.SliceSpout(s)).
 		Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1})).
-		Bolt("merge", 1, MergeBolt(1, Count, false)).
+		Bolt("merge", 1, MergeBolt(1, Count)).
 		Bolt("sink", 1, sink.Factory()).
 		Input("join", "R", dataflow.Fields(0)).
 		Input("join", "S", dataflow.Fields(0)).
@@ -208,21 +208,18 @@ func rowInput(t *testing.T, stream string, tu types.Tuple) dataflow.RowInput {
 	return dataflow.RowInput{Stream: stream, Row: row, Cur: cur}
 }
 
-// TestMergeBoltRejectsBadArity covers both faces: the row face of a final
-// merge and the tuple face of an incremental one.
+// TestMergeBoltRejectsBadArity: a partial row without cnt and sum errors.
 func TestMergeBoltRejectsBadArity(t *testing.T) {
 	short := types.Tuple{types.Int(1)}
-	if err := MergeBolt(1, Count, false)(0, 1).(dataflow.RowBolt).ExecuteRow(rowInput(t, "", short), nil); err == nil {
+	if err := MergeBolt(1, Count)(0, 1).(dataflow.RowBolt).ExecuteRow(rowInput(t, "", short), nil); err == nil {
 		t.Error("short merge row must error")
-	}
-	if err := MergeBolt(1, Count, true)(0, 1).(dataflow.TupleBolt).Execute(dataflow.Input{Tuple: short}, nil); err == nil {
-		t.Error("short merge tuple must error")
 	}
 }
 
-// TestMergeBoltFacesAgree feeds the same partial rows to the merge's row
-// face and to its tuple face: cnt and sum read off the encoded row must
-// follow the boxed coercions, float counts truncating like AsInt.
+// TestMergeBoltFacesAgree feeds the same partial rows to the merge bolt and
+// to Agg.Update under the tuple coercions (cnt by AsInt, sum by AsFloat):
+// cnt and sum read off the encoded row must follow them, float counts
+// truncating like AsInt.
 func TestMergeBoltFacesAgree(t *testing.T) {
 	partials := make([]types.Tuple, 0, 60)
 	for i := 0; i < 60; i++ {
@@ -236,26 +233,31 @@ func TestMergeBoltFacesAgree(t *testing.T) {
 	}
 	for name, input := range map[string][]types.Tuple{"int-cnt": partials, "float-cnt": floatCnt} {
 		t.Run(name, func(t *testing.T) {
-			rows := MergeBolt(1, Avg, false)(0, 1).(packedMergeBolt)
-			tuples := &mergeBolt{a: NewAgg([]expr.Expr{expr.C(0)}, Avg, nil, false), ngroup: 1}
+			rows := MergeBolt(1, Avg)(0, 1).(mergeBolt)
+			ref := NewAgg([]expr.Expr{expr.C(0)}, Avg, nil, false)
 			for _, tu := range input {
 				if err := rows.ExecuteRow(rowInput(t, "", tu), nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := tuples.Execute(dataflow.Input{Tuple: tu}, nil); err != nil {
+				cnt, ok := tu[1].AsInt()
+				if !ok {
+					t.Fatalf("cnt %v not integer", tu[1])
+				}
+				sum, _ := tu[2].AsFloat()
+				if _, err := ref.Update(tu, cnt, sum); err != nil {
 					t.Fatal(err)
 				}
 			}
-			got, want := rows.a.Rows(), tuples.a.Rows()
+			got, want := rows.a.Rows(), ref.Rows()
 			for _, rs := range [][]types.Tuple{got, want} {
 				sort.Slice(rs, func(i, j int) bool { return rs[i].Compare(rs[j]) < 0 })
 			}
 			if len(got) != len(want) {
-				t.Fatalf("row face %d groups, tuple face %d", len(got), len(want))
+				t.Fatalf("merge bolt %d groups, Agg.Update %d", len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Compare(want[i]) != 0 {
-					t.Fatalf("group %d: row face %v, tuple face %v", i, got[i], want[i])
+					t.Fatalf("group %d: merge bolt %v, Agg.Update %v", i, got[i], want[i])
 				}
 			}
 		})

@@ -225,12 +225,14 @@ func TestDiskStoreDetectsCorruption(t *testing.T) {
 		t.Fatalf("intact file rejected: %v, %v", ok, err)
 	}
 
-	// Pre-container (legacy) files still read.
+	// A bare checkpoint encoding without the container is not a file Put
+	// wrote: it is rejected as corrupt, not decoded.
 	if err := os.WriteFile(path, AppendCheckpoint(nil, sampleCheckpoint()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := disk.Get("joiner", 1); !ok || err != nil {
-		t.Fatalf("legacy file rejected: %v, %v", ok, err)
+	var ce *CorruptError
+	if _, _, err := disk.Get("joiner", 1); !errors.As(err, &ce) {
+		t.Fatalf("uncontainered file: err = %v, want *CorruptError", err)
 	}
 }
 

@@ -31,10 +31,8 @@ func (e *CorruptError) Error() string {
 func (e *CorruptError) Unwrap() error { return ErrCorrupt }
 
 // Checksummed file container for DiskStore: "SQF1" magic, 4-byte LE CRC32
-// (IEEE) of the payload, payload. Files written before the container was
-// introduced start with the payload's own magic and are still readable
-// (their inner codecs detect gross corruption; new writes always get the
-// container).
+// (IEEE) of the payload, payload. Put always writes it and checkpoints never
+// outlive a run, so a file without it is corrupt or foreign.
 const fileMagic = "SQF1"
 
 func sealBlob(blob []byte) []byte {
@@ -44,15 +42,13 @@ func sealBlob(blob []byte) []byte {
 	return append(out, blob...)
 }
 
-// unsealBlob verifies and strips the file container. Legacy files (no
-// container) pass through unchanged.
+// unsealBlob verifies and strips the file container.
 func unsealBlob(path string, data []byte) ([]byte, error) {
 	if len(data) < len(fileMagic) {
-		// Too short for any era's magic: a torn write, not a legacy file.
 		return nil, &CorruptError{Path: path, Detail: "truncated file"}
 	}
 	if string(data[:len(fileMagic)]) != fileMagic {
-		return data, nil // legacy file, pre-container
+		return nil, &CorruptError{Path: path, Detail: "no " + fileMagic + " container"}
 	}
 	if len(data) < len(fileMagic)+4 {
 		return nil, &CorruptError{Path: path, Detail: "truncated checksum header"}

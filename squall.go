@@ -582,14 +582,13 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 			spec.Sum = q.Agg.Sum
 		}
 		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf))
-		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind, false))
+		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("merge", joiner, mergeGrouping(len(q.Agg.GroupBy)))
 		b.Input("sink", "merge", dataflow.Global())
 	case q.Agg != nil:
 		// Join emits delta rows; aggregation runs downstream.
 		offsets := q.relOffsets()
-		groupEs := make([]expr.Expr, len(q.Agg.GroupBy))
 		groupCols := make([]int, len(q.Agg.GroupBy))
 		for i, g := range q.Agg.GroupBy {
 			col, ok := colOf(g.E)
@@ -597,18 +596,17 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 				return nil, fmt.Errorf("squall: downstream aggregation needs plain column refs in GROUP BY")
 			}
 			groupCols[i] = offsets[g.Rel] + col
-			groupEs[i] = expr.C(groupCols[i])
 		}
-		var sumE expr.Expr
+		sumCol := -1
 		if q.Agg.Sum != nil {
 			col, ok := colOf(q.Agg.Sum.E)
 			if !ok {
 				return nil, fmt.Errorf("squall: downstream aggregation needs a plain column ref in SUM")
 			}
-			sumE = expr.C(offsets[q.Agg.Sum.Rel] + col)
+			sumCol = offsets[q.Agg.Sum.Rel] + col
 		}
 		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, tier))
-		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupEs, q.Agg.Kind, sumE, false))
+		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupCols, q.Agg.Kind, sumCol))
 		b.Bolt("sink", 1, sink.factory())
 		b.Input("agg", joiner, dataflow.Fields(groupCols...))
 		b.Input("sink", "agg", dataflow.Global())
