@@ -170,7 +170,7 @@ type pendingDelta struct {
 }
 
 // NewAggJoin builds the operator. The join must be equi-only (theta joins go
-// through TupleJoin plus external aggregation).
+// through the tuple-level views plus external aggregation).
 func NewAggJoin(g *expr.JoinGraph, spec AggSpec) (*AggJoin, error) {
 	if !g.IsEquiOnly() {
 		return nil, fmt.Errorf("dbtoaster: AggJoin supports equi-joins only")

@@ -29,32 +29,47 @@ type ev struct {
 	t   types.Tuple
 }
 
-// tradRef is the Traditional core as a tuple-level reference: each arrival
-// is encoded and joined through OnRow, and every emitted row is split back
+// delta is one output increment split back into its joined tuples, one per
+// relation, in relation order.
+type delta []types.Tuple
+
+// concat renders the delta as the concatenated row the operators emit.
+func (d delta) concat() types.Tuple {
+	var out types.Tuple
+	for _, t := range d {
+		out = append(out, t...)
+	}
+	return out
+}
+
+// rowRef drives a local join as a tuple-level reference: each arrival is
+// encoded and joined through OnRow, and every emitted row is split back
 // into per-relation tuples by the arity each relation arrived with.
-type tradRef struct {
-	j     *localjoin.Traditional
+type rowRef struct {
+	j     localjoin.PackedJoin
 	arity []int
 }
 
-func newTradRef(g *expr.JoinGraph) *tradRef {
-	return &tradRef{j: localjoin.NewTraditional(g), arity: make([]int, g.NumRels)}
+func newTradRef(g *expr.JoinGraph) *rowRef { return onRowRef(localjoin.NewTraditional(g), g) }
+
+func onRowRef(j localjoin.PackedJoin, g *expr.JoinGraph) *rowRef {
+	return &rowRef{j: j, arity: make([]int, g.NumRels)}
 }
 
-func (r *tradRef) OnTuple(rel int, tu types.Tuple) ([]localjoin.Delta, error) {
+func (r *rowRef) OnTuple(rel int, tu types.Tuple) ([]delta, error) {
 	r.arity[rel] = len(tu)
 	row := wire.Encode(nil, tu)
 	var cur wire.Cursor
 	if err := cur.Reset(row); err != nil {
 		return nil, err
 	}
-	var out []localjoin.Delta
+	var out []delta
 	err := r.j.OnRow(rel, row, &cur, func(b []byte) error {
 		flat, _, err := wire.Decode(b)
 		if err != nil {
 			return err
 		}
-		d := make(localjoin.Delta, len(r.arity))
+		d := make(delta, len(r.arity))
 		for i, n := range r.arity {
 			d[i], flat = flat[:n:n], flat[n:]
 		}
@@ -75,10 +90,10 @@ func shuffled(r *rand.Rand, rels [][]types.Tuple) []ev {
 	return stream
 }
 
-func concatAll(ds []localjoin.Delta) []types.Tuple {
+func concatAll(ds []delta) []types.Tuple {
 	out := make([]types.Tuple, len(ds))
 	for i, d := range ds {
-		out[i] = d.Concat()
+		out[i] = d.concat()
 	}
 	return out
 }
@@ -116,9 +131,10 @@ func chain4() *expr.JoinGraph {
 	)
 }
 
-// TestTupleJoinMatchesTraditionalPerDelta: on every arrival, DBToaster and
-// the traditional join must produce identical deltas (invariant 3 of
-// DESIGN.md) — middle-relation arrivals exercise multi-component complements.
+// TestTupleJoinMatchesTraditionalPerDelta: on every arrival, DBToaster's
+// views and the traditional join must emit identical deltas through OnRow
+// (invariant 3 of DESIGN.md) — middle-relation arrivals exercise
+// multi-component complements.
 func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -134,8 +150,7 @@ func TestTupleJoinMatchesTraditionalPerDelta(t *testing.T) {
 			for i := range rels {
 				rels[i] = genRel(r, 25, 2, 5)
 			}
-			trad := newTradRef(tc.g)
-			dbt := NewTupleJoin(tc.g).(*TupleJoin)
+			trad, dbt := newTradRef(tc.g), onRowRef(NewTupleJoin(tc.g), tc.g)
 			for _, e := range shuffled(r, rels) {
 				dt, err := trad.OnTuple(e.rel, e.t)
 				if err != nil {
@@ -159,8 +174,7 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 	)
 	r := rand.New(rand.NewSource(11))
 	rels := [][]types.Tuple{genRel(r, 20, 1, 6), genRel(r, 20, 1, 6), genRel(r, 20, 1, 6)}
-	trad := newTradRef(g)
-	dbt := NewTupleJoin(g).(*TupleJoin)
+	trad, dbt := newTradRef(g), onRowRef(NewTupleJoin(g), g)
 	total := 0
 	for _, e := range shuffled(r, rels) {
 		dt, err := trad.OnTuple(e.rel, e.t)
@@ -179,12 +193,21 @@ func TestTupleJoinThetaMatchesTraditional(t *testing.T) {
 	}
 }
 
+// viewSizes reports a join's views by relation mask; the constructors'
+// result is asserted to be the core, which reports them.
+func viewSizes(t *testing.T, j Join) map[uint64]int {
+	t.Helper()
+	core, ok := j.(*localjoin.Traditional)
+	if !ok {
+		t.Fatalf("NewTupleJoin returned %T, want the local-join core", j)
+	}
+	return core.ViewSizes()
+}
+
 func TestTupleJoinMaterializesIntermediateViews(t *testing.T) {
 	g := chain3()
-	dbt, ok := NewTupleJoin(g).(*TupleJoin)
-	if !ok {
-		t.Fatal("a 3-relation graph has intermediate views: NewTupleJoin must return the view operator")
-	}
+	j := NewTupleJoin(g)
+	dbt := onRowRef(j, g)
 	r := rand.New(rand.NewSource(2))
 	rels := [][]types.Tuple{genRel(r, 15, 2, 3), genRel(r, 15, 2, 3), genRel(r, 15, 2, 3)}
 	for _, e := range shuffled(r, rels) {
@@ -192,7 +215,7 @@ func TestTupleJoinMaterializesIntermediateViews(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sizes := dbt.ViewSizes()
+	sizes := viewSizes(t, j)
 	// Views: {R}, {S}, {T}, {RS}, {ST}. {RT} is disconnected, never built;
 	// the full {RST} is not materialized.
 	if _, ok := sizes[0b101]; ok {
@@ -204,10 +227,10 @@ func TestTupleJoinMaterializesIntermediateViews(t *testing.T) {
 	if sizes[0b011] == 0 || sizes[0b110] == 0 {
 		t.Errorf("2-way views must hold combos: %v", sizes)
 	}
-	if dbt.StoredTuples() != 45 {
-		t.Errorf("StoredTuples = %d", dbt.StoredTuples())
+	if j.StoredTuples() != 45 {
+		t.Errorf("StoredTuples = %d", j.StoredTuples())
 	}
-	if dbt.MemSize() <= 0 {
+	if j.MemSize() <= 0 {
 		t.Error("MemSize must be positive")
 	}
 }
@@ -223,7 +246,7 @@ func newAggReference() *aggReference {
 	return &aggReference{cnt: map[string]int64{}, sum: map[string]float64{}, grp: map[string]types.Tuple{}}
 }
 
-func (a *aggReference) add(t *testing.T, d localjoin.Delta, groupBy []ColRef, sum *ColRef) {
+func (a *aggReference) add(t *testing.T, d delta, groupBy []ColRef, sum *ColRef) {
 	t.Helper()
 	g := make(types.Tuple, len(groupBy))
 	for i, gc := range groupBy {
@@ -423,16 +446,29 @@ func TestDBToasterCheaperPerProbe(t *testing.T) {
 }
 
 // TestTupleJoinExportParityAndFrames: the views hold exactly the
-// nested-loop pair counts, the frame export (bare or footered) decodes to
-// the inserted base rows, and it round-trips through ImportRow into a fresh
-// operator with identical views (the migration and restore path).
+// nested-loop pair counts, whether the rows arrived through OnRow or were
+// imported, the frame export (bare or footered) decodes to the stored base
+// rows, and it round-trips through ImportRow into a fresh operator with
+// identical views (the migration and restore path).
 func TestTupleJoinExportParityAndFrames(t *testing.T) {
 	g := chain3()
 	r := rand.New(rand.NewSource(19))
 	rels := [][]types.Tuple{genRel(r, 30, 2, 4), genRel(r, 30, 2, 4), genRel(r, 30, 2, 4)}
-	slabJ, reJ := NewTupleJoin(g).(*TupleJoin), NewTupleJoin(g).(*TupleJoin)
-	for _, e := range shuffled(r, rels) {
-		if err := slabJ.Insert(e.rel, e.t); err != nil {
+	slabJ, reJ := NewTupleJoin(g), NewTupleJoin(g)
+	joined := onRowRef(slabJ, g)
+	for i, e := range shuffled(r, rels) {
+		if i%2 == 0 {
+			if _, err := joined.OnTuple(e.rel, e.t); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		row := wire.Encode(nil, e.t)
+		var cur wire.Cursor
+		if err := cur.Reset(row); err != nil {
+			t.Fatal(err)
+		}
+		if err := slabJ.ImportRow(e.rel, row, &cur); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,7 +498,7 @@ func TestTupleJoinExportParityAndFrames(t *testing.T) {
 			}
 		}
 	}
-	checkViews("streamed", slabJ.ViewSizes())
+	checkViews("streamed", viewSizes(t, slabJ))
 	for rel := range rels {
 		b := append([]types.Tuple(nil), rels[rel]...)
 		if slabJ.RelCount(rel) != len(b) {
@@ -502,5 +538,5 @@ func TestTupleJoinExportParityAndFrames(t *testing.T) {
 		})
 		sameTuples(t, "footered frames", footered, b)
 	}
-	checkViews("re-imported", reJ.ViewSizes())
+	checkViews("re-imported", viewSizes(t, reJ))
 }

@@ -35,23 +35,40 @@ func ruleRow(rng *rand.Rand, rel, i int) types.Tuple {
 	return types.Tuple{key, band, types.Int(int64(rel*1_000_000 + i))}
 }
 
-// nestedLoopDelta is the oracle: the arrival joined with every stored tuple
-// of the other relation, the graph's conjuncts checked directly.
-func nestedLoopDelta(t *testing.T, g *expr.JoinGraph, stored [2][]types.Tuple, rel int, tu types.Tuple) map[string]int {
+// nestedLoopDelta is the oracle: the arrival joined with every combination
+// of stored tuples of the other relations, the graph's conjuncts checked
+// directly, each as soon as both its relations are assigned.
+func nestedLoopDelta(t *testing.T, g *expr.JoinGraph, stored [][]types.Tuple, rel int, tu types.Tuple) map[string]int {
 	t.Helper()
 	bag := map[string]int{}
-	pair := make([]types.Tuple, 2)
-	pair[rel] = tu
-	for _, o := range stored[1-rel] {
-		pair[1-rel] = o
-		ok, err := g.HoldsAll(0b11, pair)
-		if err != nil {
-			t.Fatal(err)
+	cur := make(delta, g.NumRels)
+	cur[rel] = tu
+	var rec func(r int, mask uint64)
+	rec = func(r int, mask uint64) {
+		if r == g.NumRels {
+			bag[cur.concat().Key()]++
+			return
 		}
-		if ok {
-			bag[localjoin.Delta(pair).Concat().Key()]++
+		if r == rel {
+			rec(r+1, mask)
+			return
+		}
+	rows:
+		for _, o := range stored[r] {
+			cur[r] = o
+			for _, c := range g.Between(mask, 1<<uint(r)) {
+				ok, err := c.Holds(cur)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					continue rows
+				}
+			}
+			rec(r+1, mask|1<<uint(r))
 		}
 	}
+	rec(0, 1<<uint(rel))
 	return bag
 }
 
@@ -68,9 +85,9 @@ func sameBag(t *testing.T, label string, i int, got, want map[string]int) {
 }
 
 // TestViewLessRuleEquivalence: on 2-relation graphs what NewTupleJoin hands
-// back — the base-relation core — emits through OnRow, arrival by arrival,
-// the delta bag of the view operator it stands in for and of the
-// nested-loop oracle, on column and computed join keys alike.
+// back — the core under the Traditional policy — emits through OnRow,
+// arrival by arrival, the delta bag of the Views policy it stands in for
+// and of the nested-loop oracle, on column and computed join keys alike.
 func TestViewLessRuleEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -92,25 +109,14 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			core := NewTupleJoin(c.g)
-			if _, ok := core.(*localjoin.Traditional); !ok {
-				t.Fatalf("NewTupleJoin on a 2-relation graph returned %T, want the base-relation core", core)
+			if len(viewSizes(t, core)) != 2 {
+				t.Fatalf("NewTupleJoin on a 2-relation graph materializes views %v, want the base relations alone", viewSizes(t, core))
 			}
 			if !core.PackedCapable() {
 				t.Fatal("PackedCapable = false, want true")
 			}
-			views, viewsPacked := newTupleJoin(c.g), newTupleJoin(c.g)
+			views := localjoin.NewViews(c.g)
 
-			onTuple := func(j *TupleJoin, rel int, tu types.Tuple) map[string]int {
-				deltas, err := j.OnTuple(rel, tu)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bag := map[string]int{}
-				for _, d := range deltas {
-					bag[d.Concat().Key()]++
-				}
-				return bag
-			}
 			var cur wire.Cursor
 			var row []byte
 			onRow := func(j localjoin.PackedJoin, rel int, tu types.Tuple) map[string]int {
@@ -133,7 +139,7 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 			}
 
 			rng := rand.New(rand.NewSource(41))
-			var stored [2][]types.Tuple
+			stored := make([][]types.Tuple, 2)
 			total := 0
 			for i := 0; i < 500; i++ {
 				rel := rng.Intn(2)
@@ -142,13 +148,94 @@ func TestViewLessRuleEquivalence(t *testing.T) {
 				for _, n := range want {
 					total += n
 				}
-				sameBag(t, "view operator OnTuple", i, onTuple(views, rel, tu), want)
-				sameBag(t, "view operator OnRow", i, onRow(viewsPacked, rel, tu), want)
+				sameBag(t, "Views policy OnRow", i, onRow(views, rel, tu), want)
 				sameBag(t, "core OnRow", i, onRow(core, rel, tu), want)
 				stored[rel] = append(stored[rel], tu)
 			}
 			if total == 0 {
 				t.Fatal("workload produced no deltas")
+			}
+		})
+	}
+}
+
+// TestTupleJoinOnRowsAgreesWithOracle: the view operator fed one stream
+// twice — a row at a time through OnRow, and in frames of up to nine rows
+// through OnRows — emits the nested-loop oracle's delta bag for every
+// arrival (summed over each frame), and both copies end with the same
+// views. Keys mix ints, integral floats, strings and NULLs; the graphs put
+// an equality, a range and no probe at all (Ne only) on the first step.
+func TestTupleJoinOnRowsAgreesWithOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		g    *expr.JoinGraph
+	}{
+		{"3way-chain", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0))},
+		{"3way-theta", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0), expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
+		{"3way-band-first", expr.MustJoinGraph(3, expr.ThetaCol(0, 1, expr.Lt, 1, 1), expr.EquiCol(1, 0, 2, 0))},
+		{"3way-ne", expr.MustJoinGraph(3, expr.ThetaCol(0, 1, expr.Ne, 1, 1), expr.EquiCol(1, 0, 2, 0))},
+		{"4way-star", expr.MustJoinGraph(4, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(0, 0, 2, 0), expr.ThetaCol(0, 1, expr.Ge, 3, 1))},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			byRow, bySet := NewTupleJoin(c.g), NewTupleJoin(c.g)
+			rng := rand.New(rand.NewSource(31))
+			stored := make([][]types.Tuple, c.g.NumRels)
+			var cur wire.Cursor
+			emit := func(bag map[string]int) func([]byte) error {
+				return func(out []byte) error {
+					got, _, err := wire.Decode(out)
+					if err != nil {
+						return err
+					}
+					bag[got.Key()]++
+					return nil
+				}
+			}
+			total := 0
+			for i, f := 0, 0; i < 240; f++ {
+				rel := rng.Intn(c.g.NumRels)
+				frame := make([][]byte, 1+rng.Intn(9))
+				want, gotRow, gotSet := map[string]int{}, map[string]int{}, map[string]int{}
+				for k := range frame {
+					tu := ruleRow(rng, rel, i)
+					i++
+					for key, n := range nestedLoopDelta(t, c.g, stored, rel, tu) {
+						want[key] += n
+						total += n
+					}
+					frame[k] = wire.Encode(nil, tu)
+					if err := cur.Reset(frame[k]); err != nil {
+						t.Fatal(err)
+					}
+					if err := byRow.OnRow(rel, frame[k], &cur, emit(gotRow)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, row := range frame {
+					tu, _, err := wire.Decode(row)
+					if err != nil {
+						t.Fatal(err)
+					}
+					stored[rel] = append(stored[rel], tu)
+				}
+				if err := bySet.OnRows(rel, frame, emit(gotSet)); err != nil {
+					t.Fatal(err)
+				}
+				sameBag(t, "OnRow", f, gotRow, want)
+				sameBag(t, "OnRows", f, gotSet, want)
+			}
+			if total == 0 {
+				t.Fatal("workload produced no deltas")
+			}
+			rowViews, setViews := viewSizes(t, byRow), viewSizes(t, bySet)
+			if len(rowViews) <= c.g.NumRels {
+				t.Fatalf("views %v: no combo view materialized", rowViews)
+			}
+			for mask, n := range rowViews {
+				if setViews[mask] != n {
+					t.Fatalf("view %b: OnRows left %d combos, OnRow %d", mask, setViews[mask], n)
+				}
 			}
 		})
 	}
@@ -172,8 +259,8 @@ func TestViewLessRuleCoversEveryLayout(t *testing.T) {
 		"slab":   NewTupleJoin(chain3()),
 		"tiered": NewTupleJoinTiered(chain3(), tc),
 	} {
-		if _, ok := j.(*TupleJoin); !ok {
-			t.Errorf("%s: 3-relation graph got %T", name, j)
+		if sizes := viewSizes(t, j); len(sizes) != 5 {
+			t.Errorf("%s: 3-relation chain materializes views %v, want its 3 base relations and 2 connected pairs", name, sizes)
 		}
 		if !j.PackedCapable() {
 			t.Errorf("%s: the view operator must take packed rows", name)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -44,15 +45,22 @@ func TestDifferentialAllConfigs(t *testing.T) {
 		seed               int64
 		rels, rows, domain int
 		theta              bool
+		band               bool
 	}{
-		{"2way-equi", 11, 2, 200, 25, false},
-		{"2way-theta", 12, 2, 120, 20, true},
-		{"3way-chain", 13, 3, 60, 10, false},
+		{"2way-equi", 11, 2, 200, 25, false, false},
+		{"2way-theta", 12, 2, 120, 20, true, false},
+		{"3way-chain", 13, 3, 60, 10, false, false},
+		// Band first (Band3Workload): DBToaster range-probes a view's tree
+		// index.
+		{"3way-band", 14, 3, 40, 10, false, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v", c.seed, c.rels, c.rows, c.domain, c.theta)
+			t.Logf("workload seed=%d rels=%d rows=%d domain=%d theta=%v band=%v", c.seed, c.rels, c.rows, c.domain, c.theta, c.band)
 			w := RandomWorkload(c.seed, c.rels, c.rows, c.domain, c.theta)
+			if c.band {
+				w = Band3Workload(c.seed, c.rows, c.domain)
+			}
 			ref := w.ReferenceBag()
 			if len(ref) == 0 {
 				t.Fatalf("degenerate workload: oracle produced no rows")
@@ -135,9 +143,11 @@ func TestExprKeysDefeatLowering(t *testing.T) {
 // through incremental (segment-referencing) checkpoints. Each workload runs
 // two seeds: one spills to the in-process MemStore, whose blobs fault in
 // without a copy, the other to a DiskStore log, whose blobs fault into
-// recycled buffers. The band leg (BandWorkload) puts a range probe first, so
-// the joiner's frame-at-a-time probe gathers tree-index candidates and
-// walks them segment by segment.
+// recycled buffers. The band legs put a range probe first: on the 2-way
+// BandWorkload the joiner's frame-at-a-time probe gathers tree-index
+// candidates and walks them segment by segment; on the 3-way Band3Workload
+// DBToaster range-probes a combo view and faults its rows in per
+// candidate.
 func TestDifferentialSpill(t *testing.T) {
 	cases := []struct {
 		name               string
@@ -152,6 +162,7 @@ func TestDifferentialSpill(t *testing.T) {
 		{"3way-chain", 32, 3, 150, 10, false, false, false},
 		{"3way-chain-disk", 35, 3, 150, 10, false, true, false},
 		{"2way-band-disk", 36, 2, 300, 25, true, true, true},
+		{"3way-band-disk", 37, 3, 200, 100, false, true, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -161,7 +172,10 @@ func TestDifferentialSpill(t *testing.T) {
 				spillDir = t.TempDir()
 			}
 			w := RandomWorkload(c.seed, c.rels, c.rows, c.domain, c.theta)
-			if c.band {
+			switch {
+			case c.band && c.rels == 3:
+				w = Band3Workload(c.seed, c.rows, c.domain)
+			case c.band:
 				w = BandWorkload(c.seed, c.rows, c.domain)
 			}
 			ref := w.ReferenceBag()
@@ -582,7 +596,7 @@ func TestDifferentialAggregates(t *testing.T) {
 				if len(ref) < 4 {
 					t.Fatalf("degenerate workload: oracle produced %d groups", len(ref))
 				}
-				run := func(t *testing.T, ec EngineConfig, operator string) {
+				run := func(t *testing.T, ec EngineConfig, operator, reason string) {
 					got, res, err := w.RunEngine(ec)
 					if err != nil {
 						t.Fatalf("seed=%d %v: %v", c.seed, ec, err)
@@ -590,8 +604,8 @@ func TestDifferentialAggregates(t *testing.T) {
 					if diff := DiffBags(ref, got); diff != "" {
 						t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
 					}
-					if res.LocalJoin.Operator != operator {
-						t.Fatalf("seed=%d %v: joiner ran %q (%s), want %s", c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason, operator)
+					if res.LocalJoin.Operator != operator || !strings.Contains(res.LocalJoin.Reason, reason) {
+						t.Fatalf("seed=%d %v: joiner ran %q (%s), want %s (%s)", c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason, operator, reason)
 					}
 				}
 				for _, scheme := range allSchemes {
@@ -603,7 +617,7 @@ func TestDifferentialAggregates(t *testing.T) {
 									Agg: agg, FinalPar: finalPar, ExprKeys: exprKeys,
 									Machines: 6, Seed: c.seed,
 								}
-								t.Run(ec.String(), func(t *testing.T) { run(t, ec, "dbtoaster.AggJoin") })
+								t.Run(ec.String(), func(t *testing.T) { run(t, ec, "dbtoaster.AggJoin", "aggregate views") })
 							}
 						}
 					}
@@ -612,11 +626,11 @@ func TestDifferentialAggregates(t *testing.T) {
 					Scheme: squall.HashHypercube, Local: squall.DBToaster, BatchSize: 16,
 					Agg: agg, ForceDeltaJoin: true, FinalPar: 2, Machines: 6, Seed: c.seed,
 				}
-				delta := "dbtoaster.TupleJoin"
+				policy := "Views policy"
 				if c.rels == 2 {
-					delta = "localjoin.Traditional"
+					policy = "no intermediate view"
 				}
-				t.Run(ec.String(), func(t *testing.T) { run(t, ec, delta) })
+				t.Run(ec.String(), func(t *testing.T) { run(t, ec, "localjoin.Traditional", policy) })
 			}
 		})
 	}

@@ -68,6 +68,16 @@ func BandWorkload(seed int64, rowsPerRel, keyDomain int) *Workload {
 	return w
 }
 
+// Band3Workload is RandomWorkload's three relations joined band first:
+// rel0.payload < rel1.payload AND rel1.key = rel2.key. Under DBToaster an
+// arrival of rel0 range-probes the view {rel1, rel2}, and one of rel1
+// probes {rel0} by range and {rel2} by equality.
+func Band3Workload(seed int64, rowsPerRel, keyDomain int) *Workload {
+	w := RandomWorkload(seed, 3, rowsPerRel, keyDomain, false)
+	w.Graph = expr.MustJoinGraph(3, expr.ThetaCol(0, 1, expr.Lt, 1, 1), expr.EquiCol(1, 0, 2, 0))
+	return w
+}
+
 // ZipfWorkload is the aggregate dimension's input: an equi chain on the key
 // column like RandomWorkload's, but with zipf-distributed keys (heavy keys
 // multiply fan-out, which is what aggregate views absorb), a few NULL keys,

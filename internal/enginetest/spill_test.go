@@ -1,6 +1,7 @@
 package enginetest
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -227,5 +228,30 @@ func TestSpillDirClosedAfterRun(t *testing.T) {
 	}
 	if left, _ := os.ReadDir(dir); len(left) != 0 {
 		t.Fatalf("the spill directory still holds %d entries, first %s", len(left), left[0].Name())
+	}
+}
+
+// failingSegmentStore is an in-memory checkpoint store whose segment writes
+// fail, as when the checkpoint device fills up.
+type failingSegmentStore struct{ *recovery.MemStore }
+
+func (failingSegmentStore) PutSegment(key string, _ []byte) error {
+	return fmt.Errorf("put %s: device full", key)
+}
+
+// TestCheckpointSegmentWriteFailsRun: when a tiered joiner's checkpoint
+// cannot persist a sealed segment, the run fails with an error naming the
+// segment. It does not quietly take full-frame checkpoints instead.
+func TestCheckpointSegmentWriteFailsRun(t *testing.T) {
+	w := RandomWorkload(31, 2, 400, 25, false)
+	q, opts := w.Plan(EngineConfig{Scheme: squall.HashHypercube, Local: squall.Traditional, BatchSize: 8, Spill: true, Machines: 2, Seed: 31})
+	opts.Recovery = &squall.RecoveryOptions{CheckpointEvery: 24, Store: failingSegmentStore{recovery.NewMemStore()}}
+	res, err := q.Run(opts)
+	if err == nil {
+		t.Fatalf("run over a failing segment store returned %d rows and no error", res.RowCount)
+	}
+	t.Logf("run failed: %v", err)
+	if !strings.Contains(err.Error(), "persist segment") || !strings.Contains(err.Error(), "device full") {
+		t.Fatalf("run failed with %q, want the failed segment write", err)
 	}
 }

@@ -14,17 +14,21 @@ import (
 // zero heap objects per arrival once the operator's scratch and the arenas'
 // growth have amortized, on the 2-way equi graph every view-less DBToaster
 // plan lands on and on a 3-way chain (two plan levels, a middle relation
-// that is probed from both sides).
+// that is probed from both sides). Under the Views policy the chain's
+// arrivals probe combo views and extend them: combo assignment, combo
+// append and view-index insert are pinned too.
 func TestOnRowNoAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		g    *expr.JoinGraph
+		mk   func(*expr.JoinGraph) *Traditional
 	}{
-		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))},
-		{"3way-chain", chainGraph()},
+		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)), NewTraditional},
+		{"3way-chain", chainGraph(), NewTraditional},
+		{"3way-chain/views", chainGraph(), NewViews},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			j := NewTraditional(tc.g)
+			j := tc.mk(tc.g)
 			const keys = 64
 			// One encoded row per (relation, key), built up front: the
 			// measured loop only feeds bytes.

@@ -15,99 +15,143 @@ import (
 // onRowsGraphs covers every first-step probe kind OnRows gathers for: hash
 // (2-way equi, 3-way chain), range (band) and scan (Ne-only cross join),
 // and computed keys read on each: an equi conjunct, a range first step and
-// a filter.
+// a filter. The 3-way graphs also run under the Views policy, where a
+// first step may probe a combo view by hash, by range or by scan.
 func onRowsGraphs() []struct {
-	name string
-	g    *expr.JoinGraph
+	name     string
+	g        *expr.JoinGraph
+	arrivals int
 } {
 	return []struct {
-		name string
-		g    *expr.JoinGraph
+		name     string
+		g        *expr.JoinGraph
+		arrivals int
 	}{
-		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))},
-		{"3way-chain", chainGraph()},
-		{"band", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
-		{"cross", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ne, 1, 1))},
-		{"expr-equi", exprEquiGraph()},
-		{"expr-band", exprBandGraph()},
-		{"expr-filter", exprFilterGraph()},
+		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)), 500},
+		{"3way-chain", chainGraph(), 500},
+		{"band", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Lt, 1, 1)), 500},
+		{"cross", expr.MustJoinGraph(2, expr.ThetaCol(0, 1, expr.Ne, 1, 1)), 500},
+		{"expr-equi", exprEquiGraph(), 500},
+		{"expr-band", exprBandGraph(), 500},
+		{"expr-filter", exprFilterGraph(), 500},
+		{"3way-band", band3Graph(), 500},
+		{"3way-cross", cross3Graph(), 150},
+		{"3way-expr", computedChainGraph(), 500},
 	}
+}
+
+// policy is one index policy of the core, resident and tiered.
+type policy struct {
+	name   string
+	mk     func(*expr.JoinGraph) *Traditional
+	tiered func(*expr.JoinGraph, slab.TierConfig) *Traditional
+}
+
+// policiesFor lists the index policies worth running on g: both on an
+// n-way graph, Traditional alone on a 2-way one, whose Views policy keeps
+// the same base views and nothing else.
+func policiesFor(g *expr.JoinGraph) []policy {
+	ps := []policy{{"traditional", NewTraditional, NewTraditionalTiered}}
+	if g.NumRels > 2 {
+		ps = append(ps, policy{"views", NewViews, NewViewsTiered})
+	}
+	return ps
+}
+
+// testName names a (graph, policy, layout) case; the Traditional policy
+// keeps the bare graph name.
+func testName(graph string, p policy, layout string) string {
+	if p.name == "traditional" {
+		return graph + "/" + layout
+	}
+	return graph + "/" + p.name + "/" + layout
 }
 
 // TestOnRowsAgreesWithOnRow feeds one stream of frames to two operators,
 // one frame at a time through OnRows and one row at a time through OnRow,
-// and requires bag-equal deltas per frame and equal stored state, on
-// resident arenas and on tiered ones that spill every sealed segment and
-// cache one (so the segment-bucketed walk runs). Payloads are NULL one time
-// in eight, so computed keys also yield NULL.
+// and requires bag-equal deltas per frame and equal stored state (and
+// views), on resident arenas and on tiered ones that spill every sealed
+// segment and cache one (so the segment-bucketed walk runs), under each
+// index policy. Payloads are NULL one time in eight, so computed keys also
+// yield NULL.
 func TestOnRowsAgreesWithOnRow(t *testing.T) {
 	for _, gc := range onRowsGraphs() {
-		for _, tiered := range []bool{false, true} {
-			name := gc.name + "/resident"
-			if tiered {
-				name = gc.name + "/tiered"
+		for _, p := range policiesFor(gc.g) {
+			for _, tiered := range []bool{false, true} {
+				layout := "resident"
+				if tiered {
+					layout = "tiered"
+				}
+				t.Run(testName(gc.name, p, layout), func(t *testing.T) { onRowsAgree(t, gc.g, gc.arrivals, p, tiered) })
 			}
-			t.Run(name, func(t *testing.T) {
-				mk := func(prefix string) *Traditional {
-					if !tiered {
-						return NewTraditional(gc.g)
-					}
-					store := &countingStore{blobs: map[string][]byte{}}
-					return NewTraditionalTiered(gc.g, slab.TierConfig{SegmentRows: 16, Store: store, CacheSegments: 1, KeyPrefix: prefix})
-				}
-				byRow, bySet := mk("row"), mk("set")
-				rng := rand.New(rand.NewSource(41))
-				var cur wire.Cursor
-				deltas := 0
-				for i, f := 0, 0; i < 500; f++ {
-					rel := rng.Intn(gc.g.NumRels)
-					n := 1 + rng.Intn(9)
-					frame := make([][]byte, n)
-					for k := range frame {
-						frame[k] = wire.Encode(nil, nullPayloadRow(rng, rel, i, 12))
-						i++
-					}
-					want, got := map[string]int{}, map[string]int{}
-					for _, row := range frame {
-						if err := cur.Reset(row); err != nil {
-							t.Fatal(err)
-						}
-						if err := byRow.OnRow(rel, row, &cur, bagEmit(want)); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := bySet.OnRows(rel, frame, bagEmit(got)); err != nil {
-						t.Fatal(err)
-					}
-					if d := bagDiff(want, got); d != "" {
-						t.Fatalf("frame %d (rel %d, %d rows): OnRows diverges from OnRow: %s", f, rel, n, d)
-					}
-					for _, c := range want {
-						deltas += c
-					}
-				}
-				if deltas == 0 {
-					t.Fatal("no frame produced a delta: the probe paths did not run")
-				}
-				if tiered && bySet.SpilledBytes() == 0 {
-					t.Fatal("setup: nothing spilled, the bucketed walk did not run")
-				}
-				for rel := 0; rel < gc.g.NumRels; rel++ {
-					want, got := map[string]int{}, map[string]int{}
-					for _, tu := range frameTuples(t, byRow, rel, 16) {
-						want[tu.Key()]++
-					}
-					for _, tu := range frameTuples(t, bySet, rel, 16) {
-						got[tu.Key()]++
-					}
-					if d := bagDiff(want, got); d != "" {
-						t.Fatalf("rel %d stored state diverges: %s", rel, d)
-					}
-				}
-				t.Logf("%d deltas", deltas)
-			})
 		}
 	}
+}
+
+func onRowsAgree(t *testing.T, g *expr.JoinGraph, arrivals int, p policy, tiered bool) {
+	mk := func(prefix string) *Traditional {
+		if !tiered {
+			return p.mk(g)
+		}
+		store := &countingStore{blobs: map[string][]byte{}}
+		return p.tiered(g, slab.TierConfig{SegmentRows: 16, Store: store, CacheSegments: 1, KeyPrefix: prefix})
+	}
+	byRow, bySet := mk("row"), mk("set")
+	rng := rand.New(rand.NewSource(41))
+	var cur wire.Cursor
+	deltas := 0
+	for i, f := 0, 0; i < arrivals; f++ {
+		rel := rng.Intn(g.NumRels)
+		n := 1 + rng.Intn(9)
+		frame := make([][]byte, n)
+		for k := range frame {
+			frame[k] = wire.Encode(nil, nullPayloadRow(rng, rel, i, 12))
+			i++
+		}
+		want, got := map[string]int{}, map[string]int{}
+		for _, row := range frame {
+			if err := cur.Reset(row); err != nil {
+				t.Fatal(err)
+			}
+			if err := byRow.OnRow(rel, row, &cur, bagEmit(want)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bySet.OnRows(rel, frame, bagEmit(got)); err != nil {
+			t.Fatal(err)
+		}
+		if d := bagDiff(want, got); d != "" {
+			t.Fatalf("frame %d (rel %d, %d rows): OnRows diverges from OnRow: %s", f, rel, n, d)
+		}
+		for _, c := range want {
+			deltas += c
+		}
+	}
+	if deltas == 0 {
+		t.Fatal("no frame produced a delta: the probe paths did not run")
+	}
+	if tiered && bySet.SpilledBytes() == 0 {
+		t.Fatal("setup: nothing spilled, the bucketed walk did not run")
+	}
+	for rel := 0; rel < g.NumRels; rel++ {
+		want, got := map[string]int{}, map[string]int{}
+		for _, tu := range frameTuples(t, byRow, rel, 16) {
+			want[tu.Key()]++
+		}
+		for _, tu := range frameTuples(t, bySet, rel, 16) {
+			got[tu.Key()]++
+		}
+		if d := bagDiff(want, got); d != "" {
+			t.Fatalf("rel %d stored state diverges: %s", rel, d)
+		}
+	}
+	rowViews, setViews := byRow.ViewSizes(), bySet.ViewSizes()
+	for mask, n := range rowViews {
+		if setViews[mask] != n {
+			t.Fatalf("view %b: OnRows left %d ordinals, OnRow %d", mask, setViews[mask], n)
+		}
+	}
+	t.Logf("%d deltas", deltas)
 }
 
 // TestOnRowsComputedKeyNullAndError: a computed key that yields NULL
@@ -194,34 +238,65 @@ func bagDiff(want, got map[string]int) string {
 }
 
 // TestPlanNeverProbesArrivalRelation pins the invariant OnRows' deferred
-// inserts rest on: no step of plan[rel] assigns rel, so a frame's arrivals
-// never probe their own relation's arena, and every other relation is
-// assigned exactly once.
+// inserts rest on: no step of plan[rel] reads a view containing rel, so a
+// frame's arrivals never probe their own relation's rows, and every other
+// relation is assigned exactly once. Under the Views policy the same holds
+// for maint[rel], whose steps assign the rest of each combo view containing
+// rel, and every such view is extended.
 func TestPlanNeverProbesArrivalRelation(t *testing.T) {
 	graphs := []*expr.JoinGraph{
 		chainGraph(),
 		expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 1, 2, 0), expr.ThetaCol(0, 1, expr.Lt, 2, 1)),
 		expr.MustJoinGraph(4, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(0, 0, 2, 0), expr.EquiCol(0, 0, 3, 0)),
+		expr.MustJoinGraph(4, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0), expr.EquiCol(2, 0, 3, 0)),
 		expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0)), // relation 2 is a cross product
 	}
 	for _, gc := range onRowsGraphs() {
 		graphs = append(graphs, gc.g)
 	}
-	for gi, g := range graphs {
-		j := NewTraditional(g)
-		for rel, steps := range j.plan {
-			if len(steps) != g.NumRels-1 {
-				t.Fatalf("graph %d rel %d: %d steps, want %d", gi, rel, len(steps), g.NumRels-1)
+	// covers fails unless steps assign exactly the relations of want, each
+	// once, from views without rel.
+	covers := func(label string, steps []probeStep, rel int, want uint64) {
+		t.Helper()
+		seen := uint64(0)
+		for si, st := range steps {
+			m := st.view.mask
+			if m&(1<<uint(rel)) != 0 {
+				t.Fatalf("%s: step %d probes view %b, which holds the arrival's own relation", label, si, m)
 			}
-			seen := uint64(1) << uint(rel)
-			for si, st := range steps {
-				if st.next == rel {
-					t.Fatalf("graph %d: step %d of plan[%d] probes the arrival's own relation", gi, si, rel)
+			if seen&m != 0 {
+				t.Fatalf("%s: step %d assigns relations of %b twice", label, si, seen&m)
+			}
+			seen |= m
+		}
+		if seen != want {
+			t.Fatalf("%s: steps assign relations %b, want %b", label, seen, want)
+		}
+	}
+	for gi, g := range graphs {
+		full := uint64(1)<<uint(g.NumRels) - 1
+		for _, p := range []policy{{"traditional", NewTraditional, nil}, {"views", NewViews, nil}} {
+			j := p.mk(g)
+			for rel, steps := range j.plan {
+				bit := uint64(1) << uint(rel)
+				covers(fmt.Sprintf("graph %d, %s plan[%d]", gi, p.name, rel), steps, rel, full&^bit)
+				if p.name == "traditional" && len(steps) != g.NumRels-1 {
+					t.Fatalf("graph %d rel %d: %d steps, want %d", gi, rel, len(steps), g.NumRels-1)
 				}
-				if seen&(1<<uint(st.next)) != 0 {
-					t.Fatalf("graph %d: plan[%d] assigns relation %d twice", gi, rel, st.next)
+				extended := 0
+				for _, m := range j.maint[rel] {
+					covers(fmt.Sprintf("graph %d, %s maint[%d] of %b", gi, p.name, rel, m.view.mask), m.steps, rel, m.view.mask&^bit)
+					extended++
 				}
-				seen |= 1 << uint(st.next)
+				holding := 0
+				for _, v := range j.views {
+					if v.mask&bit != 0 {
+						holding++
+					}
+				}
+				if extended != holding {
+					t.Fatalf("graph %d, %s: an arrival of %d extends %d views, %d hold it", gi, p.name, rel, extended, holding)
+				}
 			}
 		}
 	}

@@ -62,6 +62,31 @@ func exprFilterGraph() *expr.JoinGraph {
 		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Le, Left: twice, Right: plus20})
 }
 
+// band3Graph puts a range probe first: R.payload < S.payload AND
+// S.key = T.key. Under the Views policy an arrival of R range-probes view
+// {S,T}, and one of S probes {R} by range and {T} by equality.
+func band3Graph() *expr.JoinGraph {
+	return expr.MustJoinGraph(3, expr.ThetaCol(0, 1, expr.Lt, 1, 1), expr.EquiCol(1, 0, 2, 0))
+}
+
+// cross3Graph joins R.key = S.key and S.payload <> T.payload: T has no
+// probe conjunct, so an arrival of T scans view {R,S} (a combo view under
+// the Views policy) and one of S scans T. Its deltas grow with the cube of
+// the rows stored, so it is fed fewer of them.
+func cross3Graph() *expr.JoinGraph {
+	return expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.ThetaCol(1, 1, expr.Ne, 2, 1))
+}
+
+// computedChainGraph is a 3-way chain on computed keys with a computed
+// filter: 2·R.payload = S.payload + S.payload, S.key = T.key and
+// R.seq < T.payload + 20.
+func computedChainGraph() *expr.JoinGraph {
+	return expr.MustJoinGraph(3,
+		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq, Left: twice, Right: doubled},
+		expr.EquiCol(1, 0, 2, 0),
+		expr.JoinConjunct{LRel: 0, RRel: 2, Op: expr.Lt, Left: expr.C(2), Right: plus20})
+}
+
 // oracleDelta is the nested-loop oracle for one arrival: every combination
 // of tu (relation rel) with stored rows of the other relations on which
 // every conjunct holds, as a bag of concatenated rows. Conjuncts are checked
@@ -74,7 +99,7 @@ func oracleDelta(t *testing.T, g *expr.JoinGraph, stored [][]types.Tuple, rel in
 	var rec func(r int, mask uint64)
 	rec = func(r int, mask uint64) {
 		if r == g.NumRels {
-			bag[Delta(cur).Concat().Key()]++
+			bag[concat(cur).Key()]++
 			return
 		}
 		if r == rel {
@@ -104,55 +129,66 @@ func oracleDelta(t *testing.T, g *expr.JoinGraph, stored [][]types.Tuple, rel in
 // requires, arrival by arrival, the nested-loop oracle's delta bag, and at
 // the end a stored state equal to the rows fed — on column-key equi chains
 // and theta conjuncts (tree probes), and on computed keys: an equi conjunct
-// with both sides computed and a computed filter.
+// with both sides computed and a computed filter. The n-way graphs run
+// under both index policies.
 func TestOnRowAgreesWithOracle(t *testing.T) {
-	computedChain := expr.MustJoinGraph(3,
-		expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq, Left: twice, Right: doubled},
-		expr.EquiCol(1, 0, 2, 0),
-		expr.JoinConjunct{LRel: 0, RRel: 2, Op: expr.Lt, Left: expr.C(2), Right: plus20})
 	cases := []struct {
-		name string
-		g    *expr.JoinGraph
+		name     string
+		g        *expr.JoinGraph
+		arrivals int
 	}{
-		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))},
-		{"2way-theta", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0), expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
-		{"3way-chain", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0))},
-		{"3way-theta", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0), expr.ThetaCol(0, 1, expr.Lt, 1, 1))},
-		{"2way-expr-equi", exprEquiGraph()},
-		{"2way-expr-filter", exprFilterGraph()},
-		{"3way-expr-chain", computedChain},
+		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)), 0},
+		{"2way-theta", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0), expr.ThetaCol(0, 1, expr.Lt, 1, 1)), 0},
+		{"3way-chain", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0)), 0},
+		{"3way-theta", expr.MustJoinGraph(3, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(1, 0, 2, 0), expr.ThetaCol(0, 1, expr.Lt, 1, 1)), 0},
+		{"2way-expr-equi", exprEquiGraph(), 0},
+		{"2way-expr-filter", exprFilterGraph(), 0},
+		{"3way-expr-chain", computedChainGraph(), 0},
+		{"3way-band", band3Graph(), 400},
+		{"3way-cross", cross3Graph(), 150},
+		{"4way-star", expr.MustJoinGraph(4, expr.EquiCol(0, 0, 1, 0), expr.EquiCol(0, 0, 2, 0), expr.ThetaCol(0, 1, expr.Ge, 3, 1)), 300},
 	}
 	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			j := NewTraditional(c.g)
-			stored := make([][]types.Tuple, c.g.NumRels)
-			rng := rand.New(rand.NewSource(77))
-			deltas := 0
-			for i := 0; i < 600; i++ {
-				rel := rng.Intn(c.g.NumRels)
-				tu := nullPayloadRow(rng, rel, i, 12)
-				want := oracleDelta(t, c.g, stored, rel, tu)
-				got := map[string]int{}
-				for _, d := range joinRow(t, j, rel, tu) {
-					got[d.Key()]++
-				}
-				if d := bagDiff(want, got); d != "" {
-					t.Fatalf("arrival %d (rel %d, %v): OnRow diverges from the oracle: %s", i, rel, tu, d)
-				}
-				for _, n := range want {
-					deltas += n
-				}
-				stored[rel] = append(stored[rel], tu)
+		for _, p := range policiesFor(c.g) {
+			name := c.name
+			if p.name != "traditional" {
+				name += "/" + p.name
 			}
-			if deltas == 0 {
-				t.Fatal("no arrival produced a delta")
-			}
-			for rel := range stored {
-				if got := frameTuples(t, j, rel, 16); !equalTupleSets(got, append([]types.Tuple(nil), stored[rel]...)) {
-					t.Fatalf("rel %d: stored state diverges from the rows fed", rel)
+			t.Run(name, func(t *testing.T) {
+				j := p.mk(c.g)
+				stored := make([][]types.Tuple, c.g.NumRels)
+				rng := rand.New(rand.NewSource(77))
+				deltas := 0
+				n := c.arrivals
+				if n == 0 {
+					n = 600
 				}
-			}
-		})
+				for i := 0; i < n; i++ {
+					rel := rng.Intn(c.g.NumRels)
+					tu := nullPayloadRow(rng, rel, i, 12)
+					want := oracleDelta(t, c.g, stored, rel, tu)
+					got := map[string]int{}
+					for _, d := range joinRow(t, j, rel, tu) {
+						got[d.Key()]++
+					}
+					if d := bagDiff(want, got); d != "" {
+						t.Fatalf("arrival %d (rel %d, %v): OnRow diverges from the oracle: %s", i, rel, tu, d)
+					}
+					for _, n := range want {
+						deltas += n
+					}
+					stored[rel] = append(stored[rel], tu)
+				}
+				if deltas == 0 {
+					t.Fatal("no arrival produced a delta")
+				}
+				for rel := range stored {
+					if got := frameTuples(t, j, rel, 16); !equalTupleSets(got, append([]types.Tuple(nil), stored[rel]...)) {
+						t.Fatalf("rel %d: stored state diverges from the rows fed", rel)
+					}
+				}
+			})
+		}
 	}
 }
 

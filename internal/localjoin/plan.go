@@ -1,33 +1,47 @@
 // The probe plan: everything about an arrival's expansion that depends only
-// on the join graph — which relation is assigned next, which conjunct is
-// probed through an index and from which side, which conjuncts are left as
-// filters — is decided once at construction, per arrival relation, so the
-// per-arrival path (probeFrame, expandPacked) walks a slice of steps and
+// on the join graph and the index policy — which view is probed next, which
+// conjunct is probed through its index and from which side, which
+// conjuncts are left as filters, which combo views the arrival extends — is
+// decided once at construction, per arrival relation, so the per-arrival
+// path (probeFrame, expandPacked, insertRow) walks slices of steps and
 // allocates nothing.
 package localjoin
 
 import (
+	"fmt"
+	"math/bits"
+
 	"squall/internal/expr"
 	"squall/internal/index"
 	"squall/internal/types"
 )
 
-// probeStep is one level of an expansion: assign relation next from the
-// candidates its index returns for the probe conjunct, keep those passing
-// the filters, recurse.
+// probeStep is one level of an expansion: assign the relations of view
+// their rows from each ordinal its index returns for the probe conjunct,
+// keep those passing the filters, recurse. A base view assigns one
+// relation; a combo view assigns all of its relations from one combo.
 type probeStep struct {
-	next int
-	// ci is the conjunct probed through next's index (equality beats range),
-	// -1 when none applies (cross join, Ne-only) and next is scanned. It
-	// reads key(t_next) op value(t_other) — op already oriented — with other
-	// an assigned relation; nextKey/otherKey are the two sides' keys.
+	view *store
+	// ci is the conjunct probed through view's index (equality beats
+	// range), -1 when none applies (cross join, Ne-only) and view is
+	// scanned. It reads key(t_next) op value(t_other) — op already
+	// oriented — with next the relation of view ci reads and other an
+	// assigned relation; nextKey/otherKey are the two sides' keys.
 	ci                int
 	op                expr.CmpOp
-	other             int
+	next, other       int
 	nextKey, otherKey key
-	// filters are the remaining conjuncts between next and the assigned
+	// filters are the remaining conjuncts between view and the assigned
 	// relations, checked per candidate.
 	filters []stepFilter
+}
+
+// maintStep extends one combo view for an arrival of one of its relations:
+// the arrival expanded over the components of the rest of the view, each
+// completed assignment appended to view as a combo.
+type maintStep struct {
+	view  *store
+	steps []probeStep
 }
 
 // stepFilter is one filter conjunct with its sides resolved: Left(t_lrel)
@@ -54,17 +68,59 @@ func (st *probeStep) bounds(v types.Value) (lo, hi index.Bound) {
 	}
 }
 
-// compilePlan fixes, for every arrival relation, the order the other
-// relations are assigned in and each level's probe and filters.
-func (j *Traditional) compilePlan() {
-	j.plan = make([][]probeStep, j.g.NumRels)
+// compilePlan fixes, for every arrival relation, the views its expansion
+// probes and each level's probe and filters. Under the Traditional policy
+// the other relations are assigned one at a time from their base views;
+// under Views each connected component of the complement is one step
+// probing that component's view, and maint lists every combo view
+// containing the relation with the steps that extend it. No step of
+// plan[rel] or maint[rel] reads a view containing rel.
+func (j *Traditional) compilePlan(views bool) {
+	n := j.g.NumRels
+	full := uint64(1)<<uint(n) - 1
+	j.plan = make([][]probeStep, n)
+	j.maint = make([][]maintStep, n)
 	for rel := range j.plan {
 		have := uint64(1) << uint(rel)
+		if views {
+			j.plan[rel] = j.compileComponents(have, full&^have)
+			continue
+		}
 		for next := j.pickNext(have); next >= 0; next = j.pickNext(have) {
-			j.plan[rel] = append(j.plan[rel], j.compileStep(have, next))
+			j.plan[rel] = append(j.plan[rel], j.compileStep(have, j.stores[next]))
 			have |= 1 << uint(next)
 		}
 	}
+	for _, v := range j.views {
+		for _, rel := range v.rels {
+			bit := uint64(1) << uint(rel)
+			j.maint[rel] = append(j.maint[rel], maintStep{view: v, steps: j.compileComponents(bit, v.mask&^bit)})
+		}
+	}
+}
+
+// compileComponents plans one step per connected component of rest, each
+// probing the component's view.
+func (j *Traditional) compileComponents(have, rest uint64) []probeStep {
+	var steps []probeStep
+	for _, comp := range j.g.Components(rest) {
+		steps = append(steps, j.compileStep(have, j.viewOf(comp)))
+		have |= comp
+	}
+	return steps
+}
+
+// viewOf returns the materialized view of a connected mask.
+func (j *Traditional) viewOf(mask uint64) *store {
+	if bits.OnesCount64(mask) == 1 {
+		return j.stores[bits.TrailingZeros64(mask)]
+	}
+	for _, v := range j.views {
+		if v.mask == mask {
+			return v
+		}
+	}
+	panic(fmt.Sprintf("localjoin: no view materializes relations %b", mask))
 }
 
 // pickNext prefers a relation connected to the current partial assignment
@@ -86,17 +142,19 @@ func (j *Traditional) pickNext(have uint64) int {
 	return firstMissing
 }
 
-// compileStep chooses next's probe conjunct among those incident to the
+// compileStep chooses view's probe conjunct among those between it and the
 // assigned relations: equality beats range beats scan.
-func (j *Traditional) compileStep(have uint64, next int) probeStep {
-	st := probeStep{next: next, ci: -1}
+func (j *Traditional) compileStep(have uint64, view *store) probeStep {
+	st := probeStep{view: view, ci: -1, next: view.rels[0]}
 	var incident []int
 	for ci, c := range j.g.Conjuncts {
-		other := c.LRel
-		if c.LRel == next {
-			other = c.RRel
-		} else if c.RRel != next {
+		in := j.inside(view.mask, ci)
+		if in < 0 {
 			continue
+		}
+		other := c.LRel
+		if other == in {
+			other = c.RRel
 		}
 		if have&(1<<uint(other)) != 0 {
 			incident = append(incident, ci)
@@ -120,8 +178,9 @@ func (j *Traditional) compileStep(have uint64, next int) probeStep {
 		c := &j.g.Conjuncts[ci]
 		if ci == st.ci {
 			// Oriented so LRel == next: Left(t_next) op Right(t_other).
+			next := j.inside(view.mask, ci)
 			o := c.Oriented(next)
-			st.op, st.other = o.Op, o.RRel
+			st.next, st.op, st.other = next, o.Op, o.RRel
 			st.nextKey, st.otherKey = j.keys[ci][next], j.keys[ci][o.RRel]
 			continue
 		}

@@ -1,23 +1,32 @@
-// Package localjoin implements Squall's traditional online local joins
-// (§3.3): each machine stores the tuples it has received per relation,
-// builds indexes on the fly — hash indexes for equi-join keys, balanced
-// binary trees for band and inequality keys — and, on every arrival, probes
-// the other relations' indexes to produce the delta result.
+// Package localjoin implements Squall's online local joins (§3.3): each
+// machine stores the tuples it has received per relation, builds indexes on
+// the fly — hash indexes for equi-join keys, balanced binary trees for band
+// and inequality keys — and, on every arrival, probes stored state to
+// produce the delta result.
 //
-// This is the baseline DBToaster is compared against in Figure 8: for an
-// n-way join it re-enumerates all matching combinations from base-relation
-// indexes on every arrival, where DBToaster (internal/dbtoaster) reuses
-// materialized intermediate views.
+// One core runs both local joins of Figure 8. They differ only in what is
+// indexed, an index policy fixed at construction:
+//
+//   - Traditional (NewTraditional) materializes the base relations only and
+//     re-enumerates all matching combinations from their indexes on every
+//     arrival.
+//   - Views (NewViews), the tuple-level DBToaster operator, also
+//     materializes every connected proper subset of the relations as a
+//     view of ref combos, so an arrival probes one view per connected
+//     component of its complement and reuses the intermediate joins.
 //
 // Stored state is slab-backed: each relation's tuples are packed rows in a
-// slab.Arena addressed by 32-bit refs, equi-conjunct indexes are
-// open-addressing index.RefHash multimaps keyed by the 64-bit canonical
-// value hash, and tree indexes hold refs. State keeps full history: a stored
-// tuple is never removed, so refs and indexes only grow.
+// slab.Arena addressed by 32-bit refs, a combo view holds fixed-stride
+// arrays of those refs (an n-way combo costs 4n bytes), equi-conjunct
+// indexes are open-addressing index.RefHash multimaps keyed by the 64-bit
+// canonical value hash, and tree indexes hold view ordinals. State keeps
+// full history: a stored tuple is never removed, so refs, combos and
+// indexes only grow.
 package localjoin
 
 import (
 	"fmt"
+	"math/bits"
 
 	"squall/internal/expr"
 	"squall/internal/index"
@@ -25,23 +34,6 @@ import (
 	"squall/internal/types"
 	"squall/internal/wire"
 )
-
-// Delta is one output increment: the joined tuples, one per relation, in
-// relation order. Concat() flattens it into a result row.
-type Delta []types.Tuple
-
-// Concat renders the delta as a single concatenated tuple.
-func (d Delta) Concat() types.Tuple {
-	n := 0
-	for _, t := range d {
-		n += len(t)
-	}
-	out := make(types.Tuple, 0, n)
-	for _, t := range d {
-		out = append(out, t...)
-	}
-	return out
-}
 
 // MultiJoin is the state face every online local multi-way join shares:
 // how much it holds.
@@ -77,14 +69,30 @@ type FrameExporter interface {
 	ExportRelFrames(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool)
 }
 
-// store holds one relation's tuples as packed rows addressed by refs, plus
-// its per-conjunct indexes over those refs.
+// store is one materialized view: the rows of a connected relation subset
+// (its ordinals), with an index on every boundary conjunct — one side
+// inside the view, the other outside. A base view holds one relation's
+// rows in its arena and its ordinals are the rows' refs; a combo view
+// holds refCombos, ordinal i assigning rels[k] the row
+// refCombos[i·len(rels)+k] of that relation's arena.
 type store struct {
-	arena  *slab.Arena
-	eqRef  map[int]*index.RefHash // conjunct id -> refs by key hash
-	refBuf []uint32               // probe scratch
-	// rngIdx holds Tuple{Int(ref)} items (refTuple).
+	mask      uint64
+	rels      []int       // relations of mask, ascending: the combo stride
+	arena     *slab.Arena // base view only
+	refCombos []slab.Ref  // combo view only
+	// eqRef holds ordinals by key hash and rngIdx Tuple{Int(ordinal)} items
+	// (refTuple), each keyed by boundary conjunct id.
+	eqRef  map[int]*index.RefHash
 	rngIdx map[int]*index.Tree
+	refBuf []uint32 // probe scratch
+}
+
+// size returns the number of ordinals the view holds.
+func (v *store) size() int {
+	if v.arena != nil {
+		return v.arena.Rows()
+	}
+	return len(v.refCombos) / len(v.rels)
 }
 
 var (
@@ -92,24 +100,54 @@ var (
 	_ FrameExporter = (*Traditional)(nil)
 )
 
-// Traditional is the index-nested-loop online multi-way join.
+// Traditional is the index-nested-loop online multi-way join, under either
+// index policy.
 type Traditional struct {
-	g      *expr.JoinGraph
+	g *expr.JoinGraph
+	// stores[rel] is relation rel's base view; views are the combo views
+	// (none under the Traditional policy).
 	stores []*store
+	views  []*store
 	// keys[c][rel] is the rel side of conjunct c as the row path reads it
 	// (the zero key when rel is not a side of c).
 	keys   [][]key
 	packed packedState
-	// plan[rel] is the expansion an arrival of rel drives (plan.go).
-	plan [][]probeStep
+	// plan[rel] is the expansion an arrival of rel drives and maint[rel]
+	// the combo views it extends (plan.go).
+	plan  [][]probeStep
+	maint [][]maintStep
 }
 
-// NewTraditional builds the operator for a join graph, creating hash indexes
-// for equality conjuncts and tree indexes for order conjuncts (§3.3's
-// example: R.A = S.A AND 2·R.B < S.C builds hash indexes on R.A, S.A and
-// tree indexes on 2·R.B and S.C). Each conjunct side resolves once, to a
-// column read in place or to an expression evaluated where it is read.
-func NewTraditional(g *expr.JoinGraph) *Traditional {
+// NewTraditional builds the operator for a join graph under the
+// Traditional policy, creating hash indexes for equality conjuncts and tree
+// indexes for order conjuncts (§3.3's example: R.A = S.A AND 2·R.B < S.C
+// builds hash indexes on R.A, S.A and tree indexes on 2·R.B and S.C). Each
+// conjunct side resolves once, to a column read in place or to an
+// expression evaluated where it is read.
+func NewTraditional(g *expr.JoinGraph) *Traditional { return newJoin(g, false) }
+
+// NewViews builds the operator under the Views policy: DBToaster's
+// tuple-level views. Besides the base relations it materializes every
+// connected proper subset of them as a view of ref combos, indexed on its
+// boundary conjuncts, and keeps each view current on every arrival.
+func NewViews(g *expr.JoinGraph) *Traditional { return newJoin(g, true) }
+
+// NewTraditionalTiered builds the operator with tiered arenas: relation
+// state seals into checksummed segments and spills to tc.Store under memory
+// pressure. Refs stay stable across seals and spills, so the indexes never
+// see a remap.
+func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
+	return NewTraditional(g).tier(tc)
+}
+
+// NewViewsTiered is NewViews with tiered base arenas. Combos and view
+// indexes stay resident: they are the operator's working set, and the
+// base-row payload the bulk of its bytes.
+func NewViewsTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
+	return NewViews(g).tier(tc)
+}
+
+func newJoin(g *expr.JoinGraph, views bool) *Traditional {
 	j := &Traditional{g: g}
 	j.keys = make([][]key, len(g.Conjuncts))
 	for ci, c := range g.Conjuncts {
@@ -119,33 +157,66 @@ func NewTraditional(g *expr.JoinGraph) *Traditional {
 	}
 	j.stores = make([]*store, g.NumRels)
 	for rel := range j.stores {
-		s := &store{arena: slab.New(), eqRef: map[int]*index.RefHash{}, rngIdx: map[int]*index.Tree{}}
-		for ci, c := range g.Conjuncts {
-			if c.LRel != rel && c.RRel != rel {
-				continue
-			}
-			switch c.Op {
-			case expr.Eq:
-				s.eqRef[ci] = index.NewRefHash()
-			case expr.Lt, expr.Le, expr.Gt, expr.Ge:
-				s.rngIdx[ci] = index.NewTree()
+		j.stores[rel] = j.newView(uint64(1) << uint(rel))
+		j.stores[rel].arena = slab.New()
+	}
+	if views {
+		full := uint64(1)<<uint(g.NumRels) - 1
+		for mask := uint64(1); mask < full; mask++ {
+			if bits.OnesCount64(mask) > 1 && g.Connected(mask) {
+				j.views = append(j.views, j.newView(mask))
 			}
 		}
-		j.stores[rel] = s
 	}
 	j.packed.curs = make([]*wire.Cursor, g.NumRels)
 	j.packed.own = make([]wire.Cursor, g.NumRels)
+	j.packed.refs = make([]slab.Ref, g.NumRels)
+	for r := range j.packed.curs {
+		j.packed.curs[r] = &j.packed.own[r]
+	}
 	j.packed.one = make([][]byte, 1)
-	j.compilePlan()
+	j.compilePlan(views)
 	return j
 }
 
-// NewTraditionalTiered builds the operator with tiered arenas: relation
-// state seals into checksummed segments and spills to tc.Store under memory
-// pressure. Refs stay stable across seals and spills, so the indexes never
-// see a remap.
-func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
-	j := NewTraditional(g)
+// newView builds an empty view of mask with its boundary indexes.
+func (j *Traditional) newView(mask uint64) *store {
+	v := &store{mask: mask, eqRef: map[int]*index.RefHash{}, rngIdx: map[int]*index.Tree{}}
+	for rel := 0; rel < j.g.NumRels; rel++ {
+		if mask&(1<<uint(rel)) != 0 {
+			v.rels = append(v.rels, rel)
+		}
+	}
+	for ci, c := range j.g.Conjuncts {
+		if j.inside(mask, ci) < 0 {
+			continue
+		}
+		switch c.Op {
+		case expr.Eq:
+			v.eqRef[ci] = index.NewRefHash()
+		case expr.Lt, expr.Le, expr.Gt, expr.Ge:
+			v.rngIdx[ci] = index.NewTree()
+		}
+	}
+	return v
+}
+
+// inside returns the side of conjunct ci that lies in mask when ci crosses
+// mask's boundary, and -1 when ci lies wholly inside or outside it.
+func (j *Traditional) inside(mask uint64, ci int) int {
+	c := &j.g.Conjuncts[ci]
+	lin, rin := mask&(1<<uint(c.LRel)) != 0, mask&(1<<uint(c.RRel)) != 0
+	switch {
+	case lin && !rin:
+		return c.LRel
+	case rin && !lin:
+		return c.RRel
+	}
+	return -1
+}
+
+// tier enables tiering on every base arena.
+func (j *Traditional) tier(tc slab.TierConfig) *Traditional {
 	base := tc.KeyPrefix
 	for rel, s := range j.stores {
 		rc := tc
@@ -155,8 +226,8 @@ func NewTraditionalTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
 	return j
 }
 
-// refTuple wraps a row ref as the single-int tuple tree indexes store.
-func refTuple(ref slab.Ref) types.Tuple { return types.Tuple{types.Int(int64(ref))} }
+// refTuple wraps an ordinal as the single-int tuple tree indexes store.
+func refTuple(ord uint32) types.Tuple { return types.Tuple{types.Int(int64(ord))} }
 
 // RelCount returns the stored tuples of one relation.
 func (j *Traditional) RelCount(rel int) int { return j.stores[rel].arena.Rows() }
@@ -172,27 +243,41 @@ func (j *Traditional) ExportRelFrames(rel, batchSize int, footer bool, visit fun
 }
 
 // ImportRow stores one encoded row without producing results (migration
-// import, recovery restore): the row is blitted into the arena and keys its
-// indexes like an arrival does.
+// import, recovery restore): the row is blitted into the arena, keys its
+// indexes and extends the views containing its relation like an arrival
+// does.
 func (j *Traditional) ImportRow(rel int, row []byte, cur *wire.Cursor) error {
 	if rel < 0 || rel >= j.g.NumRels {
 		return fmt.Errorf("localjoin: relation %d out of range", rel)
 	}
-	return j.insertRow(rel, row, cur)
+	ps := &j.packed
+	ps.curs[rel] = cur
+	err := j.insertRow(rel, row)
+	ps.curs[rel] = &ps.own[rel]
+	return err
 }
 
-// MemSize reports operator state (stored tuples + indexes): the real byte
-// footprint of the slabs and index arrays rather than a per-tuple estimate.
+// MemSize reports operator state (stored tuples, combos and indexes): the
+// real byte footprint of the slabs and arrays rather than a per-tuple
+// estimate.
 func (j *Traditional) MemSize() int {
 	n := 0
-	for _, s := range j.stores {
-		n += s.arena.MemSize()
-		for _, h := range s.eqRef {
-			n += h.MemSize()
-		}
-		for _, t := range s.rngIdx {
-			n += t.MemSize()
-		}
+	for _, v := range j.stores {
+		n += v.arena.MemSize() + v.indexBytes()
+	}
+	for _, v := range j.views {
+		n += 4*cap(v.refCombos) + v.indexBytes()
+	}
+	return n
+}
+
+func (v *store) indexBytes() int {
+	n := 0
+	for _, h := range v.eqRef {
+		n += h.MemSize()
+	}
+	for _, t := range v.rngIdx {
+		n += t.MemSize()
 	}
 	return n
 }
@@ -204,6 +289,18 @@ func (j *Traditional) StoredTuples() int {
 		n += j.RelCount(rel)
 	}
 	return n
+}
+
+// ViewSizes reports the ordinals of every materialized view by relation
+// mask, base views included, for tests and monitoring.
+func (j *Traditional) ViewSizes() map[uint64]int {
+	out := make(map[uint64]int, len(j.stores)+len(j.views))
+	for _, vs := range [][]*store{j.stores, j.views} {
+		for _, v := range vs {
+			out[v.mask] = v.size()
+		}
+	}
+	return out
 }
 
 // SpilledBytes reports state bytes currently resident on disk only
@@ -227,16 +324,17 @@ func (j *Traditional) ReleaseState() {
 // ExportRelTier exports one relation for an incremental (v2) checkpoint:
 // sealed segments as store references (persisted to the tier's checkpoint
 // store on first export) and hot rows as wire batch frames. Reports
-// ok=false when the relation is not tiered or has no checkpoint store —
-// the caller falls back to full-frame export.
+// ok=false when the relation is not tiered or its tier has no checkpoint
+// store — the caller falls back to full-frame export. A failed segment
+// write is an error, not a fallback.
 func (j *Traditional) ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
-	if !j.stores[rel].arena.Tiered() {
+	a := j.stores[rel].arena
+	if !a.HasCkStore() {
 		return nil, false, nil
 	}
-	a := j.stores[rel].arena
 	cks, err := a.SealedSegmentCks()
 	if err != nil {
-		return nil, false, nil // no checkpoint store: v1 fallback
+		return nil, false, err
 	}
 	a.EachHotFrame(batchSize, footer, nil, visit)
 	return cks, true, nil

@@ -1,8 +1,10 @@
 package localjoin
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"squall/internal/expr"
@@ -25,7 +27,7 @@ func bruteForce(t *testing.T, g *expr.JoinGraph, rels [][]types.Tuple) []types.T
 				t.Fatal(err)
 			}
 			if ok {
-				out = append(out, Delta(cur).Concat())
+				out = append(out, concat(cur))
 			}
 			return
 		}
@@ -35,6 +37,16 @@ func bruteForce(t *testing.T, g *expr.JoinGraph, rels [][]types.Tuple) []types.T
 		}
 	}
 	rec(0)
+	return out
+}
+
+// concat flattens one joined tuple per relation, in relation order, into
+// the result row the operator emits.
+func concat(parts []types.Tuple) types.Tuple {
+	var out types.Tuple
+	for _, p := range parts {
+		out = append(out, p...)
+	}
 	return out
 }
 
@@ -250,13 +262,6 @@ func TestTraditionalRejectsBadRelation(t *testing.T) {
 	}
 }
 
-func TestDeltaConcat(t *testing.T) {
-	d := Delta{types.Tuple{types.Int(1)}, types.Tuple{types.Int(2), types.Int(3)}}
-	if got := d.Concat(); !got.Equal(types.Tuple{types.Int(1), types.Int(2), types.Int(3)}) {
-		t.Errorf("Concat = %v", got)
-	}
-}
-
 // TestTraditionalRefLifecycle covers the ref contract the indexes rely on:
 // imported and joined rows take dense refs in arrival order, every stored
 // row stays addressable and indexed, and export returns the rows in ref
@@ -423,5 +428,52 @@ func BenchmarkTraditionalOnRow(b *testing.B) {
 		if err := j.OnRow(1, row, &cur, emit); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// failingStore is a slab.SegmentStore whose writes fail.
+type failingStore struct{}
+
+func (failingStore) PutSegment(key string, _ []byte) error {
+	return fmt.Errorf("put %s: device full", key)
+}
+func (failingStore) GetSegment(string, []byte) ([]byte, bool, error) { return nil, false, nil }
+func (failingStore) DeleteSegment(string) error                      { return nil }
+
+// TestExportRelTierReportsWriteErrors: ExportRelTier falls back (ok=false,
+// no error) only when a relation cannot be exported by segment — an
+// untiered arena, or a tier without a checkpoint store. A checkpoint store
+// whose segment write fails is an error naming the segment, not a silent
+// fall back to full frames.
+func TestExportRelTierReportsWriteErrors(t *testing.T) {
+	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
+	spill := &countingStore{blobs: map[string][]byte{}}
+	for _, tc := range []struct {
+		name    string
+		j       *Traditional
+		ok      bool
+		wantErr bool
+	}{
+		{"untiered", NewTraditional(g), false, false},
+		{"no-ckstore", NewTraditionalTiered(g, slab.TierConfig{SegmentRows: 16, Store: spill, KeyPrefix: "n"}), false, false},
+		{"ckstore", NewTraditionalTiered(g, slab.TierConfig{SegmentRows: 16, Store: spill, CkStore: &countingStore{blobs: map[string][]byte{}}, KeyPrefix: "c"}), true, false},
+		{"ckstore-fails", NewTraditionalTiered(g, slab.TierConfig{SegmentRows: 16, Store: spill, CkStore: failingStore{}, KeyPrefix: "f"}), false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for i := 0; i < 40; i++ {
+				importTuple(t, tc.j, 0, types.Tuple{types.Int(int64(i)), types.Int(int64(i))})
+			}
+			frames := 0
+			cks, ok, err := tc.j.ExportRelTier(0, 8, false, func([]byte, int) bool { frames++; return true })
+			if ok != tc.ok || (err != nil) != tc.wantErr {
+				t.Fatalf("ExportRelTier = %d segments, ok=%v, err=%v; want ok=%v, error %v", len(cks), ok, err, tc.ok, tc.wantErr)
+			}
+			if tc.wantErr && !strings.Contains(err.Error(), "segment") {
+				t.Fatalf("error %q does not name the segment", err)
+			}
+			if ok && (len(cks) != 2 || frames != 1) {
+				t.Fatalf("exported %d segments and %d hot frames, want 2 and 1", len(cks), frames)
+			}
+		})
 	}
 }

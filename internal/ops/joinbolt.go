@@ -57,8 +57,8 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 
 // newLocalJoin builds one task's operator: the state layout (tiered or
 // resident slab) crossed with the algorithm. What DBToaster means for this
-// graph — the view operator, or the base-relation core when there is no
-// view to keep — is dbtoaster's decision, not made here.
+// graph — the core under the Views policy, or under the Traditional one
+// when there is no view to keep — is dbtoaster's decision, not made here.
 func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, tc *slab.TierConfig) dbtoaster.Join {
 	dbt := kind == DBToaster
 	switch {
@@ -79,9 +79,9 @@ func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason 
 	case kind == DBToaster && dbtoaster.ViewLess(g):
 		return "localjoin.Traditional", dbtoaster.ViewLessReason
 	case kind == DBToaster:
-		return "dbtoaster.TupleJoin", fmt.Sprintf("DBToaster on a %d-relation graph: intermediate views materialized and probed", g.NumRels)
+		return "localjoin.Traditional", fmt.Sprintf("DBToaster on a %d-relation graph: Views policy, intermediate views materialized and probed", g.NumRels)
 	}
-	return "localjoin.Traditional", "Traditional: base-relation indexes re-probed on every arrival"
+	return "localjoin.Traditional", "Traditional policy: base-relation indexes re-probed on every arrival"
 }
 
 // joinBolt runs one task's local join over encoded rows: encoded arrivals

@@ -132,9 +132,10 @@ func (a *Arena) rowSpan(r Ref) (int, int) {
 // The tiered callers keep to this: localjoin's packed join holds one
 // candidate cursor per relation, each relation its own arena, and resets a
 // cursor before its arena's next RowBytes (arrivals are read through
-// cursors over the delivered frame, never over an arena); dbtoaster's
-// TupleJoin reads stored rows only through Decode; framesFrom copies each
-// row into the frame, and DecodeInto copies strings out before returning.
+// cursors over the delivered frame, never over an arena; a combo view's
+// candidate sets the cursors of its relations, one arena each);
+// framesFrom copies each row into the frame, and DecodeInto copies strings
+// out before returning.
 func (a *Arena) RowBytes(r Ref) []byte {
 	if a.t != nil {
 		return a.t.rowBytes(a, r)

@@ -195,8 +195,9 @@ func (a *Arena) EnableTier(cfg TierConfig) {
 	}
 }
 
-// Tiered reports whether the arena runs the tiered state layer.
-func (a *Arena) Tiered() bool { return a.t != nil }
+// HasCkStore reports whether the arena is tiered with a checkpoint store,
+// the condition under which SealedSegmentCks can export it.
+func (a *Arena) HasCkStore() bool { return a.t != nil && a.t.cfg.CkStore != nil }
 
 // SpilledBytes reports payload bytes with a spill copy on disk (0 for a
 // plain arena).

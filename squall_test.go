@@ -255,11 +255,11 @@ func TestResultReportsLocalJoinPlan(t *testing.T) {
 		reasonSubstr string
 	}{
 		{"dbtoaster-2way", twoWay(squall.DBToaster), nil, "localjoin.Traditional", "no intermediate view"},
-		{"traditional-2way", twoWay(squall.Traditional), nil, "localjoin.Traditional", "Traditional"},
-		{"dbtoaster-3way-deltas", deltas3, nil, "dbtoaster.TupleJoin", "3-relation"},
+		{"traditional-2way", twoWay(squall.Traditional), nil, "localjoin.Traditional", "Traditional policy"},
+		{"dbtoaster-3way-deltas", deltas3, nil, "localjoin.Traditional", "3-relation graph: Views policy"},
 		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), nil, "dbtoaster.AggJoin", "aggregate views"},
-		{"aggviews-declined-forcedelta", deltas3, nil, "dbtoaster.TupleJoin", "aggregate views declined: ForceDeltaJoin"},
-		{"aggviews-declined-recovery", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), recovery, "dbtoaster.TupleJoin", "aggregate views declined: Recovery"},
+		{"aggviews-declined-forcedelta", deltas3, nil, "localjoin.Traditional", "aggregate views declined: ForceDeltaJoin"},
+		{"aggviews-declined-recovery", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), recovery, "localjoin.Traditional", "aggregate views declined: Recovery"},
 		{"aggviews-declined-adaptive", adaptive, nil, "localjoin.Traditional", "aggregate views declined: AdaptiveJoin"},
 		{"aggviews-declined-theta", theta, nil, "localjoin.Traditional", "aggregate views declined: the join graph has theta"},
 	} {
