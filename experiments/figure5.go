@@ -40,7 +40,7 @@ var (
 // draining its own spout + selection instance and counting rows, with no
 // topology and so no encode, hop or decode. The network stage runs the same
 // source through the engine, which encodes each row once, ships it in a
-// frame and decodes it at the counting bolt.
+// frame and decodes it at the sink.
 //
 // The paper's findings to reproduce: sel(int) is ~1–2% of the run, sel(date)
 // is ~10x sel(int) (Date instances are created from strings), the network
@@ -67,7 +67,7 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 		if sel != nil {
 			pipe = append(pipe, ops.Select{P: sel})
 		}
-		return ops.PipedSpout(lines, pipe), nil
+		return pipedSpout(lines, pipe), nil
 	}
 	readStage := func(name string, sel expr.Pred) Figure5Stage {
 		return Figure5Stage{Name: name, Run: func() (time.Duration, error) {
@@ -106,16 +106,9 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 		if err != nil {
 			return 0, err
 		}
-		count := func(int, int) dataflow.Bolt {
-			n := 0
-			return dataflow.FuncBolt{OnTuple: func(dataflow.Input, *dataflow.Collector) error {
-				n++
-				return nil
-			}}
-		}
 		topo, err := dataflow.NewBuilder().
-			Spout("orders", machines, src).
-			Bolt("sink", machines, count).
+			Spout("orders", machines, ops.PackedSpout(src, nil)).
+			Bolt("sink", machines, func(int, int) dataflow.Bolt { return &decodeBolt{} }).
 			Input("sink", "orders", dataflow.Shuffle()).
 			Build()
 		if err != nil {
@@ -198,5 +191,55 @@ func lineParsedSpout(gen *datagen.TPCH, table string) dataflow.SpoutFactory {
 	default:
 		schema = datagen.LineitemSchema
 	}
-	return ops.PipedSpout(lines, ops.Pipeline{parseOp{schema}})
+	return pipedSpout(lines, ops.Pipeline{parseOp{schema}})
 }
+
+// pipedSpout co-locates a pipeline with a tuple source (source + selection
+// in one component, saving a network hop, as Squall's optimizer does), with
+// no encode: the ReadFile stages time reading, parsing and selecting alone.
+// A broken pipeline surfaces at the first tuple by panicking (Next has no
+// error return).
+func pipedSpout(f dataflow.SpoutFactory, p ops.Pipeline) dataflow.SpoutFactory {
+	return func(task, ntasks int) dataflow.Spout {
+		s := &piped{inner: f(task, ntasks), p: p}
+		s.emit = func(t types.Tuple) error { s.queue = append(s.queue, t); return nil }
+		return s
+	}
+}
+
+type piped struct {
+	inner dataflow.Spout
+	p     ops.Pipeline
+	queue []types.Tuple
+	head  int
+	emit  func(types.Tuple) error
+}
+
+func (s *piped) Next() (types.Tuple, bool) {
+	for {
+		if s.head < len(s.queue) {
+			t := s.queue[s.head]
+			s.head++
+			return t, true
+		}
+		s.queue, s.head = s.queue[:0], 0
+		t, ok := s.inner.Next()
+		if !ok {
+			return nil, false
+		}
+		if err := s.p.Each(t, s.emit); err != nil {
+			panic(fmt.Sprintf("experiments: source pipeline: %v", err))
+		}
+	}
+}
+
+// decodeBolt is the network stage's sink: it decodes each delivered row,
+// so the stage pays encode, hop and decode per row.
+type decodeBolt struct{ tup types.Tuple }
+
+func (b *decodeBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	b.tup = in.Cur.Tuple(b.tup)
+	return nil
+}
+
+func (b *decodeBolt) Finish(*dataflow.Collector) error { return nil }

@@ -277,9 +277,9 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 
 	agg := &limitAgg{}
 	b := dataflow.NewBuilder().
-		Spout("W1", 1, w.Spout()).
-		Spout("W2", 1, w.Spout()).
-		Spout("W3", 1, w.Spout()).
+		Spout("W1", 1, ops.PackedSpout(w.Spout(), nil)).
+		Spout("W2", 1, ops.PackedSpout(w.Spout(), nil)).
+		Spout("W3", 1, ops.PackedSpout(w.Spout(), nil)).
 		Bolt("join1", j1Par, ops.JoinBolt(g1, local, map[string]int{"W1": 0, "W2": 1}, nil, nil)).
 		Bolt("join2", j2Par, ops.JoinBolt(g2, local, map[string]int{"join1": 0, "W3": 1}, nil, nil)).
 		Bolt("agg", 1, agg.factory()).
@@ -309,18 +309,25 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 type limitAgg struct {
 	agg   *ops.Agg
 	count int64
+	tup   types.Tuple
 }
 
 func (l *limitAgg) factory() dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		l.agg = ops.NewAgg([]expr.Expr{expr.C(0)}, ops.Count, nil, false)
-		return dataflow.FuncBolt{OnTuple: func(in dataflow.Input, _ *dataflow.Collector) error {
-			l.count++
-			_, err := l.agg.Fold(in.Tuple)
-			return err
-		}}
+		return l
 	}
 }
+
+// ExecuteRow folds one final row, decoded into reused scratch.
+func (l *limitAgg) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	l.count++
+	l.tup = in.Cur.Tuple(l.tup)
+	_, err := l.agg.Fold(l.tup)
+	return err
+}
+
+func (l *limitAgg) Finish(*dataflow.Collector) error { return nil }
 
 func (l *limitAgg) rows() []types.Tuple {
 	if l.agg == nil {

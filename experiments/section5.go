@@ -9,6 +9,7 @@ import (
 	"squall/internal/dataflow"
 	"squall/internal/expr"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 // ImperfectionResult compares key-to-machine assignments for a small key
@@ -49,10 +50,9 @@ func HashImperfection(d, p int, trials int) ImperfectionResult {
 		hash := dataflow.Fields(0)
 		count := func(g dataflow.Grouping) []int {
 			owned := make([]int, p)
-			var buf []int
+			var r router
 			for _, k := range keys {
-				buf = g.Targets(k, p, nil, buf[:0])
-				owned[buf[0]]++
+				owned[r.targets(g, k, p, nil)[0]]++
 			}
 			return owned
 		}
@@ -73,6 +73,23 @@ func HashImperfection(d, p int, trials int) ImperfectionResult {
 	res.RoundRobinSkew /= n
 	res.HashSuboptimal /= n
 	return res
+}
+
+// router routes tuples through a grouping as the engine does: encoded, and
+// read through a cursor.
+type router struct {
+	enc []byte
+	cur wire.Cursor
+	buf []int
+}
+
+func (r *router) targets(g dataflow.Grouping, t types.Tuple, ntasks int, rng *rand.Rand) []int {
+	r.enc = wire.Encode(r.enc[:0], t)
+	if err := r.cur.Reset(r.enc); err != nil {
+		panic(err)
+	}
+	r.buf = g.RowTargets(&r.cur, ntasks, rng, r.buf[:0])
+	return r.buf
 }
 
 // TemporalResult reports the §5 temporal-skew experiment.
@@ -97,13 +114,12 @@ func TemporalSkew(g dataflow.Grouping, keys, perKey, machines int, seed int64) T
 	rng := rand.New(rand.NewSource(seed))
 	total := make([]int, machines)
 	var burstSkews float64
-	var buf []int
+	var r router
 	for k := 0; k < keys; k++ {
 		burst := make([]int, machines)
 		for i := 0; i < perKey; i++ {
 			t := types.Tuple{types.Int(int64(k)), types.Int(int64(i))}
-			buf = g.Targets(t, machines, rng, buf[:0])
-			for _, m := range buf {
+			for _, m := range r.targets(g, t, machines, rng) {
 				burst[m]++
 				total[m]++
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"squall/internal/expr"
 	"squall/internal/types"
@@ -160,22 +161,21 @@ func (hc *Hypercube) extend(buf []int, d int, cs []int) []int {
 // dataflow.Grouping, which the engine's edges accept. It is declared here so
 // that the engine can import core for its live adaptive shapes.
 type Grouping interface {
-	Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int
+	RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int
 }
 
 // GroupingFor adapts the scheme to a stream grouping for relation rel's edge
 // into the joiner component, whose parallelism must be at least
-// hc.Machines(): routing reaches only the first Machines() tasks. The
-// grouping routes encoded rows too (dataflow.RowGrouping), whatever the
-// keys: plain column keys hash off the encoded fields, and a relation with
-// a computed key routes its decoded row through Targets.
+// hc.Machines(): routing reaches only the first Machines() tasks. Plain
+// column keys hash off the encoded fields; a relation with a computed key
+// evaluates it over the row decoded into pooled scratch.
 func (hc *Hypercube) GroupingFor(rel int) Grouping {
 	g := hcGrouping{hc: hc, rel: rel, cols: make([][]int, len(hc.Dims))}
 	for d := range hc.Dims {
 		for _, e := range hc.exprs[rel][d] {
 			c, ok := e.(expr.Col)
 			if !ok {
-				g.cols = nil
+				g.cols, g.scratch = nil, &sync.Pool{New: func() any { return new(types.Tuple) }}
 				return g
 			}
 			g.cols[d] = append(g.cols[d], c.Index)
@@ -184,39 +184,37 @@ func (hc *Hypercube) GroupingFor(rel int) Grouping {
 	return g
 }
 
-// hcGrouping routes one relation's tuples and rows into the hypercube.
+// hcGrouping routes one relation's rows into the hypercube.
 type hcGrouping struct {
 	hc  *Hypercube
 	rel int
 	// cols[dim] are the hash key columns (hash dims only); nil when a key
-	// is computed.
-	cols [][]int
+	// is computed. scratch then pools the decoded rows the keys evaluate
+	// over: producer tasks route through one grouping concurrently.
+	cols    [][]int
+	scratch *sync.Pool
 }
 
-func (g hcGrouping) Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int {
-	if ntasks < g.hc.mach {
-		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, g.hc.mach))
-	}
-	out, err := g.hc.Targets(g.rel, t, rng, buf)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// RowTargets routes an encoded row to the machines Targets picks for its
-// tuple, drawing the same random coordinates. Per hash dimension the
+// RowTargets routes an encoded row to the machines Hypercube.Targets picks
+// for its tuple, drawing the same random coordinates. Per hash dimension the
 // coordinate comes from wire.Cursor.ValueHash on the key column — the
 // types.Value.Hash Targets computes. A computed key is evaluated over the
 // decoded row; one that fails to evaluate panics, naming the key and the
 // relation.
 func (g hcGrouping) RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
-	if g.cols == nil {
-		return g.Targets(cur.Tuple(nil), ntasks, rng, buf)
-	}
 	hc := g.hc
 	if ntasks < hc.mach {
 		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, hc.mach))
+	}
+	if g.cols == nil {
+		tup := g.scratch.Get().(*types.Tuple)
+		*tup = cur.Tuple(*tup)
+		out, err := hc.Targets(g.rel, *tup, rng, buf)
+		g.scratch.Put(tup)
+		if err != nil {
+			panic(err)
+		}
+		return out
 	}
 	buf = append(buf[:0], 0)
 	for d := range hc.Dims {

@@ -70,8 +70,14 @@ func TestOneBucketGeometry(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 50; i++ {
-		r := hc.GroupingFor(0).Targets(nil, 8, rng, nil)
-		s := hc.GroupingFor(1).Targets(nil, 8, rng, nil)
+		r, err := hc.Targets(0, nil, rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := hc.Targets(1, nil, rng, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(r) != 2 || r[1] != r[0]+1 || r[0]%2 != 0 {
 			t.Fatalf("R targets %v are not one row of 2 cells", r)
 		}

@@ -35,19 +35,19 @@ func (b *pairBolt) side(stream string) int {
 	return 0
 }
 
-func (b *pairBolt) Execute(in Input, col *Collector) error {
+func (b *pairBolt) ExecuteRow(in RowInput, col *Collector) error {
 	b.seen++
 	if b.fail != nil && b.seen > b.failAfter {
 		return b.fail
 	}
 	side := b.side(in.Stream)
-	t := in.Tuple
+	t := in.Cur.Tuple(nil)
 	for _, o := range b.sides[1-side] {
 		pair := types.Tuple{t[0], o[0]}
 		if side == 1 {
 			pair = types.Tuple{o[0], t[0]}
 		}
-		if err := col.Emit(pair); err != nil {
+		if err := emit(col, pair); err != nil {
 			return err
 		}
 	}
@@ -101,13 +101,13 @@ func buildAdaptiveTopo(t *testing.T, nR, nS, par int, mk func() Bolt) (*Topology
 	g := NewGather()
 	hold := rHoldoff
 	topo, err := NewBuilder().
-		Spout("R", 1, GenSpout(nR, func(i int) types.Tuple {
+		Spout("R", 1, genRows(nR, func(i int) types.Tuple {
 			if i == 0 && hold > 0 {
 				time.Sleep(hold)
 			}
 			return types.Tuple{types.Int(int64(i))}
 		})).
-		Spout("S", 1, GenSpout(nS, func(i int) types.Tuple { return types.Tuple{types.Int(int64(1_000_000 + i))} })).
+		Spout("S", 1, genRows(nS, func(i int) types.Tuple { return types.Tuple{types.Int(int64(1_000_000 + i))} })).
 		Bolt("join", par, func(task, ntasks int) Bolt { return mk() }).
 		Bolt("sink", 1, g.Factory()).
 		Input("join", "R", Shuffle()).
@@ -382,24 +382,24 @@ func TestAdaptiveReshapeReroutesPendingRows(t *testing.T) {
 	for _, batch := range []int{1, 7, 64} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			h := newAdaptHarness(t, par, batch, [2]int{2, 2})
-			emit := func(from int) {
+			emitPhase := func(from int) {
 				for i := from; i < from+perPhase; i++ {
-					if err := h.r.Emit(types.Tuple{types.Int(int64(i))}); err != nil {
+					if err := emit(h.r, types.Tuple{types.Int(int64(i))}); err != nil {
 						t.Fatal(err)
 					}
-					if err := h.s.Emit(types.Tuple{types.Int(int64(1_000_000 + i))}); err != nil {
+					if err := emit(h.s, types.Tuple{types.Int(int64(1_000_000 + i))}); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
-			emit(0)
+			emitPhase(0)
 			before := cellsOf(t, h.drain())
 			pending := pendingRows(h.r) + pendingRows(h.s)
 			if batch > 1 && pending == 0 {
 				t.Fatal("no rows pending at the reshape; the test exercises nothing")
 			}
 			h.reshape(t, 4, 1)
-			emit(perPhase)
+			emitPhase(perPhase)
 			h.r.eos()
 			h.s.eos()
 			after := cellsOf(t, h.drain())
@@ -456,7 +456,7 @@ func TestAdaptiveFlushCopiesPerCell(t *testing.T) {
 	const k, batch = 4, 8
 	h := newAdaptHarness(t, k, batch, [2]int{1, k})
 	for i := 0; i < batch; i++ {
-		if err := h.r.Emit(types.Tuple{types.Int(int64(i)), types.Str("payload")}); err != nil {
+		if err := emit(h.r, types.Tuple{types.Int(int64(i)), types.Str("payload")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -46,10 +46,10 @@ func newOrderSink() *orderSink {
 
 func (s *orderSink) factory() BoltFactory {
 	return func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
+		return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
 			s.mu.Lock()
 			key := [2]interface{}{in.Stream, in.FromTask}
-			s.seqs[key] = append(s.seqs[key], in.Tuple[0].I)
+			s.seqs[key] = append(s.seqs[key], in.Cur.Tuple(nil)[0].I)
 			s.mu.Unlock()
 			return nil
 		}}
@@ -66,12 +66,12 @@ func TestEOSFlushesPartialBatches(t *testing.T) {
 	counter := func(int, int) Bolt {
 		n := int64(0)
 		return FuncBolt{
-			OnTuple:  func(Input, *Collector) error { n++; return nil },
-			OnFinish: func(out *Collector) error { return out.Emit(types.Tuple{types.Int(n)}) },
+			OnRow:    func(RowInput, *Collector) error { n++; return nil },
+			OnFinish: func(out *Collector) error { return emit(out, types.Tuple{types.Int(n)}) },
 		}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 2, SliceSpout(rows)).
+		Spout("src", 2, sliceRows(rows)).
 		Bolt("count", 2, counter).
 		Bolt("sink", 1, sink.Factory()).
 		Input("count", "src", Shuffle()).
@@ -100,7 +100,7 @@ func TestBatchSizeOnePreservesLegacySemantics(t *testing.T) {
 	const n = 500
 	sink := newOrderSink()
 	topo, _ := NewBuilder().
-		Spout("src", 3, GenSpout(n, func(i int) types.Tuple {
+		Spout("src", 3, genRows(n, func(i int) types.Tuple {
 			return types.Tuple{types.Int(int64(i))}
 		})).
 		Bolt("sink", 1, sink.factory()).
@@ -140,23 +140,23 @@ func TestBatchSizesProduceIdenticalOutput(t *testing.T) {
 		// mid tags each tuple with its own task; src origin is recoverable
 		// from the value (GenSpout strides: src task k generates i ≡ k mod 2).
 		fanout := func(task int, _ int) Bolt {
-			return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-				return out.Emit(types.Tuple{in.Tuple[0], types.Int(int64(task))})
+			return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+				return emit(out, types.Tuple{in.Cur.Tuple(nil)[0], types.Int(int64(task))})
 			}}
 		}
 		var mu sync.Mutex
 		seqs := make(map[[2]int64][]int64)
 		sink := func(int, int) Bolt {
-			return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
+			return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
 				mu.Lock()
-				key := [2]int64{in.Tuple[1].I, in.Tuple[0].I % 2}
-				seqs[key] = append(seqs[key], in.Tuple[0].I)
+				key := [2]int64{in.Cur.Tuple(nil)[1].I, in.Cur.Tuple(nil)[0].I % 2}
+				seqs[key] = append(seqs[key], in.Cur.Tuple(nil)[0].I)
 				mu.Unlock()
 				return nil
 			}}
 		}
 		topo, _ := NewBuilder().
-			Spout("src", 2, GenSpout(n, func(i int) types.Tuple {
+			Spout("src", 2, genRows(n, func(i int) types.Tuple {
 				return types.Tuple{types.Int(int64(i))}
 			})).
 			Bolt("mid", 3, fanout).
@@ -198,7 +198,7 @@ func TestAbortMidBatchDoesNotDeadlock(t *testing.T) {
 	boom := errors.New("boom")
 	factory := func(int, int) Bolt {
 		n := 0
-		return FuncBolt{OnTuple: func(Input, *Collector) error {
+		return FuncBolt{OnRow: func(RowInput, *Collector) error {
 			n++
 			if n == 100 {
 				return boom
@@ -207,7 +207,7 @@ func TestAbortMidBatchDoesNotDeadlock(t *testing.T) {
 		}}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 4, SliceSpout(rows)).
+		Spout("src", 4, sliceRows(rows)).
 		Bolt("b", 2, factory).
 		Input("b", "src", Shuffle()).
 		Build()
@@ -222,7 +222,7 @@ func TestAbortMidBatchDoesNotDeadlock(t *testing.T) {
 func TestMemoryOverflowFiresWithBatchesInFlight(t *testing.T) {
 	rows := intRows(20_000)
 	topo, _ := NewBuilder().
-		Spout("src", 2, SliceSpout(rows)).
+		Spout("src", 2, sliceRows(rows)).
 		Bolt("state", 1, func(int, int) Bolt { return &hog{} }).
 		Input("state", "src", Shuffle()).
 		Build()
@@ -242,9 +242,9 @@ func TestBatchedTransportStillCopies(t *testing.T) {
 	var mu sync.Mutex
 	var got []types.Tuple
 	factory := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
+		return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
 			mu.Lock()
-			got = append(got, in.Tuple)
+			got = append(got, in.Cur.Tuple(nil))
 			mu.Unlock()
 			return nil
 		}}
@@ -254,7 +254,7 @@ func TestBatchedTransportStillCopies(t *testing.T) {
 		src[i] = types.Tuple{types.Int(int64(i)), types.Str("payload")}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(src)).
+		Spout("src", 1, sliceRows(src)).
 		Bolt("a", 2, factory).
 		Input("a", "src", All()).
 		Build()
@@ -279,27 +279,28 @@ func TestBatchedTransportStillCopies(t *testing.T) {
 	}
 }
 
-// TestEmitFIFOAcrossEmitAndEmitRow: Emit and EmitRow feed the same
+// TestEmitFIFOAcrossRowBuffers: rows a bolt emits straight out of the
+// delivered frame and rows it encodes into its own scratch feed the same
 // per-(edge, target) frames, so a bolt that alternates them on one edge
 // still delivers its rows to every target in emission order — at one-row
 // frames and at full batches alike.
-func TestEmitFIFOAcrossEmitAndEmitRow(t *testing.T) {
+func TestEmitFIFOAcrossRowBuffers(t *testing.T) {
 	const n = 1000
 	for _, batch := range []int{1, 64} {
 		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
 			sink := newOrderSink()
 			mixer := func(int, int) Bolt {
 				var enc []byte
-				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-					if in.Tuple[0].I%2 == 0 {
-						return out.Emit(in.Tuple)
+				return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+					if v, _ := in.Cur.Int(0); v%2 == 0 {
+						return out.EmitRow(in.Row)
 					}
-					enc = wire.Encode(enc[:0], in.Tuple)
+					enc = wire.Encode(enc[:0], in.Cur.Tuple(nil))
 					return out.EmitRow(enc)
 				}}
 			}
 			topo, err := NewBuilder().
-				Spout("src", 1, GenSpout(n, func(i int) types.Tuple {
+				Spout("src", 1, genRows(n, func(i int) types.Tuple {
 					return types.Tuple{types.Int(int64(i))}
 				})).
 				Bolt("mix", 1, mixer).

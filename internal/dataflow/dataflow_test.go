@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 func intRows(n int) []types.Tuple {
@@ -28,39 +29,39 @@ func TestBuilderValidation(t *testing.T) {
 		}},
 		{"duplicate name", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
-				Spout("a", 1, SliceSpout(nil)).Build()
+				Spout("a", 1, sliceRows(nil)).
+				Spout("a", 1, sliceRows(nil)).Build()
 		}},
 		{"zero parallelism", func() (*Topology, error) {
-			return NewBuilder().Spout("a", 0, SliceSpout(nil)).Build()
+			return NewBuilder().Spout("a", 0, sliceRows(nil)).Build()
 		}},
 		{"bolt without input", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
+				Spout("a", 1, sliceRows(nil)).
 				Bolt("b", 1, func(int, int) Bolt { return FuncBolt{} }).Build()
 		}},
 		{"input to spout", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
-				Spout("b", 1, SliceSpout(nil)).
+				Spout("a", 1, sliceRows(nil)).
+				Spout("b", 1, sliceRows(nil)).
 				Input("a", "b", Shuffle()).Build()
 		}},
 		{"unknown source", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
+				Spout("a", 1, sliceRows(nil)).
 				Bolt("b", 1, func(int, int) Bolt { return FuncBolt{} }).
 				Input("b", "zzz", Shuffle()).Build()
 		}},
 		{"duplicate edge", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
+				Spout("a", 1, sliceRows(nil)).
 				Bolt("b", 1, func(int, int) Bolt { return FuncBolt{} }).
 				Input("b", "a", Shuffle()).
 				Input("b", "a", Shuffle()).Build()
 		}},
 		{"nil grouping", func() (*Topology, error) {
 			return NewBuilder().
-				Spout("a", 1, SliceSpout(nil)).
+				Spout("a", 1, sliceRows(nil)).
 				Bolt("b", 1, func(int, int) Bolt { return FuncBolt{} }).
 				Input("b", "a", nil).Build()
 		}},
@@ -74,10 +75,10 @@ func TestBuilderValidation(t *testing.T) {
 
 func TestCycleDetection(t *testing.T) {
 	pass := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, out *Collector) error { return out.Emit(in.Tuple) }}
+		return FuncBolt{OnRow: func(in RowInput, out *Collector) error { return out.EmitRow(in.Row) }}
 	}
 	_, err := NewBuilder().
-		Spout("src", 1, SliceSpout(nil)).
+		Spout("src", 1, sliceRows(nil)).
 		Bolt("x", 1, pass).
 		Bolt("y", 1, pass).
 		Input("x", "src", Shuffle()).
@@ -93,12 +94,12 @@ func TestLinearPipelineDeliversAll(t *testing.T) {
 	rows := intRows(1000)
 	sink := NewGather()
 	double := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-			return out.Emit(types.Tuple{types.Int(in.Tuple[0].I * 2)})
+		return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+			return emit(out, types.Tuple{types.Int(in.Cur.Tuple(nil)[0].I * 2)})
 		}}
 	}
 	topo, err := NewBuilder().
-		Spout("src", 3, SliceSpout(rows)).
+		Spout("src", 3, sliceRows(rows)).
 		Bolt("double", 4, double).
 		Bolt("sink", 1, sink.Factory()).
 		Input("double", "src", Shuffle()).
@@ -135,13 +136,13 @@ func TestFieldsGroupingCoLocatesKeys(t *testing.T) {
 		seen[i] = map[int64]bool{}
 	}
 	factory := func(task, _ int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
-			seen[task][in.Tuple[1].I] = true // single-threaded per task
+		return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
+			seen[task][in.Cur.Tuple(nil)[1].I] = true // single-threaded per task
 			return nil
 		}}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 2, SliceSpout(rows)).
+		Spout("src", 2, sliceRows(rows)).
 		Bolt("agg", 4, factory).
 		Input("agg", "src", Fields(1)).
 		Build()
@@ -166,7 +167,7 @@ func TestAllGroupingBroadcasts(t *testing.T) {
 	rows := intRows(100)
 	sink := NewGather()
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(rows)).
+		Spout("src", 1, sliceRows(rows)).
 		Bolt("sink", 5, sink.Factory()).
 		Input("sink", "src", All()).
 		Build()
@@ -186,7 +187,7 @@ func TestShuffleIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) int64 {
 		rows := intRows(300)
 		topo, _ := NewBuilder().
-			Spout("src", 1, SliceSpout(rows)).
+			Spout("src", 1, sliceRows(rows)).
 			Bolt("b", 4, func(int, int) Bolt { return FuncBolt{} }).
 			Input("b", "src", Shuffle()).
 			Build()
@@ -206,7 +207,7 @@ func TestBoltErrorAbortsRun(t *testing.T) {
 	boom := errors.New("boom")
 	factory := func(int, int) Bolt {
 		n := 0
-		return FuncBolt{OnTuple: func(Input, *Collector) error {
+		return FuncBolt{OnRow: func(RowInput, *Collector) error {
 			n++
 			if n == 50 {
 				return boom
@@ -215,7 +216,7 @@ func TestBoltErrorAbortsRun(t *testing.T) {
 		}}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 2, SliceSpout(rows)).
+		Spout("src", 2, sliceRows(rows)).
 		Bolt("b", 2, factory).
 		Input("b", "src", Shuffle()).
 		Build()
@@ -227,14 +228,14 @@ func TestBoltErrorAbortsRun(t *testing.T) {
 
 type hog struct{ sz int }
 
-func (h *hog) Execute(Input, *Collector) error { h.sz += 1 << 12; return nil }
-func (h *hog) Finish(*Collector) error         { return nil }
-func (h *hog) MemSize() int                    { return h.sz }
+func (h *hog) ExecuteRow(RowInput, *Collector) error { h.sz += 1 << 12; return nil }
+func (h *hog) Finish(*Collector) error               { return nil }
+func (h *hog) MemSize() int                          { return h.sz }
 
 func TestMemoryOverflowAborts(t *testing.T) {
 	rows := intRows(5000)
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(rows)).
+		Spout("src", 1, sliceRows(rows)).
 		Bolt("state", 1, func(int, int) Bolt { return &hog{} }).
 		Input("state", "src", Shuffle()).
 		Build()
@@ -256,12 +257,12 @@ func TestFinishRunsAfterAllEOS(t *testing.T) {
 	counter := func(int, int) Bolt {
 		n := int64(0)
 		return FuncBolt{
-			OnTuple:  func(Input, *Collector) error { n++; return nil },
-			OnFinish: func(out *Collector) error { return out.Emit(types.Tuple{types.Int(n)}) },
+			OnRow:    func(RowInput, *Collector) error { n++; return nil },
+			OnFinish: func(out *Collector) error { return emit(out, types.Tuple{types.Int(n)}) },
 		}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 3, SliceSpout(rows)).
+		Spout("src", 3, sliceRows(rows)).
 		Bolt("count", 2, counter).
 		Bolt("sink", 1, sink.Factory()).
 		Input("count", "src", Shuffle()).
@@ -284,13 +285,13 @@ func TestMultipleInputStreamsAndEOSFanIn(t *testing.T) {
 	b := intRows(70)
 	sink := NewGather()
 	tag := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-			return out.Emit(types.Tuple{types.Str(in.Stream)})
+		return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+			return emit(out, types.Tuple{types.Str(in.Stream)})
 		}}
 	}
 	topo, _ := NewBuilder().
-		Spout("A", 2, SliceSpout(a)).
-		Spout("B", 3, SliceSpout(b)).
+		Spout("A", 2, sliceRows(a)).
+		Spout("B", 3, sliceRows(b)).
 		Bolt("merge", 2, tag).
 		Bolt("sink", 1, sink.Factory()).
 		Input("merge", "A", Shuffle()).
@@ -313,13 +314,13 @@ func TestSerializationHopProducesFreshTuples(t *testing.T) {
 	rows := []types.Tuple{{types.Str("shared-backing")}}
 	var got types.Tuple
 	factory := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
-			got = in.Tuple
+		return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
+			got = in.Cur.Tuple(nil)
 			return nil
 		}}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(rows)).
+		Spout("src", 1, sliceRows(rows)).
 		Bolt("b", 1, factory).
 		Input("b", "src", Shuffle()).
 		Build()
@@ -348,8 +349,7 @@ func TestKeyMappedRoundRobinBalances(t *testing.T) {
 	g := RoundRobinKeyMap(keys, []int{0}, 8)
 	perTask := map[int]int{}
 	for i := 0; i < 15; i++ {
-		targets := g.Targets(types.Tuple{types.Int(int64(i))}, 8, nil, nil)
-		perTask[targets[0]]++
+		perTask[rowTargets(g, types.Tuple{types.Int(int64(i))}, 8)[0]]++
 	}
 	for task, n := range perTask {
 		if n > 2 {
@@ -360,7 +360,7 @@ func TestKeyMappedRoundRobinBalances(t *testing.T) {
 		t.Errorf("all 8 tasks must receive keys, got %d", len(perTask))
 	}
 	// Unknown keys fall back to hashing rather than dropping.
-	targets := g.Targets(types.Tuple{types.Int(999)}, 8, nil, nil)
+	targets := rowTargets(g, types.Tuple{types.Int(999)}, 8)
 	if len(targets) != 1 || targets[0] < 0 || targets[0] >= 8 {
 		t.Errorf("fallback target = %v", targets)
 	}
@@ -369,10 +369,10 @@ func TestKeyMappedRoundRobinBalances(t *testing.T) {
 func TestIntermediateNetworkFactor(t *testing.T) {
 	rows := intRows(100)
 	pass := func(int, int) Bolt {
-		return FuncBolt{OnTuple: func(in Input, out *Collector) error { return out.Emit(in.Tuple) }}
+		return FuncBolt{OnRow: func(in RowInput, out *Collector) error { return out.EmitRow(in.Row) }}
 	}
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(rows)).
+		Spout("src", 1, sliceRows(rows)).
 		Bolt("mid", 2, pass).
 		Bolt("out", 1, pass).
 		Input("mid", "src", Shuffle()).
@@ -391,14 +391,19 @@ func TestIntermediateNetworkFactor(t *testing.T) {
 	}
 }
 
+// badGrouping routes every row past the last task.
+type badGrouping struct{}
+
+func (badGrouping) RowTargets(_ *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
+	return append(buf, ntasks+5)
+}
+
 func TestGroupingBadTargetAborts(t *testing.T) {
 	rows := intRows(10)
 	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(rows)).
+		Spout("src", 1, sliceRows(rows)).
 		Bolt("b", 2, func(int, int) Bolt { return FuncBolt{} }).
-		Input("b", "src", GroupingFunc(func(_ types.Tuple, ntasks int, _ *rand.Rand, buf []int) []int {
-			return append(buf, ntasks+5)
-		})).
+		Input("b", "src", badGrouping{}).
 		Build()
 	_, err := Run(topo, Options{})
 	if err == nil || !strings.Contains(err.Error(), "chose task") {
@@ -406,33 +411,15 @@ func TestGroupingBadTargetAborts(t *testing.T) {
 	}
 }
 
-// finishOnly is a Bolt with no delivery face.
-type finishOnly struct{}
-
-func (finishOnly) Finish(*Collector) error { return nil }
-
-// TestBoltWithoutDeliveryFaceFails: a bolt that implements neither
-// ExecuteRow nor Execute cannot receive rows, and the run says so.
-func TestBoltWithoutDeliveryFaceFails(t *testing.T) {
-	topo, _ := NewBuilder().
-		Spout("src", 1, SliceSpout(intRows(10))).
-		Bolt("b", 1, func(int, int) Bolt { return finishOnly{} }).
-		Input("b", "src", Global()).
-		Build()
-	_, err := Run(topo, Options{})
-	if err == nil || !strings.Contains(err.Error(), "neither ExecuteRow nor Execute") {
-		t.Errorf("faceless bolt must fail the run: %v", err)
-	}
-}
-
 func ExampleRun() {
 	rows := []types.Tuple{{types.Int(1)}, {types.Int(2)}, {types.Int(3)}}
 	sum := int64(0)
 	topo, _ := NewBuilder().
-		Spout("numbers", 1, SliceSpout(rows)).
+		Spout("numbers", 1, sliceRows(rows)).
 		Bolt("sum", 1, func(int, int) Bolt {
-			return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
-				sum += in.Tuple[0].I
+			return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
+				v, _ := in.Cur.Int(0)
+				sum += v
 				return nil
 			}}
 		}).

@@ -13,7 +13,6 @@ import (
 
 	"squall/internal/core"
 	"squall/internal/slab"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
@@ -99,8 +98,8 @@ type Options struct {
 // restore traffic). Frames are the only data payload an edge carries.
 type envelope struct {
 	// frame is a wire batch frame (varint(count) + encoded rows) shipped
-	// without decoding; count is its row count. RowBolt consumers walk it
-	// with a cursor, everyone else receives its rows decoded.
+	// without decoding; count is its row count. The consuming bolt walks
+	// it with a cursor.
 	frame []byte
 	count int
 	// pframe, when non-nil, is the pool box the consumer refills with the
@@ -148,10 +147,9 @@ type rowBatch struct {
 
 // Collector routes a task's emitted rows to the downstream tasks chosen by
 // each outgoing edge's grouping, accumulating per-(edge, target) packed
-// frames that flush at Options.BatchSize and on EOS. Emit and EmitRow feed
-// the same buffers, so a task may mix them freely on one edge and every
-// target still sees its rows in emission order. One Collector belongs to one
-// task; it is not safe for concurrent use.
+// frames that flush at Options.BatchSize and on EOS; every target sees its
+// rows in emission order. One Collector belongs to one task; it is not safe
+// for concurrent use.
 type Collector struct {
 	ex        *execution
 	node      *node
@@ -161,19 +159,13 @@ type Collector struct {
 	batchSize int
 	tbuf      []int
 	// out[edge][target] accumulates encoded rows that flush as ready wire
-	// frames — rows cross the edge without ever being decoded. group and
-	// rowGroup are each edge's grouping and, when it routes packed rows, its
-	// RowGrouping (nil = the grouping needs a materialized tuple); rowCur/
-	// routeT are the per-emit cursor and the fallback-materialization
-	// scratch; enc is Emit's encode scratch; hdrRoom is the space reserved
-	// for the frame count varint.
-	out      [][]rowBatch
-	group    []Grouping
-	rowGroup []RowGrouping
-	rowCur   wire.Cursor
-	routeT   types.Tuple
-	enc      []byte
-	hdrRoom  int
+	// frames — rows cross the edge without ever being decoded. group is each
+	// edge's grouping, rowCur the per-emit cursor it routes through, and
+	// hdrRoom the space reserved for the frame count varint.
+	out     [][]rowBatch
+	group   []Grouping
+	rowCur  wire.Cursor
+	hdrRoom int
 	// liveRel[edge] is the relation an edge carries into the adaptive
 	// joiner, -1 on other edges; nil when this node has no adaptive edge.
 	// Such an edge routes and flushes only inside a gate session, through
@@ -274,7 +266,6 @@ func (c *Collector) reroute(hc *core.Hypercube) error {
 			continue
 		}
 		c.group[ei] = hc.GroupingFor(rel)
-		c.rowGroup[ei], _ = c.group[ei].(RowGrouping)
 		if old == nil {
 			continue
 		}
@@ -297,7 +288,7 @@ func (c *Collector) reroute(hc *core.Hypercube) error {
 			if err != nil {
 				return fmt.Errorf("pending row: %w", err)
 			}
-			if _, err := c.routeEdge(ei, pending[:n], nil, &cur); err != nil {
+			if err := c.routeEdge(ei, pending[:n], &cur); err != nil {
 				return err
 			}
 			pending = pending[n:]
@@ -306,26 +297,13 @@ func (c *Collector) reroute(hc *core.Hypercube) error {
 	return nil
 }
 
-// Emit ships t to all subscribed downstream components. The tuple is encoded
-// once, here, and travels as a packed row like every EmitRow row; the caller
-// may reuse it afterwards.
-func (c *Collector) Emit(t types.Tuple) error {
-	c.enc = wire.Encode(c.enc[:0], t)
-	return c.emit(c.enc, t)
-}
-
 // EmitRow ships one wire-encoded row to all subscribed downstream
 // components without materializing a tuple: routing reads the encoded
-// fields through a cursor (RowGrouping), and the row's bytes are appended
-// straight into per-(edge, target) frame buffers that flush as ready wire
-// frames. A row crossing N edges costs N memcpys, zero decodes and zero
-// re-encodes. The row is copied immediately, so the caller may reuse its
-// buffer.
-func (c *Collector) EmitRow(row []byte) error { return c.emit(row, nil) }
-
-// emit routes one encoded row. t, when non-nil, is the row's tuple, already
-// in hand: groupings route it with Targets instead of reading the cursor.
-func (c *Collector) emit(row []byte, t types.Tuple) error {
+// fields through a cursor, and the row's bytes are appended straight into
+// per-(edge, target) frame buffers that flush as ready wire frames. A row
+// crossing N edges costs N memcpys, zero decodes and zero re-encodes. The
+// row is copied immediately, so the caller may reuse its buffer.
+func (c *Collector) EmitRow(row []byte) error {
 	if c.held {
 		c.heldRows = append(c.heldRows, row...)
 		c.heldEnds = append(c.heldEnds, len(c.heldRows))
@@ -337,8 +315,7 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 	}
 	for ei := range c.node.outputs {
 		if c.liveRel == nil || c.liveRel[ei] < 0 {
-			var err error
-			if t, err = c.routeEdge(ei, row, t, &c.rowCur); err != nil {
+			if err := c.routeEdge(ei, row, &c.rowCur); err != nil {
 				return err
 			}
 			continue
@@ -350,7 +327,7 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 		if !c.gateEnter() {
 			return c.ex.abortErr()
 		}
-		_, err := c.routeEdge(ei, row, t, &c.rowCur)
+		err := c.routeEdge(ei, row, &c.rowCur)
 		c.gateExit()
 		if err != nil {
 			return err
@@ -359,27 +336,14 @@ func (c *Collector) emit(row []byte, t types.Tuple) error {
 	return nil
 }
 
-// routeEdge routes one row onto edge ei: cur views the row, and t, when
-// non-nil, is its tuple. It returns the tuple, materialized when the edge's
-// grouping needed one, so the next edge need not materialize it again.
-func (c *Collector) routeEdge(ei int, row []byte, t types.Tuple, cur *wire.Cursor) (types.Tuple, error) {
+// routeEdge routes one row, viewed by cur, onto edge ei.
+func (c *Collector) routeEdge(ei int, row []byte, cur *wire.Cursor) error {
 	e := c.node.outputs[ei]
-	switch rg := c.rowGroup[ei]; {
-	case t != nil:
-		c.tbuf = c.group[ei].Targets(t, e.to.par, c.rng, c.tbuf[:0])
-	case rg != nil:
-		c.tbuf = rg.RowTargets(cur, e.to.par, c.rng, c.tbuf[:0])
-	default:
-		// The grouping has no packed path: materialize once into
-		// reusable scratch (groupings never retain the tuple).
-		c.routeT = cur.Tuple(c.routeT)
-		t = c.routeT
-		c.tbuf = c.group[ei].Targets(t, e.to.par, c.rng, c.tbuf[:0])
-	}
+	c.tbuf = c.group[ei].RowTargets(cur, e.to.par, c.rng, c.tbuf[:0])
 	full := false
 	for _, target := range c.tbuf {
 		if target < 0 || target >= e.to.par {
-			return t, fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
+			return fmt.Errorf("dataflow: grouping on edge %s->%s chose task %d of %d", e.from.name, e.to.name, target, e.to.par)
 		}
 		if c.appendRow(&c.out[ei][target], row) {
 			full = true
@@ -389,7 +353,7 @@ func (c *Collector) routeEdge(ei int, row []byte, t types.Tuple, cur *wire.Curso
 		c.recShared[ei] = true
 	}
 	if !full {
-		return t, nil
+		return nil
 	}
 	if c.recTracked != nil && c.recTracked[ei] && c.recShared[ei] {
 		// A replicated row is pending somewhere on this edge: flush every
@@ -405,16 +369,16 @@ func (c *Collector) routeEdge(ei int, row []byte, t types.Tuple, cur *wire.Curso
 		// the hot path, and the conservative whole-edge flush is already
 		// priced into the recovered-run overhead
 		// BenchmarkSection5_Recovery reports.
-		return t, c.flushEdge(ei)
+		return c.flushEdge(ei)
 	}
 	for _, target := range c.tbuf {
 		if c.out[ei][target].count >= c.batchSize {
 			if err := c.flushRow(ei, target); err != nil {
-				return t, err
+				return err
 			}
 		}
 	}
-	return t, nil
+	return nil
 }
 
 // appendRow adds one encoded row to a pending frame, taking a buffer from
@@ -964,11 +928,9 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 func (ex *execution) collector(n *node, task int) *Collector {
 	out := make([][]rowBatch, len(n.outputs))
 	group := make([]Grouping, len(n.outputs))
-	rowGroup := make([]RowGrouping, len(n.outputs))
 	for i, e := range n.outputs {
 		out[i] = make([]rowBatch, e.to.par)
 		group[i] = e.grouping
-		rowGroup[i], _ = e.grouping.(RowGrouping)
 	}
 	hdrRoom := 1
 	for v := uint64(ex.opts.BatchSize); v >= 0x80; v >>= 7 {
@@ -1003,7 +965,6 @@ func (ex *execution) collector(n *node, task int) *Collector {
 		batchSize:  ex.opts.BatchSize,
 		out:        out,
 		group:      group,
-		rowGroup:   rowGroup,
 		hdrRoom:    hdrRoom,
 		liveRel:    liveRel,
 		recTracked: recTracked,
@@ -1025,30 +986,12 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, &panicFault{val: r, stack: debug.Stack()}))
 		}
 	}()
-	// Packed sources (RowSpout) hand the executor wire-encoded rows: one
-	// encode at the source, then routing, transport and state inserts all
-	// work on the bytes. Tuple spouts are encoded once, by Emit. step emits
-	// the next row either way and reports false once the source is drained.
-	sp := n.spout(task, n.par)
-	step := func() (bool, error) {
-		t, ok := sp.Next()
-		if !ok {
-			return false, nil
-		}
-		return true, col.Emit(t)
-	}
-	if rsp, ok := sp.(RowSpout); ok {
-		step = func() (bool, error) {
-			row, ok := rsp.NextRow()
-			if !ok {
-				return false, nil
-			}
-			return true, col.EmitRow(row)
-		}
-	}
-	// The abort poll is amortized to once per batch; flushes inside the
-	// emit observe aborts anyway, so a stuck downstream never wedges the
+	// The source hands the executor wire-encoded rows: one encode at the
+	// source, then routing, transport and state inserts all work on the
+	// bytes. The abort poll is amortized to once per batch; flushes inside
+	// the emit observe aborts anyway, so a stuck downstream never wedges the
 	// spout.
+	sp := n.spout(task, n.par)
 	for i := 0; ; i++ {
 		if i%col.batchSize == 0 {
 			select {
@@ -1058,12 +1001,12 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 			}
 			ex.spoutThrottle()
 		}
-		more, err := step()
-		if err != nil {
-			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, err))
+		row, ok := sp.NextRow()
+		if !ok {
 			return
 		}
-		if !more {
+		if err := col.EmitRow(row); err != nil {
+			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, err))
 			return
 		}
 	}

@@ -7,45 +7,29 @@ import (
 	"squall/internal/wire"
 )
 
-// Grouping decides, for each tuple crossing an edge, which tasks of the
+// Grouping decides, for each row crossing an edge, which tasks of the
 // downstream component receive it. It is Storm's stream grouping (§2): hash
-// ("fields"), shuffle, all (broadcast) and custom groupings are provided;
-// the hypercube partitioning schemes in internal/core implement this
-// interface as custom groupings.
+// ("fields"), shuffle, broadcast and custom groupings are provided; the
+// hypercube partitioning schemes in internal/core implement this interface
+// as custom groupings.
 //
-// Targets appends destination task indexes (in [0, ntasks)) to buf and
-// returns it; implementations may be called concurrently from different
-// producer tasks, but always with that task's private rng and buf.
+// RowTargets reads the row through cur, appends destination task indexes
+// (in [0, ntasks)) to buf and returns it; implementations may be called
+// concurrently from different producer tasks, but always with that task's
+// private rng and buf.
 type Grouping interface {
-	Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int
-}
-
-// RowGrouping is optionally implemented by groupings that can route a
-// wire-encoded row through a Cursor without materializing the tuple — the
-// packed execution path (PR 5). RowTargets must agree exactly with Targets
-// on the decoded tuple; Collector.EmitRow materializes and falls back to
-// Targets for groupings that lack it.
-type RowGrouping interface {
 	RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int
 }
 
-// GroupingFunc adapts a function to the Grouping interface.
-type GroupingFunc func(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int
+// RowGrouping is an alias of Grouping, kept because bench/replay.go asserts
+// it; ROADMAP item 20 deletes the replay.
+type RowGrouping = Grouping
 
-// Targets calls the function.
-func (f GroupingFunc) Targets(t types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int {
-	return f(t, ntasks, rng, buf)
-}
-
-// Shuffle distributes tuples uniformly at random: the content-insensitive
+// Shuffle distributes rows uniformly at random: the content-insensitive
 // grouping, resilient to data and temporal skew (§5).
 func Shuffle() Grouping { return shuffleGrouping{} }
 
 type shuffleGrouping struct{}
-
-func (shuffleGrouping) Targets(_ types.Tuple, ntasks int, rng *rand.Rand, buf []int) []int {
-	return append(buf, rng.Intn(ntasks))
-}
 
 func (shuffleGrouping) RowTargets(_ *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
 	return append(buf, rng.Intn(ntasks))
@@ -57,31 +41,19 @@ func Fields(cols ...int) Grouping { return fieldsGrouping{cols: cols} }
 
 type fieldsGrouping struct{ cols []int }
 
-func (g fieldsGrouping) Targets(t types.Tuple, ntasks int, _ *rand.Rand, buf []int) []int {
-	return append(buf, int(t.Hash(g.cols...)%uint64(ntasks)))
-}
-
 // RowTargets hashes the encoded fields in place; wire.Cursor.Hash matches
-// types.Tuple.Hash, so packed and boxed rows land on the same task.
+// types.Tuple.Hash.
 func (g fieldsGrouping) RowTargets(cur *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
 	return append(buf, int(cur.Hash(g.cols...)%uint64(ntasks)))
 }
 
-// All broadcasts every tuple to every task (dimension-table replication in
+// All broadcasts every row to every task (dimension-table replication in
 // the star-schema special case, §3.2).
 func All() Grouping { return allGrouping{} }
 
 type allGrouping struct{}
 
-func (allGrouping) Targets(_ types.Tuple, ntasks int, _ *rand.Rand, buf []int) []int {
-	return allTargets(ntasks, buf)
-}
-
 func (allGrouping) RowTargets(_ *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
-	return allTargets(ntasks, buf)
-}
-
-func allTargets(ntasks int, buf []int) []int {
 	for i := 0; i < ntasks; i++ {
 		buf = append(buf, i)
 	}
@@ -92,10 +64,6 @@ func allTargets(ntasks int, buf []int) []int {
 func Global() Grouping { return globalGrouping{} }
 
 type globalGrouping struct{}
-
-func (globalGrouping) Targets(_ types.Tuple, _ int, _ *rand.Rand, buf []int) []int {
-	return append(buf, 0)
-}
 
 func (globalGrouping) RowTargets(_ *wire.Cursor, _ int, _ *rand.Rand, buf []int) []int {
 	return append(buf, 0)
@@ -121,22 +89,10 @@ func RoundRobinKeyMap(keys []types.Tuple, cols []int, ntasks int) *KeyMapped {
 	return &KeyMapped{Cols: cols, M: m}
 }
 
-// Targets looks up the precomputed assignment. The probe key is rendered
-// into a stack scratch and looked up via the compiler's alloc-free
-// map[string(bytes)] form, so the per-tuple-per-edge string allocation the
-// old t.Key call paid is gone (keys longer than the scratch spill and
-// allocate, which round-robin key domains never do).
-func (k *KeyMapped) Targets(t types.Tuple, ntasks int, _ *rand.Rand, buf []int) []int {
-	var scratch [64]byte
-	key := t.AppendKey(scratch[:0], k.Cols...)
-	if task, ok := k.M[string(key)]; ok && task < ntasks {
-		return append(buf, task)
-	}
-	return append(buf, int(t.Hash(k.Cols...)%uint64(ntasks)))
-}
-
-// RowTargets is the packed probe: the canonical key bytes come straight off
-// the encoded row.
+// RowTargets looks up the precomputed assignment. The canonical key bytes
+// come straight off the encoded row into a stack scratch and are looked up
+// via the compiler's alloc-free map[string(bytes)] form (keys longer than
+// the scratch spill and allocate, which round-robin key domains never do).
 func (k *KeyMapped) RowTargets(cur *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
 	var scratch [64]byte
 	key := cur.AppendKey(scratch[:0], k.Cols...)

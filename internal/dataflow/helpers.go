@@ -1,14 +1,9 @@
 package dataflow
 
-import (
-	"sort"
-	"sync"
-
-	"squall/internal/types"
-)
+import "squall/internal/types"
 
 // SliceSpout replays a fixed tuple slice, partitioned evenly across the
-// spout's tasks. Useful in tests and examples.
+// source's tasks. Useful in tests and examples.
 func SliceSpout(rows []types.Tuple) SpoutFactory {
 	return func(task, ntasks int) Spout {
 		return &sliceSpout{rows: rows, pos: task, stride: ntasks}
@@ -52,69 +47,4 @@ func (g *genSpout) Next() (types.Tuple, bool) {
 	t := g.gen(g.pos)
 	g.pos += g.stride
 	return t, true
-}
-
-// Gather collects every tuple reaching any task of a sink component. All
-// tasks append into one mutex-guarded buffer; read Rows after Run returns.
-type Gather struct {
-	mu   sync.Mutex
-	rows []types.Tuple
-}
-
-// NewGather returns an empty result gatherer.
-func NewGather() *Gather { return &Gather{} }
-
-// Factory returns the BoltFactory registering tuples into the gatherer.
-func (g *Gather) Factory() BoltFactory {
-	return func(task, ntasks int) Bolt { return gatherBolt{g} }
-}
-
-type gatherBolt struct{ g *Gather }
-
-func (b gatherBolt) Execute(in Input, _ *Collector) error {
-	b.g.mu.Lock()
-	b.g.rows = append(b.g.rows, in.Tuple)
-	b.g.mu.Unlock()
-	return nil
-}
-
-func (b gatherBolt) Finish(*Collector) error { return nil }
-
-// Rows returns the collected tuples (unordered).
-func (g *Gather) Rows() []types.Tuple {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make([]types.Tuple, len(g.rows))
-	copy(out, g.rows)
-	return out
-}
-
-// SortedRows returns the collected tuples in lexicographic order, for
-// deterministic assertions.
-func (g *Gather) SortedRows() []types.Tuple {
-	rows := g.Rows()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
-	return rows
-}
-
-// FuncBolt adapts plain functions to the Bolt interface. Finish may be nil.
-type FuncBolt struct {
-	OnTuple  func(in Input, out *Collector) error
-	OnFinish func(out *Collector) error
-}
-
-// Execute calls OnTuple.
-func (f FuncBolt) Execute(in Input, out *Collector) error {
-	if f.OnTuple == nil {
-		return nil
-	}
-	return f.OnTuple(in, out)
-}
-
-// Finish calls OnFinish when set.
-func (f FuncBolt) Finish(out *Collector) error {
-	if f.OnFinish == nil {
-		return nil
-	}
-	return f.OnFinish(out)
 }

@@ -146,10 +146,10 @@ func TestNetLinearPipeline(t *testing.T) {
 	build := func() (*Topology, *Gather) {
 		g := NewGather()
 		topo, err := NewBuilder().
-			Spout("src", 3, SliceSpout(intRows(rows))).
+			Spout("src", 3, sliceRows(intRows(rows))).
 			Bolt("double", 4, func(int, int) Bolt {
-				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-					return out.Emit(append(types.Tuple{}, in.Tuple...))
+				return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+					return emit(out, append(types.Tuple{}, in.Cur.Tuple(nil)...))
 				}}
 			}).
 			Bolt("sink", 1, g.Factory()).
@@ -203,8 +203,8 @@ func buildNetRecTopo(t *testing.T, nR, nS, par int) func() (*Topology, *Gather) 
 	rRows, sRows := recWorkload(nR, nS)
 	return func() (*Topology, *Gather) {
 		b := NewBuilder()
-		b.Spout("R", 1, SliceSpout(rRows))
-		b.Spout("S", 1, SliceSpout(sRows))
+		b.Spout("R", 1, sliceRows(rRows))
+		b.Spout("S", 1, sliceRows(sRows))
 		b.Bolt("join", par, func(int, int) Bolt { return &crossJoin{} })
 		g := NewGather()
 		b.Bolt("sink", 1, g.Factory())
@@ -292,8 +292,8 @@ func TestNetRecoveryRemotePanic(t *testing.T) {
 	buildPanic := func() (*Topology, *Gather) {
 		rRows, sRows := recWorkload(nR, nS)
 		b := NewBuilder()
-		b.Spout("R", 1, SliceSpout(rRows))
-		b.Spout("S", 1, SliceSpout(sRows))
+		b.Spout("R", 1, sliceRows(rRows))
+		b.Spout("S", 1, sliceRows(sRows))
 		b.Bolt("join", par, func(task, _ int) Bolt {
 			if task == 2 {
 				return &panicJoin{task: task, armed: armed, after: 40}
@@ -391,7 +391,7 @@ func TestNetWorkerLoss(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		g := NewGather()
 		topo, err := NewBuilder().
-			Spout("src", 2, GenSpout(100_000, func(i int) types.Tuple {
+			Spout("src", 2, genRows(100_000, func(i int) types.Tuple {
 				if i < 200 {
 					time.Sleep(time.Millisecond)
 				}
@@ -470,7 +470,7 @@ func TestNetRetiredSingleKindFails(t *testing.T) {
 				defer plane.Shutdown()
 				g := NewGather()
 				topo, err := NewBuilder().
-					Spout("src", 1, GenSpout(5000, func(i int) types.Tuple {
+					Spout("src", 1, genRows(5000, func(i int) types.Tuple {
 						time.Sleep(time.Millisecond) // keep the run open for the peer
 						return types.Tuple{types.Int(int64(i))}
 					})).
@@ -587,7 +587,7 @@ func TestNetAbortClassifiesSocketErrors(t *testing.T) {
 	build := func() (*Topology, *Gather) {
 		g := NewGather()
 		topo, err := NewBuilder().
-			Spout("src", 1, GenSpout(100, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i))} })).
+			Spout("src", 1, genRows(100, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i))} })).
 			Bolt("mid", 1, func(int, int) Bolt { return &pairBolt{fail: closed} }).
 			Bolt("sink", 1, g.Factory()).
 			Input("mid", "src", Shuffle()).

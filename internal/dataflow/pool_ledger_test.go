@@ -31,7 +31,7 @@ func ledgerTopo(t *testing.T, rows []types.Tuple, mid BoltFactory) (*Topology, *
 	t.Helper()
 	g := NewGather()
 	topo, err := NewBuilder().
-		Spout("src", 3, SliceSpout(rows)).
+		Spout("src", 3, sliceRows(rows)).
 		Bolt("double", 4, mid).
 		Bolt("sink", 1, g.Factory()).
 		Input("double", "src", Shuffle()).
@@ -44,8 +44,8 @@ func ledgerTopo(t *testing.T, rows []types.Tuple, mid BoltFactory) (*Topology, *
 }
 
 func passBolt(int, int) Bolt {
-	return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-		return out.Emit(in.Tuple)
+	return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+		return out.EmitRow(in.Row)
 	}}
 }
 
@@ -117,12 +117,12 @@ func TestPoolLedgerAbortPaths(t *testing.T) {
 			opts: Options{Seed: 1},
 			mid: func(task, _ int) Bolt {
 				n := 0
-				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
+				return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
 					n++
 					if task == 1 && n > 40 {
 						return boom
 					}
-					return out.Emit(in.Tuple)
+					return out.EmitRow(in.Row)
 				}}
 			},
 			wantErr: "boom",
@@ -132,12 +132,12 @@ func TestPoolLedgerAbortPaths(t *testing.T) {
 			opts: Options{Seed: 1},
 			mid: func(task, _ int) Bolt {
 				n := 0
-				return FuncBolt{OnTuple: func(in Input, out *Collector) error {
+				return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
 					n++
 					if task == 0 && n > 30 {
 						panic("ledger-panic")
 					}
-					return out.Emit(in.Tuple)
+					return out.EmitRow(in.Row)
 				}}
 			},
 			wantErr: "ledger-panic",
@@ -170,8 +170,8 @@ func TestPoolLedgerAbortPaths(t *testing.T) {
 // MemLimitPerTask.
 type hoardBolt struct{ rows []types.Tuple }
 
-func (h *hoardBolt) Execute(in Input, _ *Collector) error {
-	h.rows = append(h.rows, in.Tuple)
+func (h *hoardBolt) ExecuteRow(in RowInput, _ *Collector) error {
+	h.rows = append(h.rows, in.Cur.Tuple(nil))
 	return nil
 }
 func (h *hoardBolt) Finish(*Collector) error { return nil }
@@ -197,20 +197,19 @@ func TestPoolLedgerRecoveryRun(t *testing.T) {
 }
 
 // TestBatchSizeOneAllocsPerTuple: one-row batches ride the ordinary pooled
-// batch path, so once the pools are warm a tuple costs at most its decoded
-// copy beyond what a full batch costs per tuple — no per-tuple batch slice,
-// envelope box or frame buffer — and every box taken goes back to the
-// pools. A full batch costs well under one allocation per tuple: the tuple
-// face carves decoded tuples out of shared value chunks.
+// batch path, so once the pools are warm a tuple costs no more than a full
+// batch costs per tuple — no per-tuple batch slice, envelope box or frame
+// buffer — and every box taken goes back to the pools. Rows are read in
+// place, so either costs well under one allocation per tuple.
 func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
 	const n = 20_000
 	rows := intRows(n)
 	run := func(batch int) {
 		var got int
 		topo, err := NewBuilder().
-			Spout("src", 1, SliceSpout(rows)).
+			Spout("src", 1, sliceRows(rows)).
 			Bolt("sink", 1, func(int, int) Bolt {
-				return FuncBolt{OnTuple: func(Input, *Collector) error { got++; return nil }}
+				return FuncBolt{OnRow: func(RowInput, *Collector) error { got++; return nil }}
 			}).
 			Input("sink", "src", Global()).
 			Build()
@@ -238,8 +237,8 @@ func TestBatchSizeOneAllocsPerTuple(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	if one-full > 1.25 {
-		t.Errorf("batch=1 allocates %.2f objects per tuple beyond a full batch's %.2f; want at most the decoded copy", one-full, full)
+	if one-full > 0.1 {
+		t.Errorf("batch=1 allocates %.2f objects per tuple beyond a full batch's %.2f; one-row frames are pooled, so want at most 0.1", one-full, full)
 	}
 	if full > 0.1 {
 		t.Errorf("batch=%d allocates %.3f objects per tuple; want at most 0.1", DefaultBatchSize, full)
@@ -274,10 +273,10 @@ func TestSpoutPanicFailsRun(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	startPoolLedger()
 	topo, err := NewBuilder().
-		Spout("R", 1, SliceSpout(r)).
-		Spout("S", 1, func(int, int) Spout { return &gatedSpout{wait: rDone, rows: s} }).
+		Spout("R", 1, sliceRows(r)).
+		Spout("S", 1, encoded(func(int, int) Spout { return &gatedSpout{wait: rDone, rows: s} })).
 		Bolt("join", hc.Machines(), func(int, int) Bolt {
-			return FuncBolt{OnTuple: func(in Input, _ *Collector) error {
+			return FuncBolt{OnRow: func(in RowInput, _ *Collector) error {
 				if in.Stream == "R" && gotR.Add(1) == int64(len(r)) {
 					close(rDone)
 				}

@@ -34,14 +34,19 @@ func relOfStream(stream string) int {
 	return 1
 }
 
-func (j *crossJoin) Execute(in Input, out *Collector) error {
-	rel := relOfStream(in.Stream)
+func (j *crossJoin) ExecuteRow(in RowInput, out *Collector) error {
+	return j.execute(relOfStream(in.Stream), in.Cur.Tuple(nil), out)
+}
+
+// execute pairs arrival t of relation rel with the other relation's stored
+// tuples, then stores it.
+func (j *crossJoin) execute(rel int, t types.Tuple, out *Collector) error {
 	for _, other := range j.rels[1-rel] {
-		if err := out.Emit(pairOf(rel, in.Tuple, other)); err != nil {
+		if err := emit(out, pairOf(rel, t, other)); err != nil {
 			return err
 		}
 	}
-	j.rels[rel] = append(j.rels[rel], in.Tuple)
+	j.rels[rel] = append(j.rels[rel], t)
 	return nil
 }
 
@@ -97,8 +102,8 @@ func recWorkload(nR, nS int) ([]types.Tuple, []types.Tuple) {
 func runRecTopology(t *testing.T, rRows, sRows []types.Tuple, par int, pol *RecoveryPolicy, boltOf func(task, ntasks int) Bolt, opts Options) (map[string]int, *RunMetrics) {
 	t.Helper()
 	b := NewBuilder()
-	b.Spout("R", 1, SliceSpout(rRows))
-	b.Spout("S", 1, SliceSpout(sRows))
+	b.Spout("R", 1, sliceRows(rRows))
+	b.Spout("S", 1, sliceRows(sRows))
 	if boltOf == nil {
 		boltOf = func(task, ntasks int) Bolt { return &crossJoin{} }
 	}
@@ -260,7 +265,7 @@ func TestKillAtStreamEnd(t *testing.T) {
 	diffBags(t, want, got)
 }
 
-// panicJoin wraps crossJoin with a one-shot panic at the Nth Execute of one
+// panicJoin wraps crossJoin with a one-shot panic at the Nth ExecuteRow of one
 // task, before the envelope is touched — the captured-panic recovery path.
 type panicJoin struct {
 	crossJoin
@@ -270,15 +275,15 @@ type panicJoin struct {
 	applied int
 }
 
-func (j *panicJoin) Execute(in Input, out *Collector) error {
+func (j *panicJoin) ExecuteRow(in RowInput, out *Collector) error {
 	j.applied++
 	if j.applied == j.after && j.armed.CompareAndSwap(true, false) {
 		panic(fmt.Sprintf("injected panic at tuple %d of task %d", j.applied, j.task))
 	}
-	return j.crossJoin.Execute(in, out)
+	return j.crossJoin.ExecuteRow(in, out)
 }
 
-// TestPanicCaptureRecovery: a panic inside Execute converts into a
+// TestPanicCaptureRecovery: a panic inside ExecuteRow converts into a
 // checkpoint-route recovery and the poisoned tuple is reprocessed exactly
 // once.
 func TestPanicCaptureRecovery(t *testing.T) {
@@ -307,7 +312,7 @@ func TestPanicCaptureRecovery(t *testing.T) {
 	diffBags(t, want, got)
 }
 
-// midEmitPanicJoin is crossJoin's row face that panics once, at its Nth
+// midEmitPanicJoin is a crossJoin that panics once, at its Nth
 // row or later, on a row that is not the first of its frame, after emitting
 // the first of the arrival's pairs — as a packed join does when a probe
 // faults a corrupt spilled segment in after some matches went out. log
@@ -336,7 +341,7 @@ func (j *midEmitPanicJoin) ExecuteRow(in RowInput, out *Collector) error {
 	rel := relOfStream(in.Stream)
 	if len(j.frame) > 1 && j.applied >= j.after && len(j.rels[1-rel]) > 1 && j.armed.CompareAndSwap(true, false) {
 		j.log.poisoned = append([]string(nil), j.frame...)
-		if err := out.Emit(pairOf(rel, tu, j.rels[1-rel][0])); err != nil {
+		if err := emit(out, pairOf(rel, tu, j.rels[1-rel][0])); err != nil {
 			return err
 		}
 		panic("injected panic after a partial emission")
@@ -344,7 +349,7 @@ func (j *midEmitPanicJoin) ExecuteRow(in RowInput, out *Collector) error {
 	if in.Last {
 		j.frame = j.frame[:0]
 	}
-	return j.crossJoin.Execute(Input{Stream: in.Stream, FromTask: in.FromTask, Tuple: tu}, out)
+	return j.crossJoin.execute(rel, tu, out)
 }
 
 func (j *midEmitPanicJoin) ImportRow(side int, row []byte, cur *wire.Cursor) error {
@@ -445,8 +450,8 @@ func TestKillTriggerPanicDoubleFault(t *testing.T) {
 func TestPanicWithoutRecoveryFails(t *testing.T) {
 	rRows, sRows := recWorkload(40, 80)
 	b := NewBuilder()
-	b.Spout("R", 1, SliceSpout(rRows))
-	b.Spout("S", 1, SliceSpout(sRows))
+	b.Spout("R", 1, sliceRows(rRows))
+	b.Spout("S", 1, sliceRows(sRows))
 	armed := &atomic.Bool{}
 	armed.Store(true)
 	b.Bolt("join", 2, func(task, ntasks int) Bolt {
@@ -540,8 +545,8 @@ func TestRestoreRejectsMalformedSegment(t *testing.T) {
 			rRows, sRows := recWorkload(120, 300)
 			const par = 3
 			b := NewBuilder()
-			b.Spout("R", 1, SliceSpout(rRows))
-			b.Spout("S", 1, SliceSpout(sRows))
+			b.Spout("R", 1, sliceRows(rRows))
+			b.Spout("S", 1, sliceRows(sRows))
 			b.Bolt("join", par, func(task, ntasks int) Bolt { return &crossJoin{} })
 			b.Bolt("sink", 1, NewGather().Factory())
 			b.Input("join", "R", All())

@@ -22,7 +22,7 @@ import (
 func newTrimFixture(t *testing.T) *recState {
 	t.Helper()
 	topo, err := NewBuilder().
-		Spout("R", 2, SliceSpout(nil)).
+		Spout("R", 2, sliceRows(nil)).
 		Bolt("join", 2, func(int, int) Bolt { return &crossJoin{} }).
 		Input("join", "R", Shuffle()).
 		Build()

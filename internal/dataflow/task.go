@@ -7,13 +7,13 @@ import (
 	"runtime/debug"
 	"sync"
 
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
 // boltTask is one running bolt task: its inbox loop and the state the
-// loop's handlers share. Every data row reaches the bolt through one face,
-// exec; control envelopes drive the recovery and migration state machines.
+// loop's handlers share. Every data row reaches the bolt through
+// ExecuteRow; control envelopes drive the recovery and migration state
+// machines.
 type boltTask struct {
 	ex    *execution
 	n     *node
@@ -24,14 +24,11 @@ type boltTask struct {
 	cur   wire.Cursor // deliver's row cursor
 
 	// bolt is the current instance, and the rest what instance resolved on
-	// it: exec delivers one row (ExecuteRow, or Execute over the decoded
-	// row), mem reports state size (nil when the bolt does not), and rep
+	// it: mem reports state size (nil when the bolt does not), and rep
 	// repartitions state (required on adaptive and protected tasks).
 	bolt Bolt
-	exec func(RowInput, *Collector) error
 	mem  MemReporter
 	rep  Repartitioner
-	dec  tupleDecoder
 
 	adaptHere bool        // the task is an adaptive joiner
 	rs        *recSession // non-nil on a recovery-protected task
@@ -79,24 +76,14 @@ func (t *boltTask) errf(format string, args ...any) error {
 }
 
 // instance builds a fresh bolt for the task, at start and after a fault
-// dropped the old one's state, and resolves its delivery function, state
-// reporter and Repartitioner. The bolt is never wrapped, so every optional
-// interface stays visible.
+// dropped the old one's state, and resolves its state reporter and
+// Repartitioner. The bolt is never wrapped, so every optional interface
+// stays visible.
 func (t *boltTask) instance() error {
 	if t.bolt != nil {
 		releaseState(t.bolt) // the replaced instance must not keep its gauge charges
 	}
 	t.bolt = t.n.bolt(t.task, t.n.par)
-	switch b := t.bolt.(type) {
-	case RowBolt:
-		t.exec = b.ExecuteRow
-	case TupleBolt:
-		t.exec = func(in RowInput, col *Collector) error {
-			return b.Execute(Input{Stream: in.Stream, FromTask: in.FromTask, Tuple: t.dec.tuple(in.Cur)}, col)
-		}
-	default:
-		return t.errf(" (%T) implements neither ExecuteRow nor Execute", t.bolt)
-	}
 	t.mem, _ = t.bolt.(MemReporter)
 	t.rep, _ = t.bolt.(Repartitioner)
 	if t.rep == nil && (t.adaptHere || t.rs != nil) {
@@ -186,8 +173,8 @@ func (t *boltTask) data(env envelope) error {
 	} else if err != nil {
 		return t.errf(": %w", err)
 	}
-	// The frame is consumed (rows walked in place, tuples decoded into
-	// their own values): recycle its pooled buffer.
+	// The frame is consumed (rows walked in place): recycle its pooled
+	// buffer.
 	releaseEnv(&env)
 	if rs == nil {
 		return nil
@@ -207,8 +194,8 @@ func (t *boltTask) data(env envelope) error {
 	return nil
 }
 
-// deliver applies one data frame: every row goes through the bolt's one
-// face, the final one flagged Last, under one panic guard for the frame. On
+// deliver applies one data frame: every row goes through ExecuteRow, the
+// final one flagged Last, under one panic guard for the frame. On
 // a protected task the frame's emissions are held until its last row
 // returns (Collector.held), then settled once.
 func (t *boltTask) deliver(env *envelope) error {
@@ -261,13 +248,12 @@ func (t *boltTask) call(env *envelope) (err error) {
 		return t.bolt.Finish(t.col)
 	}
 	in := RowInput{Stream: env.stream, FromTask: env.from, Cur: &t.cur}
-	t.dec.frame, t.dec.str = env.frame, ""
 	n, _ := binary.Uvarint(env.frame) // EachRow rejects a bad header
 	k := uint64(0)
 	_, _, err = wire.EachRow(env.frame, &t.cur, func(row []byte) error {
 		k++
 		in.Row, in.Last = row, k == n
-		return t.exec(in, t.col)
+		return t.bolt.ExecuteRow(in, t.col)
 	})
 	return err
 }
@@ -507,42 +493,4 @@ func (t *boltTask) migrate(env envelope) error {
 	// would whipsaw it.
 	a.ackMigration(t.task, t.epoch, t.rep)
 	return nil
-}
-
-// tupleChunk is how many values a TupleBolt's decoder carves tuples from
-// before it takes a fresh chunk.
-const tupleChunk = 256
-
-// tupleDecoder materializes rows for a TupleBolt, which may keep every
-// tuple it is handed, so nothing handed out is ever reused. Tuples are
-// carved from a value chunk that is replaced, never recycled, once full,
-// and every string of one frame slices a single string copy of that frame:
-// a frame of ints and strings costs O(1) allocations, not one per value.
-type tupleDecoder struct {
-	chunk []types.Value
-	frame []byte // the frame being delivered
-	str   string // frame copied on its first string field; "" until then
-}
-
-// tuple decodes the row cur views, which must lie inside d.frame.
-func (d *tupleDecoder) tuple(cur *wire.Cursor) types.Tuple {
-	n := cur.Arity()
-	if cap(d.chunk)-len(d.chunk) < n {
-		d.chunk = make([]types.Value, 0, max(n, tupleChunk))
-	}
-	start := len(d.chunk)
-	for i := 0; i < n; i++ {
-		b, isStr := cur.Bytes(i)
-		if !isStr {
-			d.chunk = append(d.chunk, cur.Value(i))
-			continue
-		}
-		if d.str == "" {
-			d.str = string(d.frame)
-		}
-		// b slices d.frame, so their capacities differ by b's offset.
-		off := cap(d.frame) - cap(b)
-		d.chunk = append(d.chunk, types.Value{KindV: types.KindString, Str: d.str[off : off+len(b)]})
-	}
-	return types.Tuple(d.chunk[start:len(d.chunk):len(d.chunk)])
 }

@@ -2,89 +2,12 @@ package dataflow
 
 import (
 	"errors"
-	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 
 	"squall/internal/recovery"
-	"squall/internal/types"
 )
-
-// mixedRows builds rows of every kind, with strings of varying length.
-func mixedRows(n int, tag string) []types.Tuple {
-	rows := make([]types.Tuple, n)
-	for i := range rows {
-		rows[i] = types.Tuple{
-			types.Int(int64(i)),
-			types.Str(fmt.Sprintf("%s%d-%s", tag, i, strings.Repeat("x", i%7))),
-			types.Float(float64(i) / 3),
-			types.Null(),
-			types.Str(""),
-		}
-	}
-	return rows
-}
-
-// runKeepers runs src(2) -> keep(2) -> sink(1), where keep is a FuncBolt
-// that retains every tuple it is handed and re-emits it, and the sink is a
-// Gather. It returns the keepers' and the sink's tuples.
-func runKeepers(t *testing.T, rows []types.Tuple, batch int) (kept, gathered []types.Tuple) {
-	t.Helper()
-	var mu sync.Mutex
-	g := NewGather()
-	topo, err := NewBuilder().
-		Spout("src", 2, encSpoutFactory(rows)).
-		Bolt("keep", 2, func(int, int) Bolt {
-			return FuncBolt{OnTuple: func(in Input, out *Collector) error {
-				mu.Lock()
-				kept = append(kept, in.Tuple)
-				mu.Unlock()
-				return out.Emit(in.Tuple)
-			}}
-		}).
-		Bolt("sink", 1, g.Factory()).
-		Input("keep", "src", Shuffle()).
-		Input("sink", "keep", Global()).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(topo, Options{Seed: 3, BatchSize: batch}); err != nil {
-		t.Fatal(err)
-	}
-	return kept, g.Rows()
-}
-
-// TestTupleFaceKeepsTuples: a TupleBolt may keep every tuple it is handed.
-// Tuples kept by a FuncBolt and by a Gather, strings included, must stay
-// intact after the pooled frames they were decoded from carry other rows.
-func TestTupleFaceKeepsTuples(t *testing.T) {
-	for _, batch := range []int{1, DefaultBatchSize} {
-		t.Run(fmt.Sprintf("batch=%d", batch), func(t *testing.T) {
-			rows := mixedRows(600, "a")
-			kept, gathered := runKeepers(t, rows, batch)
-			// A second run recycles the same pooled frames with other bytes.
-			runKeepers(t, mixedRows(600, "zz"), batch)
-			for name, got := range map[string][]types.Tuple{"FuncBolt": kept, "Gather": gathered} {
-				if len(got) != len(rows) {
-					t.Fatalf("%s kept %d tuples, want %d", name, len(got), len(rows))
-				}
-				bag := map[string]int{}
-				for _, r := range rows {
-					bag[r.Key()]++
-				}
-				for _, r := range got {
-					if bag[r.Key()] == 0 {
-						t.Fatalf("%s holds %v, which was never sent (or was overwritten)", name, r)
-					}
-					bag[r.Key()]--
-				}
-			}
-		})
-	}
-}
 
 // TestTaskRepartitionerResolvedPerInstance: a recovery-protected task
 // resolves Repartitioner on every bolt instance it builds, at start and
@@ -102,8 +25,8 @@ func TestTaskRepartitionerResolvedPerInstance(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls atomic.Int64
 			b := NewBuilder()
-			b.Spout("R", 1, SliceSpout(rRows))
-			b.Spout("S", 1, SliceSpout(sRows))
+			b.Spout("R", 1, sliceRows(rRows))
+			b.Spout("S", 1, sliceRows(sRows))
 			b.Bolt("join", 3, func(task, _ int) Bolt {
 				if task == 1 && tc.plain(calls.Add(1)) {
 					return FuncBolt{}
@@ -136,7 +59,7 @@ func (finishPanic) Finish(*Collector) error { panic("finish-boom") }
 // as one in a row's callback and fails the run with its value and stack.
 func TestTaskFinishPanicFails(t *testing.T) {
 	topo, err := NewBuilder().
-		Spout("src", 1, SliceSpout(intRows(10))).
+		Spout("src", 1, sliceRows(intRows(10))).
 		Bolt("b", 1, func(int, int) Bolt { return finishPanic{} }).
 		Input("b", "src", Global()).
 		Build()

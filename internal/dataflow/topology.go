@@ -2,7 +2,7 @@
 // replacement for the Storm layer the paper builds on (§2). It executes
 // topologies — DAGs of spouts (data sources) and bolts (computation) — with
 // per-node parallelism. An edge carries a stream grouping that partitions
-// tuples among the consumer's tasks, exactly like Storm's stream groupings.
+// rows among the consumer's tasks, exactly like Storm's stream groupings.
 //
 // A "machine" in the paper maps to a task here: one goroutine with private
 // state, fed by a bounded channel. Every row crossing an edge travels
@@ -10,15 +10,16 @@
 // network cost on the paper's 1 Gbit cluster, and tuple counts (load,
 // replication factor) are measured identically.
 //
-// Every data edge carries one payload shape: packed frames of wire-encoded
-// rows. Producers accumulate per-(edge, target) frames of up to
+// The package moves encoded rows only. A spout hands the executor
+// wire-encoded rows (RowSpout), a grouping routes each row through a cursor
+// over its bytes, and a bolt reads the rows of a delivered frame in place
+// (ExecuteRow). Producers accumulate per-(edge, target) frames of up to
 // Options.BatchSize rows and ship each frame as one channel send, flushing
 // partial frames at EOS. BatchSize=1 ships one-row frames, so every tuple
 // pays its own send and frame; see DESIGN.md for the framing and its
 // interaction with the network-cost substitution. Tuples exist only at the
-// API edge: a tuple spout's rows are encoded once by the executor, a
-// RowBolt reads the rows in place, and any other bolt gets each row decoded
-// at its own boundary.
+// API edge: Spout and SpoutFactory are the tuple sources a caller supplies,
+// which the planner encodes once at the source.
 package dataflow
 
 import (
@@ -28,34 +29,31 @@ import (
 	"squall/internal/wire"
 )
 
-// Spout is a data source; Next returns the next tuple, or false when the
-// (finite) stream is exhausted. Each task of a spout component gets its own
+// Spout is an API-edge tuple source; Next returns the next tuple, or false
+// when the (finite) stream is exhausted. Each task of a source gets its own
 // Spout instance from the factory, typically generating a slice of the data.
+// The engine runs sources as RowSpouts: the planner encodes a Spout's tuples
+// once at the source (ops.PackedSpout).
 type Spout interface {
 	Next() (types.Tuple, bool)
 }
 
-// RowSpout is optionally implemented by spouts that produce wire-encoded
-// rows directly. The executor drives NextRow instead of Next and routes each
-// row through Collector.EmitRow without materializing a tuple. The returned
-// row is only read until the next NextRow call, so implementations may reuse
-// one buffer.
+// SpoutFactory builds the Spout instance for one task of a source.
+type SpoutFactory func(task, ntasks int) Spout
+
+// RowSpout is a spout component's task: NextRow returns the next
+// wire-encoded row, or false when the stream is exhausted. The returned row
+// is only read until the next NextRow call, so implementations may reuse one
+// buffer.
 type RowSpout interface {
 	NextRow() ([]byte, bool)
 }
 
-// SpoutFactory builds the Spout instance for one task of a spout component.
-type SpoutFactory func(task, ntasks int) Spout
-
-// Input identifies the provenance of a tuple delivered to a bolt.
-type Input struct {
-	Stream   string // name of the upstream component
-	FromTask int    // task index within the upstream component
-	Tuple    types.Tuple
-}
+// RowSpoutFactory builds the RowSpout for one task of a spout component.
+type RowSpoutFactory func(task, ntasks int) RowSpout
 
 // RowInput identifies the provenance of one wire-encoded row delivered to a
-// RowBolt. Rows arrive a transport frame at a time, all of one frame from
+// Bolt. Rows arrive a transport frame at a time, all of one frame from
 // one stream and task, and Last marks the frame's final row. Cur is valid
 // only for the duration of ExecuteRow. Row aliases the frame and stays valid
 // until ExecuteRow of the frame's Last row returns, so a bolt may stage a
@@ -72,30 +70,13 @@ type RowInput struct {
 	Last bool
 }
 
-// RowBolt is implemented by bolts that consume wire-encoded rows directly:
-// the executor walks each frame with one cursor and calls ExecuteRow once per
-// row, with no decode. Bolts that are not RowBolts must be TupleBolts, whose
-// rows are decoded at their own boundary.
-type RowBolt interface {
-	Bolt
-	ExecuteRow(in RowInput, out *Collector) error
-}
-
-// Bolt is one task of a computation component. Rows reach it through
-// exactly one of two faces — RowBolt (encoded rows read in place) or
-// TupleBolt (each row decoded at the bolt's boundary) — and Finish is called
-// after every upstream task has finished (full-history semantics: operators
-// may hold state across the whole run and flush results at the end, e.g.
-// final aggregations).
+// Bolt is one task of a computation component. ExecuteRow is called once
+// per delivered row, with no decode, and Finish after every upstream task
+// has finished (full-history semantics: operators may hold state across the
+// whole run and flush results at the end, e.g. final aggregations).
 type Bolt interface {
+	ExecuteRow(in RowInput, out *Collector) error
 	Finish(out *Collector) error
-}
-
-// TupleBolt consumes decoded tuples: Execute is called once per incoming
-// row, decoded at the bolt's boundary. The tuple is the bolt's to keep.
-type TupleBolt interface {
-	Bolt
-	Execute(in Input, out *Collector) error
 }
 
 // BoltFactory builds the Bolt instance for one task of a bolt component.
@@ -112,13 +93,13 @@ type MemReporter interface {
 type node struct {
 	name    string
 	par     int
-	spout   SpoutFactory
+	spout   RowSpoutFactory
 	bolt    BoltFactory
 	inputs  []edge // edges arriving at this node (bolts only)
 	outputs []edge // edges leaving this node (filled during Build)
 }
 
-// edge is one subscription: tuples of `from` are partitioned among the tasks
+// edge is one subscription: rows of `from` are partitioned among the tasks
 // of `to` using the grouping.
 type edge struct {
 	from, to *node
@@ -165,7 +146,7 @@ func (b *Builder) addNode(name string, par int) *node {
 }
 
 // Spout registers a data-source component.
-func (b *Builder) Spout(name string, par int, f SpoutFactory) *Builder {
+func (b *Builder) Spout(name string, par int, f RowSpoutFactory) *Builder {
 	if n := b.addNode(name, par); n != nil {
 		if f == nil {
 			b.err = fmt.Errorf("dataflow: spout %q has nil factory", name)

@@ -261,9 +261,11 @@ func sealedKillPoint(t *testing.T, w *Workload, q *squall.JoinQuery, opts squall
 	total, kill := 0, opts.Recovery.CheckpointEvery+1
 	rows := make([]int, len(w.Rels))
 	for rel, tuples := range w.Rels {
-		g := hc.GroupingFor(rel)
 		for _, tu := range tuples {
-			if buf = g.Targets(tu, hc.Machines(), rng, buf); slices.Contains(buf, task) {
+			if buf, err = hc.Targets(rel, tu, rng, buf); err != nil {
+				t.Fatal(err)
+			}
+			if slices.Contains(buf, task) {
 				rows[rel]++
 			}
 		}

@@ -34,11 +34,10 @@ func (k LocalJoinKind) String() string {
 
 // JoinBolt runs a local multi-way join per task and emits delta result
 // rows (concatenated relation order), optionally post-processed by a
-// pipeline. relOf maps upstream component names to relation indexes. The
-// bolt is a dataflow.RowBolt: arrivals blit into the slab without a
-// decode/re-encode round trip and delta rows leave as spliced encoded
-// bytes; a computed join key is evaluated inside the local join, where it
-// is read.
+// pipeline. relOf maps upstream component names to relation indexes.
+// Arrivals blit into the slab without a decode/re-encode round trip and
+// delta rows leave as spliced encoded bytes; a computed join key is
+// evaluated inside the local join, where it is read.
 //
 // tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
 // checksummed, spillable segments — squall.Options.Tier).
@@ -98,8 +97,6 @@ type joinBolt struct {
 	emitFn func(row []byte) error
 	rows   [][]byte // the current frame's rows, staged until its Last row
 }
-
-var _ dataflow.RowBolt = (*joinBolt)(nil)
 
 // ExecuteRow stages one encoded arrival; the frame's Last row feeds the
 // staged frame through the local join. Every row of a frame comes from one
@@ -218,9 +215,8 @@ func (b *joinBolt) ImportRow(side int, row []byte, cur *wire.Cursor) error {
 // AggJoinBolt runs the aggregate-view DBToaster operator (HyLD with a final
 // aggregation pushed into the joiner). Each task emits partial rows
 // (group..., cnt, sum) on Finish; route them to MergeBolt via Fields on the
-// group columns (or Global for a single merger). The bolt is a
-// dataflow.RowBolt: arrivals feed the views straight off the wire and
-// Finish splices the partial rows out of the result arena.
+// group columns (or Global for a single merger). Arrivals feed the views
+// straight off the wire and Finish splices the partial rows out of the result arena.
 func AggJoinBolt(g *expr.JoinGraph, spec dbtoaster.AggSpec, relOf map[string]int) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		a, err := dbtoaster.NewAggJoin(g, spec)
@@ -233,8 +229,6 @@ type aggJoinBolt struct {
 	err   error
 	relOf map[string]int
 }
-
-var _ dataflow.RowBolt = (*aggJoinBolt)(nil)
 
 func (b *aggJoinBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	if b.err != nil {

@@ -132,48 +132,6 @@ func (p Pipeline) Each(t types.Tuple, emit func(types.Tuple) error) error {
 	return emit(t)
 }
 
-// PipedSpout co-locates a pipeline with a data source (source + selection
-// in one component, saving a network hop, as Squall's optimizer does). With
-// an empty pipeline the factory is returned unchanged. A broken pipeline
-// surfaces at the first tuple by panicking, matching the Spout contract
-// (no error channel).
-func PipedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.SpoutFactory {
-	if len(p) == 0 {
-		return f
-	}
-	return func(task, ntasks int) dataflow.Spout {
-		s := &pipedSpout{inner: f(task, ntasks), p: p}
-		s.emit = func(t types.Tuple) error { s.queue = append(s.queue, t); return nil }
-		return s
-	}
-}
-
-type pipedSpout struct {
-	inner dataflow.Spout
-	p     Pipeline
-	queue []types.Tuple
-	head  int
-	emit  func(types.Tuple) error
-}
-
-func (s *pipedSpout) Next() (types.Tuple, bool) {
-	for {
-		if s.head < len(s.queue) {
-			t := s.queue[s.head]
-			s.head++
-			return t, true
-		}
-		s.queue, s.head = s.queue[:0], 0
-		t, ok := s.inner.Next()
-		if !ok {
-			return nil, false
-		}
-		if err := s.p.Each(t, s.emit); err != nil {
-			panic(fmt.Sprintf("ops: source pipeline: %v", err))
-		}
-	}
-}
-
 // AggKind enumerates the supported aggregates (§2: sum, count, average).
 type AggKind uint8
 
@@ -451,10 +409,12 @@ func colAgg(groupCols []int, kind AggKind, sumCol int) *Agg {
 	return a
 }
 
-// finishAgg emits an accumulator's final rows.
+// finishAgg emits an accumulator's final rows, encoded.
 func finishAgg(a *Agg, out *dataflow.Collector) error {
+	var enc []byte
 	for _, row := range a.Rows() {
-		if err := out.Emit(row); err != nil {
+		enc = wire.Encode(enc[:0], row)
+		if err := out.EmitRow(enc); err != nil {
 			return err
 		}
 	}
@@ -464,9 +424,9 @@ func finishAgg(a *Agg, out *dataflow.Collector) error {
 // AggBolt builds a per-task aggregation component over plain columns of
 // its input rows: group by groupCols, SUM (or AVG) over sumCol, -1 when
 // the aggregate is COUNT. Upstream edges must group by the group-by columns
-// (Fields or KeyMapped) so each group lands on one task. The bolt is a
-// dataflow.RowBolt: each row folds off its cursor, group keys spliced from
-// the encoded fields, and the final rows leave on Finish.
+// (Fields or KeyMapped) so each group lands on one task. Each row folds off
+// its cursor, group keys spliced from the encoded fields, and the final rows
+// leave on Finish.
 func AggBolt(groupCols []int, kind AggKind, sumCol int) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		return aggBolt{colAgg(groupCols, kind, sumCol)}
@@ -474,8 +434,6 @@ func AggBolt(groupCols []int, kind AggKind, sumCol int) dataflow.BoltFactory {
 }
 
 type aggBolt struct{ a *Agg }
-
-var _ dataflow.RowBolt = aggBolt{}
 
 func (b aggBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	return b.a.FoldRow(in.Cur)
@@ -487,9 +445,9 @@ func (b aggBolt) MemSize() int { return b.a.MemSize() }
 
 // MergeBolt merges pre-aggregated partial rows of shape (group..., cnt, sum)
 // emitted by AggJoinBolt tasks into final aggregate rows. ngroup is the
-// number of leading group columns. The bolt is a dataflow.RowBolt: cnt and
-// sum are read off the encoded row under the coercions Agg.Update's callers
-// apply (AsInt for cnt, AsFloat for sum).
+// number of leading group columns. Cnt and sum are read off the encoded row
+// under the coercions Agg.Update's callers apply (AsInt for cnt, AsFloat for
+// sum).
 func MergeBolt(ngroup int, kind AggKind) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		groupCols := make([]int, ngroup)
@@ -501,8 +459,6 @@ func MergeBolt(ngroup int, kind AggKind) dataflow.BoltFactory {
 }
 
 type mergeBolt struct{ a *Agg }
-
-var _ dataflow.RowBolt = mergeBolt{}
 
 func (b mergeBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	cur, ngroup := in.Cur, len(b.a.groupCols)

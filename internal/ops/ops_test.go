@@ -3,6 +3,7 @@ package ops
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -115,13 +116,13 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 	r := mk(20, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i)), types.Int(int64(i % 4))} })
 	s := mk(20, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i % 4)), types.Int(int64(i % 3))} })
 	u := mk(20, func(i int) types.Tuple { return types.Tuple{types.Int(int64(i % 3)), types.Int(int64(i))} })
-	sink := dataflow.NewGather()
+	sink := &gather{}
 	topo, err := dataflow.NewBuilder().
-		Spout("R", 1, dataflow.SliceSpout(r)).
-		Spout("S", 1, dataflow.SliceSpout(s)).
-		Spout("T", 1, dataflow.SliceSpout(u)).
+		Spout("R", 1, PackedSpout(dataflow.SliceSpout(r), nil)).
+		Spout("S", 1, PackedSpout(dataflow.SliceSpout(s), nil)).
+		Spout("T", 1, PackedSpout(dataflow.SliceSpout(u), nil)).
 		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, nil)).
-		Bolt("sink", 1, sink.Factory()).
+		Bolt("sink", 1, sink.factory()).
 		Input("join", "R", dataflow.Global()).
 		Input("join", "S", dataflow.Global()).
 		Input("join", "T", dataflow.Global()).
@@ -133,7 +134,7 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 	if _, err := dataflow.Run(topo, dataflow.Options{Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	return sink.SortedRows()
+	return sink.sorted()
 }
 
 func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
@@ -153,7 +154,7 @@ func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
 }
 
 // TestAggJoinBoltWithMerge runs the aggregate-view joiner under tuple
-// spouts (encoded once by the executor) and checks the merger's answer
+// sources (encoded once, at the source) and checks the merger's answer
 // after the joiners hand it spliced partial rows on Finish.
 func TestAggJoinBoltWithMerge(t *testing.T) {
 	// COUNT(*) GROUP BY R.y over R ⋈ S on y, parallel joiners + one merger.
@@ -167,13 +168,13 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 		r = append(r, types.Tuple{types.Int(int64(i % 5))})
 		s = append(s, types.Tuple{types.Int(int64(i % 5))})
 	}
-	sink := dataflow.NewGather()
+	sink := &gather{}
 	topo, err := dataflow.NewBuilder().
-		Spout("R", 2, dataflow.SliceSpout(r)).
-		Spout("S", 2, dataflow.SliceSpout(s)).
+		Spout("R", 2, PackedSpout(dataflow.SliceSpout(r), nil)).
+		Spout("S", 2, PackedSpout(dataflow.SliceSpout(s), nil)).
 		Bolt("join", 4, AggJoinBolt(g, spec, map[string]int{"R": 0, "S": 1})).
 		Bolt("merge", 1, MergeBolt(1, Count)).
-		Bolt("sink", 1, sink.Factory()).
+		Bolt("sink", 1, sink.factory()).
 		Input("join", "R", dataflow.Fields(0)).
 		Input("join", "S", dataflow.Fields(0)).
 		Input("merge", "join", dataflow.Global()).
@@ -185,7 +186,7 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 	if _, err := dataflow.Run(topo, dataflow.Options{Seed: 4}); err != nil {
 		t.Fatal(err)
 	}
-	rows := sink.SortedRows()
+	rows := sink.sorted()
 	if len(rows) != 5 {
 		t.Fatalf("groups = %v", rows)
 	}
@@ -197,7 +198,27 @@ func TestAggJoinBoltWithMerge(t *testing.T) {
 	}
 }
 
-// rowInput encodes t as the RowInput a RowBolt would be handed.
+// gather collects the rows reaching a one-task sink component, decoded.
+type gather struct{ rows []types.Tuple }
+
+func (g *gather) factory() dataflow.BoltFactory {
+	return func(int, int) dataflow.Bolt { return g }
+}
+
+func (g *gather) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+	g.rows = append(g.rows, in.Cur.Tuple(nil))
+	return nil
+}
+
+func (g *gather) Finish(*dataflow.Collector) error { return nil }
+
+// sorted returns the collected rows in lexicographic order.
+func (g *gather) sorted() []types.Tuple {
+	slices.SortFunc(g.rows, types.Tuple.Compare)
+	return g.rows
+}
+
+// rowInput encodes t as the RowInput a bolt would be handed.
 func rowInput(t *testing.T, stream string, tu types.Tuple) dataflow.RowInput {
 	t.Helper()
 	row := wire.Encode(nil, tu)
@@ -211,7 +232,7 @@ func rowInput(t *testing.T, stream string, tu types.Tuple) dataflow.RowInput {
 // TestMergeBoltRejectsBadArity: a partial row without cnt and sum errors.
 func TestMergeBoltRejectsBadArity(t *testing.T) {
 	short := types.Tuple{types.Int(1)}
-	if err := MergeBolt(1, Count)(0, 1).(dataflow.RowBolt).ExecuteRow(rowInput(t, "", short), nil); err == nil {
+	if err := MergeBolt(1, Count)(0, 1).ExecuteRow(rowInput(t, "", short), nil); err == nil {
 		t.Error("short merge row must error")
 	}
 }
@@ -266,7 +287,7 @@ func TestMergeBoltFacesAgree(t *testing.T) {
 
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, nil)(0, 1).(dataflow.RowBolt)
+	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, nil)(0, 1)
 	if err := b.ExecuteRow(rowInput(t, "???", types.Tuple{types.Int(1)}), nil); err == nil {
 		t.Error("unknown stream must error")
 	}

@@ -295,17 +295,15 @@ func (pp *PackedPipeline) RunFrame(view *vec.FrameView, emit func(row []byte, cu
 	return true, nil
 }
 
-// PackedSpout co-locates a pipeline with a data source like PipedSpout, but
-// the returned spouts also implement dataflow.RowSpout: tuples are encoded
-// once at the source and the pipeline runs packed over the encoded row, so
-// the executor can route and transport the bytes without ever materializing
-// a tuple again.
-func PackedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.SpoutFactory {
-	return func(task, ntasks int) dataflow.Spout {
-		s := &packedSpout{pp: CompilePipeline(p)}
-		s.inner = f(task, ntasks)
-		s.p = p
-		s.emit = func(t types.Tuple) error { s.queue = append(s.queue, t); return nil }
+// PackedSpout co-locates a pipeline with a data source (source + selection
+// in one component, saving a network hop, as Squall's optimizer does): each
+// tuple is encoded once at the source and the pipeline runs packed over the
+// encoded row, so the executor routes and transports the bytes without ever
+// materializing a tuple again. A broken pipeline surfaces at the first row
+// by panicking, which fails the run (NextRow has no error return).
+func PackedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.RowSpoutFactory {
+	return func(task, ntasks int) dataflow.RowSpout {
+		s := &packedSpout{inner: f(task, ntasks), pp: CompilePipeline(p)}
 		s.emitRow = func(row []byte, _ *wire.Cursor) error {
 			s.qoffs = append(s.qoffs, len(s.qbuf))
 			s.qbuf = append(s.qbuf, row...)
@@ -316,10 +314,10 @@ func PackedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.SpoutFactory {
 }
 
 type packedSpout struct {
-	pipedSpout
-	pp  *PackedPipeline
-	enc []byte
-	cur wire.Cursor
+	inner dataflow.Spout
+	pp    *PackedPipeline
+	enc   []byte
+	cur   wire.Cursor
 	// multi-output queue: encoded rows packed back to back.
 	qbuf    []byte
 	qoffs   []int
@@ -327,8 +325,8 @@ type packedSpout struct {
 	emitRow func(row []byte, cur *wire.Cursor) error
 }
 
-// NextRow produces the next encoded post-pipeline row (dataflow.RowSpout).
-// The row aliases internal buffers, valid until the next call.
+// NextRow produces the next encoded post-pipeline row. The row aliases
+// internal buffers, valid until the next call.
 func (s *packedSpout) NextRow() ([]byte, bool) {
 	for {
 		if s.qhead < len(s.qoffs) {

@@ -110,9 +110,9 @@ func TestPackedPipelineAgreesWithPipeline(t *testing.T) {
 	}
 }
 
-// TestPackedSpoutMatchesPipedSpout drains a PackedSpout through both of its
-// faces (NextRow and Next) against PipedSpout's stream.
-func TestPackedSpoutMatchesPipedSpout(t *testing.T) {
+// TestPackedSpoutMatchesPipeline drains a PackedSpout against the tuple
+// pipeline run over the same source.
+func TestPackedSpoutMatchesPipeline(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	rows := make([]types.Tuple, 200)
 	for i := range rows {
@@ -123,15 +123,12 @@ func TestPackedSpoutMatchesPipedSpout(t *testing.T) {
 		Project{Es: []expr.Expr{expr.C(0), expr.C(3)}},
 	}
 	var want []types.Tuple
-	piped := PipedSpout(dataflow.SliceSpout(rows), p)(0, 1)
-	for {
-		tu, ok := piped.Next()
-		if !ok {
-			break
+	for _, tu := range rows {
+		if err := p.Each(tu, func(o types.Tuple) error { want = append(want, o); return nil }); err != nil {
+			t.Fatal(err)
 		}
-		want = append(want, tu)
 	}
-	rs := PackedSpout(dataflow.SliceSpout(rows), p)(0, 1).(dataflow.RowSpout)
+	rs := PackedSpout(dataflow.SliceSpout(rows), p)(0, 1)
 	var got []types.Tuple
 	for {
 		row, ok := rs.NextRow()
@@ -145,11 +142,11 @@ func TestPackedSpoutMatchesPipedSpout(t *testing.T) {
 		got = append(got, tu)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("packed %d rows, piped %d", len(got), len(want))
+		t.Fatalf("packed %d rows, pipeline %d", len(got), len(want))
 	}
 	for i := range got {
 		if !got[i].Equal(want[i]) {
-			t.Fatalf("row %d: packed %v, piped %v", i, got[i], want[i])
+			t.Fatalf("row %d: packed %v, pipeline %v", i, got[i], want[i])
 		}
 	}
 }

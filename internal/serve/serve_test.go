@@ -8,6 +8,7 @@ import (
 	"squall/internal/dataflow"
 	"squall/internal/ops"
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
 func testSpout(n int) dataflow.SpoutFactory {
@@ -16,16 +17,20 @@ func testSpout(n int) dataflow.SpoutFactory {
 	})
 }
 
-// drainTap pulls every tuple out of a tap through the spout's tuple face.
+// drainTap pulls every row out of a tap through its spout, decoded.
 func drainTap(t *Tap) []types.Tuple {
 	sp := TapSpout(t, nil, nil)(0, 1)
 	var out []types.Tuple
+	var cur wire.Cursor
 	for {
-		tu, ok := sp.Next()
+		row, ok := sp.NextRow()
 		if !ok {
 			return out
 		}
-		out = append(out, tu)
+		if err := cur.Reset(row); err != nil {
+			panic(err)
+		}
+		out = append(out, cur.Tuple(nil))
 	}
 }
 
@@ -97,8 +102,7 @@ func TestTapSpoutPre(t *testing.T) {
 	}
 	// Pre drops every tuple with col1 != 0 (i%7 == 0 survives: 15 of 100).
 	pre := ops.Pipeline{keepMod7{}}
-	sp := TapSpout(tap, pre, nil)(0, 1)
-	rs := sp.(dataflow.RowSpout)
+	rs := TapSpout(tap, pre, nil)(0, 1)
 	s.Start()
 	rows := 0
 	for {

@@ -6,7 +6,6 @@ import (
 
 	"squall/internal/dataflow"
 	"squall/internal/ops"
-	"squall/internal/types"
 	"squall/internal/wire"
 )
 
@@ -14,9 +13,8 @@ import (
 // shared source. The query's Pre pipeline runs here, per query, over the
 // shared rows — the scan and the encode are shared, the selection is not.
 //
-// The spout is a dataflow.RowSpout: rows flow from the shared frame through
-// the compiled packed pipeline without materializing tuples (the executor
-// then drives EmitRow exactly as it does for ops.PackedSpout).
+// Rows flow from the shared frame through the compiled packed pipeline
+// without materializing tuples, as they do out of ops.PackedSpout.
 //
 // With SourcePar > 1 the factory's instances share the tap: tasks steal
 // whole frames from one window, which splits the stream arbitrarily but
@@ -25,8 +23,8 @@ import (
 // onErr, when non-nil, receives the first pipeline or framing error; the
 // spout then ends its stream instead of panicking, so one query's bad
 // pipeline never takes down the serving process.
-func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.SpoutFactory {
-	return func(task, ntasks int) dataflow.Spout {
+func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.RowSpoutFactory {
+	return func(task, ntasks int) dataflow.RowSpout {
 		s := &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
 		s.emitRow = func(row []byte, _ *wire.Cursor) error {
 			s.qoffs = append(s.qoffs, len(s.qbuf))
@@ -93,7 +91,7 @@ func (w *walk) fail(err error) {
 }
 
 // tapRowSpout is the packed consumer: shared rows run through the compiled
-// per-query pipeline and leave as encoded rows (dataflow.RowSpout).
+// per-query pipeline and leave as encoded rows.
 type tapRowSpout struct {
 	walk
 	pp *ops.PackedPipeline
@@ -139,19 +137,4 @@ func (s *tapRowSpout) NextRow() ([]byte, bool) {
 			return nil, false
 		}
 	}
-}
-
-// Next materializes via NextRow (dataflow.Spout); the executor always
-// drives NextRow.
-func (s *tapRowSpout) Next() (types.Tuple, bool) {
-	row, ok := s.NextRow()
-	if !ok {
-		return nil, false
-	}
-	var cur wire.Cursor
-	if _, err := cur.Parse(row); err != nil {
-		s.fail(fmt.Errorf("serve: query pipeline output: %w", err))
-		return nil, false
-	}
-	return cur.Tuple(nil), true
 }

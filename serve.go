@@ -283,7 +283,7 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 
 	// Substitute a fan-out tap for every shared source. The tap applies the
 	// query's Pre itself (per query — the scan is shared, the selection is
-	// not) and is installed raw: plan() must not re-wrap it.
+	// not) and plan() installs its rows verbatim.
 	q2 := *req.Query
 	q2.Sources = append([]Source(nil), req.Query.Sources...)
 	e.mu.Lock()
@@ -319,8 +319,7 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 			return nil, fmt.Errorf("squall: Register %q: %w", req.ID, err)
 		}
 		taps = append(taps, tap)
-		s.Spout = serve.TapSpout(tap, s.Pre, sq.sourceFailed)
-		s.raw = true
+		s.rows = serve.TapSpout(tap, s.Pre, sq.sourceFailed)
 		if s.Size == 0 {
 			s.Size = e.sizeOf[s.Name]
 		}

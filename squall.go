@@ -95,12 +95,11 @@ type Source struct {
 	Spout  dataflow.SpoutFactory
 	Size   int64
 	Pre    ops.Pipeline
-	// raw marks Spout as execution-ready: plan() installs it verbatim instead
-	// of wrapping it in ops.PackedSpout (and Pre is expected to be already
-	// applied inside it). The serving engine sets it on the fan-out
-	// taps it substitutes for shared sources, whose frames arrive
-	// pre-encoded.
-	raw bool
+	// rows, when set, replaces Spout with an execution-ready row source that
+	// plan() installs verbatim (Pre already applied inside it). The serving
+	// engine sets it to the fan-out taps it substitutes for shared sources,
+	// whose frames arrive pre-encoded.
+	rows dataflow.RowSpoutFactory
 }
 
 // AggSpec describes the final aggregation of a join query. References are
@@ -385,7 +384,7 @@ func (q *JoinQuery) spec() (core.JoinSpec, error) {
 		TopFreq: q.TopFreq,
 	}
 	for i, s := range q.Sources {
-		if s.Name == "" || s.Spout == nil {
+		if s.Name == "" || (s.Spout == nil && s.rows == nil) {
 			return core.JoinSpec{}, fmt.Errorf("squall: source %d needs a name and a spout", i)
 		}
 		spec.Names[i] = s.Name
@@ -514,8 +513,8 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 	b := dataflow.NewBuilder()
 	relOf := map[string]int{}
 	for i, s := range q.Sources {
-		spout := s.Spout
-		if !s.raw {
+		spout := s.rows
+		if spout == nil {
 			spout = ops.PackedSpout(s.Spout, s.Pre)
 		}
 		b.Spout(s.Name, opt.SourcePar, spout)
