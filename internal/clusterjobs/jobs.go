@@ -44,15 +44,6 @@ type WorkloadParams struct {
 	Config enginetest.EngineConfig `json:"config"`
 }
 
-// Marshal encodes the params for ClusterSpec.Params.
-func (p WorkloadParams) Marshal() []byte {
-	body, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("clusterjobs: encoding workload params: %v", err))
-	}
-	return body
-}
-
 // Build rebuilds the workload's query and options — the coordinator uses
 // this directly so its plan and the workers' are the same code path.
 func (p WorkloadParams) Build() (*squall.JoinQuery, squall.Options, error) {

@@ -28,17 +28,6 @@ type KeySlot struct {
 	Expr string
 }
 
-// SlotCol builds the KeySlot for a plain column reference, matching
-// expr.C(col) / expr.EquiCol usage.
-func SlotCol(rel, col int) KeySlot {
-	return KeySlot{Rel: rel, Expr: expr.C(col).String()}
-}
-
-// SlotNamed builds the KeySlot for a named column reference expr.CN(col, name).
-func SlotNamed(rel, col int, name string) KeySlot {
-	return KeySlot{Rel: rel, Expr: expr.CN(col, name).String()}
-}
-
 // JoinSpec is everything a partitioning scheme needs to know about a
 // multi-way join (§4): the join condition, relation names and (relative)
 // sizes, and per-key skew information. Sizes only matter relative to each
@@ -94,12 +83,6 @@ type attribute struct {
 	name  string
 	mode  PartMode
 	slots []slotRef
-}
-
-// quasi reports whether this is a quasi-attribute (a relation's own random
-// dimension with no key expression, as in the Random-Hypercube reduction).
-func (a *attribute) quasi() bool {
-	return a.mode == ModeRandom && len(a.slots) == 1 && a.slots[0].e == nil
 }
 
 // buildAttributes performs the §4 construction. Equality conjuncts induce

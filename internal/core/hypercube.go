@@ -261,19 +261,6 @@ func (hc *Hypercube) Owns(rel, d int) bool {
 	return hc.owns[rel][d]
 }
 
-// ContentSensitive reports whether the scheme hashes on at least one
-// dimension of size > 1, making it prone to temporal skew (§5); content-
-// insensitive (all-random) schemes perform identically for any arrival
-// order.
-func (hc *Hypercube) ContentSensitive() bool {
-	for _, d := range hc.Dims {
-		if d.Mode == ModeHash && d.Size > 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // assemble converts attributes plus an optimizer result into a routable
 // hypercube, dropping size-1 dimensions (they carry no information — the §4
 // observation that attributes can fall out of the final partitioning).

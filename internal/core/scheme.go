@@ -185,18 +185,6 @@ func FewDistinctSkewed(distinct int64, machines int) bool {
 	return distinct > 0 && distinct < int64(machines)
 }
 
-// TwoWayHash is the 2-way specialization of the Hash-Hypercube: plain hash
-// partitioning on the equi-join key (§3.1, "2-way join schemes").
-func TwoWayHash(spec JoinSpec, machines int) (*Hypercube, error) {
-	if spec.Graph.NumRels != 2 {
-		return nil, fmt.Errorf("core: TwoWayHash needs exactly 2 relations")
-	}
-	if !spec.Graph.IsEquiOnly() {
-		return nil, fmt.Errorf("core: hash partitioning supports only equi-joins; use OneBucket")
-	}
-	return BuildScheme(HashHypercube, spec, machines)
-}
-
 // OneBucket is the 2-way Random-Hypercube: the 1-Bucket matrix [54] over at
 // most machines joiner tasks. Relation 0 (R) picks a random row and
 // replicates across the columns, relation 1 (S) picks a random column and

@@ -75,9 +75,6 @@ func TestSection31RandomHypercube(t *testing.T) {
 	}
 	approx(t, "avg load", hc.PredictedAvgLoad()/h, 0.75, 0.001)
 	approx(t, "replication", hc.PredictedReplicationFactor(), 16.0, 0.01)
-	if hc.ContentSensitive() {
-		t.Error("Random-Hypercube must be content-insensitive")
-	}
 }
 
 // TestSection31HashUnderSkew reproduces Figure 2c: with the most frequent z
@@ -183,8 +180,10 @@ func TestHybridAllSkewedActsLikeRandom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hc.ContentSensitive() {
-		t.Errorf("all-skewed Hybrid must be content-insensitive: %v", hc)
+	for _, d := range hc.Dims {
+		if d.Mode == ModeHash && d.Size > 1 {
+			t.Errorf("all-skewed Hybrid must hash on no dimension: %v", hc)
+		}
 	}
 }
 
@@ -556,12 +555,12 @@ func TestTwoWaySpecializations(t *testing.T) {
 		Names: []string{"R", "S"},
 		Sizes: []int64{1000, 1000},
 	}
-	hc, err := TwoWayHash(two, 8)
+	hc, err := BuildScheme(HashHypercube, two, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hc.Dims) != 1 || hc.Dims[0].Mode != ModeHash {
-		t.Errorf("TwoWayHash = %v", hc)
+		t.Errorf("2-way Hash-Hypercube = %v", hc)
 	}
 	ob, err := OneBucket(two, 16, 0, 0)
 	if err != nil {
@@ -575,13 +574,13 @@ func TestTwoWaySpecializations(t *testing.T) {
 		Names: []string{"R", "S"},
 		Sizes: []int64{1000, 1000},
 	}
-	if _, err := TwoWayHash(theta, 8); err == nil {
-		t.Error("TwoWayHash on a theta join must fail")
-	}
 	if _, err := OneBucket(theta, 8, 0, 0); err != nil {
 		t.Errorf("OneBucket on a theta join: %v", err)
 	}
-	if _, err := TwoWayHash(chainSpec(10), 8); err == nil {
-		t.Error("TwoWayHash on 3 relations must fail")
-	}
+}
+
+// SlotCol builds the KeySlot for a plain column reference, matching
+// expr.C(col) / expr.EquiCol usage.
+func SlotCol(rel, col int) KeySlot {
+	return KeySlot{Rel: rel, Expr: expr.C(col).String()}
 }

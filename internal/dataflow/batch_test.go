@@ -267,7 +267,7 @@ func TestBatchedTransportStillCopies(t *testing.T) {
 	}
 	for _, g := range got {
 		orig := src[g[0].I]
-		if !g.Equal(orig) {
+		if g.Compare(orig) != 0 {
 			t.Fatalf("tuple mangled over the wire: %v", g)
 		}
 		if &g[0] == &orig[0] {

@@ -328,7 +328,7 @@ func TestSerializationHopProducesFreshTuples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(rows[0]) {
+	if got.Compare(rows[0]) != 0 {
 		t.Errorf("tuple mangled over the wire: %v", got)
 	}
 	if m.TotalBytesOut() == 0 {

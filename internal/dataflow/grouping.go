@@ -47,19 +47,6 @@ func (g fieldsGrouping) RowTargets(cur *wire.Cursor, ntasks int, _ *rand.Rand, b
 	return append(buf, int(cur.Hash(g.cols...)%uint64(ntasks)))
 }
 
-// All broadcasts every row to every task (dimension-table replication in
-// the star-schema special case, §3.2).
-func All() Grouping { return allGrouping{} }
-
-type allGrouping struct{}
-
-func (allGrouping) RowTargets(_ *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
-	for i := 0; i < ntasks; i++ {
-		buf = append(buf, i)
-	}
-	return buf
-}
-
 // Global routes everything to task 0 (final single-task aggregations).
 func Global() Grouping { return globalGrouping{} }
 

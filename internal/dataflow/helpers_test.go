@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"math/rand"
 	"sort"
 	"sync"
 
@@ -105,4 +106,16 @@ func (g *Gather) SortedRows() []types.Tuple {
 	rows := g.Rows()
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
 	return rows
+}
+
+// All broadcasts every row to every task.
+func All() Grouping { return allGrouping{} }
+
+type allGrouping struct{}
+
+func (allGrouping) RowTargets(_ *wire.Cursor, ntasks int, _ *rand.Rand, buf []int) []int {
+	for i := 0; i < ntasks; i++ {
+		buf = append(buf, i)
+	}
+	return buf
 }

@@ -245,8 +245,7 @@ func (p *NetPlane) workerOf(comp string) int {
 	return 0
 }
 
-func (p *NetPlane) owns(n *node) bool      { return p.workerOf(n.name) == p.cfg.Self }
-func (p *NetPlane) ownsName(c string) bool { return p.workerOf(c) == p.cfg.Self }
+func (p *NetPlane) owns(n *node) bool { return p.workerOf(n.name) == p.cfg.Self }
 
 func (p *NetPlane) nodeAt(i int) *node {
 	if i < 0 || i >= len(p.nodes) {

@@ -24,6 +24,29 @@ import (
 	"squall/internal/types"
 )
 
+// startPoolLedger installs a fresh ledger. Boxes already inside the pools are
+// tracked from their next Get; boxes checked out by a concurrent run would be
+// reported as foreign puts, so tests using the ledger must not overlap runs
+// with other tests.
+func startPoolLedger() {
+	ledger.Store(&poolLedger{out: make(map[any]string)})
+}
+
+// stopPoolLedger uninstalls the ledger and reports the boxes still checked
+// out and every lifecycle violation it saw.
+func stopPoolLedger() (outstanding []string, errs []string) {
+	l := ledger.Swap(nil)
+	if l == nil {
+		return nil, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, site := range l.out {
+		outstanding = append(outstanding, site)
+	}
+	return outstanding, l.errs
+}
+
 // ledgerTopo builds spout(3) -> double(4) -> sink(1) — the same linear shape
 // the transport tests use, deep enough to exercise pooled frames on both the
 // shuffle and the global edge.

@@ -681,7 +681,7 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 				}
 				refs := make([]recovery.SegmentRef, len(cks))
 				for i, c := range cks {
-					refs[i] = recovery.SegmentRef{Key: c.Key, CRC: c.CRC, Rows: int64(c.Rows), Dead: c.Dead}
+					refs[i] = recovery.SegmentRef{Key: c.Key, CRC: c.CRC, Rows: int64(c.Rows)}
 				}
 				ck.Segments = append(ck.Segments, refs)
 				ck.Frames = append(ck.Frames, frames)
@@ -725,10 +725,9 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 // store is verified byte-for-byte: the segment codec's own CRC must decode
 // clean AND match the CRC the manifest recorded at checkpoint time, the row
 // count must match, and every row span must hold exactly one encoded row.
-// Rows a manifest's Dead bitmap marks are skipped (arenas write none, but a
-// restore honours what it reads back). Any failure fails the run, including
-// an empty row span or trailing bytes after a row: the alternatives are
-// fabricating rows or silently dropping them.
+// Any failure fails the run, including an empty row span or trailing bytes
+// after a row: the alternatives are fabricating rows or silently dropping
+// them.
 func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bool {
 	ss, ok := a.pol.Store.(slab.SegmentStore)
 	if !ok {
@@ -755,18 +754,9 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 				err = fmt.Errorf("segment %q holds %d rows, manifest says %d", sr.Key, len(offs)-1, sr.Rows)
 			}
 		}
-		dead := func(i int) bool { return i/64 < len(sr.Dead) && sr.Dead[i/64]>>(uint(i)%64)&1 == 1 }
-		live := 0
-		for i := 0; i+1 < len(offs); i++ {
-			if !dead(i) {
-				live++
-			}
-		}
-		frame := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(payload)), uint64(live))
-		for i := 0; err == nil && i+1 < len(offs); i++ {
-			if dead(i) {
-				continue
-			}
+		rows := max(len(offs)-1, 0)
+		frame := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(payload)), uint64(rows))
+		for i := 0; err == nil && i < rows; i++ {
 			span := payload[offs[i]:offs[i+1]]
 			if rerr := cur.Reset(span); rerr != nil {
 				err = fmt.Errorf("%w: row %d: %v", slab.ErrSegmentCorrupt, i, rerr)
@@ -780,8 +770,8 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 		m.StoreReads.Add(1)
 		m.SegmentBytes.Add(int64(len(blob)))
 		m.StoreBytes.Add(int64(len(blob)))
-		m.RestoredTuples.Add(int64(live))
-		if live == 0 {
+		m.RestoredTuples.Add(int64(rows))
+		if rows == 0 {
 			continue
 		}
 		if !a.ex.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {

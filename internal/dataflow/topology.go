@@ -269,27 +269,6 @@ func (t *Topology) Components() []string {
 	return out
 }
 
-// Bolt returns a bolt component's factory (nil for a spout or an unknown
-// name).
-func (t *Topology) Bolt(name string) BoltFactory {
-	if n, ok := t.byN[name]; ok {
-		return n.bolt
-	}
-	return nil
-}
-
-// Grouping returns the grouping of the edge from → to (nil if none).
-func (t *Topology) Grouping(to, from string) Grouping {
-	if n, ok := t.byN[to]; ok {
-		for _, e := range n.inputs {
-			if e.from.name == from {
-				return e.grouping
-			}
-		}
-	}
-	return nil
-}
-
 // Parallelism returns the task count of a component (0 if unknown).
 func (t *Topology) Parallelism(name string) int {
 	if n, ok := t.byN[name]; ok {

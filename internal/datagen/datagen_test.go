@@ -44,17 +44,17 @@ func TestRowGenerationIsDeterministic(t *testing.T) {
 	a := NewTPCH(7, 10000, 2)
 	b := NewTPCH(7, 10000, 2)
 	for i := int64(0); i < 50; i++ {
-		if !a.Lineitem(i).Equal(b.Lineitem(i)) {
+		if a.Lineitem(i).Compare(b.Lineitem(i)) != 0 {
 			t.Fatalf("lineitem %d differs across instances", i)
 		}
-		if !a.Order(i).Equal(b.Order(i)) {
+		if a.Order(i).Compare(b.Order(i)) != 0 {
 			t.Fatalf("order %d differs", i)
 		}
 	}
 	c := NewTPCH(8, 10000, 2)
 	same := 0
 	for i := int64(0); i < 50; i++ {
-		if a.Lineitem(i).Equal(c.Lineitem(i)) {
+		if a.Lineitem(i).Compare(c.Lineitem(i)) == 0 {
 			same++
 		}
 	}
@@ -179,7 +179,7 @@ func TestLineSpoutRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !parsed.Equal(g.Order(0)) {
+	if parsed.Compare(g.Order(0)) != 0 {
 		t.Errorf("line round trip: %v vs %v", parsed, g.Order(0))
 	}
 	if _, err := g.LineSpout("nope"); err == nil {

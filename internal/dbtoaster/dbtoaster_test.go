@@ -110,7 +110,7 @@ func sameTuples(t *testing.T, label string, a, b []types.Tuple) {
 	sortTuples(a)
 	sortTuples(b)
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if a[i].Compare(b[i]) != 0 {
 			t.Fatalf("%s: tuple %d: %v vs %v", label, i, a[i], b[i])
 		}
 	}

@@ -8,6 +8,7 @@ package enginetest_test
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -25,6 +26,15 @@ import (
 	"squall/internal/transport"
 	"squall/internal/types"
 )
+
+// paramsJSON encodes workload params for ClusterSpec.Params.
+func paramsJSON(p clusterjobs.WorkloadParams) []byte {
+	b, err := json.Marshal(p)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
 
 const (
 	workerEnv  = "SQUALL_TEST_WORKER"
@@ -98,7 +108,7 @@ func runWorkloadCluster(t *testing.T, addrs []string, params clusterjobs.Workloa
 	opts.Cluster = &squall.ClusterSpec{
 		Workers: addrs,
 		Job:     clusterjobs.WorkloadJob,
-		Params:  params.Marshal(),
+		Params:  paramsJSON(params),
 	}
 	res, err := q.Run(opts)
 	if err != nil {
@@ -336,7 +346,7 @@ func TestClusterChaosRecoverProcessKill(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	opts.Cluster = &squall.ClusterSpec{
-		Workers: []string{addr1, addr2}, Job: clusterjobs.WorkloadJob, Params: params.Marshal(),
+		Workers: []string{addr1, addr2}, Job: clusterjobs.WorkloadJob, Params: paramsJSON(params),
 		Policy: squall.Recover, MaxAttempts: 3,
 		Heartbeat: 200 * time.Millisecond, HeartbeatMiss: 5,
 		Retry: transport.RetryPolicy{Attempts: 3, BaseDelay: 50 * time.Millisecond, DialTimeout: 5 * time.Second},
@@ -374,7 +384,7 @@ func TestClusterChaosRecoverLinkPartition(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 	opts.Cluster = &squall.ClusterSpec{
-		Workers: []string{addr}, Job: clusterjobs.WorkloadJob, Params: params.Marshal(),
+		Workers: []string{addr}, Job: clusterjobs.WorkloadJob, Params: paramsJSON(params),
 		Policy: squall.Recover, MaxAttempts: 3,
 		Heartbeat: 100 * time.Millisecond, HeartbeatMiss: 3,
 		Retry: transport.RetryPolicy{Attempts: 3, BaseDelay: 20 * time.Millisecond, DialTimeout: 5 * time.Second},

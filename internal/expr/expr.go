@@ -149,16 +149,6 @@ func (d Date) Eval(t types.Tuple) (types.Value, error) {
 
 func (d Date) String() string { return fmt.Sprintf("DATE(%s)", d.Inner) }
 
-// MustEval evaluates e and panics on error; for tests and internal wiring
-// where failure is a programming error.
-func MustEval(e Expr, t types.Tuple) types.Value {
-	v, err := e.Eval(t)
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // C is shorthand for a column reference.
 func C(i int) Col { return Col{Index: i} }
 

@@ -9,9 +9,18 @@ import (
 
 func row(vals ...types.Value) types.Tuple { return types.Tuple(vals) }
 
+func mustEval(t *testing.T, e Expr, tu types.Tuple) types.Value {
+	t.Helper()
+	v, err := e.Eval(tu)
+	if err != nil {
+		t.Fatalf("%s: %v", e, err)
+	}
+	return v
+}
+
 func TestColEval(t *testing.T) {
 	tu := row(types.Int(10), types.Str("x"))
-	if v := MustEval(C(1), tu); v.Str != "x" {
+	if v := mustEval(t, C(1), tu); v.Str != "x" {
 		t.Errorf("C(1) = %v", v)
 	}
 	if _, err := C(5).Eval(tu); err == nil {
@@ -33,7 +42,7 @@ func TestArithIntAndFloat(t *testing.T) {
 		{Arith{Mul, I(2), C(2)}, types.Float(3.0)},
 	}
 	for _, c := range cases {
-		got := MustEval(c.e, tu)
+		got := mustEval(t, c.e, tu)
 		if !got.Equal(c.want) {
 			t.Errorf("%s = %v, want %v", c.e, got, c.want)
 		}
@@ -59,19 +68,19 @@ func TestArithNullPropagates(t *testing.T) {
 }
 
 func TestDateParsesAndOrders(t *testing.T) {
-	d1 := MustEval(Date{C(0)}, row(types.Str("1996-01-02")))
-	d2 := MustEval(Date{C(0)}, row(types.Str("1996-01-03")))
+	d1 := mustEval(t, Date{C(0)}, row(types.Str("1996-01-02")))
+	d2 := mustEval(t, Date{C(0)}, row(types.Str("1996-01-03")))
 	if d1.Kind() != types.KindInt || d2.I != d1.I+1 {
 		t.Errorf("DATE day numbers: %v then %v", d1, d2)
 	}
-	epoch := MustEval(Date{C(0)}, row(types.Str("1970-01-01")))
+	epoch := mustEval(t, Date{C(0)}, row(types.Str("1970-01-01")))
 	if epoch.I != 0 {
 		t.Errorf("epoch day = %v", epoch)
 	}
 }
 
 func TestDatePassthroughAndErrors(t *testing.T) {
-	if v := MustEval(Date{C(0)}, row(types.Int(9000))); v.I != 9000 {
+	if v := mustEval(t, Date{C(0)}, row(types.Int(9000))); v.I != 9000 {
 		t.Errorf("int date passthrough = %v", v)
 	}
 	if _, err := (Date{C(0)}).Eval(row(types.Str("not-a-date"))); err == nil {

@@ -73,41 +73,3 @@ func peersOf(hc *core.Hypercube, rel int, coords []int, failed int) []int {
 }
 
 func dimSize(hc *core.Hypercube, d int) int { return hc.Dims[d].Size }
-
-// FullyRecoverable reports whether every relation can be peer-recovered —
-// the scheme-level property the paper's FT optimization needs. The
-// Random-Hypercube always qualifies; a 1-dimensional Hash-Hypercube (no
-// replication at all) never does.
-func FullyRecoverable(hc *core.Hypercube, failed int) (bool, error) {
-	plans, err := RecoveryPlan(hc, failed)
-	if err != nil {
-		return false, err
-	}
-	for _, p := range plans {
-		if p.Checkpoint {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// RecoveryCost estimates the tuples refetched to rebuild the failed machine
-// from peers (one full partition copy per relation), given per-relation
-// partition sizes at the failed machine. Checkpoint relations count double
-// (the paper's "network several times faster than disk" — we charge a
-// conservative 2x for disk).
-func RecoveryCost(plans []Plan, partSizes []int64) int64 {
-	var cost int64
-	for _, p := range plans {
-		sz := int64(0)
-		if p.Rel < len(partSizes) {
-			sz = partSizes[p.Rel]
-		}
-		if p.Checkpoint {
-			cost += 2 * sz
-		} else {
-			cost += sz
-		}
-	}
-	return cost
-}

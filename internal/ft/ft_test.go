@@ -53,10 +53,6 @@ func TestFigure2bExample(t *testing.T) {
 			}
 		}
 	}
-	ok, err := FullyRecoverable(hc, failed)
-	if err != nil || !ok {
-		t.Errorf("Random-Hypercube must be fully peer-recoverable: %v %v", ok, err)
-	}
 }
 
 // TestNoReplicationNeedsCheckpoint: a same-key multi-way join hashes all
@@ -83,9 +79,6 @@ func TestNoReplicationNeedsCheckpoint(t *testing.T) {
 		if !p.Checkpoint || len(p.Peers) != 0 {
 			t.Errorf("relation %d must fall back to checkpoint: %+v", p.Rel, p)
 		}
-	}
-	if ok, _ := FullyRecoverable(hc, 3); ok {
-		t.Error("1-dimensional hash scheme cannot peer-recover")
 	}
 }
 
@@ -140,7 +133,7 @@ func TestPeersHoldIdenticalPartitions(t *testing.T) {
 	}
 }
 
-func TestRecoveryCostAndValidation(t *testing.T) {
+func TestRecoveryPlanValidation(t *testing.T) {
 	hc, err := core.BuildScheme(core.RandomHypercube, chainSpec(100), 8)
 	if err != nil {
 		t.Fatal(err)
@@ -150,18 +143,5 @@ func TestRecoveryCostAndValidation(t *testing.T) {
 	}
 	if _, err := RecoveryPlan(hc, hc.Machines()); err == nil {
 		t.Error("out-of-range machine must fail")
-	}
-	plans, _ := RecoveryPlan(hc, 0)
-	peerCost := RecoveryCost(plans, []int64{10, 20, 30})
-	if peerCost != 60 {
-		t.Errorf("peer recovery cost = %d, want 60", peerCost)
-	}
-	// Force checkpoints: same sizes must cost double.
-	for i := range plans {
-		plans[i].Checkpoint = true
-		plans[i].Peers = nil
-	}
-	if got := RecoveryCost(plans, []int64{10, 20, 30}); got != 120 {
-		t.Errorf("checkpoint recovery cost = %d, want 120", got)
 	}
 }

@@ -45,7 +45,7 @@ func propSpecs() []core.JoinSpec {
 // live peer recovery, checked exhaustively over small hypercubes: for every
 // scheme, spec, machine budget and failed machine, every peer named by
 // RecoveryPlan holds a bit-identical copy of the failed machine's partition
-// of that relation, and FullyRecoverable agrees with the per-relation plans.
+// of that relation.
 func TestRecoveryPlanPeersHoldIdenticalPartitions(t *testing.T) {
 	schemes := []core.SchemeKind{core.HashHypercube, core.RandomHypercube, core.HybridHypercube}
 	for si, spec := range propSpecs() {
@@ -89,13 +89,11 @@ func TestRecoveryPlanPeersHoldIdenticalPartitions(t *testing.T) {
 						if len(plans) != nRels {
 							t.Fatalf("failed=%d: %d plans for %d relations", failed, len(plans), nRels)
 						}
-						allPeer := true
 						for _, p := range plans {
 							if p.Checkpoint {
 								if len(p.Peers) != 0 {
 									t.Fatalf("failed=%d rel=%d: checkpoint plan with peers %v", failed, p.Rel, p.Peers)
 								}
-								allPeer = false
 								continue
 							}
 							if len(p.Peers) == 0 {
@@ -119,13 +117,6 @@ func TestRecoveryPlanPeersHoldIdenticalPartitions(t *testing.T) {
 								}
 							}
 						}
-						full, err := FullyRecoverable(hc, failed)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if full != allPeer {
-							t.Fatalf("failed=%d: FullyRecoverable=%v but plans say %v", failed, full, allPeer)
-						}
 					}
 				})
 			}
@@ -147,9 +138,14 @@ func TestRandomHypercubeAlwaysFullyRecoverable(t *testing.T) {
 		t.Skipf("degenerate cube %v", hc)
 	}
 	for failed := 0; failed < hc.Machines(); failed++ {
-		ok, err := FullyRecoverable(hc, failed)
-		if err != nil || !ok {
-			t.Fatalf("machine %d of %v not fully recoverable: %v %v", failed, hc, ok, err)
+		plans, err := RecoveryPlan(hc, failed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range plans {
+			if p.Checkpoint {
+				t.Fatalf("machine %d of %v: relation %d needs a checkpoint", failed, hc, p.Rel)
+			}
 		}
 	}
 }

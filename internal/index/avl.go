@@ -126,9 +126,6 @@ func insert(n *tnode, key types.Value, it Item) *tnode {
 	return balance(n)
 }
 
-// Len returns the number of stored items.
-func (t *Tree) Len() int64 { return cnt(t.root) }
-
 // MemSize approximates the tree footprint in bytes.
 func (t *Tree) MemSize() int { return t.mem + 48 }
 
@@ -264,6 +261,3 @@ func aggBelowHi(n *tnode, hi Bound) (int64, float64) {
 	rc, rs := aggBelowHi(n.r, hi)
 	return c + rc + cnt(n.l), s + rs + sum(n.l)
 }
-
-// Height exposes the tree height for balance tests.
-func (t *Tree) Height() int { return int(height(t.root)) }

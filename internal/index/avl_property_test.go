@@ -72,8 +72,8 @@ func TestTreePropertyRangeVsOracle(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		tr := NewTree()
 		oracle := runTrace(rng, tr, nil, 300+rng.Intn(400), int64(5+rng.Intn(60)))
-		if int(tr.Len()) != len(oracle) {
-			t.Fatalf("trial %d: tree Len %d, oracle %d", trial, tr.Len(), len(oracle))
+		if int(cnt(tr.root)) != len(oracle) {
+			t.Fatalf("trial %d: tree Len %d, oracle %d", trial, cnt(tr.root), len(oracle))
 		}
 		for probe := 0; probe < 20; probe++ {
 			lo, hi := randBoundPair(rng, 70)

@@ -30,8 +30,8 @@ func TestTreeInsertAndOrderedRange(t *testing.T) {
 			t.Fatalf("range order %v, want %v", got, want)
 		}
 	}
-	if tr.Len() != 6 {
-		t.Errorf("Len = %d", tr.Len())
+	if cnt(tr.root) != 6 {
+		t.Errorf("Len = %d", cnt(tr.root))
 	}
 }
 
@@ -89,7 +89,7 @@ func TestTreeBalancedHeight(t *testing.T) {
 		tr.Insert(types.Int(v), it(v))
 	}
 	// AVL height bound: 1.44*log2(n+2). For n=4096 that is ~17.4.
-	if h := tr.Height(); h > 18 {
+	if h := height(tr.root); h > 18 {
 		t.Errorf("height %d exceeds AVL bound for %d keys", h, n)
 	}
 }
@@ -133,8 +133,8 @@ func TestTreeAgainstReferenceModel(t *testing.T) {
 			}
 		}
 	}
-	if tr.Len() != int64(len(ref)) {
-		t.Errorf("Len = %d, model %d", tr.Len(), len(ref))
+	if cnt(tr.root) != int64(len(ref)) {
+		t.Errorf("Len = %d, model %d", cnt(tr.root), len(ref))
 	}
 	// Final full-order check.
 	keys := make([]int64, 0, len(ref))

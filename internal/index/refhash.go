@@ -128,9 +128,6 @@ func (h *RefHash) Each(hash uint64, fn func(ref uint32) bool) {
 // Len returns the number of stored refs.
 func (h *RefHash) Len() int { return h.n }
 
-// Keys returns the number of distinct hashes.
-func (h *RefHash) Keys() int { return h.keys }
-
 // MemSize reports the real footprint in bytes: the slot array and posting
 // pool at allocated capacity.
 func (h *RefHash) MemSize() int {

@@ -21,8 +21,8 @@ func TestRefHashInsertLookup(t *testing.T) {
 	if got := h.AppendRefs(nil, 99); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("AppendRefs(99) = %v", got)
 	}
-	if h.Len() != 3 || h.Keys() != 2 {
-		t.Fatalf("Len=%d Keys=%d", h.Len(), h.Keys())
+	if h.Len() != 3 || h.keys != 2 {
+		t.Fatalf("Len=%d Keys=%d", h.Len(), h.keys)
 	}
 }
 
@@ -50,8 +50,8 @@ func TestRefHashAgainstReferenceModel(t *testing.T) {
 				}
 			}
 		}
-		if h.Len() != total || h.Keys() != len(ref) {
-			t.Fatalf("%s: Len=%d Keys=%d, model %d/%d", when, h.Len(), h.Keys(), total, len(ref))
+		if h.Len() != total || h.keys != len(ref) {
+			t.Fatalf("%s: Len=%d Keys=%d, model %d/%d", when, h.Len(), h.keys, total, len(ref))
 		}
 		for i := 0; i < 64; i++ {
 			// Model keys never set bit 63.
@@ -107,11 +107,11 @@ func TestRefHashLoadFactor(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			before := len(h.slots)
 			h.Insert(uint64(i)<<3, uint32(i)) // shared low bits: long chains
-			if before != 0 && 4*(h.Keys()-1) >= 3*before && len(h.slots) != 2*before {
-				t.Fatalf("key %d: %d slots at %d keys, want growth to %d", i, len(h.slots), h.Keys()-1, 2*before)
+			if before != 0 && 4*(h.keys-1) >= 3*before && len(h.slots) != 2*before {
+				t.Fatalf("key %d: %d slots at %d keys, want growth to %d", i, len(h.slots), h.keys-1, 2*before)
 			}
-			if 4*(h.Keys()-1) >= 3*len(h.slots) {
-				t.Fatalf("key %d: %d keys in %d slots exceeds 3/4 load", i, h.Keys(), len(h.slots))
+			if 4*(h.keys-1) >= 3*len(h.slots) {
+				t.Fatalf("key %d: %d keys in %d slots exceeds 3/4 load", i, h.keys, len(h.slots))
 			}
 		}
 		// An absent key's probe must reach an empty slot and stop.
@@ -124,8 +124,8 @@ func TestRefHashLoadFactor(t *testing.T) {
 		for i := 0; i < 5000; i++ {
 			h.Insert(42, uint32(i))
 		}
-		if len(h.slots) != 8 || h.Keys() != 1 || h.Len() != 5000 {
-			t.Fatalf("%d slots, %d keys, %d refs; want 8, 1, 5000", len(h.slots), h.Keys(), h.Len())
+		if len(h.slots) != 8 || h.keys != 1 || h.Len() != 5000 {
+			t.Fatalf("%d slots, %d keys, %d refs; want 8, 1, 5000", len(h.slots), h.keys, h.Len())
 		}
 	})
 }

@@ -61,7 +61,7 @@ func equalTupleSets(a, b []types.Tuple) bool {
 	sortTuples(a)
 	sortTuples(b)
 	for i := range a {
-		if !a[i].Equal(b[i]) {
+		if a[i].Compare(b[i]) != 0 {
 			return false
 		}
 	}
@@ -291,12 +291,12 @@ func TestTraditionalRefLifecycle(t *testing.T) {
 		t.Fatalf("RelCount = %d, Rows = %d, want %d", j.RelCount(0), a.Rows(), len(want))
 	}
 	for i, tup := range want {
-		if got := a.Decode(slab.Ref(i)); !got.Equal(tup) {
+		if got := a.Decode(slab.Ref(i)); got.Compare(tup) != 0 {
 			t.Fatalf("ref %d holds %v, want %v (refs must be dense in arrival order)", i, got, tup)
 		}
 	}
 	for i, got := range frameTuples(t, j, 0, 4) {
-		if !got.Equal(want[i]) {
+		if got.Compare(want[i]) != 0 {
 			t.Fatalf("export row %d = %v, want %v", i, got, want[i])
 		}
 	}

@@ -385,9 +385,6 @@ func (a *Agg) Rows() []types.Tuple {
 	return out
 }
 
-// Groups returns the number of distinct groups.
-func (a *Agg) Groups() int { return len(a.states) }
-
 // MemSize reports accumulator state in real bytes.
 func (a *Agg) MemSize() int {
 	return a.arena.MemSize() + a.idx.MemSize() + 24*cap(a.states) + 48

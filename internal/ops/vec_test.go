@@ -95,7 +95,7 @@ func TestRunFrameAgreesWithEachRow(t *testing.T) {
 				t.Fatalf("pipeline %d: frame %d rows, row path %d", pi, len(got), len(want))
 			}
 			for k := range got {
-				if !got[k].Equal(want[k]) {
+				if got[k].Compare(want[k]) != 0 {
 					t.Fatalf("pipeline %d row %d: frame %v, row path %v", pi, k, got[k], want[k])
 				}
 			}
@@ -133,7 +133,7 @@ func TestRunFrameMixedKindFallback(t *testing.T) {
 	if !handled {
 		t.Fatalf("mixed-kind frame: want spill through the row path, got handled=false")
 	}
-	if len(got) != 2 || !got[0].Equal(rows[1]) || !got[1].Equal(rows[2]) {
+	if len(got) != 2 || got[0].Compare(rows[1]) != 0 || got[1].Compare(rows[2]) != 0 {
 		t.Fatalf("mixed-kind spill selected %v", got)
 	}
 }
@@ -187,8 +187,8 @@ func TestAggFoldFrameAgreesWithFoldRow(t *testing.T) {
 			}
 			wantBag[k]--
 		}
-		if rowAgg.Groups() != frameAgg.Groups() {
-			t.Fatalf("%v: groups %d vs %d", kind, frameAgg.Groups(), rowAgg.Groups())
+		if len(rowAgg.states) != len(frameAgg.states) {
+			t.Fatalf("%v: groups %d vs %d", kind, len(frameAgg.states), len(rowAgg.states))
 		}
 	}
 }
@@ -218,8 +218,8 @@ func TestAggFoldFrameFallbackTouchesNothing(t *testing.T) {
 	if handled {
 		t.Fatal("string SUM column must fall back to the row path")
 	}
-	if a.Groups() != 0 {
-		t.Fatalf("fallback mutated the group table: %d groups", a.Groups())
+	if len(a.states) != 0 {
+		t.Fatalf("fallback mutated the group table: %d groups", len(a.states))
 	}
 	var cur wire.Cursor
 	if _, _, err := wire.EachRow(frame, &cur, func(_ []byte) error {

@@ -57,17 +57,17 @@ func (m *Manifest) CursorFor(stream string, fromTask int) int64 {
 	return 0
 }
 
-// SegmentRef references one sealed slab segment from an incremental (v2)
+// SegmentRef references one sealed slab segment from an incremental
 // checkpoint: the segment blob was persisted to the segment side of the
 // store once, at seal time, under Key; the checkpoint carries only the
 // reference. CRC pins the exact blob — a substituted or corrupted segment
-// fails verification at restore instead of fabricating rows. Dead is an
-// optional per-row skip bitmap the v2 codec keeps: arenas are append-only
-// and write none, and restore skips any row it marks.
+// fails verification at restore instead of fabricating rows.
 type SegmentRef struct {
 	Key  string
 	CRC  uint32
 	Rows int64
+	// Deprecated: Dead is never encoded or read; it stays only while
+	// bench/replay.go sets it (ROADMAP item 20 deletes both).
 	Dead []uint64
 }
 
@@ -76,11 +76,11 @@ type SegmentRef struct {
 type Checkpoint struct {
 	Manifest Manifest
 	// Frames[rel] is relation rel's state as encoded wire batch frames. In
-	// an incremental (v2) checkpoint these cover only the hot (unsealed)
-	// rows; sealed rows are referenced through Segments.
+	// an incremental checkpoint these cover only the hot (unsealed) rows;
+	// sealed rows are referenced through Segments.
 	Frames [][][]byte
 	// Segments[rel], when non-nil, lists relation rel's sealed segments by
-	// store reference (v2 checkpoints only; nil in v1).
+	// store reference (incremental checkpoints only; nil in v1).
 	Segments [][]SegmentRef
 	// Tuples counts the stored tuples across relations (metrics only).
 	Tuples int64
@@ -91,11 +91,13 @@ const (
 	manifestMagic   = "SQMF"
 	manifestVersion = 1
 	checkpointMagic = "SQCK"
-	// checkpointVersion 1 is the full-frame format; 2 appends per-relation
-	// sealed-segment reference lists (incremental checkpoints). v1 blobs
-	// stay decodable forever.
-	checkpointVersion   = 1
-	checkpointVersionV2 = 2
+	// checkpointVersion 1 is the full-frame format, which untiered state
+	// and the tiered export's fallback still write; checkpointVersionSegs
+	// appends per-relation sealed-segment reference lists (incremental
+	// checkpoints). Version 2 carried a per-row skip bitmap after each
+	// reference and is rejected as unsupported rather than misparsed.
+	checkpointVersion     = 1
+	checkpointVersionSegs = 3
 )
 
 // AppendManifest appends m's encoding to dst and returns the extended slice.
@@ -171,12 +173,12 @@ func DecodeManifest(src []byte) (*Manifest, int, error) {
 //
 //	checkpoint := "SQCK" ver manifest uv(tuples) uv(nrels) relFrames* [segs]
 //	relFrames  := uv(nframes) { uv(len) frameBytes }*
-//	segs       := uv(nrels) relSegs*                        (version 2 only)
-//	relSegs    := uv(nsegs) { str(key) uv(crc) uv(rows) uv(nwords) word64le* }*
+//	segs       := uv(nrels) relSegs*                        (version 3 only)
+//	relSegs    := uv(nsegs) { str(key) uv(crc) uv(rows) }*
 func AppendCheckpoint(dst []byte, ck *Checkpoint) []byte {
 	ver := byte(checkpointVersion)
 	if ck.Segments != nil {
-		ver = checkpointVersionV2
+		ver = checkpointVersionSegs
 	}
 	dst = append(dst, checkpointMagic...)
 	dst = append(dst, ver)
@@ -198,10 +200,6 @@ func AppendCheckpoint(dst []byte, ck *Checkpoint) []byte {
 				dst = appendString(dst, s.Key)
 				dst = binary.AppendUvarint(dst, uint64(s.CRC))
 				dst = binary.AppendUvarint(dst, uint64(s.Rows))
-				dst = binary.AppendUvarint(dst, uint64(len(s.Dead)))
-				for _, w := range s.Dead {
-					dst = binary.LittleEndian.AppendUint64(dst, w)
-				}
 			}
 		}
 	}
@@ -218,7 +216,7 @@ func DecodeCheckpoint(src []byte) (*Checkpoint, int, error) {
 		return nil, 0, fmt.Errorf("recovery: checkpoint: bad magic %q", src[:len(checkpointMagic)])
 	}
 	ver := src[len(checkpointMagic)]
-	if ver != checkpointVersion && ver != checkpointVersionV2 {
+	if ver != checkpointVersion && ver != checkpointVersionSegs {
 		return nil, 0, fmt.Errorf("recovery: checkpoint: unsupported version %d", ver)
 	}
 	pos := len(checkpointMagic) + 1
@@ -264,7 +262,7 @@ func DecodeCheckpoint(src []byte) (*Checkpoint, int, error) {
 		}
 		ck.Frames = append(ck.Frames, frames)
 	}
-	if ver == checkpointVersionV2 {
+	if ver == checkpointVersionSegs {
 		var nrels2 uint64
 		if nrels2, pos, err = decodeUvarint(src, pos); err != nil {
 			return nil, 0, fmt.Errorf("recovery: segment rel count: %w", err)
@@ -296,18 +294,6 @@ func DecodeCheckpoint(src []byte) (*Checkpoint, int, error) {
 					return nil, 0, fmt.Errorf("recovery: segment %d/%d rows: %w", r, i, err)
 				}
 				s.Rows = int64(u)
-				var nwords uint64
-				if nwords, pos, err = decodeUvarint(src, pos); err != nil {
-					return nil, 0, fmt.Errorf("recovery: segment %d/%d dead words: %w", r, i, err)
-				}
-				if nwords*8 > uint64(len(src)-pos) {
-					return nil, 0, fmt.Errorf("recovery: segment %d/%d dead bitmap exceeds buffer", r, i)
-				}
-				s.Dead = make([]uint64, nwords)
-				for w := uint64(0); w < nwords; w++ {
-					s.Dead[w] = binary.LittleEndian.Uint64(src[pos:])
-					pos += 8
-				}
 				segs = append(segs, s)
 			}
 			ck.Segments = append(ck.Segments, segs)

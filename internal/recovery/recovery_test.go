@@ -141,8 +141,8 @@ func sampleV2Checkpoint() *Checkpoint {
 	ck := sampleCheckpoint()
 	ck.Segments = [][]SegmentRef{
 		{
-			{Key: "ck-joiner-g1-s0", CRC: 0xdeadbeef, Rows: 64, Dead: []uint64{0x5, 0}},
-			{Key: "ck-joiner-g1-s1", CRC: 0x01020304, Rows: 64, Dead: []uint64{0, 0}},
+			{Key: "ck-joiner-g1-s0", CRC: 0xdeadbeef, Rows: 64},
+			{Key: "ck-joiner-g1-s1", CRC: 0x01020304, Rows: 64},
 		},
 		{}, // rel with no sealed segments yet
 	}
@@ -167,6 +167,12 @@ func TestCheckpointV2RoundTrip(t *testing.T) {
 	got1, _, err := DecodeCheckpoint(AppendCheckpoint(nil, v1))
 	if err != nil || got1.Segments != nil {
 		t.Fatalf("v1 decode: %v, segments %v", err, got1.Segments)
+	}
+	// Version 2 carried a dead-row bitmap per segment reference; such a blob
+	// must be rejected, not read as today's layout.
+	enc[len(checkpointMagic)] = 2
+	if _, _, err := DecodeCheckpoint(enc); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
+		t.Fatalf("version-2 blob: err %v, want unsupported version", err)
 	}
 }
 
@@ -358,7 +364,7 @@ func TestSegmentLogCorruptionIsolated(t *testing.T) {
 	a := slab.New()
 	a.EnableTier(slab.TierConfig{SegmentRows: segRows, Store: disk, CacheSegments: 1, KeyPrefix: "log"})
 	for i := 0; i < segRows*segs; i++ {
-		a.Append(row(i))
+		a.AppendEncoded(wire.Encode(nil, row(i)))
 	}
 	if st := a.TierStats(); st.SpilledSegments != segs {
 		t.Fatalf("%d of %d segments spilled", st.SpilledSegments, segs)
@@ -403,7 +409,7 @@ func TestSegmentLogCorruptionIsolated(t *testing.T) {
 		if r/segRows == 1 {
 			continue
 		}
-		if got, ce := read(r); ce != nil || !got.Equal(row(r)) {
+		if got, ce := read(r); ce != nil || got.Compare(row(r)) != 0 {
 			t.Fatalf("row %d = %v (%v) after quarantining segment 1", r, got, ce)
 		}
 	}

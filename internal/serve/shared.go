@@ -227,7 +227,6 @@ func (s *SharedSource) publish(frame []byte) {
 		}
 		select {
 		case t.ch <- frame:
-			t.delivered.Add(1)
 		default:
 			slow = append(slow, t)
 		}
@@ -236,7 +235,6 @@ func (s *SharedSource) publish(frame []byte) {
 		timer := time.NewTimer(s.opt.StallTimeout)
 		select {
 		case t.ch <- frame:
-			t.delivered.Add(1)
 		case <-t.gone:
 		case <-timer.C:
 			s.stalls.Add(1)
@@ -262,12 +260,11 @@ func (s *SharedSource) finish() {
 // Tap is one query's subscription to a shared source: a credit-windowed
 // frame channel. The consumer side is the per-query tap spout (spout.go).
 type Tap struct {
-	src       *SharedSource
-	ch        chan []byte
-	gone      chan struct{}
-	goneOnce  sync.Once
-	err       atomic.Pointer[error]
-	delivered atomic.Int64
+	src      *SharedSource
+	ch       chan []byte
+	gone     chan struct{}
+	goneOnce sync.Once
+	err      atomic.Pointer[error]
 }
 
 // NextFrame blocks for the next shared frame; ok=false on end-of-stream or
@@ -298,9 +295,6 @@ func (t *Tap) Err() error {
 	}
 	return nil
 }
-
-// Delivered returns how many frames this tap received.
-func (t *Tap) Delivered() int64 { return t.delivered.Load() }
 
 func (t *Tap) fail(err error) {
 	t.err.CompareAndSwap(nil, &err)

@@ -149,18 +149,6 @@ func (ts *Tenants) Usage(name string) (bytes int64, queries int) {
 	return t.meter.Bytes(), t.queries
 }
 
-// SpilledUsage reports the tenant's current on-disk bytes (tiered state the
-// engine spilled on its behalf).
-func (ts *Tenants) SpilledUsage(name string) int64 {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	t := ts.m[name]
-	if t == nil {
-		return 0
-	}
-	return t.meter.SpilledBytes()
-}
-
 // Stats snapshots every tenant, sorted by name.
 func (ts *Tenants) Stats() []TenantStats {
 	ts.mu.Lock()

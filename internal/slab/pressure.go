@@ -87,14 +87,6 @@ func (p *Pressure) Stage() PressureStage {
 // ResidentBytes returns tiered bytes currently in RAM.
 func (p *Pressure) ResidentBytes() int64 { return p.resident.Load() }
 
-// PeakResidentBytes returns the high-water resident total — the number the
-// "did the run actually stay under its cap" gate checks, since by run end
-// the arenas have released their charges and ResidentBytes reads zero.
-func (p *Pressure) PeakResidentBytes() int64 { return p.peak.Load() }
-
-// SpilledBytes returns tiered bytes currently resident on disk only.
-func (p *Pressure) SpilledBytes() int64 { return p.spilled.Load() }
-
 // NoteThrottle counts one source batch delayed by backpressure.
 func (p *Pressure) NoteThrottle() { p.throttled.Add(1) }
 

@@ -75,18 +75,6 @@ func (a *Arena) checkCapacity() {
 	}
 }
 
-// Append stores t as a packed row and returns its ref.
-func (a *Arena) Append(t types.Tuple) Ref {
-	a.checkCapacity()
-	ref := Ref(a.Rows())
-	a.offs = append(a.offs, uint32(len(a.buf)))
-	a.buf = wire.Encode(a.buf, t)
-	if a.t != nil {
-		a.t.afterAppend(a)
-	}
-	return ref
-}
-
 // AppendEncoded stores an already wire-encoded row (as produced by
 // wire.Encode) and returns its ref. The bytes are copied.
 func (a *Arena) AppendEncoded(row []byte) Ref {

@@ -8,6 +8,9 @@ import (
 	"squall/internal/wire"
 )
 
+// appendTuple stores t as one encoded row, as operators store arrivals.
+func appendTuple(a *Arena, t types.Tuple) Ref { return a.AppendEncoded(wire.Encode(nil, t)) }
+
 func randTuple(r *rand.Rand) types.Tuple {
 	n := 1 + r.Intn(5)
 	t := make(types.Tuple, n)
@@ -32,7 +35,7 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 	var want []types.Tuple
 	for i := 0; i < 500; i++ {
 		tup := randTuple(r)
-		ref := a.Append(tup)
+		ref := appendTuple(a, tup)
 		if int(ref) != i {
 			t.Fatalf("ref %d for row %d", ref, i)
 		}
@@ -40,7 +43,7 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 	}
 	for i, w := range want {
 		got := a.Decode(Ref(i))
-		if !got.Equal(w) {
+		if got.Compare(w) != 0 {
 			t.Fatalf("row %d: decoded %v, want %v", i, got, w)
 		}
 	}
@@ -51,13 +54,13 @@ func TestAppendDecodeRoundTrip(t *testing.T) {
 
 func TestDecodeIntoReusesBuffer(t *testing.T) {
 	a := New()
-	ref := a.Append(types.Tuple{types.Int(1), types.Int(2), types.Int(3)})
+	ref := appendTuple(a, types.Tuple{types.Int(1), types.Int(2), types.Int(3)})
 	buf := make(types.Tuple, 0, 8)
 	out := a.DecodeInto(buf, ref)
 	if &out[:1][0] != &buf[:1][0] {
 		t.Error("DecodeInto must reuse the provided buffer")
 	}
-	if !out.Equal(types.Tuple{types.Int(1), types.Int(2), types.Int(3)}) {
+	if out.Compare(types.Tuple{types.Int(1), types.Int(2), types.Int(3)}) != 0 {
 		t.Errorf("decoded %v", out)
 	}
 }
@@ -69,7 +72,7 @@ func TestRowBytesMatchWireEncoding(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		tup := randTuple(r)
 		tuples = append(tuples, tup)
-		a.Append(tup)
+		appendTuple(a, tup)
 	}
 	for i, tup := range tuples {
 		want := wire.Encode(nil, tup)
@@ -89,7 +92,7 @@ func TestEachFrameDecodesAsWireBatches(t *testing.T) {
 	var want []types.Tuple
 	for i := 0; i < 100; i++ {
 		tup := randTuple(r)
-		a.Append(tup)
+		appendTuple(a, tup)
 		want = append(want, tup)
 	}
 	for _, batchSize := range []int{1, 7, 64, 1000} {
@@ -115,7 +118,7 @@ func TestEachFrameDecodesAsWireBatches(t *testing.T) {
 			t.Fatalf("batch=%d: %d tuples across frames, want %d", batchSize, len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].Equal(want[i]) {
+			if got[i].Compare(want[i]) != 0 {
 				t.Fatalf("batch=%d row %d: %v vs %v", batchSize, i, got[i], want[i])
 			}
 		}
@@ -126,7 +129,7 @@ func TestMemSizeTracksRealBytes(t *testing.T) {
 	a := New()
 	base := a.MemSize()
 	for i := 0; i < 1000; i++ {
-		a.Append(types.Tuple{types.Int(int64(i)), types.Str("abcdefgh")})
+		appendTuple(a, types.Tuple{types.Int(int64(i)), types.Str("abcdefgh")})
 	}
 	sz := a.MemSize()
 	if sz <= base {

@@ -102,12 +102,13 @@ func (e *CorruptSegmentError) Unwrap() error { return e.Err }
 
 // SegmentCk references one sealed segment from an incremental checkpoint:
 // the blob lives in the checkpoint store under Key (written once, at seal
-// persistence). Dead is the v2 manifest's per-row skip bitmap; arenas never
-// delete rows, so SealedSegmentCks always leaves it nil.
+// persistence).
 type SegmentCk struct {
 	Key  string
 	CRC  uint32
 	Rows int
+	// Deprecated: Dead is always nil and no checkpoint encodes it; it stays
+	// only while bench/replay.go copies it (ROADMAP item 20 deletes both).
 	Dead []uint64
 }
 
@@ -218,14 +219,6 @@ func (a *Arena) FaultSpan() int {
 		return 0
 	}
 	return a.t.segRows
-}
-
-// SealedSegments reports the sealed segment count (0 for a plain arena).
-func (a *Arena) SealedSegments() int {
-	if a.t == nil {
-		return 0
-	}
-	return len(a.t.segs)
 }
 
 // TierStats snapshots the tier (zero value for a plain arena).

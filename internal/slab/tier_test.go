@@ -66,8 +66,8 @@ func TestTieredEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for i := 0; i < 2000; i++ {
 		tup := tupleFor(i)
-		r1 := plain.Append(tup)
-		r2 := tiered.Append(tup)
+		r1 := appendTuple(plain, tup)
+		r2 := appendTuple(tiered, tup)
 		if r1 != r2 {
 			t.Fatalf("ref divergence at %d: plain %d tiered %d", i, r1, r2)
 		}
@@ -86,7 +86,7 @@ func TestTieredEquivalence(t *testing.T) {
 		if string(plain.RowBytes(r)) != string(tiered.RowBytes(r)) {
 			t.Fatalf("row %d bytes diverge", r)
 		}
-		if want, got := plain.Decode(r), tiered.Decode(r); !got.Equal(want) {
+		if want, got := plain.Decode(r), tiered.Decode(r); got.Compare(want) != 0 {
 			t.Fatalf("row %d diverges:\nplain  %v\ntiered %v", r, want, got)
 		}
 	}
@@ -108,7 +108,7 @@ func TestTierSpillFaultIn(t *testing.T) {
 	want := make([]types.Tuple, n)
 	for i := 0; i < n; i++ {
 		want[i] = tupleFor(i)
-		a.Append(want[i])
+		appendTuple(a, want[i])
 	}
 	st := a.TierStats()
 	if st.SealedSegments == 0 || st.SpilledSegments != st.SealedSegments {
@@ -154,7 +154,7 @@ func TestTierStableRefs(t *testing.T) {
 	defer a.ReleaseTier()
 	var refs []Ref
 	for i := 0; i < 1500; i++ {
-		r := a.Append(tupleFor(i))
+		r := appendTuple(a, tupleFor(i))
 		if int(r) != i {
 			t.Fatalf("append %d got ref %d; refs must be dense", i, r)
 		}
@@ -173,7 +173,7 @@ func TestTierStableRefs(t *testing.T) {
 			if pass == 0 {
 				i = len(refs) - 1 - k
 			}
-			if got := a.Decode(refs[i]); !got.Equal(tupleFor(i)) {
+			if got := a.Decode(refs[i]); got.Compare(tupleFor(i)) != 0 {
 				t.Fatalf("pass %d: ref %d holds %v, want %v", pass, refs[i], got, tupleFor(i))
 			}
 		}
@@ -191,7 +191,7 @@ func TestTierQuarantine(t *testing.T) {
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, KeyPrefix: "q"})
 	for i := 0; i < 100; i++ {
-		a.Append(tupleFor(i))
+		appendTuple(a, tupleFor(i))
 	}
 	if a.TierStats().SpilledSegments == 0 {
 		t.Fatal("nothing spilled")
@@ -229,7 +229,7 @@ func spilledArena(t testing.TB, store SegmentStore, segRows, cache, n int, row f
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: segRows, Store: store, CacheSegments: cache, KeyPrefix: "v"})
 	for i := 0; i < n; i++ {
-		a.Append(row(i))
+		appendTuple(a, row(i))
 	}
 	if st := a.TierStats(); st.SpilledSegments != n/segRows {
 		t.Fatalf("%d of %d segments spilled", st.SpilledSegments, n/segRows)
@@ -300,7 +300,7 @@ func TestFaultInRejectsBlobsOffSealedIdentity(t *testing.T) {
 				t.Fatal("quarantine left the bad blob in the store")
 			}
 			// The other segments still fault in and read back intact.
-			if got := a.Decode(64); !got.Equal(tupleFor(64)) {
+			if got := a.Decode(64); got.Compare(tupleFor(64)) != 0 {
 				t.Fatalf("segment 1 row 0 = %v after quarantining segment 0", got)
 			}
 		})
@@ -498,21 +498,20 @@ func FuzzFaultInVerify(f *testing.F) {
 }
 
 // Incremental checkpoints: segments persist to the ck store exactly once,
-// later calls reference them by key without rewriting, and no reference
-// carries a Dead bitmap (arenas never delete rows).
+// later calls reference them by key without rewriting.
 func TestSealedSegmentCks(t *testing.T) {
 	ck := newMapStore()
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: 64, CkStore: ck, KeyPrefix: "c"})
 	for i := 0; i < 200; i++ {
-		a.Append(tupleFor(i))
+		appendTuple(a, tupleFor(i))
 	}
 	cks, err := a.SealedSegmentCks()
 	if err != nil {
 		t.Fatalf("SealedSegmentCks: %v", err)
 	}
-	if len(cks) != a.SealedSegments() {
-		t.Fatalf("%d cks for %d segments", len(cks), a.SealedSegments())
+	if len(cks) != a.TierStats().SealedSegments {
+		t.Fatalf("%d cks for %d segments", len(cks), a.TierStats().SealedSegments)
 	}
 	firstPuts := ck.puts
 	if firstPuts != len(cks) {
@@ -520,21 +519,18 @@ func TestSealedSegmentCks(t *testing.T) {
 	}
 
 	for i := 200; i < 280; i++ {
-		a.Append(tupleFor(i))
+		appendTuple(a, tupleFor(i))
 	}
 	cks2, err := a.SealedSegmentCks()
 	if err != nil {
 		t.Fatalf("second SealedSegmentCks: %v", err)
 	}
-	newSegs := a.SealedSegments() - len(cks)
+	newSegs := a.TierStats().SealedSegments - len(cks)
 	if ck.puts != firstPuts+newSegs {
 		t.Fatalf("incremental violated: %d new puts for %d new segments", ck.puts-firstPuts, newSegs)
 	}
 	// Blobs in the store must decode and match their recorded CRC.
 	for _, c := range cks2 {
-		if c.Dead != nil {
-			t.Fatalf("ck %s carries a Dead bitmap %v", c.Key, c.Dead)
-		}
 		blob, ok, err := ck.GetSegment(c.Key, nil)
 		if err != nil || !ok {
 			t.Fatalf("ck blob %s missing (%v)", c.Key, err)
@@ -566,11 +562,11 @@ func TestEachHotFrameCoversRowsSinceLastSeal(t *testing.T) {
 			want := make([]types.Tuple, n)
 			for i := range want {
 				want[i] = tupleFor(i)
-				a.Append(want[i])
+				appendTuple(a, want[i])
 			}
 			hot := want
 			if segRows > 0 {
-				if got := a.SealedSegments(); got != n/segRows {
+				if got := a.TierStats().SealedSegments; got != n/segRows {
 					t.Fatalf("%d sealed segments, want %d", got, n/segRows)
 				}
 				hot = want[n/segRows*segRows:]
@@ -604,7 +600,7 @@ func TestTierSpillErrorKeepsResident(t *testing.T) {
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, KeyPrefix: "e"})
 	for i := 0; i < 200; i++ {
-		a.Append(tupleFor(i))
+		appendTuple(a, tupleFor(i))
 	}
 	st := a.TierStats()
 	if st.SpilledSegments != 0 || st.SpillErrors == 0 {
@@ -637,13 +633,13 @@ func TestPressureLadder(t *testing.T) {
 	g.set(800, 300, 5)
 	g2 := p.Gauge()
 	g2.set(100, 50, 2)
-	if p.ResidentBytes() != 900 || p.SpilledBytes() != 350 {
-		t.Fatalf("multi-gauge totals wrong: %d resident, %d spilled", p.ResidentBytes(), p.SpilledBytes())
+	if p.ResidentBytes() != 900 || p.Stats().SpilledBytes != 350 {
+		t.Fatalf("multi-gauge totals wrong: %d resident, %d spilled", p.ResidentBytes(), p.Stats().SpilledBytes)
 	}
 	g.Release()
 	g.Release() // idempotent
-	if p.ResidentBytes() != 100 || p.SpilledBytes() != 50 {
-		t.Fatalf("release refund wrong: %d resident, %d spilled", p.ResidentBytes(), p.SpilledBytes())
+	if p.ResidentBytes() != 100 || p.Stats().SpilledBytes != 50 {
+		t.Fatalf("release refund wrong: %d resident, %d spilled", p.ResidentBytes(), p.Stats().SpilledBytes)
 	}
 	st := p.Stats()
 	if st.Stage != "normal" || st.SealedSegments != 2 {
@@ -663,13 +659,13 @@ func TestTierPressureDrivenSpill(t *testing.T) {
 	a := New()
 	a.EnableTier(TierConfig{SegmentRows: 64, Store: store, Pressure: p, CacheSegments: 2, KeyPrefix: "p"})
 	for i := 0; i < 4000; i++ {
-		a.Append(tupleFor(i))
+		appendTuple(a, tupleFor(i))
 	}
 	st := a.TierStats()
 	if st.SpilledSegments == 0 {
 		t.Fatalf("pressure never triggered spilling: %+v (pressure %+v)", st, p.Stats())
 	}
-	if p.SpilledBytes() == 0 {
+	if p.Stats().SpilledBytes == 0 {
 		t.Fatal("ladder did not observe spilled bytes")
 	}
 	a.ReleaseTier()

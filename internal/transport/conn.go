@@ -117,24 +117,6 @@ func NewConn(c net.Conn) *Conn {
 	return cn
 }
 
-// Dial connects to addr and performs the client half of the handshake. For
-// retry with backoff and fault injection, see DialRetry.
-func Dial(addr string, timeout time.Duration, h Hello) (*Conn, error) {
-	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	if tc, ok := nc.(*net.TCPConn); ok {
-		tc.SetNoDelay(true) // control RPCs and credit grants are latency-bound
-	}
-	c := NewConn(nc)
-	if err := c.SendHello(h); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return c, nil
-}
-
 // SendHello writes the handshake message. Epoch and heartbeat parameters
 // ride in the payload as uvarints; an empty payload decodes as zeros, so
 // older peers interoperate.

@@ -57,10 +57,3 @@ func (c *Credit) Grant(n int) {
 	}
 	c.mu.Unlock()
 }
-
-// Available reports the current credit count (diagnostics/tests only).
-func (c *Credit) Available() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.avail
-}

@@ -69,15 +69,7 @@ type FaultConn struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	writes int
-	trace  []string
-}
-
-// Trace returns the decision log ("<write index>:<action>" per write) — the
-// determinism witness: same spec, same write sequence, same trace.
-func (c *FaultConn) Trace() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.trace...)
+	trace  []string // "<write index>:<action>" per write: same spec, same trace
 }
 
 func (c *FaultConn) Write(b []byte) (int, error) {

@@ -73,7 +73,7 @@ func DialRetry(addr string, h Hello, rp RetryPolicy, fault *FaultSpec) (*Conn, e
 		nc, err := net.DialTimeout("tcp", addr, rp.DialTimeout)
 		if err == nil {
 			if tc, ok := nc.(*net.TCPConn); ok {
-				tc.SetNoDelay(true)
+				tc.SetNoDelay(true) // control RPCs and credit grants are latency-bound
 			}
 			if fault != nil {
 				nc = fault.Wrap(nc)

@@ -177,7 +177,9 @@ func faultTrace(t *testing.T, spec *FaultSpec, writes int) []string {
 			t.Fatal(err)
 		}
 	}
-	return fc.Trace()
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	return append([]string(nil), fc.trace...)
 }
 
 func TestFaultConnDeterministic(t *testing.T) {

@@ -25,12 +25,12 @@ func TestParseLineFastPathRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseLine(%q): %v", line, err)
 		}
-		if !got.Equal(orig) {
+		if got.Compare(orig) != 0 {
 			t.Errorf("round trip %v -> %q -> %v", orig, line, got)
 		}
 		// The .tbl trailing-separator convention parses identically.
 		got2, err := ParseLine(testSchema, line+"|", '|')
-		if err != nil || !got2.Equal(orig) {
+		if err != nil || got2.Compare(orig) != 0 {
 			t.Errorf("trailing separator: %v (%v)", got2, err)
 		}
 	}

@@ -1,9 +1,6 @@
 package types
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Tuple is a row of values. Tuples flowing through the dataflow engine are
 // treated as immutable: an operator that wants to change a tuple must copy it
@@ -16,23 +13,6 @@ type Tuple []Value
 func (t Tuple) Clone() Tuple {
 	c := make(Tuple, len(t))
 	copy(c, t)
-	return c
-}
-
-// Concat returns a new tuple holding t followed by o.
-func (t Tuple) Concat(o Tuple) Tuple {
-	c := make(Tuple, 0, len(t)+len(o))
-	c = append(c, t...)
-	c = append(c, o...)
-	return c
-}
-
-// Project returns a new tuple with the values at the given column indexes.
-func (t Tuple) Project(cols []int) Tuple {
-	c := make(Tuple, len(cols))
-	for i, idx := range cols {
-		c[i] = t[idx]
-	}
 	return c
 }
 
@@ -83,19 +63,6 @@ func (t Tuple) Key(cols ...int) string {
 		n = len(t)
 	}
 	return string(t.AppendKey(make([]byte, 0, 16*n), cols...))
-}
-
-// Equal reports element-wise equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for i := range t {
-		if !t[i].Equal(o[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // Compare orders tuples lexicographically (shorter tuple sorts first on tie).
@@ -170,35 +137,5 @@ func (s *Schema) Col(name string) (int, bool) {
 	return 0, false
 }
 
-// MustCol is Col that panics on a missing column; for internal wiring where
-// absence is a programming error.
-func (s *Schema) MustCol(name string) int {
-	i, ok := s.Col(name)
-	if !ok {
-		panic(fmt.Sprintf("types: schema %q has no column %q", s.Name, name))
-	}
-	return i
-}
-
 // Arity returns the number of columns.
 func (s *Schema) Arity() int { return len(s.Columns) }
-
-// Concat returns a schema with the columns of s followed by o, qualified by
-// their source schema names to keep them unambiguous.
-func (s *Schema) Concat(o *Schema) *Schema {
-	out := &Schema{Name: s.Name + "_" + o.Name}
-	for _, c := range s.Columns {
-		out.Columns = append(out.Columns, Column{Name: qualify(s.Name, c.Name), Kind: c.Kind})
-	}
-	for _, c := range o.Columns {
-		out.Columns = append(out.Columns, Column{Name: qualify(o.Name, c.Name), Kind: c.Kind})
-	}
-	return out
-}
-
-func qualify(rel, col string) string {
-	if rel == "" || strings.Contains(col, ".") {
-		return col
-	}
-	return rel + "." + col
-}

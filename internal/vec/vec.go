@@ -168,31 +168,6 @@ func SelFloat64Cols(a, b []float64, op Op, in, dst Sel) Sel {
 	return selCmpCols(a, b, op, in, dst)
 }
 
-// And intersects two sorted selections into dst (cap(dst) >= min lengths;
-// may alias a).
-func And(a, b, dst Sel) Sel {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	dst = dst[:n]
-	k, i, j := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		if av == bv {
-			dst[k] = av
-			k++
-			i++
-			j++
-		} else if av < bv {
-			i++
-		} else {
-			j++
-		}
-	}
-	return dst[:k]
-}
-
 // Or unions two sorted selections into dst (cap(dst) >= len(a)+len(b); must
 // not alias either input).
 func Or(a, b, dst Sel) Sel {

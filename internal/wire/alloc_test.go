@@ -8,8 +8,8 @@ import (
 
 // TestCursorHashAppendKeyNoAlloc audits the variadic `cols ...int` call
 // shapes on the routing/grouping hot path: spreading a preallocated slice
-// and passing literal column indexes must both stay off the heap, for Hash,
-// AppendKey and KeyBytes alike.
+// and passing literal column indexes must both stay off the heap, for Hash
+// and AppendKey alike.
 func TestCursorHashAppendKeyNoAlloc(t *testing.T) {
 	row := Encode(nil, types.Tuple{
 		types.Int(42), types.Str("BUILDING"), types.Float(3.5), types.Int(-7),
@@ -51,12 +51,6 @@ func TestCursorHashAppendKeyNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Cursor.AppendKey(buf, 1, 3) allocates %.1f per call, want 0", allocs)
-	}
-	allocs = testing.AllocsPerRun(1000, func() {
-		buf = cur.KeyBytes(buf, cols...)
-	})
-	if allocs != 0 {
-		t.Errorf("Cursor.KeyBytes(buf, cols...) allocates %.1f per call, want 0", allocs)
 	}
 	_ = sink
 }

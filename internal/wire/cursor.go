@@ -109,9 +109,6 @@ func (c *Cursor) Reset(row []byte) error {
 // Arity returns the number of fields.
 func (c *Cursor) Arity() int { return c.n }
 
-// RowBytes returns the encoded row the cursor views.
-func (c *Cursor) RowBytes() []byte { return c.row }
-
 // Payload returns the row's field bytes without the arity header — the unit
 // of row concatenation (join result splicing).
 func (c *Cursor) Payload() []byte { return c.row[c.headLen:] }
@@ -320,12 +317,6 @@ func (c *Cursor) AppendKey(buf []byte, cols ...int) []byte {
 	return buf
 }
 
-// KeyBytes renders the canonical key of the fields at cols into buf[:0] —
-// the alloc-free probe form of types.Tuple.Key.
-func (c *Cursor) KeyBytes(buf []byte, cols ...int) []byte {
-	return c.AppendKey(buf[:0], cols...)
-}
-
 func (c *Cursor) appendFieldKey(buf []byte, i int) []byte {
 	switch c.Kind(i) {
 	case types.KindInt:
@@ -443,26 +434,6 @@ func SpliceRow(dst []byte, cur *Cursor, cols []int) []byte {
 		dst = append(dst, cur.FieldBytes(i)...)
 	}
 	return dst
-}
-
-// EncodeValues appends the value encodings of t (no arity header) to dst —
-// the building block for hand-assembled concatenated rows.
-func EncodeValues(dst []byte, t types.Tuple) []byte {
-	full := Encode(dst, t)
-	// Strip the arity header Encode wrote by moving the payload down.
-	hl := uvarintLen(uint64(len(t)))
-	copy(full[len(dst):], full[len(dst)+hl:])
-	return full[:len(full)-hl]
-}
-
-// uvarintLen returns the encoded size of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }
 
 // EachRow iterates the rows of one wire batch frame, resetting cur onto

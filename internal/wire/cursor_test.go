@@ -34,7 +34,7 @@ func TestCursorAccessorsAgreeWithDecode(t *testing.T) {
 			t.Fatalf("arity %d, want %d", cur.Arity(), len(tu))
 		}
 		got := cur.Tuple(nil)
-		if !got.Equal(tu) {
+		if got.Compare(tu) != 0 {
 			t.Fatalf("Tuple() = %v, want %v", got, tu)
 		}
 		for i, v := range tu {
@@ -62,8 +62,8 @@ func TestCursorAccessorsAgreeWithDecode(t *testing.T) {
 			if cur.Hash(1, 0) != tu.Hash(1, 0) {
 				t.Fatalf("Hash(1,0) mismatch for %v", tu)
 			}
-			if got, want := string(cur.KeyBytes(nil, 1)), tu.Key(1); got != want {
-				t.Fatalf("KeyBytes(1) = %q, want %q", got, want)
+			if got, want := string(cur.AppendKey(nil, 1)), tu.Key(1); got != want {
+				t.Fatalf("AppendKey(1) = %q, want %q", got, want)
 			}
 		}
 	}
@@ -105,24 +105,9 @@ func TestSpliceRow(t *testing.T) {
 	}
 	cols := []int{3, 1, 1, 0}
 	got := SpliceRow(nil, &cur, cols)
-	want := Encode(nil, tu.Project(cols))
+	want := Encode(nil, types.Tuple{tu[3], tu[1], tu[1], tu[0]})
 	if !bytes.Equal(got, want) {
 		t.Fatalf("SpliceRow = %x, want %x", got, want)
-	}
-}
-
-func TestEncodeValues(t *testing.T) {
-	tu := types.Tuple{types.Int(7), types.Str("payload"), types.Float(-1)}
-	full := Encode(nil, tu)
-	vals := EncodeValues(nil, tu)
-	if !bytes.Equal(vals, full[1:]) { // arity 3 is a 1-byte header
-		t.Fatalf("EncodeValues = %x, want %x", vals, full[1:])
-	}
-	// Appending to a non-empty dst must leave the prefix intact.
-	pre := append([]byte{0xaa, 0xbb}, vals...)
-	got := EncodeValues([]byte{0xaa, 0xbb}, tu)
-	if !bytes.Equal(got, pre) {
-		t.Fatalf("EncodeValues with prefix = %x, want %x", got, pre)
 	}
 }
 
@@ -146,7 +131,7 @@ func TestEachRow(t *testing.T) {
 		t.Fatalf("count=%d consumed=%d, want %d, %d", count, consumed, len(batch), len(frame))
 	}
 	for i := range batch {
-		if !rows[i].Equal(batch[i]) {
+		if rows[i].Compare(batch[i]) != 0 {
 			t.Fatalf("row %d = %v, want %v", i, rows[i], batch[i])
 		}
 	}
@@ -180,7 +165,7 @@ func FuzzCursor(f *testing.F) {
 		if cur.Arity() != len(tu) {
 			t.Fatalf("arity %d, want %d", cur.Arity(), len(tu))
 		}
-		if !cur.Tuple(nil).Equal(tu) {
+		if cur.Tuple(nil).Compare(tu) != 0 {
 			t.Fatalf("Tuple() = %v, want %v", cur.Tuple(nil), tu)
 		}
 		if cur.Hash() != tu.Hash() {
@@ -196,8 +181,8 @@ func FuzzCursor(f *testing.F) {
 			if !cur.Value(i).Equal(v) {
 				t.Fatalf("Value(%d) mismatch", i)
 			}
-			if got, want := string(cur.KeyBytes(nil, i)), tu.Key(i); got != want {
-				t.Fatalf("KeyBytes(%d) = %q, want %q", i, got, want)
+			if got, want := string(cur.AppendKey(nil, i)), tu.Key(i); got != want {
+				t.Fatalf("AppendKey(%d) = %q, want %q", i, got, want)
 			}
 			iv, iok := cur.FieldInt(i)
 			wiv, wiok := v.AsInt()

@@ -89,7 +89,7 @@ func FuzzFrameDelivery(f *testing.F) {
 			t.Fatalf("decode count disagreement: validate=%d decode=%d", count, len(tuples))
 		}
 		for i := range tuples {
-			if !tuples[i].Equal(walked[i]) {
+			if tuples[i].Compare(walked[i]) != 0 {
 				t.Fatalf("row %d: decode %v != walk %v", i, tuples[i], walked[i])
 			}
 		}

@@ -160,7 +160,7 @@ func TestFooteredFrameDecodesLikeBare(t *testing.T) {
 		t.Fatalf("DecodeBatch consumed %d, rows end at %d", consumed, len(bare))
 	}
 	for i := range batch {
-		if !got[i].Equal(batch[i]) {
+		if got[i].Compare(batch[i]) != 0 {
 			t.Fatalf("tuple %d: %v != %v", i, got[i], batch[i])
 		}
 	}

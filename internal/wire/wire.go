@@ -285,13 +285,3 @@ func DecodeBatch(src []byte) ([]types.Tuple, int, error) {
 	var d BatchDecoder
 	return d.Decode(src)
 }
-
-// RoundTrip encodes and immediately decodes a tuple, simulating one network
-// hop. The returned tuple is a fresh copy, so downstream tasks never share
-// memory with the producer (matching process isolation on a real cluster).
-// The byte count is returned for network-volume accounting.
-func RoundTrip(t types.Tuple, scratch []byte) (types.Tuple, []byte, int, error) {
-	buf := Encode(scratch[:0], t)
-	out, _, err := Decode(buf)
-	return out, buf, len(buf), err
-}

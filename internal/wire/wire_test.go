@@ -28,7 +28,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if n != len(buf) {
 			t.Errorf("Decode consumed %d of %d bytes", n, len(buf))
 		}
-		if !got.Equal(orig) {
+		if got.Compare(orig) != 0 {
 			t.Errorf("round trip %v -> %v", orig, got)
 		}
 	}
@@ -74,7 +74,7 @@ func TestRoundTripProducesFreshTuple(t *testing.T) {
 	if n <= 0 {
 		t.Error("byte count must be positive")
 	}
-	if !got.Equal(orig) {
+	if got.Compare(orig) != 0 {
 		t.Errorf("RoundTrip = %v", got)
 	}
 }
@@ -93,7 +93,7 @@ func TestRoundTripQuick(t *testing.T) {
 			return true // NaN != NaN under Equal; covered separately
 		}
 		got, _, _, err := RoundTrip(tu, nil)
-		return err == nil && got.Equal(tu)
+		return err == nil && got.Compare(tu) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(4))}); err != nil {
 		t.Error(err)
@@ -135,7 +135,7 @@ func TestEncodeDecodeBatchRoundTrip(t *testing.T) {
 			t.Fatalf("batch round trip: %d tuples, want %d", len(got), len(batch))
 		}
 		for i := range batch {
-			if !got[i].Equal(batch[i]) {
+			if got[i].Compare(batch[i]) != 0 {
 				t.Errorf("batch tuple %d: %v -> %v", i, batch[i], got[i])
 			}
 		}
@@ -228,4 +228,12 @@ func BenchmarkEncodeDecodeBatch(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// RoundTrip encodes and immediately decodes a tuple, one network hop: the
+// returned tuple is a fresh copy, and the byte count is the hop's volume.
+func RoundTrip(t types.Tuple, scratch []byte) (types.Tuple, []byte, int, error) {
+	buf := Encode(scratch[:0], t)
+	out, _, err := Decode(buf)
+	return out, buf, len(buf), err
 }

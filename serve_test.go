@@ -145,6 +145,9 @@ func TestServeDifferential(t *testing.T) {
 	}
 }
 
+// errInjected is failAfterOp's error.
+var errInjected = errors.New("boom: injected pipeline failure")
+
 // failAfterOp errors once it has seen `after` tuples.
 type failAfterOp struct {
 	after int
@@ -154,7 +157,7 @@ type failAfterOp struct {
 func (f *failAfterOp) Apply(t types.Tuple) ([]types.Tuple, error) {
 	f.seen++
 	if f.seen > f.after {
-		return nil, errors.New("boom: injected pipeline failure")
+		return nil, errInjected
 	}
 	return []types.Tuple{t}, nil
 }
@@ -408,6 +411,124 @@ func TestServeSubscription(t *testing.T) {
 	}
 	sortTuples(lateRows)
 	rowsExactlyEqual(t, "late subscriber", lateRows, want)
+}
+
+// gatedSpout holds its task before row `at` until gate closes, so a query
+// reading it is still mid-stream for as long as the test keeps gate open.
+type gatedSpout struct {
+	inner dataflow.Spout
+	n, at int
+	gate  <-chan struct{}
+}
+
+func (s *gatedSpout) Next() (types.Tuple, bool) {
+	if s.n == s.at {
+		<-s.gate
+	}
+	s.n++
+	return s.inner.Next()
+}
+
+// drainClosed reads sub's channel until it closes and returns the deltas.
+func drainClosed(t *testing.T, sub *serve.Subscription) []serve.Delta {
+	t.Helper()
+	var ds []serve.Delta
+	timeout := time.After(30 * time.Second)
+	for {
+		select {
+		case d, ok := <-sub.C():
+			if !ok {
+				return ds
+			}
+			ds = append(ds, d)
+		case <-timeout:
+			t.Fatal("subscription channel never closed")
+		}
+	}
+}
+
+// TestSubscriptionCancel: a subscriber cancelled while the query runs is
+// detached at once and its channel closes with no final delta, while the
+// other subscriber still gets every row and the final delta. Cancelling
+// twice, or after the query ended, does nothing. ServedQuery.Err is nil on
+// success and is the source's error after a failing source.
+func TestSubscriptionCancel(t *testing.T) {
+	want := runOrFail(t, serveQuery(1, false), squall.Options{}).SortedRows()
+	gate := make(chan struct{})
+	eng := squall.NewEngine(squall.EngineOptions{})
+	defer eng.Close()
+	rows := serveRSpout()
+	eng.AddSource("R", func(task, ntasks int) dataflow.Spout {
+		return &gatedSpout{inner: rows(task, ntasks), at: serveRRows / 2, gate: gate}
+	}, serveRRows)
+	eng.AddSource("S", serveSSpout(), serveSRows)
+	h, err := eng.Register(squall.RegisterRequest{Tenant: "a", ID: "q", Query: serveQuery(1, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badQ := serveQuery(3, true)
+	badQ.Sources[0].Pre = ops.Pipeline{&failAfterOp{after: 20}}
+	bad, err := eng.Register(squall.RegisterRequest{Tenant: "b", ID: "bad", Query: badQ})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, err := eng.Subscribe("q", serve.SubOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := eng.Subscribe("q", serve.SubOptions{Policy: serve.CoalesceDeltas, Buf: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := h.Subscribers(); n != 2 {
+		t.Fatalf("%d subscribers, want 2", n)
+	}
+	eng.Start()
+
+	// The failing query settles on its own, before the gate opens.
+	if _, werr := bad.Wait(); !errors.Is(werr, errInjected) || bad.Err() != werr {
+		t.Fatalf("failing source: Wait error %v, Err %v; want %v from both", werr, bad.Err(), errInjected)
+	}
+
+	cancelled.Cancel()
+	cancelled.Cancel()
+	if n := h.Subscribers(); n != 1 {
+		t.Fatalf("%d subscribers after a cancel, want 1", n)
+	}
+	if s := h.Status(); s != squall.QueryRunning {
+		t.Fatalf("query %v at the cancel, want running", s)
+	}
+	for _, d := range drainClosed(t, cancelled) {
+		if d.Final {
+			t.Fatal("a cancelled subscriber got the final delta")
+		}
+	}
+
+	close(gate)
+	var got []squall.Tuple
+	finals := 0
+	for _, d := range drainClosed(t, kept) {
+		got = append(got, d.Rows...)
+		if d.Final {
+			finals++
+			if d.Err != nil {
+				t.Fatalf("final delta error: %v", d.Err)
+			}
+		}
+	}
+	if finals != 1 {
+		t.Fatalf("the kept subscriber got %d final deltas, want 1", finals)
+	}
+	sortTuples(got)
+	rowsExactlyEqual(t, "kept subscriber", got, want)
+	if _, err := h.Wait(); err != nil || h.Err() != nil {
+		t.Fatalf("query: Wait error %v, Err %v; want nil", err, h.Err())
+	}
+	kept.Cancel()
+	cancelled.Cancel()
+	if n := h.Subscribers(); n != 0 {
+		t.Fatalf("%d subscribers after the query ended, want 0", n)
+	}
 }
 
 // TestSinkCollectLimit: under a CollectLimit the sink, which takes rows one

@@ -40,10 +40,6 @@ type WorkerServer struct {
 	failed   int64
 	stale    int64 // connections rejected for a stale epoch
 	closed   bool
-	// registry, when set, contributes a "serving" section to the health
-	// snapshot — a process hosting a serving Engine next to this worker
-	// exposes its query/tenant registry through the same probe endpoint.
-	registry func() any
 	// pressure, when set (SetMemCap), is the process-wide degradation ladder
 	// (PR 10): every session's tiered arenas charge it, /healthz reports it,
 	// and /readyz degrades once the ladder passes Backpressure — an external
@@ -268,16 +264,6 @@ func (s *WorkerServer) registerSession(si *sessionInfo) {
 	s.mu.Unlock()
 }
 
-// SetRegistry attaches a registry snapshot source (e.g. Engine.Stats) whose
-// value is embedded as the "serving" section of every health snapshot, so
-// operators probing /healthz see query/tenant registry state alongside link
-// liveness. fn must be safe for concurrent use.
-func (s *WorkerServer) SetRegistry(fn func() any) {
-	s.mu.Lock()
-	s.registry = fn
-	s.mu.Unlock()
-}
-
 // SetMemCap installs a process-wide resident-state budget: sessions run
 // their slab state tiered against one shared pressure ladder (spill →
 // throttle → reject), and the health endpoints report the ladder's stage.
@@ -343,9 +329,6 @@ func (s *WorkerServer) healthSnapshot() (map[string]any, bool) {
 		"stale_rejected":  s.stale,
 		"jobs":            jobs,
 		"sessions":        sessions,
-	}
-	if s.registry != nil {
-		snap["serving"] = s.registry()
 	}
 	if s.pressure != nil {
 		snap["pressure"] = s.pressure.Stats()
