@@ -158,16 +158,7 @@ func Figure5StagesBatch(gen *datagen.TPCH, machines int, seed int64, batchSize i
 type parseOp struct{ schema *types.Schema }
 
 // Apply parses the line in column 0.
-func (p parseOp) Apply(t types.Tuple) ([]types.Tuple, error) {
-	parsed, err := types.ParseLine(p.schema, t[0].Str, '|')
-	if err != nil {
-		return nil, err
-	}
-	return []types.Tuple{parsed}, nil
-}
-
-// ApplyOne parses the line in column 0 without allocating a result slice.
-func (p parseOp) ApplyOne(t types.Tuple) (types.Tuple, bool, error) {
+func (p parseOp) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	parsed, err := types.ParseLine(p.schema, t[0].Str, '|')
 	if err != nil {
 		return nil, false, err
@@ -201,34 +192,27 @@ func lineParsedSpout(gen *datagen.TPCH, table string) dataflow.SpoutFactory {
 // error return).
 func pipedSpout(f dataflow.SpoutFactory, p ops.Pipeline) dataflow.SpoutFactory {
 	return func(task, ntasks int) dataflow.Spout {
-		s := &piped{inner: f(task, ntasks), p: p}
-		s.emit = func(t types.Tuple) error { s.queue = append(s.queue, t); return nil }
-		return s
+		return &piped{inner: f(task, ntasks), p: p}
 	}
 }
 
 type piped struct {
 	inner dataflow.Spout
 	p     ops.Pipeline
-	queue []types.Tuple
-	head  int
-	emit  func(types.Tuple) error
 }
 
 func (s *piped) Next() (types.Tuple, bool) {
 	for {
-		if s.head < len(s.queue) {
-			t := s.queue[s.head]
-			s.head++
-			return t, true
-		}
-		s.queue, s.head = s.queue[:0], 0
 		t, ok := s.inner.Next()
 		if !ok {
 			return nil, false
 		}
-		if err := s.p.Each(t, s.emit); err != nil {
+		out, keep, err := s.p.Apply(t)
+		if err != nil {
 			panic(fmt.Sprintf("experiments: source pipeline: %v", err))
+		}
+		if keep {
+			return out, true
 		}
 	}
 }

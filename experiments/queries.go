@@ -309,22 +309,20 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 type limitAgg struct {
 	agg   *ops.Agg
 	count int64
-	tup   types.Tuple
 }
 
 func (l *limitAgg) factory() dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		l.agg = ops.NewAgg([]expr.Expr{expr.C(0)}, ops.Count, nil, false)
+		l.agg.PackedCapable() // lowers column 0 for FoldRow
 		return l
 	}
 }
 
-// ExecuteRow folds one final row, decoded into reused scratch.
+// ExecuteRow folds one final row off its cursor.
 func (l *limitAgg) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	l.count++
-	l.tup = in.Cur.Tuple(l.tup)
-	_, err := l.agg.Fold(l.tup)
-	return err
+	return l.agg.FoldRow(in.Cur)
 }
 
 func (l *limitAgg) Finish(*dataflow.Collector) error { return nil }

@@ -109,8 +109,6 @@ type AdaptivePolicy struct {
 	// MinObserved defers the first reshape until this many tuples are
 	// stored across tasks. Default 512.
 	MinObserved int64
-	// MaxReshapes caps reshapes per run when > 0.
-	MaxReshapes int
 	// Static freezes the initial matrix: tuples route through the adaptive
 	// machinery but the controller never reshapes. This is the fixed-matrix
 	// baseline adaptive runs are measured against.
@@ -201,8 +199,7 @@ type adaptState struct {
 	exportWG sync.WaitGroup
 
 	// Controller-owned (the control loop is their only reader and writer).
-	epoch    int
-	reshapes int
+	epoch int
 	// latest holds each task's most recent load report.
 	latest []loadReport
 }
@@ -318,7 +315,7 @@ func (a *adaptState) observe(rep loadReport) bool {
 			drained = true
 		}
 	}
-	if a.pol.Static || (a.pol.MaxReshapes > 0 && a.reshapes >= a.pol.MaxReshapes) {
+	if a.pol.Static {
 		return true
 	}
 	// Aggregate only reports measured under the current matrix: counts
@@ -386,7 +383,6 @@ func (a *adaptState) reshape(next *core.Hypercube) bool {
 				return cur, false
 			}
 		}
-		a.reshapes++
 		a.ex.metrics.Adapt.Reshapes.Add(1)
 		a.setFinal(next)
 		return next, true

@@ -230,6 +230,13 @@ type recState struct {
 	bufs   [][][]replayEnt
 	trims  [][]atomic.Int64
 
+	// ckPut[task] is set once this run has committed a checkpoint of task.
+	// Restores read the store only for such tasks: a store may outlive the
+	// run (a reused disk directory), and another run's checkpoint must
+	// never stand in for this one's — without one the task restores from
+	// empty state and a full replay.
+	ckPut []atomic.Bool
+
 	faults chan faultNote
 	// killAck reports the victim reached the kill marker; true means a
 	// captured panic was already mid-restore there, so the round must run
@@ -288,6 +295,7 @@ func (ex *execution) initRecovery(pol *RecoveryPolicy) error {
 	a.bufMus = make([]sync.Mutex, a.npids)
 	a.bufs = make([][][]replayEnt, a.npids)
 	a.trims = make([][]atomic.Int64, a.npids)
+	a.ckPut = make([]atomic.Bool, n.par)
 	for pid := range a.bufs {
 		a.bufs[pid] = make([][]replayEnt, n.par)
 		a.trims[pid] = make([]atomic.Int64, n.par)
@@ -431,13 +439,13 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 	}
 
 	// Load the failed task's latest checkpoint only when some relation needs
-	// it: a fully peer-recoverable machine never touches the checkpoint
-	// medium at all — the whole point of the §5 optimization. The manifest
-	// bounds the replay, and a disk store charges the read to the recovery
-	// clock here.
+	// it and this run has written one: a fully peer-recoverable machine
+	// never touches the checkpoint medium at all — the whole point of the
+	// §5 optimization. The manifest bounds the replay, and a disk store
+	// charges the read to the recovery clock here.
 	var ck *recovery.Checkpoint
 	haveCk := false
-	if needCk {
+	if needCk && a.ckPut[f.task].Load() {
 		var err error
 		ck, haveCk, err = a.pol.Store.Get(a.node.name, f.task)
 		if err != nil {
@@ -707,6 +715,7 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 	if err := a.pol.Store.Put(a.node.name, s.task, ck); err != nil {
 		return err
 	}
+	a.ckPut[s.task].Store(true)
 	a.commitTrims(s.task, s.cursors)
 	if a.ex.net != nil {
 		// Producers on other workers hold their own replay buffers; forward

@@ -118,9 +118,11 @@ func (b *joinBolt) ExecuteRow(in dataflow.RowInput, out *dataflow.Collector) err
 			if err := postCur.Reset(row); err != nil {
 				return err
 			}
-			return b.pp.EachRow(row, &postCur, func(r []byte, _ *wire.Cursor) error {
-				return b.out.EmitRow(r)
-			})
+			post, _, keep, err := b.pp.RunOne(row, &postCur)
+			if err != nil || !keep {
+				return err
+			}
+			return b.out.EmitRow(post)
 		}
 	}
 	b.rows = append(b.rows, in.Row)

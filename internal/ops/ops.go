@@ -18,35 +18,18 @@ import (
 	"squall/internal/wire"
 )
 
-// Op is one tuple-at-a-time operator stage: zero or more output tuples per
-// input tuple.
+// Op is one tuple-at-a-time operator stage: at most one output tuple per
+// input tuple (the paper's §2 selections, projections and parsers). keep is
+// false when the input is filtered out.
 type Op interface {
-	Apply(t types.Tuple) ([]types.Tuple, error)
-}
-
-// OneOp is optionally implemented by operators that emit at most one tuple
-// per input (selections, projections, parsers). Pipeline.Each uses it to run
-// chains of such operators without allocating per-tuple result slices —
-// the Apply signature costs several slice headers per tuple, which dominated
-// source-pipeline profiles.
-type OneOp interface {
-	ApplyOne(t types.Tuple) (types.Tuple, bool, error)
+	Apply(t types.Tuple) (out types.Tuple, keep bool, err error)
 }
 
 // Select filters by a predicate.
 type Select struct{ P expr.Pred }
 
-// Apply keeps t when the predicate holds.
-func (s Select) Apply(t types.Tuple) ([]types.Tuple, error) {
-	out, keep, err := s.ApplyOne(t)
-	if err != nil || !keep {
-		return nil, err
-	}
-	return []types.Tuple{out}, nil
-}
-
-// ApplyOne keeps t when the predicate holds, without allocating.
-func (s Select) ApplyOne(t types.Tuple) (types.Tuple, bool, error) {
+// Apply keeps t when the predicate holds, without allocating.
+func (s Select) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	ok, err := s.P.Eval(t)
 	if err != nil {
 		return nil, false, err
@@ -58,17 +41,8 @@ func (s Select) ApplyOne(t types.Tuple) (types.Tuple, bool, error) {
 // schemes: a component sends only the fields/expressions needed downstream.
 type Project struct{ Es []expr.Expr }
 
-// Apply evaluates every projection expression.
-func (p Project) Apply(t types.Tuple) ([]types.Tuple, error) {
-	out, _, err := p.ApplyOne(t)
-	if err != nil {
-		return nil, err
-	}
-	return []types.Tuple{out}, nil
-}
-
-// ApplyOne evaluates every projection expression into one output tuple.
-func (p Project) ApplyOne(t types.Tuple) (types.Tuple, bool, error) {
+// Apply evaluates every projection expression into one output tuple.
+func (p Project) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	out := make(types.Tuple, len(p.Es))
 	for i, e := range p.Es {
 		v, err := e.Eval(t)
@@ -83,53 +57,17 @@ func (p Project) ApplyOne(t types.Tuple) (types.Tuple, bool, error) {
 // Pipeline chains operators; the output of each stage feeds the next.
 type Pipeline []Op
 
-// Apply runs the pipeline on one input tuple.
-func (p Pipeline) Apply(t types.Tuple) ([]types.Tuple, error) {
-	in := []types.Tuple{t}
+// Apply runs the pipeline on one input tuple: the boxed reference the
+// packed lowering is checked against, and Figure 5's per-tuple path.
+func (p Pipeline) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	for _, op := range p {
-		var out []types.Tuple
-		for _, tu := range in {
-			o, err := op.Apply(tu)
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, o...)
-		}
-		if len(out) == 0 {
-			return nil, nil
-		}
-		in = out
-	}
-	return in, nil
-}
-
-// Each runs the pipeline on one input tuple, streaming outputs to emit.
-// Stages implementing OneOp are chained without any intermediate slices; a
-// multi-output stage falls back to Apply for its fanout. Reuse one emit
-// closure across calls — this is the hot path of every source pipeline.
-func (p Pipeline) Each(t types.Tuple, emit func(types.Tuple) error) error {
-	for i, op := range p {
-		one, ok := op.(OneOp)
-		if !ok {
-			outs, err := op.Apply(t)
-			if err != nil {
-				return err
-			}
-			rest := p[i+1:]
-			for _, o := range outs {
-				if err := rest.Each(o, emit); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		out, keep, err := one.ApplyOne(t)
+		out, keep, err := op.Apply(t)
 		if err != nil || !keep {
-			return err
+			return nil, false, err
 		}
 		t = out
 	}
-	return emit(t)
+	return t, true, nil
 }
 
 // AggKind enumerates the supported aggregates (§2: sum, count, average).
@@ -163,29 +101,25 @@ type groupAcc struct {
 	sum float64
 }
 
-// Agg is a hash group-by aggregation over a single input stream. In
-// full-history mode every input updates the group's accumulator and the
-// final values are emitted on Finish; with Incremental set, the refreshed
-// aggregate row is emitted on every update (online view maintenance).
+// Agg is a hash group-by aggregation over a single input stream: every
+// input row updates its group's accumulator and the final values are read
+// with Rows (emitted on Finish by the aggregation bolts).
 //
 // The group table is slab-backed: group keys are wire-encoded rows in a
 // slab.Arena, probed through an open-addressing index.RefHash on the hash of
 // the encoded bytes and verified by byte equality — exact (two groups are
 // one iff their encodings match) with zero allocations per update.
 type Agg struct {
-	GroupBy     []expr.Expr
-	Kind        AggKind
-	SumE        expr.Expr // required for Sum/Avg
-	Incremental bool
+	GroupBy []expr.Expr
+	Kind    AggKind
+	SumE    expr.Expr // required for Sum/Avg
 
 	arena  *slab.Arena
 	idx    *index.RefHash
 	states []groupAcc
 
-	// per-update scratch (one bolt task, single-threaded)
-	sKey types.Tuple
+	// per-update scratch (one bolt task, single-threaded): the spliced key
 	sBuf []byte
-	sRow types.Tuple
 
 	// packed lowering (PR 5): group-by column indexes and the SUM column
 	// when every expression is a plain column ref; see PackedCapable.
@@ -200,49 +134,14 @@ type Agg struct {
 }
 
 // NewAgg copies the configuration into a fresh accumulator with an empty
-// group table.
+// group table. Groups are read only once folding ends (Rows), so an Agg
+// emits nothing per update: incremental must be false, and true panics.
 func NewAgg(groupBy []expr.Expr, kind AggKind, sumE expr.Expr, incremental bool) *Agg {
-	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE, Incremental: incremental,
+	if incremental {
+		panic("ops: incremental Agg is not supported")
+	}
+	return &Agg{GroupBy: groupBy, Kind: kind, SumE: sumE,
 		arena: slab.New(), idx: index.NewRefHash()}
-}
-
-// Update folds one tuple with an explicit (cnt, sum) weight — the join bolts
-// feed pre-aggregated deltas this way. It returns the refreshed output row
-// when Incremental is set. The group key is evaluated into reusable scratch
-// and only appended to the arena on a group's first appearance, so
-// steady-state updates allocate nothing.
-func (a *Agg) Update(t types.Tuple, cnt int64, sum float64) (types.Tuple, error) {
-	if cap(a.sKey) < len(a.GroupBy) {
-		a.sKey = make(types.Tuple, len(a.GroupBy))
-	}
-	g := a.sKey[:len(a.GroupBy)]
-	for i, e := range a.GroupBy {
-		v, err := e.Eval(t)
-		if err != nil {
-			return nil, err
-		}
-		g[i] = v
-	}
-	a.sBuf = wire.Encode(a.sBuf[:0], g)
-	st := a.bumpEncoded(cnt, sum)
-	if !a.Incremental {
-		return nil, nil
-	}
-	a.sRow = a.arena.DecodeInto(a.sRow, st.ref)
-	return a.rowOf(a.sRow, st.cnt, st.sum), nil
-}
-
-// bumpEncoded folds (cnt, sum) into the group whose wire-encoded key sits
-// in a.sBuf: hash the encoded bytes, probe the open-addressing index with
-// byte-equality verification, blit a new group row on first appearance.
-// Shared by the boxed path (which encodes the evaluated key) and the packed
-// path (which splices the key fields straight off the incoming row — the
-// encodings are byte-identical, so the two paths share one table).
-func (a *Agg) bumpEncoded(cnt int64, sum float64) *groupAcc {
-	st := &a.states[a.slotFor(a.sBuf)]
-	st.cnt += cnt
-	st.sum += sum
-	return st
 }
 
 // slotFor returns the accumulator slot of the group whose wire-encoded key
@@ -268,13 +167,10 @@ func (a *Agg) slotFor(key []byte) int {
 }
 
 // PackedCapable reports whether the row-based folds (FoldRow / UpdateRow)
-// apply: non-incremental accumulation (packed callers emit nothing per
-// update) and column-ref group-by / SUM expressions, so the group key
-// splices straight off the encoded row.
+// apply — column-ref group-by / SUM expressions, so the group key splices
+// straight off the encoded row — and lowers those columns for them. Callers
+// must check it before the first fold.
 func (a *Agg) PackedCapable() bool {
-	if a.Incremental {
-		return false
-	}
 	cols, ok := expr.ProjectionCols(a.GroupBy)
 	if !ok {
 		return false
@@ -305,20 +201,24 @@ func (a *Agg) checkRowCols(cur *wire.Cursor) error {
 	return nil
 }
 
-// UpdateRow is the packed Update: the group key is spliced from the
-// encoded row's fields (no Eval, no re-encode) and the accumulator is
-// bumped in place. Callers must have checked PackedCapable.
+// UpdateRow folds one row with an explicit (cnt, sum) weight — the merge
+// bolt feeds pre-aggregated partials this way. The group key is spliced
+// from the encoded row's fields (no Eval, no re-encode) and the accumulator
+// is bumped in place, so steady-state updates allocate nothing. Callers
+// must have checked PackedCapable.
 func (a *Agg) UpdateRow(cur *wire.Cursor, cnt int64, sum float64) error {
 	if err := a.checkRowCols(cur); err != nil {
 		return err
 	}
 	a.sBuf = wire.SpliceRow(a.sBuf[:0], cur, a.groupCols)
-	a.bumpEncoded(cnt, sum)
+	st := &a.states[a.slotFor(a.sBuf)]
+	st.cnt += cnt
+	st.sum += sum
 	return nil
 }
 
-// FoldRow is the packed Fold: cnt 1, sum read off the SUM column under
-// AsFloat coercion (matching the boxed error on non-numeric non-null).
+// FoldRow folds one raw row: cnt 1, sum read off the SUM column under
+// AsFloat coercion (an error on a non-numeric non-null value).
 func (a *Agg) FoldRow(cur *wire.Cursor) error {
 	sum := 0.0
 	if a.sumCol >= 0 {
@@ -336,27 +236,8 @@ func (a *Agg) FoldRow(cur *wire.Cursor) error {
 	return a.UpdateRow(cur, 1, sum)
 }
 
-// Fold feeds one raw tuple (cnt 1, sum = SumE(t) when configured).
-func (a *Agg) Fold(t types.Tuple) (types.Tuple, error) {
-	sum := 0.0
-	if a.SumE != nil {
-		v, err := a.SumE.Eval(t)
-		if err != nil {
-			return nil, err
-		}
-		f, ok := v.AsFloat()
-		if !ok && !v.IsNull() {
-			return nil, fmt.Errorf("ops: SUM argument %v is not numeric", v)
-		}
-		sum = f
-	} else if a.Kind != Count {
-		return nil, fmt.Errorf("ops: %s needs a sum expression", a.Kind)
-	}
-	return a.Update(t, 1, sum)
-}
-
 // rowOf renders one group's output row: the group values followed by the
-// aggregate. group is copied (it may be scratch).
+// aggregate.
 func (a *Agg) rowOf(group types.Tuple, cnt int64, sum float64) types.Tuple {
 	out := make(types.Tuple, 0, len(group)+1)
 	out = append(out, group...)
@@ -443,8 +324,7 @@ func (b aggBolt) MemSize() int { return b.a.MemSize() }
 // MergeBolt merges pre-aggregated partial rows of shape (group..., cnt, sum)
 // emitted by AggJoinBolt tasks into final aggregate rows. ngroup is the
 // number of leading group columns. Cnt and sum are read off the encoded row
-// under the coercions Agg.Update's callers apply (AsInt for cnt, AsFloat for
-// sum).
+// under the tuple coercions (AsInt for cnt, AsFloat for sum).
 func MergeBolt(ngroup int, kind AggKind) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		groupCols := make([]int, ngroup)

@@ -16,20 +16,20 @@ import (
 
 func TestSelectAndProject(t *testing.T) {
 	sel := Select{P: expr.Cmp{Op: expr.Gt, L: expr.C(0), R: expr.I(3)}}
-	if out, err := sel.Apply(types.Tuple{types.Int(5)}); err != nil || len(out) != 1 {
-		t.Errorf("Select(5>3) = %v, %v", out, err)
+	if out, keep, err := sel.Apply(types.Tuple{types.Int(5)}); err != nil || !keep {
+		t.Errorf("Select(5>3) = %v, %v, %v", out, keep, err)
 	}
-	if out, err := sel.Apply(types.Tuple{types.Int(1)}); err != nil || len(out) != 0 {
-		t.Errorf("Select(1>3) = %v, %v", out, err)
+	if out, keep, err := sel.Apply(types.Tuple{types.Int(1)}); err != nil || keep {
+		t.Errorf("Select(1>3) = %v, %v, %v", out, keep, err)
 	}
 	proj := Project{Es: []expr.Expr{expr.C(1), expr.Arith{Op: expr.Mul, L: expr.C(0), R: expr.I(2)}}}
-	out, err := proj.Apply(types.Tuple{types.Int(3), types.Str("x")})
-	if err != nil {
-		t.Fatal(err)
+	out, keep, err := proj.Apply(types.Tuple{types.Int(3), types.Str("x")})
+	if err != nil || !keep {
+		t.Fatalf("Project = %v, %v, %v", out, keep, err)
 	}
 	want := types.Tuple{types.Str("x"), types.Int(6)}
-	if out[0].Compare(want) != 0 {
-		t.Errorf("Project = %v, want %v", out[0], want)
+	if out.Compare(want) != 0 {
+		t.Errorf("Project = %v, want %v", out, want)
 	}
 }
 
@@ -38,11 +38,25 @@ func TestPipelineShortCircuits(t *testing.T) {
 		Select{P: expr.Cmp{Op: expr.Gt, L: expr.C(0), R: expr.I(0)}},
 		Project{Es: []expr.Expr{expr.C(0)}},
 	}
-	if out, err := p.Apply(types.Tuple{types.Int(-1)}); err != nil || out != nil {
-		t.Errorf("filtered tuple = %v, %v", out, err)
+	if out, keep, err := p.Apply(types.Tuple{types.Int(-1)}); err != nil || keep || out != nil {
+		t.Errorf("filtered tuple = %v, %v, %v", out, keep, err)
 	}
-	if out, err := p.Apply(types.Tuple{types.Int(2)}); err != nil || len(out) != 1 {
-		t.Errorf("passing tuple = %v, %v", out, err)
+	if out, keep, err := p.Apply(types.Tuple{types.Int(2)}); err != nil || !keep || out.Compare(types.Tuple{types.Int(2)}) != 0 {
+		t.Errorf("passing tuple = %v, %v, %v", out, keep, err)
+	}
+}
+
+// foldRows folds rows into a through FoldRow, each encoded as a bolt would
+// receive it.
+func foldRows(t *testing.T, a *Agg, rows []types.Tuple) {
+	t.Helper()
+	if !a.PackedCapable() {
+		t.Fatal("column-ref agg must be packed-capable")
+	}
+	for _, r := range rows {
+		if err := a.FoldRow(rowInput(t, "", r).Cur); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -52,24 +66,33 @@ func TestAggCountSumAvg(t *testing.T) {
 		{types.Str("a"), types.Int(3)},
 		{types.Str("b"), types.Int(10)},
 	}
+	// Plain-Go reference: per-group count and sum of column 1.
+	cnt, sum := map[string]float64{}, map[string]float64{}
+	for _, r := range rows {
+		cnt[r[0].Str]++
+		sum[r[0].Str] += float64(r[1].I)
+	}
+	avg := map[string]float64{}
+	for k := range cnt {
+		avg[k] = sum[k] / cnt[k]
+	}
 	for _, tc := range []struct {
 		kind AggKind
 		want map[string]float64
 	}{
-		{Count, map[string]float64{"a": 2, "b": 1}},
-		{Sum, map[string]float64{"a": 4, "b": 10}},
-		{Avg, map[string]float64{"a": 2, "b": 10}},
+		{Count, cnt},
+		{Sum, sum},
+		{Avg, avg},
 	} {
 		a := NewAgg([]expr.Expr{expr.C(0)}, tc.kind, expr.C(1), false)
-		for _, r := range rows {
-			if _, err := a.Fold(r); err != nil {
-				t.Fatal(err)
-			}
-		}
+		foldRows(t, a, rows)
 		got := map[string]float64{}
 		for _, row := range a.Rows() {
 			f, _ := row[1].AsFloat()
 			got[row[0].Str] = f
+		}
+		if len(got) != len(tc.want) {
+			t.Errorf("%s: %d groups, reference %d", tc.kind, len(got), len(tc.want))
 		}
 		for k, want := range tc.want {
 			if math.Abs(got[k]-want) > 1e-9 {
@@ -79,21 +102,12 @@ func TestAggCountSumAvg(t *testing.T) {
 	}
 }
 
-func TestAggIncrementalEmitsUpdates(t *testing.T) {
-	a := NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true)
-	r1, err := a.Fold(types.Tuple{types.Str("k")})
-	if err != nil || r1 == nil || r1[1].I != 1 {
-		t.Fatalf("first update = %v, %v", r1, err)
-	}
-	r2, _ := a.Fold(types.Tuple{types.Str("k")})
-	if r2[1].I != 2 {
-		t.Errorf("second update = %v", r2)
-	}
-}
-
 func TestAggSumRequiresExpr(t *testing.T) {
 	a := NewAgg(nil, Sum, nil, false)
-	if _, err := a.Fold(types.Tuple{types.Int(1)}); err == nil {
+	if !a.PackedCapable() {
+		t.Fatal("empty group-by without SUM expression must be packed-capable")
+	}
+	if err := a.FoldRow(rowInput(t, "", types.Tuple{types.Int(1)}).Cur); err == nil {
 		t.Error("SUM without expression must error")
 	}
 }
@@ -237,10 +251,10 @@ func TestMergeBoltRejectsBadArity(t *testing.T) {
 	}
 }
 
-// TestMergeBoltFacesAgree feeds the same partial rows to the merge bolt and
-// to Agg.Update under the tuple coercions (cnt by AsInt, sum by AsFloat):
-// cnt and sum read off the encoded row must follow them, float counts
-// truncating like AsInt.
+// TestMergeBoltFacesAgree feeds partial rows to the merge bolt and checks
+// its AVG rows against a plain-Go reference under the tuple coercions (cnt
+// by AsInt, sum by AsFloat): cnt and sum read off the encoded row must
+// follow them, float counts truncating like AsInt.
 func TestMergeBoltFacesAgree(t *testing.T) {
 	partials := make([]types.Tuple, 0, 60)
 	for i := 0; i < 60; i++ {
@@ -255,7 +269,7 @@ func TestMergeBoltFacesAgree(t *testing.T) {
 	for name, input := range map[string][]types.Tuple{"int-cnt": partials, "float-cnt": floatCnt} {
 		t.Run(name, func(t *testing.T) {
 			rows := MergeBolt(1, Avg)(0, 1).(mergeBolt)
-			ref := NewAgg([]expr.Expr{expr.C(0)}, Avg, nil, false)
+			refCnt, refSum := map[int64]int64{}, map[int64]float64{}
 			for _, tu := range input {
 				if err := rows.ExecuteRow(rowInput(t, "", tu), nil); err != nil {
 					t.Fatal(err)
@@ -265,20 +279,22 @@ func TestMergeBoltFacesAgree(t *testing.T) {
 					t.Fatalf("cnt %v not integer", tu[1])
 				}
 				sum, _ := tu[2].AsFloat()
-				if _, err := ref.Update(tu, cnt, sum); err != nil {
-					t.Fatal(err)
-				}
+				refCnt[tu[0].I] += cnt
+				refSum[tu[0].I] += sum
 			}
-			got, want := rows.a.Rows(), ref.Rows()
-			for _, rs := range [][]types.Tuple{got, want} {
-				sort.Slice(rs, func(i, j int) bool { return rs[i].Compare(rs[j]) < 0 })
+			var want []types.Tuple
+			for g, cnt := range refCnt {
+				want = append(want, types.Tuple{types.Int(g), types.Float(refSum[g] / float64(cnt))})
 			}
+			got := rows.a.Rows()
+			sortRows(got)
+			sortRows(want)
 			if len(got) != len(want) {
-				t.Fatalf("merge bolt %d groups, Agg.Update %d", len(got), len(want))
+				t.Fatalf("merge bolt %d groups, reference %d", len(got), len(want))
 			}
 			for i := range got {
 				if got[i].Compare(want[i]) != 0 {
-					t.Fatalf("group %d: merge bolt %v, Agg.Update %v", i, got[i], want[i])
+					t.Fatalf("group %d: merge bolt %v, reference %v", i, got[i], want[i])
 				}
 			}
 		})
@@ -325,11 +341,9 @@ func TestAggGroupsMatchReference(t *testing.T) {
 		}
 		return k
 	}
+	foldRows(t, a, rows)
 	want := map[string]float64{}
 	for _, r := range rows {
-		if _, err := a.Fold(r); err != nil {
-			t.Fatal(err)
-		}
 		want[groupKey(r[:2])] += float64(r[2].I)
 	}
 	if len(a.states) != len(want) {
@@ -362,8 +376,8 @@ func TestAggGroupsMatchReference(t *testing.T) {
 	}
 }
 
-// TestAggUpdateAllocFree pins the satellite fix: steady-state updates (all
-// groups already present) must not allocate.
+// TestAggUpdateAllocFree: steady-state UpdateRow calls (all groups already
+// present) must not allocate.
 func TestAggUpdateAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -373,24 +387,27 @@ func TestAggUpdateAllocFree(t *testing.T) {
 		{"sum", NewAgg([]expr.Expr{expr.C(0)}, Sum, expr.C(0), false)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rows := make([]types.Tuple, 64)
-			for i := range rows {
-				rows[i] = types.Tuple{types.Int(int64(i % 8))}
+			if !tc.a.PackedCapable() {
+				t.Fatal("column-ref agg must be packed-capable")
 			}
-			for _, r := range rows { // materialize all groups first
-				if _, err := tc.a.Update(r, 1, 0); err != nil {
+			curs := make([]*wire.Cursor, 64)
+			for i := range curs {
+				curs[i] = rowInput(t, "", types.Tuple{types.Int(int64(i % 8))}).Cur
+			}
+			for _, c := range curs { // materialize all groups first
+				if err := tc.a.UpdateRow(c, 1, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
 			allocs := testing.AllocsPerRun(100, func() {
-				for _, r := range rows {
-					if _, err := tc.a.Update(r, 1, 0); err != nil {
+				for _, c := range curs {
+					if err := tc.a.UpdateRow(c, 1, 0); err != nil {
 						t.Fatal(err)
 					}
 				}
 			})
 			if allocs != 0 {
-				t.Errorf("steady-state Update allocates %.1f objects per 64 updates, want 0", allocs)
+				t.Errorf("steady-state UpdateRow allocates %.1f objects per 64 updates, want 0", allocs)
 			}
 		})
 	}

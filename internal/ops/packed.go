@@ -24,7 +24,6 @@ type packedStage struct {
 	pred expr.PackedPred
 	cols []int
 	op   Op
-	one  OneOp // fallback fast shape (single-output)
 
 	// frame path (PR 6): the predicate lowered to selection-vector kernels,
 	// and the column map in effect when this stage runs — the composition of
@@ -42,7 +41,6 @@ type packedStage struct {
 // instance belongs to one task (stage buffers are reused per row).
 type PackedPipeline struct {
 	stages []packedStage
-	simple bool // every stage emits at most one row per input
 
 	// frame path (PR 6)
 	vecStop int   // first stage the frame path cannot cross (len(stages) if none)
@@ -62,7 +60,7 @@ type PackedPipeline struct {
 // frames cannot cross vectorized (an unlowerable stage, or a projection
 // whose columns cannot compose statically).
 func CompilePipeline(p Pipeline) *PackedPipeline {
-	pp := &PackedPipeline{simple: true, vecStop: -1}
+	pp := &PackedPipeline{vecStop: -1}
 	var cur []int // running projection composition; nil = identity
 	for i, op := range p {
 		st := packedStage{inMap: cur}
@@ -87,10 +85,6 @@ func CompilePipeline(p Pipeline) *PackedPipeline {
 		}
 		if st.pred == nil && st.cols == nil {
 			st.op = op
-			st.one, _ = op.(OneOp)
-			if st.one == nil {
-				pp.simple = false
-			}
 		}
 		if !vecOK && pp.vecStop < 0 {
 			pp.vecStop = i
@@ -126,18 +120,20 @@ func composeColMap(cur, cols []int) ([]int, bool) {
 	return next, true
 }
 
-// Simple reports whether every stage emits at most one row per input, so
-// RunOne applies.
-func (pp *PackedPipeline) Simple() bool { return pp.simple }
-
 // Empty reports a stageless pipeline (rows pass through untouched).
 func (pp *PackedPipeline) Empty() bool { return len(pp.stages) == 0 }
 
-// RunOne pushes one row through a Simple pipeline: the result row (which
-// may alias the input or an internal stage buffer, valid until the next
-// call), its cursor, and whether the row survived filtering.
+// RunOne pushes one row through the pipeline: the result row (which may
+// alias the input or an internal stage buffer, valid until the next call),
+// its cursor, and whether the row survived filtering.
 func (pp *PackedPipeline) RunOne(row []byte, cur *wire.Cursor) ([]byte, *wire.Cursor, bool, error) {
-	for i := range pp.stages {
+	return pp.run(0, row, cur)
+}
+
+// run pushes one row through the stages from `from` on; every stage emits
+// at most one row per input (the Op contract).
+func (pp *PackedPipeline) run(from int, row []byte, cur *wire.Cursor) ([]byte, *wire.Cursor, bool, error) {
+	for i := from; i < len(pp.stages); i++ {
 		st := &pp.stages[i]
 		switch {
 		case st.pred != nil:
@@ -153,7 +149,7 @@ func (pp *PackedPipeline) RunOne(row []byte, cur *wire.Cursor) ([]byte, *wire.Cu
 			row, cur = st.buf, &st.cur
 		default:
 			st.dec = cur.Tuple(st.dec)
-			out, keep, err := st.one.ApplyOne(st.dec)
+			out, keep, err := st.op.Apply(st.dec)
 			if err != nil || !keep {
 				return nil, nil, false, err
 			}
@@ -165,62 +161,6 @@ func (pp *PackedPipeline) RunOne(row []byte, cur *wire.Cursor) ([]byte, *wire.Cu
 		}
 	}
 	return row, cur, true, nil
-}
-
-// EachRow pushes one row through the pipeline, streaming every output row
-// to emit (rows are valid only during the callback). Multi-output fallback
-// stages fan out depth-first, like Pipeline.Each.
-func (pp *PackedPipeline) EachRow(row []byte, cur *wire.Cursor, emit func(row []byte, cur *wire.Cursor) error) error {
-	return pp.run(0, row, cur, emit)
-}
-
-func (pp *PackedPipeline) run(from int, row []byte, cur *wire.Cursor, emit func(row []byte, cur *wire.Cursor) error) error {
-	for i := from; i < len(pp.stages); i++ {
-		st := &pp.stages[i]
-		switch {
-		case st.pred != nil:
-			ok, err := st.pred(cur)
-			if err != nil || !ok {
-				return err
-			}
-		case st.cols != nil:
-			st.buf = wire.SpliceRow(st.buf[:0], cur, st.cols)
-			if err := st.cur.Reset(st.buf); err != nil {
-				return err
-			}
-			row, cur = st.buf, &st.cur
-		case st.one != nil:
-			st.dec = cur.Tuple(st.dec)
-			out, keep, err := st.one.ApplyOne(st.dec)
-			if err != nil || !keep {
-				return err
-			}
-			st.buf = wire.Encode(st.buf[:0], out)
-			if err := st.cur.Reset(st.buf); err != nil {
-				return err
-			}
-			row, cur = st.buf, &st.cur
-		default:
-			st.dec = cur.Tuple(st.dec)
-			outs, err := st.op.Apply(st.dec)
-			if err != nil {
-				return err
-			}
-			for _, o := range outs {
-				// Sequential reuse of the stage buffer is safe: deeper
-				// stages copy what they keep before the next output lands.
-				st.buf = wire.Encode(st.buf[:0], o)
-				if err := st.cur.Reset(st.buf); err != nil {
-					return err
-				}
-				if err := pp.run(i+1, st.buf, &st.cur, emit); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return emit(row, cur)
 }
 
 // RunFrame pushes a whole footered frame through the pipeline at once
@@ -288,7 +228,14 @@ func (pp *PackedPipeline) RunFrame(view *vec.FrameView, emit func(row []byte, cu
 			return false, nil
 		}
 		emitted = true
-		if err := pp.run(stop, row, &pp.fcur, emit); err != nil {
+		out, outCur, keep, err := pp.run(stop, row, &pp.fcur)
+		if err != nil {
+			return true, err
+		}
+		if !keep {
+			continue
+		}
+		if err := emit(out, outCur); err != nil {
 			return true, err
 		}
 	}
@@ -303,13 +250,7 @@ func (pp *PackedPipeline) RunFrame(view *vec.FrameView, emit func(row []byte, cu
 // by panicking, which fails the run (NextRow has no error return).
 func PackedSpout(f dataflow.SpoutFactory, p Pipeline) dataflow.RowSpoutFactory {
 	return func(task, ntasks int) dataflow.RowSpout {
-		s := &packedSpout{inner: f(task, ntasks), pp: CompilePipeline(p)}
-		s.emitRow = func(row []byte, _ *wire.Cursor) error {
-			s.qoffs = append(s.qoffs, len(s.qbuf))
-			s.qbuf = append(s.qbuf, row...)
-			return nil
-		}
-		return s
+		return &packedSpout{inner: f(task, ntasks), pp: CompilePipeline(p)}
 	}
 }
 
@@ -318,27 +259,12 @@ type packedSpout struct {
 	pp    *PackedPipeline
 	enc   []byte
 	cur   wire.Cursor
-	// multi-output queue: encoded rows packed back to back.
-	qbuf    []byte
-	qoffs   []int
-	qhead   int
-	emitRow func(row []byte, cur *wire.Cursor) error
 }
 
 // NextRow produces the next encoded post-pipeline row. The row aliases
 // internal buffers, valid until the next call.
 func (s *packedSpout) NextRow() ([]byte, bool) {
 	for {
-		if s.qhead < len(s.qoffs) {
-			start := s.qoffs[s.qhead]
-			end := len(s.qbuf)
-			if s.qhead+1 < len(s.qoffs) {
-				end = s.qoffs[s.qhead+1]
-			}
-			s.qhead++
-			return s.qbuf[start:end], true
-		}
-		s.qbuf, s.qoffs, s.qhead = s.qbuf[:0], s.qoffs[:0], 0
 		t, ok := s.inner.Next()
 		if !ok {
 			return nil, false
@@ -347,18 +273,12 @@ func (s *packedSpout) NextRow() ([]byte, bool) {
 		if err := s.cur.Reset(s.enc); err != nil {
 			panic(fmt.Sprintf("ops: source row encoding: %v", err))
 		}
-		if s.pp.Simple() {
-			row, _, keep, err := s.pp.RunOne(s.enc, &s.cur)
-			if err != nil {
-				panic(fmt.Sprintf("ops: source pipeline: %v", err))
-			}
-			if keep {
-				return row, true
-			}
-			continue
-		}
-		if err := s.pp.EachRow(s.enc, &s.cur, s.emitRow); err != nil {
+		row, _, keep, err := s.pp.RunOne(s.enc, &s.cur)
+		if err != nil {
 			panic(fmt.Sprintf("ops: source pipeline: %v", err))
+		}
+		if keep {
+			return row, true
 		}
 	}
 }

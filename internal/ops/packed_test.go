@@ -23,8 +23,8 @@ func pipelineRow(rng *rand.Rand, i int) types.Tuple {
 
 // TestPackedPipelineAgreesWithPipeline runs the same rows through the boxed
 // Pipeline and its compiled PackedPipeline (lowered select, spliced
-// project, and a materializing fallback stage) and requires identical
-// output streams.
+// project, and a materializing fallback stage) and requires the same row,
+// or the same filtering, for every input.
 func TestPackedPipelineAgreesWithPipeline(t *testing.T) {
 	pipelines := []Pipeline{
 		nil,
@@ -56,55 +56,30 @@ func TestPackedPipelineAgreesWithPipeline(t *testing.T) {
 		var cur wire.Cursor
 		var enc []byte
 		for _, tu := range rows {
-			var want []types.Tuple
-			if err := p.Each(tu, func(o types.Tuple) error { want = append(want, o.Clone()); return nil }); err != nil {
+			want, wantKeep, err := p.Apply(tu)
+			if err != nil {
 				t.Fatalf("pipeline %d boxed: %v", pi, err)
 			}
 			enc = wire.Encode(enc[:0], tu)
 			if err := cur.Reset(enc); err != nil {
 				t.Fatal(err)
 			}
-			var got []types.Tuple
-			err := pp.EachRow(enc, &cur, func(row []byte, _ *wire.Cursor) error {
-				o, _, err := wire.Decode(row)
-				if err != nil {
-					return err
-				}
-				got = append(got, o)
-				return nil
-			})
+			row, _, keep, err := pp.RunOne(enc, &cur)
 			if err != nil {
 				t.Fatalf("pipeline %d packed: %v", pi, err)
 			}
-			if len(got) != len(want) {
-				t.Fatalf("pipeline %d on %v: packed %d rows, boxed %d", pi, tu, len(got), len(want))
+			if keep != wantKeep {
+				t.Fatalf("pipeline %d on %v: packed keep=%v, boxed keep=%v", pi, tu, keep, wantKeep)
 			}
-			for k := range got {
-				if got[k].Compare(want[k]) != 0 {
-					t.Fatalf("pipeline %d on %v: row %d packed %v, boxed %v", pi, tu, k, got[k], want[k])
-				}
+			if !keep {
+				continue
 			}
-			// RunOne must agree on simple pipelines.
-			if pp.Simple() {
-				if err := cur.Reset(enc); err != nil {
-					t.Fatal(err)
-				}
-				row, _, keep, err := pp.RunOne(enc, &cur)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if keep != (len(want) == 1) {
-					t.Fatalf("pipeline %d RunOne keep=%v, want %d rows", pi, keep, len(want))
-				}
-				if keep {
-					o, _, err := wire.Decode(row)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if o.Compare(want[0]) != 0 {
-						t.Fatalf("pipeline %d RunOne %v, want %v", pi, o, want[0])
-					}
-				}
+			got, _, err := wire.Decode(row)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Compare(want) != 0 {
+				t.Fatalf("pipeline %d on %v: packed %v, boxed %v", pi, tu, got, want)
 			}
 		}
 	}
@@ -124,8 +99,12 @@ func TestPackedSpoutMatchesPipeline(t *testing.T) {
 	}
 	var want []types.Tuple
 	for _, tu := range rows {
-		if err := p.Each(tu, func(o types.Tuple) error { want = append(want, o); return nil }); err != nil {
+		o, keep, err := p.Apply(tu)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if keep {
+			want = append(want, o)
 		}
 	}
 	rs := PackedSpout(dataflow.SliceSpout(rows), p)(0, 1)
@@ -151,14 +130,14 @@ func TestPackedSpoutMatchesPipeline(t *testing.T) {
 	}
 }
 
-// TestAggFoldRowAgreesWithFold differentials the packed aggregation fold.
-func TestAggFoldRowAgreesWithFold(t *testing.T) {
+// TestAggFoldRowMatchesReference folds random rows through FoldRow and
+// checks every aggregate kind against a plain-Go group-by over the same rows.
+func TestAggFoldRowMatchesReference(t *testing.T) {
 	for _, kind := range []AggKind{Count, Sum, Avg} {
 		var sumE expr.Expr
 		if kind != Count {
 			sumE = expr.C(2)
 		}
-		boxed := NewAgg([]expr.Expr{expr.C(0)}, kind, sumE, false)
 		packed := NewAgg([]expr.Expr{expr.C(0)}, kind, sumE, false)
 		if !packed.PackedCapable() {
 			t.Fatalf("%v col-ref agg must be packed-capable", kind)
@@ -166,11 +145,11 @@ func TestAggFoldRowAgreesWithFold(t *testing.T) {
 		rng := rand.New(rand.NewSource(23))
 		var cur wire.Cursor
 		var enc []byte
+		refCnt, refSum := map[int64]int64{}, map[int64]float64{}
 		for i := 0; i < 500; i++ {
 			tu := pipelineRow(rng, i)
-			if _, err := boxed.Fold(tu); err != nil {
-				t.Fatal(err)
-			}
+			refCnt[tu[0].I]++
+			refSum[tu[0].I] += tu[2].F
 			enc = wire.Encode(enc[:0], tu)
 			if err := cur.Reset(enc); err != nil {
 				t.Fatal(err)
@@ -179,24 +158,31 @@ func TestAggFoldRowAgreesWithFold(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		wantBag := map[string]int{}
-		for _, r := range boxed.Rows() {
-			wantBag[r.Key()]++
+		got := packed.Rows()
+		if len(got) != len(refCnt) {
+			t.Fatalf("%v: %d groups, reference %d", kind, len(got), len(refCnt))
 		}
-		for _, r := range packed.Rows() {
-			k := r.Key()
-			if wantBag[k] == 0 {
-				t.Fatalf("%v: packed row %v not in boxed rows", kind, r)
+		for _, r := range got {
+			g := r[0].I
+			var want types.Value
+			switch kind {
+			case Count:
+				want = types.Int(refCnt[g])
+			case Sum:
+				want = types.Float(refSum[g])
+			case Avg:
+				want = types.Float(refSum[g] / float64(refCnt[g]))
 			}
-			wantBag[k]--
-		}
-		if len(boxed.states) != len(packed.states) {
-			t.Fatalf("%v: groups %d vs %d", kind, len(packed.states), len(boxed.states))
+			if r[1].Compare(want) != 0 {
+				t.Fatalf("%v group %d: %v, reference %v", kind, g, r[1], want)
+			}
 		}
 	}
 }
 
-// TestAggPackedCapableFallbacks pins the shapes that must stay boxed.
+// TestAggPackedCapableFallbacks pins the shapes the row folds reject
+// (computed group-by or SUM expressions) and NewAgg's refusal of
+// per-update emission.
 func TestAggPackedCapableFallbacks(t *testing.T) {
 	arith := expr.Arith{Op: expr.Add, L: expr.C(0), R: expr.I(1)}
 	if NewAgg([]expr.Expr{arith}, Count, nil, false).PackedCapable() {
@@ -208,7 +194,10 @@ func TestAggPackedCapableFallbacks(t *testing.T) {
 	if !NewAgg([]expr.Expr{expr.C(0)}, Sum, expr.C(1), false).PackedCapable() {
 		t.Fatal("column group-by and SUM must be packed-capable")
 	}
-	if NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true).PackedCapable() {
-		t.Fatal("incremental agg must not be packed-capable")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewAgg with incremental=true must panic")
+		}
+	}()
+	NewAgg([]expr.Expr{expr.C(0)}, Count, nil, true)
 }

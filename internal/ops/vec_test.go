@@ -15,11 +15,11 @@ func frameOf(rows []types.Tuple) []byte {
 	return wire.AppendFooter(wire.EncodeBatch(nil, rows))
 }
 
-// TestRunFrameAgreesWithEachRow pushes footered frames through RunFrame and
-// the same rows one at a time through EachRow, requiring identical output
+// TestRunFrameAgreesWithRunOne pushes footered frames through RunFrame and
+// the same rows one at a time through RunOne, requiring identical output
 // streams — across fully vectorizable pipelines, projection/selection
 // interleavings (column-map composition) and spill-to-row-path fallbacks.
-func TestRunFrameAgreesWithEachRow(t *testing.T) {
+func TestRunFrameAgreesWithRunOne(t *testing.T) {
 	pipelines := []Pipeline{
 		nil,
 		{Select{P: expr.Cmp{Op: expr.Lt, L: expr.C(0), R: expr.I(25)}}},
@@ -75,8 +75,14 @@ func TestRunFrameAgreesWithEachRow(t *testing.T) {
 				if err := cur.Reset(enc); err != nil {
 					t.Fatal(err)
 				}
-				if err := pp.EachRow(enc, &cur, collect(&want)); err != nil {
+				row, _, keep, err := pp.RunOne(enc, &cur)
+				if err != nil {
 					t.Fatalf("pipeline %d row path: %v", pi, err)
+				}
+				if keep {
+					if err := collect(&want)(row, nil); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 			frame := frameOf(chunk)

@@ -118,11 +118,9 @@ func TestTapSpoutPre(t *testing.T) {
 
 type keepMod7 struct{}
 
-func (keepMod7) Apply(t types.Tuple) ([]types.Tuple, error) {
-	if v, _ := t[1].AsInt(); v != 0 {
-		return nil, nil
-	}
-	return []types.Tuple{t}, nil
+func (keepMod7) Apply(t types.Tuple) (types.Tuple, bool, error) {
+	v, _ := t[1].AsInt()
+	return t, v == 0, nil
 }
 
 func TestTenantsAdmission(t *testing.T) {

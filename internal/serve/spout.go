@@ -25,13 +25,7 @@ import (
 // pipeline never takes down the serving process.
 func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.RowSpoutFactory {
 	return func(task, ntasks int) dataflow.RowSpout {
-		s := &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
-		s.emitRow = func(row []byte, _ *wire.Cursor) error {
-			s.qoffs = append(s.qoffs, len(s.qbuf))
-			s.qbuf = append(s.qbuf, row...)
-			return nil
-		}
-		return s
+		return &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
 	}
 }
 
@@ -95,46 +89,21 @@ func (w *walk) fail(err error) {
 type tapRowSpout struct {
 	walk
 	pp *ops.PackedPipeline
-	// multi-output queue for non-simple pipelines, encoded back to back.
-	qbuf    []byte
-	qoffs   []int
-	qhead   int
-	emitRow func(row []byte, cur *wire.Cursor) error
 }
 
 func (s *tapRowSpout) NextRow() ([]byte, bool) {
 	for {
-		if s.qhead < len(s.qoffs) {
-			start := s.qoffs[s.qhead]
-			end := len(s.qbuf)
-			if s.qhead+1 < len(s.qoffs) {
-				end = s.qoffs[s.qhead+1]
-			}
-			s.qhead++
-			return s.qbuf[start:end], true
-		}
-		s.qbuf, s.qoffs, s.qhead = s.qbuf[:0], s.qoffs[:0], 0
 		row, ok := s.nextRaw()
 		if !ok {
 			return nil, false
 		}
-		if s.pp.Empty() {
-			return row, true
-		}
-		if s.pp.Simple() {
-			out, _, keep, err := s.pp.RunOne(row, &s.cur)
-			if err != nil {
-				s.fail(fmt.Errorf("serve: query pipeline: %w", err))
-				return nil, false
-			}
-			if keep {
-				return out, true
-			}
-			continue
-		}
-		if err := s.pp.EachRow(row, &s.cur, s.emitRow); err != nil {
+		out, _, keep, err := s.pp.RunOne(row, &s.cur)
+		if err != nil {
 			s.fail(fmt.Errorf("serve: query pipeline: %w", err))
 			return nil, false
+		}
+		if keep {
+			return out, true
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"fmt"
 	"math/rand"
 	"net"
 	"sync"
@@ -55,9 +54,10 @@ func (s *FaultSpec) Wrap(nc net.Conn) net.Conn {
 	}
 	seed := int64(uint64(s.Seed) ^ (uint64(ord)+1)*0x9e3779b97f4a7c15)
 	return &FaultConn{
-		Conn: nc,
-		spec: s,
-		rng:  rand.New(rand.NewSource(seed)),
+		Conn:   nc,
+		spec:   s,
+		rng:    rand.New(rand.NewSource(seed)),
+		digest: fnvOffset64,
 	}
 }
 
@@ -69,7 +69,29 @@ type FaultConn struct {
 	mu     sync.Mutex
 	rng    *rand.Rand
 	writes int
-	trace  []string // "<write index>:<action>" per write: same spec, same trace
+	// digest records the fault schedule in fixed size however long the
+	// link lives: an FNV-64a hash of every write's (index, action). Same
+	// spec, same digest.
+	digest uint64
+}
+
+// FNV-64a parameters.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// note folds write w's action into the schedule record: its index as 8
+// little-endian bytes, then the action name. Callers hold mu.
+func (c *FaultConn) note(w int, action string) {
+	h := c.digest
+	for shift := 0; shift < 64; shift += 8 {
+		h = (h ^ (uint64(w)>>shift)&0xff) * fnvPrime64
+	}
+	for i := 0; i < len(action); i++ {
+		h = (h ^ uint64(action[i])) * fnvPrime64
+	}
+	c.digest = h
 }
 
 func (c *FaultConn) Write(b []byte) (int, error) {
@@ -78,7 +100,7 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 	w := c.writes
 	p := c.spec
 	if p.PartitionAfter > 0 && w > p.PartitionAfter {
-		c.trace = append(c.trace, fmt.Sprintf("%d:partition", w))
+		c.note(w, "partition")
 		c.mu.Unlock()
 		return len(b), nil
 	}
@@ -107,7 +129,7 @@ func (c *FaultConn) Write(b []byte) (int, error) {
 	if action == "tear" {
 		cut = 1 + c.rng.Intn(len(b)-1)
 	}
-	c.trace = append(c.trace, fmt.Sprintf("%d:%s", w, action))
+	c.note(w, action)
 	c.mu.Unlock()
 
 	if delay > 0 {

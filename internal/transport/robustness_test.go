@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"net"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -166,43 +165,63 @@ func (c *countConn) Write(b []byte) (int, error) {
 
 func newCountConn() *countConn { return &countConn{} }
 
-func faultTrace(t *testing.T, spec *FaultSpec, writes int) []string {
+// faultSchedule drives writes through the first connection spec wraps and
+// returns its schedule digest and whether the wrapped conn saw any write
+// other than as written (dropped, duplicated or torn).
+func faultSchedule(t *testing.T, spec *FaultSpec, writes int) (digest uint64, faulted bool) {
 	t.Helper()
-	fc, ok := spec.Wrap(newCountConn()).(*FaultConn)
+	under := newCountConn()
+	fc, ok := spec.Wrap(under).(*FaultConn)
 	if !ok {
 		t.Fatal("Wrap did not fault the first connection")
 	}
+	sent := 0
 	for i := 0; i < writes; i++ {
-		if _, err := fc.Write(make([]byte, 16+i%48)); err != nil {
+		b := make([]byte, 16+i%48)
+		sent += len(b)
+		if _, err := fc.Write(b); err != nil {
 			t.Fatal(err)
 		}
 	}
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	return append([]string(nil), fc.trace...)
+	return fc.digest, under.calls != writes || under.bytes != sent
 }
 
 func TestFaultConnDeterministic(t *testing.T) {
 	mk := func(seed int64) *FaultSpec {
 		return &FaultSpec{Seed: seed, DropProb: 0.2, DupProb: 0.1, TearProb: 0.1, DelayProb: 0.05, Delay: time.Microsecond}
 	}
-	t1 := faultTrace(t, mk(7), 200)
-	t2 := faultTrace(t, mk(7), 200)
-	if !reflect.DeepEqual(t1, t2) {
+	d1, faulted := faultSchedule(t, mk(7), 200)
+	d2, _ := faultSchedule(t, mk(7), 200)
+	if d1 != d2 {
 		t.Fatal("same seed produced different fault schedules")
 	}
-	t3 := faultTrace(t, mk(8), 200)
-	if reflect.DeepEqual(t1, t3) {
+	d3, _ := faultSchedule(t, mk(8), 200)
+	if d1 == d3 {
 		t.Fatal("different seeds produced an identical 200-write schedule")
 	}
-	faulty := 0
-	for _, e := range t1 {
-		if !strings.HasSuffix(e, ":pass") {
-			faulty++
-		}
-	}
-	if faulty == 0 {
+	if !faulted {
 		t.Fatal("no faults injected at ~45% combined probability over 200 writes")
+	}
+}
+
+// TestFaultConnPassingWriteAllocFree: a write the schedule passes through
+// records itself in fixed space, so a long-lived faulted link does not grow.
+func TestFaultConnPassingWriteAllocFree(t *testing.T) {
+	under := newCountConn()
+	fc := (&FaultSpec{Seed: 3}).Wrap(under).(*FaultConn)
+	buf := make([]byte, 64)
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := fc.Write(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("passing FaultConn.Write allocates %.1f objects, want 0", allocs)
+	}
+	if under.calls != fc.writes || under.bytes != fc.writes*len(buf) {
+		t.Fatalf("%d writes passed as %d calls, %d bytes: every probability is zero", fc.writes, under.calls, under.bytes)
 	}
 }
 

@@ -154,12 +154,12 @@ type failAfterOp struct {
 	seen  int
 }
 
-func (f *failAfterOp) Apply(t types.Tuple) ([]types.Tuple, error) {
+func (f *failAfterOp) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	f.seen++
 	if f.seen > f.after {
-		return nil, errInjected
+		return nil, false, errInjected
 	}
-	return []types.Tuple{t}, nil
+	return t, true, nil
 }
 
 // TestServeErrorIsolation: a query with a failing Pre pipeline is detached
@@ -209,9 +209,9 @@ func TestServeErrorIsolation(t *testing.T) {
 // slowOp sleeps per tuple — a deliberately wedged query pipeline.
 type slowOp struct{ d time.Duration }
 
-func (s slowOp) Apply(t types.Tuple) ([]types.Tuple, error) {
+func (s slowOp) Apply(t types.Tuple) (types.Tuple, bool, error) {
 	time.Sleep(s.d)
-	return []types.Tuple{t}, nil
+	return t, true, nil
 }
 
 // TestServeStalledQuery: a query that cannot keep up with the shared scan

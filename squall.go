@@ -152,12 +152,11 @@ type AdaptConfig struct {
 	// InitialRows x InitialCols is the starting matrix; zero means the
 	// offline optimizer's choice for the declared Source sizes.
 	InitialRows, InitialCols int
-	// ReportEvery, MinGain, MinObserved and MaxReshapes map onto
+	// ReportEvery, MinGain and MinObserved map onto
 	// dataflow.AdaptivePolicy (zero = that policy's defaults).
 	ReportEvery int
 	MinGain     float64
 	MinObserved int64
-	MaxReshapes int
 	// Static freezes the initial matrix — the fixed-matrix baseline an
 	// adaptive run is measured against, on identical transport.
 	Static bool
@@ -713,7 +712,6 @@ func (q *JoinQuery) adaptivePolicy(joiner string) (*core.Hypercube, *dataflow.Ad
 		ReportEvery: cfg.ReportEvery,
 		MinGain:     cfg.MinGain,
 		MinObserved: cfg.MinObserved,
-		MaxReshapes: cfg.MaxReshapes,
 		Static:      cfg.Static,
 	}, nil
 }

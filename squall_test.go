@@ -354,3 +354,74 @@ func TestPrePipelineFiltersAtSource(t *testing.T) {
 		t.Errorf("source emitted %d, want 2 (selection co-located)", src.EmittedTotal())
 	}
 }
+
+// TestCheckpointDirReuse: a disk checkpoint directory outlives the run that
+// wrote it, so a second run over other data must never restore the first
+// run's state. The second run kills joiner task 0 before it has taken a
+// checkpoint of its own; that task restores from empty state and a full
+// replay, and the answer stays bag-equal to a fault-free run.
+func TestCheckpointDirReuse(t *testing.T) {
+	const n, domain = 1600, 400
+	query := func(salt int64) *squall.JoinQuery {
+		r := make([]types.Tuple, n)
+		s := make([]types.Tuple, n)
+		for i := range r {
+			r[i] = types.Tuple{types.Int(int64(i) % domain), types.Int(salt + int64(i))}
+			s[i] = types.Tuple{types.Int(int64(i*7) % domain), types.Int(salt - int64(i))}
+		}
+		return &squall.JoinQuery{
+			Graph:    expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)),
+			Scheme:   squall.HashHypercube,
+			Machines: 4,
+			Local:    squall.Traditional,
+			Sources: []squall.Source{
+				{Name: "R", Spout: dataflow.SliceSpout(r), Size: n},
+				{Name: "S", Spout: dataflow.SliceSpout(s), Size: n},
+			},
+		}
+	}
+	bag := func(res *squall.Result) map[string]int {
+		b := make(map[string]int, len(res.Rows))
+		for _, row := range res.Rows {
+			b[row.Key()]++
+		}
+		return b
+	}
+	dir := t.TempDir()
+	store1, err := squall.NewDiskCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Shallow inboxes keep the sources backpressured behind the joiners, so
+	// the kill lands while most of task 0's input is still to arrive.
+	first := runOrFail(t, query(0), squall.Options{Seed: 3, ChannelBuf: 4,
+		Recovery: &squall.RecoveryOptions{CheckpointEvery: 32, Store: store1}})
+	if first.Metrics.Recovery.Checkpoints.Load() == 0 {
+		t.Fatal("the first run wrote no checkpoints to reuse")
+	}
+
+	want := bag(runOrFail(t, query(1_000_000), squall.Options{Seed: 3}))
+	store2, err := squall.NewDiskCheckpointStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := runOrFail(t, query(1_000_000), squall.Options{Seed: 3, ChannelBuf: 4,
+		FaultPlan: &squall.FaultPlan{Task: 0, AfterTuples: 40},
+		Recovery:  &squall.RecoveryOptions{CheckpointEvery: 1 << 30, Store: store2, DisablePeer: true}})
+	m := &res.Metrics.Recovery
+	if m.Kills.Load() != 1 {
+		t.Fatalf("kills = %d, want the planned one", m.Kills.Load())
+	}
+	if m.StoreReads.Load() != 0 {
+		t.Errorf("restore read %d checkpoints this run never wrote", m.StoreReads.Load())
+	}
+	got := bag(res)
+	if len(res.Rows) != n*n/domain || len(got) != len(want) {
+		t.Fatalf("reused dir: %d rows (%d distinct), fault-free run %d distinct", len(res.Rows), len(got), len(want))
+	}
+	for k, c := range want {
+		if got[k] != c {
+			t.Fatalf("reused dir: row %s seen %d times, fault-free run %d", k, got[k], c)
+		}
+	}
+}
