@@ -25,11 +25,13 @@
 //   - Transient faults: every dial — coordinator to worker, worker to peer —
 //     retries with exponential backoff + jitter under an attempt budget
 //     (ClusterSpec.Retry).
-//   - Recovery: under ClusterPolicy Retry/Recover the coordinator classifies
-//     a failed attempt (infrastructure vs job error), and re-dispatches the
-//     run under a fresh attempt run-id and link epoch. Recover additionally
-//     probes the workers first and reassigns a dead worker's components to
-//     survivors (the coordinator absorbs them when nothing else can). Every
+//   - Recovery: under ClusterPolicy Recover the coordinator classifies a
+//     failed attempt (infrastructure vs job error), probes the workers,
+//     reassigns a dead worker's components to survivors (the coordinator
+//     absorbs them when nothing else can) and re-dispatches the run under a
+//     fresh attempt run-id and link epoch. A transient fault — a flaky link,
+//     a partition that heals — leaves every worker alive, so the probe keeps
+//     them all and the re-dispatch runs on the same worker set. Every
 //     hello carries the attempt's link epoch, and workers reject stale
 //     epochs, so a wandering connection from a dead attempt can never join
 //     a newer one. Each attempt replans and re-runs deterministically from
@@ -103,16 +105,15 @@ const (
 	// behavior, kept as the differential baseline. Detection still runs, so
 	// the failure is loud and bounded, but nothing is retried.
 	FateShare ClusterPolicy = iota
-	// Retry re-dispatches the run (fresh attempt run-id, fresh link epoch)
-	// against the same worker set, up to MaxAttempts total attempts. Right
-	// for transient faults: a flaky link, a partition that heals, a worker
-	// restart in place.
-	Retry
 	// Recover probes the workers after a failure, declares the unreachable
 	// ones dead, reassigns their components to the survivors (the
 	// coordinator absorbs components nothing else can host) and then
-	// re-dispatches. A run outlives any subset of its worker processes; if
-	// every worker dies the coordinator finishes the run alone.
+	// re-dispatches (fresh attempt run-id, fresh link epoch), up to
+	// MaxAttempts total attempts. After a transient fault — a flaky link, a
+	// partition that heals, a worker restart in place — every probe
+	// answers and the run re-dispatches onto the same worker set. A run
+	// outlives any subset of its worker processes; if every worker dies the
+	// coordinator finishes the run alone.
 	Recover
 )
 
@@ -120,8 +121,6 @@ func (p ClusterPolicy) String() string {
 	switch p {
 	case FateShare:
 		return "FateShare"
-	case Retry:
-		return "Retry"
 	case Recover:
 		return "Recover"
 	default:
@@ -152,8 +151,8 @@ type ClusterSpec struct {
 	// Policy picks the response to infrastructure failures (default
 	// FateShare: abort the run, the PR 7 baseline).
 	Policy ClusterPolicy
-	// MaxAttempts bounds total dispatch attempts under Retry/Recover
-	// (default 3; FateShare always makes exactly one).
+	// MaxAttempts bounds total dispatch attempts under Recover (default 3;
+	// FateShare always makes exactly one).
 	MaxAttempts int
 	// Heartbeat is the failure-detection ping interval on every session and
 	// peer link; a peer silent for Heartbeat*HeartbeatMiss is declared
@@ -290,10 +289,12 @@ func baseRunID(runID string) string {
 }
 
 // defaultPlacement spreads sources round-robin over all workers, puts the
-// joiner on worker 1 and everything downstream on the coordinator.
+// joiner on worker 1 and everything downstream on the coordinator. The
+// topology lists its components in registration order: sources first.
 func defaultPlacement(p *queryPlan, nSources, workers int) map[string]int {
-	place := make(map[string]int, len(p.components))
-	for i, c := range p.components {
+	components := p.topo.Components()
+	place := make(map[string]int, len(components))
+	for i, c := range components {
 		switch {
 		case i < nSources:
 			place[c] = i % workers
@@ -306,14 +307,14 @@ func defaultPlacement(p *queryPlan, nSources, workers int) map[string]int {
 	return place
 }
 
-// errTransient classifies coordinator-detected failures that a Retry/Recover
+// errTransient classifies coordinator-detected failures that the Recover
 // policy may act on; see recoverableErr.
 var errTransient = errors.New("transient infrastructure failure")
 
-// recoverableErr reports whether a failed attempt may be retried or
-// recovered: coordinator-detected transient failures (exhausted dial
-// budgets, missing completions) and infrastructure failures as
-// dataflow.IsInfra classifies them qualify; job errors do not.
+// recoverableErr reports whether a failed attempt may be recovered:
+// coordinator-detected transient failures (exhausted dial budgets, missing
+// completions) and infrastructure failures as dataflow.IsInfra classifies
+// them qualify; job errors do not.
 func recoverableErr(err error) bool {
 	return errors.Is(err, errTransient) || dataflow.IsInfra(err)
 }
@@ -336,7 +337,7 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 	p.close() // validation only: every attempt plans afresh
 	workers := len(spec.Workers) + 1
 	if spec.Place != nil {
-		for _, c := range p.components {
+		for _, c := range p.topo.Components() {
 			w, ok := spec.Place[c]
 			if !ok {
 				return nil, fmt.Errorf("squall: cluster placement misses component %q", c)
@@ -359,7 +360,7 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 	var firstFail time.Time
 	var lastErr error
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 && spec.Policy == Recover {
+		if attempt > 0 {
 			st.pruneDead()
 		}
 		res, err := st.dispatch(attempt)
@@ -507,7 +508,7 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 	if workers == 1 {
 		// Every worker is dead: the coordinator absorbs the whole topology
 		// and finishes alone.
-		st.reassigned += len(p.components)
+		st.reassigned += len(p.topo.Components())
 		return st.runLocal(p, runID)
 	}
 	place := st.placement(p)

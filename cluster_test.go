@@ -300,9 +300,10 @@ func TestClusterPolicyRecoverTotalLoss(t *testing.T) {
 	}
 }
 
-// Under Retry, a one-way partition (writes vanish, reads flow — only
+// Under Recover, a one-way partition (writes vanish, reads flow — only
 // heartbeats can see it) must fail the first attempt in bounded time and
-// succeed on a re-dispatch over fresh connections.
+// succeed on a re-dispatch over fresh connections. The probe dials without
+// the fault, finds the worker alive and keeps the worker set whole.
 func TestClusterPolicyRetryPartition(t *testing.T) {
 	cfg := enginetest.EngineConfig{
 		Scheme: squall.HashHypercube, Local: squall.Traditional,
@@ -310,7 +311,7 @@ func TestClusterPolicyRetryPartition(t *testing.T) {
 	}
 	params := trickledParams(cfg)
 	addrs, _ := startWorkerHandles(t, 1)
-	spec := chaosSpec(addrs, params, squall.Retry)
+	spec := chaosSpec(addrs, params, squall.Recover)
 	// Fault only the first coordinator-dialed connection: attempt 0 starves
 	// behind the partition, attempt 1 runs clean.
 	spec.Fault = &transport.FaultSpec{Seed: 3, PartitionAfter: 30, MaxConns: 1}
@@ -321,21 +322,9 @@ func TestClusterPolicyRetryPartition(t *testing.T) {
 	}
 }
 
-// Under FateShare the same mid-run worker loss still fails loudly — the
-// differential baseline.
+// Under FateShare the same mid-run worker loss still fails loudly, and
+// promptly — the differential baseline.
 func TestClusterPolicyFateShareStillFails(t *testing.T) {
-	deadWorkerFails(t, squall.FateShare)
-}
-
-// Under Retry a dead worker is not a transient fault: re-dispatching onto it
-// must fail the run, not report success.
-func TestClusterPolicyRetryDeadWorkerFails(t *testing.T) {
-	deadWorkerFails(t, squall.Retry)
-}
-
-// deadWorkerFails kills the joiner's worker mid-run under policy and expects
-// the run to fail promptly.
-func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 	cfg := enginetest.EngineConfig{
 		Scheme: squall.HashHypercube, Local: squall.Traditional,
 		BatchSize: 8, Machines: 4, Seed: 42,
@@ -347,7 +336,7 @@ func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 		t.Fatalf("build: %v", err)
 	}
 	killAfterRows(srvs[0])(q)
-	opts.Cluster = chaosSpec(addrs, params, policy)
+	opts.Cluster = chaosSpec(addrs, params, squall.FateShare)
 	done := make(chan error, 1)
 	go func() {
 		_, err := q.Run(opts)
@@ -356,10 +345,10 @@ func deadWorkerFails(t *testing.T, policy squall.ClusterPolicy) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Fatalf("%v run succeeded despite a dead worker", policy)
+			t.Fatal("FateShare run succeeded despite a dead worker")
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatalf("%v run hung after worker death", policy)
+		t.Fatal("FateShare run hung after worker death")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 
 	"squall/internal/expr"
 	"squall/internal/types"
@@ -166,65 +165,50 @@ type Grouping interface {
 
 // GroupingFor adapts the scheme to a stream grouping for relation rel's edge
 // into the joiner component, whose parallelism must be at least
-// hc.Machines(): routing reaches only the first Machines() tasks. Plain
-// column keys hash off the encoded fields; a relation with a computed key
-// evaluates it over the row decoded into pooled scratch.
+// hc.Machines(): routing reaches only the first Machines() tasks. Each key
+// is read off the encoded row as an expr.Key: a plain column hashes its
+// field in place, a computed key is evaluated over the fields it names.
 func (hc *Hypercube) GroupingFor(rel int) Grouping {
-	g := hcGrouping{hc: hc, rel: rel, cols: make([][]int, len(hc.Dims))}
+	g := hcGrouping{hc: hc, rel: rel, keys: make([][]expr.Key, len(hc.Dims))}
 	for d := range hc.Dims {
 		for _, e := range hc.exprs[rel][d] {
-			c, ok := e.(expr.Col)
-			if !ok {
-				g.cols, g.scratch = nil, &sync.Pool{New: func() any { return new(types.Tuple) }}
-				return g
-			}
-			g.cols[d] = append(g.cols[d], c.Index)
+			g.keys[d] = append(g.keys[d], expr.KeyOf(e))
 		}
 	}
 	return g
 }
 
-// hcGrouping routes one relation's rows into the hypercube.
+// hcGrouping routes one relation's rows into the hypercube. It holds no
+// scratch, so producer tasks route through one grouping concurrently.
 type hcGrouping struct {
 	hc  *Hypercube
 	rel int
-	// cols[dim] are the hash key columns (hash dims only); nil when a key
-	// is computed. scratch then pools the decoded rows the keys evaluate
-	// over: producer tasks route through one grouping concurrently.
-	cols    [][]int
-	scratch *sync.Pool
+	// keys[dim] are the hash keys (hash dims only).
+	keys [][]expr.Key
 }
 
 // RowTargets routes an encoded row to the machines Hypercube.Targets picks
 // for its tuple, drawing the same random coordinates. Per hash dimension the
-// coordinate comes from wire.Cursor.ValueHash on the key column — the
-// types.Value.Hash Targets computes. A computed key is evaluated over the
-// decoded row; one that fails to evaluate panics, naming the key and the
-// relation.
+// coordinate comes from the key's types.Value.Hash, as in Targets. A key
+// that fails to evaluate panics, naming the key and the relation.
 func (g hcGrouping) RowTargets(cur *wire.Cursor, ntasks int, rng *rand.Rand, buf []int) []int {
 	hc := g.hc
 	if ntasks < hc.mach {
 		panic(fmt.Sprintf("core: joiner parallelism %d < hypercube machines %d", ntasks, hc.mach))
 	}
-	if g.cols == nil {
-		tup := g.scratch.Get().(*types.Tuple)
-		*tup = cur.Tuple(*tup)
-		out, err := hc.Targets(g.rel, *tup, rng, buf)
-		g.scratch.Put(tup)
-		if err != nil {
-			panic(err)
-		}
-		return out
-	}
 	buf = append(buf[:0], 0)
 	for d := range hc.Dims {
 		var coords [4]int
 		cs := coords[:0]
-		if len(g.cols[d]) == 0 {
+		if len(g.keys[d]) == 0 {
 			cs = hc.keyless(g.rel, d, rng, cs)
 		}
-		for _, col := range g.cols[d] {
-			cs = addCoord(cs, int(cur.ValueHash(col)%uint64(hc.Dims[d].Size)))
+		for _, k := range g.keys[d] {
+			h, _, err := k.Hash(cur)
+			if err != nil {
+				panic(fmt.Errorf("core: key %s of %s: %w", k, hc.spec.Names[g.rel], err))
+			}
+			cs = addCoord(cs, int(h%uint64(hc.Dims[d].Size)))
 		}
 		buf = hc.extend(buf, d, cs)
 	}

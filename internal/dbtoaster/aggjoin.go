@@ -112,19 +112,20 @@ type wiring struct {
 // arrival is the compiled plan of one relation: its wirings (one per view
 // holding the relation) and how they read the arriving row. When every
 // expression over the relation is a plain column ref they read the row's
-// columns directly; otherwise (boxed) they read the row evals evaluates to.
+// columns directly; otherwise (computed) they read the row of the values
+// evals take over the arrival.
 type arrival struct {
-	wires  []*wiring
-	boxed  bool
-	evals  []expr.Expr
-	maxCol int // highest column read directly, -1 when none
-	sumCol int // -1 when SUM is not over this relation
+	wires    []*wiring
+	computed bool
+	evals    []expr.Expr
+	maxCol   int // highest column read directly, -1 when none
+	sumCol   int // -1 when SUM is not over this relation
 }
 
 // col resolves an expression over the relation to the column the wirings
 // read it from.
 func (ar *arrival) col(e expr.Expr) int {
-	if ar.boxed {
+	if ar.computed {
 		ar.evals = append(ar.evals, e)
 		return len(ar.evals) - 1
 	}
@@ -154,10 +155,10 @@ type AggJoin struct {
 	dbuf   []byte        // delta signature rows, back to back
 	deltas []pendingDelta
 	sigCur wire.Cursor
-	// OnTuple, the expression fallback and EachResultRow encode into enc.
-	enc          []byte
-	encCur       wire.Cursor
-	tup, evalRow types.Tuple
+	// OnTuple, evaluate and EachResultRow encode into enc.
+	enc     []byte
+	encCur  wire.Cursor
+	evalRow types.Tuple
 }
 
 // pendingDelta is one collected delta into view v; its signature is
@@ -264,10 +265,10 @@ func (a *AggJoin) newArrival(rel int) *arrival {
 		return ok && c >= 0
 	}
 	for _, s := range a.views[1<<rel].sig {
-		ar.boxed = ar.boxed || !direct(s.e)
+		ar.computed = ar.computed || !direct(s.e)
 	}
 	if sum := a.spec.Sum; sum != nil && sum.Rel == rel {
-		ar.boxed = ar.boxed || !direct(sum.E)
+		ar.computed = ar.computed || !direct(sum.E)
 		ar.sumCol = ar.col(sum.E)
 	}
 	return ar
@@ -341,13 +342,15 @@ func (a *AggJoin) OnRow(rel int, cur *wire.Cursor) error {
 		return fmt.Errorf("dbtoaster: relation %d out of range", rel)
 	}
 	ar := &a.rels[rel]
-	if ar.boxed {
+	if ar.computed {
 		var err error
 		if cur, err = a.evaluate(ar, cur); err != nil {
 			return err
 		}
-	} else if ar.maxCol >= cur.Arity() {
-		return fmt.Errorf("dbtoaster: column %d out of range for arity %d", ar.maxCol, cur.Arity())
+	} else if ar.maxCol >= 0 {
+		if err := expr.C(ar.maxCol).Check(cur.Arity()); err != nil {
+			return fmt.Errorf("dbtoaster: %w", err)
+		}
 	}
 	tSum := 0.0
 	if ar.sumCol >= 0 {
@@ -367,15 +370,14 @@ func (a *AggJoin) OnRow(rel int, cur *wire.Cursor) error {
 	return nil
 }
 
-// evaluate is the fallback for relations with non-column expressions:
-// materialize the arrival, evaluate the relation's expressions and hand the
-// wirings a cursor over the encoded result (cur may be encCur: it is read
-// in full before enc is overwritten).
+// evaluate serves relations with non-column expressions: it evaluates the
+// relation's expressions over the fields of the arrival they name and hands
+// the wirings a cursor over the encoded values (cur may be encCur: it is
+// read in full before enc is overwritten).
 func (a *AggJoin) evaluate(ar *arrival, cur *wire.Cursor) (*wire.Cursor, error) {
-	a.tup = cur.Tuple(a.tup)
 	a.evalRow = a.evalRow[:0]
 	for _, e := range ar.evals {
-		v, err := e.Eval(a.tup)
+		v, err := e.EvalRow(cur)
 		if err != nil {
 			return nil, fmt.Errorf("dbtoaster: %s: %w", e, err)
 		}

@@ -135,7 +135,7 @@ func TestAggJoinNullAndCrossKindKeys(t *testing.T) {
 }
 
 // TestAggJoinExpressionFallback: relations whose conjuncts, group-by or SUM
-// are not plain column refs run through the evaluate fallback into the same
+// are not plain column refs are evaluated over the arrival into the same
 // state, agreeing with the traditional join aggregated in plain Go.
 func TestAggJoinExpressionFallback(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.JoinConjunct{
@@ -153,8 +153,8 @@ func TestAggJoinExpressionFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !agg.rels[0].boxed || agg.rels[1].boxed {
-		t.Fatal("relation 0 must take the evaluate fallback, relation 1 the direct path")
+	if !agg.rels[0].computed || agg.rels[1].computed {
+		t.Fatal("relation 0 must evaluate its expressions, relation 1 read columns directly")
 	}
 	ref := newAggReference()
 	for _, e := range shuffled(r, rels) {

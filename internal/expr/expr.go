@@ -9,11 +9,15 @@ import (
 	"time"
 
 	"squall/internal/types"
+	"squall/internal/wire"
 )
 
-// Expr is a scalar expression evaluated against one tuple.
+// Expr is a scalar expression. Eval evaluates it against a tuple, EvalRow
+// against one wire-encoded row, reading only the fields it names; both
+// share each operator's semantics, so they agree on every value and error.
 type Expr interface {
 	Eval(t types.Tuple) (types.Value, error)
+	EvalRow(cur *wire.Cursor) (types.Value, error)
 	String() string
 }
 
@@ -23,12 +27,29 @@ type Col struct {
 	Name  string
 }
 
+// Check reports the column's range error against a row of the given
+// arity: the one range check of every path, boxed, row and frame.
+func (c Col) Check(arity int) error {
+	if c.Index < 0 || c.Index >= arity {
+		return fmt.Errorf("expr: column %d (%s) out of range for arity %d", c.Index, c, arity)
+	}
+	return nil
+}
+
 // Eval returns the column's value.
 func (c Col) Eval(t types.Tuple) (types.Value, error) {
-	if c.Index < 0 || c.Index >= len(t) {
-		return types.Null(), fmt.Errorf("expr: column %d (%s) out of range for arity %d", c.Index, c.Name, len(t))
+	if err := c.Check(len(t)); err != nil {
+		return types.Null(), err
 	}
 	return t[c.Index], nil
+}
+
+// EvalRow materializes the column's field (a string is copied out).
+func (c Col) EvalRow(cur *wire.Cursor) (types.Value, error) {
+	if err := c.Check(cur.Arity()); err != nil {
+		return types.Null(), err
+	}
+	return cur.Value(c.Index), nil
 }
 
 func (c Col) String() string {
@@ -43,6 +64,9 @@ type Const struct{ V types.Value }
 
 // Eval returns the literal.
 func (c Const) Eval(types.Tuple) (types.Value, error) { return c.V, nil }
+
+// EvalRow returns the literal.
+func (c Const) EvalRow(*wire.Cursor) (types.Value, error) { return c.V, nil }
 
 func (c Const) String() string { return c.V.String() }
 
@@ -75,6 +99,25 @@ func (a Arith) Eval(t types.Tuple) (types.Value, error) {
 	if err != nil {
 		return types.Null(), err
 	}
+	return a.apply(lv, rv)
+}
+
+// EvalRow applies the operator to its operands read off the row.
+func (a Arith) EvalRow(cur *wire.Cursor) (types.Value, error) {
+	lv, err := a.L.EvalRow(cur)
+	if err != nil {
+		return types.Null(), err
+	}
+	rv, err := a.R.EvalRow(cur)
+	if err != nil {
+		return types.Null(), err
+	}
+	return a.apply(lv, rv)
+}
+
+// apply is the operator's semantics over evaluated operands. Errors name
+// the expression.
+func (a Arith) apply(lv, rv types.Value) (types.Value, error) {
 	if lv.IsNull() || rv.IsNull() {
 		return types.Null(), nil
 	}
@@ -90,11 +133,11 @@ func (a Arith) Eval(t types.Tuple) (types.Value, error) {
 	}
 	lf, ok := lv.AsFloat()
 	if !ok {
-		return types.Null(), fmt.Errorf("expr: %v is not numeric", lv)
+		return types.Null(), fmt.Errorf("expr: %s: %v is not numeric", a, lv)
 	}
 	rf, ok := rv.AsFloat()
 	if !ok {
-		return types.Null(), fmt.Errorf("expr: %v is not numeric", rv)
+		return types.Null(), fmt.Errorf("expr: %s: %v is not numeric", a, rv)
 	}
 	switch a.Op {
 	case Add:
@@ -105,7 +148,7 @@ func (a Arith) Eval(t types.Tuple) (types.Value, error) {
 		return types.Float(lf * rf), nil
 	case Div:
 		if rf == 0 {
-			return types.Null(), fmt.Errorf("expr: division by zero")
+			return types.Null(), fmt.Errorf("expr: %s: division by zero", a)
 		}
 		return types.Float(lf / rf), nil
 	default:
@@ -134,6 +177,20 @@ func (d Date) Eval(t types.Tuple) (types.Value, error) {
 	if err != nil {
 		return types.Null(), err
 	}
+	return d.apply(v)
+}
+
+// EvalRow parses the inner value read off the row.
+func (d Date) EvalRow(cur *wire.Cursor) (types.Value, error) {
+	v, err := d.Inner.EvalRow(cur)
+	if err != nil {
+		return types.Null(), err
+	}
+	return d.apply(v)
+}
+
+// apply converts an evaluated inner value to a day number.
+func (d Date) apply(v types.Value) (types.Value, error) {
 	if v.IsNull() {
 		return types.Null(), nil
 	}
@@ -142,7 +199,7 @@ func (d Date) Eval(t types.Tuple) (types.Value, error) {
 	}
 	tm, err := time.Parse("2006-01-02", strings.TrimSpace(v.AsString()))
 	if err != nil {
-		return types.Null(), fmt.Errorf("expr: DATE(%q): %w", v.AsString(), err)
+		return types.Null(), fmt.Errorf("expr: %s of %q: %w", d, v.AsString(), err)
 	}
 	return types.Int(int64(tm.Sub(dateEpoch) / (24 * time.Hour))), nil
 }

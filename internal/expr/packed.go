@@ -1,63 +1,47 @@
 package expr
 
 import (
-	"fmt"
-
 	"squall/internal/types"
 	"squall/internal/wire"
 )
 
 // PackedPred is a predicate lowered to run directly over one wire-encoded
-// row: column refs became offset reads on the cursor, so no types.Tuple is
-// materialized and no per-field interface dispatch happens.
+// row: column refs became offset reads on the cursor, and computed operands
+// are evaluated over the fields they name, so no types.Tuple is
+// materialized.
 type PackedPred func(cur *wire.Cursor) (bool, error)
 
-// CompilePred lowers p to a PackedPred. ok is false when p contains a shape
-// the compiler cannot lower (arithmetic, DATE(), non-scalar operands): the
-// caller then materializes the tuple and falls back to p.Eval — semantics
-// are identical either way, lowering is purely a fast path.
-//
-// Lowered comparisons reproduce CmpOp.Apply exactly: types.Value.Compare
-// ordering (cross-kind numeric comparison included) with any NULL operand
-// collapsing to false. Constant subtrees fold at compile time.
-func CompilePred(p Pred) (PackedPred, bool) {
-	switch q := p.(type) {
-	case True:
-		return predConst(true), true
-	case Cmp:
-		return compileCmp(q)
-	case Not:
-		inner, ok := CompilePred(q.P)
-		if !ok {
-			return nil, false
-		}
-		return func(cur *wire.Cursor) (bool, error) {
-			v, err := inner(cur)
-			return !v, err
-		}, true
-	case And:
-		return compileJunction(q.Preds, true)
-	case Or:
-		return compileJunction(q.Preds, false)
-	default:
-		return nil, false
+// CompilePred lowers p to a PackedPred. Every predicate lowers: a lowered
+// comparison reads its operands as Keys and reproduces CmpOp.Apply exactly —
+// types.Value.Compare ordering (cross-kind numeric comparison included) with
+// any NULL operand collapsing to false — and fails exactly where p.Eval
+// fails. Constant operands fold at compile time.
+func CompilePred(p Pred) PackedPred { return p.compile() }
+
+func (True) compile() PackedPred { return predConst(true) }
+
+func (n Not) compile() PackedPred {
+	inner := n.P.compile()
+	return func(cur *wire.Cursor) (bool, error) {
+		v, err := inner(cur)
+		return !v, err
 	}
 }
+
+func (a And) compile() PackedPred { return compileJunction(a.Preds, true) }
+
+func (o Or) compile() PackedPred { return compileJunction(o.Preds, false) }
 
 func predConst(v bool) PackedPred {
 	return func(*wire.Cursor) (bool, error) { return v, nil }
 }
 
 // compileJunction lowers a conjunction (every=true) or disjunction
-// (every=false) with short-circuiting, folding constant children.
-func compileJunction(preds []Pred, every bool) (PackedPred, bool) {
-	compiled := make([]PackedPred, 0, len(preds))
-	for _, p := range preds {
-		c, ok := CompilePred(p)
-		if !ok {
-			return nil, false
-		}
-		compiled = append(compiled, c)
+// (every=false) with short-circuiting.
+func compileJunction(preds []Pred, every bool) PackedPred {
+	compiled := make([]PackedPred, len(preds))
+	for i, p := range preds {
+		compiled[i] = p.compile()
 	}
 	return func(cur *wire.Cursor) (bool, error) {
 		for _, c := range compiled {
@@ -70,74 +54,119 @@ func compileJunction(preds []Pred, every bool) (PackedPred, bool) {
 			}
 		}
 		return every, nil
-	}, true
-}
-
-// scalar is one lowered comparison operand: a column offset read or a
-// folded constant.
-type scalar struct {
-	col   Col
-	v     types.Value
-	isCol bool
-}
-
-func scalarOf(e Expr) (scalar, bool) {
-	switch s := e.(type) {
-	case Col:
-		return scalar{col: s, isCol: true}, true
-	case Const:
-		return scalar{v: s.V}, true
-	default:
-		return scalar{}, false
 	}
 }
 
-// checkCol mirrors Col.Eval's range error on the packed path.
-func checkCol(c Col, cur *wire.Cursor) error {
-	if c.Index < 0 || c.Index >= cur.Arity() {
-		return fmt.Errorf("expr: column %d (%s) out of range for arity %d", c.Index, c.Name, cur.Arity())
+func (c Cmp) compile() PackedPred {
+	l, r, op := KeyOf(c.L), KeyOf(c.R), c.Op
+	lc, lok := l.e.(Const)
+	rc, rok := r.e.(Const)
+	if lok && rok {
+		return predConst(op.Apply(lc.V, rc.V))
 	}
-	return nil
+	return func(cur *wire.Cursor) (bool, error) {
+		cmp, anyNull, err := CompareKeys(cur, l, cur, r)
+		return err == nil && !anyNull && CmpHolds(op, cmp), err
+	}
 }
 
-func compileCmp(c Cmp) (PackedPred, bool) {
-	l, lok := scalarOf(c.L)
-	r, rok := scalarOf(c.R)
-	if !lok || !rok {
-		return nil, false
+// Key is one key as the encoded row path reads it — a join conjunct side,
+// a routing key, a comparison operand: a column read in place off the
+// field bytes, or a computed expression evaluated over the fields it
+// names. Either way it hashes as types.Value.Hash (wire.Cursor.ValueHash
+// on a column) and orders as types.Value.Compare, so column and computed
+// keys share one routing space and one state index.
+type Key struct {
+	col Col
+	e   Expr // nil for a column key
+}
+
+// KeyOf resolves e to the way the row path reads it. An expression that
+// evaluates over the empty tuple names no column: it folds to a constant.
+func KeyOf(e Expr) Key {
+	if c, ok := e.(Col); ok {
+		return Key{col: c}
 	}
-	op := c.Op
+	if v, err := e.Eval(nil); err == nil {
+		return Key{e: Const{V: v}}
+	}
+	return Key{e: e}
+}
+
+// Computed reports whether the key is evaluated rather than read in place.
+func (k Key) Computed() bool { return k.e != nil }
+
+func (k Key) String() string {
+	if k.e != nil {
+		return k.e.String()
+	}
+	return k.col.String()
+}
+
+// Value reads the key's value off cur.
+func (k Key) Value(cur *wire.Cursor) (types.Value, error) {
+	if k.e != nil {
+		return k.e.EvalRow(cur)
+	}
+	return k.col.EvalRow(cur)
+}
+
+// Hash returns the key's types.Value.Hash on cur and whether the key is
+// NULL there; a column key hashes its field bytes in place.
+func (k Key) Hash(cur *wire.Cursor) (h uint64, null bool, err error) {
+	if k.e != nil {
+		v, err := k.e.EvalRow(cur)
+		return v.Hash(), v.IsNull(), err
+	}
+	if err := k.col.Check(cur.Arity()); err != nil {
+		return 0, false, err
+	}
+	return cur.ValueHash(k.col.Index), cur.Kind(k.col.Index) == types.KindNull, nil
+}
+
+// CompareKeys orders key a on acur against key b on bcur under
+// types.Value.Compare; anyNull reports a NULL operand (see
+// wire.Cursor.CompareValue). A column side compares in place and only a
+// computed side is evaluated; errors surface in operand order, as Cmp.Eval
+// raises them.
+func CompareKeys(acur *wire.Cursor, a Key, bcur *wire.Cursor, b Key) (cmp int, anyNull bool, err error) {
 	switch {
-	case !l.isCol && !r.isCol:
-		// Constant folding: the comparison never depends on the row.
-		return predConst(op.Apply(l.v, r.v)), true
-	case l.isCol && r.isCol:
-		lc, rc := l.col, r.col
-		return func(cur *wire.Cursor) (bool, error) {
-			if err := checkCol(lc, cur); err != nil {
-				return false, err
-			}
-			if err := checkCol(rc, cur); err != nil {
-				return false, err
-			}
-			cmp, anyNull := wire.CompareFields(cur, lc.Index, cur, rc.Index)
-			return !anyNull && CmpHolds(op, cmp), nil
-		}, true
-	case !l.isCol:
-		// const OP col  ==  col OP.Flip() const
-		l, r = r, l
-		op = op.Flip()
-		fallthrough
-	default:
-		lc, rv := l.col, r.v
-		return func(cur *wire.Cursor) (bool, error) {
-			if err := checkCol(lc, cur); err != nil {
-				return false, err
-			}
-			cmp, anyNull := cur.CompareValue(lc.Index, rv)
-			return !anyNull && CmpHolds(op, cmp), nil
-		}, true
+	case a.e == nil && b.e == nil:
+		if err := a.col.Check(acur.Arity()); err != nil {
+			return 0, false, err
+		}
+		if err := b.col.Check(bcur.Arity()); err != nil {
+			return 0, false, err
+		}
+		cmp, anyNull = wire.CompareFields(acur, a.col.Index, bcur, b.col.Index)
+		return cmp, anyNull, nil
+	case a.e == nil:
+		if err := a.col.Check(acur.Arity()); err != nil {
+			return 0, false, err
+		}
+		bv, err := b.e.EvalRow(bcur)
+		if err != nil {
+			return 0, false, err
+		}
+		cmp, anyNull = acur.CompareValue(a.col.Index, bv)
+		return cmp, anyNull, nil
 	}
+	av, err := a.e.EvalRow(acur)
+	if err != nil {
+		return 0, false, err
+	}
+	if b.e == nil {
+		if err := b.col.Check(bcur.Arity()); err != nil {
+			return 0, false, err
+		}
+		cmp, anyNull = bcur.CompareValue(b.col.Index, av)
+		return -cmp, anyNull, nil
+	}
+	bv, err := b.e.EvalRow(bcur)
+	if err != nil {
+		return 0, false, err
+	}
+	return av.Compare(bv), av.IsNull() || bv.IsNull(), nil
 }
 
 // CmpHolds interprets a three-way comparison result under op, matching

@@ -81,10 +81,12 @@ func (op CmpOp) Flip() CmpOp {
 	}
 }
 
-// Pred is a boolean predicate over one tuple.
+// Pred is a boolean predicate over one tuple. The set is closed: every Pred
+// lowers to run over an encoded row (CompilePred).
 type Pred interface {
 	Eval(t types.Tuple) (bool, error)
 	String() string
+	compile() PackedPred
 }
 
 // Cmp compares two scalar expressions.

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"bytes"
-	"fmt"
 
 	"squall/internal/types"
 	"squall/internal/vec"
@@ -19,18 +18,17 @@ import (
 // ok=false means this particular frame cannot be vectorized (a referenced
 // column has mixed kinds, or the footer lied about an offset): the caller
 // then falls back to the row-at-a-time path for the whole frame — semantics
-// are identical either way, exactly like CompilePred's compile-time
-// fallback, just decided per frame. err mirrors the boxed error cases
-// (column index out of range) and is only raised when at least one row is
-// selected, matching the boxed evaluator's per-row error exposure.
+// are identical either way, decided per frame. err mirrors the boxed error
+// cases (column index out of range) and is only raised when at least one row
+// is selected, matching the boxed evaluator's per-row error exposure.
 //
 // A compiled VecPred owns internal scratch selections and is not safe for
 // concurrent use — same single-task ownership as the pipeline that holds it.
 type VecPred func(v *vec.FrameView, m []int, in vec.Sel) (out vec.Sel, ok bool, err error)
 
 // CompileVecPred lowers p to a VecPred. ok is false when p contains a shape
-// the vectorizer cannot lower (arithmetic, DATE(), non-scalar operands) —
-// the same shapes CompilePred rejects — and the caller keeps the row path.
+// the vectorizer cannot lower (arithmetic, DATE(), non-scalar operands), and
+// the caller keeps the row path (CompilePred).
 //
 // Lowered comparisons reproduce CmpOp.Apply bit-for-bit: three-way compare
 // then CmpHolds (so float NaN yields cmp==0 on both paths), cross-kind
@@ -128,11 +126,6 @@ func compileVecJunction(preds []Pred, every bool) (VecPred, bool) {
 	}, true
 }
 
-// vecColErr mirrors checkCol's boxed range error for the frame path.
-func vecColErr(c Col, arity int) error {
-	return fmt.Errorf("expr: column %d (%s) out of range for arity %d", c.Index, c.Name, arity)
-}
-
 // effArity returns the arity predicate columns are resolved against: the
 // projected arity when a column map is present, the frame arity otherwise.
 func effArity(v *vec.FrameView, m []int) int {
@@ -151,28 +144,27 @@ func frameCol(m []int, c int) int {
 }
 
 func compileVecCmp(c Cmp) (VecPred, bool) {
-	l, lok := scalarOf(c.L)
-	r, rok := scalarOf(c.R)
-	if !lok || !rok {
-		return nil, false
-	}
-	op := c.Op
+	l, r, op := KeyOf(c.L), KeyOf(c.R), c.Op
+	lc, lConst := l.e.(Const)
+	rc, rConst := r.e.(Const)
 	switch {
-	case !l.isCol && !r.isCol:
-		res := op.Apply(l.v, r.v)
+	case lConst && rConst:
+		res := op.Apply(lc.V, rc.V)
 		return func(_ *vec.FrameView, _ []int, in vec.Sel) (vec.Sel, bool, error) {
 			if res {
 				return in, true, nil
 			}
 			return nil, true, nil
 		}, true
-	case l.isCol && r.isCol:
+	case !l.Computed() && !r.Computed():
 		return compileVecColCol(l.col, op, r.col)
-	case !l.isCol:
+	case lConst && !r.Computed():
 		// const OP col  ==  col OP.Flip() const
-		return compileVecColConst(r.col, op.Flip(), l.v)
+		return compileVecColConst(r.col, op.Flip(), lc.V)
+	case rConst && !l.Computed():
+		return compileVecColConst(l.col, op, rc.V)
 	default:
-		return compileVecColConst(l.col, op, r.v)
+		return nil, false
 	}
 }
 
@@ -195,8 +187,8 @@ func compileVecColConst(col Col, op CmpOp, rv types.Value) (VecPred, bool) {
 		if len(in) == 0 {
 			return in, true, nil
 		}
-		if col.Index < 0 || col.Index >= effArity(v, m) {
-			return nil, true, vecColErr(col, effArity(v, m))
+		if err := col.Check(effArity(v, m)); err != nil {
+			return nil, true, err
 		}
 		fc := frameCol(m, col.Index)
 		ckb := v.KindByte(fc)
@@ -251,11 +243,11 @@ func compileVecColCol(lc Col, op CmpOp, rc Col) (VecPred, bool) {
 			return in, true, nil
 		}
 		arity := effArity(v, m)
-		if lc.Index < 0 || lc.Index >= arity {
-			return nil, true, vecColErr(lc, arity)
+		if err := lc.Check(arity); err != nil {
+			return nil, true, err
 		}
-		if rc.Index < 0 || rc.Index >= arity {
-			return nil, true, vecColErr(rc, arity)
+		if err := rc.Check(arity); err != nil {
+			return nil, true, err
 		}
 		fl, fr := frameCol(m, lc.Index), frameCol(m, rc.Index)
 		lkb, rkb := v.KindByte(fl), v.KindByte(fr)

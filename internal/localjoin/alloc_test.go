@@ -16,8 +16,11 @@ import (
 // plan lands on and on a 3-way chain (two plan levels, a middle relation
 // that is probed from both sides). Under the Views policy the chain's
 // arrivals probe combo views and extend them: combo assignment, combo
-// append and view-index insert are pinned too.
+// append and view-index insert are pinned too. On a computed key every
+// hash, verify and index read evaluates the key over the one column it
+// names, so the row's two string columns cost nothing either.
 func TestOnRowNoAllocSteadyState(t *testing.T) {
+	plus1 := func(c int) expr.Expr { return expr.Arith{Op: expr.Add, L: expr.C(c), R: expr.I(1)} }
 	for _, tc := range []struct {
 		name string
 		g    *expr.JoinGraph
@@ -26,6 +29,8 @@ func TestOnRowNoAllocSteadyState(t *testing.T) {
 		{"2way-equi", expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0)), NewTraditional},
 		{"3way-chain", chainGraph(), NewTraditional},
 		{"3way-chain/views", chainGraph(), NewViews},
+		{"2way-computed", expr.MustJoinGraph(2,
+			expr.JoinConjunct{LRel: 0, RRel: 1, Op: expr.Eq, Left: plus1(0), Right: plus1(1)}), NewTraditional},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			j := tc.mk(tc.g)
@@ -35,7 +40,7 @@ func TestOnRowNoAllocSteadyState(t *testing.T) {
 			rows := make([][][]byte, tc.g.NumRels)
 			for rel := range rows {
 				for k := 0; k < keys; k++ {
-					tu := types.Tuple{types.Int(int64(k)), types.Int(int64(k)), types.Str("payload")}
+					tu := types.Tuple{types.Int(int64(k)), types.Int(int64(k)), types.Str("payload"), types.Str("unread")}
 					rows[rel] = append(rows[rel], wire.Encode(nil, tu))
 				}
 			}

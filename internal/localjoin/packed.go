@@ -4,10 +4,10 @@
 // column keys hash off the encoded field bytes, probe candidates — a stored
 // row, or a combo of them — are verified by field-view comparison, and
 // delta results are emitted as spliced encoded rows, or appended to a view
-// as ref combos: on column keys the inner loop of a join task touches no
-// []types.Value from wire to slab to wire. A computed key is evaluated over
-// the decoded row where it is read, and hashes and compares as the same
-// types.Value.
+// as ref combos: the inner loop of a join task decodes no row from wire to
+// slab to wire. Conjunct sides are read as expr.Keys: a column key in
+// place, a computed key evaluated over the fields it names where it is
+// read, hashing and comparing as the same types.Value.
 package localjoin
 
 import (
@@ -39,23 +39,6 @@ var _ PackedJoin = (*Traditional)(nil)
 // PackedCapable reports true: every graph runs on encoded rows.
 func (j *Traditional) PackedCapable() bool { return true }
 
-// key is one conjunct side as the row path reads it: column col of the
-// row, read in place, or — when e is set — the expression evaluated over
-// the decoded row. Both hash as types.Value.Hash (wire.Cursor.ValueHash on
-// a column) and order as types.Value.Compare (wire.CompareFields).
-type key struct {
-	col int
-	e   expr.Expr
-}
-
-// keyOf resolves a conjunct side.
-func keyOf(e expr.Expr) key {
-	if col, ok := expr.ColIndex(e); ok {
-		return key{col: col}
-	}
-	return key{e: e}
-}
-
 // packedState is the reusable scratch of the packed expansion, sized at
 // construction and grown to the largest frame.
 type packedState struct {
@@ -75,63 +58,7 @@ type packedState struct {
 	// their positions keyed by segment.
 	candRow, candRef []uint32
 	order            []uint64
-	out              []byte      // spliced result row
-	tup              types.Tuple // decoded row a computed key evaluates over
-}
-
-// value reads k off cur: the field for a column key, the expression's
-// value over the decoded row for a computed one.
-func (ps *packedState) value(cur *wire.Cursor, k key) (types.Value, error) {
-	if k.e == nil {
-		if err := fieldOf(cur, k.col); err != nil {
-			return types.Value{}, err
-		}
-		return cur.Value(k.col), nil
-	}
-	ps.tup = cur.Tuple(ps.tup)
-	v, err := k.e.Eval(ps.tup)
-	if err != nil {
-		return v, fmt.Errorf("localjoin: key %s: %w", k.e, err)
-	}
-	return v, nil
-}
-
-// hash is k's index hash on cur: types.Value.Hash of its value, read off
-// the encoded field for a column key.
-func (ps *packedState) hash(cur *wire.Cursor, k key) (uint64, error) {
-	if k.e == nil {
-		if err := fieldOf(cur, k.col); err != nil {
-			return 0, err
-		}
-		return cur.ValueHash(k.col), nil
-	}
-	v, err := ps.value(cur, k)
-	return v.Hash(), err
-}
-
-// compare orders key a of acur against key b of bcur under
-// types.Value.Compare; anyNull reports a NULL operand (see
-// wire.Cursor.CompareValue). Two column keys compare in place.
-func (ps *packedState) compare(acur *wire.Cursor, a key, bcur *wire.Cursor, b key) (cmp int, anyNull bool, err error) {
-	if a.e == nil && b.e == nil {
-		if err := fieldOf(acur, a.col); err != nil {
-			return 0, false, err
-		}
-		if err := fieldOf(bcur, b.col); err != nil {
-			return 0, false, err
-		}
-		cmp, anyNull = wire.CompareFields(acur, a.col, bcur, b.col)
-		return cmp, anyNull, nil
-	}
-	av, err := ps.value(acur, a)
-	if err != nil {
-		return 0, false, err
-	}
-	bv, err := ps.value(bcur, b)
-	if err != nil {
-		return 0, false, err
-	}
-	return av.Compare(bv), av.IsNull() || bv.IsNull(), nil
+	out              []byte // spliced result row
 }
 
 // OnRow joins the encoded arrival against the stored relations and stores
@@ -251,15 +178,6 @@ func (j *Traditional) probeFrame(ps *packedState, rel, n int, emit func([]byte) 
 	return nil
 }
 
-// fieldOf bound-checks a conjunct's column against a row's arity, mirroring
-// expr.Col.Eval's range error.
-func fieldOf(cur *wire.Cursor, col int) error {
-	if col < 0 || col >= cur.Arity() {
-		return fmt.Errorf("localjoin: column %d out of range for arity %d", col, cur.Arity())
-	}
-	return nil
-}
-
 // insertRow stores the arrival staged at curs[rel]: blits it into the
 // relation's arena, files the ref under the base view's indexes, then
 // extends every combo view containing rel by the arrival's joins with the
@@ -306,14 +224,14 @@ func (j *Traditional) indexOrdinal(v *store, ord uint32) error {
 		}
 		k := j.keys[ci][in]
 		if h, ok := v.eqRef[ci]; ok {
-			hash, err := ps.hash(ps.curs[in], k)
+			hash, _, err := k.Hash(ps.curs[in])
 			if err != nil {
 				return fmt.Errorf("localjoin: index key: %w", err)
 			}
 			h.Insert(hash, ord)
 		}
 		if tr, ok := v.rngIdx[ci]; ok {
-			val, err := ps.value(ps.curs[in], k)
+			val, err := k.Value(ps.curs[in])
 			if err != nil {
 				return fmt.Errorf("localjoin: index key: %w", err)
 			}
@@ -373,23 +291,16 @@ func (j *Traditional) expandPacked(ps *packedState, steps []probeStep, emit func
 func (j *Traditional) appendCands(ps *packedState, st *probeStep, dst []uint32) ([]uint32, error) {
 	ocur, k := ps.curs[st.other], st.otherKey
 	s := st.view
-	if k.e == nil && st.op == expr.Eq {
-		if err := fieldOf(ocur, k.col); err != nil {
+	if st.op == expr.Eq {
+		h, null, err := k.Hash(ocur)
+		if err != nil || null {
 			return dst, err
 		}
-		if ocur.Kind(k.col) == types.KindNull {
-			return dst, nil
-		}
-		return s.eqRef[st.ci].AppendRefs(dst, ocur.ValueHash(k.col)), nil
+		return s.eqRef[st.ci].AppendRefs(dst, h), nil
 	}
-	// The key's value: a range bound (numeric fields materialize without
-	// allocating), or a computed key.
-	v, err := ps.value(ocur, k)
+	v, err := k.Value(ocur)
 	if err != nil || v.IsNull() {
 		return dst, err
-	}
-	if st.op == expr.Eq {
-		return s.eqRef[st.ci].AppendRefs(dst, v.Hash()), nil
 	}
 	lo, hi := st.bounds(v)
 	s.rngIdx[st.ci].Range(lo, hi, func(_ types.Value, it index.Item) bool {
@@ -422,7 +333,7 @@ func (j *Traditional) tryCand(ps *packedState, st *probeStep, ord uint32, rest [
 	if st.ci >= 0 && st.op == expr.Eq {
 		// Verify the key, so a hash collision can never fabricate a result
 		// (appendCands already dropped a NULL probe key).
-		cmp, _, err := ps.compare(ps.curs[st.next], st.nextKey, ps.curs[st.other], st.otherKey)
+		cmp, _, err := expr.CompareKeys(ps.curs[st.next], st.nextKey, ps.curs[st.other], st.otherKey)
 		if err != nil || cmp != 0 {
 			return err
 		}
@@ -447,7 +358,7 @@ func (j *Traditional) assignRow(ps *packedState, r int, ref slab.Ref) error {
 // filterHoldsPacked evaluates one filter conjunct between two assigned rows
 // under CmpOp.Apply semantics (NULL operands collapse to false).
 func filterHoldsPacked(ps *packedState, f *stepFilter) (bool, error) {
-	cmp, anyNull, err := ps.compare(ps.curs[f.lrel], f.lkey, ps.curs[f.rrel], f.rkey)
+	cmp, anyNull, err := expr.CompareKeys(ps.curs[f.lrel], f.lkey, ps.curs[f.rrel], f.rkey)
 	if err != nil || anyNull {
 		return false, err
 	}

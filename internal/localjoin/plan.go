@@ -30,7 +30,7 @@ type probeStep struct {
 	ci                int
 	op                expr.CmpOp
 	next, other       int
-	nextKey, otherKey key
+	nextKey, otherKey expr.Key
 	// filters are the remaining conjuncts between view and the assigned
 	// relations, checked per candidate.
 	filters []stepFilter
@@ -49,7 +49,7 @@ type maintStep struct {
 type stepFilter struct {
 	op         expr.CmpOp
 	lrel, rrel int
-	lkey, rkey key
+	lkey, rkey expr.Key
 }
 
 // bounds is the tree range holding the keys k with k op v, for a non-NULL

@@ -110,7 +110,7 @@ type Traditional struct {
 	views  []*store
 	// keys[c][rel] is the rel side of conjunct c as the row path reads it
 	// (the zero key when rel is not a side of c).
-	keys   [][]key
+	keys   [][]expr.Key
 	packed packedState
 	// plan[rel] is the expansion an arrival of rel drives and maint[rel]
 	// the combo views it extends (plan.go).
@@ -149,11 +149,11 @@ func NewViewsTiered(g *expr.JoinGraph, tc slab.TierConfig) *Traditional {
 
 func newJoin(g *expr.JoinGraph, views bool) *Traditional {
 	j := &Traditional{g: g}
-	j.keys = make([][]key, len(g.Conjuncts))
+	j.keys = make([][]expr.Key, len(g.Conjuncts))
 	for ci, c := range g.Conjuncts {
-		j.keys[ci] = make([]key, g.NumRels)
-		j.keys[ci][c.LRel] = keyOf(c.Left)
-		j.keys[ci][c.RRel] = keyOf(c.Right)
+		j.keys[ci] = make([]expr.Key, g.NumRels)
+		j.keys[ci][c.LRel] = expr.KeyOf(c.Left)
+		j.keys[ci][c.RRel] = expr.KeyOf(c.Right)
 	}
 	j.stores = make([]*store, g.NumRels)
 	for rel := range j.stores {

@@ -187,16 +187,16 @@ func (a *Agg) PackedCapable() bool {
 	return true
 }
 
-// checkRowCols bound-checks the lowered columns against one row's arity,
-// mirroring expr.Col.Eval's range errors on the boxed path.
-func (a *Agg) checkRowCols(cur *wire.Cursor) error {
+// checkCols bound-checks the lowered columns against the arity of a row or
+// frame: expr.Col.Check, the range error of the boxed path.
+func (a *Agg) checkCols(arity int) error {
 	for _, c := range a.groupCols {
-		if c < 0 || c >= cur.Arity() {
-			return fmt.Errorf("expr: column %d out of range for arity %d", c, cur.Arity())
+		if err := expr.C(c).Check(arity); err != nil {
+			return err
 		}
 	}
-	if a.sumCol >= cur.Arity() {
-		return fmt.Errorf("expr: column %d out of range for arity %d", a.sumCol, cur.Arity())
+	if a.sumCol >= 0 {
+		return expr.C(a.sumCol).Check(arity)
 	}
 	return nil
 }
@@ -207,7 +207,7 @@ func (a *Agg) checkRowCols(cur *wire.Cursor) error {
 // is bumped in place, so steady-state updates allocate nothing. Callers
 // must have checked PackedCapable.
 func (a *Agg) UpdateRow(cur *wire.Cursor, cnt int64, sum float64) error {
-	if err := a.checkRowCols(cur); err != nil {
+	if err := a.checkCols(cur.Arity()); err != nil {
 		return err
 	}
 	a.sBuf = wire.SpliceRow(a.sBuf[:0], cur, a.groupCols)
@@ -222,7 +222,7 @@ func (a *Agg) UpdateRow(cur *wire.Cursor, cnt int64, sum float64) error {
 func (a *Agg) FoldRow(cur *wire.Cursor) error {
 	sum := 0.0
 	if a.sumCol >= 0 {
-		if err := a.checkRowCols(cur); err != nil {
+		if err := a.checkCols(cur.Arity()); err != nil {
 			return err
 		}
 		f, ok := cur.FieldFloat(a.sumCol)

@@ -1,9 +1,11 @@
 // Packed execution (PR 5): the frame-at-a-time lowering of the operator
 // pipeline. A Pipeline compiles into a PackedPipeline whose stages work
-// directly on wire-encoded rows through a Cursor — Select filters without
-// decoding (expr.CompilePred), Project re-emits by splicing encoded field
-// bytes when every projection is a column ref — and stages that cannot
-// lower fall back to materialize-then-Apply per row, preserving semantics
+// directly on wire-encoded rows through a Cursor: Select filters without
+// decoding (expr.CompilePred lowers every predicate), and Project re-emits
+// by splicing encoded field bytes when every projection is a column ref,
+// or else encodes the values its expressions take over the fields they
+// read. Only a custom Op, neither Select nor Project, runs over the
+// decoded row (materialize, Apply, re-encode), preserving semantics
 // exactly.
 package ops
 
@@ -18,11 +20,12 @@ import (
 )
 
 // packedStage is one lowered pipeline stage: exactly one of pred (packed
-// filter), cols (packed projection splice) or op (materializing fallback)
-// drives it.
+// filter), cols (packed projection splice), es (computed projection) or op
+// (a custom Op over the decoded row) drives it.
 type packedStage struct {
 	pred expr.PackedPred
 	cols []int
+	es   []expr.Expr
 	op   Op
 
 	// frame path (PR 6): the predicate lowered to selection-vector kernels,
@@ -32,9 +35,9 @@ type packedStage struct {
 	vpred expr.VecPred
 	inMap []int
 
-	buf []byte      // output row buffer (splice / fallback re-encode)
+	buf []byte      // output row buffer (splice / re-encode)
 	cur wire.Cursor // cursor over buf
-	dec types.Tuple // fallback materialization scratch
+	dec types.Tuple // the row apply encodes
 }
 
 // PackedPipeline is a Pipeline lowered to run over encoded rows. One
@@ -49,16 +52,16 @@ type PackedPipeline struct {
 	fcur    wire.Cursor
 }
 
-// CompilePipeline lowers p. Compilation always succeeds — unlowerable
-// stages run through the materializing fallback — so callers can route
-// every source pipeline through the packed path unconditionally.
+// CompilePipeline lowers p. Compilation always succeeds, so callers can
+// route every source pipeline through the packed path unconditionally.
 //
 // For the frame path the compiler additionally lowers each Select to a
 // VecPred and folds chains of packed projections into static column maps:
 // stage i records the map in effect when it runs, so RunFrame never
 // materializes intermediate projected rows. vecStop marks the first stage
-// frames cannot cross vectorized (an unlowerable stage, or a projection
-// whose columns cannot compose statically).
+// frames cannot cross vectorized (a predicate the kernels cannot lower, a
+// computed projection or custom Op, or a projection whose columns cannot
+// compose statically).
 func CompilePipeline(p Pipeline) *PackedPipeline {
 	pp := &PackedPipeline{vecStop: -1}
 	var cur []int // running projection composition; nil = identity
@@ -67,23 +70,23 @@ func CompilePipeline(p Pipeline) *PackedPipeline {
 		vecOK := false
 		switch o := op.(type) {
 		case Select:
-			if pred, ok := expr.CompilePred(o.P); ok {
-				st.pred = pred
-				if vp, ok := expr.CompileVecPred(o.P); ok {
-					st.vpred = vp
-					vecOK = true
-				}
+			st.pred = expr.CompilePred(o.P)
+			if vp, ok := expr.CompileVecPred(o.P); ok {
+				st.vpred = vp
+				vecOK = true
 			}
 		case Project:
-			if cols, ok := expr.ProjectionCols(o.Es); ok {
-				st.cols = cols
-				if next, ok := composeColMap(cur, cols); ok {
-					cur = next
-					vecOK = true
-				}
+			cols, ok := expr.ProjectionCols(o.Es)
+			if !ok {
+				st.es = o.Es
+				break
 			}
-		}
-		if st.pred == nil && st.cols == nil {
+			st.cols = cols
+			if next, ok := composeColMap(cur, cols); ok {
+				cur = next
+				vecOK = true
+			}
+		default:
 			st.op = op
 		}
 		if !vecOK && pp.vecStop < 0 {
@@ -148,8 +151,7 @@ func (pp *PackedPipeline) run(from int, row []byte, cur *wire.Cursor) ([]byte, *
 			}
 			row, cur = st.buf, &st.cur
 		default:
-			st.dec = cur.Tuple(st.dec)
-			out, keep, err := st.op.Apply(st.dec)
+			out, keep, err := st.apply(cur)
 			if err != nil || !keep {
 				return nil, nil, false, err
 			}
@@ -161,6 +163,25 @@ func (pp *PackedPipeline) run(from int, row []byte, cur *wire.Cursor) ([]byte, *
 		}
 	}
 	return row, cur, true, nil
+}
+
+// apply computes the row a stage that does not splice re-encodes: a
+// computed projection's values over the fields its expressions read, or a
+// custom Op's output over the decoded row.
+func (st *packedStage) apply(cur *wire.Cursor) (types.Tuple, bool, error) {
+	if st.op != nil {
+		st.dec = cur.Tuple(st.dec)
+		return st.op.Apply(st.dec)
+	}
+	st.dec = st.dec[:0]
+	for _, e := range st.es {
+		v, err := e.EvalRow(cur)
+		if err != nil {
+			return nil, false, err
+		}
+		st.dec = append(st.dec, v)
+	}
+	return st.dec, true, nil
 }
 
 // RunFrame pushes a whole footered frame through the pipeline at once

@@ -21,10 +21,21 @@ func pipelineRow(rng *rand.Rand, i int) types.Tuple {
 	}
 }
 
+// swapOp is a custom Op, neither Select nor Project: it keeps rows whose
+// column 0 is even and swaps their first two columns.
+type swapOp struct{}
+
+func (swapOp) Apply(t types.Tuple) (types.Tuple, bool, error) {
+	if t[0].I%2 != 0 {
+		return nil, false, nil
+	}
+	return types.Tuple{t[1], t[0], t[2], t[3]}, true, nil
+}
+
 // TestPackedPipelineAgreesWithPipeline runs the same rows through the boxed
-// Pipeline and its compiled PackedPipeline (lowered select, spliced
-// project, and a materializing fallback stage) and requires the same row,
-// or the same filtering, for every input.
+// Pipeline and its compiled PackedPipeline (column and computed selects,
+// spliced and computed projects, and a custom Op over the decoded row) and
+// requires the same row, or the same filtering, for every input.
 func TestPackedPipelineAgreesWithPipeline(t *testing.T) {
 	pipelines := []Pipeline{
 		nil,
@@ -35,15 +46,21 @@ func TestPackedPipelineAgreesWithPipeline(t *testing.T) {
 			Project{Es: []expr.Expr{expr.C(0), expr.C(2), expr.C(3)}},
 			Select{P: expr.Cmp{Op: expr.Ne, L: expr.C(0), R: expr.I(7)}},
 		},
-		// Unlowerable select (DATE) forces the materializing fallback.
+		// A DATE() select runs over the encoded row.
 		{
 			Select{P: expr.Cmp{Op: expr.Gt, L: expr.Date{Inner: expr.C(1)}, R: expr.I(9500)}},
 			Project{Es: []expr.Expr{expr.C(1), expr.C(3)}},
 		},
-		// Unlowerable projection (arith) mid-pipeline.
+		// A computed projection mid-pipeline.
 		{
 			Project{Es: []expr.Expr{expr.Arith{Op: expr.Mul, L: expr.C(0), R: expr.I(3)}, expr.C(3)}},
 			Select{P: expr.Cmp{Op: expr.Lt, L: expr.C(0), R: expr.I(60)}},
+		},
+		// A custom Op between lowered stages.
+		{
+			Select{P: expr.Cmp{Op: expr.Lt, L: expr.C(0), R: expr.I(40)}},
+			swapOp{},
+			Select{P: expr.Cmp{Op: expr.Ne, L: expr.C(1), R: expr.I(8)}},
 		},
 	}
 	rng := rand.New(rand.NewSource(13))

@@ -26,11 +26,11 @@ func (a *Agg) FoldFrame(view *vec.FrameView, sel vec.Sel) (handled bool, err err
 	if len(sel) == 0 {
 		return true, nil
 	}
+	if err := a.checkCols(view.NCols()); err != nil {
+		return true, err
+	}
 	var sums []float64
 	if a.sumCol >= 0 {
-		if a.sumCol >= view.NCols() {
-			return true, fmt.Errorf("expr: column %d out of range for arity %d", a.sumCol, view.NCols())
-		}
 		switch types.Kind(view.KindByte(a.sumCol)) {
 		case types.KindInt, types.KindFloat:
 			var ok bool
@@ -56,12 +56,6 @@ func (a *Agg) FoldFrame(view *vec.FrameView, sel vec.Sel) (handled bool, err err
 // key-splice pass runs to completion before any state mutates, preserving
 // the handled=false contract.
 func (a *Agg) foldFrameSlots(view *vec.FrameView, sel vec.Sel, sums []float64) (bool, error) {
-	nc := view.NCols()
-	for _, c := range a.groupCols {
-		if c < 0 || c >= nc {
-			return true, fmt.Errorf("expr: column %d out of range for arity %d", c, nc)
-		}
-	}
 	a.keyBuf = a.keyBuf[:0]
 	a.keyEnds = a.keyEnds[:0]
 	for _, r := range sel {

@@ -1,11 +1,17 @@
 package squall_test
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"squall"
+	"squall/internal/dataflow"
 	"squall/internal/datagen"
+	"squall/internal/enginetest"
+	"squall/internal/types"
 )
 
 func googleCatalog(gen *datagen.GoogleTrace) squall.Catalog {
@@ -219,5 +225,73 @@ func TestCatalogMixedCaseRegistration(t *testing.T) {
 	if _, err := squall.CompileSQL(`SELECT W1.FromUrl, COUNT(*) FROM WebGraph as W1, WebGraph as W2
 		WHERE W1.ToUrl = W2.FromUrl GROUP BY W1.FromUrl`, bad, squall.SQLOptions{Machines: 4}); err == nil {
 		t.Fatal("case-colliding catalog entries must be rejected")
+	}
+}
+
+// TestRunSQLComputedFilters runs a query whose WHERE filters each relation
+// through DATE() and arithmetic — selections that run compiled over the
+// encoded rows at the source — and requires the result bag-equal to the
+// same query evaluated in plain Go, at batch sizes 1 and 64.
+func TestRunSQLComputedFilters(t *testing.T) {
+	ordersSchema := types.NewSchema("orders",
+		types.Column{Name: "orderkey", Kind: types.KindInt},
+		types.Column{Name: "custkey", Kind: types.KindInt},
+		types.Column{Name: "comment", Kind: types.KindString},
+		types.Column{Name: "orderdate", Kind: types.KindString},
+		types.Column{Name: "price", Kind: types.KindFloat})
+	customerSchema := types.NewSchema("customer",
+		types.Column{Name: "custkey", Kind: types.KindInt},
+		types.Column{Name: "nation", Kind: types.KindInt},
+		types.Column{Name: "name", Kind: types.KindString})
+	rng := rand.New(rand.NewSource(4))
+	var orders, customers []types.Tuple
+	for i := 0; i < 600; i++ {
+		date := fmt.Sprintf("1995-%02d-%02d", 1+rng.Intn(6), 1+rng.Intn(28))
+		orders = append(orders, types.Tuple{types.Int(int64(i)), types.Int(int64(rng.Intn(40))),
+			types.Str("c"), types.Str(date), types.Float(float64(rng.Intn(400)) / 4)})
+	}
+	for c := 0; c < 40; c++ {
+		customers = append(customers, types.Tuple{types.Int(int64(c)), types.Int(int64(rng.Intn(10))), types.Str("n")})
+	}
+	cat := squall.Catalog{
+		"orders":   {Schema: ordersSchema, Spout: dataflow.SliceSpout(orders), Size: int64(len(orders))},
+		"customer": {Schema: customerSchema, Spout: dataflow.SliceSpout(customers), Size: int64(len(customers))},
+	}
+	const sql = `SELECT O.orderkey, C.name FROM ORDERS O, CUSTOMER C
+		WHERE O.custkey = C.custkey AND DATE(O.orderdate) >= DATE('1995-03-15')
+		AND O.price * 2 - 10 < 120 AND C.nation + 1 > 4`
+
+	march15 := time.Date(1995, 3, 15, 0, 0, 0, 0, time.UTC)
+	want := map[string]int{}
+	for _, o := range orders {
+		d, err := time.Parse("2006-01-02", o[3].Str)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Before(march15) || o[4].F*2-10 >= 120 {
+			continue
+		}
+		for _, c := range customers {
+			if c[0].I == o[1].I && c[1].I+1 > 4 {
+				want[types.Tuple{o[0], c[2]}.Key()]++
+			}
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("the reference selects nothing")
+	}
+	t.Logf("%d reference rows", len(want))
+	for _, batch := range []int{1, 64} {
+		res, err := squall.RunSQL(sql, cat, squall.SQLOptions{Machines: 4}, squall.Options{Seed: 3, BatchSize: batch})
+		if err != nil {
+			t.Fatalf("batch %d: %v", batch, err)
+		}
+		got := map[string]int{}
+		for _, r := range res.Rows {
+			got[r.Key()]++
+		}
+		if diff := enginetest.DiffBags(want, got); diff != "" {
+			t.Fatalf("batch %d: result diverges from the reference:\n%s", batch, diff)
+		}
 	}
 }

@@ -407,9 +407,6 @@ type queryPlan struct {
 	// the Result can snapshot its counters after the run.
 	pressure  *slab.Pressure
 	localJoin LocalJoinPlan
-	// components lists every component name in topology order — the
-	// placement domain for cluster runs.
-	components []string
 	// spill is the segment store the plan opened on TierOptions.SpillDir
 	// (nil otherwise); close releases it once the run is over.
 	spill *recovery.DiskStore
@@ -651,19 +648,6 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 			}
 		}
 	}
-	components := make([]string, 0, len(q.Sources)+3)
-	for _, s := range q.Sources {
-		components = append(components, s.Name)
-	}
-	components = append(components, joiner)
-	switch {
-	case useAggViews:
-		components = append(components, "merge", "sink")
-	case q.Agg != nil:
-		components = append(components, "agg", "sink")
-	default:
-		components = append(components, "sink")
-	}
 	return &queryPlan{
 		topo: topo,
 		dopts: dataflow.Options{
@@ -675,13 +659,12 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 			Recovery:        recPolicy,
 			Pressure:        pressure,
 		},
-		sink:       sink,
-		hc:         hc,
-		joiner:     joiner,
-		pressure:   pressure,
-		localJoin:  localJoin,
-		components: components,
-		spill:      spill,
+		sink:      sink,
+		hc:        hc,
+		joiner:    joiner,
+		pressure:  pressure,
+		localJoin: localJoin,
+		spill:     spill,
 	}, nil
 }
 

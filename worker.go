@@ -370,7 +370,7 @@ func (s *WorkerServer) Readyz() http.Handler {
 
 // failSession reports a job-level setup error to the coordinator before the
 // plane exists; failSessionInfra marks the error as infrastructure so a
-// Retry/Recover coordinator re-dispatches instead of escalating.
+// Recover coordinator re-dispatches instead of escalating.
 func failSession(conn *transport.Conn, err error) { sendFailed(conn, err, false); conn.Close() }
 
 func failSessionInfra(conn *transport.Conn, err error) { sendFailed(conn, err, true); conn.Close() }
