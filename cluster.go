@@ -11,7 +11,9 @@
 //     they rebuild it from a registered cluster job (name + opaque params),
 //     which must deterministically reproduce the coordinator's exact query
 //     and options. Shipping a name instead of a plan keeps the wire format
-//     trivial and guarantees both sides run the same code.
+//     trivial and guarantees both sides run the same code; the job spec
+//     carries the coordinator's Plan.Fingerprint, and a worker whose own
+//     plan differs refuses the session with a *PlanMismatchError.
 //   - Placement is per component (never per task): all tasks of a component
 //     live on one worker, so every control envelope — adaptive barriers,
 //     migrations, recovery markers, peer state fetches — stays process-local
@@ -34,10 +36,10 @@
 //     them all and the re-dispatch runs on the same worker set. Every
 //     hello carries the attempt's link epoch, and workers reject stale
 //     epochs, so a wandering connection from a dead attempt can never join
-//     a newer one. Each attempt replans and re-runs deterministically from
-//     the registered job, so a recovered run is bag-equal to a clean one and
-//     exactly-once is preserved from the caller's point of view; partial
-//     output of a failed attempt dies with its plan.
+//     a newer one. Each attempt builds afresh from the one decided Plan and
+//     re-runs deterministically, so a recovered run is bag-equal to a clean
+//     one and exactly-once is preserved from the caller's point of view;
+//     partial output of a failed attempt dies with its build.
 //   - Within one attempt, the PR 4 recovery plane still handles protected-
 //     component kills; with ClusterSpec.Store set, its checkpoints live in a
 //     coordinator-served store reachable from every worker over the session
@@ -256,13 +258,30 @@ type jobSpec struct {
 	// link epoch, heartbeat settings arm peer links symmetrically, the
 	// retry budget governs peer dials, and Shared routes recovery
 	// checkpoints through the coordinator-served store.
-	Attempt       int   `json:"attempt,omitempty"`
-	HBInterval    int64 `json:"hb_interval,omitempty"` // ns
-	HBMiss        int   `json:"hb_miss,omitempty"`
-	RetryAttempts int   `json:"retry_attempts,omitempty"`
-	RetryBase     int64 `json:"retry_base,omitempty"` // ns
-	RetryMax      int64 `json:"retry_max,omitempty"`  // ns
-	Shared        bool  `json:"shared_store,omitempty"`
+	Attempt int                   `json:"attempt,omitempty"`
+	HB      transport.Heartbeat   `json:"hb"`
+	Retry   transport.RetryPolicy `json:"retry"`
+	Shared  bool                  `json:"shared_store,omitempty"`
+
+	// Plan is the coordinator's Plan.Fingerprint; a worker whose own plan
+	// differs refuses the session instead of computing a different join.
+	Plan string `json:"plan"`
+}
+
+// failPlanMismatch (kindFailed.B) marks a payload holding the worker's plan
+// fingerprint, which differs from the job spec's.
+const failPlanMismatch = 1
+
+// PlanMismatchError reports a cluster worker whose plan, rebuilt from the
+// job, differs from the coordinator's; a job error, never retried.
+type PlanMismatchError struct {
+	Worker      int
+	Coordinator string // the coordinator's Plan.Fingerprint
+	Rebuilt     string // the worker's
+}
+
+func (e *PlanMismatchError) Error() string {
+	return fmt.Sprintf("squall: worker %d rebuilt plan %s from the job, the coordinator planned %s", e.Worker, e.Rebuilt, e.Coordinator)
 }
 
 // sessionTimeout bounds every session-layer wait (ready, done, bye, peer
@@ -288,25 +307,6 @@ func baseRunID(runID string) string {
 	return runID
 }
 
-// defaultPlacement spreads sources round-robin over all workers, puts the
-// joiner on worker 1 and everything downstream on the coordinator. The
-// topology lists its components in registration order: sources first.
-func defaultPlacement(p *queryPlan, nSources, workers int) map[string]int {
-	components := p.topo.Components()
-	place := make(map[string]int, len(components))
-	for i, c := range components {
-		switch {
-		case i < nSources:
-			place[c] = i % workers
-		case c == p.joiner:
-			place[c] = 1 % workers
-		default:
-			place[c] = 0
-		}
-	}
-	return place
-}
-
 // errTransient classifies coordinator-detected failures that the Recover
 // policy may act on; see recoverableErr.
 var errTransient = errors.New("transient infrastructure failure")
@@ -319,31 +319,27 @@ func recoverableErr(err error) bool {
 	return errors.Is(err, errTransient) || dataflow.IsInfra(err)
 }
 
-// runCluster drives a cluster session as its coordinator: validate once,
-// then dispatch attempts under the survivability policy until one succeeds,
-// the failure is permanent, or the attempt budget runs out.
-func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
-	spec := opt.Cluster
+// runCluster drives a cluster session as its coordinator: the plan is
+// decided once, then attempts are dispatched under the survivability
+// policy until one succeeds, the failure is permanent, or the attempt
+// budget runs out.
+func runCluster(p *Plan) (*Result, error) {
+	spec := p.opt.Cluster
 	if len(spec.Workers) == 0 {
 		return nil, fmt.Errorf("squall: cluster run needs at least one worker address")
 	}
 	if spec.Job == "" {
 		return nil, fmt.Errorf("squall: cluster run needs a registered job name")
 	}
-	p, err := q.plan(opt)
-	if err != nil {
-		return nil, err
-	}
-	p.close() // validation only: every attempt plans afresh
 	workers := len(spec.Workers) + 1
 	if spec.Place != nil {
-		for _, c := range p.topo.Components() {
-			w, ok := spec.Place[c]
+		for _, c := range p.Components {
+			w, ok := spec.Place[c.Name]
 			if !ok {
-				return nil, fmt.Errorf("squall: cluster placement misses component %q", c)
+				return nil, fmt.Errorf("squall: cluster placement misses component %q", c.Name)
 			}
 			if w < 0 || w >= workers {
-				return nil, fmt.Errorf("squall: component %q placed on worker %d, have %d workers", c, w, workers)
+				return nil, fmt.Errorf("squall: component %q placed on worker %d, have %d workers", c.Name, w, workers)
 			}
 		}
 		if spec.Place["sink"] != 0 {
@@ -352,7 +348,7 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 	}
 
 	st := &clusterRun{
-		q: q, opt: opt, spec: spec,
+		plan: p, fingerprint: p.Fingerprint(), spec: spec,
 		baseID: newRunID(),
 		alive:  append([]string(nil), spec.Workers...),
 	}
@@ -390,9 +386,9 @@ func (q *JoinQuery) runCluster(opt Options) (*Result, error) {
 
 // clusterRun is the coordinator's state across dispatch attempts.
 type clusterRun struct {
-	q    *JoinQuery
-	opt  Options
-	spec *ClusterSpec
+	plan        *Plan
+	fingerprint string
+	spec        *ClusterSpec
 
 	baseID     string
 	alive      []string // current worker addresses, original order preserved
@@ -420,31 +416,32 @@ func (st *clusterRun) pruneDead() {
 	st.alive = kept
 }
 
-// placement computes the attempt's component placement: the configured (or
-// default) placement remapped onto the surviving workers, with components
-// stranded on dead workers absorbed by the coordinator.
-func (st *clusterRun) placement(p *queryPlan) map[string]int {
+// placement computes the attempt's component placement, the configured one
+// or by default the sources round-robin over all workers, the joiner on
+// worker 1 and everything downstream on the coordinator, remapped onto the
+// surviving workers: the coordinator absorbs components stranded on dead
+// ones.
+func (st *clusterRun) placement() map[string]int {
 	aliveIdx := make(map[string]int, len(st.alive))
 	for i, addr := range st.alive {
 		aliveIdx[addr] = i + 1
 	}
-	orig := st.spec.Place
-	if orig == nil {
-		orig = defaultPlacement(p, len(st.q.Sources), len(st.spec.Workers)+1)
-	}
-	place := make(map[string]int, len(orig))
-	for c, w := range orig {
-		switch {
-		case w == 0:
-			place[c] = 0
-		default:
-			if ni, ok := aliveIdx[st.spec.Workers[w-1]]; ok {
-				place[c] = ni
-			} else {
-				place[c] = 0 // reassigned to the coordinator
-				st.reassigned++
+	workers := len(st.spec.Workers) + 1
+	place := make(map[string]int, len(st.plan.Components))
+	for i, c := range st.plan.Components {
+		w, ok := st.spec.Place[c.Name]
+		if !ok && len(c.Inputs) == 0 { // a source; a plan lists them first
+			w = i % workers
+		} else if !ok && c.Name == joiner {
+			w = 1 % workers
+		}
+		if w > 0 {
+			var alive bool
+			if w, alive = aliveIdx[st.spec.Workers[w-1]]; !alive {
+				st.reassigned++ // w is 0: the coordinator's
 			}
 		}
+		place[c.Name] = w
 	}
 	return place
 }
@@ -458,60 +455,37 @@ type workerNote struct {
 	body  []byte
 }
 
-// noteQueue buffers session notes unconditionally: the plane's read loop
-// must never block on the session layer, and the session layer must never
-// lose a worker's failure report (a dropped kindFailed would turn a precise
-// error into a generic timeout).
-type noteQueue struct {
-	mu    sync.Mutex
-	items []workerNote
-	wake  chan struct{}
-}
-
-func newNoteQueue() *noteQueue { return &noteQueue{wake: make(chan struct{}, 1)} }
-
-func (nq *noteQueue) push(n workerNote) {
-	nq.mu.Lock()
-	nq.items = append(nq.items, n)
-	nq.mu.Unlock()
-	select {
-	case nq.wake <- struct{}{}:
-	default:
-	}
-}
-
-func (nq *noteQueue) pop() (workerNote, bool) {
-	nq.mu.Lock()
-	defer nq.mu.Unlock()
-	if len(nq.items) == 0 {
-		return workerNote{}, false
-	}
-	n := nq.items[0]
-	nq.items = nq.items[1:]
-	return n, true
-}
-
 // dispatch runs one attempt end to end and returns its result. Errors
 // eligible for retry/recovery satisfy recoverableErr.
 func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 	spec := st.spec
-	// Replan per attempt: a plan's sink and state are single-use, and a
-	// fresh plan discards any partial output of a failed attempt — that is
-	// what keeps recovered runs exactly-once from the caller's view.
-	p, err := st.q.plan(st.opt)
+	// Build per attempt: a sink and its state are single-use, and a fresh
+	// build discards any partial output of a failed attempt — that is what
+	// keeps recovered runs exactly-once from the caller's view. With a
+	// shared store, the coordinator's own protected components use it
+	// directly, under the same attempt namespace the workers use.
+	runID := fmt.Sprintf("%s.%d", st.baseID, attempt)
+	var env buildEnv
+	if spec.Store != nil {
+		env.ckpt = &prefixStore{prefix: runID + "/", inner: spec.Store}
+	}
+	x, err := build(st.plan, env)
 	if err != nil {
 		return nil, err
 	}
-	defer p.close()
-	runID := fmt.Sprintf("%s.%d", st.baseID, attempt)
+	defer x.close()
 	workers := len(st.alive) + 1
 	if workers == 1 {
 		// Every worker is dead: the coordinator absorbs the whole topology
 		// and finishes alone.
-		st.reassigned += len(p.topo.Components())
-		return st.runLocal(p, runID)
+		st.reassigned += len(st.plan.Components)
+		metrics, err := dataflow.Run(x.topo, x.dopts)
+		if err != nil {
+			return nil, err
+		}
+		return x.result(metrics), nil
 	}
-	place := st.placement(p)
+	place := st.placement()
 	hb := spec.heartbeat()
 	rp := spec.retry()
 
@@ -540,9 +514,7 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 		body, err := json.Marshal(jobSpec{
 			RunID: runID, Worker: w, Workers: workers,
 			Addrs: st.alive, Job: spec.Job, Params: spec.Params, Place: place,
-			Attempt: attempt, HBInterval: int64(hb.Interval), HBMiss: hb.Miss,
-			RetryAttempts: rp.Attempts, RetryBase: int64(rp.BaseDelay), RetryMax: int64(rp.MaxDelay),
-			Shared: spec.Store != nil,
+			Attempt: attempt, HB: hb, Retry: rp, Shared: spec.Store != nil, Plan: st.fingerprint,
 		})
 		if err != nil {
 			closeLinks()
@@ -566,6 +538,9 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 		case kindReady:
 		case kindFailed:
 			closeLinks()
+			if m.B == failPlanMismatch {
+				return nil, &PlanMismatchError{Worker: w, Coordinator: st.fingerprint, Rebuilt: string(m.Payload)}
+			}
 			err := fmt.Errorf("squall: worker %d rejected the job: %s", w, m.Payload)
 			if m.A == 1 {
 				err = fmt.Errorf("%w (%w)", err, errTransient)
@@ -577,13 +552,19 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 		}
 	}
 
-	notes := newNoteQueue()
+	// A worker reports once per attempt, done or failed, so the queue holds
+	// every report and the plane's read loop never blocks on it: a dropped
+	// kindFailed would turn a precise error into a generic timeout.
+	notes := make(chan workerNote, workers)
 	plane := dataflow.NewNetPlane(dataflow.NetConfig{
 		Self: 0, Workers: workers, Place: place, Links: links,
 		OnPeerMsg: func(from int, m transport.Msg) {
 			switch m.Kind {
 			case kindDone, kindFailed:
-				notes.push(workerNote{from, m.Kind, m.A == 1, append([]byte(nil), m.Payload...)})
+				select {
+				case notes <- workerNote{from, m.Kind, m.A == 1, append([]byte(nil), m.Payload...)}:
+				default:
+				}
 			case kindCkptPut, kindCkptGet:
 				if spec.Store != nil {
 					body := append([]byte(nil), m.Payload...)
@@ -592,17 +573,8 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 			}
 		},
 	})
-	dopts := p.dopts
-	dopts.Net = plane
-	if spec.Store != nil && dopts.Recovery != nil {
-		// The coordinator's own protected components use the shared store
-		// directly, under the same attempt namespace the workers use.
-		rec := *dopts.Recovery
-		rec.Store = &prefixStore{prefix: runID + "/", inner: spec.Store}
-		dopts.Recovery = &rec
-	}
-
-	metrics, runErr := dataflow.Run(p.topo, dopts)
+	x.dopts.Net = plane
+	metrics, runErr := dataflow.Run(x.topo, x.dopts)
 
 	// Merge every worker's metrics so the Result reads like a single-process
 	// run. On a failed run the workers aborted with us — don't wait on them.
@@ -610,13 +582,11 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 		deadline := time.After(sessionTimeout)
 		pending := workers - 1
 		for pending > 0 && runErr == nil {
-			n, ok := notes.pop()
-			if !ok {
-				select {
-				case <-notes.wake:
-				case <-deadline:
-					runErr = fmt.Errorf("squall: timed out waiting for %d worker completion(s) (%w)", pending, errTransient)
-				}
+			var n workerNote
+			select {
+			case n = <-notes:
+			case <-deadline:
+				runErr = fmt.Errorf("squall: timed out waiting for %d worker completion(s) (%w)", pending, errTransient)
 				continue
 			}
 			switch n.kind {
@@ -645,23 +615,7 @@ func (st *clusterRun) dispatch(attempt int) (*Result, error) {
 	if runErr != nil {
 		return nil, runErr
 	}
-	return p.result(metrics), nil
-}
-
-// runLocal finishes an attempt with no surviving workers: a plain
-// single-process run of the already-validated plan.
-func (st *clusterRun) runLocal(p *queryPlan, runID string) (*Result, error) {
-	dopts := p.dopts
-	if st.spec.Store != nil && dopts.Recovery != nil {
-		rec := *dopts.Recovery
-		rec.Store = &prefixStore{prefix: runID + "/", inner: st.spec.Store}
-		dopts.Recovery = &rec
-	}
-	metrics, err := dataflow.Run(p.topo, dopts)
-	if err != nil {
-		return nil, err
-	}
-	return p.result(metrics), nil
+	return x.result(metrics), nil
 }
 
 // serveCkpt answers one worker's shared-store request on the coordinator.

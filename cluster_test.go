@@ -2,6 +2,7 @@ package squall_test
 
 import (
 	"encoding/json"
+	"errors"
 	"net"
 	"strings"
 	"sync"
@@ -421,5 +422,104 @@ func TestClusterSharedStoreKillRecovery(t *testing.T) {
 	}
 	if sized.Bytes() == 0 {
 		t.Fatalf("remote kill recovered without a single checkpoint reaching the shared store")
+	}
+}
+
+// TestOnePlanForEveryEntryPoint: one query run standalone, registered with
+// a serving engine and spread over a one-worker cluster is decided once
+// per entry point by the same rules, so the three Results report equal
+// plans and fingerprints, and equal rows.
+func TestOnePlanForEveryEntryPoint(t *testing.T) {
+	cfg := enginetest.EngineConfig{
+		Scheme: squall.HybridHypercube, Local: squall.DBToaster,
+		BatchSize: 16, Machines: 6, Seed: 42,
+	}
+	params := clusterParams(cfg)
+	build := func() (*squall.JoinQuery, squall.Options) {
+		q, opts, err := params.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return q, opts
+	}
+
+	q, opts := build()
+	standalone, err := q.Run(opts)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+
+	q, opts = build()
+	eng := squall.NewEngine(squall.EngineOptions{Run: opts})
+	defer eng.Close()
+	sq, err := eng.Register(squall.RegisterRequest{ID: "q", Query: q})
+	if err != nil {
+		t.Fatalf("Register: %v", err)
+	}
+	served, err := sq.Wait()
+	if err != nil {
+		t.Fatalf("served run: %v", err)
+	}
+
+	q, opts = build()
+	opts.Cluster = &squall.ClusterSpec{
+		Workers: startWorkers(t, 1), Job: clusterjobs.WorkloadJob, Params: paramsJSON(params),
+	}
+	clustered, err := q.Run(opts)
+	if err != nil {
+		t.Fatalf("cluster run: %v", err)
+	}
+
+	want := standalone.Plan
+	for name, res := range map[string]*squall.Result{"Engine.Register": served, "cluster": clustered} {
+		if got := res.Plan.String(); got != want.String() {
+			t.Errorf("%s plan:\n%s\nwant Run's:\n%s", name, got, want)
+		}
+		if res.Plan.Fingerprint() != want.Fingerprint() {
+			t.Errorf("%s fingerprint %s, Run's %s", name, res.Plan.Fingerprint(), want.Fingerprint())
+		}
+		if res.RowCount != standalone.RowCount {
+			t.Errorf("%s produced %d rows, Run %d", name, res.RowCount, standalone.RowCount)
+		}
+	}
+}
+
+// TestClusterPlanFingerprintMismatch: a worker rebuilds its plan from the
+// registered job. When the coordinator's query is not what the params
+// rebuild — here it asks for a smaller or a larger machine budget — the
+// worker refuses the session before any data moves, and the coordinator
+// returns a *PlanMismatchError promptly: a job error, which Recover does
+// not retry.
+func TestClusterPlanFingerprintMismatch(t *testing.T) {
+	cfg := enginetest.EngineConfig{
+		Scheme: squall.HashHypercube, Local: squall.Traditional,
+		BatchSize: 8, Machines: 4, Seed: 42,
+	}
+	params := trickledParams(cfg)
+	addrs, _ := startWorkerHandles(t, 1)
+	for _, machines := range []int{2, 8} {
+		q, opts, err := params.Build()
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		q.Machines = machines
+		opts.Cluster = chaosSpec(addrs, params, squall.Recover)
+		done := make(chan error, 1)
+		go func() {
+			_, err := q.Run(opts)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var pm *squall.PlanMismatchError
+			if !errors.As(err, &pm) {
+				t.Fatalf("coordinator on %d machines: err %v, want a *squall.PlanMismatchError", machines, err)
+			}
+			if pm.Worker != 1 || pm.Coordinator == pm.Rebuilt || pm.Rebuilt == "" {
+				t.Fatalf("PlanMismatchError %+v does not name worker 1 and two fingerprints", pm)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("coordinator on %d machines: no error within 10s", machines)
+		}
 	}
 }

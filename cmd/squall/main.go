@@ -61,8 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("scheme: %v (%d machines), local join: %s\n", res.Hypercube, res.Hypercube.Machines(), *local)
-	fmt.Printf("joiner operator: %s (%s)\n", res.LocalJoin.Operator, res.LocalJoin.Reason)
+	fmt.Printf("local join: %s\n%v\n", *local, res.Plan)
 	fmt.Printf("rows: %d\n", res.RowCount)
 	for _, row := range res.SortedRows() {
 		fmt.Println("  " + row.String())

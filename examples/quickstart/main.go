@@ -38,7 +38,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Printf("partitioning scheme: %v over %d machines\n", res.Hypercube, res.Hypercube.Machines())
+	fmt.Printf("plan:\n%v\n", res.Plan)
 	fmt.Printf("result groups: %d (showing up to 10)\n", res.RowCount)
 	for _, row := range res.SortedRows() {
 		fmt.Printf("  machine %v platform %-6v failed-task events: %v\n", row[0], row[1], row[2])

@@ -27,7 +27,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("multi-way hypercube %v:\n", mres.Hypercube)
+	fmt.Printf("multi-way plan:\n%v\n", mres.Plan)
 	fmt.Printf("  shipped tuples: %d, elapsed %v, groups %d\n",
 		mres.Metrics.TotalSent(), mres.Metrics.Elapsed, mres.RowCount)
 

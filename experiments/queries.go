@@ -11,6 +11,7 @@ import (
 	"squall"
 	"squall/internal/dataflow"
 	"squall/internal/datagen"
+	"squall/internal/dbtoaster"
 	"squall/internal/expr"
 	"squall/internal/ops"
 	"squall/internal/types"
@@ -274,14 +275,17 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 	// Stage 2: (W1W2) ⋈ W3 on W2.ToUrl = W3.FromUrl. The intermediate row is
 	// (W1.From, W1.To, W2.From, W2.To); W2.ToUrl is column 3.
 	g2 := expr.MustJoinGraph(2, expr.EquiCol(0, 3, 1, 0))
+	// Each stage is a 2-way graph, so DBToaster keeps no intermediate view
+	// there and runs the Traditional index policy, as a planned join would.
+	views := local == squall.DBToaster && !dbtoaster.ViewLess(g1)
 
 	agg := &limitAgg{}
 	b := dataflow.NewBuilder().
 		Spout("W1", 1, ops.PackedSpout(w.Spout(), nil)).
 		Spout("W2", 1, ops.PackedSpout(w.Spout(), nil)).
 		Spout("W3", 1, ops.PackedSpout(w.Spout(), nil)).
-		Bolt("join1", j1Par, ops.JoinBolt(g1, local, map[string]int{"W1": 0, "W2": 1}, nil, nil)).
-		Bolt("join2", j2Par, ops.JoinBolt(g2, local, map[string]int{"join1": 0, "W3": 1}, nil, nil)).
+		Bolt("join1", j1Par, ops.JoinBolt(g1, views, map[string]int{"W1": 0, "W2": 1}, nil, nil)).
+		Bolt("join2", j2Par, ops.JoinBolt(g2, views, map[string]int{"join1": 0, "W3": 1}, nil, nil)).
 		Bolt("agg", 1, agg.factory()).
 		Input("join1", "W1", dataflow.Fields(1)).
 		Input("join1", "W2", dataflow.Fields(0)).

@@ -259,20 +259,3 @@ func (b *Builder) checkAcyclic() error {
 	}
 	return nil
 }
-
-// Components lists the component names in registration order.
-func (t *Topology) Components() []string {
-	out := make([]string, len(t.nodes))
-	for i, n := range t.nodes {
-		out[i] = n.name
-	}
-	return out
-}
-
-// Parallelism returns the task count of a component (0 if unknown).
-func (t *Topology) Parallelism(name string) int {
-	if n, ok := t.byN[name]; ok {
-		return n.par
-	}
-	return 0
-}

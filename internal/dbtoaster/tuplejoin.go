@@ -63,9 +63,6 @@ var _ Join = (*localjoin.Traditional)(nil)
 // which starts at three relations.
 func ViewLess(g *expr.JoinGraph) bool { return g.NumRels == 2 }
 
-// ViewLessReason is the one-line account of that rule for plan output.
-const ViewLessReason = "DBToaster on a 2-relation graph: no intermediate view, base-relation core"
-
 // NewTupleJoin builds the tuple-level DBToaster operator: the local-join
 // core materializing a view for every connected, non-full subset of
 // relations, or its base relations alone when the graph is view-less.

@@ -483,7 +483,7 @@ func adaptiveDrift(t *testing.T, w *Workload, ref map[string]int, seed int64, ex
 
 // TestDifferentialViewLessDBToaster crosses the local-join rule with the
 // planes that reach into operator state: Local: DBToaster on 2-relation
-// graphs runs the base-relation core (Result.LocalJoin says so), and must
+// graphs runs the base-relation core (Result.Plan says so), and must
 // stay bag-equal to the oracle under a capped tier, a killed-and-recovered
 // task on tiered state, and adaptive reshaping (with and without a kill).
 // The two-process cluster leg of the same crossing is
@@ -524,9 +524,9 @@ func TestDifferentialViewLessDBToaster(t *testing.T) {
 				if diff := DiffBags(ref, got); diff != "" {
 					t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
 				}
-				if res.LocalJoin.Operator != "localjoin.Traditional" {
+				if res.Plan.Joiner.Operator != "localjoin.Traditional" {
 					t.Fatalf("seed=%d %v: joiner ran %q (%s), want the base-relation core",
-						c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason)
+						c.seed, ec, res.Plan.Joiner.Operator, res.Plan.Joiner.Reason)
 				}
 				return res
 			}
@@ -606,8 +606,8 @@ func TestDifferentialAggregates(t *testing.T) {
 					if diff := DiffBags(ref, got); diff != "" {
 						t.Fatalf("seed=%d %v: engine diverges from oracle:\n%s", c.seed, ec, diff)
 					}
-					if res.LocalJoin.Operator != operator || !strings.Contains(res.LocalJoin.Reason, reason) {
-						t.Fatalf("seed=%d %v: joiner ran %q (%s), want %s (%s)", c.seed, ec, res.LocalJoin.Operator, res.LocalJoin.Reason, operator, reason)
+					if res.Plan.Joiner.Operator != operator || !strings.Contains(res.Plan.Joiner.Reason, reason) {
+						t.Fatalf("seed=%d %v: joiner ran %q (%s), want %s (%s)", c.seed, ec, res.Plan.Joiner.Operator, res.Plan.Joiner.Reason, operator, reason)
 					}
 				}
 				for _, scheme := range allSchemes {

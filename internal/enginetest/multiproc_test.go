@@ -208,8 +208,8 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 			params.Config = cfg
 			t.Run(cfg.String(), func(t *testing.T) {
 				res := runWorkloadCluster(t, addrs, params, ref2)
-				if res.LocalJoin.Operator != "localjoin.Traditional" {
-					t.Fatalf("joiner ran %q, want the base-relation core", res.LocalJoin.Operator)
+				if res.Plan.Joiner.Operator != "localjoin.Traditional" {
+					t.Fatalf("joiner ran %q, want the base-relation core", res.Plan.Joiner.Operator)
 				}
 				if cfg.Kill && res.Metrics.Recovery.Kills.Load() != 1 {
 					t.Fatalf("expected 1 recovered kill in merged metrics, got %d", res.Metrics.Recovery.Kills.Load())
@@ -229,8 +229,8 @@ func TestClusterMultiProcessDifferential(t *testing.T) {
 		}
 		w := enginetest.ZipfWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain)
 		res := runWorkloadCluster(t, addrs, params, w.ReferenceAggBag(agg))
-		if res.LocalJoin.Operator != "dbtoaster.AggJoin" {
-			t.Fatalf("joiner ran %q (%s), want aggregate views", res.LocalJoin.Operator, res.LocalJoin.Reason)
+		if res.Plan.Joiner.Operator != "dbtoaster.AggJoin" {
+			t.Fatalf("joiner ran %q (%s), want aggregate views", res.Plan.Joiner.Operator, res.Plan.Joiner.Reason)
 		}
 	})
 }

@@ -4,6 +4,7 @@
 package expr
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"time"
@@ -180,8 +181,17 @@ func (d Date) Eval(t types.Tuple) (types.Value, error) {
 	return d.apply(v)
 }
 
-// EvalRow parses the inner value read off the row.
+// EvalRow parses the inner value read off the row. A string column in
+// YYYY-MM-DD form is parsed in place, without copying the field out; any
+// other field takes apply's path, so every error reads as Eval's.
 func (d Date) EvalRow(cur *wire.Cursor) (types.Value, error) {
+	if c, ok := d.Inner.(Col); ok && c.Check(cur.Arity()) == nil {
+		if b, ok := cur.Bytes(c.Index); ok {
+			if day, ok := parseDay(bytes.TrimSpace(b)); ok {
+				return types.Int(day), nil
+			}
+		}
+	}
 	v, err := d.Inner.EvalRow(cur)
 	if err != nil {
 		return types.Null(), err
@@ -205,6 +215,28 @@ func (d Date) apply(v types.Value) (types.Value, error) {
 }
 
 func (d Date) String() string { return fmt.Sprintf("DATE(%s)", d.Inner) }
+
+// parseDay reads a valid YYYY-MM-DD date as apply's day number; ok=false
+// for anything time.Parse might reject.
+func parseDay(b []byte) (int64, bool) {
+	if len(b) != 10 || b[4] != '-' || b[7] != '-' {
+		return 0, false
+	}
+	var n [3]int // year, month, day
+	for i, f := range [3][]byte{b[:4], b[5:7], b[8:]} {
+		for _, c := range f {
+			if c < '0' || c > '9' {
+				return 0, false
+			}
+			n[i] = n[i]*10 + int(c-'0')
+		}
+	}
+	tm := time.Date(n[0], time.Month(n[1]), n[2], 0, 0, 0, 0, time.UTC)
+	if n[1] < 1 || n[1] > 12 || n[2] < 1 || tm.Day() != n[2] { // out of range
+		return 0, false
+	}
+	return int64(tm.Sub(dateEpoch) / (24 * time.Hour)), true
+}
 
 // C is shorthand for a column reference.
 func C(i int) Col { return Col{Index: i} }

@@ -11,27 +11,6 @@ import (
 	"squall/internal/wire"
 )
 
-// LocalJoinKind selects the local algorithm run inside each joiner task
-// (§3.3): traditional index-nested-loop, or DBToaster recursive IVM.
-type LocalJoinKind uint8
-
-const (
-	// Traditional builds hash/tree indexes on base relations and
-	// re-enumerates matching combinations on every arrival.
-	Traditional LocalJoinKind = iota
-	// DBToaster materializes intermediate views (tuple-level or aggregate)
-	// and probes them instead — the HyLD operator's local half (§3.4).
-	DBToaster
-)
-
-// String names the local join.
-func (k LocalJoinKind) String() string {
-	if k == DBToaster {
-		return "DBToaster"
-	}
-	return "Traditional"
-}
-
 // JoinBolt runs a local multi-way join per task and emits delta result
 // rows (concatenated relation order), optionally post-processed by a
 // pipeline. relOf maps upstream component names to relation indexes.
@@ -39,9 +18,12 @@ func (k LocalJoinKind) String() string {
 // delta rows leave as spliced encoded bytes; a computed join key is
 // evaluated inside the local join, where it is read.
 //
-// tier, when non-nil, puts the base-row arenas in tiered mode (sealed,
-// checksummed, spillable segments — squall.Options.Tier).
-func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post Pipeline, tier *slab.TierConfig) dataflow.BoltFactory {
+// views picks the local-join core's index policy, as the plan decided it:
+// Views keeps every connected intermediate view besides the base
+// relations, Traditional the base relations alone. tier, when non-nil,
+// puts the base-row arenas in tiered mode (sealed, checksummed, spillable
+// segments — squall.Options.Tier).
+func JoinBolt(g *expr.JoinGraph, views bool, relOf map[string]int, post Pipeline, tier *slab.TierConfig) dataflow.BoltFactory {
 	return func(task, ntasks int) dataflow.Bolt {
 		var tc *slab.TierConfig
 		if tier != nil {
@@ -49,38 +31,23 @@ func JoinBolt(g *expr.JoinGraph, kind LocalJoinKind, relOf map[string]int, post 
 			c.KeyPrefix = fmt.Sprintf("%s-t%d", tier.KeyPrefix, task)
 			tc = &c
 		}
-		mk := func() dbtoaster.Join { return newLocalJoin(g, kind, tc) }
+		mk := func() dbtoaster.Join { return newLocalJoin(g, views, tc) }
 		return &joinBolt{mk: mk, mj: mk(), relOf: relOf, pp: CompilePipeline(post)}
 	}
 }
 
 // newLocalJoin builds one task's operator: the state layout (tiered or
-// resident slab) crossed with the algorithm. What DBToaster means for this
-// graph — the core under the Views policy, or under the Traditional one
-// when there is no view to keep — is dbtoaster's decision, not made here.
-func newLocalJoin(g *expr.JoinGraph, kind LocalJoinKind, tc *slab.TierConfig) dbtoaster.Join {
-	dbt := kind == DBToaster
+// resident slab) crossed with the index policy.
+func newLocalJoin(g *expr.JoinGraph, views bool, tc *slab.TierConfig) dbtoaster.Join {
 	switch {
-	case tc != nil && dbt:
-		return dbtoaster.NewTupleJoinTiered(g, *tc)
+	case tc != nil && views:
+		return localjoin.NewViewsTiered(g, *tc)
 	case tc != nil:
 		return localjoin.NewTraditionalTiered(g, *tc)
-	case dbt:
-		return dbtoaster.NewTupleJoin(g)
+	case views:
+		return localjoin.NewViews(g)
 	}
 	return localjoin.NewTraditional(g)
-}
-
-// DescribeLocalJoin reports the plan as decided: the operator every joiner task
-// runs for this graph under kind, and the one-line reason.
-func DescribeLocalJoin(g *expr.JoinGraph, kind LocalJoinKind) (operator, reason string) {
-	switch {
-	case kind == DBToaster && dbtoaster.ViewLess(g):
-		return "localjoin.Traditional", dbtoaster.ViewLessReason
-	case kind == DBToaster:
-		return "localjoin.Traditional", fmt.Sprintf("DBToaster on a %d-relation graph: Views policy, intermediate views materialized and probed", g.NumRels)
-	}
-	return "localjoin.Traditional", "Traditional policy: base-relation indexes re-probed on every arrival"
 }
 
 // joinBolt runs one task's local join over encoded rows: encoded arrivals

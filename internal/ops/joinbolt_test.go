@@ -47,19 +47,22 @@ func TestJoinBoltImportRowRoundTrip(t *testing.T) {
 	}
 	plain := func(e expr.Expr) expr.Expr { return e }
 	relOf := map[string]int{"R": 0, "S": 1, "T": 2}
-	for _, kind := range []LocalJoinKind{Traditional, DBToaster} {
+	for _, policy := range []struct {
+		name  string
+		views bool
+	}{{"Traditional", false}, {"DBToaster", true}} { // on a 3-relation chain DBToaster is the Views policy
 		for _, keys := range []struct {
 			name string
 			key  func(expr.Expr) expr.Expr
 		}{{"plain", plain}, {"computed", computed}} {
 			for _, tiered := range []bool{false, true} {
-				name := fmt.Sprintf("%v/%s/tiered=%v", kind, keys.name, tiered)
+				name := fmt.Sprintf("%s/%s/tiered=%v", policy.name, keys.name, tiered)
 				t.Run(name, func(t *testing.T) {
 					var tc *slab.TierConfig
 					if tiered {
 						tc = &slab.TierConfig{SegmentRows: 16, Store: recovery.NewMemStore(), KeyPrefix: "rt"}
 					}
-					mk := JoinBolt(chain(keys.key), kind, relOf, nil, tc)
+					mk := JoinBolt(chain(keys.key), policy.views, relOf, nil, tc)
 					boltOf := func() *joinBolt {
 						b, ok := mk(0, 1).(*joinBolt)
 						if !ok {

@@ -112,9 +112,9 @@ func TestAggSumRequiresExpr(t *testing.T) {
 	}
 }
 
-// runJoinTopology wires 3 spouts through a join bolt under the given local
-// join kind and returns the sorted result rows.
-func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
+// runJoinTopology wires 3 spouts through a join bolt under the given index
+// policy and returns the sorted result rows.
+func runJoinTopology(t *testing.T, views bool) []types.Tuple {
 	t.Helper()
 	g := expr.MustJoinGraph(3,
 		expr.EquiCol(0, 1, 1, 0),
@@ -135,7 +135,7 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 		Spout("R", 1, PackedSpout(dataflow.SliceSpout(r), nil)).
 		Spout("S", 1, PackedSpout(dataflow.SliceSpout(s), nil)).
 		Spout("T", 1, PackedSpout(dataflow.SliceSpout(u), nil)).
-		Bolt("join", 1, JoinBolt(g, kind, map[string]int{"R": 0, "S": 1, "T": 2}, nil, nil)).
+		Bolt("join", 1, JoinBolt(g, views, map[string]int{"R": 0, "S": 1, "T": 2}, nil, nil)).
 		Bolt("sink", 1, sink.factory()).
 		Input("join", "R", dataflow.Global()).
 		Input("join", "S", dataflow.Global()).
@@ -152,8 +152,8 @@ func runJoinTopology(t *testing.T, kind LocalJoinKind) []types.Tuple {
 }
 
 func TestJoinBoltTraditionalAndDBToasterAgree(t *testing.T) {
-	trad := runJoinTopology(t, Traditional)
-	dbt := runJoinTopology(t, DBToaster)
+	trad := runJoinTopology(t, false)
+	dbt := runJoinTopology(t, true)
 	if len(trad) == 0 {
 		t.Fatal("join produced nothing")
 	}
@@ -303,7 +303,7 @@ func TestMergeBoltFacesAgree(t *testing.T) {
 
 func TestJoinBoltUnknownStream(t *testing.T) {
 	g := expr.MustJoinGraph(2, expr.EquiCol(0, 0, 1, 0))
-	b := JoinBolt(g, Traditional, map[string]int{"R": 0}, nil, nil)(0, 1)
+	b := JoinBolt(g, false, map[string]int{"R": 0}, nil, nil)(0, 1)
 	if err := b.ExecuteRow(rowInput(t, "???", types.Tuple{types.Int(1)}), nil); err == nil {
 		t.Error("unknown stream must error")
 	}

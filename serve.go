@@ -9,8 +9,8 @@
 // consumers at the cost of one materialization plus fan-out.
 //
 // The Engine lives in the root package because it reuses the query planner
-// verbatim: a registered query is planned exactly as JoinQuery.Run would
-// plan it, with the shared source's tap spout substituted for the private
+// verbatim: a registered query is decided exactly as JoinQuery.Run decides
+// it, and built with the shared source's tap spout in place of the private
 // scan. The query-shape-agnostic machinery lives in internal/serve.
 package squall
 
@@ -260,17 +260,6 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	if opt.Cluster != nil {
 		return nil, fmt.Errorf("squall: Register: cluster runs cannot be served in-process")
 	}
-	if e.pressure != nil {
-		// Engine-wide cap: every query's arenas run tiered and charge the
-		// one shared ladder (copy the options so the base Run/request
-		// options are never mutated).
-		t := TierOptions{}
-		if opt.Tier != nil {
-			t = *opt.Tier
-		}
-		t.pressure = e.pressure
-		opt.Tier = &t
-	}
 
 	sq := &ServedQuery{
 		ID:     req.ID,
@@ -281,59 +270,25 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 		status: QueryRunning,
 	}
 
-	// Substitute a fan-out tap for every shared source. The tap applies the
-	// query's Pre itself (per query — the scan is shared, the selection is
-	// not) and plan() installs its rows verbatim.
 	q2 := *req.Query
 	q2.Sources = append([]Source(nil), req.Query.Sources...)
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, ErrEngineClosed
+	taps, err := e.bindShared(req.ID, &q2, sq)
+	var p *Plan
+	var x *execution
+	if err == nil {
+		p, err = decide(&q2, opt)
 	}
-	if _, dup := e.queries[req.ID]; dup || req.ID == "" {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("squall: Register %q: %w", req.ID, ErrDuplicateQuery)
+	if err == nil {
+		// An engine-wide cap runs every query's arenas tiered, charging the
+		// one shared ladder.
+		x, err = build(p, buildEnv{pressure: e.pressure, taps: taps})
 	}
-	var taps []*serve.Tap
-	detach := func() {
-		for _, t := range taps {
-			t.Detach()
-		}
-	}
-	for i := range q2.Sources {
-		s := &q2.Sources[i]
-		if s.Spout != nil {
-			continue // private scan: planned exactly as in a standalone run
-		}
-		src := e.sources[s.Name]
-		if src == nil {
-			e.mu.Unlock()
-			detach()
-			return nil, fmt.Errorf("squall: Register %q: source %s: %w", req.ID, s.Name, ErrUnknownSource)
-		}
-		tap, err := src.Attach()
-		if err != nil {
-			e.mu.Unlock()
-			detach()
-			return nil, fmt.Errorf("squall: Register %q: %w", req.ID, err)
-		}
-		taps = append(taps, tap)
-		s.rows = serve.TapSpout(tap, s.Pre, sq.sourceFailed)
-		if s.Size == 0 {
-			s.Size = e.sizeOf[s.Name]
-		}
-	}
-	e.mu.Unlock()
-	sq.taps = taps
-
-	p, err := q2.plan(opt)
 	if err != nil {
-		detach()
+		sq.detach()
 		return nil, err
 	}
-	p.sink.notify = sq.hub.Publish
-	p.dopts.Cancel = sq.cancel
+	x.sink.notify = sq.hub.Publish
+	x.dopts.Cancel = sq.cancel
 
 	// Per-tenant accounting: one gauge per (component, task), charged from
 	// the executor's memory observer into the tenant's meter. The charge is
@@ -341,47 +296,88 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	// resident for late subscribers.
 	meter := e.tenants.Meter(req.Tenant)
 	gaugesByComp := make(map[string][]*slab.Gauge)
-	for _, c := range p.topo.Components() {
-		gs := make([]*slab.Gauge, p.topo.Parallelism(c))
+	for _, c := range p.Components {
+		gs := make([]*slab.Gauge, c.Parallelism)
 		for i := range gs {
 			gs[i] = meter.Gauge()
 			sq.gauges = append(sq.gauges, gs[i])
 		}
-		gaugesByComp[c] = gs
+		gaugesByComp[c.Name] = gs
 	}
-	p.dopts.MemObserver = func(comp string, task int, bytes int64) {
+	x.dopts.MemObserver = func(comp string, task int, bytes int64) {
 		if gs := gaugesByComp[comp]; task < len(gs) {
 			gs[task].Set(bytes)
 		}
 	}
 	// Spilled state stays on the tenant's books (it owns the disk bytes) but
 	// is never charged against MaxBytes, which caps RAM.
-	p.dopts.SpillObserver = func(comp string, task int, bytes int64) {
+	x.dopts.SpillObserver = func(comp string, task int, bytes int64) {
 		if gs := gaugesByComp[comp]; task < len(gs) {
 			gs[task].SetSpilled(bytes)
 		}
 	}
-	sq.plan = p
+	sq.x = x
 
 	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		detach()
-		p.close()
-		return nil, ErrEngineClosed
+	if err = e.checkIDLocked(req.ID); err == nil {
+		e.queries[req.ID] = sq
+		e.order = append(e.order, req.ID)
 	}
-	if _, dup := e.queries[req.ID]; dup {
-		e.mu.Unlock()
-		detach()
-		p.close()
-		return nil, fmt.Errorf("squall: Register %q: %w", req.ID, ErrDuplicateQuery)
-	}
-	e.queries[req.ID] = sq
-	e.order = append(e.order, req.ID)
 	e.mu.Unlock()
-
+	if err != nil {
+		sq.detach()
+		x.close()
+		return nil, err
+	}
 	go sq.run()
 	return sq, nil
+}
+
+// checkIDLocked refuses a registration on a closed engine or under an id
+// that is empty or taken.
+func (e *Engine) checkIDLocked(id string) error {
+	if e.closed {
+		return ErrEngineClosed
+	}
+	if _, dup := e.queries[id]; dup || id == "" {
+		return fmt.Errorf("squall: Register %q: %w", id, ErrDuplicateQuery)
+	}
+	return nil
+}
+
+// bindShared attaches a fan-out tap to each of q's shared sources, those
+// with a nil Spout, and fills in a shared source's size estimate where q
+// leaves it zero. It returns the tap spouts indexed like q.Sources (nil for
+// a private scan, which runs exactly as in a standalone run). A tap applies
+// the query's Pre itself — the scan is shared, the selection is not — and
+// build installs its rows verbatim.
+func (e *Engine) bindShared(id string, q *JoinQuery, sq *ServedQuery) ([]dataflow.RowSpoutFactory, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if err := e.checkIDLocked(id); err != nil {
+		return nil, err
+	}
+	spouts := make([]dataflow.RowSpoutFactory, len(q.Sources))
+	for i := range q.Sources {
+		s := &q.Sources[i]
+		if s.Spout != nil {
+			continue
+		}
+		src := e.sources[s.Name]
+		if src == nil {
+			return nil, fmt.Errorf("squall: Register %q: source %s: %w", id, s.Name, ErrUnknownSource)
+		}
+		tap, err := src.Attach()
+		if err != nil {
+			return nil, fmt.Errorf("squall: Register %q: %w", id, err)
+		}
+		sq.taps = append(sq.taps, tap)
+		spouts[i] = serve.TapSpout(tap, s.Pre, sq.sourceFailed)
+		if s.Size == 0 {
+			s.Size = e.sizeOf[s.Name]
+		}
+	}
+	return spouts, nil
 }
 
 // Unregister cancels a query's run (if still going), detaches its taps,
@@ -435,7 +431,7 @@ func (e *Engine) Subscribe(id string, o serve.SubOptions) (*serve.Subscription, 
 	if sq == nil {
 		return nil, fmt.Errorf("squall: Subscribe %q: %w", id, ErrUnknownQuery)
 	}
-	return sq.hub.Subscribe(o, sq.plan.sink.snapshot()), nil
+	return sq.hub.Subscribe(o, sq.x.sink.snapshot()), nil
 }
 
 // QueryStatus is a served query's lifecycle state.
@@ -469,7 +465,7 @@ type ServedQuery struct {
 	ID     string
 	Tenant string
 
-	plan   *queryPlan
+	x      *execution
 	hub    *serve.Hub
 	taps   []*serve.Tap
 	gauges []*slab.Gauge
@@ -494,20 +490,16 @@ func (sq *ServedQuery) run() {
 	go func() {
 		select {
 		case <-sq.cancel:
-			for _, t := range sq.taps {
-				t.Detach()
-			}
+			sq.detach()
 		case <-stopDetach:
 		}
 	}()
-	metrics, runErr := dataflow.Run(sq.plan.topo, sq.plan.dopts)
-	sq.plan.close()
+	metrics, runErr := dataflow.Run(sq.x.topo, sq.x.dopts)
+	sq.x.close()
 	close(stopDetach)
-	for _, t := range sq.taps {
-		t.Detach()
-	}
+	sq.detach()
 	sq.mu.Lock()
-	sq.res = sq.plan.result(metrics)
+	sq.res = sq.x.result(metrics)
 	switch {
 	case sq.srcErr != nil:
 		// A tap failed (stall detach or per-query pipeline error): the run
@@ -528,6 +520,13 @@ func (sq *ServedQuery) run() {
 	sq.mu.Unlock()
 	sq.hub.Close(err)
 	close(sq.done)
+}
+
+// detach ends the query's taps on the shared sources.
+func (sq *ServedQuery) detach() {
+	for _, t := range sq.taps {
+		t.Detach()
+	}
 }
 
 // sourceFailed records the first tap failure and aborts the run: the query
@@ -572,7 +571,7 @@ func (sq *ServedQuery) Subscribers() int { return sq.hub.SubCount() }
 
 // Rows snapshots the result rows materialized so far (bounded by the run's
 // CollectLimit). Safe to call while the query is still running.
-func (sq *ServedQuery) Rows() []Tuple { return sq.plan.sink.snapshot() }
+func (sq *ServedQuery) Rows() []Tuple { return sq.x.sink.snapshot() }
 
 // QueryStats is one registered query's row in the engine's registry
 // snapshot.
@@ -628,7 +627,7 @@ func (e *Engine) Stats() EngineStats {
 		if q.res != nil {
 			row.Rows = q.res.RowCount
 		} else {
-			row.Rows = q.plan.sink.rowCount()
+			row.Rows = q.x.sink.rowCount()
 		}
 		if q.err != nil {
 			row.Err = q.err.Error()

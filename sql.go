@@ -163,7 +163,7 @@ func (c *sqlCompiler) compile(o SQLOptions) (*JoinQuery, error) {
 		Skewed:   map[KeySlot]bool{},
 		TopFreq:  map[KeySlot]float64{},
 	}
-	for i, r := range c.rels {
+	for _, r := range c.rels {
 		name := r.ref.Alias
 		if name == "" {
 			name = r.ref.Name
@@ -184,7 +184,6 @@ func (c *sqlCompiler) compile(o SQLOptions) (*JoinQuery, error) {
 			src.Size = max(est, 1)
 		}
 		jq.Sources = append(jq.Sources, src)
-		_ = i
 	}
 	// Skew metadata: mark join-conjunct sides whose column is declared
 	// skewed in the catalog.
@@ -394,5 +393,3 @@ func cmpOp(s string) (expr.CmpOp, error) {
 		return 0, fmt.Errorf("sql: unknown operator %q", s)
 	}
 }
-
-// Ensure types is referenced (schemas used via aliases).

@@ -19,6 +19,8 @@
 package squall
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -43,8 +45,6 @@ type (
 	Schema = types.Schema
 	// SchemeKind selects a hypercube partitioning scheme.
 	SchemeKind = core.SchemeKind
-	// LocalJoinKind selects the per-machine join algorithm.
-	LocalJoinKind = ops.LocalJoinKind
 	// KeySlot identifies a join-key usage for skew declarations.
 	KeySlot = core.KeySlot
 	// ColRef names an expression over one relation.
@@ -71,19 +71,36 @@ func NewDiskCheckpointStore(dir string) (CheckpointStore, error) {
 	return recovery.NewDiskStore(dir)
 }
 
-// Scheme and local-join constants, re-exported.
+// Scheme and aggregate constants, re-exported.
 const (
 	HashHypercube   = core.HashHypercube
 	RandomHypercube = core.RandomHypercube
 	HybridHypercube = core.HybridHypercube
 
-	Traditional = ops.Traditional
-	DBToaster   = ops.DBToaster
-
 	Count = ops.Count
 	Sum   = ops.Sum
 	Avg   = ops.Avg
 )
+
+// LocalJoinKind selects the per-machine join algorithm (§3.3): the hint
+// decide turns into the joiner's operator and index policy.
+type LocalJoinKind uint8
+
+const (
+	// Traditional indexes the base relations and re-enumerates matching
+	// combinations on every arrival.
+	Traditional LocalJoinKind = iota
+	// DBToaster materializes intermediate views (tuple-level or aggregate)
+	// and probes them instead — the HyLD operator's local half (§3.4).
+	DBToaster
+)
+
+func (k LocalJoinKind) String() string {
+	if k == DBToaster {
+		return "DBToaster"
+	}
+	return "Traditional"
+}
 
 // Source is one input relation: a schema, a streaming generator, an
 // estimated size (relative sizes drive the hypercube optimizer) and an
@@ -95,11 +112,6 @@ type Source struct {
 	Spout  dataflow.SpoutFactory
 	Size   int64
 	Pre    ops.Pipeline
-	// rows, when set, replaces Spout with an execution-ready row source that
-	// plan() installs verbatim (Pre already applied inside it). The serving
-	// engine sets it to the fan-out taps it substitutes for shared sources,
-	// whose frames arrive pre-encoded.
-	rows dataflow.RowSpoutFactory
 }
 
 // AggSpec describes the final aggregation of a join query. References are
@@ -125,7 +137,8 @@ type JoinQuery struct {
 	Machines int
 	Local    LocalJoinKind
 	Agg      *AggSpec
-	// Post transforms each join result row (ignored when Agg is set).
+	// Post transforms each join result row. A query with Agg set takes no
+	// Post: the plan refuses the pair with a *ConfigError.
 	Post ops.Pipeline
 	// ForceDeltaJoin disables the aggregate-view fast path: the joiner
 	// materializes tuple-level views (DBToaster) or raw indexes
@@ -219,7 +232,8 @@ type Options struct {
 	// a segment store under memory pressure and fault back in on demand, so
 	// a join whose state exceeds MemCapBytes keeps running instead of
 	// aborting. State is append-only (full history), so segments are never
-	// rewritten once sealed. Ignored by the aggregate-view fast path.
+	// rewritten once sealed. Aggregate views keep their state resident;
+	// Result.Plan.Ignored says so when a run sets Tier on them.
 	Tier *TierOptions
 }
 
@@ -243,11 +257,6 @@ type TierOptions struct {
 	SpillDir string
 	// Store overrides the segment store (tests, custom media).
 	Store slab.SegmentStore
-
-	// pressure, when set, is a shared ladder injected by the serving engine
-	// (EngineOptions.MemCapBytes): every query's arenas charge it instead of
-	// a per-run ladder built from MemCapBytes.
-	pressure *slab.Pressure
 }
 
 // RecoveryOptions tune the fault-tolerance subsystem.
@@ -269,9 +278,11 @@ type Result struct {
 	Rows []Tuple
 	// RowCount is the total number of output rows, including uncollected.
 	RowCount int64
-	// Metrics are the dataflow metrics; Hypercube is the scheme used.
-	Metrics   *RunMetrics
-	Hypercube *core.Hypercube
+	// Metrics are the dataflow metrics.
+	Metrics *RunMetrics
+	// Plan is the physical plan the run executed: the scheme, the local
+	// join the joiner's tasks ran and why, and the components.
+	Plan *Plan
 	// JoinerComponent is the metrics key of the join component.
 	JoinerComponent string
 	// Pressure is the end-of-run snapshot of the tiered-state degradation
@@ -280,17 +291,6 @@ type Result struct {
 	// events. ResidentBytes reads zero here — finished tasks refund their
 	// charges — so cap compliance is judged by PeakResident.
 	Pressure *slab.PressureStats
-	// LocalJoin is the plan as decided for the joiner: the operator every
-	// joiner task runs and the rule that picked it, which is a function of
-	// the query's shape as well as of JoinQuery.Local.
-	LocalJoin LocalJoinPlan
-}
-
-// LocalJoinPlan names the local-join operator a plan's joiner tasks run and
-// gives the one-line reason it was chosen.
-type LocalJoinPlan struct {
-	Operator string
-	Reason   string
 }
 
 // SortedRows returns collected rows in lexicographic order.
@@ -326,10 +326,6 @@ func (s *limitSink) rowCount() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.count
-}
-
-func (s *limitSink) factory() dataflow.BoltFactory {
-	return func(task, ntasks int) dataflow.Bolt { return sinkBolt{s} }
 }
 
 // sinkBolt collects rows: Result.Rows is decoded here, at the sink. It
@@ -383,8 +379,8 @@ func (q *JoinQuery) spec() (core.JoinSpec, error) {
 		TopFreq: q.TopFreq,
 	}
 	for i, s := range q.Sources {
-		if s.Name == "" || (s.Spout == nil && s.rows == nil) {
-			return core.JoinSpec{}, fmt.Errorf("squall: source %d needs a name and a spout", i)
+		if s.Name == "" {
+			return core.JoinSpec{}, fmt.Errorf("squall: source %d needs a name", i)
 		}
 		spec.Names[i] = s.Name
 		spec.Sizes[i] = max(s.Size, int64(1))
@@ -392,49 +388,247 @@ func (q *JoinQuery) spec() (core.JoinSpec, error) {
 	return spec, nil
 }
 
-// queryPlan is a fully built execution: the dataflow topology plus the
-// options that run it, and the handles needed to assemble a Result
-// afterwards. Building the plan is separated from running it so a cluster
-// worker can rebuild the coordinator's exact execution from the query alone
-// (see cluster.go).
-type queryPlan struct {
-	topo   *dataflow.Topology
-	dopts  dataflow.Options
-	sink   *limitSink
-	hc     *core.Hypercube
-	joiner string
-	// pressure is the run's ladder (nil when untiered or uncapped), kept so
-	// the Result can snapshot its counters after the run.
-	pressure  *slab.Pressure
-	localJoin LocalJoinPlan
-	// spill is the segment store the plan opened on TierOptions.SpillDir
-	// (nil otherwise); close releases it once the run is over.
-	spill *recovery.DiskStore
+// ConfigError reports an option the plan cannot honour as given: what was
+// asked, the option it conflicts with, and what is supported instead.
+type ConfigError struct {
+	Option, Value, ConflictsWith, Supported string
 }
 
-// close releases what the plan opened for its run: the SpillDir segment
-// store and its log. Every caller of plan closes the plan on every exit
-// path once the plan's run, if any, has returned; closing twice is safe.
-// The log is scratch that no later run can read, so a failed close or
-// removal loses nothing and is not reported.
-func (p *queryPlan) close() {
-	if p.spill != nil {
-		_ = p.spill.Close()
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("squall: %s = %s conflicts with %s; supported: %s", e.Option, e.Value, e.ConflictsWith, e.Supported)
+}
+
+// Plan is a query's physical plan (§3), decided before anything runs.
+// decide makes every choice of a run and opens nothing; JoinQuery.Run,
+// Engine.Register and a cluster worker's session each build their dataflow
+// from a Plan, so the plan a Result reports is the one that ran.
+type Plan struct {
+	// Hypercube partitions the joiner (an adaptive run's initial matrix).
+	Hypercube *core.Hypercube
+	Joiner    JoinerPlan
+	// Components are in registration order: the sources, the joiner, merge
+	// or agg, and the sink.
+	Components []PlanComponent
+	// GroupCols and SumCol are the downstream aggregation's columns of the
+	// joined row (nil and -1 when no aggregation follows the join).
+	GroupCols []int
+	SumCol    int
+	// Ignored names each option the run accepts but does not apply.
+	Ignored []string
+
+	q     *JoinQuery
+	opt   Options // parallelism defaulted, Recovery implied by FaultPlan
+	adapt *dataflow.AdaptivePolicy
+	relOf map[string]int
+}
+
+// JoinerPlan is the operator the joiner's tasks run, its state policy —
+// the local-join core's "Traditional" (base-relation indexes) or "Views"
+// (every connected intermediate view too), or AggJoin's "AggViews"
+// (aggregate-annotated views) — and the one-line reason for both.
+type JoinerPlan struct{ Operator, Policy, Reason string }
+
+// PlanComponent is one dataflow component and its input edges.
+type PlanComponent struct {
+	Name        string
+	Parallelism int
+	Inputs      []PlanEdge
+}
+
+// PlanEdge is an input edge: the upstream component and the grouping that
+// spreads its rows over the component's tasks.
+type PlanEdge struct {
+	From, Grouping string
+	g              dataflow.Grouping
+}
+
+func (e PlanEdge) String() string { return e.From + " " + e.Grouping }
+
+// joiner is the join component's name in every plan.
+const joiner = "joiner"
+
+// String renders the plan for output.
+func (p *Plan) String() string {
+	s := fmt.Sprintf("scheme %v over %d machines\njoiner operator: %s, %s policy (%s)\ncomponents: %v",
+		p.Hypercube, p.Hypercube.Machines(), p.Joiner.Operator, p.Joiner.Policy, p.Joiner.Reason, p.Components)
+	if p.GroupCols != nil {
+		s += fmt.Sprintf("\ndownstream aggregate: group by %v, sum column %d", p.GroupCols, p.SumCol)
+	}
+	for _, ig := range p.Ignored {
+		s += "\nignored: " + ig
+	}
+	return s
+}
+
+// Fingerprint hashes what every process of a cluster run must agree on:
+// the plan but for Ignored, the seed, the batch size, and whether recovery
+// and adaptation are on. Spouts, stores, paths and tiering are left out.
+func (p *Plan) Fingerprint() string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%v|%s/%s|%v|%v/%d|seed=%d batch=%d recovery=%v adaptive=%v", p.Hypercube,
+		p.Joiner.Operator, p.Joiner.Policy, p.Components, p.GroupCols, p.SumCol,
+		p.opt.Seed, p.opt.BatchSize, p.opt.Recovery != nil, p.adapt != nil)
+	return hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// decide makes every choice of a run, all of which the Plan holds; it
+// opens no store and starts nothing.
+func decide(q *JoinQuery, opt Options) (*Plan, error) {
+	spec, err := q.spec()
+	if err != nil {
+		return nil, err
+	}
+	if q.Agg != nil && q.Post != nil {
+		return nil, &ConfigError{Option: "JoinQuery.Post", Value: fmt.Sprintf("%d stage(s)", len(q.Post)),
+			ConflictsWith: "JoinQuery.Agg", Supported: "Post without Agg; per-source transforms in Source.Pre"}
+	}
+	opt.SourcePar, opt.FinalPar = max(opt.SourcePar, 1), max(opt.FinalPar, 1)
+	if opt.FaultPlan != nil && opt.Recovery == nil {
+		opt.Recovery = &RecoveryOptions{}
+	}
+	p := &Plan{Joiner: q.chooseJoiner(opt), SumCol: -1, q: q, opt: opt, relOf: make(map[string]int, len(q.Sources))}
+	if q.AdaptiveJoin {
+		p.Hypercube, p.adapt, err = q.adaptivePolicy(spec)
+	} else {
+		p.Hypercube, err = core.BuildScheme(q.Scheme, spec, q.Machines)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// Every source encodes once, at the source; the executor routes the
+	// bytes into the hypercube.
+	joinIn := make([]PlanEdge, len(q.Sources))
+	for i, s := range q.Sources {
+		p.add(s.Name, opt.SourcePar)
+		p.relOf[s.Name] = i
+		joinIn[i] = PlanEdge{s.Name, "hypercube", p.Hypercube.GroupingFor(i)}
+	}
+	if q.AdaptiveJoin {
+		// The matrix may grow into the whole budget, so the joiner runs at
+		// full parallelism rather than the initial shape's.
+		p.add(joiner, q.Machines, joinIn...)
+	} else {
+		p.add(joiner, p.Hypercube.Machines(), joinIn...)
+	}
+	switch {
+	case p.Joiner.Policy == "AggViews":
+		// HyLD with the aggregation inside the joiner (aggregate views); the
+		// merge combines the joiners' partial aggregates.
+		cols := make([]int, len(q.Agg.GroupBy))
+		for i := range cols {
+			cols[i] = i
+		}
+		p.add("merge", opt.FinalPar, edge(joiner, cols))
+		if opt.Tier != nil {
+			p.Ignored = append(p.Ignored, "Tier: aggregate views keep their state resident")
+		}
+	case q.Agg != nil:
+		// The join emits delta rows; the aggregation runs downstream.
+		offsets := q.relOffsets()
+		p.GroupCols = make([]int, len(q.Agg.GroupBy))
+		for i, g := range q.Agg.GroupBy {
+			col, ok := colOf(g.E)
+			if !ok {
+				return nil, fmt.Errorf("squall: downstream aggregation needs plain column refs in GROUP BY")
+			}
+			p.GroupCols[i] = offsets[g.Rel] + col
+		}
+		if q.Agg.Sum != nil {
+			col, ok := colOf(q.Agg.Sum.E)
+			if !ok {
+				return nil, fmt.Errorf("squall: downstream aggregation needs a plain column ref in SUM")
+			}
+			p.SumCol = offsets[q.Agg.Sum.Rel] + col
+		}
+		p.add("agg", opt.FinalPar, edge(joiner, p.GroupCols))
+	}
+	p.add("sink", 1, edge(p.Components[len(p.Components)-1].Name, nil))
+	return p, nil
+}
+
+func (p *Plan) add(name string, par int, inputs ...PlanEdge) {
+	p.Components = append(p.Components, PlanComponent{name, par, inputs})
+}
+
+// edge hashes from's rows on cols, or sends them all to task 0 without.
+func edge(from string, cols []int) PlanEdge {
+	if len(cols) == 0 {
+		return PlanEdge{from, "global", dataflow.Global()}
+	}
+	return PlanEdge{from, fmt.Sprintf("fields%v", cols), dataflow.Fields(cols...)}
+}
+
+// chooseJoiner picks the joiner's operator and index policy. DBToaster
+// under an aggregate over an equi-join keeps aggregate views unless a
+// condition declines them; every other plan runs the local-join core,
+// under the Views policy only when the graph has an intermediate view to
+// keep.
+func (q *JoinQuery) chooseJoiner(opt Options) JoinerPlan {
+	declined := ""
+	if q.Agg != nil && q.Local == DBToaster {
+		switch {
+		case !q.Graph.IsEquiOnly():
+			declined = "the join graph has theta conjuncts (aggregate views are equi-only)"
+		case q.ForceDeltaJoin:
+			declined = "ForceDeltaJoin is set"
+		case q.AdaptiveJoin:
+			declined = "AdaptiveJoin is on (aggregate views cannot migrate)"
+		case opt.Recovery != nil:
+			declined = "Recovery is on (aggregate views cannot be checkpointed)"
+		default:
+			return JoinerPlan{"dbtoaster.AggJoin", "AggViews", "DBToaster under an aggregate over an equi-join: aggregate views inside the joiner"}
+		}
+	}
+	j := JoinerPlan{"localjoin.Traditional", "Traditional", "Traditional policy: base-relation indexes re-probed on every arrival"}
+	switch {
+	case q.Local == DBToaster && dbtoaster.ViewLess(q.Graph):
+		j.Reason = "DBToaster on a 2-relation graph: no intermediate view, base-relation core"
+	case q.Local == DBToaster:
+		j.Policy = "Views"
+		j.Reason = fmt.Sprintf("DBToaster on a %d-relation graph: Views policy, intermediate views materialized and probed", q.Graph.NumRels)
+	}
+	if declined != "" {
+		j.Reason += "; aggregate views declined: " + declined
+	}
+	return j
+}
+
+// buildEnv is what a host hands build besides the plan: the serving
+// engine's or a worker's shared pressure ladder (with Options.Tier nil, it
+// means default tiered state), the engine's tap spouts by source index, and
+// a cluster's shared store for the recovery checkpoints.
+type buildEnv struct {
+	pressure *slab.Pressure
+	taps     []dataflow.RowSpoutFactory
+	ckpt     CheckpointStore
+}
+
+// execution is a built plan: the dataflow topology plus the options that
+// run it, and the handles that assemble a Result afterwards. A sink is
+// single-use, so every run builds afresh from its Plan.
+type execution struct {
+	plan     *Plan
+	topo     *dataflow.Topology
+	dopts    dataflow.Options
+	sink     *limitSink
+	pressure *slab.Pressure      // the ladder (nil untiered or uncapped), for Result.Pressure
+	spill    *recovery.DiskStore // opened on TierOptions.SpillDir, else nil
+}
+
+// close releases the SpillDir segment store and its log once the run, if
+// any, has returned; closing twice is safe. The log is scratch no later run
+// can read, so a failed close or removal loses nothing and is not reported.
+func (x *execution) close() {
+	if x.spill != nil {
+		_ = x.spill.Close()
 	}
 }
 
-// result assembles the Result for a finished run of this plan.
-func (p *queryPlan) result(metrics *RunMetrics) *Result {
-	r := &Result{
-		Rows:            p.sink.rows,
-		RowCount:        p.sink.count,
-		Metrics:         metrics,
-		Hypercube:       p.hc,
-		JoinerComponent: p.joiner,
-		LocalJoin:       p.localJoin,
-	}
-	if p.pressure != nil {
-		ps := p.pressure.Stats()
+// result assembles the Result for a finished run.
+func (x *execution) result(metrics *RunMetrics) *Result {
+	r := &Result{Rows: x.sink.rows, RowCount: x.sink.count, Metrics: metrics, Plan: x.plan, JoinerComponent: joiner}
+	if x.pressure != nil {
+		ps := x.pressure.Stats()
 		r.Pressure = &ps
 	}
 	return r
@@ -447,175 +641,84 @@ func (p *queryPlan) result(metrics *RunMetrics) *Result {
 // When opt.Cluster is set the same topology is spread over squalld worker
 // processes instead (see cluster.go).
 func (q *JoinQuery) Run(opt Options) (*Result, error) {
+	p, err := decide(q, opt)
+	if err != nil {
+		return nil, err
+	}
 	if opt.Cluster != nil {
-		return q.runCluster(opt)
+		return runCluster(p)
 	}
-	p, err := q.plan(opt)
+	x, err := build(p, buildEnv{})
 	if err != nil {
 		return nil, err
 	}
-	defer p.close()
-	metrics, runErr := dataflow.Run(p.topo, p.dopts)
-	return p.result(metrics), runErr
+	defer x.close()
+	metrics, runErr := dataflow.Run(x.topo, x.dopts)
+	return x.result(metrics), runErr
 }
 
-// aggViewsDeclined names the condition that keeps an aggregate query under
-// DBToaster off aggregate views, or returns "" when none does.
-func (q *JoinQuery) aggViewsDeclined(opt Options) string {
-	switch {
-	case q.Agg == nil || q.Local != DBToaster:
-		return ""
-	case !q.Graph.IsEquiOnly():
-		return "the join graph has theta conjuncts (aggregate views are equi-only)"
-	case q.ForceDeltaJoin:
-		return "ForceDeltaJoin is set"
-	case q.AdaptiveJoin:
-		return "AdaptiveJoin is on (aggregate views cannot migrate)"
-	case opt.Recovery != nil:
-		return "Recovery is on (aggregate views cannot be checkpointed)"
-	}
-	return ""
-}
-
-// plan translates the query into a ready-to-run dataflow topology. A plan
-// that fails closes the spill store it opened.
-func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
-	const joiner = "joiner"
-	var hc *core.Hypercube
-	var policy *dataflow.AdaptivePolicy
-	var spill *recovery.DiskStore
-	defer func() {
-		if err != nil && spill != nil {
-			_ = spill.Close() // scratch, as in queryPlan.close
-		}
-	}()
-	if q.AdaptiveJoin {
-		hc, policy, err = q.adaptivePolicy(joiner)
-	} else {
-		hc, err = q.BuildScheme()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if opt.SourcePar <= 0 {
-		opt.SourcePar = 1
-	}
-	if opt.FinalPar <= 0 {
-		opt.FinalPar = 1
-	}
-
-	// Every source encodes once, at the source: Pre runs packed over the
-	// encoded row and the executor routes the bytes.
-	b := dataflow.NewBuilder()
-	relOf := map[string]int{}
-	for i, s := range q.Sources {
-		spout := s.rows
-		if spout == nil {
-			spout = ops.PackedSpout(s.Spout, s.Pre)
-		}
-		b.Spout(s.Name, opt.SourcePar, spout)
-		relOf[s.Name] = i
-	}
-
-	sink := &limitSink{limit: opt.CollectLimit}
-	joinerPar := hc.Machines()
-	if q.AdaptiveJoin {
-		// The matrix may grow into the whole budget, so the joiner runs at
-		// full parallelism rather than the initial shape's.
-		joinerPar = q.Machines
-	}
-	if opt.FaultPlan != nil && opt.Recovery == nil {
-		opt.Recovery = &RecoveryOptions{}
-	}
-	// Tiered state (PR 10): resolve the segment store and pressure ladder up
-	// front; the join bolts below capture the config. CkStore is wired after
-	// the recovery policy resolves its checkpoint store.
+// build wires the plan's dataflow: every component's spout or bolt, the
+// tiered state's stores and ladder, and the recovery policy.
+func build(p *Plan, env buildEnv) (*execution, error) {
+	q, opt := p.q, p.opt
+	x := &execution{plan: p, sink: &limitSink{limit: opt.CollectLimit}}
+	// Tiered state (PR 10): the join bolts capture the config, whose stores
+	// and ladder are resolved once the topology has built.
 	var tier *slab.TierConfig
-	var pressure *slab.Pressure
-	if opt.Tier != nil {
-		to := opt.Tier
-		store := to.Store
-		if store == nil && to.SpillDir != "" {
-			if spill, err = recovery.NewDiskStore(to.SpillDir); err != nil {
+	to := opt.Tier
+	if to == nil && env.pressure != nil {
+		to = &TierOptions{}
+	}
+	if to != nil {
+		tier = &slab.TierConfig{SegmentRows: to.SegmentRows, CacheSegments: to.CacheSegments, KeyPrefix: joiner}
+	}
+	b := dataflow.NewBuilder()
+	for i, c := range p.Components {
+		switch {
+		case i < len(env.taps) && env.taps[i] != nil:
+			b.Spout(c.Name, c.Parallelism, env.taps[i]) // a shared scan's tap applies Pre itself
+		case i < len(q.Sources) && q.Sources[i].Spout == nil:
+			return nil, fmt.Errorf("squall: source %d (%s) needs a spout", i, c.Name)
+		case i < len(q.Sources):
+			b.Spout(c.Name, c.Parallelism, ops.PackedSpout(q.Sources[i].Spout, q.Sources[i].Pre))
+		case c.Name == joiner && p.Joiner.Policy == "AggViews":
+			spec := dbtoaster.AggSpec{GroupBy: q.Agg.GroupBy, Kind: dbtoaster.AggCount}
+			if q.Agg.Kind != Count {
+				spec.Kind, spec.Sum = dbtoaster.AggSum, q.Agg.Sum
+			}
+			b.Bolt(c.Name, c.Parallelism, ops.AggJoinBolt(q.Graph, spec, p.relOf))
+		case c.Name == joiner:
+			b.Bolt(c.Name, c.Parallelism, ops.JoinBolt(q.Graph, p.Joiner.Policy == "Views", p.relOf, q.Post, tier))
+		case c.Name == "merge":
+			b.Bolt(c.Name, c.Parallelism, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind))
+		case c.Name == "agg":
+			b.Bolt(c.Name, c.Parallelism, ops.AggBolt(p.GroupCols, q.Agg.Kind, p.SumCol))
+		default:
+			b.Bolt(c.Name, c.Parallelism, func(int, int) dataflow.Bolt { return sinkBolt{x.sink} })
+		}
+		for _, e := range c.Inputs {
+			b.Input(c.Name, e.From, e.g)
+		}
+	}
+	var err error
+	if x.topo, err = b.Build(); err != nil {
+		return nil, err
+	}
+	if tier != nil {
+		tier.Store = to.Store
+		if tier.Store == nil && to.SpillDir != "" {
+			if x.spill, err = recovery.NewDiskStore(to.SpillDir); err != nil {
 				return nil, err
 			}
-			store = spill
+			tier.Store = x.spill
 		}
-		if store == nil {
-			store = recovery.NewMemStore()
+		if tier.Store == nil {
+			tier.Store = recovery.NewMemStore()
 		}
-		if to.pressure != nil {
-			pressure = to.pressure
-		} else if to.MemCapBytes > 0 {
-			pressure = slab.NewPressure(to.MemCapBytes)
+		if x.pressure = env.pressure; x.pressure == nil && to.MemCapBytes > 0 {
+			x.pressure = slab.NewPressure(to.MemCapBytes)
 		}
-		tier = &slab.TierConfig{
-			SegmentRows:   to.SegmentRows,
-			Store:         store,
-			CacheSegments: to.CacheSegments,
-			Pressure:      pressure,
-			KeyPrefix:     joiner,
-		}
-	}
-	declined := q.aggViewsDeclined(opt)
-	useAggViews := q.Agg != nil && q.Local == DBToaster && declined == ""
-	var localJoin LocalJoinPlan
-	if useAggViews {
-		localJoin = LocalJoinPlan{"dbtoaster.AggJoin", "DBToaster under an aggregate over an equi-join: aggregate views inside the joiner"}
-	} else {
-		localJoin.Operator, localJoin.Reason = ops.DescribeLocalJoin(q.Graph, q.Local)
-		if declined != "" {
-			localJoin.Reason += "; aggregate views declined: " + declined
-		}
-	}
-	switch {
-	case useAggViews:
-		// HyLD with the aggregation inside the joiner (aggregate views).
-		spec := dbtoaster.AggSpec{GroupBy: q.Agg.GroupBy, Kind: dbtoaster.AggCount}
-		if q.Agg.Kind != Count {
-			spec.Kind = dbtoaster.AggSum
-			spec.Sum = q.Agg.Sum
-		}
-		b.Bolt(joiner, joinerPar, ops.AggJoinBolt(q.Graph, spec, relOf))
-		b.Bolt("merge", opt.FinalPar, ops.MergeBolt(len(q.Agg.GroupBy), q.Agg.Kind))
-		b.Bolt("sink", 1, sink.factory())
-		b.Input("merge", joiner, mergeGrouping(len(q.Agg.GroupBy)))
-		b.Input("sink", "merge", dataflow.Global())
-	case q.Agg != nil:
-		// Join emits delta rows; aggregation runs downstream.
-		offsets := q.relOffsets()
-		groupCols := make([]int, len(q.Agg.GroupBy))
-		for i, g := range q.Agg.GroupBy {
-			col, ok := colOf(g.E)
-			if !ok {
-				return nil, fmt.Errorf("squall: downstream aggregation needs plain column refs in GROUP BY")
-			}
-			groupCols[i] = offsets[g.Rel] + col
-		}
-		sumCol := -1
-		if q.Agg.Sum != nil {
-			col, ok := colOf(q.Agg.Sum.E)
-			if !ok {
-				return nil, fmt.Errorf("squall: downstream aggregation needs a plain column ref in SUM")
-			}
-			sumCol = offsets[q.Agg.Sum.Rel] + col
-		}
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, nil, tier))
-		b.Bolt("agg", opt.FinalPar, ops.AggBolt(groupCols, q.Agg.Kind, sumCol))
-		b.Bolt("sink", 1, sink.factory())
-		b.Input("agg", joiner, dataflow.Fields(groupCols...))
-		b.Input("sink", "agg", dataflow.Global())
-	default:
-		b.Bolt(joiner, joinerPar, ops.JoinBolt(q.Graph, q.Local, relOf, q.Post, tier))
-		b.Bolt("sink", 1, sink.factory())
-		b.Input("sink", joiner, dataflow.Global())
-	}
-	for i, s := range q.Sources {
-		b.Input(joiner, s.Name, hc.GroupingFor(i))
-	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, err
+		tier.Pressure = x.pressure
 	}
 	var recPolicy *dataflow.RecoveryPolicy
 	if opt.Recovery != nil {
@@ -631,9 +734,9 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 		// dimensions.
 		recPolicy = &dataflow.RecoveryPolicy{
 			Component:       joiner,
-			RelOf:           relOf,
+			RelOf:           p.relOf,
 			NumRels:         len(q.Sources),
-			Shape:           hc,
+			Shape:           p.Hypercube,
 			Store:           recStore,
 			CheckpointEvery: opt.Recovery.CheckpointEvery,
 			DisablePeer:     opt.Recovery.DisablePeer,
@@ -647,39 +750,30 @@ func (q *JoinQuery) plan(opt Options) (_ *queryPlan, err error) {
 				tier.CkStore = ss
 			}
 		}
+		if env.ckpt != nil {
+			recPolicy.Store = env.ckpt
+		}
 	}
-	return &queryPlan{
-		topo: topo,
-		dopts: dataflow.Options{
-			Seed:            opt.Seed,
-			ChannelBuf:      opt.ChannelBuf,
-			BatchSize:       opt.BatchSize,
-			MemLimitPerTask: opt.MemLimitPerTask,
-			Adaptive:        policy,
-			Recovery:        recPolicy,
-			Pressure:        pressure,
-		},
-		sink:      sink,
-		hc:        hc,
-		joiner:    joiner,
-		pressure:  pressure,
-		localJoin: localJoin,
-		spill:     spill,
-	}, nil
+	x.dopts = dataflow.Options{
+		Seed:            opt.Seed,
+		ChannelBuf:      opt.ChannelBuf,
+		BatchSize:       opt.BatchSize,
+		MemLimitPerTask: opt.MemLimitPerTask,
+		Adaptive:        p.adapt,
+		Recovery:        recPolicy,
+		Pressure:        x.pressure,
+	}
+	return x, nil
 }
 
 // adaptivePolicy builds the adaptive run's initial shape — core.OneBucket,
 // pinned by the query's InitialRows x InitialCols or sized by the optimizer
 // for the declared source sizes — and the dataflow control plane's policy
 // that starts from it.
-func (q *JoinQuery) adaptivePolicy(joiner string) (*core.Hypercube, *dataflow.AdaptivePolicy, error) {
+func (q *JoinQuery) adaptivePolicy(spec core.JoinSpec) (*core.Hypercube, *dataflow.AdaptivePolicy, error) {
 	cfg := AdaptConfig{}
 	if q.Adapt != nil {
 		cfg = *q.Adapt
-	}
-	spec, err := q.spec()
-	if err != nil {
-		return nil, nil, err
 	}
 	hc, err := core.OneBucket(spec, q.Machines, cfg.InitialRows, cfg.InitialCols)
 	if err != nil {
@@ -716,17 +810,4 @@ func colOf(e expr.Expr) (int, bool) {
 		return c.Index, true
 	}
 	return 0, false
-}
-
-// mergeGrouping routes partial rows by the group columns, or globally when
-// there is no grouping.
-func mergeGrouping(ngroup int) dataflow.Grouping {
-	if ngroup == 0 {
-		return dataflow.Global()
-	}
-	cols := make([]int, ngroup)
-	for i := range cols {
-		cols[i] = i
-	}
-	return dataflow.Fields(cols...)
 }

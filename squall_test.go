@@ -217,8 +217,8 @@ func TestJoinWithoutAggEmitsDeltaRows(t *testing.T) {
 	}
 }
 
-// TestResultReportsLocalJoinPlan: the operator the joiner tasks ran, and the
-// rule that picked it, are in the Result — the choice depends on the shape
+// TestResultReportsLocalJoinPlan: the operator the joiner tasks ran, its
+// index policy and the rule that picked them, are in the Result — the choice depends on the shape
 // of the query as well as on JoinQuery.Local, so it must be visible in
 // output.
 func TestResultReportsLocalJoinPlan(t *testing.T) {
@@ -252,26 +252,72 @@ func TestResultReportsLocalJoinPlan(t *testing.T) {
 		q            *squall.JoinQuery
 		recovery     *squall.RecoveryOptions
 		operator     string
+		policy       string
 		reasonSubstr string
 	}{
-		{"dbtoaster-2way", twoWay(squall.DBToaster), nil, "localjoin.Traditional", "no intermediate view"},
-		{"traditional-2way", twoWay(squall.Traditional), nil, "localjoin.Traditional", "Traditional policy"},
-		{"dbtoaster-3way-deltas", deltas3, nil, "localjoin.Traditional", "3-relation graph: Views policy"},
-		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), nil, "dbtoaster.AggJoin", "aggregate views"},
-		{"aggviews-declined-forcedelta", deltas3, nil, "localjoin.Traditional", "aggregate views declined: ForceDeltaJoin"},
-		{"aggviews-declined-recovery", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), recovery, "localjoin.Traditional", "aggregate views declined: Recovery"},
-		{"aggviews-declined-adaptive", adaptive, nil, "localjoin.Traditional", "aggregate views declined: AdaptiveJoin"},
-		{"aggviews-declined-theta", theta, nil, "localjoin.Traditional", "aggregate views declined: the join graph has theta"},
+		{"dbtoaster-2way", twoWay(squall.DBToaster), nil, "localjoin.Traditional", "Traditional", "no intermediate view"},
+		{"traditional-2way", twoWay(squall.Traditional), nil, "localjoin.Traditional", "Traditional", "Traditional policy"},
+		{"dbtoaster-3way-deltas", deltas3, nil, "localjoin.Traditional", "Views", "3-relation graph: Views policy"},
+		{"dbtoaster-3way-aggviews", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), nil, "dbtoaster.AggJoin", "AggViews", "aggregate views"},
+		{"aggviews-declined-forcedelta", deltas3, nil, "localjoin.Traditional", "Views", "aggregate views declined: ForceDeltaJoin"},
+		{"aggviews-declined-recovery", tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), recovery, "localjoin.Traditional", "Views", "aggregate views declined: Recovery"},
+		{"aggviews-declined-adaptive", adaptive, nil, "localjoin.Traditional", "Traditional", "aggregate views declined: AdaptiveJoin"},
+		{"aggviews-declined-theta", theta, nil, "localjoin.Traditional", "Traditional", "aggregate views declined: the join graph has theta"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res := runOrFail(t, tc.q, squall.Options{Seed: 5, CollectLimit: 1, Recovery: tc.recovery})
-			if res.LocalJoin.Operator != tc.operator {
-				t.Errorf("LocalJoin.Operator = %q, want %q", res.LocalJoin.Operator, tc.operator)
+			if res.Plan.Joiner.Operator != tc.operator {
+				t.Errorf("Plan.Joiner.Operator = %q, want %q", res.Plan.Joiner.Operator, tc.operator)
 			}
-			if !strings.Contains(res.LocalJoin.Reason, tc.reasonSubstr) {
-				t.Errorf("LocalJoin.Reason = %q, want it to mention %q", res.LocalJoin.Reason, tc.reasonSubstr)
+			if res.Plan.Joiner.Policy != tc.policy {
+				t.Errorf("Plan.Joiner.Policy = %q, want %q", res.Plan.Joiner.Policy, tc.policy)
+			}
+			if !strings.Contains(res.Plan.Joiner.Reason, tc.reasonSubstr) {
+				t.Errorf("Plan.Joiner.Reason = %q, want it to mention %q", res.Plan.Joiner.Reason, tc.reasonSubstr)
 			}
 		})
+	}
+}
+
+// TestPostWithAggIsConfigError: a join's Post pipeline cannot run when Agg
+// folds the join's rows; the plan refuses the pair with a typed error
+// instead of dropping Post.
+func TestPostWithAggIsConfigError(t *testing.T) {
+	q := tpch9Query(squall.HashHypercube, squall.Traditional, 0, 4)
+	q.Post = ops.Pipeline{ops.Project{Es: []expr.Expr{expr.C(0)}}}
+	_, err := q.Run(squall.Options{Seed: 5})
+	var ce *squall.ConfigError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Post with Agg: err %v, want a *squall.ConfigError", err)
+	}
+	if ce.Option != "JoinQuery.Post" || ce.ConflictsWith != "JoinQuery.Agg" || ce.Value == "" || ce.Supported == "" {
+		t.Fatalf("ConfigError %+v does not name Post, its value, Agg and what is supported", ce)
+	}
+	q.Agg = nil
+	if _, err := q.Run(squall.Options{Seed: 5, CollectLimit: 1}); err != nil {
+		t.Fatalf("Post without Agg: %v", err)
+	}
+}
+
+// TestPlanReportsTierIgnoredOnAggViews: aggregate views keep their state
+// resident, so a run that sets Tier on them says in its plan that the
+// option went unapplied; tuple-level state applies it and says nothing.
+func TestPlanReportsTierIgnoredOnAggViews(t *testing.T) {
+	tier := &squall.TierOptions{SegmentRows: 64}
+	aggViews := runOrFail(t, tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), squall.Options{Seed: 5, Tier: tier})
+	if aggViews.Plan.Joiner.Operator != "dbtoaster.AggJoin" {
+		t.Fatalf("joiner ran %q, want aggregate views", aggViews.Plan.Joiner.Operator)
+	}
+	if len(aggViews.Plan.Ignored) != 1 || !strings.HasPrefix(aggViews.Plan.Ignored[0], "Tier") {
+		t.Fatalf("Plan.Ignored = %q, want the Tier option named", aggViews.Plan.Ignored)
+	}
+	if !strings.Contains(aggViews.Plan.String(), "ignored: Tier") {
+		t.Fatalf("plan output does not report the ignored Tier:\n%v", aggViews.Plan)
+	}
+	deltas := tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4)
+	deltas.ForceDeltaJoin = true
+	if res := runOrFail(t, deltas, squall.Options{Seed: 5, Tier: tier}); len(res.Plan.Ignored) != 0 {
+		t.Fatalf("tiered tuple-level run reports ignored options %q", res.Plan.Ignored)
 	}
 }
 

@@ -1,8 +1,8 @@
 // Worker side of a cluster session (see cluster.go for the protocol). A
 // WorkerServer accepts coordinator and peer connections, rebuilds the job's
-// plan from the cluster-job registry, runs its share of the topology and
-// reports metrics back. One server hosts any number of concurrent sessions,
-// keyed by run id.
+// plan from the cluster-job registry, checks it against the coordinator's
+// fingerprint, runs its share of the topology and reports metrics back.
+// One server hosts any number of concurrent sessions, keyed by run id.
 //
 // Survivability duties (PR 8): every accepted link arms the heartbeat the
 // dialer's hello carries, hellos with a stale link epoch are rejected (a
@@ -136,11 +136,7 @@ func (s *WorkerServer) admitEpoch(base string, epoch int) bool {
 		// admitted, which the session layer then rejects as a duplicate).
 		s.epochs = make(map[string]int)
 	}
-	if epoch > s.epochs[base] {
-		s.epochs[base] = epoch
-	} else if _, ok := s.epochs[base]; !ok {
-		s.epochs[base] = epoch
-	}
+	s.epochs[base] = epoch // not below the newest epoch seen, or the first
 	return true
 }
 
@@ -344,24 +340,19 @@ func (s *WorkerServer) healthSnapshot() (map[string]any, bool) {
 // per-link heartbeat detail — the probe target for cmd/squalld's -healthz
 // listener. It always answers 200 while the process lives; readiness is the
 // "ready" field (and the Readyz handler's status code).
-func (s *WorkerServer) Healthz() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		snap, _ := s.healthSnapshot()
-		body, _ := json.Marshal(snap)
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(body)
-	})
-}
+func (s *WorkerServer) Healthz() http.Handler { return s.health(false) }
 
 // Readyz returns an HTTP handler answering 200 only while every live
 // session's links are seeing heartbeat traffic — 503 means wedged, and an
 // external supervisor should restart the process.
-func (s *WorkerServer) Readyz() http.Handler {
+func (s *WorkerServer) Readyz() http.Handler { return s.health(true) }
+
+func (s *WorkerServer) health(readiness bool) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		snap, ready := s.healthSnapshot()
 		body, _ := json.Marshal(snap)
 		w.Header().Set("Content-Type", "application/json")
-		if !ready {
+		if readiness && !ready {
 			w.WriteHeader(http.StatusServiceUnavailable)
 		}
 		w.Write(body)
@@ -396,35 +387,44 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		spec.RunID = h.RunID
 	}
 
-	build, ok := lookupClusterJob(spec.Job)
+	job, ok := lookupClusterJob(spec.Job)
 	if !ok {
 		failSession(conn, fmt.Errorf("cluster job %q is not registered in this binary", spec.Job))
 		return
 	}
-	query, opt, err := build(spec.Params)
+	query, opt, err := job(spec.Params)
 	if err != nil {
 		failSession(conn, fmt.Errorf("building cluster job %q: %w", spec.Job, err))
 		return
 	}
 	opt.Cluster = nil // the worker runs its local share, it does not recurse
-	s.mu.Lock()
-	if p := s.pressure; p != nil {
-		// Process-wide memory cap: this worker's share of every job runs
-		// tiered against the one shared ladder.
-		t := TierOptions{}
-		if opt.Tier != nil {
-			t = *opt.Tier
-		}
-		t.pressure = p
-		opt.Tier = &t
-	}
-	s.mu.Unlock()
-	plan, err := query.plan(opt)
+	p, err := decide(query, opt)
 	if err != nil {
 		failSession(conn, fmt.Errorf("planning cluster job %q: %w", spec.Job, err))
 		return
 	}
-	defer plan.close()
+	if fp := p.Fingerprint(); fp != spec.Plan {
+		conn.WriteMsg(&transport.Msg{Kind: kindFailed, B: failPlanMismatch, Payload: []byte(fp)})
+		conn.Close()
+		return
+	}
+	// Under a process-wide memory cap every job runs tiered against its one
+	// ladder; a shared store serves the recovery checkpoints over the link.
+	s.mu.Lock()
+	env := buildEnv{pressure: s.pressure}
+	s.mu.Unlock()
+	var store *sessionStore
+	if spec.Shared {
+		store = newSessionStore(conn, sessionTimeout)
+		defer store.close()
+		env.ckpt = store
+	}
+	x, err := build(p, env)
+	if err != nil {
+		failSession(conn, fmt.Errorf("wiring cluster job %q: %w", spec.Job, err))
+		return
+	}
+	defer x.close()
 
 	// Assemble the links: the job connection is the coordinator link, lower
 	// peers are dialed, higher peers arrive through the rendezvous.
@@ -434,12 +434,8 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		return
 	}
 	defer s.closeRendezvous(spec.RunID)
-	hb := transport.Heartbeat{Interval: time.Duration(spec.HBInterval), Miss: spec.HBMiss}
-	rp := transport.RetryPolicy{
-		Attempts: spec.RetryAttempts, BaseDelay: time.Duration(spec.RetryBase),
-		MaxDelay: time.Duration(spec.RetryMax), DialTimeout: sessionTimeout,
-		Seed: int64(spec.Attempt)<<16 | int64(spec.Worker),
-	}
+	hb, rp := spec.HB, spec.Retry
+	rp.DialTimeout, rp.Seed = sessionTimeout, int64(spec.Attempt)<<16|int64(spec.Worker)
 	links := make([]*transport.Conn, spec.Workers)
 	links[0] = conn
 	closePeers := func() {
@@ -486,15 +482,6 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		started: time.Now(), links: links,
 	})
 
-	var store *sessionStore
-	if spec.Shared && plan.dopts.Recovery != nil {
-		store = newSessionStore(conn, sessionTimeout)
-		rec := *plan.dopts.Recovery
-		rec.Store = store
-		plan.dopts.Recovery = &rec
-		defer store.close()
-	}
-
 	bye := make(chan struct{}, 1)
 	plane := dataflow.NewNetPlane(dataflow.NetConfig{
 		Self: spec.Worker, Workers: spec.Workers, Place: spec.Place, Links: links,
@@ -515,8 +502,7 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 			}
 		},
 	})
-	dopts := plan.dopts
-	dopts.Net = plane
+	x.dopts.Net = plane
 
 	// From here every link belongs to the plane; session messages ride the
 	// job link alongside data (the coordinator's OnPeerMsg sorts them out).
@@ -527,7 +513,7 @@ func (s *WorkerServer) runSession(conn *transport.Conn, h transport.Hello) {
 		return
 	}
 
-	metrics, runErr := dataflow.Run(plan.topo, dopts)
+	metrics, runErr := dataflow.Run(x.topo, x.dopts)
 	if runErr != nil {
 		s.countFailed()
 		sendFailed(conn, runErr, dataflow.IsInfra(runErr))
