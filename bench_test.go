@@ -111,7 +111,7 @@ func BenchmarkFigure6_Reachability(b *testing.B) {
 		var res *experiments.PipelineResult
 		for i := 0; i < b.N; i++ {
 			var err error
-			res, err = experiments.Reachability3Pipeline(w, squall.DBToaster, machines, 1)
+			res, err = experiments.Reachability3Pipeline(w, machines, 1)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("  shipped tuples: %d, elapsed %v, groups %d\n",
 		mres.Metrics.TotalSent(), mres.Metrics.Elapsed, mres.RowCount)
 
-	pres, err := experiments.Reachability3Pipeline(w, squall.DBToaster, machines, 1)
+	pres, err := experiments.Reachability3Pipeline(w, machines, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func TestFigure6ShapeMultiwayBeatsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pres, err := Reachability3Pipeline(w, squall.DBToaster, machines, 1)
+	pres, err := Reachability3Pipeline(w, machines, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

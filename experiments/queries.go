@@ -11,7 +11,6 @@ import (
 	"squall"
 	"squall/internal/dataflow"
 	"squall/internal/datagen"
-	"squall/internal/dbtoaster"
 	"squall/internal/expr"
 	"squall/internal/ops"
 	"squall/internal/types"
@@ -265,7 +264,7 @@ type PipelineResult struct {
 // two 2-way hash joins: W1 ⋈ W2 shuffles its (large) intermediate result to
 // the second join with W3 — the network cost a multi-way join avoids. The
 // machine budget is split evenly between the two join components.
-func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, machines int, seed int64) (*PipelineResult, error) {
+func Reachability3Pipeline(w *datagen.WebGraph, machines int, seed int64) (*PipelineResult, error) {
 	if machines < 2 {
 		return nil, fmt.Errorf("experiments: pipeline needs >= 2 machines")
 	}
@@ -275,17 +274,16 @@ func Reachability3Pipeline(w *datagen.WebGraph, local squall.LocalJoinKind, mach
 	// Stage 2: (W1W2) ⋈ W3 on W2.ToUrl = W3.FromUrl. The intermediate row is
 	// (W1.From, W1.To, W2.From, W2.To); W2.ToUrl is column 3.
 	g2 := expr.MustJoinGraph(2, expr.EquiCol(0, 3, 1, 0))
-	// Each stage is a 2-way graph, so DBToaster keeps no intermediate view
-	// there and runs the Traditional index policy, as a planned join would.
-	views := local == squall.DBToaster && !dbtoaster.ViewLess(g1)
+	// Each stage is a 2-way graph with no intermediate view to keep, so both
+	// run the Traditional index policy, as a planned 2-way join would.
 
 	agg := &limitAgg{}
 	b := dataflow.NewBuilder().
 		Spout("W1", 1, ops.PackedSpout(w.Spout(), nil)).
 		Spout("W2", 1, ops.PackedSpout(w.Spout(), nil)).
 		Spout("W3", 1, ops.PackedSpout(w.Spout(), nil)).
-		Bolt("join1", j1Par, ops.JoinBolt(g1, views, map[string]int{"W1": 0, "W2": 1}, nil, nil)).
-		Bolt("join2", j2Par, ops.JoinBolt(g2, views, map[string]int{"join1": 0, "W3": 1}, nil, nil)).
+		Bolt("join1", j1Par, ops.JoinBolt(g1, false, map[string]int{"W1": 0, "W2": 1}, nil, nil)).
+		Bolt("join2", j2Par, ops.JoinBolt(g2, false, map[string]int{"join1": 0, "W3": 1}, nil, nil)).
 		Bolt("agg", 1, agg.factory()).
 		Input("join1", "W1", dataflow.Fields(1)).
 		Input("join1", "W2", dataflow.Fields(0)).

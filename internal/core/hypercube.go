@@ -239,12 +239,6 @@ func (hc *Hypercube) MachineAt(coords []int) int {
 	return m
 }
 
-// Owns reports whether relation rel fixes its own coordinate on dimension d
-// (hash or random); false means the relation replicates across d.
-func (hc *Hypercube) Owns(rel, d int) bool {
-	return hc.owns[rel][d]
-}
-
 // assemble converts attributes plus an optimizer result into a routable
 // hypercube, dropping size-1 dimensions (they carry no information — the §4
 // observation that attributes can fall out of the final partitioning).

@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"sort"
-	"strings"
 	"testing"
 	"time"
 	"unsafe"
 
-	"squall/internal/core"
 	"squall/internal/types"
 	"squall/internal/wire"
 )
@@ -364,7 +361,7 @@ func pendingRows(c *Collector) int {
 			continue
 		}
 		for target, rb := range c.out[ei] {
-			if primaryCell(c.routed, rel, target) {
+			if c.routed.CopyOf(rel, target) == target {
 				n += rb.count
 			}
 		}
@@ -486,59 +483,5 @@ func TestAdaptiveFlushCopiesPerCell(t *testing.T) {
 				t.Fatalf("cells %d and %d share a frame backing array", i, j)
 			}
 		}
-	}
-}
-
-// TestReshapePlanMatchesTable pins the migration rule: stated in hypercube
-// coordinates, it must produce exactly the 2-D 1-Bucket exports the matrix
-// rule produced before it — keep flag, primary flag and destination set for
-// every old cell and relation of every (old, new) matrix pair over at most 8
-// machines (testdata/reshape_plan.txt, captured from that rule).
-func TestReshapePlanMatchesTable(t *testing.T) {
-	table, err := os.ReadFile("testdata/reshape_plan.txt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	shape := func(dims string) *core.Hypercube {
-		var rows, cols int
-		if _, err := fmt.Sscanf(dims, "%dx%d", &rows, &cols); err != nil {
-			t.Fatalf("matrix %q: %v", dims, err)
-		}
-		hc, err := core.OneBucket(core.JoinSpec{Names: []string{"R", "S"}, Sizes: []int64{1, 1}}, 8, rows, cols)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return hc
-	}
-	checked := 0
-	for _, line := range strings.Split(strings.TrimSpace(string(table)), "\n") {
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		var oldDims, newDims, dests string
-		var task, rel, keep, primary int
-		if _, err := fmt.Sscan(line, &oldDims, &newDims, &task, &rel, &keep, &primary, &dests); err != nil {
-			t.Fatalf("line %q: %v", line, err)
-		}
-		gotKeep, gotPrimary, gotDests := reshapePlan(shape(oldDims), shape(newDims), task, rel)
-		got := "-"
-		if len(gotDests) > 0 {
-			got = strings.Trim(strings.Join(strings.Fields(fmt.Sprint(gotDests)), ","), "[]")
-		}
-		if gotKeep != (keep == 1) || gotPrimary != (primary == 1) || got != dests {
-			t.Fatalf("%s -> %s cell %d rel %d: keep %v primary %v dests %s, want %q", oldDims, newDims, task, rel, gotKeep, gotPrimary, got, line)
-		}
-		checked++
-	}
-	// Every old cell of the 20 matrices that fit 8 machines, against each of
-	// the 20 new matrices, for both relations.
-	cells := 0
-	for rows := 1; rows <= 8; rows++ {
-		for cols := 1; rows*cols <= 8; cols++ {
-			cells += rows * cols
-		}
-	}
-	if want := cells * 20 * 2; checked != want {
-		t.Fatalf("checked %d table rows, want %d", checked, want)
 	}
 }

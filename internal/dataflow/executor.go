@@ -94,8 +94,8 @@ type Options struct {
 
 // envelope is one channel message: a packed frame of wire-encoded rows
 // sharing provenance (same producer task, same stream), an EOS marker, or a
-// control message (adaptive barrier / migration traffic, or recovery kill /
-// restore traffic). Frames are the only data payload an edge carries.
+// control message (a kill marker, or a state-transfer round's command and
+// moves). Frames are the only data payload an edge carries.
 type envelope struct {
 	// frame is a wire batch frame (varint(count) + encoded rows) shipped
 	// without decoding; count is its row count. The consuming bolt walks
@@ -115,9 +115,8 @@ type envelope struct {
 	seq  int64
 	eos  bool
 	ctrl ctrlKind
-	cmd  *reshapeCmd // ctrlReshape payload
-	mig  *migBatch   // ctrlMigBatch / ctrlMigDone payload
-	rec  *recMsg     // recovery-plane payload
+	cmd  *movesCmd // ctrlMoves payload
+	mv   *move     // ctrlMove payload
 }
 
 // framePool recycles frame buffers between consumer and producer instead of
@@ -275,7 +274,7 @@ func (c *Collector) reroute(hc *core.Hypercube) error {
 			if rb.count == 0 {
 				continue
 			}
-			if primaryCell(old, rel, target) {
+			if old.CopyOf(rel, target) == target {
 				pending = append(pending, rb.buf[c.hdrRoom:]...)
 			}
 			rb.buf, rb.count = rb.buf[:c.hdrRoom], 0
@@ -568,6 +567,11 @@ type execution struct {
 	gate    *gate
 	ctlQuit chan struct{}
 	ctlDone chan struct{}
+	// acks carries each controlled task's end-of-round ack, buffered for
+	// one per task so an ack never blocks; moveWG counts the sources still
+	// shipping moves (moves.go).
+	acks   chan loadReport
+	moveWG sync.WaitGroup
 }
 
 // gate is the producer gate into the controlled component. Producers enter
@@ -686,6 +690,7 @@ func (ex *execution) initControl() error {
 			return err
 		}
 	}
+	ex.acks = make(chan loadReport, ex.ctl.par)
 	// In a cluster run, live counts the producers hosted here; a round adds
 	// the remote workers' counts from their pause acks.
 	for _, e := range ex.ctl.inputs {
@@ -824,12 +829,9 @@ func taskSeed(base int64, comp string, task int) int64 {
 	return int64(h.Sum64())
 }
 
-// Run executes the topology to completion: spouts drain, EOS propagates
-// through every bolt (triggering Finish), and per-task metrics are returned.
-// On error (bolt failure, memory overflow) the run aborts and the partial
-// metrics are still returned alongside the error, which is how the paper
-// extrapolates runtimes for configurations that die of memory overflow.
-func Run(t *Topology, opts Options) (*RunMetrics, error) {
+// newExecution resolves the option defaults and prepares one Run's inboxes,
+// metrics and control planes, without starting anything.
+func newExecution(t *Topology, opts Options) (*execution, error) {
 	if opts.BatchSize <= 0 {
 		opts.BatchSize = DefaultBatchSize
 	}
@@ -864,6 +866,20 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 	if err := ex.initControl(); err != nil {
 		return nil, err
 	}
+	return ex, nil
+}
+
+// Run executes the topology to completion: spouts drain, EOS propagates
+// through every bolt (triggering Finish), and per-task metrics are returned.
+// On error (bolt failure, memory overflow) the run aborts and the partial
+// metrics are still returned alongside the error, which is how the paper
+// extrapolates runtimes for configurations that die of memory overflow.
+func Run(t *Topology, opts Options) (*RunMetrics, error) {
+	ex, err := newExecution(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	opts = ex.opts
 	if ex.net != nil {
 		if err := ex.net.bind(ex); err != nil {
 			return nil, err
@@ -918,9 +934,7 @@ func Run(t *Topology, opts Options) (*RunMetrics, error) {
 		close(ex.ctlQuit)
 		<-ex.ctlDone
 	}
-	if ex.adapt != nil {
-		ex.adapt.exportWG.Wait()
-	}
+	ex.moveWG.Wait()
 	ex.metrics.Elapsed = time.Since(start)
 	return ex.metrics, ex.err
 }

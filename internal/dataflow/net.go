@@ -549,7 +549,7 @@ func (p *NetPlane) sendCredit(lk *netLink, flow int64, n int) {
 // full inbox), writes the frame as-is, and recycles the envelope's pool box
 // once the bytes are on the wire.
 func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
-	if env.ctrl != ctrlNone || env.rec != nil || env.mig != nil || env.cmd != nil {
+	if env.ctrl != ctrlNone || env.cmd != nil || env.mv != nil {
 		p.fail(fmt.Errorf("dataflow: control envelope for %s[%d] would cross a process boundary (placement bug)", to.name, task))
 		return false
 	}
@@ -744,12 +744,12 @@ func allTasks(n *node) []int {
 // to re-deliver its retained input to the recovering task, past the
 // checkpoint cursors in manifest (nil when no checkpoint exists). It returns
 // once every worker's flush token has come back through the victim's inbox,
-// so the caller may enqueue ctrlRecDone knowing it cannot overtake replayed
+// so the caller may enqueue ctrlMoveDone knowing it cannot overtake replayed
 // input.
-func (p *NetPlane) replayRemote(prot *node, victim int, routes []int, relOfEdge []int, manifest *recovery.Manifest) bool {
+func (p *NetPlane) replayRemote(prot *node, victim int, ckRels []bool, relOfEdge []int, manifest *recovery.Manifest) bool {
 	byWorker := make(map[int]*replayReq)
 	for i, e := range prot.inputs {
-		if routes[relOfEdge[i]] >= 0 {
+		if !ckRels[relOfEdge[i]] {
 			continue // peer-routed relation: no replay
 		}
 		w := p.workerOf(e.from.name)

@@ -16,10 +16,10 @@
 //     from the slab arenas — no tuple re-materialization) plus
 //     a manifest of its cursors, into a pluggable recovery.CheckpointStore.
 //     A committed checkpoint trims the producers' replay buffers up to its
-//     cursors, which is what keeps them bounded. After a live reshape
-//     (adapt.go) each task re-checkpoints immediately: migration moves state
-//     between tasks without consuming input, so an older checkpoint plus
-//     replay could not reconstruct the new placement.
+//     cursors, which is what keeps them bounded. A task whose state a round
+//     changed (moves.go) re-checkpoints at once: moves change state without
+//     consuming input, so an older checkpoint plus replay could not rebuild
+//     it.
 //
 //   - Quiesced kills. An injected fault (Options.Recovery.Fault) fires
 //     through the execution's control loop as one round (execution.round,
@@ -29,14 +29,15 @@
 //     flushed every pending output. The loss is then pure state loss at a
 //     consistent point.
 //
-//   - Recovery routes. Per relation, the recovery round picks the cheapest
-//     source (ft.RecoveryPlan made live over the hypercube the gate
-//     publishes — the static scheme, or an adaptive run's live shape): a
-//     peer task holding an identical partition — the scheme replicated the
-//     relation, so any machine sharing the failed task's coordinates on the
-//     relation's own dimensions is a complete copy — or, when nothing
-//     replicates, the last checkpoint plus a replay of the retained
-//     envelopes past its cursors. State travels as frames on every route — peer exports,
+//   - Recovery routes. A kill of task f is a reshape that lost a cell: the
+//     round is the state transfer of moves.go over core.Moves(hc, hc, {f}),
+//     on the hypercube the gate publishes (the static scheme, or an adaptive
+//     run's live shape). Per relation the source is a peer task holding an
+//     identical partition — the scheme replicated the relation, so any task
+//     sharing f's coordinates on the relation's own dimensions is a complete
+//     copy — or, when nothing replicates, Checkpoint: the controller ships
+//     the last checkpoint and replays the retained envelopes past its
+//     cursors. State travels as frames on every route — peer exports,
 //     checkpoint frames, sealed segments (rows sliced out of the verified
 //     blob) and replayed input — and the failed task walks each one through
 //     Repartitioner.ImportRow. Restores are silent inserts: every delta
@@ -68,12 +69,12 @@ package dataflow
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"squall/internal/core"
-	"squall/internal/ft"
 	"squall/internal/recovery"
 	"squall/internal/slab"
 	"squall/internal/wire"
@@ -99,9 +100,9 @@ type RecoveryPolicy struct {
 	RelOf   map[string]int
 	NumRels int
 	// Shape is the component's partitioning: a relation is peer-recoverable
-	// at a failed task iff Shape replicates it, from the peers
-	// ft.RecoveryPlan names. An adaptive run uses its live shape instead.
-	// Nil sends every relation to the checkpoint route.
+	// at a failed task iff Shape replicates it, from the peer core.Moves
+	// names. An adaptive run uses its live shape instead. Nil sends every
+	// relation to the checkpoint route.
 	Shape *core.Hypercube
 	// Store persists checkpoints (default: an in-memory store).
 	Store recovery.CheckpointStore
@@ -161,37 +162,6 @@ type RecoveryMetrics struct {
 	LastRecoveryNS atomic.Int64
 }
 
-// Additional control kinds for the recovery plane. They sort after the
-// adaptive kinds so the executor can dispatch on the boundary.
-const (
-	// ctrlKill tells the fault-plan task to drop its state (quiesced kill).
-	ctrlKill ctrlKind = iota + ctrlMigDone + 1
-	// ctrlRecBegin opens a recovery round at the failed task: routes per
-	// relation plus the checkpoint manifest restore starts from.
-	ctrlRecBegin
-	// ctrlRecBatch carries one frame of restored state for one relation.
-	ctrlRecBatch
-	// ctrlRecDone marks the end of one relation's restore.
-	ctrlRecDone
-	// ctrlStateReq asks a peer task to export one relation to the failed
-	// task's inbox.
-	ctrlStateReq
-	// ctrlNetFlush is a cluster flush token (see NetPlane.quiesce): it rides
-	// the data path from a remote producer worker, so draining it proves
-	// every data envelope that worker sent earlier has been processed. The
-	// task reports it to the plane and carries on.
-	ctrlNetFlush
-)
-
-// recMsg is the payload of recovery control envelopes.
-type recMsg struct {
-	rel      int
-	target   int
-	frame    []byte             // ctrlRecBatch: wire batch frame of restored rows
-	routes   []int              // per rel: serving peer task, or -1 for checkpoint
-	manifest *recovery.Manifest // checkpoint manifest (nil when none exists)
-}
-
 // replayEnt is one retained envelope in a producer's replay buffer.
 type replayEnt struct {
 	seq   int64
@@ -242,7 +212,6 @@ type recState struct {
 	// captured panic was already mid-restore there, so the round must run
 	// with panic semantics (checkpoint routes only).
 	killAck chan bool
-	acks    chan int
 	// planDone is closed when the fault plan is resolved (recovered or
 	// voided); protected tasks that finish their EOS set linger on it so a
 	// late kill still finds every peer alive and draining.
@@ -262,6 +231,9 @@ func (ex *execution) initRecovery(pol *RecoveryPolicy) error {
 	if p.NumRels <= 0 {
 		return fmt.Errorf("dataflow: recovery needs NumRels >= 1")
 	}
+	if p.Shape != nil && p.Shape.NumRels() != p.NumRels {
+		return fmt.Errorf("dataflow: recovery shape %v has %d relations, policy %d", p.Shape, p.Shape.NumRels(), p.NumRels)
+	}
 	a := &recState{
 		ex:        ex,
 		pol:       p,
@@ -270,7 +242,6 @@ func (ex *execution) initRecovery(pol *RecoveryPolicy) error {
 		pidBase:   map[*node]int{},
 		faults:    make(chan faultNote, 2+n.par),
 		killAck:   make(chan bool, 1),
-		acks:      make(chan int, 1),
 		planDone:  make(chan struct{}),
 		scheduled: p.Fault != nil,
 	}
@@ -382,13 +353,14 @@ func (a *recState) handleFault(f faultNote) bool {
 		tasks = allTasks(a.node)
 	}
 	return a.ex.round(func(int64) []int { return tasks }, func(cur *core.Hypercube) (*core.Hypercube, bool) {
-		return cur, a.restore(f, start)
+		return cur, a.restore(f, tasks, start)
 	})
 }
 
 // restore runs the body of a recovery round behind the closed gate: kill,
-// route, ship state, replay, and wait for the victim's ack.
-func (a *recState) restore(f faultNote, start time.Time) bool {
+// route, and run the state transfer with the controller as the Checkpoint
+// source, replaying the input past the checkpoint.
+func (a *recState) restore(f faultNote, tasks []int, start time.Time) bool {
 	m := &a.ex.metrics.Recovery
 
 	// An injected kill is delivered only now, behind the closed gate: FIFO
@@ -418,23 +390,32 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 		}
 	}
 
-	// Route per relation: peer refetch when the shape the gate publishes
-	// replicates the relation (it is stable here: rounds are serial) and
+	// Route per relation: the move set of losing the victim's cell in the
+	// shape the gate publishes (it is stable here: rounds are serial) when
 	// the fault is a quiesced kill (a panicked task has unemitted deltas a
-	// peer snapshot would swallow), checkpoint otherwise.
-	var plans []ft.Plan
+	// peer snapshot would swallow), Checkpoint for every relation otherwise.
+	lost := []int{f.task}
+	ms := checkpointMoves(a.pol.NumRels, a.node.par, lost)
 	if hc := a.ex.gate.shape(); hc != nil && !f.panicked && !a.pol.DisablePeer {
-		plans, _ = ft.RecoveryPlan(hc, f.task) // a task outside the shape has no peers
-	}
-	routes := make([]int, a.pol.NumRels)
-	needCk := false
-	for rel := range routes {
-		routes[rel] = -1
-		if rel < len(plans) && !plans[rel].Checkpoint {
-			routes[rel] = plans[rel].Peers[0]
+		var err error
+		if ms, err = core.Moves(hc, hc, lost); err != nil {
+			a.ex.fail(fmt.Errorf("dataflow: recovery of %s[%d]: %w", a.node.name, f.task, err))
+			return false
 		}
-		if routes[rel] < 0 {
-			needCk = true
+	}
+	ckRels := make([]bool, a.pol.NumRels)
+	needCk := false
+	for rel := range ckRels {
+		if f.task >= len(ms.From[rel]) {
+			continue // a task outside the shape holds nothing
+		}
+		for _, src := range ms.From[rel][f.task] {
+			if src == core.Checkpoint {
+				ckRels[rel], needCk = true, true
+				m.CheckpointRels.Add(1)
+			} else {
+				m.PeerRels.Add(1)
+			}
 		}
 	}
 
@@ -444,15 +425,14 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 	// §5 optimization. The manifest bounds the replay, and a disk store
 	// charges the read to the recovery clock here.
 	var ck *recovery.Checkpoint
-	haveCk := false
 	if needCk && a.ckPut[f.task].Load() {
-		var err error
-		ck, haveCk, err = a.pol.Store.Get(a.node.name, f.task)
+		got, found, err := a.pol.Store.Get(a.node.name, f.task)
 		if err != nil {
 			a.ex.fail(fmt.Errorf("dataflow: recovery of %s[%d]: %w", a.node.name, f.task, err))
 			return false
 		}
-		if haveCk {
+		if found {
+			ck = got
 			m.StoreReads.Add(1)
 			for _, frames := range ck.Frames {
 				for _, frame := range frames {
@@ -461,102 +441,14 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 			}
 		}
 	}
-
-	begin := &recMsg{routes: routes}
-	if haveCk {
-		begin.manifest = &ck.Manifest
+	cmd := &movesCmd{moves: ms, lost: lost}
+	if a.ex.adapt != nil {
+		cmd.epoch = a.ex.adapt.epoch
 	}
-	if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecBegin, rec: begin}) {
-		return false
+	if ck != nil {
+		cmd.manifest = &ck.Manifest
 	}
-
-	for rel, peer := range routes {
-		if peer >= 0 {
-			m.PeerRels.Add(1)
-			if !a.ex.sendCtrl(peer, envelope{ctrl: ctrlStateReq, rec: &recMsg{rel: rel, target: f.task}}) {
-				return false
-			}
-			continue
-		}
-		m.CheckpointRels.Add(1)
-		if haveCk && ck.Segments != nil && rel < len(ck.Segments) {
-			// v2 manifest: the relation's sealed rows live in the store as
-			// referenced segments; read each back, verify it byte-for-byte
-			// against the manifest's CRC, and ship its rows. A corrupt or
-			// missing checkpoint segment fails the run — fabricating state
-			// is worse than dying.
-			if !a.restoreSegments(f.task, rel, ck.Segments[rel]) {
-				return false
-			}
-		}
-		if haveCk && rel < len(ck.Frames) {
-			// Checkpoint frames ship as stored: the importer walks them and
-			// fails the run on a malformed row.
-			for _, frame := range ck.Frames[rel] {
-				n, _ := binary.Uvarint(frame)
-				m.RestoredTuples.Add(int64(n))
-				if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
-					return false
-				}
-			}
-		}
-	}
-
-	// Replay the retained input past the checkpoint cursors for every
-	// checkpoint-routed relation. The failed task dedups by sequence, so
-	// over-replay is harmless; under-replay is impossible because trims only
-	// advance at checkpoint commits.
-	for i, e := range a.node.inputs {
-		if routes[a.relOfEdge[i]] >= 0 {
-			continue
-		}
-		base := a.pidBase[e.from]
-		for p := 0; p < e.from.par; p++ {
-			var ckptCur int64
-			if haveCk {
-				ckptCur = ck.Manifest.CursorFor(e.from.name, p)
-			}
-			for _, ent := range a.snapshotBuf(base+p, f.task) {
-				if ent.seq <= ckptCur {
-					continue
-				}
-				// The retained frame is shared with the buffer: replay never
-				// pools it, and consumers only read frames.
-				env := envelope{stream: e.from.name, from: p, seq: ent.seq, frame: ent.frame, count: ent.count}
-				m.ReplayedEnvelopes.Add(1)
-				m.ReplayedTuples.Add(int64(ent.count))
-				if !a.ex.send(a.node, f.task, env) {
-					return false
-				}
-			}
-		}
-	}
-	// Remote producers replay their own retained input: each serving worker
-	// streams seq-tagged data messages and a flush token; waiting on the
-	// tokens (which traverse the victim's inbox behind the replayed data)
-	// guarantees the ctrlRecDone markers below cannot overtake any of it.
-	if a.ex.net != nil {
-		var man *recovery.Manifest
-		if haveCk {
-			man = &ck.Manifest
-		}
-		if !a.ex.net.replayRemote(a.node, f.task, routes, a.relOfEdge, man) {
-			return false
-		}
-	}
-	for rel, peer := range routes {
-		if peer < 0 {
-			if !a.ex.sendCtrl(f.task, envelope{ctrl: ctrlRecDone, rec: &recMsg{rel: rel}}) {
-				return false
-			}
-		}
-	}
-
-	select {
-	case <-a.acks:
-	case <-a.ex.abort:
-		return false
-	case <-a.ex.ctlQuit:
+	if !a.ex.moveRound(tasks, cmd, func() bool { return a.serveCheckpoint(f.task, ckRels, ck) }) {
 		return false
 	}
 	m.Faults.Add(1)
@@ -576,6 +468,104 @@ func (a *recState) restore(f faultNote, start time.Time) bool {
 	return true
 }
 
+// checkpointMoves is the move set of a recovery round without peer routes:
+// every relation of the lost tasks comes from Checkpoint, and every other
+// task keeps its state. A panic round takes it, and so do DisablePeer and
+// a component without a Shape.
+func checkpointMoves(rels, tasks int, lost []int) *core.MoveSet {
+	ms := &core.MoveSet{Keep: make([][]bool, tasks), From: make([][][]int, rels)}
+	for c := range ms.Keep {
+		ms.Keep[c] = make([]bool, rels)
+		for rel := range ms.Keep[c] {
+			ms.Keep[c][rel] = !slices.Contains(lost, c)
+		}
+	}
+	for rel := range ms.From {
+		ms.From[rel] = make([][]int, tasks)
+		for _, c := range lost {
+			ms.From[rel][c] = []int{core.Checkpoint}
+		}
+	}
+	return ms
+}
+
+// serveCheckpoint plays the Checkpoint source of a recovery round: it
+// replays the retained input past the checkpoint cursors (ck is nil when
+// the victim has none) for every checkpoint-routed relation, then ships each
+// one's sealed segments and checkpoint frames and ends it with a
+// ctrlMoveDone. The victim dedups replay by sequence, so over-replay is
+// harmless; under-replay is impossible because trims only advance at
+// checkpoint commits.
+func (a *recState) serveCheckpoint(victim int, ckRels []bool, ck *recovery.Checkpoint) bool {
+	m := &a.ex.metrics.Recovery
+	var man *recovery.Manifest
+	if ck != nil {
+		man = &ck.Manifest
+	}
+	for i, e := range a.node.inputs {
+		if !ckRels[a.relOfEdge[i]] {
+			continue
+		}
+		base := a.pidBase[e.from]
+		for p := 0; p < e.from.par; p++ {
+			var ckptCur int64
+			if man != nil {
+				ckptCur = man.CursorFor(e.from.name, p)
+			}
+			for _, ent := range a.snapshotBuf(base+p, victim) {
+				if ent.seq <= ckptCur {
+					continue
+				}
+				// The retained frame is shared with the buffer: replay never
+				// pools it, and consumers only read frames.
+				env := envelope{stream: e.from.name, from: p, seq: ent.seq, frame: ent.frame, count: ent.count}
+				m.ReplayedEnvelopes.Add(1)
+				m.ReplayedTuples.Add(int64(ent.count))
+				if !a.ex.send(a.node, victim, env) {
+					return false
+				}
+			}
+		}
+	}
+	// Remote producers replay their own retained input: each serving worker
+	// streams seq-tagged data messages and a flush token; waiting on the
+	// tokens (which traverse the victim's inbox behind the replayed data)
+	// guarantees the ctrlMoveDone markers below cannot overtake any of it.
+	if a.ex.net != nil && !a.ex.net.replayRemote(a.node, victim, ckRels, a.relOfEdge, man) {
+		return false
+	}
+	for rel, routed := range ckRels {
+		if !routed {
+			continue
+		}
+		if ck != nil && ck.Segments != nil && rel < len(ck.Segments) {
+			// v2 manifest: the relation's sealed rows live in the store as
+			// referenced segments; read each back, verify it byte-for-byte
+			// against the manifest's CRC, and ship its rows. A corrupt or
+			// missing checkpoint segment fails the run — fabricating state
+			// is worse than dying.
+			if !a.restoreSegments(victim, rel, ck.Segments[rel]) {
+				return false
+			}
+		}
+		if ck != nil && rel < len(ck.Frames) {
+			// Checkpoint frames ship as stored: the importer walks them and
+			// fails the run on a malformed row.
+			for _, frame := range ck.Frames[rel] {
+				n, _ := binary.Uvarint(frame)
+				m.RestoredTuples.Add(int64(n))
+				if !a.ex.sendCtrl(victim, envelope{ctrl: ctrlMove, mv: &move{rel: rel, frame: frame, count: int(n)}}) {
+					return false
+				}
+			}
+		}
+		if !a.ex.sendCtrl(victim, envelope{ctrl: ctrlMoveDone}) {
+			return false
+		}
+	}
+	return true
+}
+
 // recSession is the consumer-side state of one protected task.
 type recSession struct {
 	a    *recState
@@ -587,16 +577,10 @@ type recSession struct {
 	// Fault-plan state.
 	armed     bool // this task is the plan target and the trigger hasn't fired
 	requested bool // trigger sent to the control loop, resolution pending
-	// Recovery-round state.
+	// Restore state: the task lost its state and waits for its round.
 	recovering bool
-	panicked   bool
-	began      bool
-	routes     []int
-	manifest   *recovery.Manifest
-	dones      int
 	stash      []envelope
-	poisoned   *envelope   // the frame a captured panic interrupted
-	cur        wire.Cursor // import row cursor
+	poisoned   *envelope // the frame a captured panic interrupted
 }
 
 // newSession prepares the consumer-side recovery state for one task of the
@@ -633,13 +617,8 @@ func (s *recSession) applied(env *envelope) {
 // deliberately left alone: a panic that preempts an outstanding kill trigger
 // still owes the kill round's marker its ack, and the kill round then
 // services this session with panic semantics.
-func (s *recSession) startRecovery(panicked bool) {
+func (s *recSession) startRecovery() {
 	s.recovering = true
-	s.panicked = panicked
-	s.began = false
-	s.routes = nil
-	s.manifest = nil
-	s.dones = 0
 	s.stash = nil
 }
 
@@ -783,28 +762,9 @@ func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bo
 		if rows == 0 {
 			continue
 		}
-		if !a.ex.sendCtrl(task, envelope{ctrl: ctrlRecBatch, rec: &recMsg{rel: rel, frame: frame}}) {
+		if !a.ex.sendCtrl(task, envelope{ctrl: ctrlMove, mv: &move{rel: rel, frame: frame, count: rows}}) {
 			return false
 		}
 	}
 	return true
-}
-
-// serveStateReq exports one relation to a recovering peer over its inbox as
-// bare wire batch frames, each copied once — the live form of ft's "recover
-// from a peer machine" route. Bytes are charged to this (serving) task like
-// any network transfer.
-func (s *recSession) serveStateReq(bolt Bolt, tm *TaskMetrics, msg *recMsg) bool {
-	a := s.a
-	m := &a.ex.metrics.Recovery
-	ok := true
-	bolt.(Repartitioner).ExportStateFrames(msg.rel, a.ex.opts.BatchSize, func(frame []byte, count int) bool {
-		tm.BytesOut.Add(int64(len(frame)))
-		m.PeerBytes.Add(int64(len(frame)))
-		m.RestoredTuples.Add(int64(count))
-		rec := &recMsg{rel: msg.rel, frame: append([]byte(nil), frame...)}
-		ok = a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecBatch, rec: rec})
-		return ok
-	})
-	return ok && a.ex.send(a.node, msg.target, envelope{from: s.task, ctrl: ctrlRecDone, rec: &recMsg{rel: msg.rel}})
 }

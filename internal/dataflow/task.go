@@ -12,8 +12,8 @@ import (
 
 // boltTask is one running bolt task: its inbox loop and the state the
 // loop's handlers share. Every data row reaches the bolt through
-// ExecuteRow; control envelopes drive the recovery and migration state
-// machines.
+// ExecuteRow; control envelopes drive the kill marker and the
+// state-transfer rounds.
 type boltTask struct {
 	ex    *execution
 	n     *node
@@ -30,11 +30,11 @@ type boltTask struct {
 	mem  MemReporter
 	rep  Repartitioner
 
-	adaptHere bool        // the task is an adaptive joiner
-	rs        *recSession // non-nil on a recovery-protected task
-	mig       *migSession // non-nil while a migration round is open
-	early     []envelope  // migration traffic that outran our barrier marker
-	epoch     int         // reshape epoch this task's state conforms to
+	adaptHere bool         // the task is an adaptive joiner
+	rs        *recSession  // non-nil on a recovery-protected task
+	mv        *moveSession // non-nil while the task's part of a round is open
+	early     []envelope   // moves that outran the task's round command
+	epoch     int          // reshape epoch this task's state conforms to
 	// planDone is the fault plan's resolution signal while a protected task
 	// still waits for it; nil once observed or when no plan is scheduled.
 	planDone  <-chan struct{}
@@ -44,12 +44,25 @@ type boltTask struct {
 
 func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 	defer wg.Done()
-	t := &boltTask{ex: ex, n: n, task: task, col: ex.collector(n, task), inbox: ex.inboxes[n][task]}
-	t.tm = t.col.metrics
+	t := ex.newBoltTask(n, task)
 	defer t.col.close() // eos (or an abort) has flushed whatever will flush
 	// The task owns its bolt's external charges (pressure gauges); refund
 	// them when the task exits, whatever bolt instance it ends with.
 	defer func() { releaseState(t.bolt) }()
+	err := t.instance()
+	if err == nil {
+		err = t.run()
+	}
+	if err != nil {
+		ex.fail(err)
+	}
+}
+
+// newBoltTask prepares one bolt task's loop state, before its first bolt
+// instance is built.
+func (ex *execution) newBoltTask(n *node, task int) *boltTask {
+	t := &boltTask{ex: ex, n: n, task: task, col: ex.collector(n, task), inbox: ex.inboxes[n][task]}
+	t.tm = t.col.metrics
 	for _, e := range n.inputs {
 		t.expectEOS += e.from.par
 	}
@@ -60,13 +73,7 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 			t.planDone = ex.rec.planDone
 		}
 	}
-	err := t.instance()
-	if err == nil {
-		err = t.run()
-	}
-	if err != nil {
-		ex.fail(err)
-	}
+	return t
 }
 
 // errf formats a task failure; format continues the "dataflow: bolt
@@ -93,13 +100,13 @@ func (t *boltTask) instance() error {
 }
 
 // run is the task's inbox loop. It ends once the EOS set is complete and no
-// control round needs the task: no migration open, no recovery in flight
+// control round needs the task: no round part open, no recovery in flight
 // and, on a protected task under a fault plan, the plan resolved — a kill
 // landing at the very end of the stream must still find every peer alive
 // to serve its partitions. Then the bolt finishes and EOS goes downstream.
 func (t *boltTask) run() error {
-	for t.expectEOS > 0 || t.mig != nil || (t.rs != nil && (t.rs.busy() || t.planDone != nil)) {
-		if t.expectEOS == 0 && t.mig == nil && t.rs != nil && t.rs.armed && !t.rs.busy() {
+	for t.expectEOS > 0 || t.mv != nil || (t.rs != nil && (t.rs.busy() || t.planDone != nil)) {
+		if t.expectEOS == 0 && t.mv == nil && t.rs != nil && t.rs.armed && !t.rs.busy() {
 			// The plan never fired (this task received too few tuples):
 			// resolve it so lingering peers release.
 			t.rs.armed = false
@@ -134,12 +141,18 @@ func (t *boltTask) handle(env envelope) error {
 	case env.eos:
 		t.expectEOS--
 		return nil
-	case env.ctrl >= ctrlKill:
-		return t.recControl(env)
-	case env.ctrl != ctrlNone:
-		return t.migrate(env)
+	case env.ctrl == ctrlNone:
+		return t.data(env)
+	case env.ctrl == ctrlKill:
+		return t.kill()
+	case env.ctrl == ctrlNetFlush:
+		if t.ex.net == nil {
+			return t.errf(" received a flush token without a network plane")
+		}
+		t.ex.net.tokenSeen(env.seq)
+		return nil
 	}
-	return t.data(env)
+	return t.transfer(env)
 }
 
 // note sends a fault note to the control loop; false means the run aborted.
@@ -157,12 +170,12 @@ func (t *boltTask) note(f faultNote) bool {
 // otherwise a late duplicate of replayed input is dropped; once applied, it
 // advances the task's cursor, fault trigger and checkpoint cadence.
 func (t *boltTask) data(env envelope) error {
-	if t.mig != nil {
-		return t.errf(" received data mid-migration (barrier violated)")
-	}
 	rs := t.rs
 	if rs != nil && rs.recovering {
 		return t.restoreData(env)
+	}
+	if t.mv != nil {
+		return t.errf(" received data mid-round (barrier violated)")
 	}
 	if rs != nil && !rs.dedup(&env) {
 		return nil
@@ -212,7 +225,7 @@ func (t *boltTask) settle(rows int, err error) error {
 		err = t.col.settle(err)
 	}
 	if err != nil {
-		if _, ok := err.(*panicFault); ok && t.rs != nil && !t.rs.recovering && t.ex.adapt == nil && t.mig == nil {
+		if _, ok := err.(*panicFault); ok && t.rs != nil && !t.rs.recovering && t.ex.adapt == nil && t.mv == nil {
 			return errPanicCaptured
 		}
 		return err
@@ -286,7 +299,7 @@ func (t *boltTask) restart(panicked bool) error {
 	if err := t.instance(); err != nil {
 		return err
 	}
-	t.rs.startRecovery(panicked)
+	t.rs.startRecovery()
 	return nil
 }
 
@@ -311,14 +324,14 @@ func (t *boltTask) captured(env envelope) error {
 	return nil
 }
 
-// restoreData handles a data frame reaching a task mid-restore. Before the
+// restoreData handles a data frame reaching a task mid-restore. Before its
 // round begins it is traffic a panic left unapplied, stashed to reprocess
 // once the restore completes. After, it is replayed input: re-imported
 // silently when it was applied after the checkpoint but before the fault
 // (older is in the checkpoint, newer is stashed).
 func (t *boltTask) restoreData(env envelope) error {
 	rs := t.rs
-	if !rs.began {
+	if t.mv == nil {
 		t.tm.Received.Add(int64(env.count))
 		rs.stash = append(rs.stash, env)
 		return nil
@@ -328,66 +341,12 @@ func (t *boltTask) restoreData(env envelope) error {
 		return t.errf(" replay from unmapped stream %q", env.stream)
 	}
 	var ckptCur int64
-	if rs.manifest != nil {
-		ckptCur = rs.manifest.CursorFor(env.stream, env.from)
+	if man := t.mv.cmd.manifest; man != nil {
+		ckptCur = man.CursorFor(env.stream, env.from)
 	}
 	if env.seq > ckptCur && env.seq <= rs.cursors[env.stream][env.from] {
-		if err := importFrame(t.rep, rel, env.frame, &rs.cur); err != nil {
+		if err := importFrame(t.rep, rel, env.frame, &t.mv.cur); err != nil {
 			return t.errf(" replay import: %w", err)
-		}
-	}
-	return nil
-}
-
-// recControl handles one recovery-plane envelope: a kill marker, a
-// restore's begin, batch and done messages, a recovering peer's state
-// request, or a cluster round's flush token.
-func (t *boltTask) recControl(env envelope) error {
-	if env.ctrl == ctrlNetFlush {
-		if t.ex.net == nil {
-			return t.errf(" received a flush token without a network plane")
-		}
-		t.ex.net.tokenSeen(env.seq)
-		return nil
-	}
-	rs := t.rs
-	if rs == nil {
-		return t.errf(" received recovery control %d without a recovery session", env.ctrl)
-	}
-	switch env.ctrl {
-	case ctrlKill:
-		return t.kill()
-	case ctrlRecBegin:
-		if !rs.recovering {
-			return t.errf(" stray recovery begin")
-		}
-		rs.began, rs.routes, rs.manifest = true, env.rec.routes, env.rec.manifest
-	case ctrlRecBatch:
-		if !rs.recovering || !rs.began {
-			return t.errf(" stray recovery batch")
-		}
-		if err := importFrame(t.rep, env.rec.rel, env.rec.frame, &rs.cur); err != nil {
-			return t.errf(" restore import: %w", err)
-		}
-	case ctrlRecDone:
-		if !rs.recovering || !rs.began {
-			return t.errf(" stray recovery done")
-		}
-		if rs.dones++; rs.dones == t.ex.rec.pol.NumRels {
-			if err := t.finishRecovery(); err != nil {
-				return t.errf(" recovery: %w", err)
-			}
-		}
-	case ctrlStateReq:
-		if rs.recovering {
-			// A concurrently-panicked peer has been rebirthed and is
-			// mid-restore: exporting its (empty) state would silently
-			// restore the victim wrong. Concurrent double-fault recovery is
-			// out of scope — fail loudly instead.
-			return t.errf(" asked to serve rel %d while itself recovering (concurrent double fault)", env.rec.rel)
-		}
-		if !rs.serveStateReq(t.bolt, t.tm, env.rec) {
-			return t.ex.abortErr()
 		}
 	}
 	return nil
@@ -399,6 +358,9 @@ func (t *boltTask) recControl(env envelope) error {
 // stands (clobbering it would lose the stash and the poisoned envelope), and
 // the ack tells the round to run with panic semantics instead.
 func (t *boltTask) kill() error {
+	if t.rs == nil {
+		return t.errf(" received a kill marker without a recovery session")
+	}
 	t.rs.requested = false
 	alreadyPanicked := t.rs.recovering
 	if !alreadyPanicked {
@@ -414,10 +376,10 @@ func (t *boltTask) kill() error {
 	}
 }
 
-// finishRecovery closes a restore round: re-run the poisoned frame whole
-// (none of its emissions shipped), reprocess the stashed backlog with full
-// emission, re-checkpoint, and ack the round.
-func (t *boltTask) finishRecovery() error {
+// redeliver closes a victim's restore: it re-runs the poisoned frame whole
+// (none of its emissions shipped) and reprocesses the stashed backlog with
+// full emission.
+func (t *boltTask) redeliver() error {
 	rs := t.rs
 	if p := rs.poisoned; p != nil {
 		if err := t.deliver(p); err != nil {
@@ -433,64 +395,5 @@ func (t *boltTask) finishRecovery() error {
 		rs.applied(&rs.stash[i])
 	}
 	rs.stash = nil
-	// A fresh checkpoint pins the restored state as the new replay horizon
-	// before new input flows.
-	if err := rs.checkpoint(t.bolt); err != nil {
-		return err
-	}
-	rs.recovering = false
-	select {
-	case t.ex.rec.acks <- t.task:
-		return nil
-	case <-t.ex.abort:
-		return t.ex.abortErr()
-	}
-}
-
-// migrate handles one adaptive-plane envelope. The reshape barrier opens a
-// migration round and applies the exports that outran it; peers' export
-// frames import; the round closes once every peer's exports are in.
-func (t *boltTask) migrate(env envelope) error {
-	a := t.ex.adapt
-	switch {
-	case env.ctrl == ctrlReshape:
-		mig, err := a.beginMigration(t.task, t.rep, t.tm, env.cmd)
-		for _, e := range t.early {
-			if err == nil {
-				err = a.applyMig(mig, t.rep, e)
-			}
-		}
-		t.early = nil
-		if err != nil {
-			return t.errf(" reshape: %w", err)
-		}
-		t.mig = mig
-	case t.mig == nil:
-		// A peer's exports for the round whose barrier marker we have not
-		// drained to yet; apply them once it arrives.
-		t.early = append(t.early, env)
-		return nil
-	default:
-		if err := a.applyMig(t.mig, t.rep, env); err != nil {
-			return t.errf(" migration: %w", err)
-		}
-	}
-	if !t.mig.complete(t.n.par) {
-		return nil
-	}
-	t.epoch, t.mig = t.mig.epoch, nil
-	// A reshape moved state between tasks without consuming input, so older
-	// checkpoints can no longer be reconciled with replay cursors:
-	// re-checkpoint the new placement before any post-reshape tuple arrives.
-	if t.rs != nil {
-		if err := t.rs.checkpoint(t.bolt); err != nil {
-			return t.errf(" post-reshape checkpoint: %w", err)
-		}
-	}
-	// The ack carries this task's post-migration load refresh on a blocking
-	// path, so the controller's first post-reshape decision sees every
-	// task's slice of the new placement rather than a partial picture that
-	// would whipsaw it.
-	a.ackMigration(t.task, t.epoch, t.rep)
 	return nil
 }

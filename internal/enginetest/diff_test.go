@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"squall"
+	"squall/internal/core"
 	"squall/internal/dataflow"
 	"squall/internal/expr"
-	"squall/internal/ft"
 	"squall/internal/recovery"
 	"squall/internal/types"
 )
@@ -252,7 +252,7 @@ func sealedKillPoint(t *testing.T, w *Workload, q *squall.JoinQuery, opts squall
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans, err := ft.RecoveryPlan(hc, task)
+	ms, err := core.Moves(hc, hc, []int{task})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func sealedKillPoint(t *testing.T, w *Workload, q *squall.JoinQuery, opts squall
 			}
 		}
 		total += rows[rel]
-		if plans[rel].Checkpoint {
+		if slices.Contains(ms.From[rel][task], core.Checkpoint) {
 			kill += min(rows[rel], opts.Tier.SegmentRows)
 		} else {
 			kill += rows[rel]

@@ -22,6 +22,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -662,6 +663,12 @@ func (q *JoinQuery) Run(opt Options) (*Result, error) {
 func build(p *Plan, env buildEnv) (*execution, error) {
 	q, opt := p.q, p.opt
 	x := &execution{plan: p, sink: &limitSink{limit: opt.CollectLimit}}
+	if env.pressure != nil && p.Joiner.Policy == "AggViews" {
+		// The host's ladder charges the tiered arenas of tuple-level joins.
+		cp := *p
+		cp.Ignored = append(slices.Clip(p.Ignored), "MemCapBytes: aggregate views keep their state resident, outside the engine cap")
+		x.plan = &cp
+	}
 	// Tiered state (PR 10): the join bolts capture the config, whose stores
 	// and ladder are resolved once the topology has built.
 	var tier *slab.TierConfig

@@ -300,8 +300,9 @@ func TestPostWithAggIsConfigError(t *testing.T) {
 }
 
 // TestPlanReportsTierIgnoredOnAggViews: aggregate views keep their state
-// resident, so a run that sets Tier on them says in its plan that the
-// option went unapplied; tuple-level state applies it and says nothing.
+// resident, so a run that sets Tier on them, or registers them on an
+// engine with a memory cap, says in its plan that the option went
+// unapplied; tuple-level state applies it and says nothing.
 func TestPlanReportsTierIgnoredOnAggViews(t *testing.T) {
 	tier := &squall.TierOptions{SegmentRows: 64}
 	aggViews := runOrFail(t, tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4), squall.Options{Seed: 5, Tier: tier})
@@ -313,6 +314,21 @@ func TestPlanReportsTierIgnoredOnAggViews(t *testing.T) {
 	}
 	if !strings.Contains(aggViews.Plan.String(), "ignored: Tier") {
 		t.Fatalf("plan output does not report the ignored Tier:\n%v", aggViews.Plan)
+	}
+	// An engine cap builds the query against the engine's pressure ladder,
+	// which the views' state never enters.
+	e := squall.NewEngine(squall.EngineOptions{MemCapBytes: 1 << 30})
+	defer e.Close()
+	sq, err := e.Register(squall.RegisterRequest{ID: "tpch9", Query: tpch9Query(squall.HybridHypercube, squall.DBToaster, 0, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	capped, err := sq.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if capped.Plan.Joiner.Operator != "dbtoaster.AggJoin" || len(capped.Plan.Ignored) != 1 || !strings.HasPrefix(capped.Plan.Ignored[0], "MemCapBytes") {
+		t.Fatalf("engine-capped %s: Plan.Ignored = %q, want the engine cap named", capped.Plan.Joiner.Operator, capped.Plan.Ignored)
 	}
 	deltas := tpch9Query(squall.HashHypercube, squall.DBToaster, 0, 4)
 	deltas.ForceDeltaJoin = true
