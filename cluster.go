@@ -147,8 +147,6 @@ type ClusterSpec struct {
 	// Result. Under Recover, components pinned to a worker later declared
 	// dead are reassigned to the coordinator.
 	Place map[string]int
-	// DialTimeout bounds each connection attempt (default 10s).
-	DialTimeout time.Duration
 
 	// Policy picks the response to infrastructure failures (default
 	// FateShare: abort the run, the PR 7 baseline).
@@ -164,7 +162,7 @@ type ClusterSpec struct {
 	// Retry is the dial retry/backoff budget applied to every connection
 	// attempt in the session (coordinator->worker, worker->worker, and
 	// recovery probes). Zero-valued fields take defaults (3 attempts, 50ms
-	// base delay doubling to 2s, DialTimeout per attempt).
+	// base delay doubling to 2s, a 10s DialTimeout per attempt).
 	Retry transport.RetryPolicy
 	// Fault, when set, wraps every coordinator-dialed connection for
 	// deterministic fault injection (see transport.FaultSpec) — the chaos
@@ -210,9 +208,6 @@ func (spec *ClusterSpec) retry() transport.RetryPolicy {
 	rp := spec.Retry
 	if rp.Attempts <= 0 {
 		rp.Attempts = 3
-	}
-	if rp.DialTimeout <= 0 {
-		rp.DialTimeout = spec.DialTimeout
 	}
 	return rp
 }

@@ -3,6 +3,7 @@ package squall_test
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -53,6 +54,15 @@ func clusterParams(cfg enginetest.EngineConfig) clusterjobs.WorkloadParams {
 	}
 }
 
+// resultBag counts a result's rows by key.
+func resultBag(res *squall.Result) map[string]int {
+	bag := make(map[string]int, len(res.Rows))
+	for _, r := range res.Rows {
+		bag[r.Key()]++
+	}
+	return bag
+}
+
 func runClusterCase(t *testing.T, workers int, cfg enginetest.EngineConfig, place map[string]int) *squall.Result {
 	t.Helper()
 	params := clusterParams(cfg)
@@ -72,11 +82,7 @@ func runClusterCase(t *testing.T, workers int, cfg enginetest.EngineConfig, plac
 	}
 
 	w := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, params.WithTheta)
-	got := make(map[string]int, len(res.Rows))
-	for _, r := range res.Rows {
-		got[r.Key()]++
-	}
-	if diff := enginetest.DiffBags(w.ReferenceBag(), got); diff != "" {
+	if diff := enginetest.DiffBags(w.ReferenceBag(), resultBag(res)); diff != "" {
 		t.Fatalf("cluster run diverges from oracle:\n%s", diff)
 	}
 	return res
@@ -254,11 +260,7 @@ func runChaosCase(t *testing.T, params clusterjobs.WorkloadParams, spec *squall.
 		t.Fatalf("cluster run: %v", err)
 	}
 	w := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, params.WithTheta)
-	got := make(map[string]int, len(res.Rows))
-	for _, r := range res.Rows {
-		got[r.Key()]++
-	}
-	if diff := enginetest.DiffBags(w.ReferenceBag(), got); diff != "" {
+	if diff := enginetest.DiffBags(w.ReferenceBag(), resultBag(res)); diff != "" {
 		t.Fatalf("recovered run diverges from oracle:\n%s", diff)
 	}
 	return res
@@ -393,35 +395,106 @@ func TestClusterStaleEpochRejected(t *testing.T) {
 // With ClusterSpec.Store set, a remote chaos kill recovers through the
 // coordinator-served shared store: the worker's checkpoints must land in it.
 func TestClusterSharedStoreKillRecovery(t *testing.T) {
-	cfg := enginetest.EngineConfig{
-		Scheme: squall.HashHypercube, Local: squall.Traditional,
-		BatchSize: 4, Machines: 6, Seed: 42, Kill: true,
+	for _, spill := range []bool{false, true} {
+		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) {
+			// With Spill the joiner's state is tiered, and the shared store,
+			// which holds no segments, replaces the policy's store: every
+			// relation must then checkpoint as frames.
+			cfg := enginetest.EngineConfig{
+				Scheme: squall.HashHypercube, Local: squall.Traditional,
+				BatchSize: 4, Machines: 6, Seed: 42, Kill: true, Spill: spill,
+			}
+			params := clusterParams(cfg)
+			q, opts, err := params.Build()
+			if err != nil {
+				t.Fatalf("build: %v", err)
+			}
+			store := squall.NewMemCheckpointStore()
+			opts.Cluster = &squall.ClusterSpec{
+				Workers: startWorkers(t, 2),
+				Job:     clusterjobs.WorkloadJob,
+				Params:  paramsJSON(params),
+				Store:   store,
+			}
+			res, err := q.Run(opts)
+			if err != nil {
+				t.Fatalf("cluster run: %v", err)
+			}
+			if res.Metrics.Recovery.Kills.Load() != 1 {
+				t.Fatalf("expected 1 recovered kill, got %d", res.Metrics.Recovery.Kills.Load())
+			}
+			sized, ok := store.(interface{ Bytes() int })
+			if !ok {
+				t.Fatalf("mem store lost its Bytes accessor")
+			}
+			if sized.Bytes() == 0 {
+				t.Fatalf("remote kill recovered without a single checkpoint reaching the shared store")
+			}
+			w := enginetest.RandomWorkload(params.Seed, params.NumRels, params.RowsPerRel, params.KeyDomain, params.WithTheta)
+			if diff := enginetest.DiffBags(w.ReferenceBag(), resultBag(res)); diff != "" {
+				t.Fatalf("cluster run diverges from oracle:\n%s", diff)
+			}
+		})
 	}
-	params := clusterParams(cfg)
-	q, opts, err := params.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
+}
+
+// lateKillJob is the worker-loss workload with the kill late in the run:
+// joiner task 0 dies after 200 tuples, once its tiered state has sealed
+// segments that checkpoints reference, so the restore reads them back.
+const lateKillJob = "test-late-kill"
+
+var buildLateKill squall.ClusterJob = func(params []byte) (*squall.JoinQuery, squall.Options, error) {
+	var p clusterjobs.WorkloadParams
+	if err := json.Unmarshal(params, &p); err != nil {
+		return nil, squall.Options{}, err
 	}
-	store := squall.NewMemCheckpointStore()
-	opts.Cluster = &squall.ClusterSpec{
-		Workers: startWorkers(t, 2),
-		Job:     clusterjobs.WorkloadJob,
-		Params:  paramsJSON(params),
-		Store:   store,
+	q, opts, err := p.Build()
+	opts.FaultPlan = &squall.FaultPlan{Task: 0, AfterTuples: 200}
+	return q, opts, err
+}
+
+func init() { squall.RegisterClusterJob(lateKillJob, buildLateKill) }
+
+// TestClusterRecoveryMetricsReachCoordinator: a kill restored from sealed
+// checkpoint segments on worker 1 reports the same recovery counters at the
+// coordinator as the in-process run does, SegmentBytes among them, and the
+// same bag.
+func TestClusterRecoveryMetricsReachCoordinator(t *testing.T) {
+	params := clusterjobs.WorkloadParams{
+		Seed: 42, NumRels: 3, RowsPerRel: 1200, KeyDomain: 400,
+		Config: enginetest.EngineConfig{
+			Scheme: squall.HashHypercube, Local: squall.Traditional,
+			BatchSize: 16, Machines: 6, Seed: 42, Kill: true, Spill: true,
+		},
 	}
-	res, err := q.Run(opts)
-	if err != nil {
-		t.Fatalf("cluster run: %v", err)
+	run := func(cluster bool) *squall.Result {
+		q, opts, err := buildLateKill(paramsJSON(params))
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		if cluster {
+			opts.Cluster = &squall.ClusterSpec{
+				Workers: startWorkers(t, 1), Job: lateKillJob, Params: paramsJSON(params),
+				// rel0 replays on the joiner's worker, rel1 and rel2 over TCP.
+				Place: map[string]int{"rel0": 1, "rel1": 0, "rel2": 0, "joiner": 1, "sink": 0},
+			}
+		}
+		res, err := q.Run(opts)
+		if err != nil {
+			t.Fatalf("run (cluster %v): %v", cluster, err)
+		}
+		return res
 	}
-	if res.Metrics.Recovery.Kills.Load() != 1 {
-		t.Fatalf("expected 1 recovered kill, got %d", res.Metrics.Recovery.Kills.Load())
+	local, clustered := run(false), run(true)
+	for name, res := range map[string]*squall.Result{"in-process": local, "cluster": clustered} {
+		r := &res.Metrics.Recovery
+		if r.Kills.Load() != 1 || r.StoreReads.Load() < 2 || r.SegmentBytes.Load() <= 0 {
+			t.Errorf("%s: kills %d, store reads %d, segment bytes %d; want 1, >= 2, > 0",
+				name, r.Kills.Load(), r.StoreReads.Load(), r.SegmentBytes.Load())
+		}
 	}
-	sized, ok := store.(interface{ Bytes() int })
-	if !ok {
-		t.Fatalf("mem store lost its Bytes accessor")
-	}
-	if sized.Bytes() == 0 {
-		t.Fatalf("remote kill recovered without a single checkpoint reaching the shared store")
+	if diff := enginetest.DiffBags(resultBag(local), resultBag(clustered)); diff != "" {
+		t.Fatalf("cluster run diverges from the in-process run:\n%s", diff)
 	}
 }
 

@@ -98,6 +98,13 @@ type AdaptMetrics struct {
 	FinalRows, FinalCols atomic.Int64
 }
 
+// counters lists the counters a cluster run sums across workers, then the
+// ones only the adaptive component's host stores.
+func (m *AdaptMetrics) counters() (summed, owned []*atomic.Int64) {
+	return []*atomic.Int64{&m.Reshapes, &m.MigratedTuples, &m.MigratedBytes},
+		[]*atomic.Int64{&m.FinalRows, &m.FinalCols}
+}
+
 // adaptState is the per-run adaptive plane: the controller's decision
 // inputs. Producers route under the shape the execution's gate publishes;
 // reshape rounds move state through moves.go.

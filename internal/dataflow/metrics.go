@@ -21,6 +21,12 @@ type TaskMetrics struct {
 	VecRows atomic.Int64
 }
 
+// counters lists every counter of the task in one fixed order, the order
+// a MetricsSnapshot carries them in.
+func (t *TaskMetrics) counters() []*atomic.Int64 {
+	return []*atomic.Int64{&t.Received, &t.Emitted, &t.Sent, &t.Batches, &t.BytesOut, &t.MaxMem, &t.VecRows}
+}
+
 // ComponentMetrics aggregates the tasks of one component.
 type ComponentMetrics struct {
 	Name  string

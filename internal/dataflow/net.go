@@ -32,7 +32,6 @@ import (
 	"syscall"
 
 	"squall/internal/core"
-	"squall/internal/recovery"
 	"squall/internal/transport"
 	"squall/internal/wire"
 )
@@ -740,32 +739,23 @@ func allTasks(n *node) []int {
 	return ts
 }
 
-// replayRemote asks every remote worker hosting checkpoint-routed producers
-// to re-deliver its retained input to the recovering task, past the
-// checkpoint cursors in manifest (nil when no checkpoint exists). It returns
-// once every worker's flush token has come back through the victim's inbox,
-// so the caller may enqueue ctrlMoveDone knowing it cannot overtake replayed
-// input.
-func (p *NetPlane) replayRemote(prot *node, victim int, ckRels []bool, relOfEdge []int, manifest *recovery.Manifest) bool {
+// replayRemote asks every remote worker hosting producers that streams
+// names to re-deliver its retained input to the recovering task, past the
+// per-producer-task cursors streams gives. It returns once every worker's
+// flush token has come back through the victim's inbox, so the caller may
+// enqueue ctrlMoveDone knowing it cannot overtake replayed input.
+func (p *NetPlane) replayRemote(prot *node, victim int, streams map[string][]int64) bool {
 	byWorker := make(map[int]*replayReq)
-	for i, e := range prot.inputs {
-		if !ckRels[relOfEdge[i]] {
-			continue // peer-routed relation: no replay
-		}
+	for _, e := range prot.inputs {
+		curs, ok := streams[e.from.name]
 		w := p.workerOf(e.from.name)
-		if w == p.cfg.Self {
-			continue // the local replay loop already delivered these
+		if !ok || w == p.cfg.Self {
+			continue // not replayed, or replayed by the local loop
 		}
 		r := byWorker[w]
 		if r == nil {
 			r = &replayReq{Node: prot.name, Victim: victim, Streams: make(map[string][]int64)}
 			byWorker[w] = r
-		}
-		curs := make([]int64, e.from.par)
-		if manifest != nil {
-			for t := range curs {
-				curs[t] = manifest.CursorFor(e.from.name, t)
-			}
 		}
 		r.Streams[e.from.name] = curs
 	}
@@ -793,53 +783,21 @@ func (p *NetPlane) replayRemote(prot *node, victim int, ckRels []bool, relOfEdge
 	return p.waitTokens(waits)
 }
 
-// serveReplay re-delivers this worker's retained input to a recovering remote
-// task: for each hosted producer of the protected component, every replay
-// buffer entry past the checkpoint cursor goes out as an ordinary seq-tagged
-// data message (the victim dedups, so over-replay is harmless), then the
-// flush token closes the stream. Runs on its own goroutine; replay data
-// flows under the normal credit windows.
+// serveReplay answers a recovering remote task's replay request: the
+// recovery plane's replay loop re-delivers this worker's retained input
+// through ordinary sends, which reach the requesting worker on the same
+// link under the normal credit windows, then the flush token closes the
+// stream behind it. Runs on its own goroutine.
 func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
-	ex := p.ex
-	if ex.rec == nil {
-		p.fail(fmt.Errorf("dataflow: replay request without a recovery plane"))
+	rec := p.ex.rec
+	if rec == nil || rec.node.name != req.Node {
+		p.fail(fmt.Errorf("dataflow: replay request for %q, which this run does not protect", req.Node))
 		return
 	}
-	prot := ex.topo.byN[req.Node]
-	if prot == nil {
-		p.fail(fmt.Errorf("dataflow: replay request for unknown component %q", req.Node))
+	if !rec.replay(req.Victim, req.Streams) {
 		return
 	}
 	ni := p.nodeIdx[req.Node]
-	rm := &ex.metrics.Recovery
-	for _, e := range prot.inputs {
-		curs, ok := req.Streams[e.from.name]
-		if !ok || !p.owns(e.from) {
-			continue
-		}
-		base := ex.rec.pidBase[e.from]
-		for t := 0; t < e.from.par; t++ {
-			var ckptCur int64
-			if t < len(curs) {
-				ckptCur = curs[t]
-			}
-			for _, ent := range ex.rec.snapshotBuf(base+t, req.Victim) {
-				if ent.seq <= ckptCur {
-					continue
-				}
-				m := transport.Msg{Kind: mkFrame, Stream: e.from.name, A: int64(ni), B: int64(req.Victim), C: int64(t), D: ent.seq, Payload: ent.frame}
-				if !lk.credit(flowKey(ni, req.Victim), p.window).Acquire(ex.abort) {
-					return
-				}
-				if err := lk.conn.WriteMsg(&m); err != nil {
-					p.fail(fmt.Errorf("dataflow: replaying to worker %d: %w", lk.worker, err))
-					return
-				}
-				rm.ReplayedEnvelopes.Add(1)
-				rm.ReplayedTuples.Add(int64(ent.count))
-			}
-		}
-	}
 	if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkToken, A: int64(ni), B: int64(req.Victim), C: req.Token}); err != nil {
 		p.fail(fmt.Errorf("dataflow: replay token to worker %d: %w", lk.worker, err))
 	}
@@ -863,110 +821,91 @@ func (p *NetPlane) trimBroadcast(prot *node, task int, cursors map[string][]int6
 	}
 }
 
-// TaskCounters is one task's metrics flattened for the completion exchange.
-type TaskCounters struct {
-	Received, Emitted, Sent, Batches, BytesOut, MaxMem int64
-}
-
 // MetricsSnapshot is one worker's contribution to the run metrics, shipped
-// to the coordinator in the session's completion message. Component counters
-// are authoritative for the components the worker hosts; control-plane
-// counters are additive across workers except the final-matrix shape, which
-// only the adaptive component's host reports.
+// to the coordinator in the session's completion message. Every counter
+// list is in the order its struct's counters method gives. Component
+// counters are authoritative for the components the worker hosts;
+// control-plane counters add across workers, except the owned ones (the
+// final-matrix shape, the last recovery's duration), which only the
+// controlled component's host reports.
 type MetricsSnapshot struct {
-	Worker                                                        int
-	Components                                                    map[string][]TaskCounters
-	AdaptOwner                                                    bool
-	Reshapes, MigratedTuples, MigratedBytes, FinalRows, FinalCols int64
-	RecOwner                                                      bool
-	Faults, Kills, Panics, PeerRels, CheckpointRels               int64
-	RestoredTuples, PeerBytes, StoreReads, StoreBytes             int64
-	ReplayedEnvelopes, ReplayedTuples                             int64
-	Checkpoints, CheckpointBytes                                  int64
-	RecoveryNS, LastRecoveryNS                                    int64
+	Worker int
+	// Components holds, per hosted component, each task's TaskMetrics.
+	Components           map[string][][]int64
+	AdaptOwner, RecOwner bool
+	// Adapt and Recovery hold AdaptMetrics and RecoveryMetrics: the summed
+	// counters, then the owned ones.
+	Adapt, Recovery []int64
 }
 
 // LocalSnapshot captures this worker's slice of the run metrics after Run
 // returns.
 func (p *NetPlane) LocalSnapshot(m *RunMetrics) *MetricsSnapshot {
-	s := &MetricsSnapshot{Worker: p.cfg.Self, Components: make(map[string][]TaskCounters)}
+	s := &MetricsSnapshot{Worker: p.cfg.Self, Components: make(map[string][][]int64)}
 	for _, n := range p.nodes {
 		if !p.owns(n) {
 			continue
 		}
-		cm := m.Components[n.name]
-		tcs := make([]TaskCounters, len(cm.Tasks))
-		for i, t := range cm.Tasks {
-			tcs[i] = TaskCounters{
-				Received: t.Received.Load(), Emitted: t.Emitted.Load(), Sent: t.Sent.Load(),
-				Batches: t.Batches.Load(), BytesOut: t.BytesOut.Load(), MaxMem: t.MaxMem.Load(),
-			}
+		tasks := m.Components[n.name].Tasks
+		vs := make([][]int64, len(tasks))
+		for i, t := range tasks {
+			vs[i] = loadCounters(t.counters())
 		}
-		s.Components[n.name] = tcs
+		s.Components[n.name] = vs
 	}
 	s.AdaptOwner = p.ex.adapt != nil && p.owns(p.ex.adapt.node)
-	s.Reshapes = m.Adapt.Reshapes.Load()
-	s.MigratedTuples = m.Adapt.MigratedTuples.Load()
-	s.MigratedBytes = m.Adapt.MigratedBytes.Load()
-	s.FinalRows = m.Adapt.FinalRows.Load()
-	s.FinalCols = m.Adapt.FinalCols.Load()
 	s.RecOwner = p.ex.rec != nil && p.owns(p.ex.rec.node)
-	r := &m.Recovery
-	s.Faults, s.Kills, s.Panics = r.Faults.Load(), r.Kills.Load(), r.Panics.Load()
-	s.PeerRels, s.CheckpointRels = r.PeerRels.Load(), r.CheckpointRels.Load()
-	s.RestoredTuples, s.PeerBytes = r.RestoredTuples.Load(), r.PeerBytes.Load()
-	s.StoreReads, s.StoreBytes = r.StoreReads.Load(), r.StoreBytes.Load()
-	s.ReplayedEnvelopes, s.ReplayedTuples = r.ReplayedEnvelopes.Load(), r.ReplayedTuples.Load()
-	s.Checkpoints, s.CheckpointBytes = r.Checkpoints.Load(), r.CheckpointBytes.Load()
-	s.RecoveryNS, s.LastRecoveryNS = r.RecoveryNS.Load(), r.LastRecoveryNS.Load()
+	summed, owned := m.Adapt.counters()
+	s.Adapt = loadCounters(append(summed, owned...))
+	summed, owned = m.Recovery.counters()
+	s.Recovery = loadCounters(append(summed, owned...))
 	return s
 }
 
 // ApplySnapshot merges a remote worker's snapshot into the coordinator's run
 // metrics: hosted-component counters overwrite (the coordinator's local
-// values for those components are zero), control-plane counters add.
+// values for those components are zero), control-plane counters add, and
+// owned ones are stored from their owner.
 func (p *NetPlane) ApplySnapshot(m *RunMetrics, s *MetricsSnapshot) {
-	for name, tcs := range s.Components {
+	for name, tasks := range s.Components {
 		cm := m.Components[name]
 		if cm == nil {
 			continue
 		}
-		for i, tc := range tcs {
+		for i, vs := range tasks {
 			if i >= len(cm.Tasks) {
 				break
 			}
-			t := cm.Tasks[i]
-			t.Received.Store(tc.Received)
-			t.Emitted.Store(tc.Emitted)
-			t.Sent.Store(tc.Sent)
-			t.Batches.Store(tc.Batches)
-			t.BytesOut.Store(tc.BytesOut)
-			t.MaxMem.Store(tc.MaxMem)
+			for j, c := range cm.Tasks[i].counters() {
+				if j < len(vs) {
+					c.Store(vs[j])
+				}
+			}
 		}
 	}
-	m.Adapt.Reshapes.Add(s.Reshapes)
-	m.Adapt.MigratedTuples.Add(s.MigratedTuples)
-	m.Adapt.MigratedBytes.Add(s.MigratedBytes)
-	if s.AdaptOwner {
-		m.Adapt.FinalRows.Store(s.FinalRows)
-		m.Adapt.FinalCols.Store(s.FinalCols)
+	summed, owned := m.Adapt.counters()
+	mergeCounters(summed, owned, s.Adapt, s.AdaptOwner)
+	summed, owned = m.Recovery.counters()
+	mergeCounters(summed, owned, s.Recovery, s.RecOwner)
+}
+
+func loadCounters(cs []*atomic.Int64) []int64 {
+	vs := make([]int64, len(cs))
+	for i, c := range cs {
+		vs[i] = c.Load()
 	}
-	r := &m.Recovery
-	r.Faults.Add(s.Faults)
-	r.Kills.Add(s.Kills)
-	r.Panics.Add(s.Panics)
-	r.PeerRels.Add(s.PeerRels)
-	r.CheckpointRels.Add(s.CheckpointRels)
-	r.RestoredTuples.Add(s.RestoredTuples)
-	r.PeerBytes.Add(s.PeerBytes)
-	r.StoreReads.Add(s.StoreReads)
-	r.StoreBytes.Add(s.StoreBytes)
-	r.ReplayedEnvelopes.Add(s.ReplayedEnvelopes)
-	r.ReplayedTuples.Add(s.ReplayedTuples)
-	r.Checkpoints.Add(s.Checkpoints)
-	r.CheckpointBytes.Add(s.CheckpointBytes)
-	r.RecoveryNS.Add(s.RecoveryNS)
-	if s.RecOwner {
-		r.LastRecoveryNS.Store(s.LastRecoveryNS)
+	return vs
+}
+
+// mergeCounters adds the summed prefix of vs into summed and, when the
+// snapshot comes from the owner, stores the rest into owned.
+func mergeCounters(summed, owned []*atomic.Int64, vs []int64, owner bool) {
+	for i, v := range vs {
+		switch j := i - len(summed); {
+		case j < 0:
+			summed[i].Add(v)
+		case owner && j < len(owned):
+			owned[j].Store(v)
+		}
 	}
 }

@@ -10,10 +10,12 @@
 package dataflow
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -627,5 +629,69 @@ func TestIsInfra(t *testing.T) {
 		if got := IsInfra(tc.err); got != tc.want {
 			t.Errorf("IsInfra(%v) = %v, want %v", tc.err, got, tc.want)
 		}
+	}
+}
+
+// TestMetricsSnapshotCarriesEveryCounter sets every counter of TaskMetrics,
+// AdaptMetrics and RecoveryMetrics on a worker hosting the protected and
+// adaptive joiner to a distinct value, and checks each one arrives in the
+// coordinator's metrics through LocalSnapshot, JSON and ApplySnapshot.
+func TestMetricsSnapshotCarriesEveryCounter(t *testing.T) {
+	build := buildNetRecTopo(t, 1, 1, 3)
+	place := map[string]int{"R": 0, "S": 0, "join": 1, "sink": 0}
+	execAt := func(self int) (*NetPlane, *execution) {
+		topo, _ := build()
+		p := NewNetPlane(NetConfig{Self: self, Workers: 2, Place: place})
+		ex, err := newExecution(topo, Options{Net: p, Recovery: recPolicy(3, nil, nil, false, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.ex, p.nodes = ex, topo.nodes
+		ex.adapt = &adaptState{node: ex.rec.node}
+		return p, ex
+	}
+	type counter struct {
+		name string
+		c    *atomic.Int64
+	}
+	counters := func(prefix string, v any) []counter {
+		var out []counter
+		rv := reflect.ValueOf(v).Elem()
+		for i := 0; i < rv.NumField(); i++ {
+			if c, ok := rv.Field(i).Addr().Interface().(*atomic.Int64); ok {
+				out = append(out, counter{prefix + rv.Type().Field(i).Name, c})
+			}
+		}
+		return out
+	}
+	all := func(m *RunMetrics) []counter {
+		out := append(counters("Adapt.", &m.Adapt), counters("Recovery.", &m.Recovery)...)
+		for i, tm := range m.Components["join"].Tasks {
+			out = append(out, counters(fmt.Sprintf("join[%d].", i), tm)...)
+		}
+		return out
+	}
+
+	worker, wex := execAt(1)
+	for i, c := range all(wex.metrics) {
+		c.c.Store(int64(1000 + i))
+	}
+	body, err := json.Marshal(worker.LocalSnapshot(wex.metrics))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	coord, cex := execAt(0)
+	coord.ApplySnapshot(cex.metrics, &snap)
+	for i, c := range all(cex.metrics) {
+		if got := c.c.Load(); got != int64(1000+i) {
+			t.Errorf("%s reads %d at the coordinator, want %d", c.name, got, 1000+i)
+		}
+	}
+	if n := len(all(cex.metrics)); n != 3+2+16+3*7 {
+		t.Errorf("walked %d counters: a metrics struct changed, update this count", n)
 	}
 }

@@ -148,7 +148,8 @@ type RecoveryMetrics struct {
 	StoreReads     atomic.Int64
 	StoreBytes     atomic.Int64
 	// SegmentBytes measures sealed-segment blobs read back from the
-	// checkpoint store during v2 (tiered) restores; a subset of StoreBytes.
+	// checkpoint store during restores of tiered state; a subset of
+	// StoreBytes.
 	SegmentBytes atomic.Int64
 	// ReplayedEnvelopes / ReplayedTuples measure re-delivered input.
 	ReplayedEnvelopes atomic.Int64
@@ -160,6 +161,15 @@ type RecoveryMetrics struct {
 	// ack); LastRecoveryNS is the most recent round's duration.
 	RecoveryNS     atomic.Int64
 	LastRecoveryNS atomic.Int64
+}
+
+// counters lists the counters a cluster run sums across workers, then the
+// one only the protected component's host stores.
+func (m *RecoveryMetrics) counters() (summed, owned []*atomic.Int64) {
+	return []*atomic.Int64{&m.Faults, &m.Kills, &m.Panics, &m.PeerRels, &m.CheckpointRels,
+			&m.RestoredTuples, &m.PeerBytes, &m.StoreReads, &m.StoreBytes, &m.SegmentBytes,
+			&m.ReplayedEnvelopes, &m.ReplayedTuples, &m.Checkpoints, &m.CheckpointBytes, &m.RecoveryNS},
+		[]*atomic.Int64{&m.LastRecoveryNS}
 }
 
 // replayEnt is one retained envelope in a producer's replay buffer.
@@ -493,60 +503,43 @@ func checkpointMoves(rels, tasks int, lost []int) *core.MoveSet {
 // replays the retained input past the checkpoint cursors (ck is nil when
 // the victim has none) for every checkpoint-routed relation, then ships each
 // one's sealed segments and checkpoint frames and ends it with a
-// ctrlMoveDone. The victim dedups replay by sequence, so over-replay is
-// harmless; under-replay is impossible because trims only advance at
+// ctrlMoveDone. Under-replay is impossible because trims only advance at
 // checkpoint commits.
 func (a *recState) serveCheckpoint(victim int, ckRels []bool, ck *recovery.Checkpoint) bool {
 	m := &a.ex.metrics.Recovery
-	var man *recovery.Manifest
-	if ck != nil {
-		man = &ck.Manifest
-	}
+	streams := make(map[string][]int64)
 	for i, e := range a.node.inputs {
 		if !ckRels[a.relOfEdge[i]] {
-			continue
+			continue // peer-routed relation: no replay
 		}
-		base := a.pidBase[e.from]
-		for p := 0; p < e.from.par; p++ {
-			var ckptCur int64
-			if man != nil {
-				ckptCur = man.CursorFor(e.from.name, p)
-			}
-			for _, ent := range a.snapshotBuf(base+p, victim) {
-				if ent.seq <= ckptCur {
-					continue
-				}
-				// The retained frame is shared with the buffer: replay never
-				// pools it, and consumers only read frames.
-				env := envelope{stream: e.from.name, from: p, seq: ent.seq, frame: ent.frame, count: ent.count}
-				m.ReplayedEnvelopes.Add(1)
-				m.ReplayedTuples.Add(int64(ent.count))
-				if !a.ex.send(a.node, victim, env) {
-					return false
-				}
+		curs := make([]int64, e.from.par)
+		if ck != nil {
+			for p := range curs {
+				curs[p] = ck.Manifest.CursorFor(e.from.name, p)
 			}
 		}
+		streams[e.from.name] = curs
 	}
-	// Remote producers replay their own retained input: each serving worker
-	// streams seq-tagged data messages and a flush token; waiting on the
-	// tokens (which traverse the victim's inbox behind the replayed data)
-	// guarantees the ctrlMoveDone markers below cannot overtake any of it.
-	if a.ex.net != nil && !a.ex.net.replayRemote(a.node, victim, ckRels, a.relOfEdge, man) {
+	if !a.replay(victim, streams) {
+		return false
+	}
+	// Remote producers replay their own retained input through the same
+	// loop, then a flush token; waiting on the tokens (which traverse the
+	// victim's inbox behind the replayed data) guarantees the ctrlMoveDone
+	// markers below cannot overtake any of it.
+	if a.ex.net != nil && !a.ex.net.replayRemote(a.node, victim, streams) {
 		return false
 	}
 	for rel, routed := range ckRels {
 		if !routed {
 			continue
 		}
-		if ck != nil && ck.Segments != nil && rel < len(ck.Segments) {
-			// v2 manifest: the relation's sealed rows live in the store as
-			// referenced segments; read each back, verify it byte-for-byte
-			// against the manifest's CRC, and ship its rows. A corrupt or
-			// missing checkpoint segment fails the run — fabricating state
-			// is worse than dying.
-			if !a.restoreSegments(victim, rel, ck.Segments[rel]) {
-				return false
-			}
+		if ck != nil && rel < len(ck.Segments) && !a.restoreSegments(victim, rel, ck.Segments[rel]) {
+			// The relation's sealed rows live in the store as referenced
+			// segments, each verified against the checkpoint's CRC; a
+			// corrupt or missing one fails the run — fabricating state is
+			// worse than dying.
+			return false
 		}
 		if ck != nil && rel < len(ck.Frames) {
 			// Checkpoint frames ship as stored: the importer walks them and
@@ -561,6 +554,44 @@ func (a *recState) serveCheckpoint(victim int, ckRels []bool, ck *recovery.Check
 		}
 		if !a.ex.sendCtrl(victim, envelope{ctrl: ctrlMoveDone}) {
 			return false
+		}
+	}
+	return true
+}
+
+// replay re-delivers to task victim the retained input of every producer
+// hosted in this process whose stream streams names, past that stream's
+// per-producer-task cursor. It is the one replay loop: the controller runs
+// it for its own producers, and a worker serving a remote replay request
+// for its own. ex.send picks the victim's inbox, or the socket to the
+// victim's worker under the flow's credit window. The victim dedups by
+// sequence, so over-replay is harmless.
+func (a *recState) replay(victim int, streams map[string][]int64) bool {
+	m := &a.ex.metrics.Recovery
+	for _, e := range a.node.inputs {
+		curs, ok := streams[e.from.name]
+		if !ok || (a.ex.net != nil && !a.ex.net.owns(e.from)) {
+			continue
+		}
+		base := a.pidBase[e.from]
+		for p := 0; p < e.from.par; p++ {
+			var ckptCur int64
+			if p < len(curs) {
+				ckptCur = curs[p]
+			}
+			for _, ent := range a.snapshotBuf(base+p, victim) {
+				if ent.seq <= ckptCur {
+					continue
+				}
+				// The retained frame is shared with the buffer: replay never
+				// pools it, and consumers only read frames.
+				env := envelope{stream: e.from.name, from: p, seq: ent.seq, frame: ent.frame, count: ent.count}
+				m.ReplayedEnvelopes.Add(1)
+				m.ReplayedTuples.Add(int64(ent.count))
+				if !a.ex.send(a.node, victim, env) {
+					return false
+				}
+			}
 		}
 	}
 	return true
@@ -639,57 +670,38 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 				recovery.Cursor{Stream: e.from.name, FromTask: p, Seq: s.cursors[e.from.name][p]})
 		}
 	}
+	// Tiered bolts checkpoint incrementally: sealed segments were persisted
+	// to the checkpoint store when they sealed (or spilled), so the
+	// checkpoint references them by key + CRC and only the hot (unsealed)
+	// rows are exported as frames. The bolt decides per relation; any other
+	// bolt exports every row as frames.
 	batch := a.ex.opts.BatchSize
 	var frames [][]byte
+	var bytes int64
 	keep := func(frame []byte, count int) bool {
 		frames = append(frames, append([]byte(nil), frame...))
 		ck.Tuples += int64(count)
+		bytes += int64(len(frame))
 		return true
 	}
-
-	// Tiered bolts checkpoint incrementally (PR 10): sealed segments were
-	// persisted to the checkpoint store when they sealed (or spilled), so the
-	// manifest references them by key + CRC and only the hot (unsealed) rows
-	// are re-exported as frames. The v2 export is all-or-nothing across
-	// relations — every relation shares one state layout, so a single renege
-	// sends the whole checkpoint to the v1 path.
-	if te, ok := bolt.(TierExporter); ok {
-		if _, ok := a.pol.Store.(slab.SegmentStore); ok {
-			tiered := true
-			for rel := 0; rel < a.pol.NumRels && tiered; rel++ {
-				frames = nil
-				cks, relOK, err := te.ExportStateTier(rel, batch, keep)
-				if err != nil {
-					return err
-				}
-				if !relOK {
-					tiered = false
-					break
-				}
-				refs := make([]recovery.SegmentRef, len(cks))
-				for i, c := range cks {
-					refs[i] = recovery.SegmentRef{Key: c.Key, CRC: c.CRC, Rows: int64(c.Rows)}
-				}
-				ck.Segments = append(ck.Segments, refs)
-				ck.Frames = append(ck.Frames, frames)
-			}
-			if !tiered {
-				ck.Segments, ck.Frames, ck.Tuples = nil, nil, 0
-			}
-		}
-	}
-	if ck.Segments == nil {
-		for rel := 0; rel < a.pol.NumRels; rel++ {
-			frames = nil
+	te, tiered := bolt.(TierExporter)
+	ck.Segments = make([][]recovery.SegmentRef, a.pol.NumRels)
+	for rel := range ck.Segments {
+		frames = nil
+		var cks []slab.SegmentCk
+		var err error
+		if tiered {
+			cks, err = te.ExportStateTier(rel, batch, keep)
+		} else {
 			rep.ExportStateFrames(rel, batch, keep)
-			ck.Frames = append(ck.Frames, frames)
 		}
-	}
-	var bytes int64
-	for _, frames := range ck.Frames {
-		for _, f := range frames {
-			bytes += int64(len(f))
+		if err != nil {
+			return err
 		}
+		for _, c := range cks {
+			ck.Segments[rel] = append(ck.Segments[rel], recovery.SegmentRef{Key: c.Key, CRC: c.CRC, Rows: int64(c.Rows)})
+		}
+		ck.Frames = append(ck.Frames, frames)
 	}
 	if err := a.pol.Store.Put(a.node.name, s.task, ck); err != nil {
 		return err
@@ -717,6 +729,9 @@ func (s *recSession) checkpoint(bolt Bolt) error {
 // after a row: the alternatives are fabricating rows or silently dropping
 // them.
 func (a *recState) restoreSegments(task, rel int, refs []recovery.SegmentRef) bool {
+	if len(refs) == 0 {
+		return true
+	}
 	ss, ok := a.pol.Store.(slab.SegmentStore)
 	if !ok {
 		a.ex.fail(fmt.Errorf("dataflow: checkpoint of %s[%d] references segments but store %T cannot read them", a.node.name, task, a.pol.Store))

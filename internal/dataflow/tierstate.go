@@ -24,12 +24,12 @@ type StateReleaser interface {
 // TierExporter is implemented by bolts that can export one relation's state
 // as sealed-segment references plus bare hot-row frames — the incremental
 // checkpoint path. Sealed segments were persisted to the checkpoint store
-// when they sealed (or spill), so a later checkpoint references them by key
-// and CRC instead of re-exporting their rows. ok=false means this relation
-// cannot use the tiered path (not tiered, no checkpoint store) and the
-// caller falls back to full-frame export.
+// when they sealed (or spilled), so a later checkpoint references them by
+// key and CRC instead of re-exporting their rows. A relation that cannot
+// take that path (not tiered, or no checkpoint store) exports every row as
+// frames and no references.
 type TierExporter interface {
-	ExportStateTier(rel, batchSize int, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error)
+	ExportStateTier(rel, batchSize int, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, error)
 }
 
 // releaseState refunds a dropped bolt instance's external charges.

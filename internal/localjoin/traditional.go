@@ -321,12 +321,12 @@ func (j *Traditional) ReleaseState() {
 	}
 }
 
-// ExportRelTier exports one relation for an incremental (v2) checkpoint:
-// sealed segments as store references (persisted to the tier's checkpoint
-// store on first export) and hot rows as wire batch frames. Reports
-// ok=false when the relation is not tiered or its tier has no checkpoint
-// store — the caller falls back to full-frame export. A failed segment
-// write is an error, not a fallback.
+// ExportRelTier exports one relation for an incremental checkpoint: sealed
+// segments as store references (persisted to the tier's checkpoint store
+// on first export) and hot rows as wire batch frames. Reports ok=false,
+// having visited nothing, when the relation is not tiered or its tier has
+// no checkpoint store; the caller then exports it with ExportRelFrames. A
+// failed segment write is an error, not a fallback.
 func (j *Traditional) ExportRelTier(rel, batchSize int, footer bool, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
 	a := j.stores[rel].arena
 	if !a.HasCkStore() {

@@ -114,11 +114,16 @@ func (b *joinBolt) SpilledBytes() int { return b.mj.SpilledBytes() }
 // (dataflow.StateReleaser); called when the task instance is dropped.
 func (b *joinBolt) ReleaseState() { b.mj.ReleaseState() }
 
-// ExportStateTier exports one relation for an incremental checkpoint: sealed
-// segments by store reference, hot rows as bare frames
-// (dataflow.TierExporter). ok=false sends the caller to the full-frame path.
-func (b *joinBolt) ExportStateTier(rel, batchSize int, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, bool, error) {
-	return b.mj.ExportRelTier(rel, batchSize, false, visit)
+// ExportStateTier exports one relation for a checkpoint
+// (dataflow.TierExporter): sealed segments by store reference and hot rows
+// as bare frames when the relation is tiered with a checkpoint store, every
+// row as frames otherwise.
+func (b *joinBolt) ExportStateTier(rel, batchSize int, visit func(frame []byte, count int) bool) ([]slab.SegmentCk, error) {
+	cks, tiered, err := b.mj.ExportRelTier(rel, batchSize, false, visit)
+	if err == nil && !tiered {
+		b.mj.ExportRelFrames(rel, batchSize, false, visit)
+	}
+	return cks, err
 }
 
 // Live-repartitioning hooks (dataflow.Repartitioner), backed by the local

@@ -15,11 +15,14 @@
 //   - per relation, the stored tuples as ready-made wire batch frames,
 //     blitted from the slab arenas (slab.Arena.EachFrame /
 //     dataflow.Repartitioner.ExportStateFrames) without re-materializing
-//     tuples.
+//     tuples, plus the sealed segments of tiered state by reference
+//     (SegmentRef), whose rows the frames then leave out.
 //
 // Rows being byte-identical to the wire encoding is what makes checkpoints
 // cheap: a checkpoint write is a memcpy of packed rows plus a small
-// manifest, never an O(values) re-encode.
+// manifest, never an O(values) re-encode. One encoding carries both kinds
+// of state: every relation has a frame list and a segment list, either of
+// which may be empty.
 package recovery
 
 import (
@@ -40,7 +43,7 @@ type Manifest struct {
 	// Component and Task name the owning joiner task.
 	Component string
 	Task      int
-	// Rels is the number of per-relation frame sets in the checkpoint body.
+	// Rels is the number of relations in the checkpoint body.
 	Rels int
 	// Cursors holds one entry per (input stream, producer task) pair.
 	Cursors []Cursor
@@ -72,142 +75,85 @@ type SegmentRef struct {
 }
 
 // Checkpoint is one task's full snapshot: the manifest plus, per relation,
-// the stored tuples as wire batch frames.
+// the stored tuples as wire batch frames and the sealed segments it
+// references.
 type Checkpoint struct {
 	Manifest Manifest
 	// Frames[rel] is relation rel's state as encoded wire batch frames. In
 	// an incremental checkpoint these cover only the hot (unsealed) rows;
 	// sealed rows are referenced through Segments.
 	Frames [][][]byte
-	// Segments[rel], when non-nil, lists relation rel's sealed segments by
-	// store reference (incremental checkpoints only; nil in v1).
+	// Segments[rel] lists relation rel's sealed segments by store
+	// reference; a relation whose state is not tiered lists none. Decoding
+	// leaves Segments nil when no relation references a segment.
 	Segments [][]SegmentRef
 	// Tuples counts the stored tuples across relations (metrics only).
 	Tuples int64
 }
 
-// manifestMagic tags encoded manifests; version byte follows.
+// checkpointMagic tags encoded checkpoints; the version byte follows. Only
+// checkpointVersion is read: a restore reads checkpoints its own run wrote,
+// so versions 1 to 3 (full frames without segment lists, a per-row skip
+// bitmap after each reference, and segment lists in a second pass behind a
+// nested manifest header) are refused as unsupported rather than misparsed.
 const (
-	manifestMagic   = "SQMF"
-	manifestVersion = 1
-	checkpointMagic = "SQCK"
-	// checkpointVersion 1 is the full-frame format, which untiered state
-	// and the tiered export's fallback still write; checkpointVersionSegs
-	// appends per-relation sealed-segment reference lists (incremental
-	// checkpoints). Version 2 carried a per-row skip bitmap after each
-	// reference and is rejected as unsupported rather than misparsed.
-	checkpointVersion     = 1
-	checkpointVersionSegs = 3
+	checkpointMagic   = "SQCK"
+	checkpointVersion = 4
 )
 
-// AppendManifest appends m's encoding to dst and returns the extended slice.
+// AppendCheckpoint appends ck's encoding to dst and returns the extended
+// slice. Every relation carries its frames and its segment-reference list,
+// either possibly empty; the relation count is Manifest.Rels, raised to
+// the length of Frames or Segments when either is longer.
 //
-//	manifest := "SQMF" ver str(component) uv(task) uv(rels) uv(ncursors) cursor*
-//	cursor   := str(stream) uv(fromTask) uv(seq)
-//	str      := uv(len) bytes
-func AppendManifest(dst []byte, m *Manifest) []byte {
-	dst = append(dst, manifestMagic...)
-	dst = append(dst, manifestVersion)
+//	checkpoint := "SQCK" ver str(component) uv(task) uv(nrels)
+//	              uv(ncursors) cursor* uv(tuples) rel*
+//	cursor     := str(stream) uv(fromTask) uv(seq)
+//	rel        := uv(nframes) { uv(len) frameBytes }*
+//	              uv(nsegs) { str(key) uv(crc) uv(rows) }*
+//	str        := uv(len) bytes
+func AppendCheckpoint(dst []byte, ck *Checkpoint) []byte {
+	m := &ck.Manifest
+	rels := max(m.Rels, len(ck.Frames), len(ck.Segments))
+	dst = append(dst, checkpointMagic...)
+	dst = append(dst, checkpointVersion)
 	dst = appendString(dst, m.Component)
 	dst = binary.AppendUvarint(dst, uint64(m.Task))
-	dst = binary.AppendUvarint(dst, uint64(m.Rels))
+	dst = binary.AppendUvarint(dst, uint64(rels))
 	dst = binary.AppendUvarint(dst, uint64(len(m.Cursors)))
 	for _, c := range m.Cursors {
 		dst = appendString(dst, c.Stream)
 		dst = binary.AppendUvarint(dst, uint64(c.FromTask))
 		dst = binary.AppendUvarint(dst, uint64(c.Seq))
 	}
-	return dst
-}
-
-// DecodeManifest parses one manifest from src, returning it and the bytes
-// consumed. It never panics on malformed input (fuzzed contract).
-func DecodeManifest(src []byte) (*Manifest, int, error) {
-	pos, err := expectHeader(src, manifestMagic, manifestVersion)
-	if err != nil {
-		return nil, 0, fmt.Errorf("recovery: manifest: %w", err)
-	}
-	m := &Manifest{}
-	if m.Component, pos, err = decodeString(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: manifest component: %w", err)
-	}
-	var u uint64
-	if u, pos, err = decodeUvarint(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: manifest task: %w", err)
-	}
-	m.Task = int(u)
-	if u, pos, err = decodeUvarint(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: manifest rels: %w", err)
-	}
-	m.Rels = int(u)
-	var n uint64
-	if n, pos, err = decodeUvarint(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: manifest cursor count: %w", err)
-	}
-	// Cheap sanity bound (a cursor needs >= 3 bytes), so a corrupt count
-	// cannot force a huge allocation.
-	if n > uint64(len(src)-pos) {
-		return nil, 0, fmt.Errorf("recovery: manifest cursor count %d exceeds buffer", n)
-	}
-	m.Cursors = make([]Cursor, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var c Cursor
-		if c.Stream, pos, err = decodeString(src, pos); err != nil {
-			return nil, 0, fmt.Errorf("recovery: cursor %d stream: %w", i, err)
-		}
-		if u, pos, err = decodeUvarint(src, pos); err != nil {
-			return nil, 0, fmt.Errorf("recovery: cursor %d task: %w", i, err)
-		}
-		c.FromTask = int(u)
-		if u, pos, err = decodeUvarint(src, pos); err != nil {
-			return nil, 0, fmt.Errorf("recovery: cursor %d seq: %w", i, err)
-		}
-		c.Seq = int64(u)
-		m.Cursors = append(m.Cursors, c)
-	}
-	return m, pos, nil
-}
-
-// AppendCheckpoint appends ck's encoding to dst: the manifest followed by
-// the per-relation frame sets.
-//
-//	checkpoint := "SQCK" ver manifest uv(tuples) uv(nrels) relFrames* [segs]
-//	relFrames  := uv(nframes) { uv(len) frameBytes }*
-//	segs       := uv(nrels) relSegs*                        (version 3 only)
-//	relSegs    := uv(nsegs) { str(key) uv(crc) uv(rows) }*
-func AppendCheckpoint(dst []byte, ck *Checkpoint) []byte {
-	ver := byte(checkpointVersion)
-	if ck.Segments != nil {
-		ver = checkpointVersionSegs
-	}
-	dst = append(dst, checkpointMagic...)
-	dst = append(dst, ver)
-	dst = AppendManifest(dst, &ck.Manifest)
 	dst = binary.AppendUvarint(dst, uint64(ck.Tuples))
-	dst = binary.AppendUvarint(dst, uint64(len(ck.Frames)))
-	for _, frames := range ck.Frames {
+	for rel := range rels {
+		var frames [][]byte
+		var segs []SegmentRef
+		if rel < len(ck.Frames) {
+			frames = ck.Frames[rel]
+		}
+		if rel < len(ck.Segments) {
+			segs = ck.Segments[rel]
+		}
 		dst = binary.AppendUvarint(dst, uint64(len(frames)))
 		for _, f := range frames {
 			dst = binary.AppendUvarint(dst, uint64(len(f)))
 			dst = append(dst, f...)
 		}
-	}
-	if ck.Segments != nil {
-		dst = binary.AppendUvarint(dst, uint64(len(ck.Segments)))
-		for _, segs := range ck.Segments {
-			dst = binary.AppendUvarint(dst, uint64(len(segs)))
-			for _, s := range segs {
-				dst = appendString(dst, s.Key)
-				dst = binary.AppendUvarint(dst, uint64(s.CRC))
-				dst = binary.AppendUvarint(dst, uint64(s.Rows))
-			}
+		dst = binary.AppendUvarint(dst, uint64(len(segs)))
+		for _, s := range segs {
+			dst = appendString(dst, s.Key)
+			dst = binary.AppendUvarint(dst, uint64(s.CRC))
+			dst = binary.AppendUvarint(dst, uint64(s.Rows))
 		}
 	}
 	return dst
 }
 
 // DecodeCheckpoint parses one checkpoint blob, returning it and the bytes
-// consumed. Frame byte slices are copied out of src.
+// consumed. Frame byte slices are copied out of src. It never panics on
+// malformed input (fuzzed contract).
 func DecodeCheckpoint(src []byte) (*Checkpoint, int, error) {
 	if len(src) < len(checkpointMagic)+1 {
 		return nil, 0, fmt.Errorf("recovery: checkpoint: truncated header")
@@ -215,91 +161,47 @@ func DecodeCheckpoint(src []byte) (*Checkpoint, int, error) {
 	if string(src[:len(checkpointMagic)]) != checkpointMagic {
 		return nil, 0, fmt.Errorf("recovery: checkpoint: bad magic %q", src[:len(checkpointMagic)])
 	}
-	ver := src[len(checkpointMagic)]
-	if ver != checkpointVersion && ver != checkpointVersionSegs {
-		return nil, 0, fmt.Errorf("recovery: checkpoint: unsupported version %d", ver)
+	if v := src[len(checkpointMagic)]; v != checkpointVersion {
+		return nil, 0, fmt.Errorf("recovery: checkpoint: unsupported version %d", v)
 	}
-	pos := len(checkpointMagic) + 1
-	var err error
-	m, n, err := DecodeManifest(src[pos:])
-	if err != nil {
-		return nil, 0, err
+	d := decoder{src: src, pos: len(checkpointMagic) + 1}
+	ck := &Checkpoint{}
+	m := &ck.Manifest
+	m.Component = d.str("component")
+	m.Task = int(d.uvarint("task"))
+	m.Rels = d.count("relation count")
+	m.Cursors = make([]Cursor, d.count("cursor count"))
+	for i := range m.Cursors {
+		c := &m.Cursors[i]
+		c.Stream = d.str("cursor stream")
+		c.FromTask = int(d.uvarint("cursor task"))
+		c.Seq = int64(d.uvarint("cursor seq"))
 	}
-	pos += n
-	ck := &Checkpoint{Manifest: *m}
-	var u uint64
-	if u, pos, err = decodeUvarint(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: checkpoint tuples: %w", err)
-	}
-	ck.Tuples = int64(u)
-	var nrels uint64
-	if nrels, pos, err = decodeUvarint(src, pos); err != nil {
-		return nil, 0, fmt.Errorf("recovery: checkpoint rel count: %w", err)
-	}
-	if nrels > uint64(len(src)-pos) {
-		return nil, 0, fmt.Errorf("recovery: checkpoint rel count %d exceeds buffer", nrels)
-	}
-	ck.Frames = make([][][]byte, 0, nrels)
-	for r := uint64(0); r < nrels; r++ {
-		var nframes uint64
-		if nframes, pos, err = decodeUvarint(src, pos); err != nil {
-			return nil, 0, fmt.Errorf("recovery: rel %d frame count: %w", r, err)
+	ck.Tuples = int64(d.uvarint("tuples"))
+	ck.Frames = make([][][]byte, m.Rels)
+	segs := make([][]SegmentRef, m.Rels)
+	nsegs := 0
+	for rel := 0; rel < m.Rels && d.err == nil; rel++ {
+		frames := make([][]byte, d.count("frame count"))
+		for i := range frames {
+			frames[i] = d.bytes("frame")
 		}
-		if nframes > uint64(len(src)-pos) {
-			return nil, 0, fmt.Errorf("recovery: rel %d frame count %d exceeds buffer", r, nframes)
-		}
-		frames := make([][]byte, 0, nframes)
-		for f := uint64(0); f < nframes; f++ {
-			var l uint64
-			if l, pos, err = decodeUvarint(src, pos); err != nil {
-				return nil, 0, fmt.Errorf("recovery: rel %d frame %d length: %w", r, f, err)
-			}
-			if l > uint64(len(src)-pos) {
-				return nil, 0, fmt.Errorf("recovery: rel %d frame %d length %d exceeds buffer", r, f, l)
-			}
-			frames = append(frames, append([]byte(nil), src[pos:pos+int(l)]...))
-			pos += int(l)
-		}
-		ck.Frames = append(ck.Frames, frames)
-	}
-	if ver == checkpointVersionSegs {
-		var nrels2 uint64
-		if nrels2, pos, err = decodeUvarint(src, pos); err != nil {
-			return nil, 0, fmt.Errorf("recovery: segment rel count: %w", err)
-		}
-		if nrels2 > uint64(len(src)-pos)+1 {
-			return nil, 0, fmt.Errorf("recovery: segment rel count %d exceeds buffer", nrels2)
-		}
-		ck.Segments = make([][]SegmentRef, 0, nrels2)
-		for r := uint64(0); r < nrels2; r++ {
-			var nsegs uint64
-			if nsegs, pos, err = decodeUvarint(src, pos); err != nil {
-				return nil, 0, fmt.Errorf("recovery: rel %d segment count: %w", r, err)
-			}
-			if nsegs > uint64(len(src)-pos) {
-				return nil, 0, fmt.Errorf("recovery: rel %d segment count %d exceeds buffer", r, nsegs)
-			}
-			segs := make([]SegmentRef, 0, nsegs)
-			for i := uint64(0); i < nsegs; i++ {
-				var s SegmentRef
-				if s.Key, pos, err = decodeString(src, pos); err != nil {
-					return nil, 0, fmt.Errorf("recovery: segment %d/%d key: %w", r, i, err)
-				}
-				var u uint64
-				if u, pos, err = decodeUvarint(src, pos); err != nil {
-					return nil, 0, fmt.Errorf("recovery: segment %d/%d crc: %w", r, i, err)
-				}
-				s.CRC = uint32(u)
-				if u, pos, err = decodeUvarint(src, pos); err != nil {
-					return nil, 0, fmt.Errorf("recovery: segment %d/%d rows: %w", r, i, err)
-				}
-				s.Rows = int64(u)
-				segs = append(segs, s)
-			}
-			ck.Segments = append(ck.Segments, segs)
+		ck.Frames[rel] = frames
+		for n := d.count("segment count"); n > 0 && d.err == nil; n-- {
+			s := SegmentRef{Key: d.str("segment key")}
+			s.CRC = uint32(d.uvarint("segment crc"))
+			s.Rows = int64(d.uvarint("segment rows"))
+			segs[rel] = append(segs[rel], s)
+			nsegs++
 		}
 	}
-	return ck, pos, nil
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("recovery: checkpoint %w", d.err)
+	}
+	if nsegs > 0 {
+		ck.Segments = segs
+	}
+	return ck, d.pos, nil
 }
 
 func appendString(dst []byte, s string) []byte {
@@ -307,37 +209,60 @@ func appendString(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
-func expectHeader(src []byte, magic string, version byte) (int, error) {
-	if len(src) < len(magic)+1 {
-		return 0, fmt.Errorf("truncated header")
-	}
-	if string(src[:len(magic)]) != magic {
-		return 0, fmt.Errorf("bad magic %q", src[:len(magic)])
-	}
-	if src[len(magic)] != version {
-		return 0, fmt.Errorf("unsupported version %d", src[len(magic)])
-	}
-	return len(magic) + 1, nil
+// decoder reads a checkpoint body. The first failure sticks: every later
+// read returns a zero value, so DecodeCheckpoint checks d.err once.
+type decoder struct {
+	src []byte
+	pos int
+	err error
 }
 
-func decodeUvarint(src []byte, pos int) (uint64, int, error) {
-	if pos >= len(src) {
-		return 0, 0, fmt.Errorf("truncated varint")
+func (d *decoder) uvarint(what string) uint64 {
+	if d.err != nil {
+		return 0
 	}
-	v, c := binary.Uvarint(src[pos:])
-	if c <= 0 {
-		return 0, 0, fmt.Errorf("bad varint")
+	if d.pos >= len(d.src) {
+		d.err = fmt.Errorf("%s: truncated varint", what)
+		return 0
 	}
-	return v, pos + c, nil
+	v, n := binary.Uvarint(d.src[d.pos:])
+	if n <= 0 {
+		d.err = fmt.Errorf("%s: bad varint", what)
+		return 0
+	}
+	d.pos += n
+	return v
 }
 
-func decodeString(src []byte, pos int) (string, int, error) {
-	l, pos, err := decodeUvarint(src, pos)
-	if err != nil {
-		return "", 0, err
+// count reads an element count. Every element takes at least one byte, so a
+// count past the remaining bytes is corrupt and cannot force a huge
+// allocation.
+func (d *decoder) count(what string) int {
+	n := d.uvarint(what)
+	if d.err == nil && n > uint64(len(d.src)-d.pos) {
+		d.err = fmt.Errorf("%s %d exceeds buffer", what, n)
+		return 0
 	}
-	if l > uint64(len(src)-pos) {
-		return "", 0, fmt.Errorf("string length %d exceeds buffer", l)
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string into a fresh copy.
+func (d *decoder) bytes(what string) []byte {
+	n := d.count(what + " length")
+	if d.err != nil {
+		return nil
 	}
-	return string(src[pos : pos+int(l)]), pos + int(l), nil
+	b := append([]byte(nil), d.src[d.pos:d.pos+n]...)
+	d.pos += n
+	return b
+}
+
+func (d *decoder) str(what string) string {
+	n := d.count(what + " length")
+	if d.err != nil {
+		return ""
+	}
+	s := string(d.src[d.pos : d.pos+n])
+	d.pos += n
+	return s
 }

@@ -39,27 +39,6 @@ func sampleCheckpoint() *Checkpoint {
 	}
 }
 
-func TestManifestRoundTrip(t *testing.T) {
-	m := &sampleCheckpoint().Manifest
-	enc := AppendManifest(nil, m)
-	got, n, err := DecodeManifest(enc)
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if n != len(enc) {
-		t.Fatalf("consumed %d of %d bytes", n, len(enc))
-	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("round trip: %+v -> %+v", m, got)
-	}
-	if got.CursorFor("R", 0) != 41 || got.CursorFor("S", 1) != 7 {
-		t.Fatalf("cursor lookup broken: %+v", got.Cursors)
-	}
-	if got.CursorFor("R", 9) != 0 || got.CursorFor("T", 0) != 0 {
-		t.Fatal("missing cursor must read as 0")
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	ck := sampleCheckpoint()
 	enc := AppendCheckpoint(nil, ck)
@@ -72,6 +51,12 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ck, got) {
 		t.Fatalf("round trip:\n%+v\n->\n%+v", ck, got)
+	}
+	if got.Manifest.CursorFor("R", 0) != 41 || got.Manifest.CursorFor("S", 1) != 7 {
+		t.Fatalf("cursor lookup broken: %+v", got.Manifest.Cursors)
+	}
+	if got.Manifest.CursorFor("R", 9) != 0 || got.Manifest.CursorFor("T", 0) != 0 {
+		t.Fatal("missing cursor must read as 0")
 	}
 	// The stored frames must still decode as wire batches.
 	tuples, _, err := wire.DecodeBatch(got.Frames[0][0])
@@ -93,8 +78,8 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	if _, _, err := DecodeCheckpoint(bad); err == nil {
 		t.Error("unknown version must fail")
 	}
-	if _, _, err := DecodeManifest(nil); err == nil {
-		t.Error("empty manifest must fail")
+	if _, _, err := DecodeCheckpoint(nil); err == nil {
+		t.Error("empty checkpoint must fail")
 	}
 }
 
@@ -137,42 +122,52 @@ func TestStores(t *testing.T) {
 	}
 }
 
-func sampleV2Checkpoint() *Checkpoint {
+// A checkpoint whose relations mix empty and non-empty segment lists, and
+// frames with segments, round-trips exactly; one without a single reference
+// decodes with nil Segments.
+func TestCheckpointSegmentListsRoundTrip(t *testing.T) {
 	ck := sampleCheckpoint()
+	ck.Manifest.Rels = 3
+	ck.Frames = append(ck.Frames, nil)
 	ck.Segments = [][]SegmentRef{
 		{
 			{Key: "ck-joiner-g1-s0", CRC: 0xdeadbeef, Rows: 64},
 			{Key: "ck-joiner-g1-s1", CRC: 0x01020304, Rows: 64},
 		},
-		{}, // rel with no sealed segments yet
+		nil, // a relation with no sealed segments yet
+		{{Key: "ck-joiner-g2-s0", CRC: 7, Rows: 1}},
 	}
-	return ck
-}
-
-func TestCheckpointV2RoundTrip(t *testing.T) {
-	ck := sampleV2Checkpoint()
 	enc := AppendCheckpoint(nil, ck)
 	got, n, err := DecodeCheckpoint(enc)
 	if err != nil {
-		t.Fatalf("decode v2: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	if n != len(enc) {
 		t.Fatalf("consumed %d of %d bytes", n, len(enc))
 	}
+	ck.Frames[2] = [][]byte{} // a decoded frame list is never nil
 	if !reflect.DeepEqual(ck, got) {
-		t.Fatalf("v2 round trip:\n%+v\n->\n%+v", ck, got)
+		t.Fatalf("round trip:\n%+v\n->\n%+v", ck, got)
 	}
-	// v1 blobs (no Segments) must keep decoding with nil Segments.
-	v1 := sampleCheckpoint()
-	got1, _, err := DecodeCheckpoint(AppendCheckpoint(nil, v1))
-	if err != nil || got1.Segments != nil {
-		t.Fatalf("v1 decode: %v, segments %v", err, got1.Segments)
+	plain, _, err := DecodeCheckpoint(AppendCheckpoint(nil, sampleCheckpoint()))
+	if err != nil || plain.Segments != nil {
+		t.Fatalf("checkpoint without references: %v, segments %v", err, plain.Segments)
 	}
-	// Version 2 carried a dead-row bitmap per segment reference; such a blob
-	// must be rejected, not read as today's layout.
-	enc[len(checkpointMagic)] = 2
-	if _, _, err := DecodeCheckpoint(enc); err == nil || !strings.Contains(err.Error(), "unsupported version 2") {
-		t.Fatalf("version-2 blob: err %v, want unsupported version", err)
+}
+
+// Only the current version is read. Version 1 held full frames without
+// segment lists, version 2 a per-row skip bitmap after each reference, and
+// version 3 its segment lists in a second pass; each is refused, not read as
+// today's layout.
+func TestCheckpointOldVersionsRefused(t *testing.T) {
+	enc := AppendCheckpoint(nil, sampleCheckpoint())
+	for _, v := range []byte{1, 2, 3} {
+		old := append([]byte(nil), enc...)
+		old[len(checkpointMagic)] = v
+		want := fmt.Sprintf("unsupported version %d", v)
+		if _, _, err := DecodeCheckpoint(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("version-%d blob: err %v, want %q", v, err, want)
+		}
 	}
 }
 

@@ -129,16 +129,16 @@ type TierStats struct {
 // always (4*(segRows+1) bytes — the ref→span map); blob is the packed row
 // payload and is nil while spilled and uncached.
 type segment struct {
-	offs        []uint32 // segRows+1 local offsets
-	blob        []byte   // row payload; nil when spilled and not faulted in
-	buf         []byte   // the tier-owned fault-in buffer blob aliases, if any
-	crc         uint32   // CRC of the spilled encoding (set at spill)
-	encLen      int      // byte length of the spilled encoding (set at spill)
-	spilled     bool     // a verified copy lives in cfg.Store under key
-	key         string   // spill-store key
-	persisted   bool     // a copy lives in cfg.CkStore under ckKey
-	ckKey       string
-	ckCRC       uint32
+	offs []uint32 // segRows+1 local offsets
+	blob []byte   // row payload; nil when spilled and not faulted in
+	buf  []byte   // the tier-owned fault-in buffer blob aliases, if any
+	// crc and encLen identify the segment's encoding (set when it is first
+	// persisted); the spill and checkpoint copies are the same bytes.
+	crc         uint32
+	encLen      int
+	spilled     bool   // a verified copy lives in cfg.Store under key
+	key         string // spill-store key
+	ckKey       string // checkpoint-store key, once a copy lives in cfg.CkStore
 	quarantined bool   // failed CRC on fault-in; never served again
 	tick        uint64 // last access (spill/evict pick the minimum)
 }
@@ -332,30 +332,45 @@ func (t *tier) spillStep(a *Arena) {
 // backpressure instead of losing state.
 func (t *tier) spillSeg(a *Arena, si int) {
 	seg := t.segs[si]
-	enc := AppendSegment(nil, seg.offs, seg.blob)
-	crc := binary.LittleEndian.Uint32(enc[len(enc)-segCRCLen:])
-	if t.cfg.CkStore != nil && !seg.persisted {
-		ckKey := fmt.Sprintf("ck-%s-s%d", t.keyBase, si)
-		if err := t.cfg.CkStore.PutSegment(ckKey, enc); err != nil {
-			t.spillErrors++
-			t.cfg.Pressure.noteSpillError()
-			return
-		}
-		seg.persisted, seg.ckKey, seg.ckCRC = true, ckKey, crc
+	var enc []byte
+	var err error
+	if t.cfg.CkStore != nil && seg.ckKey == "" {
+		seg.ckKey, enc, err = t.persist(t.cfg.CkStore, "ck", si, nil)
 	}
-	key := fmt.Sprintf("sp-%s-s%d", t.keyBase, si)
-	if err := t.cfg.Store.PutSegment(key, enc); err != nil {
+	var key string
+	if err == nil {
+		key, enc, err = t.persist(t.cfg.Store, "sp", si, enc)
+	}
+	if err != nil {
 		t.spillErrors++
 		t.cfg.Pressure.noteSpillError()
 		return
 	}
-	seg.spilled, seg.key, seg.crc, seg.encLen = true, key, crc, len(enc)
+	seg.spilled, seg.key = true, key
 	t.maxEnc = max(t.maxEnc, len(enc))
 	t.residentBlobBytes -= int64(len(seg.blob))
 	t.spilledPayload += int64(len(seg.blob))
 	seg.blob = nil
 	t.spills++
 	t.cfg.Pressure.noteSpill()
+}
+
+// persist writes segment si to store under a kind-prefixed key ("sp" for
+// the spill copy, "ck" for the checkpoint copy) and returns the key and the
+// bytes written. A nil enc encodes the resident payload and records the
+// segment's identity (crc, encLen); a caller writing its second copy passes
+// the first copy's bytes. A failed write returns an empty key.
+func (t *tier) persist(store SegmentStore, kind string, si int, enc []byte) (string, []byte, error) {
+	seg := t.segs[si]
+	if enc == nil {
+		enc = AppendSegment(nil, seg.offs, seg.blob)
+		seg.crc, seg.encLen = binary.LittleEndian.Uint32(enc[len(enc)-segCRCLen:]), len(enc)
+	}
+	key := fmt.Sprintf("%s-%s-s%d", kind, t.keyBase, si)
+	if err := store.PutSegment(key, enc); err != nil {
+		return "", enc, err
+	}
+	return key, enc, nil
 }
 
 // rowBytes resolves one ref in tiered mode, faulting its segment in when
@@ -541,17 +556,14 @@ func (a *Arena) SealedSegmentCks() ([]SegmentCk, error) {
 	}
 	out := make([]SegmentCk, 0, len(t.segs))
 	for si, seg := range t.segs {
-		if !seg.persisted {
+		if seg.ckKey == "" {
 			// Unpersisted ⇒ never spilled ⇒ payload resident.
-			enc := AppendSegment(nil, seg.offs, seg.blob)
-			crc := binary.LittleEndian.Uint32(enc[len(enc)-segCRCLen:])
-			ckKey := fmt.Sprintf("ck-%s-s%d", t.keyBase, si)
-			if err := t.cfg.CkStore.PutSegment(ckKey, enc); err != nil {
+			var err error
+			if seg.ckKey, _, err = t.persist(t.cfg.CkStore, "ck", si, nil); err != nil {
 				return nil, fmt.Errorf("slab: persist segment %d: %w", si, err)
 			}
-			seg.persisted, seg.ckKey, seg.ckCRC = true, ckKey, crc
 		}
-		out = append(out, SegmentCk{Key: seg.ckKey, CRC: seg.ckCRC, Rows: t.segRows})
+		out = append(out, SegmentCk{Key: seg.ckKey, CRC: seg.crc, Rows: t.segRows})
 	}
 	return out, nil
 }

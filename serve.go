@@ -189,8 +189,12 @@ type RegisterRequest struct {
 // entries that carry their own Spout run private scans exactly as
 // JoinQuery.Run would. The returned handle reports status and results;
 // admission failures return a *serve.BudgetError (errors.Is
-// serve.ErrBudgetExceeded).
+// serve.ErrBudgetExceeded). An empty ID is a *ConfigError, refused before
+// admission; a taken one is ErrDuplicateQuery.
 func (e *Engine) Register(req RegisterRequest) (*ServedQuery, error) {
+	if req.ID == "" {
+		return nil, &ConfigError{Option: "RegisterRequest.ID", Value: `""`, Supported: "a non-empty id"}
+	}
 	if req.Query == nil {
 		return nil, fmt.Errorf("squall: Register: nil query")
 	}
@@ -333,13 +337,13 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 	return sq, nil
 }
 
-// checkIDLocked refuses a registration on a closed engine or under an id
-// that is empty or taken.
+// checkIDLocked refuses a registration on a closed engine or under a taken
+// id.
 func (e *Engine) checkIDLocked(id string) error {
 	if e.closed {
 		return ErrEngineClosed
 	}
-	if _, dup := e.queries[id]; dup || id == "" {
+	if _, dup := e.queries[id]; dup {
 		return fmt.Errorf("squall: Register %q: %w", id, ErrDuplicateQuery)
 	}
 	return nil

@@ -304,6 +304,24 @@ func TestServeAdmission(t *testing.T) {
 	}
 }
 
+// TestRegisterEmptyIDIsConfigError: an empty query id is a configuration
+// error, refused before admission charges the tenant, not a duplicate.
+func TestRegisterEmptyIDIsConfigError(t *testing.T) {
+	eng := newServeEngine(squall.Options{}, serve.SourceOptions{})
+	defer eng.Close()
+	_, err := eng.Register(squall.RegisterRequest{Tenant: "t", Query: serveQuery(0, false)})
+	var ce *squall.ConfigError
+	if !errors.As(err, &ce) || ce.Option != "RegisterRequest.ID" {
+		t.Fatalf("empty id: err %v, want a *ConfigError on RegisterRequest.ID", err)
+	}
+	if errors.Is(err, squall.ErrDuplicateQuery) {
+		t.Fatalf("empty id reported as a duplicate: %v", err)
+	}
+	if _, queries := eng.TenantUsage("t"); queries != 0 {
+		t.Fatalf("refused registration left %d queries charged to its tenant", queries)
+	}
+}
+
 // TestServeEvict: Evict lets a registration push out the tenant's oldest
 // query to fit MaxQueries instead of being rejected.
 func TestServeEvict(t *testing.T) {

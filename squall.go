@@ -390,12 +390,16 @@ func (q *JoinQuery) spec() (core.JoinSpec, error) {
 }
 
 // ConfigError reports an option the plan cannot honour as given: what was
-// asked, the option it conflicts with, and what is supported instead.
+// asked, the option it conflicts with (empty when the value is invalid on
+// its own), and what is supported instead.
 type ConfigError struct {
 	Option, Value, ConflictsWith, Supported string
 }
 
 func (e *ConfigError) Error() string {
+	if e.ConflictsWith == "" {
+		return fmt.Sprintf("squall: %s = %s is not supported; supported: %s", e.Option, e.Value, e.Supported)
+	}
 	return fmt.Sprintf("squall: %s = %s conflicts with %s; supported: %s", e.Option, e.Value, e.ConflictsWith, e.Supported)
 }
 
@@ -729,10 +733,15 @@ func build(p *Plan, env buildEnv) (*execution, error) {
 	}
 	var recPolicy *dataflow.RecoveryPolicy
 	if opt.Recovery != nil {
+		// A cluster's shared store replaces the configured one. Resolve the
+		// default store here (rather than letting the policy default it) so
+		// tiered checkpoints can reference segments in the store the policy
+		// writes.
 		recStore := opt.Recovery.Store
+		if env.ckpt != nil {
+			recStore = env.ckpt
+		}
 		if recStore == nil && tier != nil {
-			// Resolve the default store here (rather than letting the policy
-			// default it) so tiered checkpoints can reference segments in it.
 			recStore = recovery.NewMemStore()
 		}
 		// The §5 plan made live: a relation is peer-recoverable at a failed
@@ -756,9 +765,6 @@ func build(p *Plan, env buildEnv) (*execution, error) {
 			if ss, ok := recStore.(slab.SegmentStore); ok {
 				tier.CkStore = ss
 			}
-		}
-		if env.ckpt != nil {
-			recPolicy.Store = env.ckpt
 		}
 	}
 	x.dopts = dataflow.Options{
