@@ -58,7 +58,7 @@
 // The job connection doubles as the coordinator<->worker dataflow link, and
 // workers dial each other directly (lower index listens, higher dials) for
 // the remaining links. The ready exchange happens before the coordinator
-// builds its NetPlane — the plane owns reading from construction on, so the
+// builds its NetPlane — the plane owns reading once its run binds it, so the
 // session layer reads directly off the connection only until then.
 package squall
 

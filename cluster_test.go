@@ -559,10 +559,11 @@ func TestOnePlanForEveryEntryPoint(t *testing.T) {
 
 // TestClusterPlanFingerprintMismatch: a worker rebuilds its plan from the
 // registered job. When the coordinator's query is not what the params
-// rebuild — here it asks for a smaller or a larger machine budget — the
-// worker refuses the session before any data moves, and the coordinator
-// returns a *PlanMismatchError promptly: a job error, which Recover does
-// not retry.
+// rebuild — here it asks for a smaller or a larger machine budget, or a
+// credit window (ChannelBuf) other than the default the worker's job gets —
+// the worker refuses the session before any data moves, and the
+// coordinator returns a *PlanMismatchError promptly: a job error, which
+// Recover does not retry.
 func TestClusterPlanFingerprintMismatch(t *testing.T) {
 	cfg := enginetest.EngineConfig{
 		Scheme: squall.HashHypercube, Local: squall.Traditional,
@@ -570,12 +571,15 @@ func TestClusterPlanFingerprintMismatch(t *testing.T) {
 	}
 	params := trickledParams(cfg)
 	addrs, _ := startWorkerHandles(t, 1)
-	for _, machines := range []int{2, 8} {
+	for _, edit := range []struct {
+		name            string
+		machines, chBuf int
+	}{{"2 machines", 2, 0}, {"8 machines", 8, 0}, {"ChannelBuf 3", 4, 3}} {
 		q, opts, err := params.Build()
 		if err != nil {
 			t.Fatalf("build: %v", err)
 		}
-		q.Machines = machines
+		q.Machines, opts.ChannelBuf = edit.machines, edit.chBuf
 		opts.Cluster = chaosSpec(addrs, params, squall.Recover)
 		done := make(chan error, 1)
 		go func() {
@@ -586,13 +590,13 @@ func TestClusterPlanFingerprintMismatch(t *testing.T) {
 		case err := <-done:
 			var pm *squall.PlanMismatchError
 			if !errors.As(err, &pm) {
-				t.Fatalf("coordinator on %d machines: err %v, want a *squall.PlanMismatchError", machines, err)
+				t.Fatalf("coordinator with %s: err %v, want a *squall.PlanMismatchError", edit.name, err)
 			}
 			if pm.Worker != 1 || pm.Coordinator == pm.Rebuilt || pm.Rebuilt == "" {
 				t.Fatalf("PlanMismatchError %+v does not name worker 1 and two fingerprints", pm)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatalf("coordinator on %d machines: no error within 10s", machines)
+			t.Fatalf("coordinator with %s: no error within 10s", edit.name)
 		}
 	}
 }

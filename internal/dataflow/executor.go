@@ -67,10 +67,12 @@ type Options struct {
 	Cancel <-chan struct{}
 	// MemObserver, when non-nil, receives every MemReporter state sample the
 	// executor takes (the same cadence as MemLimitPerTask enforcement: every
-	// 256 processed tuples per task plus once at end of stream). The serving
-	// engine charges these samples against per-tenant budgets. Called from
-	// task goroutines; must be cheap and concurrency-safe across tasks.
-	MemObserver func(component string, task int, bytes int64)
+	// 256 processed tuples per task plus once at end of stream): the resident
+	// bytes, and the bytes a SpillReporter bolt holds on disk (0 for any
+	// other bolt). The serving engine charges these samples to per-tenant
+	// accounts. Called from task goroutines; must be cheap and
+	// concurrency-safe across tasks.
+	MemObserver func(component string, task int, resident, spilled int64)
 	// Pressure, when set, is the tiered-state degradation ladder (PR 10).
 	// The executor only reads it: spouts pause briefly per batch while the
 	// ladder sits at Backpressure (spilling is not keeping residency under
@@ -78,11 +80,6 @@ type Options struct {
 	// to catch up instead of racing emission against eviction. The arenas
 	// themselves feed the ladder through their pressure gauges.
 	Pressure *slab.Pressure
-	// SpillObserver, when non-nil, receives every SpillReporter sample the
-	// executor takes (same cadence as MemObserver). The serving engine
-	// mirrors these into per-tenant spilled-byte accounting. Called from task
-	// goroutines; must be cheap and concurrency-safe across tasks.
-	SpillObserver func(component string, task int, bytes int64)
 	// Net, when set, makes this Run one worker of a multi-process cluster:
 	// only the components Net places here execute locally, edges to remote
 	// components ship serialized envelopes over TCP with credit-based
@@ -739,8 +736,10 @@ func (ex *execution) control() {
 // round flushes the remote producers' in-flight data to those tasks with
 // quiesce tokens and calls act with the published shape. Invariant, from
 // then until act returns: no producer is inside the gate anywhere in the
-// cluster, and every data frame routed to those tasks before the pause has
-// reached their inboxes, ahead of any control marker act enqueues. act
+// cluster, and every data frame routed to those tasks before the pause is
+// either in their inboxes, ahead of any control marker act enqueues, or,
+// from a remote producer, already handled by the task (its flush token came
+// back through the task's remote channel behind it). act
 // returns the shape to reopen under (the same one unless it reshaped).
 // round reports false when the run is aborting or over; the gate then stays
 // closed, which no task still needs.
@@ -1032,12 +1031,11 @@ func (ex *execution) checkMem(n *node, task int, tm *TaskMetrics, mem MemReporte
 		tm.MaxMem.Store(sz)
 	}
 	if ex.opts.MemObserver != nil {
-		ex.opts.MemObserver(n.name, task, sz)
-	}
-	if ex.opts.SpillObserver != nil {
+		var spilled int64
 		if sr, ok := mem.(slab.SpillReporter); ok {
-			ex.opts.SpillObserver(n.name, task, int64(sr.SpilledBytes()))
+			spilled = int64(sr.SpilledBytes())
 		}
+		ex.opts.MemObserver(n.name, task, sz, spilled)
 	}
 	if ex.opts.MemLimitPerTask > 0 && sz > int64(ex.opts.MemLimitPerTask) {
 		ex.fail(fmt.Errorf("dataflow: bolt %s[%d] state %dB exceeds budget %dB: %w",

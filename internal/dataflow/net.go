@@ -13,11 +13,15 @@
 // commits, and abort propagation.
 //
 // Flow control replaces channel blocking with per-(destination task) credit
-// windows: a producer acquires one credit per envelope before writing, the
-// receiving plane grants credits back as envelopes drain out of its staging
-// queues into task inboxes. Readers never block on inboxes — each link has a
-// single read loop that stages inbound envelopes and returns immediately, so
-// credit grants and control RPCs can never deadlock behind a slow consumer.
+// windows: a producer acquires one credit per envelope before writing, and
+// the destination task grants credits back as it takes envelopes. Each hosted
+// bolt task has one remote channel next to its inbox, deep enough for every
+// feeding link's full window plus one flush token. A link's single read loop
+// hands each data envelope and token to that channel without blocking — a
+// full channel means the peer sent past its credits and fails the run — so
+// credit grants and control RPCs never wait behind a slow consumer. The read
+// loops start when a Run binds the plane; until then inbound messages wait
+// in the connection.
 package dataflow
 
 import (
@@ -26,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -108,7 +113,7 @@ type NetConfig struct {
 	Workers int            // total processes
 	Place   map[string]int // component name -> hosting worker (missing = 0)
 	// Links[w] is the connection to worker w (nil at Self). The plane owns
-	// reading from every link from construction on; writes stay shared with
+	// reading from every link once a Run binds it; writes stay shared with
 	// the session layer (transport.Conn serializes them).
 	Links []*transport.Conn
 	// OnPeerMsg receives session-layer messages (Kind >= transport.KindUser)
@@ -121,33 +126,6 @@ type NetConfig struct {
 type gateOp struct {
 	pause      bool
 	rows, cols int
-}
-
-type stageKey struct {
-	node int
-	task int
-}
-
-// stagedEnv is one inbound envelope parked between the link read loop and the
-// destination inbox. credited entries consumed a sender credit that the pump
-// grants back once the envelope moves on.
-type stagedEnv struct {
-	env      envelope
-	lk       *netLink
-	flow     int64
-	credited bool
-}
-
-// staging is the per-(node, task) queue the read loops append to and one pump
-// goroutine drains into the task inbox. The queue is unbounded but its depth
-// is capped by the credit windows: at most window entries per producing flow
-// are un-granted at any moment.
-type staging struct {
-	node *node
-	task int
-	mu   sync.Mutex
-	q    []stagedEnv
-	wake chan struct{}
 }
 
 // netLink is the plane's per-connection state.
@@ -181,18 +159,17 @@ type NetPlane struct {
 	cfg   NetConfig
 	links []*netLink // indexed by worker, nil at Self
 
-	mu sync.Mutex
-	ex *execution
-	// bound publishes ex to fail, which must not take mu: bind drains the
-	// parked backlog while holding it, and a parked message may fail the run.
-	bound    atomic.Pointer[execution]
-	preErr   error
-	pending  []pendMsg
-	nodeIdx  map[string]int
-	nodes    []*node
-	stagings map[stageKey]*staging
-	window   int // credit window, = Options.ChannelBuf
-	quantum  int // batched grant threshold
+	// Set by bind, before the read loops start.
+	ex      *execution
+	nodeIdx map[string]int
+	nodes   []*node
+	// remotes[i][t] is the remote channel of task t of node i, a bolt hosted
+	// here; fedBy[i] lists the other workers hosting its producers. Both are
+	// nil for a node no remote worker feeds.
+	remotes [][]chan envelope
+	fedBy   [][]int
+	window  int // credit window, = Options.ChannelBuf
+	quantum int // batched grant threshold
 
 	tokMu   sync.Mutex
 	tokNext int64
@@ -204,13 +181,8 @@ type NetPlane struct {
 	closeOnce sync.Once
 }
 
-type pendMsg struct {
-	lk *netLink
-	m  transport.Msg
-}
-
-// NewNetPlane starts the read loops over cfg.Links. Envelope delivery begins
-// when a Run binds the plane (messages arriving earlier are parked).
+// NewNetPlane wraps cfg.Links. Nothing is read from them until a Run binds
+// the plane.
 func NewNetPlane(cfg NetConfig) *NetPlane {
 	p := &NetPlane{
 		cfg:      cfg,
@@ -220,12 +192,9 @@ func NewNetPlane(cfg NetConfig) *NetPlane {
 		closed:   make(chan struct{}),
 	}
 	for w, c := range cfg.Links {
-		if c == nil {
-			continue
+		if c != nil {
+			p.links[w] = &netLink{worker: w, conn: c, creds: make(map[int64]*transport.Credit), gateOps: make(chan gateOp, 8)}
 		}
-		lk := &netLink{worker: w, conn: c, creds: make(map[int64]*transport.Credit), gateOps: make(chan gateOp, 8)}
-		p.links[w] = lk
-		go p.readLoop(lk)
 	}
 	return p
 }
@@ -246,32 +215,6 @@ func (p *NetPlane) workerOf(comp string) int {
 
 func (p *NetPlane) owns(n *node) bool { return p.workerOf(n.name) == p.cfg.Self }
 
-func (p *NetPlane) nodeAt(i int) *node {
-	if i < 0 || i >= len(p.nodes) {
-		return nil
-	}
-	return p.nodes[i]
-}
-
-// fail aborts the bound execution (or poisons the pending bind).
-func (p *NetPlane) fail(err error) {
-	if ex := p.bound.Load(); ex != nil {
-		ex.fail(err)
-		return
-	}
-	p.mu.Lock()
-	ex := p.ex
-	if ex == nil {
-		if p.preErr == nil {
-			p.preErr = err
-		}
-		p.mu.Unlock()
-		return
-	}
-	p.mu.Unlock()
-	ex.fail(err)
-}
-
 // broadcastAbort tells every peer the run failed here. Write errors are
 // ignored: a dead link's worker learns of the failure from the EOF instead.
 func (p *NetPlane) broadcastAbort(err error) {
@@ -287,54 +230,44 @@ func (p *NetPlane) broadcastAbort(err error) {
 	}
 }
 
-// bind attaches an execution to the plane: builds the node index, spins up
-// staging pumps for locally hosted tasks and the gate workers, then drains
-// messages that arrived before the run started.
+// bind attaches an execution to the plane: it builds the node index and the
+// remote channels of the locally hosted bolt tasks that remote workers
+// feed, then starts each link's gate worker and read loop.
 func (p *NetPlane) bind(ex *execution) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.ex != nil {
 		return fmt.Errorf("dataflow: NetPlane already bound to a run")
 	}
-	if p.preErr != nil {
-		return p.preErr
-	}
 	p.ex = ex
-	p.bound.Store(ex)
 	p.window = ex.opts.ChannelBuf
-	p.quantum = p.window / 4
-	if p.quantum < 1 {
-		p.quantum = 1
-	}
+	p.quantum = max(p.window/4, 1)
 	p.nodes = ex.topo.nodes
 	p.nodeIdx = make(map[string]int, len(p.nodes))
+	p.remotes = make([][]chan envelope, len(p.nodes))
+	p.fedBy = make([][]int, len(p.nodes))
 	for i, n := range p.nodes {
 		p.nodeIdx[n.name] = i
-	}
-	p.stagings = make(map[stageKey]*staging)
-	for i, n := range p.nodes {
 		if !p.owns(n) {
 			continue
 		}
-		for t := 0; t < n.par; t++ {
-			s := &staging{node: n, task: t, wake: make(chan struct{}, 1)}
-			p.stagings[stageKey{i, t}] = s
-			go p.pump(s)
+		ws := p.remoteProducerWorkers(n)
+		if len(ws) == 0 {
+			continue
+		}
+		// Each feeding link holds at most its window of un-granted data
+		// envelopes and one flush token: rounds are serial, so a link never
+		// has two tokens outstanding.
+		p.fedBy[i] = ws
+		p.remotes[i] = make([]chan envelope, n.par)
+		for t := range p.remotes[i] {
+			p.remotes[i][t] = make(chan envelope, len(ws)*(p.window+1))
 		}
 	}
 	for _, lk := range p.links {
-		if lk == nil {
-			continue
+		if lk != nil {
+			go p.gateWorker(lk)
+			go p.readLoop(lk)
 		}
-		go p.gateWorker(lk)
 	}
-	// Drain parked messages under the lock: a read loop observing ex != nil
-	// is thereby guaranteed the backlog has already been handled, preserving
-	// per-link arrival order.
-	for i := range p.pending {
-		p.handle(p.pending[i].lk, &p.pending[i].m)
-	}
-	p.pending = nil
 	return nil
 }
 
@@ -345,26 +278,17 @@ func (p *NetPlane) readLoop(lk *netLink) {
 			select {
 			case <-p.closed:
 			default:
-				p.fail(fmt.Errorf("dataflow: link to worker %d lost: %w (%w)", lk.worker, err, ErrLink))
+				p.ex.fail(fmt.Errorf("dataflow: link to worker %d lost: %w (%w)", lk.worker, err, ErrLink))
 			}
 			return
 		}
-		p.mu.Lock()
-		if p.ex == nil {
-			c := m
-			c.Payload = append([]byte(nil), m.Payload...)
-			p.pending = append(p.pending, pendMsg{lk, c})
-			p.mu.Unlock()
-			continue
-		}
-		p.mu.Unlock()
 		p.handle(lk, &m)
 	}
 }
 
-// handle dispatches one inbound message on the link's read goroutine. It must
-// never block on a task inbox — data lands in staging queues, RPCs complete
-// inline or hand off to dedicated goroutines.
+// handle dispatches one inbound message on the link's read goroutine. It
+// never blocks on a task: data and flush tokens go to remote channels
+// without blocking, RPCs complete inline or hand off to dedicated goroutines.
 func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	if m.Kind >= transport.KindUser {
 		if p.cfg.OnPeerMsg != nil {
@@ -380,20 +304,17 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	case mkFrame, mkEOS:
 		p.recvData(lk, m)
 	case mkToken:
-		// A flush token rides the data path: staged behind every data message
+		// A flush token rides the data path: queued behind every data message
 		// this link delivered to (A, B), seen by the task as ctrlNetFlush.
-		n := p.nodeAt(int(m.A))
-		if n == nil || !p.owns(n) {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a flush token for a component not hosted here", lk.worker))
-			return
+		if n, task, ch := p.dest(lk, m); ch != nil {
+			p.deliver(lk, n, task, ch, envelope{ctrl: ctrlNetFlush, seq: m.C})
 		}
-		p.stage(lk, int(m.A), int(m.B), envelope{ctrl: ctrlNetFlush, seq: m.C}, 0, false)
 	case mkSendToken:
 		// The owner of (A, B) asks us to flush: reply with a token on the same
 		// connection, ordered after every data message already written to it.
 		// Producer gates are paused at this point, so no write races the token.
 		if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkToken, A: m.A, B: m.B, C: m.C}); err != nil {
-			p.fail(fmt.Errorf("dataflow: flush token to worker %d: %w", lk.worker, err))
+			p.ex.fail(fmt.Errorf("dataflow: flush token to worker %d: %w", lk.worker, err))
 		}
 	case mkGatePause:
 		p.gateRequest(lk, gateOp{pause: true})
@@ -404,14 +325,14 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 	case mkReplayReq:
 		var req replayReq
 		if err := json.Unmarshal(m.Payload, &req); err != nil {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a bad replay request: %w", lk.worker, err))
+			p.ex.fail(fmt.Errorf("dataflow: worker %d sent a bad replay request: %w", lk.worker, err))
 			return
 		}
 		go p.serveReplay(lk, req)
 	case mkTrim:
 		var tr trimMsg
 		if err := json.Unmarshal(m.Payload, &tr); err != nil {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a bad trim commit: %w", lk.worker, err))
+			p.ex.fail(fmt.Errorf("dataflow: worker %d sent a bad trim commit: %w", lk.worker, err))
 			return
 		}
 		if p.ex.rec != nil {
@@ -424,9 +345,9 @@ func (p *NetPlane) handle(lk *netLink, m *transport.Msg) {
 			// classification so the coordinator's policy can act on it.
 			err = fmt.Errorf("%w (%w)", err, ErrLink)
 		}
-		p.fail(err)
+		p.ex.fail(err)
 	default:
-		p.fail(fmt.Errorf("dataflow: worker %d sent unknown message kind %d", lk.worker, m.Kind))
+		p.ex.fail(fmt.Errorf("dataflow: worker %d sent unknown message kind %d", lk.worker, m.Kind))
 	}
 }
 
@@ -437,26 +358,50 @@ func (p *NetPlane) gateRequest(lk *netLink, op gateOp) {
 	}
 }
 
-// recvData admits one data message into the local staging queues. Frames get
-// the full untrusted-bytes admission check; frames on recovery-tracked edges
-// (seq > 0) are copied into unpooled buffers because the consumer's stash or
-// dedup may retain them, everything else recycles pool boxes exactly like
-// the in-process transport.
-func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
+// dest resolves the destination (A, B) of an inbound data message or flush
+// token to its task's remote channel. The task must be a bolt task hosted
+// here that the sending worker feeds; otherwise the run fails and ch is nil.
+func (p *NetPlane) dest(lk *netLink, m *transport.Msg) (n *node, task int, ch chan envelope) {
 	ni, task := int(m.A), int(m.B)
-	n := p.nodeAt(ni)
-	if n == nil || task < 0 || task >= n.par || !p.owns(n) {
-		p.fail(fmt.Errorf("dataflow: worker %d sent data for a task not hosted here (node %d task %d)", lk.worker, ni, task))
+	if ni < 0 || ni >= len(p.nodes) || !slices.Contains(p.fedBy[ni], lk.worker) || task < 0 || task >= p.nodes[ni].par {
+		p.ex.fail(fmt.Errorf("dataflow: worker %d sent kind %d for a task it does not feed here (node %d task %d)", lk.worker, m.Kind, ni, task))
+		return nil, 0, nil
+	}
+	return p.nodes[ni], task, p.remotes[ni][task]
+}
+
+// recvData admits one data message into its task's remote channel. The
+// stream must name an input of the task hosted on the sending worker and C
+// one of that producer's tasks: the recovery cursors are indexed by both,
+// and an EOS counts against the task's expected set. Frames get the full
+// untrusted-bytes admission check; frames on recovery-tracked edges (seq >
+// 0) are copied into unpooled buffers because the consumer's stash or dedup
+// may retain them, everything else recycles pool boxes exactly like the
+// in-process transport.
+func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
+	n, task, ch := p.dest(lk, m)
+	if ch == nil {
 		return
 	}
-	env := envelope{stream: m.Stream, from: int(m.C), seq: m.D}
+	var from *node
+	for _, e := range n.inputs {
+		if e.from.name == m.Stream && p.workerOf(e.from.name) == lk.worker {
+			from = e.from
+			break
+		}
+	}
+	if from == nil || m.C < 0 || m.C >= int64(from.par) {
+		p.ex.fail(fmt.Errorf("dataflow: worker %d sent data for %s[%d] from %q task %d, not a producer task it hosts", lk.worker, n.name, task, m.Stream, m.C))
+		return
+	}
+	env := envelope{stream: from.name, from: int(m.C), seq: m.D}
 	switch m.Kind {
 	case mkEOS:
 		env.eos = true
 	case mkFrame:
 		cnt, err := wire.ValidateBatchFrame(m.Payload)
 		if err != nil {
-			p.fail(fmt.Errorf("dataflow: worker %d sent a malformed frame for %s[%d]: %w", lk.worker, n.name, task, err))
+			p.ex.fail(fmt.Errorf("dataflow: worker %d sent a malformed frame for %s[%d]: %w", lk.worker, n.name, task, err))
 			return
 		}
 		env.count = cnt
@@ -468,78 +413,46 @@ func (p *NetPlane) recvData(lk *netLink, m *transport.Msg) {
 			env.frame, env.pframe = *box, box
 		}
 	}
-	// Every data message (EOS included) consumed one sender credit.
-	p.stage(lk, ni, task, env, flowKey(ni, task), true)
+	p.deliver(lk, n, task, ch, env)
 }
 
-// stage parks one envelope for the (node, task) pump.
-func (p *NetPlane) stage(lk *netLink, ni, task int, env envelope, flow int64, credited bool) {
-	s := p.stagings[stageKey{ni, task}]
-	if s == nil {
-		p.fail(fmt.Errorf("dataflow: no staging for node %d task %d", ni, task))
-		return
-	}
-	s.mu.Lock()
-	s.q = append(s.q, stagedEnv{env: env, lk: lk, flow: flow, credited: credited})
-	s.mu.Unlock()
+// deliver hands one inbound envelope to its task's remote channel without
+// blocking.
+func (p *NetPlane) deliver(lk *netLink, n *node, task int, ch chan envelope, env envelope) {
 	select {
-	case s.wake <- struct{}{}:
+	case ch <- env:
 	default:
+		p.ex.fail(fmt.Errorf("dataflow: worker %d overran the credit window of %s[%d]", lk.worker, n.name, task))
 	}
 }
 
-// pump moves one staging queue into its task inbox, granting credits back in
-// batches: a grant goes out once a flow accumulates quantum deliveries, and
-// every owed grant is flushed whenever the queue runs dry, so a sender can
-// never starve waiting on a withheld grant.
-func (p *NetPlane) pump(s *staging) {
-	type gk struct {
-		lk   *netLink
-		flow int64
+// took settles the credit of one envelope task t took from its remote
+// channel. A data or EOS envelope owes its producer's link one credit; a
+// link's owed credits go back once they reach quantum, and all of them
+// whenever the channel runs dry, so a sender never starves on a withheld
+// grant.
+func (p *NetPlane) took(t *boltTask, env *envelope) {
+	if env.ctrl == ctrlNone {
+		w := p.workerOf(env.stream)
+		if t.owed[w]++; t.owed[w] >= p.quantum {
+			p.grant(t, w)
+		}
 	}
-	owed := make(map[gk]int)
-	flush := func() {
-		for k, cnt := range owed {
-			p.sendCredit(k.lk, k.flow, cnt)
-		}
-		clear(owed)
-	}
-	for {
-		s.mu.Lock()
-		if len(s.q) == 0 {
-			s.mu.Unlock()
-			flush()
-			select {
-			case <-s.wake:
-				continue
-			case <-p.closed:
-				return
-			case <-p.ex.abort:
-				return
-			}
-		}
-		e := s.q[0]
-		s.q[0] = stagedEnv{}
-		s.q = s.q[1:]
-		s.mu.Unlock()
-		if !p.ex.send(s.node, s.task, e.env) {
-			return // aborted
-		}
-		if e.credited {
-			k := gk{e.lk, e.flow}
-			owed[k]++
-			if owed[k] >= p.quantum {
-				p.sendCredit(e.lk, e.flow, owed[k])
-				delete(owed, k)
+	if len(t.remote) == 0 {
+		for w, n := range t.owed {
+			if n > 0 {
+				p.grant(t, w)
 			}
 		}
 	}
 }
 
-func (p *NetPlane) sendCredit(lk *netLink, flow int64, n int) {
-	m := transport.Msg{Kind: mkCredit, A: flow >> 32, B: flow & (1<<32 - 1), C: int64(n)}
-	if err := lk.conn.WriteMsg(&m); err != nil {
-		p.fail(fmt.Errorf("dataflow: credit grant to worker %d: %w", lk.worker, err))
+// grant sends the credits task t owes worker w's link.
+func (p *NetPlane) grant(t *boltTask, w int) {
+	m := transport.Msg{Kind: mkCredit, A: int64(p.nodeIdx[t.n.name]), B: int64(t.task), C: int64(t.owed[w])}
+	t.owed[w] = 0
+	if err := p.links[w].conn.WriteMsg(&m); err != nil {
+		p.ex.fail(fmt.Errorf("dataflow: credit grant to worker %d: %w", w, err))
 	}
 }
 
@@ -549,13 +462,13 @@ func (p *NetPlane) sendCredit(lk *netLink, flow int64, n int) {
 // once the bytes are on the wire.
 func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 	if env.ctrl != ctrlNone || env.cmd != nil || env.mv != nil {
-		p.fail(fmt.Errorf("dataflow: control envelope for %s[%d] would cross a process boundary (placement bug)", to.name, task))
+		p.ex.fail(fmt.Errorf("dataflow: control envelope for %s[%d] would cross a process boundary (placement bug)", to.name, task))
 		return false
 	}
 	ni := p.nodeIdx[to.name]
 	lk := p.links[p.workerOf(to.name)]
 	if lk == nil {
-		p.fail(fmt.Errorf("dataflow: no link to worker %d hosting %s", p.workerOf(to.name), to.name))
+		p.ex.fail(fmt.Errorf("dataflow: no link to worker %d hosting %s", p.workerOf(to.name), to.name))
 		return false
 	}
 	if !lk.credit(flowKey(ni, task), p.window).Acquire(p.ex.abort) {
@@ -567,7 +480,7 @@ func (p *NetPlane) sendRemote(to *node, task int, env envelope) bool {
 		m.Kind = mkEOS
 	}
 	if err := lk.conn.WriteMsg(&m); err != nil {
-		p.fail(fmt.Errorf("dataflow: send to %s[%d] on worker %d: %w", to.name, task, lk.worker, err))
+		p.ex.fail(fmt.Errorf("dataflow: send to %s[%d] on worker %d: %w", to.name, task, lk.worker, err))
 		return false
 	}
 	// The frame is on the wire; recycle the box the local consumer would
@@ -590,14 +503,14 @@ func (p *NetPlane) gateWorker(lk *netLink) {
 		g := p.ex.gate
 		switch {
 		case g == nil:
-			p.fail(fmt.Errorf("dataflow: worker %d drove a gate this run does not have", lk.worker))
+			p.ex.fail(fmt.Errorf("dataflow: worker %d drove a gate this run does not have", lk.worker))
 			return
 		case op.pause:
 			if !g.pause() {
 				return
 			}
 			if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkGatePaused, C: g.live.Load()}); err != nil {
-				p.fail(fmt.Errorf("dataflow: gate ack to worker %d: %w", lk.worker, err))
+				p.ex.fail(fmt.Errorf("dataflow: gate ack to worker %d: %w", lk.worker, err))
 				return
 			}
 		default:
@@ -605,7 +518,7 @@ func (p *NetPlane) gateWorker(lk *netLink) {
 			if a := p.ex.adapt; a != nil {
 				var err error
 				if next, err = a.matrix(op.rows, op.cols); err != nil {
-					p.fail(fmt.Errorf("dataflow: gate resume from worker %d: %w", lk.worker, err))
+					p.ex.fail(fmt.Errorf("dataflow: gate resume from worker %d: %w", lk.worker, err))
 					return
 				}
 			}
@@ -639,7 +552,7 @@ func (p *NetPlane) pauseRemote(prot *node) (int64, bool) {
 	ws := p.remoteProducerWorkers(prot)
 	for _, w := range ws {
 		if err := p.links[w].conn.WriteMsg(&transport.Msg{Kind: mkGatePause}); err != nil {
-			p.fail(fmt.Errorf("dataflow: gate pause to worker %d: %w", w, err))
+			p.ex.fail(fmt.Errorf("dataflow: gate pause to worker %d: %w", w, err))
 			return 0, false
 		}
 	}
@@ -666,7 +579,7 @@ func (p *NetPlane) resumeRemote(prot *node, hc *core.Hypercube) bool {
 	for _, w := range p.remoteProducerWorkers(prot) {
 		msg := transport.Msg{Kind: mkGateResume, B: int64(rows), C: int64(cols)}
 		if err := p.links[w].conn.WriteMsg(&msg); err != nil {
-			p.fail(fmt.Errorf("dataflow: gate resume to worker %d: %w", w, err))
+			p.ex.fail(fmt.Errorf("dataflow: gate resume to worker %d: %w", w, err))
 			return false
 		}
 	}
@@ -683,9 +596,9 @@ func (p *NetPlane) newToken() (int64, chan struct{}) {
 	return id, ch
 }
 
-// tokenSeen is called by a task draining a ctrlNetFlush envelope: the token's
-// round-trip through the staging queue proves every data message the issuing
-// link wrote before it has been delivered to (and processed by) the task.
+// tokenSeen is called by a task handling a ctrlNetFlush envelope: the token
+// follows the issuing link's data through the task's remote channel, so every
+// data message that link wrote before it has been processed by the task.
 func (p *NetPlane) tokenSeen(id int64) {
 	p.tokMu.Lock()
 	ch := p.tokWait[id]
@@ -721,7 +634,7 @@ func (p *NetPlane) quiesce(prot *node, tasks []int) bool {
 		for _, t := range tasks {
 			id, ch := p.newToken()
 			if err := p.links[w].conn.WriteMsg(&transport.Msg{Kind: mkSendToken, A: int64(ni), B: int64(t), C: id}); err != nil {
-				p.fail(fmt.Errorf("dataflow: quiesce token to worker %d: %w", w, err))
+				p.ex.fail(fmt.Errorf("dataflow: quiesce token to worker %d: %w", w, err))
 				return false
 			}
 			waits = append(waits, ch)
@@ -771,11 +684,11 @@ func (p *NetPlane) replayRemote(prot *node, victim int, streams map[string][]int
 		r.Token = id
 		body, err := json.Marshal(r)
 		if err != nil {
-			p.fail(fmt.Errorf("dataflow: encoding replay request: %w", err))
+			p.ex.fail(fmt.Errorf("dataflow: encoding replay request: %w", err))
 			return false
 		}
 		if err := p.links[w].conn.WriteMsg(&transport.Msg{Kind: mkReplayReq, Payload: body}); err != nil {
-			p.fail(fmt.Errorf("dataflow: replay request to worker %d: %w", w, err))
+			p.ex.fail(fmt.Errorf("dataflow: replay request to worker %d: %w", w, err))
 			return false
 		}
 		waits = append(waits, ch)
@@ -791,7 +704,7 @@ func (p *NetPlane) replayRemote(prot *node, victim int, streams map[string][]int
 func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
 	rec := p.ex.rec
 	if rec == nil || rec.node.name != req.Node {
-		p.fail(fmt.Errorf("dataflow: replay request for %q, which this run does not protect", req.Node))
+		p.ex.fail(fmt.Errorf("dataflow: replay request for %q, which this run does not protect", req.Node))
 		return
 	}
 	if !rec.replay(req.Victim, req.Streams) {
@@ -799,7 +712,7 @@ func (p *NetPlane) serveReplay(lk *netLink, req replayReq) {
 	}
 	ni := p.nodeIdx[req.Node]
 	if err := lk.conn.WriteMsg(&transport.Msg{Kind: mkToken, A: int64(ni), B: int64(req.Victim), C: req.Token}); err != nil {
-		p.fail(fmt.Errorf("dataflow: replay token to worker %d: %w", lk.worker, err))
+		p.ex.fail(fmt.Errorf("dataflow: replay token to worker %d: %w", lk.worker, err))
 	}
 }
 

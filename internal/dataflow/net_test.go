@@ -76,10 +76,11 @@ type workerResult struct {
 // runNetCluster executes the topology produced by build on every worker of an
 // in-process cluster. Each worker gets its own NetPlane over the mesh and its
 // own copy of the topology (so spout/bolt state is never shared); gathers[w]
-// is worker w's sink collector — only the sink owner's fills. The planes are
-// shut down and the mesh closed before returning.
+// is worker w's sink collector — only the sink owner's fills. delays, when
+// given, holds worker w's Run back by delays[w]. The planes are shut down and
+// the mesh closed before returning.
 func runNetCluster(t *testing.T, workers int, place map[string]int, opts Options,
-	build func() (*Topology, *Gather)) ([]workerResult, []*Gather, []*NetPlane) {
+	build func() (*Topology, *Gather), delays ...time.Duration) ([]workerResult, []*Gather, []*NetPlane) {
 	t.Helper()
 	mesh := dialMesh(t, workers)
 	planes := make([]*NetPlane, workers)
@@ -99,6 +100,9 @@ func runNetCluster(t *testing.T, workers int, place map[string]int, opts Options
 		wg.Add(1)
 		go func(w int, topo *Topology, o Options) {
 			defer wg.Done()
+			if w < len(delays) {
+				time.Sleep(delays[w])
+			}
 			m, err := Run(topo, o)
 			results[w] = workerResult{m, err}
 		}(w, topo, o)
@@ -194,6 +198,176 @@ func TestNetLinearPipeline(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestNetLateBind: worker 1 starts its Run 200 ms after worker 0's source
+// begins sending to it. Until worker 1 binds its plane nothing reads the
+// link, so the frames wait in the connection and the source blocks on its
+// credit window; the result must still be bag-equal.
+func TestNetLateBind(t *testing.T) {
+	const rows = 2000
+	build := func() (*Topology, *Gather) {
+		g := NewGather()
+		topo, err := NewBuilder().
+			Spout("src", 2, sliceRows(intRows(rows))).
+			Bolt("double", 2, passBolt).
+			Bolt("sink", 1, g.Factory()).
+			Input("double", "src", Shuffle()).
+			Input("sink", "double", Global()).
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return topo, g
+	}
+	place := map[string]int{"src": 0, "double": 1, "sink": 0}
+	opts := Options{Seed: 1, ChannelBuf: 4, BatchSize: 8}
+	results, gathers, _ := runNetCluster(t, 2, place, opts, build, 0, 200*time.Millisecond)
+	requireAllOK(t, results)
+	diffBags(t, rowBag(intRows(rows)), rowBag(gathers[0].Rows()))
+	if got := len(gathers[0].Rows()); got != rows {
+		t.Fatalf("sink gathered %d rows, want %d", got, rows)
+	}
+}
+
+// fakePeerRun runs topo on worker 0 of a two-worker mesh whose worker 1 is
+// a fake peer: it hosts the components place gives it, but instead of
+// running them it writes msgs to worker 0 and then stays silent. It returns
+// worker 0's error and its sink's rows.
+func fakePeerRun(t *testing.T, topo *Topology, g *Gather, place map[string]int, opts Options, msgs []transport.Msg) ([]types.Tuple, error) {
+	t.Helper()
+	mesh := dialMesh(t, 2)
+	defer func() {
+		for _, row := range mesh {
+			for _, c := range row {
+				if c != nil {
+					c.Close()
+				}
+			}
+		}
+	}()
+	plane := NewNetPlane(NetConfig{Self: 0, Workers: 2, Place: place, Links: mesh[0]})
+	defer plane.Shutdown()
+	for i := range msgs {
+		if err := mesh[1][0].WriteMsg(&msgs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts.Net = plane
+	_, err := runWithWatchdog(t, topo, opts)
+	return g.Rows(), err
+}
+
+// nodeIndex is the index a peer names node name by in a message's A field.
+func nodeIndex(t *testing.T, topo *Topology, name string) int64 {
+	t.Helper()
+	for i, n := range topo.nodes {
+		if n.name == name {
+			return int64(i)
+		}
+	}
+	t.Fatalf("no node %q", name)
+	return -1
+}
+
+// TestNetProvenanceChecked: a peer's data message must name, in Stream, an
+// input of the destination that the peer hosts, and in C one of that
+// input's tasks. The destination is a recovery-protected joiner, whose
+// dedup cursors are indexed by both, fed by R from the fake peer and by a
+// slow local S. Each bad message must fail the run with an error naming the
+// worker and the task: an unknown stream or producer task must not crash
+// the process, and an EOS under a stream that is not an input must not end
+// the joiner early with rows missing.
+func TestNetProvenanceChecked(t *testing.T) {
+	const nR, nS = 10, 100
+	rRows, sRows := recWorkload(nR, nS)
+	frame := wire.EncodeBatch(nil, rRows)
+	place := map[string]int{"R": 1, "S": 0, "join": 0, "sink": 0}
+	for _, tc := range []struct {
+		name string
+		bad  transport.Msg
+	}{
+		{"unknown-stream", transport.Msg{Kind: mkFrame, Stream: "nope", D: 1, Payload: frame}},
+		{"producer-task-out-of-range", transport.Msg{Kind: mkFrame, Stream: "R", C: 5, D: 1, Payload: frame}},
+		{"eos-from-non-input", transport.Msg{Kind: mkEOS, Stream: "sink"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := NewBuilder()
+			b.Spout("R", 1, sliceRows(rRows))
+			b.Spout("S", 1, genRows(nS, func(i int) types.Tuple {
+				time.Sleep(time.Millisecond) // S is still streaming when R ends
+				return sRows[i]
+			}))
+			b.Bolt("join", 1, func(int, int) Bolt { return &crossJoin{} })
+			g := NewGather()
+			b.Bolt("sink", 1, g.Factory())
+			b.Input("join", "R", All())
+			b.Input("join", "S", Fields(0))
+			b.Input("sink", "join", Global())
+			topo, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			join := nodeIndex(t, topo, "join")
+			bad := tc.bad
+			bad.A = join
+			// After the bad message, the peer plays R honestly: its one
+			// frame and its EOS.
+			msgs := []transport.Msg{bad,
+				{Kind: mkFrame, Stream: "R", A: join, D: 1, Payload: frame},
+				{Kind: mkEOS, Stream: "R", A: join},
+			}
+			opts := Options{Seed: 1, Recovery: recPolicy(1, nil, recovery.NewMemStore(), false, 1<<20)}
+			rows, err := fakePeerRun(t, topo, g, place, opts, msgs)
+			if err == nil {
+				t.Fatalf("run accepted the bad message and returned %d of %d rows", len(rows), nR*nS)
+			}
+			if msg := err.Error(); !strings.Contains(msg, "worker 1") || !strings.Contains(msg, "join[0]") {
+				t.Fatalf("error %q does not name worker 1 and join[0]", msg)
+			}
+		})
+	}
+}
+
+// TestNetCreditOverrunFails: a peer that ignores its credit window while
+// the destination task is busy must fail the run with the overrun error.
+// The destination's remote channel holds one window (2) and one flush
+// token; the peer sends 20 frames while the task sleeps on its first row.
+func TestNetCreditOverrunFails(t *testing.T) {
+	g := NewGather()
+	var slept atomic.Bool
+	topo, err := NewBuilder().
+		Spout("src", 1, sliceRows(intRows(20))).
+		Bolt("mid", 1, func(int, int) Bolt {
+			return FuncBolt{OnRow: func(in RowInput, out *Collector) error {
+				if !slept.Swap(true) {
+					time.Sleep(300 * time.Millisecond)
+				}
+				return out.EmitRow(in.Row)
+			}}
+		}).
+		Bolt("sink", 1, g.Factory()).
+		Input("mid", "src", Global()).
+		Input("sink", "mid", Global()).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mid := nodeIndex(t, topo, "mid")
+	var msgs []transport.Msg
+	for i := range 20 {
+		frame := wire.EncodeBatch(nil, []types.Tuple{{types.Int(int64(i))}})
+		msgs = append(msgs, transport.Msg{Kind: mkFrame, Stream: "src", A: mid, Payload: frame})
+	}
+	msgs = append(msgs, transport.Msg{Kind: mkEOS, Stream: "src", A: mid})
+	place := map[string]int{"src": 1, "mid": 0, "sink": 0}
+	rows, err := fakePeerRun(t, topo, g, place, Options{Seed: 1, ChannelBuf: 2, BatchSize: 1}, msgs)
+	if err == nil {
+		t.Fatalf("run absorbed 20 frames against a window of 2 and returned %d rows", len(rows))
+	}
+	if msg := err.Error(); !strings.Contains(msg, "worker 1 overran the credit window of mid[0]") {
+		t.Fatalf("error %q, want the overrun error naming worker 1 and mid[0]", msg)
 	}
 }
 
@@ -443,8 +617,8 @@ func TestNetWorkerLoss(t *testing.T) {
 // encoded tuple batch and one encoded tuple. Every data edge now crosses the
 // socket as frame messages, so a peer that still sends either kind must fail
 // the run with the unknown-kind error — not hang, and not deliver the
-// tuples — whether the message lands before the run binds the plane
-// (parked, then drained by bind) or mid-run.
+// tuples — whether the message lands before the run binds the plane (it
+// waits in the connection until bind starts the read loop) or mid-run.
 func TestNetRetiredSingleKindFails(t *testing.T) {
 	retired := []struct {
 		kind    byte
@@ -496,8 +670,9 @@ func TestNetRetiredSingleKindFails(t *testing.T) {
 				}
 				if preBind {
 					send()
-					// Biases the message onto the parked path; either arrival
-					// order must fail the run the same way.
+					// Lets the message reach the connection before the read
+					// loop starts; either arrival order must fail the run the
+					// same way.
 					time.Sleep(20 * time.Millisecond)
 				} else {
 					time.AfterFunc(50*time.Millisecond, send)

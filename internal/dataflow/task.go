@@ -22,6 +22,10 @@ type boltTask struct {
 	tm    *TaskMetrics
 	inbox chan envelope
 	cur   wire.Cursor // deliver's row cursor
+	// remote carries the envelopes remote workers send the task (nil when
+	// none does), and owed counts the credits it owes each worker's link.
+	remote chan envelope
+	owed   []int
 
 	// bolt is the current instance, and the rest what instance resolved on
 	// it: mem reports state size (nil when the bolt does not), and rep
@@ -63,6 +67,11 @@ func (ex *execution) runBolt(wg *sync.WaitGroup, n *node, task int) {
 func (ex *execution) newBoltTask(n *node, task int) *boltTask {
 	t := &boltTask{ex: ex, n: n, task: task, col: ex.collector(n, task), inbox: ex.inboxes[n][task]}
 	t.tm = t.col.metrics
+	if p := ex.net; p != nil {
+		if chs := p.remotes[p.nodeIdx[n.name]]; chs != nil {
+			t.remote, t.owed = chs[task], make([]int, len(p.links))
+		}
+	}
 	for _, e := range n.inputs {
 		t.expectEOS += e.from.par
 	}
@@ -119,6 +128,10 @@ func (t *boltTask) run() error {
 			if err := t.handle(env); err != nil {
 				return err
 			}
+		case env := <-t.remote:
+			if err := t.fromRemote(env); err != nil {
+				return err
+			}
 		case <-t.planDone:
 			t.planDone = nil
 		case <-t.ex.abort:
@@ -146,13 +159,27 @@ func (t *boltTask) handle(env envelope) error {
 	case env.ctrl == ctrlKill:
 		return t.kill()
 	case env.ctrl == ctrlNetFlush:
-		if t.ex.net == nil {
-			return t.errf(" received a flush token without a network plane")
-		}
 		t.ex.net.tokenSeen(env.seq)
 		return nil
 	}
 	return t.transfer(env)
+}
+
+// fromRemote handles one envelope taken from the remote channel, after
+// settling its credit and handling what the inbox held when it was taken. A
+// remote worker sends only what the control loop asked for after enqueueing
+// what must precede it — a recovery round's command ahead of the replay it
+// requests — so the inbox goes first, as it would in one FIFO; whatever the
+// inbox holds cannot depend on this envelope, since each marker that must
+// follow remote data waits for a flush token queued behind that data.
+func (t *boltTask) fromRemote(env envelope) error {
+	t.ex.net.took(t, &env)
+	for n := len(t.inbox); n > 0; n-- {
+		if err := t.handle(<-t.inbox); err != nil {
+			return err
+		}
+	}
+	return t.handle(env)
 }
 
 // note sends a fault note to the control loop; false means the run aborted.

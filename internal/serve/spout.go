@@ -25,70 +25,21 @@ import (
 // pipeline never takes down the serving process.
 func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.RowSpoutFactory {
 	return func(task, ntasks int) dataflow.RowSpout {
-		return &tapRowSpout{walk: walk{tap: t, onErr: onErr}, pp: ops.CompilePipeline(pre)}
+		return &tapRowSpout{tap: t, onErr: onErr, pp: ops.CompilePipeline(pre)}
 	}
 }
 
-// walk is the shared frame-walking state: current frame, read position and
-// rows left in it.
-type walk struct {
+// tapRowSpout walks the shared frames row by row, runs each row through the
+// compiled per-query pipeline and hands on the encoded rows it keeps.
+type tapRowSpout struct {
 	tap    *Tap
 	onErr  func(error)
-	frame  []byte
-	pos    int
-	left   int
+	pp     *ops.PackedPipeline
+	frame  []byte // current frame
+	pos    int    // read position in frame
+	left   int    // rows left in frame
 	failed bool
 	cur    wire.Cursor
-}
-
-// nextRaw returns the next raw encoded row across frames (no pipeline). The
-// row aliases the shared frame; the cursor is left parsed on it.
-func (w *walk) nextRaw() ([]byte, bool) {
-	if w.failed {
-		return nil, false
-	}
-	for w.left == 0 {
-		f, ok := w.tap.NextFrame()
-		if !ok {
-			if err := w.tap.Err(); err != nil {
-				w.fail(err)
-			}
-			return nil, false
-		}
-		n, hl := binary.Uvarint(f)
-		if hl <= 0 {
-			w.fail(fmt.Errorf("serve: tap on %s: bad frame header", w.tap.src.name))
-			return nil, false
-		}
-		w.frame, w.pos, w.left = f, hl, int(n)
-	}
-	rl, err := w.cur.Parse(w.frame[w.pos:])
-	if err != nil {
-		w.fail(fmt.Errorf("serve: tap on %s: %w", w.tap.src.name, err))
-		return nil, false
-	}
-	row := w.frame[w.pos : w.pos+rl]
-	w.pos += rl
-	w.left--
-	return row, true
-}
-
-func (w *walk) fail(err error) {
-	if w.failed {
-		return
-	}
-	w.failed = true
-	w.tap.Detach()
-	if w.onErr != nil {
-		w.onErr(err)
-	}
-}
-
-// tapRowSpout is the packed consumer: shared rows run through the compiled
-// per-query pipeline and leave as encoded rows.
-type tapRowSpout struct {
-	walk
-	pp *ops.PackedPipeline
 }
 
 func (s *tapRowSpout) NextRow() ([]byte, bool) {
@@ -105,5 +56,48 @@ func (s *tapRowSpout) NextRow() ([]byte, bool) {
 		if keep {
 			return out, true
 		}
+	}
+}
+
+// nextRaw returns the next raw encoded row across frames (no pipeline). The
+// row aliases the shared frame; the cursor is left parsed on it.
+func (s *tapRowSpout) nextRaw() ([]byte, bool) {
+	if s.failed {
+		return nil, false
+	}
+	for s.left == 0 {
+		f, ok := s.tap.NextFrame()
+		if !ok {
+			if err := s.tap.Err(); err != nil {
+				s.fail(err)
+			}
+			return nil, false
+		}
+		n, hl := binary.Uvarint(f)
+		if hl <= 0 {
+			s.fail(fmt.Errorf("serve: tap on %s: bad frame header", s.tap.src.name))
+			return nil, false
+		}
+		s.frame, s.pos, s.left = f, hl, int(n)
+	}
+	rl, err := s.cur.Parse(s.frame[s.pos:])
+	if err != nil {
+		s.fail(fmt.Errorf("serve: tap on %s: %w", s.tap.src.name, err))
+		return nil, false
+	}
+	row := s.frame[s.pos : s.pos+rl]
+	s.pos += rl
+	s.left--
+	return row, true
+}
+
+func (s *tapRowSpout) fail(err error) {
+	if s.failed {
+		return
+	}
+	s.failed = true
+	s.tap.Detach()
+	if s.onErr != nil {
+		s.onErr(err)
 	}
 }

@@ -79,15 +79,14 @@ func (hb Heartbeat) Window() time.Duration {
 var ErrPeerLost = errors.New("transport: peer lost (heartbeat window elapsed)")
 
 // Conn is one bidirectional message link between two processes. Writes are
-// safe from any goroutine (serialized by a mutex, each message flushed so
-// control messages are never stuck behind a buffer); reads must happen from
-// a single owner goroutine.
+// safe from any goroutine (serialized by a mutex, each message written to the
+// socket whole so control messages are never stuck behind a buffer); reads
+// must happen from a single owner goroutine.
 type Conn struct {
 	c  net.Conn
 	br *bufio.Reader
 
 	wmu  sync.Mutex
-	bw   *bufio.Writer
 	wbuf []byte
 	werr error
 
@@ -110,7 +109,6 @@ func NewConn(c net.Conn) *Conn {
 	cn := &Conn{
 		c:      c,
 		br:     bufio.NewReaderSize(c, 64<<10),
-		bw:     bufio.NewWriterSize(c, 64<<10),
 		hbStop: make(chan struct{}),
 	}
 	cn.lastRead.Store(time.Now().UnixNano())
@@ -226,11 +224,11 @@ func (c *Conn) pinger(interval time.Duration) {
 	}
 }
 
-// WriteMsg encodes and sends m, flushing to the socket before returning.
-// It is safe for concurrent use; once a write fails the connection is
-// poisoned and every later write returns the same error. With a heartbeat
-// armed, the flush is bounded by the detection window so a wedged peer
-// cannot pin a writer forever.
+// WriteMsg encodes m into the connection's write buffer and writes it to the
+// socket before returning. It is safe for concurrent use; once a write fails
+// the connection is poisoned and every later write returns the same error.
+// With a heartbeat armed, the write is bounded by the detection window so a
+// wedged peer cannot pin a writer forever.
 func (c *Conn) WriteMsg(m *Msg) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
@@ -245,13 +243,7 @@ func (c *Conn) WriteMsg(m *Msg) error {
 	if win := c.hbWindow.Load(); win > 0 {
 		c.c.SetWriteDeadline(time.Now().Add(time.Duration(win)))
 	}
-	if _, err := c.bw.Write(buf); err == nil {
-		err = c.bw.Flush()
-		if err == nil {
-			return nil
-		}
-		c.werr = err
-	} else {
+	if _, err := c.c.Write(buf); err != nil {
 		c.werr = err
 	}
 	return c.werr

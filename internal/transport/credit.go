@@ -4,10 +4,10 @@ import "sync"
 
 // Credit is a counting gate used for per-edge flow control across a Conn.
 // The sender Acquires one credit per envelope before writing it; the
-// receiver Grants credits back as envelopes drain out of its staging queue
-// into the task inbox. The initial window plays the role the bounded
-// channel buffer plays in-process: a slow consumer eventually blocks its
-// remote producers instead of buffering unboundedly.
+// receiver Grants credits back as the destination task takes envelopes. The
+// initial window plays the role the bounded channel buffer plays in-process:
+// a slow consumer eventually blocks its remote producers instead of
+// buffering unboundedly.
 type Credit struct {
 	mu    sync.Mutex
 	avail int

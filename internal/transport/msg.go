@@ -62,8 +62,8 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 }
 
 // parseMsg decodes one message body (the bytes after the length prefix) into
-// m. Stream and Payload alias body, so they are only valid until the read
-// buffer is reused.
+// m. Payload aliases body, so it is only valid until the read buffer is
+// reused; Stream is a copy.
 func parseMsg(body []byte, m *Msg) error {
 	if len(body) < 1 {
 		return fmt.Errorf("transport: empty message")

@@ -308,16 +308,12 @@ func (e *Engine) launch(req RegisterRequest) (*ServedQuery, error) {
 		}
 		gaugesByComp[c.Name] = gs
 	}
-	x.dopts.MemObserver = func(comp string, task int, bytes int64) {
-		if gs := gaugesByComp[comp]; task < len(gs) {
-			gs[task].Set(bytes)
-		}
-	}
 	// Spilled state stays on the tenant's books (it owns the disk bytes) but
 	// is never charged against MaxBytes, which caps RAM.
-	x.dopts.SpillObserver = func(comp string, task int, bytes int64) {
+	x.dopts.MemObserver = func(comp string, task int, resident, spilled int64) {
 		if gs := gaugesByComp[comp]; task < len(gs) {
-			gs[task].SetSpilled(bytes)
+			gs[task].Set(resident)
+			gs[task].SetSpilled(spilled)
 		}
 	}
 	sq.x = x

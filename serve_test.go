@@ -322,6 +322,37 @@ func TestRegisterEmptyIDIsConfigError(t *testing.T) {
 	}
 }
 
+// TestServeSpilledBytesReachTenant: a query registered under a small
+// engine-wide MemCapBytes spills sealed segments, and the one memory
+// observer carries the spilled bytes to its tenant's books beside the
+// resident ones.
+func TestServeSpilledBytesReachTenant(t *testing.T) {
+	eng := squall.NewEngine(squall.EngineOptions{
+		Run:         squall.Options{Tier: &squall.TierOptions{SegmentRows: 8}},
+		MemCapBytes: 2 << 10,
+	})
+	defer eng.Close()
+	h, err := eng.Register(squall.RegisterRequest{Tenant: "t", ID: "q", Query: serveQuery(1, false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if ps := eng.Pressure().Stats(); ps.Spills == 0 {
+		t.Fatalf("no segment spilled under a 2 KiB cap: %+v", ps)
+	}
+	for _, ten := range eng.Stats().Tenants {
+		if ten.Name == "t" {
+			if ten.SpilledBytes <= 0 || ten.Bytes <= 0 {
+				t.Fatalf("tenant books %d resident and %d spilled bytes, want both > 0", ten.Bytes, ten.SpilledBytes)
+			}
+			return
+		}
+	}
+	t.Fatal("tenant t missing from the engine stats")
+}
+
 // TestServeEvict: Evict lets a registration push out the tenant's oldest
 // query to fit MaxQueries instead of being rejected.
 func TestServeEvict(t *testing.T) {

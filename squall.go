@@ -466,13 +466,22 @@ func (p *Plan) String() string {
 }
 
 // Fingerprint hashes what every process of a cluster run must agree on:
-// the plan but for Ignored, the seed, the batch size, and whether recovery
-// and adaptation are on. Spouts, stores, paths and tiering are left out.
+// the plan but for Ignored, the seed, the batch size, the credit window
+// (the effective ChannelBuf, which sizes both ends of every link) and
+// whether recovery and adaptation are on. Spouts, stores, paths and tiering
+// are left out.
 func (p *Plan) Fingerprint() string {
+	batch, window := p.opt.BatchSize, p.opt.ChannelBuf
+	if batch <= 0 {
+		batch = dataflow.DefaultBatchSize
+	}
+	if window <= 0 {
+		window = max(1024/batch, 128) // dataflow.Options.ChannelBuf's default
+	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%v|%s/%s|%v|%v/%d|seed=%d batch=%d recovery=%v adaptive=%v", p.Hypercube,
+	fmt.Fprintf(h, "%v|%s/%s|%v|%v/%d|seed=%d batch=%d window=%d recovery=%v adaptive=%v", p.Hypercube,
 		p.Joiner.Operator, p.Joiner.Policy, p.Components, p.GroupCols, p.SumCol,
-		p.opt.Seed, p.opt.BatchSize, p.opt.Recovery != nil, p.adapt != nil)
+		p.opt.Seed, batch, window, p.opt.Recovery != nil, p.adapt != nil)
 	return hex.EncodeToString(h.Sum(nil)[:12])
 }
 
