@@ -94,6 +94,71 @@ func TestEOSFlushesPartialBatches(t *testing.T) {
 	}
 }
 
+// parkSpout emits its rows, yields, and then blocks until seen closes or a
+// bounded wait runs out, recording which came first; then its stream ends.
+type parkSpout struct {
+	rows    []types.Tuple
+	seen    <-chan struct{}
+	reached *bool
+	i       int
+	yielded bool
+}
+
+func (s *parkSpout) NextRow() ([]byte, bool) {
+	if s.i < len(s.rows) {
+		s.i++
+		return wire.Encode(nil, s.rows[s.i-1]), true
+	}
+	if !s.yielded {
+		s.yielded = true
+		return nil, true
+	}
+	select {
+	case <-s.seen:
+		*s.reached = true
+	case <-time.After(10 * time.Second):
+	}
+	return nil, false
+}
+
+// TestParkFlushesPartialFrames: a task ships its partial frames when it
+// would otherwise wait for input. The spout's 3 rows fill no 64-row frame,
+// and it blocks after its yield until the sink has seen all 3: the yield
+// must flush the spout's frame, and the relay bolt, whose inbox then runs
+// dry, must flush its own before it parks. Neither waits for EOS.
+func TestParkFlushesPartialFrames(t *testing.T) {
+	seen := make(chan struct{})
+	reached := false
+	n := 0
+	relay := func(int, int) Bolt {
+		return FuncBolt{OnRow: func(in RowInput, out *Collector) error { return out.EmitRow(in.Row) }}
+	}
+	sink := func(int, int) Bolt {
+		return FuncBolt{OnRow: func(RowInput, *Collector) error {
+			if n++; n == 3 {
+				close(seen)
+			}
+			return nil
+		}}
+	}
+	topo, err := NewBuilder().
+		Spout("src", 1, func(int, int) RowSpout { return &parkSpout{rows: intRows(3), seen: seen, reached: &reached} }).
+		Bolt("relay", 1, relay).
+		Bolt("sink", 1, sink).
+		Input("relay", "src", Shuffle()).
+		Input("sink", "relay", Shuffle()).
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runWithWatchdog(t, topo, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if !reached {
+		t.Fatalf("the sink saw %d of 3 rows while the spout waited: partial frames wait for EOS", n)
+	}
+}
+
 // TestBatchSizeOnePreservesLegacySemantics: batch=1 must deliver one tuple
 // per envelope (legacy framing) and keep per-producer-task FIFO order.
 func TestBatchSizeOnePreservesLegacySemantics(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -448,8 +449,13 @@ func (c *Collector) flushRow(ei, target int) error {
 // flushEdge drains every pending frame of one edge. An adaptive edge, or a
 // recovery-tracked edge with a replicated row pending, drains inside a
 // single gate session, so the gate never splits a replication group and an
-// adaptive edge flushes only rows routed under the published shape.
+// adaptive edge flushes only rows routed under the published shape. An edge
+// with nothing pending returns at once, without a gate session: a task
+// about to park flushes every edge, most of them empty.
 func (c *Collector) flushEdge(ei int) error {
+	if !slices.ContainsFunc(c.out[ei], func(rb rowBatch) bool { return rb.count > 0 }) {
+		return nil
+	}
 	live := c.liveRel != nil && c.liveRel[ei] >= 0
 	if live || (c.recTracked != nil && c.recTracked[ei] && c.recShared[ei]) {
 		if !c.gateEnter() {
@@ -1003,7 +1009,7 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 	// source, then routing, transport and state inserts all work on the
 	// bytes. The abort poll is amortized to once per batch; flushes inside
 	// the emit observe aborts anyway, so a stuck downstream never wedges the
-	// spout.
+	// spout. A yield ships the partial frames before the spout may block.
 	sp := n.spout(task, n.par)
 	for i := 0; ; i++ {
 		if i%col.batchSize == 0 {
@@ -1018,7 +1024,13 @@ func (ex *execution) runSpout(wg *sync.WaitGroup, n *node, task int) {
 		if !ok {
 			return
 		}
-		if err := col.EmitRow(row); err != nil {
+		var err error
+		if row == nil {
+			err = col.flushAll()
+		} else {
+			err = col.EmitRow(row)
+		}
+		if err != nil {
 			ex.fail(fmt.Errorf("dataflow: spout %s[%d]: %w", n.name, task, err))
 			return
 		}

@@ -113,6 +113,11 @@ func (t *boltTask) instance() error {
 // and, on a protected task under a fault plan, the plan resolved — a kill
 // landing at the very end of the stream must still find every peer alive
 // to serve its partitions. Then the bolt finishes and EOS goes downstream.
+//
+// Before the loop parks on empty channels it ships its partial frames, so
+// a result never waits for input that has not arrived; a busy task finds
+// input waiting and keeps filling whole frames. The flush falls between
+// frames, never while a frame's emissions are held.
 func (t *boltTask) run() error {
 	for t.expectEOS > 0 || t.mv != nil || (t.rs != nil && (t.rs.busy() || t.planDone != nil)) {
 		if t.expectEOS == 0 && t.mv == nil && t.rs != nil && t.rs.armed && !t.rs.busy() {
@@ -121,6 +126,11 @@ func (t *boltTask) run() error {
 			t.rs.armed = false
 			if !t.note(faultNote{task: t.task, void: true}) {
 				return t.ex.abortErr()
+			}
+		}
+		if len(t.inbox) == 0 && len(t.remote) == 0 {
+			if err := t.col.flushAll(); err != nil {
+				return t.errf(" flush on park: %w", err)
 			}
 		}
 		select {

@@ -15,11 +15,12 @@
 // over its bytes, and a bolt reads the rows of a delivered frame in place
 // (ExecuteRow). Producers accumulate per-(edge, target) frames of up to
 // Options.BatchSize rows and ship each frame as one channel send, flushing
-// partial frames at EOS. BatchSize=1 ships one-row frames, so every tuple
-// pays its own send and frame; see DESIGN.md for the framing and its
-// interaction with the network-cost substitution. Tuples exist only at the
-// API edge: Spout and SpoutFactory are the tuple sources a caller supplies,
-// which the planner encodes once at the source.
+// partial frames at EOS and whenever the task would otherwise park waiting
+// for input (an empty inbox, a spout's yield). BatchSize=1 ships one-row
+// frames, so every tuple pays its own send and frame; see DESIGN.md for the
+// framing and its interaction with the network-cost substitution. Tuples
+// exist only at the API edge: Spout and SpoutFactory are the tuple sources
+// a caller supplies, which the planner encodes once at the source.
 package dataflow
 
 import (
@@ -44,7 +45,11 @@ type SpoutFactory func(task, ntasks int) Spout
 // RowSpout is a spout component's task: NextRow returns the next
 // wire-encoded row, or false when the stream is exhausted. The returned row
 // is only read until the next NextRow call, so implementations may reuse one
-// buffer.
+// buffer. NextRow may also return (nil, true), a yield: nothing is ready
+// and the next call may block. The executor then ships the task's partial
+// frames before it calls again, so rows already emitted never wait on input
+// that has not arrived. A spout that cannot tell it would block never
+// yields, and its rows ship when a frame fills or at EOS.
 type RowSpout interface {
 	NextRow() ([]byte, bool)
 }

@@ -131,6 +131,9 @@ func TestPackedSpoutMatchesPipeline(t *testing.T) {
 		if !ok {
 			break
 		}
+		if row == nil {
+			continue // a yield
+		}
 		tu, _, err := wire.Decode(row)
 		if err != nil {
 			t.Fatal(err)

@@ -30,23 +30,26 @@ func TapSpout(t *Tap, pre ops.Pipeline, onErr func(error)) dataflow.RowSpoutFact
 }
 
 // tapRowSpout walks the shared frames row by row, runs each row through the
-// compiled per-query pipeline and hands on the encoded rows it keeps.
+// compiled per-query pipeline and hands on the encoded rows it keeps. Once
+// per wait for the next shared frame it yields first, so the executor ships
+// the rows this query has kept so far before the spout blocks.
 type tapRowSpout struct {
-	tap    *Tap
-	onErr  func(error)
-	pp     *ops.PackedPipeline
-	frame  []byte // current frame
-	pos    int    // read position in frame
-	left   int    // rows left in frame
-	failed bool
-	cur    wire.Cursor
+	tap     *Tap
+	onErr   func(error)
+	pp      *ops.PackedPipeline
+	frame   []byte // current frame
+	pos     int    // read position in frame
+	left    int    // rows left in frame
+	failed  bool
+	yielded bool // the last call yielded; this one may block
+	cur     wire.Cursor
 }
 
 func (s *tapRowSpout) NextRow() ([]byte, bool) {
 	for {
 		row, ok := s.nextRaw()
-		if !ok {
-			return nil, false
+		if !ok || row == nil {
+			return nil, ok
 		}
 		out, _, keep, err := s.pp.RunOne(row, &s.cur)
 		if err != nil {
@@ -59,13 +62,19 @@ func (s *tapRowSpout) NextRow() ([]byte, bool) {
 	}
 }
 
-// nextRaw returns the next raw encoded row across frames (no pipeline). The
-// row aliases the shared frame; the cursor is left parsed on it.
+// nextRaw returns the next raw encoded row across frames (no pipeline), or
+// (nil, true) to yield when no frame is ready. The row aliases the shared
+// frame; the cursor is left parsed on it.
 func (s *tapRowSpout) nextRaw() ([]byte, bool) {
 	if s.failed {
 		return nil, false
 	}
 	for s.left == 0 {
+		if !s.yielded && len(s.tap.ch) == 0 {
+			s.yielded = true
+			return nil, true
+		}
+		s.yielded = false
 		f, ok := s.tap.NextFrame()
 		if !ok {
 			if err := s.tap.Err(); err != nil {

@@ -91,6 +91,7 @@ type Conn struct {
 	werr error
 
 	rbuf []byte
+	lenb [4]byte // the read loop's length prefix, kept off the heap per message
 	// rdArmed tracks whether the previous ReadMsg left a deadline on the
 	// socket (single-reader state, no lock needed).
 	rdArmed bool
@@ -249,9 +250,10 @@ func (c *Conn) WriteMsg(m *Msg) error {
 	return c.werr
 }
 
-// ReadMsg reads the next message into m. m.Stream and m.Payload alias the
-// connection's read buffer and are only valid until the next ReadMsg call —
-// the caller copies what it keeps. Not safe for concurrent use.
+// ReadMsg reads the next message into m. m.Payload aliases the
+// connection's read buffer and is only valid until the next ReadMsg call —
+// the caller copies what it keeps; m.Stream is a string the next call
+// keeps when the stream repeats. Not safe for concurrent use.
 //
 // Transport pings are consumed here and never returned. When a heartbeat is
 // armed the read fails with ErrPeerLost after a full detection window with
@@ -290,11 +292,10 @@ func (c *Conn) ReadMsg(m *Msg) error {
 
 // readFrame reads one raw frame off the socket into m.
 func (c *Conn) readFrame(m *Msg) error {
-	var lenb [4]byte
-	if _, err := io.ReadFull(c.br, lenb[:]); err != nil {
+	if _, err := io.ReadFull(c.br, c.lenb[:]); err != nil {
 		return err
 	}
-	n := binary.LittleEndian.Uint32(lenb[:])
+	n := binary.LittleEndian.Uint32(c.lenb[:])
 	if n == 0 || n > MaxMsgSize {
 		return fmt.Errorf("transport: message length %d out of range", n)
 	}

@@ -63,7 +63,9 @@ func appendMsg(dst []byte, m *Msg) ([]byte, error) {
 
 // parseMsg decodes one message body (the bytes after the length prefix) into
 // m. Payload aliases body, so it is only valid until the read buffer is
-// reused; Stream is a copy.
+// reused; Stream is a copy, kept from the previous message when its bytes
+// are equal, so a reader that reuses one Msg allocates no string per
+// message of a stream.
 func parseMsg(body []byte, m *Msg) error {
 	if len(body) < 1 {
 		return fmt.Errorf("transport: empty message")
@@ -75,7 +77,9 @@ func parseMsg(body []byte, m *Msg) error {
 		return fmt.Errorf("transport: bad stream length")
 	}
 	pos += n
-	m.Stream = string(body[pos : pos+int(sl)])
+	if b := body[pos : pos+int(sl)]; string(b) != m.Stream {
+		m.Stream = string(b)
+	}
 	pos += int(sl)
 	for _, f := range []*int64{&m.A, &m.B, &m.C, &m.D} {
 		v, n := binary.Varint(body[pos:])

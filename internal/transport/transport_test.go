@@ -179,3 +179,50 @@ func TestCreditGate(t *testing.T) {
 		t.Fatal("cancelled Acquire did not return")
 	}
 }
+
+// replayConn serves one encoded message over and over, so ReadMsg can be
+// measured with nothing else allocating.
+type replayConn struct {
+	net.Conn
+	frame []byte
+	off   int
+}
+
+func (c *replayConn) Read(b []byte) (int, error) {
+	n := 0
+	for n < len(b) {
+		k := copy(b[n:], c.frame[c.off:])
+		n += k
+		c.off = (c.off + k) % len(c.frame)
+	}
+	return n, nil
+}
+
+// TestReadMsgKeepsRepeatedStream: a reader that reuses one Msg, as a link's
+// read loop does, allocates no more for messages that repeat a 4-byte
+// stream name than for messages with none — the stream string is kept, not
+// copied again per message.
+func TestReadMsgKeepsRepeatedStream(t *testing.T) {
+	allocs := func(stream string) float64 {
+		frame, err := appendMsg(nil, &Msg{Kind: 2, Stream: stream, A: 1, B: 2, Payload: []byte("frame bytes")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := NewConn(&replayConn{frame: frame})
+		var m Msg
+		read := func() {
+			if err := c.ReadMsg(&m); err != nil {
+				t.Fatal(err)
+			}
+			if m.Stream != stream || string(m.Payload) != "frame bytes" {
+				t.Fatalf("read stream %q payload %q", m.Stream, m.Payload)
+			}
+		}
+		read() // the first message of a stream copies its name
+		return testing.AllocsPerRun(200, read)
+	}
+	none, named := allocs(""), allocs("join")
+	if named > none {
+		t.Errorf("ReadMsg allocates %.1f objects per message with a repeated stream, %.1f with none", named, none)
+	}
+}

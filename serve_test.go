@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"testing"
 	"time"
 
@@ -628,4 +629,203 @@ func TestSinkCollectLimit(t *testing.T) {
 
 func sortTuples(rows []squall.Tuple) {
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Compare(rows[j]) < 0 })
+}
+
+// serveOracle is the nested-loop result of the raw-row serveQuery(k), k odd,
+// over the first rN rows of R: each kept R row's columns, then a matching S
+// row's.
+func serveOracle(k, rN int) []squall.Tuple {
+	rs, ss := serveRSpout()(0, 1), serveSSpout()(0, 1)
+	var s []types.Tuple
+	for t, ok := ss.Next(); ok; t, ok = ss.Next() {
+		s = append(s, t)
+	}
+	var out []squall.Tuple
+	for i := 0; i < rN; i++ {
+		r, _ := rs.Next()
+		if r[0].I >= int64(20+10*k) {
+			continue
+		}
+		for _, st := range s {
+			if st[0].I == r[1].I {
+				out = append(out, append(append(types.Tuple{}, r...), st...))
+			}
+		}
+	}
+	sortTuples(out)
+	return out
+}
+
+// TestServeResultsBeforeSourceBlocks: with SourceOptions{FrameRows: 4}, R's
+// shared source publishes 4 rows and then blocks. A subscriber to a join
+// over it still receives those rows' matches while the source waits: the tap
+// spout yields before it waits for the next shared frame, and every task
+// ships its partial frames before it parks, so no result waits for a 64-row
+// frame to fill or for EOS.
+func TestServeResultsBeforeSourceBlocks(t *testing.T) {
+	const first = 4
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	eng := squall.NewEngine(squall.EngineOptions{Source: serve.SourceOptions{FrameRows: first}})
+	defer eng.Close()
+	defer release() // before Close, which waits for the blocked source
+	rows := serveRSpout()
+	eng.AddSource("R", func(task, ntasks int) dataflow.Spout {
+		return &gatedSpout{inner: rows(task, ntasks), at: first, gate: gate}
+	}, serveRRows)
+	eng.AddSource("S", serveSSpout(), serveSRows)
+	h, err := eng.Register(squall.RegisterRequest{ID: "q", Query: serveQuery(1, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe("q", serve.SubOptions{Policy: serve.CoalesceDeltas, Buf: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := serveOracle(1, first)
+	eng.Start()
+	var got []squall.Tuple
+	timeout := time.After(10 * time.Second)
+wait:
+	for len(got) < len(want) {
+		select {
+		case d, ok := <-sub.C():
+			if !ok {
+				break wait
+			}
+			got = append(got, d.Rows...)
+		case <-timeout:
+			break wait
+		}
+	}
+	release()
+	sortTuples(got)
+	rowsExactlyEqual(t, "results while the source waits", got, want)
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsExactlyEqual(t, "final result", res.SortedRows(), serveOracle(1, serveRRows))
+}
+
+// pausingSpout sleeps briefly every 20 rows, so the taps on its shared
+// source run dry mid-stream and their spouts yield.
+type pausingSpout struct {
+	inner dataflow.Spout
+	n     int
+}
+
+func (s *pausingSpout) Next() (types.Tuple, bool) {
+	if s.n++; s.n%20 == 0 {
+		time.Sleep(500 * time.Microsecond)
+	}
+	return s.inner.Next()
+}
+
+// TestServeYieldFlushUnderControl: the partial frames a yielding tap spout
+// ships pass the gate like full ones. An adaptive query that reshapes, and a
+// query whose joiner task is killed and recovered, each registered with an
+// Options override over pausing shared sources, stay bag-equal to the
+// nested-loop oracle, and R's spout ships frames of under half BatchSize
+// on average.
+func TestServeYieldFlushUnderControl(t *testing.T) {
+	const k = 9 // keeps every R row
+	want := serveOracle(k, serveRRows)
+	adaptive := serveQuery(k, true).Adaptive(true)
+	adaptive.Adapt = &squall.AdaptConfig{InitialRows: 1, InitialCols: 4, ReportEvery: 16, MinObserved: 64, MinGain: 0.05}
+	legs := []struct {
+		name  string
+		q     *squall.JoinQuery
+		opt   squall.Options
+		check func(m *squall.RunMetrics) error
+	}{
+		{"adaptive", adaptive, squall.Options{Seed: 2}, func(m *squall.RunMetrics) error {
+			if n := m.Adapt.Reshapes.Load(); n == 0 {
+				return fmt.Errorf("no reshape from the stale 1x4 matrix")
+			}
+			return nil
+		}},
+		{"kill", serveQuery(k, true), squall.Options{Seed: 2, FaultPlan: &squall.FaultPlan{Task: 0, AfterTuples: 200}}, func(m *squall.RunMetrics) error {
+			if n := m.Recovery.Kills.Load(); n != 1 {
+				return fmt.Errorf("%d kills recovered, want 1", n)
+			}
+			return nil
+		}},
+	}
+	for _, leg := range legs {
+		t.Run(leg.name, func(t *testing.T) {
+			eng := squall.NewEngine(squall.EngineOptions{Source: serve.SourceOptions{FrameRows: 16}})
+			defer eng.Close()
+			r, s := serveRSpout(), serveSSpout()
+			eng.AddSource("R", func(task, ntasks int) dataflow.Spout { return &pausingSpout{inner: r(task, ntasks)} }, serveRRows)
+			eng.AddSource("S", func(task, ntasks int) dataflow.Spout { return &pausingSpout{inner: s(task, ntasks)} }, serveSRows)
+			h, err := eng.Register(squall.RegisterRequest{ID: leg.name, Query: leg.q, Options: &leg.opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Start()
+			res, err := h.Wait()
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsExactlyEqual(t, leg.name, res.SortedRows(), want)
+			if err := leg.check(res.Metrics); err != nil {
+				t.Fatal(err)
+			}
+			rm := res.Metrics.Component("R")
+			var sent, frames int64
+			for _, tm := range rm.Tasks {
+				sent, frames = sent+tm.Sent.Load(), frames+tm.Batches.Load()
+			}
+			// Full frames only, as without yields, would average about
+			// BatchSize rows.
+			if frames*dataflow.DefaultBatchSize/2 < sent {
+				t.Fatalf("R shipped %d rows in %d frames: the yields flushed no partial frames", sent, frames)
+			}
+		})
+	}
+}
+
+// TestServeOneDeltaPerFrame: the sink publishes once per frame it receives,
+// not once per row. At BatchSize 64, a subscription's non-final deltas
+// number no more than the data frames that reached the sink, and their rows
+// add up to the result.
+func TestServeOneDeltaPerFrame(t *testing.T) {
+	eng := newServeEngine(squall.Options{BatchSize: 64}, serve.SourceOptions{})
+	defer eng.Close()
+	h, err := eng.Register(squall.RegisterRequest{ID: "q", Query: serveQuery(1, true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub, err := eng.Subscribe("q", serve.SubOptions{Policy: serve.CoalesceDeltas, Buf: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Start()
+	var got []squall.Tuple
+	deltas := 0
+	for d := range sub.C() {
+		got = append(got, d.Rows...)
+		if d.Final {
+			if d.Err != nil {
+				t.Fatalf("final delta error: %v", d.Err)
+			}
+			break
+		}
+		deltas++
+	}
+	res, err := h.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sortTuples(got)
+	rowsExactlyEqual(t, "delta rows", got, res.SortedRows())
+	sink := res.Plan.Components[len(res.Plan.Components)-1]
+	var frames int64
+	for _, tm := range res.Metrics.Component(sink.Inputs[0].From).Tasks {
+		frames += tm.Batches.Load()
+	}
+	if int64(deltas) > frames {
+		t.Fatalf("%d deltas for %d result rows in %d frames: the sink publishes per row", deltas, len(got), frames)
+	}
 }

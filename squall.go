@@ -201,7 +201,10 @@ type Options struct {
 	ChannelBuf int
 	// BatchSize caps rows per transport frame (default
 	// dataflow.DefaultBatchSize). 1 ships one-row frames: every tuple is
-	// sent and framed on its own, Figure 5's per-tuple series.
+	// sent and framed on its own, Figure 5's per-tuple series. A task
+	// ships a partial frame at EOS and whenever it would otherwise park
+	// waiting for input, so BatchSize bounds how much a busy task batches,
+	// not how long an idle task's rows wait.
 	//
 	// Every run executes packed: sources encode each tuple once and
 	// selections, projections, routing, transport and slab inserts all run
@@ -308,10 +311,11 @@ type limitSink struct {
 	rows  []Tuple
 	count int64
 	limit int
-	// notify, when set, receives every materialized result batch as it
-	// arrives — the serving engine's subscription feed. With a notify hook
-	// every row is materialized (subscribers see the full delta stream) even
-	// when limit caps what the sink retains. Called outside the sink lock.
+	// notify, when set, receives the materialized rows of each frame a sink
+	// task receives, once per frame — the serving engine's subscription
+	// feed. With a notify hook every row is materialized (subscribers see
+	// the full delta stream) even when limit caps what the sink retains.
+	// Called outside the sink lock; the slice is not reused.
 	notify func(rows []Tuple)
 }
 
@@ -329,13 +333,17 @@ func (s *limitSink) rowCount() int64 {
 	return s.count
 }
 
-// sinkBolt collects rows: Result.Rows is decoded here, at the sink. It
+// sinkBolt is one sink task: Result.Rows is decoded here, at the sink. It
 // counts encoded rows without decoding and only materializes the ones
 // actually kept — with a CollectLimit, the terminal decode cost of a run
-// drops to O(limit).
-type sinkBolt struct{ s *limitSink }
+// drops to O(limit). Under a notify hook it gathers a frame's rows and
+// publishes them as one batch on the frame's Last row.
+type sinkBolt struct {
+	s     *limitSink
+	frame []Tuple // rows of the current frame, for notify
+}
 
-func (b sinkBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
+func (b *sinkBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error {
 	s := b.s
 	var tup Tuple
 	s.mu.Lock()
@@ -347,13 +355,18 @@ func (b sinkBolt) ExecuteRow(in dataflow.RowInput, _ *dataflow.Collector) error 
 		tup = in.Cur.Tuple(nil)
 	}
 	s.mu.Unlock()
-	if s.notify != nil && tup != nil {
-		s.notify([]Tuple{tup})
+	if s.notify == nil {
+		return nil
+	}
+	b.frame = append(b.frame, tup)
+	if in.Last {
+		s.notify(b.frame)
+		b.frame = make([]Tuple, 0, len(b.frame)) // subscribers keep the published slice
 	}
 	return nil
 }
 
-func (b sinkBolt) Finish(*dataflow.Collector) error { return nil }
+func (b *sinkBolt) Finish(*dataflow.Collector) error { return nil }
 
 // BuildScheme constructs the query's hypercube without running it (the
 // paper's "hypercube properties" analyses).
@@ -714,7 +727,7 @@ func build(p *Plan, env buildEnv) (*execution, error) {
 		case c.Name == "agg":
 			b.Bolt(c.Name, c.Parallelism, ops.AggBolt(p.GroupCols, q.Agg.Kind, p.SumCol))
 		default:
-			b.Bolt(c.Name, c.Parallelism, func(int, int) dataflow.Bolt { return sinkBolt{x.sink} })
+			b.Bolt(c.Name, c.Parallelism, func(int, int) dataflow.Bolt { return &sinkBolt{s: x.sink} })
 		}
 		for _, e := range c.Inputs {
 			b.Input(c.Name, e.From, e.g)
